@@ -243,7 +243,8 @@ func BenchmarkPipelineRecoverAndLift(b *testing.B) {
 }
 
 // BenchmarkPipelineStrands measures strand extraction for one
-// executable's recovered procedures.
+// executable's recovered procedures the way the pipeline runs it: one
+// reused, uncached Extractor, hashes and markers only.
 func BenchmarkPipelineStrands(b *testing.B) {
 	env := benchSetup(b)
 	var f *obj.File
@@ -258,12 +259,21 @@ func BenchmarkPipelineStrands(b *testing.B) {
 	}
 	be, _ := isa.ByArch(rec.Arch)
 	opt := &strand.Options{ABI: be.ABI(), Sections: f.Map()}
+	strands := 0
+	for _, p := range rec.Procs {
+		for _, blk := range p.Blocks {
+			strands += len(strand.ExtractBlock(blk, opt))
+		}
+	}
+	ex := strand.NewExtractor(opt, nil, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range rec.Procs {
-			strand.FromBlocks(p.Blocks, opt)
+			ex.Proc(p.Blocks)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*strands), "ns/strand")
 }
 
 // BenchmarkPipelineGame measures one back-and-forth game.

@@ -129,9 +129,7 @@ type Analyzer struct {
 // and metric names are part of the report schema (see
 // telemetry.SchemaVersion); renaming any of them is a breaking change.
 type sessionMetrics struct {
-	obj  *obj.Telemetry
-	cfg  *cfg.Telemetry
-	sim  *sim.Telemetry
+	frontEndMetrics
 	core *core.Telemetry
 	idx  *corpusindex.Telemetry
 
@@ -147,11 +145,19 @@ type sessionMetrics struct {
 	exesSkipped   *telemetry.Counter
 }
 
-func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
-	if r == nil {
-		return nil
-	}
-	return &sessionMetrics{
+// frontEndMetrics is the handle set of the analysis front-end — parse,
+// CFG recovery and lifting, strand extraction, indexing — under the
+// names a live session and a sealed corpus's query analysis share, so
+// obj.parse or strand.strands on a dashboard means the same layer
+// whichever side recorded it. The zero value records nothing.
+type frontEndMetrics struct {
+	obj *obj.Telemetry
+	cfg *cfg.Telemetry
+	sim *sim.Telemetry
+}
+
+func newFrontEndMetrics(r *telemetry.Registry) frontEndMetrics {
+	return frontEndMetrics{
 		obj: &obj.Telemetry{
 			Parse:    r.Stage("obj.parse"),
 			Bytes:    r.Counter("obj.bytes"),
@@ -177,6 +183,28 @@ func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
 				Strands:  r.Counter("strand.strands"),
 			},
 		},
+	}
+}
+
+// newIndexTelemetry is the prefilter handle set: the exact tier's
+// index.* and the LSH tier's lsh.*.
+func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
+	return &corpusindex.Telemetry{
+		Queries:       r.Counter("index.queries"),
+		Fallbacks:     r.Counter("index.fallbacks"),
+		Fanout:        r.Histogram("index.fanout"),
+		LSHProbes:     r.Counter("lsh.probes"),
+		LSHFallbacks:  r.Counter("lsh.fallbacks"),
+		LSHCandidates: r.Histogram("lsh.candidates"),
+	}
+}
+
+func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
+	if r == nil {
+		return nil
+	}
+	return &sessionMetrics{
+		frontEndMetrics: newFrontEndMetrics(r),
 		core: &core.Telemetry{
 			Games:                 r.Counter("game.played"),
 			Steps:                 r.Histogram("game.steps"),
@@ -190,14 +218,7 @@ func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
 			BatchSharedGames:      r.Counter("batch.shared_games"),
 			BatchQueriesPerTarget: r.Histogram("batch.queries_per_target"),
 		},
-		idx: &corpusindex.Telemetry{
-			Queries:       r.Counter("index.queries"),
-			Fallbacks:     r.Counter("index.fallbacks"),
-			Fanout:        r.Histogram("index.fanout"),
-			LSHProbes:     r.Counter("lsh.probes"),
-			LSHFallbacks:  r.Counter("lsh.fallbacks"),
-			LSHCandidates: r.Histogram("lsh.candidates"),
-		},
+		idx:           newIndexTelemetry(r),
 		imageOpen:     r.Stage("image.open"),
 		imageUnpack:   r.Stage("image.unpack"),
 		snapSave:      r.Stage("snapshot.save"),
@@ -352,7 +373,7 @@ func (e *Executable) ProcedureStrands(i int) []uint64 {
 }
 
 // ProcedureMarkers returns procedure i's sorted distinctive constants
-// (a copy; see strand.ConstMarkers).
+// (a copy; see strand.MarkerOverlap).
 func (e *Executable) ProcedureMarkers(i int) []uint32 {
 	return append([]uint32(nil), e.exe.Procs[i].Markers...)
 }

@@ -43,7 +43,7 @@ type Proc struct {
 	Exported bool
 	Set      strand.Set
 	// Markers are the procedure's distinctive plain constants, used by
-	// the automated confirmation step (see strand.ConstMarkers).
+	// the automated confirmation step (see strand.MarkerOverlap).
 	Markers []uint32
 	// CFG/call-graph shape, consumed by the BinDiff-style baseline.
 	BlockCount int
@@ -194,10 +194,12 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		for i := range rec.Procs {
 			procs[i] = buildOne(ex, i)
 		}
+		ex.Release()
 	} else {
-		// Each worker owns an extractor (arena + scratch); procedures
-		// are claimed via an atomic cursor and written to their slot, so
-		// assembly order is index order regardless of schedule.
+		// Each worker owns an extractor (its scratch drawn from, and
+		// returned to, the strand package's pool); procedures are claimed
+		// via an atomic cursor and written to their slot, so assembly
+		// order is index order regardless of schedule.
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -205,6 +207,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 			go func() {
 				defer wg.Done()
 				ex := strand.NewExtractorWith(opt, it, cache, extractTel)
+				defer ex.Release()
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= len(rec.Procs) {

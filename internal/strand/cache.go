@@ -1,7 +1,8 @@
 package strand
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,8 +34,8 @@ type blockEntry struct {
 	// ids are the dense interned equivalents of hashes, sorted unique;
 	// nil when the cache's session has no interner.
 	ids []uint32
-	// markers are the block's identity-bearing constants (see
-	// ConstMarkers), sorted unique.
+	// markers are the block's identity-bearing constants (see isMarker),
+	// sorted unique.
 	markers []uint32
 }
 
@@ -122,24 +123,18 @@ func (c *BlockCache) store(k uir.Fingerprint, e *blockEntry) *blockEntry {
 	return e
 }
 
-// Extractor is a per-worker front end to strand extraction: it owns the
-// reusable analysis scratch (node arena, substitution maps, renderer)
-// and consults the session's BlockCache. An Extractor is NOT safe for
-// concurrent use — create one per worker goroutine; the cache behind
-// them is shared.
+// Extractor is a per-worker front end to strand extraction: it binds a
+// pooled analysis scratch (node arena, substitution tables, renderer and
+// merge buffers) to one executable's options and consults the session's
+// BlockCache. An Extractor is NOT safe for concurrent use — create one
+// per worker goroutine; the cache behind them is shared.
 type Extractor struct {
-	opt    *Options
 	it     Interner
 	cache  *BlockCache
 	seed   uint64
 	ranges uir.SectionRanges
 
 	sc *extractScratch
-	// merge scratch, reused across procedures.
-	accH, tmpH []uint64
-	accI, tmpI []uint32
-	accM, tmpM []uint32
-	blockM     []uint32
 
 	// telemetry handles, copied out of the Telemetry struct so recording
 	// is an unconditional nil-safe call.
@@ -159,7 +154,7 @@ func NewExtractor(opt *Options, it Interner, cache *BlockCache) *Extractor {
 // NewExtractorWith is NewExtractor recording extraction metrics into
 // tel. Extraction output (and cache keys) are identical.
 func NewExtractorWith(opt *Options, it Interner, cache *BlockCache, tel *Telemetry) *Extractor {
-	ex := &Extractor{opt: opt, it: it, sc: newExtractScratch()}
+	ex := &Extractor{it: it, sc: getScratch(opt)}
 	if cache != nil && cache.it == it {
 		ex.cache = cache
 		ex.seed = contextSeed(opt)
@@ -176,14 +171,21 @@ func NewExtractorWith(opt *Options, it Interner, cache *BlockCache, tel *Telemet
 	return ex
 }
 
+// Release returns the extractor's scratch to the pool; the extractor
+// must not be used afterwards. Optional — an unreleased scratch is
+// simply collected — but it is what lets the next executable start warm.
+func (ex *Extractor) Release() {
+	putScratch(ex.sc)
+	ex.sc = nil
+}
+
 // contextSeed hashes every extraction input that is not part of the
 // block itself: the options and the absolute section map. Folding it
 // into the fingerprint seed keys the cache per extraction context, which
 // is what makes a fingerprint hit imply identical canonical strands.
 func contextSeed(opt *Options) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	word := func(w uint64) { h = (h ^ w) * prime }
+	h := uint64(fnvOffset64)
+	word := func(w uint64) { h = (h ^ w) * fnvPrime64 }
 	if opt.KeepTrivial {
 		word(1)
 	}
@@ -213,109 +215,77 @@ func contextSeed(opt *Options) uint64 {
 
 // Proc extracts every block of one procedure in a single pass,
 // returning the merged canonical strand set (with dense IDs when under
-// a session) and the procedure's marker constants. It replaces the
-// FromBlocks + ConstMarkers pair, which each re-extracted every block.
+// a session) and the procedure's marker constants. The three result
+// slices are all it allocates when every block is computed or cached.
 func (ex *Extractor) Proc(blocks []*uir.Block) (Set, []uint32) {
-	ex.accH = ex.accH[:0]
-	ex.accI = ex.accI[:0]
-	ex.accM = ex.accM[:0]
+	sc := ex.sc
+	sc.accH, sc.accI, sc.accM = sc.accH[:0], sc.accI[:0], sc.accM[:0]
 	for _, b := range blocks {
 		e := ex.block(b)
-		ex.accH, ex.tmpH = mergeU64(ex.tmpH[:0], ex.accH, e.hashes), ex.accH
-		ex.accM, ex.tmpM = mergeU32(ex.tmpM[:0], ex.accM, e.markers), ex.accM
-		if e.ids != nil {
-			ex.accI, ex.tmpI = mergeU32(ex.tmpI[:0], ex.accI, e.ids), ex.accI
-		}
+		sc.accH, sc.tmpH = mergeSorted(sc.tmpH[:0], sc.accH, e.hashes), sc.accH
+		sc.accM, sc.tmpM = mergeSorted(sc.tmpM[:0], sc.accM, e.markers), sc.accM
+		sc.accI, sc.tmpI = mergeSorted(sc.tmpI[:0], sc.accI, e.ids), sc.accI
 	}
-	set := Set{Hashes: append(make([]uint64, 0, len(ex.accH)), ex.accH...)}
+	set := Set{Hashes: append(make([]uint64, 0, len(sc.accH)), sc.accH...)}
 	if ex.it != nil {
-		set.IDs = append(make([]uint32, 0, len(ex.accI)), ex.accI...)
+		set.IDs = append(make([]uint32, 0, len(sc.accI)), sc.accI...)
 		set.It = ex.it
 	}
-	var markers []uint32
-	if len(ex.accM) > 0 {
-		markers = append(make([]uint32, 0, len(ex.accM)), ex.accM...)
-	}
-	return set, markers
+	return set, owned(sc.accM)
 }
 
 // block returns the canonicalization of one block, from the cache when
-// possible.
-func (ex *Extractor) block(b *uir.Block) *blockEntry {
+// possible. Without a cache the entry's slices alias the scratch and are
+// valid until the next block.
+func (ex *Extractor) block(b *uir.Block) blockEntry {
 	ex.telBlocks.Inc()
 	if ex.cache == nil {
 		return ex.compute(b)
 	}
 	k := uir.BlockFingerprint(b, ex.ranges, ex.seed)
 	if e := ex.cache.lookup(k); e != nil {
-		return e
+		return *e
 	}
-	return ex.cache.store(k, ex.compute(b))
+	e := ex.compute(b)
+	return *ex.cache.store(k, &blockEntry{
+		hashes:  owned(e.hashes),
+		ids:     owned(e.ids),
+		markers: owned(e.markers),
+	})
 }
 
-// compute runs extraction for one block and packages the result as an
-// immutable entry.
-func (ex *Extractor) compute(b *uir.Block) *blockEntry {
-	st := ex.sc.analyze(b, ex.opt)
-	strands := st.render(ex.opt)
+// owned copies a scratch-backed slice into its own allocation; an empty
+// one becomes nil, so nothing long-lived points into a scratch.
+func owned[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// compute runs extraction for one block. The returned entry is a view
+// of the scratch: sorted unique hashes, IDs and markers.
+func (ex *Extractor) compute(b *uir.Block) blockEntry {
+	sc := ex.sc
+	sc.analyze(b)
+	sc.render(nil)
 	ex.telComputed.Inc()
-	ex.telStrands.Add(int64(len(strands)))
-	e := &blockEntry{}
-	if len(strands) == 0 {
-		return e
-	}
-	e.hashes = make([]uint64, len(strands))
-	ex.blockM = ex.blockM[:0]
-	for i, s := range strands {
-		e.hashes[i] = s.Hash
-		collectHexConstants(s.Text, func(v uint32) {
-			if isMarker(v) {
-				ex.blockM = append(ex.blockM, v)
-			}
-		})
-	}
+	ex.telStrands.Add(int64(len(sc.hashes)))
 	// Strands are unique by hash already (render dedups); sort for merge.
-	sort.Slice(e.hashes, func(i, j int) bool { return e.hashes[i] < e.hashes[j] })
-	if len(ex.blockM) > 0 {
-		sort.Slice(ex.blockM, func(i, j int) bool { return ex.blockM[i] < ex.blockM[j] })
-		e.markers = append(make([]uint32, 0, len(ex.blockM)), ex.blockM[0])
-		for _, v := range ex.blockM[1:] {
-			if v != e.markers[len(e.markers)-1] {
-				e.markers = append(e.markers, v)
-			}
-		}
-	}
+	slices.Sort(sc.hashes)
+	slices.Sort(sc.markers)
+	e := blockEntry{hashes: sc.hashes, markers: slices.Compact(sc.markers)}
 	if ex.it != nil {
-		e.ids = internAll(ex.it, e.hashes, make([]uint32, 0, len(e.hashes)))
-		sort.Slice(e.ids, func(i, j int) bool { return e.ids[i] < e.ids[j] })
+		sc.ids = internAll(ex.it, sc.hashes, sc.ids[:0])
+		slices.Sort(sc.ids)
+		e.ids = sc.ids
 	}
 	return e
 }
 
-// mergeU64 appends the sorted-unique union of a and b (each sorted
+// mergeSorted appends the sorted-unique union of a and b (each sorted
 // unique) to dst and returns it.
-func mergeU64(dst, a, b []uint64) []uint64 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			dst = append(dst, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
-// mergeU32 is mergeU64 for uint32 slices.
-func mergeU32(dst, a, b []uint32) []uint32 {
+func mergeSorted[T cmp.Ordered](dst, a, b []T) []T {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

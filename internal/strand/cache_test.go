@@ -2,6 +2,9 @@ package strand
 
 import (
 	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -72,10 +75,39 @@ func sameU32(a, b []uint32) bool {
 	return true
 }
 
-// The single-pass extractor must reproduce the FromBlocks + ConstMarkers
-// pair exactly — hashes, dense IDs and markers — with the cache off, with
-// the cache cold, and with the cache warm.
-func TestExtractorMatchesFromBlocks(t *testing.T) {
+var hexLiteral = regexp.MustCompile(`0x[0-9a-f]+`)
+
+// referenceProc derives a procedure's strand set and markers from the
+// text-producing inspection path: the union of ExtractBlock hashes, and
+// the identity-bearing constants re-parsed out of the rendered text.
+func referenceProc(t *testing.T, blocks []*uir.Block, opt *Options) ([]uint64, []uint32) {
+	t.Helper()
+	var hashes []uint64
+	var markers []uint32
+	for _, b := range blocks {
+		for _, s := range ExtractBlock(b, opt) {
+			hashes = append(hashes, s.Hash)
+			for _, lit := range hexLiteral.FindAllString(s.Text, -1) {
+				v, err := strconv.ParseUint(lit[2:], 16, 32)
+				if err != nil {
+					t.Fatalf("literal %q in %q: %v", lit, s.Text, err)
+				}
+				if isMarker(uint32(v)) {
+					markers = append(markers, uint32(v))
+				}
+			}
+		}
+	}
+	slices.Sort(hashes)
+	slices.Sort(markers)
+	return slices.Compact(hashes), slices.Compact(markers)
+}
+
+// The single-pass extractor must reproduce the per-block inspection path
+// exactly — hashes, dense IDs and markers (which it collects from tokens,
+// never from text) — with the cache off, with the cache cold, and with
+// the cache warm; and FromBlocks is that same path.
+func TestExtractorMatchesExtractBlock(t *testing.T) {
 	for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
 		procs, opt := recoverProcs(t, arch)
 		it := newLockedInterner()
@@ -84,11 +116,14 @@ func TestExtractorMatchesFromBlocks(t *testing.T) {
 		cold := NewExtractor(opt, it, cache)
 		warm := NewExtractor(opt, it, cache)
 		for _, p := range procs {
-			want := FromBlocks(p.Blocks, opt).Interned(it)
-			wantMarkers := ConstMarkers(p.Blocks, opt)
+			wantHashes, wantMarkers := referenceProc(t, p.Blocks, opt)
+			want := Set{Hashes: wantHashes}.Interned(it)
+			if got := FromBlocks(p.Blocks, opt); !slices.Equal(got.Hashes, want.Hashes) {
+				t.Fatalf("%v/%s: FromBlocks hashes = %v, want %v", arch, p.Name, got.Hashes, want.Hashes)
+			}
 			for name, ex := range map[string]*Extractor{"plain": plain, "cold": cold, "warm": warm} {
 				set, markers := ex.Proc(p.Blocks)
-				if !reflect.DeepEqual(set.Hashes, want.Hashes) {
+				if !slices.Equal(set.Hashes, want.Hashes) {
 					t.Fatalf("%v/%s/%s: hashes = %v, want %v", arch, p.Name, name, set.Hashes, want.Hashes)
 				}
 				if !sameU32(set.IDs, want.IDs) {
@@ -214,5 +249,37 @@ func TestBlockCacheConcurrent(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Errorf("concurrent replay produced no hits: %+v", st)
+	}
+}
+
+// A warm, uncached extractor allocates its results and nothing else: the
+// three slices Proc returns (Hashes, IDs, markers) per procedure, however
+// many blocks, strands or DAG levels the procedure has. The issue's
+// ceiling allowed three more per block; blocks are views of the scratch
+// and cost none. A formatted string or a fresh map in the per-strand
+// loop shows up here as thousands, not as a slower benchmark next month.
+func TestExtractorAllocationCeiling(t *testing.T) {
+	for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
+		procs, opt := recoverProcs(t, arch)
+		it := newLockedInterner()
+		ex := NewExtractor(opt, it, nil)
+		blocks, strands := 0, 0
+		for _, p := range procs {
+			blocks += len(p.Blocks)
+			for _, b := range p.Blocks {
+				strands += len(ExtractBlock(b, opt))
+			}
+		}
+		run := func() {
+			for _, p := range procs {
+				ex.Proc(p.Blocks)
+			}
+		}
+		run() // warm: grow the scratch, intern every hash
+		got := testing.AllocsPerRun(10, run)
+		if ceiling := float64(3 * len(procs)); got > ceiling {
+			t.Errorf("%v: %.0f allocations per pass over %d procedures / %d blocks / %d strands, want at most %.0f (3 per procedure)",
+				arch, got, len(procs), blocks, strands, ceiling)
+		}
 	}
 }

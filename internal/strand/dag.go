@@ -13,9 +13,8 @@
 package strand
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"bytes"
+	"strconv"
 
 	"firmup/internal/uir"
 )
@@ -33,141 +32,176 @@ const (
 	nSel
 )
 
-// node is a hash-consed DAG node; equal structure ⇒ identical pointer
-// within one builder.
-type node struct {
+// nodeKey is a node's structural identity and the hash-consing key.
+// Children are consed before their parents, so their pointers stand for
+// their whole sub-DAG: comparing the struct compares the structure.
+type nodeKey struct {
+	// Pointers first and the narrow fields last, leaving no padding
+	// between fields: the map hashes the key as one run of memory.
+	a, b, c *node
+	val     uint32
+	idx     int32 // call index for nCallRes
+	reg     uir.Reg
 	kind    nodeKind
 	op      uir.Op
-	val     uint32
-	reg     uir.Reg
-	idx     int   // call index for nCallRes
 	size    uint8 // load size
-	a, b, c *node
+}
+
+// node is a hash-consed DAG node; equal structure ⇒ identical pointer
+// within one block. Beside its identity a node carries the per-block and
+// per-strand scratch that is keyed by node — the arena slot is the dense
+// table row — so none of it needs a map, and none of it needs clearing:
+// a block starts with fresh nodes, and strand-scoped fields are valid
+// only under the stamp of the strand that wrote them.
+type node struct {
+	nodeKey
+
+	// blind is the node's memoized blind key, a span of builder.blindBuf
+	// (empty until first asked for).
+	blindOff, blindLen int32
+	// fwd heads the node's chain in extractScratch.stores: the values
+	// stored at this address in the block so far (0 = none).
+	fwd int32
+	// stamp is the strand this node was last named in, and num its name
+	// there: the let number of an operation, the argN/cresN index of an
+	// input or call result, the offN index of a section constant.
+	stamp uint32
+	num   int32
 }
 
 // builder constructs and canonicalizes DAG nodes for one basic block.
-// Nodes are allocated from a chunked arena so a builder reused across
-// many blocks (an Extractor's per-worker scratch) allocates node memory
-// in slabs instead of one heap object per node.
+// Nodes live in chunks that are kept and refilled from the start for
+// every block, so a builder reused across many blocks (an Extractor's
+// scratch) stops allocating once it has seen its largest block.
 type builder struct {
-	cons  map[string]*node
-	blind map[*node]string
-	arena []node
+	cons     map[nodeKey]*node
+	chunks   [][]node
+	cur      int // chunk being filled
+	blindBuf []byte
 }
 
-// arenaChunk is the node-slab size. Chunks are never grown in place —
-// a full chunk is abandoned to the nodes pointing into it and a fresh
-// one started — so node pointers stay stable.
+// arenaChunk is the node-slab size. Chunks are never grown in place, so
+// node pointers stay stable.
 const arenaChunk = 256
 
 func newBuilder() *builder {
-	return &builder{cons: map[string]*node{}, blind: map[*node]string{}}
+	return &builder{cons: map[nodeKey]*node{}, chunks: [][]node{make([]node, 0, arenaChunk)}}
 }
 
-// reset clears the interning tables for the next block. The current
-// arena chunk keeps filling: nodes of previous blocks are unreachable
-// once their strands are rendered, and the chunk tail is still free.
+// reset forgets the previous block: the interning table is cleared and
+// the arena rewinds, invalidating every node handed out so far.
 func (bd *builder) reset() {
 	clear(bd.cons)
-	clear(bd.blind)
+	for i := 0; i <= bd.cur; i++ {
+		bd.chunks[i] = bd.chunks[i][:0]
+	}
+	bd.cur = 0
+	bd.blindBuf = bd.blindBuf[:0]
 }
 
 func (bd *builder) alloc() *node {
-	if len(bd.arena) == cap(bd.arena) {
-		bd.arena = make([]node, 0, arenaChunk)
+	c := bd.chunks[bd.cur]
+	if len(c) == cap(c) {
+		bd.cur++
+		if bd.cur == len(bd.chunks) {
+			bd.chunks = append(bd.chunks, make([]node, 0, arenaChunk))
+		}
+		c = bd.chunks[bd.cur]
 	}
-	bd.arena = bd.arena[:len(bd.arena)+1]
-	return &bd.arena[len(bd.arena)-1]
+	c = c[:len(c)+1]
+	bd.chunks[bd.cur] = c
+	return &c[len(c)-1]
 }
 
 // intern hash-conses a node.
-func (bd *builder) intern(n node) *node {
-	k := identKey(&n)
+func (bd *builder) intern(k nodeKey) *node {
 	if p, ok := bd.cons[k]; ok {
 		return p
 	}
 	p := bd.alloc()
-	*p = n
+	*p = node{nodeKey: k}
 	bd.cons[k] = p
 	return p
 }
 
-// identKey is the identity-full structural key used for hash-consing.
-func identKey(n *node) string {
-	var sb strings.Builder
-	writeIdentKey(&sb, n)
-	return sb.String()
-}
-
-func writeIdentKey(sb *strings.Builder, n *node) {
-	switch n.kind {
-	case nConst:
-		fmt.Fprintf(sb, "c%x", n.val)
-	case nInput:
-		fmt.Fprintf(sb, "i%d", n.reg)
-	case nCallRes:
-		fmt.Fprintf(sb, "r%d", n.idx)
-	case nLoad:
-		fmt.Fprintf(sb, "l%d(", n.size)
-		writeIdentKey(sb, n.a)
-		sb.WriteByte(')')
-	case nBin:
-		fmt.Fprintf(sb, "b%d(", n.op)
-		writeIdentKey(sb, n.a)
-		sb.WriteByte(',')
-		writeIdentKey(sb, n.b)
-		sb.WriteByte(')')
-	case nUn:
-		fmt.Fprintf(sb, "u%d(", n.op)
-		writeIdentKey(sb, n.a)
-		sb.WriteByte(')')
-	case nSel:
-		sb.WriteString("s(")
-		writeIdentKey(sb, n.a)
-		sb.WriteByte(',')
-		writeIdentKey(sb, n.b)
-		sb.WriteByte(',')
-		writeIdentKey(sb, n.c)
-		sb.WriteByte(')')
-	}
-}
-
 // blindKey is the register-identity-blind structural key used for
 // commutative operand ordering, so that two compilations assigning
-// different registers order operands the same way.
-func (bd *builder) blindKey(n *node) string {
-	if k, ok := bd.blind[n]; ok {
-		return k
+// different registers order operands the same way. The order it defines
+// is the lexicographic order of the serialized form — part of the
+// canonical strand format, since it decides which operand prints first —
+// so the key stays a byte string, built once per node by appending the
+// children's memoized keys.
+func (bd *builder) blindKey(n *node) []byte {
+	if n.blindLen == 0 {
+		bd.buildBlindKey(n)
 	}
-	var sb strings.Builder
+	return bd.blindBuf[n.blindOff : n.blindOff+n.blindLen]
+}
+
+func (bd *builder) buildBlindKey(n *node) {
+	// Children first: their spans must be complete before this node's
+	// span starts.
+	for _, c := range [...]*node{n.a, n.b, n.c} {
+		if c != nil && c.blindLen == 0 {
+			bd.buildBlindKey(c)
+		}
+	}
+	buf := bd.blindBuf
+	off := len(buf)
+	// A leaf is its rank and tag; an operation is rank, tag and width or
+	// op, then its operands' keys in parentheses.
 	switch n.kind {
 	case nConst:
 		// Constants rank last so canonical operand order is
 		// expression-then-constant (LLVM style).
-		fmt.Fprintf(&sb, "9c%x", n.val)
+		buf = append(buf, "9c"...)
+		buf = strconv.AppendUint(buf, uint64(n.val), 16)
 	case nInput:
-		sb.WriteString("1i")
+		buf = append(buf, "1i"...)
 	case nCallRes:
-		sb.WriteString("1r")
+		buf = append(buf, "1r"...)
 	case nLoad:
-		fmt.Fprintf(&sb, "2l%d(%s)", n.size, bd.blindKey(n.a))
+		buf = append(buf, "2l"...)
+		buf = strconv.AppendUint(buf, uint64(n.size), 10)
 	case nBin:
-		fmt.Fprintf(&sb, "3b%02d(%s,%s)", n.op, bd.blindKey(n.a), bd.blindKey(n.b))
+		buf = appendOp2(append(buf, "3b"...), n.op)
 	case nUn:
-		fmt.Fprintf(&sb, "3u%02d(%s)", n.op, bd.blindKey(n.a))
+		buf = appendOp2(append(buf, "3u"...), n.op)
 	case nSel:
-		fmt.Fprintf(&sb, "3s(%s,%s,%s)", bd.blindKey(n.a), bd.blindKey(n.b), bd.blindKey(n.c))
+		buf = append(buf, "3s"...)
 	}
-	k := sb.String()
-	bd.blind[n] = k
-	return k
+	if n.a != nil {
+		buf = append(buf, '(')
+		for i, c := range [...]*node{n.a, n.b, n.c} {
+			if c == nil {
+				break
+			}
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, buf[c.blindOff:c.blindOff+c.blindLen]...)
+		}
+		buf = append(buf, ')')
+	}
+	bd.blindBuf = buf
+	n.blindOff, n.blindLen = int32(off), int32(len(buf)-off)
 }
 
-func (bd *builder) konst(v uint32) *node  { return bd.intern(node{kind: nConst, val: v}) }
-func (bd *builder) input(r uir.Reg) *node { return bd.intern(node{kind: nInput, reg: r}) }
-func (bd *builder) callRes(idx int) *node { return bd.intern(node{kind: nCallRes, idx: idx}) }
+// appendOp2 appends op as at least two decimal digits.
+func appendOp2(buf []byte, op uir.Op) []byte {
+	if op < 10 {
+		buf = append(buf, '0')
+	}
+	return strconv.AppendUint(buf, uint64(op), 10)
+}
+
+func (bd *builder) konst(v uint32) *node  { return bd.intern(nodeKey{kind: nConst, val: v}) }
+func (bd *builder) input(r uir.Reg) *node { return bd.intern(nodeKey{kind: nInput, reg: r}) }
+func (bd *builder) callRes(idx int) *node {
+	return bd.intern(nodeKey{kind: nCallRes, idx: int32(idx)})
+}
 func (bd *builder) load(addr *node, size uint8) *node {
-	return bd.intern(node{kind: nLoad, a: addr, size: size})
+	return bd.intern(nodeKey{kind: nLoad, a: addr, size: size})
 }
 
 // maxBits returns an upper bound on the number of significant low bits of
@@ -356,11 +390,11 @@ func (bd *builder) bin(op uir.Op, a, b *node) *node {
 	// Commutative operand ordering by register-blind structural key;
 	// stable on ties.
 	if op.IsCommutative() {
-		if bd.blindKey(b) < bd.blindKey(a) {
+		if bytes.Compare(bd.blindKey(b), bd.blindKey(a)) < 0 {
 			a, b = b, a
 		}
 	}
-	return bd.intern(node{kind: nBin, op: op, a: a, b: b})
+	return bd.intern(nodeKey{kind: nBin, op: op, a: a, b: b})
 }
 
 // combineLE recognizes lt(a,b)|eq({a,b}) → le(a,b).
@@ -415,7 +449,7 @@ func (bd *builder) un(op uir.Op, a *node) *node {
 			return a.a
 		}
 	}
-	return bd.intern(node{kind: nUn, op: op, a: a})
+	return bd.intern(nodeKey{kind: nUn, op: op, a: a})
 }
 
 // sel builds a canonicalized select node.
@@ -438,30 +472,5 @@ func (bd *builder) sel(cond, a, b *node) *node {
 			return bd.bin(uir.OpXor, bd.un(uir.OpBool, cond), bd.konst(1))
 		}
 	}
-	return bd.intern(node{kind: nSel, a: cond, b: a, c: b})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// sortedRegs returns map keys in ascending register order (deterministic
-// iteration for effect emission).
-func sortedRegs(m map[uir.Reg]*node) []uir.Reg {
-	out := make([]uir.Reg, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return bd.intern(nodeKey{kind: nSel, a: cond, b: a, c: b})
 }

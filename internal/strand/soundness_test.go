@@ -158,9 +158,12 @@ func TestCanonicalizationSoundness(t *testing.T) {
 			t.Fatalf("trial %d: machine: %v", trial, err)
 		}
 
-		st := analyzeBlock(blk, opt)
-		for r, n := range st.regs {
-			if st.inputs[r] == n {
+		st := newExtractScratch()
+		st.bind(opt)
+		st.analyze(blk)
+		for _, r := range st.live {
+			n := st.regs[r].n
+			if n.kind == nInput && n.reg == r {
 				continue
 			}
 			got := evalNodeSnap(t, trial, n, initRegs, readSnap)
@@ -173,7 +176,7 @@ func TestCanonicalizationSoundness(t *testing.T) {
 		// leave the machine memory with the DAG-predicted value.
 		finalStores := map[uint32]uint32{}
 		for _, e := range st.effects {
-			if e.kind != "store" {
+			if e.kind != effStore {
 				continue
 			}
 			addr := evalNodeSnap(t, trial, e.a, initRegs, readSnap)

@@ -1,10 +1,9 @@
 package strand
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+	"sync"
 
 	"firmup/internal/obj"
 	"firmup/internal/uir"
@@ -42,237 +41,345 @@ type Strand struct {
 // use-def chain Algorithm 1 would slice, already in simplified form.
 // Dead intermediate computations disappear, mirroring DCE.
 //
-// Batch callers (analyzer sessions) should prefer an Extractor, which
-// reuses the analysis scratch across blocks and consults the session's
-// block canonicalization cache.
+// ExtractBlock is the inspection entry point (fwdump, the examples): it
+// is the only caller that materializes canonical text. The analysis
+// pipeline runs the same code through an Extractor, which keeps hashes
+// and markers only and consults the session's block cache.
 func ExtractBlock(b *uir.Block, opt *Options) []Strand {
-	sc := newExtractScratch()
-	st := sc.analyze(b, opt)
-	return st.render(opt)
+	sc := getScratch(opt)
+	defer putScratch(sc)
+	sc.analyze(b)
+	var out []Strand
+	sc.render(&out)
+	return out
 }
 
-// blockState is the analyzed form of one block: the expression DAG plus
-// the outward-facing effects. Exposed internally for the soundness
-// property tests, which evaluate the DAG against the reference machine.
-type blockState struct {
-	bd      *builder
-	regs    map[uir.Reg]*node
-	inputs  map[uir.Reg]*node
-	effects []effect
-}
+type effectKind uint8
 
+const (
+	effStore effectKind = iota
+	effCall
+	effBr
+	effJump
+	effIJump
+)
+
+// effect is one outward-facing action of a block, the basis of a strand.
+// A bare return carries no data flow (the return value is covered by
+// the return register's strand) and is not recorded.
 type effect struct {
-	kind   string // "store", "call", "br", "jump", "ijump", "retx"
-	a, b   *node
-	args   []*node
-	size   uint8
-	target *node
+	kind   effectKind
+	size   uint8 // store width
+	a, b   *node // store: address and value; br: condition
+	target *node // call, br, jump, ijump
+	// argLo:argHi is a call's span of extractScratch.callArgs.
+	argLo, argHi int32
 }
 
-// memKey identifies one store-to-load forwarding slot.
-type memKey struct {
-	addr *node
+// slot is one row of a dense table keyed by a small integer (a uir.Reg
+// or a uir.Temp). A row written under another epoch is empty, so moving
+// to the next block empties every table without touching it.
+type slot struct {
+	n     *node
+	epoch uint32
+}
+
+func lookup(t []slot, i int, epoch uint32) *node {
+	if i < len(t) && t[i].epoch == epoch {
+		return t[i].n
+	}
+	return nil
+}
+
+func assign(t []slot, i int, epoch uint32, n *node) []slot {
+	if i >= len(t) {
+		t = append(t, make([]slot, i+1-len(t))...)
+	}
+	t[i] = slot{n, epoch}
+	return t
+}
+
+// storeSlot is one store-to-load forwarding entry. The entries of one
+// address node form a chain headed by node.fwd, one per access width.
+type storeSlot struct {
+	val  *node
 	size uint8
+	next int32
 }
 
-// extractScratch is the reusable per-worker state of block analysis:
-// the node builder with its arena, the forward-substitution maps, and
-// the effect list. One scratch serves any number of blocks serially;
-// reuse turns per-block map and slab allocations into clears.
+// extractScratch is everything canonicalizing a block needs besides the
+// block: the node builder and its arena, the forward-substitution
+// tables, the effect list, and the renderer's output buffers. One scratch
+// serves any number of blocks serially and reaches a steady state in
+// which a block allocates nothing. Scratches are pooled (getScratch), so
+// a request that analyzes one executable on a few workers does not build
+// a set per worker.
 type extractScratch struct {
-	bd      *builder
-	regs    map[uir.Reg]*node
-	inputs  map[uir.Reg]*node
-	temps   map[uir.Temp]*node
-	mem     map[memKey]*node
-	effects []effect
-	st      blockState
+	opt      *Options
+	excluded []uir.Reg // registers whose final value is never a strand basis
+
+	// Analysis state of the current block. The analyzed form — the DAG,
+	// the live registers and the effects — is valid until the next analyze.
+	bd       *builder
+	epoch    uint32
+	regs     []slot    // by uir.Reg: current value, nil once clobbered by a call
+	live     []uir.Reg // registers with a row in regs this block
+	temps    []slot    // by uir.Temp
+	stores   []storeSlot
+	callArgs []*node
+	effects  []effect
+
+	// Renderer state of the current strand.
+	strand              uint32 // stamp: nodes named in this strand carry it
+	nlets, nargs, noffs int32
+	buf                 []byte // canonical text of the strand being rendered
+	markerMark          int    // len(markers) when the strand began
+
+	// Renderer output for the current block.
+	hashes  []uint64 // unique, in emission order
+	markers []uint32 // identity-bearing constants of the kept strands, with repeats
+	ids     []uint32
+
+	// Merge buffers of Extractor.Proc.
+	accH, tmpH []uint64
+	accI, tmpI []uint32
+	accM, tmpM []uint32
 }
 
 func newExtractScratch() *extractScratch {
-	return &extractScratch{
-		bd:     newBuilder(),
-		regs:   map[uir.Reg]*node{},
-		inputs: map[uir.Reg]*node{},
-		temps:  map[uir.Temp]*node{},
-		mem:    map[memKey]*node{},
+	return &extractScratch{bd: newBuilder()}
+}
+
+var scratchPool = sync.Pool{New: func() any { return newExtractScratch() }}
+
+// getScratch draws a scratch from the pool and binds it to opt.
+func getScratch(opt *Options) *extractScratch {
+	sc := scratchPool.Get().(*extractScratch)
+	sc.bind(opt)
+	return sc
+}
+
+func putScratch(sc *extractScratch) {
+	sc.opt = nil
+	scratchPool.Put(sc)
+}
+
+// bind sets the extraction options. Final register values are
+// outward-facing (register folding drops the destination identity), but
+// the stack pointer, link register and status flags are excluded: their
+// updates are universal scaffolding, not procedure semantics.
+func (sc *extractScratch) bind(opt *Options) {
+	sc.opt = opt
+	sc.excluded = sc.excluded[:0]
+	if abi := opt.ABI; abi != nil {
+		sc.excluded = append(sc.excluded, abi.SP)
+		if abi.LinkReg != uir.NoLinkReg {
+			sc.excluded = append(sc.excluded, abi.LinkReg)
+		}
+		sc.excluded = append(sc.excluded, abi.Status()...)
 	}
 }
 
-// analyzeBlock performs the forward-substitution walk with one-shot
-// scratch (the soundness property tests inspect the returned state).
-func analyzeBlock(b *uir.Block, opt *Options) *blockState {
-	return newExtractScratch().analyze(b, opt)
+func (sc *extractScratch) setReg(r uir.Reg, n *node) {
+	if int(r) >= len(sc.regs) || sc.regs[r].epoch != sc.epoch {
+		sc.live = append(sc.live, r)
+	}
+	sc.regs = assign(sc.regs, int(r), sc.epoch, n)
 }
 
-// analyze performs the forward-substitution walk. The returned state
-// aliases the scratch and is valid until the next analyze call.
-func (sc *extractScratch) analyze(b *uir.Block, opt *Options) *blockState {
-	sc.bd.reset()
-	clear(sc.regs)
-	clear(sc.inputs)
-	clear(sc.temps)
-	clear(sc.mem)
-	sc.effects = sc.effects[:0]
-
-	bd := sc.bd
-	regs := sc.regs // current register values
-	inputs := sc.inputs
-	getReg := func(r uir.Reg) *node {
-		if n, ok := regs[r]; ok {
-			return n
-		}
-		n := bd.input(r)
-		regs[r] = n
-		inputs[r] = n
+// getReg returns the register's current value: what the block last put
+// there, or the block's input.
+func (sc *extractScratch) getReg(r uir.Reg) *node {
+	if n := lookup(sc.regs, int(r), sc.epoch); n != nil {
 		return n
 	}
-	temps := sc.temps
-	operand := func(o uir.Operand) *node {
-		if o.IsConst {
-			return bd.konst(o.Val)
-		}
-		return temps[o.Temp]
-	}
-	mem := sc.mem
-	effects := sc.effects
-	callCount := 0
+	n := sc.bd.input(r)
+	sc.setReg(r, n)
+	return n
+}
 
+func (sc *extractScratch) operand(o uir.Operand) *node {
+	if o.IsConst {
+		return sc.bd.konst(o.Val)
+	}
+	return lookup(sc.temps, int(o.Temp), sc.epoch)
+}
+
+func (sc *extractScratch) define(t uir.Temp, n *node) {
+	sc.temps = assign(sc.temps, int(t), sc.epoch, n)
+}
+
+// forwarded returns the value the block last stored at (addr, size).
+func (sc *extractScratch) forwarded(addr *node, size uint8) *node {
+	for i := addr.fwd; i != 0; i = sc.stores[i-1].next {
+		if sc.stores[i-1].size == size {
+			return sc.stores[i-1].val
+		}
+	}
+	return nil
+}
+
+func (sc *extractScratch) recordStore(addr, val *node, size uint8) {
+	for i := addr.fwd; i != 0; i = sc.stores[i-1].next {
+		if sc.stores[i-1].size == size {
+			sc.stores[i-1].val = val
+			return
+		}
+	}
+	sc.stores = append(sc.stores, storeSlot{val: val, size: size, next: addr.fwd})
+	addr.fwd = int32(len(sc.stores))
+}
+
+// analyze performs the forward-substitution walk over one block.
+func (sc *extractScratch) analyze(b *uir.Block) {
+	sc.bd.reset()
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: rows of the first epochs would read as current
+		clear(sc.regs)
+		clear(sc.temps)
+		sc.epoch = 1
+	}
+	sc.live = sc.live[:0]
+	sc.stores = sc.stores[:0]
+	sc.callArgs = sc.callArgs[:0]
+	sc.effects = sc.effects[:0]
+	sc.strand = 0
+
+	bd, abi := sc.bd, sc.opt.ABI
+	callCount := 0
 	for _, s := range b.Stmts {
 		switch v := s.(type) {
 		case uir.Get:
-			temps[v.Dst] = getReg(v.Reg)
+			sc.define(v.Dst, sc.getReg(v.Reg))
 		case uir.Put:
-			regs[v.Reg] = operand(v.Src)
+			sc.setReg(v.Reg, sc.operand(v.Src))
 		case uir.Mov:
-			temps[v.Dst] = operand(v.Src)
+			sc.define(v.Dst, sc.operand(v.Src))
 		case uir.Bin:
-			temps[v.Dst] = bd.bin(v.Op, operand(v.A), operand(v.B))
+			sc.define(v.Dst, bd.bin(v.Op, sc.operand(v.A), sc.operand(v.B)))
 		case uir.Un:
-			temps[v.Dst] = bd.un(v.Op, operand(v.A))
+			sc.define(v.Dst, bd.un(v.Op, sc.operand(v.A)))
 		case uir.Sel:
-			temps[v.Dst] = bd.sel(operand(v.Cond), operand(v.A), operand(v.B))
+			sc.define(v.Dst, bd.sel(sc.operand(v.Cond), sc.operand(v.A), sc.operand(v.B)))
 		case uir.Load:
-			addr := operand(v.Addr)
-			k := memKey{addr, v.Size}
-			if val, ok := mem[k]; ok {
-				temps[v.Dst] = val // store-to-load forwarding
-			} else {
-				temps[v.Dst] = bd.load(addr, v.Size)
+			addr := sc.operand(v.Addr)
+			val := sc.forwarded(addr, v.Size) // store-to-load forwarding
+			if val == nil {
+				val = bd.load(addr, v.Size)
 			}
+			sc.define(v.Dst, val)
 		case uir.Store:
-			addr := operand(v.Addr)
-			val := operand(v.Src)
-			mem[memKey{addr, v.Size}] = val
-			effects = append(effects, effect{kind: "store", a: addr, b: val, size: v.Size})
+			addr := sc.operand(v.Addr)
+			val := sc.operand(v.Src)
+			sc.recordStore(addr, val, v.Size)
+			sc.effects = append(sc.effects, effect{kind: effStore, a: addr, b: val, size: v.Size})
 		case uir.Call:
-			var args []*node
-			if opt.ABI != nil {
-				for _, r := range opt.ABI.ArgRegs {
-					args = append(args, getReg(r))
+			e := effect{kind: effCall, target: sc.operand(v.Target), argLo: int32(len(sc.callArgs))}
+			if abi != nil {
+				for _, r := range abi.ArgRegs {
+					sc.callArgs = append(sc.callArgs, sc.getReg(r))
 				}
 				// Clobber caller-saved state.
-				for _, r := range opt.ABI.Scratch {
-					delete(regs, r)
+				for _, r := range abi.Scratch {
+					if lookup(sc.regs, int(r), sc.epoch) != nil {
+						sc.regs[r].n = nil
+					}
 				}
-				regs[opt.ABI.RetReg] = bd.callRes(callCount)
+				sc.setReg(abi.RetReg, bd.callRes(callCount))
 			}
-			effects = append(effects, effect{kind: "call", args: args, target: operand(v.Target)})
+			e.argHi = int32(len(sc.callArgs))
+			sc.effects = append(sc.effects, e)
 			callCount++
 		case uir.Exit:
 			switch v.Kind {
 			case uir.ExitJump:
-				effects = append(effects, effect{kind: "jump", target: operand(v.Target)})
+				sc.effects = append(sc.effects, effect{kind: effJump, target: sc.operand(v.Target)})
 			case uir.ExitCond:
-				effects = append(effects, effect{kind: "br", a: operand(v.Cond), target: operand(v.Target)})
-			case uir.ExitRet:
-				effects = append(effects, effect{kind: "retx"})
+				sc.effects = append(sc.effects, effect{kind: effBr, a: sc.operand(v.Cond), target: sc.operand(v.Target)})
 			case uir.ExitIndir:
-				effects = append(effects, effect{kind: "ijump", target: operand(v.Target)})
+				sc.effects = append(sc.effects, effect{kind: effIJump, target: sc.operand(v.Target)})
 			}
 		}
 	}
-
-	sc.effects = effects
-	sc.st = blockState{bd: bd, regs: regs, inputs: inputs, effects: effects}
-	return &sc.st
 }
 
-// render turns the analyzed state into canonical strands.
-func (st *blockState) render(opt *Options) []Strand {
-	bd, regs, inputs, effects := st.bd, st.regs, st.inputs, st.effects
-	// Final register values are outward-facing (register folding drops
-	// the destination identity). The stack pointer, link register and
-	// status flags are excluded: their updates are universal scaffolding,
-	// not procedure semantics.
-	excluded := map[uir.Reg]bool{}
-	if opt.ABI != nil {
-		excluded[opt.ABI.SP] = true
-		if opt.ABI.LinkReg != uir.NoLinkReg {
-			excluded[opt.ABI.LinkReg] = true
-		}
-		for _, r := range opt.ABI.Status() {
-			excluded[r] = true
-		}
-	}
-	var out []Strand
-	seen := map[uint64]bool{}
-	add := func(text string) {
-		h := fnv.New64a()
-		h.Write([]byte(text))
-		hash := h.Sum64()
-		if seen[hash] {
-			return
-		}
-		seen[hash] = true
-		out = append(out, Strand{Hash: hash, Text: text})
-	}
+// render turns the analyzed block into canonical strands: one per
+// changed register in ascending register order, then one per effect in
+// program order. Each strand's text is assembled in sc.buf and hashed
+// there; strands repeating an earlier hash of the block are dropped. The
+// unique hashes and the kept strands' marker constants are left in
+// sc.hashes and sc.markers; the text itself is kept only when out is
+// non-nil.
+func (sc *extractScratch) render(out *[]Strand) {
+	sc.hashes = sc.hashes[:0]
+	sc.markers = sc.markers[:0]
+	keepTrivial := sc.opt.KeepTrivial
 
-	rd := newRenderer(bd, opt)
-	for _, r := range sortedRegs(regs) {
-		if excluded[r] {
+	slices.Sort(sc.live)
+	for _, r := range sc.live {
+		n := sc.regs[r].n
+		if n == nil || slices.Contains(sc.excluded, r) {
 			continue
 		}
-		n := regs[r]
-		if inputs[r] == n {
+		if n.kind == nInput && n.reg == r {
 			continue // register unchanged
 		}
-		if !opt.KeepTrivial && isTrivial(n) {
+		if !keepTrivial && isTrivial(n) {
 			continue
 		}
-		rd.reset(bd, opt)
-		expr := rd.expr(n)
-		add(rd.finish(fmt.Sprintf("ret %s", expr)))
+		sc.begin()
+		sc.visit(n)
+		sc.lit("ret ")
+		sc.tok(n)
+		sc.end(out)
 	}
-	for _, e := range effects {
-		rd.reset(bd, opt)
-		switch e.kind {
-		case "store":
-			addr := rd.expr(e.a)
-			val := rd.expr(e.b)
-			add(rd.finish(fmt.Sprintf("store%d %s <- %s", e.size, addr, val)))
-		case "call":
-			parts := make([]string, len(e.args))
-			for i, a := range e.args {
-				parts[i] = rd.expr(a)
-			}
-			add(rd.finish(fmt.Sprintf("call proc(%s)", strings.Join(parts, ", "))))
-		case "br":
-			cond := rd.expr(e.a)
-			add(rd.finish(fmt.Sprintf("br %s -> %s", cond, rd.exprTarget(e.target))))
-		case "jump":
-			if !opt.KeepTrivial {
-				continue // unconditional jumps carry no semantics
-			}
-			add(rd.finish(fmt.Sprintf("jump %s", rd.exprTarget(e.target))))
-		case "ijump":
-			add(rd.finish(fmt.Sprintf("ijump %s", rd.expr(e.target))))
-		case "retx":
-			// A bare return carries no data flow; covered by the ret-reg
-			// value strand.
+	for i := range sc.effects {
+		e := &sc.effects[i]
+		if e.kind == effJump && !keepTrivial {
+			continue // unconditional jumps carry no semantics
 		}
+		sc.begin()
+		switch e.kind {
+		case effStore:
+			sc.visit(e.a)
+			sc.visit(e.b)
+			sc.lit("store")
+			sc.num(int32(e.size))
+			sc.lit(" ")
+			sc.tok(e.a)
+			sc.lit(" <- ")
+			sc.tok(e.b)
+		case effCall:
+			args := sc.callArgs[e.argLo:e.argHi]
+			for _, a := range args {
+				sc.visit(a)
+			}
+			sc.lit("call proc(")
+			for i, a := range args {
+				if i > 0 {
+					sc.lit(", ")
+				}
+				sc.tok(a)
+			}
+			sc.lit(")")
+		case effBr:
+			sc.visit(e.a)
+			sc.visitTarget(e.target)
+			sc.lit("br ")
+			sc.tok(e.a)
+			sc.lit(" -> ")
+			sc.tokTarget(e.target)
+		case effJump:
+			sc.visitTarget(e.target)
+			sc.lit("jump ")
+			sc.tokTarget(e.target)
+		case effIJump:
+			sc.visit(e.target)
+			sc.lit("ijump ")
+			sc.tok(e.target)
+		}
+		sc.end(out)
 	}
-	return out
 }
 
 // isTrivial reports whether the node is a bare input or call result —
@@ -286,145 +393,192 @@ func isTrivial(n *node) bool {
 	return false
 }
 
-// renderer linearizes one strand into canonical text with names assigned
-// in order of appearance.
-type renderer struct {
-	bd   *builder
-	opt  *Options
-	args map[*node]int // input nodes → argN
-	offs map[uint32]int
-	lets []string
-	lnum map[*node]string
+// The renderer linearizes one strand into canonical text — let-bindings
+// for the operation nodes in post-order, then the basis line — with
+// names assigned in order of appearance. It works in two motions per
+// operand: visit names the operand's sub-DAG (emitting the let-lines it
+// needs), tok writes the operand's name where it is used.
+
+// begin starts a strand.
+func (sc *extractScratch) begin() {
+	sc.strand++
+	sc.nlets, sc.nargs, sc.noffs = 0, 0, 0
+	sc.buf = sc.buf[:0]
+	sc.markerMark = len(sc.markers)
 }
 
-func newRenderer(bd *builder, opt *Options) *renderer {
-	return &renderer{bd: bd, opt: opt, args: map[*node]int{}, offs: map[uint32]int{}, lnum: map[*node]string{}}
-}
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-// reset prepares the renderer for the next strand, reusing its maps.
-func (rd *renderer) reset(bd *builder, opt *Options) {
-	rd.bd, rd.opt = bd, opt
-	clear(rd.args)
-	clear(rd.offs)
-	clear(rd.lnum)
-	rd.lets = rd.lets[:0]
-}
-
-// classify applies offset elimination to a constant.
-func (rd *renderer) classify(v uint32) string {
-	m := rd.opt.Sections
-	inText := m.TextHi > m.TextLo && v >= m.TextLo && v < m.TextHi
-	inData := m.DataHi > m.DataLo && v >= m.DataLo && v < m.DataHi
-	if inText || inData {
-		idx, ok := rd.offs[v]
-		if !ok {
-			idx = len(rd.offs)
-			rd.offs[v] = idx
-		}
-		return fmt.Sprintf("off%d", idx)
+// end hashes the finished strand (FNV-1a over its text) and keeps it
+// unless the block already produced it.
+func (sc *extractScratch) end(out *[]Strand) {
+	h := uint64(fnvOffset64)
+	for _, c := range sc.buf {
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
-	return fmt.Sprintf("0x%x", v)
+	if slices.Contains(sc.hashes, h) {
+		sc.markers = sc.markers[:sc.markerMark]
+		return
+	}
+	sc.hashes = append(sc.hashes, h)
+	if out != nil {
+		*out = append(*out, Strand{Hash: h, Text: string(sc.buf)})
+	}
 }
 
-// expr renders a node, emitting let-bindings for shared interior nodes.
-func (rd *renderer) expr(n *node) string {
-	if s, ok := rd.lnum[n]; ok {
-		return s
+func (sc *extractScratch) lit(s string) { sc.buf = append(sc.buf, s...) }
+
+func (sc *extractScratch) num(v int32) { sc.buf = strconv.AppendInt(sc.buf, int64(v), 10) }
+
+// inSections applies offset elimination to a constant: values inside
+// the text or data ranges are abstracted to positional offN tokens.
+func (sc *extractScratch) inSections(v uint32) bool {
+	m := &sc.opt.Sections
+	return (m.TextHi > m.TextLo && v >= m.TextLo && v < m.TextHi) ||
+		(m.DataHi > m.DataLo && v >= m.DataLo && v < m.DataHi)
+}
+
+// visit names n for the current strand, first naming whatever n is built
+// from, and emits the let-binding of an operation node — so a shared
+// subexpression renders once and is referred to by name afterwards.
+func (sc *extractScratch) visit(n *node) {
+	if n.stamp == sc.strand {
+		return
 	}
-	var s string
+	n.stamp = sc.strand
 	switch n.kind {
 	case nConst:
-		s = rd.classify(n.val)
-	case nInput:
-		if rd.opt.ABI != nil && n.reg == rd.opt.ABI.SP {
-			s = "sp"
-		} else {
-			idx, ok := rd.args[n]
-			if !ok {
-				idx = len(rd.args)
-				rd.args[n] = idx
-			}
-			s = fmt.Sprintf("arg%d", idx)
+		n.num = -1
+		if sc.inSections(n.val) {
+			n.num = sc.noffs
+			sc.noffs++
 		}
+	case nInput:
+		if abi := sc.opt.ABI; abi != nil && n.reg == abi.SP {
+			n.num = -1 // renders as the stable token "sp"
+			return
+		}
+		n.num = sc.nargs
+		sc.nargs++
 	case nCallRes:
 		// The k-th call result; k is block-relative which is stable
 		// across compilations of the same block.
-		idx, ok := rd.args[n]
-		if !ok {
-			idx = len(rd.args)
-			rd.args[n] = idx
-		}
-		s = fmt.Sprintf("cres%d", idx)
+		n.num = sc.nargs
+		sc.nargs++
 	case nLoad:
-		s = fmt.Sprintf("load%d(%s)", n.size, rd.expr(n.a))
+		sc.visit(n.a)
+		sc.let(n)
+		sc.lit("load")
+		sc.num(int32(n.size))
+		sc.operands(n.a, nil, nil)
 	case nBin:
-		s = fmt.Sprintf("%s(%s, %s)", n.op, rd.expr(n.a), rd.expr(n.b))
+		sc.visit(n.a)
+		sc.visit(n.b)
+		sc.let(n)
+		sc.lit(n.op.String())
+		sc.operands(n.a, n.b, nil)
 	case nUn:
-		s = fmt.Sprintf("%s(%s)", n.op, rd.expr(n.a))
+		sc.visit(n.a)
+		sc.let(n)
+		sc.lit(n.op.String())
+		sc.operands(n.a, nil, nil)
 	case nSel:
-		s = fmt.Sprintf("select(%s, %s, %s)", rd.expr(n.a), rd.expr(n.b), rd.expr(n.c))
+		sc.visit(n.a)
+		sc.visit(n.b)
+		sc.visit(n.c)
+		sc.let(n)
+		sc.lit("select")
+		sc.operands(n.a, n.b, n.c)
 	}
-	// Bind interior operation nodes so shared subexpressions render once.
-	if n.kind == nBin || n.kind == nUn || n.kind == nSel || n.kind == nLoad {
-		name := fmt.Sprintf("n%d", len(rd.lets))
-		rd.lets = append(rd.lets, fmt.Sprintf("%s = %s", name, s))
-		rd.lnum[n] = name
-		return name
-	}
-	rd.lnum[n] = s
-	return s
 }
 
-// exprTarget renders a control-transfer target: code constants are fully
-// abstracted.
-func (rd *renderer) exprTarget(n *node) string {
+// let numbers an operation node and opens its binding line.
+func (sc *extractScratch) let(n *node) {
+	n.num = sc.nlets
+	sc.nlets++
+	sc.lit("n")
+	sc.num(n.num)
+	sc.lit(" = ")
+}
+
+// operands closes a binding line: "(a, b, c)\n" over the non-nil operands.
+func (sc *extractScratch) operands(a, b, c *node) {
+	sc.lit("(")
+	sc.tok(a)
+	if b != nil {
+		sc.lit(", ")
+		sc.tok(b)
+	}
+	if c != nil {
+		sc.lit(", ")
+		sc.tok(c)
+	}
+	sc.lit(")\n")
+}
+
+// tok writes the name visit gave n. Plain constants are the only tokens
+// that print a value, and the identity-bearing ones are collected as the
+// strand's markers on the way out.
+func (sc *extractScratch) tok(n *node) {
+	switch n.kind {
+	case nConst:
+		if n.num >= 0 {
+			sc.lit("off")
+			sc.num(n.num)
+			return
+		}
+		sc.lit("0x")
+		sc.buf = strconv.AppendUint(sc.buf, uint64(n.val), 16)
+		if isMarker(n.val) {
+			sc.markers = append(sc.markers, n.val)
+		}
+	case nInput:
+		if n.num < 0 {
+			sc.lit("sp")
+			return
+		}
+		sc.lit("arg")
+		sc.num(n.num)
+	case nCallRes:
+		sc.lit("cres")
+		sc.num(n.num)
+	default:
+		sc.lit("n")
+		sc.num(n.num)
+	}
+}
+
+// visitTarget and tokTarget render a control-transfer target, which a
+// block without one leaves nil.
+func (sc *extractScratch) visitTarget(n *node) {
+	if n != nil {
+		sc.visit(n)
+	}
+}
+
+func (sc *extractScratch) tokTarget(n *node) {
 	if n == nil {
-		return "?"
+		sc.lit("?")
+		return
 	}
-	if n.kind == nConst {
-		return rd.classify(n.val)
-	}
-	return rd.expr(n)
+	sc.tok(n)
 }
 
-// finish assembles the canonical text: let-bindings then the basis line.
-func (rd *renderer) finish(basis string) string {
-	if len(rd.lets) == 0 {
-		return basis
-	}
-	return strings.Join(rd.lets, "\n") + "\n" + basis
-}
-
-// ConstMarkers collects a procedure's distinctive plain constants — the
+// isMarker filters constants down to identity-bearing ones: a
+// procedure's markers are its distinctive plain constants — the
 // automated analog of the paper's semi-manual confirmation "markers such
 // as string constants, use of global memory, structures access".
 //
-// Markers are read off the canonical strands, after constant folding and
-// offset elimination, so split address materializations (lui/ori halves)
-// never leak in. Constants that are small, powers of two, all-ones masks,
-// aligned offset-shaped values, or negatives carry no identity and are
-// skipped; what remains (protocol codes, magic numbers, hash multipliers)
-// fingerprints the source procedure across compilations.
-func ConstMarkers(blocks []*uir.Block, opt *Options) []uint32 {
-	seen := map[uint32]bool{}
-	for _, b := range blocks {
-		for _, st := range ExtractBlock(b, opt) {
-			collectHexConstants(st.Text, func(v uint32) {
-				if isMarker(v) {
-					seen[v] = true
-				}
-			})
-		}
-	}
-	out := make([]uint32, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// isMarker filters constants down to identity-bearing ones.
+// Markers are the plain-constant tokens of the canonical strands, so they
+// are seen after constant folding and offset elimination, and split
+// address materializations (lui/ori halves) never leak in. Constants
+// that are small, powers of two, all-ones masks, aligned offset-shaped
+// values, or negatives carry no identity and are skipped; what remains
+// (protocol codes, magic numbers, hash multipliers) fingerprints the
+// source procedure across compilations.
 func isMarker(v uint32) bool {
 	switch {
 	case v <= 8:
@@ -439,35 +593,6 @@ func isMarker(v uint32) bool {
 		return false // small negative
 	}
 	return true
-}
-
-// collectHexConstants invokes f for every 0x-prefixed literal in a
-// canonical strand text (offsets were already abstracted to offN tokens).
-func collectHexConstants(text string, f func(uint32)) {
-	for i := 0; i+2 < len(text); i++ {
-		if text[i] != '0' || text[i+1] != 'x' {
-			continue
-		}
-		j := i + 2
-		var v uint64
-		for j < len(text) {
-			c := text[j]
-			switch {
-			case c >= '0' && c <= '9':
-				v = v<<4 | uint64(c-'0')
-			case c >= 'a' && c <= 'f':
-				v = v<<4 | uint64(c-'a'+10)
-			default:
-				goto done
-			}
-			j++
-		}
-	done:
-		if j > i+2 && v <= 0xFFFFFFFF {
-			f(uint32(v))
-		}
-		i = j - 1
-	}
 }
 
 // MarkerOverlap computes the fraction of q's markers present in t (both
@@ -564,7 +689,7 @@ func (s Set) Interned(it Interner) Set {
 		return s
 	}
 	ids := internAll(it, s.Hashes, make([]uint32, 0, len(s.Hashes)))
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return Set{Hashes: s.Hashes, IDs: ids, It: it}
 }
 
@@ -580,20 +705,13 @@ func internAll(it Interner, hashes []uint64, out []uint32) []uint32 {
 	return out
 }
 
-// FromBlocks extracts and merges strands of all blocks of a procedure.
+// FromBlocks extracts and merges the strands of all blocks of a
+// procedure, outside any session.
 func FromBlocks(blocks []*uir.Block, opt *Options) Set {
-	seen := map[uint64]bool{}
-	for _, b := range blocks {
-		for _, s := range ExtractBlock(b, opt) {
-			seen[s.Hash] = true
-		}
-	}
-	out := make([]uint64, 0, len(seen))
-	for h := range seen {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return Set{Hashes: out}
+	ex := NewExtractor(opt, nil, nil)
+	defer ex.Release()
+	set, _ := ex.Proc(blocks)
+	return set
 }
 
 // Size returns the number of unique strands.

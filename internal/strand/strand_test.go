@@ -18,8 +18,19 @@ import (
 
 // --- builder rule tests ---
 
+// retText renders the "ret" strand of one node built on sc's builder.
+func retText(sc *extractScratch, n *node) string {
+	sc.begin()
+	sc.visit(n)
+	sc.lit("ret ")
+	sc.tok(n)
+	return string(sc.buf)
+}
+
 func TestCommutativeOrderingIgnoresRegisters(t *testing.T) {
-	bd := newBuilder()
+	sc := newExtractScratch()
+	sc.bind(&Options{})
+	bd := sc.bd
 	a := bd.input(5)
 	b := bd.input(9)
 	// add(a,b) and add(b,a) must canonicalize identically modulo input
@@ -27,13 +38,28 @@ func TestCommutativeOrderingIgnoresRegisters(t *testing.T) {
 	// rendered text (which renames inputs by appearance) must agree.
 	n1 := bd.bin(uir.OpAdd, a, b)
 	n2 := bd.bin(uir.OpAdd, b, a)
-	opt := &Options{}
-	r1 := newRenderer(bd, opt)
-	t1 := r1.finish("ret " + r1.expr(n1))
-	r2 := newRenderer(bd, opt)
-	t2 := r2.finish("ret " + r2.expr(n2))
+	t1, t2 := retText(sc, n1), retText(sc, n2)
 	if t1 != t2 {
 		t.Errorf("commutative renders differ:\n%s\nvs\n%s", t1, t2)
+	}
+	if want := "n0 = add(arg0, arg1)\nret n0"; t1 != want {
+		t.Errorf("render = %q, want %q", t1, want)
+	}
+}
+
+// A subexpression shared inside one strand is bound once and referred to
+// by name; names restart with every strand.
+func TestSharedSubexpressionRendersOnce(t *testing.T) {
+	sc := newExtractScratch()
+	sc.bind(&Options{ABI: &uir.ABI{SP: 29}})
+	bd := sc.bd
+	sum := bd.bin(uir.OpAdd, bd.input(29), bd.input(4))
+	n := bd.sel(bd.bin(uir.OpCmpLTU, sum, bd.konst(9)), bd.load(sum, 4), sum)
+	want := "n0 = add(sp, arg0)\nn1 = icmp.ult(n0, 0x9)\nn2 = load4(n0)\nn3 = select(n1, n2, n0)\nret n3"
+	for i := 0; i < 2; i++ {
+		if got := retText(sc, n); got != want {
+			t.Errorf("render %d:\n%s\nwant:\n%s", i, got, want)
+		}
 	}
 }
 

@@ -33,6 +33,8 @@ import (
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
+	// front is what query analysis records into (see SetTelemetry).
+	front frontEndMetrics
 
 	// shards is non-empty only for corpora opened from FWCORP v2 shard
 	// files (OpenSealedCorpus / OpenSealedCorpusDir); it drives the
@@ -159,23 +161,22 @@ func (sc *SealedCorpus) Images() []*SealedImage { return sc.images }
 // UniqueStrands reports the frozen vocabulary size.
 func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 
-// SetTelemetry attaches prefilter telemetry to every image index of the
-// corpus: the exact tier's index.queries / index.fallbacks /
-// index.fanout plus the LSH tier's lsh.probes / lsh.fallbacks /
-// lsh.candidates. Call before serving searches — store-backed images
-// apply the handles when their index first builds, in-RAM images
+// SetTelemetry attaches the corpus to a registry under the live
+// session's names. Every image index records the prefilter: the exact
+// tier's index.queries / index.fallbacks / index.fanout plus the LSH
+// tier's lsh.probes / lsh.fallbacks / lsh.candidates. Query analysis
+// (AnalyzeQueryWith) records the front-end layer by layer: obj.parse,
+// cfg.recover / cfg.sweep / cfg.lift and their counters, sim.build /
+// sim.index / sim.procs, and strand.blocks / strand.blocks_computed /
+// strand.strands. Call before serving — store-backed images apply the
+// index handles when their index first builds, in-RAM images
 // immediately. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	var tel *corpusindex.Telemetry
+	sc.front = frontEndMetrics{}
 	if r != nil {
-		tel = &corpusindex.Telemetry{
-			Queries:       r.Counter("index.queries"),
-			Fallbacks:     r.Counter("index.fallbacks"),
-			Fanout:        r.Histogram("index.fanout"),
-			LSHProbes:     r.Counter("lsh.probes"),
-			LSHFallbacks:  r.Counter("lsh.fallbacks"),
-			LSHCandidates: r.Histogram("lsh.candidates"),
-		}
+		tel = newIndexTelemetry(r)
+		sc.front = newFrontEndMetrics(r)
 	}
 	for _, im := range sc.images {
 		im.tel = tel
@@ -214,16 +215,16 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	f, err := obj.Read(data)
+	f, err := obj.ReadWith(data, sc.front.obj)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := cfg.Recover(f)
+	rec, err := cfg.RecoverWith(f, sc.front.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
 	}
 	qit := corpusindex.NewQueryInterner(sc.frozen)
-	bc := &sim.BuildConfig{Workers: workers}
+	bc := &sim.BuildConfig{Workers: workers, Tel: sc.front.sim}
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc), rec: rec}, nil
 }
 

@@ -97,6 +97,63 @@ func TestAnalyzerMetrics(t *testing.T) {
 	}
 }
 
+// A sealed corpus attached to a registry must split query analysis into
+// the same front-end layers, under the same names, as the live session
+// — the daemon's /metrics is this registry — and count the same work:
+// the query is analyzed uncached on both sides (the live side here has
+// its block cache off), so every front-end counter must agree exactly.
+func TestSealedQueryAnalysisTelemetry(t *testing.T) {
+	imgBytes, queryBytes, _ := buildScenario(t)
+	liveReg := telemetry.New()
+	live := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: liveReg, DisableBlockCache: true})
+	if _, err := live.LoadQueryExecutable(queryBytes); err != nil {
+		t.Fatal(err)
+	}
+	want := liveReg.Snapshot()
+
+	a := firmup.NewAnalyzer(nil)
+	img, err := a.OpenImage(imgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := a.Seal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	sealed.SetTelemetry(reg)
+	q, err := sealed.AnalyzeQueryWith("query", queryBytes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Snapshot()
+	for _, stage := range []string{"obj.parse", "cfg.recover", "cfg.sweep", "cfg.lift", "sim.build", "sim.index"} {
+		if got.Stages[stage].Calls == 0 || got.Stages[stage].Calls != want.Stages[stage].Calls {
+			t.Errorf("stage %q: %d calls on the sealed corpus, %d on the live session",
+				stage, got.Stages[stage].Calls, want.Stages[stage].Calls)
+		}
+	}
+	for _, counter := range []string{"obj.bytes", "cfg.procs", "cfg.blocks", "cfg.insts", "sim.procs",
+		"strand.blocks", "strand.blocks_computed", "strand.strands"} {
+		if got.Counters[counter] == 0 || got.Counters[counter] != want.Counters[counter] {
+			t.Errorf("counter %q: %d on the sealed corpus, %d on the live session",
+				counter, got.Counters[counter], want.Counters[counter])
+		}
+	}
+	// Recording must not change the analysis.
+	sealed.SetTelemetry(nil)
+	plain, err := sealed.AnalyzeQueryWith("query", queryBytes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(q.Procedures(), plain.Procedures()) {
+		t.Error("query analysis differs with telemetry attached")
+	}
+	if after := reg.Snapshot(); after.Counters["strand.blocks"] != got.Counters["strand.blocks"] {
+		t.Error("a detached corpus still records")
+	}
+}
+
 // MatchProcedureTraced must agree with the untraced match and produce a
 // JSON-round-trippable game course consistent with the finding.
 func TestMatchProcedureTraced(t *testing.T) {
