@@ -18,6 +18,7 @@ package firmup_test
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -286,33 +287,54 @@ func BenchmarkPipelineGame(b *testing.B) {
 }
 
 // BenchmarkMatchGame compares the memoized engine against the reference
-// on the full game workload of one query executable (every procedure
-// with a meaningful strand set against one target), with allocs/op —
-// the per-game similarity cache and pooled arenas are exactly what this
-// tracks.
+// with allocs/op — the per-game similarity cache and pooled arenas are
+// exactly what this tracks — on two workloads. The plain sub-cases play
+// the full game workload of one query executable (every procedure with
+// a meaningful strand set against one same-ISA target), where nearly
+// every game ends on its first exchange. The -long sub-cases are the
+// guard for the matcher's revisit scan: every procedure of the corpus's
+// largest executable against its second largest (a cross-ISA pair), with
+// MaxSteps 64, where games average over ten steps and several run to the
+// cap, so memoized lists are rescanned under growing exclusion maps.
 func BenchmarkMatchGame(b *testing.B) {
-	_, q, _, t := benchUnit(b)
+	env, q, _, t := benchUnit(b)
 	var qis []int
 	for qi, qp := range q.Procs {
 		if qp.Set.Size() >= 3 {
 			qis = append(qis, qi)
 		}
 	}
-	for _, eng := range []struct {
+	bySize := append([]*eval.Unit(nil), env.Units...)
+	sort.SliceStable(bySize, func(i, j int) bool { return len(bySize[i].Exe.Procs) > len(bySize[j].Exe.Procs) })
+	longQ, longT := bySize[0].Exe, bySize[1].Exe
+	longQis := make([]int, len(longQ.Procs))
+	for i := range longQis {
+		longQis[i] = i
+	}
+	long := &core.Options{MaxSteps: 64}
+	for _, bc := range []struct {
 		name string
 		run  func(q *sim.Exe, qi int, t *sim.Exe, opt *core.Options) core.Result
+		q, t *sim.Exe
+		qis  []int
+		opt  *core.Options
 	}{
-		{"memoized", core.Match},
-		{"reference", core.MatchReference},
+		{"memoized", core.Match, q, t, qis, nil},
+		{"reference", core.MatchReference, q, t, qis, nil},
+		{"memoized-long", core.Match, longQ, longT, longQis, long},
+		{"reference-long", core.MatchReference, longQ, longT, longQis, long},
 	} {
-		b.Run(eng.name, func(b *testing.B) {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			steps := 0
 			for i := 0; i < b.N; i++ {
-				for _, qi := range qis {
-					eng.run(q, qi, t, nil)
+				steps = 0
+				for _, qi := range bc.qis {
+					steps += bc.run(bc.q, qi, bc.t, bc.opt).Steps
 				}
 			}
-			b.ReportMetric(float64(len(qis)), "games/op")
+			b.ReportMetric(float64(len(bc.qis)), "games/op")
+			b.ReportMetric(float64(steps), "steps/op")
 		})
 	}
 }

@@ -186,8 +186,8 @@ func newFrontEndMetrics(r *telemetry.Registry) frontEndMetrics {
 	}
 }
 
-// newIndexTelemetry is the prefilter handle set: the exact tier's
-// index.* and the LSH tier's lsh.*.
+// newIndexTelemetry is the prefilter handle set: index.* for every
+// answered candidate query, lsh.* for the approximate tier's gate.
 func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
 	return &corpusindex.Telemetry{
 		Queries:       r.Counter("index.queries"),
@@ -574,15 +574,17 @@ type Options struct {
 	// search: every executable is examined. Findings are identical; only
 	// the work done differs.
 	Exhaustive bool
-	// Approx gates the candidate set by the MinHash/LSH band buckets
-	// instead of only ordering it: a candidate passing the exact
-	// prefilter floors is examined only if it also shares at least one
-	// signature band with the query procedure, so the expensive game
-	// stage (and, for store-backed corpora, executable materialization)
-	// runs on a strict subset of the exact candidates. Findings become
-	// a subset of the exact search's — only false negatives are
-	// possible, and measured recall on the evaluation corpus stays
-	// ≥ 0.95. Ignored where no signatures are available (the search
+	// Approx gates the candidate set by the MinHash/LSH band buckets: a
+	// candidate passing the exact prefilter floors is examined only if it
+	// also shares at least one signature band with the query procedure,
+	// so the expensive game stage (and, for store-backed corpora,
+	// executable materialization) runs on a strict subset of the exact
+	// candidates. Findings become a subset of the exact search's — only
+	// false negatives are possible, and measured recall on the
+	// evaluation corpus stays ≥ 0.95. The signature tier exists only for
+	// this mode: it is derived (or, for v3 shards, mapped and verified)
+	// on an image's first approximate search, and exact searches never
+	// touch it. Ignored where no signatures are available (the search
 	// silently stays exact), and by Exhaustive.
 	Approx bool
 	// Trace, when set, attaches a request-scoped trace: the search
@@ -714,12 +716,9 @@ func (a *Analyzer) imageSearchOptions(img *Image, opt *Options) *core.SearchOpti
 		idx := img.index
 		if opt != nil && opt.Approx {
 			s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-				return idx.CandidateIndicesLSH(q.Procs[qpi].Set, minScore, minRatio, true, nil)
+				return idx.CandidateIndicesLSH(q.Procs[qpi].Set, q.Signature(qpi), minScore, minRatio, nil)
 			}
 		} else {
-			// The default live path stays on the plain exact prefilter:
-			// it is the baseline the LSH equivalence suites compare the
-			// sealed tiers against.
 			s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
 				return idx.CandidateIndices(q.Procs[qpi].Set, minScore, minRatio, nil)
 			}

@@ -25,7 +25,7 @@ type BatchQuery struct {
 // composition or order; the equivalence tests enforce it.
 func MatchBatch(q *sim.Exe, qis []int, t *sim.Exe, opt *Options) []Result {
 	out := make([]Result, len(qis))
-	m := newMatcher(q, t, opt.maxMatches(), opt.tel())
+	m := newMatcher(q, t, opt.tel())
 	for i, qi := range qis {
 		out[i] = runShared(q, qi, t, opt, m)
 	}
@@ -179,7 +179,7 @@ func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, qxs []int, opt *Sea
 	}
 	for i := 0; i < len(qxs); {
 		q := queries[qxs[i]].Q
-		m := newMatcher(q, t, opt.game().maxMatches(), tel)
+		m := newMatcher(q, t, tel)
 		j := i
 		for ; j < len(qxs) && queries[qxs[j]].Q == q; j++ {
 			qx := qxs[j]
@@ -193,18 +193,4 @@ func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, qxs []int, opt *Sea
 		m.release()
 		i = j
 	}
-}
-
-// SearchViewBatch runs SearchBatch against a read-only corpus view,
-// installing the view's candidate narrowing as the prefilter — the
-// batched analogue of SearchView. The caller's options are not mutated.
-func SearchViewBatch(queries []BatchQuery, v View, opt *SearchOptions) []SearchResult {
-	var o SearchOptions
-	if opt != nil {
-		o = *opt
-	}
-	o.Prefilter = func(q *sim.Exe, qi int, _ []*sim.Exe) ([]int, bool) {
-		return v.Candidates(q, qi)
-	}
-	return SearchBatch(queries, v.Targets(), &o)
 }

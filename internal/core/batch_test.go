@@ -175,48 +175,3 @@ func TestSearchBatchEquivalenceWithPrefilter(t *testing.T) {
 		}
 	}
 }
-
-// fakeView adapts a target slice plus a canned narrowing to the View
-// interface for SearchViewBatch testing.
-type fakeView struct {
-	targets []*sim.Exe
-	cand    func(q *sim.Exe, qi int) ([]int, bool)
-}
-
-func (v fakeView) Targets() []*sim.Exe { return v.targets }
-func (v fakeView) Candidates(q *sim.Exe, qi int) ([]int, bool) {
-	return v.cand(q, qi)
-}
-
-// TestSearchViewBatchMatchesSearchView: the batched view entry point
-// must agree with per-query SearchView over the same view.
-func TestSearchViewBatchMatchesSearchView(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < 60; trial++ {
-		sc := newRandBatchScenario(rng)
-		v := fakeView{targets: sc.targets, cand: func(q *sim.Exe, qi int) ([]int, bool) {
-			if qi%2 == 1 {
-				return nil, false
-			}
-			var keep []int
-			for ti := range sc.targets {
-				if ti%2 == qi%4/2 {
-					keep = append(keep, ti)
-				}
-			}
-			return keep, true
-		}}
-		opt := &SearchOptions{MinScore: 1, MinRatio: 0.05, MarkerMinOverlap: -1}
-		batch := SearchViewBatch(sc.queries, v, opt)
-		for i, bq := range sc.queries {
-			solo := SearchView(bq.Q, bq.QI, v, opt)
-			if !reflect.DeepEqual(batch[i], solo) {
-				t.Fatalf("trial %d: SearchViewBatch query %d diverges from SearchView:\nbatch: %+v\nsolo:  %+v",
-					trial, i, batch[i], solo)
-			}
-		}
-		if opt.Prefilter != nil {
-			t.Fatal("SearchViewBatch mutated the caller's options")
-		}
-	}
-}

@@ -183,13 +183,13 @@ func (o *Options) tel() *Telemetry {
 // qi of Q inside T.
 //
 // The engine memoizes: every similarity vector the game queries is
-// accumulated once and kept as a sorted top-k candidate list, and all
+// accumulated once and kept as a compact positive-candidate list, and all
 // scratch state is drawn from pooled arenas shared across games (see
 // matcher). The results — findings, scores, steps, matched pairs and
 // traces — are identical to MatchReference's, byte for byte; the
 // equivalence tests enforce it.
 func Match(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
-	m := newMatcher(q, t, opt.maxMatches(), opt.tel())
+	m := newMatcher(q, t, opt.tel())
 	st := newGameState()
 	res := runGame(q, qi, t, opt, m, st)
 	st.release()

@@ -43,12 +43,8 @@ type cand struct {
 }
 
 // span locates one procedure's candidate list inside the matcher's slab.
-// n < 0 marks a vector not yet computed; full marks a list that holds
-// every positive-Sim candidate (no truncation at k).
-type span struct {
-	off, n int32
-	full   bool
-}
+// n < 0 marks a vector not yet computed.
+type span struct{ off, n int32 }
 
 // matcher is the memoization layer between the back-and-forth game and
 // sim.Exe. Each game step runs up to two best-match queries, and the same
@@ -56,19 +52,19 @@ type span struct {
 // its full similarity vector never changes: BestMatch applies the
 // exclusion filter at scan time, so the accumulation is
 // exclusion-independent. The matcher therefore computes each procedure's
-// vector once, keeps only its k best candidates as a sorted list (score
-// descending, index ascending — exactly BestMatch's order), and answers
-// every revisit by scanning that list for the first non-excluded entry:
-// O(matched) instead of O(procs).
+// vector once, keeps its positive-Sim candidates as a compact list in
+// procedure-index order, and answers every query — first touch and
+// revisit alike — by one strictly-greater scan of that list under the
+// caller's exclusion map: exactly BestMatchFrom's scan with the zero
+// entries already dropped, so the pick and its tie-break (equal scores
+// keep the lower index) cannot differ from the reference's.
 //
-// k is the game's MaxMatches bound. The game refuses to run a step once
-// MaxMatches pairs are committed, so at most MaxMatches-1 procedures per
-// side are ever excluded when a query runs; a k-entry prefix of the full
-// ranking therefore always contains the best non-excluded candidate.
-// Lists shorter than k are complete (every positive-Sim candidate is
-// present) and marked full. The truncated-and-exhausted case cannot arise
-// under that invariant, but a re-accumulation fallback keeps the matcher
-// correct for any caller regardless.
+// The list is complete, so exclusions can never exhaust it short of the
+// point where a full scan would find nothing either: there is no ranking
+// to maintain and no bound tied to the game's MaxMatches. Almost every
+// game ends on its first exchange (Fig. 9 of the paper), so selecting a
+// ranked prefix on first touch would be all cost; a revisit scans the
+// procedure's positive candidates instead of every procedure.
 //
 // Matchers, their count buffers and their candidate slabs are drawn from
 // a package-level sync.Pool, so the games of one core.Search (and of
@@ -76,14 +72,12 @@ type span struct {
 // hot path allocates nothing after warm-up.
 type matcher struct {
 	q, t *sim.Exe
-	k    int
 
 	qt   []span // q procedure index → candidate list in t
 	tq   []span // t procedure index → candidate list in q
 	slab []cand // backing store for all candidate lists of this game
 
-	buf  sim.Buffers // accumulation scratch, grown to max(|q.Procs|, |t.Procs|)
-	heap []cand      // bounded-selection scratch, cap ≥ k
+	buf sim.Buffers // accumulation scratch, grown to max(|q.Procs|, |t.Procs|)
 
 	// telemetry handles, reset per game (matchers are pooled); nil-safe.
 	telHits   *telemetry.Counter
@@ -92,12 +86,12 @@ type matcher struct {
 
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
-// newMatcher draws a matcher from the arena pool and readies it for one
-// game with a MaxMatches bound of k, recording reuse metrics into tel
-// (which may be nil).
-func newMatcher(q, t *sim.Exe, k int, tel *Telemetry) *matcher {
+// newMatcher draws a matcher from the arena pool and readies it for the
+// games of one (q, t) pair, recording reuse metrics into tel (which may
+// be nil).
+func newMatcher(q, t *sim.Exe, tel *Telemetry) *matcher {
 	m := matcherPool.Get().(*matcher)
-	m.q, m.t, m.k = q, t, k
+	m.q, m.t = q, t
 	m.qt = resetSpans(m.qt, len(q.Procs))
 	m.tq = resetSpans(m.tq, len(t.Procs))
 	m.slab = m.slab[:0]
@@ -137,9 +131,8 @@ func (m *matcher) bestInQ(ti int, excluded map[int]int) (int, int) {
 }
 
 // best answers one directed query from the memoized candidate list,
-// computing it on first touch. The list is sorted by (score descending,
-// index ascending), so the first non-excluded entry is exactly what a
-// full BestMatch scan would return.
+// computing it on first touch. The exclusion map is consulted only for
+// candidates that would otherwise take the lead.
 func (m *matcher) best(e *sim.Exe, set strand.Set, sp *span, excluded map[int]int) (int, int) {
 	if sp.n < 0 {
 		m.telMisses.Inc()
@@ -147,95 +140,29 @@ func (m *matcher) best(e *sim.Exe, set strand.Set, sp *span, excluded map[int]in
 	} else {
 		m.telHits.Inc()
 	}
-	for _, c := range m.slab[sp.off : sp.off+int32(sp.n)] {
+	best, bestScore := -1, int32(0)
+	for _, c := range m.slab[sp.off : sp.off+sp.n] {
+		if c.score <= bestScore {
+			continue
+		}
 		if _, ok := excluded[int(c.proc)]; ok {
 			continue
 		}
-		return int(c.proc), int(c.score)
+		best, bestScore = int(c.proc), c.score
 	}
-	if sp.full {
-		// The complete candidate set is excluded (or empty): a full scan
-		// would find nothing either.
-		return -1, 0
-	}
-	// Truncated list exhausted by exclusions. Unreachable while
-	// k ≥ MaxMatches (see the matcher doc), but re-accumulating keeps the
-	// matcher correct under any configuration.
-	counts := e.SimAllBuf(set, &m.buf)
-	return e.BestMatchFrom(counts, func(i int) bool { _, ok := excluded[i]; return ok })
+	return best, int(bestScore)
 }
 
 // memoize accumulates the full similarity vector for set over e and
-// stores its k best candidates in the slab.
+// stores its positive entries, in index order, in the slab.
 func (m *matcher) memoize(e *sim.Exe, set strand.Set, sp *span) {
-	counts := e.SimAllBuf(set, &m.buf)
-	h := m.heap[:0]
-	positive := 0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		positive++
-		nc := cand{proc: int32(i), score: int32(c)}
-		if len(h) < m.k {
-			h = append(h, nc)
-			candSiftUp(h)
-		} else if candWorse(h[0], nc) {
-			h[0] = nc
-			candSiftDown(h, 0, len(h))
-		}
-	}
-	// Heapsort into (score descending, index ascending) order: each step
-	// moves the worst remaining candidate to the shrinking tail.
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		candSiftDown(h, 0, n)
-	}
 	sp.off = int32(len(m.slab))
-	sp.n = int32(len(h))
-	sp.full = positive == len(h)
-	m.slab = append(m.slab, h...)
-	m.heap = h[:0]
-}
-
-// candWorse reports whether a ranks strictly below b in candidate order
-// (score descending, index ascending on ties). The selection heap is a
-// min-heap under this order: its root is the worst kept candidate.
-func candWorse(a, b cand) bool {
-	if a.score != b.score {
-		return a.score < b.score
+	for i, c := range e.SimAllBuf(set, &m.buf) {
+		if c != 0 {
+			m.slab = append(m.slab, cand{proc: int32(i), score: int32(c)})
+		}
 	}
-	return a.proc > b.proc
-}
-
-func candSiftUp(h []cand) {
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !candWorse(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func candSiftDown(h []cand, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		j := l
-		if r := l + 1; r < n && candWorse(h[r], h[l]) {
-			j = r
-		}
-		if !candWorse(h[j], h[i]) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
+	sp.n = int32(len(m.slab)) - sp.off
 }
 
 // gameState is the per-game bookkeeping (partial matching, work stack),

@@ -74,9 +74,9 @@ func TestMemoizationEquivalenceSession(t *testing.T) {
 	}
 }
 
-// TestMemoizationEquivalenceTightLimits stresses the top-k truncation:
-// tiny MaxMatches/MaxSteps bounds with dense overlap force revisits and
-// exclusion-heavy scans near the k boundary.
+// TestMemoizationEquivalenceTightLimits stresses the game bounds: tiny
+// MaxMatches/MaxSteps with dense overlap force revisits and
+// exclusion-heavy scans.
 func TestMemoizationEquivalenceTightLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 300; trial++ {
@@ -95,32 +95,74 @@ func TestMemoizationEquivalenceTightLimits(t *testing.T) {
 
 func qi(rng *rand.Rand, n int) int { return rng.Intn(n) }
 
-// TestMatcherFallbackReaccumulates exercises the truncated-list escape
-// hatch directly: with k smaller than the exclusion set the sorted list
-// can be exhausted, and the matcher must re-accumulate and still agree
-// with a full BestMatch scan.
-func TestMatcherFallbackReaccumulates(t *testing.T) {
+// TestMatcherLongGames pins the compact-list matcher where its scan
+// differs most from a ranked prefix: wide executables whose procedures
+// each see more than 64 positive candidates, nearly all of them tied,
+// under every pairing of MaxMatches and MaxSteps in {1, 2, 3, 64}. The
+// wide bounds let games run long, so lists are revisited under growing
+// exclusion maps; the tight ones stop them mid-course. The full Result,
+// trace included, must equal the reference engine's.
+func TestMatcherLongGames(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	bounds := []int{1, 2, 3, 64}
+	maxSteps, wide := 0, false
+	for trial := 0; trial < 6; trial++ {
+		// A six-strand universe over 80–140 procedures: every strand is
+		// shared by dozens of procedures, so scores tie constantly.
+		n := 80 + rng.Intn(61)
+		q := sim.FromProcs("Q", randProcs(rng, "q", n, 6, 4))
+		tt := sim.FromProcs("T", randProcs(rng, "t", n, 6, 4))
+		for _, mm := range bounds {
+			for _, ms := range bounds {
+				opt := &Options{MaxMatches: mm, MaxSteps: ms, RecordTrace: true}
+				for k := 0; k < 8; k++ {
+					i := qi(rng, n)
+					assertGameEquiv(t, trial, q, i, tt, opt)
+					maxSteps = max(maxSteps, Match(q, i, tt, opt).Steps)
+					positives := 0
+					for _, c := range tt.SimAll(q.Procs[i].Set) {
+						if c > 0 {
+							positives++
+						}
+					}
+					wide = wide || positives > 64
+				}
+			}
+		}
+	}
+	if maxSteps < 3 {
+		t.Errorf("longest game took %d steps; the revisit scan went unexercised", maxSteps)
+	}
+	if !wide {
+		t.Error("no query saw more than 64 positive candidates; the wide-list case went unexercised")
+	}
+}
+
+// TestMatcherScanMatchesBestMatch checks the memoized scan directly
+// against a full BestMatch under exclusion maps that remove the leaders,
+// including one that removes every candidate.
+func TestMatcherScanMatchesBestMatch(t *testing.T) {
 	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q1", 1, 2, 3, 4)})
 	tt := sim.FromProcs("T", []*sim.Proc{
-		mkProc("t1", 1, 2, 3, 4), // Sim 4
-		mkProc("t2", 1, 2, 3),    // Sim 3
-		mkProc("t3", 1, 2),       // Sim 2
+		mkProc("t0", 9),          // Sim 0: never listed
+		mkProc("t1", 1, 2, 3),    // Sim 3
+		mkProc("t2", 1, 2, 3, 4), // Sim 4
+		mkProc("t3", 2, 3, 4),    // Sim 3: ties t1, loses on index
 		mkProc("t4", 1),          // Sim 1
 	})
-	m := newMatcher(q, tt, 2, nil) // memoize only the top 2 of 4 candidates
+	m := newMatcher(q, tt, nil)
 	defer m.release()
-	excluded := map[int]int{0: 0, 1: 0} // kill the whole memoized list
-	gotP, gotS := m.bestInT(0, excluded)
-	wantP, wantS := tt.BestMatch(q.Procs[0].Set, func(i int) bool { _, ok := excluded[i]; return ok })
-	if gotP != wantP || gotS != wantS {
-		t.Fatalf("fallback pick = (%d, %d), want BestMatch's (%d, %d)", gotP, gotS, wantP, wantS)
+	for _, excluded := range []map[int]int{
+		nil, {2: 0}, {2: 0, 1: 0}, {2: 0, 1: 0, 3: 0}, {1: 0, 2: 0, 3: 0, 4: 0},
+	} {
+		gotP, gotS := m.bestInT(0, excluded)
+		wantP, wantS := tt.BestMatch(q.Procs[0].Set, func(i int) bool { _, ok := excluded[i]; return ok })
+		if gotP != wantP || gotS != wantS {
+			t.Errorf("excluded %v: pick = (%d, %d), want BestMatch's (%d, %d)", excluded, gotP, gotS, wantP, wantS)
+		}
 	}
-	if sp := m.qt[0]; sp.n != 2 || sp.full {
-		t.Fatalf("memoized list should be truncated at k=2: %+v", sp)
-	}
-	// And with no exclusions the memoized list answers without fallback.
-	if p, s := m.bestInT(0, nil); p != 0 || s != 4 {
-		t.Fatalf("memoized pick = (%d, %d), want (0, 4)", p, s)
+	if sp := m.qt[0]; sp.n != 4 {
+		t.Errorf("memoized list holds %d candidates, want the 4 positive ones", sp.n)
 	}
 }
 

@@ -198,36 +198,6 @@ func Search(q *sim.Exe, qi int, targets []*sim.Exe, opt *SearchOptions) SearchRe
 	return out
 }
 
-// View is a read-only corpus the search layer can run against without
-// knowing whether it is a live analysis session or a sealed artifact.
-// Implementations must be safe for concurrent readers: Search calls
-// Candidates and examines Targets from parallel workers.
-type View interface {
-	// Targets returns the corpus executables in their stable
-	// insertion-order identity. Callers must not mutate the slice or the
-	// executables.
-	Targets() []*sim.Exe
-	// Candidates narrows the target set for one query procedure under
-	// the prefilter soundness contract of SearchOptions.Prefilter: only
-	// targets provably unable to produce an accepted finding may be
-	// omitted. ok=false means "no information — examine everything".
-	Candidates(q *sim.Exe, qi int) ([]int, bool)
-}
-
-// SearchView runs Search against a read-only corpus view, installing
-// the view's candidate narrowing as the prefilter. The caller's options
-// are not mutated.
-func SearchView(q *sim.Exe, qi int, v View, opt *SearchOptions) SearchResult {
-	var o SearchOptions
-	if opt != nil {
-		o = *opt
-	}
-	o.Prefilter = func(q *sim.Exe, qi int, _ []*sim.Exe) ([]int, bool) {
-		return v.Candidates(q, qi)
-	}
-	return Search(q, qi, v.Targets(), &o)
-}
-
 // candidateIndices resolves the prefilter to a valid candidate index
 // list, defaulting to every target. Out-of-range and duplicate indices
 // from a misbehaving prefilter are dropped rather than trusted.

@@ -33,8 +33,8 @@ type Telemetry struct {
 	// Fanout observes the number of candidate executables each answered
 	// query kept after the score floors.
 	Fanout *telemetry.Histogram
-	// LSHProbes counts queries that consulted the MinHash/LSH signature
-	// tier (exact probe-order ranking and approximate bounding alike).
+	// LSHProbes counts approximate queries gated by the MinHash/LSH
+	// signature tier; exact queries never consult it.
 	LSHProbes *telemetry.Counter
 	// LSHFallbacks counts approximate queries served by the exact
 	// prefilter because the index holds no signature data (e.g. a
@@ -166,12 +166,9 @@ type Index struct {
 	// on the search hot path and must not allocate per query.
 	scratch sync.Pool
 
-	// Per-procedure MinHash signatures in dense-slot order, appended
-	// incrementally by Add (sentinel blocks for un-interned executables)
-	// and consumed by the LSH tier (see lsh.go). The bucket structure is
-	// rebuilt lazily when executables were added since the last build;
-	// lshMu serializes slab repair and bucket builds under the read lock.
-	sigs    []uint32
+	// The LSH tier's bucket structure (see lsh.go), built on the first
+	// approximate query and rebuilt when executables were added since;
+	// lshMu serializes builds under the read lock.
 	lshMu   sync.Mutex
 	lsh     *lshIndex
 	lshExes int
@@ -222,18 +219,6 @@ func (x *Index) Add(e *sim.Exe) int {
 	ei := len(x.exes)
 	x.exes = append(x.exes, e)
 	x.procOff = append(x.procOff, x.procOff[ei]+int32(len(e.Procs)))
-	// Signatures build incrementally with the corpus; the slab stays in
-	// lockstep with procOff so Seal/WriteShards can persist it verbatim.
-	// Un-interned executables contribute sentinel blocks: their foreign
-	// IDs would hash into meaningless buckets, and they are always
-	// candidates anyway.
-	if len(x.sigs) == int(x.procOff[ei])*strand.SigWords {
-		if interned(x.it, e) {
-			x.sigs = append(x.sigs, e.Signatures()...)
-		} else {
-			x.sigs = appendEmptySigs(x.sigs, len(e.Procs))
-		}
-	}
 	for pi, p := range e.Procs {
 		if p.Set.It != strand.Interner(x.it) {
 			continue
@@ -318,13 +303,19 @@ func (x *Index) CandidateIndices(q strand.Set, minScore int, ratioFloor float64,
 		x.telFallbacks.Inc()
 		return nil, false
 	}
+	return x.finish(s, buf), true
+}
+
+// finish records an answered query, appends its ranked executable IDs to
+// buf and recycles the scratch. Callers hold at least a read lock.
+func (x *Index) finish(s *queryScratch, buf []int) []int {
 	x.telQueries.Inc()
 	x.telFanout.Observe(int64(len(s.cands)))
 	for _, c := range s.cands {
 		buf = append(buf, c.Exe)
 	}
 	x.putScratch(s)
-	return buf, true
+	return buf
 }
 
 // queryScratch is one query's pooled accumulator state. The dense counts
@@ -338,11 +329,10 @@ type queryScratch struct {
 	exes    []int32     // exe IDs with maxSim > 0 this query
 	cands   []Candidate // the ranked result, reused across queries
 	// LSH probe state (see lsh.go): per-exe band-collision counts with
-	// the same zero-between-queries invariant, the exes touched by the
-	// probe, and the query signature buffer.
+	// the same zero-between-queries invariant, and the exes touched by
+	// the probe.
 	bandCnt  []int32
 	bandExes []int32
-	qsig     []uint32
 }
 
 // getScratch draws a scratch sized for the current corpus layout. The
@@ -361,9 +351,6 @@ func (x *Index) getScratch() *queryScratch {
 	}
 	if len(s.bandCnt) < len(x.exes) {
 		s.bandCnt = make([]int32, len(x.exes))
-	}
-	if len(s.qsig) < strand.SigWords {
-		s.qsig = make([]uint32, strand.SigWords)
 	}
 	return s
 }
@@ -393,14 +380,6 @@ func (x *Index) accumulate(q strand.Set, minScore int, ratioFloor float64) (*que
 		return nil, false
 	}
 	s := x.getScratch()
-	x.accumulateInto(s, q, minScore, ratioFloor)
-	return s, true
-}
-
-// accumulateInto is accumulate's body over caller-held scratch, so the
-// LSH path can run the posting scan after its bucket probe without a
-// second scratch round-trip. Compatibility is the caller's check.
-func (x *Index) accumulateInto(s *queryScratch, q strand.Set, minScore int, ratioFloor float64) {
 	// Count shared strands per (exe, proc) dense slot; the per-exe
 	// maximum over procedures is the bound the floors apply to.
 	for _, id := range q.IDs {
@@ -449,6 +428,7 @@ func (x *Index) accumulateInto(s *queryScratch, q strand.Set, minScore int, rati
 		}
 		return a.Exe - b.Exe
 	})
+	return s, true
 }
 
 // Rows returns the index's non-empty posting rows ordered by strictly

@@ -241,12 +241,11 @@ type FrozenIndex struct {
 
 	scratch sync.Pool
 
-	// Per-procedure MinHash signature slab (dense-slot order) and the
-	// banded bucket structure built over it on first LSH query. sigs is
-	// attached by SetSignatures (Seal, or a mapped corpus-sigs shard
-	// section) or derived lazily from in-RAM executables; a foreign
-	// index without a slab has no LSH tier (lsh stays nil) and serves
-	// exact rankings only.
+	// The LSH tier, built by the first approximate query (see lsh.go):
+	// sigs is a persisted signature slab attached by SetSignatures (a
+	// mapped corpus-sigs shard section), nil when the signatures are
+	// derived from in-RAM executables instead; a foreign index without a
+	// slab has no tier (lsh stays nil) and serves exact rankings only.
 	sigs    []uint32
 	lshOnce sync.Once
 	lsh     *lshIndex
@@ -429,13 +428,18 @@ func (x *FrozenIndex) CandidateIndices(q strand.Set, minScore int, ratioFloor fl
 		x.telFallbacks.Inc()
 		return nil, false
 	}
+	return x.finish(s, buf), true
+}
+
+// finish is Index.finish over the sealed index.
+func (x *FrozenIndex) finish(s *queryScratch, buf []int) []int {
 	x.telQueries.Inc()
 	x.telFanout.Observe(int64(len(s.cands)))
 	for _, c := range s.cands {
 		buf = append(buf, c.Exe)
 	}
 	x.putScratch(s)
-	return buf, true
+	return buf
 }
 
 func (x *FrozenIndex) getScratch() *queryScratch {
@@ -451,9 +455,6 @@ func (x *FrozenIndex) getScratch() *queryScratch {
 	}
 	if len(s.bandCnt) < x.nexes {
 		s.bandCnt = make([]int32, x.nexes)
-	}
-	if len(s.qsig) < strand.SigWords {
-		s.qsig = make([]uint32, strand.SigWords)
 	}
 	return s
 }
@@ -504,13 +505,6 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 		return nil, false
 	}
 	s := x.getScratch()
-	x.accumulateInto(s, q, minScore, ratioFloor)
-	return s, true
-}
-
-// accumulateInto is accumulate's body over caller-held scratch (see
-// Index.accumulateInto). Compatibility is the caller's check.
-func (x *FrozenIndex) accumulateInto(s *queryScratch, q strand.Set, minScore int, ratioFloor float64) {
 	if x.rowStart == nil {
 		// Sparse CSR: both q.IDs and rowIDs are strictly increasing, so
 		// one forward binary-search cursor visits each matching row once.
@@ -559,4 +553,5 @@ func (x *FrozenIndex) accumulateInto(s *queryScratch, q strand.Set, minScore int
 		}
 		return a.Exe - b.Exe
 	})
+	return s, true
 }

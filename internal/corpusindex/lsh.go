@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"firmup/internal/sim"
 	"firmup/internal/strand"
 )
 
@@ -20,23 +21,25 @@ import (
 // unrelated 0.05-similar pair stays below 0.08 (and pairs sharing no
 // strand at all collide only by 64-bit hash accident).
 //
-// The tier serves two modes. In exact mode the band-collision counts
-// only *rank* the exact candidate set (most-colliding executables are
-// probed first); the set itself still comes from the exact posting
-// scan, so findings are byte-identical to the plain prefilter. In
-// approximate mode the buckets *gate* that set: a candidate that
-// passed the exact floors is examined only if it also shares at least
-// one band with the query, so the expensive downstream work — game
-// playing, and for store-backed corpora the executable
-// materialization — runs on a strict subset of the exact candidates.
-// Findings are therefore one-sided (always a subset of exact mode's),
-// a bounded-recall trade measured by internal/eval. Gating, rather
-// than replacing the exact set with the raw bucket contents, is what
-// keeps the approximate candidate count *below* the exact one: on
-// corpora where distinct procedures still share library/runtime
-// strands, nearly every executable collides with the query in some
-// band, so the ungated bucket set is far larger than the floor-gated
-// one.
+// The tier serves approximate queries only. The buckets *gate* the
+// exact candidate set: a candidate that passed the exact floors is
+// examined only if it also shares at least one band with the query, so
+// the expensive downstream work — game playing, and for store-backed
+// corpora the executable materialization — runs on a strict subset of
+// the exact candidates. Findings are therefore one-sided (always a
+// subset of an exact search's), a bounded-recall trade measured by
+// internal/eval. Gating, rather than replacing the exact set with the
+// raw bucket contents, is what keeps the approximate candidate count
+// *below* the exact one: on corpora where distinct procedures still
+// share library/runtime strands, nearly every executable collides with
+// the query in some band, so the ungated bucket set is far larger than
+// the floor-gated one.
+//
+// Exact queries never come here: their candidate set is examined in
+// full, so a band ranking could only reorder probes no consumer
+// observes. Signatures and buckets are therefore derived or attached on
+// the first approximate query, and a corpus that is only ever searched
+// exactly pays nothing for the tier.
 const (
 	lshBands = 32
 	lshRows  = strand.SigWords / lshBands
@@ -110,30 +113,13 @@ func (l *lshIndex) probe(qsig []uint32, s *queryScratch) {
 	}
 }
 
-// lshRank reorders an exact candidate ranking by LSH affinity: band
-// collisions descending, then the exact MaxSim ordering as tiebreak.
-// Only the order changes — the candidate set, and therefore every
-// downstream finding and examined count, is untouched.
-func lshRank(s *queryScratch) {
-	slices.SortFunc(s.cands, func(a, b Candidate) int {
-		if ca, cb := s.bandCnt[a.Exe], s.bandCnt[b.Exe]; ca != cb {
-			return int(cb - ca)
-		}
-		if a.MaxSim != b.MaxSim {
-			return b.MaxSim - a.MaxSim
-		}
-		return a.Exe - b.Exe
-	})
-}
-
-// lshApproxCands prunes the exact candidate ranking (already
-// accumulated into s.cands) down to the executables the buckets
-// corroborate: a candidate survives only if it collided with the query
-// in at least one band, or the index holds no signature for it (an
-// extra — un-interned, so the buckets cannot rule it out). The
-// survivors keep the exact-mode LSH ordering: collisions descending,
-// MaxSim descending, executable ID ascending.
-func lshApproxCands(s *queryScratch, extra []int) {
+// lshGate prunes the exact candidate ranking (already accumulated into
+// s.cands, with the probe's collisions in s.bandCnt) down to the
+// executables the buckets corroborate: a candidate survives only if it
+// collided with the query in at least one band, or the index holds no
+// signature for it (an extra — un-interned, so the buckets cannot rule
+// it out). Survivors keep the exact ranking's order.
+func lshGate(s *queryScratch, extra []int) {
 	kept := s.cands[:0]
 	for _, c := range s.cands {
 		if s.bandCnt[c.Exe] > 0 || slices.Contains(extra, c.Exe) {
@@ -141,7 +127,22 @@ func lshApproxCands(s *queryScratch, extra []int) {
 		}
 	}
 	s.cands = kept
-	lshRank(s)
+}
+
+// deriveSigs concatenates the executables' own signature slabs in
+// dense-slot order, with sentinel blocks for the executables listed in
+// extra: their foreign IDs would hash into meaningless buckets, and they
+// are always candidates anyway.
+func deriveSigs(exes []*sim.Exe, extra []int, procs int) []uint32 {
+	sigs := make([]uint32, 0, procs*strand.SigWords)
+	for i, e := range exes {
+		if slices.Contains(extra, i) {
+			sigs = appendEmptySigs(sigs, len(e.Procs))
+		} else {
+			sigs = append(sigs, e.Signatures()...)
+		}
+	}
+	return sigs
 }
 
 // appendEmptySigs appends n sentinel (empty-set) signatures.
@@ -154,93 +155,44 @@ func appendEmptySigs(sigs []uint32, n int) []uint32 {
 
 // --- live Index integration -------------------------------------------------
 
-// ensureSigsLocked brings the incremental signature slab in sync with
-// the executable list. Add keeps it in sync on the normal path; an
-// index reconstructed by RestoreIndex starts with an empty slab and is
-// rebuilt here on first use. Callers hold lshMu (and at least a read
-// lock on the index).
-func (x *Index) ensureSigsLocked() {
-	want := int(x.procOff[len(x.exes)]) * strand.SigWords
-	if len(x.sigs) == want {
-		return
-	}
-	sigs := make([]uint32, 0, want)
-	for _, e := range x.exes {
-		if interned(x.it, e) {
-			sigs = append(sigs, e.Signatures()...)
-		} else {
-			sigs = appendEmptySigs(sigs, len(e.Procs))
-		}
-	}
-	x.sigs = sigs
-}
-
 // ensureLSH returns the bucket structure over the current executables,
-// rebuilding it when executables were added since the last build.
+// rebuilding it when executables were added since the last build. The
+// signature slab is only an input to the build, so it is not kept.
 // Callers hold at least a read lock on the index; lshMu serializes the
 // build itself.
 func (x *Index) ensureLSH() *lshIndex {
 	x.lshMu.Lock()
 	defer x.lshMu.Unlock()
 	if x.lsh == nil || x.lshExes != len(x.exes) {
-		x.ensureSigsLocked()
-		x.lsh = buildLSH(x.sigs, x.procOff, len(x.exes))
-		x.lshExes = len(x.exes)
+		n := len(x.exes)
+		x.lsh = buildLSH(deriveSigs(x.exes, x.liveExtra(), int(x.procOff[n])), x.procOff, n)
+		x.lshExes = n
 	}
 	return x.lsh
 }
 
-// Signatures returns the flat per-procedure MinHash signature slab the
-// index built incrementally (strand.SigWords words per procedure, in
-// dense-slot order; sentinel signatures for executables interned under
-// a foreign session). The slab is what Analyzer.Seal hands to the
-// frozen index and WriteShards persists. Read-only for callers.
-func (x *Index) Signatures() []uint32 {
+// CandidateIndicesLSH is CandidateIndices gated by the MinHash/LSH
+// signature tier: only the exact candidates sharing at least one
+// signature band with the query (plus un-interned executables, which the
+// index cannot rule out) are returned — a subset of the exact
+// candidates, in the exact ranking's order. qsig is the query
+// procedure's MinHash signature over q.IDs, which the query executable
+// already caches (sim.Exe.Signatures). The second return is false when
+// the query set was not interned under this session (caller falls back
+// to exhaustive examination, as with CandidateIndices).
+func (x *Index) CandidateIndicesLSH(q strand.Set, qsig []uint32, minScore int, ratioFloor float64, buf []int) ([]int, bool) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	x.lshMu.Lock()
-	defer x.lshMu.Unlock()
-	x.ensureSigsLocked()
-	return x.sigs
-}
-
-// CandidateIndicesLSH is CandidateIndices with the MinHash/LSH
-// signature tier engaged. In exact mode (approx false) the returned
-// candidate *set* is identical to CandidateIndices — floors and
-// postings remain the exact gate — but the probe order puts the
-// executables most band-similar to the query first. With approx true
-// the LSH buckets additionally gate the set: only the exact candidates
-// sharing at least one signature band with the query (plus un-interned
-// executables, which the index cannot rule out) are returned — a
-// strict subset of the exact candidates. The second return is false
-// when the query set was not interned under this session (caller falls
-// back to exhaustive examination, as with CandidateIndices).
-func (x *Index) CandidateIndicesLSH(q strand.Set, minScore int, ratioFloor float64, approx bool, buf []int) ([]int, bool) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if !strand.Compatible(q.It, x.it) {
+	s, ok := x.accumulate(q, minScore, ratioFloor)
+	if !ok {
 		x.telFallbacks.Inc()
 		return nil, false
 	}
-	l := x.ensureLSH()
-	s := x.getScratch()
-	strand.MinHashInto(s.qsig, q.IDs)
-	l.probe(s.qsig, s)
+	x.ensureLSH().probe(qsig, s)
 	x.telLSHProbes.Inc()
-	x.accumulateInto(s, q, minScore, ratioFloor)
-	if approx {
-		lshApproxCands(s, x.liveExtra())
-		x.telLSHCandidates.Observe(int64(len(s.cands)))
-	} else {
-		lshRank(s)
-	}
-	x.telQueries.Inc()
-	x.telFanout.Observe(int64(len(s.cands)))
-	for _, c := range s.cands {
-		buf = append(buf, c.Exe)
-	}
-	x.putScratch(s)
-	return buf, true
+	lshGate(s, x.liveExtra())
+	x.telLSHCandidates.Observe(int64(len(s.cands)))
+	return x.finish(s, buf), true
 }
 
 // liveExtra lists the executables registered without postings (not
@@ -258,15 +210,15 @@ func (x *Index) liveExtra() []int {
 
 // --- FrozenIndex integration ------------------------------------------------
 
-// SetSignatures attaches the per-procedure MinHash signature slab to a
-// sealed index: strand.SigWords words per procedure in dense-slot
-// order, either the live index's incrementally built slab (Seal) or a
-// mapped corpus-sigs shard section (store-backed open). The slice is
+// SetSignatures attaches a persisted per-procedure MinHash signature
+// slab — a mapped corpus-sigs shard section — to a sealed index:
+// strand.SigWords words per procedure in dense-slot order. The slice is
 // aliased, not copied, and must stay valid for the index's lifetime.
-// Call before the first query; it is not synchronized against
-// concurrent Candidates calls. Without a slab (and without in-RAM
-// executables to derive one from) the LSH tier is unavailable and
-// approximate queries fall back to the exact prefilter.
+// Call it before the index's first CandidateIndicesLSH call, from one
+// goroutine; exact queries never read the slab, so they may already be
+// in flight. Without a slab (and without in-RAM executables to derive
+// one from) the LSH tier is unavailable and approximate queries fall
+// back to the exact prefilter.
 func (x *FrozenIndex) SetSignatures(sigs []uint32) error {
 	if want := int(x.procOff[x.nexes]) * strand.SigWords; len(sigs) != want {
 		return fmt.Errorf("corpusindex: signature slab holds %d words for %d procedures, want %d", len(sigs), x.procOff[x.nexes], want)
@@ -275,11 +227,11 @@ func (x *FrozenIndex) SetSignatures(sigs []uint32) error {
 	return nil
 }
 
-// ensureLSH lazily builds the bucket structure on first use. A dense
-// index without an attached slab derives signatures from its in-RAM
-// executables (pure function of their interned IDs, so the result is
-// identical to the persisted slab); a foreign index without a slab —
-// a pre-signature v2 shard — has no tier and returns nil.
+// ensureLSH builds the bucket structure on the first approximate query.
+// A dense index without an attached slab derives signatures from its
+// in-RAM executables (pure function of their interned IDs, so the
+// result is identical to the persisted slab); a foreign index without a
+// slab — a pre-signature v2 shard — has no tier and returns nil.
 func (x *FrozenIndex) ensureLSH() *lshIndex {
 	x.lshOnce.Do(func() {
 		sigs := x.sigs
@@ -287,67 +239,29 @@ func (x *FrozenIndex) ensureLSH() *lshIndex {
 			if x.exes == nil {
 				return
 			}
-			sigs = make([]uint32, 0, int(x.procOff[x.nexes])*strand.SigWords)
-			for i, e := range x.exes {
-				if slices.Contains(x.extra, i) {
-					sigs = appendEmptySigs(sigs, len(e.Procs))
-				} else {
-					sigs = append(sigs, e.Signatures()...)
-				}
-			}
-			x.sigs = sigs
+			sigs = deriveSigs(x.exes, x.extra, int(x.procOff[x.nexes]))
 		}
 		x.lsh = buildLSH(sigs, x.procOff, x.nexes)
 	})
 	return x.lsh
 }
 
-// HasSignatures reports whether the LSH tier is available: a signature
-// slab is attached or derivable. Approximate queries on an index
-// without signatures serve the exact prefilter instead.
-func (x *FrozenIndex) HasSignatures() bool { return x.ensureLSH() != nil }
-
-// Signatures returns the index's signature slab (building it from the
-// in-RAM executables if it was never attached), or nil when the index
-// has no signature data. Read-only for callers.
-func (x *FrozenIndex) Signatures() []uint32 {
-	x.ensureLSH()
-	return x.sigs
-}
-
 // CandidateIndicesLSH is Index.CandidateIndicesLSH over the sealed
-// postings: identical semantics, no locks. On an index without
-// signature data both modes serve the plain exact ranking (approximate
-// requests additionally count an lsh fallback).
-func (x *FrozenIndex) CandidateIndicesLSH(q strand.Set, minScore int, ratioFloor float64, approx bool, buf []int) ([]int, bool) {
-	if !strand.Compatible(q.It, x.it) {
+// postings: identical semantics, no locks. An index without signature
+// data serves the plain exact ranking and counts an lsh fallback.
+func (x *FrozenIndex) CandidateIndicesLSH(q strand.Set, qsig []uint32, minScore int, ratioFloor float64, buf []int) ([]int, bool) {
+	s, ok := x.accumulate(q, minScore, ratioFloor)
+	if !ok {
 		x.telFallbacks.Inc()
 		return nil, false
 	}
-	l := x.ensureLSH()
-	s := x.getScratch()
-	if l == nil {
-		if approx {
-			x.telLSHFallbacks.Inc()
-		}
-		x.accumulateInto(s, q, minScore, ratioFloor)
+	if l := x.ensureLSH(); l == nil {
+		x.telLSHFallbacks.Inc()
 	} else {
-		strand.MinHashInto(s.qsig, q.IDs)
-		l.probe(s.qsig, s)
+		l.probe(qsig, s)
 		x.telLSHProbes.Inc()
-		x.accumulateInto(s, q, minScore, ratioFloor)
-		if approx {
-			lshApproxCands(s, x.extra)
-			x.telLSHCandidates.Observe(int64(len(s.cands)))
-		} else {
-			lshRank(s)
-		}
+		lshGate(s, x.extra)
+		x.telLSHCandidates.Observe(int64(len(s.cands)))
 	}
-	x.telQueries.Inc()
-	x.telFanout.Observe(int64(len(s.cands)))
-	for _, c := range s.cands {
-		buf = append(buf, c.Exe)
-	}
-	x.putScratch(s)
-	return buf, true
+	return x.finish(s, buf), true
 }

@@ -23,7 +23,7 @@ func randCorpus(rng *rand.Rand, nexes int) (*Interner, *Index, []*sim.Exe) {
 			n := rng.Intn(12)
 			hs := map[uint64]bool{}
 			for len(hs) < n {
-				hs[uint64(1 + rng.Intn(60))] = true
+				hs[uint64(1+rng.Intn(60))] = true
 			}
 			var hashes []uint64
 			for h := range hs {
@@ -38,26 +38,55 @@ func randCorpus(rng *rand.Rand, nexes int) (*Interner, *Index, []*sim.Exe) {
 	return it, x, exes
 }
 
-// TestLSHExactSetEquivalence is the exact-mode soundness test at the
-// index layer: across randomized corpora, queries and floors, the
-// LSH-ranked candidate list must contain exactly the same executables
-// as the plain exact prefilter — only the probe order may differ.
+// frozenOf seals a live test index under the frozen vocabulary f: the
+// dense frozen index over the rebound executables.
+func frozenOf(t *testing.T, f *Frozen, x *Index) *FrozenIndex {
+	t.Helper()
+	rebound := make([]*sim.Exe, len(x.exes))
+	for i, e := range x.exes {
+		rebound[i] = e.Rebound(f)
+	}
+	fx, err := NewFrozenIndex(f, rebound, x.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// isSubsequence reports whether sub appears in full in order.
+func isSubsequence(sub, full []int) bool {
+	i := 0
+	for _, v := range full {
+		if i < len(sub) && sub[i] == v {
+			i++
+		}
+	}
+	return i == len(sub)
+}
+
+// TestLSHExactSetEquivalence is the index-layer soundness test of the
+// two tiers, across randomized corpora, queries and floors. Exact: the
+// frozen index under an overlay interner ranks exactly as the live one,
+// and no number of exact queries builds a bucket structure. Approximate:
+// the gated list is a subsequence of the exact ranking, and a frozen
+// index deriving its signatures agrees with one that has the persisted
+// slab attached.
 func TestLSHExactSetEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		it, x, _ := randCorpus(rng, 2+rng.Intn(10))
 		f := it.Freeze()
-		rebound := make([]*sim.Exe, len(x.exes))
-		for i, e := range x.exes {
-			rebound[i] = e.Rebound(f)
-		}
-		fx, err := NewFrozenIndex(f, rebound, x.Rows())
-		if err != nil {
+		fx, fxSlab := frozenOf(t, f, x), frozenOf(t, f, x)
+		if err := fxSlab.SetSignatures(deriveSigs(x.exes, nil, int(x.procOff[len(x.exes)]))); err != nil {
 			t.Fatal(err)
 		}
-		if err := fx.SetSignatures(x.Signatures()); err != nil {
-			t.Fatal(err)
+		type query struct {
+			live, frozen strand.Set
+			minScore     int
+			ratio        float64
+			exact        []int
 		}
+		var queries []query
 		for qi := 0; qi < 10; qi++ {
 			n := rng.Intn(10)
 			var hashes []uint64
@@ -67,41 +96,46 @@ func TestLSHExactSetEquivalence(t *testing.T) {
 					hashes = append(hashes, h)
 				}
 			}
-			q := set(hashes...).Interned(it)
-			minScore := 1 + rng.Intn(3)
-			ratio := float64(rng.Intn(3)) * 0.2
-			plain, ok1 := x.CandidateIndices(q, minScore, ratio, nil)
-			ranked, ok2 := x.CandidateIndicesLSH(q, minScore, ratio, false, nil)
-			if ok1 != ok2 {
-				t.Fatalf("seed %d query %d: ok diverges (%v vs %v)", seed, qi, ok1, ok2)
+			q := query{minScore: 1 + rng.Intn(3), ratio: float64(rng.Intn(3)) * 0.2}
+			q.live = set(hashes...).Interned(it)
+			q.frozen = strand.Set{Hashes: q.live.Hashes}.Interned(NewQueryInterner(f))
+			var ok1, ok2 bool
+			q.exact, ok1 = x.CandidateIndices(q.live, q.minScore, q.ratio, nil)
+			fexact, ok2 := fx.CandidateIndices(q.frozen, q.minScore, q.ratio, nil)
+			if !ok1 || !ok2 {
+				t.Fatalf("seed %d query %d: compatible query rejected (%v, %v)", seed, qi, ok1, ok2)
 			}
-			sp := slices.Clone(plain)
-			sr := slices.Clone(ranked)
-			slices.Sort(sp)
-			slices.Sort(sr)
-			if !slices.Equal(sp, sr) {
-				t.Fatalf("seed %d query %d: live LSH candidate set %v != plain %v", seed, qi, sr, sp)
+			if !slices.Equal(fexact, q.exact) {
+				t.Fatalf("seed %d query %d: frozen ranking %v != live %v", seed, qi, fexact, q.exact)
 			}
-			// The frozen index must agree with the live one under the
-			// overlay interner too.
-			qf := strand.Set{Hashes: q.Hashes}.Interned(NewQueryInterner(f))
-			fplain, _ := fx.CandidateIndices(qf, minScore, ratio, nil)
-			franked, _ := fx.CandidateIndicesLSH(qf, minScore, ratio, false, nil)
-			sfp := slices.Clone(fplain)
-			sfr := slices.Clone(franked)
-			slices.Sort(sfp)
-			slices.Sort(sfr)
-			if !slices.Equal(sfp, sfr) {
-				t.Fatalf("seed %d query %d: frozen LSH candidate set %v != plain %v", seed, qi, sfr, sfp)
+			queries = append(queries, q)
+		}
+		if x.lsh != nil || fx.lsh != nil {
+			t.Fatalf("seed %d: exact queries built the LSH buckets", seed)
+		}
+		for qi, q := range queries {
+			approx, ok := x.CandidateIndicesLSH(q.live, strand.MinHash(q.live.IDs), q.minScore, q.ratio, nil)
+			if !ok {
+				t.Fatalf("seed %d query %d: compatible approx query rejected", seed, qi)
 			}
-			if !slices.Equal(sfp, sp) {
-				t.Fatalf("seed %d query %d: frozen set %v != live set %v", seed, qi, sfp, sp)
+			if !isSubsequence(approx, q.exact) {
+				t.Fatalf("seed %d query %d: live approx %v is not a subsequence of exact %v", seed, qi, approx, q.exact)
 			}
-			// Repeat calls must be byte-identical (pooled scratch reuse).
-			again, _ := x.CandidateIndicesLSH(q, minScore, ratio, false, nil)
-			if !slices.Equal(again, ranked) {
-				t.Fatalf("seed %d query %d: ranked order not deterministic", seed, qi)
+			// Strands the corpus never saw get different IDs under the
+			// overlay than under the live interner, so the frozen gate is
+			// compared with itself across the two signature sources.
+			fsig := strand.MinHash(q.frozen.IDs)
+			derived, _ := fx.CandidateIndicesLSH(q.frozen, fsig, q.minScore, q.ratio, nil)
+			attached, _ := fxSlab.CandidateIndicesLSH(q.frozen, fsig, q.minScore, q.ratio, nil)
+			if !isSubsequence(derived, q.exact) {
+				t.Fatalf("seed %d query %d: frozen approx %v is not a subsequence of exact %v", seed, qi, derived, q.exact)
 			}
+			if !slices.Equal(derived, attached) {
+				t.Fatalf("seed %d query %d: derived-signature approx %v != attached-slab approx %v", seed, qi, derived, attached)
+			}
+		}
+		if x.lsh == nil || fx.lsh == nil {
+			t.Fatalf("seed %d: approximate queries left the LSH buckets unbuilt", seed)
 		}
 	}
 }
@@ -125,7 +159,7 @@ func TestLSHApproxProperties(t *testing.T) {
 	fi := x.Add(foreign)
 
 	q := set(1, 2, 3, 4, 5, 6, 7, 8).Interned(it)
-	cands, ok := x.CandidateIndicesLSH(q, 1, 0, true, nil)
+	cands, ok := x.CandidateIndicesLSH(q, strand.MinHash(q.IDs), 1, 0, nil)
 	if !ok {
 		t.Fatal("same-session query must be filterable")
 	}
@@ -135,7 +169,7 @@ func TestLSHApproxProperties(t *testing.T) {
 	if !slices.Contains(cands, fi) {
 		t.Errorf("approx candidates %v miss the un-interned executable", cands)
 	}
-	again, _ := x.CandidateIndicesLSH(q, 1, 0, true, nil)
+	again, _ := x.CandidateIndicesLSH(q, strand.MinHash(q.IDs), 1, 0, nil)
 	if !slices.Equal(again, cands) {
 		t.Errorf("approx candidates not deterministic: %v vs %v", again, cands)
 	}
@@ -143,7 +177,7 @@ func TestLSHApproxProperties(t *testing.T) {
 	// An empty query signature probes nothing: only the un-interned
 	// executable remains.
 	empty := strand.Set{It: it}
-	ecands, ok := x.CandidateIndicesLSH(empty, 1, 0, true, nil)
+	ecands, ok := x.CandidateIndicesLSH(empty, strand.MinHash(nil), 1, 0, nil)
 	if !ok {
 		t.Fatal("empty same-session query must be filterable")
 	}
@@ -153,8 +187,8 @@ func TestLSHApproxProperties(t *testing.T) {
 }
 
 // TestLSHFrozenFallback pins that a frozen index without signature data
-// (foreign CSR slabs, no corpus-sigs section) serves both modes through
-// the exact prefilter.
+// (foreign CSR slabs, no corpus-sigs section) serves approximate queries
+// through the exact prefilter.
 func TestLSHFrozenFallback(t *testing.T) {
 	it, x, _ := randCorpus(rand.New(rand.NewSource(7)), 5)
 	f := it.Freeze()
@@ -174,53 +208,43 @@ func TestLSHFrozenFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fx.HasSignatures() {
-		t.Fatal("foreign index without a slab claims signatures")
-	}
 	q := set(1, 2, 3).Interned(NewQueryInterner(f))
 	plain, _ := fx.CandidateIndices(q, 1, 0, nil)
-	for _, approx := range []bool{false, true} {
-		got, ok := fx.CandidateIndicesLSH(q, 1, 0, approx, nil)
-		if !ok {
-			t.Fatalf("approx=%v: compatible query rejected", approx)
-		}
-		if !slices.Equal(got, plain) {
-			t.Errorf("approx=%v: fallback ranking %v != exact %v", approx, got, plain)
-		}
+	got, ok := fx.CandidateIndicesLSH(q, strand.MinHash(q.IDs), 1, 0, nil)
+	if !ok {
+		t.Fatal("compatible query rejected")
+	}
+	if !slices.Equal(got, plain) {
+		t.Errorf("fallback ranking %v != exact %v", got, plain)
+	}
+	if fx.lsh != nil {
+		t.Error("foreign index without a slab built LSH buckets")
 	}
 }
 
 // TestSetSignaturesValidation pins the slab length check.
 func TestSetSignaturesValidation(t *testing.T) {
 	it, x, _ := randCorpus(rand.New(rand.NewSource(3)), 3)
-	f := it.Freeze()
-	rebound := make([]*sim.Exe, len(x.exes))
-	for i, e := range x.exes {
-		rebound[i] = e.Rebound(f)
-	}
-	fx, err := NewFrozenIndex(f, rebound, x.Rows())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := frozenOf(t, it.Freeze(), x)
 	if err := fx.SetSignatures(make([]uint32, 7)); err == nil {
 		t.Error("truncated signature slab accepted")
 	}
-	if err := fx.SetSignatures(x.Signatures()); err != nil {
+	if err := fx.SetSignatures(deriveSigs(x.exes, nil, int(x.procOff[len(x.exes)]))); err != nil {
 		t.Errorf("well-formed slab rejected: %v", err)
 	}
 }
 
-// TestIndexSignaturesIncremental pins that the live slab built by Add
-// matches a from-scratch rebuild and carries sentinel blocks for
-// un-interned executables.
-func TestIndexSignaturesIncremental(t *testing.T) {
+// TestDeriveSigs pins the derived slab's layout: each executable's own
+// signature block in dense-slot order, sentinel blocks for un-interned
+// executables.
+func TestDeriveSigs(t *testing.T) {
 	it := NewInterner()
 	x := NewIndex(it)
 	e1 := sim.FromProcsSession("a", []*sim.Proc{{Name: "a0", Set: set(1, 2, 3)}}, it)
 	x.Add(e1)
 	foreign := sim.FromProcs("f", []*sim.Proc{{Name: "f0", Set: set(1, 2)}})
 	x.Add(foreign)
-	sigs := x.Signatures()
+	sigs := deriveSigs(x.exes, x.liveExtra(), int(x.procOff[len(x.exes)]))
 	if want := 2 * strand.SigWords; len(sigs) != want {
 		t.Fatalf("slab holds %d words, want %d", len(sigs), want)
 	}
@@ -229,10 +253,5 @@ func TestIndexSignaturesIncremental(t *testing.T) {
 	}
 	if !strand.SigEmpty(sigs[strand.SigWords:]) {
 		t.Error("un-interned executable's block is not the sentinel")
-	}
-	// RestoreIndex starts without a slab; Signatures must rebuild it.
-	r := RestoreIndex(it, x.exes, x.Rows())
-	if !slices.Equal(r.Signatures(), sigs) {
-		t.Error("restored index rebuilds a different slab")
 	}
 }

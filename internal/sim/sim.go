@@ -105,6 +105,12 @@ func (e *Exe) Signatures() []uint32 {
 	return e.sigs
 }
 
+// Signature returns procedure i's MinHash signature: its
+// strand.SigWords-word block of the cached Signatures slab.
+func (e *Exe) Signature(i int) []uint32 {
+	return e.Signatures()[i*strand.SigWords : (i+1)*strand.SigWords]
+}
+
 // BuildConfig tunes BuildWith for analyzer sessions. The zero value
 // (and a nil pointer) selects serial, uncached analysis.
 type BuildConfig struct {

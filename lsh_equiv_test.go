@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"firmup"
 	"firmup/internal/corpus"
 	"firmup/internal/eval"
 	"firmup/internal/snapshot"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -24,40 +26,34 @@ var lshTestQueries = []struct {
 	{"CVE-2013-1944", uir.ArchARM32},
 }
 
-// TestLSHExactEquivalence is the exact-mode soundness suite: with
-// Approx off, the MinHash/LSH tier only reorders probe sequence — the
-// candidate set is still the exact prefilter's, so every corpus form
-// that consults LSH buckets (sealed in-RAM, sharded v3 stores at two
-// shard counts, and signature-less v2 shards that fall back to the
-// plain exact path) must answer byte-identically to the live session
-// baseline: findings, examined counts and step histograms deep-equal.
-// Randomized over corpus seeds; CI runs it under -race.
+// TestLSHExactEquivalence pins that the signature section is inert for
+// exact searches: a sealed in-RAM corpus, v3 shards (corpus-sigs
+// present) and v2 shards written without signatures all answer through
+// the same exact prefilter, so each must be byte-identical to the live
+// session baseline — findings, examined counts and step histograms
+// deep-equal. Randomized over corpus seeds; CI runs it under -race.
 func TestLSHExactEquivalence(t *testing.T) {
 	opts := []*firmup.Options{nil, {MinScore: 3, MinRatio: 0.2}, {Exhaustive: true}}
 	for _, seed := range []uint64{3, 11} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: seed})
 
-			// The store-backed forms: v3 shards (signatures present) at two
-			// shard counts, and v2 shards (no signatures, exact fallback).
 			dir := t.TempDir()
 			type form struct {
 				name string
 				sc   *firmup.SealedCorpus
 			}
 			forms := []form{{"sealed", s.sealed}}
-			for _, nShards := range []int{2, 7} {
-				d := filepath.Join(dir, fmt.Sprintf("v3-%d", nShards))
-				if _, err := s.sealed.WriteShards(d, nShards); err != nil {
-					t.Fatal(err)
-				}
-				sc, err := firmup.OpenSealedCorpusDir(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sc.Close()
-				forms = append(forms, form{fmt.Sprintf("store-v3-%d", nShards), sc})
+			v3Dir := filepath.Join(dir, "v3")
+			if _, err := s.sealed.WriteShards(v3Dir, 2); err != nil {
+				t.Fatal(err)
 			}
+			v3, err := firmup.OpenSealedCorpusDir(v3Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v3.Close()
+			forms = append(forms, form{"store-v3", v3})
 			noSigsDir := filepath.Join(dir, "v2-nosigs")
 			if _, err := s.sealed.WriteShardsNoSigs(noSigsDir, 2); err != nil {
 				t.Fatal(err)
@@ -76,7 +72,7 @@ func TestLSHExactEquivalence(t *testing.T) {
 					t.Fatalf("unknown CVE %s", q.cveID)
 				}
 				qb := queryBytesFor(t, cve, q.arch)
-				// Live session baseline: the plain exact prefilter, no LSH.
+				// Live session baseline.
 				liveQ, err := s.analyzer.LoadQueryExecutable(qb)
 				if err != nil {
 					t.Fatal(err)
@@ -238,6 +234,192 @@ func TestApproxRecallFloor(t *testing.T) {
 		t.Errorf("approximate recall %.3f (%d/%d) below the 0.95 floor", got, rs.Found, rs.Expected)
 	} else {
 		t.Logf("approximate recall %.3f (%d/%d findings)", got, rs.Found, rs.Expected)
+	}
+}
+
+// TestSinglePrefilterEvaluation pins that a sealed search asks an
+// image's index for each query procedure's candidates exactly once: the
+// list that selects what a store-backed image materializes is the list
+// the games run on, not a second evaluation. After one SearchAll and one
+// SearchAllBatch over an N-image corpus, index.queries is queries × N —
+// in RAM and store-backed alike.
+func TestSinglePrefilterEvaluation(t *testing.T) {
+	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
+	shardDir := t.TempDir()
+	if _, err := s.sealed.WriteShards(shardDir, 3); err != nil {
+		t.Fatal(err)
+	}
+	store, err := firmup.OpenSealedCorpusDir(shardDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	for _, form := range []struct {
+		name string
+		sc   *firmup.SealedCorpus
+	}{{"sealed", s.sealed}, {"store", store}} {
+		reg := telemetry.New()
+		form.sc.SetTelemetry(reg)
+		var batch []firmup.BatchQuery
+		for _, q := range lshTestQueries {
+			cve := corpus.CVEByID(q.cveID)
+			qe, err := form.sc.AnalyzeQuery(queryBytesFor(t, cve, q.arch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, firmup.BatchQuery{Query: qe, Procedure: cve.Procedure})
+		}
+		n := int64(len(form.sc.Images()))
+		if _, err := form.sc.SearchAll(batch[0].Query, batch[0].Procedure, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("index.queries").Value(); got != n {
+			t.Errorf("%s: SearchAll over %d images ran %d candidate queries, want one per image", form.name, n, got)
+		}
+		if _, err := form.sc.SearchAllBatch(batch, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reg.Counter("index.queries").Value(), n*int64(1+len(batch)); got != want {
+			t.Errorf("%s: after a %d-query SearchAllBatch index.queries = %d, want %d (one per query per image)",
+				form.name, len(batch), got, want)
+		}
+		form.sc.SetTelemetry(nil)
+	}
+}
+
+// TestExactSearchLeavesSignatureTierUntouched pins that the MinHash/LSH
+// tier is approximate-only. Exact searches — single, batched and
+// exhaustive — record no lsh.* metric (every path that builds buckets
+// records one), and on a store-backed corpus they never read the
+// shard's corpus-sigs section: with that section damaged on disk they
+// still answer exactly as the pristine corpus does, and it is the first
+// Approx search that reports the damage. On pristine corpora the first
+// Approx searches, racing, build the tier once and probe it once per
+// image each.
+func TestExactSearchLeavesSignatureTierUntouched(t *testing.T) {
+	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
+	dir := t.TempDir()
+	paths, err := s.sealed.WriteShards(filepath.Join(dir, "good"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := firmup.OpenSealedCorpusDir(filepath.Join(dir, "good"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	// corpus-sigs is a v3 shard's final section and nothing follows it,
+	// so the file's last byte is signature data.
+	badDir := filepath.Join(dir, "bad")
+	if err := os.Mkdir(badDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[len(blob)-1] ^= 0x40
+		if err := os.WriteFile(filepath.Join(badDir, filepath.Base(p)), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad, err := firmup.OpenSealedCorpusDir(badDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+
+	cve := corpus.CVEByID(lshTestQueries[0].cveID)
+	qb := queryBytesFor(t, cve, lshTestQueries[0].arch)
+	exactSweep := func(sc *firmup.SealedCorpus) [][]firmup.ImageFindings {
+		t.Helper()
+		qe, err := sc.AnalyzeQuery(qb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]firmup.ImageFindings
+		for _, opt := range []*firmup.Options{nil, {Exhaustive: true}} {
+			res, err := sc.SearchAll(qe, cve.Procedure, opt)
+			if err != nil {
+				t.Fatalf("exact search (options %+v): %v", opt, err)
+			}
+			out = append(out, res)
+		}
+		res, err := sc.SearchAllBatch([]firmup.BatchQuery{{Query: qe, Procedure: cve.Procedure}}, nil)
+		if err != nil {
+			t.Fatalf("exact batched search: %v", err)
+		}
+		return append(out, res...)
+	}
+	lshSilent := func(name string, reg *telemetry.Registry) {
+		t.Helper()
+		if p, f, c := reg.Counter("lsh.probes").Value(), reg.Counter("lsh.fallbacks").Value(), reg.Histogram("lsh.candidates").Count(); p != 0 || f != 0 || c != 0 {
+			t.Errorf("%s: exact searches touched the LSH tier: lsh.probes=%d lsh.fallbacks=%d lsh.candidates=%d", name, p, f, c)
+		}
+	}
+
+	badReg := telemetry.New()
+	bad.SetTelemetry(badReg)
+	want := exactSweep(good)
+	if got := exactSweep(bad); !reflect.DeepEqual(got, want) {
+		t.Error("exact results over a corpus with a damaged corpus-sigs section diverge from the pristine corpus")
+	}
+	lshSilent("damaged store", badReg)
+	qe, err := bad.AnalyzeQuery(qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = bad.SearchAll(qe, cve.Procedure, &firmup.Options{Approx: true})
+	var ce *snapshot.CorruptError
+	if !errors.As(err, &ce) || ce.Section != "corpus-sigs" {
+		t.Fatalf("first Approx search over a damaged corpus-sigs section: err = %v, want a corpus-sigs CorruptError", err)
+	}
+	if got := exactSweep(bad); !reflect.DeepEqual(got, want) {
+		t.Error("exact results diverge after the failed Approx search")
+	}
+
+	for _, form := range []struct {
+		name string
+		sc   *firmup.SealedCorpus
+	}{{"sealed", s.sealed}, {"store", good}} {
+		reg := telemetry.New()
+		form.sc.SetTelemetry(reg)
+		exactSweep(form.sc)
+		lshSilent(form.name, reg)
+		qe, err := form.sc.AnalyzeQuery(qb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The tier is built by whichever search gets there first: race
+		// the first Approx sweeps against each other and exact ones.
+		const sweeps = 4
+		approx := make([][]firmup.ImageFindings, sweeps)
+		errs := make([]error, sweeps)
+		var wg sync.WaitGroup
+		for g := 0; g < sweeps; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if approx[g], errs[g] = form.sc.SearchAll(qe, cve.Procedure, &firmup.Options{Approx: true}); errs[g] == nil {
+					_, errs[g] = form.sc.SearchAll(qe, cve.Procedure, nil)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range approx {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			if !reflect.DeepEqual(approx[g], approx[0]) {
+				t.Errorf("%s: concurrent first Approx sweeps disagree", form.name)
+			}
+		}
+		if got, want := reg.Counter("lsh.probes").Value(), int64(sweeps*len(form.sc.Images())); got != want {
+			t.Errorf("%s: %d Approx sweeps over %d images recorded %d lsh.probes, want %d", form.name, sweeps, len(form.sc.Images()), got, want)
+		}
+		form.sc.SetTelemetry(nil)
 	}
 }
 

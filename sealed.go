@@ -72,6 +72,8 @@ type SealedImage struct {
 	lazy     []lazyExe
 	idxOnce  sync.Once
 	idxErr   error
+	sigOnce  sync.Once
+	sigErr   error
 	allOnce  sync.Once
 	allErr   error
 }
@@ -140,13 +142,6 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 			if err != nil {
 				return nil, fmt.Errorf("firmup: Seal: image %d: %w", ii, err)
 			}
-			// Carry the live index's MinHash slab across the seal: the
-			// signatures are over dense IDs, which Freeze and Rebound
-			// preserve, so the sealed LSH tier agrees with the live one
-			// verbatim.
-			if err := idx.SetSignatures(img.index.Signatures()); err != nil {
-				return nil, fmt.Errorf("firmup: Seal: image %d: %w", ii, err)
-			}
 			si.index = idx
 		}
 		sc.images = append(sc.images, si)
@@ -162,9 +157,10 @@ func (sc *SealedCorpus) Images() []*SealedImage { return sc.images }
 func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 
 // SetTelemetry attaches the corpus to a registry under the live
-// session's names. Every image index records the prefilter: the exact
-// tier's index.queries / index.fallbacks / index.fanout plus the LSH
-// tier's lsh.probes / lsh.fallbacks / lsh.candidates. Query analysis
+// session's names. Every image index records the prefilter:
+// index.queries / index.fallbacks / index.fanout for every candidate
+// query, plus lsh.probes / lsh.fallbacks / lsh.candidates for the
+// approximate ones. Query analysis
 // (AnalyzeQueryWith) records the front-end layer by layer: obj.parse,
 // cfg.recover / cfg.sweep / cfg.lift and their counters, sim.build /
 // sim.index / sim.procs, and strand.blocks / strand.blocks_computed /
@@ -228,24 +224,77 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc), rec: rec}, nil
 }
 
-// sealedView adapts one sealed image to the core search layer's
-// read-only corpus interface, with the acceptance floors baked in so
-// candidate narrowing stays sound (see corpusindex.Candidates).
-type sealedView struct {
-	img        *SealedImage
-	minScore   int
-	minRatio   float64
-	exhaustive bool
-	approx     bool
+// candidates resolves one query procedure's candidate executables in
+// the image from its index: the exact prefilter's list, or under approx
+// the subset of it the LSH tier corroborates. The acceptance floors are
+// baked in, so the narrowing stays sound (see corpusindex.Candidates).
+// ok=false means the index has no information about this query (it was
+// not analyzed under this corpus) and every executable must be examined.
+func (im *SealedImage) candidates(q *sim.Exe, qi int, s *core.SearchOptions, approx bool) ([]int, bool, error) {
+	set := q.Procs[qi].Set
+	if approx {
+		if err := im.ensureSigs(); err != nil {
+			return nil, false, err
+		}
+		cands, ok := im.index.CandidateIndicesLSH(set, q.Signature(qi), s.MinScore, s.MinRatio, nil)
+		return cands, ok, nil
+	}
+	cands, ok := im.index.CandidateIndices(set, s.MinScore, s.MinRatio, nil)
+	return cands, ok, nil
 }
 
-func (v sealedView) Targets() []*sim.Exe { return v.img.targets }
+// candidateList is one query's resolved candidate executables for an
+// image pass.
+type candidateList struct {
+	query core.BatchQuery
+	cands []int
+}
 
-func (v sealedView) Candidates(q *sim.Exe, qi int) ([]int, bool) {
-	if v.img.index == nil || v.exhaustive {
-		return nil, false
+// plan prepares one pass of the given queries over the image and
+// returns the target slice the games run against. Each query's candidate
+// list is resolved exactly once, here, and serves both purposes it has:
+// it selects the executables a store-backed image materializes (so peak
+// RSS tracks the working set; non-candidate slots stay nil and are never
+// dereferenced), and it is installed as s.Prefilter — a lookup, not a
+// second index query — so the games run on the very lists that chose
+// what to materialize. Unindexed images, exhaustive searches and passes
+// with a query the index cannot narrow examine (and materialize) every
+// executable.
+func (im *SealedImage) plan(cqs []core.BatchQuery, s *core.SearchOptions, opt *Options) ([]*sim.Exe, error) {
+	if err := im.ensureIndex(); err != nil {
+		return nil, err
 	}
-	return v.img.index.CandidateIndicesLSH(q.Procs[qi].Set, v.minScore, v.minRatio, v.approx, nil)
+	narrowed := im.index != nil && (opt == nil || !opt.Exhaustive)
+	if narrowed {
+		lists := make([]candidateList, 0, len(cqs))
+		for _, cq := range cqs {
+			cands, ok, err := im.candidates(cq.Q, cq.QI, s, opt != nil && opt.Approx)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				lists = append(lists, candidateList{cq, cands})
+			} else {
+				narrowed = false
+			}
+		}
+		// Batches are small, so the lookup is a scan, not a map.
+		s.Prefilter = func(q *sim.Exe, qi int, _ []*sim.Exe) ([]int, bool) {
+			for _, l := range lists {
+				if l.query.Q == q && l.query.QI == qi {
+					return l.cands, true
+				}
+			}
+			return nil, false
+		}
+		if narrowed && im.store != nil {
+			return im.materializeCandidates(lists, s)
+		}
+	}
+	if err := im.ensureAll(); err != nil {
+		return nil, err
+	}
+	return im.targets, nil
 }
 
 // SearchImageDetailed looks for the query executable's procedure in
@@ -261,24 +310,17 @@ func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string,
 }
 
 // searchImageIdx runs one resolved query procedure against one image,
-// dispatching between the in-RAM view path and the store-backed lazy
-// path. Both produce byte-identical results. parent is the trace span
-// the search spans attach under — the caller's TraceSpan for direct
-// searches, the per-shard span inside a corpus-wide fan-out.
+// in-RAM or store-backed alike. parent is the trace span the search
+// spans attach under — the caller's TraceSpan for direct searches, the
+// per-shard span inside a corpus-wide fan-out.
 func (sc *SealedCorpus) searchImageIdx(query *Executable, qi int, img *SealedImage, opt *Options, parent telemetry.SpanID) (*SearchResult, error) {
-	if img.store != nil {
-		return sc.storeSearch(query, qi, img, opt, parent)
-	}
 	s := opt.search()
 	s.TraceParent = parent
-	v := sealedView{
-		img:        img,
-		minScore:   s.MinScore,
-		minRatio:   s.MinRatio,
-		exhaustive: opt != nil && opt.Exhaustive,
-		approx:     opt != nil && opt.Approx,
+	targets, err := img.plan([]core.BatchQuery{{Q: query.exe, QI: qi}}, s, opt)
+	if err != nil {
+		return nil, err
 	}
-	return searchResultFromCore(core.SearchView(query.exe, qi, v, s)), nil
+	return searchResultFromCore(core.Search(query.exe, qi, targets, s)), nil
 }
 
 // SearchBatch looks for every batch query in one sealed image in a
@@ -295,21 +337,17 @@ func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt 
 }
 
 // searchBatchCore is SearchBatch after query resolution, shared with
-// the corpus-wide fan-out so resolution runs once per corpus pass.
+// the corpus-wide fan-out so resolution runs once per corpus pass: one
+// candidate plan for the whole batch, then one shared-matcher
+// core.SearchBatch over its targets.
 func (sc *SealedCorpus) searchBatchCore(cqs []core.BatchQuery, img *SealedImage, opt *Options, parent telemetry.SpanID) ([]*SearchResult, error) {
-	if img.store != nil {
-		return sc.storeSearchBatch(cqs, img, opt, parent)
-	}
 	s := opt.search()
 	s.TraceParent = parent
-	v := sealedView{
-		img:        img,
-		minScore:   s.MinScore,
-		minRatio:   s.MinRatio,
-		exhaustive: opt != nil && opt.Exhaustive,
-		approx:     opt != nil && opt.Approx,
+	targets, err := img.plan(cqs, s, opt)
+	if err != nil {
+		return nil, err
 	}
-	res := core.SearchViewBatch(cqs, v, s)
+	res := core.SearchBatch(cqs, targets, s)
 	out := make([]*SearchResult, len(res))
 	for i := range res {
 		out[i] = searchResultFromCore(res[i])

@@ -15,7 +15,6 @@ import (
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
 	"firmup/internal/strand"
-	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -203,27 +202,36 @@ func (im *SealedImage) ensureIndex() error {
 			im.idxErr = &snapshot.CorruptError{Section: "corpus-index-posts", Reason: err.Error()}
 			return
 		}
-		// A v3 shard carries the per-procedure MinHash slab; attach the
-		// image's zero-copy slice so the LSH tier runs straight off the
-		// mapping. A v2 shard has none, and the index serves both probe
-		// modes through the exact prefilter.
-		if im.store.shard.HasSignatures() {
-			sigs, err := im.store.shard.ImageSigs(im.storeImg)
-			if err != nil {
-				im.idxErr = err
-				return
-			}
-			if err := idx.SetSignatures(sigs); err != nil {
-				im.idxErr = &snapshot.CorruptError{Section: "corpus-sigs", Reason: err.Error()}
-				return
-			}
-		}
 		if im.tel != nil {
 			idx.SetTelemetry(im.tel)
 		}
 		im.index = idx
 	})
 	return im.idxErr
+}
+
+// ensureSigs attaches a v3 shard's per-procedure MinHash slab — the
+// image's zero-copy slice of the mapped corpus-sigs section, CRC-checked
+// on this first touch — to the image's index, once, before the image's
+// first approximate query; exact searches never come here. No-op for
+// in-RAM images (their index derives signatures from its executables)
+// and for v2 shards (no slab: approximate queries fall back to the exact
+// prefilter). Callers have run ensureIndex.
+func (im *SealedImage) ensureSigs() error {
+	if im.store == nil || !im.store.shard.HasSignatures() {
+		return nil
+	}
+	im.sigOnce.Do(func() {
+		sigs, err := im.store.shard.ImageSigs(im.storeImg)
+		if err != nil {
+			im.sigErr = err
+			return
+		}
+		if err := im.index.SetSignatures(sigs); err != nil {
+			im.sigErr = &snapshot.CorruptError{Section: "corpus-sigs", Reason: err.Error()}
+		}
+	})
+	return im.sigErr
 }
 
 // ensureAll materializes every executable of a store-backed image and
@@ -268,121 +276,28 @@ func postsToIndex(sp []snapshot.Posting) []corpusindex.Posting {
 	return out
 }
 
-// storeCandidates builds the single candidate function both the
-// materialization pass and the game prefilter call. Using one closure
-// for both keeps the sets identical by construction: a game can only
-// probe target slots the materialization pass filled.
-func storeCandidates(idx *corpusindex.FrozenIndex, minScore int, minRatio float64, approx bool) func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-	return func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-		return idx.CandidateIndicesLSH(q.Procs[qpi].Set, minScore, minRatio, approx, nil)
-	}
-}
-
-// storeSearch runs one query procedure against a store-backed image:
-// candidates come off the mapped CSR index first, and only candidate
-// executables are materialized. Findings, examined counts and step
-// histograms are byte-identical to the in-RAM path — core.Search with
-// the index prefilter is exactly what core.SearchView runs, and
-// non-candidate target slots are never dereferenced.
-func (sc *SealedCorpus) storeSearch(query *Executable, qi int, img *SealedImage, opt *Options, parent telemetry.SpanID) (*SearchResult, error) {
-	s := opt.search()
-	s.TraceParent = parent
-	if err := img.ensureIndex(); err != nil {
-		return nil, err
-	}
-	exhaustive := opt != nil && opt.Exhaustive
-	if idx := img.index; idx != nil && !exhaustive {
-		cand := storeCandidates(idx, s.MinScore, s.MinRatio, opt != nil && opt.Approx)
-		cands, ok := cand(query.exe, qi, nil)
-		if ok {
-			msp := s.Trace.Start("store.materialize", parent)
-			msp.SetAttr("candidates", int64(len(cands)))
-			targets := make([]*sim.Exe, img.nExes)
-			for _, ti := range cands {
-				e, err := img.materialize(ti)
-				if err != nil {
-					msp.End()
-					return nil, err
-				}
-				targets[ti] = e.exe
+// materializeCandidates materializes the union of a pass's candidate
+// lists and returns the nil-padded target slice the games run over.
+func (im *SealedImage) materializeCandidates(lists []candidateList, s *core.SearchOptions) ([]*sim.Exe, error) {
+	msp := s.Trace.Start("store.materialize", s.TraceParent)
+	defer msp.End()
+	targets := make([]*sim.Exe, im.nExes)
+	nCand := 0
+	for _, l := range lists {
+		for _, ti := range l.cands {
+			if targets[ti] != nil {
+				continue
 			}
-			msp.End()
-			s.Prefilter = cand
-			return searchResultFromCore(core.Search(query.exe, qi, targets, s)), nil
+			e, err := im.materialize(ti)
+			if err != nil {
+				return nil, err
+			}
+			targets[ti] = e.exe
+			nCand++
 		}
 	}
-	// Unindexed, exhaustive, or the index reported no information:
-	// every executable is examined, so materialize the image.
-	if err := img.ensureAll(); err != nil {
-		return nil, err
-	}
-	return searchResultFromCore(core.Search(query.exe, qi, img.targets, s)), nil
-}
-
-// storeSearchBatch is storeSearch for a batched pass: the union of all
-// queries' candidate sets is materialized, then one shared-matcher
-// core.SearchBatch runs over the nil-padded target slice.
-func (sc *SealedCorpus) storeSearchBatch(cqs []core.BatchQuery, img *SealedImage, opt *Options, parent telemetry.SpanID) ([]*SearchResult, error) {
-	s := opt.search()
-	s.TraceParent = parent
-	if err := img.ensureIndex(); err != nil {
-		return nil, err
-	}
-	exhaustive := opt != nil && opt.Exhaustive
-	if idx := img.index; idx != nil && !exhaustive {
-		cand := storeCandidates(idx, s.MinScore, s.MinRatio, opt != nil && opt.Approx)
-		need := make([]bool, img.nExes)
-		narrow := true
-		for _, cq := range cqs {
-			cands, ok := cand(cq.Q, cq.QI, nil)
-			if !ok {
-				narrow = false
-				break
-			}
-			for _, ti := range cands {
-				need[ti] = true
-			}
-		}
-		if narrow {
-			nCand := 0
-			for _, n := range need {
-				if n {
-					nCand++
-				}
-			}
-			msp := s.Trace.Start("store.materialize", parent)
-			msp.SetAttr("candidates", int64(nCand))
-			targets := make([]*sim.Exe, img.nExes)
-			for ti, n := range need {
-				if !n {
-					continue
-				}
-				e, err := img.materialize(ti)
-				if err != nil {
-					msp.End()
-					return nil, err
-				}
-				targets[ti] = e.exe
-			}
-			msp.End()
-			s.Prefilter = cand
-			res := core.SearchBatch(cqs, targets, s)
-			out := make([]*SearchResult, len(res))
-			for i := range res {
-				out[i] = searchResultFromCore(res[i])
-			}
-			return out, nil
-		}
-	}
-	if err := img.ensureAll(); err != nil {
-		return nil, err
-	}
-	res := core.SearchBatch(cqs, img.targets, s)
-	out := make([]*SearchResult, len(res))
-	for i := range res {
-		out[i] = searchResultFromCore(res[i])
-	}
-	return out, nil
+	msp.SetAttr("candidates", int64(nCand))
+	return targets, nil
 }
 
 // WriteShards splits the sealed corpus into n contiguous image ranges
@@ -403,8 +318,8 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 
 // WriteShardsNoSigs is WriteShards without the corpus-sigs section —
 // the pre-LSH v2 artifact layout, readable by older firmupd builds.
-// Corpora opened from such shards fall back to the exact prefilter for
-// both probe modes.
+// Approximate searches over corpora opened from such shards fall back
+// to the exact prefilter.
 func (sc *SealedCorpus) WriteShardsNoSigs(dir string, n int) ([]string, error) {
 	return sc.writeShards(dir, n, false)
 }
