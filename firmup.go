@@ -337,22 +337,36 @@ type Executable struct {
 	// label for standalone executables).
 	Path string
 	exe  *sim.Exe
-	rec  *cfg.Recovered
 }
 
 // Procedures lists the recovered procedures.
 func (e *Executable) Procedures() []ProcedureInfo {
 	out := make([]ProcedureInfo, len(e.exe.Procs))
 	for i, p := range e.exe.Procs {
-		out[i] = ProcedureInfo{
-			Name:     p.Name,
-			Addr:     p.Addr,
-			Exported: p.Exported,
-			Strands:  p.Set.Size(),
-			Blocks:   p.BlockCount,
-		}
+		out[i] = procedureInfo(p)
 	}
 	return out
+}
+
+// Procedure returns the summary of the first procedure with the given
+// name — the one a search for that name plays — or false when the
+// executable has none.
+func (e *Executable) Procedure(name string) (ProcedureInfo, bool) {
+	i := e.exe.ProcByName(name)
+	if i < 0 {
+		return ProcedureInfo{}, false
+	}
+	return procedureInfo(e.exe.Procs[i]), true
+}
+
+func procedureInfo(p *sim.Proc) ProcedureInfo {
+	return ProcedureInfo{
+		Name:     p.Name,
+		Addr:     p.Addr,
+		Exported: p.Exported,
+		Strands:  p.Set.Size(),
+		Blocks:   p.BlockCount,
+	}
 }
 
 // ProcedureInfo summarizes one recovered procedure.
@@ -439,7 +453,7 @@ func (a *Analyzer) analyzeFile(path string, f *obj.File, procWorkers int) (*Exec
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
 	}
 	bc := &sim.BuildConfig{Cache: a.cache, Workers: procWorkers, Tel: a.simTel()}
-	return &Executable{Path: path, exe: sim.BuildWith(path, rec, a.interner, bc), rec: rec}, nil
+	return &Executable{Path: path, exe: sim.BuildWith(path, rec, a.interner, bc)}, nil
 }
 
 // LoadQueryExecutable analyzes the analyst's query binary (typically

@@ -6,15 +6,18 @@
 //
 // Concurrency model: the sealed corpus is immutable, so request
 // handlers share it with no locks. The only cross-request coordination
-// is the admission semaphore (a buffered channel) and the atomic corpus
-// pointer; a swap installs the new corpus for subsequent requests while
-// every in-flight request keeps the pointer it loaded at admission, so
-// no request ever observes a half-swapped corpus or is dropped by a
-// swap.
+// is the admission semaphore (a buffered channel), the atomic corpus
+// pointer and the installed corpus's query cache (one mutex around a
+// map and a list; see queryCache); a swap installs the new corpus for
+// subsequent requests while every in-flight request keeps the pointer
+// it loaded at admission, so no request ever observes a half-swapped
+// corpus or is dropped by a swap.
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,7 +43,8 @@ const SchemaVersion = 1
 // header and in the trace_id response field.
 const TraceHeader = "X-Firmup-Trace"
 
-// Corpus is one loaded sealed corpus with its serving identity.
+// Corpus is one loaded sealed corpus with its serving identity. Use it
+// by pointer: it holds a lock and must not be copied once installed.
 type Corpus struct {
 	// Name labels the corpus in responses (typically the artifact path).
 	Name string
@@ -48,6 +52,12 @@ type Corpus struct {
 	Sealed *firmup.SealedCorpus
 	// LoadedAt records when the corpus was installed.
 	LoadedAt time.Time
+
+	// queries caches this corpus's analysed query uploads by content
+	// hash, so a recurring query is analysed once. It lives and dies with
+	// the Corpus: a Swap purges nothing, and requests still in flight on
+	// the previous corpus keep hitting that corpus's cache.
+	queries queryCache
 }
 
 // Config tunes a Server. The zero value selects the defaults.
@@ -183,6 +193,7 @@ type Server struct {
 	latency   *telemetry.Histogram
 	batches   *telemetry.Counter
 	batchSize *telemetry.Histogram
+	cache     cacheCounters
 	// endpoints maps route paths to their serve.req.* counters;
 	// reqOther counts everything unrouted.
 	endpoints map[string]*telemetry.Counter
@@ -243,6 +254,12 @@ func New(initial *Corpus, cfg *Config) *Server {
 		s.latency = r.Histogram("serve.latency_us")
 		s.batches = r.Counter("serve.batches")
 		s.batchSize = r.Histogram("serve.batch_size")
+		s.cache = cacheCounters{
+			hits:     r.Counter("serve.query_cache.hits"),
+			misses:   r.Counter("serve.query_cache.misses"),
+			admitted: r.Counter("serve.query_cache.admitted"),
+			evicted:  r.Counter("serve.query_cache.evicted"),
+		}
 		s.endpoints = map[string]*telemetry.Counter{
 			"/search":         r.Counter("serve.req.search"),
 			"/healthz":        r.Counter("serve.req.healthz"),
@@ -261,6 +278,13 @@ func New(initial *Corpus, cfg *Config) *Server {
 				return -1
 			}
 			return int64(time.Since(cs.LoadedAt).Seconds())
+		})
+		r.GaugeFunc("serve.query_cache.bytes", func() int64 {
+			cs := s.corpus.Load()
+			if cs == nil {
+				return 0
+			}
+			return cs.queries.size()
 		})
 	}
 	if initial != nil {
@@ -457,14 +481,28 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	rsp.SetAttr("bytes", int64(len(body)))
 	rsp.End()
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading query executable: %v", err)
+		// Only an over-limit body is "too large"; a short or aborted one
+		// is the client's malformed request.
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "reading query executable: %v", err)
 		return
 	}
 	asp := tr.Start("analyze_query", root.ID())
-	query, err := cs.Sealed.AnalyzeQueryWith("query", body, s.cfg.QueryWorkers)
+	query, err := s.analyzeQuery(cs, body, asp)
 	asp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "analyzing query executable: %v", err)
+		return
+	}
+	// Resolve the procedure before searching, so that under coalescing a
+	// bad name gets its own 400 instead of failing the whole batch.
+	info, ok := query.Procedure(proc)
+	if !ok {
+		writeError(w, http.StatusBadRequest, "firmup: query executable has no procedure %q", proc)
 		return
 	}
 	ssp := tr.Start("search", root.ID())
@@ -474,27 +512,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	var images []firmup.ImageFindings
 	if s.cfg.BatchWindow > 0 {
-		// Pre-validate the procedure name so a bad request gets its own
-		// 400 instead of failing the whole coalesced batch.
-		if queryProcIndex(query, proc) < 0 {
-			ssp.End()
-			writeError(w, http.StatusBadRequest, "firmup: query executable has no procedure %q", proc)
-			return
-		}
 		images, err = s.searchCoalesced(cs, image, query, proc, opt)
 	} else {
 		images, err = searchImages(cs, image, query, proc, opt)
 	}
 	ssp.End()
 	if err != nil {
-		// The only search error is an unknown procedure name.
-		writeError(w, http.StatusBadRequest, "%v", err)
+		// The procedure resolved, so what is left is a corpus fault (a
+		// shard that fails to decode), not a bad request.
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	resp := &SearchResponse{
 		SchemaVersion: SchemaVersion,
 		Corpus:        cs.Name,
 		Procedure:     proc,
+		QueryStrands:  info.Strands,
 		Images:        images,
 	}
 	if tr != nil {
@@ -506,13 +539,33 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.TotalFindings += len(images[i].Findings)
 	}
-	if qi := queryProcIndex(query, proc); qi >= 0 {
-		resp.QueryStrands = query.Procedures()[qi].Strands
-	}
 	elapsed := time.Since(t0)
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	s.latency.Observe(elapsed.Microseconds())
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// analyzeQuery returns the analysed form of an uploaded query
+// executable: the corpus's cached one when these bytes have been
+// analysed against it before, a fresh analysis otherwise. The value is
+// immutable and shared by every request that hits it. A fresh analysis
+// is stored only on the hash's second sight (see queryCache), and never
+// when it failed; concurrent first analyses of one hash all run and the
+// first to finish is the one kept. span is the request's analyze_query
+// span.
+func (s *Server) analyzeQuery(cs *Corpus, body []byte, span telemetry.SpanRef) (*firmup.Executable, error) {
+	key := queryKey(sha256.Sum256(body))
+	query, seen := cs.queries.lookup(key, &s.cache)
+	if query != nil {
+		span.SetAttrStr("cache", "hit")
+		return query, nil
+	}
+	span.SetAttrStr("cache", "miss")
+	query, err := cs.Sealed.AnalyzeQueryWith("query", body, s.cfg.QueryWorkers)
+	if err == nil && seen {
+		cs.queries.attach(key, query, len(body), &s.cache)
+	}
+	return query, err
 }
 
 // sampleTrace decides whether this request is traced and under which
@@ -658,16 +711,6 @@ func (s *Server) runBatch(cs *Corpus, image int, entries []*batchEntry, opt *fir
 			e.done <- batchResult{images: []firmup.ImageFindings{imageFindings(img, res[i].Findings, res[i].Examined)}, size: size, leader: leader}
 		}
 	}
-}
-
-// queryProcIndex finds the query procedure's index by name.
-func queryProcIndex(query *firmup.Executable, proc string) int {
-	for i, p := range query.Procedures() {
-		if p.Name == proc {
-			return i
-		}
-	}
-	return -1
 }
 
 // searchOptions builds the per-request search options from the URL

@@ -32,22 +32,7 @@ var (
 func buildScenario(t *testing.T) (*firmup.SealedCorpus, []byte) {
 	t.Helper()
 	scenarioOnce.Do(func() {
-		c, err := corpus.Build(corpus.DefaultScale())
-		if err != nil {
-			scenarioErr = err
-			return
-		}
-		a := firmup.NewAnalyzer(nil)
-		var imgs []*firmup.Image
-		for _, bi := range c.Images {
-			img, err := a.OpenImage(bi.Image.Pack(true))
-			if err != nil {
-				scenarioErr = err
-				return
-			}
-			imgs = append(imgs, img)
-		}
-		scenarioSealed, scenarioErr = a.Seal(imgs...)
+		scenarioSealed, scenarioErr = sealScale(corpus.DefaultScale())
 		if scenarioErr != nil {
 			return
 		}
@@ -62,6 +47,25 @@ func buildScenario(t *testing.T) (*firmup.SealedCorpus, []byte) {
 		t.Fatal(scenarioErr)
 	}
 	return scenarioSealed, scenarioQuery
+}
+
+// sealScale generates a corpus of the given scale, analyses every image
+// under one session and seals it.
+func sealScale(scale corpus.Scale) (*firmup.SealedCorpus, error) {
+	c, err := corpus.Build(scale)
+	if err != nil {
+		return nil, err
+	}
+	a := firmup.NewAnalyzer(nil)
+	var imgs []*firmup.Image
+	for _, bi := range c.Images {
+		img, err := a.OpenImage(bi.Image.Pack(true))
+		if err != nil {
+			return nil, err
+		}
+		imgs = append(imgs, img)
+	}
+	return a.Seal(imgs...)
 }
 
 func newCorpus(name string, sc *firmup.SealedCorpus) *serve.Corpus {

@@ -130,7 +130,7 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 			if e.exe.Session() != strand.Interner(a.interner) {
 				return nil, fmt.Errorf("firmup: Seal: image %d executable %s was not analyzed under this session", ii, e.Path)
 			}
-			si.Exes = append(si.Exes, &Executable{Path: e.Path, exe: e.exe.Rebound(frozen), rec: e.rec})
+			si.Exes = append(si.Exes, &Executable{Path: e.Path, exe: e.exe.Rebound(frozen)})
 		}
 		si.nExes = len(si.Exes)
 		si.targets = make([]*sim.Exe, len(si.Exes))
@@ -221,7 +221,7 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	}
 	qit := corpusindex.NewQueryInterner(sc.frozen)
 	bc := &sim.BuildConfig{Workers: workers, Tel: sc.front.sim}
-	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc), rec: rec}, nil
+	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc)}, nil
 }
 
 // candidates resolves one query procedure's candidate executables in

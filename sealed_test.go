@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -344,5 +345,58 @@ func TestSealedUnknownProcedure(t *testing.T) {
 	}
 	if _, err := sc.AnalyzeQuery([]byte("garbage")); err == nil {
 		t.Error("garbage query must fail")
+	}
+}
+
+// heapInUse returns the bytes of live heap objects after a full
+// collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestAnalyzedQueryFootprint bounds what an analysed query executable
+// keeps alive: the 36 registry queries (9 CVEs x 4 ISAs), analysed
+// against the default-scale sealed corpus and searched once each (so
+// the lazily built lookup tables are counted), may retain at most 6x
+// their upload bytes (measured 2.0x). firmupd's query cache weighs an
+// entry by its upload's length, which is an honest weight only while
+// this ratio holds — an Executable that pinned its recovered CFG
+// retained 50x.
+func TestAnalyzedQueryFootprint(t *testing.T) {
+	s := buildSealedScenario(t, corpus.DefaultScale())
+	var bodies [][]byte
+	total := 0
+	for ci := range corpus.CVEs {
+		for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
+			b := queryBytesFor(t, &corpus.CVEs[ci], arch)
+			bodies = append(bodies, b)
+			total += len(b)
+		}
+	}
+	exes := make([]*firmup.Executable, len(bodies))
+	before := heapInUse()
+	for i, b := range bodies {
+		var err error
+		if exes[i], err = s.sealed.AnalyzeQueryWith("query", b, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, e := range exes {
+		if _, err := s.sealed.SearchAll(e, corpus.CVEs[i/4].Procedure, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heapInUse()
+	runtime.KeepAlive(exes)
+	runtime.KeepAlive(s)
+	retained := int64(after) - int64(before)
+	t.Logf("%d queries, %d upload bytes, %d bytes retained (%.1fx)", len(exes), total, retained, float64(retained)/float64(total))
+	if retained > 6*int64(total) {
+		t.Errorf("analysed queries retain %d bytes for %d upload bytes (%.1fx), want at most 6x",
+			retained, total, float64(retained)/float64(total))
 	}
 }
