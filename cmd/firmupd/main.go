@@ -46,7 +46,6 @@ func main() {
 		queryWorkers    = flag.Int("query-workers", 0, "per-request query-analysis worker budget (0 = GOMAXPROCS)")
 		searchWorkers   = flag.Int("search-workers", 0, "per-request search worker budget (0 = GOMAXPROCS)")
 		allowSwap       = flag.Bool("allow-swap", false, "enable POST /swap?path=... corpus hot-swap")
-		approx          = flag.Bool("approx", false, "default /search to the approximate LSH candidate tier (per-request approx=0/1 overrides)")
 		batchWindow     = flag.Duration("batch-window", 0, "coalesce concurrent same-target searches into one batched pass, waiting this long for followers (0 = off)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown grace period")
 		traceSample     = flag.Int("trace-sample", 1, "request tracing sample rate: 0 = X-Firmup-Trace-carrying requests only, 1 = all, N = every Nth")
@@ -84,7 +83,6 @@ func main() {
 		RetryAfter:    *retryAfter,
 		QueryWorkers:  *queryWorkers,
 		SearchWorkers: *searchWorkers,
-		Approx:        *approx,
 		BatchWindow:   *batchWindow,
 		Registry:      reg,
 		TraceSample:   *traceSample,
@@ -156,8 +154,8 @@ func openAccessLog(dst string) (*telemetry.Logger, error) {
 
 // loadCorpus opens one sealed corpus: a v1 artifact (decoded into
 // RAM), a single shard file, or a directory of shards (both
-// mmap-backed and lazily materialized). Prefilter telemetry (index.*
-// and lsh.* metrics) is attached to the corpus before it serves.
+// mmap-backed and lazily materialized). Prefilter telemetry (the
+// index.* metrics) is attached to the corpus before it serves.
 func loadCorpus(path string, reg *telemetry.Registry) (*serve.Corpus, error) {
 	sc, err := firmup.OpenSealedCorpus(path)
 	if err != nil {

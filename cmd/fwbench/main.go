@@ -45,11 +45,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, snapshot, game, analyze, telemetry, serve, scale, lsh, all")
+	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, snapshot, game, analyze, telemetry, serve, scale, all")
 	scale := flag.String("scale", "default", "corpus scale: default, eval or paper (paper selects -exp scale)")
-	jsonOut := flag.Bool("json", false, "write machine-readable results of the game/analyze/telemetry/serve/scale/lsh experiments to BENCH_<exp>.json")
-	images := flag.Int("images", 32, "scale/lsh experiments: generated image count")
-	shards := flag.Int("shards", 4, "scale/lsh experiments: v2 shard count")
+	jsonOut := flag.Bool("json", false, "write machine-readable results of the game/analyze/telemetry/serve/scale experiments to BENCH_<exp>.json")
+	images := flag.Int("images", 32, "scale experiment: generated image count")
+	shards := flag.Int("shards", 4, "scale experiment: shard count")
 	maxRSS := flag.Int64("max-rss-bytes", 0, "scale experiment: exit 1 if peak RSS exceeds this budget (0 = unenforced)")
 	compareV1 := flag.Bool("compare-v1", true, "scale experiment: also save/decode/probe the corpus as one v1 artifact (auto-off above 128 images unless set explicitly)")
 	version := flag.Bool("version", false, "print build version and exit")
@@ -62,7 +62,7 @@ func main() {
 	valid := map[string]bool{"all": true, "table2": true, "fig6": true, "fig8": true,
 		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true,
 		"snapshot": true, "game": true, "analyze": true, "telemetry": true, "serve": true,
-		"scale": true, "lsh": true}
+		"scale": true}
 	if !valid[*exp] {
 		fmt.Fprintf(os.Stderr, "fwbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -89,11 +89,6 @@ func main() {
 			}
 		}
 		scaleBench(*scale, *images, *shards, *maxRSS, *jsonOut, *compareV1)
-		return
-	}
-	// -exp lsh builds its own streamed corpus like the scale experiment.
-	if *exp == "lsh" {
-		lshBench(*images, *shards, *jsonOut)
 		return
 	}
 	if *scale == "paper" {

@@ -32,7 +32,6 @@ func main() {
 	snap := flag.Bool("snapshot", false, "analyze each image and write a <name>.fwsnap sidecar snapshot")
 	sealed := flag.Bool("sealed", false, "analyze every image under one shared session and write a sealed corpus.fwcorp artifact for firmupd")
 	shards := flag.Int("shards", 0, "with -sealed: write the corpus as N mmap-ready FWCORP shards under corpus.fwcorp.d/ instead of one v1 artifact")
-	noSigs := flag.Bool("no-sigs", false, "with -shards: omit the MinHash signature slab (pre-LSH v2 layout readable by older firmupd builds; served corpora fall back to the exact prefilter)")
 	reportPath := flag.String("report", "", "write a structured JSON run report (stage timings, counters) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
 	version := flag.Bool("version", false, "print build version and exit")
@@ -147,11 +146,7 @@ func main() {
 		}
 		if *shards > 0 {
 			shardDir := filepath.Join(*out, "corpus.fwcorp.d")
-			write := scorp.WriteShards
-			if *noSigs {
-				write = scorp.WriteShardsNoSigs
-			}
-			paths, err := write(shardDir, *shards)
+			paths, err := scorp.WriteShards(shardDir, *shards)
 			if err != nil {
 				fatal(err)
 			}

@@ -187,15 +187,12 @@ func newFrontEndMetrics(r *telemetry.Registry) frontEndMetrics {
 }
 
 // newIndexTelemetry is the prefilter handle set: index.* for every
-// answered candidate query, lsh.* for the approximate tier's gate.
+// candidate query.
 func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
 	return &corpusindex.Telemetry{
-		Queries:       r.Counter("index.queries"),
-		Fallbacks:     r.Counter("index.fallbacks"),
-		Fanout:        r.Histogram("index.fanout"),
-		LSHProbes:     r.Counter("lsh.probes"),
-		LSHFallbacks:  r.Counter("lsh.fallbacks"),
-		LSHCandidates: r.Histogram("lsh.candidates"),
+		Queries:   r.Counter("index.queries"),
+		Fallbacks: r.Counter("index.fallbacks"),
+		Fanout:    r.Histogram("index.fanout"),
 	}
 }
 
@@ -588,19 +585,6 @@ type Options struct {
 	// search: every executable is examined. Findings are identical; only
 	// the work done differs.
 	Exhaustive bool
-	// Approx gates the candidate set by the MinHash/LSH band buckets: a
-	// candidate passing the exact prefilter floors is examined only if it
-	// also shares at least one signature band with the query procedure,
-	// so the expensive game stage (and, for store-backed corpora,
-	// executable materialization) runs on a strict subset of the exact
-	// candidates. Findings become a subset of the exact search's — only
-	// false negatives are possible, and measured recall on the
-	// evaluation corpus stays ≥ 0.95. The signature tier exists only for
-	// this mode: it is derived (or, for v3 shards, mapped and verified)
-	// on an image's first approximate search, and exact searches never
-	// touch it. Ignored where no signatures are available (the search
-	// silently stays exact), and by Exhaustive.
-	Approx bool
 	// Trace, when set, attaches a request-scoped trace: the search
 	// layers record spans (core search, shard fan-out, store
 	// materialization) into it, parented under TraceSpan (0 = trace
@@ -728,14 +712,8 @@ func (a *Analyzer) imageSearchOptions(img *Image, opt *Options) *core.SearchOpti
 		// facade sets no strand weigher), so both floors prune soundly.
 		minScore, minRatio := s.MinScore, s.MinRatio
 		idx := img.index
-		if opt != nil && opt.Approx {
-			s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-				return idx.CandidateIndicesLSH(q.Procs[qpi].Set, q.Signature(qpi), minScore, minRatio, nil)
-			}
-		} else {
-			s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-				return idx.CandidateIndices(q.Procs[qpi].Set, minScore, minRatio, nil)
-			}
+		s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
+			return idx.CandidateIndices(q.Procs[qpi].Set, minScore, minRatio, nil)
 		}
 	}
 	return s

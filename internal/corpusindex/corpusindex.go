@@ -33,17 +33,6 @@ type Telemetry struct {
 	// Fanout observes the number of candidate executables each answered
 	// query kept after the score floors.
 	Fanout *telemetry.Histogram
-	// LSHProbes counts approximate queries gated by the MinHash/LSH
-	// signature tier; exact queries never consult it.
-	LSHProbes *telemetry.Counter
-	// LSHFallbacks counts approximate queries served by the exact
-	// prefilter because the index holds no signature data (e.g. a
-	// pre-signature v2 shard).
-	LSHFallbacks *telemetry.Counter
-	// LSHCandidates observes the LSH-bounded candidate count of each
-	// approximate query — the executables actually examined instead of
-	// the full posting-scan fanout.
-	LSHCandidates *telemetry.Histogram
 }
 
 // Interner assigns dense uint32 IDs to 64-bit strand hashes, first come
@@ -162,25 +151,19 @@ type Index struct {
 	// procedure p of executable e occupies dense slot procOff[e]+p in a
 	// query scratch. procOff[len(exes)] is the corpus procedure total.
 	procOff []int32
+	// extra lists the executables that never interned under the session
+	// (no postings): the index has no information about them, so they are
+	// always candidates.
+	extra []int
 	// scratch pools query accumulators (see queryScratch): Candidates is
 	// on the search hot path and must not allocate per query.
 	scratch sync.Pool
 
-	// The LSH tier's bucket structure (see lsh.go), built on the first
-	// approximate query and rebuilt when executables were added since;
-	// lshMu serializes builds under the read lock.
-	lshMu   sync.Mutex
-	lsh     *lshIndex
-	lshExes int
-
 	// telemetry handles; the struct fields are individually nil-safe, so
 	// recording is unconditional once copied here.
-	telQueries       *telemetry.Counter
-	telFallbacks     *telemetry.Counter
-	telFanout        *telemetry.Histogram
-	telLSHProbes     *telemetry.Counter
-	telLSHFallbacks  *telemetry.Counter
-	telLSHCandidates *telemetry.Histogram
+	telQueries   *telemetry.Counter
+	telFallbacks *telemetry.Counter
+	telFanout    *telemetry.Histogram
 }
 
 // SetTelemetry attaches metric handles to the index. Call it before
@@ -189,15 +172,11 @@ type Index struct {
 func (x *Index) SetTelemetry(tel *Telemetry) {
 	if tel == nil {
 		x.telQueries, x.telFallbacks, x.telFanout = nil, nil, nil
-		x.telLSHProbes, x.telLSHFallbacks, x.telLSHCandidates = nil, nil, nil
 		return
 	}
 	x.telQueries = tel.Queries
 	x.telFallbacks = tel.Fallbacks
 	x.telFanout = tel.Fanout
-	x.telLSHProbes = tel.LSHProbes
-	x.telLSHFallbacks = tel.LSHFallbacks
-	x.telLSHCandidates = tel.LSHCandidates
 }
 
 // NewIndex returns an empty index over the session's interner.
@@ -219,6 +198,9 @@ func (x *Index) Add(e *sim.Exe) int {
 	ei := len(x.exes)
 	x.exes = append(x.exes, e)
 	x.procOff = append(x.procOff, x.procOff[ei]+int32(len(e.Procs)))
+	if !interned(x.it, e) {
+		x.extra = append(x.extra, ei)
+	}
 	for pi, p := range e.Procs {
 		if p.Set.It != strand.Interner(x.it) {
 			continue
@@ -288,7 +270,7 @@ func (x *Index) Candidates(q strand.Set, minScore int, ratioFloor float64) ([]Ca
 	x.telQueries.Inc()
 	x.telFanout.Observe(int64(len(s.cands)))
 	out := append([]Candidate(nil), s.cands...)
-	x.putScratch(s)
+	putScratch(&x.scratch, s)
 	return out, true
 }
 
@@ -314,94 +296,88 @@ func (x *Index) finish(s *queryScratch, buf []int) []int {
 	for _, c := range s.cands {
 		buf = append(buf, c.Exe)
 	}
-	x.putScratch(s)
+	putScratch(&x.scratch, s)
 	return buf
 }
 
-// queryScratch is one query's pooled accumulator state. The dense counts
-// slab replaces the (exe,proc)-keyed hash map the prefilter used to
-// rebuild per query; only the entries a query actually touched are
-// zeroed on release, so reuse is O(postings touched), not O(corpus).
+// queryScratch is one query's pooled accumulator state, shared by Index
+// and FrozenIndex. The dense counts slab replaces the (exe,proc)-keyed
+// hash map the prefilter used to rebuild per query; only the entries a
+// query actually touched are zeroed on release, so reuse is O(postings
+// touched), not O(corpus).
 type queryScratch struct {
 	counts  []int32     // per (exe, proc) dense slot, all-zero between queries
 	maxSim  []int32     // per exe, all-zero between queries
 	touched []int32     // dense slots bumped by this query
 	exes    []int32     // exe IDs with maxSim > 0 this query
 	cands   []Candidate // the ranked result, reused across queries
-	// LSH probe state (see lsh.go): per-exe band-collision counts with
-	// the same zero-between-queries invariant, and the exes touched by
-	// the probe.
-	bandCnt  []int32
-	bandExes []int32
 }
 
-// getScratch draws a scratch sized for the current corpus layout. The
-// zero-between-queries invariant holds because putScratch clears every
-// touched entry and fresh allocations are zeroed by the runtime.
-func (x *Index) getScratch() *queryScratch {
-	s, _ := x.scratch.Get().(*queryScratch)
+// getScratch draws a scratch from pool sized for a corpus of nProcs
+// procedures in nExes executables.
+func getScratch(pool *sync.Pool, nProcs, nExes int) *queryScratch {
+	s, _ := pool.Get().(*queryScratch)
 	if s == nil {
 		s = &queryScratch{}
 	}
-	if total := int(x.procOff[len(x.exes)]); len(s.counts) < total {
-		s.counts = make([]int32, total)
-	}
-	if len(s.maxSim) < len(x.exes) {
-		s.maxSim = make([]int32, len(x.exes))
-	}
-	if len(s.bandCnt) < len(x.exes) {
-		s.bandCnt = make([]int32, len(x.exes))
-	}
+	s.size(nProcs, nExes)
 	return s
 }
 
-func (x *Index) putScratch(s *queryScratch) {
+func putScratch(pool *sync.Pool, s *queryScratch) {
+	s.reset()
+	pool.Put(s)
+}
+
+// size grows the dense slabs to the corpus layout. The
+// zero-between-queries invariant holds because reset clears every
+// touched entry and fresh allocations are zeroed by the runtime.
+func (s *queryScratch) size(nProcs, nExes int) {
+	if len(s.counts) < nProcs {
+		s.counts = make([]int32, nProcs)
+	}
+	if len(s.maxSim) < nExes {
+		s.maxSim = make([]int32, nExes)
+	}
+}
+
+func (s *queryScratch) reset() {
 	for _, di := range s.touched {
 		s.counts[di] = 0
 	}
 	for _, ei := range s.exes {
 		s.maxSim[ei] = 0
 	}
-	for _, ei := range s.bandExes {
-		s.bandCnt[ei] = 0
-	}
 	s.touched = s.touched[:0]
 	s.exes = s.exes[:0]
-	s.bandExes = s.bandExes[:0]
 	s.cands = s.cands[:0]
-	x.scratch.Put(s)
 }
 
-// accumulate runs one ranking query into pooled scratch; the caller owns
-// the returned scratch until putScratch. Callers hold at least a read
-// lock.
-func (x *Index) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
-	if !strand.Compatible(q.It, x.it) {
-		return nil, false
-	}
-	s := x.getScratch()
-	// Count shared strands per (exe, proc) dense slot; the per-exe
-	// maximum over procedures is the bound the floors apply to.
-	for _, id := range q.IDs {
-		if int(id) >= len(x.post) {
-			continue
+// bump accumulates one posting row: it counts shared strands per
+// (exe, proc) dense slot and tracks the per-exe maximum over procedures,
+// the bound the floors apply to.
+func (s *queryScratch) bump(procOff []int32, posts []Posting) {
+	for _, p := range posts {
+		di := procOff[p.Exe] + p.Proc
+		c := s.counts[di] + 1
+		s.counts[di] = c
+		if c == 1 {
+			s.touched = append(s.touched, di)
 		}
-		for _, p := range x.post[id] {
-			di := x.procOff[p.Exe] + p.Proc
-			c := s.counts[di] + 1
-			s.counts[di] = c
-			if c == 1 {
-				s.touched = append(s.touched, di)
+		if c > s.maxSim[p.Exe] {
+			if s.maxSim[p.Exe] == 0 {
+				s.exes = append(s.exes, p.Exe)
 			}
-			if c > s.maxSim[p.Exe] {
-				if s.maxSim[p.Exe] == 0 {
-					s.exes = append(s.exes, p.Exe)
-				}
-				s.maxSim[p.Exe] = c
-			}
+			s.maxSim[p.Exe] = c
 		}
 	}
-	qsize := len(q.IDs)
+}
+
+// rank applies the floors to the accumulated maxima and fills s.cands
+// with the survivors plus extra — the executables the index has no
+// information about, which must still be examined — ordered MaxSim
+// descending, executable ID ascending.
+func (s *queryScratch) rank(qsize, minScore int, ratioFloor float64, extra []int) {
 	if minScore < 1 {
 		minScore = 1
 	}
@@ -415,12 +391,8 @@ func (x *Index) accumulate(q strand.Set, minScore int, ratioFloor float64) (*que
 		}
 		s.cands = append(s.cands, Candidate{Exe: int(ei), MaxSim: c})
 	}
-	// Every executable that never interned (no postings) must still be
-	// examined: the index has no information about it.
-	for ei, e := range x.exes {
-		if !interned(x.it, e) {
-			s.cands = append(s.cands, Candidate{Exe: ei, MaxSim: 0})
-		}
+	for _, ei := range extra {
+		s.cands = append(s.cands, Candidate{Exe: ei, MaxSim: 0})
 	}
 	slices.SortFunc(s.cands, func(a, b Candidate) int {
 		if a.MaxSim != b.MaxSim {
@@ -428,6 +400,22 @@ func (x *Index) accumulate(q strand.Set, minScore int, ratioFloor float64) (*que
 		}
 		return a.Exe - b.Exe
 	})
+}
+
+// accumulate runs one ranking query into pooled scratch; the caller owns
+// the returned scratch until putScratch. Callers hold at least a read
+// lock.
+func (x *Index) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
+	if !strand.Compatible(q.It, x.it) {
+		return nil, false
+	}
+	s := getScratch(&x.scratch, int(x.procOff[len(x.exes)]), len(x.exes))
+	for _, id := range q.IDs {
+		if int(id) < len(x.post) {
+			s.bump(x.procOff, x.post[id])
+		}
+	}
+	s.rank(len(q.IDs), minScore, ratioFloor, x.extra)
 	return s, true
 }
 
@@ -456,6 +444,9 @@ func RestoreIndex(it *Interner, exes []*sim.Exe, rows []Row) *Index {
 	x.procOff = make([]int32, len(x.exes)+1)
 	for i, e := range x.exes {
 		x.procOff[i+1] = x.procOff[i] + int32(len(e.Procs))
+		if !interned(it, e) {
+			x.extra = append(x.extra, i)
+		}
 	}
 	if n := len(rows); n > 0 {
 		x.post = make([][]Posting, rows[n-1].ID+1)

@@ -1,7 +1,10 @@
 package corpusindex
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -297,6 +300,100 @@ func TestAddPostingGrowth(t *testing.T) {
 		cands, ok := x.Candidates(q, 3, 0)
 		if !ok || len(cands) != 1 || cands[0].Exe != e || cands[0].MaxSim != 3 {
 			t.Fatalf("exe %d: candidates = %+v ok=%v", e, cands, ok)
+		}
+	}
+}
+
+// randCorpus builds a randomized session corpus: nexes executables with
+// 1–4 procedures each, drawing strand hashes from a small universe so
+// queries overlap targets at varied similarities.
+func randCorpus(rng *rand.Rand, nexes int) (*Interner, *Index) {
+	it := NewInterner()
+	x := NewIndex(it)
+	for e := 0; e < nexes; e++ {
+		var procs []*sim.Proc
+		for p := 0; p < 1+rng.Intn(4); p++ {
+			n := rng.Intn(12)
+			hs := map[uint64]bool{}
+			for len(hs) < n {
+				hs[uint64(1+rng.Intn(60))] = true
+			}
+			var hashes []uint64
+			for h := range hs {
+				hashes = append(hashes, h)
+			}
+			procs = append(procs, &sim.Proc{Name: fmt.Sprintf("p%d_%d", e, p), Set: set(hashes...)})
+		}
+		x.Add(sim.FromProcsSession(fmt.Sprintf("exe%d", e), procs, it))
+	}
+	return it, x
+}
+
+// frozenOf seals a live test index under the frozen vocabulary f in both
+// representations: the dense index over the rebound executables, and a
+// sparse-CSR index over the same rows as a mapped shard would hold them.
+func frozenOf(t *testing.T, f *Frozen, x *Index) (dense, sparse *FrozenIndex) {
+	t.Helper()
+	rebound := make([]*sim.Exe, len(x.exes))
+	procCounts := make([]int32, len(x.exes))
+	for i, e := range x.exes {
+		rebound[i] = e.Rebound(f)
+		procCounts[i] = int32(len(e.Procs))
+	}
+	rows := x.Rows()
+	dense, err := NewFrozenIndex(f, rebound, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rowIDs, rowEnds []uint32
+	var posts []Posting
+	for _, r := range rows {
+		rowIDs = append(rowIDs, r.ID)
+		posts = append(posts, r.Posts...)
+		rowEnds = append(rowEnds, uint32(len(posts)))
+	}
+	sparse, err = NewFrozenIndexForeign(f, procCounts, rowIDs, rowEnds, posts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dense, sparse
+}
+
+// TestFrozenRanksLikeLive is the index-layer frozen ≡ live check, across
+// randomized corpora, queries and floors: a frozen index — dense or
+// sparse CSR — queried under an overlay interner ranks exactly as the
+// live index it was sealed from.
+func TestFrozenRanksLikeLive(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		it, x := randCorpus(rng, 2+rng.Intn(10))
+		f := it.Freeze()
+		dense, sparse := frozenOf(t, f, x)
+		for qi := 0; qi < 10; qi++ {
+			n := rng.Intn(10)
+			var hashes []uint64
+			for len(hashes) < n {
+				h := uint64(1 + rng.Intn(60))
+				if !slices.Contains(hashes, h) {
+					hashes = append(hashes, h)
+				}
+			}
+			minScore, ratio := 1+rng.Intn(3), float64(rng.Intn(3))*0.2
+			live := set(hashes...).Interned(it)
+			frozen := strand.Set{Hashes: live.Hashes}.Interned(NewQueryInterner(f))
+			want, ok := x.CandidateIndices(live, minScore, ratio, nil)
+			if !ok {
+				t.Fatalf("seed %d query %d: live index rejected a same-session query", seed, qi)
+			}
+			for name, fx := range map[string]*FrozenIndex{"dense": dense, "sparse": sparse} {
+				got, ok := fx.CandidateIndices(frozen, minScore, ratio, nil)
+				if !ok {
+					t.Fatalf("seed %d query %d: %s frozen index rejected an overlay query", seed, qi, name)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d query %d: %s frozen ranking %v != live %v", seed, qi, name, got, want)
+				}
+			}
 		}
 	}
 }

@@ -241,21 +241,9 @@ type FrozenIndex struct {
 
 	scratch sync.Pool
 
-	// The LSH tier, built by the first approximate query (see lsh.go):
-	// sigs is a persisted signature slab attached by SetSignatures (a
-	// mapped corpus-sigs shard section), nil when the signatures are
-	// derived from in-RAM executables instead; a foreign index without a
-	// slab has no tier (lsh stays nil) and serves exact rankings only.
-	sigs    []uint32
-	lshOnce sync.Once
-	lsh     *lshIndex
-
-	telQueries       *telemetry.Counter
-	telFallbacks     *telemetry.Counter
-	telFanout        *telemetry.Histogram
-	telLSHProbes     *telemetry.Counter
-	telLSHFallbacks  *telemetry.Counter
-	telLSHCandidates *telemetry.Histogram
+	telQueries   *telemetry.Counter
+	telFallbacks *telemetry.Counter
+	telFanout    *telemetry.Histogram
 }
 
 // NewFrozenIndex builds a sealed index over the frozen vocabulary from
@@ -362,15 +350,11 @@ func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uin
 func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
 	if tel == nil {
 		x.telQueries, x.telFallbacks, x.telFanout = nil, nil, nil
-		x.telLSHProbes, x.telLSHFallbacks, x.telLSHCandidates = nil, nil, nil
 		return
 	}
 	x.telQueries = tel.Queries
 	x.telFallbacks = tel.Fallbacks
 	x.telFanout = tel.Fanout
-	x.telLSHProbes = tel.LSHProbes
-	x.telLSHFallbacks = tel.LSHFallbacks
-	x.telLSHCandidates = tel.LSHCandidates
 }
 
 // Interner returns the frozen vocabulary the index is keyed by.
@@ -417,7 +401,7 @@ func (x *FrozenIndex) Candidates(q strand.Set, minScore int, ratioFloor float64)
 	x.telQueries.Inc()
 	x.telFanout.Observe(int64(len(s.cands)))
 	out := append([]Candidate(nil), s.cands...)
-	x.putScratch(s)
+	putScratch(&x.scratch, s)
 	return out, true
 }
 
@@ -438,61 +422,8 @@ func (x *FrozenIndex) finish(s *queryScratch, buf []int) []int {
 	for _, c := range s.cands {
 		buf = append(buf, c.Exe)
 	}
-	x.putScratch(s)
+	putScratch(&x.scratch, s)
 	return buf
-}
-
-func (x *FrozenIndex) getScratch() *queryScratch {
-	s, _ := x.scratch.Get().(*queryScratch)
-	if s == nil {
-		s = &queryScratch{}
-	}
-	if total := int(x.procOff[x.nexes]); len(s.counts) < total {
-		s.counts = make([]int32, total)
-	}
-	if len(s.maxSim) < x.nexes {
-		s.maxSim = make([]int32, x.nexes)
-	}
-	if len(s.bandCnt) < x.nexes {
-		s.bandCnt = make([]int32, x.nexes)
-	}
-	return s
-}
-
-func (x *FrozenIndex) putScratch(s *queryScratch) {
-	for _, di := range s.touched {
-		s.counts[di] = 0
-	}
-	for _, ei := range s.exes {
-		s.maxSim[ei] = 0
-	}
-	for _, ei := range s.bandExes {
-		s.bandCnt[ei] = 0
-	}
-	s.touched = s.touched[:0]
-	s.exes = s.exes[:0]
-	s.bandExes = s.bandExes[:0]
-	s.cands = s.cands[:0]
-	x.scratch.Put(s)
-}
-
-// scanPosts accumulates one posting row into the scratch counters —
-// the shared inner loop of both CSR representations.
-func (x *FrozenIndex) scanPosts(s *queryScratch, posts []Posting) {
-	for _, p := range posts {
-		di := x.procOff[p.Exe] + p.Proc
-		c := s.counts[di] + 1
-		s.counts[di] = c
-		if c == 1 {
-			s.touched = append(s.touched, di)
-		}
-		if c > s.maxSim[p.Exe] {
-			if s.maxSim[p.Exe] == 0 {
-				s.exes = append(s.exes, p.Exe)
-			}
-			s.maxSim[p.Exe] = c
-		}
-	}
 }
 
 // accumulate mirrors Index.accumulate over the CSR slab. Query sets
@@ -504,7 +435,7 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 	if !strand.Compatible(q.It, x.it) {
 		return nil, false
 	}
-	s := x.getScratch()
+	s := getScratch(&x.scratch, int(x.procOff[x.nexes]), x.nexes)
 	if x.rowStart == nil {
 		// Sparse CSR: both q.IDs and rowIDs are strictly increasing, so
 		// one forward binary-search cursor visits each matching row once.
@@ -519,39 +450,16 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 			if ri > 0 {
 				lo = x.rowEnds[ri-1]
 			}
-			x.scanPosts(s, x.posts[lo:x.rowEnds[ri]])
+			s.bump(x.procOff, x.posts[lo:x.rowEnds[ri]])
 			ri++
 		}
 	} else {
 		for _, id := range q.IDs {
-			if int(id) >= len(x.rowStart)-1 {
-				continue
+			if int(id) < len(x.rowStart)-1 {
+				s.bump(x.procOff, x.posts[x.rowStart[id]:x.rowStart[id+1]])
 			}
-			x.scanPosts(s, x.posts[x.rowStart[id]:x.rowStart[id+1]])
 		}
 	}
-	qsize := len(q.IDs)
-	if minScore < 1 {
-		minScore = 1
-	}
-	for _, ei := range s.exes {
-		c := int(s.maxSim[ei])
-		if c < minScore {
-			continue
-		}
-		if ratioFloor > 0 && qsize > 0 && float64(c)/float64(qsize) < ratioFloor {
-			continue
-		}
-		s.cands = append(s.cands, Candidate{Exe: int(ei), MaxSim: c})
-	}
-	for _, ei := range x.extra {
-		s.cands = append(s.cands, Candidate{Exe: ei, MaxSim: 0})
-	}
-	slices.SortFunc(s.cands, func(a, b Candidate) int {
-		if a.MaxSim != b.MaxSim {
-			return b.MaxSim - a.MaxSim
-		}
-		return a.Exe - b.Exe
-	})
+	s.rank(len(q.IDs), minScore, ratioFloor, x.extra)
 	return s, true
 }

@@ -78,11 +78,6 @@ type Config struct {
 	SearchWorkers int
 	// MaxQueryBytes bounds the accepted /search body (default 64 MiB).
 	MaxQueryBytes int64
-	// Approx selects the approximate LSH candidate tier as the default
-	// probe mode for /search requests (firmup.Options.Approx). A request
-	// overrides it with the approx=0/1 query parameter. Corpora without
-	// signature slabs serve exact searches regardless.
-	Approx bool
 	// BatchWindow, when positive, coalesces concurrent /search requests:
 	// the first request for a (corpus, image, options) key waits this
 	// long collecting followers, then runs all collected queries in one
@@ -716,18 +711,8 @@ func (s *Server) runBatch(cs *Corpus, image int, entries []*batchEntry, opt *fir
 // searchOptions builds the per-request search options from the URL
 // parameters, bounded by the server's worker budget.
 func searchOptions(r *http.Request, cfg *Config) (*firmup.Options, error) {
-	opt := &firmup.Options{Workers: cfg.SearchWorkers, Approx: cfg.Approx}
+	opt := &firmup.Options{Workers: cfg.SearchWorkers}
 	q := r.URL.Query()
-	if v := q.Get("approx"); v != "" {
-		switch v {
-		case "1", "true":
-			opt.Approx = true
-		case "0", "false":
-			opt.Approx = false
-		default:
-			return nil, fmt.Errorf("bad approx %q", v)
-		}
-	}
 	if v := q.Get("min_score"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {

@@ -120,6 +120,18 @@ func TestServeSearch(t *testing.T) {
 	if bytes.Contains(blob, []byte(`"findings":null`)) {
 		t.Error("an image's findings encoded as null")
 	}
+
+	// approx is an ordinary unknown parameter: ignored, whatever its value.
+	want := normalizeResponse(t, blob)
+	resp, blob = postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob&approx=1", query)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("approx=1 status %d: %s", resp.StatusCode, blob)
+	}
+	got := normalizeResponse(t, blob)
+	got.TraceID, want.TraceID = "", ""
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("approx=1 changed the response:\ngot:  %+v\nwant: %+v", got, want)
+	}
 }
 
 func TestServeRequestErrors(t *testing.T) {

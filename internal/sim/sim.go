@@ -78,37 +78,6 @@ type Exe struct {
 
 	nameOnce sync.Once
 	names    map[string]int
-
-	// Per-procedure MinHash signatures over the interned strand IDs,
-	// computed lazily once per executable (flat, strand.SigWords per
-	// procedure). Meaningful only in session mode: they feed the
-	// corpusindex LSH tier, which never consults them for executables
-	// interned under a foreign session.
-	sigOnce sync.Once
-	sigs    []uint32
-}
-
-// Signatures returns the flat per-procedure MinHash signature slab of
-// the executable: len(Procs)*strand.SigWords words, procedure i's
-// signature at [i*strand.SigWords : (i+1)*strand.SigWords]. Signatures
-// are a pure function of each procedure's interned IDs, so rebased
-// copies (Rebound) and snapshot round-trips that preserve IDs produce
-// identical slabs.
-func (e *Exe) Signatures() []uint32 {
-	e.sigOnce.Do(func() {
-		sigs := make([]uint32, len(e.Procs)*strand.SigWords)
-		for i, p := range e.Procs {
-			strand.MinHashInto(sigs[i*strand.SigWords:(i+1)*strand.SigWords], p.Set.IDs)
-		}
-		e.sigs = sigs
-	})
-	return e.sigs
-}
-
-// Signature returns procedure i's MinHash signature: its
-// strand.SigWords-word block of the cached Signatures slab.
-func (e *Exe) Signature(i int) []uint32 {
-	return e.Signatures()[i*strand.SigWords : (i+1)*strand.SigWords]
 }
 
 // BuildConfig tunes BuildWith for analyzer sessions. The zero value

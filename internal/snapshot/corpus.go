@@ -53,11 +53,6 @@ type Corpus struct {
 	// Proc.IDs and IndexRow.ID of every image indexes into it.
 	Interner []uint64
 	Images   []CorpusImage
-	// Sigs is the optional flat per-procedure MinHash signature slab
-	// (CorpusSigWords words per procedure, in image/executable/procedure
-	// order across all Images). Non-nil selects the v3 shard layout in
-	// EncodeCorpusShard; the v1 container ignores it.
-	Sigs []uint32
 }
 
 // CorpusImage is one image of a sealed corpus. Unlike the standalone

@@ -50,24 +50,10 @@ import (
 //	corpus-index-table  nImages x 32 B        per-image CSR extents
 //	corpus-index-rows   rows x u32 row IDs, then rows x u32 row ends
 //	corpus-index-posts  posts x (exe u32 | proc u32)
-//	corpus-sigs         totalProcs x CorpusSigWords x u32   (v3 only)
 
 // CorpusFormatVersionV2 is the sharded mmap-friendly sealed-corpus
-// layout version.
+// layout version — the only shard version this package writes or opens.
 const CorpusFormatVersionV2 = 2
-
-// CorpusFormatVersionV3 is v2 plus the corpus-sigs section: one
-// fixed-width MinHash signature per procedure, served zero-copy like
-// the CSR postings so the LSH candidate tier needs no materialization.
-// The opener reads both versions; a v2 shard simply has no signatures
-// and sealed corpora built from it fall back to the exact prefilter.
-const CorpusFormatVersionV3 = 3
-
-// CorpusSigWords is the per-procedure signature width of the
-// corpus-sigs slab, in uint32 words. It must equal strand.SigWords
-// (compile-time asserted at the consumer); changing either is a format
-// break requiring a version bump.
-const CorpusSigWords = 64
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
@@ -92,7 +78,6 @@ const (
 	secV2IdxTab      = 25
 	secV2IdxRows     = 26
 	secV2IdxPosts    = 27
-	secV2Sigs        = 28 // v3 only
 )
 
 // Fixed record sizes.
@@ -134,33 +119,13 @@ func v2SectionName(tag uint32) string {
 		return "corpus-index-rows"
 	case secV2IdxPosts:
 		return "corpus-index-posts"
-	case secV2Sigs:
-		return "corpus-sigs"
 	}
 	return fmt.Sprintf("unknown(%d)", tag)
 }
 
-// v2NumSections is the section-slot count of an open shard — the full
-// v3 tag range; a v2 shard leaves the corpus-sigs slot empty.
-const v2NumSections = 13
-
-var v2SectionTags = []uint32{
-	secV2Meta, secV2Vocab, secV2VocabSorted, secV2Strs,
-	secV2ExeTab, secV2ProcTab, secV2IDs, secV2Markers, secV2Calls,
-	secV2IdxTab, secV2IdxRows, secV2IdxPosts,
-}
-
-var v3SectionTags = append(append([]uint32(nil), v2SectionTags...), secV2Sigs)
-
-// sectionTagsFor returns the exact required (and allowed) tag set of a
-// format version: a v2 shard carrying a corpus-sigs section is as
-// corrupt as a v3 shard missing one.
-func sectionTagsFor(version uint32) []uint32 {
-	if version == CorpusFormatVersionV3 {
-		return v3SectionTags
-	}
-	return v2SectionTags
-}
+// v2NumSections is the section count of a shard: the contiguous tag
+// range [secV2Meta, secV2IdxPosts], every one required exactly once.
+const v2NumSections = secV2IdxPosts - secV2Meta + 1
 
 // ShardHeader locates one shard inside a sharded sealed corpus.
 type ShardHeader struct {
@@ -415,21 +380,6 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		{secV2IdxRows, append(rowIDsB, rowEndsB...)},
 		{secV2IdxPosts, postsB},
 	}
-	// A model carrying signatures writes the v3 layout; without them the
-	// shard stays bit-identical to the pre-signature v2 format, so older
-	// readers (and the exact-only open path) keep working.
-	version := uint32(CorpusFormatVersionV2)
-	if c.Sigs != nil {
-		if uint64(len(c.Sigs)) != nProcs*CorpusSigWords {
-			return nil, fmt.Errorf("snapshot: encode: signature slab holds %d words for %d procedures, want %d", len(c.Sigs), nProcs, nProcs*CorpusSigWords)
-		}
-		sigsB := make([]byte, 0, 4*len(c.Sigs))
-		for _, w := range c.Sigs {
-			sigsB = le.AppendUint32(sigsB, w)
-		}
-		sections = append(sections, section{secV2Sigs, sigsB})
-		version = CorpusFormatVersionV3
-	}
 
 	offs := make([]uint64, len(sections))
 	off := alignUp(uint64(headerSize+len(sections)*tableEntrySize), v2Align)
@@ -442,7 +392,7 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 
 	out := make([]byte, total)
 	copy(out, corpusMagic)
-	le.PutUint32(out[len(corpusMagic):], version)
+	le.PutUint32(out[len(corpusMagic):], CorpusFormatVersionV2)
 	le.PutUint32(out[len(corpusMagic)+4:], uint32(len(sections)))
 	p := headerSize
 	for i, s := range sections {
@@ -459,31 +409,29 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 }
 
 // parseCorpusV2Table validates the shard header and section table:
-// magic, version (2 or 3), exactly the version's section set present
-// exactly once, every declared range inside the input and 64-byte
-// aligned. Checksums are NOT verified here — that is per-section, on
-// first touch. Returns the entries and the format version.
-func parseCorpusV2Table(data []byte) ([]tableEntry, uint32, error) {
+// magic, version, exactly the twelve sections present exactly once,
+// every declared range inside the input and 64-byte aligned. Checksums
+// are NOT verified here — that is per-section, on first touch.
+func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
 	if len(data) < headerSize {
-		return nil, 0, corrupt("header", "truncated: %d bytes, need at least %d", len(data), headerSize)
+		return nil, corrupt("header", "truncated: %d bytes, need at least %d", len(data), headerSize)
 	}
 	if string(data[:len(corpusMagic)]) != corpusMagic {
-		return nil, 0, corrupt("header", "bad corpus magic")
+		return nil, corrupt("header", "bad corpus magic")
 	}
 	version := binary.LittleEndian.Uint32(data[len(corpusMagic):])
-	if version != CorpusFormatVersionV2 && version != CorpusFormatVersionV3 {
-		return nil, 0, corrupt("header", "unsupported corpus format version %d (this opener reads versions %d and %d)", version, CorpusFormatVersionV2, CorpusFormatVersionV3)
+	if version != CorpusFormatVersionV2 {
+		return nil, corrupt("header", "unsupported corpus format version %d (this opener reads version %d; re-seal with `fwcrawl -sealed -shards N`)", version, CorpusFormatVersionV2)
 	}
-	tags := sectionTagsFor(version)
 	n := binary.LittleEndian.Uint32(data[len(corpusMagic)+4:])
 	if n == 0 || n > maxSectionsV2 {
-		return nil, 0, corrupt("header", "unreasonable section count %d", n)
+		return nil, corrupt("header", "unreasonable section count %d", n)
 	}
 	if uint64(len(data)) < uint64(headerSize)+uint64(n)*tableEntrySize {
-		return nil, 0, corrupt("table", "truncated: %d sections declared but table does not fit in %d bytes", n, len(data))
+		return nil, corrupt("table", "truncated: %d sections declared but table does not fit in %d bytes", n, len(data))
 	}
 	entries := make([]tableEntry, n)
-	seen := map[uint32]bool{}
+	var seen [v2NumSections]bool
 	for i := range entries {
 		row := data[headerSize+i*tableEntrySize:]
 		e := tableEntry{
@@ -492,35 +440,28 @@ func parseCorpusV2Table(data []byte) ([]tableEntry, uint32, error) {
 			length: binary.LittleEndian.Uint64(row[12:]),
 			crc:    binary.LittleEndian.Uint32(row[20:]),
 		}
+		if e.tag < secV2Meta || e.tag > secV2IdxPosts {
+			return nil, corrupt("table", "unknown section tag %d", e.tag)
+		}
 		name := v2SectionName(e.tag)
-		known := false
-		for _, tag := range tags {
-			if e.tag == tag {
-				known = true
-				break
-			}
+		if seen[e.tag-secV2Meta] {
+			return nil, corrupt("table", "duplicate %s section", name)
 		}
-		if !known {
-			return nil, 0, corrupt("table", "unknown section tag %d for format version %d", e.tag, version)
-		}
-		if seen[e.tag] {
-			return nil, 0, corrupt("table", "duplicate %s section", name)
-		}
-		seen[e.tag] = true
+		seen[e.tag-secV2Meta] = true
 		if e.off > uint64(len(data)) || e.length > uint64(len(data))-e.off {
-			return nil, 0, corrupt(name, "declared range [%d, %d+%d) exceeds the %d-byte input", e.off, e.off, e.length, len(data))
+			return nil, corrupt(name, "declared range [%d, %d+%d) exceeds the %d-byte input", e.off, e.off, e.length, len(data))
 		}
 		if e.length > 0 && e.off%v2Align != 0 {
-			return nil, 0, corrupt(name, "section offset %d is not %d-byte aligned", e.off, v2Align)
+			return nil, corrupt(name, "section offset %d is not %d-byte aligned", e.off, v2Align)
 		}
 		entries[i] = e
 	}
-	for _, tag := range tags {
-		if !seen[tag] {
-			return nil, 0, corrupt("table", "missing required %s section", v2SectionName(tag))
+	for i, ok := range seen {
+		if !ok {
+			return nil, corrupt("table", "missing required %s section", v2SectionName(uint32(secV2Meta+i)))
 		}
 	}
-	return entries, version, nil
+	return entries, nil
 }
 
 // shardSection is one section of an open shard: CRC-verified at most
@@ -614,7 +555,6 @@ type CorpusShard struct {
 	closeOnce sync.Once
 
 	hdr      ShardHeader
-	version  uint32
 	totals   v2Totals
 	images   []v2Image
 	exeStart []uint32 // per-image prefix sums into the exe table, len(images)+1
@@ -628,7 +568,6 @@ type CorpusShard struct {
 	callSlabL lazySlab[[]uint32]
 	rowsL     lazySlab[rowSlabs]
 	postsL    lazySlab[[]Posting]
-	sigsL     lazySlab[[]uint32]
 }
 
 type sortedVocab struct {
@@ -685,11 +624,11 @@ func openCorpusShard(data []byte, closer func() error, mapped bool) (*CorpusShar
 		}
 		return nil, err
 	}
-	entries, version, err := parseCorpusV2Table(data)
+	entries, err := parseCorpusV2Table(data)
 	if err != nil {
 		return fail(err)
 	}
-	s := &CorpusShard{data: data, closer: closer, mapped: mapped, version: version}
+	s := &CorpusShard{data: data, closer: closer, mapped: mapped}
 	for _, e := range entries {
 		s.secs[e.tag-secV2Meta].entry = e
 	}
@@ -861,12 +800,6 @@ func (s *CorpusShard) checkLengths() error {
 			return corrupt(v2SectionName(c.tag), "section holds %d bytes, meta requires %d", got, c.want)
 		}
 	}
-	if s.version >= CorpusFormatVersionV3 {
-		want := t.procs * CorpusSigWords * 4
-		if got := s.secs[secV2Sigs-secV2Meta].entry.length; got != want {
-			return corrupt("corpus-sigs", "section holds %d bytes, meta requires %d", got, want)
-		}
-	}
 	return nil
 }
 
@@ -979,64 +912,6 @@ func (s *CorpusShard) postsSlab() ([]Posting, error) {
 		}
 		return castPostings(b), nil
 	})
-}
-
-// Version returns the shard's format version (2 or 3).
-func (s *CorpusShard) Version() int { return int(s.version) }
-
-// HasSignatures reports whether the shard carries the v3 corpus-sigs
-// section. Without it the LSH tier is unavailable for this shard and
-// searches use the exact prefilter.
-func (s *CorpusShard) HasSignatures() bool { return s.version >= CorpusFormatVersionV3 }
-
-// SigSlab returns the whole per-procedure MinHash signature slab
-// (CorpusSigWords words per procedure, dense order across the shard's
-// images), aliasing the mapping. Nil with no error on a pre-signature
-// v2 shard.
-func (s *CorpusShard) SigSlab() ([]uint32, error) {
-	if !s.HasSignatures() {
-		return nil, nil
-	}
-	return s.sigsL.get(func() ([]uint32, error) {
-		b, err := s.section(secV2Sigs)
-		if err != nil {
-			return nil, err
-		}
-		return castU32(b), nil
-	})
-}
-
-// ImageSigs returns image img's slice of the signature slab: one
-// CorpusSigWords-word signature per procedure, in the executable/
-// procedure order of the image's dense slots. Nil with no error on a
-// v2 shard or for an image with no executables.
-func (s *CorpusShard) ImageSigs(img int) ([]uint32, error) {
-	if img < 0 || img >= len(s.images) {
-		return nil, fmt.Errorf("snapshot: shard image %d out of range", img)
-	}
-	if !s.HasSignatures() {
-		return nil, nil
-	}
-	lo, hi := int(s.exeStart[img]), int(s.exeStart[img+1])
-	if lo == hi {
-		return nil, nil
-	}
-	exeTab, err := s.section(secV2ExeTab)
-	if err != nil {
-		return nil, err
-	}
-	le := binary.LittleEndian
-	start := uint64(le.Uint32(exeTab[lo*v2ExeRecSize+8:]))
-	lastRec := exeTab[(hi-1)*v2ExeRecSize:]
-	end := uint64(le.Uint32(lastRec[8:])) + uint64(le.Uint32(lastRec[12:]))
-	if end < start || end > s.totals.procs {
-		return nil, corrupt("corpus-exe-table", "image %d procedures [%d, %d) exceed the %d-entry table", img, start, end, s.totals.procs)
-	}
-	sigs, err := s.SigSlab()
-	if err != nil {
-		return nil, err
-	}
-	return sigs[start*CorpusSigWords : end*CorpusSigWords : end*CorpusSigWords], nil
 }
 
 // ProcCounts returns the per-executable procedure counts of image img

@@ -28,9 +28,6 @@ func touchShard(s *CorpusShard) error {
 	if _, _, err := s.SortedVocab(); err != nil {
 		return err
 	}
-	if _, err := s.SigSlab(); err != nil {
-		return err
-	}
 	for i := 0; i < s.NumImages(); i++ {
 		info := s.Image(i)
 		if _, err := s.ProcCounts(i); err != nil {
@@ -44,38 +41,8 @@ func touchShard(s *CorpusShard) error {
 		if _, err := s.Index(i); err != nil {
 			return err
 		}
-		if _, err := s.ImageSigs(i); err != nil {
-			return err
-		}
 	}
 	return nil
-}
-
-// corpusProcs counts the procedures of a corpus model — the unit the
-// signature slab is sized by.
-func corpusProcs(c *Corpus) int {
-	n := 0
-	for _, img := range c.Images {
-		for _, e := range img.Exes {
-			n += len(e.Procs)
-		}
-	}
-	return n
-}
-
-// withSigs attaches a filled per-procedure signature slab, upgrading
-// the model to the v3 shard layout. A model with no procedures is left
-// untouched: there is nothing for a slab to describe.
-func withSigs(c *Corpus, rng *rand.Rand) *Corpus {
-	n := corpusProcs(c)
-	if n == 0 {
-		return c
-	}
-	c.Sigs = make([]uint32, n*CorpusSigWords)
-	for i := range c.Sigs {
-		c.Sigs[i] = rng.Uint32()
-	}
-	return c
 }
 
 // shardToCorpus reconstructs the encoder-side model from an open
@@ -136,13 +103,6 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 		}
 		c.Images = append(c.Images, ci)
 	}
-	if s.HasSignatures() {
-		slab, err := s.SigSlab()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Sigs = append([]uint32(nil), slab...)
-	}
 	return c
 }
 
@@ -192,9 +152,6 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 			ci.Index = idx
 		}
 		c.Images = append(c.Images, ci)
-	}
-	if rng.Intn(2) == 0 {
-		withSigs(c, rng)
 	}
 	return c
 }
@@ -253,19 +210,12 @@ func TestCorpusShardBadHeader(t *testing.T) {
 func TestCorpusShardSectionAlignment(t *testing.T) {
 	c := randomCorpusModel(rand.New(rand.NewSource(11)))
 	data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
-	table, version, err := parseCorpusV2Table(data)
+	table, err := parseCorpusV2Table(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVersion, wantSections := uint32(CorpusFormatVersionV2), v2NumSections-1
-	if c.Sigs != nil {
-		wantVersion, wantSections = CorpusFormatVersionV3, v2NumSections
-	}
-	if version != wantVersion {
-		t.Fatalf("shard parsed as version %d, want %d", version, wantVersion)
-	}
-	if len(table) != wantSections {
-		t.Fatalf("section count = %d, want %d", len(table), wantSections)
+	if len(table) != v2NumSections {
+		t.Fatalf("section count = %d, want %d", len(table), v2NumSections)
 	}
 	for _, e := range table {
 		if e.length > 0 && e.off%v2Align != 0 {
@@ -280,38 +230,37 @@ func TestCorpusShardSectionAlignment(t *testing.T) {
 // error wrapping ErrCorrupt — the per-section CRC must catch every
 // flip on first touch, and nothing may panic.
 func TestCorpusShardBoundaryCorruption(t *testing.T) {
-	for _, c := range []*Corpus{testCorpus(), withSigs(testCorpus(), rand.New(rand.NewSource(17)))} {
-		orig := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
-		table, _, err := parseCorpusV2Table(orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flip := func(name string, pos uint64) {
-			data := append([]byte(nil), orig...)
-			data[pos] ^= 0x5a
-			s, err := OpenCorpusShardBytes(data)
-			if err == nil {
-				err = touchShard(s)
-			}
-			if err == nil {
-				t.Errorf("%s: flipped byte at %d went undetected", name, pos)
-				return
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s: error does not wrap ErrCorrupt: %v", name, err)
-			}
-		}
-		for _, e := range table {
-			if e.length == 0 {
-				continue
-			}
-			name := v2SectionName(e.tag)
-			flip(name+"/first", e.off)
-			flip(name+"/last", e.off+e.length-1)
-		}
-		// And the header itself.
-		flip("header/version", 8)
+	c := testCorpus()
+	orig := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	table, err := parseCorpusV2Table(orig)
+	if err != nil {
+		t.Fatal(err)
 	}
+	flip := func(name string, pos uint64) {
+		data := append([]byte(nil), orig...)
+		data[pos] ^= 0x5a
+		s, err := OpenCorpusShardBytes(data)
+		if err == nil {
+			err = touchShard(s)
+		}
+		if err == nil {
+			t.Errorf("%s: flipped byte at %d went undetected", name, pos)
+			return
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error does not wrap ErrCorrupt: %v", name, err)
+		}
+	}
+	for _, e := range table {
+		if e.length == 0 {
+			continue
+		}
+		name := v2SectionName(e.tag)
+		flip(name+"/first", e.off)
+		flip(name+"/last", e.off+e.length-1)
+	}
+	// And the header itself.
+	flip("header/version", 8)
 }
 
 // TestCorpusShardTruncation opens every prefix of a valid shard: each
@@ -319,101 +268,19 @@ func TestCorpusShardBoundaryCorruption(t *testing.T) {
 // it on first touch) and never panic — mapped files can be truncated
 // underneath the reader.
 func TestCorpusShardTruncation(t *testing.T) {
-	for _, c := range []*Corpus{testCorpus(), withSigs(testCorpus(), rand.New(rand.NewSource(19)))} {
-		data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
-		for k := 0; k < len(data); k++ {
-			s, err := OpenCorpusShardBytes(data[:k])
-			if err == nil {
-				err = touchShard(s)
-			}
-			if err == nil {
-				t.Fatalf("truncation to %d/%d bytes went undetected", k, len(data))
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("truncation to %d: error does not wrap ErrCorrupt: %v", k, err)
-			}
-		}
-	}
-}
-
-// TestCorpusShardV3Signatures pins the v3 container: signature slab
-// round trip, per-image slab partitioning, v2 openers reporting no
-// signatures, and version/section-set agreement both ways.
-func TestCorpusShardV3Signatures(t *testing.T) {
-	c := withSigs(testCorpus(), rand.New(rand.NewSource(5)))
-	data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
-	if v, err := CorpusVersion(data); err != nil || v != CorpusFormatVersionV3 {
-		t.Fatalf("CorpusVersion = %d, %v; want %d", v, err, CorpusFormatVersionV3)
-	}
-	s, err := OpenCorpusShardBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.HasSignatures() || s.Version() != CorpusFormatVersionV3 {
-		t.Fatalf("HasSignatures=%v Version=%d, want true/%d", s.HasSignatures(), s.Version(), CorpusFormatVersionV3)
-	}
-	slab, err := s.SigSlab()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(slab, c.Sigs) {
-		t.Error("signature slab does not round-trip")
-	}
-	// Per-image slices must partition the slab in image order.
-	off := 0
-	for i := range c.Images {
-		nprocs := 0
-		for _, e := range c.Images[i].Exes {
-			nprocs += len(e.Procs)
-		}
-		got, err := s.ImageSigs(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := c.Sigs[off*CorpusSigWords : (off+nprocs)*CorpusSigWords]
-		if nprocs == 0 {
-			want = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("image %d: ImageSigs does not match its slab segment", i)
-		}
-		off += nprocs
-	}
-	if _, err := s.ImageSigs(-1); err == nil {
-		t.Error("out-of-range ImageSigs accepted")
-	}
-
-	// A sig-less shard stays v2 and reports no signatures.
-	c2 := testCorpus()
-	s2, err := OpenCorpusShardBytes(mustEncodeShard(t, c2, ShardHeader{ShardCount: 1, TotalImages: len(c2.Images)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.HasSignatures() || s2.Version() != CorpusFormatVersionV2 {
-		t.Fatalf("sig-less shard: HasSignatures=%v Version=%d", s2.HasSignatures(), s2.Version())
-	}
-	if slab, err := s2.SigSlab(); slab != nil || err != nil {
-		t.Errorf("v2 SigSlab = %v, %v; want nil, nil", slab, err)
-	}
-	if sigs, err := s2.ImageSigs(0); sigs != nil || err != nil {
-		t.Errorf("v2 ImageSigs = %v, %v; want nil, nil", sigs, err)
-	}
-
-	// Downgrading the header version byte must be rejected: a v2
-	// section table may not carry a corpus-sigs section.
-	bad := append([]byte(nil), data...)
-	bad[8] = CorpusFormatVersionV2
-	if _, err := OpenCorpusShardBytes(bad); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("v2-tagged shard with a sigs section opened: %v", err)
-	}
-}
-
-// TestEncodeCorpusShardBadSigs pins the encoder's slab length check.
-func TestEncodeCorpusShardBadSigs(t *testing.T) {
 	c := testCorpus()
-	c.Sigs = make([]uint32, 3)
-	if _, err := EncodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
-		t.Error("mis-sized signature slab accepted")
+	data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	for k := 0; k < len(data); k++ {
+		s, err := OpenCorpusShardBytes(data[:k])
+		if err == nil {
+			err = touchShard(s)
+		}
+		if err == nil {
+			t.Fatalf("truncation to %d/%d bytes went undetected", k, len(data))
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation to %d: error does not wrap ErrCorrupt: %v", k, err)
+		}
 	}
 }
 

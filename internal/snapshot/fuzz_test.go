@@ -43,14 +43,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// A v3 shard with a signature slab seeds mutations into the
-	// corpus-sigs section and its length checks.
-	v3 := withSigs(testCorpus(), rand.New(rand.NewSource(4)))
-	data, err := EncodeCorpusShard(v3, ShardHeader{ShardCount: 1, TotalImages: len(v3.Images)})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Decode(data)
 		if err != nil {

@@ -72,8 +72,6 @@ type SealedImage struct {
 	lazy     []lazyExe
 	idxOnce  sync.Once
 	idxErr   error
-	sigOnce  sync.Once
-	sigErr   error
 	allOnce  sync.Once
 	allErr   error
 }
@@ -159,10 +157,9 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // SetTelemetry attaches the corpus to a registry under the live
 // session's names. Every image index records the prefilter:
 // index.queries / index.fallbacks / index.fanout for every candidate
-// query, plus lsh.probes / lsh.fallbacks / lsh.candidates for the
-// approximate ones. Query analysis
-// (AnalyzeQueryWith) records the front-end layer by layer: obj.parse,
-// cfg.recover / cfg.sweep / cfg.lift and their counters, sim.build /
+// query. Query analysis (AnalyzeQueryWith) records the front-end layer
+// by layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
+// counters, sim.build /
 // sim.index / sim.procs, and strand.blocks / strand.blocks_computed /
 // strand.strands. Call before serving — store-backed images apply the
 // index handles when their index first builds, in-RAM images
@@ -224,25 +221,6 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc)}, nil
 }
 
-// candidates resolves one query procedure's candidate executables in
-// the image from its index: the exact prefilter's list, or under approx
-// the subset of it the LSH tier corroborates. The acceptance floors are
-// baked in, so the narrowing stays sound (see corpusindex.Candidates).
-// ok=false means the index has no information about this query (it was
-// not analyzed under this corpus) and every executable must be examined.
-func (im *SealedImage) candidates(q *sim.Exe, qi int, s *core.SearchOptions, approx bool) ([]int, bool, error) {
-	set := q.Procs[qi].Set
-	if approx {
-		if err := im.ensureSigs(); err != nil {
-			return nil, false, err
-		}
-		cands, ok := im.index.CandidateIndicesLSH(set, q.Signature(qi), s.MinScore, s.MinRatio, nil)
-		return cands, ok, nil
-	}
-	cands, ok := im.index.CandidateIndices(set, s.MinScore, s.MinRatio, nil)
-	return cands, ok, nil
-}
-
 // candidateList is one query's resolved candidate executables for an
 // image pass.
 type candidateList struct {
@@ -259,7 +237,10 @@ type candidateList struct {
 // second index query — so the games run on the very lists that chose
 // what to materialize. Unindexed images, exhaustive searches and passes
 // with a query the index cannot narrow examine (and materialize) every
-// executable.
+// executable (ok=false from the index means it has no information about
+// a query not analyzed under this corpus). The acceptance floors are
+// baked into the lists, so the narrowing stays sound (see
+// corpusindex.Candidates).
 func (im *SealedImage) plan(cqs []core.BatchQuery, s *core.SearchOptions, opt *Options) ([]*sim.Exe, error) {
 	if err := im.ensureIndex(); err != nil {
 		return nil, err
@@ -268,10 +249,7 @@ func (im *SealedImage) plan(cqs []core.BatchQuery, s *core.SearchOptions, opt *O
 	if narrowed {
 		lists := make([]candidateList, 0, len(cqs))
 		for _, cq := range cqs {
-			cands, ok, err := im.candidates(cq.Q, cq.QI, s, opt != nil && opt.Approx)
-			if err != nil {
-				return nil, err
-			}
+			cands, ok := im.index.CandidateIndices(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, nil)
 			if ok {
 				lists = append(lists, candidateList{cq, cands})
 			} else {

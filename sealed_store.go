@@ -18,14 +18,6 @@ import (
 	"firmup/internal/uir"
 )
 
-// The shard slab layout and the in-session signature layout must agree
-// on the per-procedure word count; both arrays have length zero only
-// when they do.
-var (
-	_ [snapshot.CorpusSigWords - strand.SigWords]struct{}
-	_ [strand.SigWords - snapshot.CorpusSigWords]struct{}
-)
-
 // This file is the store-backed (v2, mmap) side of SealedCorpus: a
 // corpus opened from sharded FWCORP v2 artifacts keeps its bulk state
 // in the mapped files and materializes per-executable session objects
@@ -210,30 +202,6 @@ func (im *SealedImage) ensureIndex() error {
 	return im.idxErr
 }
 
-// ensureSigs attaches a v3 shard's per-procedure MinHash slab — the
-// image's zero-copy slice of the mapped corpus-sigs section, CRC-checked
-// on this first touch — to the image's index, once, before the image's
-// first approximate query; exact searches never come here. No-op for
-// in-RAM images (their index derives signatures from its executables)
-// and for v2 shards (no slab: approximate queries fall back to the exact
-// prefilter). Callers have run ensureIndex.
-func (im *SealedImage) ensureSigs() error {
-	if im.store == nil || !im.store.shard.HasSignatures() {
-		return nil
-	}
-	im.sigOnce.Do(func() {
-		sigs, err := im.store.shard.ImageSigs(im.storeImg)
-		if err != nil {
-			im.sigErr = err
-			return
-		}
-		if err := im.index.SetSignatures(sigs); err != nil {
-			im.sigErr = &snapshot.CorruptError{Section: "corpus-sigs", Reason: err.Error()}
-		}
-	})
-	return im.sigErr
-}
-
 // ensureAll materializes every executable of a store-backed image and
 // publishes Exes/targets, once. No-op for in-RAM images.
 func (im *SealedImage) ensureAll() error {
@@ -307,24 +275,10 @@ func (im *SealedImage) materializeCandidates(lists []candidateList, s *core.Sear
 // validate the set as one coherent corpus. n may exceed the image
 // count; trailing shards are then empty but still valid.
 //
-// Shards carry the per-procedure MinHash signature slab (the v3
-// layout), so corpora opened from them serve the LSH candidate tier
-// without rederiving signatures. Shards are encoded and written by a
-// bounded worker pool; each shard's bytes depend only on its own image
-// range, so the output is identical to a sequential pass.
+// Shards are encoded and written by a bounded worker pool; each shard's
+// bytes depend only on its own image range, so the output is identical
+// to a sequential pass.
 func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
-	return sc.writeShards(dir, n, true)
-}
-
-// WriteShardsNoSigs is WriteShards without the corpus-sigs section —
-// the pre-LSH v2 artifact layout, readable by older firmupd builds.
-// Approximate searches over corpora opened from such shards fall back
-// to the exact prefilter.
-func (sc *SealedCorpus) WriteShardsNoSigs(dir string, n int) ([]string, error) {
-	return sc.writeShards(dir, n, false)
-}
-
-func (sc *SealedCorpus) writeShards(dir string, n int, sigs bool) ([]string, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("firmup: WriteShards: shard count %d must be at least 1", n)
 	}
@@ -353,7 +307,7 @@ func (sc *SealedCorpus) writeShards(dir string, n int, sigs bool) ([]string, err
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			paths[si], errs[si] = sc.writeShard(dir, si, n, ranges[si].base, ranges[si].cnt, total, sigs)
+			paths[si], errs[si] = sc.writeShard(dir, si, n, ranges[si].base, ranges[si].cnt, total)
 		}(si)
 	}
 	wg.Wait()
@@ -367,22 +321,14 @@ func (sc *SealedCorpus) writeShards(dir string, n int, sigs bool) ([]string, err
 }
 
 // writeShard encodes and writes one shard's image range.
-func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int, sigs bool) (string, error) {
+func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int) (string, error) {
 	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
-	if sigs {
-		// Non-nil even for an empty shard, so every shard of the set
-		// encodes as the same container version.
-		c.Sigs = []uint32{}
-	}
 	for i := base; i < base+cnt; i++ {
 		ci, err := sc.imageModel(i)
 		if err != nil {
 			return "", err
 		}
 		c.Images = append(c.Images, ci)
-		if sigs {
-			c.Sigs = appendModelSigs(c.Sigs, &c.Images[len(c.Images)-1])
-		}
 	}
 	data, err := snapshot.EncodeCorpusShard(c, snapshot.ShardHeader{
 		ShardIndex:  si,
@@ -398,22 +344,6 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int, sigs
 		return "", err
 	}
 	return p, nil
-}
-
-// appendModelSigs appends every procedure's MinHash signature of one
-// image model. Signatures are computed over the frozen dense IDs —
-// exactly the IDs the live session's slab was computed over, since
-// Freeze and Rebound preserve them — so a rewritten shard's slab is
-// byte-identical to the sealing session's.
-func appendModelSigs(sigs []uint32, ci *snapshot.CorpusImage) []uint32 {
-	for _, e := range ci.Exes {
-		for _, p := range e.Procs {
-			n := len(sigs)
-			sigs = append(sigs, make([]uint32, snapshot.CorpusSigWords)...)
-			strand.MinHashInto(sigs[n:], p.IDs)
-		}
-	}
-	return sigs
 }
 
 // imageModel serializes image i into the snapshot corpus model,

@@ -10,8 +10,18 @@ import (
 
 	"firmup"
 	"firmup/internal/corpus"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
+
+// sealedTestQueries are the CVE probes the sealed-corpus suites replay.
+var sealedTestQueries = []struct {
+	cveID string
+	arch  uir.Arch
+}{
+	{"CVE-2014-4877", uir.ArchMIPS32},
+	{"CVE-2013-1944", uir.ArchARM32},
+}
 
 // sealedScenario analyzes every image of a generated corpus under one
 // live session and seals it, returning both forms plus the raw query
@@ -398,5 +408,56 @@ func TestAnalyzedQueryFootprint(t *testing.T) {
 	if retained > 6*int64(total) {
 		t.Errorf("analysed queries retain %d bytes for %d upload bytes (%.1fx), want at most 6x",
 			retained, total, float64(retained)/float64(total))
+	}
+}
+
+// TestSinglePrefilterEvaluation pins that a sealed search asks an
+// image's index for each query procedure's candidates exactly once: the
+// list that selects what a store-backed image materializes is the list
+// the games run on, not a second evaluation. After one SearchAll and one
+// SearchAllBatch over an N-image corpus, index.queries is queries × N —
+// in RAM and store-backed alike.
+func TestSinglePrefilterEvaluation(t *testing.T) {
+	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
+	shardDir := t.TempDir()
+	if _, err := s.sealed.WriteShards(shardDir, 3); err != nil {
+		t.Fatal(err)
+	}
+	store, err := firmup.OpenSealedCorpusDir(shardDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	for _, form := range []struct {
+		name string
+		sc   *firmup.SealedCorpus
+	}{{"sealed", s.sealed}, {"store", store}} {
+		reg := telemetry.New()
+		form.sc.SetTelemetry(reg)
+		var batch []firmup.BatchQuery
+		for _, q := range sealedTestQueries {
+			cve := corpus.CVEByID(q.cveID)
+			qe, err := form.sc.AnalyzeQuery(queryBytesFor(t, cve, q.arch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, firmup.BatchQuery{Query: qe, Procedure: cve.Procedure})
+		}
+		n := int64(len(form.sc.Images()))
+		if _, err := form.sc.SearchAll(batch[0].Query, batch[0].Procedure, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("index.queries").Value(); got != n {
+			t.Errorf("%s: SearchAll over %d images ran %d candidate queries, want one per image", form.name, n, got)
+		}
+		if _, err := form.sc.SearchAllBatch(batch, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reg.Counter("index.queries").Value(), n*int64(1+len(batch)); got != want {
+			t.Errorf("%s: after a %d-query SearchAllBatch index.queries = %d, want %d (one per query per image)",
+				form.name, len(batch), got, want)
+		}
+		form.sc.SetTelemetry(nil)
 	}
 }

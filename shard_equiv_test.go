@@ -1,6 +1,7 @@
 package firmup_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"firmup"
 	"firmup/internal/corpus"
+	"firmup/internal/snapshot"
 	"firmup/internal/uir"
 )
 
@@ -225,11 +227,106 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 		t.Error("opening one shard of a 3-shard corpus as a file succeeded; want an error directing to the directory")
 	}
 
+	// Exactly one shard version opens. The header carries no checksum, so
+	// patching the version word alone reaches the version check, which
+	// answers any other version as corruption.
+	otherDir := filepath.Join(dir, "other-version")
+	if err := os.Mkdir(otherDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	other, err := os.ReadFile(onePaths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	other[8] = 3
+	otherPath := filepath.Join(otherDir, filepath.Base(onePaths[0]))
+	if err := os.WriteFile(otherPath, other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("OpenCorpusShardFile of a version-3 shard: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("OpenSealedCorpusDir of a version-3 shard: err = %v, want ErrCorrupt", err)
+	}
+
 	// A shard set with a member missing must be rejected at open.
 	if err := os.Remove(manyPaths[2]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := firmup.OpenSealedCorpusDir(manyDir); err == nil {
 		t.Error("opening an incomplete shard set succeeded")
+	}
+}
+
+// TestOpenSealedCorpusDirMixed pins the mixed-generation diagnostic: a
+// v1 artifact dropped into a shard directory must fail the directory
+// open with a MixedCorpusError naming that file.
+func TestOpenSealedCorpusDirMixed(t *testing.T) {
+	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 1, MaxReleases: 1, Seed: 5})
+	dir := t.TempDir()
+	if _, err := s.sealed.WriteShards(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.sealed.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "old-corpus.fwcorp")
+	if err := os.WriteFile(stray, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = firmup.OpenSealedCorpusDir(dir)
+	if err == nil {
+		t.Fatal("opening a mixed v1/v2 directory succeeded")
+	}
+	var mixed *firmup.MixedCorpusError
+	if !errors.As(err, &mixed) {
+		t.Fatalf("error is %T (%v), want *MixedCorpusError", err, err)
+	}
+	if mixed.Path != stray {
+		t.Errorf("MixedCorpusError.Path = %q, want %q", mixed.Path, stray)
+	}
+	if mixed.Dir != dir {
+		t.Errorf("MixedCorpusError.Dir = %q, want %q", mixed.Dir, dir)
+	}
+	if mixed.Version != 1 {
+		t.Errorf("MixedCorpusError.Version = %d, want 1", mixed.Version)
+	}
+}
+
+// TestWriteShardsDeterminism pins two properties of the parallel shard
+// writer: repeated runs are byte-identical (the worker pool cannot leak
+// scheduling order into the artifacts), and every shard carries the one
+// shard container version.
+func TestWriteShardsDeterminism(t *testing.T) {
+	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 1, Seed: 7})
+	dir := t.TempDir()
+	runA, err := s.sealed.WriteShards(filepath.Join(dir, "a"), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runB, err := s.sealed.WriteShards(filepath.Join(dir, "b"), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runA) != 5 || len(runB) != 5 {
+		t.Fatalf("WriteShards returned %d/%d paths, want 5", len(runA), len(runB))
+	}
+	for i := range runA {
+		a, err := os.ReadFile(runA[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(runB[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("shard %d differs between two WriteShards runs", i)
+		}
+		if v, err := snapshot.CorpusVersion(a); err != nil || v != snapshot.CorpusFormatVersionV2 {
+			t.Errorf("shard %d: version %d (err %v), want v%d", i, v, err, snapshot.CorpusFormatVersionV2)
+		}
 	}
 }
