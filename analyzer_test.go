@@ -6,6 +6,7 @@ import (
 
 	"firmup"
 	"firmup/internal/image"
+	"firmup/internal/telemetry"
 )
 
 // openScenario opens the wget image and loads the query under one
@@ -171,5 +172,74 @@ func TestAnalyzerSessionStats(t *testing.T) {
 	}
 	if img2.IndexedStrands() != 0 {
 		t.Error("DisableIndex image must carry no postings")
+	}
+}
+
+// TestOpenImageSharesAnalysisOfIdenticalBytes pins the per-session
+// analysis cache: a second image carrying the first one's executables
+// byte for byte, under other paths, is answered from the first image's
+// analysis — no procedure is built again — yet its executables carry,
+// and its findings report, the second image's own paths, and
+// exe.analyzed counts every executable of both images.
+func TestOpenImageSharesAnalysisOfIdenticalBytes(t *testing.T) {
+	imgBytes, queryBytes, _ := buildScenario(t)
+	first, err := image.Unpack(imgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := *first
+	second.Version += "-repack"
+	second.Files = nil
+	for _, fe := range first.Files {
+		second.Files = append(second.Files, image.FileEntry{Path: "mnt/" + fe.Path, Data: fe.Data})
+	}
+
+	reg := telemetry.New()
+	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: reg})
+	img1, err := a.OpenImage(imgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := reg.Counter("sim.procs").Value()
+	img2, err := a.OpenImage(second.Pack(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("sim.procs").Value(); got != built {
+		t.Errorf("the repacked image built %d procedures again; identical bytes must be analysed once per session", got-built)
+	}
+	if got, want := reg.Counter("exe.analyzed").Value(), int64(len(img1.Exes)+len(img2.Exes)); got != want {
+		t.Errorf("exe.analyzed = %d, want %d: every executable of both images", got, want)
+	}
+	if len(img2.Exes) != len(img1.Exes) {
+		t.Fatalf("repacked image has %d executables, the original %d", len(img2.Exes), len(img1.Exes))
+	}
+	q, err := a.LoadQueryExecutable(queryBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res1.Findings) == 0 {
+		t.Fatal("search matched nothing; scenario is vacuous")
+	}
+	want := &firmup.SearchResult{Examined: res1.Examined, StepsHistogram: res1.StepsHistogram}
+	for _, f := range res1.Findings {
+		f.ExePath = "mnt/" + f.ExePath
+		want.Findings = append(want.Findings, f)
+	}
+	if !reflect.DeepEqual(res2, want) {
+		t.Errorf("repacked image answers differently:\ngot  %+v\nwant %+v", res2, want)
+	}
+	for i, e := range img2.Exes {
+		if e.Path != "mnt/"+img1.Exes[i].Path {
+			t.Errorf("executable %d of the repacked image is at %q, want %q", i, e.Path, "mnt/"+img1.Exes[i].Path)
+		}
 	}
 }

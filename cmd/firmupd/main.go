@@ -1,10 +1,8 @@
 // Command firmupd is the long-running FirmUp query daemon: it loads a
-// sealed corpus — a v1 artifact (fwcrawl -sealed / SealedCorpus.Save)
-// or a directory of mmap-backed v2 shards (fwcrawl -sealed -shards N /
-// SealedCorpus.WriteShards) — at startup and serves CVE-search queries
-// over HTTP.
+// sealed corpus — a directory of mmap-backed FWCORP shards (fwcrawl
+// -sealed -shards N / SealedCorpus.WriteShards) — at startup and serves
+// CVE-search queries over HTTP.
 //
-//	firmupd -corpus corpus.fwcorp -addr :8080
 //	firmupd -corpus corpus.fwcorp.d -addr :8080
 //
 // Query it by POSTing a query executable (an FWELF binary, typically
@@ -28,6 +26,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -65,13 +64,23 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The corpus is mapped, not heap: what stays live is the few MB of
+	// executables searches have materialized, while one uploaded query's
+	// analysis leaves about 2 MB of garbage behind. At the runtime's
+	// default pacing the collector would then run every few requests, so
+	// unless the operator set GOGC the daemon lets the heap grow to three
+	// times its live size between collections.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(200)
+	}
+
 	reg := telemetry.New()
 	cs, err := loadCorpus(*corpusPath, reg)
 	if err != nil {
 		log.Fatalf("firmupd: %v", err)
 	}
-	log.Printf("firmupd: loaded %s: %d images, %d executables, %d unique strands",
-		cs.Name, len(cs.Sealed.Images()), cs.Sealed.Executables(), cs.Sealed.UniqueStrands())
+	log.Printf("firmupd: loaded %s: %d images, %d executables (%d unique), %d unique strands",
+		cs.Name, len(cs.Sealed.Images()), cs.Sealed.Executables(), cs.Sealed.UniqueExecutables(), cs.Sealed.UniqueStrands())
 
 	logger, err := openAccessLog(*accessLog)
 	if err != nil {
@@ -152,10 +161,10 @@ func openAccessLog(dst string) (*telemetry.Logger, error) {
 	return telemetry.NewLogger(f, telemetry.LevelInfo), nil
 }
 
-// loadCorpus opens one sealed corpus: a v1 artifact (decoded into
-// RAM), a single shard file, or a directory of shards (both
-// mmap-backed and lazily materialized). Prefilter telemetry (the
-// index.* metrics) is attached to the corpus before it serves.
+// loadCorpus opens one sealed corpus: a directory of shards or the
+// single file of a one-shard corpus, mmap-backed and lazily
+// materialized. Prefilter telemetry (the index.* metrics) is attached to
+// the corpus before it serves.
 func loadCorpus(path string, reg *telemetry.Registry) (*serve.Corpus, error) {
 	sc, err := firmup.OpenSealedCorpus(path)
 	if err != nil {

@@ -51,7 +51,6 @@ func main() {
 	images := flag.Int("images", 32, "scale experiment: generated image count")
 	shards := flag.Int("shards", 4, "scale experiment: shard count")
 	maxRSS := flag.Int64("max-rss-bytes", 0, "scale experiment: exit 1 if peak RSS exceeds this budget (0 = unenforced)")
-	compareV1 := flag.Bool("compare-v1", true, "scale experiment: also save/decode/probe the corpus as one v1 artifact (auto-off above 128 images unless set explicitly)")
 	version := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
 	if *version {
@@ -74,21 +73,7 @@ func main() {
 		*exp = "scale"
 	}
 	if *exp == "scale" {
-		// The eager v1 decode dominates wall clock and RSS at large image
-		// counts; above 128 images it stays off unless asked for by name.
-		if *images > 128 {
-			explicit := false
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "compare-v1" {
-					explicit = true
-				}
-			})
-			if !explicit && *compareV1 {
-				*compareV1 = false
-				fmt.Fprintln(os.Stderr, "fwbench: scale: -compare-v1 auto-disabled above 128 images (pass -compare-v1 to force)")
-			}
-		}
-		scaleBench(*scale, *images, *shards, *maxRSS, *jsonOut, *compareV1)
+		scaleBench(*scale, *images, *shards, *maxRSS, *jsonOut)
 		return
 	}
 	if *scale == "paper" {

@@ -30,8 +30,8 @@ func main() {
 	scale := flag.String("scale", "default", "corpus scale: default or eval")
 	compress := flag.Bool("compress", true, "zlib-compress images")
 	snap := flag.Bool("snapshot", false, "analyze each image and write a <name>.fwsnap sidecar snapshot")
-	sealed := flag.Bool("sealed", false, "analyze every image under one shared session and write a sealed corpus.fwcorp artifact for firmupd")
-	shards := flag.Int("shards", 0, "with -sealed: write the corpus as N mmap-ready FWCORP shards under corpus.fwcorp.d/ instead of one v1 artifact")
+	sealed := flag.Bool("sealed", false, "analyze every image under one shared session and write a sealed corpus for firmupd: mmap-ready FWCORP shards under corpus.fwcorp.d/")
+	shards := flag.Int("shards", 1, "with -sealed: the number of shards to split the corpus into")
 	reportPath := flag.String("report", "", "write a structured JSON run report (stage timings, counters) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
 	version := flag.Bool("version", false, "print build version and exit")
@@ -144,32 +144,19 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *shards > 0 {
-			shardDir := filepath.Join(*out, "corpus.fwcorp.d")
-			paths, err := scorp.WriteShards(shardDir, *shards)
-			if err != nil {
-				fatal(err)
-			}
-			var total int64
-			for _, p := range paths {
-				if st, err := os.Stat(p); err == nil {
-					total += st.Size()
-				}
-			}
-			fmt.Printf("sealed %d images (%d executables, %d unique strands, %d bytes) into %d shards under %s\n",
-				len(scorp.Images()), scorp.Executables(), scorp.UniqueStrands(), total, len(paths), shardDir)
-		} else {
-			blob, err := scorp.Save()
-			if err != nil {
-				fatal(err)
-			}
-			sealPath := filepath.Join(*out, "corpus.fwcorp")
-			if err := os.WriteFile(sealPath, blob, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("sealed %d images (%d executables, %d unique strands, %d bytes) into %s\n",
-				len(scorp.Images()), scorp.Executables(), scorp.UniqueStrands(), len(blob), sealPath)
+		shardDir := filepath.Join(*out, "corpus.fwcorp.d")
+		paths, err := scorp.WriteShards(shardDir, *shards)
+		if err != nil {
+			fatal(err)
 		}
+		var total int64
+		for _, p := range paths {
+			if st, err := os.Stat(p); err == nil {
+				total += st.Size()
+			}
+		}
+		fmt.Printf("sealed %d images (%d executables (%d unique), %d unique strands, %d bytes) into %d shards under %s\n",
+			len(scorp.Images()), scorp.Executables(), scorp.UniqueExecutables(), scorp.UniqueStrands(), total, len(paths), shardDir)
 	}
 	// Emit the analyst-side query executables for every registry CVE, one
 	// per architecture (the paper compiles queries with gcc 5.2 -O2).

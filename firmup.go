@@ -34,6 +34,7 @@
 package firmup
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sync"
@@ -122,6 +123,10 @@ type Analyzer struct {
 	// disabled, in which case every handle accessor returns nil and the
 	// instrumented layers run their uninstrumented fast paths.
 	met *sessionMetrics
+	// analysed maps the SHA-256 of an in-image file to its analysed
+	// *sim.Exe: the same executable ships in image after image, and
+	// OpenImage analyses each distinct byte string once per session.
+	analysed sync.Map
 }
 
 // sessionMetrics is the full handle set one session records against,
@@ -486,8 +491,12 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 		}
 	} else {
 		out = &Image{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
-		for _, pe := range im.ExecutablesWith(a.objTel()) {
-			pending = append(pending, pendingExe{path: pe.Path, file: pe.File})
+		// Non-executable content (configs etc.) is skipped, as are entries
+		// that fail to parse.
+		for _, fe := range im.Files {
+			if f, err := obj.ReadWith(fe.Data, a.objTel()); err == nil {
+				pending = append(pending, pendingExe{path: fe.Path, file: f, data: fe.Data})
+			}
 		}
 	}
 	if a.met != nil {
@@ -515,6 +524,28 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 type pendingExe struct {
 	path string
 	file *obj.File
+	// data is the file's bytes, the key the session's analysis is shared
+	// under; nil for a carved executable, whose extent is not known.
+	data []byte
+}
+
+// analyzePending analyses one in-image executable, or answers it from an
+// earlier image that carried the same bytes: a shallow copy under this
+// image's path. Concurrent first sights of one byte string may both
+// analyse it; the results are equal and the last one stored is kept.
+func (a *Analyzer) analyzePending(pe pendingExe, procWorkers int) (*Executable, error) {
+	if pe.data == nil {
+		return a.analyzeFile(pe.path, pe.file, procWorkers)
+	}
+	key := sha256.Sum256(pe.data)
+	if e, ok := a.analysed.Load(key); ok {
+		return &Executable{Path: pe.path, exe: e.(*sim.Exe).WithPath(pe.path)}, nil
+	}
+	exe, err := a.analyzeFile(pe.path, pe.file, procWorkers)
+	if err == nil {
+		a.analysed.Store(key, exe.exe)
+	}
+	return exe, err
 }
 
 // analyzeAll runs the session's bounded worker pool over the pending
@@ -532,7 +563,7 @@ func (a *Analyzer) analyzeAll(pending []pendingExe, out *Image) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				exes[i], errs[i] = a.analyzeFile(pending[i].path, pending[i].file, procWorkers)
+				exes[i], errs[i] = a.analyzePending(pending[i], procWorkers)
 			}
 		}()
 	}
@@ -913,8 +944,10 @@ func matchTracedCore(tel *core.Telemetry, query *Executable, procedure string, t
 	if f == nil {
 		return nil, r, nil
 	}
+	// A sealed target's path belongs to the occurrence, not the shared
+	// executable under it.
 	return &Finding{
-		ExePath:    f.ExePath,
+		ExePath:    target.Path,
 		ProcName:   f.ProcName,
 		ProcAddr:   f.ProcAddr,
 		Score:      f.Score,

@@ -61,12 +61,49 @@ func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher) Result 
 // never shared; only the exclusion-independent matcher caches and
 // pooled arenas are.
 func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) []SearchResult {
+	// Per-query candidate narrowing, exactly as the sequential path
+	// computes it.
+	cands := make([][]int, len(queries))
+	for qx, bq := range queries {
+		cands[qx] = candidateIndices(bq.Q, bq.QI, targets, opt)
+	}
+	findings := PlayBatch(queries, targets, cands, opt)
+	out := make([]SearchResult, len(queries))
+	for qx := range queries {
+		res := &out[qx]
+		*res = SearchResult{StepsHistogram: map[int]int{}, Examined: len(cands[qx])}
+		for _, f := range findings[qx] {
+			if f != nil {
+				res.Findings = append(res.Findings, *f)
+				res.StepsHistogram[f.Steps]++
+			}
+		}
+		sort.Slice(res.Findings, func(i, j int) bool { return res.Findings[i].ExePath < res.Findings[j].ExePath })
+	}
+	return out
+}
+
+// PlayBatch is the game-playing pass under SearchBatch, with the
+// candidate narrowing already resolved by the caller: query qx is played
+// against targets[ti] for every ti in cands[qx] (valid, duplicate-free
+// indices; targets outside every list are never dereferenced and may be
+// nil). It returns the per-target result slots — findings[qx][ti] is the
+// accepted finding of query qx in target ti, nil where the game was
+// rejected or not played — so a caller whose targets stand for several
+// occurrences each can fan one game out without re-finding it by path.
+//
+// The pass records under "core.search_batch", or "core.search" for a
+// batch of one.
+func PlayBatch(queries []BatchQuery, targets []*sim.Exe, cands [][]int, opt *SearchOptions) [][]*Finding {
 	tel := opt.game().tel()
-	sp := opt.traceStart("core.search_batch")
+	name := "core.search_batch"
+	if len(queries) == 1 {
+		name = "core.search"
+	}
+	sp := opt.traceStart(name)
 	if tel != nil {
 		tel.BatchSearches.Inc()
 	}
-	out := make([]SearchResult, len(queries))
 
 	// Group query indices by query executable (first-appearance order)
 	// so each per-target pass sees same-executable queries contiguously
@@ -79,28 +116,20 @@ func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) [
 		}
 		groups[bq.Q] = append(groups[bq.Q], qx)
 	}
-
-	// Per-query candidate narrowing, exactly as the sequential path
-	// computes it, inverted into per-target query lists.
 	perTarget := make([][]int, len(targets))
 	for _, e := range exes {
 		for _, qx := range groups[e] {
-			bq := queries[qx]
-			cand := candidateIndices(bq.Q, bq.QI, targets, opt)
 			if tel != nil {
 				tel.Searches.Inc()
-				tel.PrefilterKept.Add(int64(len(cand)))
-				tel.PrefilterSkipped.Add(int64(len(targets) - len(cand)))
+				tel.PrefilterKept.Add(int64(len(cands[qx])))
+				tel.PrefilterSkipped.Add(int64(len(targets) - len(cands[qx])))
 			}
-			out[qx] = SearchResult{StepsHistogram: map[int]int{}, Examined: len(cand)}
-			for _, ti := range cand {
+			for _, ti := range cands[qx] {
 				perTarget[ti] = append(perTarget[ti], qx)
 			}
 		}
 	}
 
-	// findings[qx][ti] / steps[qx][ti] mirror the sequential Search's
-	// per-target result slots, so assembly below is order-identical.
 	findings := make([][]*Finding, len(queries))
 	steps := make([][]int, len(queries))
 	for qx := range queries {
@@ -134,27 +163,24 @@ func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) [
 	close(jobs)
 	wg.Wait()
 
-	for qx := range queries {
-		res := &out[qx]
-		for ti, f := range findings[qx] {
-			if f == nil {
-				continue
-			}
-			res.Findings = append(res.Findings, *f)
-			res.StepsHistogram[steps[qx][ti]]++
-			if tel != nil {
-				tel.AcceptedSteps.Observe(int64(steps[qx][ti]))
+	if tel != nil {
+		for qx := range findings {
+			for _, f := range findings[qx] {
+				if f != nil {
+					tel.AcceptedSteps.Observe(int64(f.Steps))
+				}
 			}
 		}
-		sort.Slice(res.Findings, func(i, j int) bool { return res.Findings[i].ExePath < res.Findings[j].ExePath })
 	}
 	if sp.Active() {
 		var examined, nFindings, gameSteps int64
-		for qx := range out {
-			examined += int64(out[qx].Examined)
-			nFindings += int64(len(out[qx].Findings))
-			for _, s := range steps[qx] {
+		for qx := range queries {
+			examined += int64(len(cands[qx]))
+			for ti, s := range steps[qx] {
 				gameSteps += int64(s)
+				if findings[qx][ti] != nil {
+					nFindings++
+				}
 			}
 		}
 		sp.SetAttr("queries", int64(len(queries)))
@@ -164,7 +190,7 @@ func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) [
 		sp.SetAttr("game_steps", gameSteps)
 		sp.End()
 	}
-	return out
+	return findings
 }
 
 // runTargetPass plays every batch query aimed at one target. Queries

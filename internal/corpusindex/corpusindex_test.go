@@ -329,10 +329,11 @@ func randCorpus(rng *rand.Rand, nexes int) (*Interner, *Index) {
 	return it, x
 }
 
-// frozenOf seals a live test index under the frozen vocabulary f in both
-// representations: the dense index over the rebound executables, and a
-// sparse-CSR index over the same rows as a mapped shard would hold them.
-func frozenOf(t *testing.T, f *Frozen, x *Index) (dense, sparse *FrozenIndex) {
+// frozenOf seals a live test index under the frozen vocabulary f both
+// ways: built from the rebound executables, and over foreign slabs
+// holding the live index's rows as a mapped shard would. The built
+// index must hold exactly the live rows.
+func frozenOf(t *testing.T, f *Frozen, x *Index) (built, foreign *FrozenIndex) {
 	t.Helper()
 	rebound := make([]*sim.Exe, len(x.exes))
 	procCounts := make([]int32, len(x.exes))
@@ -341,9 +342,9 @@ func frozenOf(t *testing.T, f *Frozen, x *Index) (dense, sparse *FrozenIndex) {
 		procCounts[i] = int32(len(e.Procs))
 	}
 	rows := x.Rows()
-	dense, err := NewFrozenIndex(f, rebound, rows)
-	if err != nil {
-		t.Fatal(err)
+	built = NewFrozenIndex(f, rebound)
+	if !reflect.DeepEqual(built.Rows(), rows) {
+		t.Fatalf("index built from executables holds rows %v, live index %v", built.Rows(), rows)
 	}
 	var rowIDs, rowEnds []uint32
 	var posts []Posting
@@ -352,23 +353,23 @@ func frozenOf(t *testing.T, f *Frozen, x *Index) (dense, sparse *FrozenIndex) {
 		posts = append(posts, r.Posts...)
 		rowEnds = append(rowEnds, uint32(len(posts)))
 	}
-	sparse, err = NewFrozenIndexForeign(f, procCounts, rowIDs, rowEnds, posts)
+	foreign, err := NewFrozenIndexForeign(f, procCounts, rowIDs, rowEnds, posts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dense, sparse
+	return built, foreign
 }
 
 // TestFrozenRanksLikeLive is the index-layer frozen ≡ live check, across
-// randomized corpora, queries and floors: a frozen index — dense or
-// sparse CSR — queried under an overlay interner ranks exactly as the
+// randomized corpora, queries and floors: a frozen index — built or
+// over foreign slabs — queried under an overlay interner ranks exactly as the
 // live index it was sealed from.
 func TestFrozenRanksLikeLive(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		it, x := randCorpus(rng, 2+rng.Intn(10))
 		f := it.Freeze()
-		dense, sparse := frozenOf(t, f, x)
+		built, foreign := frozenOf(t, f, x)
 		for qi := 0; qi < 10; qi++ {
 			n := rng.Intn(10)
 			var hashes []uint64
@@ -385,7 +386,7 @@ func TestFrozenRanksLikeLive(t *testing.T) {
 			if !ok {
 				t.Fatalf("seed %d query %d: live index rejected a same-session query", seed, qi)
 			}
-			for name, fx := range map[string]*FrozenIndex{"dense": dense, "sparse": sparse} {
+			for name, fx := range map[string]*FrozenIndex{"built": built, "foreign": foreign} {
 				got, ok := fx.CandidateIndices(frozen, minScore, ratio, nil)
 				if !ok {
 					t.Fatalf("seed %d query %d: %s frozen index rejected an overlay query", seed, qi, name)

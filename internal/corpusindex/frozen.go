@@ -22,10 +22,10 @@ import (
 // corpus must therefore run under a per-request QueryInterner overlay,
 // never under the Frozen itself.
 // A Frozen has two internal lookup representations: a hash map built at
-// seal/load time (map mode), or a binary-searched sorted slab pair
-// handed over from a mapped v2 shard (slab mode, FrozenFromSlabs) that
-// requires no construction work at open. Both are immutable after
-// construction and behave identically.
+// seal time (map mode), or a binary-searched sorted slab pair handed
+// over from a mapped shard (slab mode, FrozenFromSlabs) that requires no
+// construction work at open. Both are immutable after construction and
+// behave identically.
 type Frozen struct {
 	vocab []uint64          // dense ID -> hash
 	ids   map[uint64]uint32 // hash -> dense ID (map mode); nil in slab mode
@@ -52,33 +52,15 @@ func (it *Interner) Freeze() *Frozen {
 	return f
 }
 
-// FrozenFromVocab reconstructs a Frozen from a serialized vocabulary
-// (dense ID → hash, as persisted by a sealed-corpus artifact). A
-// vocabulary with duplicate hashes is rejected: it cannot have been
-// produced by an interner and would make lookups ambiguous.
-func FrozenFromVocab(vocab []uint64) (*Frozen, error) {
-	f := &Frozen{
-		vocab: slices.Clone(vocab),
-		ids:   make(map[uint64]uint32, len(vocab)),
-	}
-	for id, h := range f.vocab {
-		if _, dup := f.ids[h]; dup {
-			return nil, fmt.Errorf("corpusindex: frozen vocabulary has duplicate hash %#x", h)
-		}
-		f.ids[h] = uint32(id)
-	}
-	return f, nil
-}
-
 // FrozenFromSlabs constructs a Frozen directly over foreign memory: the
 // vocabulary (dense ID → hash) plus a sorted-hash slab with its
-// parallel dense IDs, as persisted by a v2 shard. Unlike
-// FrozenFromVocab nothing is cloned and no map is built — lookups
-// binary-search the sorted slab — so opening a paper-scale vocabulary
-// costs validation only. The slices must stay valid and unmodified for
-// the Frozen's lifetime. Validation: equal lengths, strictly increasing
-// hashes, and every (hash, id) pair agreeing with the vocabulary —
-// which together prove the slab is exactly the vocabulary re-sorted.
+// parallel dense IDs, as persisted by a shard. Nothing is cloned and no
+// map is built — lookups binary-search the sorted slab — so opening a
+// paper-scale vocabulary costs validation only. The slices must stay
+// valid and unmodified for the Frozen's lifetime. Validation: equal
+// lengths, strictly increasing hashes, and every (hash, id) pair agreeing
+// with the vocabulary — which together prove the slab is exactly the
+// vocabulary re-sorted.
 func FrozenFromSlabs(vocab []uint64, sortedHashes []uint64, sortedIDs []uint32) (*Frozen, error) {
 	if len(sortedHashes) != len(vocab) || len(sortedIDs) != len(vocab) {
 		return nil, fmt.Errorf("corpusindex: sorted vocabulary slabs hold %d+%d entries, vocabulary holds %d", len(sortedHashes), len(sortedIDs), len(vocab))
@@ -200,44 +182,27 @@ func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 }
 
 // FrozenIndex is the sealed, read-only form of a corpus-level inverted
-// index: the posting lists of an Index flattened into one CSR slab over
-// a Frozen vocabulary. It answers the same candidate-ranking queries as
-// Index — with the identical ranking and the identical soundness
-// contract — but holds no lock and supports no mutation, so unlimited
-// concurrent readers share it freely. The only shared structure the
-// query path touches is a sync.Pool of scratch accumulators, which is
-// race-safe by construction and carries no corpus state between
-// queries.
-// A FrozenIndex holds its postings in one of two CSR representations:
-// dense (rowStart spans the whole vocabulary, built by NewFrozenIndex
-// from in-RAM rows) or sparse (only the non-empty rows, as rowIDs /
-// rowEnds slabs typically aliasing a mapped v2 shard, built by
-// NewFrozenIndexForeign with no per-row allocation). Queries walk
-// either form to the identical ranking.
+// index: the posting lists of an Index flattened into one sparse CSR
+// slab over a Frozen vocabulary. It answers the same candidate-ranking
+// queries as Index — with the identical ranking and the identical
+// soundness contract — but holds no lock and supports no mutation, so
+// unlimited concurrent readers share it freely. The only shared
+// structure the query path touches is a sync.Pool of scratch
+// accumulators, which is race-safe by construction and carries no
+// corpus state between queries.
 type FrozenIndex struct {
 	it    *Frozen
 	nexes int
-	// exes are the sealed executables (dense mode); nil in foreign mode,
-	// where the index exists before any executable is materialized.
-	exes []*sim.Exe
-	// Dense CSR: posts[rowStart[id]:rowStart[id+1]] lists the
-	// (executable, procedure) postings of dense strand ID id. Nil in
-	// sparse mode.
-	rowStart []int32
-	// Sparse CSR: rowIDs are the non-empty rows' strand IDs ascending;
-	// row i's postings are posts[rowEnds[i-1]:rowEnds[i]] (rowEnds[-1]
-	// taken as 0). Nil in dense mode.
+	// rowIDs are the non-empty rows' strand IDs ascending; row i's
+	// (executable, procedure) postings are posts[rowEnds[i-1]:rowEnds[i]]
+	// (rowEnds[-1] taken as 0). The three slabs are the index's own
+	// (NewFrozenIndex) or alias a mapped shard (NewFrozenIndexForeign).
 	rowIDs  []uint32
 	rowEnds []uint32
 	posts   []Posting
 	// procOff are prefix sums of per-executable procedure counts, as in
 	// Index.
 	procOff []int32
-	// extra lists executables with no postings under the frozen
-	// vocabulary (not sealed under it); they are always candidates, as in
-	// Index.Candidates. Always nil in foreign mode: a persisted shard
-	// only ever holds executables sealed under its own vocabulary.
-	extra []int
 
 	scratch sync.Pool
 
@@ -246,65 +211,51 @@ type FrozenIndex struct {
 	telFanout    *telemetry.Histogram
 }
 
-// NewFrozenIndex builds a sealed index over the frozen vocabulary from
-// serialized rows (Index.Rows or a decoded artifact) and the sealed
-// executables in their original insertion order. Posting data is copied
-// into the index's own flat slab, so the result shares no mutable state
-// with its source. Rows must be ordered by strictly increasing ID
-// within the vocabulary; violations are rejected.
-func NewFrozenIndex(it *Frozen, exes []*sim.Exe, rows []Row) (*FrozenIndex, error) {
-	x := &FrozenIndex{it: it, exes: exes, nexes: len(exes)}
-	x.procOff = make([]int32, len(exes)+1)
+// NewFrozenIndex builds a sealed index over executables sealed under the
+// frozen vocabulary (every strand ID inside it): a counting pass per
+// strand ID, then postings filled in (executable, procedure) order — the
+// order Index.Add produces — so rankings equal a live index over the same
+// executables.
+func NewFrozenIndex(it *Frozen, exes []*sim.Exe) *FrozenIndex {
+	x := &FrozenIndex{it: it, nexes: len(exes), procOff: make([]int32, len(exes)+1)}
+	next := make([]uint32, len(it.vocab)+1) // next[id+1] counts, then row cursors
 	for i, e := range exes {
 		x.procOff[i+1] = x.procOff[i] + int32(len(e.Procs))
-		if len(e.Procs) > 0 && !strand.Compatible(e.Procs[0].Set.It, it) {
-			x.extra = append(x.extra, i)
-		}
-	}
-	total := 0
-	for _, r := range rows {
-		total += len(r.Posts)
-	}
-	x.rowStart = make([]int32, len(it.vocab)+1)
-	x.posts = make([]Posting, 0, total)
-	next := uint32(0)
-	for ri, r := range rows {
-		if ri > 0 && r.ID <= rows[ri-1].ID {
-			return nil, fmt.Errorf("corpusindex: frozen index rows not strictly increasing at row %d", ri)
-		}
-		if int(r.ID) >= len(it.vocab) {
-			return nil, fmt.Errorf("corpusindex: frozen index row ID %d outside the %d-entry vocabulary", r.ID, len(it.vocab))
-		}
-		for ; next <= r.ID; next++ {
-			x.rowStart[next] = int32(len(x.posts))
-		}
-		for _, p := range r.Posts {
-			if int(p.Exe) >= len(exes) || p.Exe < 0 {
-				return nil, fmt.Errorf("corpusindex: frozen index posting references executable %d of %d", p.Exe, len(exes))
-			}
-			if int(p.Proc) >= len(exes[p.Exe].Procs) || p.Proc < 0 {
-				return nil, fmt.Errorf("corpusindex: frozen index posting references procedure %d of %d", p.Proc, len(exes[p.Exe].Procs))
+		for _, p := range e.Procs {
+			for _, id := range p.Set.IDs {
+				next[id+1]++
 			}
 		}
-		x.posts = append(x.posts, r.Posts...)
 	}
-	for ; int(next) <= len(it.vocab); next++ {
-		x.rowStart[next] = int32(len(x.posts))
+	for id := range it.vocab {
+		if next[id+1] > 0 {
+			x.rowIDs = append(x.rowIDs, uint32(id))
+			x.rowEnds = append(x.rowEnds, next[id]+next[id+1])
+		}
+		next[id+1] += next[id]
 	}
-	return x, nil
+	x.posts = make([]Posting, next[len(it.vocab)])
+	for ei, e := range exes {
+		for pi, p := range e.Procs {
+			for _, id := range p.Set.IDs {
+				x.posts[next[id]] = Posting{Exe: int32(ei), Proc: int32(pi)}
+				next[id]++
+			}
+		}
+	}
+	return x
 }
 
 // NewFrozenIndexForeign builds a sealed index directly over foreign CSR
-// slabs — the row-ID, row-end and posting sections of a mapped v2 shard
-// — without copying them or densifying rows across the vocabulary. The
-// executables themselves need not exist yet: procCounts stands in for
-// them, so a shard's index is queryable before (and without) any
-// executable materialization. The slabs must stay valid and unmodified
-// for the index's lifetime.
+// slabs — the row-ID, row-end and posting sections of a mapped shard —
+// without copying them. The executables themselves need not exist yet:
+// procCounts stands in for them, so a shard's index is queryable before
+// (and without) any executable materialization. The slabs must stay
+// valid and unmodified for the index's lifetime.
 //
-// Validation matches NewFrozenIndex: strictly increasing in-vocabulary
-// row IDs, nondecreasing row ends terminating at len(posts), and every
-// posting inside [0, len(procCounts)) x [0, procCounts[exe]).
+// Validation: strictly increasing in-vocabulary row IDs, nondecreasing
+// row ends terminating at len(posts), and every posting inside
+// [0, len(procCounts)) x [0, procCounts[exe]).
 func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uint32, posts []Posting) (*FrozenIndex, error) {
 	x := &FrozenIndex{it: it, nexes: len(procCounts), rowIDs: rowIDs, rowEnds: rowEnds, posts: posts}
 	x.procOff = make([]int32, len(procCounts)+1)
@@ -372,20 +323,12 @@ func (x *FrozenIndex) Postings() int { return len(x.posts) }
 // artifact persists. Posting slices alias the index's slab; callers
 // must treat them as read-only.
 func (x *FrozenIndex) Rows() []Row {
-	var out []Row
-	if x.rowStart == nil {
-		lo := uint32(0)
-		for i, id := range x.rowIDs {
-			hi := x.rowEnds[i]
-			out = append(out, Row{ID: id, Posts: x.posts[lo:hi]})
-			lo = hi
-		}
-		return out
-	}
-	for id := 0; id < len(x.rowStart)-1; id++ {
-		if x.rowStart[id] < x.rowStart[id+1] {
-			out = append(out, Row{ID: uint32(id), Posts: x.posts[x.rowStart[id]:x.rowStart[id+1]]})
-		}
+	out := make([]Row, len(x.rowIDs))
+	lo := uint32(0)
+	for i, id := range x.rowIDs {
+		hi := x.rowEnds[i]
+		out[i] = Row{ID: id, Posts: x.posts[lo:hi]}
+		lo = hi
 	}
 	return out
 }
@@ -436,30 +379,22 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 		return nil, false
 	}
 	s := getScratch(&x.scratch, int(x.procOff[x.nexes]), x.nexes)
-	if x.rowStart == nil {
-		// Sparse CSR: both q.IDs and rowIDs are strictly increasing, so
-		// one forward binary-search cursor visits each matching row once.
-		ri := 0
-		for _, id := range q.IDs {
-			j, ok := slices.BinarySearch(x.rowIDs[ri:], id)
-			ri += j
-			if !ok {
-				continue
-			}
-			lo := uint32(0)
-			if ri > 0 {
-				lo = x.rowEnds[ri-1]
-			}
-			s.bump(x.procOff, x.posts[lo:x.rowEnds[ri]])
-			ri++
+	// Both q.IDs and rowIDs are strictly increasing, so one forward
+	// binary-search cursor visits each matching row once.
+	ri := 0
+	for _, id := range q.IDs {
+		j, ok := slices.BinarySearch(x.rowIDs[ri:], id)
+		ri += j
+		if !ok {
+			continue
 		}
-	} else {
-		for _, id := range q.IDs {
-			if int(id) < len(x.rowStart)-1 {
-				s.bump(x.procOff, x.posts[x.rowStart[id]:x.rowStart[id+1]])
-			}
+		lo := uint32(0)
+		if ri > 0 {
+			lo = x.rowEnds[ri-1]
 		}
+		s.bump(x.procOff, x.posts[lo:x.rowEnds[ri]])
+		ri++
 	}
-	s.rank(len(q.IDs), minScore, ratioFloor, x.extra)
+	s.rank(len(q.IDs), minScore, ratioFloor, nil)
 	return s, true
 }

@@ -45,15 +45,9 @@ func (im *Image) AddExecutable(path string, f *obj.File) {
 // path/file pairs; non-executable content (configs etc.) is skipped, as
 // are entries that fail to parse.
 func (im *Image) Executables() []ParsedExe {
-	return im.ExecutablesWith(nil)
-}
-
-// ExecutablesWith is Executables recording parse metrics into tel. The
-// parsed output is identical.
-func (im *Image) ExecutablesWith(tel *obj.Telemetry) []ParsedExe {
 	var out []ParsedExe
 	for _, fe := range im.Files {
-		f, err := obj.ReadWith(fe.Data, tel)
+		f, err := obj.Read(fe.Data)
 		if err != nil {
 			continue
 		}

@@ -757,16 +757,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// CorpusInfo is the /corpus response schema. Shards is present only
-// when the serving corpus is backed by FWCORP v2 shard files.
+// CorpusInfo is the /corpus response schema. Executables counts every
+// occurrence, UniqueExecutables what the corpus stores and searches.
+// Shards is present only when the serving corpus is backed by FWCORP
+// shard files.
 type CorpusInfo struct {
-	Name          string               `json:"name"`
-	Images        int                  `json:"images"`
-	Executables   int                  `json:"executables"`
-	UniqueStrands int                  `json:"unique_strands"`
-	LoadedAt      string               `json:"loaded_at"`
-	Swaps         int64                `json:"swaps"`
-	Shards        []firmup.SealedShard `json:"shards,omitempty"`
+	Name              string               `json:"name"`
+	Images            int                  `json:"images"`
+	Executables       int                  `json:"executables"`
+	UniqueExecutables int                  `json:"unique_executables"`
+	UniqueStrands     int                  `json:"unique_strands"`
+	LoadedAt          string               `json:"loaded_at"`
+	Swaps             int64                `json:"swaps"`
+	Shards            []firmup.SealedShard `json:"shards,omitempty"`
 }
 
 func (s *Server) handleCorpus(w http.ResponseWriter, _ *http.Request) {
@@ -776,13 +779,14 @@ func (s *Server) handleCorpus(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, CorpusInfo{
-		Name:          cs.Name,
-		Images:        len(cs.Sealed.Images()),
-		Executables:   cs.Sealed.Executables(),
-		UniqueStrands: cs.Sealed.UniqueStrands(),
-		LoadedAt:      cs.LoadedAt.UTC().Format(time.RFC3339),
-		Swaps:         s.swaps.Value(),
-		Shards:        cs.Sealed.Shards(),
+		Name:              cs.Name,
+		Images:            len(cs.Sealed.Images()),
+		Executables:       cs.Sealed.Executables(),
+		UniqueExecutables: cs.Sealed.UniqueExecutables(),
+		UniqueStrands:     cs.Sealed.UniqueStrands(),
+		LoadedAt:          cs.LoadedAt.UTC().Format(time.RFC3339),
+		Swaps:             s.swaps.Value(),
+		Shards:            cs.Sealed.Shards(),
 	})
 }
 

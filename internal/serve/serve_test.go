@@ -331,7 +331,8 @@ func TestServeCorpusAndMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Name != "c.fwcorp" || info.Images != len(sc.Images()) ||
-		info.Executables != sc.Executables() || info.UniqueStrands != sc.UniqueStrands() {
+		info.Executables != sc.Executables() || info.UniqueExecutables != sc.UniqueExecutables() ||
+		info.UniqueStrands != sc.UniqueStrands() {
 		t.Errorf("corpus info mismatch: %+v", info)
 	}
 

@@ -267,6 +267,23 @@ func (e *Exe) Rebound(it strand.Interner) *Exe {
 	return out
 }
 
+// WithPath returns a copy of the executable under another path: the
+// procedures and CSR posting lists are shared with the receiver, only
+// Path differs. Lazily-built caches (hash index, name map) are not
+// carried over; the copy rebuilds its own on first use.
+func (e *Exe) WithPath(path string) *Exe {
+	return &Exe{
+		Path:     path,
+		Arch:     e.Arch,
+		Procs:    e.Procs,
+		Stripped: e.Stripped,
+		it:       e.it,
+		ids:      e.ids,
+		start:    e.start,
+		procs:    e.procs,
+	}
+}
+
 func (e *Exe) buildIndex(it strand.Interner) {
 	e.it = it
 	if it == nil {

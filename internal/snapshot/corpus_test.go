@@ -6,70 +6,70 @@ import (
 	"testing"
 )
 
-// testCorpus is a small but fully featured sealed corpus: one shared
-// vocabulary, two images with differing shapes (skips, no index,
-// present-but-empty index).
+// testCorpus is a small but fully featured sealed-corpus shard: one
+// shared vocabulary, two distinct executables, and two images of
+// differing shapes (skips, the same executable under a second path).
 func testCorpus() *Corpus {
 	return &Corpus{
 		Interner: []uint64{0xdeadbeef, 0x1122334455667788, 0xcafebabe, 42, 7},
+		Exes: []Exe{
+			{
+				Arch: 1, Stripped: true,
+				Procs: []Proc{
+					{
+						Name: "sub_400100", Addr: 0x400100,
+						IDs: []uint32{0, 2, 4}, Markers: []uint32{0x1f},
+						BlockCount: 7, EdgeCount: 9, InstCount: 55, Calls: []int32{1},
+					},
+					{
+						Name: "sub_400200", Addr: 0x400200, Exported: true,
+						IDs: []uint32{1, 3}, BlockCount: 2, EdgeCount: 1, InstCount: 12,
+					},
+				},
+			},
+			{
+				Arch: 2,
+				Procs: []Proc{
+					{Name: "main", Addr: 0x10000, IDs: []uint32{2}, BlockCount: 1, InstCount: 3},
+				},
+			},
+		},
+		Index: []IndexRow{
+			{ID: 0, Posts: []Posting{{Exe: 0, Proc: 0}}},
+			{ID: 2, Posts: []Posting{{Exe: 0, Proc: 0}, {Exe: 1, Proc: 0}}},
+			{ID: 3, Posts: []Posting{{Exe: 0, Proc: 1}}},
+		},
 		Images: []CorpusImage{
 			{
 				Vendor: "netgear", Device: "R6250", Version: "1.0.4",
 				Skipped: []Skip{{Path: "bin/busybox", Err: "unsupported arch 0xC8"}},
-				Exes: []Exe{
-					{
-						Path: "bin/wget", Arch: 1, Stripped: true,
-						Procs: []Proc{
-							{
-								Name: "sub_400100", Addr: 0x400100,
-								IDs: []uint32{0, 2, 4}, Markers: []uint32{0x1f},
-								BlockCount: 7, EdgeCount: 9, InstCount: 55, Calls: []int32{1},
-							},
-							{
-								Name: "sub_400200", Addr: 0x400200, Exported: true,
-								IDs: []uint32{1, 3}, BlockCount: 2, EdgeCount: 1, InstCount: 12,
-							},
-						},
-					},
-				},
-				Index: []IndexRow{
-					{ID: 0, Posts: []Posting{{Exe: 0, Proc: 0}}},
-					{ID: 2, Posts: []Posting{{Exe: 0, Proc: 0}}},
-					{ID: 3, Posts: []Posting{{Exe: 0, Proc: 1}}},
-				},
+				Occs:    []Occurrence{{Path: "bin/wget", Exe: 0}},
 			},
 			{
 				Vendor: "dlink", Device: "DIR-850", Version: "2.07",
-				Exes: []Exe{
-					{
-						Path: "sbin/httpd", Arch: 2,
-						Procs: []Proc{
-							{Name: "main", Addr: 0x10000, IDs: []uint32{2}, BlockCount: 1, InstCount: 3},
-						},
-					},
-				},
-				// No index: must round-trip as nil, not empty.
+				Occs: []Occurrence{{Path: "sbin/httpd", Exe: 1}, {Path: "usr/bin/wget", Exe: 0}},
 			},
 		},
 	}
 }
 
-func mustEncodeCorpus(t *testing.T, c *Corpus) []byte {
+// roundTripCorpus encodes the model as a one-shard corpus, opens it and
+// reads the model back through every accessor.
+func roundTripCorpus(t *testing.T, c *Corpus) *Corpus {
 	t.Helper()
-	b, err := EncodeCorpus(c)
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	if err := touchShard(s); err != nil {
+		t.Fatal(err)
+	}
+	return shardToCorpus(t, s)
 }
 
 func TestCorpusRoundTrip(t *testing.T) {
 	want := testCorpus()
-	got, err := DecodeCorpus(mustEncodeCorpus(t, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := roundTripCorpus(t, want); !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -78,53 +78,77 @@ func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 	// A present-but-empty index is distinct from no index at all: the
 	// former means "indexed, nothing qualified", the latter "never
 	// indexed". The flag byte must preserve the distinction.
-	want := testCorpus()
-	want.Images[0].Index = []IndexRow{}
-	got, err := DecodeCorpus(mustEncodeCorpus(t, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Images[0].Index == nil {
+	c := testCorpus()
+	c.Index = []IndexRow{}
+	if got := roundTripCorpus(t, c); got.Index == nil {
 		t.Error("present-but-empty index decoded as nil")
 	}
-	if got.Images[1].Index != nil {
+	c.Index = nil
+	if got := roundTripCorpus(t, c); got.Index != nil {
 		t.Error("absent index decoded as present")
 	}
 }
 
 func TestCorpusRoundTripEmpty(t *testing.T) {
-	want := &Corpus{}
-	got, err := DecodeCorpus(mustEncodeCorpus(t, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Interner) != 0 || len(got.Images) != 0 {
+	got := roundTripCorpus(t, &Corpus{})
+	if len(got.Interner) != 0 || len(got.Exes) != 0 || len(got.Images) != 0 {
 		t.Errorf("empty corpus round trip: %+v", got)
 	}
 }
 
 func TestCorpusEncodeRejectsInvalid(t *testing.T) {
-	// An ID outside the vocabulary must be rejected at encode time.
-	c := testCorpus()
-	c.Images[0].Exes[0].Procs[0].IDs = []uint32{99}
-	if _, err := EncodeCorpus(c); err == nil {
-		t.Error("out-of-vocabulary ID encoded successfully")
-	}
-	// An index posting pointing past the image's executables likewise.
-	c = testCorpus()
-	c.Images[0].Index[0].Posts[0].Exe = 9
-	if _, err := EncodeCorpus(c); err == nil {
-		t.Error("out-of-range index posting encoded successfully")
+	hdr := ShardHeader{ShardCount: 1, TotalImages: 2}
+	for name, damage := range map[string]func(*Corpus){
+		"out-of-vocabulary strand ID":   func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
+		"out-of-range index posting":    func(c *Corpus) { c.Index[0].Posts[0].Exe = 9 },
+		"out-of-range occurrence":       func(c *Corpus) { c.Images[0].Occs[0].Exe = 2 },
+		"negative occurrence":           func(c *Corpus) { c.Images[0].Occs[0].Exe = -1 },
+		"executable no image refers to": func(c *Corpus) { c.Images[1].Occs = c.Images[1].Occs[1:] },
+	} {
+		c := testCorpus()
+		damage(c)
+		if _, err := EncodeCorpusShard(c, hdr); err == nil {
+			t.Errorf("%s encoded successfully", name)
+		}
 	}
 }
 
+// TestCorpusDecodeCorruption flips one bit at every offset of a shard.
+// Section payloads are checksummed, the table and meta are
+// cross-checked, so every flip outside the alignment padding must
+// surface — at open or on first touch — as ErrCorrupt.
 func TestCorpusDecodeCorruption(t *testing.T) {
-	blob := mustEncodeCorpus(t, testCorpus())
-	for off := 0; off < len(blob); off++ {
+	c := testCorpus()
+	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	table, err := parseCorpusV2Table(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make([]bool, len(blob))
+	for i := 0; i < headerSize+len(table)*tableEntrySize; i++ {
+		covered[i] = true
+	}
+	for _, e := range table {
+		for i := e.off; i < e.off+e.length; i++ {
+			covered[i] = true
+		}
+	}
+	for off := range blob {
+		if !covered[off] {
+			continue
+		}
 		bad := append([]byte(nil), blob...)
 		bad[off] ^= 0x01
-		if _, err := DecodeCorpus(bad); err == nil {
-			t.Errorf("bit flip at offset %d decoded successfully", off)
+		s, err := OpenCorpusShardBytes(bad)
+		if err == nil {
+			err = touchShard(s)
+		}
+		if err == nil {
+			// An empty section's offset is never dereferenced.
+			if off >= headerSize && off < headerSize+len(table)*tableEntrySize && table[(off-headerSize)/tableEntrySize].length == 0 {
+				continue
+			}
+			t.Errorf("bit flip at offset %d went undetected", off)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("bit flip at offset %d: error does not wrap ErrCorrupt: %v", off, err)
 		}
@@ -132,26 +156,48 @@ func TestCorpusDecodeCorruption(t *testing.T) {
 }
 
 func TestCorpusDecodeTruncation(t *testing.T) {
-	blob := mustEncodeCorpus(t, testCorpus())
+	c := testCorpus()
+	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
 	for n := 0; n < len(blob); n += 17 {
-		if _, err := DecodeCorpus(blob[:n]); err == nil {
-			t.Errorf("truncation to %d bytes decoded successfully", n)
+		s, err := OpenCorpusShardBytes(blob[:n])
+		if err == nil {
+			err = touchShard(s)
+		}
+		if err == nil {
+			t.Errorf("truncation to %d bytes opened successfully", n)
 		}
 	}
 }
 
 func TestCorpusRejectsImageSnapshot(t *testing.T) {
-	// A per-image FWSNAP artifact must not decode as a corpus (different
-	// magic), and vice versa.
-	img := testModel()
-	blob, err := Encode(img)
+	// A per-image FWSNAP artifact must not open as a corpus shard
+	// (different magic), and vice versa.
+	blob, err := Encode(testModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeCorpus(blob); err == nil {
-		t.Error("image snapshot decoded as corpus")
+	if _, err := OpenCorpusShardBytes(blob); err == nil {
+		t.Error("image snapshot opened as a corpus shard")
 	}
-	if _, err := Decode(mustEncodeCorpus(t, testCorpus())); err == nil {
-		t.Error("corpus decoded as image snapshot")
+	c := testCorpus()
+	if _, err := Decode(mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})); err == nil {
+		t.Error("corpus shard decoded as image snapshot")
+	}
+}
+
+// TestCorpusOccurrenceTableHardening damages the occurrence table four
+// ways behind valid checksums: each must fail with ErrCorrupt naming
+// corpus-occurrences — at open or on first touch — never a panic or an
+// out-of-range index at search time.
+func TestCorpusOccurrenceTableHardening(t *testing.T) {
+	for _, name := range occurrenceFaults {
+		s, err := OpenCorpusShardBytes(faultyOccurrenceShard(t, name))
+		if err == nil {
+			err = touchShard(s)
+		}
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Section != "corpus-occurrences" {
+			t.Errorf("%s: err = %v, want ErrCorrupt naming corpus-occurrences", name, err)
+		}
 	}
 }

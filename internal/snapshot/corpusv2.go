@@ -11,28 +11,30 @@ import (
 	"sync"
 )
 
-// FWCORP version 2 is the mmap-oriented sealed-corpus layout. Version 1
-// (corpus.go) optimizes for a compact stream: varints, delta-encoded ID
-// runs, one decode pass that materializes everything. Version 2
-// optimizes for retrieval: every bulk payload is a fixed-width
-// little-endian slab in a 64-byte-aligned section, so a mapped shard is
-// queryable without a decode pass — the executable table, the
-// procedure table, the strand-ID / marker / call slabs, and the CSR
-// inverted-index (row IDs, row ends, postings) are all usable directly
-// from the mapped bytes. Integrity moves from open time to first touch:
+// The FWCORP shard container is the one persisted form of a sealed
+// corpus. It optimizes for retrieval: every bulk payload is a
+// fixed-width little-endian slab in a 64-byte-aligned section, so a
+// mapped shard is queryable without a decode pass — the executable,
+// occurrence and procedure tables, the strand-ID / marker / call slabs,
+// and the CSR inverted index (row IDs, row ends, postings) are all usable
+// directly from the mapped bytes. Integrity is checked on first touch:
 // only the small meta section is CRC-verified at open; every other
 // section is verified once, the first time an accessor needs it, so
 // opening a multi-gigabyte shard costs O(pages touched), not O(bytes).
 //
-// A v2 file is one SHARD of a sealed corpus: a contiguous range of
-// images sharing the corpus-wide frozen vocabulary. The shard header
-// (inside the meta section) records its position — shard index/count,
-// first global image index, total image count — so a directory of
-// shards can be validated as one coherent corpus at open.
+// A file is one SHARD of a sealed corpus: a contiguous range of images
+// sharing the corpus-wide frozen vocabulary. The same executable ships
+// in image after image, so a shard stores each distinct executable once
+// — two are the same when everything but their path is equal — and an
+// image is a list of occurrences (path, executable). One inverted index
+// covers the shard's distinct executables. The shard header (inside the
+// meta section) records its position — shard index/count, first global
+// image index, total image count — so a directory of shards can be
+// validated as one coherent corpus at open.
 //
 // Layout:
 //
-//	magic "FWCORP\r\n" | version=2 (u32) | section count (u32)
+//	magic "FWCORP\r\n" | version=4 (u32) | section count (u32)
 //	section table: tag (u32) | offset (u64) | length (u64) | CRC32-C (u32)
 //	64-byte-aligned section payloads (zero padding between)
 //
@@ -42,29 +44,29 @@ import (
 //	corpus-vocab        vocabLen x u64        dense ID -> strand hash
 //	corpus-vocab-sorted vocabLen x u64 sorted hashes, then vocabLen x u32 IDs
 //	corpus-strs         string blob (paths, procedure names; deduplicated)
-//	corpus-exe-table    totalExes x 48 B fixed records
+//	corpus-exe-table    distinctExes x 40 B fixed records (no path)
 //	corpus-proc-table   totalProcs x 40 B fixed records
 //	corpus-ids          idsLen x u32          per-proc sorted strand IDs
 //	corpus-markers      markersLen x u32
 //	corpus-calls        callsLen x u32
-//	corpus-index-table  nImages x 32 B        per-image CSR extents
+//	corpus-occurrences  totalOccs x 12 B      image by image: path, executable
 //	corpus-index-rows   rows x u32 row IDs, then rows x u32 row ends
 //	corpus-index-posts  posts x (exe u32 | proc u32)
 
-// CorpusFormatVersionV2 is the sharded mmap-friendly sealed-corpus
-// layout version — the only shard version this package writes or opens.
-const CorpusFormatVersionV2 = 2
+// CorpusFormatVersion is the shard layout version — the only one this
+// package writes or opens. Versions 1 to 3 were earlier layouts (a
+// monolithic stream, per-image indexes, a signature section); a file
+// carrying one fails to open with a pointer to re-sealing.
+const CorpusFormatVersion = 4
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
 const v2Align = 64
 
-// maxSectionsV2 bounds the section table of a v2 shard. Larger than the
-// v1 bound to leave tag space for additive sections.
+// maxSectionsV2 bounds the section table of a shard.
 const maxSectionsV2 = 32
 
-// v2 section tags (disjoint from the v1 corpus tag space so a tag error
-// is never a silent misread).
+// Shard section tags.
 const (
 	secV2Meta        = 16
 	secV2Vocab       = 17
@@ -75,16 +77,16 @@ const (
 	secV2IDs         = 22
 	secV2Markers     = 23
 	secV2Calls       = 24
-	secV2IdxTab      = 25
+	secV2Occs        = 25
 	secV2IdxRows     = 26
 	secV2IdxPosts    = 27
 )
 
 // Fixed record sizes.
 const (
-	v2ExeRecSize  = 48 // pathOff u32, pathLen u32, procStart u32, procCount u32, idsStart u64, markersStart u64, callsStart u64, arch u8, stripped u8, pad[6]
+	v2ExeRecSize  = 40 // procStart u32, procCount u32, idsStart u64, markersStart u64, callsStart u64, arch u8, stripped u8, pad[6]
 	v2ProcRecSize = 40 // nameOff u32, nameLen u32, addr u32, flags u32, nIDs u32, nMarkers u32, nCalls u32, blocks u32, edges u32, insts u32
-	v2IdxRecSize  = 32 // rowStart u64, rowCount u64, postStart u64, postCount u64
+	v2OccRecSize  = 12 // pathOff u32, pathLen u32, exeRef u32
 )
 
 // v2MaxSlabElems caps every declared slab element count before it is
@@ -113,8 +115,8 @@ func v2SectionName(tag uint32) string {
 		return "corpus-markers"
 	case secV2Calls:
 		return "corpus-calls"
-	case secV2IdxTab:
-		return "corpus-index-table"
+	case secV2Occs:
+		return "corpus-occurrences"
 	case secV2IdxRows:
 		return "corpus-index-rows"
 	case secV2IdxPosts:
@@ -139,25 +141,11 @@ type ShardHeader struct {
 	TotalImages int
 }
 
-// CorpusVersion sniffs the format version of a sealed-corpus artifact
-// without decoding it, so callers can dispatch between the v1 decode
-// path and the v2 shard open path.
-func CorpusVersion(data []byte) (int, error) {
-	if len(data) < len(corpusMagic)+4 {
-		return 0, corrupt("header", "truncated: %d bytes, need at least %d", len(data), len(corpusMagic)+4)
-	}
-	if string(data[:len(corpusMagic)]) != corpusMagic {
-		return 0, corrupt("header", "bad corpus magic")
-	}
-	return int(binary.LittleEndian.Uint32(data[len(corpusMagic):])), nil
-}
-
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
 
-// EncodeCorpusShard serializes one shard of a sealed corpus into the v2
-// container. The model is validated first (same invariants as
-// EncodeCorpus) so a successful encode always produces a shard
-// OpenCorpusShardBytes accepts.
+// EncodeCorpusShard serializes one shard of a sealed corpus into the
+// container. The model is validated first so a successful encode always
+// produces a shard OpenCorpusShardBytes accepts.
 func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ShardCount < 1 || hdr.ShardIndex < 0 || hdr.ShardIndex >= hdr.ShardCount {
 		return nil, fmt.Errorf("snapshot: encode: shard index %d out of range for %d shards", hdr.ShardIndex, hdr.ShardCount)
@@ -165,17 +153,8 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ImageBase < 0 || hdr.TotalImages < hdr.ImageBase+len(c.Images) {
 		return nil, fmt.Errorf("snapshot: encode: shard images [%d, %d) exceed declared corpus total %d", hdr.ImageBase, hdr.ImageBase+len(c.Images), hdr.TotalImages)
 	}
-	if len(c.Interner) > math.MaxUint32 {
-		return nil, fmt.Errorf("snapshot: encode: corpus vocabulary of %d exceeds the dense-ID space", len(c.Interner))
-	}
-	for i := range c.Images {
-		img := &c.Images[i]
-		if err := validateExes(len(c.Interner), img.Exes); err != nil {
-			return nil, fmt.Errorf("snapshot: corpus image %d: %w", i, err)
-		}
-		if err := validateIndex(len(c.Interner), img.Exes, img.Index); err != nil {
-			return nil, fmt.Errorf("snapshot: corpus image %d: %w", i, err)
-		}
+	if err := validateCorpus(c); err != nil {
+		return nil, err
 	}
 
 	le := binary.LittleEndian
@@ -197,111 +176,93 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		return off, uint32(len(s)), nil
 	}
 
-	totalExes := 0
-	for i := range c.Images {
-		totalExes += len(c.Images[i].Exes)
-	}
-	if uint64(totalExes) > math.MaxUint32 {
-		return nil, fmt.Errorf("snapshot: encode: %d executables exceed the 32-bit table space", totalExes)
-	}
-
-	exeTab := make([]byte, 0, totalExes*v2ExeRecSize)
+	exeTab := make([]byte, 0, len(c.Exes)*v2ExeRecSize)
 	var procTab, idsB, markB, callB []byte
 	var nProcs, nIDs, nMarkers, nCalls uint64
-	for ii := range c.Images {
-		for _, e := range c.Images[ii].Exes {
-			pathOff, pathLen, err := intern(e.Path)
+	for _, e := range c.Exes {
+		if nProcs+uint64(len(e.Procs)) > math.MaxUint32 {
+			return nil, fmt.Errorf("snapshot: encode: procedure count exceeds the 32-bit table space")
+		}
+		var rec [v2ExeRecSize]byte
+		le.PutUint32(rec[0:], uint32(nProcs))
+		le.PutUint32(rec[4:], uint32(len(e.Procs)))
+		le.PutUint64(rec[8:], nIDs)
+		le.PutUint64(rec[16:], nMarkers)
+		le.PutUint64(rec[24:], nCalls)
+		rec[32] = e.Arch
+		if e.Stripped {
+			rec[33] = 1
+		}
+		exeTab = append(exeTab, rec[:]...)
+		for _, p := range e.Procs {
+			nameOff, nameLen, err := intern(p.Name)
 			if err != nil {
 				return nil, err
 			}
-			if nProcs+uint64(len(e.Procs)) > math.MaxUint32 {
-				return nil, fmt.Errorf("snapshot: encode: procedure count exceeds the 32-bit table space")
+			if p.BlockCount > math.MaxUint32 || p.EdgeCount > math.MaxUint32 || p.InstCount > math.MaxUint32 {
+				return nil, fmt.Errorf("snapshot: encode: procedure shape count exceeds 32 bits")
 			}
-			var rec [v2ExeRecSize]byte
-			le.PutUint32(rec[0:], pathOff)
-			le.PutUint32(rec[4:], pathLen)
-			le.PutUint32(rec[8:], uint32(nProcs))
-			le.PutUint32(rec[12:], uint32(len(e.Procs)))
-			le.PutUint64(rec[16:], nIDs)
-			le.PutUint64(rec[24:], nMarkers)
-			le.PutUint64(rec[32:], nCalls)
-			rec[40] = e.Arch
-			if e.Stripped {
-				rec[41] = 1
+			var flags uint32
+			if p.Exported {
+				flags |= 1
 			}
-			exeTab = append(exeTab, rec[:]...)
-			for _, p := range e.Procs {
-				nameOff, nameLen, err := intern(p.Name)
-				if err != nil {
-					return nil, err
-				}
-				if p.BlockCount > math.MaxUint32 || p.EdgeCount > math.MaxUint32 || p.InstCount > math.MaxUint32 {
-					return nil, fmt.Errorf("snapshot: encode: procedure shape count exceeds 32 bits")
-				}
-				var flags uint32
-				if p.Exported {
-					flags |= 1
-				}
-				var prec [v2ProcRecSize]byte
-				le.PutUint32(prec[0:], nameOff)
-				le.PutUint32(prec[4:], nameLen)
-				le.PutUint32(prec[8:], p.Addr)
-				le.PutUint32(prec[12:], flags)
-				le.PutUint32(prec[16:], uint32(len(p.IDs)))
-				le.PutUint32(prec[20:], uint32(len(p.Markers)))
-				le.PutUint32(prec[24:], uint32(len(p.Calls)))
-				le.PutUint32(prec[28:], uint32(p.BlockCount))
-				le.PutUint32(prec[32:], uint32(p.EdgeCount))
-				le.PutUint32(prec[36:], uint32(p.InstCount))
-				procTab = append(procTab, prec[:]...)
-				for _, id := range p.IDs {
-					idsB = le.AppendUint32(idsB, id)
-				}
-				for _, m := range p.Markers {
-					markB = le.AppendUint32(markB, m)
-				}
-				for _, cc := range p.Calls {
-					callB = le.AppendUint32(callB, uint32(cc))
-				}
-				nIDs += uint64(len(p.IDs))
-				nMarkers += uint64(len(p.Markers))
-				nCalls += uint64(len(p.Calls))
-				nProcs++
+			var prec [v2ProcRecSize]byte
+			le.PutUint32(prec[0:], nameOff)
+			le.PutUint32(prec[4:], nameLen)
+			le.PutUint32(prec[8:], p.Addr)
+			le.PutUint32(prec[12:], flags)
+			le.PutUint32(prec[16:], uint32(len(p.IDs)))
+			le.PutUint32(prec[20:], uint32(len(p.Markers)))
+			le.PutUint32(prec[24:], uint32(len(p.Calls)))
+			le.PutUint32(prec[28:], uint32(p.BlockCount))
+			le.PutUint32(prec[32:], uint32(p.EdgeCount))
+			le.PutUint32(prec[36:], uint32(p.InstCount))
+			procTab = append(procTab, prec[:]...)
+			for _, id := range p.IDs {
+				idsB = le.AppendUint32(idsB, id)
 			}
+			for _, m := range p.Markers {
+				markB = le.AppendUint32(markB, m)
+			}
+			for _, cc := range p.Calls {
+				callB = le.AppendUint32(callB, uint32(cc))
+			}
+			nIDs += uint64(len(p.IDs))
+			nMarkers += uint64(len(p.Markers))
+			nCalls += uint64(len(p.Calls))
+			nProcs++
 		}
 	}
 
-	// Per-image CSR index extents plus the row/posting slabs. Row ends
-	// are cumulative within the image, so a shard's per-image index is
-	// self-contained: posts[postStart+end[i-1] : postStart+end[i]].
-	idxTab := make([]byte, v2IdxRecSize*len(c.Images))
-	var rowIDsB, rowEndsB, postsB []byte
-	var nRows, nPosts uint64
+	// Occurrence table, image by image in image order.
+	var occTab []byte
 	for ii := range c.Images {
-		img := &c.Images[ii]
-		if img.Index == nil {
-			continue
-		}
-		rec := idxTab[ii*v2IdxRecSize:]
-		le.PutUint64(rec[0:], nRows)
-		le.PutUint64(rec[8:], uint64(len(img.Index)))
-		le.PutUint64(rec[16:], nPosts)
-		end := uint64(0)
-		for _, row := range img.Index {
-			rowIDsB = le.AppendUint32(rowIDsB, row.ID)
-			end += uint64(len(row.Posts))
-			if end > math.MaxUint32 {
-				return nil, fmt.Errorf("snapshot: encode: image %d posting count exceeds 32 bits", ii)
+		for _, oc := range c.Images[ii].Occs {
+			pathOff, pathLen, err := intern(oc.Path)
+			if err != nil {
+				return nil, err
 			}
-			rowEndsB = le.AppendUint32(rowEndsB, uint32(end))
-			for _, p := range row.Posts {
-				postsB = le.AppendUint32(postsB, uint32(p.Exe))
-				postsB = le.AppendUint32(postsB, uint32(p.Proc))
-			}
+			occTab = le.AppendUint32(occTab, pathOff)
+			occTab = le.AppendUint32(occTab, pathLen)
+			occTab = le.AppendUint32(occTab, uint32(oc.Exe))
 		}
-		le.PutUint64(rec[24:], end)
-		nRows += uint64(len(img.Index))
-		nPosts += end
+	}
+	nOccs := uint64(len(occTab) / v2OccRecSize)
+
+	// The shard's one CSR index: row IDs, cumulative row ends, postings.
+	var rowIDsB, rowEndsB, postsB []byte
+	nPosts := uint64(0)
+	for _, row := range c.Index {
+		rowIDsB = le.AppendUint32(rowIDsB, row.ID)
+		nPosts += uint64(len(row.Posts))
+		if nPosts > math.MaxUint32 {
+			return nil, fmt.Errorf("snapshot: encode: shard posting count exceeds 32 bits")
+		}
+		rowEndsB = le.AppendUint32(rowEndsB, uint32(nPosts))
+		for _, p := range row.Posts {
+			postsB = le.AppendUint32(postsB, uint32(p.Exe))
+			postsB = le.AppendUint32(postsB, uint32(p.Proc))
+		}
 	}
 
 	// Sorted-vocabulary slab: hashes ascending plus the parallel dense
@@ -336,13 +297,19 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	meta = appendUvarint(meta, uint64(hdr.TotalImages))
 	meta = appendUvarint(meta, uint64(len(c.Interner)))
 	meta = appendUvarint(meta, uint64(len(strs)))
-	meta = appendUvarint(meta, uint64(totalExes))
+	meta = appendUvarint(meta, uint64(len(c.Exes)))
+	meta = appendUvarint(meta, nOccs)
 	meta = appendUvarint(meta, nProcs)
 	meta = appendUvarint(meta, nIDs)
 	meta = appendUvarint(meta, nMarkers)
 	meta = appendUvarint(meta, nCalls)
-	meta = appendUvarint(meta, nRows)
+	meta = appendUvarint(meta, uint64(len(c.Index)))
 	meta = appendUvarint(meta, nPosts)
+	if c.Index != nil {
+		meta = append(meta, 1)
+	} else {
+		meta = append(meta, 0)
+	}
 	meta = appendUvarint(meta, uint64(len(c.Images)))
 	for i := range c.Images {
 		img := &c.Images[i]
@@ -354,12 +321,7 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 			meta = appendString(meta, s.Path)
 			meta = appendString(meta, s.Err)
 		}
-		meta = appendUvarint(meta, uint64(len(img.Exes)))
-		if img.Index != nil {
-			meta = append(meta, 1)
-		} else {
-			meta = append(meta, 0)
-		}
+		meta = appendUvarint(meta, uint64(len(img.Occs)))
 	}
 
 	type section struct {
@@ -376,7 +338,7 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		{secV2IDs, idsB},
 		{secV2Markers, markB},
 		{secV2Calls, callB},
-		{secV2IdxTab, idxTab},
+		{secV2Occs, occTab},
 		{secV2IdxRows, append(rowIDsB, rowEndsB...)},
 		{secV2IdxPosts, postsB},
 	}
@@ -392,7 +354,7 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 
 	out := make([]byte, total)
 	copy(out, corpusMagic)
-	le.PutUint32(out[len(corpusMagic):], CorpusFormatVersionV2)
+	le.PutUint32(out[len(corpusMagic):], CorpusFormatVersion)
 	le.PutUint32(out[len(corpusMagic)+4:], uint32(len(sections)))
 	p := headerSize
 	for i, s := range sections {
@@ -420,8 +382,8 @@ func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
 		return nil, corrupt("header", "bad corpus magic")
 	}
 	version := binary.LittleEndian.Uint32(data[len(corpusMagic):])
-	if version != CorpusFormatVersionV2 {
-		return nil, corrupt("header", "unsupported corpus format version %d (this opener reads version %d; re-seal with `fwcrawl -sealed -shards N`)", version, CorpusFormatVersionV2)
+	if version != CorpusFormatVersion {
+		return nil, corrupt("header", "unsupported corpus format version %d (this opener reads version %d; re-seal with `fwcrawl -sealed -shards N`)", version, CorpusFormatVersion)
 	}
 	n := binary.LittleEndian.Uint32(data[len(corpusMagic)+4:])
 	if n == 0 || n > maxSectionsV2 {
@@ -489,32 +451,29 @@ func (l *lazySlab[T]) get(f func() (T, error)) (T, error) {
 type v2Image struct {
 	vendor, device, version string
 	skipped                 []Skip
-	nexes                   int
-	indexed                 bool
+	noccs                   int
 }
 
 // v2Totals are the slab element counts declared by the meta section and
 // cross-checked against section byte lengths at open.
 type v2Totals struct {
-	vocab, strs, exes, procs, ids, markers, calls, rows, posts uint64
+	vocab, strs, exes, occs, procs, ids, markers, calls, rows, posts uint64
 }
 
 // ImageInfo describes one image of an open shard without materializing
-// any of its content.
+// any of its content. Executables counts the image's occurrences.
 type ImageInfo struct {
 	Vendor      string
 	Device      string
 	Version     string
 	Skipped     []Skip
 	Executables int
-	Indexed     bool
 }
 
-// ExeData is one executable materialized from a shard. IDs and Markers
-// alias the mapped file (valid until Close); Calls and the strings are
-// copies.
+// ExeData is one distinct executable materialized from a shard. IDs and
+// Markers alias the mapped file (valid until Close); Calls and the
+// strings are copies.
 type ExeData struct {
-	Path     string
 	Arch     uint8
 	Stripped bool
 	Procs    []ProcData
@@ -533,7 +492,7 @@ type ProcData struct {
 	InstCount  int
 }
 
-// IndexSlabs is one image's inverted index viewed directly over the
+// IndexSlabs is the shard's inverted index viewed directly over the
 // mapped file: RowIDs[i] is the i-th indexed strand ID, its postings
 // are Posts[RowEnds[i-1]:RowEnds[i]] (RowEnds[-1] taken as 0). All
 // three slices alias the mapping; semantic validation (monotone rows,
@@ -545,7 +504,7 @@ type IndexSlabs struct {
 	Posts   []Posting
 }
 
-// CorpusShard is one open v2 shard. All accessors are safe for
+// CorpusShard is one open shard. All accessors are safe for
 // concurrent use; slices they return alias the underlying mapping and
 // are invalid after Close.
 type CorpusShard struct {
@@ -556,8 +515,9 @@ type CorpusShard struct {
 
 	hdr      ShardHeader
 	totals   v2Totals
+	indexed  bool
 	images   []v2Image
-	exeStart []uint32 // per-image prefix sums into the exe table, len(images)+1
+	occStart []uint32 // per-image prefix sums into the occurrence table, len(images)+1
 
 	secs [v2NumSections]shardSection
 
@@ -568,6 +528,7 @@ type CorpusShard struct {
 	callSlabL lazySlab[[]uint32]
 	rowsL     lazySlab[rowSlabs]
 	postsL    lazySlab[[]Posting]
+	occsL     lazySlab[[]Occurrence]
 }
 
 type sortedVocab struct {
@@ -579,14 +540,14 @@ type rowSlabs struct {
 	ids, ends []uint32
 }
 
-// OpenCorpusShardBytes opens a v2 shard over caller-provided bytes
+// OpenCorpusShardBytes opens a shard over caller-provided bytes
 // (already-read file, test buffer). The bytes must stay valid and
 // unmodified for the shard's lifetime.
 func OpenCorpusShardBytes(data []byte) (*CorpusShard, error) {
 	return openCorpusShard(data, nil, false)
 }
 
-// OpenCorpusShardFile memory-maps (or, off Linux, reads) a v2 shard
+// OpenCorpusShardFile memory-maps (or, off Linux, reads) a shard
 // file. The returned shard owns the mapping; Close releases it.
 func OpenCorpusShardFile(path string) (*CorpusShard, error) {
 	f, err := os.Open(path)
@@ -707,6 +668,7 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 		{&t.vocab, "vocabulary size", math.MaxUint32},
 		{&t.strs, "string blob size", math.MaxUint32},
 		{&t.exes, "executable count", math.MaxUint32},
+		{&t.occs, "occurrence count", math.MaxUint32},
 		{&t.procs, "procedure count", math.MaxUint32},
 		{&t.ids, "strand ID count", v2MaxSlabElems},
 		{&t.markers, "marker count", v2MaxSlabElems},
@@ -718,6 +680,12 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 			return err
 		}
 	}
+	if s.indexed, err = r.bool(); err != nil {
+		return err
+	}
+	if !s.indexed && t.rows+t.posts != 0 {
+		return r.corrupt("shard without an index declares %d rows and %d postings", t.rows, t.posts)
+	}
 	nImages, err := r.count("image", 5)
 	if err != nil {
 		return err
@@ -726,8 +694,8 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 		return r.corrupt("shard images [%d, %d) exceed declared corpus total %d", s.hdr.ImageBase, s.hdr.ImageBase+nImages, s.hdr.TotalImages)
 	}
 	s.images = make([]v2Image, nImages)
-	s.exeStart = make([]uint32, nImages+1)
-	sumExes := uint64(0)
+	s.occStart = make([]uint32, nImages+1)
+	sumOccs := uint64(0)
 	for i := 0; i < nImages; i++ {
 		img := &s.images[i]
 		if img.vendor, err = r.str(); err != nil {
@@ -753,23 +721,20 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 			}
 			img.skipped = append(img.skipped, sk)
 		}
-		if img.nexes, err = r.uvarintInt("image executable count"); err != nil {
+		if img.noccs, err = r.uvarintInt("image occurrence count"); err != nil {
 			return err
 		}
-		if img.indexed, err = r.bool(); err != nil {
-			return err
+		sumOccs += uint64(img.noccs)
+		if sumOccs > t.occs {
+			return corrupt("corpus-occurrences", "per-image occurrence counts exceed the %d-entry table", t.occs)
 		}
-		sumExes += uint64(img.nexes)
-		if sumExes > t.exes {
-			return r.corrupt("per-image executable counts exceed declared total %d", t.exes)
-		}
-		s.exeStart[i+1] = uint32(sumExes)
+		s.occStart[i+1] = uint32(sumOccs)
 	}
 	if len(r.b) != 0 {
 		return r.corrupt("%d trailing bytes after payload", len(r.b))
 	}
-	if sumExes != t.exes {
-		return r.corrupt("per-image executable counts sum to %d, meta declares %d", sumExes, t.exes)
+	if sumOccs != t.occs {
+		return corrupt("corpus-occurrences", "per-image occurrence counts sum to %d, the table holds %d", sumOccs, t.occs)
 	}
 	return nil
 }
@@ -792,7 +757,7 @@ func (s *CorpusShard) checkLengths() error {
 		{secV2IDs, t.ids * 4},
 		{secV2Markers, t.markers * 4},
 		{secV2Calls, t.calls * 4},
-		{secV2IdxTab, uint64(len(s.images)) * v2IdxRecSize},
+		{secV2Occs, t.occs * v2OccRecSize},
 		{secV2IdxRows, t.rows * 8},
 		{secV2IdxPosts, t.posts * 8},
 	} {
@@ -808,6 +773,14 @@ func (s *CorpusShard) Header() ShardHeader { return s.hdr }
 
 // NumImages returns the number of images stored in this shard.
 func (s *CorpusShard) NumImages() int { return len(s.images) }
+
+// NumExes returns the number of distinct executables stored in this
+// shard.
+func (s *CorpusShard) NumExes() int { return int(s.totals.exes) }
+
+// Indexed reports whether the shard carries an inverted index (a corpus
+// sealed without one is searched exhaustively).
+func (s *CorpusShard) Indexed() bool { return s.indexed }
 
 // SizeBytes returns the shard file's size.
 func (s *CorpusShard) SizeBytes() int64 { return int64(len(s.data)) }
@@ -832,8 +805,7 @@ func (s *CorpusShard) Image(i int) ImageInfo {
 		Device:      img.device,
 		Version:     img.version,
 		Skipped:     img.skipped,
-		Executables: img.nexes,
-		Indexed:     img.indexed,
+		Executables: img.noccs,
 	}
 }
 
@@ -914,34 +886,79 @@ func (s *CorpusShard) postsSlab() ([]Posting, error) {
 	})
 }
 
-// ProcCounts returns the per-executable procedure counts of image img
+// ProcCounts returns the procedure count of every distinct executable
 // from the executable table alone — what a foreign index needs to
 // validate postings without materializing any executable.
-func (s *CorpusShard) ProcCounts(img int) ([]int32, error) {
+func (s *CorpusShard) ProcCounts() ([]int32, error) {
 	exeTab, err := s.section(secV2ExeTab)
 	if err != nil {
 		return nil, err
 	}
-	base := int(s.exeStart[img])
-	out := make([]int32, s.images[img].nexes)
+	out := make([]int32, s.totals.exes)
 	for i := range out {
-		n := binary.LittleEndian.Uint32(exeTab[(base+i)*v2ExeRecSize+12:])
+		n := binary.LittleEndian.Uint32(exeTab[i*v2ExeRecSize+4:])
 		if n > math.MaxInt32 {
-			return nil, corrupt("corpus-exe-table", "executable %d declares %d procedures", base+i, n)
+			return nil, corrupt("corpus-exe-table", "executable %d declares %d procedures", i, n)
 		}
 		out[i] = int32(n)
 	}
 	return out, nil
 }
 
-// Exe materializes executable i of image img. The returned IDs and
-// Markers slices alias the mapped slabs; everything else is copied.
-// Strand IDs are validated (strictly increasing, inside the
-// vocabulary) and call targets are validated against the executable,
-// so consumers can rely on the same invariants DecodeCorpus enforces.
-func (s *CorpusShard) Exe(img, i int) (*ExeData, error) {
-	if img < 0 || img >= len(s.images) || i < 0 || i >= s.images[img].nexes {
-		return nil, fmt.Errorf("snapshot: shard executable (%d, %d) out of range", img, i)
+// Occurrences lists image img's executables in image order: the path
+// each was found under and the distinct executable it is. The first call
+// verifies the whole table — every path inside the string blob, every
+// reference inside the executable table, every distinct executable
+// referenced at least once — so consumers index with Exe unchecked.
+func (s *CorpusShard) Occurrences(img int) ([]Occurrence, error) {
+	if img < 0 || img >= len(s.images) {
+		return nil, fmt.Errorf("snapshot: shard image %d out of range", img)
+	}
+	all, err := s.occsL.get(func() ([]Occurrence, error) {
+		tab, err := s.section(secV2Occs)
+		if err != nil {
+			return nil, err
+		}
+		strs, err := s.section(secV2Strs)
+		if err != nil {
+			return nil, err
+		}
+		le := binary.LittleEndian
+		out := make([]Occurrence, s.totals.occs)
+		referenced := make([]bool, s.totals.exes)
+		for i := range out {
+			rec := tab[i*v2OccRecSize:][:v2OccRecSize]
+			off, n, ref := le.Uint32(rec[0:]), le.Uint32(rec[4:]), le.Uint32(rec[8:])
+			if uint64(off)+uint64(n) > uint64(len(strs)) {
+				return nil, corrupt("corpus-occurrences", "occurrence %d path [%d, %d+%d) exceeds the %d-byte string blob", i, off, off, n, len(strs))
+			}
+			if uint64(ref) >= s.totals.exes {
+				return nil, corrupt("corpus-occurrences", "occurrence %d references executable %d of %d", i, ref, s.totals.exes)
+			}
+			referenced[ref] = true
+			out[i] = Occurrence{Path: string(strs[off : off+n]), Exe: int(ref)}
+		}
+		for ei, ok := range referenced {
+			if !ok {
+				return nil, corrupt("corpus-occurrences", "executable %d is referenced by no occurrence", ei)
+			}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return all[s.occStart[img]:s.occStart[img+1]:s.occStart[img+1]], nil
+}
+
+// Exe materializes distinct executable gi. The returned IDs and Markers
+// slices alias the mapped slabs; everything else is copied. Strand IDs
+// are validated (strictly increasing, inside the vocabulary) and call
+// targets are validated against the executable, so consumers can rely on
+// the invariants the encoder enforces.
+func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
+	if gi < 0 || uint64(gi) >= s.totals.exes {
+		return nil, fmt.Errorf("snapshot: shard executable %d out of range", gi)
 	}
 	exeTab, err := s.section(secV2ExeTab)
 	if err != nil {
@@ -968,31 +985,19 @@ func (s *CorpusShard) Exe(img, i int) (*ExeData, error) {
 		return nil, err
 	}
 
-	gi := int(s.exeStart[img]) + i
 	rec := exeTab[gi*v2ExeRecSize:][:v2ExeRecSize]
 	le := binary.LittleEndian
-	str := func(off, n uint32, what string) (string, error) {
-		if uint64(off)+uint64(n) > uint64(len(strs)) {
-			return "", corrupt("corpus-exe-table", "executable %d %s [%d, %d+%d) exceeds the %d-byte string blob", gi, what, off, off, n, len(strs))
-		}
-		return string(strs[off : off+n]), nil
-	}
-	path, err := str(le.Uint32(rec[0:]), le.Uint32(rec[4:]), "path")
-	if err != nil {
-		return nil, err
-	}
-	procStart, procCount := le.Uint32(rec[8:]), le.Uint32(rec[12:])
+	procStart, procCount := le.Uint32(rec[0:]), le.Uint32(rec[4:])
 	if uint64(procStart)+uint64(procCount) > s.totals.procs {
 		return nil, corrupt("corpus-exe-table", "executable %d procedures [%d, %d+%d) exceed the %d-entry table", gi, procStart, procStart, procCount, s.totals.procs)
 	}
-	idOff, mOff, cOff := le.Uint64(rec[16:]), le.Uint64(rec[24:]), le.Uint64(rec[32:])
-	if rec[41] > 1 {
-		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[41])
+	idOff, mOff, cOff := le.Uint64(rec[8:]), le.Uint64(rec[16:]), le.Uint64(rec[24:])
+	if rec[33] > 1 {
+		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[33])
 	}
 	ed := &ExeData{
-		Path:     path,
-		Arch:     rec[40],
-		Stripped: rec[41] == 1,
+		Arch:     rec[32],
+		Stripped: rec[33] == 1,
 		Procs:    make([]ProcData, procCount),
 	}
 	for pi := range ed.Procs {
@@ -1049,33 +1054,17 @@ func (s *CorpusShard) Exe(img, i int) (*ExeData, error) {
 	return ed, nil
 }
 
-// Index returns image img's inverted index as slab views over the
-// mapping, nil when the image was sealed without an index, and a
-// non-nil empty IndexSlabs for a present-but-empty index.
-func (s *CorpusShard) Index(img int) (*IndexSlabs, error) {
-	if img < 0 || img >= len(s.images) {
-		return nil, fmt.Errorf("snapshot: shard image %d out of range", img)
-	}
-	if !s.images[img].indexed {
+// Index returns the shard's inverted index over its distinct
+// executables as slab views over the mapping, nil when the shard was
+// sealed without an index, and a non-nil empty IndexSlabs for a
+// present-but-empty index.
+func (s *CorpusShard) Index() (*IndexSlabs, error) {
+	if !s.indexed {
 		return nil, nil
 	}
-	idxTab, err := s.section(secV2IdxTab)
-	if err != nil {
-		return nil, err
-	}
-	le := binary.LittleEndian
-	rec := idxTab[img*v2IdxRecSize:][:v2IdxRecSize]
-	rowStart, rowCount := le.Uint64(rec[0:]), le.Uint64(rec[8:])
-	postStart, postCount := le.Uint64(rec[16:]), le.Uint64(rec[24:])
-	if rowStart+rowCount > s.totals.rows {
-		return nil, corrupt("corpus-index-table", "image %d rows [%d, %d+%d) exceed the %d-row slab", img, rowStart, rowStart, rowCount, s.totals.rows)
-	}
-	if postStart+postCount > s.totals.posts {
-		return nil, corrupt("corpus-index-table", "image %d postings [%d, %d+%d) exceed the %d-posting slab", img, postStart, postStart, postCount, s.totals.posts)
-	}
-	if rowCount == 0 {
-		if postCount != 0 {
-			return nil, corrupt("corpus-index-table", "image %d declares %d postings across 0 rows", img, postCount)
+	if s.totals.rows == 0 {
+		if s.totals.posts != 0 {
+			return nil, corrupt("corpus-index-rows", "shard declares %d postings across 0 rows", s.totals.posts)
 		}
 		return &IndexSlabs{}, nil
 	}
@@ -1087,15 +1076,10 @@ func (s *CorpusShard) Index(img int) (*IndexSlabs, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &IndexSlabs{
-		RowIDs:  rows.ids[rowStart : rowStart+rowCount : rowStart+rowCount],
-		RowEnds: rows.ends[rowStart : rowStart+rowCount : rowStart+rowCount],
-		Posts:   posts[postStart : postStart+postCount : postStart+postCount],
+	if end := uint64(rows.ends[len(rows.ends)-1]); end != s.totals.posts {
+		return nil, corrupt("corpus-index-rows", "row ends terminate at %d, the shard holds %d postings", end, s.totals.posts)
 	}
-	if uint64(out.RowEnds[rowCount-1]) != postCount {
-		return nil, corrupt("corpus-index-table", "image %d row ends terminate at %d, index table declares %d postings", img, out.RowEnds[rowCount-1], postCount)
-	}
-	return out, nil
+	return &IndexSlabs{RowIDs: rows.ids, RowEnds: rows.ends, Posts: posts}, nil
 }
 
 // Close releases the mapping. Every slice previously returned by an

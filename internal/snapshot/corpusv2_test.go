@@ -1,7 +1,9 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,7 +11,7 @@ import (
 	"testing"
 )
 
-func mustEncodeShard(t *testing.T, c *Corpus, hdr ShardHeader) []byte {
+func mustEncodeShard(t testing.TB, c *Corpus, hdr ShardHeader) []byte {
 	t.Helper()
 	b, err := EncodeCorpusShard(c, hdr)
 	if err != nil {
@@ -29,20 +31,20 @@ func touchShard(s *CorpusShard) error {
 		return err
 	}
 	for i := 0; i < s.NumImages(); i++ {
-		info := s.Image(i)
-		if _, err := s.ProcCounts(i); err != nil {
-			return err
-		}
-		for e := 0; e < info.Executables; e++ {
-			if _, err := s.Exe(i, e); err != nil {
-				return err
-			}
-		}
-		if _, err := s.Index(i); err != nil {
+		if _, err := s.Occurrences(i); err != nil {
 			return err
 		}
 	}
-	return nil
+	if _, err := s.ProcCounts(); err != nil {
+		return err
+	}
+	for e := 0; e < s.NumExes(); e++ {
+		if _, err := s.Exe(e); err != nil {
+			return err
+		}
+	}
+	_, err := s.Index()
+	return err
 }
 
 // shardToCorpus reconstructs the encoder-side model from an open
@@ -57,57 +59,69 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 	if len(c.Interner) == 0 {
 		c.Interner = nil
 	}
-	for i := 0; i < s.NumImages(); i++ {
-		info := s.Image(i)
-		ci := CorpusImage{Vendor: info.Vendor, Device: info.Device, Version: info.Version, Skipped: info.Skipped}
-		for e := 0; e < info.Executables; e++ {
-			ed, err := s.Exe(i, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			se := Exe{Path: ed.Path, Arch: ed.Arch, Stripped: ed.Stripped}
-			for _, pd := range ed.Procs {
-				sp := Proc{
-					Name: pd.Name, Addr: pd.Addr, Exported: pd.Exported,
-					BlockCount: pd.BlockCount, EdgeCount: pd.EdgeCount, InstCount: pd.InstCount,
-				}
-				if len(pd.IDs) > 0 {
-					sp.IDs = append([]uint32(nil), pd.IDs...)
-				}
-				if len(pd.Markers) > 0 {
-					sp.Markers = append([]uint32(nil), pd.Markers...)
-				}
-				if len(pd.Calls) > 0 {
-					sp.Calls = append([]int32(nil), pd.Calls...)
-				}
-				se.Procs = append(se.Procs, sp)
-			}
-			ci.Exes = append(ci.Exes, se)
-		}
-		slabs, err := s.Index(i)
+	for e := 0; e < s.NumExes(); e++ {
+		ed, err := s.Exe(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slabs != nil {
-			ci.Index = []IndexRow{}
-			for k, id := range slabs.RowIDs {
-				lo := uint32(0)
-				if k > 0 {
-					lo = slabs.RowEnds[k-1]
-				}
-				ci.Index = append(ci.Index, IndexRow{
-					ID:    id,
-					Posts: append([]Posting(nil), slabs.Posts[lo:slabs.RowEnds[k]]...),
-				})
+		se := Exe{Arch: ed.Arch, Stripped: ed.Stripped}
+		for _, pd := range ed.Procs {
+			sp := Proc{
+				Name: pd.Name, Addr: pd.Addr, Exported: pd.Exported,
+				BlockCount: pd.BlockCount, EdgeCount: pd.EdgeCount, InstCount: pd.InstCount,
 			}
+			if len(pd.IDs) > 0 {
+				sp.IDs = append([]uint32(nil), pd.IDs...)
+			}
+			if len(pd.Markers) > 0 {
+				sp.Markers = append([]uint32(nil), pd.Markers...)
+			}
+			if len(pd.Calls) > 0 {
+				sp.Calls = append([]int32(nil), pd.Calls...)
+			}
+			se.Procs = append(se.Procs, sp)
+		}
+		c.Exes = append(c.Exes, se)
+	}
+	slabs, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabs != nil {
+		c.Index = []IndexRow{}
+		for k, id := range slabs.RowIDs {
+			lo := uint32(0)
+			if k > 0 {
+				lo = slabs.RowEnds[k-1]
+			}
+			c.Index = append(c.Index, IndexRow{
+				ID:    id,
+				Posts: append([]Posting(nil), slabs.Posts[lo:slabs.RowEnds[k]]...),
+			})
+		}
+	}
+	for i := 0; i < s.NumImages(); i++ {
+		info := s.Image(i)
+		ci := CorpusImage{Vendor: info.Vendor, Device: info.Device, Version: info.Version, Skipped: info.Skipped}
+		occs, err := s.Occurrences(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(occs) != info.Executables {
+			t.Fatalf("image %d lists %d occurrences, meta declares %d", i, len(occs), info.Executables)
+		}
+		if len(occs) > 0 {
+			ci.Occs = append([]Occurrence(nil), occs...)
 		}
 		c.Images = append(c.Images, ci)
 	}
 	return c
 }
 
-// randomCorpusModel generates a structurally valid corpus over one
-// shared vocabulary, reusing the image-model generator for shapes.
+// randomCorpusModel generates a structurally valid shard model: the
+// image-model generator supplies distinct executables and image
+// identities, every executable occurs at least once, and some occur
+// again under other paths and in other images.
 func randomCorpusModel(rng *rand.Rand) *Corpus {
 	c := &Corpus{}
 	seen := map[uint64]bool{}
@@ -121,39 +135,86 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 	nimg := 1 + rng.Intn(4)
 	for i := 0; i < nimg; i++ {
 		m := randomModel(rng)
-		ci := CorpusImage{Vendor: m.Vendor, Device: m.Device, Version: m.Version, Skipped: m.Skipped, Exes: m.Exes}
-		// Rebase the image's ID sets and index into the shared vocabulary.
-		for ei := range ci.Exes {
-			for pi := range ci.Exes[ei].Procs {
-				ci.Exes[ei].Procs[pi].IDs = randIDSet(rng, len(c.Interner), 30)
+		c.Images = append(c.Images, CorpusImage{Vendor: m.Vendor, Device: m.Device, Version: m.Version, Skipped: m.Skipped})
+		for _, e := range m.Exes {
+			// Rebase the ID sets into the shared vocabulary.
+			for pi := range e.Procs {
+				e.Procs[pi].IDs = randIDSet(rng, len(c.Interner), 30)
+			}
+			ci := &c.Images[rng.Intn(len(c.Images))]
+			ci.Occs = append(ci.Occs, Occurrence{Path: e.Path, Exe: len(c.Exes)})
+			e.Path = ""
+			c.Exes = append(c.Exes, e)
+		}
+	}
+	for k := rng.Intn(6); k > 0 && len(c.Exes) > 0; k-- {
+		ci := &c.Images[rng.Intn(len(c.Images))]
+		ci.Occs = append(ci.Occs, Occurrence{Path: randWord(rng), Exe: rng.Intn(len(c.Exes))})
+	}
+	if rng.Intn(4) > 0 {
+		c.Index = []IndexRow{}
+		for _, id := range randIDSet(rng, len(c.Interner), 40) {
+			var posts []Posting
+			for k := 1 + rng.Intn(3); k > 0 && len(c.Exes) > 0; k-- {
+				ei := rng.Intn(len(c.Exes))
+				if len(c.Exes[ei].Procs) == 0 {
+					continue
+				}
+				posts = append(posts, Posting{Exe: int32(ei), Proc: int32(rng.Intn(len(c.Exes[ei].Procs)))})
+			}
+			if len(posts) > 0 {
+				c.Index = append(c.Index, IndexRow{ID: id, Posts: posts})
 			}
 		}
-		if rng.Intn(4) > 0 {
-			var idx []IndexRow
-			for _, id := range randIDSet(rng, len(c.Interner), 40) {
-				var posts []Posting
-				for k := 1 + rng.Intn(3); k > 0; k-- {
-					if len(ci.Exes) == 0 {
-						break
-					}
-					ei := rng.Intn(len(ci.Exes))
-					if len(ci.Exes[ei].Procs) == 0 {
-						continue
-					}
-					posts = append(posts, Posting{Exe: int32(ei), Proc: int32(rng.Intn(len(ci.Exes[ei].Procs)))})
-				}
-				if len(posts) > 0 {
-					idx = append(idx, IndexRow{ID: id, Posts: posts})
-				}
-			}
-			if idx == nil {
-				idx = []IndexRow{}
-			}
-			ci.Index = idx
-		}
-		c.Images = append(c.Images, ci)
 	}
 	return c
+}
+
+// patchSection rewrites one section's payload in place and re-stamps
+// its checksum, so the damage reaches the validation behind the CRC.
+func patchSection(t testing.TB, blob []byte, tag uint32, patch func(payload []byte)) {
+	t.Helper()
+	table, err := parseCorpusV2Table(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range table {
+		if e.tag == tag {
+			payload := blob[e.off : e.off+e.length]
+			patch(payload)
+			binary.LittleEndian.PutUint32(blob[headerSize+i*tableEntrySize+20:], crc32.Checksum(payload, castagnoli))
+			return
+		}
+	}
+	t.Fatalf("no section %s", v2SectionName(tag))
+}
+
+// occurrenceFaults names the ways faultyOccurrenceShard damages
+// testCorpus's occurrence table.
+var occurrenceFaults = []string{"ref-out-of-range", "path-out-of-range", "count-sum", "unreferenced"}
+
+// faultyOccurrenceShard encodes testCorpus as one shard and applies the
+// named fault behind valid checksums.
+func faultyOccurrenceShard(t testing.TB, fault string) []byte {
+	t.Helper()
+	c := testCorpus()
+	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	le := binary.LittleEndian
+	switch fault {
+	case "ref-out-of-range":
+		patchSection(t, blob, secV2Occs, func(b []byte) { le.PutUint32(b[8:], uint32(len(c.Exes))) })
+	case "path-out-of-range":
+		patchSection(t, blob, secV2Occs, func(b []byte) { le.PutUint32(b[0:], 0xfffffff0) })
+	case "count-sum":
+		// The meta section ends with the last image's occurrence count.
+		patchSection(t, blob, secV2Meta, func(b []byte) { b[len(b)-1]-- })
+	case "unreferenced":
+		// Image 1's first occurrence is the only reference to executable 1.
+		patchSection(t, blob, secV2Occs, func(b []byte) { le.PutUint32(b[v2OccRecSize+8:], 0) })
+	default:
+		t.Fatalf("unknown occurrence fault %q", fault)
+	}
+	return blob
 }
 
 func TestCorpusShardRoundTrip(t *testing.T) {
@@ -187,8 +248,8 @@ func TestCorpusShardHeaderRoundTrip(t *testing.T) {
 	if got := s.Header(); got != hdr {
 		t.Errorf("header round trip: got %+v want %+v", got, hdr)
 	}
-	if v, err := CorpusVersion(s.data); err != nil || v != CorpusFormatVersionV2 {
-		t.Errorf("CorpusVersion = %d, %v", v, err)
+	if v := binary.LittleEndian.Uint32(s.data[len(corpusMagic):]); v != CorpusFormatVersion {
+		t.Errorf("version word = %d, want %d", v, CorpusFormatVersion)
 	}
 }
 

@@ -141,7 +141,7 @@ func (r *reader) uvarint() (uint64, error) {
 // not an absolute constant, so multi-gigabyte corpus sections pass
 // through unchanged — a section holding N bytes can never drive more
 // than N/minBytes elements of allocation, at 12-image and at
-// paper-scale corpora alike. The v2 shard layout (corpusv2.go) goes
+// paper-scale corpora alike. The shard layout (corpusv2.go) goes
 // further: its slab views are casts over the mapped file, sized by the
 // cross-checked section length, and allocate nothing at all.
 func (r *reader) count(what string, minBytes int) (int, error) {

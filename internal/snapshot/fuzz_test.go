@@ -29,9 +29,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(magic))
-	// v2 shard containers share the magic with v1 artifacts, so the
-	// same fuzz corpus exercises both decoders; seed it with valid
-	// shards so mutations reach deep into the v2 section layout.
+	// Seed the shard opener with valid shards so mutations reach deep
+	// into the section layout, and with one shard per occurrence-table
+	// fault so they start from damage behind valid checksums.
 	tc := testCorpus()
 	for _, hdr := range []ShardHeader{
 		{ShardCount: 1, TotalImages: len(tc.Images)},
@@ -42,6 +42,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	for _, fault := range occurrenceFaults {
+		f.Add(faultyOccurrenceShard(f, fault))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Decode(data)

@@ -5,7 +5,7 @@ import (
 	"unsafe"
 )
 
-// The v2 corpus container stores its bulk payloads as fixed-width
+// The corpus shard container stores its bulk payloads as fixed-width
 // little-endian slabs so that on little-endian hosts a section of the
 // mapped file IS the in-memory slice: no decode pass, no allocation,
 // just a pointer cast. Big-endian hosts (and misaligned inputs, which

@@ -1,10 +1,12 @@
 package firmup
 
 import (
-	"errors"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"firmup/internal/cfg"
@@ -15,17 +17,23 @@ import (
 	"firmup/internal/snapshot"
 	"firmup/internal/strand"
 	"firmup/internal/telemetry"
-	"firmup/internal/uir"
 )
 
 // SealedCorpus is the immutable, serve-oriented form of an analysis
 // session: a frozen strand vocabulary plus every sealed image's
-// executables and inverted index, re-expressed as read-only views. The
-// query path — AnalyzeQuery through SearchImage — performs no writes to
-// the corpus: query executables are analyzed under per-request overlay
-// interners whose private IDs sit above the frozen vocabulary, so their
-// sets remain directly comparable with sealed sets while the corpus
-// itself is shared, lock-free, by unlimited concurrent readers.
+// executables, re-expressed as read-only views. The query path —
+// AnalyzeQuery through SearchImage — performs no writes to the corpus:
+// query executables are analyzed under per-request overlay interners
+// whose private IDs sit above the frozen vocabulary, so their sets remain
+// directly comparable with sealed sets while the corpus itself is
+// shared, lock-free, by unlimited concurrent readers.
+//
+// The same executable ships in image after image, so a sealed corpus is a
+// list of groups, each holding every distinct executable of its images
+// once, one inverted index over those, and per image a list of
+// occurrences (path, executable). A search scans the index, materializes
+// and plays each (query, distinct candidate) once per group, and fans the
+// outcome out to the occurrences.
 //
 // A sealed corpus answers searches identically to the live session it
 // was sealed from: same candidate ranking, same acceptance floors, same
@@ -33,81 +41,144 @@ import (
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
+	// groups partition images into contiguous ranges: one per shard file
+	// for a corpus opened from disk, one spanning every image for a corpus
+	// sealed in RAM.
+	groups []*sealedGroup
 	// front is what query analysis records into (see SetTelemetry).
 	front frontEndMetrics
-
-	// shards is non-empty only for corpora opened from FWCORP v2 shard
-	// files (OpenSealedCorpus / OpenSealedCorpusDir); it drives the
-	// per-shard fan-out of corpus-wide searches and Close.
-	shards []*sealedShardRef
 }
 
-// SealedImage is one firmware image of a sealed corpus.
-//
-// In-RAM images (Seal, LoadSealedCorpus) carry all executables in
-// Exes. Store-backed images (OpenSealedCorpus) leave Exes nil until a
-// search needs every executable: individual executables materialize
-// from the mapped shard on demand, so access Exes only through
-// Executable / search APIs, which fault them in as needed.
+// sealedGroup is the unit a search runs over: the distinct executables
+// of a range of images and the one index over them.
+type sealedGroup struct {
+	base, n int // the group's images are SealedCorpus.images[base : base+n]
+	nExes   int // distinct executables
+	// indexed is false for a group sealed without an index: every search
+	// of it is exhaustive.
+	indexed bool
+	// index covers the distinct executables; a store-backed group builds
+	// it over the shard's slabs on first use (ensureIndex).
+	index *corpusindex.FrozenIndex
+	tel   *corpusindex.Telemetry
+	// exes are the distinct executables of an in-RAM group. They carry no
+	// path: findings take theirs from the occurrence.
+	exes []*sim.Exe
+
+	// Store-backed state (nil/zero for an in-RAM group): the shard, and
+	// one materialize-once slot per distinct executable.
+	shard   *snapshot.CorpusShard
+	path    string
+	frozen  *corpusindex.Frozen
+	lazy    []lazyExe
+	idxOnce sync.Once
+	idxErr  error
+}
+
+// SealedImage is one firmware image of a sealed corpus: its identity
+// and its executables, each an occurrence of one of its group's distinct
+// executables under the image's own path.
 type SealedImage struct {
 	Vendor  string
 	Device  string
 	Version string
-	Exes    []*Executable
 	// Skipped carries the analysis-time skip diagnostics verbatim.
 	Skipped []SkipReason
 
-	index   *corpusindex.FrozenIndex
-	targets []*sim.Exe
-
-	// tel, when non-nil, is applied to the image's frozen index —
-	// immediately for in-RAM images, at first index build for
-	// store-backed ones (see SealedCorpus.SetTelemetry).
-	tel *corpusindex.Telemetry
-
-	// Store-backed state (nil/zero for in-RAM images).
-	store    *sealedStore
-	storeImg int // image index within the shard
-	nExes    int
-	lazy     []lazyExe
-	idxOnce  sync.Once
-	idxErr   error
-	allOnce  sync.Once
-	allErr   error
+	group *sealedGroup
+	occs  []snapshot.Occurrence
 }
 
 // Executable returns the sealed executable with the given in-image
-// path, or nil. On a store-backed image this materializes the whole
-// image; nil is also returned if the shard fails to decode.
+// path, or nil. On a store-backed image this materializes it; nil is
+// also returned if the shard fails to decode.
 func (im *SealedImage) Executable(path string) *Executable {
-	if err := im.ensureAll(); err != nil {
-		return nil
-	}
-	for _, e := range im.Exes {
-		if e.Path == path {
-			return e
+	for _, oc := range im.occs {
+		if oc.Path == path {
+			e, err := im.group.exe(oc.Exe)
+			if err != nil {
+				return nil
+			}
+			return &Executable{Path: path, exe: e}
 		}
 	}
 	return nil
 }
 
-// IndexedStrands reports the number of postings in the image's sealed
-// search index, or 0 when the image was sealed without one (or its
-// shard index fails to decode).
-func (im *SealedImage) IndexedStrands() int {
-	if err := im.ensureIndex(); err != nil {
-		return 0
+// appendExeContent appends everything a sealed executable is except its
+// path — arch, stripped flag, and every procedure's name, address,
+// flags, shape counts, strand IDs, markers and calls — so two
+// executables with equal content are stored once and one game stands
+// for both. Strand IDs are session-dense, which is enough: only
+// executables under one vocabulary are ever compared.
+func appendExeContent(b []byte, e *sim.Exe) []byte {
+	le := binary.LittleEndian
+	stripped := byte(0)
+	if e.Stripped {
+		stripped = 1
 	}
-	if im.index == nil {
-		return 0
+	b = append(b, byte(e.Arch), stripped)
+	b = le.AppendUint32(b, uint32(len(e.Procs)))
+	for _, p := range e.Procs {
+		flags := uint32(0)
+		if p.Exported {
+			flags = 1
+		}
+		for _, n := range []uint32{
+			uint32(len(p.Name)), p.Addr, flags,
+			uint32(p.BlockCount), uint32(p.EdgeCount), uint32(p.InstCount),
+			uint32(len(p.Set.IDs)), uint32(len(p.Markers)), uint32(len(p.Calls)),
+		} {
+			b = le.AppendUint32(b, n)
+		}
+		b = append(b, p.Name...)
+		for _, id := range p.Set.IDs {
+			b = le.AppendUint32(b, id)
+		}
+		for _, m := range p.Markers {
+			b = le.AppendUint32(b, m)
+		}
+		for _, c := range p.Calls {
+			b = le.AppendUint32(b, uint32(c))
+		}
 	}
-	return im.index.Postings()
+	return b
+}
+
+// exeDedup numbers distinct executables in first-sight order, keyed by
+// the SHA-256 of their content.
+type exeDedup struct {
+	byKey map[[sha256.Size]byte]int
+	// byPtr answers a repeated *sim.Exe without hashing it again.
+	byPtr map[*sim.Exe]int
+	buf   []byte
+}
+
+func newExeDedup() *exeDedup {
+	return &exeDedup{byKey: map[[sha256.Size]byte]int{}, byPtr: map[*sim.Exe]int{}}
+}
+
+// add returns e's number and whether e is the first executable with its
+// content.
+func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
+	if ref, ok := d.byPtr[e]; ok {
+		return ref, false
+	}
+	d.buf = appendExeContent(d.buf[:0], e)
+	key := sha256.Sum256(d.buf)
+	ref, ok := d.byKey[key]
+	if !ok {
+		ref = len(d.byKey)
+		d.byKey[key] = ref
+	}
+	d.byPtr[e] = ref
+	return ref, !ok
 }
 
 // Seal freezes the session's current state into an immutable corpus
 // over the given images. The live Analyzer and its images stay fully
-// usable afterwards — Seal copies what it must (procedure headers,
-// posting slabs) and shares what is already final (hash and ID slices,
+// usable afterwards — Seal copies what it must (procedure headers, the
+// posting slab) and shares what is already final (hash and ID slices,
 // CSR rows) — so sealing is cheap relative to analysis while the sealed
 // corpus aliases no mutable session state.
 //
@@ -116,33 +187,35 @@ func (im *SealedImage) IndexedStrands() int {
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	frozen := a.interner.Freeze()
-	sc := &SealedCorpus{frozen: frozen}
+	g := &sealedGroup{n: len(images), indexed: true}
+	sc := &SealedCorpus{frozen: frozen, groups: []*sealedGroup{g}}
+	dedup := newExeDedup()
 	for ii, img := range images {
 		si := &SealedImage{
 			Vendor:  img.Vendor,
 			Device:  img.Device,
 			Version: img.Version,
 			Skipped: append([]SkipReason(nil), img.Skipped...),
+			group:   g,
 		}
 		for _, e := range img.Exes {
 			if e.exe.Session() != strand.Interner(a.interner) {
 				return nil, fmt.Errorf("firmup: Seal: image %d executable %s was not analyzed under this session", ii, e.Path)
 			}
-			si.Exes = append(si.Exes, &Executable{Path: e.Path, exe: e.exe.Rebound(frozen)})
-		}
-		si.nExes = len(si.Exes)
-		si.targets = make([]*sim.Exe, len(si.Exes))
-		for i, e := range si.Exes {
-			si.targets[i] = e.exe
-		}
-		if img.index != nil {
-			idx, err := corpusindex.NewFrozenIndex(frozen, si.targets, img.index.Rows())
-			if err != nil {
-				return nil, fmt.Errorf("firmup: Seal: image %d: %w", ii, err)
+			ref, fresh := dedup.add(e.exe)
+			if fresh {
+				u := e.exe.Rebound(frozen)
+				u.Path = ""
+				g.exes = append(g.exes, u)
 			}
-			si.index = idx
+			si.occs = append(si.occs, snapshot.Occurrence{Path: e.Path, Exe: ref})
 		}
+		g.indexed = g.indexed && img.index != nil
 		sc.images = append(sc.images, si)
+	}
+	g.nExes = len(g.exes)
+	if g.indexed {
+		g.index = corpusindex.NewFrozenIndex(frozen, g.exes)
 	}
 	return sc, nil
 }
@@ -155,15 +228,15 @@ func (sc *SealedCorpus) Images() []*SealedImage { return sc.images }
 func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 
 // SetTelemetry attaches the corpus to a registry under the live
-// session's names. Every image index records the prefilter:
+// session's names. Every group index records the prefilter:
 // index.queries / index.fallbacks / index.fanout for every candidate
-// query. Query analysis (AnalyzeQueryWith) records the front-end layer
-// by layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
-// counters, sim.build /
-// sim.index / sim.procs, and strand.blocks / strand.blocks_computed /
-// strand.strands. Call before serving — store-backed images apply the
-// index handles when their index first builds, in-RAM images
-// immediately. A nil registry detaches.
+// query — one per (query, group), counting distinct candidate
+// executables. Query analysis (AnalyzeQueryWith) records the front-end
+// layer by layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
+// counters, sim.build / sim.index / sim.procs, and strand.blocks /
+// strand.blocks_computed / strand.strands. Call before serving —
+// store-backed groups apply the index handles when their index first
+// builds, in-RAM groups immediately. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	var tel *corpusindex.Telemetry
 	sc.front = frontEndMetrics{}
@@ -171,21 +244,32 @@ func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 		tel = newIndexTelemetry(r)
 		sc.front = newFrontEndMetrics(r)
 	}
-	for _, im := range sc.images {
-		im.tel = tel
-		if im.index != nil {
-			im.index.SetTelemetry(tel)
+	for _, g := range sc.groups {
+		g.tel = tel
+		if g.index != nil {
+			g.index.SetTelemetry(tel)
 		}
 	}
 }
 
-// Executables reports the total executable count across all images.
-// Cheap even when store-backed: counts come from shard metadata, not
-// materialization.
+// Executables reports the total executable count across all images,
+// every occurrence counted. Cheap even when store-backed: counts come
+// from shard metadata, not materialization.
 func (sc *SealedCorpus) Executables() int {
 	n := 0
 	for _, im := range sc.images {
-		n += im.nExes
+		n += len(im.occs)
+	}
+	return n
+}
+
+// UniqueExecutables reports how many executables the corpus stores: the
+// distinct ones, summed over its groups (a build shipped in two shards
+// is stored in both).
+func (sc *SealedCorpus) UniqueExecutables() int {
+	n := 0
+	for _, g := range sc.groups {
+		n += g.nExes
 	}
 	return n
 }
@@ -221,58 +305,100 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc)}, nil
 }
 
-// candidateList is one query's resolved candidate executables for an
-// image pass.
-type candidateList struct {
-	query core.BatchQuery
-	cands []int
-}
-
-// plan prepares one pass of the given queries over the image and
-// returns the target slice the games run against. Each query's candidate
-// list is resolved exactly once, here, and serves both purposes it has:
-// it selects the executables a store-backed image materializes (so peak
-// RSS tracks the working set; non-candidate slots stay nil and are never
-// dereferenced), and it is installed as s.Prefilter — a lookup, not a
-// second index query — so the games run on the very lists that chose
-// what to materialize. Unindexed images, exhaustive searches and passes
-// with a query the index cannot narrow examine (and materialize) every
-// executable (ok=false from the index means it has no information about
-// a query not analyzed under this corpus). The acceptance floors are
-// baked into the lists, so the narrowing stays sound (see
-// corpusindex.Candidates).
-func (im *SealedImage) plan(cqs []core.BatchQuery, s *core.SearchOptions, opt *Options) ([]*sim.Exe, error) {
-	if err := im.ensureIndex(); err != nil {
-		return nil, err
-	}
-	narrowed := im.index != nil && (opt == nil || !opt.Exhaustive)
+// search is the one search pass of a sealed corpus: every query against
+// the group's distinct executables, each (query, candidate) materialized
+// and played once, fanned out to the occurrences of imgs — all the
+// group's images for a corpus-wide search, the one image a per-image
+// search names. The result is indexed [image][query]; games is the
+// number of (query, distinct executable) games the pass played.
+//
+// Each query's candidates are resolved exactly once, by one posting scan
+// of the group index, and serve both purposes they have: they select
+// what a store-backed group materializes (so peak RSS tracks the working
+// set) and they are the lists the games run on. Groups sealed without an
+// index, exhaustive searches and queries the index cannot narrow
+// (ok=false: not analyzed under this corpus) examine every executable in
+// scope. The acceptance floors are baked into the lists, so the
+// narrowing stays sound (see corpusindex.Candidates); and since
+// candidacy is a property of the executable alone, an image gets exactly
+// the findings, examined count and step histogram a search of it on its
+// own would produce.
+func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.SpanID) (res [][]*SearchResult, games int, err error) {
+	s := opt.search()
+	s.TraceParent = parent
+	narrowed := g.indexed && (opt == nil || !opt.Exhaustive)
 	if narrowed {
-		lists := make([]candidateList, 0, len(cqs))
-		for _, cq := range cqs {
-			cands, ok := im.index.CandidateIndices(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, nil)
-			if ok {
-				lists = append(lists, candidateList{cq, cands})
-			} else {
-				narrowed = false
+		if err := g.ensureIndex(); err != nil {
+			return nil, 0, err
+		}
+	}
+	// scope lists the distinct executables that occur in imgs, each once.
+	inScope := make([]bool, g.nExes)
+	var scope []int
+	for _, im := range imgs {
+		for _, oc := range im.occs {
+			if !inScope[oc.Exe] {
+				inScope[oc.Exe] = true
+				scope = append(scope, oc.Exe)
 			}
 		}
-		// Batches are small, so the lookup is a scan, not a map.
-		s.Prefilter = func(q *sim.Exe, qi int, _ []*sim.Exe) ([]int, bool) {
-			for _, l := range lists {
-				if l.query.Q == q && l.query.QI == qi {
-					return l.cands, true
+	}
+	// play[qx] lists the distinct executables query qx is played against
+	// — its candidates in scope, or all of scope — and played[qx] marks
+	// them.
+	play := make([][]int, len(cqs))
+	played := make([][]bool, len(cqs))
+	for qx, cq := range cqs {
+		play[qx] = scope
+		if narrowed {
+			if cands, ok := g.index.CandidateIndices(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, nil); ok {
+				play[qx] = cands[:0]
+				for _, u := range cands {
+					if inScope[u] {
+						play[qx] = append(play[qx], u)
+					}
 				}
 			}
-			return nil, false
 		}
-		if narrowed && im.store != nil {
-			return im.materializeCandidates(lists, s)
+		played[qx] = make([]bool, g.nExes)
+		for _, u := range play[qx] {
+			played[qx][u] = true
+		}
+		games += len(play[qx])
+	}
+	targets, err := g.targets(play, s)
+	if err != nil {
+		return nil, 0, err
+	}
+	found := core.PlayBatch(cqs, targets, play, s)
+
+	res = make([][]*SearchResult, len(imgs))
+	for ii, im := range imgs {
+		res[ii] = make([]*SearchResult, len(cqs))
+		for qx := range cqs {
+			r := &SearchResult{Findings: []Finding{}, StepsHistogram: map[int]int{}}
+			for _, oc := range im.occs {
+				if !played[qx][oc.Exe] {
+					continue
+				}
+				r.Examined++
+				if f := found[qx][oc.Exe]; f != nil {
+					r.Findings = append(r.Findings, Finding{
+						ExePath:    oc.Path,
+						ProcName:   f.ProcName,
+						ProcAddr:   f.ProcAddr,
+						Score:      f.Score,
+						Confidence: f.Ratio,
+						GameSteps:  f.Steps,
+					})
+					r.StepsHistogram[f.Steps]++
+				}
+			}
+			slices.SortFunc(r.Findings, func(a, b Finding) int { return strings.Compare(a.ExePath, b.ExePath) })
+			res[ii][qx] = r
 		}
 	}
-	if err := im.ensureAll(); err != nil {
-		return nil, err
-	}
-	return im.targets, nil
+	return res, games, nil
 }
 
 // SearchImageDetailed looks for the query executable's procedure in
@@ -280,25 +406,11 @@ func (im *SealedImage) plan(cqs []core.BatchQuery, s *core.SearchOptions, opt *O
 // exposed. The result is identical to the live Analyzer's
 // SearchImageDetailed over the image this one was sealed from.
 func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string, img *SealedImage, opt *Options) (*SearchResult, error) {
-	qi := query.exe.ProcByName(procedure)
-	if qi < 0 {
-		return nil, fmt.Errorf("firmup: query executable has no procedure %q", procedure)
-	}
-	return sc.searchImageIdx(query, qi, img, opt, opt.traceSpan())
-}
-
-// searchImageIdx runs one resolved query procedure against one image,
-// in-RAM or store-backed alike. parent is the trace span the search
-// spans attach under — the caller's TraceSpan for direct searches, the
-// per-shard span inside a corpus-wide fan-out.
-func (sc *SealedCorpus) searchImageIdx(query *Executable, qi int, img *SealedImage, opt *Options, parent telemetry.SpanID) (*SearchResult, error) {
-	s := opt.search()
-	s.TraceParent = parent
-	targets, err := img.plan([]core.BatchQuery{{Q: query.exe, QI: qi}}, s, opt)
+	res, err := sc.SearchBatch([]BatchQuery{{Query: query, Procedure: procedure}}, img, opt)
 	if err != nil {
 		return nil, err
 	}
-	return searchResultFromCore(core.Search(query.exe, qi, targets, s)), nil
+	return res[0], nil
 }
 
 // SearchBatch looks for every batch query in one sealed image in a
@@ -311,26 +423,11 @@ func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt 
 	if err != nil {
 		return nil, err
 	}
-	return sc.searchBatchCore(cqs, img, opt, opt.traceSpan())
-}
-
-// searchBatchCore is SearchBatch after query resolution, shared with
-// the corpus-wide fan-out so resolution runs once per corpus pass: one
-// candidate plan for the whole batch, then one shared-matcher
-// core.SearchBatch over its targets.
-func (sc *SealedCorpus) searchBatchCore(cqs []core.BatchQuery, img *SealedImage, opt *Options, parent telemetry.SpanID) ([]*SearchResult, error) {
-	s := opt.search()
-	s.TraceParent = parent
-	targets, err := img.plan(cqs, s, opt)
+	res, _, err := img.group.search(cqs, []*SealedImage{img}, opt, opt.traceSpan())
 	if err != nil {
 		return nil, err
 	}
-	res := core.SearchBatch(cqs, targets, s)
-	out := make([]*SearchResult, len(res))
-	for i := range res {
-		out[i] = searchResultFromCore(res[i])
-	}
-	return out, nil
+	return res[0], nil
 }
 
 // SearchImage looks for the query executable's procedure in every
@@ -353,98 +450,29 @@ type ImageFindings struct {
 }
 
 // SearchAll runs the query against every image of the corpus in seal
-// order. On a sharded corpus the shards are searched in parallel; the
-// merged result is index-for-index identical to the sequential pass —
-// per-image searches share no mutable state, so fan-out order cannot
-// influence findings, examined counts or step histograms.
+// order: SearchAllBatch with a batch of one.
 func (sc *SealedCorpus) SearchAll(query *Executable, procedure string, opt *Options) ([]ImageFindings, error) {
-	qi := query.exe.ProcByName(procedure)
-	if qi < 0 {
-		return nil, fmt.Errorf("firmup: query executable has no procedure %q", procedure)
-	}
-	out := make([]ImageFindings, len(sc.images))
-	err := sc.fanOut(opt.trace(), opt.traceSpan(), func(i int, parent telemetry.SpanID) error {
-		img := sc.images[i]
-		res, err := sc.searchImageIdx(query, qi, img, opt, parent)
-		if err != nil {
-			return err
-		}
-		out[i] = ImageFindings{
-			Vendor:   img.Vendor,
-			Device:   img.Device,
-			Version:  img.Version,
-			Findings: res.Findings,
-			Examined: res.Examined,
-		}
-		return nil
-	})
+	res, err := sc.SearchAllBatch([]BatchQuery{{Query: query, Procedure: procedure}}, opt)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// fanOut fills per-image results for every image of the corpus: one
-// sequential pass when the corpus is a single range (in-RAM), one
-// goroutine per shard otherwise, merged by global image index. The
-// first error in shard order wins. When the corpus is sharded and a
-// trace is attached, each shard's pass runs under its own
-// "corpus.shard" span (shard index + image count attributes), so a
-// slow request attributes its latency to the shard that caused it;
-// fill receives the span it should parent its own spans under.
-func (sc *SealedCorpus) fanOut(tr *telemetry.Trace, parent telemetry.SpanID, fill func(i int, parent telemetry.SpanID) error) error {
-	ranges := sc.shardRanges()
-	if len(ranges) == 1 {
-		r := ranges[0]
-		for i := r[0]; i < r[0]+r[1]; i++ {
-			if err := fill(i, parent); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := min(len(ranges), runtime.GOMAXPROCS(0))
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for ri, r := range ranges {
-		wg.Add(1)
-		go func(ri int, r [2]int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			shardParent := parent
-			if tr != nil {
-				sp := tr.Start("corpus.shard", parent)
-				sp.SetAttr("shard", int64(ri))
-				sp.SetAttr("images", int64(r[1]))
-				defer sp.End()
-				shardParent = sp.ID()
-			}
-			for i := r[0]; i < r[0]+r[1]; i++ {
-				if err := fill(i, shardParent); err != nil {
-					errs[ri] = err
-					return
-				}
-			}
-		}(ri, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return res[0], nil
 }
 
 // SearchAllBatch runs every batch query against every image of the
-// corpus in seal order, one batched game-engine pass per image. The
-// outer result dimension aligns with queries, the inner with Images();
-// each entry is byte-identical to the corresponding sequential
-// SearchAll call. This is the serve path's coalesced form: concurrent
-// requests against one corpus share each image's target pass instead of
-// replaying it per request.
+// corpus, one search pass per group. The outer result dimension aligns
+// with queries, the inner with Images(); each entry is byte-identical to
+// the corresponding per-image search. This is the serve path's coalesced
+// form: concurrent requests against one corpus share each group's pass
+// instead of replaying it per request.
+//
+// A sharded corpus searches its groups in parallel; they share no
+// mutable state, so fan-out order cannot influence findings, examined
+// counts or step histograms. The first error in shard order wins. With a
+// trace attached each shard's pass runs under its own "corpus.shard"
+// span — shard index, image count, the distinct (query, executable)
+// candidates it played and the occurrences they stood for — so a slow
+// request attributes its latency to the shard that caused it.
 func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]ImageFindings, error) {
 	cqs, err := coreBatch(queries)
 	if err != nil {
@@ -454,25 +482,64 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 	for qx := range queries {
 		out[qx] = make([]ImageFindings, len(sc.images))
 	}
-	err = sc.fanOut(opt.trace(), opt.traceSpan(), func(i int, parent telemetry.SpanID) error {
-		img := sc.images[i]
-		res, err := sc.searchBatchCore(cqs, img, opt, parent)
+	pass := func(gi int, sharded bool) error {
+		g := sc.groups[gi]
+		parent := opt.traceSpan()
+		var sp telemetry.SpanRef
+		if sharded {
+			sp = opt.trace().Start("corpus.shard", parent)
+			defer sp.End()
+			if sp.Active() {
+				parent = sp.ID()
+			}
+		}
+		imgs := sc.images[g.base : g.base+g.n]
+		res, games, err := g.search(cqs, imgs, opt, parent)
 		if err != nil {
 			return err
 		}
-		for qx, r := range res {
-			out[qx][i] = ImageFindings{
-				Vendor:   img.Vendor,
-				Device:   img.Device,
-				Version:  img.Version,
-				Findings: r.Findings,
-				Examined: r.Examined,
+		occurrences := 0
+		for ii, im := range imgs {
+			for qx, r := range res[ii] {
+				occurrences += r.Examined
+				out[qx][g.base+ii] = ImageFindings{
+					Vendor:   im.Vendor,
+					Device:   im.Device,
+					Version:  im.Version,
+					Findings: r.Findings,
+					Examined: r.Examined,
+				}
 			}
 		}
+		sp.SetAttr("shard", int64(gi))
+		sp.SetAttr("images", int64(g.n))
+		sp.SetAttr("unique_candidates", int64(games))
+		sp.SetAttr("occurrences", int64(occurrences))
 		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	if len(sc.groups) == 1 {
+		if err := pass(0, false); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	sem := make(chan struct{}, min(len(sc.groups), runtime.GOMAXPROCS(0)))
+	errs := make([]error, len(sc.groups))
+	var wg sync.WaitGroup
+	for gi := range sc.groups {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[gi] = pass(gi, true)
+		}(gi)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -498,22 +565,6 @@ func (sc *SealedCorpus) MatchProcedureTraced(query *Executable, procedure string
 	return f, traceFromResult(r), nil
 }
 
-// Save serializes the sealed corpus into the FWCORP artifact: one
-// shared frozen vocabulary plus every image's executables and index, so
-// a serving process cold-starts by LoadSealedCorpus instead of
-// re-analyzing firmware.
-func (sc *SealedCorpus) Save() ([]byte, error) {
-	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
-	for i := range sc.images {
-		ci, err := sc.imageModel(i)
-		if err != nil {
-			return nil, err
-		}
-		c.Images = append(c.Images, ci)
-	}
-	return snapshot.EncodeCorpus(c)
-}
-
 // exeToModel serializes one sealed executable into the snapshot model.
 func exeToModel(path string, e *sim.Exe) snapshot.Exe {
 	se := snapshot.Exe{Path: path, Arch: uint8(e.Arch), Stripped: e.Stripped}
@@ -534,88 +585,4 @@ func exeToModel(path string, e *sim.Exe) snapshot.Exe {
 		se.Procs = append(se.Procs, sp)
 	}
 	return se
-}
-
-// LoadSealedCorpus reconstructs a sealed corpus from a Save artifact.
-// No live session is involved: the saved vocabulary restores directly
-// into a frozen interner, the saved dense-ID sets and indexes are valid
-// in its ID space verbatim, and the result serves queries exactly like
-// the corpus that was saved. Unreadable input fails with an error
-// wrapping ErrSnapshotCorrupt.
-func LoadSealedCorpus(data []byte) (*SealedCorpus, error) {
-	c, err := snapshot.DecodeCorpus(data)
-	if err != nil {
-		return nil, err
-	}
-	frozen, err := corpusindex.FrozenFromVocab(c.Interner)
-	if err != nil {
-		return nil, err
-	}
-	sc := &SealedCorpus{frozen: frozen}
-	for ii := range c.Images {
-		ci := &c.Images[ii]
-		si := &SealedImage{Vendor: ci.Vendor, Device: ci.Device, Version: ci.Version}
-		for _, s := range ci.Skipped {
-			si.Skipped = append(si.Skipped, SkipReason{Path: s.Path, Err: errors.New(s.Err)})
-		}
-		for ei := range ci.Exes {
-			se := &ci.Exes[ei]
-			procs := make([]*sim.Proc, len(se.Procs))
-			for pi := range se.Procs {
-				procs[pi] = loadFrozenProc(&se.Procs[pi], c.Interner, frozen)
-			}
-			for i, p := range procs {
-				for _, cl := range p.Calls {
-					procs[cl].CalledBy = append(procs[cl].CalledBy, i)
-				}
-			}
-			e := sim.FromProcsSession(se.Path, procs, frozen)
-			e.Arch = uir.Arch(se.Arch)
-			e.Stripped = se.Stripped
-			si.Exes = append(si.Exes, &Executable{Path: se.Path, exe: e})
-			si.targets = append(si.targets, e)
-		}
-		si.nExes = len(si.Exes)
-		if ci.Index != nil {
-			rows := make([]corpusindex.Row, len(ci.Index))
-			for i, r := range ci.Index {
-				rows[i] = corpusindex.Row{ID: r.ID, Posts: postsFromModel(r.Posts)}
-			}
-			idx, err := corpusindex.NewFrozenIndex(frozen, si.targets, rows)
-			if err != nil {
-				return nil, err
-			}
-			si.index = idx
-		}
-		sc.images = append(sc.images, si)
-	}
-	return sc, nil
-}
-
-// loadFrozenProc rebuilds one procedure in the frozen ID space: the
-// saved dense IDs are the frozen IDs themselves, and the hashes are
-// recovered through the vocabulary. The set binds to the frozen
-// interner directly, so no Intern call ever runs during load.
-func loadFrozenProc(sp *snapshot.Proc, vocab []uint64, frozen *corpusindex.Frozen) *sim.Proc {
-	ids := append([]uint32(nil), sp.IDs...)
-	hashes := make([]uint64, len(sp.IDs))
-	for k, id := range sp.IDs {
-		hashes[k] = vocab[id]
-	}
-	// Set invariant: Hashes sorted ascending (IDs already are).
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	p := &sim.Proc{
-		Name:       sp.Name,
-		Addr:       sp.Addr,
-		Exported:   sp.Exported,
-		Set:        strand.Set{Hashes: hashes, IDs: ids, It: frozen},
-		Markers:    sp.Markers,
-		BlockCount: sp.BlockCount,
-		EdgeCount:  sp.EdgeCount,
-		InstCount:  sp.InstCount,
-	}
-	for _, c := range sp.Calls {
-		p.Calls = append(p.Calls, int(c))
-	}
-	return p
 }

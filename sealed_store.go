@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -18,68 +19,56 @@ import (
 	"firmup/internal/uir"
 )
 
-// This file is the store-backed (v2, mmap) side of SealedCorpus: a
-// corpus opened from sharded FWCORP v2 artifacts keeps its bulk state
-// in the mapped files and materializes per-executable session objects
+// This file is the store-backed (mmap) side of SealedCorpus: a corpus
+// opened from FWCORP shard files keeps its bulk state in the mapped
+// files, one group per shard, and materializes distinct executables
 // lazily, on first search touch. The prefilter makes that pay off: a
 // query's candidate set is computed from the shard's CSR slabs before
 // any executable exists in RAM, so only candidates are ever
 // materialized, and peak RSS tracks the working set instead of the
 // corpus.
 
-// sealedStore binds one open shard to the corpus-wide frozen
-// vocabulary. All images of the shard share it.
-type sealedStore struct {
-	shard  *snapshot.CorpusShard
-	frozen *corpusindex.Frozen
-}
-
-// lazyExe is one executable's materialize-once slot.
+// lazyExe is one distinct executable's materialize-once slot.
 type lazyExe struct {
 	once sync.Once
-	exe  *Executable
+	exe  *sim.Exe
 	err  error
 }
 
-// sealedShardRef is one shard of an open sharded corpus.
-type sealedShardRef struct {
-	store *sealedStore
-	path  string
-	base  int // global index of the shard's first image
-	n     int // image count
-}
-
 // SealedShard describes one shard of an open sealed corpus, for health
-// reporting (firmupd /corpus).
+// reporting (firmupd /corpus). Executables counts occurrences,
+// UniqueExecutables what the shard stores.
 type SealedShard struct {
-	Index       int    `json:"index"`
-	Path        string `json:"path"`
-	Images      int    `json:"images"`
-	Executables int    `json:"executables"`
-	SizeBytes   int64  `json:"size_bytes"`
-	Mapped      bool   `json:"mapped"`
+	Index             int    `json:"index"`
+	Path              string `json:"path"`
+	Images            int    `json:"images"`
+	Executables       int    `json:"executables"`
+	UniqueExecutables int    `json:"unique_executables"`
+	SizeBytes         int64  `json:"size_bytes"`
+	Mapped            bool   `json:"mapped"`
 }
 
 // Shards describes the open shards backing this corpus, in shard
-// order; nil for an in-RAM (sealed-this-session or v1-loaded) corpus.
+// order; nil for an in-RAM (sealed-this-session) corpus.
 func (sc *SealedCorpus) Shards() []SealedShard {
-	if len(sc.shards) == 0 {
-		return nil
-	}
-	out := make([]SealedShard, len(sc.shards))
-	for i, ref := range sc.shards {
+	var out []SealedShard
+	for i, g := range sc.groups {
+		if g.shard == nil {
+			continue
+		}
 		nexes := 0
-		for _, im := range sc.images[ref.base : ref.base+ref.n] {
-			nexes += im.nExes
+		for _, im := range sc.images[g.base : g.base+g.n] {
+			nexes += len(im.occs)
 		}
-		out[i] = SealedShard{
-			Index:       i,
-			Path:        ref.path,
-			Images:      ref.n,
-			Executables: nexes,
-			SizeBytes:   ref.store.shard.SizeBytes(),
-			Mapped:      ref.store.shard.Mapped(),
-		}
+		out = append(out, SealedShard{
+			Index:             i,
+			Path:              g.path,
+			Images:            g.n,
+			Executables:       nexes,
+			UniqueExecutables: g.nExes,
+			SizeBytes:         g.shard.SizeBytes(),
+			Mapped:            g.shard.Mapped(),
+		})
 	}
 	return out
 }
@@ -89,46 +78,38 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 // Close on an in-RAM corpus is a no-op.
 func (sc *SealedCorpus) Close() error {
 	var errs []error
-	for _, ref := range sc.shards {
-		if err := ref.store.shard.Close(); err != nil {
-			errs = append(errs, err)
+	for _, g := range sc.groups {
+		if g.shard != nil {
+			if err := g.shard.Close(); err != nil {
+				errs = append(errs, err)
+			}
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// shardRanges returns the contiguous image ranges searched
-// independently by the corpus-wide fan-out: one per shard, or the whole
-// corpus as a single range when in-RAM.
-func (sc *SealedCorpus) shardRanges() [][2]int {
-	if len(sc.shards) == 0 {
-		return [][2]int{{0, len(sc.images)}}
+// exe returns distinct executable u of the group, building it from the
+// mapped shard on first use when store-backed. Safe for concurrent
+// callers.
+func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
+	if g.shard == nil {
+		return g.exes[u], nil
 	}
-	out := make([][2]int, len(sc.shards))
-	for i, ref := range sc.shards {
-		out[i] = [2]int{ref.base, ref.n}
-	}
-	return out
-}
-
-// materialize returns executable i of a store-backed image, building it
-// from the mapped shard on first use. Safe for concurrent callers.
-func (im *SealedImage) materialize(i int) (*Executable, error) {
-	le := &im.lazy[i]
-	le.once.Do(func() { le.exe, le.err = im.store.loadExe(im.storeImg, i) })
+	le := &g.lazy[u]
+	le.once.Do(func() { le.exe, le.err = g.loadExe(u) })
 	return le.exe, le.err
 }
 
-// loadExe materializes one executable from the shard: strand IDs and
-// markers alias the mapped slabs (they are immutable), hashes are
-// recovered through the frozen vocabulary, and the result binds to the
-// frozen interner exactly like a v1-loaded executable.
-func (st *sealedStore) loadExe(storeImg, i int) (*Executable, error) {
-	ed, err := st.shard.Exe(storeImg, i)
+// loadExe materializes one distinct executable from the shard: strand
+// IDs and markers alias the mapped slabs (they are immutable), hashes
+// are recovered through the frozen vocabulary, and the result binds to
+// the frozen interner exactly like an executable sealed in RAM.
+func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
+	ed, err := g.shard.Exe(u)
 	if err != nil {
 		return nil, err
 	}
-	vocab := st.frozen.Vocab()
+	vocab := g.frozen.Vocab()
 	procs := make([]*sim.Proc, len(ed.Procs))
 	for pi := range ed.Procs {
 		pd := &ed.Procs[pi]
@@ -137,12 +118,12 @@ func (st *sealedStore) loadExe(storeImg, i int) (*Executable, error) {
 			hashes[k] = vocab[id]
 		}
 		// Set invariant: Hashes sorted ascending (IDs already are).
-		sort.Slice(hashes, func(a, b int) bool { return hashes[a] < hashes[b] })
+		slices.Sort(hashes)
 		p := &sim.Proc{
 			Name:       pd.Name,
 			Addr:       pd.Addr,
 			Exported:   pd.Exported,
-			Set:        strand.Set{Hashes: hashes, IDs: pd.IDs, It: st.frozen},
+			Set:        strand.Set{Hashes: hashes, IDs: pd.IDs, It: g.frozen},
 			Markers:    pd.Markers,
 			BlockCount: pd.BlockCount,
 			EdgeCount:  pd.EdgeCount,
@@ -161,69 +142,40 @@ func (st *sealedStore) loadExe(storeImg, i int) (*Executable, error) {
 			procs[cl].CalledBy = append(procs[cl].CalledBy, pi)
 		}
 	}
-	e := sim.FromProcsSession(ed.Path, procs, st.frozen)
+	e := sim.FromProcsSession("", procs, g.frozen)
 	e.Arch = uir.Arch(ed.Arch)
 	e.Stripped = ed.Stripped
-	return &Executable{Path: ed.Path, exe: e}, nil
+	return e, nil
 }
 
-// ensureIndex builds a store-backed image's frozen index directly over
-// the shard's CSR slabs, once. No-op for in-RAM images.
-func (im *SealedImage) ensureIndex() error {
-	if im.store == nil {
+// ensureIndex builds a store-backed group's frozen index directly over
+// the shard's CSR slabs, once. No-op for in-RAM groups.
+func (g *sealedGroup) ensureIndex() error {
+	if g.shard == nil {
 		return nil
 	}
-	im.idxOnce.Do(func() {
-		slabs, err := im.store.shard.Index(im.storeImg)
+	g.idxOnce.Do(func() {
+		slabs, err := g.shard.Index()
 		if err != nil {
-			im.idxErr = err
+			g.idxErr = err
 			return
 		}
-		if slabs == nil {
-			return // sealed without an index: exhaustive search
-		}
-		counts, err := im.store.shard.ProcCounts(im.storeImg)
+		counts, err := g.shard.ProcCounts()
 		if err != nil {
-			im.idxErr = err
+			g.idxErr = err
 			return
 		}
-		idx, err := corpusindex.NewFrozenIndexForeign(im.store.frozen, counts, slabs.RowIDs, slabs.RowEnds, postsToIndex(slabs.Posts))
+		idx, err := corpusindex.NewFrozenIndexForeign(g.frozen, counts, slabs.RowIDs, slabs.RowEnds, postsToIndex(slabs.Posts))
 		if err != nil {
 			// Semantic index violations are shard corruption, reported
 			// under the same contract as every other decode failure.
-			im.idxErr = &snapshot.CorruptError{Section: "corpus-index-posts", Reason: err.Error()}
+			g.idxErr = &snapshot.CorruptError{Section: "corpus-index-posts", Reason: err.Error()}
 			return
 		}
-		if im.tel != nil {
-			idx.SetTelemetry(im.tel)
-		}
-		im.index = idx
+		idx.SetTelemetry(g.tel)
+		g.index = idx
 	})
-	return im.idxErr
-}
-
-// ensureAll materializes every executable of a store-backed image and
-// publishes Exes/targets, once. No-op for in-RAM images.
-func (im *SealedImage) ensureAll() error {
-	if im.store == nil {
-		return nil
-	}
-	im.allOnce.Do(func() {
-		exes := make([]*Executable, im.nExes)
-		targets := make([]*sim.Exe, im.nExes)
-		for i := range exes {
-			e, err := im.materialize(i)
-			if err != nil {
-				im.allErr = err
-				return
-			}
-			exes[i] = e
-			targets[i] = e.exe
-		}
-		im.Exes = exes
-		im.targets = targets
-	})
-	return im.allErr
+	return g.idxErr
 }
 
 // postsToIndex views the shard's posting slab as corpusindex postings.
@@ -244,27 +196,32 @@ func postsToIndex(sp []snapshot.Posting) []corpusindex.Posting {
 	return out
 }
 
-// materializeCandidates materializes the union of a pass's candidate
-// lists and returns the nil-padded target slice the games run over.
-func (im *SealedImage) materializeCandidates(lists []candidateList, s *core.SearchOptions) ([]*sim.Exe, error) {
+// targets returns the slice a pass's games run over, aligned with the
+// group's distinct executables: all of them in RAM; store-backed, the
+// union of the play lists materialized and every other slot nil (never
+// dereferenced).
+func (g *sealedGroup) targets(play [][]int, s *core.SearchOptions) ([]*sim.Exe, error) {
+	if g.shard == nil {
+		return g.exes, nil
+	}
 	msp := s.Trace.Start("store.materialize", s.TraceParent)
 	defer msp.End()
-	targets := make([]*sim.Exe, im.nExes)
-	nCand := 0
-	for _, l := range lists {
-		for _, ti := range l.cands {
-			if targets[ti] != nil {
+	targets := make([]*sim.Exe, g.nExes)
+	n := 0
+	for _, list := range play {
+		for _, u := range list {
+			if targets[u] != nil {
 				continue
 			}
-			e, err := im.materialize(ti)
+			e, err := g.exe(u)
 			if err != nil {
 				return nil, err
 			}
-			targets[ti] = e.exe
-			nCand++
+			targets[u] = e
+			n++
 		}
 	}
-	msp.SetAttr("candidates", int64(nCand))
+	msp.SetAttr("candidates", int64(n))
 	return targets, nil
 }
 
@@ -272,8 +229,10 @@ func (im *SealedImage) materializeCandidates(lists []candidateList, s *core.Sear
 // and writes each as one FWCORP shard file (shard-NNNN.fwcorp) under
 // dir, returning the paths in shard order. Every shard embeds the full
 // frozen vocabulary plus its position, so OpenSealedCorpusDir can
-// validate the set as one coherent corpus. n may exceed the image
-// count; trailing shards are then empty but still valid.
+// validate the set as one coherent corpus, and stores each distinct
+// executable of its own images once under one index built over them, so
+// it is searched on its own. n may exceed the image count; trailing
+// shards are then empty but still valid.
 //
 // Shards are encoded and written by a bounded worker pool; each shard's
 // bytes depend only on its own image range, so the output is identical
@@ -307,7 +266,7 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			paths[si], errs[si] = sc.writeShard(dir, si, n, ranges[si].base, ranges[si].cnt, total)
+			paths[si], errs[si] = sc.writeShard(dir, si, n, ranges[si].base, ranges[si].cnt)
 		}(si)
 	}
 	wg.Wait()
@@ -320,21 +279,47 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	return paths, nil
 }
 
-// writeShard encodes and writes one shard's image range.
-func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int) (string, error) {
+// writeShard encodes and writes one shard's image range: the range's
+// distinct executables in first-occurrence order (materialized first
+// when the source is store-backed), one index built over them, and the
+// images as occurrences.
+func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt int) (string, error) {
 	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
-	for i := base; i < base+cnt; i++ {
-		ci, err := sc.imageModel(i)
-		if err != nil {
-			return "", err
+	dedup := newExeDedup()
+	var exes []*sim.Exe
+	indexed := true
+	for _, im := range sc.images[base : base+cnt] {
+		ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
+		for _, s := range im.Skipped {
+			ci.Skipped = append(ci.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
 		}
+		for _, oc := range im.occs {
+			e, err := im.group.exe(oc.Exe)
+			if err != nil {
+				return "", err
+			}
+			ref, fresh := dedup.add(e)
+			if fresh {
+				exes = append(exes, e)
+				c.Exes = append(c.Exes, exeToModel("", e))
+			}
+			ci.Occs = append(ci.Occs, snapshot.Occurrence{Path: oc.Path, Exe: ref})
+		}
+		indexed = indexed && im.group.indexed
 		c.Images = append(c.Images, ci)
+	}
+	if indexed {
+		rows := corpusindex.NewFrozenIndex(sc.frozen, exes).Rows()
+		c.Index = make([]snapshot.IndexRow, len(rows))
+		for k, r := range rows {
+			c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
+		}
 	}
 	data, err := snapshot.EncodeCorpusShard(c, snapshot.ShardHeader{
 		ShardIndex:  si,
 		ShardCount:  n,
 		ImageBase:   base,
-		TotalImages: total,
+		TotalImages: len(sc.images),
 	})
 	if err != nil {
 		return "", err
@@ -346,37 +331,8 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int) (str
 	return p, nil
 }
 
-// imageModel serializes image i into the snapshot corpus model,
-// materializing it first when store-backed.
-func (sc *SealedCorpus) imageModel(i int) (snapshot.CorpusImage, error) {
-	im := sc.images[i]
-	if err := im.ensureAll(); err != nil {
-		return snapshot.CorpusImage{}, err
-	}
-	if err := im.ensureIndex(); err != nil {
-		return snapshot.CorpusImage{}, err
-	}
-	ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
-	for _, s := range im.Skipped {
-		ci.Skipped = append(ci.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
-	}
-	for _, e := range im.Exes {
-		ci.Exes = append(ci.Exes, exeToModel(e.Path, e.exe))
-	}
-	if im.index != nil {
-		rows := im.index.Rows()
-		ci.Index = make([]snapshot.IndexRow, len(rows))
-		for k, r := range rows {
-			ci.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
-		}
-	}
-	return ci, nil
-}
-
-// OpenSealedCorpus opens a sealed corpus from any persisted form: a
-// directory of v2 shards, a single v2 shard file (of a 1-shard
-// corpus), or a v1 FWCORP artifact (fully decoded into RAM, as
-// LoadSealedCorpus always has).
+// OpenSealedCorpus opens a sealed corpus from either persisted form: a
+// directory of shards, or the single shard file of a 1-shard corpus.
 func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -385,74 +341,26 @@ func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 	if st.IsDir() {
 		return OpenSealedCorpusDir(path)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, 12)
-	n, _ := f.Read(hdr)
-	f.Close()
-	version, err := snapshot.CorpusVersion(hdr[:n])
-	if err != nil {
-		return nil, err
-	}
-	if version < snapshot.CorpusFormatVersionV2 {
-		// v1 (and any unknown version, which DecodeCorpus rejects with
-		// the proper diagnostic): the eager decode path.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return LoadSealedCorpus(data)
-	}
 	shard, err := snapshot.OpenCorpusShardFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if shard.Header().ShardCount != 1 {
-		idx, cnt := shard.Header().ShardIndex, shard.Header().ShardCount
+	if idx, cnt := shard.Header().ShardIndex, shard.Header().ShardCount; cnt != 1 {
 		shard.Close()
 		return nil, fmt.Errorf("firmup: %s is shard %d of %d: open the shard directory instead", path, idx, cnt)
 	}
-	return sealedFromShards([]*snapshot.CorpusShard{shard}, []string{path})
-}
-
-// MixedCorpusError reports a shard directory that mixes sealed-corpus
-// container generations: a monolithic v1 artifact cannot be served
-// alongside mmap shard files as one corpus. Path names the offending
-// file so the operator can move it out of the shard set.
-type MixedCorpusError struct {
-	// Dir is the directory that was scanned.
-	Dir string
-	// Path is the first file whose container generation disagrees with
-	// the shard files around it.
-	Path string
-	// Version is that file's container format version.
-	Version int
-}
-
-func (e *MixedCorpusError) Error() string {
-	return fmt.Sprintf("firmup: %s mixes sealed-corpus container generations: %s is a v%d artifact among shard files", e.Dir, e.Path, e.Version)
-}
-
-// sniffCorpusVersion reads just the container header version of one
-// .fwcorp file.
-func sniffCorpusVersion(path string) (int, error) {
-	f, err := os.Open(path)
+	sc, err := sealedFromShards([]*snapshot.CorpusShard{shard}, []string{path})
 	if err != nil {
-		return 0, err
+		shard.Close()
 	}
-	hdr := make([]byte, 16)
-	n, _ := f.Read(hdr)
-	f.Close()
-	return snapshot.CorpusVersion(hdr[:n])
+	return sc, err
 }
 
 // OpenSealedCorpusDir opens every *.fwcorp shard under dir as one
 // sealed corpus, validating that the files form exactly one complete
 // shard set (contiguous indexes, agreeing totals, byte-identical
-// frozen vocabulary). A directory mixing monolithic v1 artifacts with
-// shard files fails with a *MixedCorpusError naming the odd file out.
+// frozen vocabulary). Any file that is not a shard of the one supported
+// version fails the open with an error naming it.
 func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.fwcorp"))
 	if err != nil {
@@ -462,25 +370,6 @@ func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
 		return nil, fmt.Errorf("firmup: %s holds no .fwcorp shards", dir)
 	}
 	sort.Strings(matches)
-	versions := make([]int, len(matches))
-	hasShard := false
-	for i, p := range matches {
-		v, err := sniffCorpusVersion(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		versions[i] = v
-		if v >= snapshot.CorpusFormatVersionV2 {
-			hasShard = true
-		}
-	}
-	if hasShard {
-		for i, v := range versions {
-			if v < snapshot.CorpusFormatVersionV2 {
-				return nil, &MixedCorpusError{Dir: dir, Path: matches[i], Version: v}
-			}
-		}
-	}
 	shards := make([]*snapshot.CorpusShard, 0, len(matches))
 	closeAll := func() {
 		for _, s := range shards {
@@ -558,29 +447,30 @@ func sealedFromShards(shards []*snapshot.CorpusShard, paths []string) (*SealedCo
 	}
 
 	sc := &SealedCorpus{frozen: frozen}
-	imgBase := 0
 	for _, oi := range order {
 		shard := shards[oi]
-		store := &sealedStore{shard: shard, frozen: frozen}
-		n := shard.NumImages()
-		for li := 0; li < n; li++ {
+		g := &sealedGroup{
+			base:    len(sc.images),
+			n:       shard.NumImages(),
+			nExes:   shard.NumExes(),
+			indexed: shard.Indexed(),
+			shard:   shard,
+			path:    paths[oi],
+			frozen:  frozen,
+			lazy:    make([]lazyExe, shard.NumExes()),
+		}
+		for li := 0; li < g.n; li++ {
 			info := shard.Image(li)
-			si := &SealedImage{
-				Vendor:   info.Vendor,
-				Device:   info.Device,
-				Version:  info.Version,
-				store:    store,
-				storeImg: li,
-				nExes:    info.Executables,
-				lazy:     make([]lazyExe, info.Executables),
+			si := &SealedImage{Vendor: info.Vendor, Device: info.Device, Version: info.Version, group: g}
+			if si.occs, err = shard.Occurrences(li); err != nil {
+				return nil, fmt.Errorf("%s: %w", paths[oi], err)
 			}
 			for _, s := range info.Skipped {
 				si.Skipped = append(si.Skipped, SkipReason{Path: s.Path, Err: errors.New(s.Err)})
 			}
 			sc.images = append(sc.images, si)
 		}
-		sc.shards = append(sc.shards, &sealedShardRef{store: store, path: paths[oi], base: imgBase, n: n})
-		imgBase += n
+		sc.groups = append(sc.groups, g)
 	}
 	return sc, nil
 }

@@ -1,8 +1,11 @@
 package firmup_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -234,24 +237,30 @@ func TestSealedConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestSealedCorpusSaveLoadRoundTrip serializes a sealed corpus to the
-// FWCORP artifact and reloads it with no live session; the loaded
+// TestSealedCorpusSaveLoadRoundTrip writes a sealed corpus as a
+// one-shard directory and reopens it with no live session; the opened
 // corpus must carry identical metadata and answer searches identically.
 func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
-	blob, err := s.sealed.Save()
+	dir := t.TempDir()
+	if _, err := s.sealed.WriteShards(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := firmup.OpenSealedCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := firmup.LoadSealedCorpus(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer loaded.Close()
 	if got, want := loaded.UniqueStrands(), s.sealed.UniqueStrands(); got != want {
 		t.Errorf("unique strands: loaded %d, sealed %d", got, want)
 	}
 	if got, want := loaded.Executables(), s.sealed.Executables(); got != want {
 		t.Errorf("executables: loaded %d, sealed %d", got, want)
+	}
+	// One shard spans every image, so it stores exactly the corpus-wide
+	// distinct executables.
+	if got, want := loaded.UniqueExecutables(), s.sealed.UniqueExecutables(); got != want {
+		t.Errorf("unique executables: loaded %d, sealed %d", got, want)
 	}
 	if got, want := len(loaded.Images()), len(s.sealed.Images()); got != want {
 		t.Fatalf("images: loaded %d, sealed %d", got, want)
@@ -261,9 +270,6 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 		if lm.Vendor != im.Vendor || lm.Device != im.Device || lm.Version != im.Version {
 			t.Errorf("image %d identity: loaded %s/%s/%s, sealed %s/%s/%s",
 				i, lm.Vendor, lm.Device, lm.Version, im.Vendor, im.Device, im.Version)
-		}
-		if got, want := lm.IndexedStrands(), im.IndexedStrands(); got != want {
-			t.Errorf("image %d indexed strands: loaded %d, sealed %d", i, got, want)
 		}
 		if got, want := len(lm.Skipped), len(im.Skipped); got != want {
 			t.Errorf("image %d skipped: loaded %d, sealed %d", i, got, want)
@@ -293,27 +299,82 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSealedCorpusCorruption flips bits across a saved artifact; every
-// damaged form must fail to load with an error wrapping
-// ErrSnapshotCorrupt, never a panic or a silently wrong corpus.
+// TestSealedCorpusCorruption flips bits across a one-shard corpus file;
+// every damaged form must fail — at open, or at the first search that
+// touches the damage, since sections are verified on first touch — with
+// an error wrapping ErrSnapshotCorrupt, never a panic or a silently
+// wrong corpus. Only the zero padding between sections is uncovered.
 func TestSealedCorpusCorruption(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
-	blob, err := s.sealed.Save()
+	paths, err := s.sealed.WriteShards(t.TempDir(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off < len(blob); off += 211 {
+	blob, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cve := corpus.CVEByID("CVE-2014-4877")
+	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
+	// load opens the bytes as a corpus and touches every section: the
+	// vocabulary at open, the index by a default search, every executable
+	// by an exhaustive one.
+	load := func(data []byte) error {
+		path := filepath.Join(t.TempDir(), "shard-0000.fwcorp")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := firmup.OpenSealedCorpus(path)
+		if err != nil {
+			return err
+		}
+		defer sc.Close()
+		q, err := sc.AnalyzeQuery(qb)
+		if err != nil {
+			return err
+		}
+		if _, err := sc.SearchAll(q, cve.Procedure, nil); err != nil {
+			return err
+		}
+		_, err = sc.SearchAll(q, cve.Procedure, &firmup.Options{Exhaustive: true})
+		return err
+	}
+	if err := load(blob); err != nil {
+		t.Fatalf("undamaged shard: %v", err)
+	}
+	// The container: 16-byte header, then per section tag u32, offset
+	// u64, length u64, CRC u32.
+	nsec := int(binary.LittleEndian.Uint32(blob[12:]))
+	covered := func(off int) bool {
+		if off < 16+24*nsec {
+			return true
+		}
+		for i := 0; i < nsec; i++ {
+			row := blob[16+24*i:]
+			lo, n := binary.LittleEndian.Uint64(row[4:]), binary.LittleEndian.Uint64(row[12:])
+			if uint64(off) >= lo && uint64(off) < lo+n {
+				return true
+			}
+		}
+		return false
+	}
+	for off := 0; off < len(blob); off += len(blob)/97 + 1 {
+		if !covered(off) {
+			continue
+		}
 		bad := append([]byte(nil), blob...)
 		bad[off] ^= 0x40
-		if _, err := firmup.LoadSealedCorpus(bad); err == nil {
-			t.Errorf("bit flip at offset %d loaded successfully", off)
+		if err := load(bad); err == nil {
+			t.Errorf("bit flip at offset %d loaded and searched successfully", off)
 		} else if !errors.Is(err, firmup.ErrSnapshotCorrupt) {
 			t.Errorf("bit flip at offset %d: error does not wrap ErrSnapshotCorrupt: %v", off, err)
 		}
 	}
 	for _, n := range []int{0, 4, len(blob) / 2, len(blob) - 1} {
-		if _, err := firmup.LoadSealedCorpus(blob[:n]); err == nil {
+		if err := load(blob[:n]); err == nil {
 			t.Errorf("truncation to %d bytes loaded successfully", n)
+		} else if !errors.Is(err, firmup.ErrSnapshotCorrupt) {
+			t.Errorf("truncation to %d bytes: error does not wrap ErrSnapshotCorrupt: %v", n, err)
 		}
 	}
 }
@@ -411,16 +472,18 @@ func TestAnalyzedQueryFootprint(t *testing.T) {
 	}
 }
 
-// TestSinglePrefilterEvaluation pins that a sealed search asks an
-// image's index for each query procedure's candidates exactly once: the
-// list that selects what a store-backed image materializes is the list
-// the games run on, not a second evaluation. After one SearchAll and one
-// SearchAllBatch over an N-image corpus, index.queries is queries × N —
-// in RAM and store-backed alike.
+// TestSinglePrefilterEvaluation pins that a sealed search asks a
+// group's index for each query procedure's candidates exactly once: the
+// list that selects what a store-backed group materializes is the list
+// the games run on, not a second evaluation, and one scan serves every
+// image of the group. After one SearchAll and one SearchAllBatch,
+// index.queries is queries × groups — one group in RAM, one per shard
+// store-backed.
 func TestSinglePrefilterEvaluation(t *testing.T) {
 	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
 	shardDir := t.TempDir()
-	if _, err := s.sealed.WriteShards(shardDir, 3); err != nil {
+	const nShards = 3
+	if _, err := s.sealed.WriteShards(shardDir, nShards); err != nil {
 		t.Fatal(err)
 	}
 	store, err := firmup.OpenSealedCorpusDir(shardDir)
@@ -432,7 +495,8 @@ func TestSinglePrefilterEvaluation(t *testing.T) {
 	for _, form := range []struct {
 		name string
 		sc   *firmup.SealedCorpus
-	}{{"sealed", s.sealed}, {"store", store}} {
+		n    int64
+	}{{"sealed", s.sealed, 1}, {"store", store, nShards}} {
 		reg := telemetry.New()
 		form.sc.SetTelemetry(reg)
 		var batch []firmup.BatchQuery
@@ -444,18 +508,17 @@ func TestSinglePrefilterEvaluation(t *testing.T) {
 			}
 			batch = append(batch, firmup.BatchQuery{Query: qe, Procedure: cve.Procedure})
 		}
-		n := int64(len(form.sc.Images()))
 		if _, err := form.sc.SearchAll(batch[0].Query, batch[0].Procedure, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := reg.Counter("index.queries").Value(); got != n {
-			t.Errorf("%s: SearchAll over %d images ran %d candidate queries, want one per image", form.name, n, got)
+		if got := reg.Counter("index.queries").Value(); got != form.n {
+			t.Errorf("%s: SearchAll over %d groups ran %d candidate queries, want one per group", form.name, form.n, got)
 		}
 		if _, err := form.sc.SearchAllBatch(batch, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := reg.Counter("index.queries").Value(), n*int64(1+len(batch)); got != want {
-			t.Errorf("%s: after a %d-query SearchAllBatch index.queries = %d, want %d (one per query per image)",
+		if got, want := reg.Counter("index.queries").Value(), form.n*int64(1+len(batch)); got != want {
+			t.Errorf("%s: after a %d-query SearchAllBatch index.queries = %d, want %d (one per query per group)",
 				form.name, len(batch), got, want)
 		}
 		form.sc.SetTelemetry(nil)

@@ -1,22 +1,26 @@
 package firmup_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"firmup"
 	"firmup/internal/corpus"
+	"firmup/internal/image"
+	"firmup/internal/sim"
 	"firmup/internal/snapshot"
 	"firmup/internal/uir"
 )
 
 // TestShardedCorpusEquivalence is the sharding soundness test: a
-// sealed corpus split into any number of v2 shards and reopened
+// sealed corpus split into any number of shards and reopened
 // mmap-backed must answer every search byte-identically to the in-RAM
 // corpus it was written from — findings, examined counts and step
 // histograms, across sequential, batched and exhaustive paths, and
@@ -159,10 +163,10 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenSealedCorpusForms pins the OpenSealedCorpus dispatch: a v1
-// artifact, a single-shard v2 file and a shard directory all open into
-// equivalent corpora, and a multi-shard member opened as a lone file
-// is rejected with a pointer to the directory form.
+// TestOpenSealedCorpusForms pins the OpenSealedCorpus dispatch: a
+// single-shard file and a shard directory open into equivalent corpora,
+// and a multi-shard member opened as a lone file is rejected with a
+// pointer to the directory form.
 func TestOpenSealedCorpusForms(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
 	cve := corpus.CVEByID("CVE-2014-4877")
@@ -177,14 +181,6 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "corpus.v1")
-	blob, err := s.sealed.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1Path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	oneDir := filepath.Join(dir, "one")
 	onePaths, err := s.sealed.WriteShards(oneDir, 1)
 	if err != nil {
@@ -199,7 +195,6 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	for _, tc := range []struct {
 		name, path string
 	}{
-		{"v1-file", v1Path},
 		{"v2-single-file", onePaths[0]},
 		{"v2-dir", manyDir},
 	} {
@@ -229,7 +224,8 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 
 	// Exactly one shard version opens. The header carries no checksum, so
 	// patching the version word alone reaches the version check, which
-	// answers any other version as corruption.
+	// answers any other version — here the previous layout's — as
+	// corruption.
 	otherDir := filepath.Join(dir, "other-version")
 	if err := os.Mkdir(otherDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -238,16 +234,16 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other[8] = 3
+	other[8] = 2
 	otherPath := filepath.Join(otherDir, filepath.Base(onePaths[0]))
 	if err := os.WriteFile(otherPath, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("OpenCorpusShardFile of a version-3 shard: err = %v, want ErrCorrupt", err)
+		t.Errorf("OpenCorpusShardFile of a version-2 shard: err = %v, want ErrCorrupt", err)
 	}
 	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("OpenSealedCorpusDir of a version-3 shard: err = %v, want ErrCorrupt", err)
+		t.Errorf("OpenSealedCorpusDir of a version-2 shard: err = %v, want ErrCorrupt", err)
 	}
 
 	// A shard set with a member missing must be rejected at open.
@@ -259,39 +255,27 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	}
 }
 
-// TestOpenSealedCorpusDirMixed pins the mixed-generation diagnostic: a
-// v1 artifact dropped into a shard directory must fail the directory
-// open with a MixedCorpusError naming that file.
+// TestOpenSealedCorpusDirMixed pins the stray-file diagnostic: a
+// .fwcorp file that is not a shard of the supported version — here a
+// container of the deleted monolithic layout — dropped into a shard
+// directory must fail the directory open with ErrCorrupt naming that
+// file.
 func TestOpenSealedCorpusDirMixed(t *testing.T) {
 	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 1, MaxReleases: 1, Seed: 5})
 	dir := t.TempDir()
 	if _, err := s.sealed.WriteShards(dir, 2); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := s.sealed.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
 	stray := filepath.Join(dir, "old-corpus.fwcorp")
-	if err := os.WriteFile(stray, blob, 0o644); err != nil {
+	if err := os.WriteFile(stray, []byte("FWCORP\r\n\x01\x00\x00\x00\x03\x00\x00\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = firmup.OpenSealedCorpusDir(dir)
-	if err == nil {
-		t.Fatal("opening a mixed v1/v2 directory succeeded")
+	_, err := firmup.OpenSealedCorpusDir(dir)
+	if !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("opening a directory with a stray container: err = %v, want ErrCorrupt", err)
 	}
-	var mixed *firmup.MixedCorpusError
-	if !errors.As(err, &mixed) {
-		t.Fatalf("error is %T (%v), want *MixedCorpusError", err, err)
-	}
-	if mixed.Path != stray {
-		t.Errorf("MixedCorpusError.Path = %q, want %q", mixed.Path, stray)
-	}
-	if mixed.Dir != dir {
-		t.Errorf("MixedCorpusError.Dir = %q, want %q", mixed.Dir, dir)
-	}
-	if mixed.Version != 1 {
-		t.Errorf("MixedCorpusError.Version = %d, want 1", mixed.Version)
+	if !strings.Contains(err.Error(), stray) {
+		t.Errorf("error %q does not name the stray file %s", err, stray)
 	}
 }
 
@@ -325,8 +309,286 @@ func TestWriteShardsDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("shard %d differs between two WriteShards runs", i)
 		}
-		if v, err := snapshot.CorpusVersion(a); err != nil || v != snapshot.CorpusFormatVersionV2 {
-			t.Errorf("shard %d: version %d (err %v), want v%d", i, v, err, snapshot.CorpusFormatVersionV2)
+		if v := binary.LittleEndian.Uint32(a[8:]); v != snapshot.CorpusFormatVersion {
+			t.Errorf("shard %d: version word %d, want %d", i, v, snapshot.CorpusFormatVersion)
 		}
 	}
+}
+
+// TestShardDedupEquivalence is the dedup ≡ no-dedup soundness test: the live
+// session analyses, indexes and plays every copy of an executable on its
+// own; a sealed corpus stores, scans and plays each distinct one once
+// per group and fans the outcome out. Over a corpus with forced
+// duplicates — the same bytes twice in one image under two paths, again
+// in the next image, again in the last one (another shard once there are
+// several) — and two near-duplicates that must not merge (one
+// procedure's address moved, one procedure's markers changed), every
+// (query, image) result of the in-RAM sealed corpus and of shard sets of
+// 1, 3 and 8 — single and batched, corpus-wide and per image, under
+// default, relaxed-floor and exhaustive options — must deep-equal the
+// live session's: findings, examined counts and step histograms.
+func TestShardDedupEquivalence(t *testing.T) {
+	built, err := corpus.Build(corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built.Images) < 4 {
+		t.Fatalf("corpus has %d images; the duplicate layout needs 4", len(built.Images))
+	}
+	cve := corpus.CVEByID("CVE-2014-4877")
+	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
+	cve2 := corpus.CVEByID("CVE-2013-1944")
+	qb2 := queryBytesFor(t, cve2, uir.ArchARM32)
+
+	// The donor is the first executable the query is found in: every
+	// forced copy then carries a finding, so a fan-out that dropped or
+	// mis-stamped one would show.
+	plain := firmup.NewAnalyzer(nil)
+	plainQ, err := plain.LoadQueryExecutable(qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plainImgs []*firmup.Image
+	donorImg, donorPath := -1, ""
+	for i, bi := range built.Images {
+		img, err := plain.OpenImage(bi.Image.Pack(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainImgs = append(plainImgs, img)
+		if donorImg < 0 && i+1 < len(built.Images)-1 {
+			fs, err := plain.SearchImage(plainQ, cve.Procedure, img, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fs) > 0 {
+				donorImg, donorPath = i, fs[0].ExePath
+			}
+		}
+	}
+	if donorImg < 0 {
+		t.Fatal("no image carries the query procedure; equivalence would be vacuous")
+	}
+	plainSealed, err := plain.Seal(plainImgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var donor []byte
+	for _, fe := range built.Images[donorImg].Image.Files {
+		if fe.Path == donorPath {
+			donor = fe.Data
+		}
+	}
+	last := len(built.Images) - 1
+	copies := map[int][]string{donorImg: {"dup/twice"}, donorImg + 1: {"dup/next-image"}, last: {"dup/last-image"}}
+
+	a := firmup.NewAnalyzer(nil)
+	var live []*firmup.Image
+	for i, bi := range built.Images {
+		im := *bi.Image
+		im.Files = append([]image.FileEntry(nil), im.Files...)
+		for _, p := range copies[i] {
+			im.Files = append(im.Files, image.FileEntry{Path: p, Data: donor})
+		}
+		img, err := a.OpenImage(im.Pack(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, img)
+	}
+	src := live[donorImg].Executable(donorPath)
+	hit, ok := src.Procedure(cve.Procedure)
+	if !ok {
+		// Stripped donor: the matched procedure is the one the finding named.
+		fs, err := a.SearchImage(mustQuery(t, a, qb), cve.Procedure, live[donorImg], nil)
+		if err != nil || len(fs) == 0 {
+			t.Fatalf("donor search: %v, %d findings", err, len(fs))
+		}
+		for _, p := range src.Procedures() {
+			if p.Addr == fs[0].ProcAddr {
+				hit = p
+			}
+		}
+	}
+	edit := func(f func(*sim.Proc)) func([]*sim.Proc) {
+		return func(procs []*sim.Proc) {
+			for _, p := range procs {
+				if p.Addr == hit.Addr {
+					f(p)
+					return
+				}
+			}
+			t.Fatal("donor procedure not found in its copy")
+		}
+	}
+	live[donorImg].AddVariant(src, "near/addr", edit(func(p *sim.Proc) { p.Addr += 0x40 }))
+	live[donorImg].AddVariant(src, "near/markers", edit(func(p *sim.Proc) {
+		if len(p.Markers) == 0 {
+			t.Fatal("donor procedure has no markers to change")
+		}
+		shifted := make([]uint32, len(p.Markers))
+		for i, m := range p.Markers {
+			shifted[i] = m + 1
+		}
+		p.Markers = shifted
+	}))
+
+	sealed, err := a.Seal(live...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sealed.Executables(), plainSealed.Executables()+5; got != want {
+		t.Fatalf("sealed corpus counts %d executables, want %d (three copies, two near-duplicates)", got, want)
+	}
+	if got, want := sealed.UniqueExecutables(), plainSealed.UniqueExecutables()+2; got != want {
+		t.Fatalf("sealed corpus stores %d distinct executables, want %d: the copies must merge, the near-duplicates must not", got, want)
+	}
+
+	opts := []*firmup.Options{nil, {MinScore: 3, MinRatio: 0.2}, {Exhaustive: true}}
+	liveBatch := []firmup.BatchQuery{
+		{Query: mustQuery(t, a, qb), Procedure: cve.Procedure},
+		{Query: mustQuery(t, a, qb2), Procedure: cve2.Procedure},
+	}
+	// want[opt][query][image] is the live session's answer.
+	want := make([][][]*firmup.SearchResult, len(opts))
+	total := 0
+	for oi, opt := range opts {
+		want[oi] = make([][]*firmup.SearchResult, len(liveBatch))
+		for qx, bq := range liveBatch {
+			for _, img := range live {
+				res, err := a.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[oi][qx] = append(want[oi][qx], res)
+				total += len(res.Findings)
+			}
+		}
+		for ii, img := range live {
+			batch, err := a.SearchBatch(liveBatch, img, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qx := range liveBatch {
+				if !reflect.DeepEqual(batch[qx], want[oi][qx][ii]) {
+					t.Fatalf("opt[%d] image %d query %d: live batched search diverges from live single", oi, ii, qx)
+				}
+			}
+		}
+	}
+	paths := map[string]bool{}
+	for _, f := range want[0][0][donorImg].Findings {
+		paths[f.ExePath] = true
+	}
+	if !paths[donorPath] || !paths["dup/twice"] || !paths["near/addr"] || paths["near/markers"] {
+		t.Fatalf("donor image findings %v: want the donor, its copy and the moved-address variant, and not the changed-markers one", paths)
+	}
+	if total == 0 {
+		t.Fatal("live baseline found nothing; equivalence would be vacuous")
+	}
+
+	check := func(t *testing.T, sc *firmup.SealedCorpus) {
+		t.Helper()
+		batch := []firmup.BatchQuery{
+			{Query: mustSealedQuery(t, sc, qb), Procedure: cve.Procedure},
+			{Query: mustSealedQuery(t, sc, qb2), Procedure: cve2.Procedure},
+		}
+		for oi, opt := range opts {
+			allBatch, err := sc.SearchAllBatch(batch, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qx, bq := range batch {
+				all, err := sc.SearchAll(bq.Query, bq.Procedure, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(all, allBatch[qx]) {
+					t.Errorf("opt[%d] query %d: SearchAll diverges from its SearchAllBatch entry", oi, qx)
+				}
+				for ii, img := range sc.Images() {
+					w := want[oi][qx][ii]
+					res, err := sc.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res, w) {
+						t.Errorf("opt[%d] query %d image %d: sealed per-image result diverges from live:\nsealed: %+v\nlive:   %+v", oi, qx, ii, res, w)
+					}
+					wantAll := firmup.ImageFindings{Vendor: live[ii].Vendor, Device: live[ii].Device, Version: live[ii].Version, Findings: w.Findings, Examined: w.Examined}
+					if !reflect.DeepEqual(all[ii], wantAll) {
+						t.Errorf("opt[%d] query %d image %d: SearchAll entry diverges from live:\nsealed: %+v\nlive:   %+v", oi, qx, ii, all[ii], wantAll)
+					}
+				}
+			}
+			for ii, img := range sc.Images() {
+				res, err := sc.SearchBatch(batch, img, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qx := range batch {
+					if !reflect.DeepEqual(res[qx], want[oi][qx][ii]) {
+						t.Errorf("opt[%d] query %d image %d: sealed batched per-image result diverges from live", oi, qx, ii)
+					}
+				}
+			}
+		}
+	}
+	t.Run("sealed", func(t *testing.T) { check(t, sealed) })
+	for _, n := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := sealed.WriteShards(dir, n); err != nil {
+				t.Fatal(err)
+			}
+			sc, err := firmup.OpenSealedCorpusDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			// Each shard stores exactly the distinct executables of its own
+			// image range — what sealing that range alone keeps.
+			stored := 0
+			for _, sh := range sc.Shards() {
+				base := 0
+				for _, before := range sc.Shards()[:sh.Index] {
+					base += before.Images
+				}
+				alone, err := a.Seal(live[base : base+sh.Images]...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sh.UniqueExecutables != alone.UniqueExecutables() || sh.Executables != alone.Executables() {
+					t.Errorf("shard %d stores %d distinct executables for %d occurrences, want %d for %d",
+						sh.Index, sh.UniqueExecutables, sh.Executables, alone.UniqueExecutables(), alone.Executables())
+				}
+				stored += sh.UniqueExecutables
+			}
+			if sc.UniqueExecutables() != stored || sc.Executables() != sealed.Executables() {
+				t.Errorf("corpus reports %d distinct / %d executables, want %d / %d", sc.UniqueExecutables(), sc.Executables(), stored, sealed.Executables())
+			}
+			if n == 1 && stored != sealed.UniqueExecutables() {
+				t.Errorf("one shard stores %d distinct executables, the in-RAM corpus %d", stored, sealed.UniqueExecutables())
+			}
+			check(t, sc)
+		})
+	}
+}
+
+func mustQuery(t *testing.T, a *firmup.Analyzer, data []byte) *firmup.Executable {
+	t.Helper()
+	q, err := a.LoadQueryExecutable(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func mustSealedQuery(t *testing.T, sc *firmup.SealedCorpus, data []byte) *firmup.Executable {
+	t.Helper()
+	q, err := sc.AnalyzeQuery(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
