@@ -201,35 +201,43 @@ func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
 	}
 }
 
+// newCoreTelemetry is the game engine's handle set, shared by the live
+// session's searches and a sealed corpus's search passes.
+func newCoreTelemetry(r *telemetry.Registry) *core.Telemetry {
+	return &core.Telemetry{
+		Games:                 r.Counter("game.played"),
+		Unplayed:              r.Counter("game.unplayed"),
+		Cut:                   r.Counter("game.cut"),
+		Steps:                 r.Histogram("game.steps"),
+		AcceptedSteps:         r.Histogram("game.steps.accepted"),
+		MatcherHits:           r.Counter("game.matcher_hits"),
+		MatcherMisses:         r.Counter("game.matcher_misses"),
+		Searches:              r.Counter("search.runs"),
+		PrefilterKept:         r.Counter("search.targets_kept"),
+		PrefilterSkipped:      r.Counter("search.targets_skipped"),
+		BatchSearches:         r.Counter("batch.searches"),
+		BatchSharedGames:      r.Counter("batch.shared_games"),
+		BatchQueriesPerTarget: r.Histogram("batch.queries_per_target"),
+	}
+}
+
 func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
 	if r == nil {
 		return nil
 	}
 	return &sessionMetrics{
 		frontEndMetrics: newFrontEndMetrics(r),
-		core: &core.Telemetry{
-			Games:                 r.Counter("game.played"),
-			Steps:                 r.Histogram("game.steps"),
-			AcceptedSteps:         r.Histogram("game.steps.accepted"),
-			MatcherHits:           r.Counter("game.matcher_hits"),
-			MatcherMisses:         r.Counter("game.matcher_misses"),
-			Searches:              r.Counter("search.runs"),
-			PrefilterKept:         r.Counter("search.targets_kept"),
-			PrefilterSkipped:      r.Counter("search.targets_skipped"),
-			BatchSearches:         r.Counter("batch.searches"),
-			BatchSharedGames:      r.Counter("batch.shared_games"),
-			BatchQueriesPerTarget: r.Histogram("batch.queries_per_target"),
-		},
-		idx:           newIndexTelemetry(r),
-		imageOpen:     r.Stage("image.open"),
-		imageUnpack:   r.Stage("image.unpack"),
-		snapSave:      r.Stage("snapshot.save"),
-		snapLoad:      r.Stage("snapshot.load"),
-		searchImage:   r.Stage("search.image"),
-		snapSaveBytes: r.Counter("snapshot.save_bytes"),
-		snapLoadBytes: r.Counter("snapshot.load_bytes"),
-		exesAnalyzed:  r.Counter("exe.analyzed"),
-		exesSkipped:   r.Counter("exe.skipped"),
+		core:            newCoreTelemetry(r),
+		idx:             newIndexTelemetry(r),
+		imageOpen:       r.Stage("image.open"),
+		imageUnpack:     r.Stage("image.unpack"),
+		snapSave:        r.Stage("snapshot.save"),
+		snapLoad:        r.Stage("snapshot.load"),
+		searchImage:     r.Stage("search.image"),
+		snapSaveBytes:   r.Counter("snapshot.save_bytes"),
+		snapLoadBytes:   r.Counter("snapshot.load_bytes"),
+		exesAnalyzed:    r.Counter("exe.analyzed"),
+		exesSkipped:     r.Counter("exe.skipped"),
 	}
 }
 
@@ -687,9 +695,10 @@ type Finding struct {
 // SearchResult pairs an image search's findings with its accounting.
 type SearchResult struct {
 	Findings []Finding
-	// Examined is the number of executables the game was actually played
-	// against; with the corpus-index prefilter this is usually well below
-	// len(img.Exes).
+	// Examined is the number of executables the search considered — every
+	// executable the corpus-index prefilter kept, usually well below
+	// len(img.Exes); a game is played against those of them that hold a
+	// procedure the search could accept.
 	Examined int
 	// StepsHistogram counts accepted findings by game steps needed.
 	StepsHistogram map[int]int

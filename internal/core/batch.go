@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"firmup/internal/sim"
 )
@@ -27,7 +28,7 @@ func MatchBatch(q *sim.Exe, qis []int, t *sim.Exe, opt *Options) []Result {
 	out := make([]Result, len(qis))
 	m := newMatcher(q, t, opt.tel())
 	for i, qi := range qis {
-		out[i] = runShared(q, qi, t, opt, m)
+		out[i] = runShared(q, qi, t, opt, m, nil)
 	}
 	m.release()
 	return out
@@ -35,9 +36,10 @@ func MatchBatch(q *sim.Exe, qis []int, t *sim.Exe, opt *Options) []Result {
 
 // runShared plays one game through a caller-managed matcher with fresh
 // pooled game state, recording the same per-game telemetry Match does.
-func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher) Result {
+// acceptable is runGame's.
+func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher, acceptable []int32) Result {
 	st := newGameState()
-	res := runGame(q, qi, t, opt, m, st)
+	res := runGame(q, qi, t, opt, m, st, acceptable)
 	st.release()
 	if tel := opt.tel(); tel != nil {
 		tel.Games.Inc()
@@ -46,8 +48,8 @@ func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher) Result 
 	return res
 }
 
-// SearchBatch runs Search for every query against the same target set
-// in one batched game-engine pass. Each target executable is visited
+// SearchBatch runs the search for every query against the same target
+// set in one batched game-engine pass. Each target executable is visited
 // once: all batch queries whose prefilter kept it play their games
 // back-to-back, and queries from the same query executable share one
 // matcher, so similarity vectors accumulated for one query answer the
@@ -55,23 +57,20 @@ func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher) Result 
 // sweep workloads).
 //
 // The results are positionally aligned with queries and byte-identical
-// to running Search once per query: same findings, same examined
-// counts, same step histograms, regardless of batch composition or
-// query order. Per-query state — game state, findings, histograms — is
-// never shared; only the exclusion-independent matcher caches and
-// pooled arenas are.
+// to searching once per query: same findings, same examined counts, same
+// step histograms, regardless of batch composition or query order.
+// Per-query state — game state, findings, histograms — is never shared;
+// only the exclusion-independent matcher caches and pooled arenas are.
 func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) []SearchResult {
-	// Per-query candidate narrowing, exactly as the sequential path
-	// computes it.
-	cands := make([][]int, len(queries))
+	plans := make([]Plan, len(queries))
 	for qx, bq := range queries {
-		cands[qx] = candidateIndices(bq.Q, bq.QI, targets, opt)
+		plans[qx].Targets = candidateIndices(bq.Q, bq.QI, targets, opt)
 	}
-	findings := PlayBatch(queries, targets, cands, opt)
+	findings := PlayBatch(queries, targets, plans, opt).Findings
 	out := make([]SearchResult, len(queries))
 	for qx := range queries {
 		res := &out[qx]
-		*res = SearchResult{StepsHistogram: map[int]int{}, Examined: len(cands[qx])}
+		*res = SearchResult{StepsHistogram: map[int]int{}, Examined: len(plans[qx].Targets)}
 		for _, f := range findings[qx] {
 			if f != nil {
 				res.Findings = append(res.Findings, *f)
@@ -83,18 +82,64 @@ func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) [
 	return out
 }
 
+// Plan is one query's resolved play list for PlayBatch: the targets its
+// games run against and, when the caller's narrowing already counted
+// them, the query's similarity vector in each.
+type Plan struct {
+	// Targets are valid, duplicate-free indices into the pass's targets.
+	Targets []int
+	// Off and Vec, when Off is non-nil, carry the vectors: Vec[Off[k]:
+	// Off[k+1]] are the positive entries of Targets[k]'s SimAll for the
+	// query procedure's set, in procedure order (len(Off) is
+	// len(Targets)+1). A corpus posting scan produces exactly this
+	// (corpusindex.Scans); the game then starts from it instead of
+	// accumulating it again.
+	Off []int32
+	Vec []sim.ProcScore
+}
+
+// vector returns the query's similarity vector in Targets[k], or nil
+// when the plan carries none.
+func (p *Plan) vector(k int) []sim.ProcScore {
+	if p.Off == nil {
+		return nil
+	}
+	return p.Vec[p.Off[k]:p.Off[k+1]]
+}
+
+// Played is the outcome of one PlayBatch pass.
+type Played struct {
+	// Findings are the per-target result slots: Findings[qx][ti] is the
+	// accepted finding of query qx in targets[ti], nil where there is
+	// none — so a caller whose targets stand for several occurrences each
+	// can fan one game out without re-finding it by path.
+	Findings [][]*Finding
+	// Unplayed counts the planned (query, target) pairs not played because
+	// the target holds no acceptable procedure; Cut the games stopped
+	// with EndUnacceptable.
+	Unplayed, Cut int
+}
+
+// slot is one planned game of a target pass: query qx, whose plan lists
+// the target at position k.
+type slot struct{ qx, k int }
+
 // PlayBatch is the game-playing pass under SearchBatch, with the
 // candidate narrowing already resolved by the caller: query qx is played
-// against targets[ti] for every ti in cands[qx] (valid, duplicate-free
-// indices; targets outside every list are never dereferenced and may be
-// nil). It returns the per-target result slots — findings[qx][ti] is the
-// accepted finding of query qx in target ti, nil where the game was
-// rejected or not played — so a caller whose targets stand for several
-// occurrences each can fan one game out without re-finding it by path.
+// against targets[ti] for every ti in plans[qx].Targets (targets outside
+// every list are never dereferenced and may be nil).
+//
+// A game is played only while it can still be accepted. Before each one
+// the pass computes, from the query's similarity vector in the target —
+// the plan's, or the matcher's own first accumulation — the procedures
+// accept would pass (matcher.acceptableSet): when there are none the
+// game is not played, and a game that is played stops once the last of
+// them has been matched to another query procedure (see runGame).
+// Neither changes a finding or its step count.
 //
 // The pass records under "core.search_batch", or "core.search" for a
 // batch of one.
-func PlayBatch(queries []BatchQuery, targets []*sim.Exe, cands [][]int, opt *SearchOptions) [][]*Finding {
+func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *SearchOptions) Played {
 	tel := opt.game().tel()
 	name := "core.search_batch"
 	if len(queries) == 1 {
@@ -116,29 +161,27 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, cands [][]int, opt *Sea
 		}
 		groups[bq.Q] = append(groups[bq.Q], qx)
 	}
-	perTarget := make([][]int, len(targets))
+	perTarget := make([][]slot, len(targets))
 	for _, e := range exes {
 		for _, qx := range groups[e] {
 			if tel != nil {
 				tel.Searches.Inc()
-				tel.PrefilterKept.Add(int64(len(cands[qx])))
-				tel.PrefilterSkipped.Add(int64(len(targets) - len(cands[qx])))
+				tel.PrefilterKept.Add(int64(len(plans[qx].Targets)))
+				tel.PrefilterSkipped.Add(int64(len(targets) - len(plans[qx].Targets)))
 			}
-			for _, ti := range cands[qx] {
-				perTarget[ti] = append(perTarget[ti], qx)
+			for k, ti := range plans[qx].Targets {
+				perTarget[ti] = append(perTarget[ti], slot{qx, k})
 			}
 		}
 	}
 
 	findings := make([][]*Finding, len(queries))
-	steps := make([][]int, len(queries))
 	for qx := range queries {
 		findings[qx] = make([]*Finding, len(targets))
-		steps[qx] = make([]int, len(targets))
 	}
 	var work []int
-	for ti, qxs := range perTarget {
-		if len(qxs) > 0 {
+	for ti, slots := range perTarget {
+		if len(slots) > 0 {
 			work = append(work, ti)
 		}
 	}
@@ -148,13 +191,18 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, cands [][]int, opt *Sea
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
+	var steps, unplayed, cut atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var c passCounts
 			for ti := range jobs {
-				runTargetPass(queries, targets[ti], ti, perTarget[ti], opt, findings, steps)
+				runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, findings, &c)
 			}
+			steps.Add(c.steps)
+			unplayed.Add(c.unplayed)
+			cut.Add(c.cut)
 		}()
 	}
 	for _, ti := range work {
@@ -163,7 +211,10 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, cands [][]int, opt *Sea
 	close(jobs)
 	wg.Wait()
 
+	out := Played{Findings: findings, Unplayed: int(unplayed.Load()), Cut: int(cut.Load())}
 	if tel != nil {
+		tel.Unplayed.Add(unplayed.Load())
+		tel.Cut.Add(cut.Load())
 		for qx := range findings {
 			for _, f := range findings[qx] {
 				if f != nil {
@@ -173,12 +224,11 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, cands [][]int, opt *Sea
 		}
 	}
 	if sp.Active() {
-		var examined, nFindings, gameSteps int64
+		var examined, nFindings int64
 		for qx := range queries {
-			examined += int64(len(cands[qx]))
-			for ti, s := range steps[qx] {
-				gameSteps += int64(s)
-				if findings[qx][ti] != nil {
+			examined += int64(len(plans[qx].Targets))
+			for _, f := range findings[qx] {
+				if f != nil {
 					nFindings++
 				}
 			}
@@ -187,31 +237,44 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, cands [][]int, opt *Sea
 		sp.SetAttr("targets", int64(len(targets)))
 		sp.SetAttr("examined", examined)
 		sp.SetAttr("findings", nFindings)
-		sp.SetAttr("game_steps", gameSteps)
+		sp.SetAttr("game_steps", steps.Load())
+		sp.SetAttr("games_unplayed", unplayed.Load())
+		sp.SetAttr("games_cut", cut.Load())
 		sp.End()
 	}
-	return findings
+	return out
 }
 
+// passCounts is one worker's tally over the target passes it ran.
+type passCounts struct{ steps, unplayed, cut int64 }
+
 // runTargetPass plays every batch query aimed at one target. Queries
-// from the same query executable (contiguous in qxs by construction)
+// from the same query executable (contiguous in slots by construction)
 // run through one matcher, so the similarity vectors and candidate
-// lists the first game memoizes answer the rest; game state, steps and
-// findings stay per-query.
-func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, qxs []int, opt *SearchOptions, findings [][]*Finding, steps [][]int) {
+// lists the first game memoizes answer the rest; game state and findings
+// stay per-query.
+func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, slots []slot, plans []Plan, opt *SearchOptions, findings [][]*Finding, c *passCounts) {
 	tel := opt.game().tel()
 	if tel != nil {
-		tel.BatchQueriesPerTarget.Observe(int64(len(qxs)))
+		tel.BatchQueriesPerTarget.Observe(int64(len(slots)))
 	}
-	for i := 0; i < len(qxs); {
-		q := queries[qxs[i]].Q
+	for i := 0; i < len(slots); {
+		q := queries[slots[i].qx].Q
 		m := newMatcher(q, t, tel)
 		j := i
-		for ; j < len(qxs) && queries[qxs[j]].Q == q; j++ {
-			qx := qxs[j]
-			r := runShared(q, queries[qx].QI, t, opt.game(), m)
-			steps[qx][ti] = r.Steps
-			findings[qx][ti] = accept(q, queries[qx].QI, t, r, opt)
+		for ; j < len(slots) && queries[slots[j].qx].Q == q; j++ {
+			qx, qi := slots[j].qx, queries[slots[j].qx].QI
+			acc := m.acceptableSet(qi, plans[qx].vector(slots[j].k), opt)
+			if len(acc) == 0 {
+				c.unplayed++
+				continue
+			}
+			r := runShared(q, qi, t, opt.game(), m, acc)
+			c.steps += int64(r.Steps)
+			if r.Reason == EndUnacceptable {
+				c.cut++
+			}
+			findings[qx][ti] = accept(q, qi, t, r, opt)
 			if tel != nil && j > i {
 				tel.BatchSharedGames.Inc()
 			}

@@ -270,10 +270,24 @@ func TestSearchParallelAndThreshold(t *testing.T) {
 }
 
 func TestEndReasonStrings(t *testing.T) {
-	for r := EndMatched; r <= EndMatchLimit; r++ {
-		if r.String() == "" {
-			t.Errorf("EndReason %d has empty string", r)
+	seen := map[string]bool{}
+	for r := EndMatched; r <= EndUnacceptable; r++ {
+		if r.String() == "" || seen[r.String()] {
+			t.Errorf("EndReason %d has an empty or repeated string %q", r, r)
 		}
+		seen[r.String()] = true
+		text, _ := r.MarshalText()
+		var back EndReason
+		if err := back.UnmarshalText(text); err != nil || back != r {
+			t.Errorf("EndReason %d (%s) round-trips to %d (err %v)", r, text, back, err)
+		}
+	}
+	if EndUnacceptable.String() != "unacceptable" {
+		t.Errorf("EndUnacceptable.String() = %q", EndUnacceptable)
+	}
+	var r EndReason
+	if err := r.UnmarshalText([]byte("lost")); err == nil {
+		t.Error("an unknown end reason decoded without error")
 	}
 }
 

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"firmup/internal/sim"
 	"firmup/internal/telemetry"
@@ -23,8 +24,15 @@ import (
 // a nil pointer (and any nil field) disables the corresponding metric.
 // Game outcomes are identical with and without it.
 type Telemetry struct {
-	// Games counts games played (Match and MatchReference calls).
+	// Games counts games played (Match and MatchReference calls, and
+	// every game a search pass actually runs).
 	Games *telemetry.Counter
+	// Unplayed counts the (query, candidate) pairs a search pass did not
+	// play because no procedure of the candidate could be accepted; Cut
+	// counts the games it stopped once every acceptable procedure had
+	// been matched to some other query procedure (EndUnacceptable).
+	Unplayed *telemetry.Counter
+	Cut      *telemetry.Counter
 	// Steps observes the step count of every game, accepted or not.
 	Steps *telemetry.Histogram
 	// AcceptedSteps observes the step count of games whose finding
@@ -70,11 +78,12 @@ type EndReason uint8
 
 // Game end reasons.
 const (
-	EndMatched     EndReason = iota // the query procedure was matched
-	EndNoCandidate                  // no target shares a single strand with some frontier procedure
-	EndStuck                        // the stack reached a fixed state
-	EndStepLimit                    // heuristic step cap
-	EndMatchLimit                   // heuristic matched-pair cap
+	EndMatched      EndReason = iota // the query procedure was matched
+	EndNoCandidate                   // no target shares a single strand with some frontier procedure
+	EndStuck                         // the stack reached a fixed state
+	EndStepLimit                     // heuristic step cap
+	EndMatchLimit                    // heuristic matched-pair cap
+	EndUnacceptable                  // every target procedure a search could accept is matched elsewhere
 )
 
 func (r EndReason) String() string {
@@ -87,8 +96,10 @@ func (r EndReason) String() string {
 		return "stuck"
 	case EndStepLimit:
 		return "step-limit"
-	default:
+	case EndMatchLimit:
 		return "match-limit"
+	default:
+		return "unacceptable"
 	}
 }
 
@@ -100,7 +111,7 @@ func (r EndReason) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes the String form.
 func (r *EndReason) UnmarshalText(text []byte) error {
-	for c := EndMatched; c <= EndMatchLimit; c++ {
+	for c := EndMatched; c <= EndUnacceptable; c++ {
 		if c.String() == string(text) {
 			*r = c
 			return nil
@@ -191,7 +202,7 @@ func (o *Options) tel() *Telemetry {
 func Match(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
 	m := newMatcher(q, t, opt.tel())
 	st := newGameState()
-	res := runGame(q, qi, t, opt, m, st)
+	res := runGame(q, qi, t, opt, m, st, nil)
 	st.release()
 	m.release()
 	if tel := opt.tel(); tel != nil {
@@ -211,7 +222,7 @@ func MatchReference(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
 		matchedQ: map[int]int{},
 		matchedT: map[int]int{},
 		inStack:  map[item]bool{},
-	})
+	}, nil)
 	if tel := opt.tel(); tel != nil {
 		tel.Games.Inc()
 		tel.Steps.Observe(int64(res.Steps))
@@ -224,8 +235,17 @@ func MatchReference(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
 // queries. The body avoids per-game closures and defers trace formatting
 // behind opt.trace() so an untraced game allocates only what escapes
 // into its Result.
-func runGame(q *sim.Exe, qi int, t *sim.Exe, opt *Options, pk picker, st *gameState) Result {
+//
+// acceptable, when non-empty, lists the only target procedures the
+// caller would accept as qi's partner, and the game stops
+// (EndUnacceptable) at the commit that matches the last of them to some
+// other query procedure. The stop cannot lose a finding: a finding
+// exists iff qi ends matched to a listed procedure, committed pairs are
+// never retracted, and stopping cuts the game's course short without
+// altering the part already played. Nil plays the game to its end.
+func runGame(q *sim.Exe, qi int, t *sim.Exe, opt *Options, pk picker, st *gameState, acceptable []int32) Result {
 	res := Result{Target: -1}
+	left := len(acceptable) // acceptable procedures still unmatched
 	matchedQ := st.matchedQ // Q index -> T index
 	matchedT := st.matchedT
 	trace := opt.trace()
@@ -328,6 +348,12 @@ func runGame(q *sim.Exe, qi int, t *sim.Exe, opt *Options, pk picker, st *gameSt
 				res.Score = t.Sim(q.Procs[qi].Set, tidx)
 				res.Reason = EndMatched
 				return res
+			}
+			if left > 0 && slices.Contains(acceptable, int32(tidx)) {
+				if left--; left == 0 {
+					res.Reason = EndUnacceptable
+					return res
+				}
 			}
 			continue
 		}

@@ -36,12 +36,6 @@ func (p refPicker) bestInQ(ti int, excluded map[int]int) (int, int) {
 	return p.q.BestMatch(p.t.Procs[ti].Set, func(i int) bool { _, ok := excluded[i]; return ok })
 }
 
-// cand is one memoized candidate: a procedure index and its Sim score.
-type cand struct {
-	proc  int32
-	score int32
-}
-
 // span locates one procedure's candidate list inside the matcher's slab.
 // n < 0 marks a vector not yet computed.
 type span struct{ off, n int32 }
@@ -73,11 +67,12 @@ type span struct{ off, n int32 }
 type matcher struct {
 	q, t *sim.Exe
 
-	qt   []span // q procedure index → candidate list in t
-	tq   []span // t procedure index → candidate list in q
-	slab []cand // backing store for all candidate lists of this game
+	qt   []span          // q procedure index → candidate list in t
+	tq   []span          // t procedure index → candidate list in q
+	slab []sim.ProcScore // backing store for all candidate lists of this game
 
 	buf sim.Buffers // accumulation scratch, grown to max(|q.Procs|, |t.Procs|)
+	acc []int32     // acceptableSet's result, reused across the matcher's games
 
 	// telemetry handles, reset per game (matchers are pooled); nil-safe.
 	telHits   *telemetry.Counter
@@ -142,13 +137,13 @@ func (m *matcher) best(e *sim.Exe, set strand.Set, sp *span, excluded map[int]in
 	}
 	best, bestScore := -1, int32(0)
 	for _, c := range m.slab[sp.off : sp.off+sp.n] {
-		if c.score <= bestScore {
+		if c.Score <= bestScore {
 			continue
 		}
-		if _, ok := excluded[int(c.proc)]; ok {
+		if _, ok := excluded[int(c.Proc)]; ok {
 			continue
 		}
-		best, bestScore = int(c.proc), c.score
+		best, bestScore = int(c.Proc), c.Score
 	}
 	return best, int(bestScore)
 }
@@ -159,10 +154,39 @@ func (m *matcher) memoize(e *sim.Exe, set strand.Set, sp *span) {
 	sp.off = int32(len(m.slab))
 	for i, c := range e.SimAllBuf(set, &m.buf) {
 		if c != 0 {
-			m.slab = append(m.slab, cand{proc: int32(i), score: int32(c)})
+			m.slab = append(m.slab, sim.ProcScore{Proc: int32(i), Score: int32(c)})
 		}
 	}
 	sp.n = int32(len(m.slab)) - sp.off
+}
+
+// acceptableSet returns the procedures of t that accept would turn into
+// a finding for qi — every positive entry of qi's similarity vector that
+// passes acceptable — so it is empty exactly when no game for qi in t
+// can end in a finding. The vector is qt[qi], the one the game's first
+// query reads. On first touch a non-nil vec — the positive entries of
+// t.SimAll for qi's set in procedure order, which a corpus posting scan
+// has already counted — is installed as that vector; without one the
+// matcher accumulates its own. The result aliases matcher scratch and is
+// valid until the next call.
+func (m *matcher) acceptableSet(qi int, vec []sim.ProcScore, opt *SearchOptions) []int32 {
+	sp := &m.qt[qi]
+	if sp.n < 0 {
+		if vec != nil {
+			sp.off, sp.n = int32(len(m.slab)), int32(len(vec))
+			m.slab = append(m.slab, vec...)
+		} else {
+			m.telMisses.Inc()
+			m.memoize(m.t, m.q.Procs[qi].Set, sp)
+		}
+	}
+	m.acc = m.acc[:0]
+	for _, c := range m.slab[sp.off : sp.off+sp.n] {
+		if _, ok := acceptable(m.q, qi, m.t, int(c.Proc), int(c.Score), opt); ok {
+			m.acc = append(m.acc, c.Proc)
+		}
+	}
+	return m.acc
 }
 
 // gameState is the per-game bookkeeping (partial matching, work stack),

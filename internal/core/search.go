@@ -2,8 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sort"
-	"sync"
 
 	"firmup/internal/sim"
 	"firmup/internal/strand"
@@ -128,74 +126,9 @@ type SearchResult struct {
 // Search runs the game for the query procedure against every candidate
 // target executable in parallel, applying the acceptance threshold.
 // Without a prefilter (or when it reports no information) every target
-// is a candidate.
-//
-// Every game runs through the memoizing matcher: the similarity vectors
-// a game queries are accumulated once each, and all count buffers,
-// candidate slabs and game state are recycled through pooled arenas
-// shared by the search's workers (and any concurrent searches), so a
-// steady-state search allocates per game only what escapes into its
-// Result.
+// is a candidate. It is SearchBatch with a batch of one.
 func Search(q *sim.Exe, qi int, targets []*sim.Exe, opt *SearchOptions) SearchResult {
-	tel := opt.game().tel()
-	sp := opt.traceStart("core.search")
-	candidates := candidateIndices(q, qi, targets, opt)
-	if tel != nil {
-		tel.Searches.Inc()
-		tel.PrefilterKept.Add(int64(len(candidates)))
-		tel.PrefilterSkipped.Add(int64(len(targets) - len(candidates)))
-	}
-	type job struct {
-		idx int
-		t   *sim.Exe
-	}
-	jobs := make(chan job)
-	results := make([]*Finding, len(targets))
-	steps := make([]int, len(targets))
-	var wg sync.WaitGroup
-	for w := 0; w < opt.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				r := Match(q, qi, j.t, opt.game())
-				steps[j.idx] = r.Steps
-				if f := accept(q, qi, j.t, r, opt); f != nil {
-					results[j.idx] = f
-				}
-			}
-		}()
-	}
-	for _, i := range candidates {
-		jobs <- job{i, targets[i]}
-	}
-	close(jobs)
-	wg.Wait()
-
-	out := SearchResult{StepsHistogram: map[int]int{}, Examined: len(candidates)}
-	for i, f := range results {
-		if f == nil {
-			continue
-		}
-		out.Findings = append(out.Findings, *f)
-		out.StepsHistogram[steps[i]]++
-		if tel != nil {
-			tel.AcceptedSteps.Observe(int64(steps[i]))
-		}
-	}
-	sort.Slice(out.Findings, func(i, j int) bool { return out.Findings[i].ExePath < out.Findings[j].ExePath })
-	if sp.Active() {
-		var gameSteps int64
-		for _, i := range candidates {
-			gameSteps += int64(steps[i])
-		}
-		sp.SetAttr("targets", int64(len(targets)))
-		sp.SetAttr("examined", int64(len(candidates)))
-		sp.SetAttr("findings", int64(len(out.Findings)))
-		sp.SetAttr("game_steps", gameSteps)
-		sp.End()
-	}
-	return out
+	return SearchBatch([]BatchQuery{{Q: q, QI: qi}}, targets, opt)[0]
 }
 
 // candidateIndices resolves the prefilter to a valid candidate index
@@ -242,19 +175,43 @@ func MatchOne(q *sim.Exe, qi int, t *sim.Exe, opt *SearchOptions) (*Finding, Res
 	return f, r
 }
 
+// accept turns a game's outcome into a finding when the matched pair
+// passes acceptable.
 func accept(q *sim.Exe, qi int, t *sim.Exe, r Result, opt *SearchOptions) *Finding {
 	if r.Target < 0 {
 		return nil
 	}
-	qset := q.Procs[qi].Set
-	qsize := qset.Size()
-	if qsize == 0 {
+	ratio, ok := acceptable(q, qi, t, r.Target, r.Score, opt)
+	if !ok {
 		return nil
 	}
-	var ratio float64
+	tp := t.Procs[r.Target]
+	return &Finding{
+		ExePath:   t.Path,
+		ProcIndex: r.Target,
+		ProcName:  tp.Name,
+		ProcAddr:  tp.Addr,
+		Score:     r.Score,
+		Ratio:     ratio,
+		Steps:     r.Steps,
+	}
+}
+
+// acceptable is the acceptance predicate: whether procedure ti of t,
+// sharing score strands with query procedure qi, may be reported as an
+// occurrence of it — the score floor, the plain or weighted ratio floor,
+// and the marker bar — and the ratio it is reported with. It depends on
+// the pair alone, never on the course of a game, which is what lets a
+// search name the acceptable procedures of a target before playing.
+func acceptable(q *sim.Exe, qi int, t *sim.Exe, ti, score int, opt *SearchOptions) (ratio float64, ok bool) {
+	qset := q.Procs[qi].Set
+	qsize := qset.Size()
+	if qsize == 0 || score < opt.minScore() {
+		return 0, false
+	}
 	if opt != nil && opt.Weigher != nil {
 		var total, shared float64
-		tset := t.Procs[r.Target].Set
+		tset := t.Procs[ti].Set
 		i, j := 0, 0
 		for _, h := range qset.Hashes {
 			total += opt.Weigher(h)
@@ -272,32 +229,23 @@ func accept(q *sim.Exe, qi int, t *sim.Exe, r Result, opt *SearchOptions) *Findi
 			}
 		}
 		if total == 0 {
-			return nil
+			return 0, false
 		}
 		ratio = shared / total
 	} else {
-		ratio = float64(r.Score) / float64(qsize)
+		ratio = float64(score) / float64(qsize)
 	}
-	if r.Score < opt.minScore() || ratio < opt.minRatio() {
-		return nil
+	if ratio < opt.minRatio() {
+		return 0, false
 	}
 	// Confirmation markers: a true occurrence of the query procedure
 	// carries its distinctive constants; require a minimum fraction when
 	// the query has enough markers to be meaningful.
 	if bar := opt.markerMinOverlap(); bar > 0 {
 		qm := q.Procs[qi].Markers
-		if len(qm) >= 1 && strand.MarkerOverlap(qm, t.Procs[r.Target].Markers) < bar {
-			return nil
+		if len(qm) >= 1 && strand.MarkerOverlap(qm, t.Procs[ti].Markers) < bar {
+			return 0, false
 		}
 	}
-	tp := t.Procs[r.Target]
-	return &Finding{
-		ExePath:   t.Path,
-		ProcIndex: r.Target,
-		ProcName:  tp.Name,
-		ProcAddr:  tp.Addr,
-		Score:     r.Score,
-		Ratio:     ratio,
-		Steps:     r.Steps,
-	}
+	return ratio, true
 }

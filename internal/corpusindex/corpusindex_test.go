@@ -387,14 +387,122 @@ func TestFrozenRanksLikeLive(t *testing.T) {
 				t.Fatalf("seed %d query %d: live index rejected a same-session query", seed, qi)
 			}
 			for name, fx := range map[string]*FrozenIndex{"built": built, "foreign": foreign} {
-				got, ok := fx.CandidateIndices(frozen, minScore, ratio, nil)
-				if !ok {
+				var got Scans
+				if !fx.Scan(frozen, minScore, ratio, nil, &got) {
 					t.Fatalf("seed %d query %d: %s frozen index rejected an overlay query", seed, qi, name)
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d query %d: %s frozen ranking %v != live %v", seed, qi, name, got, want)
+				if !slices.Equal(got.Exes, want) {
+					t.Fatalf("seed %d query %d: %s frozen ranking %v != live %v", seed, qi, name, got.Exes, want)
 				}
 			}
 		}
+	}
+}
+
+// TestScanVectorsEqualSimAll: what a scan hands the game engine is what
+// the engine would have accumulated itself. For every candidate, the
+// scan's vector equals the positive entries of the executable's SimAll
+// for the query set, in procedure order — with overlay-private query
+// IDs, under a scope filter, and with several queries appended to one
+// Scans — and an executable below the floors gets no entry at all.
+func TestScanVectorsEqualSimAll(t *testing.T) {
+	vectors, below := 0, 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		it, x := randCorpus(rng, 2+rng.Intn(10))
+		f := it.Freeze()
+		built, foreign := frozenOf(t, f, x)
+		exes := make([]*sim.Exe, len(x.exes))
+		for i, e := range x.exes {
+			exes[i] = e.Rebound(f)
+		}
+		for name, fx := range map[string]*FrozenIndex{"built": built, "foreign": foreign} {
+			var scans Scans
+			type scanned struct {
+				q        strand.Set
+				lo, hi   int
+				minScore int
+				ratio    float64
+				inScope  []bool
+			}
+			var all []scanned
+			for qi := 0; qi < 10; qi++ {
+				// Hashes 1..60 are the corpus's universe; 1000+ are novel
+				// and get overlay-private IDs above the vocabulary.
+				var hashes []uint64
+				for n := rng.Intn(12); len(hashes) < n; {
+					h := uint64(1 + rng.Intn(60))
+					if rng.Intn(4) == 0 {
+						h = uint64(1000 + rng.Intn(50))
+					}
+					if !slices.Contains(hashes, h) {
+						hashes = append(hashes, h)
+					}
+				}
+				qit := NewQueryInterner(f)
+				sc := scanned{
+					q:        set(hashes...).Interned(qit),
+					lo:       len(scans.Exes),
+					minScore: 1 + rng.Intn(3),
+					ratio:    float64(rng.Intn(3)) * 0.2,
+				}
+				if qi%3 == 2 {
+					sc.inScope = make([]bool, len(exes))
+					for i := range sc.inScope {
+						sc.inScope[i] = rng.Intn(2) == 0
+					}
+				}
+				if !fx.Scan(sc.q, sc.minScore, sc.ratio, sc.inScope, &scans) {
+					t.Fatalf("seed %d %s query %d: overlay query rejected", seed, name, qi)
+				}
+				sc.hi = len(scans.Exes)
+				all = append(all, sc)
+			}
+			if len(scans.Off) != len(scans.Exes)+1 {
+				t.Fatalf("seed %d %s: %d offsets for %d candidates", seed, name, len(scans.Off), len(scans.Exes))
+			}
+			// Checked after every scan has appended: earlier ranges must
+			// survive later appends.
+			for qi, sc := range all {
+				listed := map[int]bool{}
+				for k := sc.lo; k < sc.hi; k++ {
+					e := scans.Exes[k]
+					listed[e] = true
+					vectors++
+					var want []sim.ProcScore
+					for pi, c := range exes[e].SimAll(sc.q) {
+						if c > 0 {
+							want = append(want, sim.ProcScore{Proc: int32(pi), Score: int32(c)})
+						}
+					}
+					if got := scans.Vecs[scans.Off[k]:scans.Off[k+1]]; !slices.Equal(got, want) {
+						t.Fatalf("seed %d %s query %d exe %d: scan vector %v, SimAll positives %v", seed, name, qi, e, got, want)
+					}
+				}
+				// Listed iff in scope and above the floors.
+				for e := range exes {
+					best := slices.Max(append(exes[e].SimAll(sc.q), 0))
+					above := best >= sc.minScore && (sc.ratio == 0 || len(sc.q.IDs) == 0 ||
+						float64(best)/float64(len(sc.q.IDs)) >= sc.ratio)
+					want := above && (sc.inScope == nil || sc.inScope[e])
+					if best > 0 && !above {
+						below++
+					}
+					if listed[e] != want {
+						t.Fatalf("seed %d %s query %d exe %d (best %d): listed=%v, want %v", seed, name, qi, e, best, listed[e], want)
+					}
+				}
+			}
+		}
+	}
+	if vectors < 100 || below < 100 {
+		t.Fatalf("vacuous: %d vectors checked, %d executables sharing strands but below the floors", vectors, below)
+	}
+	// An incompatible query appends nothing.
+	it, x := randCorpus(rand.New(rand.NewSource(1)), 4)
+	built, _ := frozenOf(t, it.Freeze(), x)
+	var scans Scans
+	if built.Scan(set(1, 2, 3).Interned(NewInterner()), 1, 0, nil, &scans) || len(scans.Exes)+len(scans.Off)+len(scans.Vecs) != 0 {
+		t.Fatalf("foreign-session query was scanned: %+v", scans)
 	}
 }

@@ -333,40 +333,62 @@ func (x *FrozenIndex) Rows() []Row {
 	return out
 }
 
-// Candidates is Index.Candidates over the sealed postings: identical
-// ranking, identical soundness, no locks.
-func (x *FrozenIndex) Candidates(q strand.Set, minScore int, ratioFloor float64) ([]Candidate, bool) {
+// Scans collects the results of one search pass's posting scans: the
+// candidates of every scanned query back to back, and for each its
+// similarity vector. Candidate k (a position in Exes) has the vector
+// Vecs[Off[k]:Off[k+1]]; a query that appended Exes[lo:hi] owns
+// Off[lo:hi+1]. The zero value is ready to use, and Reset readies a used
+// one for the next pass, keeping its storage.
+type Scans struct {
+	// Exes are executable IDs, each query's in Candidates' ranking.
+	Exes []int
+	Off  []int32
+	// Vecs holds, per candidate, the positive entries of the query's
+	// similarity vector over that executable's procedures, in procedure
+	// order — exactly the positive entries of the executable's SimAll
+	// for the query set, since a posting is one (strand, procedure)
+	// membership and the scan counts the query's strands per procedure.
+	Vecs []sim.ProcScore
+}
+
+// Reset empties the collection for reuse.
+func (s *Scans) Reset() {
+	s.Exes, s.Off, s.Vecs = s.Exes[:0], s.Off[:0], s.Vecs[:0]
+}
+
+// Scan is the sealed index's one query: a posting scan that ranks the
+// executables exactly as Index.Candidates does — same floors, same
+// order, same soundness — and appends to out every candidate that
+// inScope admits (nil admits all) together with its similarity vector,
+// which the scan has already counted and the game would otherwise
+// accumulate again. It reports false, appending nothing, when the query
+// set was not interned under this index's vocabulary or an overlay of
+// it; the caller must then examine every executable.
+func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inScope []bool, out *Scans) bool {
 	s, ok := x.accumulate(q, minScore, ratioFloor)
 	if !ok {
 		x.telFallbacks.Inc()
-		return nil, false
+		return false
 	}
 	x.telQueries.Inc()
 	x.telFanout.Observe(int64(len(s.cands)))
-	out := append([]Candidate(nil), s.cands...)
-	putScratch(&x.scratch, s)
-	return out, true
-}
-
-// CandidateIndices is Index.CandidateIndices over the sealed postings.
-func (x *FrozenIndex) CandidateIndices(q strand.Set, minScore int, ratioFloor float64, buf []int) ([]int, bool) {
-	s, ok := x.accumulate(q, minScore, ratioFloor)
-	if !ok {
-		x.telFallbacks.Inc()
-		return nil, false
+	if len(out.Off) == 0 {
+		out.Off = append(out.Off, 0)
 	}
-	return x.finish(s, buf), true
-}
-
-// finish is Index.finish over the sealed index.
-func (x *FrozenIndex) finish(s *queryScratch, buf []int) []int {
-	x.telQueries.Inc()
-	x.telFanout.Observe(int64(len(s.cands)))
 	for _, c := range s.cands {
-		buf = append(buf, c.Exe)
+		if inScope != nil && !inScope[c.Exe] {
+			continue
+		}
+		for pi, n := range s.counts[x.procOff[c.Exe]:x.procOff[c.Exe+1]] {
+			if n > 0 {
+				out.Vecs = append(out.Vecs, sim.ProcScore{Proc: int32(pi), Score: n})
+			}
+		}
+		out.Exes = append(out.Exes, c.Exe)
+		out.Off = append(out.Off, int32(len(out.Vecs)))
 	}
 	putScratch(&x.scratch, s)
-	return buf
+	return true
 }
 
 // accumulate mirrors Index.accumulate over the CSR slab. Query sets

@@ -393,36 +393,59 @@ func (e *Exe) SimAllInto(q strand.Set, counts []int) []int {
 }
 
 // simIDs accumulates posting counts for sorted query IDs. When the query
-// is much smaller than the executable's vocabulary a per-ID binary
-// search wins; otherwise a linear merge over the two sorted sequences.
+// is much smaller than the executable's vocabulary each ID is located by
+// a galloping search from the previous ID's row — the probe doubles its
+// stride until it passes id, then bisects the last stride — so a lookup
+// costs the logarithm of the gap it jumps, not of the whole tail;
+// otherwise a linear merge over the two sorted sequences.
 func (e *Exe) simIDs(qids []uint32, counts []int) {
-	if len(qids) == 0 || len(e.ids) == 0 {
+	ids := e.ids
+	if len(qids) == 0 || len(ids) == 0 {
 		return
 	}
-	bump := func(row int) {
-		for k := e.start[row]; k < e.start[row+1]; k++ {
-			counts[e.procs[k]]++
-		}
-	}
-	if len(qids)*8 < len(e.ids) {
+	if len(qids)*8 < len(ids) {
 		lo := 0
 		for _, id := range qids {
-			j := lo + sort.Search(len(e.ids)-lo, func(k int) bool { return e.ids[lo+k] >= id })
-			if j < len(e.ids) && e.ids[j] == id {
-				bump(j)
+			// Invariant: every row below lo is < id; find the first row
+			// at or after lo that is >= id.
+			hi, step := lo, 1
+			for hi < len(ids) && ids[hi] < id {
+				lo = hi + 1
+				hi += step
+				step <<= 1
 			}
-			lo = j
+			if hi > len(ids) {
+				hi = len(ids)
+			}
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if ids[mid] < id {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo == len(ids) {
+				return
+			}
+			if ids[lo] == id {
+				for _, pi := range e.procs[e.start[lo]:e.start[lo+1]] {
+					counts[pi]++
+				}
+			}
 		}
 		return
 	}
 	i, j := 0, 0
-	for i < len(qids) && j < len(e.ids) {
+	for i < len(qids) && j < len(ids) {
 		switch {
-		case qids[i] == e.ids[j]:
-			bump(j)
+		case qids[i] == ids[j]:
+			for _, pi := range e.procs[e.start[j]:e.start[j+1]] {
+				counts[pi]++
+			}
 			i++
 			j++
-		case qids[i] < e.ids[j]:
+		case qids[i] < ids[j]:
 			i++
 		default:
 			j++
@@ -531,4 +554,13 @@ func scoredSiftDown(h []Scored, i, n int) {
 type Scored struct {
 	Proc  int
 	Score float64
+}
+
+// ProcScore is one positive entry of a similarity vector: procedure Proc
+// shares Score strands with the query set. A vector is kept as its
+// positive entries in procedure order — the compact form the game
+// engine memoizes and a corpus posting scan hands it ready-made.
+type ProcScore struct {
+	Proc  int32
+	Score int32
 }

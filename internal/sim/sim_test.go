@@ -253,6 +253,84 @@ func TestInternedSimAllSmallQueryLargeExe(t *testing.T) {
 	}
 }
 
+// TestSimIDsMatchesHashPath pins simIDs' two strategies — the galloping
+// search and the linear merge — against the hash-map accumulation on
+// random executables: query sizes are drawn on both sides of the
+// len(qids)*8 < len(e.ids) switch, with clustered and scattered IDs,
+// IDs below, between and above the executable's rows, and in both game
+// directions (a small set against a large executable and the reverse).
+func TestSimIDsMatchesHashPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	randSet := func(n, universe int) []uint64 {
+		seen := map[uint64]bool{}
+		base := uint64(rng.Intn(universe))
+		for len(seen) < n {
+			h := uint64(rng.Intn(universe))
+			if rng.Intn(3) == 0 { // a cluster: consecutive rows, short gaps
+				h = (base + uint64(rng.Intn(2*n+1))) % uint64(universe)
+			}
+			seen[h] = true
+		}
+		out := make([]uint64, 0, n)
+		for h := range seen {
+			out = append(out, h)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	galloped, merged := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		it := newTestInterner()
+		universe := 64 + rng.Intn(4000)
+		// Intern the universe in a shuffled order so dense IDs are not the
+		// hashes themselves.
+		for _, h := range rng.Perm(universe) {
+			it.Intern(uint64(h))
+		}
+		var procs, plain []*Proc
+		for pi := 0; pi < 1+rng.Intn(12); pi++ {
+			hs := randSet(1+rng.Intn(min(universe/2, 400)), universe)
+			procs = append(procs, &Proc{Name: "p", Set: strand.Set{Hashes: hs}})
+			plain = append(plain, &Proc{Name: "p", Set: strand.Set{Hashes: hs}})
+		}
+		e := FromProcsSession("S", procs, it)
+		ref := FromProcs("L", plain)
+		for k := 0; k < 8; k++ {
+			// Half the queries are sized around the switch point.
+			n := 1 + rng.Intn(min(universe/2, 300))
+			if k%2 == 0 {
+				n = max(1, len(e.ids)/8-2+rng.Intn(5))
+			}
+			qh := randSet(min(n, universe/2), universe)
+			q := strand.Set{Hashes: qh}.Interned(it)
+			if len(q.IDs)*8 < len(e.ids) {
+				galloped++
+			} else {
+				merged++
+			}
+			got := e.SimAllInto(q, nil)
+			want := ref.SimAllInto(strand.Set{Hashes: qh}, nil)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: |q|=%d |ids|=%d: counts[%d] = %d, want %d",
+						trial, len(q.IDs), len(e.ids), i, got[i], want[i])
+				}
+			}
+			// The reverse direction of a game: each procedure of e
+			// against the one-procedure executable made of the query.
+			qe := FromProcsSession("Q", []*Proc{{Name: "q", Set: strand.Set{Hashes: qh}}}, it)
+			for pi, p := range e.Procs {
+				if got, want := qe.SimAllInto(p.Set, nil)[0], want[pi]; got != want {
+					t.Fatalf("trial %d: reverse Sim(proc %d) = %d, want %d", trial, pi, got, want)
+				}
+			}
+		}
+	}
+	if galloped < 100 || merged < 100 {
+		t.Fatalf("lopsided coverage: %d galloping, %d merging accumulations", galloped, merged)
+	}
+}
+
 func TestProcByNameFirstMatch(t *testing.T) {
 	e := FromProcs("T", []*Proc{
 		mk("dup", 1),

@@ -61,6 +61,9 @@ type sealedGroup struct {
 	// it over the shard's slabs on first use (ensureIndex).
 	index *corpusindex.FrozenIndex
 	tel   *corpusindex.Telemetry
+	// game is what the group's search passes record into (see
+	// SealedCorpus.SetTelemetry).
+	game *core.Telemetry
 	// exes are the distinct executables of an in-RAM group. They carry no
 	// path: findings take theirs from the occurrence.
 	exes []*sim.Exe
@@ -231,7 +234,10 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // session's names. Every group index records the prefilter:
 // index.queries / index.fallbacks / index.fanout for every candidate
 // query — one per (query, group), counting distinct candidate
-// executables. Query analysis (AnalyzeQueryWith) records the front-end
+// executables — and every search pass the game engine's game.*,
+// search.* and batch.* metrics, among them game.unplayed and game.cut
+// for the planned games that were never started or stopped early.
+// Query analysis (AnalyzeQueryWith) records the front-end
 // layer by layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
 // counters, sim.build / sim.index / sim.procs, and strand.blocks /
 // strand.blocks_computed / strand.strands. Call before serving —
@@ -239,13 +245,16 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // builds, in-RAM groups immediately. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	var tel *corpusindex.Telemetry
+	var game *core.Telemetry
 	sc.front = frontEndMetrics{}
 	if r != nil {
 		tel = newIndexTelemetry(r)
+		game = newCoreTelemetry(r)
 		sc.front = newFrontEndMetrics(r)
 	}
 	for _, g := range sc.groups {
 		g.tel = tel
+		g.game = game
 		if g.index != nil {
 			g.index.SetTelemetry(tel)
 		}
@@ -305,31 +314,44 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc)}, nil
 }
 
+// scansPool recycles the per-pass scan results (candidate lists and
+// similarity vectors) across search passes.
+var scansPool = sync.Pool{New: func() any { return new(corpusindex.Scans) }}
+
+// passStats is the game accounting of one search pass: the (query,
+// distinct executable) pairs it planned, and of those the ones not
+// played and the games cut short because no acceptable procedure was
+// (any longer) available (see core.PlayBatch).
+type passStats struct{ games, unplayed, cut int }
+
 // search is the one search pass of a sealed corpus: every query against
 // the group's distinct executables, each (query, candidate) materialized
 // and played once, fanned out to the occurrences of imgs — all the
 // group's images for a corpus-wide search, the one image a per-image
-// search names. The result is indexed [image][query]; games is the
-// number of (query, distinct executable) games the pass played.
+// search names. The result is indexed [image][query].
 //
 // Each query's candidates are resolved exactly once, by one posting scan
-// of the group index, and serve both purposes they have: they select
-// what a store-backed group materializes (so peak RSS tracks the working
-// set) and they are the lists the games run on. Groups sealed without an
-// index, exhaustive searches and queries the index cannot narrow
-// (ok=false: not analyzed under this corpus) examine every executable in
-// scope. The acceptance floors are baked into the lists, so the
-// narrowing stays sound (see corpusindex.Candidates); and since
-// candidacy is a property of the executable alone, an image gets exactly
-// the findings, examined count and step histogram a search of it on its
-// own would produce.
-func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.SpanID) (res [][]*SearchResult, games int, err error) {
+// of the group index, and everything the scan computed is used: the
+// candidate list selects what a store-backed group materializes (so peak
+// RSS tracks the working set) and is the list the games run on, and the
+// per-procedure counts behind it are each game's first similarity
+// vector, from which the game engine also reads off whether a candidate
+// can be accepted at all. Groups sealed without an index, exhaustive
+// searches and queries the index cannot narrow (ok=false: not analyzed
+// under this corpus) examine every executable in scope, the game engine
+// accumulating its own vectors. The acceptance floors are baked into the
+// lists, so the narrowing stays sound (see corpusindex.Candidates); and
+// since candidacy is a property of the executable alone, an image gets
+// exactly the findings, examined count and step histogram a search of it
+// on its own would produce.
+func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.SpanID) (res [][]*SearchResult, st passStats, err error) {
 	s := opt.search()
 	s.TraceParent = parent
+	s.Game.Tel = g.game
 	narrowed := g.indexed && (opt == nil || !opt.Exhaustive)
 	if narrowed {
 		if err := g.ensureIndex(); err != nil {
-			return nil, 0, err
+			return nil, st, err
 		}
 	}
 	// scope lists the distinct executables that occur in imgs, each once.
@@ -343,34 +365,42 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Op
 			}
 		}
 	}
-	// play[qx] lists the distinct executables query qx is played against
-	// — its candidates in scope, or all of scope — and played[qx] marks
-	// them.
-	play := make([][]int, len(cqs))
-	played := make([][]bool, len(cqs))
+	// plans[qx] lists the distinct executables query qx is played against
+	// — its candidates in scope with their scanned vectors, or all of
+	// scope — and played[qx] marks them. One pooled Scans holds every
+	// query's scan until the games are over; scanned[qx] is the range of
+	// it query qx appended.
+	scans := scansPool.Get().(*corpusindex.Scans)
+	scans.Reset()
+	defer scansPool.Put(scans)
+	scanned := make([][2]int, len(cqs))
 	for qx, cq := range cqs {
-		play[qx] = scope
-		if narrowed {
-			if cands, ok := g.index.CandidateIndices(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, nil); ok {
-				play[qx] = cands[:0]
-				for _, u := range cands {
-					if inScope[u] {
-						play[qx] = append(play[qx], u)
-					}
-				}
-			}
+		lo := -1 // not scanned
+		if at := len(scans.Exes); narrowed && g.index.Scan(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, inScope, scans) {
+			lo = at
+		}
+		scanned[qx] = [2]int{lo, len(scans.Exes)}
+	}
+	plans := make([]core.Plan, len(cqs))
+	played := make([][]bool, len(cqs))
+	for qx := range cqs {
+		plans[qx].Targets = scope
+		if lo, hi := scanned[qx][0], scanned[qx][1]; lo >= 0 {
+			plans[qx] = core.Plan{Targets: scans.Exes[lo:hi], Off: scans.Off[lo : hi+1], Vec: scans.Vecs}
 		}
 		played[qx] = make([]bool, g.nExes)
-		for _, u := range play[qx] {
+		for _, u := range plans[qx].Targets {
 			played[qx][u] = true
 		}
-		games += len(play[qx])
+		st.games += len(plans[qx].Targets)
 	}
-	targets, err := g.targets(play, s)
+	targets, err := g.targets(plans, s)
 	if err != nil {
-		return nil, 0, err
+		return nil, st, err
 	}
-	found := core.PlayBatch(cqs, targets, play, s)
+	pass := core.PlayBatch(cqs, targets, plans, s)
+	found := pass.Findings
+	st.unplayed, st.cut = pass.Unplayed, pass.Cut
 
 	res = make([][]*SearchResult, len(imgs))
 	for ii, im := range imgs {
@@ -398,7 +428,7 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Op
 			res[ii][qx] = r
 		}
 	}
-	return res, games, nil
+	return res, st, nil
 }
 
 // SearchImageDetailed looks for the query executable's procedure in
@@ -494,7 +524,7 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 			}
 		}
 		imgs := sc.images[g.base : g.base+g.n]
-		res, games, err := g.search(cqs, imgs, opt, parent)
+		res, st, err := g.search(cqs, imgs, opt, parent)
 		if err != nil {
 			return err
 		}
@@ -513,7 +543,9 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 		}
 		sp.SetAttr("shard", int64(gi))
 		sp.SetAttr("images", int64(g.n))
-		sp.SetAttr("unique_candidates", int64(games))
+		sp.SetAttr("unique_candidates", int64(st.games))
+		sp.SetAttr("games_unplayed", int64(st.unplayed))
+		sp.SetAttr("games_cut", int64(st.cut))
 		sp.SetAttr("occurrences", int64(occurrences))
 		return nil
 	}

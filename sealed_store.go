@@ -198,9 +198,9 @@ func postsToIndex(sp []snapshot.Posting) []corpusindex.Posting {
 
 // targets returns the slice a pass's games run over, aligned with the
 // group's distinct executables: all of them in RAM; store-backed, the
-// union of the play lists materialized and every other slot nil (never
-// dereferenced).
-func (g *sealedGroup) targets(play [][]int, s *core.SearchOptions) ([]*sim.Exe, error) {
+// union of the plans' targets materialized and every other slot nil
+// (never dereferenced).
+func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.Exe, error) {
 	if g.shard == nil {
 		return g.exes, nil
 	}
@@ -208,8 +208,8 @@ func (g *sealedGroup) targets(play [][]int, s *core.SearchOptions) ([]*sim.Exe, 
 	defer msp.End()
 	targets := make([]*sim.Exe, g.nExes)
 	n := 0
-	for _, list := range play {
-		for _, u := range list {
+	for _, p := range plans {
+		for _, u := range p.Targets {
 			if targets[u] != nil {
 				continue
 			}
