@@ -29,12 +29,12 @@ func openScenario(t *testing.T, aopt *firmup.AnalyzerOptions) (*firmup.Analyzer,
 // The corpus-index prefilter must never change what a search returns —
 // only how many targets it examines.
 func TestSearchImageIndexEquivalence(t *testing.T) {
-	_, img, q := openScenario(t, nil)
-	indexed, err := firmup.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
+	a, img, q := openScenario(t, nil)
+	indexed, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustive, err := firmup.SearchImageDetailed(q, "ftp_retrieve_glob", img, &firmup.Options{Exhaustive: true})
+	exhaustive, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, &firmup.Options{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +58,18 @@ func TestSearchImageIndexEquivalence(t *testing.T) {
 // A query from a foreign session cannot use the image's index; the
 // search must fall back to exhaustive examination and still agree.
 func TestSearchImageCrossSessionFallback(t *testing.T) {
-	_, img, q := openScenario(t, nil)
-	imgBytes, queryBytes, _ := buildScenario(t)
-	_ = imgBytes
+	a, img, q := openScenario(t, nil)
+	_, queryBytes, _ := buildScenario(t)
 	foreign := firmup.NewAnalyzer(nil)
 	fq, err := foreign.LoadQueryExecutable(queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := firmup.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
+	same, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := firmup.SearchImageDetailed(fq, "ftp_retrieve_glob", img, nil)
+	cross, err := a.SearchImageDetailed(fq, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +162,6 @@ func TestAnalyzerSessionStats(t *testing.T) {
 	}
 	if img.IndexedStrands() == 0 {
 		t.Error("image carries no index postings")
-	}
-	noIdx := firmup.NewAnalyzer(&firmup.AnalyzerOptions{DisableIndex: true})
-	imgBytes, _, _ := buildScenario(t)
-	img2, err := noIdx.OpenImage(imgBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img2.IndexedStrands() != 0 {
-		t.Error("DisableIndex image must carry no postings")
 	}
 }
 

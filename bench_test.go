@@ -550,55 +550,6 @@ func BenchmarkOpenImage(b *testing.B) {
 	}
 }
 
-// BenchmarkSaveImage measures snapshot serialization of an analyzed
-// image.
-func BenchmarkSaveImage(b *testing.B) {
-	imgBytes, _ := benchImageScenario(b)
-	a := firmup.NewAnalyzer(nil)
-	img, err := a.OpenImage(imgBytes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var blob []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blob, err = a.SaveImage(img)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(blob)), "bytes")
-}
-
-// BenchmarkLoadSnapshot measures re-attaching a saved analysis to a
-// fresh session — the analyze-once-query-many path. Compare against
-// BenchmarkOpenImage/workers=1: loading skips unpack → recover → lift →
-// strand extraction entirely and must come in far cheaper.
-func BenchmarkLoadSnapshot(b *testing.B) {
-	imgBytes, _ := benchImageScenario(b)
-	a := firmup.NewAnalyzer(nil)
-	img, err := a.OpenImage(imgBytes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob, err := a.SaveImage(img)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh session per iteration: the identity fast path a cold
-		// process hits when serving an image from its sidecar.
-		loaded, err := firmup.NewAnalyzer(nil).LoadImage(blob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(loaded.Exes)), "exes")
-		}
-	}
-}
-
 // BenchmarkSearchImage measures a whole-image search with the
 // corpus-index candidate prefilter vs exhaustive examination.
 func BenchmarkSearchImage(b *testing.B) {
@@ -623,7 +574,7 @@ func BenchmarkSearchImage(b *testing.B) {
 			var res *firmup.SearchResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = firmup.SearchImageDetailed(q, "ftp_retrieve_glob", img, mode.opt)
+				res, err = a.SearchImageDetailed(q, "ftp_retrieve_glob", img, mode.opt)
 				if err != nil {
 					b.Fatal(err)
 				}

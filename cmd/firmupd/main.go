@@ -163,12 +163,12 @@ func openAccessLog(dst string) (*telemetry.Logger, error) {
 
 // loadCorpus opens one sealed corpus: a directory of shards or the
 // single file of a one-shard corpus, mmap-backed and lazily
-// materialized. Prefilter telemetry (the index.* metrics) is attached to
+// materialized. Index telemetry (the index.* metrics) is attached to
 // the corpus before it serves.
 func loadCorpus(path string, reg *telemetry.Registry) (*serve.Corpus, error) {
 	sc, err := firmup.OpenSealedCorpus(path)
 	if err != nil {
-		if errors.Is(err, firmup.ErrSnapshotCorrupt) {
+		if errors.Is(err, firmup.ErrCorpusCorrupt) {
 			return nil, fmt.Errorf("%s: corrupt sealed corpus: %w", path, err)
 		}
 		return nil, fmt.Errorf("%s: %w", path, err)

@@ -5,8 +5,7 @@
 //
 //	fwbench -exp all            # every experiment at the default scale
 //	fwbench -exp table2 -scale eval
-//	fwbench -exp fig6|fig8|fig9|fig5|table1|demo|ablation|snapshot
-//	fwbench -exp game -json     # memoized vs reference engine, BENCH_game.json
+//	fwbench -exp fig6|fig8|fig9|fig5|table1|demo|ablation
 //	fwbench -exp analyze -json  # cached vs uncached analysis, BENCH_analyze.json
 //	fwbench -exp telemetry -json  # metrics enabled vs disabled, BENCH_telemetry.json
 //	fwbench -exp serve -json    # firmupd load benchmark, BENCH_serve.json
@@ -32,7 +31,6 @@ import (
 	"firmup/internal/buildinfo"
 	"firmup/internal/core"
 	"firmup/internal/corpus"
-	"firmup/internal/corpusindex"
 	"firmup/internal/eval"
 	_ "firmup/internal/isa/arm"
 	_ "firmup/internal/isa/mips"
@@ -45,9 +43,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, snapshot, game, analyze, telemetry, serve, scale, all")
+	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, analyze, telemetry, serve, scale, all")
 	scale := flag.String("scale", "default", "corpus scale: default, eval or paper (paper selects -exp scale)")
-	jsonOut := flag.Bool("json", false, "write machine-readable results of the game/analyze/telemetry/serve/scale experiments to BENCH_<exp>.json")
+	jsonOut := flag.Bool("json", false, "write machine-readable results of the analyze/telemetry/serve/scale experiments to BENCH_<exp>.json")
 	images := flag.Int("images", 32, "scale experiment: generated image count")
 	shards := flag.Int("shards", 4, "scale experiment: shard count")
 	maxRSS := flag.Int64("max-rss-bytes", 0, "scale experiment: exit 1 if peak RSS exceeds this budget (0 = unenforced)")
@@ -60,8 +58,7 @@ func main() {
 
 	valid := map[string]bool{"all": true, "table2": true, "fig6": true, "fig8": true,
 		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true,
-		"snapshot": true, "game": true, "analyze": true, "telemetry": true, "serve": true,
-		"scale": true}
+		"analyze": true, "telemetry": true, "serve": true, "scale": true}
 	if !valid[*exp] {
 		fmt.Fprintf(os.Stderr, "fwbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -92,8 +89,7 @@ func main() {
 	st := env.Corpus.Stat()
 	fmt.Printf("corpus ready: %d images, %d executables, %d procedures, %d unique builds\n",
 		st.Images, st.Exes, st.Procedures, len(env.Units))
-	fmt.Printf("session: %d unique strands interned, %d corpus-index postings\n\n",
-		env.UniqueStrands(), env.Index.Postings())
+	fmt.Printf("session: %d unique strands interned\n\n", env.UniqueStrands())
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
@@ -151,12 +147,6 @@ func main() {
 		if err == nil {
 			fmt.Println(out)
 		}
-	}
-	if want("snapshot") {
-		snapshotTiming(env)
-	}
-	if want("game") {
-		gameBench(env, *scale, *jsonOut)
 	}
 	if want("analyze") {
 		analyzeBench(env, *scale, *jsonOut)
@@ -482,214 +472,6 @@ func analyzeBench(env *eval.Env, scale string, jsonOut bool) {
 	}
 }
 
-// gameBenchEntry is one benchmark row of the game experiment's
-// machine-readable output.
-type gameBenchEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// gameBenchReport is the schema of BENCH_game.json.
-type gameBenchReport struct {
-	Generated  string           `json:"generated"`
-	Scale      string           `json:"scale"`
-	GamesPerOp int              `json:"games_per_op"`
-	Targets    int              `json:"targets"`
-	Benchmarks []gameBenchEntry `json:"benchmarks"`
-	// SpeedupNs is reference ns/op over memoized ns/op for the game
-	// workload (>1 means the memoized engine is faster).
-	SpeedupNs float64 `json:"speedup_ns_vs_reference"`
-	// AllocRatio is reference allocs/op over memoized allocs/op (>1
-	// means the memoized engine allocates less).
-	AllocRatio float64 `json:"alloc_ratio_vs_reference"`
-	// MultiQuery is the batched multi-query engine measurement.
-	MultiQuery multiQueryReport `json:"multi_query"`
-}
-
-// multiQueryReport is the multi-query section of BENCH_game.json: N
-// query procedures of one query executable searched against the same
-// target set, sequentially (one Search per query) versus in one
-// SearchBatch pass, with the per-phase prefilter/game split.
-type multiQueryReport struct {
-	// Queries is the number of query procedures in the batch.
-	Queries int `json:"queries"`
-	// Targets is the shared target-set size.
-	Targets int `json:"targets"`
-	// SequentialNsPerOp is the cost of running every query through its
-	// own Search pass; BatchedNsPerOp is one SearchBatch over the same
-	// queries.
-	SequentialNsPerOp float64 `json:"sequential_ns_per_op"`
-	BatchedNsPerOp    float64 `json:"batched_ns_per_op"`
-	// PrefilterNsPerOp isolates the candidate-narrowing phase (identical
-	// in both paths); the game-phase costs are the remainders.
-	PrefilterNsPerOp     float64 `json:"prefilter_ns_per_op"`
-	SequentialGameNs     float64 `json:"sequential_game_ns_per_op"`
-	BatchedGameNs        float64 `json:"batched_game_ns_per_op"`
-	NsPerQuerySequential float64 `json:"ns_per_query_sequential"`
-	NsPerQueryBatched    float64 `json:"ns_per_query_batched"`
-	// SpeedupNsPerQuery is sequential over batched ns/query (>1 means
-	// batching wins).
-	SpeedupNsPerQuery float64 `json:"speedup_ns_per_query"`
-}
-
-// gameBench measures the memoized game engine against the unmemoized
-// reference on the corpus's game-heavy search workload: every meaningful
-// query procedure against one cross-tool-chain target, plus a full
-// one-procedure search across every same-arch target.
-func gameBench(env *eval.Env, scale string, jsonOut bool) {
-	fmt.Println("=== game: memoized engine vs reference ===")
-	q, err := env.Query("wget", "1.15", uir.ArchMIPS32)
-	if err != nil {
-		fatal(err)
-	}
-	var target *sim.Exe
-	var targets []*sim.Exe
-	for _, u := range env.Units {
-		if u.Arch != uir.ArchMIPS32 {
-			continue
-		}
-		targets = append(targets, u.Exe)
-		if u.Pkg == "wget" && target == nil {
-			target = u.Exe
-		}
-	}
-	if target == nil {
-		fatal(fmt.Errorf("no MIPS wget unit in the corpus"))
-	}
-	var qis []int
-	for qi, qp := range q.Procs {
-		if qp.Set.Size() >= 3 {
-			qis = append(qis, qi)
-		}
-	}
-
-	games := func(run func(q *sim.Exe, qi int, t *sim.Exe, opt *core.Options) core.Result) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, qi := range qis {
-					run(q, qi, target, nil)
-				}
-			}
-		})
-	}
-	ref := games(core.MatchReference)
-	memo := games(core.Match)
-	qi := q.ProcByName("ftp_retrieve_glob")
-	search := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		opt := eval.DefaultSearch()
-		for i := 0; i < b.N; i++ {
-			core.Search(q, qi, targets, opt)
-		}
-	})
-
-	// Multi-query workload: up to eight query procedures of the one wget
-	// query executable against every MIPS target — the serve coalescing
-	// shape. Both paths share an identical corpus-index prefilter built
-	// over exactly this target slice, so candidate narrowing is
-	// apples-to-apples and the measured gap is the game engine's.
-	mqis := qis
-	if len(mqis) > 8 {
-		mqis = mqis[:8]
-	}
-	batchQs := make([]core.BatchQuery, len(mqis))
-	for i, qi := range mqis {
-		batchQs[i] = core.BatchQuery{Q: q, QI: qi}
-	}
-	idx := corpusindex.NewIndex(env.It)
-	for _, t := range targets {
-		idx.Add(t)
-	}
-	mqOpt := eval.DefaultSearch()
-	minScore, minRatio := mqOpt.MinScore, mqOpt.MinRatio
-	mqOpt.Prefilter = func(qe *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-		return idx.CandidateIndices(qe.Procs[qpi].Set, minScore, minRatio, nil)
-	}
-	seq := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, bq := range batchQs {
-				core.Search(bq.Q, bq.QI, targets, mqOpt)
-			}
-		}
-	})
-	batched := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.SearchBatch(batchQs, targets, mqOpt)
-		}
-	})
-	prefilter := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, bq := range batchQs {
-				idx.CandidateIndices(bq.Q.Procs[bq.QI].Set, minScore, minRatio, nil)
-			}
-		}
-	})
-
-	rep := gameBenchReport{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Scale:      scale,
-		GamesPerOp: len(qis),
-		Targets:    len(targets),
-		Benchmarks: []gameBenchEntry{
-			{Name: "MatchGame/reference", NsPerOp: float64(ref.NsPerOp()), AllocsPerOp: ref.AllocsPerOp(), BytesPerOp: ref.AllocedBytesPerOp()},
-			{Name: "MatchGame/memoized", NsPerOp: float64(memo.NsPerOp()), AllocsPerOp: memo.AllocsPerOp(), BytesPerOp: memo.AllocedBytesPerOp()},
-			{Name: "SearchMemoized", NsPerOp: float64(search.NsPerOp()), AllocsPerOp: search.AllocsPerOp(), BytesPerOp: search.AllocedBytesPerOp()},
-			{Name: "MultiQuery/sequential", NsPerOp: float64(seq.NsPerOp()), AllocsPerOp: seq.AllocsPerOp(), BytesPerOp: seq.AllocedBytesPerOp()},
-			{Name: "MultiQuery/batched", NsPerOp: float64(batched.NsPerOp()), AllocsPerOp: batched.AllocsPerOp(), BytesPerOp: batched.AllocedBytesPerOp()},
-			{Name: "MultiQuery/prefilter", NsPerOp: float64(prefilter.NsPerOp()), AllocsPerOp: prefilter.AllocsPerOp(), BytesPerOp: prefilter.AllocedBytesPerOp()},
-		},
-		MultiQuery: multiQueryReport{
-			Queries:           len(batchQs),
-			Targets:           len(targets),
-			SequentialNsPerOp: float64(seq.NsPerOp()),
-			BatchedNsPerOp:    float64(batched.NsPerOp()),
-			PrefilterNsPerOp:  float64(prefilter.NsPerOp()),
-		},
-	}
-	mq := &rep.MultiQuery
-	mq.SequentialGameNs = mq.SequentialNsPerOp - mq.PrefilterNsPerOp
-	mq.BatchedGameNs = mq.BatchedNsPerOp - mq.PrefilterNsPerOp
-	if n := float64(len(batchQs)); n > 0 {
-		mq.NsPerQuerySequential = mq.SequentialNsPerOp / n
-		mq.NsPerQueryBatched = mq.BatchedNsPerOp / n
-	}
-	if mq.BatchedNsPerOp > 0 {
-		mq.SpeedupNsPerQuery = mq.SequentialNsPerOp / mq.BatchedNsPerOp
-	}
-	if memo.NsPerOp() > 0 {
-		rep.SpeedupNs = float64(ref.NsPerOp()) / float64(memo.NsPerOp())
-	}
-	if memo.AllocsPerOp() > 0 {
-		rep.AllocRatio = float64(ref.AllocsPerOp()) / float64(memo.AllocsPerOp())
-	}
-	for _, e := range rep.Benchmarks {
-		fmt.Printf("  %-22s %12.0f ns/op %10d B/op %8d allocs/op\n",
-			e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
-	}
-	fmt.Printf("  %d games/op over %d query procedures; search spans %d targets\n",
-		rep.GamesPerOp, rep.GamesPerOp, rep.Targets)
-	fmt.Printf("  memoized vs reference: %.2fx ns/op, %.2fx fewer allocs/op\n",
-		rep.SpeedupNs, rep.AllocRatio)
-	fmt.Printf("  multi-query: %d queries x %d targets, prefilter %.0f ns, game %0.f -> %.0f ns, %.2fx ns/query batched\n\n",
-		mq.Queries, mq.Targets, mq.PrefilterNsPerOp, mq.SequentialGameNs, mq.BatchedGameNs, mq.SpeedupNsPerQuery)
-	if jsonOut {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile("BENCH_game.json", append(blob, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote BENCH_game.json")
-	}
-}
-
 // telemetryBenchEntry is one benchmark row of the telemetry experiment's
 // machine-readable output.
 type telemetryBenchEntry struct {
@@ -755,8 +537,8 @@ func telemetryBench(env *eval.Env, scale string, jsonOut bool) {
 	analyzeOff := analyze(nil)
 	analyzeOn := analyze(telemetry.New())
 
-	// Game path: the gameBench workload — every meaningful wget query
-	// procedure against one cross-tool-chain MIPS target.
+	// Game path: every meaningful wget query procedure against one
+	// cross-tool-chain MIPS target.
 	q, err := env.Query("wget", "1.15", uir.ArchMIPS32)
 	if err != nil {
 		fatal(err)
@@ -893,46 +675,6 @@ func telemetryBench(env *eval.Env, scale string, jsonOut bool) {
 			fatal(err)
 		}
 		fmt.Println("wrote BENCH_telemetry.json")
-	}
-}
-
-// snapshotTiming measures the analyze-once-query-many win: full image
-// analysis vs re-attaching a serialized snapshot, per corpus image.
-func snapshotTiming(env *eval.Env) {
-	fmt.Println("=== snapshot: analyze once, query many ===")
-	var analyzeTotal, loadTotal time.Duration
-	totalBytes := 0
-	for _, bi := range env.Corpus.Images {
-		data := bi.Image.Pack(true)
-		a := firmup.NewAnalyzer(nil)
-		t0 := time.Now()
-		img, err := a.OpenImage(data)
-		if err != nil {
-			fatal(err)
-		}
-		analyzed := time.Since(t0)
-		blob, err := a.SaveImage(img)
-		if err != nil {
-			fatal(err)
-		}
-		t0 = time.Now()
-		loaded, err := firmup.NewAnalyzer(nil).LoadImage(blob)
-		if err != nil {
-			fatal(err)
-		}
-		load := time.Since(t0)
-		analyzeTotal += analyzed
-		loadTotal += load
-		totalBytes += len(blob)
-		fmt.Printf("  %-28s %2d exes  analyze %9v  load %9v  (%5.0fx)  %7d bytes\n",
-			fmt.Sprintf("%s/%s/%s", bi.Vendor, bi.Device, bi.FwVersion), len(loaded.Exes),
-			analyzed.Round(time.Microsecond), load.Round(time.Microsecond),
-			float64(analyzed)/float64(load), len(blob))
-	}
-	if loadTotal > 0 {
-		fmt.Printf("total: analyze %v, load %v (%.0fx faster), %d snapshot bytes\n\n",
-			analyzeTotal.Round(time.Millisecond), loadTotal.Round(time.Millisecond),
-			float64(analyzeTotal)/float64(loadTotal), totalBytes)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fwcrawl -out corpus/ [-scale eval] [-compress] [-snapshot]
+//	fwcrawl -out corpus/ [-scale eval] [-compress] [-sealed [-shards N]]
 package main
 
 import (
@@ -29,8 +29,7 @@ func main() {
 	out := flag.String("out", "corpus", "output directory")
 	scale := flag.String("scale", "default", "corpus scale: default or eval")
 	compress := flag.Bool("compress", true, "zlib-compress images")
-	snap := flag.Bool("snapshot", false, "analyze each image and write a <name>.fwsnap sidecar snapshot")
-	sealed := flag.Bool("sealed", false, "analyze every image under one shared session and write a sealed corpus for firmupd: mmap-ready FWCORP shards under corpus.fwcorp.d/")
+	sealed := flag.Bool("sealed", false, "analyze every image under one shared session and write a sealed corpus for firmupd and firmup -corpus: mmap-ready FWCORP shards under corpus.fwcorp.d/")
 	shards := flag.Int("shards", 1, "with -sealed: the number of shards to split the corpus into")
 	reportPath := flag.String("report", "", "write a structured JSON run report (stage timings, counters) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
@@ -41,9 +40,6 @@ func main() {
 		return
 	}
 
-	// One registry spans every per-image snapshot session, so the report
-	// aggregates the whole crawl's pipeline work. (Snapshot-time gauges
-	// like corpus.unique_strands reflect the most recent session only.)
 	var reg *telemetry.Registry
 	if *reportPath != "" || *debugAddr != "" {
 		reg = telemetry.New()
@@ -69,7 +65,6 @@ func main() {
 		fatal(err)
 	}
 	var manifest strings.Builder
-	var snapStats firmup.CacheStats
 	// Sealed-corpus mode shares one session across every image so the
 	// artifact carries a single frozen vocabulary.
 	var sealSession *firmup.Analyzer
@@ -104,31 +99,6 @@ func main() {
 			}
 			sealImgs = append(sealImgs, img)
 			noteSkips(name, img)
-		}
-		if *snap {
-			// Each sidecar gets its own analyzer session so the embedded
-			// vocabulary is self-contained; loaders re-intern it anyway.
-			a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: reg})
-			img, err := a.OpenImage(data)
-			if err != nil {
-				fatal(fmt.Errorf("snapshot %s: %w", name, err))
-			}
-			if !*sealed {
-				// The sealed pass already reported this image's skips; the
-				// same data analyzes to the same skip set.
-				noteSkips(name, img)
-			}
-			blob, err := a.SaveImage(img)
-			if err != nil {
-				fatal(fmt.Errorf("snapshot %s: %w", name, err))
-			}
-			if err := os.WriteFile(filepath.Join(*out, name+".fwsnap"), blob, 0o644); err != nil {
-				fatal(err)
-			}
-			cs := a.CacheStats()
-			snapStats.Blocks += cs.Blocks
-			snapStats.Hits += cs.Hits
-			snapStats.Unique += cs.Unique
 		}
 		latest := ""
 		if bi.Latest {
@@ -179,11 +149,6 @@ func main() {
 	st := c.Stat()
 	fmt.Printf("crawled %d images (%d executables, %d procedures) into %s\n",
 		st.Images, st.Exes, st.Procedures, *out)
-	if *snap {
-		fmt.Printf("wrote %d sidecar analysis snapshots (.fwsnap)\n", st.Images)
-		fmt.Printf("block cache across sessions: %d/%d hits (%.1f%%), %d unique blocks\n",
-			snapStats.Hits, snapStats.Blocks, 100*snapStats.HitRate(), snapStats.Unique)
-	}
 	fmt.Printf("wrote %d query executables into %s\n", len(corpus.CVEs)*4, qdir)
 	if *reportPath != "" {
 		rep.Finish(reg)

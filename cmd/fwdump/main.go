@@ -25,7 +25,6 @@ import (
 	_ "firmup/internal/isa/ppc"
 	_ "firmup/internal/isa/x86"
 	"firmup/internal/obj"
-	"firmup/internal/snapshot"
 	"firmup/internal/strand"
 	"firmup/internal/telemetry"
 )
@@ -35,8 +34,6 @@ func main() {
 	exePath := flag.String("exe", "", "executable to inspect")
 	proc := flag.String("proc", "", "procedure to disassemble")
 	strands := flag.Bool("strands", false, "print canonical strands instead of disassembly")
-	useSnap := flag.Bool("snapshot", true, "inspect the <image>.fwsnap sidecar snapshot when present")
-	noSnap := flag.Bool("no-snapshot", false, "ignore sidecar snapshots")
 	noCache := flag.Bool("no-block-cache", false, "disable the session's block canonicalization cache")
 	reportPath := flag.String("report", "", "write a structured JSON run report (stage timings, counters) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
@@ -62,7 +59,7 @@ func main() {
 
 	switch {
 	case *imgPath != "":
-		dumpImage(*imgPath, *useSnap && !*noSnap, *noCache, reg)
+		dumpImage(*imgPath, *noCache, reg)
 	case *exePath != "":
 		dumpExe(*exePath, *proc, *strands)
 	default:
@@ -79,35 +76,7 @@ func main() {
 	}
 }
 
-// dumpSnapshot prints the sidecar's section table and times a load
-// against the fresh analysis the caller just ran.
-func dumpSnapshot(path string, analyzeTime time.Duration, reg *telemetry.Registry) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return // no sidecar: nothing to report
-	}
-	fmt.Printf("snapshot %s: %d bytes\n", path, len(blob))
-	secs, err := snapshot.Sections(blob)
-	if err != nil {
-		fmt.Printf("  unreadable: %v\n", err)
-		return
-	}
-	for _, s := range secs {
-		fmt.Printf("  section %-8s offset %6d  %6d bytes  crc32c %08x\n", s.Name, s.Offset, s.Length, s.CRC)
-	}
-	start := time.Now()
-	img, err := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: reg}).LoadImage(blob)
-	if err != nil {
-		fmt.Printf("  load failed: %v\n", err)
-		return
-	}
-	loadTime := time.Since(start)
-	speedup := float64(analyzeTime) / float64(loadTime)
-	fmt.Printf("  loaded %d executable(s) in %v vs %v fresh analysis (%.0fx)\n",
-		len(img.Exes), loadTime.Round(time.Microsecond), analyzeTime.Round(time.Microsecond), speedup)
-}
-
-func dumpImage(path string, useSnap, noCache bool, reg *telemetry.Registry) {
+func dumpImage(path string, noCache bool, reg *telemetry.Registry) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
@@ -161,9 +130,6 @@ func dumpImage(path string, useSnap, noCache bool, reg *telemetry.Registry) {
 	}
 	for _, s := range img.Skipped {
 		fmt.Printf("  %-30s skipped: %v\n", s.Path, s.Err)
-	}
-	if useSnap {
-		dumpSnapshot(path+".fwsnap", analyzeTime, reg)
 	}
 }
 

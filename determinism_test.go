@@ -70,7 +70,7 @@ type analyzedState struct {
 	Findings []firmup.Finding
 }
 
-func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.AnalyzerOptions) (analyzedState, firmup.CacheStats) {
+func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.AnalyzerOptions, sopt *firmup.Options) (analyzedState, firmup.CacheStats) {
 	t.Helper()
 	a := firmup.NewAnalyzer(aopt)
 	img, err := a.OpenImage(imgBytes)
@@ -98,7 +98,7 @@ func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.Ana
 	for _, s := range img.Skipped {
 		st.Paths = append(st.Paths, [2]string{s.Path, "skipped"})
 	}
-	st.Findings, err = firmup.SearchImage(q, "ftp_retrieve_glob", img, nil)
+	st.Findings, err = a.SearchImage(q, "ftp_retrieve_glob", img, sopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.Ana
 func TestAnalyzeDeterminismAcrossWorkersAndCache(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
 	base, baseStats := analyzeScenario(t, imgBytes, queryBytes,
-		&firmup.AnalyzerOptions{Workers: 1, DisableBlockCache: true})
+		&firmup.AnalyzerOptions{Workers: 1, DisableBlockCache: true}, nil)
 	if baseStats != (firmup.CacheStats{}) {
 		t.Errorf("disabled cache reported traffic: %+v", baseStats)
 	}
@@ -121,7 +121,7 @@ func TestAnalyzeDeterminismAcrossWorkersAndCache(t *testing.T) {
 		{Workers: 8, DisableBlockCache: true},  // cache off, parallel
 		{Workers: 3, DisableBlockCache: false}, // odd split of the shared budget
 	} {
-		got, stats := analyzeScenario(t, imgBytes, queryBytes, opt)
+		got, stats := analyzeScenario(t, imgBytes, queryBytes, opt, nil)
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("analysis under %+v diverged from serial uncached baseline", *opt)
 		}

@@ -5,9 +5,9 @@ import "firmup/internal/sim"
 // AddVariant appends to a live image a copy of its executable src under
 // another path, after mutate has edited the copy's procedures — how the
 // dedup suite makes near-duplicates (one address moved, one marker
-// changed) that no firmware build produces on demand. The copy is
-// indexed like any analysed executable.
-func (im *Image) AddVariant(src *Executable, path string, mutate func([]*sim.Proc)) {
+// changed) that no firmware build produces on demand. The image's search
+// group is rebuilt, so the copy is indexed like any analysed executable.
+func (a *Analyzer) AddVariant(im *Image, src *Executable, path string, mutate func([]*sim.Proc)) {
 	procs := make([]*sim.Proc, len(src.exe.Procs))
 	for i, p := range src.exe.Procs {
 		cp := *p
@@ -17,7 +17,5 @@ func (im *Image) AddVariant(src *Executable, path string, mutate func([]*sim.Pro
 	e := sim.FromProcsSession(path, procs, src.exe.Session())
 	e.Arch, e.Stripped = src.exe.Arch, src.exe.Stripped
 	im.Exes = append(im.Exes, &Executable{Path: path, exe: e})
-	if im.index != nil {
-		im.index.Add(e)
-	}
+	a.index(im)
 }

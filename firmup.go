@@ -15,16 +15,16 @@
 // executables by shared-strand count and skip targets that provably
 // cannot clear the acceptance threshold.
 //
-// Quick start (the package-level functions share one default session):
-//
-//	img, _ := firmup.OpenImage(imageBytes)
-//	query, _ := firmup.LoadQueryExecutable(queryBytes)
-//	findings, _ := firmup.SearchImage(query, "ftp_retrieve_glob", img, nil)
-//
-// Long-lived services should create their own sessions:
+// Quick start:
 //
 //	a := firmup.NewAnalyzer(nil)
 //	img, _ := a.OpenImage(imageBytes)
+//	query, _ := a.LoadQueryExecutable(queryBytes)
+//	findings, _ := a.SearchImage(query, "ftp_retrieve_glob", img, nil)
+//
+// A corpus that is searched many times is analyzed once, sealed
+// (Analyzer.Seal, SealedCorpus.WriteShards) and served from the shard
+// directory (OpenSealedCorpus, SealedCorpus.AnalyzeQuery, SearchAll).
 //
 // Everything underneath — the firmlang compiler and its four ISA
 // backends, the FWELF container, the lifters, the canonicalizer, the
@@ -49,6 +49,7 @@ import (
 	_ "firmup/internal/isa/x86"  // register the x86 backend
 	"firmup/internal/obj"
 	"firmup/internal/sim"
+	"firmup/internal/snapshot"
 	"firmup/internal/strand"
 	"firmup/internal/telemetry"
 )
@@ -63,10 +64,6 @@ type AnalyzerOptions struct {
 	// remaining budget as procedure-level workers, so at most ~Workers
 	// goroutines analyze at any moment.
 	Workers int
-	// DisableIndex turns off the corpus-level search index: opened
-	// images carry no index and every search examines every target.
-	// Findings are identical either way.
-	DisableIndex bool
 	// DisableBlockCache turns off the session's block canonicalization
 	// cache: every lifted block is re-extracted from scratch. Analyzed
 	// output is identical either way; only the work done differs.
@@ -106,8 +103,6 @@ func splitWorkers(budget, n int) (exeWorkers, procWorkers int) {
 	return exeWorkers, procWorkers
 }
 
-func (o *AnalyzerOptions) indexed() bool { return o == nil || !o.DisableIndex }
-
 // Analyzer is one analysis session. All executables analyzed under it —
 // queries and image contents alike — share its strand-hash interner, so
 // their strand sets carry comparable dense IDs and searches between
@@ -140,14 +135,10 @@ type sessionMetrics struct {
 
 	imageOpen   *telemetry.Stage
 	imageUnpack *telemetry.Stage
-	snapSave    *telemetry.Stage
-	snapLoad    *telemetry.Stage
 	searchImage *telemetry.Stage
 
-	snapSaveBytes *telemetry.Counter
-	snapLoadBytes *telemetry.Counter
-	exesAnalyzed  *telemetry.Counter
-	exesSkipped   *telemetry.Counter
+	exesAnalyzed *telemetry.Counter
+	exesSkipped  *telemetry.Counter
 }
 
 // frontEndMetrics is the handle set of the analysis front-end — parse,
@@ -231,11 +222,7 @@ func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
 		idx:             newIndexTelemetry(r),
 		imageOpen:       r.Stage("image.open"),
 		imageUnpack:     r.Stage("image.unpack"),
-		snapSave:        r.Stage("snapshot.save"),
-		snapLoad:        r.Stage("snapshot.load"),
 		searchImage:     r.Stage("search.image"),
-		snapSaveBytes:   r.Counter("snapshot.save_bytes"),
-		snapLoadBytes:   r.Counter("snapshot.load_bytes"),
 		exesAnalyzed:    r.Counter("exe.analyzed"),
 		exesSkipped:     r.Counter("exe.skipped"),
 	}
@@ -328,18 +315,6 @@ func (a *Analyzer) CacheStats() CacheStats {
 	return a.cache.Stats()
 }
 
-// defaultSession backs the package-level one-liner API; sharing one
-// session keeps package-level queries and images ID-comparable.
-var (
-	defaultOnce    sync.Once
-	defaultSession *Analyzer
-)
-
-func defaultAnalyzer() *Analyzer {
-	defaultOnce.Do(func() { defaultSession = NewAnalyzer(nil) })
-	return defaultSession
-}
-
 // Executable is an analyzed binary: its procedures recovered, lifted and
 // indexed as sets of canonical strands.
 type Executable struct {
@@ -421,7 +396,9 @@ type Image struct {
 	// searchable but no longer silently dropped.
 	Skipped []SkipReason
 
-	index *corpusindex.Index
+	// own is the image as the one member of its private search group —
+	// occurrence i is Exes[i] — built when the image is opened (see index).
+	own *SealedImage
 }
 
 // Executable returns the image executable with the given in-image
@@ -436,14 +413,8 @@ func (im *Image) Executable(path string) *Executable {
 }
 
 // IndexedStrands reports the number of (strand, executable, procedure)
-// postings in the image's search index, or 0 when the image was opened
-// without one.
-func (im *Image) IndexedStrands() int {
-	if im.index == nil {
-		return 0
-	}
-	return im.index.Postings()
-}
+// postings in the image's search index.
+func (im *Image) IndexedStrands() int { return im.own.group.index.Postings() }
 
 // AnalyzeExecutable parses and analyzes one FWELF binary under the
 // session.
@@ -514,19 +485,31 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 	if len(out.Exes) == 0 {
 		return nil, fmt.Errorf("firmup: image contains no analyzable executables")
 	}
-	if a.opt.indexed() {
-		out.index = corpusindex.NewIndex(a.interner)
-		out.index.SetTelemetry(a.idxTel())
-		for _, e := range out.Exes {
-			out.index.Add(e.exe)
-		}
-	}
+	a.index(out)
 	if a.met != nil {
 		a.met.exesAnalyzed.Add(int64(len(out.Exes)))
 		a.met.exesSkipped.Add(int64(len(out.Skipped)))
 		openSpan.End()
 	}
 	return out, nil
+}
+
+// index makes img searchable: it builds the private one-image group a
+// live image is searched through, by the pass a sealed corpus runs per
+// group (sealedGroup.search) — the image's own executables as they are,
+// neither rebound nor deduplicated, behind one index keyed by the session
+// interner as it stands now. Strands the session interns later, analysing
+// queries, have no row in it and need none: no executable of this image
+// contains them.
+func (a *Analyzer) index(img *Image) {
+	g := &sealedGroup{n: 1, nExes: len(img.Exes), indexed: true, game: a.coreTel(), exes: make([]*sim.Exe, len(img.Exes))}
+	img.own = &SealedImage{group: g, occs: make([]snapshot.Occurrence, len(img.Exes))}
+	for i, e := range img.Exes {
+		g.exes[i] = e.exe
+		img.own.occs[i] = snapshot.Occurrence{Path: e.Path, Exe: i}
+	}
+	g.index = corpusindex.NewFrozenIndex(a.interner, a.interner.Size(), g.exes)
+	g.index.SetTelemetry(a.idxTel())
 }
 
 type pendingExe struct {
@@ -587,24 +570,6 @@ func (a *Analyzer) analyzeAll(pending []pendingExe, out *Image) {
 		}
 		out.Exes = append(out.Exes, exes[i])
 	}
-}
-
-// AnalyzeExecutable parses and analyzes one FWELF binary under the
-// package's default session.
-func AnalyzeExecutable(path string, data []byte) (*Executable, error) {
-	return defaultAnalyzer().AnalyzeExecutable(path, data)
-}
-
-// OpenImage opens an image under the package's default session (see
-// Analyzer.OpenImage).
-func OpenImage(data []byte) (*Image, error) {
-	return defaultAnalyzer().OpenImage(data)
-}
-
-// LoadQueryExecutable analyzes a query binary under the package's
-// default session.
-func LoadQueryExecutable(data []byte) (*Executable, error) {
-	return defaultAnalyzer().LoadQueryExecutable(data)
 }
 
 // Options tune the search engine. The zero value selects the defaults
@@ -705,88 +670,28 @@ type SearchResult struct {
 }
 
 // SearchImage looks for the query executable's procedure in every
-// executable of the image. When the image carries a search index and the
-// query shares its session, provably-irrelevant executables are skipped
-// without playing the game; the findings are identical either way.
-func SearchImage(query *Executable, procedure string, img *Image, opt *Options) ([]Finding, error) {
-	return defaultAnalyzer().SearchImage(query, procedure, img, opt)
+// executable of the image. Executables the image's index proves cannot
+// clear the acceptance floors are skipped without playing the game — when
+// the query shares the image's session; a query from another session is
+// played against every executable — and the findings are identical either
+// way.
+func (a *Analyzer) SearchImage(query *Executable, procedure string, img *Image, opt *Options) ([]Finding, error) {
+	res, err := a.SearchImageDetailed(query, procedure, img, opt)
+	if err != nil {
+		return nil, err
+	}
+	return res.Findings, nil
 }
 
 // SearchImageDetailed is SearchImage with the search accounting
-// (examined-target count, steps histogram) exposed, under the package's
-// default session.
-func SearchImageDetailed(query *Executable, procedure string, img *Image, opt *Options) (*SearchResult, error) {
-	return defaultAnalyzer().SearchImageDetailed(query, procedure, img, opt)
-}
-
-// SearchImageDetailed is SearchImage with the search accounting
-// (examined-target count, steps histogram) exposed. Game and search
-// metrics are recorded into this session's registry, if any.
+// (examined-target count, steps histogram) exposed: SearchBatch with a
+// batch of one.
 func (a *Analyzer) SearchImageDetailed(query *Executable, procedure string, img *Image, opt *Options) (*SearchResult, error) {
-	var searchSpan telemetry.Span
-	if a.met != nil {
-		searchSpan = a.met.searchImage.Start()
+	res, err := a.SearchBatch([]BatchQuery{{Query: query, Procedure: procedure}}, img, opt)
+	if err != nil {
+		return nil, err
 	}
-	qi := query.exe.ProcByName(procedure)
-	if qi < 0 {
-		return nil, fmt.Errorf("firmup: query executable has no procedure %q", procedure)
-	}
-	s := a.imageSearchOptions(img, opt)
-	res := core.Search(query.exe, qi, img.targets(), s)
-	out := searchResultFromCore(res)
-	if a.met != nil {
-		searchSpan.End()
-	}
-	return out, nil
-}
-
-// imageSearchOptions builds the core search options for one image under
-// this session: game telemetry attached and, when the image carries an
-// index and the caller did not ask for an exhaustive search, the
-// corpus-index prefilter installed.
-func (a *Analyzer) imageSearchOptions(img *Image, opt *Options) *core.SearchOptions {
-	s := opt.search()
-	s.Game.Tel = a.coreTel()
-	if img.index != nil && (opt == nil || !opt.Exhaustive) {
-		// The acceptance ratio here is plain Score/|Strands(q)| (the
-		// facade sets no strand weigher), so both floors prune soundly.
-		minScore, minRatio := s.MinScore, s.MinRatio
-		idx := img.index
-		s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-			return idx.CandidateIndices(q.Procs[qpi].Set, minScore, minRatio, nil)
-		}
-	}
-	return s
-}
-
-// targets lists the image executables' indexed views, aligned with Exes.
-func (im *Image) targets() []*sim.Exe {
-	out := make([]*sim.Exe, len(im.Exes))
-	for i, e := range im.Exes {
-		out[i] = e.exe
-	}
-	return out
-}
-
-// searchResultFromCore converts a core search result into the facade
-// form.
-func searchResultFromCore(res core.SearchResult) *SearchResult {
-	out := &SearchResult{
-		Findings:       make([]Finding, 0, len(res.Findings)),
-		Examined:       res.Examined,
-		StepsHistogram: res.StepsHistogram,
-	}
-	for _, f := range res.Findings {
-		out.Findings = append(out.Findings, Finding{
-			ExePath:    f.ExePath,
-			ProcName:   f.ProcName,
-			ProcAddr:   f.ProcAddr,
-			Score:      f.Score,
-			Confidence: f.Ratio,
-			GameSteps:  f.Steps,
-		})
-	}
-	return out
+	return res[0], nil
 }
 
 // BatchQuery names one query procedure for a batched image search.
@@ -812,12 +717,14 @@ func coreBatch(queries []BatchQuery) ([]core.BatchQuery, error) {
 	return out, nil
 }
 
-// SearchBatch looks for every batch query in the image in one batched
-// game-engine pass: each image executable is visited once for the whole
-// batch, and queries from the same query executable share matcher
-// caches and similarity vectors. The returned results are positionally
-// aligned with queries and byte-identical to calling
-// SearchImageDetailed once per query.
+// SearchBatch looks for every batch query in the image in one search pass
+// (sealedGroup.search) over the image's private group: one posting scan
+// per query, then each image executable is visited once for the whole
+// batch, and queries from the same query executable share matcher caches
+// and similarity vectors. The returned results are positionally aligned
+// with queries and byte-identical to calling SearchImageDetailed once per
+// query. The time is recorded as this session's search.image stage; the
+// index and game metrics go to the session that opened the image.
 func (a *Analyzer) SearchBatch(queries []BatchQuery, img *Image, opt *Options) ([]*SearchResult, error) {
 	var searchSpan telemetry.Span
 	if a.met != nil {
@@ -827,44 +734,21 @@ func (a *Analyzer) SearchBatch(queries []BatchQuery, img *Image, opt *Options) (
 	if err != nil {
 		return nil, err
 	}
-	s := a.imageSearchOptions(img, opt)
-	res := core.SearchBatch(cqs, img.targets(), s)
-	out := make([]*SearchResult, len(res))
-	for i := range res {
-		out[i] = searchResultFromCore(res[i])
+	res, _, err := img.own.group.search(cqs, []*SealedImage{img.own}, opt, opt.traceSpan())
+	if err != nil {
+		return nil, err
 	}
 	if a.met != nil {
 		searchSpan.End()
 	}
-	return out, nil
-}
-
-// SearchBatch runs a batched image search under the package's default
-// session (see Analyzer.SearchBatch).
-func SearchBatch(queries []BatchQuery, img *Image, opt *Options) ([]*SearchResult, error) {
-	return defaultAnalyzer().SearchBatch(queries, img, opt)
-}
-
-// SearchImage on a session is the package-level SearchImage; it is
-// provided so session users never touch package-level state.
-func (a *Analyzer) SearchImage(query *Executable, procedure string, img *Image, opt *Options) ([]Finding, error) {
-	res, err := a.SearchImageDetailed(query, procedure, img, opt)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
+	return res[0], nil
 }
 
 // MatchProcedure runs the back-and-forth game for one query procedure
 // against a single target executable, returning the finding (nil when
 // the target does not appear to contain the procedure) and the number of
-// game steps played.
-func MatchProcedure(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, int, error) {
-	return defaultAnalyzer().MatchProcedure(query, procedure, target, opt)
-}
-
-// MatchProcedure on a session is the package-level MatchProcedure with
-// game metrics recorded into the session's registry, if any.
+// game steps played. Game metrics are recorded into the session's
+// registry, if any.
 func (a *Analyzer) MatchProcedure(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, int, error) {
 	f, r, err := a.matchTraced(query, procedure, target, opt, false)
 	if err != nil {
@@ -899,13 +783,6 @@ type GameTrace struct {
 	Reason string `json:"reason"`
 	// Trace is the recorded game course.
 	Trace []TraceStep `json:"trace,omitempty"`
-}
-
-// MatchProcedureTraced is MatchProcedure with the full game course
-// recorded and returned as a JSON-encodable trace, under the package's
-// default session.
-func MatchProcedureTraced(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, *GameTrace, error) {
-	return defaultAnalyzer().MatchProcedureTraced(query, procedure, target, opt)
 }
 
 // MatchProcedureTraced is MatchProcedure with the full game course

@@ -37,19 +37,20 @@ func buildScenario(t *testing.T) (imgBytes []byte, queryBytes []byte, hasWget bo
 }
 
 func TestEndToEndSearch(t *testing.T) {
+	a := firmup.NewAnalyzer(nil)
 	imgBytes, queryBytes, _ := buildScenario(t)
-	img, err := firmup.OpenImage(imgBytes)
+	img, err := a.OpenImage(imgBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(img.Exes) == 0 {
 		t.Fatal("no executables")
 	}
-	q, err := firmup.LoadQueryExecutable(queryBytes)
+	q, err := a.LoadQueryExecutable(queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := firmup.SearchImage(q, "ftp_retrieve_glob", img, nil)
+	findings, err := a.SearchImage(q, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +67,9 @@ func TestEndToEndSearch(t *testing.T) {
 }
 
 func TestProcedureListing(t *testing.T) {
+	a := firmup.NewAnalyzer(nil)
 	_, queryBytes, _ := buildScenario(t)
-	q, err := firmup.LoadQueryExecutable(queryBytes)
+	q, err := a.LoadQueryExecutable(queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +92,10 @@ func TestProcedureListing(t *testing.T) {
 }
 
 func TestMatchProcedureSingleTarget(t *testing.T) {
+	a := firmup.NewAnalyzer(nil)
 	imgBytes, queryBytes, _ := buildScenario(t)
-	img, _ := firmup.OpenImage(imgBytes)
-	q, _ := firmup.LoadQueryExecutable(queryBytes)
+	img, _ := a.OpenImage(imgBytes)
+	q, _ := a.LoadQueryExecutable(queryBytes)
 	var wget *firmup.Executable
 	for _, e := range img.Exes {
 		if e.Path == "bin/wget" {
@@ -102,7 +105,7 @@ func TestMatchProcedureSingleTarget(t *testing.T) {
 	if wget == nil {
 		t.Skip("image lacks bin/wget")
 	}
-	f, steps, err := firmup.MatchProcedure(q, "ftp_retrieve_glob", wget, nil)
+	f, steps, err := a.MatchProcedure(q, "ftp_retrieve_glob", wget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +115,21 @@ func TestMatchProcedureSingleTarget(t *testing.T) {
 }
 
 func TestOpenImageErrors(t *testing.T) {
-	if _, err := firmup.OpenImage([]byte("garbage")); err == nil {
+	a := firmup.NewAnalyzer(nil)
+	if _, err := a.OpenImage([]byte("garbage")); err == nil {
 		t.Error("garbage image must fail")
 	}
-	if _, err := firmup.LoadQueryExecutable([]byte("nope")); err == nil {
+	if _, err := a.LoadQueryExecutable([]byte("nope")); err == nil {
 		t.Error("garbage executable must fail")
 	}
 }
 
 func TestCarvingFallback(t *testing.T) {
+	a := firmup.NewAnalyzer(nil)
 	imgBytes, queryBytes, _ := buildScenario(t)
 	// Repack without compression and damage the header magic: the
 	// structural unpacker fails, carving must still find executables.
-	img, err := firmup.OpenImage(imgBytes)
+	img, err := a.OpenImage(imgBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,7 @@ func TestCarvingFallback(t *testing.T) {
 	}
 	raw := c.Images[0].Image.Pack(false)
 	raw[0], raw[1] = 'X', 'X'
-	carved, err := firmup.OpenImage(raw)
+	carved, err := a.OpenImage(raw)
 	if err != nil {
 		t.Fatalf("carving fallback failed: %v", err)
 	}
@@ -146,10 +151,11 @@ func TestCarvingFallback(t *testing.T) {
 }
 
 func TestUnknownQueryProcedure(t *testing.T) {
+	a := firmup.NewAnalyzer(nil)
 	imgBytes, queryBytes, _ := buildScenario(t)
-	img, _ := firmup.OpenImage(imgBytes)
-	q, _ := firmup.LoadQueryExecutable(queryBytes)
-	if _, err := firmup.SearchImage(q, "no_such_procedure", img, nil); err == nil {
+	img, _ := a.OpenImage(imgBytes)
+	q, _ := a.LoadQueryExecutable(queryBytes)
+	if _, err := a.SearchImage(q, "no_such_procedure", img, nil); err == nil {
 		t.Error("unknown procedure must fail")
 	}
 }

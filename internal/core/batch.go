@@ -48,13 +48,13 @@ func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher, accepta
 	return res
 }
 
-// SearchBatch runs the search for every query against the same target
-// set in one batched game-engine pass. Each target executable is visited
-// once: all batch queries whose prefilter kept it play their games
-// back-to-back, and queries from the same query executable share one
-// matcher, so similarity vectors accumulated for one query answer the
-// rest (near-linear throughput in queries-per-target on serve and
-// sweep workloads).
+// SearchBatch runs the exhaustive search — every query against every
+// target — in one batched game-engine pass. Each target executable is
+// visited once: the batch queries play their games back-to-back, and
+// queries from the same query executable share one matcher, so similarity
+// vectors accumulated for one query answer the rest. A search that
+// narrows its targets first resolves the candidates itself and calls
+// PlayBatch.
 //
 // The results are positionally aligned with queries and byte-identical
 // to searching once per query: same findings, same examined counts, same
@@ -62,9 +62,13 @@ func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher, accepta
 // Per-query state — game state, findings, histograms — is never shared;
 // only the exclusion-independent matcher caches and pooled arenas are.
 func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) []SearchResult {
+	all := make([]int, len(targets))
+	for i := range all {
+		all[i] = i
+	}
 	plans := make([]Plan, len(queries))
-	for qx, bq := range queries {
-		plans[qx].Targets = candidateIndices(bq.Q, bq.QI, targets, opt)
+	for qx := range queries {
+		plans[qx].Targets = all
 	}
 	findings := PlayBatch(queries, targets, plans, opt).Findings
 	out := make([]SearchResult, len(queries))

@@ -145,38 +145,3 @@ func TestSearchBatchEquivalenceRandomized(t *testing.T) {
 		}
 	}
 }
-
-// TestSearchBatchEquivalenceWithPrefilter pins the batched pass under a
-// caller-installed prefilter: the batch applies the same per-query
-// narrowing the sequential path does, so findings and Examined agree
-// even when the prefilter keeps different targets for different
-// queries.
-func TestSearchBatchEquivalenceWithPrefilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	for trial := 0; trial < 80; trial++ {
-		sc := newRandBatchScenario(rng)
-		opt := &SearchOptions{MinScore: 1, MinRatio: 0.05, MarkerMinOverlap: -1}
-		// A deterministic per-query narrowing (equivalence does not need
-		// soundness: both paths apply the identical prefilter).
-		opt.Prefilter = func(q *sim.Exe, qi int, targets []*sim.Exe) ([]int, bool) {
-			if qi%3 == 0 {
-				return nil, false // no information: examine everything
-			}
-			var keep []int
-			for ti := range targets {
-				if (ti+qi)%2 == 0 {
-					keep = append(keep, ti)
-				}
-			}
-			return keep, true
-		}
-		batch := SearchBatch(sc.queries, sc.targets, opt)
-		for i, bq := range sc.queries {
-			solo := Search(bq.Q, bq.QI, sc.targets, opt)
-			if !reflect.DeepEqual(batch[i], solo) {
-				t.Fatalf("trial %d: prefiltered batch query %d diverges:\nbatch: %+v\nsolo:  %+v",
-					trial, i, batch[i], solo)
-			}
-		}
-	}
-}

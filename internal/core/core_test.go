@@ -290,86 +290,3 @@ func TestEndReasonStrings(t *testing.T) {
 		t.Error("an unknown end reason decoded without error")
 	}
 }
-
-// prefilterScenario builds a query and three targets: one containing the
-// query procedure, one sharing nothing, one sharing a little.
-func prefilterScenario() (*sim.Exe, int, []*sim.Exe) {
-	q := sim.FromProcs("Q", []*sim.Proc{
-		mkProc("vuln", 1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-		mkProc("other", 50, 51),
-	})
-	hit := sim.FromProcs("hit", []*sim.Proc{
-		mkProc("sub_1", 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-		mkProc("sub_2", 90, 91),
-	})
-	miss := sim.FromProcs("miss", []*sim.Proc{
-		mkProc("sub_1", 100, 101, 102),
-	})
-	weak := sim.FromProcs("weak", []*sim.Proc{
-		mkProc("sub_1", 1, 2, 200, 201, 202, 203),
-	})
-	return q, 0, []*sim.Exe{miss, hit, weak}
-}
-
-func TestSearchPrefilterPreservesFindings(t *testing.T) {
-	q, qi, targets := prefilterScenario()
-	base := &SearchOptions{MinScore: 3, MinRatio: 0.25, Workers: 2}
-	exhaustive := Search(q, qi, targets, base)
-	if len(exhaustive.Findings) != 1 || exhaustive.Findings[0].ExePath != "hit" {
-		t.Fatalf("exhaustive findings = %+v, want one in hit", exhaustive.Findings)
-	}
-	if exhaustive.Examined != len(targets) {
-		t.Fatalf("exhaustive Examined = %d, want %d", exhaustive.Examined, len(targets))
-	}
-
-	// A sound prefilter (drops only the zero-overlap target).
-	pre := *base
-	pre.Prefilter = func(q *sim.Exe, qi int, ts []*sim.Exe) ([]int, bool) {
-		return []int{1, 2}, true
-	}
-	filtered := Search(q, qi, targets, &pre)
-	if filtered.Examined != 2 {
-		t.Errorf("filtered Examined = %d, want 2", filtered.Examined)
-	}
-	if len(filtered.Findings) != 1 || filtered.Findings[0] != exhaustive.Findings[0] {
-		t.Errorf("filtered findings %+v differ from exhaustive %+v",
-			filtered.Findings, exhaustive.Findings)
-	}
-	if len(filtered.StepsHistogram) != len(exhaustive.StepsHistogram) {
-		t.Errorf("histograms differ: %v vs %v", filtered.StepsHistogram, exhaustive.StepsHistogram)
-	}
-	for k, v := range exhaustive.StepsHistogram {
-		if filtered.StepsHistogram[k] != v {
-			t.Errorf("histogram[%d] = %d, want %d", k, filtered.StepsHistogram[k], v)
-		}
-	}
-}
-
-func TestSearchPrefilterNoInformation(t *testing.T) {
-	q, qi, targets := prefilterScenario()
-	opt := &SearchOptions{MinScore: 3, MinRatio: 0.25}
-	opt.Prefilter = func(*sim.Exe, int, []*sim.Exe) ([]int, bool) { return nil, false }
-	res := Search(q, qi, targets, opt)
-	if res.Examined != len(targets) {
-		t.Errorf("ok=false must examine everything: Examined = %d, want %d",
-			res.Examined, len(targets))
-	}
-	if len(res.Findings) != 1 {
-		t.Errorf("findings = %+v", res.Findings)
-	}
-}
-
-func TestSearchPrefilterBogusIndices(t *testing.T) {
-	q, qi, targets := prefilterScenario()
-	opt := &SearchOptions{MinScore: 3, MinRatio: 0.25}
-	opt.Prefilter = func(*sim.Exe, int, []*sim.Exe) ([]int, bool) {
-		return []int{-5, 1, 1, 99, 1}, true
-	}
-	res := Search(q, qi, targets, opt)
-	if res.Examined != 1 {
-		t.Errorf("bogus indices must be dropped: Examined = %d, want 1", res.Examined)
-	}
-	if len(res.Findings) != 1 || res.Findings[0].ExePath != "hit" {
-		t.Errorf("findings = %+v", res.Findings)
-	}
-}

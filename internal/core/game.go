@@ -44,8 +44,8 @@ type Telemetry struct {
 	MatcherMisses *telemetry.Counter
 	// Searches counts Search calls.
 	Searches *telemetry.Counter
-	// PrefilterKept and PrefilterSkipped count target executables the
-	// search prefilter retained versus soundly pruned.
+	// PrefilterKept and PrefilterSkipped count the target executables a
+	// pass's plans list versus those the caller's narrowing left out.
 	PrefilterKept    *telemetry.Counter
 	PrefilterSkipped *telemetry.Counter
 	// BatchSearches counts SearchBatch passes; BatchSharedGames counts

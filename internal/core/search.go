@@ -55,15 +55,6 @@ type SearchOptions struct {
 	// TraceParent is the span ID the search span attaches under (0 =
 	// trace root).
 	TraceParent telemetry.SpanID
-	// Prefilter, when set, narrows the target set before any game is
-	// played: it returns the indices of the targets worth examining, or
-	// ok=false when it has no information (every target is then
-	// examined, preserving the exhaustive semantics). The contract is
-	// soundness: a prefilter may only omit targets that provably cannot
-	// produce an accepted finding (e.g. their best per-procedure Sim is
-	// already below MinScore), so findings and the steps histogram are
-	// identical with and without it — only Examined shrinks.
-	Prefilter func(q *sim.Exe, qi int, targets []*sim.Exe) (candidates []int, ok bool)
 }
 
 func (o *SearchOptions) minScore() int {
@@ -123,43 +114,11 @@ type SearchResult struct {
 	Examined int
 }
 
-// Search runs the game for the query procedure against every candidate
-// target executable in parallel, applying the acceptance threshold.
-// Without a prefilter (or when it reports no information) every target
-// is a candidate. It is SearchBatch with a batch of one.
+// Search runs the game for the query procedure against every target
+// executable in parallel, applying the acceptance threshold. It is
+// SearchBatch with a batch of one.
 func Search(q *sim.Exe, qi int, targets []*sim.Exe, opt *SearchOptions) SearchResult {
 	return SearchBatch([]BatchQuery{{Q: q, QI: qi}}, targets, opt)[0]
-}
-
-// candidateIndices resolves the prefilter to a valid candidate index
-// list, defaulting to every target. Out-of-range and duplicate indices
-// from a misbehaving prefilter are dropped rather than trusted.
-func candidateIndices(q *sim.Exe, qi int, targets []*sim.Exe, opt *SearchOptions) []int {
-	if opt == nil || opt.Prefilter == nil {
-		return allIndices(len(targets))
-	}
-	cand, ok := opt.Prefilter(q, qi, targets)
-	if !ok {
-		return allIndices(len(targets))
-	}
-	seen := make([]bool, len(targets))
-	out := make([]int, 0, len(cand))
-	for _, i := range cand {
-		if i < 0 || i >= len(targets) || seen[i] {
-			continue
-		}
-		seen[i] = true
-		out = append(out, i)
-	}
-	return out
-}
-
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // MatchOne runs the game against a single target and applies the

@@ -66,8 +66,9 @@ func TestInternerConcurrent(t *testing.T) {
 	}
 }
 
-// exes returns a small corpus built under one session plus its index.
-func buildCorpus(t *testing.T) (*Interner, *Index, []*sim.Exe) {
+// buildCorpus returns a small corpus built under one session plus the
+// index over it, keyed by the live interner.
+func buildCorpus(t *testing.T) (*Interner, *FrozenIndex, []*sim.Exe) {
 	t.Helper()
 	it := NewInterner()
 	exes := []*sim.Exe{
@@ -82,18 +83,35 @@ func buildCorpus(t *testing.T) (*Interner, *Index, []*sim.Exe) {
 			{Name: "c0", Set: set(100, 101)},
 		}, it),
 	}
-	x := NewIndex(it)
-	for _, e := range exes {
-		x.Add(e)
+	return it, NewFrozenIndex(it, it.Size(), exes), exes
+}
+
+// ranked is one scanned candidate: the executable and the largest score
+// of its similarity vector.
+type ranked struct{ Exe, MaxSim int }
+
+// candidates runs one unscoped Scan and reads the ranking back out of it.
+func candidates(x *FrozenIndex, q strand.Set, minScore int, ratioFloor float64) ([]ranked, bool) {
+	var sc Scans
+	if !x.Scan(q, minScore, ratioFloor, nil, &sc) {
+		return nil, false
 	}
-	return it, x, exes
+	out := []ranked{}
+	for k, e := range sc.Exes {
+		r := ranked{Exe: e}
+		for _, v := range sc.Vecs[sc.Off[k]:sc.Off[k+1]] {
+			r.MaxSim = max(r.MaxSim, int(v.Score))
+		}
+		out = append(out, r)
+	}
+	return out, true
 }
 
 func TestCandidatesMatchBruteForce(t *testing.T) {
 	it, x, exes := buildCorpus(t)
 	q := set(1, 2, 3, 9).Interned(it)
 
-	cands, ok := x.Candidates(q, 1, 0)
+	cands, ok := candidates(x, q, 1, 0)
 	if !ok {
 		t.Fatal("same-session query must be filterable")
 	}
@@ -130,12 +148,12 @@ func TestCandidatesFloors(t *testing.T) {
 	q := set(1, 2, 3, 9).Interned(it)
 
 	// minScore 3: only exe a (max Sim 3 via a0) survives.
-	cands, ok := x.Candidates(q, 3, 0)
+	cands, ok := candidates(x, q, 3, 0)
 	if !ok || len(cands) != 1 || cands[0].Exe != 0 || cands[0].MaxSim != 3 {
 		t.Errorf("minScore=3 candidates = %+v, ok=%v; want just exe 0 at MaxSim 3", cands, ok)
 	}
 	// ratio floor 0.9 with |q|=4: even 3/4 shared fails.
-	cands, ok = x.Candidates(q, 1, 0.9)
+	cands, ok = candidates(x, q, 1, 0.9)
 	if !ok || len(cands) != 0 {
 		t.Errorf("ratioFloor=0.9 candidates = %+v, want none", cands)
 	}
@@ -145,79 +163,31 @@ func TestCandidatesCrossSession(t *testing.T) {
 	_, x, _ := buildCorpus(t)
 	other := NewInterner()
 	q := set(1, 2, 3).Interned(other)
-	if _, ok := x.Candidates(q, 1, 0); ok {
+	if _, ok := candidates(x, q, 1, 0); ok {
 		t.Error("query from another session must report ok=false")
 	}
-	if _, ok := x.Candidates(set(1, 2, 3), 1, 0); ok {
+	if _, ok := candidates(x, set(1, 2, 3), 1, 0); ok {
 		t.Error("un-interned query must report ok=false")
-	}
-}
-
-func TestUninternedExeAlwaysCandidate(t *testing.T) {
-	it, x, _ := buildCorpus(t)
-	// An executable from outside the session carries no postings; the
-	// index must keep it examinable rather than silently pruning it.
-	foreign := sim.FromProcs("f", []*sim.Proc{{Name: "f0", Set: set(1, 2, 3)}})
-	fi := x.Add(foreign)
-	q := set(1, 2, 3).Interned(it)
-	cands, ok := x.Candidates(q, 3, 0)
-	if !ok {
-		t.Fatal("expected filterable")
-	}
-	found := false
-	for _, c := range cands {
-		if c.Exe == fi {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("foreign exe %d missing from candidates %+v", fi, cands)
-	}
-}
-
-// CandidateIndices must be exactly Candidates reduced to exe IDs, in
-// ranking order, appended to the caller's buffer.
-func TestCandidateIndicesMatchesCandidates(t *testing.T) {
-	it, x, _ := buildCorpus(t)
-	q := set(1, 2, 3, 9).Interned(it)
-	cands, ok := x.Candidates(q, 1, 0)
-	if !ok {
-		t.Fatal("expected filterable")
-	}
-	ids, ok := x.CandidateIndices(q, 1, 0, []int{-7})
-	if !ok {
-		t.Fatal("expected filterable")
-	}
-	if len(ids) != len(cands)+1 || ids[0] != -7 {
-		t.Fatalf("buffer append semantics broken: %v", ids)
-	}
-	for i, c := range cands {
-		if ids[i+1] != c.Exe {
-			t.Errorf("ids[%d] = %d, want %d", i+1, ids[i+1], c.Exe)
-		}
-	}
-	other := NewInterner()
-	if _, ok := x.CandidateIndices(set(1, 2).Interned(other), 1, 0, nil); ok {
-		t.Error("cross-session query must report ok=false")
 	}
 }
 
 // Repeated queries through the pooled scratch must be self-consistent:
 // identical inputs give identical rankings, interleaved with different
-// queries and index growth.
+// queries; and an index rebuilt over one more executable ranks the
+// newcomer by the same rule, ahead of an equal score with a higher ID.
 func TestCandidatesScratchReuse(t *testing.T) {
-	it, x, _ := buildCorpus(t)
+	it, x, exes := buildCorpus(t)
 	qa := set(1, 2, 3, 9).Interned(it)
 	qb := set(4, 5, 6).Interned(it)
-	first, ok := x.Candidates(qa, 1, 0)
+	first, ok := candidates(x, qa, 1, 0)
 	if !ok {
 		t.Fatal("expected filterable")
 	}
 	for i := 0; i < 20; i++ {
-		if _, ok := x.Candidates(qb, 1, 0); !ok {
+		if _, ok := candidates(x, qb, 1, 0); !ok {
 			t.Fatal("expected filterable")
 		}
-		again, ok := x.Candidates(qa, 1, 0)
+		again, ok := candidates(x, qa, 1, 0)
 		if !ok {
 			t.Fatal("expected filterable")
 		}
@@ -225,20 +195,19 @@ func TestCandidatesScratchReuse(t *testing.T) {
 			t.Fatalf("iter %d: ranking drifted across scratch reuse:\nfirst: %+v\nagain: %+v", i, first, again)
 		}
 	}
-	// Growing the index must invalidate nothing: the new exe appears,
-	// previous ones keep their scores.
-	ni := x.Add(sim.FromProcsSession("d", []*sim.Proc{
-		{Name: "d0", Set: set(1, 2, 3, 9).Interned(it)},
-	}, it))
-	grown, ok := x.Candidates(qa, 1, 0)
+	// The same executables plus a full match and a tie with exe 0: the
+	// previous ones keep their scores, the full match ranks first and the
+	// tie after the lower ID.
+	exes = append(exes,
+		sim.FromProcsSession("d", []*sim.Proc{{Name: "d0", Set: set(1, 2, 3, 9)}}, it),
+		sim.FromProcsSession("e", []*sim.Proc{{Name: "e0", Set: set(1, 2, 3)}}, it))
+	grown, ok := candidates(NewFrozenIndex(it, it.Size(), exes), qa, 1, 0)
 	if !ok {
 		t.Fatal("expected filterable")
 	}
-	if len(grown) != len(first)+1 {
-		t.Fatalf("grown ranking = %+v", grown)
-	}
-	if grown[0].Exe != ni || grown[0].MaxSim != 4 {
-		t.Fatalf("new exe should rank first with MaxSim 4: %+v", grown)
+	want := append([]ranked{{Exe: 3, MaxSim: 4}, first[0], {Exe: 4, MaxSim: 3}}, first[1:]...)
+	if first[0] != (ranked{Exe: 0, MaxSim: 3}) || !reflect.DeepEqual(grown, want) {
+		t.Fatalf("rebuilt ranking = %+v, want %+v", grown, want)
 	}
 }
 
@@ -247,7 +216,7 @@ func TestCandidatesScratchReuse(t *testing.T) {
 func TestCandidatesConcurrent(t *testing.T) {
 	it, x, _ := buildCorpus(t)
 	qa := set(1, 2, 3, 9).Interned(it)
-	want, ok := x.Candidates(qa, 1, 0)
+	want, ok := candidates(x, qa, 1, 0)
 	if !ok {
 		t.Fatal("expected filterable")
 	}
@@ -258,13 +227,9 @@ func TestCandidatesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				got, ok := x.Candidates(qa, 1, 0)
+				got, ok := candidates(x, qa, 1, 0)
 				if !ok || !reflect.DeepEqual(got, want) {
 					errs <- "concurrent ranking diverged"
-					return
-				}
-				if _, ok := x.CandidateIndices(qa, 1, 0, nil); !ok {
-					errs <- "CandidateIndices failed"
 					return
 				}
 			}
@@ -277,39 +242,12 @@ func TestCandidatesConcurrent(t *testing.T) {
 	}
 }
 
-// Add must stay correct while the posting table grows far beyond its
-// previous bound one strand ID at a time (the capacity-doubling path).
-func TestAddPostingGrowth(t *testing.T) {
-	it := NewInterner()
-	x := NewIndex(it)
-	const exes = 40
-	for e := 0; e < exes; e++ {
-		// Each exe introduces fresh hashes, pushing the max dense ID up.
-		hs := make([]uint64, 0, 8)
-		for k := 0; k < 8; k++ {
-			hs = append(hs, uint64(1000*e+k))
-		}
-		x.Add(sim.FromProcsSession("e", []*sim.Proc{{Name: "p", Set: set(hs...)}}, it))
-	}
-	if got := x.Postings(); got != exes*8 {
-		t.Fatalf("Postings = %d, want %d", got, exes*8)
-	}
-	// Every exe must be retrievable by its own signature with a full max.
-	for e := 0; e < exes; e++ {
-		q := set(uint64(1000*e), uint64(1000*e+1), uint64(1000*e+2)).Interned(it)
-		cands, ok := x.Candidates(q, 3, 0)
-		if !ok || len(cands) != 1 || cands[0].Exe != e || cands[0].MaxSim != 3 {
-			t.Fatalf("exe %d: candidates = %+v ok=%v", e, cands, ok)
-		}
-	}
-}
-
 // randCorpus builds a randomized session corpus: nexes executables with
 // 1–4 procedures each, drawing strand hashes from a small universe so
 // queries overlap targets at varied similarities.
-func randCorpus(rng *rand.Rand, nexes int) (*Interner, *Index) {
+func randCorpus(rng *rand.Rand, nexes int) (*Interner, []*sim.Exe) {
 	it := NewInterner()
-	x := NewIndex(it)
+	var exes []*sim.Exe
 	for e := 0; e < nexes; e++ {
 		var procs []*sim.Proc
 		for p := 0; p < 1+rng.Intn(4); p++ {
@@ -324,31 +262,26 @@ func randCorpus(rng *rand.Rand, nexes int) (*Interner, *Index) {
 			}
 			procs = append(procs, &sim.Proc{Name: fmt.Sprintf("p%d_%d", e, p), Set: set(hashes...)})
 		}
-		x.Add(sim.FromProcsSession(fmt.Sprintf("exe%d", e), procs, it))
+		exes = append(exes, sim.FromProcsSession(fmt.Sprintf("exe%d", e), procs, it))
 	}
-	return it, x
+	return it, exes
 }
 
-// frozenOf seals a live test index under the frozen vocabulary f both
-// ways: built from the rebound executables, and over foreign slabs
-// holding the live index's rows as a mapped shard would. The built
-// index must hold exactly the live rows.
-func frozenOf(t *testing.T, f *Frozen, x *Index) (built, foreign *FrozenIndex) {
+// frozenOf seals a session's executables under the frozen vocabulary f
+// both ways: an index built from the rebound executables, and one over
+// foreign slabs holding the same rows as a mapped shard would.
+func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (rebound []*sim.Exe, built, foreign *FrozenIndex) {
 	t.Helper()
-	rebound := make([]*sim.Exe, len(x.exes))
-	procCounts := make([]int32, len(x.exes))
-	for i, e := range x.exes {
+	rebound = make([]*sim.Exe, len(live))
+	procCounts := make([]int32, len(live))
+	for i, e := range live {
 		rebound[i] = e.Rebound(f)
 		procCounts[i] = int32(len(e.Procs))
 	}
-	rows := x.Rows()
-	built = NewFrozenIndex(f, rebound)
-	if !reflect.DeepEqual(built.Rows(), rows) {
-		t.Fatalf("index built from executables holds rows %v, live index %v", built.Rows(), rows)
-	}
+	built = NewFrozenIndex(f, f.Size(), rebound)
 	var rowIDs, rowEnds []uint32
 	var posts []Posting
-	for _, r := range rows {
+	for _, r := range built.Rows() {
 		rowIDs = append(rowIDs, r.ID)
 		posts = append(posts, r.Posts...)
 		rowEnds = append(rowEnds, uint32(len(posts)))
@@ -357,66 +290,40 @@ func frozenOf(t *testing.T, f *Frozen, x *Index) (built, foreign *FrozenIndex) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return built, foreign
-}
-
-// TestFrozenRanksLikeLive is the index-layer frozen ≡ live check, across
-// randomized corpora, queries and floors: a frozen index — built or
-// over foreign slabs — queried under an overlay interner ranks exactly as the
-// live index it was sealed from.
-func TestFrozenRanksLikeLive(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		it, x := randCorpus(rng, 2+rng.Intn(10))
-		f := it.Freeze()
-		built, foreign := frozenOf(t, f, x)
-		for qi := 0; qi < 10; qi++ {
-			n := rng.Intn(10)
-			var hashes []uint64
-			for len(hashes) < n {
-				h := uint64(1 + rng.Intn(60))
-				if !slices.Contains(hashes, h) {
-					hashes = append(hashes, h)
-				}
-			}
-			minScore, ratio := 1+rng.Intn(3), float64(rng.Intn(3))*0.2
-			live := set(hashes...).Interned(it)
-			frozen := strand.Set{Hashes: live.Hashes}.Interned(NewQueryInterner(f))
-			want, ok := x.CandidateIndices(live, minScore, ratio, nil)
-			if !ok {
-				t.Fatalf("seed %d query %d: live index rejected a same-session query", seed, qi)
-			}
-			for name, fx := range map[string]*FrozenIndex{"built": built, "foreign": foreign} {
-				var got Scans
-				if !fx.Scan(frozen, minScore, ratio, nil, &got) {
-					t.Fatalf("seed %d query %d: %s frozen index rejected an overlay query", seed, qi, name)
-				}
-				if !slices.Equal(got.Exes, want) {
-					t.Fatalf("seed %d query %d: %s frozen ranking %v != live %v", seed, qi, name, got.Exes, want)
-				}
-			}
-		}
-	}
+	return rebound, built, foreign
 }
 
 // TestScanVectorsEqualSimAll: what a scan hands the game engine is what
 // the engine would have accumulated itself. For every candidate, the
 // scan's vector equals the positive entries of the executable's SimAll
-// for the query set, in procedure order — with overlay-private query
-// IDs, under a scope filter, and with several queries appended to one
-// Scans — and an executable below the floors gets no entry at all.
+// for the query set, in procedure order — with query IDs the index has
+// never seen (overlay-private ones above a frozen vocabulary; ones a live
+// interner assigned after the index was built), under a scope filter, and
+// with several queries appended to one Scans — the candidates come ranked
+// best score first, lower executable first among equals, and an
+// executable below the floors gets no entry at all.
 func TestScanVectorsEqualSimAll(t *testing.T) {
-	vectors, below := 0, 0
+	vectors, below, late := 0, 0, 0
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
-		it, x := randCorpus(rng, 2+rng.Intn(10))
+		it, live := randCorpus(rng, 2+rng.Intn(10))
 		f := it.Freeze()
-		built, foreign := frozenOf(t, f, x)
-		exes := make([]*sim.Exe, len(x.exes))
-		for i, e := range x.exes {
-			exes[i] = e.Rebound(f)
-		}
-		for name, fx := range map[string]*FrozenIndex{"built": built, "foreign": foreign} {
+		rebound, built, foreign := frozenOf(t, f, live)
+		bound := it.Size()
+		overlay := func(s strand.Set) strand.Set { return s.Interned(NewQueryInterner(f)) }
+		for _, side := range []struct {
+			name   string
+			fx     *FrozenIndex
+			exes   []*sim.Exe
+			intern func(strand.Set) strand.Set
+		}{
+			{"built", built, rebound, overlay},
+			{"foreign", foreign, rebound, overlay},
+			// The live image's index: keyed by the session interner, which
+			// keeps growing under the queries analysed after the build.
+			{"live", NewFrozenIndex(it, bound, live), live, func(s strand.Set) strand.Set { return s.Interned(it) }},
+		} {
+			name, fx, exes := side.name, side.fx, side.exes
 			var scans Scans
 			type scanned struct {
 				q        strand.Set
@@ -428,7 +335,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 			var all []scanned
 			for qi := 0; qi < 10; qi++ {
 				// Hashes 1..60 are the corpus's universe; 1000+ are novel
-				// and get overlay-private IDs above the vocabulary.
+				// and get IDs at or above the index's bound.
 				var hashes []uint64
 				for n := rng.Intn(12); len(hashes) < n; {
 					h := uint64(1 + rng.Intn(60))
@@ -439,12 +346,14 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 						hashes = append(hashes, h)
 					}
 				}
-				qit := NewQueryInterner(f)
 				sc := scanned{
-					q:        set(hashes...).Interned(qit),
+					q:        side.intern(set(hashes...)),
 					lo:       len(scans.Exes),
 					minScore: 1 + rng.Intn(3),
 					ratio:    float64(rng.Intn(3)) * 0.2,
+				}
+				if n := len(sc.q.IDs); name == "live" && n > 0 && int(sc.q.IDs[n-1]) >= bound {
+					late++
 				}
 				if qi%3 == 2 {
 					sc.inScope = make([]bool, len(exes))
@@ -453,7 +362,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 					}
 				}
 				if !fx.Scan(sc.q, sc.minScore, sc.ratio, sc.inScope, &scans) {
-					t.Fatalf("seed %d %s query %d: overlay query rejected", seed, name, qi)
+					t.Fatalf("seed %d %s query %d: compatible query rejected", seed, name, qi)
 				}
 				sc.hi = len(scans.Exes)
 				all = append(all, sc)
@@ -464,6 +373,10 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 			// Checked after every scan has appended: earlier ranges must
 			// survive later appends.
 			for qi, sc := range all {
+				best := make([]int, len(exes))
+				for e := range exes {
+					best[e] = slices.Max(append(exes[e].SimAll(sc.q), 0))
+				}
 				listed := map[int]bool{}
 				for k := sc.lo; k < sc.hi; k++ {
 					e := scans.Exes[k]
@@ -478,31 +391,36 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 					if got := scans.Vecs[scans.Off[k]:scans.Off[k+1]]; !slices.Equal(got, want) {
 						t.Fatalf("seed %d %s query %d exe %d: scan vector %v, SimAll positives %v", seed, name, qi, e, got, want)
 					}
+					if p := scans.Exes[max(k-1, sc.lo)]; best[p] < best[e] || best[p] == best[e] && p > e {
+						t.Fatalf("seed %d %s query %d: exe %d (best %d) ranked before exe %d (best %d)", seed, name, qi, p, best[p], e, best[e])
+					}
 				}
 				// Listed iff in scope and above the floors.
 				for e := range exes {
-					best := slices.Max(append(exes[e].SimAll(sc.q), 0))
-					above := best >= sc.minScore && (sc.ratio == 0 || len(sc.q.IDs) == 0 ||
-						float64(best)/float64(len(sc.q.IDs)) >= sc.ratio)
+					above := best[e] >= sc.minScore && (sc.ratio == 0 || len(sc.q.IDs) == 0 ||
+						float64(best[e])/float64(len(sc.q.IDs)) >= sc.ratio)
 					want := above && (sc.inScope == nil || sc.inScope[e])
-					if best > 0 && !above {
+					if best[e] > 0 && !above {
 						below++
 					}
 					if listed[e] != want {
-						t.Fatalf("seed %d %s query %d exe %d (best %d): listed=%v, want %v", seed, name, qi, e, best, listed[e], want)
+						t.Fatalf("seed %d %s query %d exe %d (best %d): listed=%v, want %v", seed, name, qi, e, best[e], listed[e], want)
 					}
 				}
 			}
 		}
 	}
-	if vectors < 100 || below < 100 {
-		t.Fatalf("vacuous: %d vectors checked, %d executables sharing strands but below the floors", vectors, below)
+	if vectors < 100 || below < 100 || late < 20 {
+		t.Fatalf("vacuous: %d vectors checked, %d executables sharing strands but below the floors, %d live queries with IDs interned after the build", vectors, below, late)
 	}
-	// An incompatible query appends nothing.
-	it, x := randCorpus(rand.New(rand.NewSource(1)), 4)
-	built, _ := frozenOf(t, it.Freeze(), x)
-	var scans Scans
-	if built.Scan(set(1, 2, 3).Interned(NewInterner()), 1, 0, nil, &scans) || len(scans.Exes)+len(scans.Off)+len(scans.Vecs) != 0 {
-		t.Fatalf("foreign-session query was scanned: %+v", scans)
+	// A set from a foreign interner appends nothing, whichever interner
+	// keys the index.
+	it, live := randCorpus(rand.New(rand.NewSource(1)), 4)
+	_, built, _ := frozenOf(t, it.Freeze(), live)
+	for name, fx := range map[string]*FrozenIndex{"built": built, "live": NewFrozenIndex(it, it.Size(), live)} {
+		var scans Scans
+		if fx.Scan(set(1, 2, 3).Interned(NewInterner()), 1, 0, nil, &scans) || len(scans.Exes)+len(scans.Off)+len(scans.Vecs) != 0 {
+			t.Fatalf("%s: foreign-session query was scanned: %+v", name, scans)
+		}
 	}
 }

@@ -181,17 +181,20 @@ func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 	return out
 }
 
-// FrozenIndex is the sealed, read-only form of a corpus-level inverted
-// index: the posting lists of an Index flattened into one sparse CSR
-// slab over a Frozen vocabulary. It answers the same candidate-ranking
-// queries as Index — with the identical ranking and the identical
-// soundness contract — but holds no lock and supports no mutation, so
-// unlimited concurrent readers share it freely. The only shared
-// structure the query path touches is a sync.Pool of scratch
-// accumulators, which is race-safe by construction and carries no
-// corpus state between queries.
+// FrozenIndex is the corpus-level inverted index — dense strand ID →
+// (executable, procedure) postings, flattened into one sparse CSR slab —
+// and the only index type there is: built once over the executables of a
+// live image (keyed by the session's growing Interner) or of a sealed
+// group (keyed by the Frozen vocabulary), never changed afterwards. It
+// holds no lock and supports no mutation, so unlimited concurrent readers
+// share it freely. The only shared structure the query path touches is a
+// sync.Pool of scratch accumulators, which is race-safe by construction
+// and carries no corpus state between queries.
 type FrozenIndex struct {
-	it    *Frozen
+	// it is the interner the indexed executables' strand IDs come from.
+	// IDs it assigns after the index was built — a live session growing,
+	// an overlay's private IDs — have no row.
+	it    strand.Interner
 	nexes int
 	// rowIDs are the non-empty rows' strand IDs ascending; row i's
 	// (executable, procedure) postings are posts[rowEnds[i-1]:rowEnds[i]]
@@ -200,25 +203,28 @@ type FrozenIndex struct {
 	rowIDs  []uint32
 	rowEnds []uint32
 	posts   []Posting
-	// procOff are prefix sums of per-executable procedure counts, as in
-	// Index.
+	// procOff are prefix sums of per-executable procedure counts:
+	// procedure p of executable e occupies dense slot procOff[e]+p in a
+	// query scratch. procOff[nexes] is the corpus procedure total.
 	procOff []int32
 
 	scratch sync.Pool
 
+	// telemetry handles; the struct fields are individually nil-safe, so
+	// recording is unconditional once copied here.
 	telQueries   *telemetry.Counter
 	telFallbacks *telemetry.Counter
 	telFanout    *telemetry.Histogram
 }
 
-// NewFrozenIndex builds a sealed index over executables sealed under the
-// frozen vocabulary (every strand ID inside it): a counting pass per
-// strand ID, then postings filled in (executable, procedure) order — the
-// order Index.Add produces — so rankings equal a live index over the same
-// executables.
-func NewFrozenIndex(it *Frozen, exes []*sim.Exe) *FrozenIndex {
+// NewFrozenIndex builds an index over executables whose strand IDs were
+// all assigned by it and lie below bound — the session interner and its
+// current Size for a live image, the frozen vocabulary and its size for a
+// sealed group: a counting pass per strand ID, then postings filled in
+// (executable, procedure) order.
+func NewFrozenIndex(it strand.Interner, bound int, exes []*sim.Exe) *FrozenIndex {
 	x := &FrozenIndex{it: it, nexes: len(exes), procOff: make([]int32, len(exes)+1)}
-	next := make([]uint32, len(it.vocab)+1) // next[id+1] counts, then row cursors
+	next := make([]uint32, bound+1) // next[id+1] counts, then row cursors
 	for i, e := range exes {
 		x.procOff[i+1] = x.procOff[i] + int32(len(e.Procs))
 		for _, p := range e.Procs {
@@ -227,14 +233,14 @@ func NewFrozenIndex(it *Frozen, exes []*sim.Exe) *FrozenIndex {
 			}
 		}
 	}
-	for id := range it.vocab {
+	for id := 0; id < bound; id++ {
 		if next[id+1] > 0 {
 			x.rowIDs = append(x.rowIDs, uint32(id))
 			x.rowEnds = append(x.rowEnds, next[id]+next[id+1])
 		}
 		next[id+1] += next[id]
 	}
-	x.posts = make([]Posting, next[len(it.vocab)])
+	x.posts = make([]Posting, next[bound])
 	for ei, e := range exes {
 		for pi, p := range e.Procs {
 			for _, id := range p.Set.IDs {
@@ -297,7 +303,7 @@ func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uin
 }
 
 // SetTelemetry attaches metric handles. Call it before serving queries;
-// it is not synchronized against concurrent Candidates calls.
+// it is not synchronized against concurrent Scan calls.
 func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
 	if tel == nil {
 		x.telQueries, x.telFallbacks, x.telFanout = nil, nil, nil
@@ -307,12 +313,6 @@ func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
 	x.telFallbacks = tel.Fallbacks
 	x.telFanout = tel.Fanout
 }
-
-// Interner returns the frozen vocabulary the index is keyed by.
-func (x *FrozenIndex) Interner() *Frozen { return x.it }
-
-// Len reports the number of indexed executables.
-func (x *FrozenIndex) Len() int { return x.nexes }
 
 // Postings reports the total number of (strand, executable, procedure)
 // postings held.
@@ -340,7 +340,7 @@ func (x *FrozenIndex) Rows() []Row {
 // Off[lo:hi+1]. The zero value is ready to use, and Reset readies a used
 // one for the next pass, keeping its storage.
 type Scans struct {
-	// Exes are executable IDs, each query's in Candidates' ranking.
+	// Exes are executable IDs, each query's in Scan's ranking.
 	Exes []int
 	Off  []int32
 	// Vecs holds, per candidate, the positive entries of the query's
@@ -356,14 +356,22 @@ func (s *Scans) Reset() {
 	s.Exes, s.Off, s.Vecs = s.Exes[:0], s.Off[:0], s.Vecs[:0]
 }
 
-// Scan is the sealed index's one query: a posting scan that ranks the
-// executables exactly as Index.Candidates does — same floors, same
-// order, same soundness — and appends to out every candidate that
-// inScope admits (nil admits all) together with its similarity vector,
-// which the scan has already counted and the game would otherwise
-// accumulate again. It reports false, appending nothing, when the query
-// set was not interned under this index's vocabulary or an overlay of
-// it; the caller must then examine every executable.
+// Scan is the index's one query: a posting scan that ranks the indexed
+// executables by MaxSim — the maximum Sim(q, p) over an executable's
+// procedures — and drops those provably unable to clear the acceptance
+// floors: a finding's score is Sim(q, matched procedure) ≤ MaxSim, so an
+// executable with MaxSim < minScore — or, when ratioFloor > 0, with
+// MaxSim/|q| < ratioFloor — cannot yield an accepted finding. Pass
+// ratioFloor 0 when the acceptance ratio is not plain Score/|q| (e.g.
+// under a strand weigher). The ranking is deterministic: MaxSim
+// descending, executable ID ascending.
+//
+// Scan appends to out every candidate that inScope admits (nil admits
+// all) together with its similarity vector, which the scan has already
+// counted and the game would otherwise accumulate again. It reports
+// false, appending nothing, when the query set was not interned under
+// this index's interner or an overlay of it; the caller must then
+// examine every executable.
 func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inScope []bool, out *Scans) bool {
 	s, ok := x.accumulate(q, minScore, ratioFloor)
 	if !ok {
@@ -391,11 +399,12 @@ func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inSco
 	return true
 }
 
-// accumulate mirrors Index.accumulate over the CSR slab. Query sets
-// must be interned under the frozen vocabulary or an overlay of it
-// (strand.Compatible); overlay-private IDs lie above the vocabulary and
-// fall out of the bounds check, exactly like a live session's
-// posting-free fresh IDs.
+// accumulate runs one ranking query into pooled scratch; the caller owns
+// the returned scratch until putScratch. Query sets must be interned under
+// the index's interner or an overlay of it (strand.Compatible). IDs the
+// index has never seen — assigned by a live session after the build, or
+// overlay-private and so above the vocabulary — match no row and
+// contribute nothing.
 func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
 	if !strand.Compatible(q.It, x.it) {
 		return nil, false
@@ -417,6 +426,6 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 		s.bump(x.procOff, x.posts[lo:x.rowEnds[ri]])
 		ri++
 	}
-	s.rank(len(q.IDs), minScore, ratioFloor, nil)
+	s.rank(len(q.IDs), minScore, ratioFloor)
 	return s, true
 }

@@ -57,16 +57,12 @@ func (u *Unit) TruthName(addr uint32) string {
 // Env is the prepared evaluation environment: the corpus, its unique
 // units indexed for search, and per-(package, arch) query builds. Every
 // unit and query is built under one analyzer session (It), so the
-// matcher always takes the interned fast paths; Index is the
-// corpus-level inverted index over the units.
+// matcher always takes the interned fast paths.
 type Env struct {
 	Corpus *corpus.Corpus
 	Units  []*Unit
 	// It is the session interner shared by every unit and query build.
 	It *corpusindex.Interner
-	// Index maps dense strand IDs to (unit, procedure) postings across
-	// the whole corpus; unit IDs follow Units order.
-	Index *corpusindex.Index
 	// queries caches QueryExe results by pkg|version|arch.
 	queries map[string]*queryBuild
 }
@@ -79,7 +75,7 @@ type queryBuild struct {
 	f   *obj.File
 }
 
-// Prepare builds the corpus and indexes every unique unit.
+// Prepare builds the corpus and analyzes every unique unit.
 func Prepare(sc corpus.Scale) (*Env, error) {
 	c, err := corpus.Build(sc)
 	if err != nil {
@@ -110,14 +106,12 @@ func Prepare(sc corpus.Scale) (*Env, error) {
 		}
 	}
 	sort.Slice(env.Units, func(i, j int) bool { return env.Units[i].Key < env.Units[j].Key })
-	env.Index = corpusindex.NewIndex(env.It)
 	for _, u := range env.Units {
 		rec, err := cfg.Recover(u.File)
 		if err != nil {
 			return nil, fmt.Errorf("eval: recover %s: %w", u.Key, err)
 		}
 		u.Exe = sim.Build(u.Key, rec, env.It)
-		env.Index.Add(u.Exe)
 	}
 	return env, nil
 }

@@ -1,20 +1,18 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
 
-// corpusMagic opens every sealed-corpus shard. Same length as the image
-// snapshot magic, so the two containers share header arithmetic while
-// remaining mutually unreadable.
+// corpusMagic opens every sealed-corpus shard.
 const corpusMagic = "FWCORP\r\n"
 
 // Corpus is the serialized form of one shard of a sealed corpus: the
 // frozen vocabulary, each distinct executable once, one inverted index
-// over those, and the images as lists of occurrences. Like Image it is a
-// plain data model; the firmup layer converts to and from sealed
-// session state.
+// over those, and the images as lists of occurrences. It is a plain data
+// model; the firmup layer converts to and from sealed session state.
 type Corpus struct {
 	// Interner is the frozen vocabulary ordered by dense ID. Every
 	// Proc.IDs and IndexRow.ID indexes into it.
@@ -82,4 +80,57 @@ func validateCorpus(c *Corpus) error {
 		}
 	}
 	return nil
+}
+
+func validateExes(vocab int, exes []Exe) error {
+	for ei, e := range exes {
+		for pi, p := range e.Procs {
+			for k, id := range p.IDs {
+				if k > 0 && id <= p.IDs[k-1] {
+					return fmt.Errorf("snapshot: encode: exe %d proc %d: strand IDs not strictly increasing", ei, pi)
+				}
+				if int(id) >= vocab {
+					return fmt.Errorf("snapshot: encode: exe %d proc %d: strand ID %d outside vocabulary of %d", ei, pi, id, vocab)
+				}
+			}
+			for _, c := range p.Calls {
+				if c < 0 || int(c) >= len(e.Procs) {
+					return fmt.Errorf("snapshot: encode: exe %d proc %d: call target %d out of range", ei, pi, c)
+				}
+			}
+			if p.BlockCount < 0 || p.EdgeCount < 0 || p.InstCount < 0 {
+				return fmt.Errorf("snapshot: encode: exe %d proc %d: negative shape counts", ei, pi)
+			}
+		}
+	}
+	return nil
+}
+
+func validateIndex(vocab int, exes []Exe, rows []IndexRow) error {
+	for ri, r := range rows {
+		if ri > 0 && r.ID <= rows[ri-1].ID {
+			return fmt.Errorf("snapshot: encode: index rows not strictly increasing at row %d", ri)
+		}
+		if int(r.ID) >= vocab {
+			return fmt.Errorf("snapshot: encode: index row %d: strand ID %d outside vocabulary", ri, r.ID)
+		}
+		for _, p := range r.Posts {
+			if p.Exe < 0 || int(p.Exe) >= len(exes) {
+				return fmt.Errorf("snapshot: encode: index row %d: posting exe %d out of range", ri, p.Exe)
+			}
+			if p.Proc < 0 || int(p.Proc) >= len(exes[p.Exe].Procs) {
+				return fmt.Errorf("snapshot: encode: index row %d: posting proc %d out of range", ri, p.Proc)
+			}
+		}
+	}
+	return nil
+}
+
+func appendUvarint(b []byte, v uint64) []byte {
+	return binary.AppendUvarint(b, v)
+}
+
+func appendString(b []byte, s string) []byte {
+	b = appendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }

@@ -169,22 +169,6 @@ func TestCorpusDecodeTruncation(t *testing.T) {
 	}
 }
 
-func TestCorpusRejectsImageSnapshot(t *testing.T) {
-	// A per-image FWSNAP artifact must not open as a corpus shard
-	// (different magic), and vice versa.
-	blob, err := Encode(testModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCorpusShardBytes(blob); err == nil {
-		t.Error("image snapshot opened as a corpus shard")
-	}
-	c := testCorpus()
-	if _, err := Decode(mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})); err == nil {
-		t.Error("corpus shard decoded as image snapshot")
-	}
-}
-
 // TestCorpusOccurrenceTableHardening damages the occurrence table four
 // ways behind valid checksums: each must fail with ErrCorrupt naming
 // corpus-occurrences — at open or on first touch — never a panic or an

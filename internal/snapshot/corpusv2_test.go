@@ -118,10 +118,9 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 	return c
 }
 
-// randomCorpusModel generates a structurally valid shard model: the
-// image-model generator supplies distinct executables and image
-// identities, every executable occurs at least once, and some occur
-// again under other paths and in other images.
+// randomCorpusModel generates a structurally valid shard model: every
+// executable occurs at least once, and some occur again under other paths
+// and in other images.
 func randomCorpusModel(rng *rand.Rand) *Corpus {
 	c := &Corpus{}
 	seen := map[uint64]bool{}
@@ -134,16 +133,14 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 	}
 	nimg := 1 + rng.Intn(4)
 	for i := 0; i < nimg; i++ {
-		m := randomModel(rng)
-		c.Images = append(c.Images, CorpusImage{Vendor: m.Vendor, Device: m.Device, Version: m.Version, Skipped: m.Skipped})
-		for _, e := range m.Exes {
-			// Rebase the ID sets into the shared vocabulary.
-			for pi := range e.Procs {
-				e.Procs[pi].IDs = randIDSet(rng, len(c.Interner), 30)
-			}
+		ci := CorpusImage{Vendor: randWord(rng), Device: randWord(rng), Version: randWord(rng)}
+		for k := rng.Intn(3); k > 0; k-- {
+			ci.Skipped = append(ci.Skipped, Skip{Path: randWord(rng), Err: randWord(rng)})
+		}
+		c.Images = append(c.Images, ci)
+		for _, e := range randomExes(rng, len(c.Interner)) {
 			ci := &c.Images[rng.Intn(len(c.Images))]
-			ci.Occs = append(ci.Occs, Occurrence{Path: e.Path, Exe: len(c.Exes)})
-			e.Path = ""
+			ci.Occs = append(ci.Occs, Occurrence{Path: randWord(rng), Exe: len(c.Exes)})
 			c.Exes = append(c.Exes, e)
 		}
 	}

@@ -1,31 +1,18 @@
-// Package snapshot implements the persistent on-disk form of an
-// analyzed firmware image: everything an analyzer session derives from
-// the raw bytes — executable and procedure metadata, per-procedure
-// sorted dense strand-ID sets, the session's strand-hash vocabulary
-// (dense ID → 64-bit canonical hash) and the corpus-level inverted
-// index — so that a corpus can be analyzed once and served from its
-// snapshots thereafter.
+// Package snapshot implements the persistent on-disk form of a sealed
+// corpus: FWCORP shard files (corpusv2.go) holding the frozen strand
+// vocabulary, each distinct executable's procedure metadata and sorted
+// dense strand-ID sets, the inverted index over them, and the images as
+// occurrence lists — so that a corpus is analyzed once and served from
+// its shards thereafter. This file holds what the container is made of:
+// the plain data model the firmup layer converts sealed state to, the
+// header arithmetic, and the error every decoding failure wraps.
 //
-// The format is a versioned, checksummed container:
-//
-//	magic (8B) | format version (u32) | section count (u32)
-//	section table: tag (u32) | offset (u64) | length (u64) | CRC32-C (u32)
-//	section payloads (meta, interner, exes, index)
-//
-// Every section payload is independently CRC-checksummed, integers are
-// little-endian or uvarint, and sorted ID sequences are delta-encoded.
 // The decoder is designed for untrusted input: any structural
 // violation — truncation, checksum mismatch, unknown or duplicate
-// sections, a declared length that exceeds the input, an unsorted ID
-// run, an out-of-range reference — yields an error wrapping ErrCorrupt
-// that names the offending section. It never panics and never sizes an
-// allocation from a declared count without bounding it by the bytes
-// actually remaining.
-//
-// Version policy: the format version is bumped on any incompatible
-// layout change; a decoder accepts exactly the versions it knows
-// (currently 1) and rejects the future, so a stale binary fails loudly
-// into re-analysis instead of misreading a newer snapshot.
+// sections, a declared length that exceeds the input, an out-of-range
+// reference — yields an error wrapping ErrCorrupt that names the
+// offending section. It never panics and never sizes an allocation from
+// a declared count without bounding it by the bytes actually remaining.
 package snapshot
 
 import (
@@ -34,44 +21,34 @@ import (
 	"hash/crc32"
 )
 
-// FormatVersion is the snapshot layout version this package reads and
-// writes.
-const FormatVersion = 1
-
-// magic opens every snapshot file.
-const magic = "FWSNAP\r\n"
-
 // headerSize is magic + version + section count.
-const headerSize = len(magic) + 4 + 4
+const headerSize = len(corpusMagic) + 4 + 4
 
 // tableEntrySize is tag + offset + length + checksum.
 const tableEntrySize = 4 + 8 + 8 + 4
 
-// Section tags.
-const (
-	secMeta     = 1 // image identity and skipped-executable diagnostics
-	secInterner = 2 // session vocabulary: dense strand ID -> 64-bit hash
-	secExes     = 3 // executables, procedures and their dense-ID sets
-	secIndex    = 4 // corpus-level inverted index postings (optional)
-)
-
-// maxSections bounds the section table of any valid snapshot.
-const maxSections = 16
+// tableEntry is one parsed section-table row.
+type tableEntry struct {
+	tag    uint32
+	off    uint64
+	length uint64
+	crc    uint32
+}
 
 // castagnoli is the CRC-32C table used for all section checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt is the sentinel every decoding failure wraps: a snapshot
-// that is truncated, bit-flipped, version-skewed or structurally lying
-// is reported as corrupt, never as a panic or a bad image.
+// ErrCorrupt is the sentinel every decoding failure wraps: a shard that
+// is truncated, bit-flipped, version-skewed or structurally lying is
+// reported as corrupt, never as a panic or a bad corpus.
 var ErrCorrupt = errors.New("snapshot: corrupt")
 
 // CorruptError is the concrete decoding failure: which section broke
 // and how. It wraps ErrCorrupt, so errors.Is(err, snapshot.ErrCorrupt)
 // holds for every decoder error.
 type CorruptError struct {
-	// Section names the offending part: "header", "table", "meta",
-	// "interner", "exes" or "index".
+	// Section names the offending part: "header", "table" or a shard
+	// section (v2SectionName).
 	Section string
 	// Reason describes the violation.
 	Reason string
@@ -86,40 +63,6 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
 func corrupt(section, format string, args ...any) error {
 	return &CorruptError{Section: section, Reason: fmt.Sprintf(format, args...)}
-}
-
-// sectionName maps a tag to its diagnostic name.
-func sectionName(tag uint32) string {
-	switch tag {
-	case secMeta:
-		return "meta"
-	case secInterner:
-		return "interner"
-	case secExes:
-		return "exes"
-	case secIndex:
-		return "index"
-	}
-	return fmt.Sprintf("unknown(%d)", tag)
-}
-
-// Image is the serialized form of one analyzed firmware image. It is a
-// plain data model: the firmup layer converts to and from live session
-// state (sim.Exe, corpusindex.Index) on save and load.
-type Image struct {
-	Vendor  string
-	Device  string
-	Version string
-	// Skipped carries the analysis-time skip diagnostics verbatim.
-	Skipped []Skip
-	// Interner is the saving session's vocabulary ordered by dense ID:
-	// Interner[id] is the 64-bit canonical strand hash id stands for.
-	// Every Proc.IDs entry indexes into it.
-	Interner []uint64
-	Exes     []Exe
-	// Index holds the corpus-level inverted index rows (dense strand ID
-	// → postings), or nil when the image was analyzed without one.
-	Index []IndexRow
 }
 
 // Skip is one skipped-executable diagnostic.
@@ -142,7 +85,7 @@ type Proc struct {
 	Addr     uint32
 	Exported bool
 	// IDs is the procedure's strand set as strictly increasing dense IDs
-	// into Image.Interner.
+	// into Corpus.Interner.
 	IDs []uint32
 	// Markers are the distinctive plain constants used by the
 	// confirmation step.
@@ -163,40 +106,9 @@ type IndexRow struct {
 	Posts []Posting
 }
 
-// Posting locates one procedure: Exe indexes Image.Exes, Proc indexes
+// Posting locates one procedure: Exe indexes Corpus.Exes, Proc indexes
 // its Procs.
 type Posting struct {
 	Exe  int32
 	Proc int32
-}
-
-// SectionInfo describes one entry of a snapshot's section table, as
-// reported by Sections (snapshot inspection, e.g. fwdump).
-type SectionInfo struct {
-	Name   string
-	Tag    uint32
-	Offset uint64
-	Length uint64
-	CRC    uint32
-}
-
-// Sections parses just the header and section table of a snapshot,
-// without decoding payloads. It applies the same structural checks as
-// Decode (magic, version, bounds) but does not verify checksums.
-func Sections(data []byte) ([]SectionInfo, error) {
-	entries, err := parseTable(data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SectionInfo, len(entries))
-	for i, e := range entries {
-		out[i] = SectionInfo{
-			Name:   sectionName(e.tag),
-			Tag:    e.tag,
-			Offset: e.off,
-			Length: e.length,
-			CRC:    e.crc,
-		}
-	}
-	return out, nil
 }

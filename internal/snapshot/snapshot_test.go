@@ -5,156 +5,69 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
-	"reflect"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
-// testModel is a small but fully featured image: two executables,
-// skipped diagnostics, markers, calls and an inverted index.
-func testModel() *Image {
-	return &Image{
-		Vendor:   "netgear",
-		Device:   "R6250",
-		Version:  "1.0.4",
-		Skipped:  []Skip{{Path: "bin/busybox", Err: "unsupported arch 0xC8"}},
-		Interner: []uint64{0xdeadbeef, 0x1122334455667788, 0xcafebabe, 42, 7},
-		Exes: []Exe{
-			{
-				Path: "bin/wget", Arch: 1, Stripped: true,
-				Procs: []Proc{
-					{
-						Name: "sub_400100", Addr: 0x400100, Exported: false,
-						IDs: []uint32{0, 2, 4}, Markers: []uint32{0x1f, 0x2e},
-						BlockCount: 7, EdgeCount: 9, InstCount: 55, Calls: []int32{1},
-					},
-					{
-						Name: "sub_400200", Addr: 0x400200, Exported: true,
-						IDs: []uint32{1, 3}, BlockCount: 2, EdgeCount: 1, InstCount: 12,
-					},
-				},
-			},
-			{
-				Path: "sbin/httpd", Arch: 2, Stripped: false,
-				Procs: []Proc{
-					{Name: "main", Addr: 0x10000, IDs: []uint32{2}, BlockCount: 1, InstCount: 3},
-				},
-			},
-		},
-		Index: []IndexRow{
-			{ID: 0, Posts: []Posting{{Exe: 0, Proc: 0}}},
-			{ID: 1, Posts: []Posting{{Exe: 0, Proc: 1}}},
-			{ID: 2, Posts: []Posting{{Exe: 0, Proc: 0}, {Exe: 1, Proc: 0}}},
-			{ID: 3, Posts: []Posting{{Exe: 0, Proc: 1}}},
-			{ID: 4, Posts: []Posting{{Exe: 0, Proc: 0}}},
-		},
-	}
-}
-
-func mustEncode(t *testing.T, m *Image) []byte {
-	t.Helper()
-	b, err := Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func TestRoundTrip(t *testing.T) {
-	m := testModel()
-	got, err := Decode(mustEncode(t, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Errorf("round trip diverged:\ngot:  %+v\nwant: %+v", got, m)
-	}
-}
-
-func TestRoundTripNoIndex(t *testing.T) {
-	m := testModel()
-	m.Index = nil
-	got, err := Decode(mustEncode(t, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Index != nil {
-		t.Errorf("nil index round-tripped to %+v", got.Index)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Errorf("round trip diverged:\ngot:  %+v\nwant: %+v", got, m)
-	}
-}
-
-func TestRoundTripMinimal(t *testing.T) {
-	m := &Image{}
-	got, err := Decode(mustEncode(t, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Errorf("round trip diverged:\ngot:  %+v\nwant: %+v", got, m)
-	}
-}
-
-// TestEncodeRejectsInvalid: an invalid model must fail at save time,
-// not produce an undecodable snapshot.
+// TestEncodeRejectsInvalid: an invalid model must fail at encode time,
+// not produce an unopenable shard.
 func TestEncodeRejectsInvalid(t *testing.T) {
-	for name, mutate := range map[string]func(*Image){
-		"unsorted-ids":      func(m *Image) { m.Exes[0].Procs[0].IDs = []uint32{2, 0} },
-		"id-out-of-vocab":   func(m *Image) { m.Exes[0].Procs[0].IDs = []uint32{99} },
-		"call-out-of-range": func(m *Image) { m.Exes[0].Procs[0].Calls = []int32{7} },
-		"negative-count":    func(m *Image) { m.Exes[0].Procs[0].BlockCount = -1 },
-		"index-unsorted":    func(m *Image) { m.Index[1].ID = 0 },
-		"posting-bad-exe":   func(m *Image) { m.Index[0].Posts[0].Exe = 9 },
+	for name, mutate := range map[string]func(*Corpus){
+		"unsorted-ids":      func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{2, 0} },
+		"id-out-of-vocab":   func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
+		"call-out-of-range": func(c *Corpus) { c.Exes[0].Procs[0].Calls = []int32{7} },
+		"negative-count":    func(c *Corpus) { c.Exes[0].Procs[0].BlockCount = -1 },
+		"index-unsorted":    func(c *Corpus) { c.Index[1].ID = 0 },
+		"posting-bad-exe":   func(c *Corpus) { c.Index[0].Posts[0].Exe = 9 },
 	} {
-		m := testModel()
-		mutate(m)
-		if _, err := Encode(m); err == nil {
-			t.Errorf("%s: Encode accepted an invalid model", name)
+		c := testCorpus()
+		mutate(c)
+		if _, err := EncodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
+			t.Errorf("%s: EncodeCorpusShard accepted an invalid model", name)
 		}
 	}
 }
 
-// rewriteCRCs recomputes every section checksum in place, so tests can
-// tamper with payload bytes and exercise the decoder's structural
-// checks rather than tripping the CRC first.
-func rewriteCRCs(t *testing.T, data []byte) {
-	t.Helper()
-	entries, err := parseTable(data)
-	if err != nil {
-		t.Fatalf("rewriteCRCs on unparseable snapshot: %v", err)
-	}
-	for i, e := range entries {
-		crc := crc32.Checksum(data[e.off:e.off+e.length], castagnoli)
-		binary.LittleEndian.PutUint32(data[headerSize+i*tableEntrySize+20:], crc)
-	}
+// faultSections are the sections the fault matrix damages one by one,
+// under the short names its cases carry: the eagerly decoded skeleton,
+// the vocabulary, a fixed-record table and an index slab.
+var faultSections = []struct {
+	name string
+	tag  uint32
+}{
+	{"meta", secV2Meta},
+	{"interner", secV2Vocab},
+	{"exes", secV2ExeTab},
+	{"index", secV2IdxPosts},
 }
 
-// sectionEntry finds the table entry for a tag.
-func sectionEntry(t *testing.T, data []byte, tag uint32) (idx int, e tableEntry) {
+// tableRow finds the section-table row of a tag in a well-formed shard.
+func tableRow(t *testing.T, data []byte, tag uint32) (row []byte, e tableEntry) {
 	t.Helper()
-	entries, err := parseTable(data)
+	entries, err := parseCorpusV2Table(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, en := range entries {
 		if en.tag == tag {
-			return i, en
+			return data[headerSize+i*tableEntrySize:][:tableEntrySize], en
 		}
 	}
-	t.Fatalf("no section %s", sectionName(tag))
-	return 0, tableEntry{}
+	t.Fatalf("no section %s", v2SectionName(tag))
+	return nil, tableEntry{}
 }
 
-// TestDecodeFaultInjection drives the decoder through the corruption
-// matrix: truncation at every section boundary, bit flips in header,
-// table and payloads, wrong magic, future versions, and declared
-// lengths that exceed the file. Every case must fail with ErrCorrupt —
-// never a panic — and name the offending section where one is known.
+// TestDecodeFaultInjection drives the shard opener through the
+// corruption matrix: truncation at section boundaries, bit flips in
+// header, table and payloads, wrong magic, other versions, declared
+// ranges that exceed the file, and counts that lie behind valid
+// checksums. Every case must fail with ErrCorrupt — at open or on first
+// touch, never a panic — and name the offending section where one is
+// known.
 func TestDecodeFaultInjection(t *testing.T) {
-	base := mustEncode(t, testModel())
+	c := testCorpus()
+	base := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	le := binary.LittleEndian
+	nsec := len(corpusMagic) + 4 // offset of the section count
 
 	type tc struct {
 		name        string
@@ -167,129 +80,95 @@ func TestDecodeFaultInjection(t *testing.T) {
 		{"wrong-magic", func(t *testing.T, d []byte) []byte { d[0] = 'X'; return d }, "header"},
 		{"magic-bit-flip", func(t *testing.T, d []byte) []byte { d[3] ^= 0x20; return d }, "header"},
 		{"future-version", func(t *testing.T, d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[len(magic):], FormatVersion+1)
+			le.PutUint32(d[len(corpusMagic):], CorpusFormatVersion+1)
 			return d
 		}, "header"},
-		{"version-bit-flip", func(t *testing.T, d []byte) []byte { d[len(magic)] ^= 0x80; return d }, "header"},
-		{"zero-sections", func(t *testing.T, d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[len(magic)+4:], 0)
-			return d
-		}, "header"},
-		{"absurd-section-count", func(t *testing.T, d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[len(magic)+4:], 1<<30)
-			return d
-		}, "header"},
+		{"version-bit-flip", func(t *testing.T, d []byte) []byte { d[len(corpusMagic)] ^= 0x80; return d }, "header"},
+		{"zero-sections", func(t *testing.T, d []byte) []byte { le.PutUint32(d[nsec:], 0); return d }, "header"},
+		{"absurd-section-count", func(t *testing.T, d []byte) []byte { le.PutUint32(d[nsec:], 1<<30); return d }, "header"},
 		{"truncated-table", func(t *testing.T, d []byte) []byte { return d[:headerSize+tableEntrySize/2] }, "table"},
-		{"unknown-section-tag", func(t *testing.T, d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[headerSize:], 99)
-			return d
-		}, "table"},
+		{"unknown-section-tag", func(t *testing.T, d []byte) []byte { le.PutUint32(d[headerSize:], 99); return d }, "table"},
 		{"duplicate-section", func(t *testing.T, d []byte) []byte {
-			// Retag the index section as a second meta section.
-			i, _ := sectionEntry(t, d, secIndex)
-			binary.LittleEndian.PutUint32(d[headerSize+i*tableEntrySize:], secMeta)
+			// Retag the posting section as a second meta section.
+			row, _ := tableRow(t, d, secV2IdxPosts)
+			le.PutUint32(row, secV2Meta)
 			return d
 		}, "table"},
 		{"missing-required-section", func(t *testing.T, d []byte) []byte {
-			// Shrink the table so the exes section disappears.
-			binary.LittleEndian.PutUint32(d[len(magic)+4:], 2)
+			// Shrink the table so its last section disappears.
+			le.PutUint32(d[nsec:], v2NumSections-1)
 			return d
 		}, "table"},
 		{"length-exceeds-file", func(t *testing.T, d []byte) []byte {
-			i, _ := sectionEntry(t, d, secInterner)
-			binary.LittleEndian.PutUint64(d[headerSize+i*tableEntrySize+12:], uint64(len(d))*4)
+			row, _ := tableRow(t, d, secV2Vocab)
+			le.PutUint64(row[12:], uint64(len(d))*4)
 			return d
-		}, "interner"},
+		}, "corpus-vocab"},
 		{"offset-exceeds-file", func(t *testing.T, d []byte) []byte {
-			i, _ := sectionEntry(t, d, secExes)
-			binary.LittleEndian.PutUint64(d[headerSize+i*tableEntrySize+4:], uint64(len(d))+1)
+			row, _ := tableRow(t, d, secV2ExeTab)
+			le.PutUint64(row[4:], uint64(len(d))+1)
 			return d
-		}, "exes"},
+		}, "corpus-exe-table"},
 		{"overflowing-offset", func(t *testing.T, d []byte) []byte {
 			// offset+length would wrap uint64: must be rejected, not wrapped.
-			i, _ := sectionEntry(t, d, secExes)
-			binary.LittleEndian.PutUint64(d[headerSize+i*tableEntrySize+4:], ^uint64(0)-8)
+			row, _ := tableRow(t, d, secV2ExeTab)
+			le.PutUint64(row[4:], ^uint64(0)-8)
 			return d
-		}, "exes"},
+		}, "corpus-exe-table"},
 	}
-	// Truncation at (and just inside) every section boundary.
-	{
-		entries, err := parseTable(base)
-		if err != nil {
-			t.Fatal(err)
+	for _, sec := range faultSections {
+		_, e := tableRow(t, base, sec.tag)
+		if e.length == 0 {
+			t.Fatalf("testCorpus has an empty %s section", v2SectionName(sec.tag))
 		}
-		for _, e := range entries {
-			e := e
-			name := sectionName(e.tag)
-			cases = append(cases,
-				tc{"truncate-before-" + name, func(t *testing.T, d []byte) []byte { return d[:e.off] }, ""},
-				tc{"truncate-inside-" + name, func(t *testing.T, d []byte) []byte { return d[:e.off+e.length-1] }, ""},
-			)
-		}
-	}
-	// Single-bit flips inside every section payload: the checksum must
-	// catch what the structural checks cannot.
-	{
-		entries, err := parseTable(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			e := e
-			name := sectionName(e.tag)
-			cases = append(cases, tc{"bit-flip-in-" + name, func(t *testing.T, d []byte) []byte {
+		cases = append(cases,
+			// Truncation at (and just inside) the section's boundaries.
+			tc{"truncate-before-" + sec.name, func(t *testing.T, d []byte) []byte { return d[:e.off] }, ""},
+			tc{"truncate-inside-" + sec.name, func(t *testing.T, d []byte) []byte { return d[:e.off+e.length-1] }, ""},
+			// A single-bit flip inside the payload: the checksum must
+			// catch what the structural checks cannot.
+			tc{"bit-flip-in-" + sec.name, func(t *testing.T, d []byte) []byte {
 				d[e.off+e.length/2] ^= 1
 				return d
-			}, name})
-		}
+			}, v2SectionName(sec.tag)},
+		)
 	}
-	// Declared-count lies inside payloads, with checksums repaired so
-	// the structural bounds checks themselves are exercised.
+	// Lies inside payloads, with checksums repaired so the structural
+	// checks themselves are exercised. The meta section opens with
+	// single-byte varints: shard index, shard count, image base, total
+	// images, then the vocabulary size, the string blob size and the
+	// executable count.
 	cases = append(cases,
 		tc{"interner-count-lie", func(t *testing.T, d []byte) []byte {
-			_, e := sectionEntry(t, d, secInterner)
-			// Overwrite the leading count uvarint with a huge 10-byte varint.
-			lie := binary.AppendUvarint(nil, 1<<40)
-			grown := append(append(append([]byte(nil), d[:e.off]...), lie...), d[e.off+uint64(varintLen(t, d[e.off:])):]...)
-			fixupLengths(t, grown, secInterner, uint64(len(lie))-uint64(varintLen(t, d[e.off:])))
-			rewriteCRCs(t, grown)
-			return grown
-		}, "interner"},
-		tc{"exes-count-lie", func(t *testing.T, d []byte) []byte {
-			_, e := sectionEntry(t, d, secExes)
-			lie := binary.AppendUvarint(nil, 1<<40)
-			grown := append(append(append([]byte(nil), d[:e.off]...), lie...), d[e.off+uint64(varintLen(t, d[e.off:])):]...)
-			fixupLengths(t, grown, secExes, uint64(len(lie))-uint64(varintLen(t, d[e.off:])))
-			rewriteCRCs(t, grown)
-			return grown
-		}, "exes"},
-		tc{"strand-id-out-of-vocabulary", func(t *testing.T, d []byte) []byte {
-			// Shrink the interner to one hash: exes now reference IDs
-			// beyond the vocabulary and the link check must catch it.
-			_, e := sectionEntry(t, d, secInterner)
-			one := binary.AppendUvarint(nil, 1)
-			one = binary.LittleEndian.AppendUint64(one, 0xabcdef)
-			shrunk := append(append(append([]byte(nil), d[:e.off]...), one...), d[e.off+e.length:]...)
-			fixupLengths(t, shrunk, secInterner, uint64(len(one))-e.length)
-			rewriteCRCs(t, shrunk)
-			return shrunk
-		}, "exes"},
-		tc{"trailing-payload-bytes", func(t *testing.T, d []byte) []byte {
-			// Grow the meta section's declared length into the next
-			// payload: decode must reject the leftover bytes.
-			i, e := sectionEntry(t, d, secMeta)
-			binary.LittleEndian.PutUint64(d[headerSize+i*tableEntrySize+12:], e.length+1)
-			rewriteCRCs(t, d)
+			patchSection(t, d, secV2Meta, func(b []byte) { b[4] = 0x7f })
 			return d
-		}, "meta"},
+		}, "corpus-vocab"},
+		tc{"exes-count-lie", func(t *testing.T, d []byte) []byte {
+			patchSection(t, d, secV2Meta, func(b []byte) { b[6] = 0x7f })
+			return d
+		}, "corpus-exe-table"},
+		tc{"strand-id-out-of-vocabulary", func(t *testing.T, d []byte) []byte {
+			patchSection(t, d, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(c.Interner))) })
+			return d
+		}, "corpus-ids"},
+		tc{"trailing-payload-bytes", func(t *testing.T, d []byte) []byte {
+			// Grow the meta section's declared length into its alignment
+			// padding: the opener must reject the leftover byte.
+			row, e := tableRow(t, d, secV2Meta)
+			le.PutUint64(row[12:], e.length+1)
+			le.PutUint32(row[20:], crc32.Checksum(d[e.off:e.off+e.length+1], castagnoli))
+			return d
+		}, "corpus-meta"},
 	)
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			data := c.mutate(t, append([]byte(nil), base...))
-			img, err := Decode(data)
+			s, err := OpenCorpusShardBytes(c.mutate(t, append([]byte(nil), base...)))
 			if err == nil {
-				t.Fatalf("decoder accepted corrupt input (img=%+v)", img)
+				err = touchShard(s)
+			}
+			if err == nil {
+				t.Fatal("opener accepted corrupt input")
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
@@ -305,119 +184,20 @@ func TestDecodeFaultInjection(t *testing.T) {
 	}
 }
 
-// varintLen returns the byte length of the leading uvarint.
-func varintLen(t *testing.T, b []byte) int {
-	t.Helper()
-	_, n := binary.Uvarint(b)
-	if n <= 0 {
-		t.Fatal("no leading uvarint")
-	}
-	return n
-}
-
-// fixupLengths adjusts the section table after a payload grew or shrank
-// by delta bytes (two's complement): the tampered section's length and
-// every later section's offset. It patches raw table rows — the
-// intermediate state is out of bounds by construction, so it must not
-// go through parseTable.
-func fixupLengths(t *testing.T, data []byte, tag uint32, delta uint64) {
-	t.Helper()
-	n := int(binary.LittleEndian.Uint32(data[len(magic)+4:]))
-	tamperedOff := ^uint64(0)
-	for j := 0; j < n; j++ {
-		row := data[headerSize+j*tableEntrySize:]
-		if binary.LittleEndian.Uint32(row) == tag {
-			tamperedOff = binary.LittleEndian.Uint64(row[4:])
-			binary.LittleEndian.PutUint64(row[12:], binary.LittleEndian.Uint64(row[12:])+delta)
-		}
-	}
-	if tamperedOff == ^uint64(0) {
-		t.Fatalf("no section %s in table", sectionName(tag))
-	}
-	for j := 0; j < n; j++ {
-		row := data[headerSize+j*tableEntrySize:]
-		off := binary.LittleEndian.Uint64(row[4:])
-		if off > tamperedOff {
-			binary.LittleEndian.PutUint64(row[4:], off+delta)
-		}
-	}
-}
-
-// TestSections exposes the table for inspection tools.
-func TestSections(t *testing.T) {
-	data := mustEncode(t, testModel())
-	secs, err := Sections(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, s := range secs {
-		names = append(names, s.Name)
-	}
-	if got := strings.Join(names, ","); got != "meta,interner,exes,index" {
-		t.Errorf("sections = %s", got)
-	}
-	if _, err := Sections([]byte("junk")); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Sections on junk: %v", err)
-	}
-}
-
-// TestQuickCodecRoundTrip: for arbitrary generated models, the codec is
-// the identity.
-func TestQuickCodecRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		m := randomModel(rand.New(rand.NewSource(seed)))
-		data, err := Encode(m)
-		if err != nil {
-			t.Logf("seed %d: encode: %v", seed, err)
-			return false
-		}
-		got, err := Decode(data)
-		if err != nil {
-			t.Logf("seed %d: decode: %v", seed, err)
-			return false
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Logf("seed %d: round trip diverged\ngot:  %+v\nwant: %+v", seed, got, m)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// randomModel generates a structurally valid model in canonical form
-// (nil for empty slices, sorted ID runs) for codec round-trips.
-func randomModel(rng *rand.Rand) *Image {
-	m := &Image{
-		Vendor:  randWord(rng),
-		Device:  randWord(rng),
-		Version: randWord(rng),
-	}
-	for i := rng.Intn(3); i > 0; i-- {
-		m.Skipped = append(m.Skipped, Skip{Path: randWord(rng), Err: randWord(rng)})
-	}
-	vocab := rng.Intn(200)
-	seenHash := map[uint64]bool{}
-	for len(m.Interner) < vocab {
-		h := rng.Uint64()
-		if !seenHash[h] {
-			seenHash[h] = true
-			m.Interner = append(m.Interner, h)
-		}
-	}
-	nexes := rng.Intn(5)
-	for ei := 0; ei < nexes; ei++ {
-		e := Exe{Path: randWord(rng), Arch: uint8(rng.Intn(5)), Stripped: rng.Intn(2) == 0}
+// randomExes generates structurally valid executables in canonical form
+// (nil for empty slices, sorted ID runs below vocab) for codec
+// round-trips.
+func randomExes(rng *rand.Rand, vocab int) []Exe {
+	var exes []Exe
+	for ei := rng.Intn(5); ei > 0; ei-- {
+		e := Exe{Arch: uint8(rng.Intn(5)), Stripped: rng.Intn(2) == 0}
 		nprocs := rng.Intn(6)
 		for pi := 0; pi < nprocs; pi++ {
 			p := Proc{
 				Name:       randWord(rng),
 				Addr:       rng.Uint32(),
 				Exported:   rng.Intn(2) == 0,
-				IDs:        randIDSet(rng, len(m.Interner), 30),
+				IDs:        randIDSet(rng, vocab, 30),
 				BlockCount: rng.Intn(50),
 				EdgeCount:  rng.Intn(80),
 				InstCount:  rng.Intn(500),
@@ -430,32 +210,9 @@ func randomModel(rng *rand.Rand) *Image {
 			}
 			e.Procs = append(e.Procs, p)
 		}
-		m.Exes = append(m.Exes, e)
+		exes = append(exes, e)
 	}
-	if rng.Intn(4) > 0 && len(m.Interner) > 0 {
-		rows := randIDSet(rng, len(m.Interner), 40)
-		m.Index = make([]IndexRow, 0, len(rows))
-		for _, id := range rows {
-			row := IndexRow{ID: id}
-			for k := 1 + rng.Intn(3); k > 0; k-- {
-				if len(m.Exes) == 0 {
-					break
-				}
-				ei := rng.Intn(len(m.Exes))
-				if len(m.Exes[ei].Procs) == 0 {
-					continue
-				}
-				row.Posts = append(row.Posts, Posting{Exe: int32(ei), Proc: int32(rng.Intn(len(m.Exes[ei].Procs)))})
-			}
-			if len(row.Posts) > 0 {
-				m.Index = append(m.Index, row)
-			}
-		}
-		if len(m.Index) == 0 {
-			m.Index = nil
-		}
-	}
-	return m
+	return exes
 }
 
 // randIDSet returns up to max strictly increasing IDs below vocab, nil

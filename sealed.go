@@ -36,8 +36,9 @@ import (
 // outcome out to the occurrences.
 //
 // A sealed corpus answers searches identically to the live session it
-// was sealed from: same candidate ranking, same acceptance floors, same
-// game — byte-identical findings, examined counts and step histograms.
+// was sealed from — findings, examined counts and step histograms —
+// because both run the same pass (sealedGroup.search): a live image is
+// searched as a private one-image group of its own.
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
@@ -50,15 +51,18 @@ type SealedCorpus struct {
 }
 
 // sealedGroup is the unit a search runs over: the distinct executables
-// of a range of images and the one index over them.
+// of a range of images and the one index over them. A live Image holds a
+// private group of its own (Analyzer.index): every executable in it, no
+// deduplication, under the session interner instead of a frozen one.
 type sealedGroup struct {
 	base, n int // the group's images are SealedCorpus.images[base : base+n]
 	nExes   int // distinct executables
-	// indexed is false for a group sealed without an index: every search
+	// indexed is false for a shard written without an index: every search
 	// of it is exhaustive.
 	indexed bool
-	// index covers the distinct executables; a store-backed group builds
-	// it over the shard's slabs on first use (ensureIndex).
+	// index covers the distinct executables: built with the group in RAM
+	// (a live image's group, Seal), over the shard's slabs on first use
+	// when store-backed (ensureIndex).
 	index *corpusindex.FrozenIndex
 	tel   *corpusindex.Telemetry
 	// game is what the group's search passes record into (see
@@ -213,13 +217,10 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 			}
 			si.occs = append(si.occs, snapshot.Occurrence{Path: e.Path, Exe: ref})
 		}
-		g.indexed = g.indexed && img.index != nil
 		sc.images = append(sc.images, si)
 	}
 	g.nExes = len(g.exes)
-	if g.indexed {
-		g.index = corpusindex.NewFrozenIndex(frozen, g.exes)
-	}
+	g.index = corpusindex.NewFrozenIndex(frozen, frozen.Size(), g.exes)
 	return sc, nil
 }
 
@@ -324,11 +325,12 @@ var scansPool = sync.Pool{New: func() any { return new(corpusindex.Scans) }}
 // (any longer) available (see core.PlayBatch).
 type passStats struct{ games, unplayed, cut int }
 
-// search is the one search pass of a sealed corpus: every query against
-// the group's distinct executables, each (query, candidate) materialized
-// and played once, fanned out to the occurrences of imgs — all the
-// group's images for a corpus-wide search, the one image a per-image
-// search names. The result is indexed [image][query].
+// search is the one search pass there is, for a sealed corpus and a live
+// image alike: every query against the group's distinct executables, each
+// (query, candidate) materialized and played once, fanned out to the
+// occurrences of imgs — all the group's images for a corpus-wide search,
+// the one image a per-image search names. The result is indexed
+// [image][query].
 //
 // Each query's candidates are resolved exactly once, by one posting scan
 // of the group index, and everything the scan computed is used: the
@@ -336,11 +338,11 @@ type passStats struct{ games, unplayed, cut int }
 // RSS tracks the working set) and is the list the games run on, and the
 // per-procedure counts behind it are each game's first similarity
 // vector, from which the game engine also reads off whether a candidate
-// can be accepted at all. Groups sealed without an index, exhaustive
-// searches and queries the index cannot narrow (ok=false: not analyzed
-// under this corpus) examine every executable in scope, the game engine
+// can be accepted at all. Shards written without an index, exhaustive
+// searches and queries the index cannot narrow (not analyzed under this
+// corpus or session) examine every executable in scope, the game engine
 // accumulating its own vectors. The acceptance floors are baked into the
-// lists, so the narrowing stays sound (see corpusindex.Candidates); and
+// lists, so the narrowing stays sound (see FrozenIndex.Scan); and
 // since candidacy is a property of the executable alone, an image gets
 // exactly the findings, examined count and step histogram a search of it
 // on its own would produce.
@@ -433,8 +435,7 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Op
 
 // SearchImageDetailed looks for the query executable's procedure in
 // every executable of one sealed image, with the search accounting
-// exposed. The result is identical to the live Analyzer's
-// SearchImageDetailed over the image this one was sealed from.
+// exposed.
 func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string, img *SealedImage, opt *Options) (*SearchResult, error) {
 	res, err := sc.SearchBatch([]BatchQuery{{Query: query, Procedure: procedure}}, img, opt)
 	if err != nil {
@@ -446,8 +447,7 @@ func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string,
 // SearchBatch looks for every batch query in one sealed image in a
 // single batched game-engine pass (see Analyzer.SearchBatch). Results
 // align with queries and are byte-identical to per-query
-// SearchImageDetailed calls against this sealed image — and therefore
-// to the live session the image was sealed from.
+// SearchImageDetailed calls against this sealed image.
 func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt *Options) ([]*SearchResult, error) {
 	cqs, err := coreBatch(queries)
 	if err != nil {

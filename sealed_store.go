@@ -309,7 +309,7 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt int) (string, er
 		c.Images = append(c.Images, ci)
 	}
 	if indexed {
-		rows := corpusindex.NewFrozenIndex(sc.frozen, exes).Rows()
+		rows := corpusindex.NewFrozenIndex(sc.frozen, sc.frozen.Size(), exes).Rows()
 		c.Index = make([]snapshot.IndexRow, len(rows))
 		for k, r := range rows {
 			c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
@@ -330,6 +330,20 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt int) (string, er
 	}
 	return p, nil
 }
+
+func postsToModel(ps []corpusindex.Posting) []snapshot.Posting {
+	out := make([]snapshot.Posting, len(ps))
+	for i, p := range ps {
+		out[i] = snapshot.Posting{Exe: p.Exe, Proc: p.Proc}
+	}
+	return out
+}
+
+// ErrCorpusCorrupt reports that a sealed-corpus shard failed to open or
+// decode; it is firmup's re-export of snapshot.ErrCorrupt so callers can
+// classify OpenSealedCorpus and search failures without importing the
+// internal package.
+var ErrCorpusCorrupt = snapshot.ErrCorrupt
 
 // OpenSealedCorpus opens a sealed corpus from either persisted form: a
 // directory of shards, or the single shard file of a 1-shard corpus.

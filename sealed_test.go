@@ -302,7 +302,7 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 // TestSealedCorpusCorruption flips bits across a one-shard corpus file;
 // every damaged form must fail — at open, or at the first search that
 // touches the damage, since sections are verified on first touch — with
-// an error wrapping ErrSnapshotCorrupt, never a panic or a silently
+// an error wrapping ErrCorpusCorrupt, never a panic or a silently
 // wrong corpus. Only the zero padding between sections is uncovered.
 func TestSealedCorpusCorruption(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
@@ -366,15 +366,15 @@ func TestSealedCorpusCorruption(t *testing.T) {
 		bad[off] ^= 0x40
 		if err := load(bad); err == nil {
 			t.Errorf("bit flip at offset %d loaded and searched successfully", off)
-		} else if !errors.Is(err, firmup.ErrSnapshotCorrupt) {
-			t.Errorf("bit flip at offset %d: error does not wrap ErrSnapshotCorrupt: %v", off, err)
+		} else if !errors.Is(err, firmup.ErrCorpusCorrupt) {
+			t.Errorf("bit flip at offset %d: error does not wrap ErrCorpusCorrupt: %v", off, err)
 		}
 	}
 	for _, n := range []int{0, 4, len(blob) / 2, len(blob) - 1} {
 		if err := load(blob[:n]); err == nil {
 			t.Errorf("truncation to %d bytes loaded successfully", n)
-		} else if !errors.Is(err, firmup.ErrSnapshotCorrupt) {
-			t.Errorf("truncation to %d bytes: error does not wrap ErrSnapshotCorrupt: %v", n, err)
+		} else if !errors.Is(err, firmup.ErrCorpusCorrupt) {
+			t.Errorf("truncation to %d bytes: error does not wrap ErrCorpusCorrupt: %v", n, err)
 		}
 	}
 }

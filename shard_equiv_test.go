@@ -421,8 +421,8 @@ func TestShardDedupEquivalence(t *testing.T) {
 			t.Fatal("donor procedure not found in its copy")
 		}
 	}
-	live[donorImg].AddVariant(src, "near/addr", edit(func(p *sim.Proc) { p.Addr += 0x40 }))
-	live[donorImg].AddVariant(src, "near/markers", edit(func(p *sim.Proc) {
+	a.AddVariant(live[donorImg], src, "near/addr", edit(func(p *sim.Proc) { p.Addr += 0x40 }))
+	a.AddVariant(live[donorImg], src, "near/markers", edit(func(p *sim.Proc) {
 		if len(p.Markers) == 0 {
 			t.Fatal("donor procedure has no markers to change")
 		}

@@ -11,19 +11,23 @@ import (
 
 // Telemetry must be pure observation: the analyzed procedures, strand
 // sets, markers and findings of a session recording into a registry are
-// byte-identical to a silent session's, in every analyzer configuration.
+// byte-identical to a silent session's, in every analyzer configuration
+// and whether or not the search narrows through the image's index.
 func TestTelemetryEquivalence(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
-	base, _ := analyzeScenario(t, imgBytes, queryBytes, nil)
-	for _, opt := range []*firmup.AnalyzerOptions{
-		{Telemetry: telemetry.New()},
-		{Telemetry: telemetry.New(), Workers: 8},
-		{Telemetry: telemetry.New(), DisableBlockCache: true},
-		{Telemetry: telemetry.New(), DisableIndex: true},
+	base, _ := analyzeScenario(t, imgBytes, queryBytes, nil, nil)
+	for _, c := range []struct {
+		opt    firmup.AnalyzerOptions
+		search *firmup.Options
+	}{
+		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New()}},
+		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New(), Workers: 8}},
+		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New(), DisableBlockCache: true}},
+		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New()}, search: &firmup.Options{Exhaustive: true}},
 	} {
-		got, _ := analyzeScenario(t, imgBytes, queryBytes, opt)
+		got, _ := analyzeScenario(t, imgBytes, queryBytes, &c.opt, c.search)
 		if !reflect.DeepEqual(got, base) {
-			t.Errorf("analysis with telemetry under %+v diverged from silent baseline", *opt)
+			t.Errorf("analysis with telemetry under %+v (search %+v) diverged from silent baseline", c.opt, c.search)
 		}
 	}
 	if len(base.Findings) == 0 {
