@@ -114,55 +114,45 @@ type Analyzer struct {
 	// cache memoizes per-block canonicalization across every executable
 	// the session analyzes; nil when DisableBlockCache is set.
 	cache *strand.BlockCache
-	// met holds the session's telemetry handles; nil when telemetry is
-	// disabled, in which case every handle accessor returns nil and the
-	// instrumented layers run their uninstrumented fast paths.
-	met *sessionMetrics
+	// What the session records into, all of it nil/zero — recording
+	// nothing — when telemetry is disabled. Stage and metric names are
+	// part of the report schema (see telemetry.SchemaVersion); renaming
+	// any of them is a breaking change.
+	front        frontEnd
+	game         *core.Telemetry
+	idx          *corpusindex.Telemetry
+	exesAnalyzed *telemetry.Counter
+	exesSkipped  *telemetry.Counter
 	// analysed maps the SHA-256 of an in-image file to its analysed
 	// *sim.Exe: the same executable ships in image after image, and
 	// OpenImage analyses each distinct byte string once per session.
 	analysed sync.Map
 }
 
-// sessionMetrics is the full handle set one session records against,
-// created once so hot paths never consult the registry's maps. Stage
-// and metric names are part of the report schema (see
-// telemetry.SchemaVersion); renaming any of them is a breaking change.
-type sessionMetrics struct {
-	frontEndMetrics
-	core *core.Telemetry
-	idx  *corpusindex.Telemetry
-
-	imageOpen   *telemetry.Stage
-	imageUnpack *telemetry.Stage
-	searchImage *telemetry.Stage
-
-	exesAnalyzed *telemetry.Counter
-	exesSkipped  *telemetry.Counter
+// frontEnd is the analysis front end — parse, CFG recovery and lifting,
+// strand extraction, indexing — spelled once for the live session and a
+// sealed corpus's query analysis, with the registry it records into: the
+// layers' counters, and root, which its spans default to. Names are
+// shared too, so obj.parse or strand.strands on a dashboard means the
+// same layer whichever side recorded it. The zero value records nothing.
+type frontEnd struct {
+	root telemetry.Span
+	obj  *obj.Telemetry
+	cfg  *cfg.Telemetry
+	sim  *sim.Telemetry
 }
 
-// frontEndMetrics is the handle set of the analysis front-end — parse,
-// CFG recovery and lifting, strand extraction, indexing — under the
-// names a live session and a sealed corpus's query analysis share, so
-// obj.parse or strand.strands on a dashboard means the same layer
-// whichever side recorded it. The zero value records nothing.
-type frontEndMetrics struct {
-	obj *obj.Telemetry
-	cfg *cfg.Telemetry
-	sim *sim.Telemetry
-}
-
-func newFrontEndMetrics(r *telemetry.Registry) frontEndMetrics {
-	return frontEndMetrics{
+func newFrontEnd(r *telemetry.Registry) frontEnd {
+	if r == nil {
+		return frontEnd{}
+	}
+	return frontEnd{
+		root: telemetry.Root(r, nil),
 		obj: &obj.Telemetry{
-			Parse:    r.Stage("obj.parse"),
 			Bytes:    r.Counter("obj.bytes"),
 			BadClass: r.Counter("obj.bad_class"),
 		},
 		cfg: &cfg.Telemetry{
-			Recover:        r.Stage("cfg.recover"),
-			Sweep:          r.Stage("cfg.sweep"),
-			Lift:           r.Stage("cfg.lift"),
 			Decoded:        r.Counter("cfg.insts_decoded"),
 			Procs:          r.Counter("cfg.procs"),
 			Blocks:         r.Counter("cfg.blocks"),
@@ -170,8 +160,6 @@ func newFrontEndMetrics(r *telemetry.Registry) frontEndMetrics {
 			CoverageRounds: r.Counter("cfg.coverage_rounds"),
 		},
 		sim: &sim.Telemetry{
-			Build: r.Stage("sim.build"),
-			Index: r.Stage("sim.index"),
 			Procs: r.Counter("sim.procs"),
 			Extract: &strand.Telemetry{
 				Blocks:   r.Counter("strand.blocks"),
@@ -182,9 +170,31 @@ func newFrontEndMetrics(r *telemetry.Registry) frontEndMetrics {
 	}
 }
 
+// read parses one FWELF file ("obj.parse") under parent, or under the
+// front end's own registry when the caller passes no span.
+func (fe *frontEnd) read(data []byte, parent telemetry.Span) (*obj.File, error) {
+	return obj.ReadWith(data, fe.obj, parent.Or(fe.root))
+}
+
+// analyze is the pass order after the parse — recover and lift
+// ("cfg.recover"), then extract, intern and index ("sim.build") — timed
+// under parent like read.
+func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, cache *strand.BlockCache, workers int, parent telemetry.Span) (*Executable, error) {
+	parent = parent.Or(fe.root)
+	rec, err := cfg.RecoverWith(f, fe.cfg, parent)
+	if err != nil {
+		return nil, fmt.Errorf("firmup: %s: %w", path, err)
+	}
+	bc := &sim.BuildConfig{Cache: cache, Workers: workers, Tel: fe.sim, Span: parent}
+	return &Executable{Path: path, exe: sim.BuildWith(path, rec, it, bc)}, nil
+}
+
 // newIndexTelemetry is the prefilter handle set: index.* for every
-// candidate query.
+// candidate query. nil on a nil registry.
 func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
+	if r == nil {
+		return nil
+	}
 	return &corpusindex.Telemetry{
 		Queries:   r.Counter("index.queries"),
 		Fallbacks: r.Counter("index.fallbacks"),
@@ -193,8 +203,12 @@ func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
 }
 
 // newCoreTelemetry is the game engine's handle set, shared by the live
-// session's searches and a sealed corpus's search passes.
+// session's searches and a sealed corpus's search passes. nil on a nil
+// registry.
 func newCoreTelemetry(r *telemetry.Registry) *core.Telemetry {
+	if r == nil {
+		return nil
+	}
 	return &core.Telemetry{
 		Games:                 r.Counter("game.played"),
 		Unplayed:              r.Counter("game.unplayed"),
@@ -212,59 +226,6 @@ func newCoreTelemetry(r *telemetry.Registry) *core.Telemetry {
 	}
 }
 
-func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
-	if r == nil {
-		return nil
-	}
-	return &sessionMetrics{
-		frontEndMetrics: newFrontEndMetrics(r),
-		core:            newCoreTelemetry(r),
-		idx:             newIndexTelemetry(r),
-		imageOpen:       r.Stage("image.open"),
-		imageUnpack:     r.Stage("image.unpack"),
-		searchImage:     r.Stage("search.image"),
-		exesAnalyzed:    r.Counter("exe.analyzed"),
-		exesSkipped:     r.Counter("exe.skipped"),
-	}
-}
-
-// Per-layer handle accessors; each returns nil on a telemetry-disabled
-// session, which the layers interpret as "record nothing".
-func (a *Analyzer) objTel() *obj.Telemetry {
-	if a.met == nil {
-		return nil
-	}
-	return a.met.obj
-}
-
-func (a *Analyzer) cfgTel() *cfg.Telemetry {
-	if a.met == nil {
-		return nil
-	}
-	return a.met.cfg
-}
-
-func (a *Analyzer) simTel() *sim.Telemetry {
-	if a.met == nil {
-		return nil
-	}
-	return a.met.sim
-}
-
-func (a *Analyzer) coreTel() *core.Telemetry {
-	if a.met == nil {
-		return nil
-	}
-	return a.met.core
-}
-
-func (a *Analyzer) idxTel() *corpusindex.Telemetry {
-	if a.met == nil {
-		return nil
-	}
-	return a.met.idx
-}
-
 // NewAnalyzer creates a session. NewAnalyzer(nil) selects the defaults.
 func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	a := &Analyzer{interner: corpusindex.NewInterner()}
@@ -274,8 +235,12 @@ func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	if !a.opt.DisableBlockCache {
 		a.cache = strand.NewBlockCache(a.interner)
 	}
-	a.met = newSessionMetrics(a.opt.Telemetry)
 	if r := a.opt.Telemetry; r != nil {
+		a.front = newFrontEnd(r)
+		a.game = newCoreTelemetry(r)
+		a.idx = newIndexTelemetry(r)
+		a.exesAnalyzed = r.Counter("exe.analyzed")
+		a.exesSkipped = r.Counter("exe.skipped")
 		// Gauge mirrors of state the session already tracks: evaluated at
 		// snapshot time, costing the hot paths nothing.
 		interner := a.interner
@@ -419,22 +384,13 @@ func (im *Image) IndexedStrands() int { return im.own.group.index.Postings() }
 // AnalyzeExecutable parses and analyzes one FWELF binary under the
 // session.
 func (a *Analyzer) AnalyzeExecutable(path string, data []byte) (*Executable, error) {
-	f, err := obj.ReadWith(data, a.objTel())
+	f, err := a.front.read(data, telemetry.Span{})
 	if err != nil {
 		return nil, err
 	}
 	// A standalone analysis is the only build in flight: give it the
 	// whole worker budget at the procedure level.
-	return a.analyzeFile(path, f, a.opt.workers())
-}
-
-func (a *Analyzer) analyzeFile(path string, f *obj.File, procWorkers int) (*Executable, error) {
-	rec, err := cfg.RecoverWith(f, a.cfgTel())
-	if err != nil {
-		return nil, fmt.Errorf("firmup: %s: %w", path, err)
-	}
-	bc := &sim.BuildConfig{Cache: a.cache, Workers: procWorkers, Tel: a.simTel()}
-	return &Executable{Path: path, exe: sim.BuildWith(path, rec, a.interner, bc)}, nil
+	return a.front.analyze(path, f, a.interner, a.cache, a.opt.workers(), telemetry.Span{})
 }
 
 // LoadQueryExecutable analyzes the analyst's query binary (typically
@@ -450,48 +406,49 @@ func (a *Analyzer) LoadQueryExecutable(data []byte) (*Executable, error) {
 // executables. Executables that fail analysis are reported in
 // Image.Skipped rather than silently dropped.
 func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
-	var openSpan, unpackSpan telemetry.Span
-	if a.met != nil {
-		openSpan = a.met.imageOpen.Start()
-		unpackSpan = a.met.imageUnpack.Start()
-	}
-	var out *Image
-	var pending []pendingExe
-	im, err := image.Unpack(data)
+	sp := a.front.root.Start("image.open")
+	defer sp.End()
+	out, pending, err := a.unpack(data, sp)
 	if err != nil {
-		// Carving fallback: damaged or unknown container.
-		files := image.CarveWith(data, a.objTel())
-		if len(files) == 0 {
-			return nil, fmt.Errorf("firmup: cannot unpack image and carving found no executables: %w", err)
-		}
-		out = &Image{}
-		for i, f := range files {
-			pending = append(pending, pendingExe{path: fmt.Sprintf("carved_%d", i), file: f})
-		}
-	} else {
-		out = &Image{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
-		// Non-executable content (configs etc.) is skipped, as are entries
-		// that fail to parse.
-		for _, fe := range im.Files {
-			if f, err := obj.ReadWith(fe.Data, a.objTel()); err == nil {
-				pending = append(pending, pendingExe{path: fe.Path, file: f, data: fe.Data})
-			}
-		}
+		return nil, err
 	}
-	if a.met != nil {
-		unpackSpan.End()
-	}
-	a.analyzeAll(pending, out)
+	a.analyzeAll(pending, out, sp)
 	if len(out.Exes) == 0 {
 		return nil, fmt.Errorf("firmup: image contains no analyzable executables")
 	}
 	a.index(out)
-	if a.met != nil {
-		a.met.exesAnalyzed.Add(int64(len(out.Exes)))
-		a.met.exesSkipped.Add(int64(len(out.Skipped)))
-		openSpan.End()
-	}
+	a.exesAnalyzed.Add(int64(len(out.Exes)))
+	a.exesSkipped.Add(int64(len(out.Skipped)))
 	return out, nil
+}
+
+// unpack is OpenImage's "image.unpack" stage: the image's identity and
+// every file of it that parses as an executable, carved out of the bytes
+// when the container does not unpack.
+func (a *Analyzer) unpack(data []byte, parent telemetry.Span) (*Image, []pendingExe, error) {
+	sp := parent.Start("image.unpack")
+	defer sp.End()
+	var pending []pendingExe
+	im, err := image.Unpack(data)
+	if err != nil {
+		// Carving fallback: damaged or unknown container.
+		files := image.CarveWith(data, a.front.obj, sp)
+		if len(files) == 0 {
+			return nil, nil, fmt.Errorf("firmup: cannot unpack image and carving found no executables: %w", err)
+		}
+		for i, f := range files {
+			pending = append(pending, pendingExe{path: fmt.Sprintf("carved_%d", i), file: f})
+		}
+		return &Image{}, pending, nil
+	}
+	// Non-executable content (configs etc.) is skipped, as are entries
+	// that fail to parse.
+	for _, fe := range im.Files {
+		if f, err := a.front.read(fe.Data, sp); err == nil {
+			pending = append(pending, pendingExe{path: fe.Path, file: f, data: fe.Data})
+		}
+	}
+	return &Image{Vendor: im.Vendor, Device: im.Device, Version: im.Version}, pending, nil
 }
 
 // index makes img searchable: it builds the private one-image group a
@@ -502,14 +459,14 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 // queries, have no row in it and need none: no executable of this image
 // contains them.
 func (a *Analyzer) index(img *Image) {
-	g := &sealedGroup{n: 1, nExes: len(img.Exes), indexed: true, game: a.coreTel(), exes: make([]*sim.Exe, len(img.Exes))}
+	g := &sealedGroup{n: 1, nExes: len(img.Exes), game: a.game, exes: make([]*sim.Exe, len(img.Exes))}
 	img.own = &SealedImage{group: g, occs: make([]snapshot.Occurrence, len(img.Exes))}
 	for i, e := range img.Exes {
 		g.exes[i] = e.exe
 		img.own.occs[i] = snapshot.Occurrence{Path: e.Path, Exe: i}
 	}
 	g.index = corpusindex.NewFrozenIndex(a.interner, a.interner.Size(), g.exes)
-	g.index.SetTelemetry(a.idxTel())
+	g.index.SetTelemetry(a.idx)
 }
 
 type pendingExe struct {
@@ -524,15 +481,15 @@ type pendingExe struct {
 // earlier image that carried the same bytes: a shallow copy under this
 // image's path. Concurrent first sights of one byte string may both
 // analyse it; the results are equal and the last one stored is kept.
-func (a *Analyzer) analyzePending(pe pendingExe, procWorkers int) (*Executable, error) {
+func (a *Analyzer) analyzePending(pe pendingExe, procWorkers int, parent telemetry.Span) (*Executable, error) {
 	if pe.data == nil {
-		return a.analyzeFile(pe.path, pe.file, procWorkers)
+		return a.front.analyze(pe.path, pe.file, a.interner, a.cache, procWorkers, parent)
 	}
 	key := sha256.Sum256(pe.data)
 	if e, ok := a.analysed.Load(key); ok {
 		return &Executable{Path: pe.path, exe: e.(*sim.Exe).WithPath(pe.path)}, nil
 	}
-	exe, err := a.analyzeFile(pe.path, pe.file, procWorkers)
+	exe, err := a.front.analyze(pe.path, pe.file, a.interner, a.cache, procWorkers, parent)
 	if err == nil {
 		a.analysed.Store(key, exe.exe)
 	}
@@ -543,7 +500,7 @@ func (a *Analyzer) analyzePending(pe pendingExe, procWorkers int) (*Executable, 
 // executables, preserving input order in both Exes and Skipped. The
 // worker budget is split between this pool and the per-executable
 // procedure pools (see splitWorkers).
-func (a *Analyzer) analyzeAll(pending []pendingExe, out *Image) {
+func (a *Analyzer) analyzeAll(pending []pendingExe, out *Image, parent telemetry.Span) {
 	exes := make([]*Executable, len(pending))
 	errs := make([]error, len(pending))
 	workers, procWorkers := splitWorkers(a.opt.workers(), len(pending))
@@ -554,7 +511,7 @@ func (a *Analyzer) analyzeAll(pending []pendingExe, out *Image) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				exes[i], errs[i] = a.analyzePending(pending[i], procWorkers)
+				exes[i], errs[i] = a.analyzePending(pending[i], procWorkers, parent)
 			}
 		}()
 	}
@@ -589,32 +546,22 @@ type Options struct {
 	// search: every executable is examined. Findings are identical; only
 	// the work done differs.
 	Exhaustive bool
-	// Trace, when set, attaches a request-scoped trace: the search
-	// layers record spans (core search, shard fan-out, store
-	// materialization) into it, parented under TraceSpan (0 = trace
-	// root). Purely observational — findings are byte-identical with
-	// and without it, and the serve layer's request-coalescing key
-	// zeroes both fields, so tracing never splits otherwise-identical
-	// requests. nil disables tracing at zero cost.
-	Trace *telemetry.Trace
-	// TraceSpan is the span within Trace the search spans attach under.
-	TraceSpan telemetry.SpanID
+	// Span, when set, is the span the search runs under: the search
+	// layers open theirs (shard fan-out, store materialization, core
+	// search) as its children, each feeding the stage of its name in the
+	// span's registry and, under a sampled request, the request's tree.
+	// Purely observational — findings are byte-identical with and without
+	// it, and the serve layer's request-coalescing key zeroes the field,
+	// so tracing never splits otherwise-identical requests. The zero Span
+	// records nothing at zero cost.
+	Span telemetry.Span
 }
 
-// trace and traceSpan are nil-safe accessors for the sealed-corpus
-// fan-out layer.
-func (o *Options) trace() *telemetry.Trace {
+func (o *Options) span() telemetry.Span {
 	if o == nil {
-		return nil
+		return telemetry.Span{}
 	}
-	return o.Trace
-}
-
-func (o *Options) traceSpan() telemetry.SpanID {
-	if o == nil {
-		return 0
-	}
-	return o.TraceSpan
+	return o.Span
 }
 
 func (o *Options) search() *core.SearchOptions {
@@ -632,8 +579,6 @@ func (o *Options) search() *core.SearchOptions {
 		if o.Workers > 0 {
 			s.Workers = o.Workers
 		}
-		s.Trace = o.Trace
-		s.TraceParent = o.TraceSpan
 	}
 	return s
 }
@@ -723,23 +668,19 @@ func coreBatch(queries []BatchQuery) ([]core.BatchQuery, error) {
 // batch, and queries from the same query executable share matcher caches
 // and similarity vectors. The returned results are positionally aligned
 // with queries and byte-identical to calling SearchImageDetailed once per
-// query. The time is recorded as this session's search.image stage; the
-// index and game metrics go to the session that opened the image.
+// query. The pass is timed as a "search.image" span under opt.Span, or
+// under this session's registry when the options carry none; the index
+// and game metrics go to the session that opened the image.
 func (a *Analyzer) SearchBatch(queries []BatchQuery, img *Image, opt *Options) ([]*SearchResult, error) {
-	var searchSpan telemetry.Span
-	if a.met != nil {
-		searchSpan = a.met.searchImage.Start()
-	}
+	sp := opt.span().Or(a.front.root).Start("search.image")
+	defer sp.End()
 	cqs, err := coreBatch(queries)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := img.own.group.search(cqs, []*SealedImage{img.own}, opt, opt.traceSpan())
+	res, _, err := img.own.group.search(cqs, []*SealedImage{img.own}, opt, sp)
 	if err != nil {
 		return nil, err
-	}
-	if a.met != nil {
-		searchSpan.End()
 	}
 	return res[0], nil
 }
@@ -813,7 +754,7 @@ func traceFromResult(r core.Result) *GameTrace {
 // matchTraced is the shared MatchProcedure body; recordTrace selects
 // whether the game course is captured.
 func (a *Analyzer) matchTraced(query *Executable, procedure string, target *Executable, opt *Options, recordTrace bool) (*Finding, core.Result, error) {
-	return matchTracedCore(a.coreTel(), query, procedure, target, opt, recordTrace)
+	return matchTracedCore(a.game, query, procedure, target, opt, recordTrace)
 }
 
 // matchTracedCore is the session-independent MatchProcedure body shared

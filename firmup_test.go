@@ -5,6 +5,7 @@ import (
 
 	"firmup"
 	"firmup/internal/corpus"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -114,10 +115,18 @@ func TestMatchProcedureSingleTarget(t *testing.T) {
 	}
 }
 
+// Spans end on failure too: the failed open leaves one call on each of
+// its stages.
 func TestOpenImageErrors(t *testing.T) {
-	a := firmup.NewAnalyzer(nil)
+	reg := telemetry.New()
+	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: reg})
 	if _, err := a.OpenImage([]byte("garbage")); err == nil {
 		t.Error("garbage image must fail")
+	}
+	for _, stage := range []string{"image.open", "image.unpack"} {
+		if got := reg.Stage(stage).Calls(); got != 1 {
+			t.Errorf("stage %q: %d calls after one failed OpenImage, want 1", stage, got)
+		}
 	}
 	if _, err := a.LoadQueryExecutable([]byte("nope")); err == nil {
 		t.Error("garbage executable must fail")
@@ -150,12 +159,17 @@ func TestCarvingFallback(t *testing.T) {
 	_ = queryBytes
 }
 
+// The failed search still ends its span: one call on search.image.
 func TestUnknownQueryProcedure(t *testing.T) {
-	a := firmup.NewAnalyzer(nil)
+	reg := telemetry.New()
+	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: reg})
 	imgBytes, queryBytes, _ := buildScenario(t)
 	img, _ := a.OpenImage(imgBytes)
 	q, _ := a.LoadQueryExecutable(queryBytes)
 	if _, err := a.SearchImage(q, "no_such_procedure", img, nil); err == nil {
 		t.Error("unknown procedure must fail")
+	}
+	if got := reg.Stage("search.image").Calls(); got != 1 {
+		t.Errorf("search.image: %d calls after one failed search, want 1", got)
 	}
 }

@@ -21,16 +21,10 @@ import (
 	"firmup/internal/uir"
 )
 
-// Telemetry is the optional handle set recovery records against; a nil
+// Telemetry is the optional counter set recovery records against; a nil
 // pointer (and any nil field) disables the corresponding metric.
 // Recovery output is identical with and without it.
 type Telemetry struct {
-	// Recover times each RecoverWith call end to end.
-	Recover *telemetry.Stage
-	// Sweep times the linear-sweep disassembly pass.
-	Sweep *telemetry.Stage
-	// Lift times the block-splitting and UIR-lifting pass.
-	Lift *telemetry.Stage
 	// Decoded counts instructions decoded by the sweep (ISA decoder
 	// invocations that succeeded).
 	Decoded *telemetry.Counter
@@ -109,16 +103,16 @@ func (s *sweep) at(addr uint32) (isa.Inst, bool) {
 
 // Recover analyzes the executable.
 func Recover(f *obj.File) (*Recovered, error) {
-	return RecoverWith(f, nil)
+	return RecoverWith(f, nil, telemetry.Span{})
 }
 
-// RecoverWith is Recover recording recovery metrics into tel. The
-// recovery itself is identical.
-func RecoverWith(f *obj.File, tel *Telemetry) (*Recovered, error) {
-	var recoverSpan telemetry.Span
-	if tel != nil {
-		recoverSpan = tel.Recover.Start()
-	}
+// RecoverWith is Recover timed under parent — one "cfg.recover" span end
+// to end, with the linear sweep ("cfg.sweep") and the block-splitting and
+// UIR-lifting pass ("cfg.lift") as its children — and counted into tel.
+// The recovery itself is identical.
+func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered, error) {
+	recoverSpan := parent.Start("cfg.recover")
+	defer recoverSpan.End()
 	be, err := isa.ByArch(f.Arch)
 	if err != nil {
 		return nil, err
@@ -129,10 +123,7 @@ func RecoverWith(f *obj.File, tel *Telemetry) (*Recovered, error) {
 	}
 
 	// Pass 1: linear-sweep disassembly.
-	var sweepSpan telemetry.Span
-	if tel != nil {
-		sweepSpan = tel.Sweep.Start()
-	}
+	sweepSpan := recoverSpan.Start("cfg.sweep")
 	sw := &sweep{base: text.Addr, n: uint32(len(text.Data)), idx: make([]int32, len(text.Data))}
 	for i := range sw.idx {
 		sw.idx[i] = -1
@@ -149,8 +140,8 @@ func RecoverWith(f *obj.File, tel *Telemetry) (*Recovered, error) {
 		sw.seq = append(sw.seq, inst)
 		off += int(inst.Size)
 	}
+	sweepSpan.End()
 	if tel != nil {
-		sweepSpan.End()
 		tel.Decoded.Add(int64(len(sw.seq)))
 	}
 
@@ -202,10 +193,7 @@ func RecoverWith(f *obj.File, tel *Telemetry) (*Recovered, error) {
 		entries[i] = gap
 	}
 
-	var liftSpan telemetry.Span
-	if tel != nil {
-		liftSpan = tel.Lift.Start()
-	}
+	liftSpan := recoverSpan.Start("cfg.lift")
 	rec := &Recovered{File: f, Arch: f.Arch}
 	textEnd := text.Addr + uint32(len(text.Data))
 	for i, e := range entries {
@@ -219,9 +207,7 @@ func RecoverWith(f *obj.File, tel *Telemetry) (*Recovered, error) {
 		}
 		rec.Procs = append(rec.Procs, p)
 	}
-	if tel != nil {
-		liftSpan.End()
-	}
+	liftSpan.End()
 
 	var bytes uint32
 	var blocks, insts int64
@@ -239,7 +225,6 @@ func RecoverWith(f *obj.File, tel *Telemetry) (*Recovered, error) {
 		tel.Procs.Add(int64(len(rec.Procs)))
 		tel.Blocks.Add(blocks)
 		tel.Insts.Add(insts)
-		recoverSpan.End()
 	}
 	return rec, nil
 }

@@ -149,7 +149,8 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	if len(queries) == 1 {
 		name = "core.search"
 	}
-	sp := opt.traceStart(name)
+	sp := opt.span().Start(name)
+	defer sp.End()
 	if tel != nil {
 		tel.BatchSearches.Inc()
 	}
@@ -227,7 +228,7 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 			}
 		}
 	}
-	if sp.Active() {
+	if sp.Traced() {
 		var examined, nFindings int64
 		for qx := range queries {
 			examined += int64(len(plans[qx].Targets))
@@ -244,7 +245,6 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 		sp.SetAttr("game_steps", steps.Load())
 		sp.SetAttr("games_unplayed", unplayed.Load())
 		sp.SetAttr("games_cut", cut.Load())
-		sp.End()
 	}
 	return out
 }

@@ -46,15 +46,11 @@ type SearchOptions struct {
 	Weigher func(hash uint64) float64
 	// Workers bounds the parallel target workers (default GOMAXPROCS).
 	Workers int
-	// Trace, when set, records a request-scoped span for this search
-	// ("core.search" / "core.search_batch") with aggregate attributes —
-	// targets, examined, findings, summed game steps — parented under
-	// TraceParent. Purely observational: results are identical with and
-	// without it, and a nil Trace costs nothing.
-	Trace *telemetry.Trace
-	// TraceParent is the span ID the search span attaches under (0 =
-	// trace root).
-	TraceParent telemetry.SpanID
+	// Span is the parent the search is timed under: one "core.search" /
+	// "core.search_batch" span carrying aggregate attributes — targets,
+	// examined, findings, summed game steps. Purely observational: results
+	// are identical with and without it, and the zero Span costs nothing.
+	Span telemetry.Span
 }
 
 func (o *SearchOptions) minScore() int {
@@ -95,13 +91,11 @@ func (o *SearchOptions) game() *Options {
 	return &o.Game
 }
 
-// traceStart opens a span on the search's trace under TraceParent;
-// inert (and allocation-free) when no trace is attached.
-func (o *SearchOptions) traceStart(name string) telemetry.SpanRef {
-	if o == nil || o.Trace == nil {
-		return telemetry.SpanRef{}
+func (o *SearchOptions) span() telemetry.Span {
+	if o == nil {
+		return telemetry.Span{}
 	}
-	return o.Trace.Start(name, o.TraceParent)
+	return o.Span
 }
 
 // SearchResult pairs per-target outcomes with aggregate accounting.

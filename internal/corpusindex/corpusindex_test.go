@@ -107,6 +107,10 @@ func candidates(x *FrozenIndex, q strand.Set, minScore int, ratioFloor float64) 
 	return out, true
 }
 
+// The TestCandidates* tests pin what a search narrows by, asked through
+// Scan: the index's ranking (here against brute force), its floors, the
+// tie order among equal scores and the fallback for a query from a
+// foreign session.
 func TestCandidatesMatchBruteForce(t *testing.T) {
 	it, x, exes := buildCorpus(t)
 	q := set(1, 2, 3, 9).Interned(it)

@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"firmup/internal/obj"
+	"firmup/internal/telemetry"
 )
 
 // Magic values for the two on-disk layouts.
@@ -184,12 +185,12 @@ func Unpack(data []byte) (*Image, error) {
 // image fails to unpack structurally (the paper reports that a large
 // fraction of crawled images had damaged or opaque containers).
 func Carve(data []byte) []*obj.File {
-	return CarveWith(data, nil)
+	return CarveWith(data, nil, telemetry.Span{})
 }
 
-// CarveWith is Carve recording parse metrics into tel. The carved
-// output is identical.
-func CarveWith(data []byte, tel *obj.Telemetry) []*obj.File {
+// CarveWith is Carve with every attempted parse timed under parent and
+// counted into tel (see obj.ReadWith). The carved output is identical.
+func CarveWith(data []byte, tel *obj.Telemetry, parent telemetry.Span) []*obj.File {
 	var out []*obj.File
 	for off := 0; off+4 <= len(data); {
 		idx := bytes.Index(data[off:], obj.Magic[:])
@@ -197,7 +198,7 @@ func CarveWith(data []byte, tel *obj.Telemetry) []*obj.File {
 			break
 		}
 		pos := off + idx
-		f, err := obj.ReadWith(data[pos:], tel)
+		f, err := obj.ReadWith(data[pos:], tel, parent)
 		if err == nil {
 			out = append(out, f)
 		}

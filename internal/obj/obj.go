@@ -242,26 +242,22 @@ func (f *File) Bytes() []byte {
 	return buf.Bytes()
 }
 
-// Telemetry is the optional handle set object parsing records against;
+// Telemetry is the optional counter set object parsing records against;
 // a nil pointer (and any nil field) disables the corresponding metric.
 type Telemetry struct {
-	// Parse times each Read call (count + wall ns).
-	Parse *telemetry.Stage
 	// Bytes counts input bytes parsed.
 	Bytes *telemetry.Counter
 	// BadClass counts files read despite a corrupted class byte.
 	BadClass *telemetry.Counter
 }
 
-// ReadWith is Read recording into tel. The parse itself is identical.
-func ReadWith(data []byte, tel *Telemetry) (*File, error) {
-	if tel == nil {
-		return Read(data)
-	}
-	sp := tel.Parse.Start()
+// ReadWith is Read timed as an "obj.parse" span under parent and counted
+// into tel. The parse itself is identical.
+func ReadWith(data []byte, tel *Telemetry, parent telemetry.Span) (*File, error) {
+	sp := parent.Start("obj.parse")
 	f, err := Read(data)
 	sp.End()
-	if err == nil {
+	if err == nil && tel != nil {
 		tel.Bytes.Add(int64(len(data)))
 		if f.BadClass {
 			tel.BadClass.Inc()

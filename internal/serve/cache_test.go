@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +56,54 @@ func mustSearch(t *testing.T, url string, body []byte) string {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// tracedSearch is mustSearch under the given trace ID, returning the
+// request's retained trace beside the stripped body.
+func tracedSearch(t *testing.T, base, url string, body []byte, id string) (string, telemetry.TraceSnapshot) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(serve.TraceHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d, %v: %s", url, resp.StatusCode, err, blob)
+	}
+	var snap telemetry.RequestsSnapshot
+	getJSON(t, base+"/debug/requests", &snap)
+	tr, ok := findTrace(snap, id)
+	if !ok {
+		t.Fatalf("trace %s not retained", id)
+	}
+	return stripVolatile(blob), tr
+}
+
+// analyzeSubtree returns a trace's serve.analyze_query span and the
+// spans below it: the sorted child names of every span that has some,
+// keyed by its own name.
+func analyzeSubtree(tr telemetry.TraceSnapshot) (analyze telemetry.TraceSpan, under map[string][]string) {
+	under = map[string][]string{}
+	names := map[int32]string{}
+	for _, sp := range tr.Spans { // in ID order: parents come first
+		if sp.Name == "serve.analyze_query" {
+			analyze = sp
+			names[sp.ID] = sp.Name
+		} else if parent, ok := names[sp.Parent]; ok {
+			names[sp.ID] = sp.Name
+			under[parent] = append(under[parent], sp.Name)
+		}
+	}
+	for _, children := range under {
+		sort.Strings(children)
+	}
+	return analyze, under
 }
 
 // searchConcurrently posts the same body to every URL at once and
@@ -131,7 +180,20 @@ func TestServeQueryCacheHitEqualsMiss(t *testing.T) {
 				defer ts.Close()
 				url := ts.URL + "/search?proc=ftp_retrieve_glob" + scope
 
-				first := mustSearch(t, url, query)
+				// The first sight runs under a request trace: a miss, with the
+				// front-end layers it ran hanging under the analyze span.
+				first, miss := tracedSearch(t, ts.URL, url, query, "00000000000000ab")
+				analyze, under := analyzeSubtree(miss)
+				if analyze.Attrs["cache"] != "miss" {
+					t.Errorf("first sight: analyze span = %+v, want cache=miss", analyze)
+				}
+				if want := map[string][]string{
+					"serve.analyze_query": {"cfg.recover", "obj.parse", "sim.build"},
+					"cfg.recover":         {"cfg.lift", "cfg.sweep"},
+					"sim.build":           {"sim.index"},
+				}; !reflect.DeepEqual(under, want) {
+					t.Errorf("first sight: spans under serve.analyze_query = %v, want %v", under, want)
+				}
 				for n := 2; n <= 3; n++ {
 					if got := mustSearch(t, url, query); got != first {
 						t.Errorf("answer %d differs from the first:\n got %s\nwant %s", n, got, first)
@@ -140,37 +202,17 @@ func TestServeQueryCacheHitEqualsMiss(t *testing.T) {
 				if got, want := queryCacheCounts(reg), (cacheCounts{hits: 1, misses: 2, admitted: 1}); got.hits != want.hits || got.misses != want.misses || got.admitted != want.admitted {
 					t.Errorf("query cache counters = %+v, want %+v", got, want)
 				}
-				// A hit under a request trace says so.
-				req, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(query))
-				req.Header.Set(serve.TraceHeader, "00000000000000aa")
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				blob, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if got := stripVolatile(blob); got != first {
+				// A hit under a request trace says so, and analysed nothing.
+				got, hit := tracedSearch(t, ts.URL, url, query, "00000000000000aa")
+				if got != first {
 					t.Errorf("traced hit differs from the first answer:\n got %s\nwant %s", got, first)
 				}
-				var snap telemetry.RequestsSnapshot
-				getJSON(t, ts.URL+"/debug/requests", &snap)
-				tr, ok := findTrace(snap, "00000000000000aa")
-				if !ok {
-					t.Fatal("traced hit not retained")
-				}
-				var analyze telemetry.TraceSpan
-				for _, sp := range tr.Spans {
-					if sp.Name == "analyze_query" {
-						analyze = sp
-					}
-				}
+				analyze, under = analyzeSubtree(hit)
 				if analyze.Attrs["cache"] != "hit" {
-					t.Errorf("analyze_query span = %+v, want cache=hit", analyze)
+					t.Errorf("analyze span = %+v, want cache=hit", analyze)
 				}
-				for _, sp := range tr.Spans {
-					if sp.Parent == analyze.ID {
-						t.Errorf("a cache hit has a child span %q under analyze_query", sp.Name)
-					}
+				if len(under) != 0 {
+					t.Errorf("a cache hit has spans under serve.analyze_query: %v", under)
 				}
 			})
 		}

@@ -97,10 +97,11 @@ type Config struct {
 	Registry *telemetry.Registry
 	// TraceSample controls head sampling for requests that do not carry
 	// a TraceHeader: 0 (the default) traces header-carrying requests
-	// only, 1 traces every request, N > 1 every Nth. Tracing records a
-	// pooled span tree per sampled request (serve stages, shard
-	// fan-out, core search) served from GET /debug/requests; unsampled
-	// requests pay one nil check per span site.
+	// only, 1 traces every request, N > 1 every Nth. Every request is
+	// timed span by span (serve stages, front-end layers, shard fan-out,
+	// core search) into Registry's stages; a sampled one also records
+	// the spans as a pooled tree served from GET /debug/requests, and an
+	// unsampled one allocates no trace.
 	TraceSample int
 	// TraceSlow is the latency at or above which a completed trace is
 	// always retained for /debug/requests, regardless of how it ranks
@@ -197,9 +198,9 @@ type Server struct {
 
 // batchKey identifies searches that may share one batched pass: same
 // installed corpus, same image scope, same search options. firmup's
-// Options is all scalar fields, so the struct is a valid map key. The
-// trace fields are zeroed before keying (see searchCoalesced): tracing
-// is observational and must never split otherwise-identical requests
+// Options is all comparable fields, so the struct is a valid map key.
+// The span is zeroed before keying (see searchCoalesced): tracing is
+// observational and must never split otherwise-identical requests
 // into separate batches.
 type batchKey struct {
 	corpus *Corpus
@@ -435,21 +436,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
 	t0 := time.Now()
 
-	// Request-scoped tracing: sampled requests carry a pooled span tree
-	// down through the search layers. The trace header goes out before
-	// any body write, and the deferred Offer covers every return path —
-	// error responses are traced too.
+	// Every request runs under one span tree, timed into the registry's
+	// stages; a sampled request also records it into a pooled trace. The
+	// trace header goes out before any body write, and the deferred Offer
+	// (a no-op without a trace) covers every return path — error responses
+	// are traced too.
 	tr, traceID := s.sampleTrace(r)
-	var root telemetry.SpanRef
 	if tr != nil {
 		w.Header().Set(TraceHeader, traceID.String())
-		root = tr.Start("request", 0)
-		root.SetAttrStr("endpoint", "/search")
-		defer func() {
-			root.End()
-			s.traceBuf.Offer(tr, time.Since(t0))
-		}()
 	}
+	root := telemetry.Root(s.cfg.Registry, tr).Start("serve.request")
+	root.SetAttrStr("endpoint", "/search")
+	defer func() {
+		root.End()
+		s.traceBuf.Offer(tr, time.Since(t0))
+	}()
 
 	cs := s.corpus.Load()
 	if cs == nil {
@@ -471,7 +472,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rsp := tr.Start("read_body", root.ID())
+	rsp := root.Start("serve.read_body")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxQueryBytes()))
 	rsp.SetAttr("bytes", int64(len(body)))
 	rsp.End()
@@ -486,7 +487,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "reading query executable: %v", err)
 		return
 	}
-	asp := tr.Start("analyze_query", root.ID())
+	asp := root.Start("serve.analyze_query")
 	query, err := s.analyzeQuery(cs, body, asp)
 	asp.End()
 	if err != nil {
@@ -500,11 +501,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "firmup: query executable has no procedure %q", proc)
 		return
 	}
-	ssp := tr.Start("search", root.ID())
-	if opt != nil {
-		opt.Trace = tr
-		opt.TraceSpan = ssp.ID()
-	}
+	ssp := root.Start("serve.search")
+	opt.Span = ssp
 	var images []firmup.ImageFindings
 	if s.cfg.BatchWindow > 0 {
 		images, err = s.searchCoalesced(cs, image, query, proc, opt)
@@ -546,9 +544,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // immutable and shared by every request that hits it. A fresh analysis
 // is stored only on the hash's second sight (see queryCache), and never
 // when it failed; concurrent first analyses of one hash all run and the
-// first to finish is the one kept. span is the request's analyze_query
-// span.
-func (s *Server) analyzeQuery(cs *Corpus, body []byte, span telemetry.SpanRef) (*firmup.Executable, error) {
+// first to finish is the one kept. span is the request's
+// serve.analyze_query span, which a fresh analysis hangs the front-end
+// layers under.
+func (s *Server) analyzeQuery(cs *Corpus, body []byte, span telemetry.Span) (*firmup.Executable, error) {
 	key := queryKey(sha256.Sum256(body))
 	query, seen := cs.queries.lookup(key, &s.cache)
 	if query != nil {
@@ -556,7 +555,7 @@ func (s *Server) analyzeQuery(cs *Corpus, body []byte, span telemetry.SpanRef) (
 		return query, nil
 	}
 	span.SetAttrStr("cache", "miss")
-	query, err := cs.Sealed.AnalyzeQueryWith("query", body, s.cfg.QueryWorkers)
+	query, err := cs.Sealed.AnalyzeQueryUnder("query", body, s.cfg.QueryWorkers, span)
 	if err == nil && seen {
 		cs.queries.attach(key, query, len(body), &s.cache)
 	}
@@ -635,13 +634,13 @@ func imageFindings(img *firmup.SealedImage, findings []firmup.Finding, examined 
 // invisible in responses.
 func (s *Server) searchCoalesced(cs *Corpus, image int, query *firmup.Executable, proc string, opt *firmup.Options) ([]firmup.ImageFindings, error) {
 	e := &batchEntry{query: query, proc: proc, done: make(chan batchResult, 1)}
-	// Zero the trace fields in the key: requests that differ only in
-	// tracing still coalesce (and each keeps its own trace ID — only
-	// the leader's trace sees the shared pass's inner spans).
+	// Zero the span in the key: requests that differ only in tracing
+	// still coalesce (and each keeps its own trace ID — only the
+	// leader's trace sees the shared pass's inner spans).
 	ko := *opt
-	ko.Trace, ko.TraceSpan = nil, 0
+	ko.Span = telemetry.Span{}
 	key := batchKey{corpus: cs, image: image, opt: ko}
-	csp := opt.Trace.Start("serve.coalesce", opt.TraceSpan)
+	csp := opt.Span.Start("serve.coalesce")
 	s.batchMu.Lock()
 	g, ok := s.pending[key]
 	if !ok {
@@ -659,15 +658,13 @@ func (s *Server) searchCoalesced(cs *Corpus, image int, query *firmup.Executable
 		// The shared pass runs under the leader's coalesce span, so the
 		// leader's trace attributes the whole batch's latency.
 		lo := *opt
-		if csp.Active() {
-			lo.TraceSpan = csp.ID()
-		}
+		lo.Span = csp
 		s.runBatch(cs, image, entries, &lo)
 	}
 	res := <-e.done
-	if csp.Active() {
+	if csp.Traced() {
 		csp.SetAttr("batch_size", int64(res.size))
-		if res.leader != 0 && res.leader != opt.Trace.ID() {
+		if res.leader != 0 && res.leader != opt.Span.TraceID() {
 			csp.SetAttrStr("leader_trace", res.leader.String())
 		}
 	}
@@ -681,7 +678,7 @@ func (s *Server) runBatch(cs *Corpus, image int, entries []*batchEntry, opt *fir
 	s.batches.Inc()
 	s.batchSize.Observe(int64(len(entries)))
 	size := len(entries)
-	leader := opt.Trace.ID()
+	leader := opt.Span.TraceID()
 	queries := make([]firmup.BatchQuery, len(entries))
 	for i, e := range entries {
 		queries[i] = firmup.BatchQuery{Query: e.query, Procedure: e.proc}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -52,12 +53,15 @@ func findTrace(snap telemetry.RequestsSnapshot, id string) (telemetry.TraceSnaps
 // TestServeTraceHeaderRoundTrip pins the trace identity plumbing: a
 // request carrying X-Firmup-Trace is traced under exactly that ID even
 // with sampling off, the ID is echoed in both the response header and
-// the trace_id field, and the full span tree — request, read_body,
-// analyze_query, search, core.search — lands in /debug/requests. A
-// header-less request under TraceSample 0 stays untraced.
+// the trace_id field, and the full span tree — serve.request,
+// serve.read_body, serve.analyze_query, serve.search, core.search — lands
+// in /debug/requests, every span of it with one call on the stage of its
+// name. A header-less request under TraceSample 0 stays untraced — no
+// trace is allocated or offered — and adds to the same stages.
 func TestServeTraceHeaderRoundTrip(t *testing.T) {
 	sc, query := buildScenario(t)
-	srv := serve.New(newCorpus("c", sc), &serve.Config{TraceSample: 0})
+	reg := telemetry.New()
+	srv := serve.New(newCorpus("c", sc), &serve.Config{TraceSample: 0, Registry: reg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -106,9 +110,14 @@ func TestServeTraceHeaderRoundTrip(t *testing.T) {
 	for _, sp := range tr.Spans {
 		names[sp.Name]++
 	}
-	for _, want := range []string{"request", "read_body", "analyze_query", "search", "core.search"} {
+	for _, want := range []string{"serve.request", "serve.read_body", "serve.analyze_query", "serve.search", "core.search"} {
 		if names[want] == 0 {
 			t.Errorf("trace lacks a %q span; spans: %v", want, names)
+		}
+	}
+	for name, n := range names {
+		if got := reg.Stage(name).Calls(); got != int64(n) {
+			t.Errorf("span %q: %d in the tree, %d calls on its stage", name, n, got)
 		}
 	}
 	if tr.DurUS <= 0 {
@@ -125,6 +134,17 @@ func TestServeTraceHeaderRoundTrip(t *testing.T) {
 	}
 	if bytes.Contains(blob2, []byte("trace_id")) {
 		t.Error("untraced response encodes a trace_id")
+	}
+	// The same bytes at first and second sight are both analysed, so the
+	// untraced request ran every span the traced one did.
+	for name, n := range names {
+		if got := reg.Stage(name).Calls(); got != 2*int64(n) {
+			t.Errorf("stage %q: %d calls after an untraced request, want %d", name, got, 2*n)
+		}
+	}
+	getJSON(t, ts.URL+"/debug/requests", &snap)
+	if snap.Offered != 1 {
+		t.Errorf("trace buffer offered = %d after an untraced request, want 1", snap.Offered)
 	}
 }
 
@@ -261,7 +281,8 @@ func TestServeCoalescedTraceIDs(t *testing.T) {
 // and verifies a traced corpus-wide search attributes latency per
 // shard: the trace's span tree carries one corpus.shard span per shard
 // with distinct shard indexes, each parenting the per-image search
-// work.
+// work. The whole tree of a never-seen upload is pinned by name, and
+// every name in it is a stage on /metrics: one span vocabulary.
 func TestServeShardedTraceAttribution(t *testing.T) {
 	sc, query := buildScenario(t)
 	const nShards = 3
@@ -275,7 +296,7 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 	}
 	defer sharded.Close()
 
-	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1})
+	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1, Registry: telemetry.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -297,6 +318,39 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 	if !ok {
 		t.Fatalf("/debug/requests lacks trace %s", sr.TraceID)
 	}
+	// The tree, as parent › child name pairs with their multiplicity.
+	byID := map[int32]string{0: ""}
+	edges := map[string]int{}
+	for _, sp := range tr.Spans {
+		byID[sp.ID] = sp.Name
+		edges[byID[sp.Parent]+" › "+sp.Name]++
+	}
+	wantEdges := map[string]int{
+		" › serve.request":                    1,
+		"serve.request › serve.read_body":     1,
+		"serve.request › serve.analyze_query": 1,
+		"serve.analyze_query › obj.parse":     1,
+		"serve.analyze_query › cfg.recover":   1,
+		"cfg.recover › cfg.sweep":             1,
+		"cfg.recover › cfg.lift":              1,
+		"serve.analyze_query › sim.build":     1,
+		"sim.build › sim.index":               1,
+		"serve.request › serve.search":        1,
+		"serve.search › corpus.shard":         nShards,
+		"corpus.shard › store.materialize":    nShards,
+		"corpus.shard › core.search":          nShards,
+	}
+	if !reflect.DeepEqual(edges, wantEdges) {
+		t.Errorf("span tree = %v, want %v", edges, wantEdges)
+	}
+	var metrics telemetry.Snapshot
+	getJSON(t, ts.URL+"/metrics", &metrics)
+	for _, sp := range tr.Spans {
+		if metrics.Stages[sp.Name].Calls < 1 {
+			t.Errorf("span %q has no stage on /metrics", sp.Name)
+		}
+	}
+
 	shards := make(map[int]telemetry.TraceSpan)
 	for _, sp := range tr.Spans {
 		if sp.Name != "corpus.shard" {

@@ -22,14 +22,10 @@ import (
 	"firmup/internal/uir"
 )
 
-// Telemetry is the optional handle set indexing records against; a nil
+// Telemetry is the optional counter set indexing records against; a nil
 // pointer (and any nil field) disables the corresponding metric. The
 // indexed output is identical with and without it.
 type Telemetry struct {
-	// Build times each BuildWith call end to end.
-	Build *telemetry.Stage
-	// Index times inverted-index construction (CSR or hash-map).
-	Index *telemetry.Stage
 	// Procs counts procedures indexed.
 	Procs *telemetry.Counter
 	// Extract is forwarded to the per-worker strand extractors.
@@ -94,6 +90,10 @@ type BuildConfig struct {
 	Workers int
 	// Tel, when non-nil, records indexing metrics.
 	Tel *Telemetry
+	// Span is the parent the build is timed under: one "sim.build" span
+	// end to end with inverted-index construction ("sim.index") as its
+	// child. The zero Span times nothing.
+	Span telemetry.Span
 }
 
 // Build indexes a recovered executable. A non-nil interner attaches the
@@ -121,6 +121,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	var cache *strand.BlockCache
 	var tel *Telemetry
 	var extractTel *strand.Telemetry
+	var parent telemetry.Span
 	workers := 1
 	if bc != nil {
 		cache = bc.Cache
@@ -128,10 +129,11 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 			workers = bc.Workers
 		}
 		tel = bc.Tel
+		parent = bc.Span
 	}
-	var buildSpan telemetry.Span
+	buildSpan := parent.Start("sim.build")
+	defer buildSpan.End()
 	if tel != nil {
-		buildSpan = tel.Build.Start()
 		extractTel = tel.Extract
 	}
 	if workers > len(rec.Procs) {
@@ -202,13 +204,10 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	}
 	if tel != nil {
 		tel.Procs.Add(int64(len(e.Procs)))
-		sp := tel.Index.Start()
-		e.buildIndex(it)
-		sp.End()
-		buildSpan.End()
-	} else {
-		e.buildIndex(it)
 	}
+	indexSpan := buildSpan.Start("sim.index")
+	e.buildIndex(it)
+	indexSpan.End()
 	return e
 }
 

@@ -21,8 +21,8 @@ type Corpus struct {
 	// executable has no path of its own here (Exe.Path is not persisted):
 	// the same bytes ship under different paths in different images.
 	Exes []Exe
-	// Index holds the inverted-index rows over Exes, or nil when the
-	// corpus was sealed without one.
+	// Index holds the inverted-index rows over Exes: non-nil, empty for
+	// a corpus without strands. Every shard carries its index.
 	Index  []IndexRow
 	Images []CorpusImage
 }
@@ -56,6 +56,9 @@ func validateCorpus(c *Corpus) error {
 	}
 	if err := validateExes(len(c.Interner), c.Exes); err != nil {
 		return err
+	}
+	if c.Index == nil {
+		return fmt.Errorf("snapshot: encode: corpus has no index (Corpus.Index is nil)")
 	}
 	if err := validateIndex(len(c.Interner), c.Exes, c.Index); err != nil {
 		return err

@@ -75,22 +75,27 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 func TestCorpusRoundTripEmptyIndex(t *testing.T) {
-	// A present-but-empty index is distinct from no index at all: the
-	// former means "indexed, nothing qualified", the latter "never
-	// indexed". The flag byte must preserve the distinction.
+	// An empty index ("indexed, nothing qualified") round-trips; "never
+	// indexed" is not a state a shard can be in: the encoder refuses a nil
+	// index and the opener rejects the flag byte that used to mean it.
 	c := testCorpus()
 	c.Index = []IndexRow{}
-	if got := roundTripCorpus(t, c); got.Index == nil {
-		t.Error("present-but-empty index decoded as nil")
+	if got := roundTripCorpus(t, c); got.Index == nil || len(got.Index) != 0 {
+		t.Errorf("empty index decoded as %v", got.Index)
 	}
 	c.Index = nil
-	if got := roundTripCorpus(t, c); got.Index != nil {
-		t.Error("absent index decoded as present")
+	if _, err := EncodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
+		t.Error("a corpus without an index encoded successfully")
+	}
+	_, err := OpenCorpusShardBytes(unindexedShard(t))
+	var ce *CorruptError
+	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) || ce.Section != v2SectionName(secV2Meta) {
+		t.Errorf("shard flagged as unindexed: open error %v, want ErrCorrupt naming the meta section", err)
 	}
 }
 
 func TestCorpusRoundTripEmpty(t *testing.T) {
-	got := roundTripCorpus(t, &Corpus{})
+	got := roundTripCorpus(t, &Corpus{Index: []IndexRow{}})
 	if len(got.Interner) != 0 || len(got.Exes) != 0 || len(got.Images) != 0 {
 		t.Errorf("empty corpus round trip: %+v", got)
 	}

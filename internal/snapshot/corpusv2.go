@@ -305,11 +305,7 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	meta = appendUvarint(meta, nCalls)
 	meta = appendUvarint(meta, uint64(len(c.Index)))
 	meta = appendUvarint(meta, nPosts)
-	if c.Index != nil {
-		meta = append(meta, 1)
-	} else {
-		meta = append(meta, 0)
-	}
+	meta = append(meta, 1) // "has an index": the only value the opener accepts
 	meta = appendUvarint(meta, uint64(len(c.Images)))
 	for i := range c.Images {
 		img := &c.Images[i]
@@ -515,7 +511,6 @@ type CorpusShard struct {
 
 	hdr      ShardHeader
 	totals   v2Totals
-	indexed  bool
 	images   []v2Image
 	occStart []uint32 // per-image prefix sums into the occurrence table, len(images)+1
 
@@ -680,11 +675,10 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 			return err
 		}
 	}
-	if s.indexed, err = r.bool(); err != nil {
+	if indexed, err := r.bool(); err != nil {
 		return err
-	}
-	if !s.indexed && t.rows+t.posts != 0 {
-		return r.corrupt("shard without an index declares %d rows and %d postings", t.rows, t.posts)
+	} else if !indexed {
+		return r.corrupt("shard declares no index; every shard carries one")
 	}
 	nImages, err := r.count("image", 5)
 	if err != nil {
@@ -777,10 +771,6 @@ func (s *CorpusShard) NumImages() int { return len(s.images) }
 // NumExes returns the number of distinct executables stored in this
 // shard.
 func (s *CorpusShard) NumExes() int { return int(s.totals.exes) }
-
-// Indexed reports whether the shard carries an inverted index (a corpus
-// sealed without one is searched exhaustively).
-func (s *CorpusShard) Indexed() bool { return s.indexed }
 
 // SizeBytes returns the shard file's size.
 func (s *CorpusShard) SizeBytes() int64 { return int64(len(s.data)) }
@@ -1055,13 +1045,9 @@ func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
 }
 
 // Index returns the shard's inverted index over its distinct
-// executables as slab views over the mapping, nil when the shard was
-// sealed without an index, and a non-nil empty IndexSlabs for a
-// present-but-empty index.
+// executables as slab views over the mapping: an empty IndexSlabs for an
+// empty index.
 func (s *CorpusShard) Index() (*IndexSlabs, error) {
-	if !s.indexed {
-		return nil, nil
-	}
 	if s.totals.rows == 0 {
 		if s.totals.posts != 0 {
 			return nil, corrupt("corpus-index-rows", "shard declares %d postings across 0 rows", s.totals.posts)

@@ -87,18 +87,16 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slabs != nil {
-		c.Index = []IndexRow{}
-		for k, id := range slabs.RowIDs {
-			lo := uint32(0)
-			if k > 0 {
-				lo = slabs.RowEnds[k-1]
-			}
-			c.Index = append(c.Index, IndexRow{
-				ID:    id,
-				Posts: append([]Posting(nil), slabs.Posts[lo:slabs.RowEnds[k]]...),
-			})
+	c.Index = []IndexRow{}
+	for k, id := range slabs.RowIDs {
+		lo := uint32(0)
+		if k > 0 {
+			lo = slabs.RowEnds[k-1]
 		}
+		c.Index = append(c.Index, IndexRow{
+			ID:    id,
+			Posts: append([]Posting(nil), slabs.Posts[lo:slabs.RowEnds[k]]...),
+		})
 	}
 	for i := 0; i < s.NumImages(); i++ {
 		info := s.Image(i)
@@ -148,8 +146,8 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 		ci := &c.Images[rng.Intn(len(c.Images))]
 		ci.Occs = append(ci.Occs, Occurrence{Path: randWord(rng), Exe: rng.Intn(len(c.Exes))})
 	}
-	if rng.Intn(4) > 0 {
-		c.Index = []IndexRow{}
+	c.Index = []IndexRow{}
+	if rng.Intn(4) > 0 { // the rest have an empty index
 		for _, id := range randIDSet(rng, len(c.Interner), 40) {
 			var posts []Posting
 			for k := 1 + rng.Intn(3); k > 0 && len(c.Exes) > 0; k-- {
@@ -165,6 +163,29 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 		}
 	}
 	return c
+}
+
+// unindexedShard is a shard of testCorpus whose "has an index" flag byte
+// — it follows the fourteen header and total varints of the meta section
+// — reads 0 behind a valid checksum: what no writer produces any more and
+// the opener must reject.
+func unindexedShard(t testing.TB) []byte {
+	t.Helper()
+	c := testCorpus()
+	c.Index = []IndexRow{}
+	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	patchSection(t, blob, secV2Meta, func(b []byte) {
+		off := 0
+		for i := 0; i < 14; i++ {
+			_, n := binary.Uvarint(b[off:])
+			off += n
+		}
+		if b[off] != 1 {
+			t.Fatalf("meta byte %d is %d, not the index flag", off, b[off])
+		}
+		b[off] = 0
+	})
+	return blob
 }
 
 // patchSection rewrites one section's payload in place and re-stamps

@@ -15,17 +15,15 @@ func FuzzShardOpen(f *testing.F) {
 	// Valid shards of representative models, so mutations reach deep into
 	// the section layout.
 	tc := testCorpus()
-	unindexed := testCorpus()
-	unindexed.Index = nil
 	for _, c := range []*Corpus{
-		{},
-		unindexed,
+		{Index: []IndexRow{}},
 		randomCorpusModel(rand.New(rand.NewSource(1))),
 		randomCorpusModel(rand.New(rand.NewSource(2))),
 		randomCorpusModel(rand.New(rand.NewSource(3))),
 	} {
 		f.Add(mustEncodeShard(f, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}))
 	}
+	f.Add(unindexedShard(f)) // rejected: every shard carries an index
 	f.Add([]byte{})
 	f.Add([]byte(corpusMagic))
 	for _, hdr := range []ShardHeader{

@@ -16,7 +16,7 @@ func TestPromExpositionRendersAllKinds(t *testing.T) {
 	h.Observe(0)
 	h.Observe(5)
 	h.Observe(900)
-	sp := r.Stage("search.image").Start()
+	sp := Root(r, nil).Start("search.image")
 	sp.End()
 
 	var buf bytes.Buffer

@@ -1,7 +1,8 @@
 // Package telemetry is the pipeline's dependency-free metrics core:
-// atomic counters, gauges, bounded power-of-two histograms and span
+// atomic counters, gauges, bounded power-of-two histograms and stage
 // timers, grouped under a Registry with a versioned JSON snapshot
-// encoding.
+// encoding, and one Span type (span.go) that times a piece of work into
+// the stage of its name and into a request's trace alike.
 //
 // The package is built around two contracts the instrumented hot paths
 // rely on:
@@ -27,7 +28,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -218,41 +218,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 // Stage accumulates wall time and invocation count for one pipeline
-// stage. Usage:
-//
-//	sp := stage.Start()
-//	... work ...
-//	sp.End()
-//
-// Start on a nil stage returns an inert span without reading the
-// clock, so a disabled stage costs two nil checks and nothing else.
+// stage: the sum of every ended Span of its name under the registry.
 type Stage struct {
 	calls atomic.Int64
 	ns    atomic.Int64
-}
-
-// Span is one in-flight Stage measurement. The zero Span is inert.
-type Span struct {
-	stage *Stage
-	t0    time.Time
-}
-
-// Start opens a span. On a nil stage the returned span is inert.
-func (s *Stage) Start() Span {
-	if s == nil {
-		return Span{}
-	}
-	return Span{stage: s, t0: time.Now()}
-}
-
-// End closes the span, accumulating its wall time into the stage.
-// No-op on an inert span; a span must be ended at most once.
-func (sp Span) End() {
-	if sp.stage == nil {
-		return
-	}
-	sp.stage.calls.Add(1)
-	sp.stage.ns.Add(int64(time.Since(sp.t0)))
 }
 
 // Calls reports the number of completed spans; 0 on a nil stage.

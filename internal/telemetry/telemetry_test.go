@@ -103,7 +103,7 @@ func TestConcurrentIncrements(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(int64(i % 100))
-				sp := st.Start()
+				sp := Root(r, nil).Start("s")
 				sp.End()
 				// Same-name accessors from many goroutines must agree.
 				if r.Counter("c") != c {
@@ -145,7 +145,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(3)
 	g.Add(1)
 	h.Observe(42)
-	sp := s.Start()
+	sp := Root(r, nil).Start("x")
 	sp.End()
 	r.GaugeFunc("x", func() int64 { return 1 })
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || s.Calls() != 0 {
@@ -158,10 +158,11 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestStageAccumulates(t *testing.T) {
-	var s Stage
-	sp := s.Start()
+	r := New()
+	sp := Root(r, nil).Start("s")
 	time.Sleep(time.Millisecond)
 	sp.End()
+	s := r.Stage("s")
 	if s.Calls() != 1 {
 		t.Errorf("calls = %d, want 1", s.Calls())
 	}
@@ -180,7 +181,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	for _, v := range []int64{1, 1, 2, 5, 1 << 40} {
 		r.Histogram("game.steps").Observe(v)
 	}
-	sp := r.Stage("cfg.recover").Start()
+	sp := Root(r, nil).Start("cfg.recover")
 	sp.End()
 
 	snap := r.Snapshot()

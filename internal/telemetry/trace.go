@@ -2,23 +2,23 @@ package telemetry
 
 // Request-scoped tracing: a Trace is one request's span tree — flat,
 // pooled, and cheap enough to record on every sampled request of a
-// serving daemon. The design follows the package's two contracts:
+// serving daemon. Spans are recorded into it through Span handles
+// (span.go) started from Root(registry, trace). The design follows the
+// package's two contracts:
 //
-//   - Nil safety. (*Trace)(nil).Start returns an inert SpanRef whose
-//     every method is a no-op, so instrumented layers thread a *Trace
-//     through unconditionally and an unsampled request costs one nil
-//     check per span site — no clock read, no allocation.
+//   - Nil safety. A span whose trace is nil records no tree, so
+//     instrumented layers thread one Span through unconditionally and an
+//     unsampled request allocates nothing.
 //   - Bounded memory. Spans live in one slice whose capacity survives
 //     pool round-trips; a trace stops recording (and counts the drops)
 //     at MaxTraceSpans instead of growing without bound.
 //
-// Spans form a tree through parent IDs: SpanID 0 is "no parent" (a
-// root span), and every Start returns the new span's ID for its
-// children to reference. IDs are 1-based indexes into the trace's span
-// slice, so resolving a parent is an index, not a search. Concurrent
-// Start/End/SetAttr calls are safe (the sealed corpus's shard fan-out
-// records spans from parallel goroutines); ordering between siblings
-// is whatever the scheduler produced.
+// Spans form a tree through parent IDs: 0 is "no parent" (a root span).
+// IDs are 1-based indexes into the trace's span slice, so resolving a
+// parent is an index, not a search. Concurrent opens, closes and
+// attribute writes are safe (the sealed corpus's shard fan-out records
+// spans from parallel goroutines); ordering between siblings is whatever
+// the scheduler produced.
 
 import (
 	"fmt"
@@ -61,11 +61,6 @@ func NewTraceID() TraceID {
 // dropped (and counted) rather than grown.
 const MaxTraceSpans = 1024
 
-// SpanID identifies one span within its trace; 0 means "no span" and is
-// the parent of root spans. A SpanID is only meaningful inside the
-// trace that issued it.
-type SpanID int32
-
 // spanAttr is one typed span attribute.
 type spanAttr struct {
 	key   string
@@ -78,15 +73,15 @@ type spanAttr struct {
 // reused across pool round-trips.
 type spanRec struct {
 	name    string
-	parent  SpanID
+	parent  int32
 	startNS int64 // offset from the trace's t0
 	durNS   int64 // -1 while the span is open
 	attrs   []spanAttr
 }
 
 // Trace is one request's span tree. Create with NewTrace, record spans
-// with Start, then hand the finished trace to a TraceBuffer (which
-// returns it to the pool) or call Free directly. All methods are safe
+// from Root(registry, trace), then hand the finished trace to a
+// TraceBuffer (which returns it to the pool) or call Free directly. All methods are safe
 // for concurrent use and no-ops on a nil receiver.
 type Trace struct {
 	mu      sync.Mutex
@@ -130,19 +125,18 @@ func (t *Trace) ID() TraceID {
 	return t.id
 }
 
-// Start opens a span under the given parent (0 for a root span) and
-// returns its handle. On a nil trace, or past MaxTraceSpans, the
-// returned SpanRef is inert and the clock is never read.
-func (t *Trace) Start(name string, parent SpanID) SpanRef {
+// open records a span under the given parent (0 for a root span) that
+// started at now, and returns its ID: 0 on a nil trace or past
+// MaxTraceSpans.
+func (t *Trace) open(name string, parent int32, now time.Time) int32 {
 	if t == nil {
-		return SpanRef{}
+		return 0
 	}
-	now := time.Now()
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(t.spans) >= MaxTraceSpans {
 		t.dropped++
-		t.mu.Unlock()
-		return SpanRef{}
+		return 0
 	}
 	var rec *spanRec
 	if len(t.spans) < cap(t.spans) {
@@ -157,61 +151,31 @@ func (t *Trace) Start(name string, parent SpanID) SpanRef {
 	rec.parent = parent
 	rec.startNS = int64(now.Sub(t.t0))
 	rec.durNS = -1
-	id := SpanID(len(t.spans))
+	return int32(len(t.spans))
+}
+
+// close stamps span id's duration. Closing twice keeps the first
+// duration; no-op for id 0.
+func (t *Trace) close(id int32, d time.Duration) {
+	if id == 0 {
+		return
+	}
+	t.mu.Lock()
+	if rec := &t.spans[id-1]; rec.durNS < 0 {
+		rec.durNS = int64(d)
+	}
 	t.mu.Unlock()
-	return SpanRef{t: t, id: id}
 }
 
-// SpanRef is a handle on one open span. The zero SpanRef is inert:
-// every method is a no-op, so callers hold and use refs
-// unconditionally whether or not the request is traced.
-type SpanRef struct {
-	t  *Trace
-	id SpanID
-}
-
-// Active reports whether the ref points at a recorded span.
-func (s SpanRef) Active() bool { return s.t != nil }
-
-// ID returns the span's ID for use as a child's parent; 0 when inert.
-func (s SpanRef) ID() SpanID { return s.id }
-
-// End closes the span. Ending twice keeps the first duration; no-op
-// when inert.
-func (s SpanRef) End() {
-	if s.t == nil {
+// setAttr appends one attribute to span id's record; no-op for id 0.
+func (t *Trace) setAttr(id int32, a spanAttr) {
+	if id == 0 {
 		return
 	}
-	now := time.Now()
-	s.t.mu.Lock()
-	rec := &s.t.spans[s.id-1]
-	if rec.durNS < 0 {
-		rec.durNS = int64(now.Sub(s.t.t0)) - rec.startNS
-	}
-	s.t.mu.Unlock()
-}
-
-// SetAttr attaches an integer attribute (shard index, batch size,
-// candidates examined, game steps...). No-op when inert.
-func (s SpanRef) SetAttr(key string, v int64) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	rec := &s.t.spans[s.id-1]
-	rec.attrs = append(rec.attrs, spanAttr{key: key, num: v})
-	s.t.mu.Unlock()
-}
-
-// SetAttrStr attaches a string attribute. No-op when inert.
-func (s SpanRef) SetAttrStr(key, v string) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	rec := &s.t.spans[s.id-1]
-	rec.attrs = append(rec.attrs, spanAttr{key: key, str: v, isStr: true})
-	s.t.mu.Unlock()
+	t.mu.Lock()
+	rec := &t.spans[id-1]
+	rec.attrs = append(rec.attrs, a)
+	t.mu.Unlock()
 }
 
 // Finish stamps the trace's total duration as time since NewTrace and
@@ -282,7 +246,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		rec := &t.spans[i]
 		ts := TraceSpan{
 			ID:      int32(i + 1),
-			Parent:  int32(rec.parent),
+			Parent:  rec.parent,
 			Name:    rec.name,
 			StartUS: float64(rec.startNS) / 1e3,
 			DurUS:   float64(rec.durNS) / 1e3,

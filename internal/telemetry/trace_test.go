@@ -29,9 +29,9 @@ func TestTraceIDRoundTrip(t *testing.T) {
 
 func TestTraceNilSafety(t *testing.T) {
 	var tr *Trace
-	sp := tr.Start("x", 0)
-	if sp.Active() || sp.ID() != 0 {
-		t.Fatal("nil trace produced an active span")
+	sp := Root(nil, tr).Start("x")
+	if sp.Traced() || sp != (Span{}) {
+		t.Fatal("nil registry and trace produced a live span")
 	}
 	sp.SetAttr("k", 1)
 	sp.SetAttrStr("k", "v")
@@ -47,8 +47,8 @@ func TestTraceNilSafety(t *testing.T) {
 
 func TestTraceSpanTree(t *testing.T) {
 	tr := NewTrace(TraceID(7))
-	root := tr.Start("request", 0)
-	child := tr.Start("search", root.ID())
+	root := Root(nil, tr).Start("request")
+	child := root.Start("search")
 	child.SetAttr("examined", 42)
 	child.SetAttrStr("proc", "ftp_retrieve_glob")
 	child.End()
@@ -83,7 +83,7 @@ func TestTraceSpanTree(t *testing.T) {
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace(NewTraceID())
 	for i := 0; i < MaxTraceSpans+10; i++ {
-		tr.Start("s", 0).End()
+		Root(nil, tr).Start("s").End()
 	}
 	snap := tr.Snapshot()
 	if len(snap.Spans) != MaxTraceSpans {
@@ -97,7 +97,7 @@ func TestTraceSpanCap(t *testing.T) {
 
 func TestTracePoolReuseResets(t *testing.T) {
 	tr := NewTrace(TraceID(1))
-	sp := tr.Start("a", 0)
+	sp := Root(nil, tr).Start("a")
 	sp.SetAttr("k", 9)
 	sp.End()
 	tr.Finish()
@@ -109,7 +109,7 @@ func TestTracePoolReuseResets(t *testing.T) {
 	if len(snap.Spans) != 0 || snap.DroppedSpans != 0 {
 		t.Fatalf("reused trace not reset: %+v", snap)
 	}
-	sp2 := tr2.Start("b", 0)
+	sp2 := Root(nil, tr2).Start("b")
 	sp2.End()
 	if got := tr2.Snapshot().Spans[0]; got.Name != "b" || len(got.Attrs) != 0 {
 		t.Fatalf("reused span slot leaked state: %+v", got)
@@ -119,14 +119,14 @@ func TestTracePoolReuseResets(t *testing.T) {
 
 func TestTraceConcurrentSpans(t *testing.T) {
 	tr := NewTrace(NewTraceID())
-	root := tr.Start("root", 0)
+	root := Root(nil, tr).Start("root")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				sp := tr.Start("shard", root.ID())
+				sp := root.Start("shard")
 				sp.SetAttr("shard", int64(i))
 				sp.End()
 			}
@@ -146,7 +146,7 @@ func TestTraceBufferRetainsSlowest(t *testing.T) {
 	durations := []time.Duration{5 * time.Millisecond, 50 * time.Millisecond, 1 * time.Millisecond, 20 * time.Millisecond}
 	for i, d := range durations {
 		tr := NewTrace(TraceID(uint64(i + 1)))
-		tr.Start("request", 0).End()
+		Root(nil, tr).Start("request").End()
 		b.Offer(tr, d)
 	}
 	snap := b.Snapshot()

@@ -9,10 +9,8 @@ import (
 	"strings"
 	"sync"
 
-	"firmup/internal/cfg"
 	"firmup/internal/core"
 	"firmup/internal/corpusindex"
-	"firmup/internal/obj"
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
 	"firmup/internal/strand"
@@ -46,8 +44,9 @@ type SealedCorpus struct {
 	// for a corpus opened from disk, one spanning every image for a corpus
 	// sealed in RAM.
 	groups []*sealedGroup
-	// front is what query analysis records into (see SetTelemetry).
-	front frontEndMetrics
+	// front is the front end query analysis runs through, with what it
+	// records into (see SetTelemetry).
+	front frontEnd
 }
 
 // sealedGroup is the unit a search runs over: the distinct executables
@@ -57,9 +56,6 @@ type SealedCorpus struct {
 type sealedGroup struct {
 	base, n int // the group's images are SealedCorpus.images[base : base+n]
 	nExes   int // distinct executables
-	// indexed is false for a shard written without an index: every search
-	// of it is exhaustive.
-	indexed bool
 	// index covers the distinct executables: built with the group in RAM
 	// (a live image's group, Seal), over the shard's slabs on first use
 	// when store-backed (ensureIndex).
@@ -194,7 +190,7 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	frozen := a.interner.Freeze()
-	g := &sealedGroup{n: len(images), indexed: true}
+	g := &sealedGroup{n: len(images)}
 	sc := &SealedCorpus{frozen: frozen, groups: []*sealedGroup{g}}
 	dedup := newExeDedup()
 	for ii, img := range images {
@@ -238,21 +234,16 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // executables — and every search pass the game engine's game.*,
 // search.* and batch.* metrics, among them game.unplayed and game.cut
 // for the planned games that were never started or stopped early.
-// Query analysis (AnalyzeQueryWith) records the front-end
+// Query analysis (AnalyzeQueryUnder) records the front-end
 // layer by layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
 // counters, sim.build / sim.index / sim.procs, and strand.blocks /
 // strand.blocks_computed / strand.strands. Call before serving —
 // store-backed groups apply the index handles when their index first
 // builds, in-RAM groups immediately. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
-	var tel *corpusindex.Telemetry
-	var game *core.Telemetry
-	sc.front = frontEndMetrics{}
-	if r != nil {
-		tel = newIndexTelemetry(r)
-		game = newCoreTelemetry(r)
-		sc.front = newFrontEndMetrics(r)
-	}
+	tel := newIndexTelemetry(r)
+	game := newCoreTelemetry(r)
+	sc.front = newFrontEnd(r)
 	for _, g := range sc.groups {
 		g.tel = tel
 		g.game = game
@@ -285,12 +276,17 @@ func (sc *SealedCorpus) UniqueExecutables() int {
 }
 
 // AnalyzeQuery analyzes a query binary against the sealed corpus under
-// a fresh per-request overlay interner (see AnalyzeQueryWith).
+// a fresh per-request overlay interner (see AnalyzeQueryUnder).
 func (sc *SealedCorpus) AnalyzeQuery(data []byte) (*Executable, error) {
-	return sc.AnalyzeQueryWith("query", data, 0)
+	return sc.AnalyzeQueryUnder("query", data, 0, telemetry.Span{})
 }
 
-// AnalyzeQueryWith analyzes one FWELF binary for querying this sealed
+// AnalyzeQueryWith is AnalyzeQueryUnder with no span.
+func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) (*Executable, error) {
+	return sc.AnalyzeQueryUnder(path, data, workers, telemetry.Span{})
+}
+
+// AnalyzeQueryUnder analyzes one FWELF binary for querying this sealed
 // corpus, with a bounded procedure-level worker budget (≤ 0 selects
 // GOMAXPROCS). The analysis runs under a request-private overlay of the
 // frozen vocabulary: strands the corpus knows resolve to their frozen
@@ -298,21 +294,22 @@ func (sc *SealedCorpus) AnalyzeQuery(data []byte) (*Executable, error) {
 // in the corpus is written. The returned executable queries this corpus
 // on the interned fast paths; against any other corpus it falls back to
 // hash-based comparison (still correct, just slower).
-func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) (*Executable, error) {
+//
+// The front-end layers are timed as children of parent (obj.parse,
+// cfg.recover, sim.build), so a traced request sees where its analysis
+// went; the zero Span times them under the corpus's own registry (see
+// SetTelemetry). This is a method of its own, not a fourth parameter of
+// AnalyzeQueryWith, only because the benchmark harness under bench/
+// compiles against that three-argument signature.
+func (sc *SealedCorpus) AnalyzeQueryUnder(path string, data []byte, workers int, parent telemetry.Span) (*Executable, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	f, err := obj.ReadWith(data, sc.front.obj)
+	f, err := sc.front.read(data, parent)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := cfg.RecoverWith(f, sc.front.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("firmup: %s: %w", path, err)
-	}
-	qit := corpusindex.NewQueryInterner(sc.frozen)
-	bc := &sim.BuildConfig{Workers: workers, Tel: sc.front.sim}
-	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc)}, nil
+	return sc.front.analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), nil, workers, parent)
 }
 
 // scansPool recycles the per-pass scan results (candidate lists and
@@ -338,19 +335,18 @@ type passStats struct{ games, unplayed, cut int }
 // RSS tracks the working set) and is the list the games run on, and the
 // per-procedure counts behind it are each game's first similarity
 // vector, from which the game engine also reads off whether a candidate
-// can be accepted at all. Shards written without an index, exhaustive
-// searches and queries the index cannot narrow (not analyzed under this
+// can be accepted at all. Exhaustive searches and queries the index cannot narrow (not analyzed under this
 // corpus or session) examine every executable in scope, the game engine
 // accumulating its own vectors. The acceptance floors are baked into the
 // lists, so the narrowing stays sound (see FrozenIndex.Scan); and
 // since candidacy is a property of the executable alone, an image gets
 // exactly the findings, examined count and step histogram a search of it
 // on its own would produce.
-func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.SpanID) (res [][]*SearchResult, st passStats, err error) {
+func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.Span) (res [][]*SearchResult, st passStats, err error) {
 	s := opt.search()
-	s.TraceParent = parent
+	s.Span = parent
 	s.Game.Tel = g.game
-	narrowed := g.indexed && (opt == nil || !opt.Exhaustive)
+	narrowed := opt == nil || !opt.Exhaustive
 	if narrowed {
 		if err := g.ensureIndex(); err != nil {
 			return nil, st, err
@@ -453,7 +449,7 @@ func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt 
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := img.group.search(cqs, []*SealedImage{img}, opt, opt.traceSpan())
+	res, _, err := img.group.search(cqs, []*SealedImage{img}, opt, opt.span())
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +495,7 @@ func (sc *SealedCorpus) SearchAll(query *Executable, procedure string, opt *Opti
 // A sharded corpus searches its groups in parallel; they share no
 // mutable state, so fan-out order cannot influence findings, examined
 // counts or step histograms. The first error in shard order wins. With a
-// trace attached each shard's pass runs under its own "corpus.shard"
+// span attached each shard's pass runs under its own "corpus.shard"
 // span — shard index, image count, the distinct (query, executable)
 // candidates it played and the occurrences they stood for — so a slow
 // request attributes its latency to the shard that caused it.
@@ -514,14 +510,12 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 	}
 	pass := func(gi int, sharded bool) error {
 		g := sc.groups[gi]
-		parent := opt.traceSpan()
-		var sp telemetry.SpanRef
+		parent := opt.span()
+		var sp telemetry.Span
 		if sharded {
-			sp = opt.trace().Start("corpus.shard", parent)
+			sp = parent.Start("corpus.shard")
 			defer sp.End()
-			if sp.Active() {
-				parent = sp.ID()
-			}
+			parent = sp
 		}
 		imgs := sc.images[g.base : g.base+g.n]
 		res, st, err := g.search(cqs, imgs, opt, parent)

@@ -204,7 +204,7 @@ func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.
 	if g.shard == nil {
 		return g.exes, nil
 	}
-	msp := s.Trace.Start("store.materialize", s.TraceParent)
+	msp := s.Span.Start("store.materialize")
 	defer msp.End()
 	targets := make([]*sim.Exe, g.nExes)
 	n := 0
@@ -287,7 +287,6 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt int) (string, er
 	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
 	dedup := newExeDedup()
 	var exes []*sim.Exe
-	indexed := true
 	for _, im := range sc.images[base : base+cnt] {
 		ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
 		for _, s := range im.Skipped {
@@ -305,15 +304,12 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt int) (string, er
 			}
 			ci.Occs = append(ci.Occs, snapshot.Occurrence{Path: oc.Path, Exe: ref})
 		}
-		indexed = indexed && im.group.indexed
 		c.Images = append(c.Images, ci)
 	}
-	if indexed {
-		rows := corpusindex.NewFrozenIndex(sc.frozen, sc.frozen.Size(), exes).Rows()
-		c.Index = make([]snapshot.IndexRow, len(rows))
-		for k, r := range rows {
-			c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
-		}
+	rows := corpusindex.NewFrozenIndex(sc.frozen, sc.frozen.Size(), exes).Rows()
+	c.Index = make([]snapshot.IndexRow, len(rows))
+	for k, r := range rows {
+		c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
 	}
 	data, err := snapshot.EncodeCorpusShard(c, snapshot.ShardHeader{
 		ShardIndex:  si,
@@ -464,14 +460,13 @@ func sealedFromShards(shards []*snapshot.CorpusShard, paths []string) (*SealedCo
 	for _, oi := range order {
 		shard := shards[oi]
 		g := &sealedGroup{
-			base:    len(sc.images),
-			n:       shard.NumImages(),
-			nExes:   shard.NumExes(),
-			indexed: shard.Indexed(),
-			shard:   shard,
-			path:    paths[oi],
-			frozen:  frozen,
-			lazy:    make([]lazyExe, shard.NumExes()),
+			base:   len(sc.images),
+			n:      shard.NumImages(),
+			nExes:  shard.NumExes(),
+			shard:  shard,
+			path:   paths[oi],
+			frozen: frozen,
+			lazy:   make([]lazyExe, shard.NumExes()),
 		}
 		for li := 0; li < g.n; li++ {
 			info := shard.Image(li)

@@ -16,7 +16,9 @@ import (
 // analyzer, the sealed in-RAM corpus, and a sharded mmap-backed corpus
 // — must answer byte-identically with and without a live trace
 // attached, across option variants, and the traced runs must actually
-// record spans (so the equivalence is not vacuous).
+// record spans (so the equivalence is not vacuous). The traced side
+// runs under a registry too: one span feeds both, so every name in a
+// tree must have a stage with at least one call.
 func TestTraceEquivalence(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
 	cve := corpus.CVEByID("CVE-2014-4877")
@@ -33,10 +35,17 @@ func TestTraceEquivalence(t *testing.T) {
 	defer sharded.Close()
 
 	variants := []firmup.Options{{}, {MinScore: 3, MinRatio: 0.2}, {Exhaustive: true}}
+	reg := telemetry.New()
 	spanNames := func(tr *telemetry.Trace) map[string]int {
 		names := make(map[string]int)
 		for _, sp := range tr.Snapshot().Spans {
 			names[sp.Name]++
+		}
+		stages := reg.Snapshot().Stages
+		for name := range names {
+			if stages[name].Calls < 1 {
+				t.Errorf("span %q is in the tree but its stage has %d calls", name, stages[name].Calls)
+			}
 		}
 		return names
 	}
@@ -56,7 +65,7 @@ func TestTraceEquivalence(t *testing.T) {
 			}
 			tr := telemetry.NewTrace(telemetry.NewTraceID())
 			traced := variants[vi]
-			traced.Trace = tr
+			traced.Span = telemetry.Root(reg, tr)
 			got, err := s.analyzer.SearchImageDetailed(liveQ, cve.Procedure, img, &traced)
 			if err != nil {
 				t.Fatal(err)
@@ -64,7 +73,7 @@ func TestTraceEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("live image %d variant %d: traced search diverges from untraced", i, vi)
 			}
-			if names := spanNames(tr); names["core.search"] == 0 {
+			if names := spanNames(tr); names["core.search"] == 0 || names["search.image"] == 0 {
 				t.Errorf("live image %d variant %d: trace recorded no core.search span: %v", i, vi, names)
 			}
 			tr.Finish()
@@ -97,9 +106,8 @@ func TestTraceEquivalence(t *testing.T) {
 
 			tr := telemetry.NewTrace(telemetry.NewTraceID())
 			traced := variants[vi]
-			traced.Trace = tr
-			root := tr.Start("request", 0)
-			traced.TraceSpan = root.ID()
+			root := telemetry.Root(reg, tr).Start("serve.request")
+			traced.Span = root
 			gotAll, err := sc.SearchAll(q, cve.Procedure, &traced)
 			if err != nil {
 				t.Fatal(err)
