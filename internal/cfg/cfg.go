@@ -12,8 +12,11 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 
 	"firmup/internal/isa"
 	"firmup/internal/obj"
@@ -52,6 +55,15 @@ type Proc struct {
 }
 
 // Recovered is the result of analyzing one executable.
+//
+// Procs is sorted by Entry and every procedure's Blocks by Addr, both
+// strictly ascending; consumers look procedures and blocks up by binary
+// search. Everything a Recovered points at is allocated per executable,
+// not per procedure, block or statement: each Proc's Insts is a subslice
+// of the linear sweep, each block's Stmts a subslice of one statement
+// arena, and the Procs and Blocks themselves sit in one slab each. It is
+// all read-only once RecoverWith returns, and garbage as one piece when
+// the Recovered is dropped.
 type Recovered struct {
 	File  *obj.File
 	Arch  uir.Arch
@@ -71,16 +83,26 @@ func (r *Recovered) Proc(name string) *Proc {
 	return nil
 }
 
+// Block-splitting flags, one byte per swept instruction. An instruction
+// belongs to at most one procedure extent, and only the pass over that
+// extent writes its byte.
+const (
+	flagLeader uint8 = 1 << iota // a transfer lands here, or the previous instruction was one
+	flagDelay                    // sits in a branch delay slot: never starts a block
+)
+
 // sweep is the dense result of the linear-sweep pass: instructions in
-// address order plus an offset-indexed table mapping each text offset to
-// its instruction, or -1 where no instruction starts. Dense arrays keep
-// the coverage iteration (which re-walks the whole sweep every round)
-// off map lookups.
+// address order, an offset-indexed table mapping each text offset to the
+// instruction that starts there, if one does, and the block-splitting
+// flags parallel to the instructions. Dense arrays keep the coverage
+// iteration (which re-walks the whole sweep every round) and block
+// splitting off map lookups.
 type sweep struct {
-	base uint32
-	n    uint32     // text-section length in bytes
-	idx  []int32    // offset -> index into seq, -1 if none
-	seq  []isa.Inst // instructions in address order
+	base  uint32
+	n     uint32     // text-section length in bytes
+	idx   []int32    // offset -> index into seq plus one, 0 if none
+	seq   []isa.Inst // instructions in address order
+	flags []uint8    // by seq index: flagLeader | flagDelay
 }
 
 // index returns the seq index of the instruction at addr, or -1.
@@ -89,16 +111,7 @@ func (s *sweep) index(addr uint32) int32 {
 	if off >= s.n { // unsigned wrap also rejects addr < base
 		return -1
 	}
-	return s.idx[off]
-}
-
-// at returns the instruction at addr, if one was decoded there.
-func (s *sweep) at(addr uint32) (isa.Inst, bool) {
-	i := s.index(addr)
-	if i < 0 {
-		return isa.Inst{}, false
-	}
-	return s.seq[i], true
+	return s.idx[off] - 1
 }
 
 // Recover analyzes the executable.
@@ -121,12 +134,20 @@ func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered
 	if text == nil {
 		return nil, fmt.Errorf("cfg: no text section")
 	}
+	if uint64(text.Addr)+uint64(len(text.Data)) > math.MaxUint32 {
+		return nil, fmt.Errorf("cfg: text section [%#x, +%d) wraps the address space", text.Addr, len(text.Data))
+	}
+	textEnd := text.Addr + uint32(len(text.Data))
 
-	// Pass 1: linear-sweep disassembly.
+	// Pass 1: linear-sweep disassembly. The fixed-width ISAs decode at
+	// most len/width instructions; x86 instructions average over four
+	// bytes in practice, and append covers denser code.
 	sweepSpan := recoverSpan.Start("cfg.sweep")
-	sw := &sweep{base: text.Addr, n: uint32(len(text.Data)), idx: make([]int32, len(text.Data))}
-	for i := range sw.idx {
-		sw.idx[i] = -1
+	sw := &sweep{
+		base: text.Addr,
+		n:    uint32(len(text.Data)),
+		idx:  make([]int32, len(text.Data)),
+		seq:  make([]isa.Inst, 0, len(text.Data)/int(max(be.MinInstSize(), 4))),
 	}
 	for off := 0; off < len(text.Data); {
 		addr := text.Addr + uint32(off)
@@ -136,28 +157,31 @@ func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered
 			off += int(be.MinInstSize())
 			continue
 		}
-		sw.idx[off] = int32(len(sw.seq))
 		sw.seq = append(sw.seq, inst)
+		sw.idx[off] = int32(len(sw.seq))
 		off += int(inst.Size)
 	}
+	sw.flags = make([]uint8, len(sw.seq))
 	sweepSpan.End()
 	if tel != nil {
 		tel.Decoded.Add(int64(len(sw.seq)))
 	}
 
 	// Pass 2: procedure entries from call targets, the entry point, and
-	// any symbols that survived stripping.
-	entrySet := map[uint32]bool{f.Entry: true}
-	for _, in := range sw.seq {
-		if in.Kind == isa.KindCall && in.Target >= text.Addr && in.Target < text.Addr+uint32(len(text.Data)) {
-			entrySet[in.Target] = true
+	// any symbols that survived stripping — sorted, each once.
+	entries := []uint32{f.Entry}
+	for i := range sw.seq {
+		if in := &sw.seq[i]; in.Kind == isa.KindCall && in.Target >= text.Addr && in.Target < textEnd {
+			entries = append(entries, in.Target)
 		}
 	}
 	for _, s := range f.Syms {
 		if s.Kind == obj.SymFunc {
-			entrySet[s.Addr] = true
+			entries = append(entries, s.Addr)
 		}
 	}
+	slices.Sort(entries)
+	entries = slices.Compact(entries)
 
 	// Pass 3 (iterated): partition into extents, walk reachability, and
 	// claim unaccounted-for areas as new procedure entries. Each round
@@ -165,48 +189,29 @@ func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered
 	// can legitimately uncover earlier addresses, so incremental coverage
 	// would be unsound. The sorted entry slice is maintained by insertion
 	// instead of re-sorted.
-	entries := make([]uint32, 0, len(entrySet))
-	for e := range entrySet {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
 	covered := make([]bool, len(sw.seq))
 	for rounds := 0; rounds < 1024; rounds++ {
 		if tel != nil {
 			tel.CoverageRounds.Inc()
 		}
-		for i := range covered {
-			covered[i] = false
-		}
+		clear(covered)
 		markCovered(entries, sw, covered)
-		gap, ok := firstGap(sw, covered)
-		if !ok {
+		// The lowest decoded instruction no procedure walk reached.
+		uncovered := slices.Index(covered, false)
+		if uncovered < 0 {
 			break
 		}
-		if entrySet[gap] {
+		gap := sw.seq[uncovered].Addr
+		i, known := slices.BinarySearch(entries, gap)
+		if known {
 			break // no progress; avoid looping on undecodable junk
 		}
-		entrySet[gap] = true
-		i := sort.Search(len(entries), func(i int) bool { return entries[i] >= gap })
-		entries = append(entries, 0)
-		copy(entries[i+1:], entries[i:])
-		entries[i] = gap
+		entries = slices.Insert(entries, i, gap)
 	}
 
 	liftSpan := recoverSpan.Start("cfg.lift")
 	rec := &Recovered{File: f, Arch: f.Arch}
-	textEnd := text.Addr + uint32(len(text.Data))
-	for i, e := range entries {
-		end := textEnd
-		if i+1 < len(entries) {
-			end = entries[i+1]
-		}
-		p, err := buildProc(be, f, e, end, sw)
-		if err != nil {
-			continue // unrecoverable region; coverage accounting reflects it
-		}
-		rec.Procs = append(rec.Procs, p)
-	}
+	rec.Procs = liftProcs(be, f, entries, textEnd, sw)
 	liftSpan.End()
 
 	var bytes uint32
@@ -214,9 +219,8 @@ func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered
 	for _, p := range rec.Procs {
 		blocks += int64(len(p.Blocks))
 		insts += int64(len(p.Insts))
-		for _, in := range p.Insts {
-			bytes += in.Size
-		}
+		last := &p.Insts[len(p.Insts)-1] // Insts is one contiguous run from the entry
+		bytes += last.Addr + last.Size - p.Entry
 	}
 	if len(text.Data) > 0 {
 		rec.Coverage = float64(bytes) / float64(len(text.Data))
@@ -279,119 +283,179 @@ func markCovered(entries []uint32, sw *sweep, covered []bool) {
 	}
 }
 
-// firstGap returns the lowest decoded instruction address not covered by
-// any procedure walk.
-func firstGap(sw *sweep, covered []bool) (uint32, bool) {
-	for i, c := range covered {
-		if !c {
-			return sw.seq[i].Addr, true
+// liftProcs turns the extents the sorted entries partition the text into
+// — [entries[i], entries[i+1]), the last one running to textEnd — into
+// procedures: a first pass over all of them collects each extent's
+// instructions and flags its block leaders, which sizes the block slab
+// exactly; a second splits and lifts. Extents that hold no instruction or
+// fail to lift yield no procedure (coverage accounting reflects it).
+func liftProcs(be isa.Backend, f *obj.File, entries []uint32, textEnd uint32, sw *sweep) []*Proc {
+	procs := make([]Proc, len(entries))
+	for i, e := range entries {
+		p := &procs[i]
+		p.Entry, p.End = e, textEnd
+		if i+1 < len(entries) {
+			p.End = entries[i+1]
+		}
+		// The procedure's instructions: a straight scan from the entry
+		// that stops at the first address nothing was decoded at. Sweep
+		// order is address order, so they are one run of seq.
+		lo := sw.index(e)
+		if lo < 0 {
+			continue
+		}
+		hi := lo
+		for a := e; a < p.End; {
+			ii := sw.index(a)
+			if ii < 0 {
+				break
+			}
+			hi = ii + 1
+			a += sw.seq[ii].Size
+		}
+		p.Insts = sw.seq[lo:hi:hi]
+		markLeaders(p, sw)
+	}
+	nblocks := 0
+	for _, fl := range sw.flags {
+		if fl == flagLeader { // a delay slot can never start a block
+			nblocks++
 		}
 	}
-	return 0, false
+
+	l := &lifter{
+		be:     be,
+		sw:     sw,
+		blocks: make([]uir.Block, 0, nblocks),
+		ptrs:   make([]*uir.Block, 0, nblocks),
+	}
+	// The lifters emit 2.5 to 3.3 statements an instruction; should one
+	// emit more, append moves the arena and the blocks already cut keep
+	// the old one alive — larger, never wrong.
+	l.lb.Stmts = make([]uir.Stmt, 0, len(sw.seq)*7/2)
+	out := make([]*Proc, 0, len(procs))
+	var name []byte
+	for i := range procs {
+		p := &procs[i]
+		if len(p.Insts) == 0 || !l.liftProc(p) {
+			continue
+		}
+		if sym, ok := f.FuncSym(p.Entry); ok && sym.Addr == p.Entry {
+			p.Name = sym.Name
+			p.Exported = sym.Exported
+		} else {
+			name = strconv.AppendUint(append(name[:0], "sub_"...), uint64(p.Entry), 16)
+			p.Name = string(name)
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
-// buildProc splits [entry, end) into basic blocks and lifts them.
-func buildProc(be isa.Backend, f *obj.File, entry, end uint32, sw *sweep) (*Proc, error) {
-	p := &Proc{Entry: entry, End: end}
-	if sym, ok := f.FuncSym(entry); ok && sym.Addr == entry {
-		p.Name = sym.Name
-		p.Exported = sym.Exported
-	} else {
-		p.Name = fmt.Sprintf("sub_%x", entry)
-	}
-
-	// Collect the procedure's instructions, following address order and
-	// skipping unreachable padding conservatively (straight scan).
-	for a := entry; a < end; {
-		in, ok := sw.at(a)
-		if !ok {
-			break
+// markLeaders flags the block leaders of p: the entry, branch targets
+// inside the extent, and the instruction after a transfer (accounting for
+// delay slots, which stay inside the branch's block). A target can lie
+// past the point p.Insts stops at.
+func markLeaders(p *Proc, sw *sweep) {
+	inExtent := func(a uint32) bool { return a >= p.Entry && a < p.End }
+	lead := func(a uint32) {
+		if ii := sw.index(a); ii >= 0 && inExtent(a) {
+			sw.flags[ii] |= flagLeader
 		}
-		p.Insts = append(p.Insts, in)
-		a += in.Size
 	}
-	if len(p.Insts) == 0 {
-		return nil, fmt.Errorf("cfg: empty procedure at %#x", entry)
-	}
-
-	// Leaders: entry, branch targets, instruction after a transfer
-	// (accounting for delay slots, which stay inside the branch's block).
-	leaders := map[uint32]bool{entry: true}
-	inDelay := map[uint32]bool{}
-	for _, in := range p.Insts {
-		a := in.Addr
-		next := a + in.Size
+	lead(p.Entry)
+	for i := range p.Insts {
+		in := &p.Insts[i]
+		next := in.Addr + in.Size
 		if in.HasDelay {
-			inDelay[next] = true
-			if d, ok := sw.at(next); ok {
-				next += d.Size
+			if di := sw.index(next); di >= 0 {
+				if inExtent(next) {
+					sw.flags[di] |= flagDelay
+				}
+				next += sw.seq[di].Size
 			}
 		}
 		switch in.Kind {
 		case isa.KindCondBranch, isa.KindJump:
-			if in.Target >= entry && in.Target < end {
-				leaders[in.Target] = true
-			}
-			if next < end {
-				leaders[next] = true
-			}
+			lead(in.Target)
+			lead(next)
 		case isa.KindRet, isa.KindIndirect:
-			if next < end {
-				leaders[next] = true
-			}
+			lead(next)
 		}
 	}
-	// A delay slot can never start a block.
-	for a := range inDelay {
-		delete(leaders, a)
-	}
-
-	// Build and lift blocks.
-	var starts []uint32
-	for a := range leaders {
-		if _, ok := sw.at(a); ok {
-			starts = append(starts, a)
-		}
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for i, s := range starts {
-		blockEnd := end
-		if i+1 < len(starts) {
-			blockEnd = starts[i+1]
-		}
-		blk, err := liftBlock(be, sw, s, blockEnd)
-		if err != nil {
-			return nil, err
-		}
-		p.Blocks = append(p.Blocks, blk)
-	}
-
-	// Connectivity corroboration.
-	p.Connected = checkConnectivity(p)
-	return p, nil
 }
 
-// liftBlock lifts instructions in [start, end), reordering delay slots so
-// the transfer's Exit statement comes last.
-func liftBlock(be isa.Backend, sw *sweep, start, end uint32) (*uir.Block, error) {
-	lb := &isa.LiftBuilder{}
-	a := start
-	for a < end {
-		in, ok := sw.at(a)
-		if !ok {
-			break
+// lifter holds what lifting an executable's procedures shares: the one
+// LiftBuilder whose Stmts is the statement arena, the block slab and the
+// pointer slice Proc.Blocks are cut from, and the connectivity check's
+// scratch.
+type lifter struct {
+	be     isa.Backend
+	sw     *sweep
+	lb     isa.LiftBuilder
+	blocks []uir.Block
+	ptrs   []*uir.Block
+
+	seen  []bool
+	stack []int32
+	succs []uint32
+}
+
+// liftProc splits p's extent into basic blocks at the flagged leaders,
+// walked in address order, lifts them, and runs the connectivity
+// corroboration. It reports false, leaving nothing behind, when an
+// instruction cannot be lifted.
+func (l *lifter) liftProc(p *Proc) bool {
+	sw := l.sw
+	stmtMark, blockMark := len(l.lb.Stmts), len(l.blocks)
+	for k := int(sw.index(p.Entry)); k < len(sw.seq) && sw.seq[k].Addr < p.End; k++ {
+		if sw.flags[k] != flagLeader {
+			continue
 		}
-		next := a + in.Size
-		if in.HasDelay {
-			if d, ok := sw.at(next); ok {
-				if err := be.Lift(d, lb); err != nil {
-					return nil, err
-				}
-				next += d.Size
+		// The block runs to the next leader, or the end of the extent.
+		end := p.End
+		for j := k + 1; j < len(sw.seq) && sw.seq[j].Addr < p.End; j++ {
+			if sw.flags[j] == flagLeader {
+				end = sw.seq[j].Addr
+				break
 			}
 		}
-		if err := be.Lift(in, lb); err != nil {
-			return nil, err
+		if !l.liftBlock(sw.seq[k].Addr, end) {
+			l.lb.Stmts = l.lb.Stmts[:stmtMark]
+			l.blocks = l.blocks[:blockMark]
+			l.ptrs = l.ptrs[:blockMark]
+			return false
+		}
+	}
+	p.Blocks = l.ptrs[blockMark:len(l.ptrs):len(l.ptrs)]
+	p.Connected = l.connected(p.Blocks)
+	return true
+}
+
+// liftBlock lifts instructions in [start, end) into the next block of the
+// slab, reordering delay slots so the transfer's exit statement comes
+// last.
+func (l *lifter) liftBlock(start, end uint32) bool {
+	sw, lb := l.sw, &l.lb
+	mark := lb.NewBlock()
+	a := start
+	for a < end {
+		ii := sw.index(a)
+		if ii < 0 {
+			break
+		}
+		in := sw.seq[ii]
+		next := a + in.Size
+		if in.HasDelay {
+			if di := sw.index(next); di >= 0 {
+				if err := l.be.Lift(sw.seq[di], lb); err != nil {
+					return false
+				}
+				next += sw.seq[di].Size
+			}
+		}
+		if err := l.be.Lift(in, lb); err != nil {
+			return false
 		}
 		a = next
 		// Calls do not terminate basic blocks; everything else that is
@@ -400,37 +464,34 @@ func liftBlock(be isa.Backend, sw *sweep, start, end uint32) (*uir.Block, error)
 			break
 		}
 	}
-	return &uir.Block{Addr: start, Size: a - start, Stmts: lb.Stmts}, nil
+	n := len(lb.Stmts)
+	l.blocks = append(l.blocks, uir.Block{Addr: start, Size: a - start, Stmts: lb.Stmts[mark:n:n]})
+	l.ptrs = append(l.ptrs, &l.blocks[len(l.blocks)-1])
+	return true
 }
 
-// checkConnectivity reports whether every block is reachable from the
-// entry block.
-func checkConnectivity(p *Proc) bool {
-	if len(p.Blocks) == 0 {
+// connected reports whether every block is reachable from the entry
+// block. blocks is sorted by address.
+func (l *lifter) connected(blocks []*uir.Block) bool {
+	if len(blocks) == 0 {
 		return false
 	}
-	byAddr := map[uint32]int{}
-	for i, b := range p.Blocks {
-		byAddr[b.Addr] = i
-	}
-	seen := make([]bool, len(p.Blocks))
-	var stack []int
-	stack = append(stack, 0)
-	seen[0] = true
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range p.Blocks[i].Succs() {
-			if j, ok := byAddr[s]; ok && !seen[j] {
-				seen[j] = true
-				stack = append(stack, j)
+	l.seen = append(l.seen[:0], make([]bool, len(blocks))...)
+	l.stack = append(l.stack[:0], 0)
+	l.seen[0] = true
+	reached := 1
+	for len(l.stack) > 0 {
+		i := l.stack[len(l.stack)-1]
+		l.stack = l.stack[:len(l.stack)-1]
+		l.succs = blocks[i].Succs(l.succs[:0])
+		for _, s := range l.succs {
+			j, ok := slices.BinarySearchFunc(blocks, s, func(b *uir.Block, a uint32) int { return cmp.Compare(b.Addr, a) })
+			if ok && !l.seen[j] {
+				l.seen[j] = true
+				reached++
+				l.stack = append(l.stack, int32(j))
 			}
 		}
 	}
-	for _, s := range seen {
-		if !s {
-			return false
-		}
-	}
-	return true
+	return reached == len(blocks)
 }

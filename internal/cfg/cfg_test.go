@@ -183,7 +183,7 @@ func TestBlockSuccessorsResolve(t *testing.T) {
 			starts[b.Addr] = true
 		}
 		for _, b := range p.Blocks {
-			for _, s := range b.Succs() {
+			for _, s := range b.Succs(nil) {
 				if s >= p.Entry && s < p.End && !starts[s] {
 					t.Errorf("%s: block %#x successor %#x is not a block start", p.Name, b.Addr, s)
 				}

@@ -55,7 +55,7 @@ func TestPredicatedMovLiftsToSel(t *testing.T) {
 	}
 	found := false
 	for _, s := range lb.Stmts {
-		if _, ok := s.(uir.Sel); ok {
+		if s.Kind == uir.StmtSel {
 			found = true
 		}
 	}
@@ -78,8 +78,8 @@ func TestCmpLiftsAllFlags(t *testing.T) {
 	}
 	flags := map[uir.Reg]bool{}
 	for _, s := range lb.Stmts {
-		if p, ok := s.(uir.Put); ok {
-			flags[p.Reg] = true
+		if s.Kind == uir.StmtPut {
+			flags[s.Reg] = true
 		}
 	}
 	for _, f := range []uir.Reg{flagZ, flagLT, flagLO} {

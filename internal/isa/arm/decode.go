@@ -150,6 +150,9 @@ func condExpr(lb *isa.LiftBuilder, cond uint32) (uir.Operand, error) {
 	return uir.Operand{}, fmt.Errorf("arm: cannot lift condition %d", cond)
 }
 
+// mulDivOps maps the multiply/divide class's op field to its UIR op.
+var mulDivOps = map[uint32]uir.Op{mdMul: uir.OpMul, mdSdiv: uir.OpDivS, mdUdiv: uir.OpDivU, mdSrem: uir.OpRemS, mdUrem: uir.OpRemU}
+
 // Lift implements isa.Backend. A cmp writes the three predicate flags; a
 // predicated mov lifts to a Sel over the condition expression.
 func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
@@ -185,8 +188,7 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 				return
 			}
 			old := uir.T(lb.GetReg(rd))
-			t := lb.NewTemp()
-			lb.Emit(uir.Sel{Dst: t, Cond: c, A: val, B: old})
+			t := lb.Sel(c, val, old)
 			lb.PutReg(rd, uir.T(t))
 		}
 		switch op {
@@ -239,34 +241,32 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 		}
 		addr := lb.Bin(uir.OpAdd, uir.T(lb.GetReg(base)), uir.C(w&0xFFF))
 		if load {
-			t := lb.NewTemp()
-			lb.Emit(uir.Load{Dst: t, Addr: uir.T(addr), Size: size})
+			t := lb.Load(uir.T(addr), size)
 			lb.PutReg(rd, uir.T(t))
 		} else {
-			lb.Emit(uir.Store{Addr: uir.T(addr), Src: uir.T(lb.GetReg(rd)), Size: size})
+			lb.Store(uir.T(addr), uir.T(lb.GetReg(rd)), size)
 		}
 	case clBranch:
 		if cond == condAL {
-			lb.Emit(uir.Exit{Kind: uir.ExitJump, Target: uir.CK(inst.Target, uir.ConstCode)})
+			lb.Exit(uir.ExitJump, uir.Operand{}, uir.CK(inst.Target, uir.ConstCode))
 		} else {
 			c, err := condExpr(lb, cond)
 			if err != nil {
 				return err
 			}
-			lb.Emit(uir.Exit{Kind: uir.ExitCond, Cond: c, Target: uir.CK(inst.Target, uir.ConstCode)})
+			lb.Exit(uir.ExitCond, c, uir.CK(inst.Target, uir.ConstCode))
 		}
 	case clBL:
-		lb.Emit(uir.Call{Target: uir.CK(inst.Target, uir.ConstCode)})
+		lb.Call(uir.CK(inst.Target, uir.ConstCode))
 	case clBX:
 		rm := uir.Reg(w & 0xF)
 		if rm == regLR {
-			lb.Emit(uir.Exit{Kind: uir.ExitRet})
+			lb.Exit(uir.ExitRet, uir.Operand{}, uir.Operand{})
 		} else {
-			lb.Emit(uir.Exit{Kind: uir.ExitIndir, Target: uir.T(lb.GetReg(rm))})
+			lb.Exit(uir.ExitIndir, uir.Operand{}, uir.T(lb.GetReg(rm)))
 		}
 	case clMulDiv:
-		ops := map[uint32]uir.Op{mdMul: uir.OpMul, mdSdiv: uir.OpDivS, mdUdiv: uir.OpDivU, mdSrem: uir.OpRemS, mdUrem: uir.OpRemU}
-		o, ok := ops[w>>20&0xF]
+		o, ok := mulDivOps[w>>20&0xF]
 		if !ok {
 			return fmt.Errorf("arm: cannot lift muldiv op %d", w>>20&0xF)
 		}

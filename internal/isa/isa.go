@@ -142,17 +142,6 @@ func Disasm(be Backend, in Inst) string {
 	return fmt.Sprintf(".word %#x", in.Raw)
 }
 
-// Backends returns all registered backends keyed by architecture. The
-// per-arch constructors live in the subpackages; registration happens in
-// their init functions via Register.
-func Backends() map[uir.Arch]Backend {
-	out := make(map[uir.Arch]Backend, len(registry))
-	for k, v := range registry {
-		out[k] = v
-	}
-	return out
-}
-
 var registry = map[uir.Arch]Backend{}
 
 // Register installs a backend; called from subpackage init functions.
@@ -167,47 +156,82 @@ func ByArch(a uir.Arch) (Backend, error) {
 	return b, nil
 }
 
-// LiftBuilder accumulates UIR statements for a basic block, allocating
-// SSA temporaries.
+// LiftBuilder is the constructor of UIR statements: it appends the
+// statements a lifter emits to Stmts and allocates the SSA temporaries
+// they define. The zero value is ready to use. One builder can serve
+// every block of an executable — NewBlock starts each — so that Stmts is
+// the executable's statement arena and a block is a subslice of it.
 type LiftBuilder struct {
 	Stmts []uir.Stmt
 	next  uir.Temp
 }
 
-// NewTemp allocates a fresh temporary.
-func (lb *LiftBuilder) NewTemp() uir.Temp {
-	t := lb.next
-	lb.next++
-	return t
+// NewBlock starts the next basic block after the ones already in Stmts
+// and returns its offset there: temporaries are block-local and number
+// from zero again.
+func (lb *LiftBuilder) NewBlock() int {
+	lb.next = 0
+	return len(lb.Stmts)
 }
 
-// Emit appends a statement.
-func (lb *LiftBuilder) Emit(s uir.Stmt) { lb.Stmts = append(lb.Stmts, s) }
+// def appends a statement that defines a fresh temporary and returns it.
+func (lb *LiftBuilder) def(s uir.Stmt) uir.Temp {
+	s.Dst = lb.next
+	lb.next++
+	lb.Stmts = append(lb.Stmts, s)
+	return s.Dst
+}
 
 // GetReg emits a register read and returns the temp.
 func (lb *LiftBuilder) GetReg(r uir.Reg) uir.Temp {
-	t := lb.NewTemp()
-	lb.Emit(uir.Get{Dst: t, Reg: r})
-	return t
+	return lb.def(uir.Stmt{Kind: uir.StmtGet, Reg: r})
 }
 
 // PutReg emits a register write.
 func (lb *LiftBuilder) PutReg(r uir.Reg, src uir.Operand) {
-	lb.Emit(uir.Put{Reg: r, Src: src})
+	lb.Stmts = append(lb.Stmts, uir.Stmt{Kind: uir.StmtPut, Reg: r, A: src})
+}
+
+// Load emits a size-byte memory read and returns the result temp.
+func (lb *LiftBuilder) Load(addr uir.Operand, size uint8) uir.Temp {
+	return lb.def(uir.Stmt{Kind: uir.StmtLoad, Size: size, A: addr})
+}
+
+// Store emits a write of the low size bytes of src to memory.
+func (lb *LiftBuilder) Store(addr, src uir.Operand, size uint8) {
+	lb.Stmts = append(lb.Stmts, uir.Stmt{Kind: uir.StmtStore, Size: size, A: addr, B: src})
 }
 
 // Bin emits a binary op and returns the result temp.
 func (lb *LiftBuilder) Bin(op uir.Op, a, b uir.Operand) uir.Temp {
-	t := lb.NewTemp()
-	lb.Emit(uir.Bin{Dst: t, Op: op, A: a, B: b})
-	return t
+	return lb.def(uir.Stmt{Kind: uir.StmtBin, Op: op, A: a, B: b})
 }
 
 // Un emits a unary op and returns the result temp.
 func (lb *LiftBuilder) Un(op uir.Op, a uir.Operand) uir.Temp {
-	t := lb.NewTemp()
-	lb.Emit(uir.Un{Dst: t, Op: op, A: a})
-	return t
+	return lb.def(uir.Stmt{Kind: uir.StmtUn, Op: op, A: a})
+}
+
+// Mov emits a copy of src into a fresh temp and returns it.
+func (lb *LiftBuilder) Mov(src uir.Operand) uir.Temp {
+	return lb.def(uir.Stmt{Kind: uir.StmtMov, A: src})
+}
+
+// Sel emits a select — a when cond is non-zero, else b — and returns the
+// result temp.
+func (lb *LiftBuilder) Sel(cond, a, b uir.Operand) uir.Temp {
+	return lb.def(uir.Stmt{Kind: uir.StmtSel, C: cond, A: a, B: b})
+}
+
+// Call emits a procedure call.
+func (lb *LiftBuilder) Call(target uir.Operand) {
+	lb.Stmts = append(lb.Stmts, uir.Stmt{Kind: uir.StmtCall, A: target})
+}
+
+// Exit emits a control transfer. cond is read by ExitCond only, and
+// target by every kind but ExitRet; pass the zero Operand for the rest.
+func (lb *LiftBuilder) Exit(kind uir.ExitKind, cond, target uir.Operand) {
+	lb.Stmts = append(lb.Stmts, uir.Stmt{Kind: uir.StmtExit, Exit: kind, C: cond, A: target})
 }
 
 // rng is a small deterministic PRNG (splitmix64) used for the seeded

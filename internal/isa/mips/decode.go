@@ -124,6 +124,9 @@ func (b *Backend) Disasm(in isa.Inst) string {
 	return fmt.Sprintf(".word %#x", w)
 }
 
+// special2Ops maps a SPECIAL2 funct to its UIR op.
+var special2Ops = map[uint32]uir.Op{fn2Mul: uir.OpMul, fn2Sdiv: uir.OpDivS, fn2Udiv: uir.OpDivU, fn2Srem: uir.OpRemS, fn2Urem: uir.OpRemU}
+
 // Lift implements isa.Backend. $zero reads lift to the constant 0 and
 // $zero writes are dropped, so slicing never treats the hard-wired zero
 // as a procedure input.
@@ -162,9 +165,9 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 		switch funct {
 		case fnJr:
 			if rs == regRA {
-				lb.Emit(uir.Exit{Kind: uir.ExitRet})
+				lb.Exit(uir.ExitRet, uir.Operand{}, uir.Operand{})
 			} else {
-				lb.Emit(uir.Exit{Kind: uir.ExitIndir, Target: get(rs)})
+				lb.Exit(uir.ExitIndir, uir.Operand{}, get(rs))
 			}
 		case fnSll:
 			bin(uir.OpShl, rd, get(rt), uir.C(uint32(sh)))
@@ -199,23 +202,22 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 			return fmt.Errorf("mips: cannot lift SPECIAL funct %#x", funct)
 		}
 	case opSpecial2:
-		ops := map[uint32]uir.Op{fn2Mul: uir.OpMul, fn2Sdiv: uir.OpDivS, fn2Udiv: uir.OpDivU, fn2Srem: uir.OpRemS, fn2Urem: uir.OpRemU}
-		o, ok := ops[funct]
+		o, ok := special2Ops[funct]
 		if !ok {
 			return fmt.Errorf("mips: cannot lift SPECIAL2 funct %#x", funct)
 		}
 		bin(o, rd, get(rs), get(rt))
 	case opJ:
-		lb.Emit(uir.Exit{Kind: uir.ExitJump, Target: uir.CK(inst.Target, uir.ConstCode)})
+		lb.Exit(uir.ExitJump, uir.Operand{}, uir.CK(inst.Target, uir.ConstCode))
 	case opJal:
-		lb.Emit(uir.Call{Target: uir.CK(inst.Target, uir.ConstCode)})
+		lb.Call(uir.CK(inst.Target, uir.ConstCode))
 	case opBeq, opBne:
 		cmpOp := uir.OpCmpEQ
 		if op == opBne {
 			cmpOp = uir.OpCmpNE
 		}
 		t := lb.Bin(cmpOp, get(rs), get(rt))
-		lb.Emit(uir.Exit{Kind: uir.ExitCond, Cond: uir.T(t), Target: uir.CK(inst.Target, uir.ConstCode)})
+		lb.Exit(uir.ExitCond, uir.T(t), uir.CK(inst.Target, uir.ConstCode))
 	case opAddiu:
 		bin(uir.OpAdd, rt, get(rs), uir.C(sx))
 	case opSlti:
@@ -236,8 +238,7 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 		if op != opLw {
 			size = 1
 		}
-		t := lb.NewTemp()
-		lb.Emit(uir.Load{Dst: t, Addr: uir.T(addr), Size: size})
+		t := lb.Load(uir.T(addr), size)
 		if op == opLb {
 			put(rt, uir.T(lb.Un(uir.OpSext8, uir.T(t))))
 		} else {
@@ -249,7 +250,7 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 		if op == opSb {
 			size = 1
 		}
-		lb.Emit(uir.Store{Addr: uir.T(addr), Src: get(rt), Size: size})
+		lb.Store(uir.T(addr), get(rt), size)
 	default:
 		return fmt.Errorf("mips: cannot lift opcode %#x", op)
 	}

@@ -126,6 +126,15 @@ func (b *Backend) Disasm(in isa.Inst) string {
 	return fmt.Sprintf(".word %#x", w)
 }
 
+// xoOps maps an opcode-31 extended opcode to its UIR op, for the X-form
+// ALU instructions that are one binary operation over two registers.
+var xoOps = map[uint32]uir.Op{
+	xoAdd: uir.OpAdd, xoMullw: uir.OpMul,
+	xoDivw: uir.OpDivS, xoDivwu: uir.OpDivU, xoSrem: uir.OpRemS, xoUrem: uir.OpRemU,
+	xoAnd: uir.OpAnd, xoOr: uir.OpOr, xoXor: uir.OpXor,
+	xoSlw: uir.OpShl, xoSrw: uir.OpShrU, xoSraw: uir.OpShrS,
+}
+
 // Lift implements isa.Backend.
 func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 	w := uint32(inst.Raw)
@@ -164,8 +173,7 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 			size = 1
 		}
 		addr := lb.Bin(uir.OpAdd, get(ra), uir.C(sx))
-		t := lb.NewTemp()
-		lb.Emit(uir.Load{Dst: t, Addr: uir.T(addr), Size: size})
+		t := lb.Load(uir.T(addr), size)
 		lb.PutReg(rt, uir.T(t))
 	case opStw, opStb:
 		size := uint8(4)
@@ -173,12 +181,12 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 			size = 1
 		}
 		addr := lb.Bin(uir.OpAdd, get(ra), uir.C(sx))
-		lb.Emit(uir.Store{Addr: uir.T(addr), Src: get(rt), Size: size})
+		lb.Store(uir.T(addr), get(rt), size)
 	case opB:
 		if w&1 == 1 {
-			lb.Emit(uir.Call{Target: uir.CK(inst.Target, uir.ConstCode)})
+			lb.Call(uir.CK(inst.Target, uir.ConstCode))
 		} else {
-			lb.Emit(uir.Exit{Kind: uir.ExitJump, Target: uir.CK(inst.Target, uir.ConstCode)})
+			lb.Exit(uir.ExitJump, uir.Operand{}, uir.CK(inst.Target, uir.ConstCode))
 		}
 	case opBc:
 		bo := w >> 21 & 31
@@ -191,9 +199,9 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 		if bo == boFalse {
 			cond = uir.T(lb.Bin(uir.OpXor, cond, uir.C(1)))
 		}
-		lb.Emit(uir.Exit{Kind: uir.ExitCond, Cond: cond, Target: uir.CK(inst.Target, uir.ConstCode)})
+		lb.Exit(uir.ExitCond, cond, uir.CK(inst.Target, uir.ConstCode))
 	case opOp19:
-		lb.Emit(uir.Exit{Kind: uir.ExitRet})
+		lb.Exit(uir.ExitRet, uir.Operand{}, uir.Operand{})
 	case opOp31:
 		xo := w >> 1 & 0x3FF
 		switch xo {
@@ -230,20 +238,16 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 		case xoSrawi:
 			lb.PutReg(ra, uir.T(lb.Bin(uir.OpShrS, get(rt), uir.C(uint32(rb)))))
 		case xoAdd, xoSubf, xoMullw, xoDivw, xoDivwu, xoSrem, xoUrem:
-			ops := map[uint32]uir.Op{xoAdd: uir.OpAdd, xoMullw: uir.OpMul,
-				xoDivw: uir.OpDivS, xoDivwu: uir.OpDivU, xoSrem: uir.OpRemS, xoUrem: uir.OpRemU}
 			if xo == xoSubf {
 				lb.PutReg(rt, uir.T(lb.Bin(uir.OpSub, get(rb), get(ra))))
 			} else {
-				lb.PutReg(rt, uir.T(lb.Bin(ops[xo], get(ra), get(rb))))
+				lb.PutReg(rt, uir.T(lb.Bin(xoOps[xo], get(ra), get(rb))))
 			}
 		case xoNor:
 			t := lb.Bin(uir.OpOr, get(rt), get(rb))
 			lb.PutReg(ra, uir.T(lb.Un(uir.OpNot, uir.T(t))))
 		case xoAnd, xoOr, xoXor, xoSlw, xoSrw, xoSraw:
-			ops := map[uint32]uir.Op{xoAnd: uir.OpAnd, xoOr: uir.OpOr, xoXor: uir.OpXor,
-				xoSlw: uir.OpShl, xoSrw: uir.OpShrU, xoSraw: uir.OpShrS}
-			lb.PutReg(ra, uir.T(lb.Bin(ops[xo], get(rt), get(rb))))
+			lb.PutReg(ra, uir.T(lb.Bin(xoOps[xo], get(rt), get(rb))))
 		default:
 			return fmt.Errorf("ppc: cannot lift op31 xo %d", xo)
 		}

@@ -49,8 +49,8 @@ func TestCmpwLiftsCr0(t *testing.T) {
 	}
 	set := map[uir.Reg]bool{}
 	for _, s := range lb.Stmts {
-		if p, ok := s.(uir.Put); ok {
-			set[p.Reg] = true
+		if s.Kind == uir.StmtPut {
+			set[s.Reg] = true
 		}
 	}
 	for _, f := range []uir.Reg{crLT, crGT, crEQ} {
@@ -91,8 +91,8 @@ func TestLiMaterializesConstant(t *testing.T) {
 	if len(lb.Stmts) != 1 {
 		t.Fatalf("li lifted to %d stmts", len(lb.Stmts))
 	}
-	p, ok := lb.Stmts[0].(uir.Put)
-	if !ok || !p.Src.IsConst || p.Src.Val != 42 {
+	p := lb.Stmts[0]
+	if p.Kind != uir.StmtPut || !p.A.IsConst || p.A.Val != 42 {
 		t.Errorf("li lift = %v", lb.Stmts[0])
 	}
 }

@@ -302,13 +302,13 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 	}
 	switch {
 	case op == 0xC3:
-		lb.Emit(uir.Exit{Kind: uir.ExitRet})
+		lb.Exit(uir.ExitRet, uir.Operand{}, uir.Operand{})
 	case op == 0x99: // cdq
 		lb.PutReg(regEDX, uir.T(lb.Bin(uir.OpShrS, get(regEAX), uir.C(31))))
 	case op == 0xE8:
-		lb.Emit(uir.Call{Target: uir.CK(inst.Target, uir.ConstCode)})
+		lb.Call(uir.CK(inst.Target, uir.ConstCode))
 	case op == 0xE9:
-		lb.Emit(uir.Exit{Kind: uir.ExitJump, Target: uir.CK(inst.Target, uir.ConstCode)})
+		lb.Exit(uir.ExitJump, uir.Operand{}, uir.CK(inst.Target, uir.ConstCode))
 	case op >= 0xB8 && op <= 0xBF:
 		lb.PutReg(uir.Reg(op-0xB8), uir.C(uint32(raw>>8)))
 	case op == 0x89 || op == 0x8B || op == 0x88 || op == 0x8D:
@@ -319,15 +319,14 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 			lb.PutReg(m.rm, get(m.reg))
 		case op == 0x89:
 			addr := lb.Bin(uir.OpAdd, get(m.rm), disp)
-			lb.Emit(uir.Store{Addr: uir.T(addr), Src: get(m.reg), Size: 4})
+			lb.Store(uir.T(addr), get(m.reg), 4)
 		case op == 0x8B:
 			addr := lb.Bin(uir.OpAdd, get(m.rm), disp)
-			t := lb.NewTemp()
-			lb.Emit(uir.Load{Dst: t, Addr: uir.T(addr), Size: 4})
+			t := lb.Load(uir.T(addr), 4)
 			lb.PutReg(m.reg, uir.T(t))
 		case op == 0x88:
 			addr := lb.Bin(uir.OpAdd, get(m.rm), disp)
-			lb.Emit(uir.Store{Addr: uir.T(addr), Src: get(m.reg), Size: 1})
+			lb.Store(uir.T(addr), get(m.reg), 1)
 		case op == 0x8D:
 			lb.PutReg(m.reg, uir.T(lb.Bin(uir.OpAdd, get(m.rm), disp)))
 		}
@@ -382,7 +381,7 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 			if err != nil {
 				return err
 			}
-			lb.Emit(uir.Exit{Kind: uir.ExitCond, Cond: c, Target: uir.CK(inst.Target, uir.ConstCode)})
+			lb.Exit(uir.ExitCond, c, uir.CK(inst.Target, uir.ConstCode))
 		case op2 >= 0x90 && op2 <= 0x9F:
 			m := mr(16)
 			c, err := ccExpr(lb, op2-0x90)
@@ -406,8 +405,7 @@ func (b *Backend) Lift(inst isa.Inst, lb *isa.LiftBuilder) error {
 			if op2 == 0xB7 || op2 == 0xBF {
 				size = 2
 			}
-			t := lb.NewTemp()
-			lb.Emit(uir.Load{Dst: t, Addr: uir.T(addr), Size: size})
+			t := lb.Load(uir.T(addr), size)
 			val := uir.T(t)
 			if op2 == 0xBE {
 				val = uir.T(lb.Un(uir.OpSext8, val))

@@ -55,8 +55,8 @@ func TestIdivLiftsQuotientAndRemainder(t *testing.T) {
 	}
 	puts := map[uir.Reg]bool{}
 	for _, s := range lb.Stmts {
-		if p, ok := s.(uir.Put); ok {
-			puts[p.Reg] = true
+		if s.Kind == uir.StmtPut {
+			puts[s.Reg] = true
 		}
 	}
 	if !puts[regEAX] || !puts[regEDX] {
@@ -80,8 +80,8 @@ func TestSetccReadsFlags(t *testing.T) {
 	}
 	gets := map[uir.Reg]bool{}
 	for _, s := range lb.Stmts {
-		if g, ok := s.(uir.Get); ok {
-			gets[g.Reg] = true
+		if s.Kind == uir.StmtGet {
+			gets[s.Reg] = true
 		}
 	}
 	if !gets[flagZ] || !gets[flagLT] {

@@ -11,6 +11,8 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,84 +116,43 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	}
 	opt := &strand.Options{ABI: abi, Sections: rec.File.Map()}
 	e := &Exe{Path: path, Arch: rec.Arch, Stripped: rec.File.Stripped}
-	entryIdx := map[uint32]int{}
-	for i, p := range rec.Procs {
-		entryIdx[p.Entry] = i
+	if bc == nil {
+		bc = &BuildConfig{}
 	}
-	var cache *strand.BlockCache
-	var tel *Telemetry
-	var extractTel *strand.Telemetry
-	var parent telemetry.Span
-	workers := 1
-	if bc != nil {
-		cache = bc.Cache
-		if bc.Workers > workers {
-			workers = bc.Workers
-		}
-		tel = bc.Tel
-		parent = bc.Span
-	}
-	buildSpan := parent.Start("sim.build")
+	tel := bc.Tel
+	buildSpan := bc.Span.Start("sim.build")
 	defer buildSpan.End()
+	var extractTel *strand.Telemetry
 	if tel != nil {
 		extractTel = tel.Extract
 	}
-	if workers > len(rec.Procs) {
-		workers = len(rec.Procs)
-	}
-	buildOne := func(ex *strand.Extractor, i int) *Proc {
-		p := rec.Procs[i]
-		set, markers := ex.Proc(p.Blocks)
-		sp := &Proc{
-			Name:       p.Name,
-			Addr:       p.Entry,
-			Exported:   p.Exported,
-			Set:        set,
-			Markers:    markers,
-			BlockCount: len(p.Blocks),
-			InstCount:  len(p.Insts),
-		}
-		for _, b := range p.Blocks {
-			sp.EdgeCount += len(b.Succs())
-		}
-		seenCall := map[int]bool{}
-		for _, in := range p.Insts {
-			if in.Kind == isa.KindCall {
-				if ti, ok := entryIdx[in.Target]; ok && !seenCall[ti] {
-					seenCall[ti] = true
-					sp.Calls = append(sp.Calls, ti)
-				}
-			}
-		}
-		return sp
-	}
+	workers := min(bc.Workers, len(rec.Procs))
+	// Each worker owns an extractor (its scratch drawn from, and returned
+	// to, the strand package's pool); procedures are claimed via an atomic
+	// cursor and written to their slot, so assembly order is index order
+	// regardless of schedule. The recovered input is shared and only read.
 	procs := make([]*Proc, len(rec.Procs))
-	if workers <= 1 {
-		ex := strand.NewExtractorWith(opt, it, cache, extractTel)
-		for i := range rec.Procs {
-			procs[i] = buildOne(ex, i)
+	var cursor atomic.Int64
+	work := func() {
+		pb := &procBuilder{rec: rec, ex: strand.NewExtractorWith(opt, it, bc.Cache, extractTel), listed: make([]int32, len(rec.Procs))}
+		defer pb.ex.Release()
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(rec.Procs) {
+				return
+			}
+			procs[i] = pb.build(i)
 		}
-		ex.Release()
+	}
+	if workers <= 1 {
+		work()
 	} else {
-		// Each worker owns an extractor (its scratch drawn from, and
-		// returned to, the strand package's pool); procedures are claimed
-		// via an atomic cursor and written to their slot, so assembly
-		// order is index order regardless of schedule.
-		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ex := strand.NewExtractorWith(opt, it, cache, extractTel)
-				defer ex.Release()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(rec.Procs) {
-						return
-					}
-					procs[i] = buildOne(ex, i)
-				}
+				work()
 			}()
 		}
 		wg.Wait()
@@ -209,6 +170,52 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	e.buildIndex(it)
 	indexSpan.End()
 	return e
+}
+
+// procBuilder indexes the procedures of one recovered executable, one at
+// a time; a build's workers own one each.
+type procBuilder struct {
+	rec *cfg.Recovered
+	ex  *strand.Extractor
+	// listed is the call-list deduplication table, by callee index: the
+	// procedure (plus one) whose Calls last took the callee. A row written
+	// for another caller is empty, so nothing is cleared between
+	// procedures.
+	listed []int32
+	succs  []uint32
+}
+
+// build indexes procedure i. The result is a pure function of the
+// recovered input and references none of it but the name.
+func (pb *procBuilder) build(i int) *Proc {
+	p := pb.rec.Procs[i]
+	set, markers := pb.ex.Proc(p.Blocks)
+	sp := &Proc{
+		Name:       p.Name,
+		Addr:       p.Entry,
+		Exported:   p.Exported,
+		Set:        set,
+		Markers:    markers,
+		BlockCount: len(p.Blocks),
+		InstCount:  len(p.Insts),
+	}
+	for _, b := range p.Blocks {
+		pb.succs = b.Succs(pb.succs[:0])
+		sp.EdgeCount += len(pb.succs)
+	}
+	for k := range p.Insts {
+		in := &p.Insts[k]
+		if in.Kind != isa.KindCall {
+			continue
+		}
+		// Procs is sorted by entry (see cfg.Recovered).
+		ti, ok := slices.BinarySearchFunc(pb.rec.Procs, in.Target, func(p *cfg.Proc, a uint32) int { return cmp.Compare(p.Entry, a) })
+		if ok && pb.listed[ti] != int32(i)+1 {
+			pb.listed[ti] = int32(i) + 1
+			sp.Calls = append(sp.Calls, ti)
+		}
+	}
+	return sp
 }
 
 // FromProcs assembles an executable directly from procedures (used by

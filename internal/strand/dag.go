@@ -36,8 +36,6 @@ const (
 // Children are consed before their parents, so their pointers stand for
 // their whole sub-DAG: comparing the struct compares the structure.
 type nodeKey struct {
-	// Pointers first and the narrow fields last, leaving no padding
-	// between fields: the map hashes the key as one run of memory.
 	a, b, c *node
 	val     uint32
 	idx     int32 // call index for nCallRes
@@ -45,6 +43,20 @@ type nodeKey struct {
 	kind    nodeKind
 	op      uir.Op
 	size    uint8 // load size
+}
+
+// hash mixes the key's scalar fields and its children's allocation
+// indices (which, within a block, identify a child as its pointer does).
+func (k *nodeKey) hash() uint32 {
+	h := (uint64(k.val) | uint64(uint32(k.idx))<<32) * 0x9E3779B97F4A7C15
+	h ^= uint64(k.kind) | uint64(k.op)<<8 | uint64(k.size)<<16 | uint64(k.reg)<<24
+	for _, c := range [...]*node{k.a, k.b, k.c} {
+		if c != nil {
+			h = (h ^ uint64(c.id+1)) * 0xBF58476D1CE4E5B9
+		}
+	}
+	h ^= h >> 29
+	return uint32(h * 0x94D049BB133111EB >> 32)
 }
 
 // node is a hash-consed DAG node; equal structure ⇒ identical pointer
@@ -56,6 +68,8 @@ type nodeKey struct {
 type node struct {
 	nodeKey
 
+	// id is the node's allocation index within its block.
+	id int32
 	// blind is the node's memoized blind key, a span of builder.blindBuf
 	// (empty until first asked for).
 	blindOff, blindLen int32
@@ -69,58 +83,91 @@ type node struct {
 	num   int32
 }
 
+// consSlot is one row of the interning table. Like slot, a row written
+// under another epoch is empty.
+type consSlot struct {
+	n     *node
+	hash  uint32
+	epoch uint32
+}
+
 // builder constructs and canonicalizes DAG nodes for one basic block.
 // Nodes live in chunks that are kept and refilled from the start for
-// every block, so a builder reused across many blocks (an Extractor's
-// scratch) stops allocating once it has seen its largest block.
+// every block, and are interned through an open-addressed table (linear
+// probing, power-of-two size, at most half full) whose rows are live only
+// under the current block's epoch — so moving to the next block costs
+// nothing, however large a block the builder has seen, and a builder
+// reused across many blocks (an Extractor's scratch) stops allocating
+// once it has seen its largest block.
 type builder struct {
-	cons     map[nodeKey]*node
-	chunks   [][]node
-	cur      int // chunk being filled
+	cons     []consSlot
+	epoch    uint32
+	count    int      // nodes interned under epoch: node i is chunks[i/arenaChunk][i%arenaChunk]
+	chunks   [][]node // arenaChunk nodes each
 	blindBuf []byte
 }
 
-// arenaChunk is the node-slab size. Chunks are never grown in place, so
-// node pointers stay stable.
-const arenaChunk = 256
+const (
+	// arenaChunk is the node-slab size. Chunks are never grown in place,
+	// so node pointers stay stable.
+	arenaChunk = 256
+	// consInitial is the interning table's initial size, a power of two.
+	consInitial = 512
+)
 
 func newBuilder() *builder {
-	return &builder{cons: map[nodeKey]*node{}, chunks: [][]node{make([]node, 0, arenaChunk)}}
+	return &builder{cons: make([]consSlot, consInitial), epoch: 1}
 }
 
-// reset forgets the previous block: the interning table is cleared and
-// the arena rewinds, invalidating every node handed out so far.
+// reset forgets the previous block: the interning table moves to a new
+// epoch and the arena rewinds, invalidating every node handed out so far.
 func (bd *builder) reset() {
-	clear(bd.cons)
-	for i := 0; i <= bd.cur; i++ {
-		bd.chunks[i] = bd.chunks[i][:0]
+	bd.epoch++
+	if bd.epoch == 0 { // wrapped: rows of the first epochs would read as current
+		clear(bd.cons)
+		bd.epoch = 1
 	}
-	bd.cur = 0
+	bd.count = 0
 	bd.blindBuf = bd.blindBuf[:0]
 }
 
-func (bd *builder) alloc() *node {
-	c := bd.chunks[bd.cur]
-	if len(c) == cap(c) {
-		bd.cur++
-		if bd.cur == len(bd.chunks) {
-			bd.chunks = append(bd.chunks, make([]node, 0, arenaChunk))
+// probe returns the row holding the node with key k and hash h, or the
+// empty row it would go in.
+func (bd *builder) probe(h uint32, k *nodeKey) *consSlot {
+	mask := uint32(len(bd.cons) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if s := &bd.cons[i]; s.epoch != bd.epoch || (s.hash == h && s.n.nodeKey == *k) {
+			return s
 		}
-		c = bd.chunks[bd.cur]
 	}
-	c = c[:len(c)+1]
-	bd.chunks[bd.cur] = c
-	return &c[len(c)-1]
 }
 
 // intern hash-conses a node.
 func (bd *builder) intern(k nodeKey) *node {
-	if p, ok := bd.cons[k]; ok {
-		return p
+	h := k.hash()
+	s := bd.probe(h, &k)
+	if s.epoch == bd.epoch {
+		return s.n
 	}
-	p := bd.alloc()
-	*p = node{nodeKey: k}
-	bd.cons[k] = p
+	if 2*(bd.count+1) > len(bd.cons) {
+		// Double the table, carrying over the current block's rows. Nodes
+		// do not move.
+		old := bd.cons
+		bd.cons = make([]consSlot, 2*len(old))
+		for _, o := range old {
+			if o.epoch == bd.epoch {
+				*bd.probe(o.hash, &o.n.nodeKey) = o
+			}
+		}
+		s = bd.probe(h, &k)
+	}
+	if bd.count == len(bd.chunks)*arenaChunk {
+		bd.chunks = append(bd.chunks, make([]node, arenaChunk))
+	}
+	p := &bd.chunks[bd.count/arenaChunk][bd.count%arenaChunk]
+	*p = node{nodeKey: k, id: int32(bd.count)}
+	*s = consSlot{n: p, hash: h, epoch: bd.epoch}
+	bd.count++
 	return p
 }
 

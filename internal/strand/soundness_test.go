@@ -57,11 +57,11 @@ func randomBlock(rng *rand.Rand, nStmts int) *uir.Block {
 	// Seed with a few register reads.
 	for r := uir.Reg(0); r < 4; r++ {
 		t := newTemp()
-		b.Stmts = append(b.Stmts, uir.Get{Dst: t, Reg: r})
+		b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtGet, Dst: t, Reg: r})
 		defined = append(defined, t)
 	}
 	arena := newTemp()
-	b.Stmts = append(b.Stmts, uir.Get{Dst: arena, Reg: arenaReg})
+	b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtGet, Dst: arena, Reg: arenaReg})
 	binOps := []uir.Op{uir.OpAdd, uir.OpSub, uir.OpMul, uir.OpAnd, uir.OpOr, uir.OpXor,
 		uir.OpShl, uir.OpShrU, uir.OpShrS, uir.OpCmpEQ, uir.OpCmpNE,
 		uir.OpCmpLTS, uir.OpCmpLTU, uir.OpCmpLES, uir.OpCmpLEU,
@@ -70,34 +70,34 @@ func randomBlock(rng *rand.Rand, nStmts int) *uir.Block {
 	arenaAddr := func() uir.Temp {
 		off := uint32(rng.Intn(16)) * 4
 		t := newTemp()
-		b.Stmts = append(b.Stmts, uir.Bin{Dst: t, Op: uir.OpAdd, A: uir.T(arena), B: uir.C(off)})
+		b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtBin, Dst: t, Op: uir.OpAdd, A: uir.T(arena), B: uir.C(off)})
 		return t
 	}
 	for i := 0; i < nStmts; i++ {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3:
 			t := newTemp()
-			b.Stmts = append(b.Stmts, uir.Bin{Dst: t, Op: binOps[rng.Intn(len(binOps))], A: operand(), B: operand()})
+			b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtBin, Dst: t, Op: binOps[rng.Intn(len(binOps))], A: operand(), B: operand()})
 			defined = append(defined, t)
 		case 4:
 			t := newTemp()
-			b.Stmts = append(b.Stmts, uir.Un{Dst: t, Op: unOps[rng.Intn(len(unOps))], A: operand()})
+			b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtUn, Dst: t, Op: unOps[rng.Intn(len(unOps))], A: operand()})
 			defined = append(defined, t)
 		case 5:
 			t := newTemp()
-			b.Stmts = append(b.Stmts, uir.Sel{Dst: t, Cond: operand(), A: operand(), B: operand()})
+			b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtSel, Dst: t, C: operand(), A: operand(), B: operand()})
 			defined = append(defined, t)
 		case 6: // register write (possibly overwriting)
-			b.Stmts = append(b.Stmts, uir.Put{Reg: uir.Reg(rng.Intn(8)), Src: operand()})
+			b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtPut, Reg: uir.Reg(rng.Intn(8)), A: operand()})
 		case 7: // store into the arena
-			b.Stmts = append(b.Stmts, uir.Store{Addr: uir.T(arenaAddr()), Src: operand(), Size: 4})
+			b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtStore, A: uir.T(arenaAddr()), B: operand(), Size: 4})
 		case 8: // load from the arena
 			t := newTemp()
-			b.Stmts = append(b.Stmts, uir.Load{Dst: t, Addr: uir.T(arenaAddr()), Size: 4})
+			b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtLoad, Dst: t, A: uir.T(arenaAddr()), Size: 4})
 			defined = append(defined, t)
 		default: // copy
 			t := newTemp()
-			b.Stmts = append(b.Stmts, uir.Mov{Dst: t, Src: operand()})
+			b.Stmts = append(b.Stmts, uir.Stmt{Kind: uir.StmtMov, Dst: t, A: operand()})
 			defined = append(defined, t)
 		}
 	}

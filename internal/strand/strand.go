@@ -247,34 +247,35 @@ func (sc *extractScratch) analyze(b *uir.Block) {
 
 	bd, abi := sc.bd, sc.opt.ABI
 	callCount := 0
-	for _, s := range b.Stmts {
-		switch v := s.(type) {
-		case uir.Get:
-			sc.define(v.Dst, sc.getReg(v.Reg))
-		case uir.Put:
-			sc.setReg(v.Reg, sc.operand(v.Src))
-		case uir.Mov:
-			sc.define(v.Dst, sc.operand(v.Src))
-		case uir.Bin:
-			sc.define(v.Dst, bd.bin(v.Op, sc.operand(v.A), sc.operand(v.B)))
-		case uir.Un:
-			sc.define(v.Dst, bd.un(v.Op, sc.operand(v.A)))
-		case uir.Sel:
-			sc.define(v.Dst, bd.sel(sc.operand(v.Cond), sc.operand(v.A), sc.operand(v.B)))
-		case uir.Load:
-			addr := sc.operand(v.Addr)
-			val := sc.forwarded(addr, v.Size) // store-to-load forwarding
+	for i := range b.Stmts {
+		s := &b.Stmts[i]
+		switch s.Kind {
+		case uir.StmtGet:
+			sc.define(s.Dst, sc.getReg(s.Reg))
+		case uir.StmtPut:
+			sc.setReg(s.Reg, sc.operand(s.A))
+		case uir.StmtMov:
+			sc.define(s.Dst, sc.operand(s.A))
+		case uir.StmtBin:
+			sc.define(s.Dst, bd.bin(s.Op, sc.operand(s.A), sc.operand(s.B)))
+		case uir.StmtUn:
+			sc.define(s.Dst, bd.un(s.Op, sc.operand(s.A)))
+		case uir.StmtSel:
+			sc.define(s.Dst, bd.sel(sc.operand(s.C), sc.operand(s.A), sc.operand(s.B)))
+		case uir.StmtLoad:
+			addr := sc.operand(s.A)
+			val := sc.forwarded(addr, s.Size) // store-to-load forwarding
 			if val == nil {
-				val = bd.load(addr, v.Size)
+				val = bd.load(addr, s.Size)
 			}
-			sc.define(v.Dst, val)
-		case uir.Store:
-			addr := sc.operand(v.Addr)
-			val := sc.operand(v.Src)
-			sc.recordStore(addr, val, v.Size)
-			sc.effects = append(sc.effects, effect{kind: effStore, a: addr, b: val, size: v.Size})
-		case uir.Call:
-			e := effect{kind: effCall, target: sc.operand(v.Target), argLo: int32(len(sc.callArgs))}
+			sc.define(s.Dst, val)
+		case uir.StmtStore:
+			addr := sc.operand(s.A)
+			val := sc.operand(s.B)
+			sc.recordStore(addr, val, s.Size)
+			sc.effects = append(sc.effects, effect{kind: effStore, a: addr, b: val, size: s.Size})
+		case uir.StmtCall:
+			e := effect{kind: effCall, target: sc.operand(s.A), argLo: int32(len(sc.callArgs))}
 			if abi != nil {
 				for _, r := range abi.ArgRegs {
 					sc.callArgs = append(sc.callArgs, sc.getReg(r))
@@ -290,14 +291,14 @@ func (sc *extractScratch) analyze(b *uir.Block) {
 			e.argHi = int32(len(sc.callArgs))
 			sc.effects = append(sc.effects, e)
 			callCount++
-		case uir.Exit:
-			switch v.Kind {
+		case uir.StmtExit:
+			switch s.Exit {
 			case uir.ExitJump:
-				sc.effects = append(sc.effects, effect{kind: effJump, target: sc.operand(v.Target)})
+				sc.effects = append(sc.effects, effect{kind: effJump, target: sc.operand(s.A)})
 			case uir.ExitCond:
-				sc.effects = append(sc.effects, effect{kind: effBr, a: sc.operand(v.Cond), target: sc.operand(v.Target)})
+				sc.effects = append(sc.effects, effect{kind: effBr, a: sc.operand(s.C), target: sc.operand(s.A)})
 			case uir.ExitIndir:
-				sc.effects = append(sc.effects, effect{kind: effIJump, target: sc.operand(v.Target)})
+				sc.effects = append(sc.effects, effect{kind: effIJump, target: sc.operand(s.A)})
 			}
 		}
 	}

@@ -182,13 +182,13 @@ func TestMaskElimination(t *testing.T) {
 func TestFig3Canonicalization(t *testing.T) {
 	// move s5, v0 ; li v0, 0x1F ; bne s5, v0, 0x40E744
 	blk := &uir.Block{Addr: 0x400100, Size: 12, Stmts: []uir.Stmt{
-		uir.Get{Dst: 0, Reg: 2},                                    // v0
-		uir.Put{Reg: 21, Src: uir.T(0)},                            // s5 = v0
-		uir.Put{Reg: 2, Src: uir.C(0x1F)},                          // li v0, 0x1F
-		uir.Get{Dst: 1, Reg: 21},                                   // s5
-		uir.Get{Dst: 2, Reg: 2},                                    // v0
-		uir.Bin{Dst: 3, Op: uir.OpCmpNE, A: uir.T(1), B: uir.T(2)}, // s5 != v0
-		uir.Exit{Kind: uir.ExitCond, Cond: uir.T(3), Target: uir.CK(0x40E744, uir.ConstCode)},
+		{Kind: uir.StmtGet, Dst: 0, Reg: 2},                                    // v0
+		{Kind: uir.StmtPut, Reg: 21, A: uir.T(0)},                              // s5 = v0
+		{Kind: uir.StmtPut, Reg: 2, A: uir.C(0x1F)},                            // li v0, 0x1F
+		{Kind: uir.StmtGet, Dst: 1, Reg: 21},                                   // s5
+		{Kind: uir.StmtGet, Dst: 2, Reg: 2},                                    // v0
+		{Kind: uir.StmtBin, Dst: 3, Op: uir.OpCmpNE, A: uir.T(1), B: uir.T(2)}, // s5 != v0
+		{Kind: uir.StmtExit, Exit: uir.ExitCond, C: uir.T(3), A: uir.CK(0x40E744, uir.ConstCode)},
 	}}
 	opt := &Options{
 		Sections: obj.SectionMap{TextLo: 0x400000, TextHi: 0x500000},
@@ -215,9 +215,9 @@ func TestOffsetElimination(t *testing.T) {
 	blk := &uir.Block{Stmts: []uir.Stmt{
 		// Materialize a data address and a plain constant; store the
 		// constant at a struct offset from the data address.
-		uir.Mov{Dst: 0, Src: uir.C(0x10008000)}, // in data range
-		uir.Bin{Dst: 1, Op: uir.OpAdd, A: uir.T(0), B: uir.C(16)},
-		uir.Store{Addr: uir.T(1), Src: uir.C(0x1F), Size: 4},
+		{Kind: uir.StmtMov, Dst: 0, A: uir.C(0x10008000)}, // in data range
+		{Kind: uir.StmtBin, Dst: 1, Op: uir.OpAdd, A: uir.T(0), B: uir.C(16)},
+		{Kind: uir.StmtStore, A: uir.T(1), B: uir.C(0x1F), Size: 4},
 	}}
 	opt := &Options{Sections: obj.SectionMap{DataLo: 0x10000000, DataHi: 0x10010000}}
 	strands := ExtractBlock(blk, opt)
@@ -240,9 +240,9 @@ func TestOffsetElimination(t *testing.T) {
 // retained — they describe the type of data the procedure handles.
 func TestStructOffsetRetained(t *testing.T) {
 	blk := &uir.Block{Stmts: []uir.Stmt{
-		uir.Get{Dst: 0, Reg: 4}, // pointer argument
-		uir.Bin{Dst: 1, Op: uir.OpAdd, A: uir.T(0), B: uir.C(16)},
-		uir.Store{Addr: uir.T(1), Src: uir.C(0x1F), Size: 4},
+		{Kind: uir.StmtGet, Dst: 0, Reg: 4}, // pointer argument
+		{Kind: uir.StmtBin, Dst: 1, Op: uir.OpAdd, A: uir.T(0), B: uir.C(16)},
+		{Kind: uir.StmtStore, A: uir.T(1), B: uir.C(0x1F), Size: 4},
 	}}
 	opt := &Options{Sections: obj.SectionMap{DataLo: 0x10000000, DataHi: 0x10010000}}
 	strands := ExtractBlock(blk, opt)
@@ -256,12 +256,12 @@ func TestStructOffsetRetained(t *testing.T) {
 
 func TestStoreToLoadForwarding(t *testing.T) {
 	blk := &uir.Block{Stmts: []uir.Stmt{
-		uir.Get{Dst: 0, Reg: 29},
-		uir.Bin{Dst: 1, Op: uir.OpAdd, A: uir.T(0), B: uir.C(8)},
-		uir.Store{Addr: uir.T(1), Src: uir.C(7), Size: 4},
-		uir.Load{Dst: 2, Addr: uir.T(1), Size: 4},
-		uir.Bin{Dst: 3, Op: uir.OpAdd, A: uir.T(2), B: uir.C(1)},
-		uir.Put{Reg: 16, Src: uir.T(3)},
+		{Kind: uir.StmtGet, Dst: 0, Reg: 29},
+		{Kind: uir.StmtBin, Dst: 1, Op: uir.OpAdd, A: uir.T(0), B: uir.C(8)},
+		{Kind: uir.StmtStore, A: uir.T(1), B: uir.C(7), Size: 4},
+		{Kind: uir.StmtLoad, Dst: 2, A: uir.T(1), Size: 4},
+		{Kind: uir.StmtBin, Dst: 3, Op: uir.OpAdd, A: uir.T(2), B: uir.C(1)},
+		{Kind: uir.StmtPut, Reg: 16, A: uir.T(3)},
 	}}
 	abi := &uir.ABI{SP: 29}
 	strands := ExtractBlock(blk, &Options{ABI: abi})

@@ -10,8 +10,8 @@ type Machine struct {
 	Mem  map[uint32]byte
 	// Calls records the targets of Call statements, in execution order.
 	Calls []Operand
-	// Exited holds the taken Exit, if any.
-	Exited *Exit
+	// Exited holds the taken StmtExit, if any.
+	Exited *Stmt
 }
 
 // NewMachine returns an empty machine; unset registers and memory read as
@@ -139,43 +139,43 @@ func (m *Machine) RunBlock(b *Block) error {
 		}
 		return temps[o.Temp]
 	}
-	for _, s := range b.Stmts {
-		switch v := s.(type) {
-		case Get:
-			temps[v.Dst] = m.Regs[v.Reg]
-		case Put:
-			m.Regs[v.Reg] = val(v.Src)
-		case Load:
-			temps[v.Dst] = m.ReadMem(val(v.Addr), v.Size)
-		case Store:
-			m.WriteMem(val(v.Addr), val(v.Src), v.Size)
-		case Bin:
-			temps[v.Dst] = EvalBin(v.Op, val(v.A), val(v.B))
-		case Un:
-			temps[v.Dst] = EvalUn(v.Op, val(v.A))
-		case Mov:
-			temps[v.Dst] = val(v.Src)
-		case Sel:
-			if val(v.Cond) != 0 {
-				temps[v.Dst] = val(v.A)
+	for i := range b.Stmts {
+		s := &b.Stmts[i]
+		switch s.Kind {
+		case StmtGet:
+			temps[s.Dst] = m.Regs[s.Reg]
+		case StmtPut:
+			m.Regs[s.Reg] = val(s.A)
+		case StmtLoad:
+			temps[s.Dst] = m.ReadMem(val(s.A), s.Size)
+		case StmtStore:
+			m.WriteMem(val(s.A), val(s.B), s.Size)
+		case StmtBin:
+			temps[s.Dst] = EvalBin(s.Op, val(s.A), val(s.B))
+		case StmtUn:
+			temps[s.Dst] = EvalUn(s.Op, val(s.A))
+		case StmtMov:
+			temps[s.Dst] = val(s.A)
+		case StmtSel:
+			if val(s.C) != 0 {
+				temps[s.Dst] = val(s.A)
 			} else {
-				temps[v.Dst] = val(v.B)
+				temps[s.Dst] = val(s.B)
 			}
-		case Call:
-			m.Calls = append(m.Calls, v.Target)
-		case Exit:
-			take := v.Kind != ExitCond || val(v.Cond) != 0
-			if take {
-				e := v
+		case StmtCall:
+			m.Calls = append(m.Calls, s.A)
+		case StmtExit:
+			if s.Exit != ExitCond || val(s.C) != 0 {
+				e := *s
 				// Resolve indirect targets so callers can follow them.
-				if !e.Target.IsConst && e.Kind != ExitRet {
-					e.Target = C(val(e.Target))
+				if !e.A.IsConst && e.Exit != ExitRet {
+					e.A = C(val(e.A))
 				}
 				m.Exited = &e
 				return nil
 			}
 		default:
-			return fmt.Errorf("uir: unknown statement %T", s)
+			return fmt.Errorf("uir: unknown statement kind %d", s.Kind)
 		}
 	}
 	return nil

@@ -86,19 +86,9 @@ func (h *fpHash) operand(o Operand, r SectionRanges) {
 	}
 }
 
-// Statement tags, disjoint from operand tags.
-const (
-	fpGet uint64 = iota + 16
-	fpPut
-	fpLoad
-	fpStore
-	fpBin
-	fpUn
-	fpMov
-	fpSel
-	fpCall
-	fpExit
-)
+// fpStmt marks a statement's header word, which operand words (a small
+// tag in bits 32 and up) never set.
+const fpStmt uint64 = 1 << 63
 
 // BlockFingerprint hashes the block's statement stream under the given
 // section ranges. The seed folds the extraction context (ABI, options,
@@ -107,52 +97,23 @@ const (
 // and soundness contract.
 func BlockFingerprint(b *Block, r SectionRanges, seed uint64) Fingerprint {
 	h := fpHash{a: fnvOffset64 ^ seed, b: seed*mixMult + mixGamma}
-	for _, s := range b.Stmts {
-		switch v := s.(type) {
-		case Get:
-			h.pair(fpGet, uint32(v.Reg))
-			h.pair(fpTemp, uint32(v.Dst))
-		case Put:
-			h.pair(fpPut, uint32(v.Reg))
-			h.operand(v.Src, r)
-		case Load:
-			h.pair(fpLoad, uint32(v.Size))
-			h.pair(fpTemp, uint32(v.Dst))
-			h.operand(v.Addr, r)
-		case Store:
-			h.pair(fpStore, uint32(v.Size))
-			h.operand(v.Addr, r)
-			h.operand(v.Src, r)
-		case Bin:
-			h.pair(fpBin, uint32(v.Op))
-			h.pair(fpTemp, uint32(v.Dst))
-			h.operand(v.A, r)
-			h.operand(v.B, r)
-		case Un:
-			h.pair(fpUn, uint32(v.Op))
-			h.pair(fpTemp, uint32(v.Dst))
-			h.operand(v.A, r)
-		case Mov:
-			h.pair(fpMov, 0)
-			h.pair(fpTemp, uint32(v.Dst))
-			h.operand(v.Src, r)
-		case Sel:
-			h.pair(fpSel, 0)
-			h.pair(fpTemp, uint32(v.Dst))
-			h.operand(v.Cond, r)
-			h.operand(v.A, r)
-			h.operand(v.B, r)
-		case Call:
-			h.pair(fpCall, 0)
-			h.operand(v.Target, r)
-		case Exit:
-			h.pair(fpExit, uint32(v.Kind))
-			if v.Kind == ExitCond {
-				h.operand(v.Cond, r)
-			}
-			if v.Kind != ExitRet {
-				h.operand(v.Target, r)
-			}
+	for i := range b.Stmts {
+		s := &b.Stmts[i]
+		// The header carries every scalar field; of Dst and the operands,
+		// only those the kind uses are hashed.
+		h.word(fpStmt | uint64(s.Kind) | uint64(s.Op)<<8 | uint64(s.Size)<<16 | uint64(s.Exit)<<24 | uint64(s.Reg)<<32)
+		u := s.use()
+		if u&defDst != 0 {
+			h.pair(fpTemp, uint32(s.Dst))
+		}
+		if u&useC != 0 {
+			h.operand(s.C, r)
+		}
+		if u&useA != 0 {
+			h.operand(s.A, r)
+		}
+		if u&useB != 0 {
+			h.operand(s.B, r)
 		}
 	}
 	return Fingerprint{h.a, h.b}

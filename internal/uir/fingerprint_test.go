@@ -16,10 +16,10 @@ func addBlock(addr uint32, c Operand, target Operand) *Block {
 		Addr: addr,
 		Size: 16,
 		Stmts: []Stmt{
-			Get{Dst: 0, Reg: 1},
-			Bin{Dst: 1, Op: OpAdd, A: T(0), B: c},
-			Store{Addr: T(1), Src: T(0), Size: 4},
-			Exit{Kind: ExitCond, Cond: T(1), Target: target},
+			{Kind: StmtGet, Dst: 0, Reg: 1},
+			{Kind: StmtBin, Dst: 1, Op: OpAdd, A: T(0), B: c},
+			{Kind: StmtStore, A: T(1), B: T(0), Size: 4},
+			{Kind: StmtExit, Exit: ExitCond, C: T(1), A: target},
 		},
 	}
 }
@@ -93,10 +93,10 @@ func TestBlockFingerprintSoundness(t *testing.T) {
 			name: "temp numbering differs",
 			a:    base,
 			b: &Block{Addr: 0x400100, Stmts: []Stmt{
-				Get{Dst: 0, Reg: 1},
-				Bin{Dst: 2, Op: OpAdd, A: T(0), B: C(8)},
-				Store{Addr: T(2), Src: T(0), Size: 4},
-				Exit{Kind: ExitCond, Cond: T(2), Target: CK(0x400200, ConstCode)},
+				{Kind: StmtGet, Dst: 0, Reg: 1},
+				{Kind: StmtBin, Dst: 2, Op: OpAdd, A: T(0), B: C(8)},
+				{Kind: StmtStore, A: T(2), B: T(0), Size: 4},
+				{Kind: StmtExit, Exit: ExitCond, C: T(2), A: CK(0x400200, ConstCode)},
 			}},
 			ra:      r,
 			rb:      r,
@@ -106,10 +106,10 @@ func TestBlockFingerprintSoundness(t *testing.T) {
 			name: "operation differs",
 			a:    base,
 			b: &Block{Addr: 0x400100, Stmts: []Stmt{
-				Get{Dst: 0, Reg: 1},
-				Bin{Dst: 1, Op: OpSub, A: T(0), B: C(8)},
-				Store{Addr: T(1), Src: T(0), Size: 4},
-				Exit{Kind: ExitCond, Cond: T(1), Target: CK(0x400200, ConstCode)},
+				{Kind: StmtGet, Dst: 0, Reg: 1},
+				{Kind: StmtBin, Dst: 1, Op: OpSub, A: T(0), B: C(8)},
+				{Kind: StmtStore, A: T(1), B: T(0), Size: 4},
+				{Kind: StmtExit, Exit: ExitCond, C: T(1), A: CK(0x400200, ConstCode)},
 			}},
 			ra:      r,
 			rb:      r,
@@ -119,10 +119,10 @@ func TestBlockFingerprintSoundness(t *testing.T) {
 			name: "store size differs",
 			a:    base,
 			b: &Block{Addr: 0x400100, Stmts: []Stmt{
-				Get{Dst: 0, Reg: 1},
-				Bin{Dst: 1, Op: OpAdd, A: T(0), B: C(8)},
-				Store{Addr: T(1), Src: T(0), Size: 2},
-				Exit{Kind: ExitCond, Cond: T(1), Target: CK(0x400200, ConstCode)},
+				{Kind: StmtGet, Dst: 0, Reg: 1},
+				{Kind: StmtBin, Dst: 1, Op: OpAdd, A: T(0), B: C(8)},
+				{Kind: StmtStore, A: T(1), B: T(0), Size: 2},
+				{Kind: StmtExit, Exit: ExitCond, C: T(1), A: CK(0x400200, ConstCode)},
 			}},
 			ra:      r,
 			rb:      r,
@@ -132,9 +132,9 @@ func TestBlockFingerprintSoundness(t *testing.T) {
 			name: "trailing statement missing",
 			a:    base,
 			b: &Block{Addr: 0x400100, Stmts: []Stmt{
-				Get{Dst: 0, Reg: 1},
-				Bin{Dst: 1, Op: OpAdd, A: T(0), B: C(8)},
-				Store{Addr: T(1), Src: T(0), Size: 4},
+				{Kind: StmtGet, Dst: 0, Reg: 1},
+				{Kind: StmtBin, Dst: 1, Op: OpAdd, A: T(0), B: C(8)},
+				{Kind: StmtStore, A: T(1), B: T(0), Size: 4},
 			}},
 			ra:      r,
 			rb:      r,

@@ -67,11 +67,13 @@ const (
 	ConstData
 )
 
-// Operand is either an SSA temporary or an immediate constant.
+// Operand is either an SSA temporary or an immediate constant. The two
+// one-byte fields come last so the struct packs into 12 bytes; a Stmt
+// carries three.
 type Operand struct {
-	IsConst bool
 	Temp    Temp
 	Val     uint32
+	IsConst bool
 	Kind    ConstKind
 }
 
@@ -172,73 +174,41 @@ func (op Op) IsCommutative() bool {
 // IsCompare reports whether the op is a comparison producing 0/1.
 func (op Op) IsCompare() bool { return op >= OpCmpEQ && op <= OpCmpLES }
 
-// Stmt is a single UIR statement. The concrete types below are the only
-// implementations.
-type Stmt interface {
-	isStmt()
-	String() string
-}
+// StmtKind tags a statement with its operation.
+type StmtKind uint8
 
-// Get reads an architectural register into a temporary.
-type Get struct {
-	Dst Temp
-	Reg Reg
-}
-
-// Put writes a value to an architectural register.
-type Put struct {
-	Reg Reg
-	Src Operand
-}
-
-// Load reads Size bytes from memory (zero-extended into the 32-bit temp).
-type Load struct {
-	Dst  Temp
-	Addr Operand
-	Size uint8 // 1, 2 or 4
-}
-
-// Store writes the low Size bytes of Src to memory.
-type Store struct {
-	Addr Operand
-	Src  Operand
-	Size uint8
-}
-
-// Bin computes a binary operation.
-type Bin struct {
-	Dst  Temp
-	Op   Op
-	A, B Operand
-}
-
-// Un computes a unary operation.
-type Un struct {
-	Dst Temp
-	Op  Op
-	A   Operand
-}
-
-// Mov copies an operand into a temporary (constant materialization or copy).
-type Mov struct {
-	Dst Temp
-	Src Operand
-}
-
-// Sel selects A when Cond is non-zero, else B (conditional move; used by
-// lifters for predicated instructions such as ARM's movCC).
-type Sel struct {
-	Dst  Temp
-	Cond Operand
-	A, B Operand
-}
-
-// Call transfers control to a procedure. Per the target ABI it implicitly
-// reads the argument registers and writes the return-value register and
-// the caller-saved set; the strand extractor consults the ABI for these.
-type Call struct {
-	Target Operand // ConstCode for direct calls, temp for indirect
-}
+// Statement kinds. The zero value is not a statement.
+const (
+	// StmtGet reads architectural register Reg into Dst.
+	StmtGet StmtKind = iota + 1
+	// StmtPut writes A to architectural register Reg.
+	StmtPut
+	// StmtLoad reads Size bytes (1, 2 or 4) at address A, zero-extended
+	// into Dst.
+	StmtLoad
+	// StmtStore writes the low Size bytes of B to address A.
+	StmtStore
+	// StmtBin computes Dst = Op(A, B).
+	StmtBin
+	// StmtUn computes Dst = Op(A).
+	StmtUn
+	// StmtMov copies A into Dst (constant materialization or copy).
+	StmtMov
+	// StmtSel sets Dst to A when C is non-zero, else to B (conditional
+	// move; used by lifters for predicated instructions such as ARM's
+	// movCC).
+	StmtSel
+	// StmtCall transfers control to the procedure at A (ConstCode for
+	// direct calls, a temp for indirect ones). Per the target ABI it
+	// implicitly reads the argument registers and writes the return-value
+	// register and the caller-saved set; the strand extractor consults
+	// the ABI for these.
+	StmtCall
+	// StmtExit is a control transfer of kind Exit to A (ConstCode, or a
+	// temp for ExitIndir; unused by ExitRet). For ExitCond, control goes
+	// to A when C is non-zero and falls through otherwise.
+	StmtExit
+)
 
 // ExitKind distinguishes the control transfers that terminate (or appear
 // inside, for conditional exits) a basic block.
@@ -247,54 +217,94 @@ type ExitKind uint8
 // Exit kinds.
 const (
 	ExitJump  ExitKind = iota // unconditional branch
-	ExitCond                  // conditional branch (Cond significant)
+	ExitCond                  // conditional branch (C significant)
 	ExitRet                   // procedure return
 	ExitIndir                 // indirect jump through a temp
 )
 
-// Exit is a control transfer. For ExitCond, control goes to Target when
-// Cond is non-zero and falls through otherwise.
-type Exit struct {
-	Kind   ExitKind
-	Cond   Operand // meaningful for ExitCond
-	Target Operand // ConstCode or temp (ExitIndir)
+// Stmt is a single UIR statement: one value type for every kind, tagged
+// by Kind, each kind reading the fields its constant's comment names and
+// leaving the rest zero. C is only ever a condition. The struct holds no
+// pointer, so a []Stmt — the per-executable arena every lifted block is a
+// subslice of — is memory the garbage collector never scans, and emitting
+// a statement allocates nothing. isa.LiftBuilder is the constructor.
+type Stmt struct {
+	Kind StmtKind
+	Op   Op       // StmtBin, StmtUn
+	Size uint8    // StmtLoad, StmtStore
+	Exit ExitKind // StmtExit
+	Reg  Reg      // StmtGet, StmtPut
+	Dst  Temp     // the temporary defined, for the kinds that define one
+	A, B Operand
+	C    Operand
 }
 
-func (Get) isStmt()   {}
-func (Put) isStmt()   {}
-func (Load) isStmt()  {}
-func (Store) isStmt() {}
-func (Bin) isStmt()   {}
-func (Un) isStmt()    {}
-func (Mov) isStmt()   {}
-func (Sel) isStmt()   {}
-func (Call) isStmt()  {}
-func (Exit) isStmt()  {}
-
-func (s Get) String() string  { return fmt.Sprintf("t%d = get r%d", s.Dst, s.Reg) }
-func (s Put) String() string  { return fmt.Sprintf("put r%d = %s", s.Reg, s.Src) }
-func (s Load) String() string { return fmt.Sprintf("t%d = load%d %s", s.Dst, s.Size, s.Addr) }
-func (s Store) String() string {
-	return fmt.Sprintf("store%d %s = %s", s.Size, s.Addr, s.Src)
-}
-func (s Bin) String() string { return fmt.Sprintf("t%d = %s %s, %s", s.Dst, s.Op, s.A, s.B) }
-func (s Un) String() string  { return fmt.Sprintf("t%d = %s %s", s.Dst, s.Op, s.A) }
-func (s Mov) String() string { return fmt.Sprintf("t%d = %s", s.Dst, s.Src) }
-func (s Sel) String() string {
-	return fmt.Sprintf("t%d = select %s ? %s : %s", s.Dst, s.Cond, s.A, s.B)
-}
-func (s Call) String() string { return fmt.Sprintf("call %s", s.Target) }
-func (s Exit) String() string {
+// String renders the statement for debugging.
+func (s Stmt) String() string {
 	switch s.Kind {
-	case ExitJump:
-		return fmt.Sprintf("jump %s", s.Target)
-	case ExitCond:
-		return fmt.Sprintf("if %s jump %s", s.Cond, s.Target)
-	case ExitRet:
-		return "ret"
-	default:
-		return fmt.Sprintf("ijump %s", s.Target)
+	case StmtGet:
+		return fmt.Sprintf("t%d = get r%d", s.Dst, s.Reg)
+	case StmtPut:
+		return fmt.Sprintf("put r%d = %s", s.Reg, s.A)
+	case StmtLoad:
+		return fmt.Sprintf("t%d = load%d %s", s.Dst, s.Size, s.A)
+	case StmtStore:
+		return fmt.Sprintf("store%d %s = %s", s.Size, s.A, s.B)
+	case StmtBin:
+		return fmt.Sprintf("t%d = %s %s, %s", s.Dst, s.Op, s.A, s.B)
+	case StmtUn:
+		return fmt.Sprintf("t%d = %s %s", s.Dst, s.Op, s.A)
+	case StmtMov:
+		return fmt.Sprintf("t%d = %s", s.Dst, s.A)
+	case StmtSel:
+		return fmt.Sprintf("t%d = select %s ? %s : %s", s.Dst, s.C, s.A, s.B)
+	case StmtCall:
+		return fmt.Sprintf("call %s", s.A)
+	case StmtExit:
+		switch s.Exit {
+		case ExitJump:
+			return fmt.Sprintf("jump %s", s.A)
+		case ExitCond:
+			return fmt.Sprintf("if %s jump %s", s.C, s.A)
+		case ExitRet:
+			return "ret"
+		default:
+			return fmt.Sprintf("ijump %s", s.A)
+		}
 	}
+	return fmt.Sprintf("stmt(%d)", uint8(s.Kind))
+}
+
+// stmtUse says which fields a statement touches: the operands it reads
+// — C, then A, then B, the order they are evaluated in — and whether it
+// defines Dst.
+type stmtUse uint8
+
+const (
+	useC stmtUse = 1 << iota
+	useA
+	useB
+	defDst
+)
+
+var kindUse = [256]stmtUse{
+	StmtGet: defDst, StmtPut: useA, StmtLoad: useA | defDst, StmtStore: useA | useB,
+	StmtBin: useA | useB | defDst, StmtUn: useA | defDst, StmtMov: useA | defDst,
+	StmtSel: useC | useA | useB | defDst, StmtCall: useA,
+}
+
+// use returns the statement's stmtUse; zero for anything but a StmtExit
+// means the kind is unknown.
+func (s *Stmt) use() stmtUse {
+	switch {
+	case s.Kind != StmtExit:
+		return kindUse[s.Kind]
+	case s.Exit == ExitCond:
+		return useC | useA
+	case s.Exit == ExitRet:
+		return 0
+	}
+	return useA
 }
 
 // Block is one lifted basic block: the statements for all instructions in
@@ -305,56 +315,38 @@ type Block struct {
 	Stmts []Stmt
 }
 
-// Succs returns the statically-known successor addresses of the block:
+// Succs appends the statically-known successor addresses of the block to
+// dst (so a walk over many blocks can reuse one buffer) and returns it:
 // conditional-exit targets, the final jump target, and the fallthrough
 // address where applicable.
-func (b *Block) Succs() []uint32 {
-	var out []uint32
+func (b *Block) Succs(dst []uint32) []uint32 {
 	fall := true
-	for _, s := range b.Stmts {
-		e, ok := s.(Exit)
-		if !ok {
+	for i := range b.Stmts {
+		s := &b.Stmts[i]
+		if s.Kind != StmtExit {
 			continue
 		}
-		switch e.Kind {
-		case ExitCond:
-			if e.Target.IsConst {
-				out = append(out, e.Target.Val)
-			}
-		case ExitJump:
-			if e.Target.IsConst {
-				out = append(out, e.Target.Val)
-			}
-			fall = false
-		case ExitRet, ExitIndir:
-			fall = false
+		if (s.Exit == ExitCond || s.Exit == ExitJump) && s.A.IsConst {
+			dst = append(dst, s.A.Val)
 		}
+		fall = fall && s.Exit == ExitCond
 	}
 	if fall {
-		out = append(out, b.Addr+b.Size)
+		dst = append(dst, b.Addr+b.Size)
 	}
-	return out
+	return dst
 }
 
 // String renders the block, one statement per line.
 func (b *Block) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "block 0x%x (%d bytes)\n", b.Addr, b.Size)
-	for _, s := range b.Stmts {
+	for i := range b.Stmts {
 		sb.WriteString("  ")
-		sb.WriteString(s.String())
+		sb.WriteString(b.Stmts[i].String())
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// Proc is a lifted procedure: its entry address and basic blocks sorted by
-// address.
-type Proc struct {
-	Name   string // empty in stripped binaries
-	Entry  uint32
-	Blocks []*Block
-	Arch   Arch
 }
 
 // ABI describes the calling convention the lifter assumed, consumed by
@@ -399,66 +391,25 @@ func (a *ABI) RegName(r Reg) string {
 // temporary.
 func (b *Block) Validate() error {
 	defined := map[Temp]bool{}
-	checkUse := func(o Operand) error {
-		if o.IsConst {
-			return nil
+	for i := range b.Stmts {
+		s := &b.Stmts[i]
+		u := s.use()
+		if u == 0 && s.Kind != StmtExit {
+			return fmt.Errorf("block 0x%x: unknown statement kind %d", b.Addr, s.Kind)
 		}
-		if !defined[o.Temp] {
-			return fmt.Errorf("block 0x%x: use of undefined temp t%d", b.Addr, o.Temp)
-		}
-		return nil
-	}
-	def := func(t Temp) error {
-		if defined[t] {
-			return fmt.Errorf("block 0x%x: temp t%d assigned twice (SSA violation)", b.Addr, t)
-		}
-		defined[t] = true
-		return nil
-	}
-	for _, s := range b.Stmts {
-		var uses []Operand
-		var dst *Temp
-		switch v := s.(type) {
-		case Get:
-			dst = &v.Dst
-		case Put:
-			uses = []Operand{v.Src}
-		case Load:
-			uses = []Operand{v.Addr}
-			dst = &v.Dst
-		case Store:
-			uses = []Operand{v.Addr, v.Src}
-		case Bin:
-			uses = []Operand{v.A, v.B}
-			dst = &v.Dst
-		case Un:
-			uses = []Operand{v.A}
-			dst = &v.Dst
-		case Mov:
-			uses = []Operand{v.Src}
-			dst = &v.Dst
-		case Sel:
-			uses = []Operand{v.Cond, v.A, v.B}
-			dst = &v.Dst
-		case Call:
-			uses = []Operand{v.Target}
-		case Exit:
-			if v.Kind == ExitCond {
-				uses = append(uses, v.Cond)
-			}
-			if v.Kind != ExitRet {
-				uses = append(uses, v.Target)
+		for _, r := range [...]struct {
+			read stmtUse
+			o    Operand
+		}{{useC, s.C}, {useA, s.A}, {useB, s.B}} {
+			if u&r.read != 0 && !r.o.IsConst && !defined[r.o.Temp] {
+				return fmt.Errorf("block 0x%x: use of undefined temp t%d", b.Addr, r.o.Temp)
 			}
 		}
-		for _, u := range uses {
-			if err := checkUse(u); err != nil {
-				return err
+		if u&defDst != 0 {
+			if defined[s.Dst] {
+				return fmt.Errorf("block 0x%x: temp t%d assigned twice (SSA violation)", b.Addr, s.Dst)
 			}
-		}
-		if dst != nil {
-			if err := def(*dst); err != nil {
-				return err
-			}
+			defined[s.Dst] = true
 		}
 	}
 	return nil

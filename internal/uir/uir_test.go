@@ -2,6 +2,7 @@ package uir
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -154,9 +155,9 @@ func TestMachineMemory(t *testing.T) {
 func TestRunBlockBasic(t *testing.T) {
 	// t0 = get r1; t1 = add t0, 5; put r2 = t1
 	b := &Block{Addr: 0x1000, Size: 8, Stmts: []Stmt{
-		Get{Dst: 0, Reg: 1},
-		Bin{Dst: 1, Op: OpAdd, A: T(0), B: C(5)},
-		Put{Reg: 2, Src: T(1)},
+		{Kind: StmtGet, Dst: 0, Reg: 1},
+		{Kind: StmtBin, Dst: 1, Op: OpAdd, A: T(0), B: C(5)},
+		{Kind: StmtPut, Reg: 2, A: T(1)},
 	}}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
@@ -177,10 +178,10 @@ func TestRunBlockBasic(t *testing.T) {
 func TestRunBlockCondExit(t *testing.T) {
 	mk := func(r1 uint32) *Machine {
 		b := &Block{Addr: 0, Size: 8, Stmts: []Stmt{
-			Get{Dst: 0, Reg: 1},
-			Bin{Dst: 1, Op: OpCmpEQ, A: T(0), B: C(0x1F)},
-			Exit{Kind: ExitCond, Cond: T(1), Target: CK(0x40E744, ConstCode)},
-			Put{Reg: 5, Src: C(1)},
+			{Kind: StmtGet, Dst: 0, Reg: 1},
+			{Kind: StmtBin, Dst: 1, Op: OpCmpEQ, A: T(0), B: C(0x1F)},
+			{Kind: StmtExit, Exit: ExitCond, C: T(1), A: CK(0x40E744, ConstCode)},
+			{Kind: StmtPut, Reg: 5, A: C(1)},
 		}}
 		m := NewMachine()
 		m.Regs[1] = r1
@@ -190,7 +191,7 @@ func TestRunBlockCondExit(t *testing.T) {
 		return m
 	}
 	taken := mk(0x1F)
-	if taken.Exited == nil || taken.Exited.Target.Val != 0x40E744 {
+	if taken.Exited == nil || taken.Exited.A.Val != 0x40E744 {
 		t.Error("branch should be taken for 0x1F")
 	}
 	if _, wrote := taken.Regs[5]; wrote {
@@ -207,8 +208,8 @@ func TestRunBlockCondExit(t *testing.T) {
 
 func TestRunBlockCallRecording(t *testing.T) {
 	b := &Block{Stmts: []Stmt{
-		Call{Target: CK(0x40B2AC, ConstCode)},
-		Call{Target: CK(0x401000, ConstCode)},
+		{Kind: StmtCall, A: CK(0x40B2AC, ConstCode)},
+		{Kind: StmtCall, A: CK(0x401000, ConstCode)},
 	}}
 	m := NewMachine()
 	if err := m.RunBlock(b); err != nil {
@@ -221,14 +222,14 @@ func TestRunBlockCallRecording(t *testing.T) {
 
 func TestValidateCatchesSSAViolation(t *testing.T) {
 	b := &Block{Stmts: []Stmt{
-		Mov{Dst: 0, Src: C(1)},
-		Mov{Dst: 0, Src: C(2)},
+		{Kind: StmtMov, Dst: 0, A: C(1)},
+		{Kind: StmtMov, Dst: 0, A: C(2)},
 	}}
 	if err := b.Validate(); err == nil {
 		t.Error("double assignment must fail validation")
 	}
 	b2 := &Block{Stmts: []Stmt{
-		Bin{Dst: 0, Op: OpAdd, A: T(7), B: C(1)},
+		{Kind: StmtBin, Dst: 0, Op: OpAdd, A: T(7), B: C(1)},
 	}}
 	if err := b2.Validate(); err == nil {
 		t.Error("use of undefined temp must fail validation")
@@ -237,20 +238,20 @@ func TestValidateCatchesSSAViolation(t *testing.T) {
 
 func TestBlockSuccs(t *testing.T) {
 	b := &Block{Addr: 0x100, Size: 16, Stmts: []Stmt{
-		Exit{Kind: ExitCond, Cond: T(0), Target: CK(0x200, ConstCode)},
+		{Kind: StmtExit, Exit: ExitCond, C: T(0), A: CK(0x200, ConstCode)},
 	}}
 	// Cond exit + fallthrough.
-	b.Stmts = append([]Stmt{Mov{Dst: 0, Src: C(1)}}, b.Stmts...)
-	got := b.Succs()
+	b.Stmts = append([]Stmt{{Kind: StmtMov, Dst: 0, A: C(1)}}, b.Stmts...)
+	got := b.Succs(nil)
 	if len(got) != 2 || got[0] != 0x200 || got[1] != 0x110 {
 		t.Errorf("Succs = %v, want [0x200 0x110]", got)
 	}
-	j := &Block{Addr: 0, Size: 4, Stmts: []Stmt{Exit{Kind: ExitJump, Target: CK(0x300, ConstCode)}}}
-	if got := j.Succs(); len(got) != 1 || got[0] != 0x300 {
+	j := &Block{Addr: 0, Size: 4, Stmts: []Stmt{{Kind: StmtExit, Exit: ExitJump, A: CK(0x300, ConstCode)}}}
+	if got := j.Succs(nil); len(got) != 1 || got[0] != 0x300 {
 		t.Errorf("jump Succs = %v", got)
 	}
-	r := &Block{Addr: 0, Size: 4, Stmts: []Stmt{Exit{Kind: ExitRet}}}
-	if got := r.Succs(); len(got) != 0 {
+	r := &Block{Addr: 0, Size: 4, Stmts: []Stmt{{Kind: StmtExit, Exit: ExitRet}}}
+	if got := r.Succs(nil); len(got) != 0 {
 		t.Errorf("ret Succs = %v, want empty", got)
 	}
 }
@@ -275,5 +276,32 @@ func TestABIRegName(t *testing.T) {
 	var nilABI *ABI
 	if nilABI.RegName(2) != "r2" {
 		t.Error("nil ABI fallback")
+	}
+}
+
+// TestStmtIsPointerFree pins the property the per-executable statement
+// arena rests on: no field of Stmt, at any depth, is a pointer, slice,
+// map, string, interface, channel or function, so a []Stmt is memory the
+// garbage collector never scans and building a statement never boxes.
+func TestStmtIsPointerFree(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("%s has kind %v; Stmt must hold fixed-width scalars only", path, ty.Kind())
+		}
+	}
+	walk("Stmt", reflect.TypeOf(Stmt{}))
+	if size := reflect.TypeOf(Stmt{}).Size(); size > 48 {
+		t.Errorf("Stmt is %d bytes, want at most 48 (three 12-byte operands and a 12-byte header)", size)
 	}
 }
