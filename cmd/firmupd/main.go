@@ -36,6 +36,17 @@ import (
 	"firmup/internal/telemetry"
 )
 
+// Connection deadlines: a client that stalls its headers or upload, stops
+// reading its response or parks an idle connection is dropped. The write
+// deadline runs from the end of the request headers, so it also bounds
+// the upload, its analysis and the search.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr            = flag.String("addr", ":8080", "listen address")
@@ -124,7 +135,11 @@ func main() {
 		})
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{
+		Addr: *addr, Handler: mux,
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		WriteTimeout: writeTimeout, IdleTimeout: idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("firmupd: serving on %s", *addr)

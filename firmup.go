@@ -333,7 +333,7 @@ type ProcedureInfo struct {
 // stable across sessions, worker counts and cache configuration, which
 // makes them the right handle for equivalence checks.
 func (e *Executable) ProcedureStrands(i int) []uint64 {
-	return append([]uint64(nil), e.exe.Procs[i].Set.Hashes...)
+	return append([]uint64(nil), e.exe.Hashes(i)...)
 }
 
 // ProcedureMarkers returns procedure i's sorted distinctive constants

@@ -333,6 +333,17 @@ func liftProcs(be isa.Backend, f *obj.File, entries []uint32, textEnd uint32, sw
 	// emit more, append moves the arena and the blocks already cut keep
 	// the old one alive — larger, never wrong.
 	l.lb.Stmts = make([]uir.Stmt, 0, len(sw.seq)*7/2)
+	// A procedure takes the name of the function symbol starting at its
+	// entry (of several, the first in file order): one merge of the
+	// symbols sorted by address against the procedures, which ascend by
+	// entry — the file sets both counts.
+	fsyms := make([]int32, 0, len(f.Syms))
+	for i := range f.Syms {
+		if s := &f.Syms[i]; s.Kind == obj.SymFunc && s.Addr < s.Addr+s.Size { // not empty, not wrapping
+			fsyms = append(fsyms, int32(i))
+		}
+	}
+	slices.SortStableFunc(fsyms, func(a, b int32) int { return cmp.Compare(f.Syms[a].Addr, f.Syms[b].Addr) })
 	out := make([]*Proc, 0, len(procs))
 	var name []byte
 	for i := range procs {
@@ -340,7 +351,11 @@ func liftProcs(be isa.Backend, f *obj.File, entries []uint32, textEnd uint32, sw
 		if len(p.Insts) == 0 || !l.liftProc(p) {
 			continue
 		}
-		if sym, ok := f.FuncSym(p.Entry); ok && sym.Addr == p.Entry {
+		for len(fsyms) > 0 && f.Syms[fsyms[0]].Addr < p.Entry {
+			fsyms = fsyms[1:]
+		}
+		if len(fsyms) > 0 && f.Syms[fsyms[0]].Addr == p.Entry {
+			sym := &f.Syms[fsyms[0]]
 			p.Name = sym.Name
 			p.Exported = sym.Exported
 		} else {

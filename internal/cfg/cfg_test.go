@@ -1,7 +1,10 @@
 package cfg
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"firmup/internal/compiler"
 	"firmup/internal/isa"
@@ -188,6 +191,49 @@ func TestBlockSuccessorsResolve(t *testing.T) {
 					t.Errorf("%s: block %#x successor %#x is not a block start", p.Name, b.Addr, s)
 				}
 			}
+		}
+	}
+}
+
+// TestManySymbolsNameInLinearTime recovers an executable of 20,000
+// one-instruction procedures under 20,000 function symbols: both counts
+// are the uploader's, so naming merges the two sorted sequences — one
+// scan of every symbol per procedure was 4×10^8 steps on this file.
+// The symbols are listed in descending address order, and two share
+// procedure 7's entry: the first in file order names it.
+func TestManySymbolsNameInLinearTime(t *testing.T) {
+	const n, base = 20000, 0x400000
+	file := &obj.File{
+		Arch:     uir.ArchX86,
+		Entry:    base,
+		Sections: []obj.Section{{Name: ".text", Addr: base, Kind: obj.SecText, Data: bytes.Repeat([]byte{0xC3}, n)}}, // ret
+		Syms:     []obj.Symbol{{Name: "first", Addr: base + 7, Size: 1, Kind: obj.SymFunc, Exported: true}},
+	}
+	for i := n - 1; i >= 0; i-- {
+		file.Syms = append(file.Syms, obj.Symbol{Name: fmt.Sprintf("f%d", i), Addr: uint32(base + i), Size: 1, Kind: obj.SymFunc})
+	}
+	parsed, err := obj.Read(file.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rec, err := Recover(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("recovery took %v, want well under a second", d)
+	}
+	if len(rec.Procs) != n {
+		t.Fatalf("recovered %d procedures, want %d", len(rec.Procs), n)
+	}
+	for i, p := range rec.Procs {
+		want, exported := fmt.Sprintf("f%d", i), false
+		if i == 7 {
+			want, exported = "first", true
+		}
+		if p.Name != want || p.Exported != exported {
+			t.Fatalf("procedure %d at %#x is %q (exported %v), want %q (%v)", i, p.Entry, p.Name, p.Exported, want, exported)
 		}
 	}
 }

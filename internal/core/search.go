@@ -157,25 +157,24 @@ func accept(q *sim.Exe, qi int, t *sim.Exe, r Result, opt *SearchOptions) *Findi
 // the pair alone, never on the course of a game, which is what lets a
 // search name the acceptable procedures of a target before playing.
 func acceptable(q *sim.Exe, qi int, t *sim.Exe, ti, score int, opt *SearchOptions) (ratio float64, ok bool) {
-	qset := q.Procs[qi].Set
-	qsize := qset.Size()
+	qsize := q.Procs[qi].Set.Size()
 	if qsize == 0 || score < opt.minScore() {
 		return 0, false
 	}
 	if opt != nil && opt.Weigher != nil {
 		var total, shared float64
-		tset := t.Procs[ti].Set
+		qh, th := q.Hashes(qi), t.Hashes(ti)
 		i, j := 0, 0
-		for _, h := range qset.Hashes {
+		for _, h := range qh {
 			total += opt.Weigher(h)
 		}
-		for i < len(qset.Hashes) && j < len(tset.Hashes) {
+		for i < len(qh) && j < len(th) {
 			switch {
-			case qset.Hashes[i] == tset.Hashes[j]:
-				shared += opt.Weigher(qset.Hashes[i])
+			case qh[i] == th[j]:
+				shared += opt.Weigher(qh[i])
 				i++
 				j++
-			case qset.Hashes[i] < tset.Hashes[j]:
+			case qh[i] < th[j]:
 				i++
 			default:
 				j++

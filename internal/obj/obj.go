@@ -113,16 +113,6 @@ func (f *File) Text() *Section {
 	return nil
 }
 
-// FuncSym returns the function symbol covering addr, if any.
-func (f *File) FuncSym(addr uint32) (Symbol, bool) {
-	for _, s := range f.Syms {
-		if s.Kind == SymFunc && addr >= s.Addr && addr < s.Addr+s.Size {
-			return s, true
-		}
-	}
-	return Symbol{}, false
-}
-
 // NamedSym returns the symbol with the given name, if any.
 func (f *File) NamedSym(name string) (Symbol, bool) {
 	for _, s := range f.Syms {

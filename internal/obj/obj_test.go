@@ -128,12 +128,6 @@ func TestLookupHelpers(t *testing.T) {
 	if f.Text() == nil || f.Text().Name != ".text" {
 		t.Error("Text lookup")
 	}
-	if sym, ok := f.FuncSym(0x400006); !ok || sym.Name != "curl_easy_unescape" {
-		t.Errorf("FuncSym = %v %v", sym, ok)
-	}
-	if _, ok := f.FuncSym(0x500000); ok {
-		t.Error("FuncSym out of range")
-	}
 	if sym, ok := f.NamedSym("gbl"); !ok || sym.Kind != SymObject {
 		t.Errorf("NamedSym = %v %v", sym, ok)
 	}

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"firmup"
 	"firmup/internal/corpus"
 	"firmup/internal/serve"
+	"firmup/internal/snapshot"
 	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
@@ -632,5 +634,86 @@ func TestServeFindingsFileSchema(t *testing.T) {
 	}
 	if total != sr.TotalFindings {
 		t.Errorf("total_findings = %d but images carry %d", sr.TotalFindings, total)
+	}
+}
+
+// TestServePanickingShardIs500 damages a shard under a running server —
+// its posting slab is overwritten in place after the first search has
+// verified every section, so the next scan of that group indexes out of
+// range on its fan-out goroutine — and checks that the poisoned request is
+// a 500 naming the shard, with its trace ID, and that the process and the
+// server carry on.
+func TestServePanickingShardIs500(t *testing.T) {
+	sc, query := buildScenario(t)
+	dir := t.TempDir()
+	paths, err := sc.WriteShards(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := firmup.OpenSealedCorpusDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	if !sharded.Shards()[0].Mapped {
+		t.Skip("shards are read into memory here: a write to the file does not reach the open corpus")
+	}
+	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if resp, blob := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d before the damage: %s", resp.StatusCode, blob)
+	}
+
+	// Find shard 0's posting slab in its file by content and fill it with
+	// executable numbers no shard holds.
+	shard, err := snapshot.OpenCorpusShardFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	slabs, err := shard.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slab []byte
+	for _, p := range slabs.Posts {
+		slab = binary.LittleEndian.AppendUint32(slab, uint32(p.Exe))
+		slab = binary.LittleEndian.AppendUint32(slab, uint32(p.Proc))
+	}
+	shard.Close()
+	file, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := bytes.Index(file, slab)
+	if len(slab) == 0 || off < 0 {
+		t.Fatalf("posting slab (%d bytes) not found in %s", len(slab), paths[0])
+	}
+	f, err := os.OpenFile(paths[0], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0x7f}, len(slab)), int64(off)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, blob := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d after the damage, want 500: %s", resp.StatusCode, blob)
+	}
+	if !bytes.Contains(blob, []byte("panicked")) || !bytes.Contains(blob, []byte("shard-0000.fwcorp")) {
+		t.Errorf("error does not name the panic and the shard: %s", blob)
+	}
+	if resp.Header.Get(serve.TraceHeader) == "" {
+		t.Error("500 carries no trace ID")
+	}
+	// Still serving: the undamaged shard's image answers on its own.
+	last := len(sharded.Images()) - 1
+	if resp, blob := postSearch(t, fmt.Sprintf("%s/search?proc=ftp_retrieve_glob&image=%d", ts.URL, last), query); resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d for an image of the undamaged shard: %s", resp.StatusCode, blob)
 	}
 }

@@ -12,8 +12,8 @@ package sim
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -73,6 +73,11 @@ type Exe struct {
 	// lazily so session-mode executables pay for it only if needed.
 	hashOnce sync.Once
 	index    map[uint64][]int32
+
+	// hashes is Hashes' result for an executable built without them, cut
+	// from one slab; held here, never written into the shared Proc.Set.
+	hashesOnce sync.Once
+	hashes     [][]uint64
 
 	nameOnce sync.Once
 	names    map[string]int
@@ -290,43 +295,83 @@ func (e *Exe) WithPath(path string) *Exe {
 	}
 }
 
+// csrScratch is buildIndex's counting scratch, pooled across builds:
+// cnt[id] is strand id's posting count, then its fill cursor; seen marks
+// the IDs counted. Both are all zero between builds.
+type csrScratch struct {
+	cnt  []int32
+	seen []uint64
+}
+
+var csrPool = sync.Pool{New: func() any { return new(csrScratch) }}
+
+// buildIndex binds the executable to its session and builds its inverted
+// index: the CSR posting lists under a session, the hash map without one.
 func (e *Exe) buildIndex(it strand.Interner) {
 	e.it = it
 	if it == nil {
 		e.ensureHashIndex()
 		return
 	}
-	// CSR posting lists: gather (strand ID, proc) pairs, sort by ID then
-	// proc, compact runs of equal IDs into one row.
-	n := 0
+	sc := csrPool.Get().(*csrScratch)
+	sc.build(e)
+	csrPool.Put(sc)
+}
+
+// build builds e's CSR posting lists by counting, with no comparison:
+// every procedure's IDs are sorted and procedures are visited in index
+// order, so counting per ID, walking the occupancy bitmap in ID order and
+// filling in procedure order yields rows sorted by ID with ascending
+// procedures. The scratch grows to the largest ID seen, overlay-private
+// ones included, and only what a build touched is zeroed again:
+// O(postings + maxID/64), never a vocabulary-sized clear.
+func (sc *csrScratch) build(e *Exe) {
+	n, maxID := 0, uint32(0)
 	for _, p := range e.Procs {
-		n += len(p.Set.IDs)
+		if ids := p.Set.IDs; len(ids) > 0 {
+			n += len(ids)
+			maxID = max(maxID, ids[len(ids)-1])
+		}
 	}
-	type pair struct {
-		id   uint32
-		proc int32
+	if need := int(maxID) + 1; len(sc.cnt) < need {
+		need += need / 2 // a live session's vocabulary grows with every executable
+		sc.cnt = make([]int32, need)
+		sc.seen = make([]uint64, (need+63)/64)
 	}
-	pairs := make([]pair, 0, n)
+	cnt, seen := sc.cnt, sc.seen[:maxID>>6+1]
+	distinct := 0
+	for _, p := range e.Procs {
+		for _, id := range p.Set.IDs {
+			if cnt[id] == 0 {
+				seen[id>>6] |= 1 << (id & 63)
+				distinct++
+			}
+			cnt[id]++
+		}
+	}
+	e.ids = make([]uint32, distinct)
+	rows := make([]int32, distinct+1+n)
+	e.start, e.procs = rows[:distinct+1:distinct+1], rows[distinct+1:]
+	k, pos := 0, int32(0)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			id := uint32(w<<6 + bits.TrailingZeros64(word))
+			e.ids[k], e.start[k] = id, pos
+			cnt[id], pos = pos, pos+cnt[id]
+			k++
+		}
+	}
+	e.start[k] = pos
 	for pi, p := range e.Procs {
 		for _, id := range p.Set.IDs {
-			pairs = append(pairs, pair{id, int32(pi)})
+			e.procs[cnt[id]] = int32(pi)
+			cnt[id]++
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].id != pairs[j].id {
-			return pairs[i].id < pairs[j].id
-		}
-		return pairs[i].proc < pairs[j].proc
-	})
-	e.procs = make([]int32, len(pairs))
-	for i, pr := range pairs {
-		e.procs[i] = pr.proc
-		if i == 0 || pr.id != pairs[i-1].id {
-			e.ids = append(e.ids, pr.id)
-			e.start = append(e.start, int32(i))
-		}
+	for _, id := range e.ids {
+		cnt[id] = 0
 	}
-	e.start = append(e.start, int32(len(pairs)))
+	clear(seen)
 }
 
 // ensureHashIndex builds the hash-map index on first need. Safe for
@@ -334,12 +379,32 @@ func (e *Exe) buildIndex(it strand.Interner) {
 func (e *Exe) ensureHashIndex() {
 	e.hashOnce.Do(func() {
 		e.index = map[uint64][]int32{}
-		for i, p := range e.Procs {
-			for _, h := range p.Set.Hashes {
+		for i := range e.Procs {
+			for _, h := range e.Hashes(i) {
 				e.index[h] = append(e.index[h], int32(i))
 			}
 		}
 	})
+}
+
+// Hashes returns procedure i's sorted strand hashes (shared; read-only).
+// A live or query executable carries them from extraction; a store-backed
+// one is built from strand IDs alone, and the first call derives all its
+// procedures' from the session vocabulary. Safe for concurrent callers.
+func (e *Exe) Hashes(i int) []uint64 {
+	if set := e.Procs[i].Set; set.Hashes != nil || len(set.IDs) == 0 {
+		return set.Hashes
+	}
+	e.hashesOnce.Do(func() {
+		slab := make([]uint64, 0, len(e.procs)) // one hash per posting
+		e.hashes = make([][]uint64, len(e.Procs))
+		for pi, p := range e.Procs {
+			at := len(slab)
+			slab = p.Set.AppendHashes(slab)
+			e.hashes[pi] = slab[at:len(slab):len(slab)]
+		}
+	})
+	return e.hashes[i]
 }
 
 // ProcByName returns the index of the first procedure with the given
@@ -362,7 +427,14 @@ func (e *Exe) ProcByName(name string) int {
 // Sim computes the paper's similarity score between an external strand
 // set and procedure i.
 func (e *Exe) Sim(q strand.Set, i int) int {
-	return q.Intersect(e.Procs[i].Set)
+	if strand.Compatible(q.It, e.it) {
+		return q.Intersect(e.Procs[i].Set)
+	}
+	// By hash, whichever side was built without them.
+	if q.Hashes == nil {
+		q.Hashes = q.AppendHashes(nil)
+	}
+	return strand.Set{Hashes: q.Hashes}.Intersect(strand.Set{Hashes: e.Hashes(i)})
 }
 
 // SimAll computes Sim(q, t) for every procedure via the inverted index:
@@ -390,6 +462,9 @@ func (e *Exe) SimAllInto(q strand.Set, counts []int) []int {
 		return counts
 	}
 	e.ensureHashIndex()
+	if q.Hashes == nil {
+		q.Hashes = q.AppendHashes(nil) // a set built without them
+	}
 	for _, h := range q.Hashes {
 		for _, pi := range e.index[h] {
 			counts[pi]++

@@ -466,9 +466,9 @@ type ImageInfo struct {
 	Executables int
 }
 
-// ExeData is one distinct executable materialized from a shard. IDs and
-// Markers alias the mapped file (valid until Close); Calls and the
-// strings are copies.
+// ExeData is one distinct executable decoded from a shard. IDs, Markers
+// and Calls alias the mapped file (valid until Close); the strings are
+// copies.
 type ExeData struct {
 	Arch     uint8
 	Stripped bool
@@ -482,7 +482,7 @@ type ProcData struct {
 	Exported   bool
 	IDs        []uint32
 	Markers    []uint32
-	Calls      []int32
+	Calls      []uint32 // indices of called procedures within the executable
 	BlockCount int
 	EdgeCount  int
 	InstCount  int
@@ -941,11 +941,11 @@ func (s *CorpusShard) Occurrences(img int) ([]Occurrence, error) {
 	return all[s.occStart[img]:s.occStart[img+1]:s.occStart[img+1]], nil
 }
 
-// Exe materializes distinct executable gi. The returned IDs and Markers
-// slices alias the mapped slabs; everything else is copied. Strand IDs
-// are validated (strictly increasing, inside the vocabulary) and call
-// targets are validated against the executable, so consumers can rely on
-// the invariants the encoder enforces.
+// Exe decodes distinct executable gi. The returned IDs, Markers and Calls
+// slices alias the mapped slabs; the names are copied. Strand IDs are
+// validated (strictly increasing, inside the vocabulary) and call targets
+// are validated against the executable, so consumers can rely on the
+// invariants the encoder enforces.
 func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
 	if gi < 0 || uint64(gi) >= s.totals.exes {
 		return nil, fmt.Errorf("snapshot: shard executable %d out of range", gi)
@@ -1024,14 +1024,10 @@ func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
 			}
 		}
 		p.Markers = marks[mOff : mOff+uint64(nmark) : mOff+uint64(nmark)]
-		if ncall > 0 {
-			p.Calls = make([]int32, ncall)
-			for k := range p.Calls {
-				c := calls[cOff+uint64(k)]
-				if c >= procCount {
-					return nil, corrupt("corpus-calls", "procedure %d calls procedure %d of %d", int(procStart)+pi, c, procCount)
-				}
-				p.Calls[k] = int32(c)
+		p.Calls = calls[cOff : cOff+uint64(ncall) : cOff+uint64(ncall)]
+		for _, c := range p.Calls {
+			if c >= procCount {
+				return nil, corrupt("corpus-calls", "procedure %d calls procedure %d of %d", int(procStart)+pi, c, procCount)
 			}
 		}
 		p.BlockCount = int(le.Uint32(prec[28:]))

@@ -76,8 +76,8 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 			if len(pd.Markers) > 0 {
 				sp.Markers = append([]uint32(nil), pd.Markers...)
 			}
-			if len(pd.Calls) > 0 {
-				sp.Calls = append([]int32(nil), pd.Calls...)
+			for _, c := range pd.Calls {
+				sp.Calls = append(sp.Calls, int32(c))
 			}
 			se.Procs = append(se.Procs, sp)
 		}

@@ -1,6 +1,7 @@
 package strand
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
 	"sync"
@@ -672,15 +673,40 @@ func Compatible(q, t Interner) bool {
 	return false
 }
 
-// Set is a procedure's strand-hash set, the unit Sim operates on.
+// Set is a procedure's strand set, the unit Sim operates on. A set bound
+// to an interner (It non-nil) is its IDs; its Hashes may be absent — a
+// store-backed executable is built without them — so read a procedure's
+// hashes through sim.Exe.Hashes, not this field.
 type Set struct {
 	Hashes []uint64 // sorted, unique
 	// IDs are the dense interned equivalents of Hashes (sorted, unique),
 	// present only when the set was built under an analyzer session.
 	IDs []uint32
 	// It is the session interner that assigned IDs. Two sets are
-	// ID-comparable only when they share the same It.
+	// ID-comparable only when their interners are Compatible.
 	It Interner
+}
+
+// Vocabulary is an interner that also maps every dense ID it assigned
+// back to its hash: what recovers the hashes of a set built without them.
+type Vocabulary interface {
+	Interner
+	// Vocab returns the hashes ordered by dense ID.
+	Vocab() []uint64
+}
+
+// AppendHashes appends the set's sorted hashes to dst: Hashes when
+// present, otherwise derived from the IDs through the set's Vocabulary.
+func (s Set) AppendHashes(dst []uint64) []uint64 {
+	if s.Hashes != nil || len(s.IDs) == 0 {
+		return append(dst, s.Hashes...)
+	}
+	at, vocab := len(dst), s.It.(Vocabulary).Vocab()
+	for _, id := range s.IDs {
+		dst = append(dst, vocab[id])
+	}
+	slices.Sort(dst[at:])
+	return dst
 }
 
 // Interned returns a copy of the set with dense IDs assigned by it.
@@ -715,20 +741,29 @@ func FromBlocks(blocks []*uir.Block, opt *Options) Set {
 	return set
 }
 
-// Size returns the number of unique strands.
-func (s Set) Size() int { return len(s.Hashes) }
+// Size returns the number of unique strands: of IDs for a bound set, whose
+// hashes may be absent, of hashes for an unbound one, which has no IDs.
+func (s Set) Size() int { return max(len(s.IDs), len(s.Hashes)) }
 
-// Intersect counts shared strands between two sorted sets: the paper's
-// Sim(q, t).
+// Intersect counts shared strands between two sets, the paper's
+// Sim(q, t): over IDs when the two are ID-comparable, over hashes
+// otherwise.
 func (s Set) Intersect(t Set) int {
+	if Compatible(s.It, t.It) {
+		return intersect(s.IDs, t.IDs)
+	}
+	return intersect(s.Hashes, t.Hashes)
+}
+
+func intersect[T cmp.Ordered](a, b []T) int {
 	i, j, n := 0, 0, 0
-	for i < len(s.Hashes) && j < len(t.Hashes) {
+	for i < len(a) && j < len(b) {
 		switch {
-		case s.Hashes[i] == t.Hashes[j]:
+		case a[i] == b[j]:
 			n++
 			i++
 			j++
-		case s.Hashes[i] < t.Hashes[j]:
+		case a[i] < b[j]:
 			i++
 		default:
 			j++

@@ -1,0 +1,260 @@
+package firmup
+
+import (
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"firmup/internal/core"
+	"firmup/internal/corpus"
+	"firmup/internal/uir"
+)
+
+// storeScenario is one generated corpus three ways: the live session's
+// images, the corpus sealed in RAM, and that corpus written to shards and
+// opened again — whose executables come off the mapping built from strand
+// IDs alone, their hashes derived only on demand.
+type storeScenario struct {
+	analyzer *Analyzer
+	live     []*Image
+	sealed   *SealedCorpus
+	stored   *SealedCorpus
+	query    []byte // the wget query, MIPS
+}
+
+const storeScenarioProc = "ftp_retrieve_glob"
+
+func buildStoreScenario(t *testing.T) *storeScenario {
+	t.Helper()
+	c, err := corpus.Build(corpus.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &storeScenario{analyzer: NewAnalyzer(nil)}
+	for _, bi := range c.Images {
+		img, err := s.analyzer.OpenImage(bi.Image.Pack(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.live = append(s.live, img)
+	}
+	if s.sealed, err = s.analyzer.Seal(s.live...); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := s.sealed.WriteShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	if s.stored, err = OpenSealedCorpus(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.stored.Close() })
+	_, qf, err := corpus.QueryExe("wget", "1.15", uir.ArchMIPS32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.query = qf.Bytes()
+	return s
+}
+
+// TestStoreBackedHashesOnDemand pins what a store-backed executable built
+// without hashes must still answer like the live one: every procedure's
+// strands, a weighted acceptance, a search by a query from a foreign
+// session (both directions of the game fall back to hashes), and a stored
+// executable used as the query of another corpus.
+func TestStoreBackedHashesOnDemand(t *testing.T) {
+	s := buildStoreScenario(t)
+
+	for ii, img := range s.live {
+		for _, le := range img.Exes {
+			se := s.stored.Images()[ii].Executable(le.Path)
+			if se == nil {
+				t.Fatalf("image %d: %s missing from the opened corpus", ii, le.Path)
+			}
+			for pi, p := range le.exe.Procs {
+				if got, want := se.ProcedureStrands(pi), le.ProcedureStrands(pi); !slices.Equal(got, want) {
+					t.Fatalf("image %d %s procedure %d: strands differ from the live session's", ii, le.Path, pi)
+				}
+				sp := se.exe.Procs[pi]
+				if sp.Set.Hashes != nil {
+					t.Fatalf("image %d %s procedure %d: a store-backed set carries hashes", ii, le.Path, pi)
+				}
+				if p.Set.Size() != len(p.Set.Hashes) || sp.Set.Size() != len(se.exe.Hashes(pi)) || sp.Set.Size() != p.Set.Size() {
+					t.Fatalf("image %d %s procedure %d: Size %d live / %d stored, %d hashes", ii, le.Path, pi, p.Set.Size(), sp.Set.Size(), len(p.Set.Hashes))
+				}
+			}
+		}
+	}
+
+	// Weighted acceptance reads both sides' hashes: every occurrence, in
+	// RAM and off the mapping, must give the same finding.
+	q, err := s.stored.AnalyzeQuery(s.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ramQ, err := s.sealed.AnalyzeQuery(s.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qi := q.exe.ProcByName(storeScenarioProc)
+	weighted := &core.SearchOptions{MinScore: 8, MinRatio: 0.42, Weigher: func(h uint64) float64 { return 1 + float64(h%7)/4 }}
+	found := 0
+	for ii, im := range s.stored.Images() {
+		for k, oc := range im.occs {
+			st, err := im.group.exe(oc.Exe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ramIm := s.sealed.Images()[ii]
+			rt, _ := ramIm.group.exe(ramIm.occs[k].Exe)
+			got, gotR := core.MatchOne(q.exe, qi, st, weighted)
+			want, wantR := core.MatchOne(ramQ.exe, qi, rt, weighted)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotR, wantR) {
+				t.Fatalf("image %d %s: weighted finding %+v (%+v), in RAM %+v (%+v)", ii, oc.Path, got, gotR, want, wantR)
+			}
+			if got != nil {
+				found++
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("weighted search accepted nothing: the comparison is vacuous")
+	}
+
+	// A query from another session shares no ID space with the corpus.
+	foreign, err := NewAnalyzer(nil).LoadQueryExecutable(s.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stored executable as the query of another corpus: hash-less on the
+	// query side, against sets that are not ID-comparable with it.
+	var storedQ, ramOwnQ *Executable
+	ownProc, ownSize := "", 0
+	for ii, im := range s.stored.Images() {
+		for _, oc := range im.occs {
+			e := im.Executable(oc.Path)
+			for _, p := range e.exe.Procs {
+				if p.Set.Size() > ownSize {
+					storedQ, ramOwnQ = e, s.sealed.Images()[ii].Executable(oc.Path)
+					ownProc, ownSize = p.Name, p.Set.Size()
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *Executable
+		proc      string
+		over      *SealedCorpus
+	}{
+		{"foreign-session query", foreign, foreign, storeScenarioProc, s.stored},
+		{"stored executable as a query", storedQ, ramOwnQ, ownProc, s.sealed},
+	} {
+		for _, opt := range []*Options{nil, {Exhaustive: true}, {Workers: 1}} {
+			got, err := c.over.SearchAll(c.got, c.proc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A query the index cannot narrow examines everything.
+			want, err := s.sealed.SearchAll(c.want, c.proc, &Options{Exhaustive: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, options %+v: findings differ from the in-RAM corpus\ngot:  %+v\nwant: %+v", c.name, opt, got, want)
+			}
+			n := 0
+			for _, im := range got {
+				n += len(im.Findings)
+			}
+			if n == 0 {
+				t.Errorf("%s found nothing: the comparison is vacuous", c.name)
+			}
+		}
+	}
+}
+
+// TestStoreBackedHashesConcurrent derives hashes from eight goroutines
+// while batched searches run over the same executables; run under -race.
+func TestStoreBackedHashesConcurrent(t *testing.T) {
+	s := buildStoreScenario(t)
+	q, err := s.stored.AnalyzeQuery(s.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := NewAnalyzer(nil).LoadQueryExecutable(s.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []BatchQuery{{Query: q, Procedure: storeScenarioProc}, {Query: foreign, Procedure: storeScenarioProc}}
+	want, err := s.sealed.SearchAllBatch(batch, &Options{Exhaustive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4; i++ {
+			got, err := s.stored.SearchAllBatch(batch, &Options{Exhaustive: true})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("batched search over the opened corpus differs from the in-RAM one")
+			}
+		}
+	}()
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ii, im := range s.stored.Images() {
+				for k, oc := range im.occs {
+					e := im.Executable(oc.Path)
+					for pi := range e.exe.Procs {
+						if !slices.Equal(e.exe.Hashes(pi), s.live[ii].Exes[k].exe.Hashes(pi)) {
+							t.Errorf("image %d %s procedure %d: hashes differ from the live session's", ii, oc.Path, pi)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// materializeAllocSlack is what first touch of a store-backed executable
+// may allocate besides one name per procedure: the decoded record and its
+// procedure slab, the in-degree counts, the sim.Proc slab, its pointer
+// slice, the call-graph slab, the executable and its CSR's two slices.
+const materializeAllocSlack = 12
+
+func TestMaterializeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	s := buildStoreScenario(t)
+	for gi, g := range s.stored.groups {
+		for u := 0; u < g.nExes; u++ {
+			var e, failed = g.loadExe(u)
+			if failed != nil {
+				t.Fatal(failed)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := g.loadExe(u); err != nil {
+					failed = err
+				}
+			})
+			if failed != nil {
+				t.Fatal(failed)
+			}
+			if budget := float64(materializeAllocSlack + len(e.Procs)); allocs > budget {
+				t.Errorf("shard %d executable %d (%d procedures): first touch makes %.0f allocations, budget %.0f", gi, u, len(e.Procs), allocs, budget)
+			}
+		}
+	}
+}

@@ -342,7 +342,15 @@ type passStats struct{ games, unplayed, cut int }
 // since candidacy is a property of the executable alone, an image gets
 // exactly the findings, examined count and step histogram a search of it
 // on its own would produce.
+//
+// A panic in the pass — on SearchAllBatch's fan-out goroutines it would
+// end the process — becomes the pass's error, naming the shard.
 func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.Span) (res [][]*SearchResult, st passStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("firmup: search of group %q panicked: %v", g.path, r)
+		}
+	}()
 	s := opt.search()
 	s.Span = parent
 	s.Game.Tel = g.game

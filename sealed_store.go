@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -27,6 +26,12 @@ import (
 // any executable exists in RAM, so only candidates are ever
 // materialized, and peak RSS tracks the working set instead of the
 // corpus.
+//
+// Off the mapping (loadExe), an executable's strand IDs and markers alias
+// the file; its procedures, call graph and CSR posting lists are derived
+// once, by counting, into a few slabs; its strand hashes are deferred. A
+// set bound to an interner is its IDs: Set.Hashes is absent on these
+// targets — read a procedure's hashes through sim.Exe.Hashes.
 
 // lazyExe is one distinct executable's materialize-once slot.
 type lazyExe struct {
@@ -100,46 +105,56 @@ func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
 	return le.exe, le.err
 }
 
-// loadExe materializes one distinct executable from the shard: strand
-// IDs and markers alias the mapped slabs (they are immutable), hashes
-// are recovered through the frozen vocabulary, and the result binds to
-// the frozen interner exactly like an executable sealed in RAM.
+// loadExe materializes one distinct executable from the shard in one
+// linear pass and, names aside, a constant number of allocations: strand
+// IDs and markers alias the mapped slabs (they are immutable), the
+// procedures are one slab, every Calls and CalledBy list is cut from one
+// more (in-degrees counted first), and sim's CSR build counts instead of
+// sorting. Hashes are not built (see the file comment); the result binds
+// to the frozen interner like an executable sealed in RAM.
 func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 	ed, err := g.shard.Exe(u)
 	if err != nil {
 		return nil, err
 	}
-	vocab := g.frozen.Vocab()
-	procs := make([]*sim.Proc, len(ed.Procs))
+	ncalls := 0
+	indeg := make([]int32, len(ed.Procs))
 	for pi := range ed.Procs {
-		pd := &ed.Procs[pi]
-		hashes := make([]uint64, len(pd.IDs))
-		for k, id := range pd.IDs {
-			hashes[k] = vocab[id]
+		ncalls += len(ed.Procs[pi].Calls)
+		for _, c := range ed.Procs[pi].Calls {
+			indeg[c]++
 		}
-		// Set invariant: Hashes sorted ascending (IDs already are).
-		slices.Sort(hashes)
-		p := &sim.Proc{
+	}
+	slab := make([]sim.Proc, len(ed.Procs))
+	procs := make([]*sim.Proc, len(ed.Procs))
+	edges := make([]int, 2*ncalls)
+	calls, calledBy := edges[:ncalls:ncalls], edges[ncalls:]
+	for pi := range ed.Procs {
+		pd, p := &ed.Procs[pi], &slab[pi]
+		*p = sim.Proc{
 			Name:       pd.Name,
 			Addr:       pd.Addr,
 			Exported:   pd.Exported,
-			Set:        strand.Set{Hashes: hashes, IDs: pd.IDs, It: g.frozen},
+			Set:        strand.Set{IDs: pd.IDs, It: g.frozen},
 			Markers:    pd.Markers,
 			BlockCount: pd.BlockCount,
 			EdgeCount:  pd.EdgeCount,
 			InstCount:  pd.InstCount,
 		}
-		if len(pd.Calls) > 0 {
-			p.Calls = make([]int, len(pd.Calls))
+		if n := len(pd.Calls); n > 0 {
+			p.Calls, calls = calls[:n:n], calls[n:]
 			for k, c := range pd.Calls {
 				p.Calls[k] = int(c)
 			}
+		}
+		if n := int(indeg[pi]); n > 0 {
+			p.CalledBy, calledBy = calledBy[:0:n], calledBy[n:]
 		}
 		procs[pi] = p
 	}
 	for pi, p := range procs {
 		for _, cl := range p.Calls {
-			procs[cl].CalledBy = append(procs[cl].CalledBy, pi)
+			procs[cl].CalledBy = append(procs[cl].CalledBy, pi) // within the counted capacity
 		}
 	}
 	e := sim.FromProcsSession("", procs, g.frozen)
