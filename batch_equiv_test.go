@@ -131,8 +131,8 @@ func TestSearchBatchEquivalenceOnCorpus(t *testing.T) {
 }
 
 // TestSearchAllBatchMatchesSearchAll pins the corpus-wide batched entry
-// point the serve coalescer uses: per query, SearchAllBatch must be
-// deep-equal to a sequential SearchAll.
+// point (Table 2's, and bench/'s batch-sweep): per query, SearchAllBatch
+// must be deep-equal to a sequential SearchAll.
 func TestSearchAllBatchMatchesSearchAll(t *testing.T) {
 	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
 	_, sealedPool := batchPool(t, s)

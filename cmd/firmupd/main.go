@@ -56,7 +56,6 @@ func main() {
 		queryWorkers    = flag.Int("query-workers", 0, "per-request query-analysis worker budget (0 = GOMAXPROCS)")
 		searchWorkers   = flag.Int("search-workers", 0, "per-request search worker budget (0 = GOMAXPROCS)")
 		allowSwap       = flag.Bool("allow-swap", false, "enable POST /swap?path=... corpus hot-swap")
-		batchWindow     = flag.Duration("batch-window", 0, "coalesce concurrent same-target searches into one batched pass, waiting this long for followers (0 = off)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown grace period")
 		traceSample     = flag.Int("trace-sample", 1, "request tracing sample rate: 0 = X-Firmup-Trace-carrying requests only, 1 = all, N = every Nth")
 		traceSlow       = flag.Duration("trace-slow", 500*time.Millisecond, "always retain traces of requests at least this slow for /debug/requests (negative = off)")
@@ -103,7 +102,6 @@ func main() {
 		RetryAfter:    *retryAfter,
 		QueryWorkers:  *queryWorkers,
 		SearchWorkers: *searchWorkers,
-		BatchWindow:   *batchWindow,
 		Registry:      reg,
 		TraceSample:   *traceSample,
 		TraceSlow:     *traceSlow,

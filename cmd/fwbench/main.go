@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"firmup/internal/buildinfo"
@@ -33,68 +34,76 @@ func main() {
 		fmt.Println(buildinfo.String())
 		return
 	}
-
 	valid := map[string]bool{"all": true, "table2": true, "fig6": true, "fig8": true,
 		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true}
 	if !valid[*exp] {
 		fmt.Fprintf(os.Stderr, "fwbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
+	if err := run(os.Stdout, *exp, *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "fwbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run prints experiment exp (a name main has validated) at the given
+// corpus scale to w.
+func run(w io.Writer, exp, scale string) error {
 	sc := corpus.DefaultScale()
-	if *scale == "eval" {
+	if scale == "eval" {
 		sc = corpus.EvalScale()
 	}
-	fmt.Printf("preparing corpus (scale=%s)...\n", *scale)
+	fmt.Fprintf(w, "preparing corpus (scale=%s)...\n", scale)
 	env, err := eval.Prepare(sc)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	st := env.Corpus.Stat()
-	fmt.Printf("corpus ready: %d images, %d executables, %d procedures, %d unique builds\n",
+	fmt.Fprintf(w, "corpus ready: %d images, %d executables, %d procedures, %d unique builds\n",
 		st.Images, st.Exes, st.Procedures, len(env.Units))
-	fmt.Printf("session: %d unique strands interned\n\n", env.UniqueStrands())
+	fmt.Fprintf(w, "session: %d unique strands interned\n\n", env.Sealed.UniqueStrands())
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
+	want := func(name string) bool { return exp == "all" || exp == name }
 
 	if want("table2") {
-		res, err := eval.Table2(env, nil)
+		res, err := eval.Table2(env)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		confirmed, latest := res.TotalConfirmed()
-		fmt.Printf("total: %d confirmed vulnerable procedures, %d devices affected at their latest firmware\n\n",
+		fmt.Fprintf(w, "total: %d confirmed vulnerable procedures, %d devices affected at their latest firmware\n\n",
 			confirmed, latest)
 	}
 	if want("fig6") {
 		res, err := eval.CompareBinDiff(env, nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("=== Fig. 6 ===")
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, "=== Fig. 6 ===")
+		fmt.Fprintln(w, res.Format())
 	}
 	var gitzRes *eval.CompareResult
 	if want("fig8") || want("fig9") || want("ablation") {
 		gitzRes, err = eval.CompareGitZ(env, nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if want("fig8") {
-		fmt.Println("=== Fig. 8 ===")
-		fmt.Println(gitzRes.Format())
+		fmt.Fprintln(w, "=== Fig. 8 ===")
+		fmt.Fprintln(w, gitzRes.Format())
 	}
 	if want("fig9") || want("ablation") {
-		fmt.Println("=== Fig. 9 / ablation ===")
-		fmt.Println(eval.FormatFig9(gitzRes))
+		fmt.Fprintln(w, "=== Fig. 9 / ablation ===")
+		fmt.Fprintln(w, eval.FormatFig9(gitzRes))
 	}
 	if want("table1") || want("demo") {
 		out, err := eval.GameTrace(env)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 		} else {
-			fmt.Println(out)
+			fmt.Fprintln(w, out)
 		}
 	}
 	if want("fig5") || want("demo") {
@@ -102,18 +111,14 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fig5:", err)
 		} else {
-			fmt.Println(out)
+			fmt.Fprintln(w, out)
 		}
 	}
-	if want("demo") || *exp == "all" {
+	if want("demo") || exp == "all" {
 		out, err := eval.StrandDemo(env)
 		if err == nil {
-			fmt.Println(out)
+			fmt.Fprintln(w, out)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fwbench:", err)
-	os.Exit(1)
+	return nil
 }

@@ -136,7 +136,7 @@ func main() {
 	}
 	for _, cve := range corpus.CVEs {
 		for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
-			_, f, err := corpus.QueryExe(cve.Package, cve.QueryVersion, arch)
+			f, err := corpus.QueryExe(cve.Package, cve.QueryVersion, arch)
 			if err != nil {
 				fatal(err)
 			}

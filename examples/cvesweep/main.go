@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eval.Table2(env, nil)
+	res, err := eval.Table2(env)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func main() {
 	// built per target architecture, as in the paper.
 	queries := map[uir.Arch]*firmup.Executable{}
 	for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
-		_, qf, err := corpus.QueryExe("wget", "1.15", arch)
+		qf, err := corpus.QueryExe("wget", "1.15", arch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -289,6 +289,12 @@ type Executable struct {
 	exe  *sim.Exe
 }
 
+// Sim returns the executable as the engine holds it. The type is
+// module-internal: this is for internal/eval, whose figures compare
+// matchers (the game, the BinDiff- and GitZ-style baselines) on a fixed
+// pair of executables of one session rather than run a search.
+func (e *Executable) Sim() *sim.Exe { return e.exe }
+
 // Procedures lists the recovered procedures.
 func (e *Executable) Procedures() []ProcedureInfo {
 	out := make([]ProcedureInfo, len(e.exe.Procs))
@@ -551,9 +557,7 @@ type Options struct {
 	// search) as its children, each feeding the stage of its name in the
 	// span's registry and, under a sampled request, the request's tree.
 	// Purely observational — findings are byte-identical with and without
-	// it, and the serve layer's request-coalescing key zeroes the field,
-	// so tracing never splits otherwise-identical requests. The zero Span
-	// records nothing at zero cost.
+	// it. The zero Span records nothing at zero cost.
 	Span telemetry.Span
 }
 

@@ -30,7 +30,7 @@ func buildScenario(t *testing.T) (imgBytes []byte, queryBytes []byte, hasWget bo
 	if target == nil {
 		t.Fatal("no wget 1.15 image in default corpus")
 	}
-	_, qf, err := corpus.QueryExe("wget", "1.15", arch)
+	qf, err := corpus.QueryExe("wget", "1.15", arch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func registryQueries(tb testing.TB) []registryQuery {
 	for ci := range corpus.CVEs {
 		cve := &corpus.CVEs[ci]
 		for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
-			_, file, err := corpus.QueryExe(cve.Package, cve.QueryVersion, arch)
+			file, err := corpus.QueryExe(cve.Package, cve.QueryVersion, arch)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,25 +12,6 @@ import (
 type BatchQuery struct {
 	Q  *sim.Exe
 	QI int
-}
-
-// MatchBatch plays the game for several procedures of one query
-// executable against a single target through one shared matcher. The
-// matcher's memoized similarity vectors are exclusion-independent (see
-// the matcher doc), so candidate lists computed for one game answer
-// every later game of the batch; per-game state (partial matching, work
-// stack, trace) is fresh for each entry. Every Result — target, score,
-// steps, matched pairs, end reason and trace — is byte-identical to an
-// independent Match call for the same (qi, target) pair, in any batch
-// composition or order; the equivalence tests enforce it.
-func MatchBatch(q *sim.Exe, qis []int, t *sim.Exe, opt *Options) []Result {
-	out := make([]Result, len(qis))
-	m := newMatcher(q, t, opt.tel())
-	for i, qi := range qis {
-		out[i] = runShared(q, qi, t, opt, m, nil)
-	}
-	m.release()
-	return out
 }
 
 // runShared plays one game through a caller-managed matcher with fresh
@@ -46,44 +26,6 @@ func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher, accepta
 		tel.Steps.Observe(int64(res.Steps))
 	}
 	return res
-}
-
-// SearchBatch runs the exhaustive search — every query against every
-// target — in one batched game-engine pass. Each target executable is
-// visited once: the batch queries play their games back-to-back, and
-// queries from the same query executable share one matcher, so similarity
-// vectors accumulated for one query answer the rest. A search that
-// narrows its targets first resolves the candidates itself and calls
-// PlayBatch.
-//
-// The results are positionally aligned with queries and byte-identical
-// to searching once per query: same findings, same examined counts, same
-// step histograms, regardless of batch composition or query order.
-// Per-query state — game state, findings, histograms — is never shared;
-// only the exclusion-independent matcher caches and pooled arenas are.
-func SearchBatch(queries []BatchQuery, targets []*sim.Exe, opt *SearchOptions) []SearchResult {
-	all := make([]int, len(targets))
-	for i := range all {
-		all[i] = i
-	}
-	plans := make([]Plan, len(queries))
-	for qx := range queries {
-		plans[qx].Targets = all
-	}
-	findings := PlayBatch(queries, targets, plans, opt).Findings
-	out := make([]SearchResult, len(queries))
-	for qx := range queries {
-		res := &out[qx]
-		*res = SearchResult{StepsHistogram: map[int]int{}, Examined: len(plans[qx].Targets)}
-		for _, f := range findings[qx] {
-			if f != nil {
-				res.Findings = append(res.Findings, *f)
-				res.StepsHistogram[f.Steps]++
-			}
-		}
-		sort.Slice(res.Findings, func(i, j int) bool { return res.Findings[i].ExePath < res.Findings[j].ExePath })
-	}
-	return out
 }
 
 // Plan is one query's resolved play list for PlayBatch: the targets its
@@ -128,10 +70,17 @@ type Played struct {
 // the target at position k.
 type slot struct{ qx, k int }
 
-// PlayBatch is the game-playing pass under SearchBatch, with the
-// candidate narrowing already resolved by the caller: query qx is played
-// against targets[ti] for every ti in plans[qx].Targets (targets outside
-// every list are never dereferenced and may be nil).
+// PlayBatch is the search pass: every query's games in one sweep over
+// the targets, with the candidate narrowing already resolved by the
+// caller. Query qx is played against targets[ti] for every ti in
+// plans[qx].Targets (targets outside every list are never dereferenced
+// and may be nil). Each target is visited once, on one of opt.Workers
+// goroutines: the queries aimed at it play their games back-to-back, and
+// queries from the same query executable share one matcher, so similarity
+// vectors accumulated for one query answer the rest. Per-query state —
+// game state, findings — is never shared, so a query's findings do not
+// depend on what else is in the batch, on query order or on the worker
+// count.
 //
 // A game is played only while it can still be accepted. Before each one
 // the pass computes, from the query's similarity vector in the target —
@@ -140,6 +89,9 @@ type slot struct{ qx, k int }
 // game is not played, and a game that is played stops once the last of
 // them has been matched to another query procedure (see runGame).
 // Neither changes a finding or its step count.
+//
+// A panic on a worker goroutine is re-raised on the caller's once every
+// worker has stopped, so the caller's recover sees it.
 //
 // The pass records under "core.search_batch", or "core.search" for a
 // batch of one.
@@ -197,10 +149,19 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	var steps, unplayed, cut atomic.Int64
+	var panicOnce sync.Once
+	var panicked any
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked = r })
+					for range jobs { // unplayed, so the feeding loop below ends
+					}
+				}
+			}()
 			var c passCounts
 			for ti := range jobs {
 				runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, findings, &c)
@@ -215,6 +176,9 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	}
 	close(jobs)
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 
 	out := Played{Findings: findings, Unplayed: int(unplayed.Load()), Cut: int(cut.Load())}
 	if tel != nil {

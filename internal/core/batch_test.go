@@ -9,6 +9,33 @@ import (
 	"firmup/internal/sim"
 )
 
+// matchBatch plays the game for several procedures of one query
+// executable against a single target through one shared matcher, as a
+// target pass does for the queries of one executable.
+func matchBatch(q *sim.Exe, qis []int, t *sim.Exe, opt *Options) []Result {
+	out := make([]Result, len(qis))
+	m := newMatcher(q, t, opt.tel())
+	for i, qi := range qis {
+		out[i] = runShared(q, qi, t, opt, m, nil)
+	}
+	m.release()
+	return out
+}
+
+// everyTarget is the play-everything plan list: each of nq queries
+// against all nt targets.
+func everyTarget(nq, nt int) []Plan {
+	all := make([]int, nt)
+	for i := range all {
+		all[i] = i
+	}
+	plans := make([]Plan, nq)
+	for qx := range plans {
+		plans[qx].Targets = all
+	}
+	return plans
+}
+
 // TestMatchBatchEquivalenceRandomized: every Result of a batched pass —
 // target, score, steps, matched pairs, end reason and trace — must be
 // deep-equal to an independent Match call for the same (qi, target)
@@ -27,7 +54,7 @@ func TestMatchBatchEquivalenceRandomized(t *testing.T) {
 		for i := range qis {
 			qis[i] = rng.Intn(nq)
 		}
-		batch := MatchBatch(q, qis, tt, opt)
+		batch := matchBatch(q, qis, tt, opt)
 		for i, qi := range qis {
 			solo := Match(q, qi, tt, opt)
 			if !reflect.DeepEqual(batch[i], solo) {
@@ -58,7 +85,7 @@ func TestMatchBatchEquivalenceTightLimits(t *testing.T) {
 		for i := range qis {
 			qis[i] = rng.Intn(n)
 		}
-		batch := MatchBatch(q, qis, tt, opt)
+		batch := matchBatch(q, qis, tt, opt)
 		for i, qi := range qis {
 			solo := Match(q, qi, tt, opt)
 			if !reflect.DeepEqual(batch[i], solo) {
@@ -98,11 +125,10 @@ func newRandBatchScenario(rng *rand.Rand) randBatchScenario {
 }
 
 // TestSearchBatchEquivalenceRandomized sweeps randomized batches of
-// queries spanning several query executables: every SearchResult of the
-// batched pass must deep-equal the sequential Search for that query —
-// findings, examined counts and step histograms — and the batch must be
-// order-insensitive: shuffling the queries permutes the results and
-// nothing else.
+// queries spanning several query executables: every query's per-target
+// findings in the batched pass must deep-equal those of a pass of that
+// query alone, and the batch must be order-insensitive: shuffling the
+// queries permutes the results and nothing else.
 func TestSearchBatchEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 120; trial++ {
@@ -119,24 +145,25 @@ func TestSearchBatchEquivalenceRandomized(t *testing.T) {
 		}
 		// Sweep batch sizes 1..len: each prefix is its own batch.
 		for n := 1; n <= len(sc.queries); n++ {
-			batch := SearchBatch(sc.queries[:n], sc.targets, opt)
+			batch := PlayBatch(sc.queries[:n], sc.targets, everyTarget(n, len(sc.targets)), opt).Findings
 			for i, bq := range sc.queries[:n] {
-				solo := Search(bq.Q, bq.QI, sc.targets, opt)
+				solo := PlayBatch([]BatchQuery{bq}, sc.targets, everyTarget(1, len(sc.targets)), opt).Findings[0]
 				if !reflect.DeepEqual(batch[i], solo) {
-					t.Fatalf("trial %d: batch size %d query %d diverges from sequential Search:\nbatch: %+v\nsolo:  %+v",
+					t.Fatalf("trial %d: batch size %d query %d diverges from a pass of its own:\nbatch: %+v\nsolo:  %+v",
 						trial, n, i, batch[i], solo)
 				}
 			}
 		}
 		// Order-insensitivity: a shuffled batch returns the same result
 		// for each query, aligned to the shuffled positions.
-		full := SearchBatch(sc.queries, sc.targets, opt)
+		plans := everyTarget(len(sc.queries), len(sc.targets))
+		full := PlayBatch(sc.queries, sc.targets, plans, opt).Findings
 		perm := rng.Perm(len(sc.queries))
 		shuffled := make([]BatchQuery, len(sc.queries))
 		for i, p := range perm {
 			shuffled[i] = sc.queries[p]
 		}
-		reres := SearchBatch(shuffled, sc.targets, opt)
+		reres := PlayBatch(shuffled, sc.targets, plans, opt).Findings
 		for i, p := range perm {
 			if !reflect.DeepEqual(reres[i], full[p]) {
 				t.Fatalf("trial %d: shuffled batch position %d (original %d) diverges:\nshuffled: %+v\noriginal: %+v",

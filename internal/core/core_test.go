@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"firmup/internal/cfg"
 	"firmup/internal/compiler"
@@ -252,20 +254,46 @@ func TestSearchParallelAndThreshold(t *testing.T) {
 		isa.Options{TextBase: 0x10000, RegSeed: 5, SchedSeed: 3}, true)
 	t2 := buildExe(t, uir.ArchARM32, compiler.Profile{OptLevel: 3},
 		isa.Options{TextBase: 0x20000, RegSeed: 9, ShuffleProcs: true}, true)
-	res := Search(q, qi, []*sim.Exe{t1, t2}, &SearchOptions{Workers: 4})
-	if res.Examined != 2 {
-		t.Errorf("examined = %d", res.Examined)
-	}
-	if len(res.Findings) != 2 {
-		t.Fatalf("findings = %+v, want 2", res.Findings)
-	}
-	for _, f := range res.Findings {
+	pass := PlayBatch([]BatchQuery{{Q: q, QI: qi}}, []*sim.Exe{t1, t2}, everyTarget(1, 2), &SearchOptions{Workers: 4})
+	for ti, f := range pass.Findings[0] {
+		if f == nil {
+			t.Fatalf("no finding in target %d: %+v", ti, pass)
+		}
 		if f.Ratio < 0.25 {
 			t.Errorf("finding ratio %.2f below threshold", f.Ratio)
 		}
+		if f.Steps < 1 {
+			t.Errorf("finding %+v records no game steps", f)
+		}
 	}
-	if len(res.StepsHistogram) == 0 {
-		t.Error("steps histogram empty")
+}
+
+// TestPlayBatchPanicReachesCaller: a panic inside a target pass — here a
+// planned target that is nil — happens on one of the pass's worker
+// goroutines, where nothing the caller does could recover it. PlayBatch
+// must re-raise it on the calling goroutine, after every worker has
+// stopped.
+func TestPlayBatchPanicReachesCaller(t *testing.T) {
+	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q0", 1, 2, 3, 4)})
+	good := sim.FromProcs("T", []*sim.Proc{mkProc("t0", 1, 2, 3, 4)})
+	targets := []*sim.Exe{good, good, nil, good, good, good, good, good}
+	before := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		PlayBatch([]BatchQuery{{Q: q, QI: 0}}, targets, everyTarget(1, len(targets)), &SearchOptions{Workers: 4})
+	}()
+	if got == nil {
+		t.Fatal("PlayBatch returned normally from a pass over a nil target")
+	}
+	// Workers are waited for before the re-panic; allow the runtime a
+	// moment to retire their goroutines.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the pass, %d after: a worker is still running", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

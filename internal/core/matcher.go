@@ -61,7 +61,7 @@ type span struct{ off, n int32 }
 // procedure's positive candidates instead of every procedure.
 //
 // Matchers, their count buffers and their candidate slabs are drawn from
-// a package-level sync.Pool, so the games of one core.Search (and of
+// a package-level sync.Pool, so the games of one search pass (and of
 // every concurrent search in the process) recycle the same arenas and the
 // hot path allocates nothing after warm-up.
 type matcher struct {

@@ -23,7 +23,8 @@ type Finding struct {
 	Steps int
 }
 
-// SearchOptions configure an executable-set search.
+// SearchOptions configure a search pass (PlayBatch) and the acceptance
+// threshold MatchOne shares with it.
 type SearchOptions struct {
 	Game Options
 	// MinScore is the minimum absolute number of shared strands for a
@@ -96,23 +97,6 @@ func (o *SearchOptions) span() telemetry.Span {
 		return telemetry.Span{}
 	}
 	return o.Span
-}
-
-// SearchResult pairs per-target outcomes with aggregate accounting.
-type SearchResult struct {
-	Findings []Finding
-	// StepsHistogram counts accepted matches by game steps needed
-	// (Fig. 9 of the paper).
-	StepsHistogram map[int]int
-	// Examined is the number of target executables searched.
-	Examined int
-}
-
-// Search runs the game for the query procedure against every target
-// executable in parallel, applying the acceptance threshold. It is
-// SearchBatch with a batch of one.
-func Search(q *sim.Exe, qi int, targets []*sim.Exe, opt *SearchOptions) SearchResult {
-	return SearchBatch([]BatchQuery{{Q: q, QI: qi}}, targets, opt)[0]
 }
 
 // MatchOne runs the game against a single target and applies the

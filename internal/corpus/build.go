@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"firmup/internal/cfg"
 	"firmup/internal/compiler"
 	"firmup/internal/image"
 	"firmup/internal/isa"
 	"firmup/internal/obj"
-	"firmup/internal/sim"
-	"firmup/internal/strand"
 	"firmup/internal/uir"
 )
 
@@ -216,28 +213,21 @@ func (c *Corpus) buildUnit(v *Vendor, arch uir.Arch, pkg, ver string) (*builtUni
 
 // QueryExe compiles the analyst's query executable: the package at the
 // CVE's query version, built with the default gcc-5.2-O2-style profile
-// for the given architecture, symbols intact. The build is session-less;
-// see QueryExeIn for building under an analyzer session.
-func QueryExe(pkg, version string, arch uir.Arch) (*sim.Exe, *obj.File, error) {
-	return QueryExeIn(nil, pkg, version, arch)
-}
-
-// QueryExeIn is QueryExe under an analyzer session: the query's strand
-// sets are interned by it, making them ID-comparable with every target
-// built under the same session.
-func QueryExeIn(it strand.Interner, pkg, version string, arch uir.Arch) (*sim.Exe, *obj.File, error) {
+// for the given architecture, symbols intact. Its Bytes are what an
+// analyst uploads; analysis is the caller's session's job.
+func QueryExe(pkg, version string, arch uir.Arch) (*obj.File, error) {
 	src, err := PackageSource(pkg, version)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	prof := compiler.DefaultQueryProfile(arch)
 	mpkg, err := compiler.CompileToMIR(src, prof)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	be, err := isa.ByArch(arch)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	art, err := be.Generate(mpkg, isa.Options{
 		TextBase:   prof.LayoutBase,
@@ -246,29 +236,9 @@ func QueryExeIn(it strand.Interner, pkg, version string, arch uir.Arch) (*sim.Ex
 		MulByShift: prof.MulByShift,
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	f := obj.FromArtifact(art)
-	rec, err := cfg.Recover(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sim.Build(pkg+"@"+version, rec, it), f, nil
-}
-
-// IndexExe recovers and indexes a shipped executable (the analysis-side
-// view: stripped), session-less.
-func IndexExe(e *BuiltExe) (*sim.Exe, error) {
-	return IndexExeIn(nil, e)
-}
-
-// IndexExeIn is IndexExe under an analyzer session.
-func IndexExeIn(it strand.Interner, e *BuiltExe) (*sim.Exe, error) {
-	rec, err := cfg.Recover(e.File)
-	if err != nil {
 		return nil, err
 	}
-	return sim.Build(e.Path, rec, it), nil
+	return obj.FromArtifact(art), nil
 }
 
 // Stats summarizes a corpus.

@@ -3,6 +3,7 @@ package corpus
 import (
 	"testing"
 
+	"firmup/internal/cfg"
 	"firmup/internal/image"
 	_ "firmup/internal/isa/arm"
 	_ "firmup/internal/isa/mips"
@@ -126,22 +127,26 @@ func TestNetgearDisablesOpie(t *testing.T) {
 	if !checked {
 		t.Skip("no NETGEAR wget in the default-scale corpus")
 	}
-	q, _, err := QueryExe("wget", "1.15", uir.ArchMIPS32)
+	q, err := QueryExe("wget", "1.15", uir.ArchMIPS32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.ProcByName("skey_resp") < 0 {
+	if _, ok := q.NamedSym("skey_resp"); !ok {
 		t.Error("query build must include skey_resp")
 	}
 }
 
 func TestQueryExeHasCVEProcedures(t *testing.T) {
 	for _, cve := range CVEs {
-		q, f, err := QueryExe(cve.Package, cve.QueryVersion, uir.ArchMIPS32)
+		f, err := QueryExe(cve.Package, cve.QueryVersion, uir.ArchMIPS32)
 		if err != nil {
 			t.Fatalf("%s: %v", cve.ID, err)
 		}
-		if q.ProcByName(cve.Procedure) < 0 {
+		rec, err := cfg.Recover(f)
+		if err != nil {
+			t.Fatalf("%s: %v", cve.ID, err)
+		}
+		if rec.Proc(cve.Procedure) == nil {
 			t.Errorf("%s: query lacks %s", cve.ID, cve.Procedure)
 		}
 		if f.Stripped {
@@ -150,18 +155,18 @@ func TestQueryExeHasCVEProcedures(t *testing.T) {
 	}
 }
 
-func TestIndexExeRecoversStripped(t *testing.T) {
+func TestShippedExeRecoversStripped(t *testing.T) {
 	c, err := Build(DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := &c.Images[0].Exes[0]
-	exe, err := IndexExe(e)
+	rec, err := cfg.Recover(e.File)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exe.Procs) < len(e.Truth)*8/10 {
-		t.Errorf("recovered %d procs, truth has %d", len(exe.Procs), len(e.Truth))
+	if len(rec.Procs) < len(e.Truth)*8/10 {
+		t.Errorf("recovered %d procs, truth has %d", len(rec.Procs), len(e.Truth))
 	}
 }
 
@@ -205,12 +210,12 @@ func TestBadClassUnitsAnalyzable(t *testing.T) {
 				continue
 			}
 			bad++
-			exe, err := IndexExe(e)
+			rec, err := cfg.Recover(e.File)
 			if err != nil {
 				t.Errorf("%s: bad-class executable failed analysis: %v", e.Path, err)
 				continue
 			}
-			if len(exe.Procs) == 0 {
+			if len(rec.Procs) == 0 {
 				t.Errorf("%s: bad-class executable recovered no procedures", e.Path)
 			}
 		}

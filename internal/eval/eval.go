@@ -8,13 +8,11 @@ package eval
 import (
 	"fmt"
 	"sort"
-	"time"
 
+	"firmup"
 	"firmup/internal/baseline/gitz"
-	"firmup/internal/cfg"
 	"firmup/internal/core"
 	"firmup/internal/corpus"
-	"firmup/internal/corpusindex"
 	"firmup/internal/obj"
 	"firmup/internal/sim"
 	"firmup/internal/uir"
@@ -32,7 +30,8 @@ type Unit struct {
 	Truth      map[string]uint32
 	// Occurrences lists (image index, latest?) references.
 	Occurrences []Occurrence
-	// Exe is the indexed (recovered, stripped) view.
+	// Exe is the unit as Env.Sealed holds it: recovered, stripped, under
+	// the sealed vocabulary.
 	Exe *sim.Exe
 }
 
@@ -54,40 +53,54 @@ func (u *Unit) TruthName(addr uint32) string {
 	return ""
 }
 
-// Env is the prepared evaluation environment: the corpus, its unique
-// units indexed for search, and per-(package, arch) query builds. Every
-// unit and query is built under one analyzer session (It), so the
-// matcher always takes the interned fast paths.
+// Env is the prepared evaluation environment: the corpus with its ground
+// truth, the same corpus analysed once and sealed — the form firmupd
+// serves — and its unique units. Units and queries are views of that one
+// session, so the matchers the figures compare take the interned fast
+// paths.
 type Env struct {
 	Corpus *corpus.Corpus
+	// Sealed is every image of Corpus, packed, opened by one analyzer
+	// session and sealed; Sealed.Images() is in Corpus.Images order.
+	Sealed *firmup.SealedCorpus
 	Units  []*Unit
-	// It is the session interner shared by every unit and query build.
-	It *corpusindex.Interner
-	// queries caches QueryExe results by pkg|version|arch.
-	queries map[string]*queryBuild
+	// queries caches the analysed query builds by pkg|version|arch.
+	queries map[string]*firmup.Executable
 }
 
-// UniqueStrands reports the session's strand vocabulary size.
-func (env *Env) UniqueStrands() int { return env.It.Size() }
-
-type queryBuild struct {
-	exe *sim.Exe
-	f   *obj.File
-}
-
-// Prepare builds the corpus and analyzes every unique unit.
+// Prepare builds the corpus and analyses it once, through the facade.
 func Prepare(sc corpus.Scale) (*Env, error) {
 	c, err := corpus.Build(sc)
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{Corpus: c, It: corpusindex.NewInterner(), queries: map[string]*queryBuild{}}
+	a := firmup.NewAnalyzer(nil)
+	imgs := make([]*firmup.Image, len(c.Images))
+	for ii, bi := range c.Images {
+		img, err := a.OpenImage(bi.Image.Pack(false))
+		if err == nil && len(img.Skipped) > 0 {
+			err = fmt.Errorf("%s: %w", img.Skipped[0].Path, img.Skipped[0].Err)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("eval: image %d (%s %s): %w", ii, bi.Device, bi.FwVersion, err)
+		}
+		imgs[ii] = img
+	}
+	sealed, err := a.Seal(imgs...)
+	if err != nil {
+		return nil, err
+	}
+	env := &Env{Corpus: c, Sealed: sealed, queries: map[string]*firmup.Executable{}}
 	byFile := map[*obj.File]*Unit{}
 	for ii, bi := range c.Images {
 		for ei := range bi.Exes {
 			e := &bi.Exes[ei]
 			u, ok := byFile[e.File]
 			if !ok {
+				x := sealed.Images()[ii].Executable(e.Path)
+				if x == nil {
+					return nil, fmt.Errorf("eval: image %d (%s %s) was sealed without %s", ii, bi.Device, bi.FwVersion, e.Path)
+				}
 				u = &Unit{
 					Key:        fmt.Sprintf("%s|%s@%s|%v", e.Vendor, e.Pkg, e.PkgVersion, e.Arch),
 					Pkg:        e.Pkg,
@@ -96,6 +109,7 @@ func Prepare(sc corpus.Scale) (*Env, error) {
 					Arch:       e.Arch,
 					File:       e.File,
 					Truth:      e.Truth,
+					Exe:        x.Sim(),
 				}
 				byFile[e.File] = u
 				env.Units = append(env.Units, u)
@@ -106,29 +120,36 @@ func Prepare(sc corpus.Scale) (*Env, error) {
 		}
 	}
 	sort.Slice(env.Units, func(i, j int) bool { return env.Units[i].Key < env.Units[j].Key })
-	for _, u := range env.Units {
-		rec, err := cfg.Recover(u.File)
-		if err != nil {
-			return nil, fmt.Errorf("eval: recover %s: %w", u.Key, err)
-		}
-		u.Exe = sim.Build(u.Key, rec, env.It)
-	}
 	return env, nil
 }
 
-// Query returns (building on first use) the query executable for a
-// package version on an architecture.
-func (env *Env) Query(pkg, version string, arch uir.Arch) (*sim.Exe, error) {
+// query returns (building and analysing on first use) the query
+// executable for a package version on an architecture, analysed against
+// the sealed corpus as an upload to firmupd is.
+func (env *Env) query(pkg, version string, arch uir.Arch) (*firmup.Executable, error) {
 	key := fmt.Sprintf("%s|%s|%v", pkg, version, arch)
 	if q, ok := env.queries[key]; ok {
-		return q.exe, nil
+		return q, nil
 	}
-	exe, f, err := corpus.QueryExeIn(env.It, pkg, version, arch)
+	f, err := corpus.QueryExe(pkg, version, arch)
+	if err != nil {
+		return nil, fmt.Errorf("eval: build query %s@%s/%v: %w", pkg, version, arch, err)
+	}
+	q, err := env.Sealed.AnalyzeQuery(f.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("eval: analyze query %s@%s/%v: %w", pkg, version, arch, err)
+	}
+	env.queries[key] = q
+	return q, nil
+}
+
+// Query is query in the engine's own form, for the matcher comparisons.
+func (env *Env) Query(pkg, version string, arch uir.Arch) (*sim.Exe, error) {
+	q, err := env.query(pkg, version, arch)
 	if err != nil {
 		return nil, err
 	}
-	env.queries[key] = &queryBuild{exe: exe, f: f}
-	return exe, nil
+	return q.Sim(), nil
 }
 
 // Verdict classifies one tool answer against ground truth.
@@ -144,8 +165,8 @@ const (
 )
 
 // classify scores a claimed match address for a CVE procedure within a
-// unit. hasProc states whether the unit truly contains the procedure.
-func classify(u *Unit, cve *corpus.CVE, matched bool, addr uint32) Verdict {
+// shipped executable against its ground truth.
+func classify(u *corpus.BuiltExe, cve *corpus.CVE, matched bool, addr uint32) Verdict {
 	trueAddr, hasProc := u.Truth[cve.Procedure]
 	// libcurl 7.10 ships the deprecated predecessor of
 	// curl_easy_unescape; a match to it is a true finding (the paper's
@@ -169,13 +190,6 @@ func classify(u *Unit, cve *corpus.CVE, matched bool, addr uint32) Verdict {
 	default:
 		return VerdictTN
 	}
-}
-
-// measure runs f and returns its wall-clock duration.
-func measure(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
 }
 
 // DefaultSearch is the engine configuration shared by the experiments.

@@ -127,7 +127,7 @@ func CompareBinDiff(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
 // architecture over the corpus's own procedures, as the paper does.
 func CompareGitZ(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
 	ctxByArch := map[uir.Arch]*gitz.Context{}
-	for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
+	for _, arch := range queryArchs {
 		var sample []*sim.Exe
 		for _, u := range env.Units {
 			if u.Arch == arch {
@@ -163,7 +163,7 @@ func compare(env *Env, tool string, queryIDs []string, opt *core.SearchOptions,
 			FirmUp:   LabeledCounts{Query: cve.Procedure},
 			Baseline: LabeledCounts{Query: cve.Procedure},
 		}
-		for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
+		for _, arch := range queryArchs {
 			targets := labeledTargets(env, cve, arch)
 			if len(targets) == 0 {
 				continue

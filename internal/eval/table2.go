@@ -2,11 +2,12 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"firmup/internal/core"
+	"firmup"
 	"firmup/internal/corpus"
 	"firmup/internal/uir"
 )
@@ -48,13 +49,15 @@ var table2CVEs = []string{
 	"CVE-2013-2168", "CVE-2014-4877", "CVE-2016-8618",
 }
 
-// Table2 runs the wild CVE hunt: every query searched against every
-// unique unit of the corpus, findings expanded to image occurrences and
-// scored against ground truth.
-func Table2(env *Env, opt *core.SearchOptions) (*Table2Result, error) {
-	if opt == nil {
-		opt = DefaultSearch()
-	}
+// queryArchs are the ISAs every CVE's query is compiled for.
+var queryArchs = []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86}
+
+// Table2 runs the wild CVE hunt as firmupd would serve it: per CVE, the
+// four per-ISA query builds searched corpus-wide in one
+// SealedCorpus.SearchAllBatch, and every shipped executable's finding
+// from the query of its own ISA (or the lack of one) scored against
+// ground truth.
+func Table2(env *Env) (*Table2Result, error) {
 	res := &Table2Result{Stats: env.Corpus.Stat()}
 	for _, id := range table2CVEs {
 		cve := corpus.CVEByID(id)
@@ -64,47 +67,45 @@ func Table2(env *Env, opt *core.SearchOptions) (*Table2Result, error) {
 		row := Table2Row{CVE: cve.ID, Package: cve.Package, Procedure: cve.Procedure}
 		vendors := map[string]bool{}
 		latestDevices := map[string]bool{}
-		dur := measure(func() {
-			for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
-				q, err := env.Query(cve.Package, cve.QueryVersion, arch)
-				if err != nil {
-					continue
+		start := time.Now()
+		batch := make([]firmup.BatchQuery, len(queryArchs))
+		for qx, arch := range queryArchs {
+			q, err := env.query(cve.Package, cve.QueryVersion, arch)
+			if err != nil {
+				return nil, err
+			}
+			batch[qx] = firmup.BatchQuery{Query: q, Procedure: cve.Procedure}
+		}
+		found, err := env.Sealed.SearchAllBatch(batch, nil)
+		if err != nil {
+			return nil, fmt.Errorf("eval: %s: %w", cve.ID, err)
+		}
+		for ii, bi := range env.Corpus.Images {
+			for ei := range bi.Exes {
+				e := &bi.Exes[ei]
+				matched, addr := false, uint32(0)
+				for _, f := range found[slices.Index(queryArchs, e.Arch)][ii].Findings {
+					if f.ExePath == e.Path {
+						matched, addr = true, f.ProcAddr
+					}
 				}
-				qi := q.ProcByName(cve.Procedure)
-				if qi < 0 {
-					continue
-				}
-				for _, u := range env.Units {
-					if u.Arch != arch {
-						continue
+				switch classify(e, cve, matched, addr) {
+				case VerdictTP:
+					row.Confirmed++
+					vendors[bi.Vendor] = true
+					if bi.Latest {
+						latestDevices[bi.Device] = true
 					}
-					f, _ := core.MatchOne(q, qi, u.Exe, opt)
-					matched := f != nil
-					var addr uint32
-					if matched {
-						addr = f.ProcAddr
-					}
-					v := classify(u, cve, matched, addr)
-					for _, occ := range u.Occurrences {
-						switch v {
-						case VerdictTP:
-							row.Confirmed++
-							vendors[occ.Vendor] = true
-							if occ.Latest {
-								latestDevices[occ.Device] = true
-							}
-						case VerdictFP:
-							row.FPs++
-						case VerdictPatched:
-							row.Patched++
-						case VerdictFN:
-							row.Missed++
-						}
-					}
+				case VerdictFP:
+					row.FPs++
+				case VerdictPatched:
+					row.Patched++
+				case VerdictFN:
+					row.Missed++
 				}
 			}
-		})
-		row.Time = dur
+		}
+		row.Time = time.Since(start)
 		for v := range vendors {
 			row.Vendors = append(row.Vendors, v)
 		}

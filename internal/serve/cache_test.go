@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -165,91 +166,53 @@ func otherProcedure(t *testing.T, sc *firmup.SealedCorpus, query []byte, not str
 // first answer to an upload (first sight, analysed), the second (second
 // sight, analysed and admitted) and the third (served from the cache)
 // are equal byte for byte outside elapsed_ms and trace_id — per image
-// and corpus-wide, with coalescing off and on, and for two coalesced
-// requests that share the one cached executable while naming the same
-// or different procedures.
+// and corpus-wide.
 func TestServeQueryCacheHitEqualsMiss(t *testing.T) {
 	sc, query := buildScenario(t)
-	other := otherProcedure(t, sc, query, "ftp_retrieve_glob")
-	for _, window := range []time.Duration{0, 20 * time.Millisecond} {
-		for _, scope := range []string{"&image=1", ""} {
-			t.Run(fmt.Sprintf("window=%v/scope=%q", window, scope), func(t *testing.T) {
-				reg := telemetry.New()
-				srv := serve.New(newCorpus("c", sc), &serve.Config{BatchWindow: window, Registry: reg})
-				ts := httptest.NewServer(srv.Handler())
-				defer ts.Close()
-				url := ts.URL + "/search?proc=ftp_retrieve_glob" + scope
+	for _, scope := range []string{"&image=1", ""} {
+		t.Run(fmt.Sprintf("scope=%q", scope), func(t *testing.T) {
+			reg := telemetry.New()
+			srv := serve.New(newCorpus("c", sc), &serve.Config{Registry: reg})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			url := ts.URL + "/search?proc=ftp_retrieve_glob" + scope
 
-				// The first sight runs under a request trace: a miss, with the
-				// front-end layers it ran hanging under the analyze span.
-				first, miss := tracedSearch(t, ts.URL, url, query, "00000000000000ab")
-				analyze, under := analyzeSubtree(miss)
-				if analyze.Attrs["cache"] != "miss" {
-					t.Errorf("first sight: analyze span = %+v, want cache=miss", analyze)
-				}
-				if want := map[string][]string{
-					"serve.analyze_query": {"cfg.recover", "obj.parse", "sim.build"},
-					"cfg.recover":         {"cfg.lift", "cfg.sweep"},
-					"sim.build":           {"sim.index"},
-				}; !reflect.DeepEqual(under, want) {
-					t.Errorf("first sight: spans under serve.analyze_query = %v, want %v", under, want)
-				}
-				for n := 2; n <= 3; n++ {
-					if got := mustSearch(t, url, query); got != first {
-						t.Errorf("answer %d differs from the first:\n got %s\nwant %s", n, got, first)
-					}
-				}
-				if got, want := queryCacheCounts(reg), (cacheCounts{hits: 1, misses: 2, admitted: 1}); got.hits != want.hits || got.misses != want.misses || got.admitted != want.admitted {
-					t.Errorf("query cache counters = %+v, want %+v", got, want)
-				}
-				// A hit under a request trace says so, and analysed nothing.
-				got, hit := tracedSearch(t, ts.URL, url, query, "00000000000000aa")
-				if got != first {
-					t.Errorf("traced hit differs from the first answer:\n got %s\nwant %s", got, first)
-				}
-				analyze, under = analyzeSubtree(hit)
-				if analyze.Attrs["cache"] != "hit" {
-					t.Errorf("analyze span = %+v, want cache=hit", analyze)
-				}
-				if len(under) != 0 {
-					t.Errorf("a cache hit has spans under serve.analyze_query: %v", under)
-				}
-			})
-		}
-	}
-
-	t.Run("coalesced requests share the cached executable", func(t *testing.T) {
-		ref := serve.New(newCorpus("c", sc), nil)
-		tsRef := httptest.NewServer(ref.Handler())
-		defer tsRef.Close()
-		reg := telemetry.New()
-		srv := serve.New(newCorpus("c", sc), &serve.Config{MaxInFlight: 8, BatchWindow: time.Second, Registry: reg})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		// Two sights put the value in; everything below hits it.
-		mustSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
-		mustSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
-		for _, procs := range [][2]string{{"ftp_retrieve_glob", "ftp_retrieve_glob"}, {"ftp_retrieve_glob", other}} {
-			for _, scope := range []string{"&image=1", ""} {
-				before := queryCacheCounts(reg)
-				batches := reg.Counter("serve.batches").Value()
-				paths := []string{"/search?proc=" + procs[0] + scope, "/search?proc=" + procs[1] + scope}
-				got := searchConcurrently(t, []string{ts.URL + paths[0], ts.URL + paths[1]}, query)
-				after := queryCacheCounts(reg)
-				if after.hits != before.hits+2 || after.misses != before.misses {
-					t.Errorf("%v%s: counters %+v -> %+v, want two hits", procs, scope, before, after)
-				}
-				if n := reg.Counter("serve.batches").Value() - batches; n != 1 {
-					t.Errorf("%v%s: %d batched passes, want the two requests in one", procs, scope, n)
-				}
-				for i, p := range paths {
-					if want := mustSearch(t, tsRef.URL+p, query); got[i] != want {
-						t.Errorf("%s: coalesced hit differs from an unbatched miss:\n got %s\nwant %s", p, got[i], want)
-					}
+			// The first sight runs under a request trace: a miss, with the
+			// front-end layers it ran hanging under the analyze span.
+			first, miss := tracedSearch(t, ts.URL, url, query, "00000000000000ab")
+			analyze, under := analyzeSubtree(miss)
+			if analyze.Attrs["cache"] != "miss" {
+				t.Errorf("first sight: analyze span = %+v, want cache=miss", analyze)
+			}
+			if want := map[string][]string{
+				"serve.analyze_query": {"cfg.recover", "obj.parse", "sim.build"},
+				"cfg.recover":         {"cfg.lift", "cfg.sweep"},
+				"sim.build":           {"sim.index"},
+			}; !reflect.DeepEqual(under, want) {
+				t.Errorf("first sight: spans under serve.analyze_query = %v, want %v", under, want)
+			}
+			for n := 2; n <= 3; n++ {
+				if got := mustSearch(t, url, query); got != first {
+					t.Errorf("answer %d differs from the first:\n got %s\nwant %s", n, got, first)
 				}
 			}
-		}
-	})
+			if got, want := queryCacheCounts(reg), (cacheCounts{hits: 1, misses: 2, admitted: 1}); got.hits != want.hits || got.misses != want.misses || got.admitted != want.admitted {
+				t.Errorf("query cache counters = %+v, want %+v", got, want)
+			}
+			// A hit under a request trace says so, and analysed nothing.
+			got, hit := tracedSearch(t, ts.URL, url, query, "00000000000000aa")
+			if got != first {
+				t.Errorf("traced hit differs from the first answer:\n got %s\nwant %s", got, first)
+			}
+			analyze, under = analyzeSubtree(hit)
+			if analyze.Attrs["cache"] != "hit" {
+				t.Errorf("analyze span = %+v, want cache=hit", analyze)
+			}
+			if len(under) != 0 {
+				t.Errorf("a cache hit has spans under serve.analyze_query: %v", under)
+			}
+		})
+	}
 }
 
 // TestServeQueryCacheSwapSafety swaps between two corpora sealed from
@@ -277,7 +240,7 @@ func TestServeQueryCacheSwapSafety(t *testing.T) {
 	wantB := mustSearch(t, tsCold.URL+"/search?proc=ftp_retrieve_glob", query)
 
 	reg := telemetry.New()
-	srv := serve.New(newCorpus("A", scA), &serve.Config{MaxInFlight: 8, BatchWindow: 300 * time.Millisecond, Registry: reg})
+	srv := serve.New(newCorpus("A", scA), &serve.Config{MaxInFlight: 8, Registry: reg})
 	scA = nil
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -295,19 +258,36 @@ func TestServeQueryCacheSwapSafety(t *testing.T) {
 		t.Fatal("the two corpora answer alike; the test cannot tell them apart")
 	}
 
-	// One request sits out its batch window on A while the swap happens;
-	// its hit on A's cache says it has picked A up.
+	// One request is held on A across the swap: the handler loads the
+	// corpus pointer before it first reads the body, the server answers
+	// Expect: 100-continue on that first read, and the body is a pipe the
+	// client only finishes further down.
+	pr, pw := io.Pipe()
+	reading := make(chan struct{})
+	req, err := http.NewRequest(http.MethodPost, url, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Expect", "100-continue")
+	req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+		Got100Continue: func() { close(reading) },
+	}))
 	inflight := make(chan string, 1)
 	go func() {
-		got, err := search(url, query)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Error(err)
+			inflight <- ""
+			return
 		}
-		inflight <- got
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("in-flight request: status %d, %v: %s", resp.StatusCode, err, blob)
+		}
+		inflight <- stripVolatile(blob)
 	}()
-	for queryCacheCounts(reg).hits < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	<-reading
 	srv.Swap(newCorpus("B", scB))
 	if c := queryCacheCounts(reg); c.bytes != 0 {
 		t.Errorf("serve.query_cache.bytes = %d right after the swap, want the new corpus's 0", c.bytes)
@@ -318,14 +298,21 @@ func TestServeQueryCacheSwapSafety(t *testing.T) {
 			t.Errorf("answer %d after the swap differs from a cold daemon over B:\n got %s\nwant %s", n, got, wantB)
 		}
 	}
+	// B starts cold: two misses, then a hit.
+	after := queryCacheCounts(reg)
+	if after.hits != before.hits+1 || after.misses != before.misses+2 || after.admitted != before.admitted+1 {
+		t.Errorf("counters across the swap %+v -> %+v, want +1 hit, +2 misses, +1 admitted", before, after)
+	}
+	// The held request still answers from A, out of A's cache.
+	if _, err := pw.Write(query); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
 	if got := <-inflight; got != wantA {
 		t.Errorf("the request in flight across the swap did not get A's answer:\n got %s\nwant %s", got, wantA)
 	}
-	after := queryCacheCounts(reg)
-	// B starts cold: two misses, then a hit. (The in-flight request's
-	// hit on A's cache was counted before the swap.)
-	if after.hits != before.hits+1 || after.misses != before.misses+2 || after.admitted != before.admitted+1 {
-		t.Errorf("counters across the swap %+v -> %+v, want +1 hit, +2 misses, +1 admitted", before, after)
+	if c := queryCacheCounts(reg); c.hits != after.hits+1 || c.misses != after.misses {
+		t.Errorf("counters %+v -> %+v, want the held request to hit A's cache", after, c)
 	}
 
 	ts.CloseClientConnections()
@@ -360,7 +347,7 @@ func TestServeQueryCacheOneOffsAdmitNothing(t *testing.T) {
 	oneOffs := 0
 	for _, pkg := range corpus.PackageNames() {
 		for _, ver := range corpus.PackageVersions(pkg) {
-			_, f, err := corpus.QueryExe(pkg, ver, uir.ArchARM32)
+			f, err := corpus.QueryExe(pkg, ver, uir.ArchARM32)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,22 +77,13 @@ type Config struct {
 	SearchWorkers int
 	// MaxQueryBytes bounds the accepted /search body (default 64 MiB).
 	MaxQueryBytes int64
-	// BatchWindow, when positive, coalesces concurrent /search requests:
-	// the first request for a (corpus, image, options) key waits this
-	// long collecting followers, then runs all collected queries in one
-	// batched game-engine pass (SealedCorpus.SearchBatch), which shares
-	// matcher caches across queries. Each request still holds its own
-	// admission slot while batched, so MaxInFlight/429 semantics are
-	// unchanged. Zero (the default) disables coalescing.
-	BatchWindow time.Duration
 	// Registry, when non-nil, receives the server's request metrics:
 	// serve.requests, serve.rejected, serve.inflight, serve.swaps, the
 	// serve.latency_us histogram (whose Report quantiles are the p50/p99
 	// the load benchmark records), per-endpoint serve.req.* counters,
-	// the serve.uptime_s / serve.corpus_age_s gauges, and — under
-	// BatchWindow — the serve.batches counter and serve.batch_size
-	// histogram. GET /metrics serves it as JSON, or as Prometheus text
-	// exposition with ?format=prom.
+	// and the serve.uptime_s / serve.corpus_age_s gauges. GET /metrics
+	// serves it as JSON, or as Prometheus text exposition with
+	// ?format=prom.
 	Registry *telemetry.Registry
 	// TraceSample controls head sampling for requests that do not carry
 	// a TraceHeader: 0 (the default) traces header-carrying requests
@@ -165,13 +155,6 @@ type Server struct {
 	// per-request work (body read, analysis, search) begins.
 	sem chan struct{}
 
-	// batchMu guards pending, the open coalescing groups keyed by
-	// (corpus, image, options). The first request to open a key is the
-	// group's leader: it sleeps out the batch window, removes the group,
-	// and runs one batched pass for every request that joined meanwhile.
-	batchMu sync.Mutex
-	pending map[batchKey]*batchGroup
-
 	// traceBuf tail-samples completed request traces: the slowest
 	// TraceKeep plus everything at or over TraceSlow, for
 	// /debug/requests.
@@ -182,53 +165,16 @@ type Server struct {
 	// /healthz.
 	start time.Time
 
-	reqs      *telemetry.Counter
-	rejected  *telemetry.Counter
-	swaps     *telemetry.Counter
-	inflight  *telemetry.Gauge
-	latency   *telemetry.Histogram
-	batches   *telemetry.Counter
-	batchSize *telemetry.Histogram
-	cache     cacheCounters
+	reqs     *telemetry.Counter
+	rejected *telemetry.Counter
+	swaps    *telemetry.Counter
+	inflight *telemetry.Gauge
+	latency  *telemetry.Histogram
+	cache    cacheCounters
 	// endpoints maps route paths to their serve.req.* counters;
 	// reqOther counts everything unrouted.
 	endpoints map[string]*telemetry.Counter
 	reqOther  *telemetry.Counter
-}
-
-// batchKey identifies searches that may share one batched pass: same
-// installed corpus, same image scope, same search options. firmup's
-// Options is all comparable fields, so the struct is a valid map key.
-// The span is zeroed before keying (see searchCoalesced): tracing is
-// observational and must never split otherwise-identical requests
-// into separate batches.
-type batchKey struct {
-	corpus *Corpus
-	image  int
-	opt    firmup.Options
-}
-
-// batchGroup is one open coalescing group; entries joined during the
-// leader's window.
-type batchGroup struct {
-	entries []*batchEntry
-}
-
-// batchEntry is one request's seat in a group.
-type batchEntry struct {
-	query *firmup.Executable
-	proc  string
-	done  chan batchResult
-}
-
-type batchResult struct {
-	images []firmup.ImageFindings
-	err    error
-	// size is the group's entry count and leader the trace ID the
-	// shared pass ran under (0 when the leader was untraced) — span
-	// attributes for every traced member of the group.
-	size   int
-	leader telemetry.TraceID
 }
 
 // New creates a server over an initial corpus (which may be nil; /search
@@ -239,7 +185,6 @@ func New(initial *Corpus, cfg *Config) *Server {
 		s.cfg = *cfg
 	}
 	s.sem = make(chan struct{}, s.cfg.maxInFlight())
-	s.pending = map[batchKey]*batchGroup{}
 	s.start = time.Now()
 	s.traceBuf = telemetry.NewTraceBuffer(s.cfg.traceKeep(), s.cfg.traceSlow(), 0)
 	if r := s.cfg.Registry; r != nil {
@@ -248,8 +193,6 @@ func New(initial *Corpus, cfg *Config) *Server {
 		s.swaps = r.Counter("serve.swaps")
 		s.inflight = r.Gauge("serve.inflight")
 		s.latency = r.Histogram("serve.latency_us")
-		s.batches = r.Counter("serve.batches")
-		s.batchSize = r.Histogram("serve.batch_size")
 		s.cache = cacheCounters{
 			hits:     r.Counter("serve.query_cache.hits"),
 			misses:   r.Counter("serve.query_cache.misses"),
@@ -494,8 +437,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "analyzing query executable: %v", err)
 		return
 	}
-	// Resolve the procedure before searching, so that under coalescing a
-	// bad name gets its own 400 instead of failing the whole batch.
 	info, ok := query.Procedure(proc)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "firmup: query executable has no procedure %q", proc)
@@ -503,12 +444,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ssp := root.Start("serve.search")
 	opt.Span = ssp
-	var images []firmup.ImageFindings
-	if s.cfg.BatchWindow > 0 {
-		images, err = s.searchCoalesced(cs, image, query, proc, opt)
-	} else {
-		images, err = searchImages(cs, image, query, proc, opt)
-	}
+	images, err := searchImages(cs, image, query, proc, opt)
 	ssp.End()
 	if err != nil {
 		// The procedure resolved, so what is left is a corpus fault (a
@@ -600,8 +536,8 @@ func imageParam(r *http.Request, cs *Corpus) (int, error) {
 	return n, nil
 }
 
-// searchImages is the uncoalesced search: the whole corpus, or a single
-// image when image >= 0.
+// searchImages searches the whole corpus, or a single image when
+// image >= 0.
 func searchImages(cs *Corpus, image int, query *firmup.Executable, proc string, opt *firmup.Options) ([]firmup.ImageFindings, error) {
 	if image < 0 {
 		return cs.Sealed.SearchAll(query, proc, opt)
@@ -621,87 +557,6 @@ func imageFindings(img *firmup.SealedImage, findings []firmup.Finding, examined 
 		Version:  img.Version,
 		Findings: findings,
 		Examined: examined,
-	}
-}
-
-// searchCoalesced joins (or opens) the coalescing group for this
-// request's batch key and returns this request's share of the group's
-// single batched pass. The leader — the request that opened the group —
-// sleeps out the batch window, then runs every joined query through
-// SealedCorpus.SearchBatch/SearchAllBatch; followers just wait on their
-// result channel. Batched results are byte-identical to the sequential
-// path (the core batch equivalence suites pin this), so coalescing is
-// invisible in responses.
-func (s *Server) searchCoalesced(cs *Corpus, image int, query *firmup.Executable, proc string, opt *firmup.Options) ([]firmup.ImageFindings, error) {
-	e := &batchEntry{query: query, proc: proc, done: make(chan batchResult, 1)}
-	// Zero the span in the key: requests that differ only in tracing
-	// still coalesce (and each keeps its own trace ID — only the
-	// leader's trace sees the shared pass's inner spans).
-	ko := *opt
-	ko.Span = telemetry.Span{}
-	key := batchKey{corpus: cs, image: image, opt: ko}
-	csp := opt.Span.Start("serve.coalesce")
-	s.batchMu.Lock()
-	g, ok := s.pending[key]
-	if !ok {
-		g = &batchGroup{}
-		s.pending[key] = g
-	}
-	g.entries = append(g.entries, e)
-	s.batchMu.Unlock()
-	if !ok {
-		time.Sleep(s.cfg.BatchWindow)
-		s.batchMu.Lock()
-		delete(s.pending, key)
-		entries := g.entries
-		s.batchMu.Unlock()
-		// The shared pass runs under the leader's coalesce span, so the
-		// leader's trace attributes the whole batch's latency.
-		lo := *opt
-		lo.Span = csp
-		s.runBatch(cs, image, entries, &lo)
-	}
-	res := <-e.done
-	if csp.Traced() {
-		csp.SetAttr("batch_size", int64(res.size))
-		if res.leader != 0 && res.leader != opt.Span.TraceID() {
-			csp.SetAttrStr("leader_trace", res.leader.String())
-		}
-	}
-	csp.End()
-	return res.images, res.err
-}
-
-// runBatch executes one coalesced group and fans results back out to
-// its entries.
-func (s *Server) runBatch(cs *Corpus, image int, entries []*batchEntry, opt *firmup.Options) {
-	s.batches.Inc()
-	s.batchSize.Observe(int64(len(entries)))
-	size := len(entries)
-	leader := opt.Span.TraceID()
-	queries := make([]firmup.BatchQuery, len(entries))
-	for i, e := range entries {
-		queries[i] = firmup.BatchQuery{Query: e.query, Procedure: e.proc}
-	}
-	if image < 0 {
-		res, err := cs.Sealed.SearchAllBatch(queries, opt)
-		for i, e := range entries {
-			if err != nil {
-				e.done <- batchResult{err: err, size: size, leader: leader}
-			} else {
-				e.done <- batchResult{images: res[i], size: size, leader: leader}
-			}
-		}
-		return
-	}
-	img := cs.Sealed.Images()[image]
-	res, err := cs.Sealed.SearchBatch(queries, img, opt)
-	for i, e := range entries {
-		if err != nil {
-			e.done <- batchResult{err: err, size: size, leader: leader}
-		} else {
-			e.done <- batchResult{images: []firmup.ImageFindings{imageFindings(img, res[i].Findings, res[i].Examined)}, size: size, leader: leader}
-		}
 	}
 }
 

@@ -38,7 +38,7 @@ func buildScenario(t *testing.T) (*firmup.SealedCorpus, []byte) {
 		if scenarioErr != nil {
 			return
 		}
-		_, qf, err := corpus.QueryExe("wget", "1.15", uir.ArchMIPS32)
+		qf, err := corpus.QueryExe("wget", "1.15", uir.ArchMIPS32)
 		if err != nil {
 			scenarioErr = err
 			return
@@ -381,118 +381,8 @@ func normalizeResponse(t *testing.T, blob []byte) serve.SearchResponse {
 	return sr
 }
 
-// TestServeBatchCoalescing drives concurrent /search requests at a
-// coalescing server: requests that agree on (corpus, image, options)
-// must share one batched game-engine pass — observed via the
-// serve.batches counter — while requests that differ in image scope or
-// options must not; and every batched response must equal the
-// unbatched server's answer for the same request.
-func TestServeBatchCoalescing(t *testing.T) {
-	sc, query := buildScenario(t)
-
-	// Unbatched reference server for response equivalence.
-	ref := serve.New(newCorpus("c", sc), nil)
-	tsRef := httptest.NewServer(ref.Handler())
-	defer tsRef.Close()
-
-	cases := []struct {
-		name string
-		// params per concurrent request (appended to /search).
-		params []string
-		// wantBatches is the exact number of coalesced passes: requests
-		// with equal batch keys always share, requests with different
-		// keys never do.
-		wantBatches int64
-	}{
-		{
-			name:        "same image shares one pass",
-			params:      []string{"?proc=ftp_retrieve_glob&image=0", "?proc=ftp_retrieve_glob&image=0", "?proc=ftp_retrieve_glob&image=0"},
-			wantBatches: 1,
-		},
-		{
-			name:        "corpus-wide requests share one pass",
-			params:      []string{"?proc=ftp_retrieve_glob", "?proc=ftp_retrieve_glob"},
-			wantBatches: 1,
-		},
-		{
-			name:        "different images do not share",
-			params:      []string{"?proc=ftp_retrieve_glob&image=0", "?proc=ftp_retrieve_glob&image=1"},
-			wantBatches: 2,
-		},
-		{
-			name:        "different options do not share",
-			params:      []string{"?proc=ftp_retrieve_glob&image=0", "?proc=ftp_retrieve_glob&image=0&min_score=3"},
-			wantBatches: 2,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := telemetry.New()
-			srv := serve.New(newCorpus("c", sc), &serve.Config{
-				MaxInFlight: 16,
-				BatchWindow: time.Second,
-				Registry:    reg,
-			})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-
-			var wg sync.WaitGroup
-			bodies := make([][]byte, len(tc.params))
-			errs := make(chan error, len(tc.params))
-			for i, p := range tc.params {
-				wg.Add(1)
-				go func(i int, p string) {
-					defer wg.Done()
-					resp, err := http.Post(ts.URL+"/search"+p, "application/octet-stream", bytes.NewReader(query))
-					if err != nil {
-						errs <- err
-						return
-					}
-					blob, err := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if err != nil {
-						errs <- err
-						return
-					}
-					if resp.StatusCode != http.StatusOK {
-						errs <- fmt.Errorf("request %d status %d: %s", i, resp.StatusCode, blob)
-						return
-					}
-					bodies[i] = blob
-				}(i, p)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-
-			if got := reg.Counter("serve.batches").Value(); got != tc.wantBatches {
-				t.Errorf("serve.batches = %d, want %d", got, tc.wantBatches)
-			}
-			bs := reg.Histogram("serve.batch_size")
-			if bs.Count() != tc.wantBatches || bs.Sum() != int64(len(tc.params)) {
-				t.Errorf("serve.batch_size count=%d sum=%d, want count=%d sum=%d",
-					bs.Count(), bs.Sum(), tc.wantBatches, len(tc.params))
-			}
-
-			// Byte-level equivalence with the unbatched path.
-			for i, p := range tc.params {
-				refResp, refBlob := postSearch(t, tsRef.URL+"/search"+p, query)
-				if refResp.StatusCode != http.StatusOK {
-					t.Fatalf("reference request %d status %d: %s", i, refResp.StatusCode, refBlob)
-				}
-				got := normalizeResponse(t, bodies[i])
-				want := normalizeResponse(t, refBlob)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("request %d: batched response diverges from unbatched:\nbatch: %+v\nref:   %+v", i, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestServeBatchImageParamErrors pins the image parameter's validation.
+// TestServeBatchImageParamErrors pins the image and proc parameters'
+// validation against the corpus and the upload.
 func TestServeBatchImageParamErrors(t *testing.T) {
 	sc, query := buildScenario(t)
 	srv := serve.New(newCorpus("c", sc), nil)
@@ -503,83 +393,9 @@ func TestServeBatchImageParamErrors(t *testing.T) {
 			t.Errorf("image=%s status %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	// A bad procedure under coalescing must 400 the one request, not
-	// poison a batch.
-	batched := serve.New(newCorpus("c", sc), &serve.Config{BatchWindow: 50 * time.Millisecond})
-	tsb := httptest.NewServer(batched.Handler())
-	defer tsb.Close()
-	if resp, _ := postSearch(t, tsb.URL+"/search?proc=no_such_proc", query); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown proc under batching status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestServeAdmissionUnderBatching verifies load shedding still works
-// while coalescing is on: a leader sleeping out its batch window holds
-// its admission slot, so an over-capacity request is shed with 429
-// instead of being queued into the batch.
-func TestServeAdmissionUnderBatching(t *testing.T) {
-	sc, query := buildScenario(t)
-	reg := telemetry.New()
-	srv := serve.New(newCorpus("c", sc), &serve.Config{
-		MaxInFlight: 1,
-		RetryAfter:  5,
-		BatchWindow: time.Second,
-		Registry:    reg,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/search?proc=ftp_retrieve_glob", "application/octet-stream", bytes.NewReader(query))
-		if err != nil {
-			done <- err
-			return
-		}
-		blob, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			done <- err
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			done <- fmt.Errorf("leader status %d: %s", resp.StatusCode, blob)
-			return
-		}
-		var sr serve.SearchResponse
-		if err := json.Unmarshal(blob, &sr); err != nil {
-			done <- err
-			return
-		}
-		if sr.TotalFindings == 0 {
-			done <- fmt.Errorf("leader lost its findings under batching")
-			return
-		}
-		done <- nil
-	}()
-	// Wait until the leader is admitted (it then sleeps out the batch
-	// window while holding the only slot).
-	gauge := reg.Gauge("serve.inflight")
-	deadline := time.Now().Add(5 * time.Second)
-	for gauge.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp, _ := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-capacity request status %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "5" {
-		t.Errorf("Retry-After = %q, want \"5\"", got)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("serve.batches").Value(); got != 1 {
-		t.Errorf("serve.batches = %d, want 1", got)
+	// So does a procedure the query executable does not have.
+	if resp, _ := postSearch(t, ts.URL+"/search?proc=no_such_proc", query); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown proc status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -642,8 +458,16 @@ func TestServeFindingsFileSchema(t *testing.T) {
 // verified every section, so the next scan of that group indexes out of
 // range on its fan-out goroutine — and checks that the poisoned request is
 // a 500 naming the shard, with its trace ID, and that the process and the
-// server carry on.
+// server carry on — with the search on one worker and on several (a panic
+// on one of the game engine's own workers reaches the same recover; see
+// internal/core's TestPlayBatchPanicReachesCaller).
 func TestServePanickingShardIs500(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("search-workers=%d", workers), func(t *testing.T) { panickingShardIs500(t, workers) })
+	}
+}
+
+func panickingShardIs500(t *testing.T, workers int) {
 	sc, query := buildScenario(t)
 	dir := t.TempDir()
 	paths, err := sc.WriteShards(dir, 2)
@@ -658,7 +482,7 @@ func TestServePanickingShardIs500(t *testing.T) {
 	if !sharded.Shards()[0].Mapped {
 		t.Skip("shards are read into memory here: a write to the file does not reach the open corpus")
 	}
-	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1})
+	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1, SearchWorkers: workers})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -3,7 +3,6 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -177,103 +176,6 @@ func TestServeTraceSampling(t *testing.T) {
 			t.Errorf("trace ID %s reused across requests", sr.TraceID)
 		}
 		seen[sr.TraceID] = true
-	}
-}
-
-// TestServeCoalescedTraceIDs drives concurrent identical requests at a
-// coalescing traced server: they must still share one batched pass
-// (tracing cannot split the batch key) while every response keeps its
-// own distinct trace ID, and each follower's trace records the batch
-// it rode in.
-func TestServeCoalescedTraceIDs(t *testing.T) {
-	sc, query := buildScenario(t)
-	reg := telemetry.New()
-	srv := serve.New(newCorpus("c", sc), &serve.Config{
-		MaxInFlight: 16,
-		BatchWindow: time.Second,
-		Registry:    reg,
-		TraceSample: 1,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const n = 3
-	var wg sync.WaitGroup
-	ids := make([]string, n)
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/search?proc=ftp_retrieve_glob", "application/octet-stream", bytes.NewReader(query))
-			if err != nil {
-				errs <- err
-				return
-			}
-			blob, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				errs <- err
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("request %d status %d: %s", i, resp.StatusCode, blob)
-				return
-			}
-			var sr serve.SearchResponse
-			if err := json.Unmarshal(blob, &sr); err != nil {
-				errs <- err
-				return
-			}
-			ids[i] = sr.TraceID
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	if got := reg.Counter("serve.batches").Value(); got != 1 {
-		t.Errorf("serve.batches = %d, want 1 (tracing split the batch)", got)
-	}
-	seen := make(map[string]bool)
-	for i, id := range ids {
-		if _, ok := telemetry.ParseTraceID(id); !ok {
-			t.Fatalf("request %d trace_id %q invalid", i, id)
-		}
-		if seen[id] {
-			t.Errorf("coalesced requests share trace ID %s; want one per request", id)
-		}
-		seen[id] = true
-	}
-
-	// Every trace was offered and each records the coalescing stage with
-	// the shared batch size.
-	var snap telemetry.RequestsSnapshot
-	getJSON(t, ts.URL+"/debug/requests", &snap)
-	if snap.Offered != n {
-		t.Errorf("trace buffer offered = %d, want %d", snap.Offered, n)
-	}
-	for _, id := range ids {
-		tr, ok := findTrace(snap, id)
-		if !ok {
-			t.Errorf("/debug/requests lacks trace %s", id)
-			continue
-		}
-		var coalesce *telemetry.TraceSpan
-		for i := range tr.Spans {
-			if tr.Spans[i].Name == "serve.coalesce" {
-				coalesce = &tr.Spans[i]
-			}
-		}
-		if coalesce == nil {
-			t.Errorf("trace %s lacks a serve.coalesce span", id)
-			continue
-		}
-		if got, ok := coalesce.Attrs["batch_size"].(float64); !ok || int(got) != n {
-			t.Errorf("trace %s batch_size attr = %v, want %d", id, coalesce.Attrs["batch_size"], n)
-		}
 	}
 }
 

@@ -50,7 +50,7 @@ func buildStoreScenario(t *testing.T) *storeScenario {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.stored.Close() })
-	_, qf, err := corpus.QueryExe("wget", "1.15", uir.ArchMIPS32)
+	qf, err := corpus.QueryExe("wget", "1.15", uir.ArchMIPS32)
 	if err != nil {
 		t.Fatal(err)
 	}

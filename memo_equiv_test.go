@@ -60,10 +60,10 @@ func TestMemoizedEngineEquivalenceOnCorpus(t *testing.T) {
 	t.Logf("%d games byte-identical across engines", games)
 }
 
-// Search through the memoized engine must agree with a search whose
-// games are each replayed on the reference engine: same findings, same
-// steps histogram. This pins the engine swap at the Search layer, where
-// the matcher arenas are shared across workers.
+// A search pass through the memoized engine must agree with the games
+// replayed one by one on the reference engine: every accepted finding
+// took the reference's step count. This pins the engine swap at the
+// PlayBatch layer, where the matcher arenas are shared across workers.
 func TestMemoizedSearchMatchesReferenceReplay(t *testing.T) {
 	env, err := eval.Prepare(corpus.DefaultScale())
 	if err != nil {
@@ -83,20 +83,19 @@ func TestMemoizedSearchMatchesReferenceReplay(t *testing.T) {
 			targets = append(targets, u.Exe)
 		}
 	}
-	res := core.Search(q, qi, targets, eval.DefaultSearch())
-	if len(res.Findings) == 0 {
-		t.Fatal("search found nothing; scenario is vacuous")
-	}
-	// Replay each target's game on the reference engine and cross-check
-	// the per-target step counts behind the accepted findings.
-	stepsByPath := map[string]int{}
-	for _, tgt := range targets {
-		r := core.MatchReference(q, qi, tgt, &core.Options{})
-		stepsByPath[tgt.Path] = r.Steps
-	}
-	for _, f := range res.Findings {
-		if want := stepsByPath[f.ExePath]; f.Steps != want {
-			t.Errorf("finding %s: steps = %d, reference replay = %d", f.ExePath, f.Steps, want)
+	// Replay each finding's game on the reference engine and cross-check
+	// the step count behind it.
+	found := 0
+	for ti, f := range playEverywhere(q, qi, targets, eval.DefaultSearch()) {
+		if f == nil {
+			continue
 		}
+		found++
+		if want := core.MatchReference(q, qi, targets[ti], &core.Options{}).Steps; f.Steps != want {
+			t.Errorf("finding in target %d: steps = %d, reference replay = %d", ti, f.Steps, want)
+		}
+	}
+	if found == 0 {
+		t.Fatal("search found nothing; scenario is vacuous")
 	}
 }

@@ -496,9 +496,7 @@ func (sc *SealedCorpus) SearchAll(query *Executable, procedure string, opt *Opti
 // SearchAllBatch runs every batch query against every image of the
 // corpus, one search pass per group. The outer result dimension aligns
 // with queries, the inner with Images(); each entry is byte-identical to
-// the corresponding per-image search. This is the serve path's coalesced
-// form: concurrent requests against one corpus share each group's pass
-// instead of replaying it per request.
+// the corresponding per-image search.
 //
 // A sharded corpus searches its groups in parallel; they share no
 // mutable state, so fan-out order cannot influence findings, examined

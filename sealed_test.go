@@ -60,7 +60,7 @@ func buildSealedScenario(t *testing.T, sc corpus.Scale) *sealedScenario {
 // queryBytesFor compiles the analyst-side query executable for one CVE.
 func queryBytesFor(t *testing.T, cve *corpus.CVE, arch uir.Arch) []byte {
 	t.Helper()
-	_, qf, err := corpus.QueryExe(cve.Package, cve.QueryVersion, arch)
+	qf, err := corpus.QueryExe(cve.Package, cve.QueryVersion, arch)
 	if err != nil {
 		t.Fatal(err)
 	}
