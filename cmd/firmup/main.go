@@ -210,7 +210,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "firmup: debug endpoints at http://%s/debug/\n", addr)
 	}
 	rep := telemetry.NewReport("firmup", telemetry.ReportConfig{
-		Workers: *workers, BlockCache: true, Index: !*exhaustive,
+		Workers: *workers, Index: !*exhaustive,
 	})
 	s := &search{
 		proc:      *proc,

@@ -51,7 +51,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "fwcrawl: debug endpoints at http://%s/debug/\n", addr)
 	}
-	rep := telemetry.NewReport("fwcrawl", telemetry.ReportConfig{BlockCache: true, Index: true})
+	rep := telemetry.NewReport("fwcrawl", telemetry.ReportConfig{Index: true})
 
 	sc := corpus.DefaultScale()
 	if *scale == "eval" {

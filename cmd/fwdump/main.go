@@ -34,7 +34,6 @@ func main() {
 	exePath := flag.String("exe", "", "executable to inspect")
 	proc := flag.String("proc", "", "procedure to disassemble")
 	strands := flag.Bool("strands", false, "print canonical strands instead of disassembly")
-	noCache := flag.Bool("no-block-cache", false, "disable the session's block canonicalization cache")
 	reportPath := flag.String("report", "", "write a structured JSON run report (stage timings, counters) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
 	version := flag.Bool("version", false, "print build version and exit")
@@ -55,11 +54,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "fwdump: debug endpoints at http://%s/debug/\n", addr)
 	}
-	rep := telemetry.NewReport("fwdump", telemetry.ReportConfig{BlockCache: !*noCache, Index: true})
+	rep := telemetry.NewReport("fwdump", telemetry.ReportConfig{Index: true})
 
 	switch {
 	case *imgPath != "":
-		dumpImage(*imgPath, *noCache, reg)
+		dumpImage(*imgPath, reg)
 	case *exePath != "":
 		dumpExe(*exePath, *proc, *strands)
 	default:
@@ -76,7 +75,7 @@ func main() {
 	}
 }
 
-func dumpImage(path string, noCache bool, reg *telemetry.Registry) {
+func dumpImage(path string, reg *telemetry.Registry) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
@@ -101,7 +100,7 @@ func dumpImage(path string, noCache bool, reg *telemetry.Registry) {
 
 	// Analyzed view: run a one-image analyzer session and summarize what
 	// a search would actually operate on.
-	analyzer := firmup.NewAnalyzer(&firmup.AnalyzerOptions{DisableBlockCache: noCache, Telemetry: reg})
+	analyzer := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: reg})
 	start := time.Now()
 	img, err := analyzer.OpenImage(data)
 	analyzeTime := time.Since(start)
@@ -109,17 +108,8 @@ func dumpImage(path string, noCache bool, reg *telemetry.Registry) {
 		fmt.Printf("analysis: %v\n", err)
 		return
 	}
-	fmt.Printf("analysis: %d searchable executable(s), %d unique strands interned, %d index postings\n",
-		len(img.Exes), analyzer.UniqueStrands(), img.IndexedStrands())
-	// Always report the cache line: a disabled (or idle) cache is itself a
-	// fact worth surfacing, not a reason to go quiet.
-	if noCache {
-		fmt.Printf("analysis: block cache disabled, %s analyze time\n", analyzeTime.Round(time.Microsecond))
-	} else {
-		cs := analyzer.CacheStats()
-		fmt.Printf("analysis: block cache %d/%d hits (%.1f%%), %d unique blocks, %s analyze time\n",
-			cs.Hits, cs.Blocks, 100*cs.HitRate(), cs.Unique, analyzeTime.Round(time.Microsecond))
-	}
+	fmt.Printf("analysis: %d searchable executable(s), %d unique strands interned, %d index postings, %s analyze time\n",
+		len(img.Exes), analyzer.UniqueStrands(), img.IndexedStrands(), analyzeTime.Round(time.Microsecond))
 	for _, e := range img.Exes {
 		procs := e.Procedures()
 		strands := 0

@@ -10,6 +10,7 @@ import (
 	"firmup/internal/corpus"
 	"firmup/internal/eval"
 	"firmup/internal/sim"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -74,9 +75,13 @@ type analyzedState struct {
 	Findings []firmup.Finding
 }
 
-func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.AnalyzerOptions, sopt *firmup.Options) (analyzedState, firmup.CacheStats) {
+func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.AnalyzerOptions, sopt *firmup.Options) analyzedState {
 	t.Helper()
-	a := firmup.NewAnalyzer(aopt)
+	return analyzeWith(t, firmup.NewAnalyzer(aopt), imgBytes, queryBytes, sopt)
+}
+
+func analyzeWith(t *testing.T, a *firmup.Analyzer, imgBytes, queryBytes []byte, sopt *firmup.Options) analyzedState {
+	t.Helper()
 	img, err := a.OpenImage(imgBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -106,32 +111,46 @@ func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.Ana
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, a.CacheStats()
+	return st
 }
 
 // The analysis front end must produce byte-identical output whether it
-// runs serially without the block cache or fully parallel with it: same
-// procedures, same strand hash sets, same markers, same findings.
+// runs serially or fully parallel: same procedures, same strand hash
+// sets, same markers, same findings. The same holds when the session's
+// file-level cache serves every executable: a second OpenImage of the
+// same image in one session analyses nothing and must be
+// indistinguishable from the first.
 func TestAnalyzeDeterminismAcrossWorkersAndCache(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
-	base, baseStats := analyzeScenario(t, imgBytes, queryBytes,
-		&firmup.AnalyzerOptions{Workers: 1, DisableBlockCache: true}, nil)
-	if baseStats != (firmup.CacheStats{}) {
-		t.Errorf("disabled cache reported traffic: %+v", baseStats)
-	}
+	base := analyzeScenario(t, imgBytes, queryBytes, &firmup.AnalyzerOptions{Workers: 1}, nil)
 	for _, opt := range []*firmup.AnalyzerOptions{
-		{Workers: 1},                           // cache on, serial
-		{Workers: 8},                           // cache on, parallel
-		{Workers: 8, DisableBlockCache: true},  // cache off, parallel
-		{Workers: 3, DisableBlockCache: false}, // odd split of the shared budget
+		{Workers: 3}, // odd split of the shared budget
+		{Workers: 8},
 	} {
-		got, stats := analyzeScenario(t, imgBytes, queryBytes, opt, nil)
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("analysis under %+v diverged from serial uncached baseline", *opt)
+		if got := analyzeScenario(t, imgBytes, queryBytes, opt, nil); !reflect.DeepEqual(got, base) {
+			t.Errorf("analysis under %+v diverged from the serial baseline", *opt)
 		}
-		if !opt.DisableBlockCache && stats.Blocks == 0 {
-			t.Errorf("enabled cache under %+v saw no traffic", *opt)
-		}
+	}
+	reg := telemetry.New()
+	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: 3, Telemetry: reg})
+	if _, err := a.OpenImage(imgBytes); err != nil {
+		t.Fatal(err)
+	}
+	cold := reg.Snapshot().Counters["strand.blocks"]
+	if got := analyzeWith(t, a, imgBytes, queryBytes, nil); !reflect.DeepEqual(got, base) {
+		t.Error("analysis served from the session's file cache diverged from the serial baseline")
+	}
+	if cold == 0 {
+		t.Error("cold open extracted no blocks")
+	}
+	// The query is analysed afresh; the image's executables must not be.
+	qreg := telemetry.New()
+	if _, err := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: qreg}).LoadQueryExecutable(queryBytes); err != nil {
+		t.Fatal(err)
+	}
+	queryBlocks := qreg.Snapshot().Counters["strand.blocks"]
+	if warm := reg.Snapshot().Counters["strand.blocks"] - cold; warm != queryBlocks {
+		t.Errorf("warm open extracted %d blocks, want only the query's %d", warm, queryBlocks)
 	}
 	if len(base.Findings) == 0 {
 		t.Error("determinism check matched nothing; scenario is vacuous")

@@ -64,10 +64,6 @@ type AnalyzerOptions struct {
 	// remaining budget as procedure-level workers, so at most ~Workers
 	// goroutines analyze at any moment.
 	Workers int
-	// DisableBlockCache turns off the session's block canonicalization
-	// cache: every lifted block is re-extracted from scratch. Analyzed
-	// output is identical either way; only the work done differs.
-	DisableBlockCache bool
 	// Telemetry, when non-nil, is the registry the session records its
 	// pipeline metrics into. The default (nil) disables telemetry
 	// entirely: instrumented code paths hold nil handles and every
@@ -106,14 +102,12 @@ func splitWorkers(budget, n int) (exeWorkers, procWorkers int) {
 // Analyzer is one analysis session. All executables analyzed under it —
 // queries and image contents alike — share its strand-hash interner, so
 // their strand sets carry comparable dense IDs and searches between
-// them take the interned fast paths. An Analyzer is safe for concurrent
-// use.
+// them take the interned fast paths. Each distinct in-image executable is
+// analysed once, from scratch; nothing else is shared between analyses.
+// An Analyzer is safe for concurrent use.
 type Analyzer struct {
 	opt      AnalyzerOptions
 	interner *corpusindex.Interner
-	// cache memoizes per-block canonicalization across every executable
-	// the session analyzes; nil when DisableBlockCache is set.
-	cache *strand.BlockCache
 	// What the session records into, all of it nil/zero — recording
 	// nothing — when telemetry is disabled. Stage and metric names are
 	// part of the report schema (see telemetry.SchemaVersion); renaming
@@ -162,9 +156,8 @@ func newFrontEnd(r *telemetry.Registry) frontEnd {
 		sim: &sim.Telemetry{
 			Procs: r.Counter("sim.procs"),
 			Extract: &strand.Telemetry{
-				Blocks:   r.Counter("strand.blocks"),
-				Computed: r.Counter("strand.blocks_computed"),
-				Strands:  r.Counter("strand.strands"),
+				Blocks:  r.Counter("strand.blocks"),
+				Strands: r.Counter("strand.strands"),
 			},
 		},
 	}
@@ -179,13 +172,13 @@ func (fe *frontEnd) read(data []byte, parent telemetry.Span) (*obj.File, error) 
 // analyze is the pass order after the parse — recover and lift
 // ("cfg.recover"), then extract, intern and index ("sim.build") — timed
 // under parent like read.
-func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, cache *strand.BlockCache, workers int, parent telemetry.Span) (*Executable, error) {
+func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, workers int, parent telemetry.Span) (*Executable, error) {
 	parent = parent.Or(fe.root)
 	rec, err := cfg.RecoverWith(f, fe.cfg, parent)
 	if err != nil {
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
 	}
-	bc := &sim.BuildConfig{Cache: cache, Workers: workers, Tel: fe.sim, Span: parent}
+	bc := &sim.BuildConfig{Workers: workers, Tel: fe.sim, Span: parent}
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, it, bc)}, nil
 }
 
@@ -232,9 +225,6 @@ func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	if opt != nil {
 		a.opt = *opt
 	}
-	if !a.opt.DisableBlockCache {
-		a.cache = strand.NewBlockCache(a.interner)
-	}
 	if r := a.opt.Telemetry; r != nil {
 		a.front = newFrontEnd(r)
 		a.game = newCoreTelemetry(r)
@@ -245,11 +235,6 @@ func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 		// snapshot time, costing the hot paths nothing.
 		interner := a.interner
 		r.GaugeFunc("corpus.unique_strands", func() int64 { return int64(interner.Size()) })
-		if cache := a.cache; cache != nil {
-			r.GaugeFunc("strand.cache.blocks", func() int64 { return cache.Stats().Blocks })
-			r.GaugeFunc("strand.cache.hits", func() int64 { return cache.Stats().Hits })
-			r.GaugeFunc("strand.cache.unique", func() int64 { return int64(cache.Stats().Unique) })
-		}
 	}
 	return a
 }
@@ -265,20 +250,6 @@ func (a *Analyzer) Metrics() telemetry.Snapshot {
 // distinct canonical strand hashes interned across every executable
 // analyzed so far.
 func (a *Analyzer) UniqueStrands() int { return a.interner.Size() }
-
-// CacheStats is the session block cache's traffic summary.
-type CacheStats = strand.CacheStats
-
-// CacheStats reports the session's block canonicalization cache
-// counters: blocks looked up, lookups answered from the cache, and
-// distinct canonicalized blocks stored. The zero value is returned when
-// the cache is disabled.
-func (a *Analyzer) CacheStats() CacheStats {
-	if a.cache == nil {
-		return CacheStats{}
-	}
-	return a.cache.Stats()
-}
 
 // Executable is an analyzed binary: its procedures recovered, lifted and
 // indexed as sets of canonical strands.
@@ -336,7 +307,7 @@ type ProcedureInfo struct {
 
 // ProcedureStrands returns procedure i's sorted canonical strand
 // hashes (a copy). Hashes — unlike session-local dense IDs — are
-// stable across sessions, worker counts and cache configuration, which
+// stable across sessions and worker counts, which
 // makes them the right handle for equivalence checks.
 func (e *Executable) ProcedureStrands(i int) []uint64 {
 	return append([]uint64(nil), e.exe.Hashes(i)...)
@@ -396,7 +367,7 @@ func (a *Analyzer) AnalyzeExecutable(path string, data []byte) (*Executable, err
 	}
 	// A standalone analysis is the only build in flight: give it the
 	// whole worker budget at the procedure level.
-	return a.front.analyze(path, f, a.interner, a.cache, a.opt.workers(), telemetry.Span{})
+	return a.front.analyze(path, f, a.interner, a.opt.workers(), telemetry.Span{})
 }
 
 // LoadQueryExecutable analyzes the analyst's query binary (typically
@@ -489,13 +460,13 @@ type pendingExe struct {
 // analyse it; the results are equal and the last one stored is kept.
 func (a *Analyzer) analyzePending(pe pendingExe, procWorkers int, parent telemetry.Span) (*Executable, error) {
 	if pe.data == nil {
-		return a.front.analyze(pe.path, pe.file, a.interner, a.cache, procWorkers, parent)
+		return a.front.analyze(pe.path, pe.file, a.interner, procWorkers, parent)
 	}
 	key := sha256.Sum256(pe.data)
 	if e, ok := a.analysed.Load(key); ok {
 		return &Executable{Path: pe.path, exe: e.(*sim.Exe).WithPath(pe.path)}, nil
 	}
-	exe, err := a.front.analyze(pe.path, pe.file, a.interner, a.cache, procWorkers, parent)
+	exe, err := a.front.analyze(pe.path, pe.file, a.interner, procWorkers, parent)
 	if err == nil {
 		a.analysed.Store(key, exe.exe)
 	}

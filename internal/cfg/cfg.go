@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 
 	"firmup/internal/isa"
@@ -94,9 +95,8 @@ const (
 // sweep is the dense result of the linear-sweep pass: instructions in
 // address order, an offset-indexed table mapping each text offset to the
 // instruction that starts there, if one does, and the block-splitting
-// flags parallel to the instructions. Dense arrays keep the coverage
-// iteration (which re-walks the whole sweep every round) and block
-// splitting off map lookups.
+// flags parallel to the instructions. Dense arrays keep the coverage walks
+// and block splitting off map lookups.
 type sweep struct {
 	base  uint32
 	n     uint32     // text-section length in bytes
@@ -114,6 +114,15 @@ func (s *sweep) index(addr uint32) int32 {
 	return s.idx[off] - 1
 }
 
+// lower returns the seq index of the first instruction at or after addr,
+// len(seq) when there is none.
+func (s *sweep) lower(addr uint32) int32 {
+	if ii := s.index(addr); ii >= 0 {
+		return ii
+	}
+	return int32(sort.Search(len(s.seq), func(i int) bool { return s.seq[i].Addr >= addr }))
+}
+
 // Recover analyzes the executable.
 func Recover(f *obj.File) (*Recovered, error) {
 	return RecoverWith(f, nil, telemetry.Span{})
@@ -126,23 +135,60 @@ func Recover(f *obj.File) (*Recovered, error) {
 func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered, error) {
 	recoverSpan := parent.Start("cfg.recover")
 	defer recoverSpan.End()
-	be, err := isa.ByArch(f.Arch)
+	be, sw, err := sweepText(f, recoverSpan)
 	if err != nil {
 		return nil, err
 	}
+	entries, rounds := claimGaps(sw, callEntries(f, sw))
+	if tel != nil {
+		tel.Decoded.Add(int64(len(sw.seq)))
+		tel.CoverageRounds.Add(int64(rounds))
+	}
+
+	liftSpan := recoverSpan.Start("cfg.lift")
+	rec := &Recovered{File: f, Arch: f.Arch}
+	rec.Procs = liftProcs(be, f, entries, sw.base+sw.n, sw)
+	liftSpan.End()
+
+	var bytes uint32
+	var blocks, insts int64
+	for _, p := range rec.Procs {
+		blocks += int64(len(p.Blocks))
+		insts += int64(len(p.Insts))
+		last := &p.Insts[len(p.Insts)-1] // Insts is one contiguous run from the entry
+		bytes += last.Addr + last.Size - p.Entry
+	}
+	if sw.n > 0 {
+		rec.Coverage = float64(bytes) / float64(sw.n)
+	}
+	if tel != nil {
+		tel.Procs.Add(int64(len(rec.Procs)))
+		tel.Blocks.Add(blocks)
+		tel.Insts.Add(insts)
+	}
+	return rec, nil
+}
+
+// sweepText is pass 1, the linear-sweep disassembly of f's text section
+// ("cfg.sweep" under parent), after checking there is a text section the
+// address space holds.
+func sweepText(f *obj.File, parent telemetry.Span) (isa.Backend, *sweep, error) {
+	be, err := isa.ByArch(f.Arch)
+	if err != nil {
+		return nil, nil, err
+	}
 	text := f.Text()
 	if text == nil {
-		return nil, fmt.Errorf("cfg: no text section")
+		return nil, nil, fmt.Errorf("cfg: no text section")
 	}
 	if uint64(text.Addr)+uint64(len(text.Data)) > math.MaxUint32 {
-		return nil, fmt.Errorf("cfg: text section [%#x, +%d) wraps the address space", text.Addr, len(text.Data))
+		return nil, nil, fmt.Errorf("cfg: text section [%#x, +%d) wraps the address space", text.Addr, len(text.Data))
 	}
-	textEnd := text.Addr + uint32(len(text.Data))
-
-	// Pass 1: linear-sweep disassembly. The fixed-width ISAs decode at
-	// most len/width instructions; x86 instructions average over four
-	// bytes in practice, and append covers denser code.
-	sweepSpan := recoverSpan.Start("cfg.sweep")
+	sp := parent.Start("cfg.sweep")
+	defer sp.End()
+	// The fixed-width ISAs decode at most len/width instructions; x86
+	// instructions average over four bytes in practice, and append covers
+	// denser code.
 	sw := &sweep{
 		base: text.Addr,
 		n:    uint32(len(text.Data)),
@@ -162,16 +208,15 @@ func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered
 		off += int(inst.Size)
 	}
 	sw.flags = make([]uint8, len(sw.seq))
-	sweepSpan.End()
-	if tel != nil {
-		tel.Decoded.Add(int64(len(sw.seq)))
-	}
+	return be, sw, nil
+}
 
-	// Pass 2: procedure entries from call targets, the entry point, and
-	// any symbols that survived stripping — sorted, each once.
+// callEntries is pass 2: procedure entries from call targets, the entry
+// point, and any symbols that survived stripping — sorted, each once.
+func callEntries(f *obj.File, sw *sweep) []uint32 {
 	entries := []uint32{f.Entry}
 	for i := range sw.seq {
-		if in := &sw.seq[i]; in.Kind == isa.KindCall && in.Target >= text.Addr && in.Target < textEnd {
+		if in := &sw.seq[i]; in.Kind == isa.KindCall && in.Target >= sw.base && in.Target < sw.base+sw.n {
 			entries = append(entries, in.Target)
 		}
 	}
@@ -181,106 +226,7 @@ func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered
 		}
 	}
 	slices.Sort(entries)
-	entries = slices.Compact(entries)
-
-	// Pass 3 (iterated): partition into extents, walk reachability, and
-	// claim unaccounted-for areas as new procedure entries. Each round
-	// re-walks from scratch — an entry inserted mid-extent splits it and
-	// can legitimately uncover earlier addresses, so incremental coverage
-	// would be unsound. The sorted entry slice is maintained by insertion
-	// instead of re-sorted.
-	covered := make([]bool, len(sw.seq))
-	for rounds := 0; rounds < 1024; rounds++ {
-		if tel != nil {
-			tel.CoverageRounds.Inc()
-		}
-		clear(covered)
-		markCovered(entries, sw, covered)
-		// The lowest decoded instruction no procedure walk reached.
-		uncovered := slices.Index(covered, false)
-		if uncovered < 0 {
-			break
-		}
-		gap := sw.seq[uncovered].Addr
-		i, known := slices.BinarySearch(entries, gap)
-		if known {
-			break // no progress; avoid looping on undecodable junk
-		}
-		entries = slices.Insert(entries, i, gap)
-	}
-
-	liftSpan := recoverSpan.Start("cfg.lift")
-	rec := &Recovered{File: f, Arch: f.Arch}
-	rec.Procs = liftProcs(be, f, entries, textEnd, sw)
-	liftSpan.End()
-
-	var bytes uint32
-	var blocks, insts int64
-	for _, p := range rec.Procs {
-		blocks += int64(len(p.Blocks))
-		insts += int64(len(p.Insts))
-		last := &p.Insts[len(p.Insts)-1] // Insts is one contiguous run from the entry
-		bytes += last.Addr + last.Size - p.Entry
-	}
-	if len(text.Data) > 0 {
-		rec.Coverage = float64(bytes) / float64(len(text.Data))
-	}
-	if tel != nil {
-		tel.Procs.Add(int64(len(rec.Procs)))
-		tel.Blocks.Add(blocks)
-		tel.Insts.Add(insts)
-	}
-	return rec, nil
-}
-
-// markCovered walks intra-procedural control flow from every entry and
-// marks reachable instructions in covered (indexed like sw.seq).
-func markCovered(entries []uint32, sw *sweep, covered []bool) {
-	textEnd := sw.base + sw.n
-	var stack []uint32
-	for i, e := range entries {
-		end := textEnd
-		if i+1 < len(entries) {
-			end = entries[i+1]
-		}
-		stack = append(stack[:0], e)
-		for len(stack) > 0 {
-			a := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for a >= e && a < end {
-				ii := sw.index(a)
-				if ii < 0 || covered[ii] {
-					break
-				}
-				in := sw.seq[ii]
-				covered[ii] = true
-				next := a + in.Size
-				if in.HasDelay {
-					if di := sw.index(next); di >= 0 {
-						covered[di] = true
-						next += sw.seq[di].Size
-					}
-				}
-				switch in.Kind {
-				case isa.KindCondBranch:
-					if in.Target >= e && in.Target < end {
-						stack = append(stack, in.Target)
-					}
-					a = next
-				case isa.KindJump:
-					if in.Target >= e && in.Target < end {
-						a = in.Target
-					} else {
-						a = end // tail transfer out of extent
-					}
-				case isa.KindRet, isa.KindIndirect:
-					a = end
-				default: // normal and calls fall through
-					a = next
-				}
-			}
-		}
-	}
+	return slices.Compact(entries)
 }
 
 // liftProcs turns the extents the sorted entries partition the text into

@@ -15,7 +15,8 @@ import (
 // recovery keeps its bookkeeping in dense tables indexed by arithmetic
 // over what the file claims (section addresses, branch targets, symbol
 // addresses), so the contract under fuzzing is: an error or a result,
-// never a panic, and a result that upholds the order consumers search by.
+// never a panic, a result that upholds the order consumers search by, and
+// the coverage pass claiming what its reference claims.
 func FuzzRecover(f *testing.F) {
 	// One registry query per ISA (the smallest package), so mutations
 	// start deep inside every decoder and lifter.
@@ -40,6 +41,7 @@ func FuzzRecover(f *testing.F) {
 			return
 		}
 		checkRecoveredOrder(t, rec)
+		checkCoverage(t, "fuzz input", file)
 		sim.Build("fuzz", rec, nil)
 	})
 }

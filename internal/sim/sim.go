@@ -84,12 +84,8 @@ type Exe struct {
 }
 
 // BuildConfig tunes BuildWith for analyzer sessions. The zero value
-// (and a nil pointer) selects serial, uncached analysis.
+// (and a nil pointer) selects serial analysis.
 type BuildConfig struct {
-	// Cache is the session's block canonicalization cache; nil disables
-	// caching. The cache must be bound to the same interner the build
-	// runs under, otherwise it is ignored.
-	Cache *strand.BlockCache
 	// Workers bounds procedure-level parallelism within this executable
 	// (values ≤ 1 build serially). The analyzed output is byte-identical
 	// to the serial build: procedures are assembled by index, and every
@@ -111,8 +107,8 @@ func Build(path string, rec *cfg.Recovered, it strand.Interner) *Exe {
 	return BuildWith(path, rec, it, nil)
 }
 
-// BuildWith is Build with session tuning: a shared block
-// canonicalization cache and a bounded procedure-level worker pool.
+// BuildWith is Build with session tuning: a bounded procedure-level
+// worker pool, telemetry and a parent span.
 func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildConfig) *Exe {
 	be, err := isa.ByArch(rec.Arch)
 	var abi *uir.ABI
@@ -139,7 +135,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	procs := make([]*Proc, len(rec.Procs))
 	var cursor atomic.Int64
 	work := func() {
-		pb := &procBuilder{rec: rec, ex: strand.NewExtractorWith(opt, it, bc.Cache, extractTel), listed: make([]int32, len(rec.Procs))}
+		pb := &procBuilder{rec: rec, ex: strand.NewExtractor(opt, it, extractTel), listed: make([]int32, len(rec.Procs))}
 		defer pb.ex.Release()
 		for {
 			i := int(cursor.Add(1)) - 1

@@ -45,7 +45,7 @@ type Strand struct {
 // ExtractBlock is the inspection entry point (fwdump, the examples): it
 // is the only caller that materializes canonical text. The analysis
 // pipeline runs the same code through an Extractor, which keeps hashes
-// and markers only and consults the session's block cache.
+// and markers only.
 func ExtractBlock(b *uir.Block, opt *Options) []Strand {
 	sc := getScratch(opt)
 	defer putScratch(sc)

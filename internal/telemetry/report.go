@@ -20,7 +20,7 @@ type Report struct {
 	// WallNs is the run's total wall time in nanoseconds.
 	WallNs int64 `json:"wall_ns"`
 	// Config records the knobs that shape the run's performance
-	// profile (worker budget, cache and index enablement).
+	// profile (worker budget and index enablement).
 	Config ReportConfig `json:"config"`
 	// Metrics is the session registry's final snapshot.
 	Metrics Snapshot `json:"metrics"`
@@ -28,9 +28,8 @@ type Report struct {
 
 // ReportConfig is the run configuration block of a Report.
 type ReportConfig struct {
-	Workers    int  `json:"workers"`
-	BlockCache bool `json:"block_cache"`
-	Index      bool `json:"index"`
+	Workers int  `json:"workers"`
+	Index   bool `json:"index"`
 }
 
 // NewReport starts a report for the named tool, stamping the start

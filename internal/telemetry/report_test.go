@@ -12,7 +12,7 @@ func TestReportRoundTripAndValidation(t *testing.T) {
 	r := New()
 	r.Counter("exe.analyzed").Add(3)
 	r.Histogram("game.steps").Observe(1)
-	rep := NewReport("firmup", ReportConfig{Workers: 4, BlockCache: true, Index: true})
+	rep := NewReport("firmup", ReportConfig{Workers: 4, Index: true})
 	rep.Finish(r)
 
 	path := t.TempDir() + "/report.json"
@@ -27,7 +27,7 @@ func TestReportRoundTripAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Tool != "firmup" || back.Config.Workers != 4 || !back.Config.BlockCache {
+	if back.Tool != "firmup" || back.Config.Workers != 4 || !back.Config.Index {
 		t.Errorf("report lost fields: %+v", back)
 	}
 	if back.Metrics.Counters["exe.analyzed"] != 3 {

@@ -18,7 +18,7 @@
 //     branch per call site.
 //
 // Metrics are identified by flat dotted names ("game.steps",
-// "strand.cache.hits"); the set of names a component records is its
+// "strand.strands"); the set of names a component records is its
 // telemetry schema, snapshotted by Registry.Snapshot.
 package telemetry
 

@@ -237,7 +237,7 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // Query analysis (AnalyzeQueryUnder) records the front-end
 // layer by layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
 // counters, sim.build / sim.index / sim.procs, and strand.blocks /
-// strand.blocks_computed / strand.strands. Call before serving —
+// strand.strands. Call before serving —
 // store-backed groups apply the index handles when their index first
 // builds, in-RAM groups immediately. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
@@ -309,7 +309,7 @@ func (sc *SealedCorpus) AnalyzeQueryUnder(path string, data []byte, workers int,
 	if err != nil {
 		return nil, err
 	}
-	return sc.front.analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), nil, workers, parent)
+	return sc.front.analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), workers, parent)
 }
 
 // scansPool recycles the per-pass scan results (candidate lists and

@@ -15,17 +15,16 @@ import (
 // and whether or not the search narrows through the image's index.
 func TestTelemetryEquivalence(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
-	base, _ := analyzeScenario(t, imgBytes, queryBytes, nil, nil)
+	base := analyzeScenario(t, imgBytes, queryBytes, nil, nil)
 	for _, c := range []struct {
 		opt    firmup.AnalyzerOptions
 		search *firmup.Options
 	}{
 		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New()}},
 		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New(), Workers: 8}},
-		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New(), DisableBlockCache: true}},
 		{opt: firmup.AnalyzerOptions{Telemetry: telemetry.New()}, search: &firmup.Options{Exhaustive: true}},
 	} {
-		got, _ := analyzeScenario(t, imgBytes, queryBytes, &c.opt, c.search)
+		got := analyzeScenario(t, imgBytes, queryBytes, &c.opt, c.search)
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("analysis with telemetry under %+v (search %+v) diverged from silent baseline", c.opt, c.search)
 		}
@@ -82,10 +81,6 @@ func TestAnalyzerMetrics(t *testing.T) {
 	if got, want := snap.Gauges["corpus.unique_strands"], int64(a.UniqueStrands()); got != want {
 		t.Errorf("corpus.unique_strands gauge = %d, want %d", got, want)
 	}
-	cs := a.CacheStats()
-	if got := snap.Gauges["strand.cache.blocks"]; got != cs.Blocks {
-		t.Errorf("strand.cache.blocks gauge = %d, want %d", got, cs.Blocks)
-	}
 	// The snapshot must survive a JSON round trip unchanged — it is the
 	// -report payload.
 	blob, err := json.Marshal(snap)
@@ -104,12 +99,12 @@ func TestAnalyzerMetrics(t *testing.T) {
 // A sealed corpus attached to a registry must split query analysis into
 // the same front-end layers, under the same names, as the live session
 // — the daemon's /metrics is this registry — and count the same work:
-// the query is analyzed uncached on both sides (the live side here has
-// its block cache off), so every front-end counter must agree exactly.
+// the query is analysed from scratch on both sides, so every front-end
+// counter must agree exactly.
 func TestSealedQueryAnalysisTelemetry(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
 	liveReg := telemetry.New()
-	live := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: liveReg, DisableBlockCache: true})
+	live := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: liveReg})
 	if _, err := live.LoadQueryExecutable(queryBytes); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +133,7 @@ func TestSealedQueryAnalysisTelemetry(t *testing.T) {
 		}
 	}
 	for _, counter := range []string{"obj.bytes", "cfg.procs", "cfg.blocks", "cfg.insts", "sim.procs",
-		"strand.blocks", "strand.blocks_computed", "strand.strands"} {
+		"strand.blocks", "strand.strands"} {
 		if got.Counters[counter] == 0 || got.Counters[counter] != want.Counters[counter] {
 			t.Errorf("counter %q: %d on the sealed corpus, %d on the live session",
 				counter, got.Counters[counter], want.Counters[counter])
