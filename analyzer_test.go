@@ -1,8 +1,15 @@
 package firmup_test
 
 import (
+	"bytes"
+	"compress/zlib"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"firmup"
 	"firmup/internal/image"
@@ -126,19 +133,29 @@ func TestOpenImageSurfacesSkipped(t *testing.T) {
 }
 
 // Parallel analysis must not change what an image looks like: executable
-// order, skip order and procedure listings are worker-count independent.
+// order, skip order and every procedure's strands are worker-count
+// independent.
 func TestOpenImageParallelDeterminism(t *testing.T) {
 	imgBytes, _, _ := buildScenario(t)
 	data := corruptImage(t, imgBytes)
-	shape := func(workers int) ([]string, []string) {
+	type exeShape struct {
+		Path    string
+		Strands [][]uint64
+	}
+	shape := func(workers int) ([]exeShape, []string) {
 		a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: workers})
 		img, err := a.OpenImage(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var exes, skipped []string
+		var exes []exeShape
+		var skipped []string
 		for _, e := range img.Exes {
-			exes = append(exes, e.Path)
+			sh := exeShape{Path: e.Path}
+			for i := range e.Procedures() {
+				sh.Strands = append(sh.Strands, e.ProcedureStrands(i))
+			}
+			exes = append(exes, sh)
 		}
 		for _, s := range img.Skipped {
 			skipped = append(skipped, s.Path)
@@ -146,13 +163,167 @@ func TestOpenImageParallelDeterminism(t *testing.T) {
 		return exes, skipped
 	}
 	exes1, skip1 := shape(1)
-	exes8, skip8 := shape(8)
-	if !reflect.DeepEqual(exes1, exes8) {
-		t.Errorf("executable order depends on workers: %v vs %v", exes1, exes8)
+	for _, workers := range []int{4, 8} {
+		exes, skip := shape(workers)
+		if !reflect.DeepEqual(exes1, exes) {
+			t.Errorf("Workers %d: executables or strands differ from Workers 1", workers)
+		}
+		if !reflect.DeepEqual(skip1, skip) {
+			t.Errorf("Workers %d: skip order %v, Workers 1 %v", workers, skip, skip1)
+		}
 	}
-	if !reflect.DeepEqual(skip1, skip8) {
-		t.Errorf("skip order depends on workers: %v vs %v", skip1, skip8)
+}
+
+// An image that ships one executable under two paths has it analysed
+// once, even when both copies are on workers at the same time: the
+// second sighting waits for the first one's analysis and shares its
+// procedures.
+func TestOpenImageAnalysesInFlightDuplicateOnce(t *testing.T) {
+	imgBytes, _, _ := buildScenario(t)
+	im, err := image.Unpack(imgBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
+	exe := im.Executables()[0]
+	dup := *im
+	dup.Files = nil
+	for _, fe := range im.Files {
+		dup.Files = append(dup.Files, fe)
+		if fe.Path == exe.Path {
+			dup.Files = append(dup.Files, image.FileEntry{Path: fe.Path + ".copy", Data: fe.Data})
+		}
+	}
+	reg := telemetry.New()
+	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: 4, Telemetry: reg})
+	img, err := a.OpenImage(dup.Pack(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, cp := img.Executable(exe.Path), img.Executable(exe.Path+".copy")
+	if orig == nil || cp == nil {
+		t.Fatalf("image lacks %s or its copy", exe.Path)
+	}
+	if orig.Sim().Procs[0] != cp.Sim().Procs[0] {
+		t.Error("the two copies hold separately built procedures")
+	}
+	procs := 0
+	for _, e := range img.Exes {
+		if e != cp {
+			procs += len(e.Procedures())
+		}
+	}
+	if got := reg.Counter("sim.procs").Value(); got != int64(procs) {
+		t.Errorf("sim.procs = %d, want %d: the copy must not be built again", got, procs)
+	}
+}
+
+// A compressed image whose stream breaks after some files were already
+// dispatched opens as exactly what carving its bytes yields — what was
+// analysed before the break is discarded — and no worker goroutine
+// outlives the call.
+func TestOpenImageBrokenStreamCarves(t *testing.T) {
+	imgBytes, _, _ := buildScenario(t)
+	im, err := image.Unpack(imgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stored (uncompressed) deflate blocks leave the executables'
+	// magics in the stream for the carver to find.
+	var z bytes.Buffer
+	z.Write(image.MagicZlib[:])
+	zw, err := zlib.NewWriterLevel(&z, zlib.NoCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(im.Pack(false)[4:])
+	zw.Close()
+	data := z.Bytes()[:z.Len()*2/3]
+	dispatched := 0
+	if _, err := image.Stream(data, func(image.FileEntry) { dispatched++ }); err == nil || dispatched == 0 {
+		t.Fatalf("the cut stream must fail after some files: %d dispatched, error %v", dispatched, err)
+	}
+	carved := image.CarveWith(data, nil, telemetry.Span{})
+	if len(carved) == 0 {
+		t.Fatal("carving the cut stream finds nothing; the comparison is vacuous")
+	}
+
+	before := runtime.NumGoroutine()
+	img, err := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: 4}).OpenImage(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before OpenImage, %d after", before, runtime.NumGoroutine())
+		}
+	}
+
+	ref := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: 1})
+	var want, got []string
+	for i, f := range carved {
+		path := fmt.Sprintf("carved_%d", i)
+		if e, err := ref.AnalyzeExecutable(path, f.Bytes()); err == nil {
+			want = append(want, fmt.Sprint(path, exeStrands(e)))
+		} else {
+			want = append(want, path+" skipped")
+		}
+	}
+	for _, e := range img.Exes {
+		got = append(got, fmt.Sprint(e.Path, exeStrands(e)))
+	}
+	for _, s := range img.Skipped {
+		got = append(got, s.Path+" skipped")
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("opened %d executables, carving yields %d:\ngot  %.200q\nwant %.200q", len(got), len(want), got, want)
+	}
+}
+
+// The session's analysis budget is shared by everything analysing under
+// it: concurrent OpenImage and AnalyzeExecutable calls on a budget
+// smaller than their number all finish, a carved image included, and
+// every token is back once they have.
+func TestAnalysisBudgetShared(t *testing.T) {
+	imgBytes, _, _ := buildScenario(t)
+	im, err := image.Unpack(imgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe := im.Executables()[0]
+	broken := im.Pack(false) // an unknown magic: carved
+	broken[0] = 'X'
+	images := [][]byte{imgBytes, corruptImage(t, imgBytes), broken}
+	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: 2})
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if i < len(images) {
+				_, err = a.OpenImage(images[i])
+			} else {
+				_, err = a.AnalyzeExecutable(exe.Path, exe.File.Bytes())
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := a.TokensHeld(); n != 0 {
+		t.Errorf("%d analysis tokens still taken after every call returned", n)
+	}
+}
+
+func exeStrands(e *firmup.Executable) [][]uint64 {
+	var out [][]uint64
+	for i := range e.Procedures() {
+		out = append(out, e.ProcedureStrands(i))
+	}
+	return out
 }
 
 func TestAnalyzerSessionStats(t *testing.T) {

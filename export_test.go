@@ -6,7 +6,8 @@ import "firmup/internal/sim"
 // another path, after mutate has edited the copy's procedures — how the
 // dedup suite makes near-duplicates (one address moved, one marker
 // changed) that no firmware build produces on demand. The image's search
-// group is rebuilt, so the copy is indexed like any analysed executable.
+// group is set up again, so the copy is indexed like any analysed
+// executable.
 func (a *Analyzer) AddVariant(im *Image, src *Executable, path string, mutate func([]*sim.Proc)) {
 	procs := make([]*sim.Proc, len(src.exe.Procs))
 	for i, p := range src.exe.Procs {
@@ -17,5 +18,9 @@ func (a *Analyzer) AddVariant(im *Image, src *Executable, path string, mutate fu
 	e := sim.FromProcsSession(path, procs, src.exe.Session())
 	e.Arch, e.Stripped = src.exe.Arch, src.exe.Stripped
 	im.Exes = append(im.Exes, &Executable{Path: path, exe: e})
-	a.index(im)
+	a.group(im)
 }
+
+// TokensHeld reports how many of the session's analysis tokens are taken
+// (see AnalyzerOptions.Workers): zero whenever nothing is analysing.
+func (a *Analyzer) TokensHeld() int { return len(a.spare) }

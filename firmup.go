@@ -35,6 +35,7 @@ package firmup
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -57,12 +58,12 @@ import (
 // AnalyzerOptions tune an analyzer session. The zero value selects the
 // defaults.
 type AnalyzerOptions struct {
-	// Workers is the session's total analysis worker budget (default
-	// GOMAXPROCS). It is shared — not multiplied — across the two nested
-	// pools: OpenImage runs min(Workers, #executables) executables
-	// concurrently, and each in-flight executable build gets the
-	// remaining budget as procedure-level workers, so at most ~Workers
-	// goroutines analyze at any moment.
+	// Workers is the session's analysis budget (default GOMAXPROCS).
+	// OpenImage hands each file, as it is unpacked, to a pool of Workers
+	// goroutines. Every analysis holds one of Workers tokens shared by
+	// the session, and its build borrows the free ones as procedure
+	// workers, so at most Workers goroutines analyse at any moment.
+	// Output never depends on it.
 	Workers int
 	// Telemetry, when non-nil, is the registry the session records its
 	// pipeline metrics into. The default (nil) disables telemetry
@@ -77,26 +78,6 @@ func (o *AnalyzerOptions) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
-}
-
-// splitWorkers divides the session's worker budget between the two
-// nested pools for n pending executables: the image-level pool takes
-// min(budget, n) slots and each in-flight build gets budget/exeWorkers
-// procedure-level workers, so the product stays ≈ budget instead of
-// budget².
-func splitWorkers(budget, n int) (exeWorkers, procWorkers int) {
-	exeWorkers = budget
-	if exeWorkers > n {
-		exeWorkers = n
-	}
-	if exeWorkers < 1 {
-		exeWorkers = 1
-	}
-	procWorkers = budget / exeWorkers
-	if procWorkers < 1 {
-		procWorkers = 1
-	}
-	return exeWorkers, procWorkers
 }
 
 // Analyzer is one analysis session. All executables analyzed under it —
@@ -117,10 +98,19 @@ type Analyzer struct {
 	idx          *corpusindex.Telemetry
 	exesAnalyzed *telemetry.Counter
 	exesSkipped  *telemetry.Counter
-	// analysed maps the SHA-256 of an in-image file to its analysed
-	// *sim.Exe: the same executable ships in image after image, and
-	// OpenImage analyses each distinct byte string once per session.
+	spare        chan struct{} // the analysis budget's tokens (see analyzePooled)
+	// analysed maps the SHA-256 of an in-image file to its *analysis: the
+	// same executable ships in image after image, and OpenImage analyses
+	// each distinct byte string once per session.
 	analysed sync.Map
+}
+
+// analysis is one distinct byte string's analysis: run by the first
+// sighting to claim it, awaited by every other, even one in flight.
+type analysis struct {
+	once sync.Once
+	exe  *Executable
+	err  error
 }
 
 // frontEnd is the analysis front end — parse, CFG recovery and lifting,
@@ -171,12 +161,27 @@ func (fe *frontEnd) read(data []byte, parent telemetry.Span) (*obj.File, error) 
 
 // analyze is the pass order after the parse — recover and lift
 // ("cfg.recover"), then extract, intern and index ("sim.build") — timed
-// under parent like read.
-func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, workers int, parent telemetry.Span) (*Executable, error) {
+// under parent like read. With a non-nil spare, one of whose tokens the
+// caller holds, the build adds a procedure worker for every further
+// token free at that moment, up to workers in all.
+func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, workers int, spare chan struct{}, parent telemetry.Span) (*Executable, error) {
 	parent = parent.Or(fe.root)
 	rec, err := cfg.RecoverWith(f, fe.cfg, parent)
 	if err != nil {
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
+	}
+	if spare != nil {
+		n := 1
+	borrow:
+		for ; n < min(workers, len(rec.Procs)); n++ {
+			select {
+			case spare <- struct{}{}:
+				defer func() { <-spare }()
+			default:
+				break borrow
+			}
+		}
+		workers = n
 	}
 	bc := &sim.BuildConfig{Workers: workers, Tel: fe.sim, Span: parent}
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, it, bc)}, nil
@@ -225,6 +230,7 @@ func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	if opt != nil {
 		a.opt = *opt
 	}
+	a.spare = make(chan struct{}, a.opt.workers())
 	if r := a.opt.Telemetry; r != nil {
 		a.front = newFrontEnd(r)
 		a.game = newCoreTelemetry(r)
@@ -339,7 +345,7 @@ type Image struct {
 	Skipped []SkipReason
 
 	// own is the image as the one member of its private search group —
-	// occurrence i is Exes[i] — built when the image is opened (see index).
+	// occurrence i is Exes[i] — indexed on first search (Analyzer.group).
 	own *SealedImage
 }
 
@@ -355,8 +361,12 @@ func (im *Image) Executable(path string) *Executable {
 }
 
 // IndexedStrands reports the number of (strand, executable, procedure)
-// postings in the image's search index.
-func (im *Image) IndexedStrands() int { return im.own.group.index.Postings() }
+// postings in the image's search index, building the index if no search
+// has yet.
+func (im *Image) IndexedStrands() int {
+	im.own.group.ensureIndex() // an in-RAM group's build cannot fail
+	return im.own.group.index.Postings()
+}
 
 // AnalyzeExecutable parses and analyzes one FWELF binary under the
 // session.
@@ -365,9 +375,15 @@ func (a *Analyzer) AnalyzeExecutable(path string, data []byte) (*Executable, err
 	if err != nil {
 		return nil, err
 	}
-	// A standalone analysis is the only build in flight: give it the
-	// whole worker budget at the procedure level.
-	return a.front.analyze(path, f, a.interner, a.opt.workers(), telemetry.Span{})
+	return a.analyzePooled(path, f, telemetry.Span{})
+}
+
+// analyzePooled analyses f under the session's budget: it waits for a
+// token of its own, and its build borrows what is free on top.
+func (a *Analyzer) analyzePooled(path string, f *obj.File, parent telemetry.Span) (*Executable, error) {
+	a.spare <- struct{}{}
+	defer func() { <-a.spare }()
+	return a.front.analyze(path, f, a.interner, a.opt.workers(), a.spare, parent)
 }
 
 // LoadQueryExecutable analyzes the analyst's query binary (typically
@@ -378,131 +394,118 @@ func (a *Analyzer) LoadQueryExecutable(data []byte) (*Executable, error) {
 }
 
 // OpenImage unpacks a firmware image and analyzes every executable in
-// it, in parallel under the session's worker pool. Images that fail
+// it in one streamed pass, each file going to the session's pool as soon
+// as it is unpacked (see AnalyzerOptions.Workers). Images that fail
 // structural unpacking are carved binwalk-style for embedded
 // executables. Executables that fail analysis are reported in
 // Image.Skipped rather than silently dropped.
 func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 	sp := a.front.root.Start("image.open")
 	defer sp.End()
-	out, pending, err := a.unpack(data, sp)
-	if err != nil {
-		return nil, err
+	jobs := make(chan *fileJob)
+	var wg sync.WaitGroup
+	workers := a.opt.workers()
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				a.analyzeFile(j, sp)
+			}
+		}()
 	}
-	a.analyzeAll(pending, out, sp)
+	var all []*fileJob // what the image reports, in arrival order
+	add := func(j *fileJob) {
+		all = append(all, j)
+		jobs <- j // waits for a free worker
+	}
+	usp := sp.Start("image.unpack")
+	im, err := image.Stream(data, func(fe image.FileEntry) { add(&fileJob{path: fe.Path, data: fe.Data}) })
+	if err != nil {
+		// Carving fallback: damaged or unknown container. The files
+		// dispatched before the failure are analysed, then discarded.
+		all, im = nil, &image.Image{}
+		for i, f := range image.CarveWith(data, a.front.obj, usp) {
+			add(&fileJob{path: fmt.Sprintf("carved_%d", i), file: f})
+		}
+		if len(all) > 0 {
+			err = nil
+		}
+	}
+	usp.End()
+	close(jobs)
+	wg.Wait()
+	if err != nil {
+		return nil, fmt.Errorf("firmup: cannot unpack image and carving found no executables: %w", err)
+	}
+	out := &Image{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
+	for _, j := range all {
+		if j.err != nil {
+			out.Skipped = append(out.Skipped, SkipReason{Path: j.path, Err: j.err})
+		} else if j.exe != nil {
+			out.Exes = append(out.Exes, j.exe)
+		}
+	}
 	if len(out.Exes) == 0 {
 		return nil, fmt.Errorf("firmup: image contains no analyzable executables")
 	}
-	a.index(out)
+	a.group(out)
 	a.exesAnalyzed.Add(int64(len(out.Exes)))
 	a.exesSkipped.Add(int64(len(out.Skipped)))
 	return out, nil
 }
 
-// unpack is OpenImage's "image.unpack" stage: the image's identity and
-// every file of it that parses as an executable, carved out of the bytes
-// when the container does not unpack.
-func (a *Analyzer) unpack(data []byte, parent telemetry.Span) (*Image, []pendingExe, error) {
-	sp := parent.Start("image.unpack")
-	defer sp.End()
-	var pending []pendingExe
-	im, err := image.Unpack(data)
-	if err != nil {
-		// Carving fallback: damaged or unknown container.
-		files := image.CarveWith(data, a.front.obj, sp)
-		if len(files) == 0 {
-			return nil, nil, fmt.Errorf("firmup: cannot unpack image and carving found no executables: %w", err)
-		}
-		for i, f := range files {
-			pending = append(pending, pendingExe{path: fmt.Sprintf("carved_%d", i), file: f})
-		}
-		return &Image{}, pending, nil
-	}
-	// Non-executable content (configs etc.) is skipped, as are entries
-	// that fail to parse.
-	for _, fe := range im.Files {
-		if f, err := a.front.read(fe.Data, sp); err == nil {
-			pending = append(pending, pendingExe{path: fe.Path, file: f, data: fe.Data})
-		}
-	}
-	return &Image{Vendor: im.Vendor, Device: im.Device, Version: im.Version}, pending, nil
-}
-
-// index makes img searchable: it builds the private one-image group a
+// group makes img searchable: it sets up the private one-image group a
 // live image is searched through, by the pass a sealed corpus runs per
 // group (sealedGroup.search) — the image's own executables as they are,
-// neither rebound nor deduplicated, behind one index keyed by the session
-// interner as it stands now. Strands the session interns later, analysing
-// queries, have no row in it and need none: no executable of this image
-// contains them.
-func (a *Analyzer) index(img *Image) {
-	g := &sealedGroup{n: 1, nExes: len(img.Exes), game: a.game, exes: make([]*sim.Exe, len(img.Exes))}
+// neither rebound nor deduplicated, under the session interner as it
+// stands now, indexed on first search (sealedGroup.ensureIndex).
+func (a *Analyzer) group(img *Image) {
+	g := &sealedGroup{n: 1, nExes: len(img.Exes), it: a.interner, bound: a.interner.Size(), tel: a.idx, game: a.game, exes: make([]*sim.Exe, len(img.Exes))}
 	img.own = &SealedImage{group: g, occs: make([]snapshot.Occurrence, len(img.Exes))}
 	for i, e := range img.Exes {
 		g.exes[i] = e.exe
 		img.own.occs[i] = snapshot.Occurrence{Path: e.Path, Exe: i}
 	}
-	g.index = corpusindex.NewFrozenIndex(a.interner, a.interner.Size(), g.exes)
-	g.index.SetTelemetry(a.idx)
 }
 
-type pendingExe struct {
+// fileJob is one file of an image on its way through OpenImage's pool,
+// and what became of it: an executable, a failure, or neither (configs
+// and the like, left out silently).
+type fileJob struct {
 	path string
-	file *obj.File
-	// data is the file's bytes, the key the session's analysis is shared
-	// under; nil for a carved executable, whose extent is not known.
+	// data is the file's bytes and the key its analysis is shared under;
+	// nil for a carved executable, which arrives parsed (file).
 	data []byte
+	file *obj.File
+	exe  *Executable
+	err  error
 }
 
-// analyzePending analyses one in-image executable, or answers it from an
-// earlier image that carried the same bytes: a shallow copy under this
-// image's path. Concurrent first sights of one byte string may both
-// analyse it; the results are equal and the last one stored is kept.
-func (a *Analyzer) analyzePending(pe pendingExe, procWorkers int, parent telemetry.Span) (*Executable, error) {
-	if pe.data == nil {
-		return a.front.analyze(pe.path, pe.file, a.interner, procWorkers, parent)
+// analyzeFile parses one file and analyses it under the session's
+// budget (analyzePooled), or answers it from the analysis of the same
+// bytes — earlier in this image, in an earlier image, or still running
+// on another worker — as a shallow copy under this file's path.
+func (a *Analyzer) analyzeFile(j *fileJob, parent telemetry.Span) {
+	if j.data == nil {
+		j.exe, j.err = a.analyzePooled(j.path, j.file, parent)
+		return
 	}
-	key := sha256.Sum256(pe.data)
-	if e, ok := a.analysed.Load(key); ok {
-		return &Executable{Path: pe.path, exe: e.(*sim.Exe).WithPath(pe.path)}, nil
+	f, err := a.front.read(j.data, parent)
+	if err != nil {
+		return // not an executable
 	}
-	exe, err := a.front.analyze(pe.path, pe.file, a.interner, procWorkers, parent)
-	if err == nil {
-		a.analysed.Store(key, exe.exe)
-	}
-	return exe, err
-}
-
-// analyzeAll runs the session's bounded worker pool over the pending
-// executables, preserving input order in both Exes and Skipped. The
-// worker budget is split between this pool and the per-executable
-// procedure pools (see splitWorkers).
-func (a *Analyzer) analyzeAll(pending []pendingExe, out *Image, parent telemetry.Span) {
-	exes := make([]*Executable, len(pending))
-	errs := make([]error, len(pending))
-	workers, procWorkers := splitWorkers(a.opt.workers(), len(pending))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				exes[i], errs[i] = a.analyzePending(pending[i], procWorkers, parent)
-			}
-		}()
-	}
-	for i := range pending {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i := range pending {
-		if errs[i] != nil {
-			out.Skipped = append(out.Skipped, SkipReason{Path: pending[i].path, Err: errs[i]})
-			continue
-		}
-		out.Exes = append(out.Exes, exes[i])
+	key := sha256.Sum256(j.data)
+	c, _ := a.analysed.LoadOrStore(key, new(analysis))
+	an := c.(*analysis)
+	an.once.Do(func() { an.exe, an.err = a.analyzePooled(j.path, f, parent) })
+	switch {
+	case an.err != nil: // it names the path it was first seen under
+		j.err = fmt.Errorf("firmup: %s: %w", j.path, errors.Unwrap(an.err))
+	case an.exe.Path == j.path:
+		j.exe = an.exe
+	default:
+		j.exe = &Executable{Path: j.path, exe: an.exe.exe.WithPath(j.path)}
 	}
 }
 

@@ -138,11 +138,6 @@ func TestSearchBatchEquivalenceRandomized(t *testing.T) {
 			MinRatio:         0.05 + 0.3*rng.Float64(),
 			MarkerMinOverlap: -1, // random procs carry no markers
 		}
-		// Every other trial scores under a strand weigher, the option set
-		// the facade cannot reach.
-		if trial%2 == 1 {
-			opt.Weigher = func(h uint64) float64 { return 1 + float64(h%7)/4 }
-		}
 		// Sweep batch sizes 1..len: each prefix is its own batch.
 		for n := 1; n <= len(sc.queries); n++ {
 			batch := PlayBatch(sc.queries[:n], sc.targets, everyTarget(n, len(sc.targets)), opt).Findings

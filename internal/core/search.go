@@ -38,13 +38,6 @@ type SearchOptions struct {
 	// confirmation through string constants and global-memory markers).
 	// 0 selects the default 0.3; set negative to disable.
 	MarkerMinOverlap float64
-	// Weigher, when set, assigns a statistical significance to each
-	// strand hash (e.g. inverse document frequency over a sample of
-	// procedures in the wild). The acceptance ratio then becomes the
-	// weighted fraction of the query's strands that are shared, so that
-	// common computations shared among non-similar code do not produce
-	// spurious detections — the statistical framework the paper adopts.
-	Weigher func(hash uint64) float64
 	// Workers bounds the parallel target workers (default GOMAXPROCS).
 	Workers int
 	// Span is the parent the search is timed under: one "core.search" /
@@ -136,7 +129,7 @@ func accept(q *sim.Exe, qi int, t *sim.Exe, r Result, opt *SearchOptions) *Findi
 
 // acceptable is the acceptance predicate: whether procedure ti of t,
 // sharing score strands with query procedure qi, may be reported as an
-// occurrence of it — the score floor, the plain or weighted ratio floor,
+// occurrence of it — the score floor, the ratio floor
 // and the marker bar — and the ratio it is reported with. It depends on
 // the pair alone, never on the course of a game, which is what lets a
 // search name the acceptable procedures of a target before playing.
@@ -145,32 +138,7 @@ func acceptable(q *sim.Exe, qi int, t *sim.Exe, ti, score int, opt *SearchOption
 	if qsize == 0 || score < opt.minScore() {
 		return 0, false
 	}
-	if opt != nil && opt.Weigher != nil {
-		var total, shared float64
-		qh, th := q.Hashes(qi), t.Hashes(ti)
-		i, j := 0, 0
-		for _, h := range qh {
-			total += opt.Weigher(h)
-		}
-		for i < len(qh) && j < len(th) {
-			switch {
-			case qh[i] == th[j]:
-				shared += opt.Weigher(qh[i])
-				i++
-				j++
-			case qh[i] < th[j]:
-				i++
-			default:
-				j++
-			}
-		}
-		if total == 0 {
-			return 0, false
-		}
-		ratio = shared / total
-	} else {
-		ratio = float64(score) / float64(qsize)
-	}
+	ratio = float64(score) / float64(qsize)
 	if ratio < opt.minRatio() {
 		return 0, false
 	}

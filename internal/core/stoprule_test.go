@@ -52,7 +52,7 @@ func randMarkers(rng *rand.Rand, procs []*sim.Proc) []*sim.Proc {
 // TestStopRuleEquivalence: not playing a game that cannot be accepted,
 // and stopping one that no longer can, changes no finding. Randomized
 // executables with heavy ties (tiny strand universes), every combination
-// of tight and default game limits, plain and weighted ratios, the three
+// of tight and default game limits, the three
 // marker-bar settings, plans with and without installed vectors, batches
 // that repeat queries and share one matcher across several procedures
 // of a query executable: for every planned (query, target) the batch's
@@ -73,9 +73,6 @@ func TestStopRuleEquivalence(t *testing.T) {
 			MinRatio:         0.05 + 0.5*rng.Float64(),
 			MarkerMinOverlap: bars[trial%3],
 			Workers:          1 + rng.Intn(3),
-		}
-		if trial%2 == 1 {
-			opt.Weigher = func(h uint64) float64 { return 1 + float64(h%5)/3 }
 		}
 		var queries []BatchQuery
 		for e := 0; e < 1+rng.Intn(3); e++ {

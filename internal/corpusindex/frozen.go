@@ -362,9 +362,8 @@ func (s *Scans) Reset() {
 // floors: a finding's score is Sim(q, matched procedure) ≤ MaxSim, so an
 // executable with MaxSim < minScore — or, when ratioFloor > 0, with
 // MaxSim/|q| < ratioFloor — cannot yield an accepted finding. Pass
-// ratioFloor 0 when the acceptance ratio is not plain Score/|q| (e.g.
-// under a strand weigher). The ranking is deterministic: MaxSim
-// descending, executable ID ascending.
+// ratioFloor 0 to drop by the score floor alone. The ranking is
+// deterministic: MaxSim descending, executable ID ascending.
 //
 // Scan appends to out every candidate that inScope admits (nil admits
 // all) together with its similarity vector, which the scan has already

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"firmup"
-	"firmup/internal/baseline/gitz"
 	"firmup/internal/core"
 	"firmup/internal/corpus"
 	"firmup/internal/obj"
@@ -200,20 +199,4 @@ func classify(u *corpus.BuiltExe, cve *corpus.CVE, matched bool, addr uint32) Ve
 // plateau near 40%.
 func DefaultSearch() *core.SearchOptions {
 	return &core.SearchOptions{MinScore: 8, MinRatio: 0.42}
-}
-
-// WeightedSearch extends DefaultSearch with the statistical strand
-// weighting trained over the corpus's own procedures (the paper trains a
-// global context from randomly sampled procedures in the wild). Rare
-// strands carry more evidence; ubiquitous loop idioms carry less, which
-// suppresses spurious cross-package detections.
-func (env *Env) WeightedSearch() *core.SearchOptions {
-	var sample []*sim.Exe
-	for _, u := range env.Units {
-		sample = append(sample, u.Exe)
-	}
-	ctx := gitz.Train(sample)
-	opt := DefaultSearch()
-	opt.Weigher = ctx.Weight
-	return opt
 }

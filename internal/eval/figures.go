@@ -22,9 +22,6 @@ type LabeledCounts struct {
 	FN    int
 }
 
-// Total returns the number of labeled targets.
-func (c LabeledCounts) Total() int { return c.P + c.FP + c.FN }
-
 // CompareResult is a labeled tool-vs-FirmUp experiment (Figs. 6 and 8).
 type CompareResult struct {
 	Tool string

@@ -1,9 +1,9 @@
 // Package image implements the firmware image container and its
 // unpacker. An image bundles the executables of one device firmware with
-// vendor metadata, optionally zlib-compressed; the Carve function plays
-// the role of binwalk, recovering embedded executables from raw bytes
-// even when the image header is damaged or the container format is
-// unknown.
+// vendor metadata, optionally zlib-compressed; the CarveWith function
+// plays the role of binwalk, recovering embedded executables from raw
+// bytes even when the image header is damaged or the container format
+// is unknown.
 package image
 
 import (
@@ -93,31 +93,54 @@ func (im *Image) Pack(compress bool) []byte {
 	return out.Bytes()
 }
 
-// Unpack parses a packed image of either layout.
+// Unpack parses a packed image of either layout: Stream, with the files
+// collected in image order.
 func Unpack(data []byte) (*Image, error) {
+	var files []FileEntry
+	im, err := Stream(data, func(fe FileEntry) { files = append(files, fe) })
+	if err == nil {
+		im.Files = files
+	}
+	return im, err
+}
+
+const (
+	// fileChunk bounds what a file's claimed size can allocate ahead of
+	// its bytes: a compressed image's file buffer grows by at most this
+	// much past the bytes decompressed into it.
+	fileChunk  = 1 << 20
+	maxPayload = 1 << 30 // the most a compressed image may inflate to
+)
+
+// Stream parses a packed image of either layout in one pass, handing each
+// file to fn, in image order, as soon as its bytes are read: a compressed
+// payload is inflated straight into each file's own buffer, never into
+// one buffer for the whole image. It returns the image's identity with
+// Files empty. On error the image did not unpack, and the files already
+// handed to fn are not to be trusted: a compressed image's checksum is
+// only checked at the end.
+func Stream(data []byte, fn func(FileEntry)) (*Image, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("image: too short")
 	}
 	var magic [4]byte
 	copy(magic[:], data)
-	payload := data[4:]
+	var r io.Reader
+	var raw *bytes.Reader // the payload when uncompressed: its size is known
 	switch magic {
 	case MagicZlib:
-		zr, err := zlib.NewReader(bytes.NewReader(payload))
+		zr, err := zlib.NewReader(bytes.NewReader(data[4:]))
 		if err != nil {
 			return nil, fmt.Errorf("image: bad zlib payload: %w", err)
 		}
 		defer zr.Close()
-		raw, err := io.ReadAll(io.LimitReader(zr, 1<<30))
-		if err != nil {
-			return nil, fmt.Errorf("image: decompress: %w", err)
-		}
-		payload = raw
+		r = io.LimitReader(zr, maxPayload)
 	case MagicRaw:
+		raw = bytes.NewReader(data[4:])
+		r = raw
 	default:
 		return nil, fmt.Errorf("image: unknown magic %q", magic[:])
 	}
-	r := bytes.NewReader(payload)
 	le := binary.LittleEndian
 	var tmp [4]byte
 	r32 := func() (uint32, error) {
@@ -167,29 +190,55 @@ func Unpack(data []byte) (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int64(n) > int64(r.Len()) {
+		step, left := fileChunk, int64(maxPayload)
+		if raw != nil {
+			step, left = int(n), int64(raw.Len()) // the payload holds every byte claimed
+		}
+		if int64(n) > left {
 			return nil, fmt.Errorf("image: file %q size %d overruns image", path, n)
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
+		data, err := readFile(r, int(n), step)
+		if err != nil {
+			return nil, fmt.Errorf("image: file %q: %w", path, err)
 		}
-		im.Files = append(im.Files, FileEntry{Path: path, Data: data})
+		fn(FileEntry{Path: path, Data: data})
+	}
+	if raw == nil {
+		// Read to the end, so a damaged or missing zlib trailer fails the
+		// image as it did before the files were streamed.
+		if _, err := io.Copy(io.Discard, r); err != nil {
+			return nil, fmt.Errorf("image: decompress: %w", err)
+		}
 	}
 	return im, nil
 }
 
-// Carve scans raw bytes for embedded FWELF executables, binwalk-style:
-// it finds every occurrence of the FWELF magic and attempts a parse
-// there, keeping the ones that decode. It is the fallback path when an
-// image fails to unpack structurally (the paper reports that a large
-// fraction of crawled images had damaged or opaque containers).
-func Carve(data []byte) []*obj.File {
-	return CarveWith(data, nil, telemetry.Span{})
+// readFile reads a file of claimed size n into a buffer that starts at
+// no more than step bytes and grows by at most step past the bytes read
+// into it, so a size the stream does not back allocates at most step
+// ahead of them; a file of at most step bytes is read into one exact
+// buffer. On error the bytes read so far are returned with it.
+func readFile(r io.Reader, n, step int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, step))
+	for {
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil || len(buf) == n {
+			return buf, err
+		}
+		grown := make([]byte, len(buf), min(n, len(buf)+step))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
-// CarveWith is Carve with every attempted parse timed under parent and
-// counted into tel (see obj.ReadWith). The carved output is identical.
+// CarveWith scans raw bytes for embedded FWELF executables,
+// binwalk-style: it finds every occurrence of the FWELF magic and
+// attempts a parse there, keeping the ones that decode, every attempt
+// timed under parent and counted into tel (see obj.ReadWith; both may be
+// zero). It is the fallback path when an image fails to unpack
+// structurally (the paper reports that a large fraction of crawled
+// images had damaged or opaque containers).
 func CarveWith(data []byte, tel *obj.Telemetry, parent telemetry.Span) []*obj.File {
 	var out []*obj.File
 	for off := 0; off+4 <= len(data); {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"firmup/internal/obj"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -64,6 +65,27 @@ func TestPackUnpackCompressed(t *testing.T) {
 	}
 }
 
+// TestUnpackDamagedZlibTrailer checks that a compressed image whose
+// files all inflate still fails when its Adler-32 trailer is cut short or
+// wrong: the streamed reader must read the zlib stream to its end.
+func TestUnpackDamagedZlibTrailer(t *testing.T) {
+	comp := sampleImage().Pack(true)
+	flipped := bytes.Clone(comp)
+	flipped[len(flipped)-1] ^= 0xFF
+	for name, data := range map[string][]byte{"cut by one byte": comp[:len(comp)-1], "flipped trailer": flipped} {
+		files := 0
+		if _, err := Stream(data, func(FileEntry) { files++ }); err == nil {
+			t.Errorf("%s: Stream succeeded", name)
+		}
+		if files != 3 {
+			t.Errorf("%s: %d files handed over before the trailer, want 3", name, files)
+		}
+		if _, err := Unpack(data); err == nil {
+			t.Errorf("%s: Unpack succeeded", name)
+		}
+	}
+}
+
 func TestExecutablesSkipsNonELF(t *testing.T) {
 	im := sampleImage()
 	exes := im.Executables()
@@ -98,9 +120,9 @@ func TestCarveFindsEmbeddedExecutables(t *testing.T) {
 	blob.Write([]byte("FELFgarbage that is not a real header"))
 	blob.Write(bytes.Repeat([]byte{0x00}, 33))
 	blob.Write(exeFixture("bbb").Bytes())
-	found := Carve(blob.Bytes())
+	found := CarveWith(blob.Bytes(), nil, telemetry.Span{})
 	if len(found) != 2 {
-		t.Fatalf("Carve found %d executables, want 2", len(found))
+		t.Fatalf("CarveWith found %d executables, want 2", len(found))
 	}
 	if found[0].Syms[0].Name != "aaa" || found[1].Syms[0].Name != "bbb" {
 		t.Errorf("carved syms: %v %v", found[0].Syms, found[1].Syms)
@@ -110,13 +132,13 @@ func TestCarveFindsEmbeddedExecutables(t *testing.T) {
 func TestCarveOnPackedImage(t *testing.T) {
 	im := sampleImage()
 	raw := im.Pack(false)
-	found := Carve(raw)
+	found := CarveWith(raw, nil, telemetry.Span{})
 	if len(found) != 2 {
-		t.Errorf("Carve on raw image found %d, want 2", len(found))
+		t.Errorf("CarveWith on raw image found %d, want 2", len(found))
 	}
 	// Compressed images hide the magics (binwalk would decompress first).
 	comp := im.Pack(true)
-	if n := len(Carve(comp)); n != 0 {
+	if n := len(CarveWith(comp, nil, telemetry.Span{})); n != 0 {
 		t.Logf("carve on compressed image found %d (zlib may coincidentally contain magic)", n)
 	}
 }

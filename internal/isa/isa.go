@@ -212,11 +212,6 @@ func (lb *LiftBuilder) Un(op uir.Op, a uir.Operand) uir.Temp {
 	return lb.def(uir.Stmt{Kind: uir.StmtUn, Op: op, A: a})
 }
 
-// Mov emits a copy of src into a fresh temp and returns it.
-func (lb *LiftBuilder) Mov(src uir.Operand) uir.Temp {
-	return lb.def(uir.Stmt{Kind: uir.StmtMov, A: src})
-}
-
 // Sel emits a select — a when cond is non-zero, else b — and returns the
 // result temp.
 func (lb *LiftBuilder) Sel(cond, a, b uir.Operand) uir.Temp {

@@ -56,15 +56,6 @@ func (in *Interp) GlobalAddr(name string) (uint32, bool) {
 	return a, ok
 }
 
-// ReadWord loads a 32-bit little-endian word.
-func (in *Interp) ReadWord(addr uint32) uint32 {
-	var v uint32
-	for i := uint32(0); i < 4; i++ {
-		v |= uint32(in.Mem[addr+i]) << (8 * i)
-	}
-	return v
-}
-
 // Call runs the named procedure with the given arguments and returns its
 // result.
 func (in *Interp) Call(name string, args ...uint32) (uint32, error) {

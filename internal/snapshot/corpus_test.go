@@ -84,7 +84,7 @@ func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 		t.Errorf("empty index decoded as %v", got.Index)
 	}
 	c.Index = nil
-	if _, err := EncodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
+	if _, err := encodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
 		t.Error("a corpus without an index encoded successfully")
 	}
 	_, err := OpenCorpusShardBytes(unindexedShard(t))
@@ -112,7 +112,7 @@ func TestCorpusEncodeRejectsInvalid(t *testing.T) {
 	} {
 		c := testCorpus()
 		damage(c)
-		if _, err := EncodeCorpusShard(c, hdr); err == nil {
+		if _, err := encodeCorpusShard(c, hdr); err == nil {
 			t.Errorf("%s encoded successfully", name)
 		}
 	}

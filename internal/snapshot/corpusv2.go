@@ -143,10 +143,50 @@ type ShardHeader struct {
 
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
 
-// EncodeCorpusShard serializes one shard of a sealed corpus into the
-// container. The model is validated first so a successful encode always
-// produces a shard OpenCorpusShardBytes accepts.
-func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
+// Vocab is a corpus vocabulary encoded once for every shard of the
+// corpus: the corpus-vocab and corpus-vocab-sorted sections, which are
+// the same bytes in each shard.
+type Vocab struct {
+	n             int
+	vocab, sorted []byte
+}
+
+// EncodeVocab encodes a frozen vocabulary ordered by dense ID, rejecting
+// a duplicate hash.
+func EncodeVocab(vocab []uint64) (*Vocab, error) {
+	le := binary.LittleEndian
+	vocabB := make([]byte, 0, 8*len(vocab))
+	for _, h := range vocab {
+		vocabB = le.AppendUint64(vocabB, h)
+	}
+	// Sorted-vocabulary slab: hashes ascending plus the parallel dense
+	// IDs, so a loaded shard binary-searches lookups straight off the
+	// mapping instead of building a hash map at open.
+	order := make([]uint32, len(vocab))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return vocab[order[a]] < vocab[order[b]] })
+	sortedB := make([]byte, 0, 12*len(vocab))
+	for i, id := range order {
+		if i > 0 && vocab[id] == vocab[order[i-1]] {
+			return nil, fmt.Errorf("snapshot: encode: duplicate strand hash %016x in vocabulary", vocab[id])
+		}
+		sortedB = le.AppendUint64(sortedB, vocab[id])
+	}
+	for _, id := range order {
+		sortedB = le.AppendUint32(sortedB, id)
+	}
+	return &Vocab{n: len(vocab), vocab: vocabB, sorted: sortedB}, nil
+}
+
+// EncodeShard serializes one shard of a sealed corpus whose vocabulary,
+// c.Interner, is the one v encodes. The model is validated first so a
+// successful encode always produces a shard OpenCorpusShardBytes accepts.
+func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
+	if len(c.Interner) != v.n {
+		return nil, fmt.Errorf("snapshot: encode: corpus vocabulary of %d is not the encoded one of %d", len(c.Interner), v.n)
+	}
 	if hdr.ShardCount < 1 || hdr.ShardIndex < 0 || hdr.ShardIndex >= hdr.ShardCount {
 		return nil, fmt.Errorf("snapshot: encode: shard index %d out of range for %d shards", hdr.ShardIndex, hdr.ShardCount)
 	}
@@ -265,29 +305,6 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		}
 	}
 
-	// Sorted-vocabulary slab: hashes ascending plus the parallel dense
-	// IDs, so a loaded shard binary-searches lookups straight off the
-	// mapping instead of building a hash map at open.
-	vocabB := make([]byte, 0, 8*len(c.Interner))
-	for _, h := range c.Interner {
-		vocabB = le.AppendUint64(vocabB, h)
-	}
-	order := make([]uint32, len(c.Interner))
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return c.Interner[order[a]] < c.Interner[order[b]] })
-	sortedB := make([]byte, 0, 12*len(c.Interner))
-	for i, id := range order {
-		if i > 0 && c.Interner[id] == c.Interner[order[i-1]] {
-			return nil, fmt.Errorf("snapshot: encode: duplicate strand hash %016x in vocabulary", c.Interner[id])
-		}
-		sortedB = le.AppendUint64(sortedB, c.Interner[id])
-	}
-	for _, id := range order {
-		sortedB = le.AppendUint32(sortedB, id)
-	}
-
 	// Meta: shard header, slab totals (the open-time structural
 	// cross-check against section lengths), per-image identity.
 	var meta []byte
@@ -326,8 +343,8 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	}
 	sections := []section{
 		{secV2Meta, meta},
-		{secV2Vocab, vocabB},
-		{secV2VocabSorted, sortedB},
+		{secV2Vocab, v.vocab},
+		{secV2VocabSorted, v.sorted},
 		{secV2Strs, strs},
 		{secV2ExeTab, exeTab},
 		{secV2ProcTab, procTab},

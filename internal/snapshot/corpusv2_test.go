@@ -11,9 +11,18 @@ import (
 	"testing"
 )
 
+// encodeCorpusShard encodes one shard under c's own vocabulary.
+func encodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
+	v, err := EncodeVocab(c.Interner)
+	if err != nil {
+		return nil, err
+	}
+	return v.EncodeShard(c, hdr)
+}
+
 func mustEncodeShard(t testing.TB, c *Corpus, hdr ShardHeader) []byte {
 	t.Helper()
-	b, err := EncodeCorpusShard(c, hdr)
+	b, err := encodeCorpusShard(c, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +289,8 @@ func TestCorpusShardBadHeader(t *testing.T) {
 		{ShardCount: 1, ImageBase: 1, TotalImages: 2},
 		{ShardCount: 1, TotalImages: 1},
 	} {
-		if _, err := EncodeCorpusShard(c, hdr); err == nil {
-			t.Errorf("EncodeCorpusShard accepted invalid header %+v", hdr)
+		if _, err := encodeCorpusShard(c, hdr); err == nil {
+			t.Errorf("encodeCorpusShard accepted invalid header %+v", hdr)
 		}
 	}
 }

@@ -21,8 +21,8 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	} {
 		c := testCorpus()
 		mutate(c)
-		if _, err := EncodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
-			t.Errorf("%s: EncodeCorpusShard accepted an invalid model", name)
+		if _, err := encodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
+			t.Errorf("%s: encodeCorpusShard accepted an invalid model", name)
 		}
 	}
 }

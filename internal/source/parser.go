@@ -20,12 +20,6 @@ type parser struct {
 }
 
 func (p *parser) cur() token { return p.toks[p.i] }
-func (p *parser) peek() token {
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
 
 func (p *parser) advance() token {
 	t := p.toks[p.i]

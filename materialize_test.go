@@ -60,7 +60,7 @@ func buildStoreScenario(t *testing.T) *storeScenario {
 
 // TestStoreBackedHashesOnDemand pins what a store-backed executable built
 // without hashes must still answer like the live one: every procedure's
-// strands, a weighted acceptance, a search by a query from a foreign
+// strands, a plain acceptance, a search by a query from a foreign
 // session (both directions of the game fall back to hashes), and a stored
 // executable used as the query of another corpus.
 func TestStoreBackedHashesOnDemand(t *testing.T) {
@@ -87,8 +87,8 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 		}
 	}
 
-	// Weighted acceptance reads both sides' hashes: every occurrence, in
-	// RAM and off the mapping, must give the same finding.
+	// Every occurrence, in RAM and off the mapping, must give the same
+	// finding.
 	q, err := s.stored.AnalyzeQuery(s.query)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	qi := q.exe.ProcByName(storeScenarioProc)
-	weighted := &core.SearchOptions{MinScore: 8, MinRatio: 0.42, Weigher: func(h uint64) float64 { return 1 + float64(h%7)/4 }}
+	plain := &core.SearchOptions{MinScore: 8, MinRatio: 0.42}
 	found := 0
 	for ii, im := range s.stored.Images() {
 		for k, oc := range im.occs {
@@ -108,10 +108,10 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 			}
 			ramIm := s.sealed.Images()[ii]
 			rt, _ := ramIm.group.exe(ramIm.occs[k].Exe)
-			got, gotR := core.MatchOne(q.exe, qi, st, weighted)
-			want, wantR := core.MatchOne(ramQ.exe, qi, rt, weighted)
+			got, gotR := core.MatchOne(q.exe, qi, st, plain)
+			want, wantR := core.MatchOne(ramQ.exe, qi, rt, plain)
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotR, wantR) {
-				t.Fatalf("image %d %s: weighted finding %+v (%+v), in RAM %+v (%+v)", ii, oc.Path, got, gotR, want, wantR)
+				t.Fatalf("image %d %s: finding %+v (%+v), in RAM %+v (%+v)", ii, oc.Path, got, gotR, want, wantR)
 			}
 			if got != nil {
 				found++
@@ -119,7 +119,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 		}
 	}
 	if found == 0 {
-		t.Error("weighted search accepted nothing: the comparison is vacuous")
+		t.Error("the search accepted nothing: the comparison is vacuous")
 	}
 
 	// A query from another session shares no ID space with the corpus.

@@ -51,22 +51,24 @@ type SealedCorpus struct {
 
 // sealedGroup is the unit a search runs over: the distinct executables
 // of a range of images and the one index over them. A live Image holds a
-// private group of its own (Analyzer.index): every executable in it, no
+// private group of its own (Analyzer.group): every executable in it, no
 // deduplication, under the session interner instead of a frozen one.
 type sealedGroup struct {
 	base, n int // the group's images are SealedCorpus.images[base : base+n]
 	nExes   int // distinct executables
-	// index covers the distinct executables: built with the group in RAM
-	// (a live image's group, Seal), over the shard's slabs on first use
-	// when store-backed (ensureIndex).
+	// index covers the distinct executables. Whatever the group's kind, it
+	// is built on first search (ensureIndex), guarded by idxOnce.
 	index *corpusindex.FrozenIndex
 	tel   *corpusindex.Telemetry
 	// game is what the group's search passes record into (see
 	// SealedCorpus.SetTelemetry).
 	game *core.Telemetry
-	// exes are the distinct executables of an in-RAM group. They carry no
-	// path: findings take theirs from the occurrence.
-	exes []*sim.Exe
+	// exes are the distinct executables of an in-RAM group, under it.
+	// Sealed ones carry no path: findings take theirs from the
+	// occurrence.
+	exes  []*sim.Exe
+	it    strand.Interner
+	bound int // it.Size() when the group was made
 
 	// Store-backed state (nil/zero for an in-RAM group): the shard, and
 	// one materialize-once slot per distinct executable.
@@ -180,17 +182,17 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 
 // Seal freezes the session's current state into an immutable corpus
 // over the given images. The live Analyzer and its images stay fully
-// usable afterwards — Seal copies what it must (procedure headers, the
-// posting slab) and shares what is already final (hash and ID slices,
-// CSR rows) — so sealing is cheap relative to analysis while the sealed
-// corpus aliases no mutable session state.
+// usable afterwards — Seal copies what it must (procedure headers) and
+// shares what is already final (hash and ID slices, CSR rows) — so
+// sealing is cheap while the sealed corpus aliases no mutable session
+// state. The corpus is indexed on its first search, not here.
 //
 // Every image must have been analyzed (or loaded) under this session;
 // an executable from another session has incomparable dense IDs and is
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	frozen := a.interner.Freeze()
-	g := &sealedGroup{n: len(images)}
+	g := &sealedGroup{n: len(images), it: frozen, bound: frozen.Size()}
 	sc := &SealedCorpus{frozen: frozen, groups: []*sealedGroup{g}}
 	dedup := newExeDedup()
 	for ii, img := range images {
@@ -216,7 +218,6 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 		sc.images = append(sc.images, si)
 	}
 	g.nExes = len(g.exes)
-	g.index = corpusindex.NewFrozenIndex(frozen, frozen.Size(), g.exes)
 	return sc, nil
 }
 
@@ -234,12 +235,11 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // executables — and every search pass the game engine's game.*,
 // search.* and batch.* metrics, among them game.unplayed and game.cut
 // for the planned games that were never started or stopped early.
-// Query analysis (AnalyzeQueryUnder) records the front-end
-// layer by layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
+// Query analysis (AnalyzeQueryUnder) records the front-end layer by
+// layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
 // counters, sim.build / sim.index / sim.procs, and strand.blocks /
-// strand.strands. Call before serving —
-// store-backed groups apply the index handles when their index first
-// builds, in-RAM groups immediately. A nil registry detaches.
+// strand.strands. Call before serving: a group applies the index
+// handles when its index first builds. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	tel := newIndexTelemetry(r)
 	game := newCoreTelemetry(r)
@@ -247,9 +247,6 @@ func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	for _, g := range sc.groups {
 		g.tel = tel
 		g.game = game
-		if g.index != nil {
-			g.index.SetTelemetry(tel)
-		}
 	}
 }
 
@@ -309,7 +306,7 @@ func (sc *SealedCorpus) AnalyzeQueryUnder(path string, data []byte, workers int,
 	if err != nil {
 		return nil, err
 	}
-	return sc.front.analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), workers, parent)
+	return sc.front.analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), workers, nil, parent)
 }
 
 // scansPool recycles the per-pass scan results (candidate lists and

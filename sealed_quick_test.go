@@ -111,14 +111,14 @@ func buildProcs(specs []synthProc) []*sim.Proc {
 }
 
 // buildSynthImage assembles the corpus as an analyzed Image under the
-// session, mirroring what OpenImage produces (indexed, in order).
+// session, mirroring what OpenImage produces (searchable, in order).
 func buildSynthImage(a *Analyzer, c synthCorpus) *Image {
 	img := &Image{Vendor: "synth", Device: "dev", Version: "1.0", Skipped: c.skipped}
 	for ei, procs := range c.exes {
 		e := sim.FromProcsSession(fmt.Sprintf("bin/exe_%d", ei), buildProcs(procs), a.interner)
 		img.Exes = append(img.Exes, &Executable{Path: e.Path, exe: e})
 	}
-	a.index(img)
+	a.group(img)
 	return img
 }
 

@@ -163,13 +163,15 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 	return e, nil
 }
 
-// ensureIndex builds a store-backed group's frozen index directly over
-// the shard's CSR slabs, once. No-op for in-RAM groups.
+// ensureIndex builds the group's index once, on first search: over an
+// in-RAM group's executables, or over the shard's CSR slabs (which can fail).
 func (g *sealedGroup) ensureIndex() error {
-	if g.shard == nil {
-		return nil
-	}
 	g.idxOnce.Do(func() {
+		if g.shard == nil {
+			g.index = corpusindex.NewFrozenIndex(g.it, g.bound, g.exes)
+			g.index.SetTelemetry(g.tel)
+			return
+		}
 		slabs, err := g.shard.Index()
 		if err != nil {
 			g.idxErr = err
@@ -270,6 +272,11 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 		ranges[si] = shardRange{base, cnt}
 		base += cnt
 	}
+	// Every shard embeds the same vocabulary sections: encode them once.
+	vocab, err := snapshot.EncodeVocab(sc.frozen.Vocab())
+	if err != nil {
+		return nil, err
+	}
 	paths := make([]string, n)
 	errs := make([]error, n)
 	workers := min(n, runtime.GOMAXPROCS(0))
@@ -281,7 +288,7 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			paths[si], errs[si] = sc.writeShard(dir, si, n, ranges[si].base, ranges[si].cnt)
+			paths[si], errs[si] = sc.writeShard(vocab, dir, si, n, ranges[si].base, ranges[si].cnt)
 		}(si)
 	}
 	wg.Wait()
@@ -297,8 +304,8 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 // writeShard encodes and writes one shard's image range: the range's
 // distinct executables in first-occurrence order (materialized first
 // when the source is store-backed), one index built over them, and the
-// images as occurrences.
-func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt int) (string, error) {
+// images as occurrences, under the corpus vocabulary vocab encodes.
+func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n, base, cnt int) (string, error) {
 	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
 	dedup := newExeDedup()
 	var exes []*sim.Exe
@@ -326,7 +333,7 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt int) (string, er
 	for k, r := range rows {
 		c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
 	}
-	data, err := snapshot.EncodeCorpusShard(c, snapshot.ShardHeader{
+	data, err := vocab.EncodeShard(c, snapshot.ShardHeader{
 		ShardIndex:  si,
 		ShardCount:  n,
 		ImageBase:   base,
