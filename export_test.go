@@ -24,3 +24,26 @@ func (a *Analyzer) AddVariant(im *Image, src *Executable, path string, mutate fu
 // TokensHeld reports how many of the session's analysis tokens are taken
 // (see AnalyzerOptions.Workers): zero whenever nothing is analysing.
 func (a *Analyzer) TokensHeld() int { return len(a.spare) }
+
+// Occurrences returns every executable of a sealed image in image order,
+// each under its occurrence's path, materializing store-backed ones.
+func Occurrences(im *SealedImage) ([]*Executable, error) {
+	out := make([]*Executable, len(im.occs))
+	for i, oc := range im.occs {
+		e, err := im.store.exe(oc.Exe)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = &Executable{Path: oc.Path, exe: e}
+	}
+	return out, nil
+}
+
+// ExeContent is what sealing keys an executable on: everything it is but
+// its path (appendExeContent).
+func ExeContent(e *Executable) []byte { return appendExeContent(nil, e.exe) }
+
+// ShardSetFaults are the damages to a written shard set — its shards'
+// bytes in order — that only the set's opener can tell; each returns the
+// shard it damaged.
+var ShardSetFaults = shardSetFaults

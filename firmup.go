@@ -344,7 +344,7 @@ type Image struct {
 	// searchable but no longer silently dropped.
 	Skipped []SkipReason
 
-	// own is the image as the one member of its private search group —
+	// own is the image as the one image of a private store of one group —
 	// occurrence i is Exes[i] — indexed on first search (Analyzer.group).
 	own *SealedImage
 }
@@ -364,8 +364,9 @@ func (im *Image) Executable(path string) *Executable {
 // postings in the image's search index, building the index if no search
 // has yet.
 func (im *Image) IndexedStrands() int {
-	im.own.group.ensureIndex() // an in-RAM group's build cannot fail
-	return im.own.group.index.Postings()
+	g := im.own.store[0]
+	g.ensureIndex() // an in-RAM group's build cannot fail
+	return g.index.Postings()
 }
 
 // AnalyzeExecutable parses and analyzes one FWELF binary under the
@@ -455,14 +456,14 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 	return out, nil
 }
 
-// group makes img searchable: it sets up the private one-image group a
-// live image is searched through, by the pass a sealed corpus runs per
-// group (sealedGroup.search) — the image's own executables as they are,
-// neither rebound nor deduplicated, under the session interner as it
-// stands now, indexed on first search (sealedGroup.ensureIndex).
+// group makes img searchable: it sets up the private store of one group
+// a live image is searched through, by the pass a sealed corpus runs
+// (exeStore.search) — the image's own executables as they are, neither
+// rebound nor deduplicated, under the session interner as it stands now,
+// indexed on first search (sealedGroup.ensureIndex).
 func (a *Analyzer) group(img *Image) {
-	g := &sealedGroup{n: 1, nExes: len(img.Exes), it: a.interner, bound: a.interner.Size(), tel: a.idx, game: a.game, exes: make([]*sim.Exe, len(img.Exes))}
-	img.own = &SealedImage{group: g, occs: make([]snapshot.Occurrence, len(img.Exes))}
+	g := &sealedGroup{n: len(img.Exes), it: a.interner, bound: a.interner.Size(), tel: a.idx, game: a.game, exes: make([]*sim.Exe, len(img.Exes))}
+	img.own = &SealedImage{store: exeStore{g}, occs: make([]snapshot.Occurrence, len(img.Exes))}
 	for i, e := range img.Exes {
 		g.exes[i] = e.exe
 		img.own.occs[i] = snapshot.Occurrence{Path: e.Path, Exe: i}
@@ -641,7 +642,7 @@ func coreBatch(queries []BatchQuery) ([]core.BatchQuery, error) {
 }
 
 // SearchBatch looks for every batch query in the image in one search pass
-// (sealedGroup.search) over the image's private group: one posting scan
+// (exeStore.search) over the image's private group: one posting scan
 // per query, then each image executable is visited once for the whole
 // batch, and queries from the same query executable share matcher caches
 // and similarity vectors. The returned results are positionally aligned
@@ -656,7 +657,7 @@ func (a *Analyzer) SearchBatch(queries []BatchQuery, img *Image, opt *Options) (
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := img.own.group.search(cqs, []*SealedImage{img.own}, opt, sp)
+	res, err := img.own.store.search(cqs, []*SealedImage{img.own}, opt, sp)
 	if err != nil {
 		return nil, err
 	}

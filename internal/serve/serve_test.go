@@ -535,7 +535,9 @@ func panickingShardIs500(t *testing.T, workers int) {
 	if resp.Header.Get(serve.TraceHeader) == "" {
 		t.Error("500 carries no trace ID")
 	}
-	// Still serving: the undamaged shard's image answers on its own.
+	// Still serving: a per-image search passes over only the shards that
+	// store the image's executables, and the last image's are all in the
+	// undamaged one.
 	last := len(sharded.Images()) - 1
 	if resp, blob := postSearch(t, fmt.Sprintf("%s/search?proc=ftp_retrieve_glob&image=%d", ts.URL, last), query); resp.StatusCode != http.StatusOK {
 		t.Errorf("status %d for an image of the undamaged shard: %s", resp.StatusCode, blob)

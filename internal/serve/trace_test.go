@@ -278,8 +278,8 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 	}
 	imgSpans := 0
 	for idx, sp := range shards {
-		if sp.Attrs["images"] == nil {
-			t.Errorf("shard %d span lacks an images attr", idx)
+		if sp.Attrs["executables"] == nil {
+			t.Errorf("shard %d span lacks an executables attr", idx)
 		}
 		if children[sp.ID] == 0 {
 			t.Errorf("shard %d span has no child spans; per-shard attribution lost", idx)

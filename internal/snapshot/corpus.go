@@ -10,16 +10,18 @@ import (
 const corpusMagic = "FWCORP\r\n"
 
 // Corpus is the serialized form of one shard of a sealed corpus: the
-// frozen vocabulary, each distinct executable once, one inverted index
-// over those, and the images as lists of occurrences. It is a plain data
-// model; the firmup layer converts to and from sealed session state.
+// frozen vocabulary, the shard's range of the corpus's distinct
+// executables, one inverted index over those, and the shard's images as
+// lists of occurrences. It is a plain data model; the firmup layer
+// converts to and from sealed session state.
 type Corpus struct {
 	// Interner is the frozen vocabulary ordered by dense ID. Every
-	// Proc.IDs and IndexRow.ID indexes into it.
+	// Proc.IDs and IndexRow.ID indexes into it. Only shard 0 stores it.
 	Interner []uint64
-	// Exes are the distinct executables the images refer to. An
-	// executable has no path of its own here (Exe.Path is not persisted):
-	// the same bytes ship under different paths in different images.
+	// Exes are the distinct executables with corpus-wide IDs
+	// [ShardHeader.ExeBase, ShardHeader.ExeBase+len(Exes)). An executable
+	// has no path of its own here (Exe.Path is not persisted): the same
+	// bytes ship under different paths in different images.
 	Exes []Exe
 	// Index holds the inverted-index rows over Exes: non-nil, empty for
 	// a corpus without strands. Every shard carries its index.
@@ -38,7 +40,8 @@ type CorpusImage struct {
 }
 
 // Occurrence is one executable of an image: the in-image path it was
-// found under and the index into Corpus.Exes of what it is.
+// found under and the corpus-wide ID of what it is, which any shard of
+// the corpus may store.
 type Occurrence struct {
 	Path string
 	Exe  int
@@ -46,8 +49,8 @@ type Occurrence struct {
 
 // validateCorpus checks the model invariants the shard opener will
 // enforce, so an invalid model fails at encode time instead of producing
-// an unreadable shard.
-func validateCorpus(c *Corpus) error {
+// an unreadable shard. Occurrences name executables below totalExes.
+func validateCorpus(c *Corpus, totalExes int) error {
 	if len(c.Interner) > math.MaxUint32 {
 		return fmt.Errorf("snapshot: encode: corpus vocabulary of %d exceeds the dense-ID space", len(c.Interner))
 	}
@@ -63,24 +66,17 @@ func validateCorpus(c *Corpus) error {
 	if err := validateIndex(len(c.Interner), c.Exes, c.Index); err != nil {
 		return err
 	}
-	referenced := make([]bool, len(c.Exes))
 	noccs := 0
 	for ii := range c.Images {
 		for _, oc := range c.Images[ii].Occs {
-			if oc.Exe < 0 || oc.Exe >= len(c.Exes) {
-				return fmt.Errorf("snapshot: encode: image %d occurrence %s references executable %d of %d", ii, oc.Path, oc.Exe, len(c.Exes))
+			if oc.Exe < 0 || oc.Exe >= totalExes {
+				return fmt.Errorf("snapshot: encode: image %d occurrence %s references executable %d of %d", ii, oc.Path, oc.Exe, totalExes)
 			}
-			referenced[oc.Exe] = true
 			noccs++
 		}
 	}
 	if noccs > math.MaxUint32 {
 		return fmt.Errorf("snapshot: encode: %d occurrences exceed the 32-bit table space", noccs)
-	}
-	for ei, ok := range referenced {
-		if !ok {
-			return fmt.Errorf("snapshot: encode: executable %d is referenced by no occurrence", ei)
-		}
 	}
 	return nil
 }

@@ -57,7 +57,7 @@ func testCorpus() *Corpus {
 // reads the model back through every accessor.
 func roundTripCorpus(t *testing.T, c *Corpus) *Corpus {
 	t.Helper()
-	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}))
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, soleShard(c)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,20 +77,15 @@ func TestCorpusRoundTrip(t *testing.T) {
 func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 	// An empty index ("indexed, nothing qualified") round-trips; "never
 	// indexed" is not a state a shard can be in: the encoder refuses a nil
-	// index and the opener rejects the flag byte that used to mean it.
+	// index.
 	c := testCorpus()
 	c.Index = []IndexRow{}
 	if got := roundTripCorpus(t, c); got.Index == nil || len(got.Index) != 0 {
 		t.Errorf("empty index decoded as %v", got.Index)
 	}
 	c.Index = nil
-	if _, err := encodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
+	if _, err := encodeCorpusShard(c, soleShard(c)); err == nil {
 		t.Error("a corpus without an index encoded successfully")
-	}
-	_, err := OpenCorpusShardBytes(unindexedShard(t))
-	var ce *CorruptError
-	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) || ce.Section != v2SectionName(secV2Meta) {
-		t.Errorf("shard flagged as unindexed: open error %v, want ErrCorrupt naming the meta section", err)
 	}
 }
 
@@ -102,13 +97,12 @@ func TestCorpusRoundTripEmpty(t *testing.T) {
 }
 
 func TestCorpusEncodeRejectsInvalid(t *testing.T) {
-	hdr := ShardHeader{ShardCount: 1, TotalImages: 2}
+	hdr := ShardHeader{ShardCount: 1, TotalImages: 2, TotalExes: 2}
 	for name, damage := range map[string]func(*Corpus){
-		"out-of-vocabulary strand ID":   func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
-		"out-of-range index posting":    func(c *Corpus) { c.Index[0].Posts[0].Exe = 9 },
-		"out-of-range occurrence":       func(c *Corpus) { c.Images[0].Occs[0].Exe = 2 },
-		"negative occurrence":           func(c *Corpus) { c.Images[0].Occs[0].Exe = -1 },
-		"executable no image refers to": func(c *Corpus) { c.Images[1].Occs = c.Images[1].Occs[1:] },
+		"out-of-vocabulary strand ID": func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
+		"out-of-range index posting":  func(c *Corpus) { c.Index[0].Posts[0].Exe = 9 },
+		"out-of-range occurrence":     func(c *Corpus) { c.Images[0].Occs[0].Exe = 2 },
+		"negative occurrence":         func(c *Corpus) { c.Images[0].Occs[0].Exe = -1 },
 	} {
 		c := testCorpus()
 		damage(c)
@@ -124,7 +118,7 @@ func TestCorpusEncodeRejectsInvalid(t *testing.T) {
 // surface — at open or on first touch — as ErrCorrupt.
 func TestCorpusDecodeCorruption(t *testing.T) {
 	c := testCorpus()
-	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	blob := mustEncodeShard(t, c, soleShard(c))
 	table, err := parseCorpusV2Table(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +156,7 @@ func TestCorpusDecodeCorruption(t *testing.T) {
 
 func TestCorpusDecodeTruncation(t *testing.T) {
 	c := testCorpus()
-	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	blob := mustEncodeShard(t, c, soleShard(c))
 	for n := 0; n < len(blob); n += 17 {
 		s, err := OpenCorpusShardBytes(blob[:n])
 		if err == nil {

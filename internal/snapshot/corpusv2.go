@@ -22,42 +22,46 @@ import (
 // section is verified once, the first time an accessor needs it, so
 // opening a multi-gigabyte shard costs O(pages touched), not O(bytes).
 //
-// A file is one SHARD of a sealed corpus: a contiguous range of images
-// sharing the corpus-wide frozen vocabulary. The same executable ships
-// in image after image, so a shard stores each distinct executable once
-// — two are the same when everything but their path is equal — and an
-// image is a list of occurrences (path, executable). One inverted index
-// covers the shard's distinct executables. The shard header (inside the
-// meta section) records its position — shard index/count, first global
-// image index, total image count — so a directory of shards can be
-// validated as one coherent corpus at open.
+// A file is one SHARD of a sealed corpus. The same executable ships in
+// image after image, so the corpus stores each distinct executable once —
+// two are the same when everything but their path is equal — under a
+// corpus-wide executable ID, and an image is a list of occurrences (path,
+// executable ID). A shard holds a contiguous range of the images and,
+// independently, a contiguous range of the executable IDs, with one
+// inverted index over its own executables; its images may name
+// executables any shard stores. The vocabulary is stored once, in shard
+// 0; every other shard records its checksum. The shard header (inside
+// the meta section) records the position — shard index/count, first
+// image and image total, first executable ID and executable total — so a
+// directory of shards can be validated as one coherent corpus at open.
 //
 // Layout:
 //
-//	magic "FWCORP\r\n" | version=4 (u32) | section count (u32)
+//	magic "FWCORP\r\n" | version=5 (u32) | section count (u32)
 //	section table: tag (u32) | offset (u64) | length (u64) | CRC32-C (u32)
 //	64-byte-aligned section payloads (zero padding between)
 //
 // Sections (all twelve always present; bulk ones may be empty):
 //
-//	corpus-meta         varint: shard header, slab totals, per-image identity
-//	corpus-vocab        vocabLen x u64        dense ID -> strand hash
-//	corpus-vocab-sorted vocabLen x u64 sorted hashes, then vocabLen x u32 IDs
+//	corpus-meta         varint: shard header, slab totals, vocabulary CRC, per-image identity
+//	corpus-vocab        vocabLen x u64        dense ID -> strand hash (shard 0; empty elsewhere)
+//	corpus-vocab-sorted vocabLen x u64 sorted hashes, then vocabLen x u32 IDs (shard 0)
 //	corpus-strs         string blob (paths, procedure names; deduplicated)
-//	corpus-exe-table    distinctExes x 40 B fixed records (no path)
+//	corpus-exe-table    shardExes x 40 B fixed records (no path)
 //	corpus-proc-table   totalProcs x 40 B fixed records
 //	corpus-ids          idsLen x u32          per-proc sorted strand IDs
 //	corpus-markers      markersLen x u32
 //	corpus-calls        callsLen x u32
-//	corpus-occurrences  totalOccs x 12 B      image by image: path, executable
+//	corpus-occurrences  totalOccs x 12 B      image by image: path, corpus-wide executable ID
 //	corpus-index-rows   rows x u32 row IDs, then rows x u32 row ends
-//	corpus-index-posts  posts x (exe u32 | proc u32)
+//	corpus-index-posts  posts x (exe u32 | proc u32), exe indexing this shard's table
 
 // CorpusFormatVersion is the shard layout version — the only one this
-// package writes or opens. Versions 1 to 3 were earlier layouts (a
-// monolithic stream, per-image indexes, a signature section); a file
-// carrying one fails to open with a pointer to re-sealing.
-const CorpusFormatVersion = 4
+// package writes or opens. Versions 1 to 4 were earlier layouts (a
+// monolithic stream, per-image indexes, a signature section, each shard
+// storing its own images' executables and a copy of the vocabulary); a
+// file carrying one fails to open with a pointer to re-sealing.
+const CorpusFormatVersion = 5
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
@@ -139,16 +143,22 @@ type ShardHeader struct {
 	ImageBase int
 	// TotalImages is the image count across all shards.
 	TotalImages int
+	// ExeBase is the corpus-wide ID of this shard's first executable.
+	ExeBase int
+	// TotalExes is the distinct executable count across all shards: every
+	// occurrence names an ID below it.
+	TotalExes int
 }
 
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
 
 // Vocab is a corpus vocabulary encoded once for every shard of the
-// corpus: the corpus-vocab and corpus-vocab-sorted sections, which are
-// the same bytes in each shard.
+// corpus: the corpus-vocab and corpus-vocab-sorted sections shard 0
+// stores, and the checksum every shard records.
 type Vocab struct {
 	n             int
 	vocab, sorted []byte
+	crc           uint32
 }
 
 // EncodeVocab encodes a frozen vocabulary ordered by dense ID, rejecting
@@ -177,12 +187,14 @@ func EncodeVocab(vocab []uint64) (*Vocab, error) {
 	for _, id := range order {
 		sortedB = le.AppendUint32(sortedB, id)
 	}
-	return &Vocab{n: len(vocab), vocab: vocabB, sorted: sortedB}, nil
+	return &Vocab{n: len(vocab), vocab: vocabB, sorted: sortedB, crc: crc32.Checksum(vocabB, castagnoli)}, nil
 }
 
 // EncodeShard serializes one shard of a sealed corpus whose vocabulary,
-// c.Interner, is the one v encodes. The model is validated first so a
-// successful encode always produces a shard OpenCorpusShardBytes accepts.
+// c.Interner, is the one v encodes: shard 0 stores it, every shard its
+// checksum. c.Exes are the executables with IDs [hdr.ExeBase,
+// hdr.ExeBase+len(c.Exes)). The model is validated first so a successful
+// encode always produces a shard OpenCorpusShardBytes accepts.
 func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if len(c.Interner) != v.n {
 		return nil, fmt.Errorf("snapshot: encode: corpus vocabulary of %d is not the encoded one of %d", len(c.Interner), v.n)
@@ -193,7 +205,10 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ImageBase < 0 || hdr.TotalImages < hdr.ImageBase+len(c.Images) {
 		return nil, fmt.Errorf("snapshot: encode: shard images [%d, %d) exceed declared corpus total %d", hdr.ImageBase, hdr.ImageBase+len(c.Images), hdr.TotalImages)
 	}
-	if err := validateCorpus(c); err != nil {
+	if hdr.ExeBase < 0 || hdr.TotalExes < hdr.ExeBase+len(c.Exes) {
+		return nil, fmt.Errorf("snapshot: encode: shard executables [%d, %d) exceed declared corpus total %d", hdr.ExeBase, hdr.ExeBase+len(c.Exes), hdr.TotalExes)
+	}
+	if err := validateCorpus(c, hdr.TotalExes); err != nil {
 		return nil, err
 	}
 
@@ -312,6 +327,8 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	meta = appendUvarint(meta, uint64(hdr.ShardCount))
 	meta = appendUvarint(meta, uint64(hdr.ImageBase))
 	meta = appendUvarint(meta, uint64(hdr.TotalImages))
+	meta = appendUvarint(meta, uint64(hdr.ExeBase))
+	meta = appendUvarint(meta, uint64(hdr.TotalExes))
 	meta = appendUvarint(meta, uint64(len(c.Interner)))
 	meta = appendUvarint(meta, uint64(len(strs)))
 	meta = appendUvarint(meta, uint64(len(c.Exes)))
@@ -322,7 +339,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	meta = appendUvarint(meta, nCalls)
 	meta = appendUvarint(meta, uint64(len(c.Index)))
 	meta = appendUvarint(meta, nPosts)
-	meta = append(meta, 1) // "has an index": the only value the opener accepts
+	meta = appendUvarint(meta, uint64(v.crc))
 	meta = appendUvarint(meta, uint64(len(c.Images)))
 	for i := range c.Images {
 		img := &c.Images[i]
@@ -341,10 +358,14 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		tag     uint32
 		payload []byte
 	}
+	var vocabB, sortedB []byte
+	if hdr.ShardIndex == 0 {
+		vocabB, sortedB = v.vocab, v.sorted
+	}
 	sections := []section{
 		{secV2Meta, meta},
-		{secV2Vocab, v.vocab},
-		{secV2VocabSorted, v.sorted},
+		{secV2Vocab, vocabB},
+		{secV2VocabSorted, sortedB},
 		{secV2Strs, strs},
 		{secV2ExeTab, exeTab},
 		{secV2ProcTab, procTab},
@@ -528,6 +549,7 @@ type CorpusShard struct {
 
 	hdr      ShardHeader
 	totals   v2Totals
+	vocabCRC uint32 // the checksum of shard 0's corpus-vocab section
 	images   []v2Image
 	occStart []uint32 // per-image prefix sums into the occurrence table, len(images)+1
 
@@ -662,6 +684,14 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 	if err != nil {
 		return err
 	}
+	exeBase, err := read("executable base", math.MaxInt32)
+	if err != nil {
+		return err
+	}
+	totalExes, err := read("total executable count", math.MaxInt32)
+	if err != nil {
+		return err
+	}
 	if shardCount == 0 || shardIndex >= shardCount {
 		return r.corrupt("shard index %d out of range for %d shards", shardIndex, shardCount)
 	}
@@ -670,6 +700,8 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 		ShardCount:  int(shardCount),
 		ImageBase:   int(imageBase),
 		TotalImages: int(totalImages),
+		ExeBase:     int(exeBase),
+		TotalExes:   int(totalExes),
 	}
 	t := &s.totals
 	for _, f := range []struct {
@@ -692,11 +724,14 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 			return err
 		}
 	}
-	if indexed, err := r.bool(); err != nil {
-		return err
-	} else if !indexed {
-		return r.corrupt("shard declares no index; every shard carries one")
+	if exeBase+t.exes > totalExes {
+		return r.corrupt("shard executables [%d, %d) exceed declared corpus total %d", exeBase, exeBase+t.exes, totalExes)
 	}
+	crc, err := read("vocabulary checksum", math.MaxUint32)
+	if err != nil {
+		return err
+	}
+	s.vocabCRC = uint32(crc)
 	nImages, err := r.count("image", 5)
 	if err != nil {
 		return err
@@ -753,15 +788,24 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 // checkLengths cross-checks every bulk section's byte length against
 // the totals the meta section declared, so slab views never need
 // per-access length recomputation and a truncated or padded section is
-// rejected at open without reading its payload.
+// rejected at open without reading its payload. Shard 0 must also record
+// the checksum its vocabulary section carries: the one every other shard
+// is compared by.
 func (s *CorpusShard) checkLengths() error {
 	t := &s.totals
+	vocabBytes := uint64(0)
+	if s.holdsVocab() {
+		vocabBytes = t.vocab
+		if e := s.secs[secV2Vocab-secV2Meta].entry; e.crc != s.vocabCRC {
+			return corrupt("corpus-meta", "records vocabulary checksum %08x, the corpus-vocab section carries %08x", s.vocabCRC, e.crc)
+		}
+	}
 	for _, c := range []struct {
 		tag  uint32
 		want uint64
 	}{
-		{secV2Vocab, t.vocab * 8},
-		{secV2VocabSorted, t.vocab * 12},
+		{secV2Vocab, vocabBytes * 8},
+		{secV2VocabSorted, vocabBytes * 12},
 		{secV2Strs, t.strs},
 		{secV2ExeTab, t.exes * v2ExeRecSize},
 		{secV2ProcTab, t.procs * v2ProcRecSize},
@@ -786,8 +830,12 @@ func (s *CorpusShard) Header() ShardHeader { return s.hdr }
 func (s *CorpusShard) NumImages() int { return len(s.images) }
 
 // NumExes returns the number of distinct executables stored in this
-// shard.
+// shard: corpus-wide IDs [Header().ExeBase, Header().ExeBase+NumExes()).
 func (s *CorpusShard) NumExes() int { return int(s.totals.exes) }
+
+// holdsVocab reports whether the shard stores the vocabulary sections:
+// shard 0 does, every other shard records only their checksum.
+func (s *CorpusShard) holdsVocab() bool { return s.hdr.ShardIndex == 0 }
 
 // SizeBytes returns the shard file's size.
 func (s *CorpusShard) SizeBytes() int64 { return int64(len(s.data)) }
@@ -796,12 +844,12 @@ func (s *CorpusShard) SizeBytes() int64 { return int64(len(s.data)) }
 // heap memory by the portable fallback).
 func (s *CorpusShard) Mapped() bool { return s.mapped }
 
-// VocabChecksum returns the stored CRC32-C and byte length of the
-// vocabulary section, the cheap cross-shard identity check: shards of
-// one sealed corpus share a frozen vocabulary byte-for-byte.
+// VocabChecksum returns the CRC32-C and byte length of the corpus
+// vocabulary section as this shard records them, the cheap cross-shard
+// identity check: shards of one sealed corpus share one frozen
+// vocabulary, which shard 0 stores.
 func (s *CorpusShard) VocabChecksum() (crc uint32, length uint64) {
-	e := s.secs[secV2Vocab-secV2Meta].entry
-	return e.crc, e.length
+	return s.vocabCRC, s.totals.vocab * 8
 }
 
 // Image describes image i without touching any bulk section.
@@ -817,8 +865,11 @@ func (s *CorpusShard) Image(i int) ImageInfo {
 }
 
 // Vocab returns the frozen vocabulary (dense ID -> hash), aliasing the
-// mapping where possible.
+// mapping where possible; nil on a shard other than 0, which stores none.
 func (s *CorpusShard) Vocab() ([]uint64, error) {
+	if !s.holdsVocab() {
+		return nil, nil
+	}
 	return s.vocabSlab.get(func() ([]uint64, error) {
 		b, err := s.section(secV2Vocab)
 		if err != nil {
@@ -829,8 +880,12 @@ func (s *CorpusShard) Vocab() ([]uint64, error) {
 }
 
 // SortedVocab returns the vocabulary sorted by hash with the parallel
-// dense IDs — the binary-searchable lookup structure.
+// dense IDs — the binary-searchable lookup structure; nil on a shard other
+// than 0.
 func (s *CorpusShard) SortedVocab() ([]uint64, []uint32, error) {
+	if !s.holdsVocab() {
+		return nil, nil, nil
+	}
 	sv, err := s.sorted.get(func() (sortedVocab, error) {
 		b, err := s.section(secV2VocabSorted)
 		if err != nil {
@@ -913,10 +968,11 @@ func (s *CorpusShard) ProcCounts() ([]int32, error) {
 }
 
 // Occurrences lists image img's executables in image order: the path
-// each was found under and the distinct executable it is. The first call
-// verifies the whole table — every path inside the string blob, every
-// reference inside the executable table, every distinct executable
-// referenced at least once — so consumers index with Exe unchecked.
+// each was found under and the corpus-wide ID of the distinct executable
+// it is. The first call verifies the whole table — every path inside the
+// string blob, every ID below the corpus's executable total — so
+// consumers index with Exe unchecked. That every executable is named by
+// some occurrence is a property of the shard set, checked by its opener.
 func (s *CorpusShard) Occurrences(img int) ([]Occurrence, error) {
 	if img < 0 || img >= len(s.images) {
 		return nil, fmt.Errorf("snapshot: shard image %d out of range", img)
@@ -932,23 +988,16 @@ func (s *CorpusShard) Occurrences(img int) ([]Occurrence, error) {
 		}
 		le := binary.LittleEndian
 		out := make([]Occurrence, s.totals.occs)
-		referenced := make([]bool, s.totals.exes)
 		for i := range out {
 			rec := tab[i*v2OccRecSize:][:v2OccRecSize]
 			off, n, ref := le.Uint32(rec[0:]), le.Uint32(rec[4:]), le.Uint32(rec[8:])
 			if uint64(off)+uint64(n) > uint64(len(strs)) {
 				return nil, corrupt("corpus-occurrences", "occurrence %d path [%d, %d+%d) exceeds the %d-byte string blob", i, off, off, n, len(strs))
 			}
-			if uint64(ref) >= s.totals.exes {
-				return nil, corrupt("corpus-occurrences", "occurrence %d references executable %d of %d", i, ref, s.totals.exes)
+			if int(ref) >= s.hdr.TotalExes {
+				return nil, corrupt("corpus-occurrences", "occurrence %d references executable %d of %d", i, ref, s.hdr.TotalExes)
 			}
-			referenced[ref] = true
 			out[i] = Occurrence{Path: string(strs[off : off+n]), Exe: int(ref)}
-		}
-		for ei, ok := range referenced {
-			if !ok {
-				return nil, corrupt("corpus-occurrences", "executable %d is referenced by no occurrence", ei)
-			}
 		}
 		return out, nil
 	})

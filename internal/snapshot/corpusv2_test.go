@@ -20,6 +20,11 @@ func encodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	return v.EncodeShard(c, hdr)
 }
 
+// soleShard is the header of a corpus stored as one shard.
+func soleShard(c *Corpus) ShardHeader {
+	return ShardHeader{ShardCount: 1, TotalImages: len(c.Images), TotalExes: len(c.Exes)}
+}
+
 func mustEncodeShard(t testing.TB, c *Corpus, hdr ShardHeader) []byte {
 	t.Helper()
 	b, err := encodeCorpusShard(c, hdr)
@@ -174,29 +179,6 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 	return c
 }
 
-// unindexedShard is a shard of testCorpus whose "has an index" flag byte
-// — it follows the fourteen header and total varints of the meta section
-// — reads 0 behind a valid checksum: what no writer produces any more and
-// the opener must reject.
-func unindexedShard(t testing.TB) []byte {
-	t.Helper()
-	c := testCorpus()
-	c.Index = []IndexRow{}
-	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
-	patchSection(t, blob, secV2Meta, func(b []byte) {
-		off := 0
-		for i := 0; i < 14; i++ {
-			_, n := binary.Uvarint(b[off:])
-			off += n
-		}
-		if b[off] != 1 {
-			t.Fatalf("meta byte %d is %d, not the index flag", off, b[off])
-		}
-		b[off] = 0
-	})
-	return blob
-}
-
 // patchSection rewrites one section's payload in place and re-stamps
 // its checksum, so the damage reaches the validation behind the CRC.
 func patchSection(t testing.TB, blob []byte, tag uint32, patch func(payload []byte)) {
@@ -217,15 +199,17 @@ func patchSection(t testing.TB, blob []byte, tag uint32, patch func(payload []by
 }
 
 // occurrenceFaults names the ways faultyOccurrenceShard damages
-// testCorpus's occurrence table.
-var occurrenceFaults = []string{"ref-out-of-range", "path-out-of-range", "count-sum", "unreferenced"}
+// testCorpus's occurrence table. (An executable no occurrence names is a
+// fault of the shard set, not of one shard: its images may live in
+// another.)
+var occurrenceFaults = []string{"ref-out-of-range", "path-out-of-range", "count-sum"}
 
 // faultyOccurrenceShard encodes testCorpus as one shard and applies the
 // named fault behind valid checksums.
 func faultyOccurrenceShard(t testing.TB, fault string) []byte {
 	t.Helper()
 	c := testCorpus()
-	blob := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	blob := mustEncodeShard(t, c, soleShard(c))
 	le := binary.LittleEndian
 	switch fault {
 	case "ref-out-of-range":
@@ -235,9 +219,6 @@ func faultyOccurrenceShard(t testing.TB, fault string) []byte {
 	case "count-sum":
 		// The meta section ends with the last image's occurrence count.
 		patchSection(t, blob, secV2Meta, func(b []byte) { b[len(b)-1]-- })
-	case "unreferenced":
-		// Image 1's first occurrence is the only reference to executable 1.
-		patchSection(t, blob, secV2Occs, func(b []byte) { le.PutUint32(b[v2OccRecSize+8:], 0) })
 	default:
 		t.Fatalf("unknown occurrence fault %q", fault)
 	}
@@ -251,7 +232,7 @@ func TestCorpusShardRoundTrip(t *testing.T) {
 		models = append(models, randomCorpusModel(rng))
 	}
 	for mi, want := range models {
-		data := mustEncodeShard(t, want, ShardHeader{ShardCount: 1, TotalImages: len(want.Images)})
+		data := mustEncodeShard(t, want, soleShard(want))
 		s, err := OpenCorpusShardBytes(data)
 		if err != nil {
 			t.Fatalf("model %d: open: %v", mi, err)
@@ -266,9 +247,17 @@ func TestCorpusShardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCorpusShardHeaderRoundTrip pins the header and where the
+// vocabulary lives: shard 0 stores it, any other shard stores none but
+// records the same checksum and length.
 func TestCorpusShardHeaderRoundTrip(t *testing.T) {
-	hdr := ShardHeader{ShardIndex: 3, ShardCount: 7, ImageBase: 12, TotalImages: 40}
-	s, err := OpenCorpusShardBytes(mustEncodeShard(t, testCorpus(), hdr))
+	c := testCorpus()
+	first, err := OpenCorpusShardBytes(mustEncodeShard(t, c, ShardHeader{ShardCount: 7, TotalImages: 40, TotalExes: 30}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := ShardHeader{ShardIndex: 3, ShardCount: 7, ImageBase: 12, TotalImages: 40, ExeBase: 9, TotalExes: 30}
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, hdr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,16 +267,34 @@ func TestCorpusShardHeaderRoundTrip(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(s.data[len(corpusMagic):]); v != CorpusFormatVersion {
 		t.Errorf("version word = %d, want %d", v, CorpusFormatVersion)
 	}
+	if err := touchShard(s); err != nil {
+		t.Fatal(err)
+	}
+	vocab, _ := s.Vocab()
+	hashes, ids, _ := s.SortedVocab()
+	if len(vocab) != 0 || len(hashes) != 0 || len(ids) != 0 {
+		t.Errorf("shard 3 stores a vocabulary of %d/%d/%d entries; only shard 0 stores one", len(vocab), len(hashes), len(ids))
+	}
+	if got, _ := first.Vocab(); !reflect.DeepEqual(got, c.Interner) {
+		t.Errorf("shard 0 vocabulary %v, want %v", got, c.Interner)
+	}
+	crc0, len0 := first.VocabChecksum()
+	if crc, l := s.VocabChecksum(); crc != crc0 || l != len0 || l != uint64(8*len(c.Interner)) {
+		t.Errorf("shard 3 records vocabulary checksum %08x/%d, shard 0 %08x/%d", crc, l, crc0, len0)
+	}
 }
 
 func TestCorpusShardBadHeader(t *testing.T) {
 	c := testCorpus()
 	for _, hdr := range []ShardHeader{
-		{ShardIndex: -1, ShardCount: 1, TotalImages: 2},
-		{ShardIndex: 1, ShardCount: 1, TotalImages: 2},
-		{ShardCount: 0, TotalImages: 2},
-		{ShardCount: 1, ImageBase: 1, TotalImages: 2},
-		{ShardCount: 1, TotalImages: 1},
+		{ShardIndex: -1, ShardCount: 1, TotalImages: 2, TotalExes: 2},
+		{ShardIndex: 1, ShardCount: 1, TotalImages: 2, TotalExes: 2},
+		{ShardCount: 0, TotalImages: 2, TotalExes: 2},
+		{ShardCount: 1, ImageBase: 1, TotalImages: 2, TotalExes: 2},
+		{ShardCount: 1, TotalImages: 1, TotalExes: 2},
+		{ShardCount: 1, TotalImages: 2, ExeBase: -1, TotalExes: 2},
+		{ShardCount: 1, TotalImages: 2, ExeBase: 1, TotalExes: 2},
+		{ShardCount: 1, TotalImages: 2, TotalExes: 1},
 	} {
 		if _, err := encodeCorpusShard(c, hdr); err == nil {
 			t.Errorf("encodeCorpusShard accepted invalid header %+v", hdr)
@@ -297,7 +304,7 @@ func TestCorpusShardBadHeader(t *testing.T) {
 
 func TestCorpusShardSectionAlignment(t *testing.T) {
 	c := randomCorpusModel(rand.New(rand.NewSource(11)))
-	data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	data := mustEncodeShard(t, c, soleShard(c))
 	table, err := parseCorpusV2Table(data)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +326,7 @@ func TestCorpusShardSectionAlignment(t *testing.T) {
 // flip on first touch, and nothing may panic.
 func TestCorpusShardBoundaryCorruption(t *testing.T) {
 	c := testCorpus()
-	orig := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	orig := mustEncodeShard(t, c, soleShard(c))
 	table, err := parseCorpusV2Table(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +364,7 @@ func TestCorpusShardBoundaryCorruption(t *testing.T) {
 // underneath the reader.
 func TestCorpusShardTruncation(t *testing.T) {
 	c := testCorpus()
-	data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	data := mustEncodeShard(t, c, soleShard(c))
 	for k := 0; k < len(data); k++ {
 		s, err := OpenCorpusShardBytes(data[:k])
 		if err == nil {
@@ -376,7 +383,7 @@ func TestCorpusShardTruncation(t *testing.T) {
 // unsafe zero-copy casts) to the zero-copy result.
 func TestCorpusShardSlabCopyFallback(t *testing.T) {
 	c := randomCorpusModel(rand.New(rand.NewSource(23)))
-	data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	data := mustEncodeShard(t, c, soleShard(c))
 	open := func() *Corpus {
 		s, err := OpenCorpusShardBytes(data)
 		if err != nil {
@@ -395,7 +402,7 @@ func TestCorpusShardSlabCopyFallback(t *testing.T) {
 
 func TestOpenCorpusShardFile(t *testing.T) {
 	c := testCorpus()
-	data := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	data := mustEncodeShard(t, c, soleShard(c))
 	path := filepath.Join(t.TempDir(), "shard-0000.fwcorp")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

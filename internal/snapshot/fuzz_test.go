@@ -21,22 +21,28 @@ func FuzzShardOpen(f *testing.F) {
 		randomCorpusModel(rand.New(rand.NewSource(2))),
 		randomCorpusModel(rand.New(rand.NewSource(3))),
 	} {
-		f.Add(mustEncodeShard(f, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}))
+		f.Add(mustEncodeShard(f, c, soleShard(c)))
 	}
-	f.Add(unindexedShard(f)) // rejected: every shard carries an index
 	f.Add([]byte{})
 	f.Add([]byte(corpusMagic))
+	// Alone, first of a set (the vocabulary's home) and later in a set (no
+	// vocabulary, executables from ExeBase).
 	for _, hdr := range []ShardHeader{
-		{ShardCount: 1, TotalImages: len(tc.Images)},
-		{ShardIndex: 1, ShardCount: 3, ImageBase: 4, TotalImages: 9},
+		soleShard(tc),
+		{ShardCount: 2, TotalImages: 3, TotalExes: 4},
+		{ShardIndex: 1, ShardCount: 3, ImageBase: 4, TotalImages: 9, ExeBase: 3, TotalExes: 7},
 	} {
 		f.Add(mustEncodeShard(f, tc, hdr))
 	}
-	// One shard per occurrence-table fault, so mutations also start from
-	// damage behind valid checksums.
+	// One shard per occurrence-table fault and one recording a vocabulary
+	// checksum its own section does not carry, so mutations also start
+	// from damage behind valid checksums.
 	for _, fault := range occurrenceFaults {
 		f.Add(faultyOccurrenceShard(f, fault))
 	}
+	lie := mustEncodeShard(f, tc, soleShard(tc))
+	vocabChecksumLie(f, lie)
+	f.Add(lie)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := OpenCorpusShardBytes(data)
 		if err == nil {

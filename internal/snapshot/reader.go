@@ -46,18 +46,6 @@ func (r *reader) count(what string, minBytes int) (int, error) {
 	return int(v), nil
 }
 
-func (r *reader) bool() (bool, error) {
-	if len(r.b) < 1 {
-		return false, r.corrupt("truncated flag byte")
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	if v > 1 {
-		return false, r.corrupt("flag byte %d is neither 0 nor 1", v)
-	}
-	return v == 1, nil
-}
-
 func (r *reader) str() (string, error) {
 	n, err := r.count("string byte", 1)
 	if err != nil {

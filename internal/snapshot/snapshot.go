@@ -1,9 +1,10 @@
 // Package snapshot implements the persistent on-disk form of a sealed
-// corpus: FWCORP shard files (corpusv2.go) holding the frozen strand
-// vocabulary, each distinct executable's procedure metadata and sorted
-// dense strand-ID sets, the inverted index over them, and the images as
-// occurrence lists — so that a corpus is analyzed once and served from
-// its shards thereafter. This file holds what the container is made of:
+// corpus: a set of FWCORP shard files (corpusv2.go) that together hold,
+// each once, the frozen strand vocabulary (in shard 0) and every distinct
+// executable's procedure metadata and sorted dense strand-ID sets (a
+// range per shard, indexed where it is stored), plus the images as
+// occurrence lists naming executables corpus-wide — so that a corpus is
+// analyzed once and served from its shards thereafter. This file holds what the container is made of:
 // the plain data model the firmup layer converts sealed state to, the
 // header arithmetic, and the error every decoding failure wraps.
 //

@@ -21,7 +21,7 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	} {
 		c := testCorpus()
 		mutate(c)
-		if _, err := encodeCorpusShard(c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)}); err == nil {
+		if _, err := encodeCorpusShard(c, soleShard(c)); err == nil {
 			t.Errorf("%s: encodeCorpusShard accepted an invalid model", name)
 		}
 	}
@@ -65,7 +65,7 @@ func tableRow(t *testing.T, data []byte, tag uint32) (row []byte, e tableEntry) 
 // known.
 func TestDecodeFaultInjection(t *testing.T) {
 	c := testCorpus()
-	base := mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	base := mustEncodeShard(t, c, soleShard(c))
 	le := binary.LittleEndian
 	nsec := len(corpusMagic) + 4 // offset of the section count
 
@@ -136,17 +136,26 @@ func TestDecodeFaultInjection(t *testing.T) {
 	// Lies inside payloads, with checksums repaired so the structural
 	// checks themselves are exercised. The meta section opens with
 	// single-byte varints: shard index, shard count, image base, total
-	// images, then the vocabulary size, the string blob size and the
-	// executable count.
+	// images, executable base, total executables, then the vocabulary
+	// size, the string blob size and the executable count.
 	cases = append(cases,
 		tc{"interner-count-lie", func(t *testing.T, d []byte) []byte {
-			patchSection(t, d, secV2Meta, func(b []byte) { b[4] = 0x7f })
+			patchSection(t, d, secV2Meta, func(b []byte) { b[6] = 0x7f })
 			return d
 		}, "corpus-vocab"},
 		tc{"exes-count-lie", func(t *testing.T, d []byte) []byte {
-			patchSection(t, d, secV2Meta, func(b []byte) { b[6] = 0x7f })
+			// Within the corpus total, lied about to match.
+			patchSection(t, d, secV2Meta, func(b []byte) { b[5], b[8] = 0x7f, 0x7f })
 			return d
 		}, "corpus-exe-table"},
+		tc{"exes-beyond-corpus-total", func(t *testing.T, d []byte) []byte {
+			patchSection(t, d, secV2Meta, func(b []byte) { b[4] = 1 })
+			return d
+		}, "corpus-meta"},
+		tc{"vocab-checksum-lie", func(t *testing.T, d []byte) []byte {
+			vocabChecksumLie(t, d)
+			return d
+		}, "corpus-meta"},
 		tc{"strand-id-out-of-vocabulary", func(t *testing.T, d []byte) []byte {
 			patchSection(t, d, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(c.Interner))) })
 			return d
@@ -182,6 +191,33 @@ func TestDecodeFaultInjection(t *testing.T) {
 			}
 		})
 	}
+}
+
+// vocabChecksumLie flips a bit of the vocabulary checksum shard 0's meta
+// section records, behind a valid checksum of the meta section itself.
+func vocabChecksumLie(t testing.TB, blob []byte) {
+	t.Helper()
+	table, err := parseCorpusV2Table(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crc uint32
+	for _, e := range table {
+		if e.tag == secV2Vocab {
+			crc = e.crc
+		}
+	}
+	patchSection(t, blob, secV2Meta, func(b []byte) {
+		off := 0
+		for i := 0; i < 16; i++ { // the header and total varints
+			_, n := binary.Uvarint(b[off:])
+			off += n
+		}
+		if v, _ := binary.Uvarint(b[off:]); v != uint64(crc) {
+			t.Fatalf("meta varint at %d is %x, not the vocabulary checksum %x", off, v, crc)
+		}
+		b[off] ^= 1
+	})
 }
 
 // randomExes generates structurally valid executables in canonical form

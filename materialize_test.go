@@ -8,6 +8,7 @@ import (
 
 	"firmup/internal/core"
 	"firmup/internal/corpus"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -102,12 +103,12 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 	found := 0
 	for ii, im := range s.stored.Images() {
 		for k, oc := range im.occs {
-			st, err := im.group.exe(oc.Exe)
+			st, err := im.store.exe(oc.Exe)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ramIm := s.sealed.Images()[ii]
-			rt, _ := ramIm.group.exe(ramIm.occs[k].Exe)
+			rt, _ := ramIm.store.exe(ramIm.occs[k].Exe)
 			got, gotR := core.MatchOne(q.exe, qi, st, plain)
 			want, wantR := core.MatchOne(ramQ.exe, qi, rt, plain)
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotR, wantR) {
@@ -239,7 +240,7 @@ func TestMaterializeAllocBudget(t *testing.T) {
 	}
 	s := buildStoreScenario(t)
 	for gi, g := range s.stored.groups {
-		for u := 0; u < g.nExes; u++ {
+		for u := 0; u < g.n; u++ {
 			var e, failed = g.loadExe(u)
 			if failed != nil {
 				t.Fatal(failed)
@@ -256,5 +257,39 @@ func TestMaterializeAllocBudget(t *testing.T) {
 				t.Errorf("shard %d executable %d (%d procedures): first touch makes %.0f allocations, budget %.0f", gi, u, len(e.Procs), allocs, budget)
 			}
 		}
+	}
+}
+
+// TestImageSearchScansOnlyItsGroups pins the scope of a per-image pass:
+// a one-query search of one image scans the index of each group that
+// holds one of the image's executables, once, and of no other group.
+func TestImageSearchScansOnlyItsGroups(t *testing.T) {
+	s := buildStoreScenario(t)
+	reg := telemetry.New()
+	s.stored.SetTelemetry(reg)
+	defer s.stored.SetTelemetry(nil)
+	q, err := s.stored.AnalyzeQuery(s.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := reg.Counter("index.queries")
+	fewer, several := false, false
+	for ii, im := range s.stored.Images() {
+		groups := map[*sealedGroup]bool{}
+		for _, oc := range im.occs {
+			groups[im.store.group(oc.Exe)] = true
+		}
+		before := scans.Value()
+		if _, err := s.stored.SearchImageDetailed(q, storeScenarioProc, im, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := scans.Value() - before; got != int64(len(groups)) {
+			t.Errorf("image %d: the search scanned %d indexes, its executables live in %d groups", ii, got, len(groups))
+		}
+		fewer = fewer || len(groups) < len(s.stored.groups)
+		several = several || len(groups) > 1
+	}
+	if !fewer || !several {
+		t.Errorf("some image spans fewer groups than all: %v, some image spans several: %v; the check needs both", fewer, several)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -26,52 +27,53 @@ import (
 // directly comparable with sealed sets while the corpus itself is
 // shared, lock-free, by unlimited concurrent readers.
 //
-// The same executable ships in image after image, so a sealed corpus is a
-// list of groups, each holding every distinct executable of its images
-// once, one inverted index over those, and per image a list of
-// occurrences (path, executable). A search scans the index, materializes
-// and plays each (query, distinct candidate) once per group, and fans the
-// outcome out to the occurrences.
+// The same executable ships in image after image, so a sealed corpus
+// holds each distinct executable once, under a corpus-wide ID, and per
+// image a list of occurrences (path, executable ID). The executables are
+// split into groups, contiguous ID ranges each with one inverted index.
+// A search passes over the groups that hold an executable in scope,
+// scanning, materializing and playing each (query, distinct candidate)
+// once, and fans the outcome out to every occurrence.
 //
 // A sealed corpus answers searches identically to the live session it
 // was sealed from — findings, examined counts and step histograms —
-// because both run the same pass (sealedGroup.search): a live image is
-// searched as a private one-image group of its own.
+// because both run the same pass (exeStore.search): a live image is
+// searched through a private store of one group of its own.
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
-	// groups partition images into contiguous ranges: one per shard file
-	// for a corpus opened from disk, one spanning every image for a corpus
+	// groups hold the distinct executables: one per shard file for a
+	// corpus opened from disk, one holding every executable for a corpus
 	// sealed in RAM.
-	groups []*sealedGroup
+	groups exeStore
 	// front is the front end query analysis runs through, with what it
 	// records into (see SetTelemetry).
 	front frontEnd
 }
 
-// sealedGroup is the unit a search runs over: the distinct executables
-// of a range of images and the one index over them. A live Image holds a
-// private group of its own (Analyzer.group): every executable in it, no
-// deduplication, under the session interner instead of a frozen one.
+// sealedGroup is the unit a search pass runs over: a range of the
+// corpus's distinct executables and the one index over them. A live Image
+// is searched through a private store of one group (Analyzer.group):
+// every executable of the image, no deduplication, under the session
+// interner instead of a frozen one.
 type sealedGroup struct {
-	base, n int // the group's images are SealedCorpus.images[base : base+n]
-	nExes   int // distinct executables
-	// index covers the distinct executables. Whatever the group's kind, it
-	// is built on first search (ensureIndex), guarded by idxOnce.
+	base, n int // the group holds executables [base, base+n) of its store
+	// index covers the group's executables, numbered from 0. Whatever the
+	// group's kind, it is built on first search (ensureIndex), guarded by
+	// idxOnce.
 	index *corpusindex.FrozenIndex
 	tel   *corpusindex.Telemetry
 	// game is what the group's search passes record into (see
 	// SealedCorpus.SetTelemetry).
 	game *core.Telemetry
-	// exes are the distinct executables of an in-RAM group, under it.
-	// Sealed ones carry no path: findings take theirs from the
-	// occurrence.
+	// exes are the executables of an in-RAM group. Sealed ones carry no
+	// path: findings take theirs from the occurrence.
 	exes  []*sim.Exe
 	it    strand.Interner
 	bound int // it.Size() when the group was made
 
 	// Store-backed state (nil/zero for an in-RAM group): the shard, and
-	// one materialize-once slot per distinct executable.
+	// one materialize-once slot per executable.
 	shard   *snapshot.CorpusShard
 	path    string
 	frozen  *corpusindex.Frozen
@@ -81,7 +83,7 @@ type sealedGroup struct {
 }
 
 // SealedImage is one firmware image of a sealed corpus: its identity
-// and its executables, each an occurrence of one of its group's distinct
+// and its executables, each an occurrence of one of the corpus's distinct
 // executables under the image's own path.
 type SealedImage struct {
 	Vendor  string
@@ -90,7 +92,7 @@ type SealedImage struct {
 	// Skipped carries the analysis-time skip diagnostics verbatim.
 	Skipped []SkipReason
 
-	group *sealedGroup
+	store exeStore // the corpus's, which holds what occs name
 	occs  []snapshot.Occurrence
 }
 
@@ -100,7 +102,7 @@ type SealedImage struct {
 func (im *SealedImage) Executable(path string) *Executable {
 	for _, oc := range im.occs {
 		if oc.Path == path {
-			e, err := im.group.exe(oc.Exe)
+			e, err := im.store.exe(oc.Exe)
 			if err != nil {
 				return nil
 			}
@@ -108,6 +110,31 @@ func (im *SealedImage) Executable(path string) *Executable {
 		}
 	}
 	return nil
+}
+
+// exeStore is a corpus's distinct executables, numbered from 0 and split
+// into groups: contiguous ID ranges in ID order.
+type exeStore []*sealedGroup
+
+// size is the distinct executable count.
+func (st exeStore) size() int {
+	n := 0
+	for _, g := range st {
+		n += g.n
+	}
+	return n
+}
+
+// group returns the group holding executable u.
+func (st exeStore) group(u int) *sealedGroup {
+	return st[sort.Search(len(st), func(i int) bool { return st[i].base+st[i].n > u })]
+}
+
+// exe returns executable u, materialized by the group holding it when
+// store-backed.
+func (st exeStore) exe(u int) (*sim.Exe, error) {
+	g := st.group(u)
+	return g.exe(u - g.base)
 }
 
 // appendExeContent appends everything a sealed executable is except its
@@ -192,8 +219,8 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	frozen := a.interner.Freeze()
-	g := &sealedGroup{n: len(images), it: frozen, bound: frozen.Size()}
-	sc := &SealedCorpus{frozen: frozen, groups: []*sealedGroup{g}}
+	g := &sealedGroup{it: frozen, bound: frozen.Size()}
+	sc := &SealedCorpus{frozen: frozen, groups: exeStore{g}}
 	dedup := newExeDedup()
 	for ii, img := range images {
 		si := &SealedImage{
@@ -201,7 +228,7 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 			Device:  img.Device,
 			Version: img.Version,
 			Skipped: append([]SkipReason(nil), img.Skipped...),
-			group:   g,
+			store:   sc.groups,
 		}
 		for _, e := range img.Exes {
 			if e.exe.Session() != strand.Interner(a.interner) {
@@ -217,7 +244,7 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 		}
 		sc.images = append(sc.images, si)
 	}
-	g.nExes = len(g.exes)
+	g.n = len(g.exes)
 	return sc, nil
 }
 
@@ -262,15 +289,8 @@ func (sc *SealedCorpus) Executables() int {
 }
 
 // UniqueExecutables reports how many executables the corpus stores: the
-// distinct ones, summed over its groups (a build shipped in two shards
-// is stored in both).
-func (sc *SealedCorpus) UniqueExecutables() int {
-	n := 0
-	for _, g := range sc.groups {
-		n += g.nExes
-	}
-	return n
-}
+// distinct ones, each once however many images and shards there are.
+func (sc *SealedCorpus) UniqueExecutables() int { return sc.groups.size() }
 
 // AnalyzeQuery analyzes a query binary against the sealed corpus under
 // a fresh per-request overlay interner (see AnalyzeQueryUnder).
@@ -313,99 +333,109 @@ func (sc *SealedCorpus) AnalyzeQueryUnder(path string, data []byte, workers int,
 // similarity vectors) across search passes.
 var scansPool = sync.Pool{New: func() any { return new(corpusindex.Scans) }}
 
-// passStats is the game accounting of one search pass: the (query,
+// passStats is the game accounting of one group's pass: the (query,
 // distinct executable) pairs it planned, and of those the ones not
 // played and the games cut short because no acceptable procedure was
 // (any longer) available (see core.PlayBatch).
 type passStats struct{ games, unplayed, cut int }
 
 // search is the one search pass there is, for a sealed corpus and a live
-// image alike: every query against the group's distinct executables, each
-// (query, candidate) materialized and played once, fanned out to the
-// occurrences of imgs — all the group's images for a corpus-wide search,
-// the one image a per-image search names. The result is indexed
+// image alike: every query against the distinct executables that occur
+// in imgs — all of the corpus's for a corpus-wide search, one image's for
+// a per-image search — each (query, executable) materialized and played
+// once, by the group that holds it, and the outcome fanned out to the
+// occurrences of imgs, timed under parent. Only the groups holding an
+// executable in scope take part; a store of several runs them in
+// parallel, each under its own "corpus.shard" span — shard index,
+// executable count, the (query, executable) games it planned, the
+// occurrences they stood for — so a slow request attributes its latency
+// to the shard that caused it. They share no mutable state, so fan-out
+// order cannot influence findings, examined counts or step histograms;
+// the first error in group order wins. The result is indexed
 // [image][query].
 //
-// Each query's candidates are resolved exactly once, by one posting scan
-// of the group index, and everything the scan computed is used: the
-// candidate list selects what a store-backed group materializes (so peak
-// RSS tracks the working set) and is the list the games run on, and the
-// per-procedure counts behind it are each game's first similarity
-// vector, from which the game engine also reads off whether a candidate
-// can be accepted at all. Exhaustive searches and queries the index cannot narrow (not analyzed under this
-// corpus or session) examine every executable in scope, the game engine
-// accumulating its own vectors. The acceptance floors are baked into the
-// lists, so the narrowing stays sound (see FrozenIndex.Scan); and
-// since candidacy is a property of the executable alone, an image gets
+// Since candidacy is a property of the executable alone, an image gets
 // exactly the findings, examined count and step histogram a search of it
 // on its own would produce.
-//
-// A panic in the pass — on SearchAllBatch's fan-out goroutines it would
-// end the process — becomes the pass's error, naming the shard.
-func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.Span) (res [][]*SearchResult, st passStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("firmup: search of group %q panicked: %v", g.path, r)
-		}
-	}()
-	s := opt.search()
-	s.Span = parent
-	s.Game.Tel = g.game
-	narrowed := opt == nil || !opt.Exhaustive
-	if narrowed {
-		if err := g.ensureIndex(); err != nil {
-			return nil, st, err
-		}
-	}
-	// scope lists the distinct executables that occur in imgs, each once.
-	inScope := make([]bool, g.nExes)
-	var scope []int
+func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.Span) ([][]*SearchResult, error) {
+	// uses[u] counts the occurrences of executable u in imgs; found and
+	// played are the passes' outcomes by query and executable.
+	total := st.size()
+	uses := make([]int32, total)
+	inScope := make([]bool, total)
 	for _, im := range imgs {
 		for _, oc := range im.occs {
-			if !inScope[oc.Exe] {
-				inScope[oc.Exe] = true
-				scope = append(scope, oc.Exe)
-			}
+			uses[oc.Exe]++
+			inScope[oc.Exe] = true
 		}
 	}
-	// plans[qx] lists the distinct executables query qx is played against
-	// — its candidates in scope with their scanned vectors, or all of
-	// scope — and played[qx] marks them. One pooled Scans holds every
-	// query's scan until the games are over; scanned[qx] is the range of
-	// it query qx appended.
-	scans := scansPool.Get().(*corpusindex.Scans)
-	scans.Reset()
-	defer scansPool.Put(scans)
-	scanned := make([][2]int, len(cqs))
-	for qx, cq := range cqs {
-		lo := -1 // not scanned
-		if at := len(scans.Exes); narrowed && g.index.Scan(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, inScope, scans) {
-			lo = at
-		}
-		scanned[qx] = [2]int{lo, len(scans.Exes)}
-	}
-	plans := make([]core.Plan, len(cqs))
+	found := make([][]*core.Finding, len(cqs))
 	played := make([][]bool, len(cqs))
 	for qx := range cqs {
-		plans[qx].Targets = scope
-		if lo, hi := scanned[qx][0], scanned[qx][1]; lo >= 0 {
-			plans[qx] = core.Plan{Targets: scans.Exes[lo:hi], Off: scans.Off[lo : hi+1], Vec: scans.Vecs}
-		}
-		played[qx] = make([]bool, g.nExes)
-		for _, u := range plans[qx].Targets {
-			played[qx][u] = true
-		}
-		st.games += len(plans[qx].Targets)
+		found[qx] = make([]*core.Finding, total)
+		played[qx] = make([]bool, total)
 	}
-	targets, err := g.targets(plans, s)
-	if err != nil {
-		return nil, st, err
+	var run []int
+	for gi, g := range st {
+		if slices.Contains(inScope[g.base:g.base+g.n], true) {
+			run = append(run, gi)
+		}
 	}
-	pass := core.PlayBatch(cqs, targets, plans, s)
-	found := pass.Findings
-	st.unplayed, st.cut = pass.Unplayed, pass.Cut
+	pass := func(gi int) error {
+		g := st[gi]
+		parent := parent
+		var sp telemetry.Span
+		if len(st) > 1 {
+			sp = parent.Start("corpus.shard")
+			defer sp.End()
+			parent = sp
+		}
+		f, p, stats, err := g.search(cqs, inScope[g.base:g.base+g.n], opt, parent)
+		if err != nil {
+			return err
+		}
+		occurrences := 0
+		for qx := range cqs {
+			copy(found[qx][g.base:], f[qx])
+			copy(played[qx][g.base:], p[qx])
+			for u, ok := range p[qx] {
+				if ok {
+					occurrences += int(uses[g.base+u])
+				}
+			}
+		}
+		sp.SetAttr("shard", int64(gi))
+		sp.SetAttr("executables", int64(g.n))
+		sp.SetAttr("unique_candidates", int64(stats.games))
+		sp.SetAttr("games_unplayed", int64(stats.unplayed))
+		sp.SetAttr("games_cut", int64(stats.cut))
+		sp.SetAttr("occurrences", int64(occurrences))
+		return nil
+	}
+	errs := make([]error, len(run))
+	if len(run) == 1 {
+		errs[0] = pass(run[0])
+	} else {
+		sem := make(chan struct{}, min(len(run), runtime.GOMAXPROCS(0)))
+		var wg sync.WaitGroup
+		for k, gi := range run {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				errs[k] = pass(gi)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
-	res = make([][]*SearchResult, len(imgs))
+	res := make([][]*SearchResult, len(imgs))
 	for ii, im := range imgs {
 		res[ii] = make([]*SearchResult, len(cqs))
 		for qx := range cqs {
@@ -431,7 +461,86 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Op
 			res[ii][qx] = r
 		}
 	}
-	return res, st, nil
+	return res, nil
+}
+
+// search is one group's part of a pass: every query against the group's
+// executables that inScope admits (indexed from the group's first), each
+// (query, candidate) materialized and played once. It returns, by query
+// and executable, the accepted findings and which executables were
+// played — the ones that count toward an occurrence's Examined.
+//
+// Each query's candidates are resolved exactly once, by one posting scan
+// of the group index, and everything the scan computed is used: the
+// candidate list selects what a store-backed group materializes (so peak
+// RSS tracks the working set) and is the list the games run on, and the
+// per-procedure counts behind it are each game's first similarity
+// vector, from which the game engine also reads off whether a candidate
+// can be accepted at all. Exhaustive searches and queries the index
+// cannot narrow (not analyzed under this corpus or session) examine every
+// executable in scope, the game engine accumulating its own vectors. The
+// acceptance floors are baked into the lists, so the narrowing stays
+// sound (see FrozenIndex.Scan).
+//
+// A panic in the pass — on a fan-out goroutine it would end the process —
+// becomes the pass's error, naming the shard.
+func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options, parent telemetry.Span) (found [][]*core.Finding, played [][]bool, st passStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			found, played, err = nil, nil, fmt.Errorf("firmup: search of group %q panicked: %v", g.path, r)
+		}
+	}()
+	s := opt.search()
+	s.Span = parent
+	s.Game.Tel = g.game
+	narrowed := opt == nil || !opt.Exhaustive
+	if narrowed {
+		if err := g.ensureIndex(); err != nil {
+			return nil, nil, st, err
+		}
+	}
+	var scope []int
+	for u, ok := range inScope {
+		if ok {
+			scope = append(scope, u)
+		}
+	}
+	// plans[qx] lists the executables query qx is played against — its
+	// candidates in scope with their scanned vectors, or all of scope —
+	// and played[qx] marks them. One pooled Scans holds every query's scan
+	// until the games are over; scanned[qx] is the range of it query qx
+	// appended.
+	scans := scansPool.Get().(*corpusindex.Scans)
+	scans.Reset()
+	defer scansPool.Put(scans)
+	scanned := make([][2]int, len(cqs))
+	for qx, cq := range cqs {
+		lo := -1 // not scanned
+		if at := len(scans.Exes); narrowed && g.index.Scan(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, inScope, scans) {
+			lo = at
+		}
+		scanned[qx] = [2]int{lo, len(scans.Exes)}
+	}
+	plans := make([]core.Plan, len(cqs))
+	played = make([][]bool, len(cqs))
+	for qx := range cqs {
+		plans[qx].Targets = scope
+		if lo, hi := scanned[qx][0], scanned[qx][1]; lo >= 0 {
+			plans[qx] = core.Plan{Targets: scans.Exes[lo:hi], Off: scans.Off[lo : hi+1], Vec: scans.Vecs}
+		}
+		played[qx] = make([]bool, g.n)
+		for _, u := range plans[qx].Targets {
+			played[qx][u] = true
+		}
+		st.games += len(plans[qx].Targets)
+	}
+	targets, err := g.targets(plans, s)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	pass := core.PlayBatch(cqs, targets, plans, s)
+	st.unplayed, st.cut = pass.Unplayed, pass.Cut
+	return pass.Findings, played, st, nil
 }
 
 // SearchImageDetailed looks for the query executable's procedure in
@@ -446,15 +555,16 @@ func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string,
 }
 
 // SearchBatch looks for every batch query in one sealed image in a
-// single batched game-engine pass (see Analyzer.SearchBatch). Results
-// align with queries and are byte-identical to per-query
-// SearchImageDetailed calls against this sealed image.
+// single batched game-engine pass (see Analyzer.SearchBatch) over the
+// groups that hold the image's executables. Results align with queries
+// and are byte-identical to per-query SearchImageDetailed calls against
+// this sealed image.
 func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt *Options) ([]*SearchResult, error) {
 	cqs, err := coreBatch(queries)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := img.group.search(cqs, []*SealedImage{img}, opt, opt.span())
+	res, err := img.store.search(cqs, []*SealedImage{img}, opt, opt.span())
 	if err != nil {
 		return nil, err
 	}
@@ -491,83 +601,31 @@ func (sc *SealedCorpus) SearchAll(query *Executable, procedure string, opt *Opti
 }
 
 // SearchAllBatch runs every batch query against every image of the
-// corpus, one search pass per group. The outer result dimension aligns
+// corpus in one search pass, each distinct executable scanned and played
+// once however many images ship it. The outer result dimension aligns
 // with queries, the inner with Images(); each entry is byte-identical to
 // the corresponding per-image search.
-//
-// A sharded corpus searches its groups in parallel; they share no
-// mutable state, so fan-out order cannot influence findings, examined
-// counts or step histograms. The first error in shard order wins. With a
-// span attached each shard's pass runs under its own "corpus.shard"
-// span — shard index, image count, the distinct (query, executable)
-// candidates it played and the occurrences they stood for — so a slow
-// request attributes its latency to the shard that caused it.
 func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]ImageFindings, error) {
 	cqs, err := coreBatch(queries)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sc.groups.search(cqs, sc.images, opt, opt.span())
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]ImageFindings, len(queries))
 	for qx := range queries {
 		out[qx] = make([]ImageFindings, len(sc.images))
-	}
-	pass := func(gi int, sharded bool) error {
-		g := sc.groups[gi]
-		parent := opt.span()
-		var sp telemetry.Span
-		if sharded {
-			sp = parent.Start("corpus.shard")
-			defer sp.End()
-			parent = sp
-		}
-		imgs := sc.images[g.base : g.base+g.n]
-		res, st, err := g.search(cqs, imgs, opt, parent)
-		if err != nil {
-			return err
-		}
-		occurrences := 0
-		for ii, im := range imgs {
-			for qx, r := range res[ii] {
-				occurrences += r.Examined
-				out[qx][g.base+ii] = ImageFindings{
-					Vendor:   im.Vendor,
-					Device:   im.Device,
-					Version:  im.Version,
-					Findings: r.Findings,
-					Examined: r.Examined,
-				}
+		for ii, im := range sc.images {
+			r := res[ii][qx]
+			out[qx][ii] = ImageFindings{
+				Vendor:   im.Vendor,
+				Device:   im.Device,
+				Version:  im.Version,
+				Findings: r.Findings,
+				Examined: r.Examined,
 			}
-		}
-		sp.SetAttr("shard", int64(gi))
-		sp.SetAttr("images", int64(g.n))
-		sp.SetAttr("unique_candidates", int64(st.games))
-		sp.SetAttr("games_unplayed", int64(st.unplayed))
-		sp.SetAttr("games_cut", int64(st.cut))
-		sp.SetAttr("occurrences", int64(occurrences))
-		return nil
-	}
-	if len(sc.groups) == 1 {
-		if err := pass(0, false); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	sem := make(chan struct{}, min(len(sc.groups), runtime.GOMAXPROCS(0)))
-	errs := make([]error, len(sc.groups))
-	var wg sync.WaitGroup
-	for gi := range sc.groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[gi] = pass(gi, true)
-		}(gi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -20,8 +21,9 @@ import (
 
 // This file is the store-backed (mmap) side of SealedCorpus: a corpus
 // opened from FWCORP shard files keeps its bulk state in the mapped
-// files, one group per shard, and materializes distinct executables
-// lazily, on first search touch. The prefilter makes that pay off: a
+// files, one group per shard — the range of distinct executables the
+// shard stores — and materializes executables lazily, on first search
+// touch. The prefilter makes that pay off: a
 // query's candidate set is computed from the shard's CSR slabs before
 // any executable exists in RAM, so only candidates are ever
 // materialized, and peak RSS tracks the working set instead of the
@@ -33,7 +35,7 @@ import (
 // set bound to an interner is its IDs: Set.Hashes is absent on these
 // targets — read a procedure's hashes through sim.Exe.Hashes.
 
-// lazyExe is one distinct executable's materialize-once slot.
+// lazyExe is one executable's materialize-once slot.
 type lazyExe struct {
 	once sync.Once
 	exe  *sim.Exe
@@ -41,8 +43,9 @@ type lazyExe struct {
 }
 
 // SealedShard describes one shard of an open sealed corpus, for health
-// reporting (firmupd /corpus). Executables counts occurrences,
-// UniqueExecutables what the shard stores.
+// reporting (firmupd /corpus). Executables counts the occurrences of the
+// shard's images, UniqueExecutables the distinct executables the shard
+// stores: its range of the corpus's, which any shard's images may name.
 type SealedShard struct {
 	Index             int    `json:"index"`
 	Path              string `json:"path"`
@@ -61,16 +64,16 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 		if g.shard == nil {
 			continue
 		}
-		nexes := 0
-		for _, im := range sc.images[g.base : g.base+g.n] {
-			nexes += len(im.occs)
+		occs := 0
+		for li := range g.shard.NumImages() {
+			occs += g.shard.Image(li).Executables
 		}
 		out = append(out, SealedShard{
 			Index:             i,
 			Path:              g.path,
-			Images:            g.n,
-			Executables:       nexes,
-			UniqueExecutables: g.nExes,
+			Images:            g.shard.NumImages(),
+			Executables:       occs,
+			UniqueExecutables: g.n,
 			SizeBytes:         g.shard.SizeBytes(),
 			Mapped:            g.shard.Mapped(),
 		})
@@ -93,9 +96,9 @@ func (sc *SealedCorpus) Close() error {
 	return errors.Join(errs...)
 }
 
-// exe returns distinct executable u of the group, building it from the
-// mapped shard on first use when store-backed. Safe for concurrent
-// callers.
+// exe returns the group's executable u (counted from the group's first),
+// building it from the mapped shard on first use when store-backed. Safe
+// for concurrent callers.
 func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
 	if g.shard == nil {
 		return g.exes[u], nil
@@ -105,7 +108,7 @@ func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
 	return le.exe, le.err
 }
 
-// loadExe materializes one distinct executable from the shard in one
+// loadExe materializes one executable from the shard in one
 // linear pass and, names aside, a constant number of allocations: strand
 // IDs and markers alias the mapped slabs (they are immutable), the
 // procedures are one slab, every Calls and CalledBy list is cut from one
@@ -214,16 +217,16 @@ func postsToIndex(sp []snapshot.Posting) []corpusindex.Posting {
 }
 
 // targets returns the slice a pass's games run over, aligned with the
-// group's distinct executables: all of them in RAM; store-backed, the
-// union of the plans' targets materialized and every other slot nil
-// (never dereferenced).
+// group's executables: all of them in RAM; store-backed, the union of the
+// plans' targets materialized and every other slot nil (never
+// dereferenced).
 func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.Exe, error) {
 	if g.shard == nil {
 		return g.exes, nil
 	}
 	msp := s.Span.Start("store.materialize")
 	defer msp.End()
-	targets := make([]*sim.Exe, g.nExes)
+	targets := make([]*sim.Exe, g.n)
 	n := 0
 	for _, p := range plans {
 		for _, u := range p.Targets {
@@ -242,18 +245,21 @@ func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.
 	return targets, nil
 }
 
-// WriteShards splits the sealed corpus into n contiguous image ranges
-// and writes each as one FWCORP shard file (shard-NNNN.fwcorp) under
-// dir, returning the paths in shard order. Every shard embeds the full
-// frozen vocabulary plus its position, so OpenSealedCorpusDir can
-// validate the set as one coherent corpus, and stores each distinct
-// executable of its own images once under one index built over them, so
-// it is searched on its own. n may exceed the image count; trailing
-// shards are then empty but still valid.
+// WriteShards writes the sealed corpus as n FWCORP shard files
+// (shard-NNNN.fwcorp) under dir, returning the paths in shard order. The
+// images and, separately, the distinct executables are split into n
+// contiguous ranges by one rule; shard i holds image range i, executable
+// range i and one index over those executables, so each distinct
+// executable is stored, indexed and searched once however many shards'
+// images ship it. Shard 0 also stores the frozen vocabulary, and every
+// shard its position and the vocabulary's checksum, so
+// OpenSealedCorpusDir can validate the set as one coherent corpus. n may
+// exceed the image or executable count; trailing ranges are then empty
+// but still valid.
 //
 // Shards are encoded and written by a bounded worker pool; each shard's
-// bytes depend only on its own image range, so the output is identical
-// to a sequential pass.
+// bytes depend only on its own ranges, so the output is identical to a
+// sequential pass.
 func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("firmup: WriteShards: shard count %d must be at least 1", n)
@@ -261,35 +267,22 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	total := len(sc.images)
-	type shardRange struct{ base, cnt int }
-	ranges := make([]shardRange, n)
-	for si, base := 0, 0; si < n; si++ {
-		cnt := total / n
-		if si < total%n {
-			cnt++
-		}
-		ranges[si] = shardRange{base, cnt}
-		base += cnt
-	}
-	// Every shard embeds the same vocabulary sections: encode them once.
 	vocab, err := snapshot.EncodeVocab(sc.frozen.Vocab())
 	if err != nil {
 		return nil, err
 	}
 	paths := make([]string, n)
 	errs := make([]error, n)
-	workers := min(n, runtime.GOMAXPROCS(0))
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(n, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
-	for si := range ranges {
+	for si := range n {
 		wg.Add(1)
-		go func(si int) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			paths[si], errs[si] = sc.writeShard(vocab, dir, si, n, ranges[si].base, ranges[si].cnt)
-		}(si)
+			paths[si], errs[si] = sc.writeShard(vocab, dir, si, n)
+		}()
 	}
 	wg.Wait()
 	// First error in shard order wins, matching the sequential contract.
@@ -301,44 +294,49 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	return paths, nil
 }
 
-// writeShard encodes and writes one shard's image range: the range's
-// distinct executables in first-occurrence order (materialized first
-// when the source is store-backed), one index built over them, and the
-// images as occurrences, under the corpus vocabulary vocab encodes.
-func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n, base, cnt int) (string, error) {
-	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
-	dedup := newExeDedup()
-	var exes []*sim.Exe
-	for _, im := range sc.images[base : base+cnt] {
-		ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
+// shardRange is range i of total items split into n contiguous ranges,
+// the first total%n one longer: its first item and its length.
+func shardRange(i, n, total int) (base, cnt int) {
+	base = i*(total/n) + min(i, total%n)
+	cnt = total / n
+	if i < total%n {
+		cnt++
+	}
+	return base, cnt
+}
+
+// writeShard encodes and writes shard si of n: its image range as
+// occurrences, which keep their corpus-wide executable IDs, and its
+// executable range — materialized first when the source is store-backed
+// — with one index built over them, under the corpus vocabulary vocab
+// encodes.
+func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int) (string, error) {
+	hdr := snapshot.ShardHeader{ShardIndex: si, ShardCount: n, TotalImages: len(sc.images), TotalExes: sc.UniqueExecutables()}
+	var images, exes int
+	hdr.ImageBase, images = shardRange(si, n, hdr.TotalImages)
+	hdr.ExeBase, exes = shardRange(si, n, hdr.TotalExes)
+	c := &snapshot.Corpus{Interner: sc.frozen.Vocab(), Exes: make([]snapshot.Exe, exes)}
+	es := make([]*sim.Exe, exes)
+	for k := range es {
+		e, err := sc.groups.exe(hdr.ExeBase + k)
+		if err != nil {
+			return "", err
+		}
+		es[k], c.Exes[k] = e, exeToModel("", e)
+	}
+	for _, im := range sc.images[hdr.ImageBase : hdr.ImageBase+images] {
+		ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version, Occs: im.occs}
 		for _, s := range im.Skipped {
 			ci.Skipped = append(ci.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
 		}
-		for _, oc := range im.occs {
-			e, err := im.group.exe(oc.Exe)
-			if err != nil {
-				return "", err
-			}
-			ref, fresh := dedup.add(e)
-			if fresh {
-				exes = append(exes, e)
-				c.Exes = append(c.Exes, exeToModel("", e))
-			}
-			ci.Occs = append(ci.Occs, snapshot.Occurrence{Path: oc.Path, Exe: ref})
-		}
 		c.Images = append(c.Images, ci)
 	}
-	rows := corpusindex.NewFrozenIndex(sc.frozen, sc.frozen.Size(), exes).Rows()
+	rows := corpusindex.NewFrozenIndex(sc.frozen, sc.frozen.Size(), es).Rows()
 	c.Index = make([]snapshot.IndexRow, len(rows))
 	for k, r := range rows {
 		c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
 	}
-	data, err := vocab.EncodeShard(c, snapshot.ShardHeader{
-		ShardIndex:  si,
-		ShardCount:  n,
-		ImageBase:   base,
-		TotalImages: len(sc.images),
-	})
+	data, err := vocab.EncodeShard(c, hdr)
 	if err != nil {
 		return "", err
 	}
@@ -390,9 +388,10 @@ func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 
 // OpenSealedCorpusDir opens every *.fwcorp shard under dir as one
 // sealed corpus, validating that the files form exactly one complete
-// shard set (contiguous indexes, agreeing totals, byte-identical
-// frozen vocabulary). Any file that is not a shard of the one supported
-// version fails the open with an error naming it.
+// shard set (contiguous indexes, image and executable ranges, agreeing
+// totals and vocabulary checksum, every executable named by an image).
+// Any file that is not a shard of the one supported version fails the
+// open with an error naming it.
 func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.fwcorp"))
 	if err != nil {
@@ -425,8 +424,8 @@ func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
 }
 
 // sealedFromShards assembles an open sealed corpus from already-open
-// shards (with their paths aligned by index). On error the caller owns
-// closing the shards.
+// shards (with their paths aligned by index), validating them as one set.
+// On error the caller owns closing the shards.
 func sealedFromShards(shards []*snapshot.CorpusShard, paths []string) (*SealedCorpus, error) {
 	order := make([]int, len(shards))
 	for i := range order {
@@ -441,25 +440,31 @@ func sealedFromShards(shards []*snapshot.CorpusShard, paths []string) (*SealedCo
 		return nil, fmt.Errorf("firmup: corpus declares %d shards but %d shard files are present", want.ShardCount, len(shards))
 	}
 	crc0, len0 := shards[order[0]].VocabChecksum()
-	base := 0
+	images, exes := 0, 0
 	for pos, oi := range order {
 		h := shards[oi].Header()
 		if h.ShardIndex != pos {
 			return nil, fmt.Errorf("firmup: shard set is not contiguous: missing shard %d (found %d in %s)", pos, h.ShardIndex, paths[oi])
 		}
-		if h.ShardCount != want.ShardCount || h.TotalImages != want.TotalImages {
-			return nil, fmt.Errorf("firmup: %s declares %d shards / %d images, shard 0 declares %d / %d: mixed corpora", paths[oi], h.ShardCount, h.TotalImages, want.ShardCount, want.TotalImages)
+		if h.ShardCount != want.ShardCount || h.TotalImages != want.TotalImages || h.TotalExes != want.TotalExes {
+			return nil, fmt.Errorf("firmup: %s declares %d shards / %d images / %d executables, shard 0 declares %d / %d / %d: mixed corpora",
+				paths[oi], h.ShardCount, h.TotalImages, h.TotalExes, want.ShardCount, want.TotalImages, want.TotalExes)
 		}
 		if crc, l := shards[oi].VocabChecksum(); crc != crc0 || l != len0 {
 			return nil, fmt.Errorf("firmup: %s vocabulary differs from shard 0: shards of different corpora", paths[oi])
 		}
-		if h.ImageBase != base {
-			return nil, fmt.Errorf("firmup: %s starts at image %d, previous shards end at %d", paths[oi], h.ImageBase, base)
+		if h.ImageBase != images {
+			return nil, fmt.Errorf("firmup: %s starts at image %d, previous shards end at %d", paths[oi], h.ImageBase, images)
 		}
-		base += shards[oi].NumImages()
+		if h.ExeBase != exes {
+			return nil, fmt.Errorf("firmup: %s stores executables from %d, previous shards end at %d", paths[oi], h.ExeBase, exes)
+		}
+		images += shards[oi].NumImages()
+		exes += shards[oi].NumExes()
 	}
-	if base != want.TotalImages {
-		return nil, fmt.Errorf("firmup: shards hold %d images, corpus declares %d", base, want.TotalImages)
+	last := paths[order[len(order)-1]]
+	if images != want.TotalImages || exes != want.TotalExes {
+		return nil, fmt.Errorf("firmup: shards up to %s hold %d images and %d executables, the corpus declares %d and %d", last, images, exes, want.TotalImages, want.TotalExes)
 	}
 
 	// The frozen vocabulary comes straight off shard 0's mapped slabs:
@@ -479,29 +484,37 @@ func sealedFromShards(shards []*snapshot.CorpusShard, paths []string) (*SealedCo
 	}
 
 	sc := &SealedCorpus{frozen: frozen}
+	named := make([]bool, exes)
 	for _, oi := range order {
 		shard := shards[oi]
-		g := &sealedGroup{
-			base:   len(sc.images),
-			n:      shard.NumImages(),
-			nExes:  shard.NumExes(),
+		sc.groups = append(sc.groups, &sealedGroup{
+			base:   shard.Header().ExeBase,
+			n:      shard.NumExes(),
 			shard:  shard,
 			path:   paths[oi],
 			frozen: frozen,
 			lazy:   make([]lazyExe, shard.NumExes()),
-		}
-		for li := 0; li < g.n; li++ {
+		})
+		for li := range shard.NumImages() {
 			info := shard.Image(li)
-			si := &SealedImage{Vendor: info.Vendor, Device: info.Device, Version: info.Version, group: g}
+			si := &SealedImage{Vendor: info.Vendor, Device: info.Device, Version: info.Version}
 			if si.occs, err = shard.Occurrences(li); err != nil {
 				return nil, fmt.Errorf("%s: %w", paths[oi], err)
+			}
+			for _, oc := range si.occs {
+				named[oc.Exe] = true
 			}
 			for _, s := range info.Skipped {
 				si.Skipped = append(si.Skipped, SkipReason{Path: s.Path, Err: errors.New(s.Err)})
 			}
 			sc.images = append(sc.images, si)
 		}
-		sc.groups = append(sc.groups, g)
+	}
+	for _, im := range sc.images {
+		im.store = sc.groups
+	}
+	if u := slices.Index(named, false); u >= 0 {
+		return nil, fmt.Errorf("firmup: %s stores executable %d, which no image names", sc.groups.group(u).path, u)
 	}
 	return sc, nil
 }

@@ -16,6 +16,7 @@ import (
 	"firmup/internal/image"
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -246,6 +247,33 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 		t.Errorf("OpenSealedCorpusDir of a version-2 shard: err = %v, want ErrCorrupt", err)
 	}
 
+	// Damage only the set can tell — executable ranges that do not tile,
+	// an occurrence past the executable total, an executable no image
+	// names, a vocabulary checksum unlike shard 0's — is rejected at open
+	// naming the damaged file.
+	for name, fault := range firmup.ShardSetFaults {
+		set := make([][]byte, len(manyPaths))
+		for i, p := range manyPaths {
+			if set[i], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		damaged := fault(t, set)
+		faultDir := filepath.Join(dir, name)
+		if err := os.Mkdir(faultDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range manyPaths {
+			if err := os.WriteFile(filepath.Join(faultDir, filepath.Base(p)), set[i], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := firmup.OpenSealedCorpusDir(faultDir)
+		if want := filepath.Join(faultDir, filepath.Base(manyPaths[damaged])); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: opening the set: err = %v, want an error naming %s", name, err, want)
+		}
+	}
+
 	// A shard set with a member missing must be rejected at open.
 	if err := os.Remove(manyPaths[2]); err != nil {
 		t.Fatal(err)
@@ -317,8 +345,8 @@ func TestWriteShardsDeterminism(t *testing.T) {
 
 // TestShardDedupEquivalence is the dedup ≡ no-dedup soundness test: the live
 // session analyses, indexes and plays every copy of an executable on its
-// own; a sealed corpus stores, scans and plays each distinct one once
-// per group and fans the outcome out. Over a corpus with forced
+// own; a sealed corpus stores, scans and plays each distinct one once —
+// however many shards it is split into — and fans the outcome out. Over a corpus with forced
 // duplicates — the same bytes twice in one image under two paths, again
 // in the next image, again in the last one (another shard once there are
 // several) — and two near-duplicates that must not merge (one
@@ -535,6 +563,24 @@ func TestShardDedupEquivalence(t *testing.T) {
 		}
 	}
 	t.Run("sealed", func(t *testing.T) { check(t, sealed) })
+
+	// The games the in-RAM corpus plans for one batch: each (query,
+	// distinct candidate) once.
+	ramGames := func() int64 {
+		reg := telemetry.New()
+		sealed.SetTelemetry(reg)
+		defer sealed.SetTelemetry(nil)
+		if _, err := sealed.SearchAllBatch([]firmup.BatchQuery{
+			{Query: mustSealedQuery(t, sealed, qb), Procedure: cve.Procedure},
+			{Query: mustSealedQuery(t, sealed, qb2), Procedure: cve2.Procedure},
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("game.played").Value() + reg.Counter("game.unplayed").Value()
+	}()
+	if ramGames == 0 {
+		t.Fatal("the in-RAM corpus plans no games; the stored-once check would be vacuous")
+	}
 	for _, n := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
@@ -546,29 +592,40 @@ func TestShardDedupEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sc.Close()
-			// Each shard stores exactly the distinct executables of its own
-			// image range — what sealing that range alone keeps.
-			stored := 0
+			// Stored once: the shards split the corpus's distinct executables
+			// between them, however their images share them.
+			stored, occurrences := 0, 0
 			for _, sh := range sc.Shards() {
-				base := 0
-				for _, before := range sc.Shards()[:sh.Index] {
-					base += before.Images
-				}
-				alone, err := a.Seal(live[base : base+sh.Images]...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sh.UniqueExecutables != alone.UniqueExecutables() || sh.Executables != alone.Executables() {
-					t.Errorf("shard %d stores %d distinct executables for %d occurrences, want %d for %d",
-						sh.Index, sh.UniqueExecutables, sh.Executables, alone.UniqueExecutables(), alone.Executables())
-				}
 				stored += sh.UniqueExecutables
+				occurrences += sh.Executables
 			}
-			if sc.UniqueExecutables() != stored || sc.Executables() != sealed.Executables() {
-				t.Errorf("corpus reports %d distinct / %d executables, want %d / %d", sc.UniqueExecutables(), sc.Executables(), stored, sealed.Executables())
+			if stored != sealed.UniqueExecutables() || sc.UniqueExecutables() != stored || occurrences != sealed.Executables() || sc.Executables() != occurrences {
+				t.Errorf("shards store %d distinct executables for %d occurrences (corpus reports %d / %d), the in-RAM corpus %d / %d",
+					stored, occurrences, sc.UniqueExecutables(), sc.Executables(), sealed.UniqueExecutables(), sealed.Executables())
 			}
-			if n == 1 && stored != sealed.UniqueExecutables() {
-				t.Errorf("one shard stores %d distinct executables, the in-RAM corpus %d", stored, sealed.UniqueExecutables())
+			// Played once: the shard passes of one batch plan what the in-RAM
+			// corpus's one pass plans.
+			tr := telemetry.NewTrace(telemetry.NewTraceID())
+			defer tr.Free()
+			if _, err := sc.SearchAllBatch([]firmup.BatchQuery{
+				{Query: mustSealedQuery(t, sc, qb), Procedure: cve.Procedure},
+				{Query: mustSealedQuery(t, sc, qb2), Procedure: cve2.Procedure},
+			}, &firmup.Options{Span: telemetry.Root(nil, tr)}); err != nil {
+				t.Fatal(err)
+			}
+			var games int64
+			spans := 0
+			for _, sp := range tr.Snapshot().Spans {
+				if sp.Name == "corpus.shard" {
+					games += sp.Attrs["unique_candidates"].(int64)
+					spans++
+				}
+			}
+			if n > 1 && spans == 0 {
+				t.Fatal("a sharded search recorded no corpus.shard spans")
+			}
+			if n > 1 && games != ramGames {
+				t.Errorf("the shard passes plan %d games over %d spans, the in-RAM corpus %d", games, spans, ramGames)
 			}
 			check(t, sc)
 		})

@@ -3,6 +3,7 @@ package firmup_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,13 +16,15 @@ import (
 // strand extraction, interning, sealing and the shard writer — as the
 // SHA-256 of every file WriteShards(…, 3) writes for a small generated
 // corpus analysed with one worker, so dense strand IDs are assigned in
-// image order. Recorded at 78b344a, before the session block cache was
-// deleted and the coverage sweep became incremental; a change to how the
-// write side computes its output must leave every digest untouched.
+// image order. Recorded for the version-5 layout (each distinct
+// executable stored once across the set, the vocabulary in shard 0 only),
+// whose content goldenContentDigest pins unchanged from version 4; a
+// change to how the write side computes its output must leave every
+// digest untouched.
 var goldenShardDigests = []string{
-	"eca36c90ff7b1fbebfe33c9f3716d38922369d30429cfc8e6687779e469274c9",
-	"dde7128531acacba98a128a91653bf666abcb18497fee97c57d3251526ecbca0",
-	"32ee594013755e4b7b2a4ea93517646fbe87301195380d8d7ef3aaf0d9b1b51d",
+	"4a7a6230e1e17356f81ba179dfe3d0f6fd1dcdbcf3495431632b7f673bfc4519",
+	"a26bceea34eecedca44c6677a4a220e39f2d28b949f6858ee44be7158709d719",
+	"1c115d76cd5f8e46585dac697fcd8c2f1ed03dfeb5249c084f5ab60763671dcf",
 }
 
 func TestWriteShardsGolden(t *testing.T) {
@@ -59,4 +62,47 @@ func TestWriteShardsGolden(t *testing.T) {
 			t.Errorf("%s: SHA-256 %s, want %s", filepath.Base(p), got, goldenShardDigests[i])
 		}
 	}
+	opened, err := firmup.OpenSealedCorpusDir(filepath.Dir(paths[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	for _, sc := range []struct {
+		name string
+		sc   *firmup.SealedCorpus
+	}{{"sealed in RAM", sealed}, {"opened", opened}} {
+		if got := contentDigest(t, sc.sc); got != goldenContentDigest {
+			t.Errorf("%s corpus: content SHA-256 %s, want %s", sc.name, got, goldenContentDigest)
+		}
+	}
+}
+
+// goldenContentDigest pins what the corpus of TestWriteShardsGolden holds,
+// whatever format stores it (contentDigest). Recorded from the version-4
+// shards at 8ef6655 and matched by the version-5 ones: a change of the
+// shard layout must leave it untouched.
+const goldenContentDigest = "63e6248dc29facec1abe182aef82da844fb527ba6f246be1708b42d08f74fc8b"
+
+// contentDigest is the SHA-256 of a sealed corpus's content, independent
+// of how it is stored: every image in order — its identity and skip
+// diagnostics, then each occurrence's path and the content of the
+// executable it names (firmup.ExeContent).
+func contentDigest(t *testing.T, sc *firmup.SealedCorpus) string {
+	t.Helper()
+	h := sha256.New()
+	for _, im := range sc.Images() {
+		fmt.Fprintf(h, "image %q %q %q\n", im.Vendor, im.Device, im.Version)
+		for _, s := range im.Skipped {
+			fmt.Fprintf(h, "skip %q %q\n", s.Path, s.Err)
+		}
+		exes, err := firmup.Occurrences(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range exes {
+			fmt.Fprintf(h, "exe %q\n", e.Path)
+			h.Write(firmup.ExeContent(e))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
