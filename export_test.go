@@ -47,3 +47,7 @@ func ExeContent(e *Executable) []byte { return appendExeContent(nil, e.exe) }
 // bytes in order — that only the set's opener can tell; each returns the
 // shard it damaged.
 var ShardSetFaults = shardSetFaults
+
+// SlotBeyondTotal damages one shard's bytes with a posting slot past its
+// procedures, which only the shard's index tells, on first search.
+var SlotBeyondTotal = slotBeyondTotal

@@ -2,7 +2,7 @@
 // session is built around: a strand-hash interner that deduplicates the
 // 64-bit canonical strand hashes of every executable analyzed under one
 // session into dense IDs, and a corpus-level inverted index mapping each
-// dense strand ID to its (executable, procedure) postings.
+// dense strand ID to the procedures containing it, one slot each.
 //
 // The interner is what lets sim.Exe keep sorted dense-ID sets and
 // slice-backed posting lists instead of per-executable hash maps; the
@@ -109,19 +109,13 @@ func (it *Interner) Size() int {
 	return len(it.ids)
 }
 
-// Posting locates one procedure that contains a strand: Exe is the
-// executable's position in its index, Proc the procedure's position
-// within the executable.
-type Posting struct {
-	Exe  int32
-	Proc int32
-}
-
-// Row is one inverted-index row: a dense strand ID and the postings of
-// every procedure containing that strand.
+// Row is one inverted-index row: a dense strand ID and its postings, the
+// slot of every procedure containing that strand. Slots number the
+// indexed procedures executable-major: procedure p of executable e is
+// slot procOff[e]+p.
 type Row struct {
 	ID    uint32
-	Posts []Posting
+	Posts []uint32
 }
 
 // candidate is one executable that could contain the query procedure.
@@ -134,92 +128,61 @@ type candidate struct {
 	MaxSim int
 }
 
-// queryScratch is one query's pooled accumulator state. Only the
-// entries of the dense counts slab a query actually touched are zeroed on
-// release, so reuse is O(postings touched), not O(corpus).
+// queryScratch is one query's pooled accumulator state: a count per
+// procedure slot, which a scan only increments, and the ranked result.
 type queryScratch struct {
-	counts  []int32     // per (exe, proc) dense slot, all-zero between queries
-	maxSim  []int32     // per exe, all-zero between queries
-	touched []int32     // dense slots bumped by this query
-	exes    []int32     // exe IDs with maxSim > 0 this query
-	cands   []candidate // the ranked result, reused across queries
+	counts []int32     // per procedure slot, all-zero between queries
+	cands  []candidate // the ranked result, reused across queries
 }
 
-// getScratch draws a scratch from pool sized for a corpus of nProcs
-// procedures in nExes executables.
-func getScratch(pool *sync.Pool, nProcs, nExes int) *queryScratch {
+// getScratch draws a scratch from pool — one index's, so every scratch
+// in it has the same nProcs procedure slots.
+func getScratch(pool *sync.Pool, nProcs int) *queryScratch {
 	s, _ := pool.Get().(*queryScratch)
 	if s == nil {
-		s = &queryScratch{}
+		s = &queryScratch{counts: make([]int32, nProcs)}
 	}
-	s.size(nProcs, nExes)
 	return s
 }
 
+// putScratch clears every count (a fresh scratch is zeroed by the
+// runtime, so each query starts from zero) and returns s to pool.
 func putScratch(pool *sync.Pool, s *queryScratch) {
-	s.reset()
+	clear(s.counts)
+	s.cands = s.cands[:0]
 	pool.Put(s)
 }
 
-// size grows the dense slabs to the corpus layout. The
-// zero-between-queries invariant holds because reset clears every
-// touched entry and fresh allocations are zeroed by the runtime.
-func (s *queryScratch) size(nProcs, nExes int) {
-	if len(s.counts) < nProcs {
-		s.counts = make([]int32, nProcs)
-	}
-	if len(s.maxSim) < nExes {
-		s.maxSim = make([]int32, nExes)
-	}
-}
-
-func (s *queryScratch) reset() {
-	for _, di := range s.touched {
-		s.counts[di] = 0
-	}
-	for _, ei := range s.exes {
-		s.maxSim[ei] = 0
-	}
-	s.touched = s.touched[:0]
-	s.exes = s.exes[:0]
-	s.cands = s.cands[:0]
-}
-
-// bump accumulates one posting row: it counts shared strands per
-// (exe, proc) dense slot and tracks the per-exe maximum over procedures,
-// the bound the floors apply to.
-func (s *queryScratch) bump(procOff []int32, posts []Posting) {
+// bump accumulates one posting row: one more shared strand for each
+// procedure slot in it.
+func (s *queryScratch) bump(posts []uint32) {
+	counts := s.counts
 	for _, p := range posts {
-		di := procOff[p.Exe] + p.Proc
-		c := s.counts[di] + 1
-		s.counts[di] = c
-		if c == 1 {
-			s.touched = append(s.touched, di)
-		}
-		if c > s.maxSim[p.Exe] {
-			if s.maxSim[p.Exe] == 0 {
-				s.exes = append(s.exes, p.Exe)
-			}
-			s.maxSim[p.Exe] = c
-		}
+		counts[p]++
 	}
 }
 
-// rank applies the floors to the accumulated maxima and fills s.cands
-// with the survivors, ordered MaxSim descending, executable ID ascending.
-func (s *queryScratch) rank(qsize, minScore int, ratioFloor float64) {
+// rank takes each executable's MaxSim — the largest count over its slots
+// counts[procOff[e]:procOff[e+1]], in one sequential pass — applies the
+// floors to it and fills s.cands with the survivors, ordered MaxSim
+// descending, executable ID ascending.
+func (s *queryScratch) rank(procOff []int32, qsize, minScore int, ratioFloor float64) {
 	if minScore < 1 {
 		minScore = 1
 	}
-	for _, ei := range s.exes {
-		c := int(s.maxSim[ei])
+	for e := range len(procOff) - 1 {
+		best := int32(0)
+		for _, n := range s.counts[procOff[e]:procOff[e+1]] {
+			best = max(best, n)
+		}
+		c := int(best)
 		if c < minScore {
 			continue
 		}
 		if ratioFloor > 0 && qsize > 0 && float64(c)/float64(qsize) < ratioFloor {
 			continue
 		}
-		s.cands = append(s.cands, candidate{Exe: int(ei), MaxSim: c})
+		s.cands = append(s.cands, candidate{Exe: e, MaxSim: c})
 	}
 	slices.SortFunc(s.cands, func(a, b candidate) int {
 		if a.MaxSim != b.MaxSim {

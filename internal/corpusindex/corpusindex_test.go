@@ -2,6 +2,7 @@ package corpusindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -283,8 +284,7 @@ func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (rebound []*sim.Exe, bui
 		procCounts[i] = int32(len(e.Procs))
 	}
 	built = NewFrozenIndex(f, f.Size(), rebound)
-	var rowIDs, rowEnds []uint32
-	var posts []Posting
+	var rowIDs, rowEnds, posts []uint32
 	for _, r := range built.Rows() {
 		rowIDs = append(rowIDs, r.ID)
 		posts = append(posts, r.Posts...)
@@ -425,6 +425,131 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 		var scans Scans
 		if fx.Scan(set(1, 2, 3).Interned(NewInterner()), 1, 0, nil, &scans) || len(scans.Exes)+len(scans.Off)+len(scans.Vecs) != 0 {
 			t.Fatalf("%s: foreign-session query was scanned: %+v", name, scans)
+		}
+	}
+}
+
+// bruteScan is Scan's reference, from SimAll alone: every executable in
+// scope whose best SimAll entry clears max(minScore, 1), best first and
+// lower executable first among equals, each with the positive entries of
+// its SimAll.
+func bruteScan(exes []*sim.Exe, q strand.Set, minScore int, inScope []bool) Scans {
+	type cand struct{ e, best int }
+	var cs []cand
+	for e, x := range exes {
+		best := slices.Max(append(x.SimAll(q), 0))
+		if best >= max(minScore, 1) && (inScope == nil || inScope[e]) {
+			cs = append(cs, cand{e, best})
+		}
+	}
+	slices.SortStableFunc(cs, func(a, b cand) int { return b.best - a.best })
+	want := Scans{Off: []int32{0}}
+	for _, c := range cs {
+		for pi, n := range exes[c.e].SimAll(q) {
+			if n > 0 {
+				want.Vecs = append(want.Vecs, sim.ProcScore{Proc: int32(pi), Score: int32(n)})
+			}
+		}
+		want.Exes = append(want.Exes, c.e)
+		want.Off = append(want.Off, int32(len(want.Vecs)))
+	}
+	return want
+}
+
+// TestScanEdgeCases pins the count-only scan to bruteScan on the inputs a
+// slot count can get wrong: executables with no procedures (empty slot
+// ranges) first, between and last; a query of overlay-private IDs only; an
+// empty query; a nil and an all-false scope; minScore 0. One index's
+// pooled scratch serves every query, the sizes taking turns, and is
+// all-zero again after each.
+func TestScanEdgeCases(t *testing.T) {
+	it := NewInterner()
+	exes := []*sim.Exe{
+		sim.FromProcsSession("none0", nil, it),
+		sim.FromProcsSession("a", []*sim.Proc{{Name: "a0", Set: set(1, 2, 3)}, {Name: "a1", Set: set(3, 4)}}, it),
+		sim.FromProcsSession("none2", nil, it),
+		sim.FromProcsSession("b", []*sim.Proc{{Name: "b0", Set: set(2, 3, 4, 5)}, {Name: "b1"}}, it),
+		sim.FromProcsSession("none4", nil, it),
+	}
+	f := it.Freeze()
+	rebound, built, foreign := frozenOf(t, f, exes)
+	q := func(hashes ...uint64) strand.Set { return set(hashes...).Interned(NewQueryInterner(f)) }
+	cases := []struct {
+		name     string
+		q        strand.Set
+		minScore int
+		inScope  []bool
+	}{
+		{"every-strand", q(1, 2, 3, 4, 5), 1, nil},
+		{"min-score-0", q(1, 5), 0, nil},
+		{"overlay-private-only", q(1000, 1001, 1002), 0, nil},
+		{"empty", q(), 0, nil},
+		{"all-false-scope", q(2, 3, 4), 0, make([]bool, len(exes))},
+		{"one-strand", q(3), 1, nil},
+		{"above-floor", q(2, 3, 4, 1000), 3, nil},
+	}
+	for name, x := range map[string]*FrozenIndex{"built": built, "foreign": foreign} {
+		listed := 0
+		for round := range 3 {
+			for _, c := range cases {
+				var got Scans
+				if !x.Scan(c.q, c.minScore, 0, c.inScope, &got) {
+					t.Fatalf("%s %s: compatible query rejected", name, c.name)
+				}
+				want := bruteScan(rebound, c.q, c.minScore, c.inScope)
+				if !slices.Equal(got.Exes, want.Exes) || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vecs, want.Vecs) {
+					t.Fatalf("%s round %d %s: scan %+v, brute force %+v", name, round, c.name, got, want)
+				}
+				listed += len(got.Exes)
+			}
+		}
+		if listed == 0 {
+			t.Fatalf("%s: no query listed a candidate; the comparison is vacuous", name)
+		}
+		counted := 0
+		for _, c := range cases {
+			s, ok := x.accumulate(c.q, c.minScore, 0)
+			if !ok {
+				t.Fatalf("%s %s: compatible query rejected", name, c.name)
+			}
+			nonzero := func(n int32) bool { return n != 0 }
+			if slices.ContainsFunc(s.counts, nonzero) {
+				counted++
+			}
+			putScratch(&x.scratch, s)
+			if k := slices.IndexFunc(s.counts, nonzero); k >= 0 {
+				t.Fatalf("%s %s: slot %d keeps count %d after the scratch was returned", name, c.name, k, s.counts[k])
+			}
+		}
+		if counted == 0 {
+			t.Fatalf("%s: no query counted anything; the all-zero check is vacuous", name)
+		}
+	}
+}
+
+// TestForeignIndexRejects: slabs from outside the program are checked
+// before a scan indexes by them. A slot at or past the procedure total,
+// a negative procedure count and counts whose sum overflows the slot
+// space are rejected; the last slot is accepted.
+func TestForeignIndexRejects(t *testing.T) {
+	it := NewInterner()
+	it.Intern(7)
+	f := it.Freeze()
+	for _, c := range []struct {
+		name   string
+		counts []int32
+		slot   uint32
+		ok     bool
+	}{
+		{"last slot", []int32{2, 0, 1}, 2, true},
+		{"slot at the total", []int32{2, 0, 1}, 3, false},
+		{"slot 0xFFFFFFFF", []int32{2, 0, 1}, math.MaxUint32, false},
+		{"negative count", []int32{2, -1, 1}, 0, false},
+		{"counts past the slot space", []int32{math.MaxInt32, 1}, 0, false},
+	} {
+		_, err := NewFrozenIndexForeign(f, c.counts, []uint32{0}, []uint32{1}, []uint32{c.slot})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want accepted %v", c.name, err, c.ok)
 		}
 	}
 }

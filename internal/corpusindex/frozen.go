@@ -2,6 +2,7 @@ package corpusindex
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -182,7 +183,7 @@ func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 }
 
 // FrozenIndex is the corpus-level inverted index — dense strand ID →
-// (executable, procedure) postings, flattened into one sparse CSR slab —
+// procedure-slot postings, flattened into one sparse CSR slab —
 // and the only index type there is: built once over the executables of a
 // live image (keyed by the session's growing Interner) or of a sealed
 // group (keyed by the Frozen vocabulary), never changed afterwards. It
@@ -197,15 +198,15 @@ type FrozenIndex struct {
 	it    strand.Interner
 	nexes int
 	// rowIDs are the non-empty rows' strand IDs ascending; row i's
-	// (executable, procedure) postings are posts[rowEnds[i-1]:rowEnds[i]]
+	// postings, procedure slots, are posts[rowEnds[i-1]:rowEnds[i]]
 	// (rowEnds[-1] taken as 0). The three slabs are the index's own
 	// (NewFrozenIndex) or alias a mapped shard (NewFrozenIndexForeign).
 	rowIDs  []uint32
 	rowEnds []uint32
-	posts   []Posting
+	posts   []uint32
 	// procOff are prefix sums of per-executable procedure counts:
-	// procedure p of executable e occupies dense slot procOff[e]+p in a
-	// query scratch. procOff[nexes] is the corpus procedure total.
+	// procedure p of executable e is slot procOff[e]+p, in the postings
+	// and in a query scratch. procOff[nexes] is the slot total.
 	procOff []int32
 
 	scratch sync.Pool
@@ -221,7 +222,7 @@ type FrozenIndex struct {
 // all assigned by it and lie below bound — the session interner and its
 // current Size for a live image, the frozen vocabulary and its size for a
 // sealed group: a counting pass per strand ID, then postings filled in
-// (executable, procedure) order.
+// slot order.
 func NewFrozenIndex(it strand.Interner, bound int, exes []*sim.Exe) *FrozenIndex {
 	x := &FrozenIndex{it: it, nexes: len(exes), procOff: make([]int32, len(exes)+1)}
 	next := make([]uint32, bound+1) // next[id+1] counts, then row cursors
@@ -240,13 +241,15 @@ func NewFrozenIndex(it strand.Interner, bound int, exes []*sim.Exe) *FrozenIndex
 		}
 		next[id+1] += next[id]
 	}
-	x.posts = make([]Posting, next[bound])
-	for ei, e := range exes {
-		for pi, p := range e.Procs {
+	x.posts = make([]uint32, next[bound])
+	slot := uint32(0)
+	for _, e := range exes {
+		for _, p := range e.Procs {
 			for _, id := range p.Set.IDs {
-				x.posts[next[id]] = Posting{Exe: int32(ei), Proc: int32(pi)}
+				x.posts[next[id]] = slot
 				next[id]++
 			}
+			slot++
 		}
 	}
 	return x
@@ -259,15 +262,15 @@ func NewFrozenIndex(it strand.Interner, bound int, exes []*sim.Exe) *FrozenIndex
 // (and without) any executable materialization. The slabs must stay
 // valid and unmodified for the index's lifetime.
 //
-// Validation: strictly increasing in-vocabulary row IDs, nondecreasing
-// row ends terminating at len(posts), and every posting inside
-// [0, len(procCounts)) x [0, procCounts[exe]).
-func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uint32, posts []Posting) (*FrozenIndex, error) {
+// Validation: procedure counts that sum to at most MaxInt32, strictly
+// increasing in-vocabulary row IDs, nondecreasing row ends terminating at
+// len(posts), and every posting a slot below the procedure total.
+func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uint32, posts []uint32) (*FrozenIndex, error) {
 	x := &FrozenIndex{it: it, nexes: len(procCounts), rowIDs: rowIDs, rowEnds: rowEnds, posts: posts}
 	x.procOff = make([]int32, len(procCounts)+1)
 	for i, n := range procCounts {
-		if n < 0 {
-			return nil, fmt.Errorf("corpusindex: foreign index executable %d declares %d procedures", i, n)
+		if n < 0 || x.procOff[i] > math.MaxInt32-n {
+			return nil, fmt.Errorf("corpusindex: foreign index executable %d declares %d procedures after %d", i, n, x.procOff[i])
 		}
 		x.procOff[i+1] = x.procOff[i] + n
 	}
@@ -291,12 +294,10 @@ func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uin
 	if int(prevEnd) != len(posts) {
 		return nil, fmt.Errorf("corpusindex: foreign index rows cover %d of %d postings", prevEnd, len(posts))
 	}
-	for pi, p := range posts {
-		if p.Exe < 0 || int(p.Exe) >= len(procCounts) {
-			return nil, fmt.Errorf("corpusindex: foreign index posting %d references executable %d of %d", pi, p.Exe, len(procCounts))
-		}
-		if p.Proc < 0 || p.Proc >= procCounts[p.Exe] {
-			return nil, fmt.Errorf("corpusindex: foreign index posting %d references procedure %d of %d", pi, p.Proc, procCounts[p.Exe])
+	total := uint32(x.procOff[x.nexes])
+	for pi, s := range posts {
+		if s >= total {
+			return nil, fmt.Errorf("corpusindex: foreign index posting %d references procedure slot %d of %d", pi, s, total)
 		}
 	}
 	return x, nil
@@ -314,14 +315,13 @@ func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
 	x.telFanout = tel.Fanout
 }
 
-// Postings reports the total number of (strand, executable, procedure)
-// postings held.
+// Postings reports the total number of (strand, procedure) postings held.
 func (x *FrozenIndex) Postings() int { return len(x.posts) }
 
 // Rows returns the index's non-empty posting rows ordered by strictly
 // increasing dense strand ID — the serialized form a sealed-corpus
-// artifact persists. Posting slices alias the index's slab; callers
-// must treat them as read-only.
+// artifact persists. Slot slices alias the index's slab; callers must
+// treat them as read-only.
 func (x *FrozenIndex) Rows() []Row {
 	out := make([]Row, len(x.rowIDs))
 	lo := uint32(0)
@@ -408,7 +408,7 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 	if !strand.Compatible(q.It, x.it) {
 		return nil, false
 	}
-	s := getScratch(&x.scratch, int(x.procOff[x.nexes]), x.nexes)
+	s := getScratch(&x.scratch, int(x.procOff[x.nexes]))
 	// Both q.IDs and rowIDs are strictly increasing, so one forward
 	// binary-search cursor visits each matching row once.
 	ri := 0
@@ -422,9 +422,9 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 		if ri > 0 {
 			lo = x.rowEnds[ri-1]
 		}
-		s.bump(x.procOff, x.posts[lo:x.rowEnds[ri]])
+		s.bump(x.posts[lo:x.rowEnds[ri]])
 		ri++
 	}
-	s.rank(len(q.IDs), minScore, ratioFloor)
+	s.rank(x.procOff, len(q.IDs), minScore, ratioFloor)
 	return s, true
 }

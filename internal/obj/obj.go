@@ -177,6 +177,7 @@ const (
 	classOK      = 1
 	classBad     = 2
 	flagStripped = 1 << 0
+	minSymRecord = 2 + 4 + 4 + 1 // name length, address, size, kind
 )
 
 // WriteTo serializes the file. It implements io.WriterTo.
@@ -289,8 +290,10 @@ func Read(data []byte) (*File, error) {
 	if nsec > 64 {
 		return nil, fmt.Errorf("obj: implausible section count %d", nsec)
 	}
-	if nsym > 1<<20 {
-		return nil, fmt.Errorf("obj: implausible symbol count %d", nsym)
+	// A symbol record is at least an empty name's length, address, size
+	// and kind: a count the remaining bytes cannot hold is a lie.
+	if nsym > 1<<20 || nsym > (len(r.data)-r.off)/minSymRecord {
+		return nil, fmt.Errorf("obj: implausible symbol count %d for %d remaining bytes", nsym, len(r.data)-r.off)
 	}
 	for i := 0; i < nsec && r.err == nil; i++ {
 		var s Section
@@ -366,7 +369,11 @@ func (r *reader) str() string {
 		r.err = fmt.Errorf("obj: implausible string length %d", n)
 		return ""
 	}
-	b := make([]byte, n)
-	r.bytes(b)
-	return string(b)
+	if n > len(r.data)-r.off {
+		r.err = fmt.Errorf("obj: truncated file at offset %d", r.off)
+		return ""
+	}
+	s := string(r.data[r.off : r.off+n])
+	r.off += n
+	return s
 }

@@ -2,6 +2,9 @@ package obj
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +120,42 @@ func TestReadRobustness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadBoundsAllocation: a count or length the header claims is checked
+// against the bytes behind it before anything is sized from it. A 64-byte
+// file claiming 2^20 symbols, and one whose section name claims 4,000
+// bytes, fail, each allocating a small multiple of its own size.
+func TestReadBoundsAllocation(t *testing.T) {
+	header := func(nsec uint16, nsym uint32) []byte {
+		b := append(Magic[:], 1, classOK, byte(uir.ArchMIPS32), 0)
+		b = binary.LittleEndian.AppendUint32(b, 0x400000) // entry
+		b = binary.LittleEndian.AppendUint16(b, 0)        // flags
+		b = binary.LittleEndian.AppendUint16(b, nsec)
+		return binary.LittleEndian.AppendUint32(b, nsym)
+	}
+	pad := func(b []byte) []byte { return append(b, make([]byte, 64-len(b))...) }
+	for _, c := range []struct {
+		what, err string
+		data      []byte
+	}{
+		{"2^20 symbols", "symbol count", pad(header(0, 1<<20))},
+		{"a 4,000-byte section name", "truncated", pad(binary.LittleEndian.AppendUint16(header(1, 0), 4000))},
+	} {
+		if _, err := Read(c.data); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("%s: err = %v, want one naming the %s", c.what, err, c.err)
+		}
+		const runs = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			Read(c.data)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 8*uint64(len(c.data)) {
+			t.Errorf("%s: a failed Read of %d bytes allocates %d bytes", c.what, len(c.data), per)
+		}
 	}
 }
 

@@ -490,8 +490,8 @@ func panickingShardIs500(t *testing.T, workers int) {
 		t.Fatalf("status %d before the damage: %s", resp.StatusCode, blob)
 	}
 
-	// Find shard 0's posting slab in its file by content and fill it with
-	// executable numbers no shard holds.
+	// Find shard 0's slot slab in its file by content and fill it with
+	// 0xFFFFFFFF, a procedure slot no shard holds.
 	shard, err := snapshot.OpenCorpusShardFile(paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -501,9 +501,8 @@ func panickingShardIs500(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	var slab []byte
-	for _, p := range slabs.Posts {
-		slab = binary.LittleEndian.AppendUint32(slab, uint32(p.Exe))
-		slab = binary.LittleEndian.AppendUint32(slab, uint32(p.Proc))
+	for _, s := range slabs.Posts {
+		slab = binary.LittleEndian.AppendUint32(slab, s)
 	}
 	shard.Close()
 	file, err := os.ReadFile(paths[0])
@@ -518,7 +517,7 @@ func panickingShardIs500(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(bytes.Repeat([]byte{0x7f}, len(slab)), int64(off)); err != nil {
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, len(slab)), int64(off)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -106,6 +106,10 @@ func validateExes(vocab int, exes []Exe) error {
 }
 
 func validateIndex(vocab int, exes []Exe, rows []IndexRow) error {
+	procs := 0
+	for _, e := range exes {
+		procs += len(e.Procs)
+	}
 	for ri, r := range rows {
 		if ri > 0 && r.ID <= rows[ri-1].ID {
 			return fmt.Errorf("snapshot: encode: index rows not strictly increasing at row %d", ri)
@@ -113,12 +117,9 @@ func validateIndex(vocab int, exes []Exe, rows []IndexRow) error {
 		if int(r.ID) >= vocab {
 			return fmt.Errorf("snapshot: encode: index row %d: strand ID %d outside vocabulary", ri, r.ID)
 		}
-		for _, p := range r.Posts {
-			if p.Exe < 0 || int(p.Exe) >= len(exes) {
-				return fmt.Errorf("snapshot: encode: index row %d: posting exe %d out of range", ri, p.Exe)
-			}
-			if p.Proc < 0 || int(p.Proc) >= len(exes[p.Exe].Procs) {
-				return fmt.Errorf("snapshot: encode: index row %d: posting proc %d out of range", ri, p.Proc)
+		for _, s := range r.Posts {
+			if int(s) >= procs {
+				return fmt.Errorf("snapshot: encode: index row %d: procedure slot %d of %d", ri, s, procs)
 			}
 		}
 	}

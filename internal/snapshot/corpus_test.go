@@ -3,7 +3,10 @@ package snapshot
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+
+	"firmup/internal/corpusindex"
 )
 
 // testCorpus is a small but fully featured sealed-corpus shard: one
@@ -35,9 +38,9 @@ func testCorpus() *Corpus {
 			},
 		},
 		Index: []IndexRow{
-			{ID: 0, Posts: []Posting{{Exe: 0, Proc: 0}}},
-			{ID: 2, Posts: []Posting{{Exe: 0, Proc: 0}, {Exe: 1, Proc: 0}}},
-			{ID: 3, Posts: []Posting{{Exe: 0, Proc: 1}}},
+			{ID: 0, Posts: []uint32{0}},
+			{ID: 2, Posts: []uint32{0, 2}},
+			{ID: 3, Posts: []uint32{1}},
 		},
 		Images: []CorpusImage{
 			{
@@ -100,7 +103,7 @@ func TestCorpusEncodeRejectsInvalid(t *testing.T) {
 	hdr := ShardHeader{ShardCount: 1, TotalImages: 2, TotalExes: 2}
 	for name, damage := range map[string]func(*Corpus){
 		"out-of-vocabulary strand ID": func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
-		"out-of-range index posting":  func(c *Corpus) { c.Index[0].Posts[0].Exe = 9 },
+		"out-of-range index posting":  func(c *Corpus) { c.Index[0].Posts[0] = 3 },
 		"out-of-range occurrence":     func(c *Corpus) { c.Images[0].Occs[0].Exe = 2 },
 		"negative occurrence":         func(c *Corpus) { c.Images[0].Occs[0].Exe = -1 },
 	} {
@@ -174,13 +177,40 @@ func TestCorpusDecodeTruncation(t *testing.T) {
 // out-of-range index at search time.
 func TestCorpusOccurrenceTableHardening(t *testing.T) {
 	for _, name := range occurrenceFaults {
-		s, err := OpenCorpusShardBytes(faultyOccurrenceShard(t, name))
+		s, err := OpenCorpusShardBytes(faultyShard(t, name))
 		if err == nil {
 			err = touchShard(s)
 		}
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Section != "corpus-occurrences" {
 			t.Errorf("%s: err = %v, want ErrCorrupt naming corpus-occurrences", name, err)
+		}
+	}
+}
+
+// TestCorpusIndexSlotHardening: a posting slot at or past the shard's
+// procedure total passes the shard's own checks — slots are the index's
+// to check, in one pass at its build — and the index built over the
+// shard's slabs rejects it, naming the slot.
+func TestCorpusIndexSlotHardening(t *testing.T) {
+	for _, name := range indexFaults {
+		s, err := OpenCorpusShardBytes(faultyShard(t, name))
+		if err == nil {
+			err = touchShard(s)
+		}
+		if err != nil {
+			t.Fatalf("%s: the shard rejects what its index should: %v", name, err)
+		}
+		vocab, _ := s.Vocab()
+		hashes, ids, _ := s.SortedVocab()
+		frozen, err := corpusindex.FrozenFromSlabs(vocab, hashes, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, _ := s.ProcCounts()
+		slabs, _ := s.Index()
+		if _, err := corpusindex.NewFrozenIndexForeign(frozen, counts, slabs.RowIDs, slabs.RowEnds, slabs.Posts); err == nil || !strings.Contains(err.Error(), "slot") {
+			t.Errorf("%s: index over the shard: err = %v, want the slot named", name, err)
 		}
 	}
 }

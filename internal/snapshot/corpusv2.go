@@ -37,7 +37,7 @@ import (
 //
 // Layout:
 //
-//	magic "FWCORP\r\n" | version=5 (u32) | section count (u32)
+//	magic "FWCORP\r\n" | version=6 (u32) | section count (u32)
 //	section table: tag (u32) | offset (u64) | length (u64) | CRC32-C (u32)
 //	64-byte-aligned section payloads (zero padding between)
 //
@@ -54,14 +54,20 @@ import (
 //	corpus-calls        callsLen x u32
 //	corpus-occurrences  totalOccs x 12 B      image by image: path, corpus-wide executable ID
 //	corpus-index-rows   rows x u32 row IDs, then rows x u32 row ends
-//	corpus-index-posts  posts x (exe u32 | proc u32), exe indexing this shard's table
+//	corpus-index-posts  posts x u32           procedure slot
+//
+// A posting is one procedure slot, the cell a posting scan counts in: the
+// shard's procedures numbered executable by executable in table order,
+// the order of corpus-proc-table. The index built over the slabs checks
+// every slot is below the shard's procedure total.
 
 // CorpusFormatVersion is the shard layout version — the only one this
-// package writes or opens. Versions 1 to 4 were earlier layouts (a
+// package writes or opens. Versions 1 to 5 were earlier layouts (a
 // monolithic stream, per-image indexes, a signature section, each shard
-// storing its own images' executables and a copy of the vocabulary); a
-// file carrying one fails to open with a pointer to re-sealing.
-const CorpusFormatVersion = 5
+// storing its own images' executables and a copy of the vocabulary,
+// postings as (executable, procedure) pairs); a file carrying one fails
+// to open with a pointer to re-sealing.
+const CorpusFormatVersion = 6
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
@@ -314,9 +320,8 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 			return nil, fmt.Errorf("snapshot: encode: shard posting count exceeds 32 bits")
 		}
 		rowEndsB = le.AppendUint32(rowEndsB, uint32(nPosts))
-		for _, p := range row.Posts {
-			postsB = le.AppendUint32(postsB, uint32(p.Exe))
-			postsB = le.AppendUint32(postsB, uint32(p.Proc))
+		for _, s := range row.Posts {
+			postsB = le.AppendUint32(postsB, s)
 		}
 	}
 
@@ -527,15 +532,15 @@ type ProcData struct {
 }
 
 // IndexSlabs is the shard's inverted index viewed directly over the
-// mapped file: RowIDs[i] is the i-th indexed strand ID, its postings
-// are Posts[RowEnds[i-1]:RowEnds[i]] (RowEnds[-1] taken as 0). All
-// three slices alias the mapping; semantic validation (monotone rows,
-// in-range postings) is the consumer's, structural bounds are checked
-// here.
+// mapped file: RowIDs[i] is the i-th indexed strand ID, its postings —
+// procedure slots — are Posts[RowEnds[i-1]:RowEnds[i]] (RowEnds[-1]
+// taken as 0). All three slices alias the mapping; semantic validation
+// (monotone rows, slots below the procedure total) is the consumer's,
+// structural bounds are checked here.
 type IndexSlabs struct {
 	RowIDs  []uint32
 	RowEnds []uint32
-	Posts   []Posting
+	Posts   []uint32
 }
 
 // CorpusShard is one open shard. All accessors are safe for
@@ -561,7 +566,7 @@ type CorpusShard struct {
 	markSlabL lazySlab[[]uint32]
 	callSlabL lazySlab[[]uint32]
 	rowsL     lazySlab[rowSlabs]
-	postsL    lazySlab[[]Posting]
+	postsL    lazySlab[[]uint32]
 	occsL     lazySlab[[]Occurrence]
 }
 
@@ -814,7 +819,7 @@ func (s *CorpusShard) checkLengths() error {
 		{secV2Calls, t.calls * 4},
 		{secV2Occs, t.occs * v2OccRecSize},
 		{secV2IdxRows, t.rows * 8},
-		{secV2IdxPosts, t.posts * 8},
+		{secV2IdxPosts, t.posts * 4},
 	} {
 		if got := s.secs[c.tag-secV2Meta].entry.length; got != c.want {
 			return corrupt(v2SectionName(c.tag), "section holds %d bytes, meta requires %d", got, c.want)
@@ -938,13 +943,13 @@ func (s *CorpusShard) rowSlabsGet() (rowSlabs, error) {
 	})
 }
 
-func (s *CorpusShard) postsSlab() ([]Posting, error) {
-	return s.postsL.get(func() ([]Posting, error) {
+func (s *CorpusShard) postsSlab() ([]uint32, error) {
+	return s.postsL.get(func() ([]uint32, error) {
 		b, err := s.section(secV2IdxPosts)
 		if err != nil {
 			return nil, err
 		}
-		return castPostings(b), nil
+		return castU32(b), nil
 	})
 }
 

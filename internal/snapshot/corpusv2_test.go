@@ -109,7 +109,7 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 		}
 		c.Index = append(c.Index, IndexRow{
 			ID:    id,
-			Posts: append([]Posting(nil), slabs.Posts[lo:slabs.RowEnds[k]]...),
+			Posts: append([]uint32(nil), slabs.Posts[lo:slabs.RowEnds[k]]...),
 		})
 	}
 	for i := 0; i < s.NumImages(); i++ {
@@ -160,16 +160,16 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 		ci := &c.Images[rng.Intn(len(c.Images))]
 		ci.Occs = append(ci.Occs, Occurrence{Path: randWord(rng), Exe: rng.Intn(len(c.Exes))})
 	}
+	procs := 0
+	for _, e := range c.Exes {
+		procs += len(e.Procs)
+	}
 	c.Index = []IndexRow{}
 	if rng.Intn(4) > 0 { // the rest have an empty index
 		for _, id := range randIDSet(rng, len(c.Interner), 40) {
-			var posts []Posting
-			for k := 1 + rng.Intn(3); k > 0 && len(c.Exes) > 0; k-- {
-				ei := rng.Intn(len(c.Exes))
-				if len(c.Exes[ei].Procs) == 0 {
-					continue
-				}
-				posts = append(posts, Posting{Exe: int32(ei), Proc: int32(rng.Intn(len(c.Exes[ei].Procs)))})
+			var posts []uint32
+			for k := 1 + rng.Intn(3); k > 0 && procs > 0; k-- {
+				posts = append(posts, uint32(rng.Intn(procs)))
 			}
 			if len(posts) > 0 {
 				c.Index = append(c.Index, IndexRow{ID: id, Posts: posts})
@@ -198,15 +198,18 @@ func patchSection(t testing.TB, blob []byte, tag uint32, patch func(payload []by
 	t.Fatalf("no section %s", v2SectionName(tag))
 }
 
-// occurrenceFaults names the ways faultyOccurrenceShard damages
-// testCorpus's occurrence table. (An executable no occurrence names is a
-// fault of the shard set, not of one shard: its images may live in
-// another.)
+// occurrenceFaults names the ways faultyShard damages testCorpus's
+// occurrence table. (An executable no occurrence names is a fault of the
+// shard set, not of one shard: its images may live in another.)
 var occurrenceFaults = []string{"ref-out-of-range", "path-out-of-range", "count-sum"}
 
-// faultyOccurrenceShard encodes testCorpus as one shard and applies the
-// named fault behind valid checksums.
-func faultyOccurrenceShard(t testing.TB, fault string) []byte {
+// indexFaults names the ways faultyShard damages testCorpus's index that
+// the shard passes on: the index built over its slabs rejects them.
+var indexFaults = []string{"slot-beyond-total"}
+
+// faultyShard encodes testCorpus as one shard and applies the named fault
+// behind valid checksums.
+func faultyShard(t testing.TB, fault string) []byte {
 	t.Helper()
 	c := testCorpus()
 	blob := mustEncodeShard(t, c, soleShard(c))
@@ -219,8 +222,11 @@ func faultyOccurrenceShard(t testing.TB, fault string) []byte {
 	case "count-sum":
 		// The meta section ends with the last image's occurrence count.
 		patchSection(t, blob, secV2Meta, func(b []byte) { b[len(b)-1]-- })
+	case "slot-beyond-total":
+		// testCorpus holds three procedures: slots 0, 1 and 2.
+		patchSection(t, blob, secV2IdxPosts, func(b []byte) { le.PutUint32(b, 3) })
 	default:
-		t.Fatalf("unknown occurrence fault %q", fault)
+		t.Fatalf("unknown shard fault %q", fault)
 	}
 	return blob
 }

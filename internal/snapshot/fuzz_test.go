@@ -34,11 +34,11 @@ func FuzzShardOpen(f *testing.F) {
 	} {
 		f.Add(mustEncodeShard(f, tc, hdr))
 	}
-	// One shard per occurrence-table fault and one recording a vocabulary
-	// checksum its own section does not carry, so mutations also start
-	// from damage behind valid checksums.
-	for _, fault := range occurrenceFaults {
-		f.Add(faultyOccurrenceShard(f, fault))
+	// One shard per occurrence-table and index fault and one recording a
+	// vocabulary checksum its own section does not carry, so mutations
+	// also start from damage behind valid checksums.
+	for _, fault := range append(occurrenceFaults, indexFaults...) {
+		f.Add(faultyShard(f, fault))
 	}
 	lie := mustEncodeShard(f, tc, soleShard(tc))
 	vocabChecksumLie(f, lie)

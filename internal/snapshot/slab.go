@@ -56,26 +56,3 @@ func castU64(b []byte) []uint64 {
 	}
 	return out
 }
-
-// castPostings views b as a little-endian []Posting (exe u32, proc u32
-// pairs), zero-copy when Posting's memory layout matches the wire
-// layout on this host.
-func castPostings(b []byte) []Posting {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && !forceSlabCopy &&
-		unsafe.Sizeof(Posting{}) == 8 &&
-		uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(Posting{}) == 0 {
-		return unsafe.Slice((*Posting)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]Posting, n)
-	for i := range out {
-		out[i] = Posting{
-			Exe:  int32(binary.LittleEndian.Uint32(b[i*8:])),
-			Proc: int32(binary.LittleEndian.Uint32(b[i*8+4:])),
-		}
-	}
-	return out
-}

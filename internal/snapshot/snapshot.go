@@ -99,17 +99,11 @@ type Proc struct {
 	Calls []int32
 }
 
-// IndexRow is one inverted-index row: a dense strand ID and the
-// (executable, procedure) postings containing it. Rows are ordered by
+// IndexRow is one inverted-index row: a dense strand ID and its postings,
+// the slot of every procedure containing it. Slots number the procedures
+// of Corpus.Exes in order, executable by executable. Rows are ordered by
 // strictly increasing ID.
 type IndexRow struct {
 	ID    uint32
-	Posts []Posting
-}
-
-// Posting locates one procedure: Exe indexes Corpus.Exes, Proc indexes
-// its Procs.
-type Posting struct {
-	Exe  int32
-	Proc int32
+	Posts []uint32
 }

@@ -17,7 +17,7 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		"call-out-of-range": func(c *Corpus) { c.Exes[0].Procs[0].Calls = []int32{7} },
 		"negative-count":    func(c *Corpus) { c.Exes[0].Procs[0].BlockCount = -1 },
 		"index-unsorted":    func(c *Corpus) { c.Index[1].ID = 0 },
-		"posting-bad-exe":   func(c *Corpus) { c.Index[0].Posts[0].Exe = 9 },
+		"posting-bad-slot":  func(c *Corpus) { c.Index[0].Posts[0] = 9 },
 	} {
 		c := testCorpus()
 		mutate(c)

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"firmup/internal/core"
 	"firmup/internal/corpusindex"
@@ -185,7 +184,7 @@ func (g *sealedGroup) ensureIndex() error {
 			g.idxErr = err
 			return
 		}
-		idx, err := corpusindex.NewFrozenIndexForeign(g.frozen, counts, slabs.RowIDs, slabs.RowEnds, postsToIndex(slabs.Posts))
+		idx, err := corpusindex.NewFrozenIndexForeign(g.frozen, counts, slabs.RowIDs, slabs.RowEnds, slabs.Posts)
 		if err != nil {
 			// Semantic index violations are shard corruption, reported
 			// under the same contract as every other decode failure.
@@ -196,24 +195,6 @@ func (g *sealedGroup) ensureIndex() error {
 		g.index = idx
 	})
 	return g.idxErr
-}
-
-// postsToIndex views the shard's posting slab as corpusindex postings.
-// Both types are (exe int32, proc int32); when their layouts agree the
-// conversion is a cast, not a copy.
-func postsToIndex(sp []snapshot.Posting) []corpusindex.Posting {
-	if len(sp) == 0 {
-		return nil
-	}
-	if unsafe.Sizeof(snapshot.Posting{}) == unsafe.Sizeof(corpusindex.Posting{}) &&
-		unsafe.Offsetof(snapshot.Posting{}.Proc) == unsafe.Offsetof(corpusindex.Posting{}.Proc) {
-		return unsafe.Slice((*corpusindex.Posting)(unsafe.Pointer(&sp[0])), len(sp))
-	}
-	out := make([]corpusindex.Posting, len(sp))
-	for i, p := range sp {
-		out[i] = corpusindex.Posting{Exe: p.Exe, Proc: p.Proc}
-	}
-	return out
 }
 
 // targets returns the slice a pass's games run over, aligned with the
@@ -334,7 +315,7 @@ func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int)
 	rows := corpusindex.NewFrozenIndex(sc.frozen, sc.frozen.Size(), es).Rows()
 	c.Index = make([]snapshot.IndexRow, len(rows))
 	for k, r := range rows {
-		c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
+		c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: r.Posts}
 	}
 	data, err := vocab.EncodeShard(c, hdr)
 	if err != nil {
@@ -345,14 +326,6 @@ func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int)
 		return "", err
 	}
 	return p, nil
-}
-
-func postsToModel(ps []corpusindex.Posting) []snapshot.Posting {
-	out := make([]snapshot.Posting, len(ps))
-	for i, p := range ps {
-		out[i] = snapshot.Posting{Exe: p.Exe, Proc: p.Proc}
-	}
-	return out
 }
 
 // ErrCorpusCorrupt reports that a sealed-corpus shard failed to open or

@@ -225,8 +225,9 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 
 	// Exactly one shard version opens. The header carries no checksum, so
 	// patching the version word alone reaches the version check, which
-	// answers any other version — here the previous layout's — as
-	// corruption.
+	// answers any other version — here the previous layout's, with
+	// (executable, procedure) postings — as corruption, pointing at
+	// re-sealing.
 	otherDir := filepath.Join(dir, "other-version")
 	if err := os.Mkdir(otherDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -235,16 +236,49 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other[8] = 2
+	other[8] = 5
 	otherPath := filepath.Join(otherDir, filepath.Base(onePaths[0]))
 	if err := os.WriteFile(otherPath, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("OpenCorpusShardFile of a version-2 shard: err = %v, want ErrCorrupt", err)
+	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
+		t.Errorf("OpenCorpusShardFile of a version-5 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
-	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("OpenSealedCorpusDir of a version-2 shard: err = %v, want ErrCorrupt", err)
+	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
+		t.Errorf("OpenSealedCorpusDir of a version-5 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+	}
+
+	// A posting slot at or past its shard's procedure total opens (nothing
+	// at open reads the postings) and fails the first search that builds
+	// the shard's index, as corruption of corpus-index-posts.
+	slotDir := filepath.Join(dir, "slot-beyond-total")
+	if err := os.Mkdir(slotDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range manyPaths {
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firmup.SlotBeyondTotal(t, blob)
+		}
+		if err := os.WriteFile(filepath.Join(slotDir, filepath.Base(p)), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slotSC, err := firmup.OpenSealedCorpusDir(slotDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slotSC.Close()
+	slotQ, err := slotSC.AnalyzeQuery(qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *snapshot.CorruptError
+	if _, err := slotSC.SearchAll(slotQ, cve.Procedure, nil); !errors.As(err, &ce) || ce.Section != "corpus-index-posts" || !strings.Contains(ce.Reason, "slot") {
+		t.Errorf("search over a shard with a slot beyond its procedures: err = %v, want ErrCorrupt naming corpus-index-posts", err)
 	}
 
 	// Damage only the set can tell — executable ranges that do not tile,

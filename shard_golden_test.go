@@ -16,15 +16,15 @@ import (
 // strand extraction, interning, sealing and the shard writer — as the
 // SHA-256 of every file WriteShards(…, 3) writes for a small generated
 // corpus analysed with one worker, so dense strand IDs are assigned in
-// image order. Recorded for the version-5 layout (each distinct
-// executable stored once across the set, the vocabulary in shard 0 only),
-// whose content goldenContentDigest pins unchanged from version 4; a
-// change to how the write side computes its output must leave every
-// digest untouched.
+// image order. Recorded for the version-6 layout (each distinct
+// executable stored once across the set, the vocabulary in shard 0 only,
+// a posting one procedure slot), whose content goldenContentDigest pins
+// unchanged from version 4; a change to how the write side computes its
+// output must leave every digest untouched.
 var goldenShardDigests = []string{
-	"4a7a6230e1e17356f81ba179dfe3d0f6fd1dcdbcf3495431632b7f673bfc4519",
-	"a26bceea34eecedca44c6677a4a220e39f2d28b949f6858ee44be7158709d719",
-	"1c115d76cd5f8e46585dac697fcd8c2f1ed03dfeb5249c084f5ab60763671dcf",
+	"176f53184b2b114c9d6943a3c4a0e550fda070f494ba191694758d1e40460612",
+	"b527c9b01782803c4aebeacf9387a8674dcf71f002dab4765caa547d89a1c35f",
+	"bc2172aeae3b2a774055a3fcb96fe8280d54211e1b061fa24bcb412865610571",
 }
 
 func TestWriteShardsGolden(t *testing.T) {
@@ -79,8 +79,8 @@ func TestWriteShardsGolden(t *testing.T) {
 
 // goldenContentDigest pins what the corpus of TestWriteShardsGolden holds,
 // whatever format stores it (contentDigest). Recorded from the version-4
-// shards at 8ef6655 and matched by the version-5 ones: a change of the
-// shard layout must leave it untouched.
+// shards at 8ef6655 and matched by the version-5 and version-6 ones: a
+// change of the shard layout must leave it untouched.
 const goldenContentDigest = "63e6248dc29facec1abe182aef82da844fb527ba6f246be1708b42d08f74fc8b"
 
 // contentDigest is the SHA-256 of a sealed corpus's content, independent

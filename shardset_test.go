@@ -20,13 +20,15 @@ import (
 
 const (
 	// FWCORP section tags (internal/snapshot/corpusv2.go).
-	tagMeta = 16
-	tagOccs = 25
+	tagMeta  = 16
+	tagOccs  = 25
+	tagPosts = 27
 	// Positions of meta varints: shard index, shard count, image base,
-	// total images, executable base, total executables, ten slab totals,
-	// then the vocabulary checksum.
+	// total images, executable base, total executables, ten slab totals
+	// (the fifth the procedure total), then the vocabulary checksum.
 	metaExeBase   = 4
 	metaTotalExes = 5
+	metaProcs     = 10
 	metaVocabCRC  = 16
 )
 
@@ -89,6 +91,21 @@ func totalExes(t testing.TB, blob []byte) uint32 {
 	return uint32(v)
 }
 
+// slotBeyondTotal points a shard's first posting at the slot just past its
+// procedures: damage no opener can tell, which the index built over the
+// shard on its first search rejects.
+func slotBeyondTotal(t testing.TB, blob []byte) {
+	t.Helper()
+	var procs uint64
+	patchShardSection(t, blob, tagMeta, func(meta []byte) { _, procs = metaVarint(meta, metaProcs) })
+	patchShardSection(t, blob, tagPosts, func(posts []byte) {
+		if len(posts) == 0 {
+			t.Fatal("shard holds no postings")
+		}
+		binary.LittleEndian.PutUint32(posts, uint32(procs))
+	})
+}
+
 // shardSetFaults damages the bytes of a shard set of at least two
 // shards, each of which stores executables and images; each fault
 // returns the shard it damaged, which the opener's error must name.
@@ -139,8 +156,8 @@ var shardSetFaults = map[string]func(t testing.TB, set [][]byte) int{
 // ground. The set is two synthetic images, the second shipping two of the
 // first's executables, so shard 1's image names executables shard 0
 // stores; it is a few kilobytes, small enough for the fuzzer to mutate
-// quickly. The seeds are its two shards whole and under every
-// shardSetFaults fault.
+// quickly. The seeds are its two shards whole, under every shardSetFaults
+// fault, and shard 0 with a slot beyond its procedures.
 func FuzzShardSet(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	first, second := genCorpus(rng), genCorpus(rng)
@@ -169,6 +186,9 @@ func FuzzShardSet(f *testing.F) {
 		i := fault(f, damaged)
 		f.Add(uint8(i), damaged[i])
 	}
+	slot := append([]byte(nil), set[0]...)
+	slotBeyondTotal(f, slot)
+	f.Add(uint8(0), slot)
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		blobs := [][]byte{set[0], set[1]}
 		blobs[which%2] = data
