@@ -16,32 +16,37 @@ import (
 	"firmup/internal/telemetry"
 )
 
-// openScenario opens the wget image and loads the query under one
-// analyzer session.
-func openScenario(t *testing.T, aopt *firmup.AnalyzerOptions) (*firmup.Analyzer, *firmup.Image, *firmup.Executable) {
+// sealScenario opens the wget image under one analyzer session, seals
+// it, and analyzes the query against the sealed corpus.
+func sealScenario(t *testing.T) (*firmup.Analyzer, *firmup.SealedCorpus, *firmup.Executable) {
 	t.Helper()
 	imgBytes, queryBytes, _ := buildScenario(t)
-	a := firmup.NewAnalyzer(aopt)
+	a := firmup.NewAnalyzer(nil)
 	img, err := a.OpenImage(imgBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := a.LoadQueryExecutable(queryBytes)
+	sc, err := a.Seal(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, img, q
+	q, err := sc.AnalyzeQuery(queryBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, sc, q
 }
 
 // The corpus-index prefilter must never change what a search returns —
 // only how many targets it examines.
 func TestSearchImageIndexEquivalence(t *testing.T) {
-	a, img, q := openScenario(t, nil)
-	indexed, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
+	_, sc, q := sealScenario(t)
+	img, n := sc.Images()[0], sc.Executables()
+	indexed, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustive, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, &firmup.Options{Exhaustive: true})
+	exhaustive, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", img, &firmup.Options{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,37 +56,37 @@ func TestSearchImageIndexEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(indexed.StepsHistogram, exhaustive.StepsHistogram) {
 		t.Errorf("histograms diverge: %v vs %v", indexed.StepsHistogram, exhaustive.StepsHistogram)
 	}
-	if exhaustive.Examined != len(img.Exes) {
-		t.Errorf("exhaustive examined %d of %d executables", exhaustive.Examined, len(img.Exes))
+	if exhaustive.Examined != n {
+		t.Errorf("exhaustive examined %d of %d executables", exhaustive.Examined, n)
 	}
-	if len(img.Exes) > 1 && indexed.Examined >= len(img.Exes) {
-		t.Errorf("index examined %d of %d executables, want strictly fewer", indexed.Examined, len(img.Exes))
+	if n > 1 && indexed.Examined >= n {
+		t.Errorf("index examined %d of %d executables, want strictly fewer", indexed.Examined, n)
 	}
 	if len(indexed.Findings) == 0 {
 		t.Error("scenario produced no findings to compare")
 	}
 }
 
-// A query from a foreign session cannot use the image's index; the
+// A query from a foreign session cannot use the corpus's index; the
 // search must fall back to exhaustive examination and still agree.
 func TestSearchImageCrossSessionFallback(t *testing.T) {
-	a, img, q := openScenario(t, nil)
+	_, sc, q := sealScenario(t)
 	_, queryBytes, _ := buildScenario(t)
-	foreign := firmup.NewAnalyzer(nil)
-	fq, err := foreign.LoadQueryExecutable(queryBytes)
+	fq, err := firmup.NewAnalyzer(nil).AnalyzeExecutable("query", queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
+	img := sc.Images()[0]
+	same, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := a.SearchImageDetailed(fq, "ftp_retrieve_glob", img, nil)
+	cross, err := sc.SearchImageDetailed(fq, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cross.Examined != len(img.Exes) {
-		t.Errorf("cross-session search examined %d, want all %d", cross.Examined, len(img.Exes))
+	if cross.Examined != sc.Executables() {
+		t.Errorf("cross-session search examined %d, want all %d", cross.Examined, sc.Executables())
 	}
 	if !reflect.DeepEqual(same.Findings, cross.Findings) {
 		t.Errorf("cross-session findings diverge:\nsame:  %+v\ncross: %+v", same.Findings, cross.Findings)
@@ -326,13 +331,15 @@ func exeStrands(e *firmup.Executable) [][]uint64 {
 	return out
 }
 
+// Sealing freezes the whole session vocabulary, and analysing a query
+// against the sealed corpus interns nothing into the session.
 func TestAnalyzerSessionStats(t *testing.T) {
-	a, img, _ := openScenario(t, nil)
+	a, sc, _ := sealScenario(t)
 	if a.UniqueStrands() == 0 {
 		t.Error("session interned no strands")
 	}
-	if img.IndexedStrands() == 0 {
-		t.Error("image carries no index postings")
+	if got, want := sc.UniqueStrands(), a.UniqueStrands(); got != want {
+		t.Errorf("sealed vocabulary holds %d strands, the session %d", got, want)
 	}
 }
 
@@ -340,8 +347,9 @@ func TestAnalyzerSessionStats(t *testing.T) {
 // analysis cache: a second image carrying the first one's executables
 // byte for byte, under other paths, is answered from the first image's
 // analysis — no procedure is built again — yet its executables carry,
-// and its findings report, the second image's own paths, and
-// exe.analyzed counts every executable of both images.
+// and its findings in the corpus both seal into report, the second
+// image's own paths, and exe.analyzed counts every executable of both
+// images.
 func TestOpenImageSharesAnalysisOfIdenticalBytes(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
 	first, err := image.Unpack(imgBytes)
@@ -375,15 +383,19 @@ func TestOpenImageSharesAnalysisOfIdenticalBytes(t *testing.T) {
 	if len(img2.Exes) != len(img1.Exes) {
 		t.Fatalf("repacked image has %d executables, the original %d", len(img2.Exes), len(img1.Exes))
 	}
-	q, err := a.LoadQueryExecutable(queryBytes)
+	sc, err := a.Seal(img1, img2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img1, nil)
+	q, err := sc.AnalyzeQuery(queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img2, nil)
+	res1, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", sc.Images()[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", sc.Images()[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

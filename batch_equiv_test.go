@@ -27,10 +27,10 @@ func meaningfulProcs(q *firmup.Executable, max int) []string {
 	return out
 }
 
-// batchPool builds the paired live/sealed batch query pools: the same
-// procedures, one side analyzed under the live session, the other under
-// the sealed corpus's per-request overlay interner.
-func batchPool(t *testing.T, s *sealedScenario) (live, sealed []firmup.BatchQuery) {
+// batchPool builds a batch query pool: meaningful procedures of two CVE
+// query executables, analyzed under the sealed corpus's per-request
+// overlay interner.
+func batchPool(t *testing.T, s *firmup.SealedCorpus) []firmup.BatchQuery {
 	t.Helper()
 	sources := []struct {
 		cveID string
@@ -40,53 +40,43 @@ func batchPool(t *testing.T, s *sealedScenario) (live, sealed []firmup.BatchQuer
 		{"CVE-2014-4877", uir.ArchMIPS32, 6},
 		{"CVE-2013-1944", uir.ArchARM32, 4},
 	}
+	var pool []firmup.BatchQuery
 	for _, src := range sources {
 		cve := corpus.CVEByID(src.cveID)
 		if cve == nil {
 			t.Fatalf("unknown CVE %s", src.cveID)
 		}
-		qb := queryBytesFor(t, cve, src.arch)
-		liveQ, err := s.analyzer.LoadQueryExecutable(qb)
+		q, err := s.AnalyzeQuery(queryBytesFor(t, cve, src.arch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sealedQ, err := s.sealed.AnalyzeQuery(qb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range meaningfulProcs(liveQ, src.procs) {
-			live = append(live, firmup.BatchQuery{Query: liveQ, Procedure: name})
-			sealed = append(sealed, firmup.BatchQuery{Query: sealedQ, Procedure: name})
+		for _, name := range meaningfulProcs(q, src.procs) {
+			pool = append(pool, firmup.BatchQuery{Query: q, Procedure: name})
 		}
 	}
-	if len(live) < 4 {
-		t.Fatalf("only %d batch queries; scenario is vacuous", len(live))
+	if len(pool) < 4 {
+		t.Fatalf("only %d batch queries; scenario is vacuous", len(pool))
 	}
-	return live, sealed
+	return pool
 }
 
-// TestSearchBatchEquivalenceOnCorpus is the batched analogue of the
-// sealed/memoization equivalence suites: over a realistic corpus, every
-// batch size 1..N and shuffled query order must produce results
-// deep-equal — findings, examined counts and step histograms — to
-// sequential per-query SearchImageDetailed, on both the live Analyzer
-// path and the sealed SearchView path.
+// TestSearchBatchEquivalenceOnCorpus is the batch-of-N ≡ N singles test:
+// over a realistic corpus, every batch size 1..N in shuffled query order
+// must give each query, on every image, the findings and examined count
+// of a per-query, per-image SearchImageDetailed.
 func TestSearchBatchEquivalenceOnCorpus(t *testing.T) {
-	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 7})
-	livePool, sealedPool := batchPool(t, s)
-	images := s.live
-	if len(images) > 3 {
-		images = images[:3]
-	}
+	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 7})
+	pool := batchPool(t, s)
+	images := s.Images()
 	opt := &firmup.Options{MinScore: 3, MinRatio: 0.2}
 
 	// Sequential reference, computed once per (query, image).
-	expected := make([][]*firmup.SearchResult, len(livePool))
+	expected := make([][]*firmup.SearchResult, len(pool))
 	total := 0
-	for qx, bq := range livePool {
+	for qx, bq := range pool {
 		expected[qx] = make([]*firmup.SearchResult, len(images))
 		for ii, img := range images {
-			res, err := s.analyzer.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
+			res, err := s.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,31 +89,23 @@ func TestSearchBatchEquivalenceOnCorpus(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	for n := 1; n <= len(livePool); n++ {
-		perm := rng.Perm(len(livePool))[:n]
-		liveSel := make([]firmup.BatchQuery, n)
-		sealedSel := make([]firmup.BatchQuery, n)
+	for n := 1; n <= len(pool); n++ {
+		perm := rng.Perm(len(pool))[:n]
+		sel := make([]firmup.BatchQuery, n)
 		for i, p := range perm {
-			liveSel[i] = livePool[p]
-			sealedSel[i] = sealedPool[p]
+			sel[i] = pool[p]
 		}
-		for ii, img := range images {
-			liveRes, err := s.analyzer.SearchBatch(liveSel, img, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sealedRes, err := s.sealed.SearchBatch(sealedSel, s.sealed.Images()[ii], opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range perm {
-				if !reflect.DeepEqual(liveRes[i], expected[p][ii]) {
-					t.Errorf("size %d image %d: live batched result for %q diverges from sequential:\nbatch: %+v\nseq:   %+v",
-						n, ii, liveSel[i].Procedure, liveRes[i], expected[p][ii])
-				}
-				if !reflect.DeepEqual(sealedRes[i], expected[p][ii]) {
-					t.Errorf("size %d image %d: sealed batched result for %q diverges from sequential:\nbatch: %+v\nseq:   %+v",
-						n, ii, sealedSel[i].Procedure, sealedRes[i], expected[p][ii])
+		res, err := s.SearchAllBatch(sel, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range perm {
+			for ii, img := range images {
+				want := firmup.ImageFindings{Vendor: img.Vendor, Device: img.Device, Version: img.Version,
+					Findings: expected[p][ii].Findings, Examined: expected[p][ii].Examined}
+				if !reflect.DeepEqual(res[i][ii], want) {
+					t.Errorf("size %d image %d: batched result for %q diverges from sequential:\nbatch: %+v\nseq:   %+v",
+						n, ii, sel[i].Procedure, res[i][ii], want)
 				}
 			}
 		}
@@ -134,15 +116,15 @@ func TestSearchBatchEquivalenceOnCorpus(t *testing.T) {
 // point (Table 2's, and bench/'s batch-sweep): per query, SearchAllBatch
 // must be deep-equal to a sequential SearchAll.
 func TestSearchAllBatchMatchesSearchAll(t *testing.T) {
-	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
-	_, sealedPool := batchPool(t, s)
-	res, err := s.sealed.SearchAllBatch(sealedPool, nil)
+	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
+	pool := batchPool(t, s)
+	res, err := s.SearchAllBatch(pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for qx, bq := range sealedPool {
-		solo, err := s.sealed.SearchAll(bq.Query, bq.Procedure, nil)
+	for qx, bq := range pool {
+		solo, err := s.SearchAll(bq.Query, bq.Procedure, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,19 +145,18 @@ func TestSearchAllBatchMatchesSearchAll(t *testing.T) {
 // goroutines issuing overlapping, shuffled batches under the race
 // detector. After every batch returns, the goroutine clobbers the
 // returned results in place — if any per-query state (findings slices,
-// histogram maps, similarity buffers) were aliased across queries or
-// batches, a later comparison or the race detector would catch it — and
-// then replays a control query, which must still answer exactly the
-// precomputed reference.
+// similarity buffers) were aliased across queries or batches, a later
+// comparison or the race detector would catch it — and then replays a
+// control query, which must still answer exactly the precomputed
+// reference.
 func TestSearchBatchConcurrentSealed(t *testing.T) {
-	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 5})
-	_, pool := batchPool(t, s)
-	img := s.sealed.Images()[0]
+	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 5})
+	pool := batchPool(t, s)
 
 	// Reference results per query, and the control query's reference.
-	expected := make([]*firmup.SearchResult, len(pool))
+	expected := make([][]firmup.ImageFindings, len(pool))
 	for qx, bq := range pool {
-		res, err := s.sealed.SearchImageDetailed(bq.Query, bq.Procedure, img, nil)
+		res, err := s.SearchAll(bq.Query, bq.Procedure, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +181,7 @@ func TestSearchBatchConcurrentSealed(t *testing.T) {
 				for i, p := range perm {
 					sel[i] = pool[p]
 				}
-				res, err := s.sealed.SearchBatch(sel, img, nil)
+				res, err := s.SearchAllBatch(sel, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -214,16 +195,18 @@ func TestSearchBatchConcurrentSealed(t *testing.T) {
 				// Clobber everything the batch returned: any aliasing into
 				// engine or cross-query state turns this into a data race
 				// or a later mismatch.
-				for _, sr := range res {
-					for fi := range sr.Findings {
-						sr.Findings[fi].ExePath = "CLOBBERED"
-						sr.Findings[fi].Score = -1
+				for _, images := range res {
+					for ii := range images {
+						im := &images[ii]
+						for fi := range im.Findings {
+							im.Findings[fi].ExePath = "CLOBBERED"
+							im.Findings[fi].Score = -1
+						}
+						im.Findings = append(im.Findings, firmup.Finding{ExePath: "junk"})
+						im.Examined = -1
 					}
-					sr.StepsHistogram[-7] = 99
-					sr.Findings = append(sr.Findings, firmup.Finding{ExePath: "junk"})
-					sr.Examined = -1
 				}
-				got, err := s.sealed.SearchImageDetailed(control.Query, control.Procedure, img, nil)
+				got, err := s.SearchAll(control.Query, control.Procedure, nil)
 				if err != nil {
 					errs <- err
 					return

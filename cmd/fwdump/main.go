@@ -108,8 +108,8 @@ func dumpImage(path string, reg *telemetry.Registry) {
 		fmt.Printf("analysis: %v\n", err)
 		return
 	}
-	fmt.Printf("analysis: %d searchable executable(s), %d unique strands interned, %d index postings, %s analyze time\n",
-		len(img.Exes), analyzer.UniqueStrands(), img.IndexedStrands(), analyzeTime.Round(time.Microsecond))
+	fmt.Printf("analysis: %d searchable executable(s), %d unique strands interned, %s analyze time\n",
+		len(img.Exes), analyzer.UniqueStrands(), analyzeTime.Round(time.Microsecond))
 	for _, e := range img.Exes {
 		procs := e.Procedures()
 		strands := 0

@@ -65,8 +65,8 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // analyzedState captures everything observable about an analyzed image
-// plus a search through it, for deep comparison across analyzer
-// configurations.
+// plus a search through the corpus it seals into, for deep comparison
+// across analyzer configurations.
 type analyzedState struct {
 	Paths    [][2]string // path, per-exe marker of skipped vs analyzed
 	Procs    [][]firmup.ProcedureInfo
@@ -83,10 +83,6 @@ func analyzeScenario(t *testing.T, imgBytes, queryBytes []byte, aopt *firmup.Ana
 func analyzeWith(t *testing.T, a *firmup.Analyzer, imgBytes, queryBytes []byte, sopt *firmup.Options) analyzedState {
 	t.Helper()
 	img, err := a.OpenImage(imgBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := a.LoadQueryExecutable(queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +103,19 @@ func analyzeWith(t *testing.T, a *firmup.Analyzer, imgBytes, queryBytes []byte, 
 	for _, s := range img.Skipped {
 		st.Paths = append(st.Paths, [2]string{s.Path, "skipped"})
 	}
-	st.Findings, err = a.SearchImage(q, "ftp_retrieve_glob", img, sopt)
+	sc, err := a.Seal(img)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q, err := sc.AnalyzeQuery(queryBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", sc.Images()[0], sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Findings = res.Findings
 	return st
 }
 
@@ -118,7 +123,7 @@ func analyzeWith(t *testing.T, a *firmup.Analyzer, imgBytes, queryBytes []byte, 
 // runs serially or fully parallel: same procedures, same strand hash
 // sets, same markers, same findings. The same holds when the session's
 // file-level cache serves every executable: a second OpenImage of the
-// same image in one session analyses nothing and must be
+// same image in one session extracts no block and must be
 // indistinguishable from the first.
 func TestAnalyzeDeterminismAcrossWorkersAndCache(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
@@ -143,14 +148,10 @@ func TestAnalyzeDeterminismAcrossWorkersAndCache(t *testing.T) {
 	if cold == 0 {
 		t.Error("cold open extracted no blocks")
 	}
-	// The query is analysed afresh; the image's executables must not be.
-	qreg := telemetry.New()
-	if _, err := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: qreg}).LoadQueryExecutable(queryBytes); err != nil {
-		t.Fatal(err)
-	}
-	queryBlocks := qreg.Snapshot().Counters["strand.blocks"]
-	if warm := reg.Snapshot().Counters["strand.blocks"] - cold; warm != queryBlocks {
-		t.Errorf("warm open extracted %d blocks, want only the query's %d", warm, queryBlocks)
+	// The query is analysed by the sealed corpus, which records into no
+	// registry; the image's executables must not be analysed again.
+	if warm := reg.Snapshot().Counters["strand.blocks"] - cold; warm != 0 {
+		t.Errorf("warm open extracted %d blocks, want none", warm)
 	}
 	if len(base.Findings) == 0 {
 		t.Error("determinism check matched nothing; scenario is vacuous")

@@ -2,13 +2,12 @@ package firmup
 
 import "firmup/internal/sim"
 
-// AddVariant appends to a live image a copy of its executable src under
-// another path, after mutate has edited the copy's procedures — how the
-// dedup suite makes near-duplicates (one address moved, one marker
-// changed) that no firmware build produces on demand. The image's search
-// group is set up again, so the copy is indexed like any analysed
-// executable.
-func (a *Analyzer) AddVariant(im *Image, src *Executable, path string, mutate func([]*sim.Proc)) {
+// AddVariant appends to an analysed image a copy of its executable src
+// under another path, after mutate has edited the copy's procedures — how
+// the dedup suite makes near-duplicates (one address moved, one marker
+// changed) that no firmware build produces on demand. Sealing the image
+// stores and indexes the copy like any analysed executable.
+func AddVariant(im *Image, src *Executable, path string, mutate func([]*sim.Proc)) {
 	procs := make([]*sim.Proc, len(src.exe.Procs))
 	for i, p := range src.exe.Procs {
 		cp := *p
@@ -18,7 +17,6 @@ func (a *Analyzer) AddVariant(im *Image, src *Executable, path string, mutate fu
 	e := sim.FromProcsSession(path, procs, src.exe.Session())
 	e.Arch, e.Stripped = src.exe.Arch, src.exe.Stripped
 	im.Exes = append(im.Exes, &Executable{Path: path, exe: e})
-	a.group(im)
 }
 
 // TokensHeld reports how many of the session's analysis tokens are taken

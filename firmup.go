@@ -8,23 +8,24 @@
 //	firmware image → unpack → recover procedures & blocks → lift to IR →
 //	decompose into canonical strands → back-and-forth game matching
 //
-// Analysis runs under an Analyzer session: every executable analyzed by
-// one session shares a strand-hash interner (canonical strand hashes
-// deduplicated to dense IDs) and every opened image carries a
-// corpus-level inverted index that lets SearchImage rank candidate
-// executables by shared-strand count and skip targets that provably
-// cannot clear the acceptance threshold.
+// An Analyzer builds: every executable it analyzes shares one strand-hash
+// interner (canonical strand hashes deduplicated to dense IDs), and Seal
+// freezes the session's images into a SealedCorpus. Only a SealedCorpus
+// searches — one pass per group of distinct executables, narrowed by an
+// inverted index that ranks candidates by shared-strand count and skips
+// targets that provably cannot clear the acceptance threshold.
 //
 // Quick start:
 //
 //	a := firmup.NewAnalyzer(nil)
 //	img, _ := a.OpenImage(imageBytes)
-//	query, _ := a.LoadQueryExecutable(queryBytes)
-//	findings, _ := a.SearchImage(query, "ftp_retrieve_glob", img, nil)
+//	sc, _ := a.Seal(img)
+//	query, _ := sc.AnalyzeQuery(queryBytes)
+//	results, _ := sc.SearchAll(query, "ftp_retrieve_glob", nil)
 //
-// A corpus that is searched many times is analyzed once, sealed
-// (Analyzer.Seal, SealedCorpus.WriteShards) and served from the shard
-// directory (OpenSealedCorpus, SealedCorpus.AnalyzeQuery, SearchAll).
+// A corpus that is searched many times is sealed once, written as shards
+// (SealedCorpus.WriteShards) and served from the shard directory
+// (OpenSealedCorpus).
 //
 // Everything underneath — the firmlang compiler and its four ISA
 // backends, the FWELF container, the lifters, the canonicalizer, the
@@ -41,7 +42,6 @@ import (
 	"sync"
 
 	"firmup/internal/cfg"
-	"firmup/internal/core"
 	"firmup/internal/corpusindex"
 	"firmup/internal/image"
 	_ "firmup/internal/isa/arm"  // register the ARM32 backend
@@ -50,7 +50,6 @@ import (
 	_ "firmup/internal/isa/x86"  // register the x86 backend
 	"firmup/internal/obj"
 	"firmup/internal/sim"
-	"firmup/internal/snapshot"
 	"firmup/internal/strand"
 	"firmup/internal/telemetry"
 )
@@ -80,12 +79,12 @@ func (o *AnalyzerOptions) workers() int {
 	return o.Workers
 }
 
-// Analyzer is one analysis session. All executables analyzed under it —
-// queries and image contents alike — share its strand-hash interner, so
-// their strand sets carry comparable dense IDs and searches between
-// them take the interned fast paths. Each distinct in-image executable is
-// analysed once, from scratch; nothing else is shared between analyses.
-// An Analyzer is safe for concurrent use.
+// Analyzer is one analysis session, the write side: it analyzes images
+// and executables and seals them into a SealedCorpus, which is what
+// searches. All executables analyzed under it share its strand-hash
+// interner, so their strand sets carry comparable dense IDs. Each
+// distinct in-image executable is analysed once, from scratch; nothing
+// else is shared between analyses. An Analyzer is safe for concurrent use.
 type Analyzer struct {
 	opt      AnalyzerOptions
 	interner *corpusindex.Interner
@@ -94,8 +93,6 @@ type Analyzer struct {
 	// part of the report schema (see telemetry.SchemaVersion); renaming
 	// any of them is a breaking change.
 	front        frontEnd
-	game         *core.Telemetry
-	idx          *corpusindex.Telemetry
 	exesAnalyzed *telemetry.Counter
 	exesSkipped  *telemetry.Counter
 	spare        chan struct{} // the analysis budget's tokens (see analyzePooled)
@@ -114,8 +111,8 @@ type analysis struct {
 }
 
 // frontEnd is the analysis front end — parse, CFG recovery and lifting,
-// strand extraction, indexing — spelled once for the live session and a
-// sealed corpus's query analysis, with the registry it records into: the
+// strand extraction, indexing — spelled once for the session and a sealed
+// corpus's query analysis, with the registry it records into: the
 // layers' counters, and root, which its spans default to. Names are
 // shared too, so obj.parse or strand.strands on a dashboard means the
 // same layer whichever side recorded it. The zero value records nothing.
@@ -187,43 +184,6 @@ func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, worker
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, it, bc)}, nil
 }
 
-// newIndexTelemetry is the prefilter handle set: index.* for every
-// candidate query. nil on a nil registry.
-func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
-	if r == nil {
-		return nil
-	}
-	return &corpusindex.Telemetry{
-		Queries:   r.Counter("index.queries"),
-		Fallbacks: r.Counter("index.fallbacks"),
-		Fanout:    r.Histogram("index.fanout"),
-	}
-}
-
-// newCoreTelemetry is the game engine's handle set, shared by the live
-// session's searches and a sealed corpus's search passes. nil on a nil
-// registry.
-func newCoreTelemetry(r *telemetry.Registry) *core.Telemetry {
-	if r == nil {
-		return nil
-	}
-	return &core.Telemetry{
-		Games:                 r.Counter("game.played"),
-		Unplayed:              r.Counter("game.unplayed"),
-		Cut:                   r.Counter("game.cut"),
-		Steps:                 r.Histogram("game.steps"),
-		AcceptedSteps:         r.Histogram("game.steps.accepted"),
-		MatcherHits:           r.Counter("game.matcher_hits"),
-		MatcherMisses:         r.Counter("game.matcher_misses"),
-		Searches:              r.Counter("search.runs"),
-		PrefilterKept:         r.Counter("search.targets_kept"),
-		PrefilterSkipped:      r.Counter("search.targets_skipped"),
-		BatchSearches:         r.Counter("batch.searches"),
-		BatchSharedGames:      r.Counter("batch.shared_games"),
-		BatchQueriesPerTarget: r.Histogram("batch.queries_per_target"),
-	}
-}
-
 // NewAnalyzer creates a session. NewAnalyzer(nil) selects the defaults.
 func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	a := &Analyzer{interner: corpusindex.NewInterner()}
@@ -233,8 +193,6 @@ func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	a.spare = make(chan struct{}, a.opt.workers())
 	if r := a.opt.Telemetry; r != nil {
 		a.front = newFrontEnd(r)
-		a.game = newCoreTelemetry(r)
-		a.idx = newIndexTelemetry(r)
 		a.exesAnalyzed = r.Counter("exe.analyzed")
 		a.exesSkipped = r.Counter("exe.skipped")
 		// Gauge mirrors of state the session already tracks: evaluated at
@@ -343,10 +301,6 @@ type Image struct {
 	// Skipped lists the executables that failed analysis; they are not
 	// searchable but no longer silently dropped.
 	Skipped []SkipReason
-
-	// own is the image as the one image of a private store of one group —
-	// occurrence i is Exes[i] — indexed on first search (Analyzer.group).
-	own *SealedImage
 }
 
 // Executable returns the image executable with the given in-image
@@ -358,15 +312,6 @@ func (im *Image) Executable(path string) *Executable {
 		}
 	}
 	return nil
-}
-
-// IndexedStrands reports the number of (strand, executable, procedure)
-// postings in the image's search index, building the index if no search
-// has yet.
-func (im *Image) IndexedStrands() int {
-	g := im.own.store[0]
-	g.ensureIndex() // an in-RAM group's build cannot fail
-	return g.index.Postings()
 }
 
 // AnalyzeExecutable parses and analyzes one FWELF binary under the
@@ -385,13 +330,6 @@ func (a *Analyzer) analyzePooled(path string, f *obj.File, parent telemetry.Span
 	a.spare <- struct{}{}
 	defer func() { <-a.spare }()
 	return a.front.analyze(path, f, a.interner, a.opt.workers(), a.spare, parent)
-}
-
-// LoadQueryExecutable analyzes the analyst's query binary (typically
-// compiled from the latest vulnerable package version, symbols intact)
-// under the session.
-func (a *Analyzer) LoadQueryExecutable(data []byte) (*Executable, error) {
-	return a.AnalyzeExecutable("query", data)
 }
 
 // OpenImage unpacks a firmware image and analyzes every executable in
@@ -450,24 +388,9 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 	if len(out.Exes) == 0 {
 		return nil, fmt.Errorf("firmup: image contains no analyzable executables")
 	}
-	a.group(out)
 	a.exesAnalyzed.Add(int64(len(out.Exes)))
 	a.exesSkipped.Add(int64(len(out.Skipped)))
 	return out, nil
-}
-
-// group makes img searchable: it sets up the private store of one group
-// a live image is searched through, by the pass a sealed corpus runs
-// (exeStore.search) — the image's own executables as they are, neither
-// rebound nor deduplicated, under the session interner as it stands now,
-// indexed on first search (sealedGroup.ensureIndex).
-func (a *Analyzer) group(img *Image) {
-	g := &sealedGroup{n: len(img.Exes), it: a.interner, bound: a.interner.Size(), tel: a.idx, game: a.game, exes: make([]*sim.Exe, len(img.Exes))}
-	img.own = &SealedImage{store: exeStore{g}, occs: make([]snapshot.Occurrence, len(img.Exes))}
-	for i, e := range img.Exes {
-		g.exes[i] = e.exe
-		img.own.occs[i] = snapshot.Occurrence{Path: e.Path, Exe: i}
-	}
 }
 
 // fileJob is one file of an image on its way through OpenImage's pool,
@@ -508,256 +431,4 @@ func (a *Analyzer) analyzeFile(j *fileJob, parent telemetry.Span) {
 	default:
 		j.exe = &Executable{Path: j.path, exe: an.exe.exe.WithPath(j.path)}
 	}
-}
-
-// Options tune the search engine. The zero value selects the defaults
-// used throughout the evaluation.
-type Options struct {
-	// MinScore is the minimum number of shared canonical strands for a
-	// detection (default 8).
-	MinScore int
-	// MinRatio is the minimum fraction of the query's strands that must
-	// be shared (default 0.42).
-	MinRatio float64
-	// MaxGameSteps caps back-and-forth iterations (default 64).
-	MaxGameSteps int
-	// Workers bounds search parallelism (default GOMAXPROCS).
-	Workers int
-	// Exhaustive disables the image's corpus-index prefilter for this
-	// search: every executable is examined. Findings are identical; only
-	// the work done differs.
-	Exhaustive bool
-	// Span, when set, is the span the search runs under: the search
-	// layers open theirs (shard fan-out, store materialization, core
-	// search) as its children, each feeding the stage of its name in the
-	// span's registry and, under a sampled request, the request's tree.
-	// Purely observational — findings are byte-identical with and without
-	// it. The zero Span records nothing at zero cost.
-	Span telemetry.Span
-}
-
-func (o *Options) span() telemetry.Span {
-	if o == nil {
-		return telemetry.Span{}
-	}
-	return o.Span
-}
-
-func (o *Options) search() *core.SearchOptions {
-	s := &core.SearchOptions{MinScore: 8, MinRatio: 0.42}
-	if o != nil {
-		if o.MinScore > 0 {
-			s.MinScore = o.MinScore
-		}
-		if o.MinRatio > 0 {
-			s.MinRatio = o.MinRatio
-		}
-		if o.MaxGameSteps > 0 {
-			s.Game.MaxSteps = o.MaxGameSteps
-		}
-		if o.Workers > 0 {
-			s.Workers = o.Workers
-		}
-	}
-	return s
-}
-
-// Finding reports one detection of the query procedure. The JSON field
-// names are part of the firmupd response schema.
-type Finding struct {
-	// ExePath locates the containing executable within the image.
-	ExePath string `json:"exe_path"`
-	// ProcName is the matched procedure's recovered name (sub_<addr> in
-	// stripped binaries).
-	ProcName string `json:"proc_name"`
-	// ProcAddr is its entry address — the "exact location" the paper's
-	// stripped-search findings provide.
-	ProcAddr uint32 `json:"proc_addr"`
-	// Score is Sim(query, match): the number of shared canonical strands.
-	Score int `json:"score"`
-	// Confidence is Score over the query's strand count.
-	Confidence float64 `json:"confidence"`
-	// GameSteps is the number of back-and-forth iterations needed.
-	GameSteps int `json:"game_steps"`
-}
-
-// SearchResult pairs an image search's findings with its accounting.
-type SearchResult struct {
-	Findings []Finding
-	// Examined is the number of executables the search considered — every
-	// executable the corpus-index prefilter kept, usually well below
-	// len(img.Exes); a game is played against those of them that hold a
-	// procedure the search could accept.
-	Examined int
-	// StepsHistogram counts accepted findings by game steps needed.
-	StepsHistogram map[int]int
-}
-
-// SearchImage looks for the query executable's procedure in every
-// executable of the image. Executables the image's index proves cannot
-// clear the acceptance floors are skipped without playing the game — when
-// the query shares the image's session; a query from another session is
-// played against every executable — and the findings are identical either
-// way.
-func (a *Analyzer) SearchImage(query *Executable, procedure string, img *Image, opt *Options) ([]Finding, error) {
-	res, err := a.SearchImageDetailed(query, procedure, img, opt)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// SearchImageDetailed is SearchImage with the search accounting
-// (examined-target count, steps histogram) exposed: SearchBatch with a
-// batch of one.
-func (a *Analyzer) SearchImageDetailed(query *Executable, procedure string, img *Image, opt *Options) (*SearchResult, error) {
-	res, err := a.SearchBatch([]BatchQuery{{Query: query, Procedure: procedure}}, img, opt)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// BatchQuery names one query procedure for a batched image search.
-type BatchQuery struct {
-	// Query is the analyzed query executable.
-	Query *Executable
-	// Procedure is the query procedure's name within it.
-	Procedure string
-}
-
-// coreBatch resolves the facade batch queries to core form, rejecting
-// unknown procedure names with the same error the sequential path
-// reports.
-func coreBatch(queries []BatchQuery) ([]core.BatchQuery, error) {
-	out := make([]core.BatchQuery, len(queries))
-	for i, bq := range queries {
-		qi := bq.Query.exe.ProcByName(bq.Procedure)
-		if qi < 0 {
-			return nil, fmt.Errorf("firmup: query executable has no procedure %q", bq.Procedure)
-		}
-		out[i] = core.BatchQuery{Q: bq.Query.exe, QI: qi}
-	}
-	return out, nil
-}
-
-// SearchBatch looks for every batch query in the image in one search pass
-// (exeStore.search) over the image's private group: one posting scan
-// per query, then each image executable is visited once for the whole
-// batch, and queries from the same query executable share matcher caches
-// and similarity vectors. The returned results are positionally aligned
-// with queries and byte-identical to calling SearchImageDetailed once per
-// query. The pass is timed as a "search.image" span under opt.Span, or
-// under this session's registry when the options carry none; the index
-// and game metrics go to the session that opened the image.
-func (a *Analyzer) SearchBatch(queries []BatchQuery, img *Image, opt *Options) ([]*SearchResult, error) {
-	sp := opt.span().Or(a.front.root).Start("search.image")
-	defer sp.End()
-	cqs, err := coreBatch(queries)
-	if err != nil {
-		return nil, err
-	}
-	res, err := img.own.store.search(cqs, []*SealedImage{img.own}, opt, sp)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// MatchProcedure runs the back-and-forth game for one query procedure
-// against a single target executable, returning the finding (nil when
-// the target does not appear to contain the procedure) and the number of
-// game steps played. Game metrics are recorded into the session's
-// registry, if any.
-func (a *Analyzer) MatchProcedure(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, int, error) {
-	f, r, err := a.matchTraced(query, procedure, target, opt, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return f, r.Steps, nil
-}
-
-// TraceStep is one player/rival exchange of a recorded game course
-// (Table 1 of the paper).
-type TraceStep struct {
-	Actor   string `json:"actor"` // "player" or "rival"
-	Text    string `json:"text"`
-	Matches string `json:"matches"`
-}
-
-// GameTrace is the full course of one back-and-forth game in a
-// JSON-encodable form: the outcome plus every recorded exchange.
-type GameTrace struct {
-	// Target is the matched procedure's index in the target executable,
-	// or -1 when the game produced no match.
-	Target int `json:"target"`
-	// Score is Sim(query, Target); 0 without a match.
-	Score int `json:"score"`
-	// Steps counts game iterations (1 = the first pick already agreed).
-	Steps int `json:"steps"`
-	// MatchedPairs is the partial matching built along the way as
-	// (query procedure index, target procedure index) pairs.
-	MatchedPairs [][2]int `json:"matched_pairs,omitempty"`
-	// Reason is the game's end reason: "matched", "no-candidate",
-	// "stuck", "step-limit" or "match-limit".
-	Reason string `json:"reason"`
-	// Trace is the recorded game course.
-	Trace []TraceStep `json:"trace,omitempty"`
-}
-
-// MatchProcedureTraced is MatchProcedure with the full game course
-// recorded and returned as a JSON-encodable trace.
-func (a *Analyzer) MatchProcedureTraced(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, *GameTrace, error) {
-	f, r, err := a.matchTraced(query, procedure, target, opt, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, traceFromResult(r), nil
-}
-
-// traceFromResult converts a game result into its JSON-encodable trace.
-func traceFromResult(r core.Result) *GameTrace {
-	gt := &GameTrace{
-		Target:       r.Target,
-		Score:        r.Score,
-		Steps:        r.Steps,
-		MatchedPairs: r.MatchedPairs,
-		Reason:       r.Reason.String(),
-	}
-	for _, ts := range r.Trace {
-		gt.Trace = append(gt.Trace, TraceStep{Actor: ts.Actor, Text: ts.Text, Matches: ts.Matches})
-	}
-	return gt
-}
-
-// matchTraced is the shared MatchProcedure body; recordTrace selects
-// whether the game course is captured.
-func (a *Analyzer) matchTraced(query *Executable, procedure string, target *Executable, opt *Options, recordTrace bool) (*Finding, core.Result, error) {
-	return matchTracedCore(a.game, query, procedure, target, opt, recordTrace)
-}
-
-// matchTracedCore is the session-independent MatchProcedure body shared
-// by the live Analyzer and SealedCorpus paths; tel may be nil.
-func matchTracedCore(tel *core.Telemetry, query *Executable, procedure string, target *Executable, opt *Options, recordTrace bool) (*Finding, core.Result, error) {
-	qi := query.exe.ProcByName(procedure)
-	if qi < 0 {
-		return nil, core.Result{}, fmt.Errorf("firmup: query executable has no procedure %q", procedure)
-	}
-	s := opt.search()
-	s.Game.Tel = tel
-	s.Game.RecordTrace = recordTrace
-	f, r := core.MatchOne(query.exe, qi, target.exe, s)
-	if f == nil {
-		return nil, r, nil
-	}
-	// A sealed target's path belongs to the occurrence, not the shared
-	// executable under it.
-	return &Finding{
-		ExePath:    target.Path,
-		ProcName:   f.ProcName,
-		ProcAddr:   f.ProcAddr,
-		Score:      f.Score,
-		Confidence: f.Ratio,
-		GameSteps:  f.Steps,
-	}, r, nil
 }

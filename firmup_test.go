@@ -47,18 +47,22 @@ func TestEndToEndSearch(t *testing.T) {
 	if len(img.Exes) == 0 {
 		t.Fatal("no executables")
 	}
-	q, err := a.LoadQueryExecutable(queryBytes)
+	sc, err := a.Seal(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := a.SearchImage(q, "ftp_retrieve_glob", img, nil)
+	q, err := sc.AnalyzeQuery(queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) == 0 {
-		t.Fatal("vulnerable procedure not found")
+	all, err := sc.SearchAll(q, "ftp_retrieve_glob", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := findings[0]
+	if len(all) != 1 || len(all[0].Findings) == 0 {
+		t.Fatalf("vulnerable procedure not found: %+v", all)
+	}
+	f := all[0].Findings[0]
 	if f.Confidence < 0.42 || f.Score < 8 {
 		t.Errorf("weak finding: %+v", f)
 	}
@@ -70,7 +74,7 @@ func TestEndToEndSearch(t *testing.T) {
 func TestProcedureListing(t *testing.T) {
 	a := firmup.NewAnalyzer(nil)
 	_, queryBytes, _ := buildScenario(t)
-	q, err := a.LoadQueryExecutable(queryBytes)
+	q, err := a.AnalyzeExecutable("query", queryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,20 +97,12 @@ func TestProcedureListing(t *testing.T) {
 }
 
 func TestMatchProcedureSingleTarget(t *testing.T) {
-	a := firmup.NewAnalyzer(nil)
-	imgBytes, queryBytes, _ := buildScenario(t)
-	img, _ := a.OpenImage(imgBytes)
-	q, _ := a.LoadQueryExecutable(queryBytes)
-	var wget *firmup.Executable
-	for _, e := range img.Exes {
-		if e.Path == "bin/wget" {
-			wget = e
-		}
-	}
+	_, sc, q := sealScenario(t)
+	wget := sc.Images()[0].Executable("bin/wget")
 	if wget == nil {
 		t.Skip("image lacks bin/wget")
 	}
-	f, steps, err := a.MatchProcedure(q, "ftp_retrieve_glob", wget, nil)
+	f, steps, err := sc.MatchProcedure(q, "ftp_retrieve_glob", wget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +124,7 @@ func TestOpenImageErrors(t *testing.T) {
 			t.Errorf("stage %q: %d calls after one failed OpenImage, want 1", stage, got)
 		}
 	}
-	if _, err := a.LoadQueryExecutable([]byte("nope")); err == nil {
+	if _, err := a.AnalyzeExecutable("query", []byte("nope")); err == nil {
 		t.Error("garbage executable must fail")
 	}
 }
@@ -159,17 +155,27 @@ func TestCarvingFallback(t *testing.T) {
 	_ = queryBytes
 }
 
-// The failed search still ends its span: one call on search.image.
+// A search runs under the span its options carry, and records the pass
+// there as core.search; a search for an unknown procedure fails before
+// any pass starts, and a garbage query fails its analysis.
 func TestUnknownQueryProcedure(t *testing.T) {
 	reg := telemetry.New()
-	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: reg})
-	imgBytes, queryBytes, _ := buildScenario(t)
-	img, _ := a.OpenImage(imgBytes)
-	q, _ := a.LoadQueryExecutable(queryBytes)
-	if _, err := a.SearchImage(q, "no_such_procedure", img, nil); err == nil {
+	_, sc, q := sealScenario(t)
+	sc.SetTelemetry(reg)
+	opt := &firmup.Options{Span: telemetry.Root(reg, nil)}
+	if _, err := sc.SearchAll(q, "no_such_procedure", opt); err == nil {
 		t.Error("unknown procedure must fail")
 	}
-	if got := reg.Stage("search.image").Calls(); got != 1 {
-		t.Errorf("search.image: %d calls after one failed search, want 1", got)
+	if got := reg.Stage("core.search").Calls(); got != 0 {
+		t.Errorf("core.search: %d calls after one failed search, want 0", got)
+	}
+	if _, err := sc.SearchAll(q, "ftp_retrieve_glob", opt); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Stage("core.search").Calls(); got != 1 {
+		t.Errorf("core.search: %d calls after one search, want 1", got)
+	}
+	if _, err := sc.AnalyzeQuery([]byte("garbage")); err == nil {
+		t.Error("garbage query must fail")
 	}
 }

@@ -185,16 +185,16 @@ func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 // FrozenIndex is the corpus-level inverted index — dense strand ID →
 // procedure-slot postings, flattened into one sparse CSR slab —
 // and the only index type there is: built once over the executables of a
-// live image (keyed by the session's growing Interner) or of a sealed
-// group (keyed by the Frozen vocabulary), never changed afterwards. It
+// sealed group (keyed by the Frozen vocabulary, or by whichever interner
+// assigned their IDs), never changed afterwards. It
 // holds no lock and supports no mutation, so unlimited concurrent readers
 // share it freely. The only shared structure the query path touches is a
 // sync.Pool of scratch accumulators, which is race-safe by construction
 // and carries no corpus state between queries.
 type FrozenIndex struct {
 	// it is the interner the indexed executables' strand IDs come from.
-	// IDs it assigns after the index was built — a live session growing,
-	// an overlay's private IDs — have no row.
+	// IDs it assigns after the index was built — a growing Interner's, an
+	// overlay's private IDs — have no row.
 	it    strand.Interner
 	nexes int
 	// rowIDs are the non-empty rows' strand IDs ascending; row i's
@@ -219,9 +219,8 @@ type FrozenIndex struct {
 }
 
 // NewFrozenIndex builds an index over executables whose strand IDs were
-// all assigned by it and lie below bound — the session interner and its
-// current Size for a live image, the frozen vocabulary and its size for a
-// sealed group: a counting pass per strand ID, then postings filled in
+// all assigned by it and lie below bound — the frozen vocabulary and its
+// size for a sealed group: a counting pass per strand ID, then postings filled in
 // slot order.
 func NewFrozenIndex(it strand.Interner, bound int, exes []*sim.Exe) *FrozenIndex {
 	x := &FrozenIndex{it: it, nexes: len(exes), procOff: make([]int32, len(exes)+1)}
@@ -315,9 +314,6 @@ func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
 	x.telFanout = tel.Fanout
 }
 
-// Postings reports the total number of (strand, procedure) postings held.
-func (x *FrozenIndex) Postings() int { return len(x.posts) }
-
 // Rows returns the index's non-empty posting rows ordered by strictly
 // increasing dense strand ID — the serialized form a sealed-corpus
 // artifact persists. Slot slices alias the index's slab; callers must
@@ -401,8 +397,8 @@ func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inSco
 // accumulate runs one ranking query into pooled scratch; the caller owns
 // the returned scratch until putScratch. Query sets must be interned under
 // the index's interner or an overlay of it (strand.Compatible). IDs the
-// index has never seen — assigned by a live session after the build, or
-// overlay-private and so above the vocabulary — match no row and
+// index has never seen — assigned by a growing interner after the build,
+// or overlay-private and so above the vocabulary — match no row and
 // contribute nothing.
 func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
 	if !strand.Compatible(q.It, x.it) {

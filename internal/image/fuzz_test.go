@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"firmup/internal/corpus"
@@ -14,6 +15,9 @@ import (
 	_ "firmup/internal/isa/mips"
 	_ "firmup/internal/isa/ppc"
 	_ "firmup/internal/isa/x86"
+	"firmup/internal/obj"
+	"firmup/internal/telemetry"
+	"firmup/internal/uir"
 )
 
 // forge packs an image by hand, so a file's claimed size and the file
@@ -119,6 +123,109 @@ func FuzzUnpack(f *testing.F) {
 		}
 		if (err == nil) != (len(buf) == claimed) || (err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF)) {
 			t.Fatalf("claimed %d, read %d: %v", claimed, len(buf), err)
+		}
+	})
+}
+
+// overlappingHeaders is k FWELF headers 64 bytes apart, each declaring
+// one section that claims every byte after its own header. Every one of
+// them parses; copying each one's section would allocate quadratically.
+func overlappingHeaders(k int) []byte {
+	const stride = 64
+	data := make([]byte, k*stride)
+	for i := range k {
+		h := data[i*stride:]
+		copy(h, obj.Magic[:])
+		h[4], h[5], h[6] = 1, 1, byte(uir.ArchMIPS32) // version, class, arch
+		binary.LittleEndian.PutUint16(h[14:], 1)      // one section, no symbols
+		// The section: an empty name, address 0, its kind and its size.
+		h[26] = byte(obj.SecText)
+		binary.LittleEndian.PutUint32(h[27:], uint32(len(data)-i*stride-31))
+	}
+	return data
+}
+
+// carveAlloc reports the bytes one CarveWith call over data allocates,
+// averaged over runs calls.
+func carveAlloc(data []byte, runs int) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		image.CarveWith(data, nil, telemetry.Span{})
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestCarveAllocationLinear: carving k = 100, 200 and 400 overlapping
+// headers allocates a small multiple of the input, whatever k — the files
+// the carver keeps do not overlap, and a layout it rejects is not copied.
+func TestCarveAllocationLinear(t *testing.T) {
+	for _, k := range []int{100, 200, 400} {
+		data := overlappingHeaders(k)
+		if n := len(image.CarveWith(data, nil, telemetry.Span{})); n != 1 {
+			t.Errorf("k=%d: %d files carved, want the first header's, which spans the rest", k, n)
+		}
+		ratio := float64(carveAlloc(data, 10)) / float64(len(data))
+		t.Logf("k=%d: %d bytes in, %.2fx allocated", k, len(data), ratio)
+		if ratio > 4 {
+			t.Errorf("k=%d: carving %d bytes allocates %.1fx the input", k, len(data), ratio)
+		}
+	}
+}
+
+// carveAllocBound is what carving data may allocate: a failed attempt
+// costs at most its error, a carved file at most a few times its own
+// bytes, and the carved files do not overlap.
+func carveAllocBound(data []byte) uint64 { return 32*uint64(len(data)) + 16<<10 }
+
+// FuzzCarve hammers the carver with arbitrary bytes. The contract: no
+// panic, every carved file parses again from its own serialization, and
+// allocation within carveAllocBound of the input.
+func FuzzCarve(f *testing.F) {
+	// Raw images of the generated corpus cut to a few files, then cut in
+	// half, and with their container magic or an executable's header
+	// bytes overwritten.
+	err := corpus.Stream(corpus.ScaleForImages(1), func(bi *corpus.BuiltImage) error {
+		im := *bi.Image
+		im.Files = im.Files[:min(3, len(im.Files))]
+		data := im.Pack(false)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		at := bytes.Index(data, obj.Magic[:])
+		for _, patch := range []struct {
+			off int
+			b   byte
+		}{{0, 'X'}, {at + 4, 9}, {at + 5, 7}, {at + 14, 0xFF}, {at + 19, 0x7F}} {
+			bad := append([]byte(nil), data...)
+			bad[patch.off] = patch.b
+			f.Add(bad)
+		}
+		return corpus.ErrStop
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// obj's header quirks: a symbol count the bytes cannot hold, a section
+	// name longer than the file, and headers whose sections overlap.
+	header := func(nsec uint16, nsym uint32) []byte {
+		b := append(obj.Magic[:], 1, 1, byte(uir.ArchMIPS32), 0, 0, 0, 0x40, 0, 0, 0)
+		b = binary.LittleEndian.AppendUint16(b, nsec)
+		return binary.LittleEndian.AppendUint32(b, nsym)
+	}
+	pad := func(b []byte) []byte { return append(b, make([]byte, 64-len(b))...) }
+	f.Add(pad(header(0, 1<<20)))
+	f.Add(pad(binary.LittleEndian.AppendUint16(header(1, 0), 4000)))
+	f.Add(overlappingHeaders(8))
+	f.Add(bytes.Repeat(obj.Magic[:], 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if n, bound := carveAlloc(data, 1), carveAllocBound(data); n > bound {
+			t.Errorf("carving %d bytes allocates %d, bound %d", len(data), n, bound)
+		}
+		for i, ef := range image.CarveWith(data, nil, telemetry.Span{}) {
+			if _, err := obj.Read(ef.Bytes()); err != nil {
+				t.Errorf("carved file %d does not parse again: %v", i, err)
+			}
 		}
 	})
 }

@@ -233,12 +233,15 @@ func readFile(r io.Reader, n, step int) ([]byte, error) {
 }
 
 // CarveWith scans raw bytes for embedded FWELF executables,
-// binwalk-style: it finds every occurrence of the FWELF magic and
-// attempts a parse there, keeping the ones that decode, every attempt
+// binwalk-style: at every occurrence of the FWELF magic it checks the
+// layout there (obj.Extent) and parses the files that hold, each parse
 // timed under parent and counted into tel (see obj.ReadWith; both may be
-// zero). It is the fallback path when an image fails to unpack
-// structurally (the paper reports that a large fraction of crawled
-// images had damaged or opaque containers).
+// zero), resuming the scan past every file it carves. A layout that fails
+// copies nothing and carved files do not overlap, so carving allocates in
+// proportion to the input however many headers it holds. It is the
+// fallback path when an image fails to unpack structurally (the paper
+// reports that a large fraction of crawled images had damaged or opaque
+// containers).
 func CarveWith(data []byte, tel *obj.Telemetry, parent telemetry.Span) []*obj.File {
 	var out []*obj.File
 	for off := 0; off+4 <= len(data); {
@@ -247,11 +250,15 @@ func CarveWith(data []byte, tel *obj.Telemetry, parent telemetry.Span) []*obj.Fi
 			break
 		}
 		pos := off + idx
-		f, err := obj.ReadWith(data[pos:], tel, parent)
-		if err == nil {
-			out = append(out, f)
-		}
 		off = pos + 1
+		n, err := obj.Extent(data[pos:])
+		if err != nil {
+			continue
+		}
+		if f, err := obj.ReadWith(data[pos:pos+n], tel, parent); err == nil {
+			out = append(out, f)
+			off = pos + n
+		}
 	}
 	return out
 }

@@ -44,7 +44,6 @@ func abi() *uir.ABI {
 		LinkReg:    regLR,
 		Scratch:    []uir.Reg{0, 1, 2, 3, 11, 12, 14, 20, 21, 22},
 		StatusRegs: []uir.Reg{flagZ, flagLT, flagLO},
-		RegNames:   regNames,
 	}
 }
 

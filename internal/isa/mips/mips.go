@@ -37,13 +37,12 @@ var regNames = map[uir.Reg]string{
 
 func abi() *uir.ABI {
 	return &uir.ABI{
-		Arch:     uir.ArchMIPS32,
-		ArgRegs:  []uir.Reg{4, 5, 6, 7},
-		RetReg:   regV0,
-		SP:       regSP,
-		LinkReg:  regRA,
-		Scratch:  []uir.Reg{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25},
-		RegNames: regNames,
+		Arch:    uir.ArchMIPS32,
+		ArgRegs: []uir.Reg{4, 5, 6, 7},
+		RetReg:  regV0,
+		SP:      regSP,
+		LinkReg: regRA,
+		Scratch: []uir.Reg{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25},
 	}
 }
 

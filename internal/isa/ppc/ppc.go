@@ -48,7 +48,6 @@ func abi() *uir.ABI {
 		LinkReg:    regLR,
 		Scratch:    []uir.Reg{0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, crLT, crGT, crEQ, crLTU, crGTU},
 		StatusRegs: []uir.Reg{crLT, crGT, crEQ, crLTU, crGTU},
-		RegNames:   regNames(),
 	}
 }
 

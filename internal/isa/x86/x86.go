@@ -47,7 +47,6 @@ func abi() *uir.ABI {
 		LinkReg:    uir.NoLinkReg,
 		Scratch:    []uir.Reg{0, 1, 2, flagZ, flagLT, flagLO},
 		StatusRegs: []uir.Reg{flagZ, flagLT, flagLO},
-		RegNames:   regNames,
 	}
 }
 

@@ -50,12 +50,6 @@ func NewInterp(pkg *Package) *Interp {
 	return in
 }
 
-// GlobalAddr returns the simulated address of a global.
-func (in *Interp) GlobalAddr(name string) (uint32, bool) {
-	a, ok := in.base[name]
-	return a, ok
-}
-
 // Call runs the named procedure with the given arguments and returns its
 // result.
 func (in *Interp) Call(name string, args ...uint32) (uint32, error) {

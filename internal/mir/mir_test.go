@@ -102,9 +102,6 @@ func TestInterpGlobalsAndMemory(t *testing.T) {
 	if v, err := in.Call("f"); err != nil || v != 2 {
 		t.Errorf("f() = %d, %v", v, err)
 	}
-	if _, ok := in.GlobalAddr("tbl"); !ok {
-		t.Error("GlobalAddr lookup failed")
-	}
 }
 
 func TestInstrStringAndAccessors(t *testing.T) {

@@ -259,26 +259,45 @@ func ReadWith(data []byte, tel *Telemetry, parent telemetry.Span) (*File, error)
 
 // Read parses an FWELF file. A wrong class byte is tolerated and
 // reported through File.BadClass rather than rejected, mirroring how the
-// paper's pipeline had to cope with mislabeled ELF headers.
+// paper's pipeline had to cope with mislabeled ELF headers. The layout is
+// checked against the bytes before anything is copied out of them, so a
+// file that fails allocates nothing in proportion to what it claims.
 func Read(data []byte) (*File, error) {
-	r := &reader{data: data}
+	if _, err := Extent(data); err != nil {
+		return nil, err
+	}
+	f, _, err := parse(data, true)
+	return f, err
+}
+
+// Extent checks the layout of the FWELF file at the start of data,
+// copying nothing out of it, and reports how many bytes the file spans:
+// header, sections and symbol table. Read fails exactly when Extent does.
+func Extent(data []byte) (int, error) {
+	_, n, err := parse(data, false)
+	return n, err
+}
+
+// parse walks an FWELF file and reports where it ends. With keep it
+// builds the File; without, it only checks the layout.
+func parse(data []byte, keep bool) (*File, int, error) {
+	r := reader{data: data, keep: keep}
 	var magic [4]byte
 	r.bytes(magic[:])
 	if magic != Magic {
-		return nil, fmt.Errorf("obj: bad magic %q", magic[:])
+		return nil, 0, fmt.Errorf("obj: bad magic %q", string(magic[:]))
 	}
 	version := r.u8()
 	if version != 1 {
-		return nil, fmt.Errorf("obj: unsupported version %d", version)
+		return nil, 0, fmt.Errorf("obj: unsupported version %d", version)
 	}
-	class := r.u8()
-	f := &File{}
-	switch class {
+	var f File
+	switch class := r.u8(); class {
 	case classOK:
 	case classBad:
 		f.BadClass = true
 	default:
-		return nil, fmt.Errorf("obj: invalid class %d", class)
+		return nil, 0, fmt.Errorf("obj: invalid class %d", class)
 	}
 	f.Arch = uir.Arch(r.u8())
 	r.u8() // pad
@@ -288,12 +307,16 @@ func Read(data []byte) (*File, error) {
 	nsec := int(r.u16())
 	nsym := int(r.u32())
 	if nsec > 64 {
-		return nil, fmt.Errorf("obj: implausible section count %d", nsec)
+		return nil, 0, fmt.Errorf("obj: implausible section count %d", nsec)
 	}
 	// A symbol record is at least an empty name's length, address, size
 	// and kind: a count the remaining bytes cannot hold is a lie.
 	if nsym > 1<<20 || nsym > (len(r.data)-r.off)/minSymRecord {
-		return nil, fmt.Errorf("obj: implausible symbol count %d for %d remaining bytes", nsym, len(r.data)-r.off)
+		return nil, 0, fmt.Errorf("obj: implausible symbol count %d for %d remaining bytes", nsym, len(r.data)-r.off)
+	}
+	if keep {
+		f.Sections = make([]Section, 0, nsec)
+		f.Syms = make([]Symbol, 0, nsym)
 	}
 	for i := 0; i < nsec && r.err == nil; i++ {
 		var s Section
@@ -302,11 +325,12 @@ func Read(data []byte) (*File, error) {
 		s.Kind = SectionKind(r.u8())
 		n := int(r.u32())
 		if r.err == nil && (n < 0 || r.off+n > len(r.data)) {
-			return nil, fmt.Errorf("obj: section %q size %d overruns file", s.Name, n)
+			return nil, 0, fmt.Errorf("obj: section %d size %d overruns file", i, n)
 		}
-		s.Data = make([]byte, n)
-		r.bytes(s.Data)
-		f.Sections = append(f.Sections, s)
+		s.Data = r.take(n)
+		if keep {
+			f.Sections = append(f.Sections, s)
+		}
 	}
 	for i := 0; i < nsym && r.err == nil; i++ {
 		var s Symbol
@@ -316,17 +340,26 @@ func Read(data []byte) (*File, error) {
 		kind := r.u8()
 		s.Exported = kind&0x80 != 0
 		s.Kind = SymKind(kind & 0x7F)
-		f.Syms = append(f.Syms, s)
+		if keep {
+			f.Syms = append(f.Syms, s)
+		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
-	return f, nil
+	if !keep {
+		return nil, r.off, nil
+	}
+	out := f // only a kept File escapes: a layout walk allocates none
+	return &out, r.off, nil
 }
 
+// reader walks a file's bytes. Without keep it copies nothing out of
+// them: names read as "" and section data as nil.
 type reader struct {
 	data []byte
 	off  int
+	keep bool
 	err  error
 }
 
@@ -340,6 +373,18 @@ func (r *reader) bytes(dst []byte) {
 	}
 	copy(dst, r.data[r.off:])
 	r.off += len(dst)
+}
+
+// take returns a copy of the next n bytes, which the caller has checked
+// are there.
+func (r *reader) take(n int) []byte {
+	if !r.keep {
+		r.off += n
+		return nil
+	}
+	b := make([]byte, n)
+	r.bytes(b)
+	return b
 }
 
 func (r *reader) u8() byte {
@@ -373,7 +418,10 @@ func (r *reader) str() string {
 		r.err = fmt.Errorf("obj: truncated file at offset %d", r.off)
 		return ""
 	}
-	s := string(r.data[r.off : r.off+n])
+	s := ""
+	if r.keep {
+		s = string(r.data[r.off : r.off+n])
+	}
 	r.off += n
 	return s
 }

@@ -242,9 +242,6 @@ func (s *Server) Swap(next *Corpus) *Corpus {
 	return prev
 }
 
-// Current returns the currently installed corpus, or nil.
-func (s *Server) Current() *Corpus { return s.corpus.Load() }
-
 // Handler returns the server's HTTP routes:
 //
 //	POST /search?proc=NAME[&image=N]  query executable in the body → findings JSON

@@ -2,7 +2,6 @@ package source
 
 import (
 	"fmt"
-	"sort"
 )
 
 // PackageInfo is the result of a successful Check: symbol tables consumed
@@ -78,17 +77,6 @@ func (info *PackageInfo) declareTop(name string, pos Pos) error {
 		return &Error{pos, fmt.Sprintf("%s redeclared at top level", name)}
 	}
 	return nil
-}
-
-// SortedGlobals returns global names in a deterministic order (used by
-// layout and tests).
-func (info *PackageInfo) SortedGlobals() []string {
-	names := make([]string, 0, len(info.Globals))
-	for n := range info.Globals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 type localVar struct {

@@ -116,10 +116,8 @@ func (l *Logger) Log(lv Level, msg string, fields ...Field) {
 	_, _ = l.w.Write(b)
 }
 
-// Debug, Info, Warn and Error are Log at the respective level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.Log(LevelDebug, msg, fields...) }
+// Info and Error are Log at the respective level.
 func (l *Logger) Info(msg string, fields ...Field)  { l.Log(LevelInfo, msg, fields...) }
-func (l *Logger) Warn(msg string, fields ...Field)  { l.Log(LevelWarn, msg, fields...) }
 func (l *Logger) Error(msg string, fields ...Field) { l.Log(LevelError, msg, fields...) }
 
 const hexDigits = "0123456789abcdef"

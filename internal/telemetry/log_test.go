@@ -34,9 +34,9 @@ func TestLoggerLineFormat(t *testing.T) {
 func TestLoggerLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	l := fixedLogger(&buf, LevelWarn)
-	l.Debug("d")
+	l.Log(LevelDebug, "d")
 	l.Info("i")
-	l.Warn("w")
+	l.Log(LevelWarn, "w")
 	l.Error("e")
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -75,9 +75,7 @@ func TestLoggerNilSafety(t *testing.T) {
 		t.Error("nil logger reports enabled")
 	}
 	// Must not panic.
-	l.Debug("x")
 	l.Info("x", Int("k", 1))
-	l.Warn("x")
 	l.Error("x")
 	l.Log(LevelError, "x")
 }

@@ -16,7 +16,7 @@ func TestPromExpositionRendersAllKinds(t *testing.T) {
 	h.Observe(0)
 	h.Observe(5)
 	h.Observe(900)
-	sp := Root(r, nil).Start("search.image")
+	sp := Root(r, nil).Start("core.search")
 	sp.End()
 
 	var buf bytes.Buffer
@@ -33,8 +33,8 @@ func TestPromExpositionRendersAllKinds(t *testing.T) {
 		`firmup_serve_latency_us_bucket{le="+Inf"} 3`,
 		"firmup_serve_latency_us_sum 905\n",
 		"firmup_serve_latency_us_count 3\n",
-		"# TYPE firmup_search_image_calls_total counter\n",
-		"firmup_search_image_seconds_total ",
+		"# TYPE firmup_core_search_calls_total counter\n",
+		"firmup_core_search_seconds_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition lacks %q:\n%s", want, out)

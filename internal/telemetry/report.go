@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"time"
 )
@@ -60,28 +58,4 @@ func (rep *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// ErrBadReport reports a run report that failed validation.
-var ErrBadReport = errors.New("telemetry: invalid report")
-
-// ParseReport decodes and validates a report: the schema version must
-// match, the tool must be named, and the metrics block must be
-// present. Structural validation only — which metrics a given tool
-// must emit is the caller's contract.
-func ParseReport(data []byte) (*Report, error) {
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
-	}
-	if rep.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: schema %d, want %d", ErrBadReport, rep.Schema, SchemaVersion)
-	}
-	if rep.Tool == "" {
-		return nil, fmt.Errorf("%w: missing tool", ErrBadReport)
-	}
-	if rep.Metrics.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: metrics schema %d, want %d", ErrBadReport, rep.Metrics.Schema, SchemaVersion)
-	}
-	return &rep, nil
 }

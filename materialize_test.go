@@ -12,7 +12,7 @@ import (
 	"firmup/internal/uir"
 )
 
-// storeScenario is one generated corpus three ways: the live session's
+// storeScenario is one generated corpus three ways: the session's
 // images, the corpus sealed in RAM, and that corpus written to shards and
 // opened again — whose executables come off the mapping built from strand
 // IDs alone, their hashes derived only on demand.
@@ -75,7 +75,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 			}
 			for pi, p := range le.exe.Procs {
 				if got, want := se.ProcedureStrands(pi), le.ProcedureStrands(pi); !slices.Equal(got, want) {
-					t.Fatalf("image %d %s procedure %d: strands differ from the live session's", ii, le.Path, pi)
+					t.Fatalf("image %d %s procedure %d: strands differ from the session's", ii, le.Path, pi)
 				}
 				sp := se.exe.Procs[pi]
 				if sp.Set.Hashes != nil {
@@ -124,7 +124,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 	}
 
 	// A query from another session shares no ID space with the corpus.
-	foreign, err := NewAnalyzer(nil).LoadQueryExecutable(s.query)
+	foreign, err := NewAnalyzer(nil).AnalyzeExecutable("query", s.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestStoreBackedHashesConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := NewAnalyzer(nil).LoadQueryExecutable(s.query)
+	foreign, err := NewAnalyzer(nil).AnalyzeExecutable("query", s.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestStoreBackedHashesConcurrent(t *testing.T) {
 					e := im.Executable(oc.Path)
 					for pi := range e.exe.Procs {
 						if !slices.Equal(e.exe.Hashes(pi), s.live[ii].Exes[k].exe.Hashes(pi)) {
-							t.Errorf("image %d %s procedure %d: hashes differ from the live session's", ii, oc.Path, pi)
+							t.Errorf("image %d %s procedure %d: hashes differ from the session's", ii, oc.Path, pi)
 							return
 						}
 					}

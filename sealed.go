@@ -19,9 +19,10 @@ import (
 )
 
 // SealedCorpus is the immutable, serve-oriented form of an analysis
-// session: a frozen strand vocabulary plus every sealed image's
-// executables, re-expressed as read-only views. The query path —
-// AnalyzeQuery through SearchImage — performs no writes to the corpus:
+// session, and the only one that searches: a frozen strand vocabulary
+// plus every sealed image's executables, re-expressed as read-only views.
+// The query path — AnalyzeQuery through SearchAll — performs no writes to
+// the corpus:
 // query executables are analyzed under per-request overlay interners
 // whose private IDs sit above the frozen vocabulary, so their sets remain
 // directly comparable with sealed sets while the corpus itself is
@@ -33,12 +34,9 @@ import (
 // split into groups, contiguous ID ranges each with one inverted index.
 // A search passes over the groups that hold an executable in scope,
 // scanning, materializing and playing each (query, distinct candidate)
-// once, and fans the outcome out to every occurrence.
-//
-// A sealed corpus answers searches identically to the live session it
-// was sealed from — findings, examined counts and step histograms —
-// because both run the same pass (exeStore.search): a live image is
-// searched through a private store of one group of its own.
+// once, and fans the outcome out to every occurrence. Sealed in RAM or
+// opened from any number of shards, a corpus answers every search with
+// the same findings, examined counts and step histograms.
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
@@ -52,14 +50,13 @@ type SealedCorpus struct {
 }
 
 // sealedGroup is the unit a search pass runs over: a range of the
-// corpus's distinct executables and the one index over them. A live Image
-// is searched through a private store of one group (Analyzer.group):
-// every executable of the image, no deduplication, under the session
-// interner instead of a frozen one.
+// corpus's distinct executables and the one index over them.
 type sealedGroup struct {
 	base, n int // the group holds executables [base, base+n) of its store
-	// index covers the group's executables, numbered from 0. Whatever the
-	// group's kind, it is built on first search (ensureIndex), guarded by
+	// frozen is the corpus vocabulary the executables are bound to.
+	frozen *corpusindex.Frozen
+	// index covers the group's executables, numbered from 0. In RAM or
+	// store-backed, it is built on first search (ensureIndex), guarded by
 	// idxOnce.
 	index *corpusindex.FrozenIndex
 	tel   *corpusindex.Telemetry
@@ -68,15 +65,12 @@ type sealedGroup struct {
 	game *core.Telemetry
 	// exes are the executables of an in-RAM group. Sealed ones carry no
 	// path: findings take theirs from the occurrence.
-	exes  []*sim.Exe
-	it    strand.Interner
-	bound int // it.Size() when the group was made
+	exes []*sim.Exe
 
 	// Store-backed state (nil/zero for an in-RAM group): the shard, and
 	// one materialize-once slot per executable.
 	shard   *snapshot.CorpusShard
 	path    string
-	frozen  *corpusindex.Frozen
 	lazy    []lazyExe
 	idxOnce sync.Once
 	idxErr  error
@@ -110,6 +104,112 @@ func (im *SealedImage) Executable(path string) *Executable {
 		}
 	}
 	return nil
+}
+
+// Options tune the search engine. The zero value selects the defaults
+// used throughout the evaluation.
+type Options struct {
+	// MinScore is the minimum number of shared canonical strands for a
+	// detection (default 8).
+	MinScore int
+	// MinRatio is the minimum fraction of the query's strands that must
+	// be shared (default 0.42).
+	MinRatio float64
+	// MaxGameSteps caps back-and-forth iterations (default 64).
+	MaxGameSteps int
+	// Workers bounds search parallelism (default GOMAXPROCS).
+	Workers int
+	// Exhaustive disables the corpus-index prefilter for this search:
+	// every executable in scope is examined. Findings are identical; only
+	// the work done differs.
+	Exhaustive bool
+	// Span, when set, is the span the search runs under: the search
+	// layers open theirs (shard fan-out, store materialization, core
+	// search) as its children, each feeding the stage of its name in the
+	// span's registry and, under a sampled request, the request's tree.
+	// Purely observational — findings are byte-identical with and without
+	// it. The zero Span records nothing at zero cost.
+	Span telemetry.Span
+}
+
+func (o *Options) span() telemetry.Span {
+	if o == nil {
+		return telemetry.Span{}
+	}
+	return o.Span
+}
+
+func (o *Options) search() *core.SearchOptions {
+	s := &core.SearchOptions{MinScore: 8, MinRatio: 0.42}
+	if o != nil {
+		if o.MinScore > 0 {
+			s.MinScore = o.MinScore
+		}
+		if o.MinRatio > 0 {
+			s.MinRatio = o.MinRatio
+		}
+		if o.MaxGameSteps > 0 {
+			s.Game.MaxSteps = o.MaxGameSteps
+		}
+		if o.Workers > 0 {
+			s.Workers = o.Workers
+		}
+	}
+	return s
+}
+
+// Finding reports one detection of the query procedure. The JSON field
+// names are part of the firmupd response schema.
+type Finding struct {
+	// ExePath locates the containing executable within the image.
+	ExePath string `json:"exe_path"`
+	// ProcName is the matched procedure's recovered name (sub_<addr> in
+	// stripped binaries).
+	ProcName string `json:"proc_name"`
+	// ProcAddr is its entry address — the "exact location" the paper's
+	// stripped-search findings provide.
+	ProcAddr uint32 `json:"proc_addr"`
+	// Score is Sim(query, match): the number of shared canonical strands.
+	Score int `json:"score"`
+	// Confidence is Score over the query's strand count.
+	Confidence float64 `json:"confidence"`
+	// GameSteps is the number of back-and-forth iterations needed.
+	GameSteps int `json:"game_steps"`
+}
+
+// SearchResult pairs an image search's findings with its accounting.
+type SearchResult struct {
+	Findings []Finding
+	// Examined is the number of executables the search considered — every
+	// executable the corpus-index prefilter kept, usually well below the
+	// image's executable count; a game is played against those of them that hold a
+	// procedure the search could accept.
+	Examined int
+	// StepsHistogram counts accepted findings by game steps needed.
+	StepsHistogram map[int]int
+}
+
+// BatchQuery names one query procedure of a batched search.
+type BatchQuery struct {
+	// Query is the analyzed query executable.
+	Query *Executable
+	// Procedure is the query procedure's name within it.
+	Procedure string
+}
+
+// coreBatch resolves the facade batch queries to core form, rejecting
+// unknown procedure names with the same error the sequential path
+// reports.
+func coreBatch(queries []BatchQuery) ([]core.BatchQuery, error) {
+	out := make([]core.BatchQuery, len(queries))
+	for i, bq := range queries {
+		qi := bq.Query.exe.ProcByName(bq.Procedure)
+		if qi < 0 {
+			return nil, fmt.Errorf("firmup: query executable has no procedure %q", bq.Procedure)
+		}
+		out[i] = core.BatchQuery{Q: bq.Query.exe, QI: qi}
+	}
+	return out, nil
 }
 
 // exeStore is a corpus's distinct executables, numbered from 0 and split
@@ -208,18 +308,18 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 }
 
 // Seal freezes the session's current state into an immutable corpus
-// over the given images. The live Analyzer and its images stay fully
-// usable afterwards — Seal copies what it must (procedure headers) and
-// shares what is already final (hash and ID slices, CSR rows) — so
-// sealing is cheap while the sealed corpus aliases no mutable session
-// state. The corpus is indexed on its first search, not here.
+// over the given images: the corpus that searches them. The Analyzer and
+// its images stay fully usable afterwards — Seal copies what it must
+// (procedure headers) and shares what is already final (hash and ID
+// slices, CSR rows) — so sealing is cheap while the sealed corpus aliases
+// no mutable session state. The corpus is indexed on its first search, not here.
 //
 // Every image must have been analyzed (or loaded) under this session;
 // an executable from another session has incomparable dense IDs and is
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	frozen := a.interner.Freeze()
-	g := &sealedGroup{it: frozen, bound: frozen.Size()}
+	g := &sealedGroup{frozen: frozen}
 	sc := &SealedCorpus{frozen: frozen, groups: exeStore{g}}
 	dedup := newExeDedup()
 	for ii, img := range images {
@@ -255,8 +355,8 @@ func (sc *SealedCorpus) Images() []*SealedImage { return sc.images }
 // UniqueStrands reports the frozen vocabulary size.
 func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 
-// SetTelemetry attaches the corpus to a registry under the live
-// session's names. Every group index records the prefilter:
+// SetTelemetry attaches the corpus to a registry under the session's
+// names. Every group index records the prefilter:
 // index.queries / index.fallbacks / index.fanout for every candidate
 // query — one per (query, group), counting distinct candidate
 // executables — and every search pass the game engine's game.*,
@@ -274,6 +374,42 @@ func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	for _, g := range sc.groups {
 		g.tel = tel
 		g.game = game
+	}
+}
+
+// newIndexTelemetry is the prefilter handle set: index.* for every
+// candidate query. nil on a nil registry.
+func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
+	if r == nil {
+		return nil
+	}
+	return &corpusindex.Telemetry{
+		Queries:   r.Counter("index.queries"),
+		Fallbacks: r.Counter("index.fallbacks"),
+		Fanout:    r.Histogram("index.fanout"),
+	}
+}
+
+// newCoreTelemetry is the game engine's handle set a sealed corpus's
+// search passes record into. nil on a nil registry.
+func newCoreTelemetry(r *telemetry.Registry) *core.Telemetry {
+	if r == nil {
+		return nil
+	}
+	return &core.Telemetry{
+		Games:                 r.Counter("game.played"),
+		Unplayed:              r.Counter("game.unplayed"),
+		Cut:                   r.Counter("game.cut"),
+		Steps:                 r.Histogram("game.steps"),
+		AcceptedSteps:         r.Histogram("game.steps.accepted"),
+		MatcherHits:           r.Counter("game.matcher_hits"),
+		MatcherMisses:         r.Counter("game.matcher_misses"),
+		Searches:              r.Counter("search.runs"),
+		PrefilterKept:         r.Counter("search.targets_kept"),
+		PrefilterSkipped:      r.Counter("search.targets_skipped"),
+		BatchSearches:         r.Counter("batch.searches"),
+		BatchSharedGames:      r.Counter("batch.shared_games"),
+		BatchQueriesPerTarget: r.Histogram("batch.queries_per_target"),
 	}
 }
 
@@ -339,12 +475,12 @@ var scansPool = sync.Pool{New: func() any { return new(corpusindex.Scans) }}
 // (any longer) available (see core.PlayBatch).
 type passStats struct{ games, unplayed, cut int }
 
-// search is the one search pass there is, for a sealed corpus and a live
-// image alike: every query against the distinct executables that occur
-// in imgs — all of the corpus's for a corpus-wide search, one image's for
-// a per-image search — each (query, executable) materialized and played
-// once, by the group that holds it, and the outcome fanned out to the
-// occurrences of imgs, timed under parent. Only the groups holding an
+// search is the one search pass there is: every query against the
+// distinct executables that occur in imgs — all of the corpus's for a
+// corpus-wide search, one image's for a per-image search — each (query,
+// executable) materialized and played once, by the group that holds it,
+// and the outcome fanned out to the occurrences of imgs, timed under
+// parent. Only the groups holding an
 // executable in scope take part; a store of several runs them in
 // parallel, each under its own "corpus.shard" span — shard index,
 // executable count, the (query, executable) games it planned, the
@@ -477,7 +613,7 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 // per-procedure counts behind it are each game's first similarity
 // vector, from which the game engine also reads off whether a candidate
 // can be accepted at all. Exhaustive searches and queries the index
-// cannot narrow (not analyzed under this corpus or session) examine every
+// cannot narrow (not analyzed under this corpus) examine every
 // executable in scope, the game engine accumulating its own vectors. The
 // acceptance floors are baked into the lists, so the narrowing stays
 // sound (see FrozenIndex.Scan).
@@ -545,22 +681,9 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options
 
 // SearchImageDetailed looks for the query executable's procedure in
 // every executable of one sealed image, with the search accounting
-// exposed.
+// exposed: one pass over the groups that hold the image's executables.
 func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string, img *SealedImage, opt *Options) (*SearchResult, error) {
-	res, err := sc.SearchBatch([]BatchQuery{{Query: query, Procedure: procedure}}, img, opt)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// SearchBatch looks for every batch query in one sealed image in a
-// single batched game-engine pass (see Analyzer.SearchBatch) over the
-// groups that hold the image's executables. Results align with queries
-// and are byte-identical to per-query SearchImageDetailed calls against
-// this sealed image.
-func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt *Options) ([]*SearchResult, error) {
-	cqs, err := coreBatch(queries)
+	cqs, err := coreBatch([]BatchQuery{{Query: query, Procedure: procedure}})
 	if err != nil {
 		return nil, err
 	}
@@ -568,17 +691,7 @@ func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt 
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
-}
-
-// SearchImage looks for the query executable's procedure in every
-// executable of one sealed image.
-func (sc *SealedCorpus) SearchImage(query *Executable, procedure string, img *SealedImage, opt *Options) ([]Finding, error) {
-	res, err := sc.SearchImageDetailed(query, procedure, img, opt)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
+	return res[0][0], nil
 }
 
 // ImageFindings is one sealed image's outcome of a corpus-wide search.
@@ -632,24 +745,93 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 }
 
 // MatchProcedure runs the back-and-forth game for one query procedure
-// against a single sealed executable.
+// against a single sealed executable, returning the finding (nil when
+// the target does not appear to contain the procedure) and the number of
+// game steps played.
 func (sc *SealedCorpus) MatchProcedure(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, int, error) {
-	f, r, err := matchTracedCore(nil, query, procedure, target, opt, false)
+	f, r, err := matchTraced(query, procedure, target, opt, false)
 	if err != nil {
 		return nil, 0, err
 	}
 	return f, r.Steps, nil
 }
 
+// TraceStep is one player/rival exchange of a recorded game course
+// (Table 1 of the paper).
+type TraceStep struct {
+	Actor   string `json:"actor"` // "player" or "rival"
+	Text    string `json:"text"`
+	Matches string `json:"matches"`
+}
+
+// GameTrace is the full course of one back-and-forth game in a
+// JSON-encodable form: the outcome plus every recorded exchange.
+type GameTrace struct {
+	// Target is the matched procedure's index in the target executable,
+	// or -1 when the game produced no match.
+	Target int `json:"target"`
+	// Score is Sim(query, Target); 0 without a match.
+	Score int `json:"score"`
+	// Steps counts game iterations (1 = the first pick already agreed).
+	Steps int `json:"steps"`
+	// MatchedPairs is the partial matching built along the way as
+	// (query procedure index, target procedure index) pairs.
+	MatchedPairs [][2]int `json:"matched_pairs,omitempty"`
+	// Reason is the game's end reason: "matched", "no-candidate",
+	// "stuck", "step-limit" or "match-limit".
+	Reason string `json:"reason"`
+	// Trace is the recorded game course.
+	Trace []TraceStep `json:"trace,omitempty"`
+}
+
 // MatchProcedureTraced is MatchProcedure with the full game course
-// recorded, for sealed targets. Traces are identical to the live
-// session's for the same query/target pair.
+// recorded and returned as a JSON-encodable trace.
 func (sc *SealedCorpus) MatchProcedureTraced(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, *GameTrace, error) {
-	f, r, err := matchTracedCore(nil, query, procedure, target, opt, true)
+	f, r, err := matchTraced(query, procedure, target, opt, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	return f, traceFromResult(r), nil
+}
+
+// traceFromResult converts a game result into its JSON-encodable trace.
+func traceFromResult(r core.Result) *GameTrace {
+	gt := &GameTrace{
+		Target:       r.Target,
+		Score:        r.Score,
+		Steps:        r.Steps,
+		MatchedPairs: r.MatchedPairs,
+		Reason:       r.Reason.String(),
+	}
+	for _, ts := range r.Trace {
+		gt.Trace = append(gt.Trace, TraceStep{Actor: ts.Actor, Text: ts.Text, Matches: ts.Matches})
+	}
+	return gt
+}
+
+// matchTraced is the MatchProcedure body; recordTrace selects whether
+// the game course is captured.
+func matchTraced(query *Executable, procedure string, target *Executable, opt *Options, recordTrace bool) (*Finding, core.Result, error) {
+	qi := query.exe.ProcByName(procedure)
+	if qi < 0 {
+		return nil, core.Result{}, fmt.Errorf("firmup: query executable has no procedure %q", procedure)
+	}
+	s := opt.search()
+	s.Game.RecordTrace = recordTrace
+	f, r := core.MatchOne(query.exe, qi, target.exe, s)
+	if f == nil {
+		return nil, r, nil
+	}
+	// A sealed target's path belongs to the occurrence, not the shared
+	// executable under it.
+	return &Finding{
+		ExePath:    target.Path,
+		ProcName:   f.ProcName,
+		ProcAddr:   f.ProcAddr,
+		Score:      f.Score,
+		Confidence: f.Ratio,
+		GameSteps:  f.Steps,
+	}, r, nil
 }
 
 // exeToModel serializes one sealed executable into the snapshot model.

@@ -170,7 +170,7 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 func (g *sealedGroup) ensureIndex() error {
 	g.idxOnce.Do(func() {
 		if g.shard == nil {
-			g.index = corpusindex.NewFrozenIndex(g.it, g.bound, g.exes)
+			g.index = corpusindex.NewFrozenIndex(g.frozen, g.frozen.Size(), g.exes)
 			g.index.SetTelemetry(g.tel)
 			return
 		}

@@ -26,35 +26,28 @@ var sealedTestQueries = []struct {
 	{"CVE-2013-1944", uir.ArchARM32},
 }
 
-// sealedScenario analyzes every image of a generated corpus under one
-// live session and seals it, returning both forms plus the raw query
-// bytes for the given CVE so the two paths can be compared.
-type sealedScenario struct {
-	analyzer *firmup.Analyzer
-	live     []*firmup.Image
-	sealed   *firmup.SealedCorpus
-}
-
-func buildSealedScenario(t *testing.T, sc corpus.Scale) *sealedScenario {
+// buildSealed analyzes every image of a generated corpus under one
+// session and seals it.
+func buildSealed(t *testing.T, scale corpus.Scale) *firmup.SealedCorpus {
 	t.Helper()
-	c, err := corpus.Build(sc)
+	c, err := corpus.Build(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := firmup.NewAnalyzer(nil)
-	s := &sealedScenario{analyzer: a}
+	var imgs []*firmup.Image
 	for _, bi := range c.Images {
 		img, err := a.OpenImage(bi.Image.Pack(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.live = append(s.live, img)
+		imgs = append(imgs, img)
 	}
-	s.sealed, err = a.Seal(s.live...)
+	sc, err := a.Seal(imgs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return sc
 }
 
 // queryBytesFor compiles the analyst-side query executable for one CVE.
@@ -67,139 +60,21 @@ func queryBytesFor(t *testing.T, cve *corpus.CVE, arch uir.Arch) []byte {
 	return qf.Bytes()
 }
 
-// TestSealedEquivalence is the tentpole soundness test: over randomized
-// corpora, a sealed corpus must answer every search identically to the
-// live session it was sealed from — findings, examined counts and step
-// histograms deep-equal, across option variants including the
-// exhaustive (prefilter-off) path.
-func TestSealedEquivalence(t *testing.T) {
-	queries := []struct {
-		cveID string
-		arch  uir.Arch
-	}{
-		{"CVE-2014-4877", uir.ArchMIPS32},
-		{"CVE-2013-1944", uir.ArchARM32},
-	}
-	for _, seed := range []uint64{1, 9} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: seed})
-			for _, q := range queries {
-				cve := corpus.CVEByID(q.cveID)
-				if cve == nil {
-					t.Fatalf("unknown CVE %s", q.cveID)
-				}
-				qb := queryBytesFor(t, cve, q.arch)
-				// The live query interns novel strands into the (still
-				// mutable) session after sealing; the sealed query runs
-				// under a request-private overlay. Results must agree.
-				liveQ, err := s.analyzer.LoadQueryExecutable(qb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sealedQ, err := s.sealed.AnalyzeQuery(qb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := []*firmup.Options{
-					nil,
-					{MinScore: 3, MinRatio: 0.2},
-					{Exhaustive: true},
-				}
-				total := 0
-				for oi, opt := range opts {
-					for i, img := range s.live {
-						liveRes, err := s.analyzer.SearchImageDetailed(liveQ, cve.Procedure, img, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sealedRes, err := s.sealed.SearchImageDetailed(sealedQ, cve.Procedure, s.sealed.Images()[i], opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(liveRes, sealedRes) {
-							t.Errorf("%s opt[%d] image %d: sealed result diverges:\nlive:   %+v\nsealed: %+v",
-								cve.ID, oi, i, liveRes, sealedRes)
-						}
-						total += len(liveRes.Findings)
-					}
-				}
-				if total == 0 {
-					t.Errorf("%s: no findings in any image under any options; equivalence vacuous", cve.ID)
-				}
-			}
-		})
-	}
-}
-
-// TestSealedTracedEquivalence pins the strongest form of equivalence:
-// the full game course against a single target is step-for-step
-// identical between the live and sealed paths.
-func TestSealedTracedEquivalence(t *testing.T) {
-	s := buildSealedScenario(t, corpus.DefaultScale())
-	cve := corpus.CVEByID("CVE-2014-4877")
-	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
-	liveQ, err := s.analyzer.LoadQueryExecutable(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealedQ, err := s.sealed.AnalyzeQuery(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compared := 0
-	for i, img := range s.live {
-		findings, err := s.analyzer.SearchImage(liveQ, cve.Procedure, img, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range findings {
-			var liveT *firmup.Executable
-			for _, e := range img.Exes {
-				if e.Path == f.ExePath {
-					liveT = e
-				}
-			}
-			sealedT := s.sealed.Images()[i].Executable(f.ExePath)
-			if liveT == nil || sealedT == nil {
-				t.Fatalf("finding in %s but executable missing from an image form", f.ExePath)
-			}
-			lf, lt, err := s.analyzer.MatchProcedureTraced(liveQ, cve.Procedure, liveT, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sf, st, err := s.sealed.MatchProcedureTraced(sealedQ, cve.Procedure, sealedT, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(lf, sf) {
-				t.Errorf("image %d %s: finding diverges:\nlive:   %+v\nsealed: %+v", i, f.ExePath, lf, sf)
-			}
-			if !reflect.DeepEqual(lt, st) {
-				t.Errorf("image %d %s: game trace diverges:\nlive:   %+v\nsealed: %+v", i, f.ExePath, lt, st)
-			}
-			compared++
-		}
-	}
-	if compared == 0 {
-		t.Fatal("no findings to trace; equivalence vacuous")
-	}
-}
-
 // TestSealedConcurrentReaders hammers one sealed corpus from many
 // goroutines, each running its own query analysis and corpus-wide
 // search; every result must equal the serial baseline. Run under -race
 // this doubles as the proof that the query path performs no writes to
 // shared corpus state.
 func TestSealedConcurrentReaders(t *testing.T) {
-	s := buildSealedScenario(t, corpus.DefaultScale())
+	s := buildSealed(t, corpus.DefaultScale())
 	cve := corpus.CVEByID("CVE-2014-4877")
 	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
 
-	baseQ, err := s.sealed.AnalyzeQuery(qb)
+	baseQ, err := s.AnalyzeQuery(qb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := s.sealed.SearchAll(baseQ, cve.Procedure, nil)
+	baseline, err := s.SearchAll(baseQ, cve.Procedure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +88,12 @@ func TestSealedConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				q, err := s.sealed.AnalyzeQuery(qb)
+				q, err := s.AnalyzeQuery(qb)
 				if err != nil {
 					errs <- err
 					return
 				}
-				got, err := s.sealed.SearchAll(q, cve.Procedure, nil)
+				got, err := s.SearchAll(q, cve.Procedure, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -238,12 +113,12 @@ func TestSealedConcurrentReaders(t *testing.T) {
 }
 
 // TestSealedCorpusSaveLoadRoundTrip writes a sealed corpus as a
-// one-shard directory and reopens it with no live session; the opened
+// one-shard directory and reopens it with no analyzer session; the opened
 // corpus must carry identical metadata and answer searches identically.
 func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
-	s := buildSealedScenario(t, corpus.DefaultScale())
+	s := buildSealed(t, corpus.DefaultScale())
 	dir := t.TempDir()
-	if _, err := s.sealed.WriteShards(dir, 1); err != nil {
+	if _, err := s.WriteShards(dir, 1); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := firmup.OpenSealedCorpus(dir)
@@ -251,21 +126,21 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if got, want := loaded.UniqueStrands(), s.sealed.UniqueStrands(); got != want {
+	if got, want := loaded.UniqueStrands(), s.UniqueStrands(); got != want {
 		t.Errorf("unique strands: loaded %d, sealed %d", got, want)
 	}
-	if got, want := loaded.Executables(), s.sealed.Executables(); got != want {
+	if got, want := loaded.Executables(), s.Executables(); got != want {
 		t.Errorf("executables: loaded %d, sealed %d", got, want)
 	}
 	// One shard spans every image, so it stores exactly the corpus-wide
 	// distinct executables.
-	if got, want := loaded.UniqueExecutables(), s.sealed.UniqueExecutables(); got != want {
+	if got, want := loaded.UniqueExecutables(), s.UniqueExecutables(); got != want {
 		t.Errorf("unique executables: loaded %d, sealed %d", got, want)
 	}
-	if got, want := len(loaded.Images()), len(s.sealed.Images()); got != want {
+	if got, want := len(loaded.Images()), len(s.Images()); got != want {
 		t.Fatalf("images: loaded %d, sealed %d", got, want)
 	}
-	for i, im := range s.sealed.Images() {
+	for i, im := range s.Images() {
 		lm := loaded.Images()[i]
 		if lm.Vendor != im.Vendor || lm.Device != im.Device || lm.Version != im.Version {
 			t.Errorf("image %d identity: loaded %s/%s/%s, sealed %s/%s/%s",
@@ -278,7 +153,7 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 
 	cve := corpus.CVEByID("CVE-2014-4877")
 	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
-	sq, err := s.sealed.AnalyzeQuery(qb)
+	sq, err := s.AnalyzeQuery(qb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +161,7 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.sealed.SearchAll(sq, cve.Procedure, nil)
+	want, err := s.SearchAll(sq, cve.Procedure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +180,8 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 // an error wrapping ErrCorpusCorrupt, never a panic or a silently
 // wrong corpus. Only the zero padding between sections is uncovered.
 func TestSealedCorpusCorruption(t *testing.T) {
-	s := buildSealedScenario(t, corpus.DefaultScale())
-	paths, err := s.sealed.WriteShards(t.TempDir(), 1)
+	s := buildSealed(t, corpus.DefaultScale())
+	paths, err := s.WriteShards(t.TempDir(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,22 +270,11 @@ func TestSealForeignSessionRejected(t *testing.T) {
 	}
 }
 
-// TestSealedUnknownProcedure mirrors the live error contract.
+// TestSealedUnknownProcedure pins the sealed corpus's error contract: a
+// search for a procedure the query lacks fails, and so does analysing
+// bytes that are no executable.
 func TestSealedUnknownProcedure(t *testing.T) {
-	imgBytes, queryBytes, _ := buildScenario(t)
-	a := firmup.NewAnalyzer(nil)
-	img, err := a.OpenImage(imgBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := a.Seal(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sc.AnalyzeQuery(queryBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sc, q := sealScenario(t)
 	if _, err := sc.SearchAll(q, "no_such_procedure", nil); err == nil {
 		t.Error("unknown procedure must fail")
 	}
@@ -438,7 +302,7 @@ func heapInUse() uint64 {
 // this ratio holds — an Executable that pinned its recovered CFG
 // retained 50x.
 func TestAnalyzedQueryFootprint(t *testing.T) {
-	s := buildSealedScenario(t, corpus.DefaultScale())
+	s := buildSealed(t, corpus.DefaultScale())
 	var bodies [][]byte
 	total := 0
 	for ci := range corpus.CVEs {
@@ -452,12 +316,12 @@ func TestAnalyzedQueryFootprint(t *testing.T) {
 	before := heapInUse()
 	for i, b := range bodies {
 		var err error
-		if exes[i], err = s.sealed.AnalyzeQueryWith("query", b, 1); err != nil {
+		if exes[i], err = s.AnalyzeQueryWith("query", b, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, e := range exes {
-		if _, err := s.sealed.SearchAll(e, corpus.CVEs[i/4].Procedure, nil); err != nil {
+		if _, err := s.SearchAll(e, corpus.CVEs[i/4].Procedure, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -480,10 +344,10 @@ func TestAnalyzedQueryFootprint(t *testing.T) {
 // index.queries is queries × groups — one group in RAM, one per shard
 // store-backed.
 func TestSinglePrefilterEvaluation(t *testing.T) {
-	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
+	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
 	shardDir := t.TempDir()
 	const nShards = 3
-	if _, err := s.sealed.WriteShards(shardDir, nShards); err != nil {
+	if _, err := s.WriteShards(shardDir, nShards); err != nil {
 		t.Fatal(err)
 	}
 	store, err := firmup.OpenSealedCorpusDir(shardDir)
@@ -496,7 +360,7 @@ func TestSinglePrefilterEvaluation(t *testing.T) {
 		name string
 		sc   *firmup.SealedCorpus
 		n    int64
-	}{{"sealed", s.sealed, 1}, {"store", store, nShards}} {
+	}{{"sealed", s, 1}, {"store", store, nShards}} {
 		reg := telemetry.New()
 		form.sc.SetTelemetry(reg)
 		var batch []firmup.BatchQuery

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -27,17 +28,17 @@ import (
 // histograms, across sequential, batched and exhaustive paths, and
 // under concurrent readers (exercised with -race in CI).
 func TestShardedCorpusEquivalence(t *testing.T) {
-	s := buildSealedScenario(t, corpus.DefaultScale())
+	s := buildSealed(t, corpus.DefaultScale())
 	cve := corpus.CVEByID("CVE-2014-4877")
 	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
 	cve2 := corpus.CVEByID("CVE-2013-1944")
 	qb2 := queryBytesFor(t, cve2, uir.ArchARM32)
 
-	baseQ, err := s.sealed.AnalyzeQuery(qb)
+	baseQ, err := s.AnalyzeQuery(qb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseQ2, err := s.sealed.AnalyzeQuery(qb2)
+	baseQ2, err := s.AnalyzeQuery(qb2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 	var want []baseline
 	total := 0
 	for _, opt := range opts {
-		all, err := s.sealed.SearchAll(baseQ, cve.Procedure, opt)
+		all, err := s.SearchAll(baseQ, cve.Procedure, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := s.sealed.SearchAllBatch([]firmup.BatchQuery{
+		batch, err := s.SearchAllBatch([]firmup.BatchQuery{
 			{Query: baseQ, Procedure: cve.Procedure},
 			{Query: baseQ2, Procedure: cve2.Procedure},
 		}, opt)
@@ -72,7 +73,7 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 	for _, nShards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
 			dir := t.TempDir()
-			paths, err := s.sealed.WriteShards(dir, nShards)
+			paths, err := s.WriteShards(dir, nShards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,9 +88,9 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 			if got := len(sc.Shards()); got != nShards {
 				t.Errorf("Shards() reports %d shards, want %d", got, nShards)
 			}
-			if sc.Executables() != s.sealed.Executables() || sc.UniqueStrands() != s.sealed.UniqueStrands() {
+			if sc.Executables() != s.Executables() || sc.UniqueStrands() != s.UniqueStrands() {
 				t.Errorf("corpus shape diverges: %d/%d executables, %d/%d strands",
-					sc.Executables(), s.sealed.Executables(), sc.UniqueStrands(), s.sealed.UniqueStrands())
+					sc.Executables(), s.Executables(), sc.UniqueStrands(), s.UniqueStrands())
 			}
 
 			q, err := sc.AnalyzeQuery(qb)
@@ -124,7 +125,7 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					baseRes, err := s.sealed.SearchImageDetailed(baseQ, cve.Procedure, s.sealed.Images()[i], opt)
+					baseRes, err := s.SearchImageDetailed(baseQ, cve.Procedure, s.Images()[i], opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -169,26 +170,26 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 // and a multi-shard member opened as a lone file is rejected with a
 // pointer to the directory form.
 func TestOpenSealedCorpusForms(t *testing.T) {
-	s := buildSealedScenario(t, corpus.DefaultScale())
+	s := buildSealed(t, corpus.DefaultScale())
 	cve := corpus.CVEByID("CVE-2014-4877")
 	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
-	baseQ, err := s.sealed.AnalyzeQuery(qb)
+	baseQ, err := s.AnalyzeQuery(qb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.sealed.SearchAll(baseQ, cve.Procedure, nil)
+	want, err := s.SearchAll(baseQ, cve.Procedure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	oneDir := filepath.Join(dir, "one")
-	onePaths, err := s.sealed.WriteShards(oneDir, 1)
+	onePaths, err := s.WriteShards(oneDir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	manyDir := filepath.Join(dir, "many")
-	manyPaths, err := s.sealed.WriteShards(manyDir, 3)
+	manyPaths, err := s.WriteShards(manyDir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +324,9 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 // directory must fail the directory open with ErrCorrupt naming that
 // file.
 func TestOpenSealedCorpusDirMixed(t *testing.T) {
-	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 1, MaxReleases: 1, Seed: 5})
+	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 1, MaxReleases: 1, Seed: 5})
 	dir := t.TempDir()
-	if _, err := s.sealed.WriteShards(dir, 2); err != nil {
+	if _, err := s.WriteShards(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	stray := filepath.Join(dir, "old-corpus.fwcorp")
@@ -346,13 +347,13 @@ func TestOpenSealedCorpusDirMixed(t *testing.T) {
 // scheduling order into the artifacts), and every shard carries the one
 // shard container version.
 func TestWriteShardsDeterminism(t *testing.T) {
-	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 1, Seed: 7})
+	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 1, Seed: 7})
 	dir := t.TempDir()
-	runA, err := s.sealed.WriteShards(filepath.Join(dir, "a"), 5)
+	runA, err := s.WriteShards(filepath.Join(dir, "a"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runB, err := s.sealed.WriteShards(filepath.Join(dir, "b"), 5)
+	runB, err := s.WriteShards(filepath.Join(dir, "b"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,18 +378,20 @@ func TestWriteShardsDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardDedupEquivalence is the dedup ≡ no-dedup soundness test: the live
-// session analyses, indexes and plays every copy of an executable on its
-// own; a sealed corpus stores, scans and plays each distinct one once —
-// however many shards it is split into — and fans the outcome out. Over a corpus with forced
-// duplicates — the same bytes twice in one image under two paths, again
-// in the next image, again in the last one (another shard once there are
-// several) — and two near-duplicates that must not merge (one
-// procedure's address moved, one procedure's markers changed), every
-// (query, image) result of the in-RAM sealed corpus and of shard sets of
-// 1, 3 and 8 — single and batched, corpus-wide and per image, under
-// default, relaxed-floor and exhaustive options — must deep-equal the
-// live session's: findings, examined counts and step histograms.
+// TestShardDedupEquivalence is the dedup soundness test: a sealed corpus
+// stores, scans and plays each distinct executable once — however many
+// shards it is split into — and fans the outcome out. Over a corpus with
+// forced duplicates — the same bytes twice in one image under two paths,
+// again in the next image, again in the last one (another shard once
+// there are several) — and two near-duplicates that must not merge (one
+// procedure's address moved, one procedure's markers changed):
+//   - the copies merge and the near-duplicates do not;
+//   - every image's findings, under default, relaxed-floor and exhaustive
+//     options, are exactly those a game against each of its occurrences
+//     alone accepts, and an exhaustive search examines every occurrence;
+//   - every (query, image) result of shard sets of 1, 3 and 8 — single
+//     and batched, corpus-wide and per image — deep-equals the in-RAM
+//     corpus's, and the shard passes plan the games it plans.
 func TestShardDedupEquivalence(t *testing.T) {
 	built, err := corpus.Build(corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 4})
 	if err != nil {
@@ -406,35 +409,33 @@ func TestShardDedupEquivalence(t *testing.T) {
 	// forced copy then carries a finding, so a fan-out that dropped or
 	// mis-stamped one would show.
 	plain := firmup.NewAnalyzer(nil)
-	plainQ, err := plain.LoadQueryExecutable(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var plainImgs []*firmup.Image
-	donorImg, donorPath := -1, ""
-	for i, bi := range built.Images {
+	for _, bi := range built.Images {
 		img, err := plain.OpenImage(bi.Image.Pack(true))
 		if err != nil {
 			t.Fatal(err)
 		}
 		plainImgs = append(plainImgs, img)
-		if donorImg < 0 && i+1 < len(built.Images)-1 {
-			fs, err := plain.SearchImage(plainQ, cve.Procedure, img, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fs) > 0 {
-				donorImg, donorPath = i, fs[0].ExePath
-			}
-		}
-	}
-	if donorImg < 0 {
-		t.Fatal("no image carries the query procedure; equivalence would be vacuous")
 	}
 	plainSealed, err := plain.Seal(plainImgs...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plainAll, err := plainSealed.SearchAll(mustSealedQuery(t, plainSealed, qb), cve.Procedure, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donorImg := -1
+	var donorHit firmup.Finding
+	for i := 0; i+1 < len(built.Images)-1 && donorImg < 0; i++ {
+		if fs := plainAll[i].Findings; len(fs) > 0 {
+			donorImg, donorHit = i, fs[0]
+		}
+	}
+	if donorImg < 0 {
+		t.Fatal("no image carries the query procedure; equivalence would be vacuous")
+	}
+	donorPath := donorHit.ExePath
 	var donor []byte
 	for _, fe := range built.Images[donorImg].Image.Files {
 		if fe.Path == donorPath {
@@ -445,7 +446,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 	copies := map[int][]string{donorImg: {"dup/twice"}, donorImg + 1: {"dup/next-image"}, last: {"dup/last-image"}}
 
 	a := firmup.NewAnalyzer(nil)
-	var live []*firmup.Image
+	var imgs []*firmup.Image
 	for i, bi := range built.Images {
 		im := *bi.Image
 		im.Files = append([]image.FileEntry(nil), im.Files...)
@@ -456,26 +457,13 @@ func TestShardDedupEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, img)
+		imgs = append(imgs, img)
 	}
-	src := live[donorImg].Executable(donorPath)
-	hit, ok := src.Procedure(cve.Procedure)
-	if !ok {
-		// Stripped donor: the matched procedure is the one the finding named.
-		fs, err := a.SearchImage(mustQuery(t, a, qb), cve.Procedure, live[donorImg], nil)
-		if err != nil || len(fs) == 0 {
-			t.Fatalf("donor search: %v, %d findings", err, len(fs))
-		}
-		for _, p := range src.Procedures() {
-			if p.Addr == fs[0].ProcAddr {
-				hit = p
-			}
-		}
-	}
+	src := imgs[donorImg].Executable(donorPath)
 	edit := func(f func(*sim.Proc)) func([]*sim.Proc) {
 		return func(procs []*sim.Proc) {
 			for _, p := range procs {
-				if p.Addr == hit.Addr {
+				if p.Addr == donorHit.ProcAddr {
 					f(p)
 					return
 				}
@@ -483,8 +471,8 @@ func TestShardDedupEquivalence(t *testing.T) {
 			t.Fatal("donor procedure not found in its copy")
 		}
 	}
-	a.AddVariant(live[donorImg], src, "near/addr", edit(func(p *sim.Proc) { p.Addr += 0x40 }))
-	a.AddVariant(live[donorImg], src, "near/markers", edit(func(p *sim.Proc) {
+	firmup.AddVariant(imgs[donorImg], src, "near/addr", edit(func(p *sim.Proc) { p.Addr += 0x40 }))
+	firmup.AddVariant(imgs[donorImg], src, "near/markers", edit(func(p *sim.Proc) {
 		if len(p.Markers) == 0 {
 			t.Fatal("donor procedure has no markers to change")
 		}
@@ -495,7 +483,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 		p.Markers = shifted
 	}))
 
-	sealed, err := a.Seal(live...)
+	sealed, err := a.Seal(imgs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,34 +495,23 @@ func TestShardDedupEquivalence(t *testing.T) {
 	}
 
 	opts := []*firmup.Options{nil, {MinScore: 3, MinRatio: 0.2}, {Exhaustive: true}}
-	liveBatch := []firmup.BatchQuery{
-		{Query: mustQuery(t, a, qb), Procedure: cve.Procedure},
-		{Query: mustQuery(t, a, qb2), Procedure: cve2.Procedure},
+	ramBatch := []firmup.BatchQuery{
+		{Query: mustSealedQuery(t, sealed, qb), Procedure: cve.Procedure},
+		{Query: mustSealedQuery(t, sealed, qb2), Procedure: cve2.Procedure},
 	}
-	// want[opt][query][image] is the live session's answer.
+	// want[opt][query][image] is the in-RAM corpus's answer.
 	want := make([][][]*firmup.SearchResult, len(opts))
 	total := 0
 	for oi, opt := range opts {
-		want[oi] = make([][]*firmup.SearchResult, len(liveBatch))
-		for qx, bq := range liveBatch {
-			for _, img := range live {
-				res, err := a.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
+		want[oi] = make([][]*firmup.SearchResult, len(ramBatch))
+		for qx, bq := range ramBatch {
+			for _, img := range sealed.Images() {
+				res, err := sealed.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want[oi][qx] = append(want[oi][qx], res)
 				total += len(res.Findings)
-			}
-		}
-		for ii, img := range live {
-			batch, err := a.SearchBatch(liveBatch, img, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for qx := range liveBatch {
-				if !reflect.DeepEqual(batch[qx], want[oi][qx][ii]) {
-					t.Fatalf("opt[%d] image %d query %d: live batched search diverges from live single", oi, ii, qx)
-				}
 			}
 		}
 	}
@@ -546,57 +523,40 @@ func TestShardDedupEquivalence(t *testing.T) {
 		t.Fatalf("donor image findings %v: want the donor, its copy and the moved-address variant, and not the changed-markers one", paths)
 	}
 	if total == 0 {
-		t.Fatal("live baseline found nothing; equivalence would be vacuous")
+		t.Fatal("the in-RAM corpus found nothing; equivalence would be vacuous")
 	}
 
-	check := func(t *testing.T, sc *firmup.SealedCorpus) {
-		t.Helper()
-		batch := []firmup.BatchQuery{
-			{Query: mustSealedQuery(t, sc, qb), Procedure: cve.Procedure},
-			{Query: mustSealedQuery(t, sc, qb2), Procedure: cve2.Procedure},
-		}
-		for oi, opt := range opts {
-			allBatch, err := sc.SearchAllBatch(batch, opt)
+	// No dedup: one game per occurrence, each played on its own.
+	t.Run("sealed", func(t *testing.T) {
+		for ii, img := range sealed.Images() {
+			exes, err := firmup.Occurrences(img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for qx, bq := range batch {
-				all, err := sc.SearchAll(bq.Query, bq.Procedure, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(all, allBatch[qx]) {
-					t.Errorf("opt[%d] query %d: SearchAll diverges from its SearchAllBatch entry", oi, qx)
-				}
-				for ii, img := range sc.Images() {
+			for oi, opt := range opts {
+				for qx, bq := range ramBatch {
+					found := []firmup.Finding{}
+					for _, e := range exes {
+						f, _, err := sealed.MatchProcedure(bq.Query, bq.Procedure, e, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if f != nil {
+							found = append(found, *f)
+						}
+					}
+					sort.Slice(found, func(i, j int) bool { return found[i].ExePath < found[j].ExePath })
 					w := want[oi][qx][ii]
-					res, err := sc.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
-					if err != nil {
-						t.Fatal(err)
+					if !reflect.DeepEqual(w.Findings, found) {
+						t.Errorf("opt[%d] query %d image %d: the search reports %+v, one game per occurrence accepts %+v", oi, qx, ii, w.Findings, found)
 					}
-					if !reflect.DeepEqual(res, w) {
-						t.Errorf("opt[%d] query %d image %d: sealed per-image result diverges from live:\nsealed: %+v\nlive:   %+v", oi, qx, ii, res, w)
-					}
-					wantAll := firmup.ImageFindings{Vendor: live[ii].Vendor, Device: live[ii].Device, Version: live[ii].Version, Findings: w.Findings, Examined: w.Examined}
-					if !reflect.DeepEqual(all[ii], wantAll) {
-						t.Errorf("opt[%d] query %d image %d: SearchAll entry diverges from live:\nsealed: %+v\nlive:   %+v", oi, qx, ii, all[ii], wantAll)
-					}
-				}
-			}
-			for ii, img := range sc.Images() {
-				res, err := sc.SearchBatch(batch, img, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qx := range batch {
-					if !reflect.DeepEqual(res[qx], want[oi][qx][ii]) {
-						t.Errorf("opt[%d] query %d image %d: sealed batched per-image result diverges from live", oi, qx, ii)
+					if opt != nil && opt.Exhaustive && w.Examined != len(exes) {
+						t.Errorf("query %d image %d: an exhaustive search examined %d of %d occurrences", qx, ii, w.Examined, len(exes))
 					}
 				}
 			}
 		}
-	}
-	t.Run("sealed", func(t *testing.T) { check(t, sealed) })
+	})
 
 	// The games the in-RAM corpus plans for one batch: each (query,
 	// distinct candidate) once.
@@ -604,10 +564,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 		reg := telemetry.New()
 		sealed.SetTelemetry(reg)
 		defer sealed.SetTelemetry(nil)
-		if _, err := sealed.SearchAllBatch([]firmup.BatchQuery{
-			{Query: mustSealedQuery(t, sealed, qb), Procedure: cve.Procedure},
-			{Query: mustSealedQuery(t, sealed, qb2), Procedure: cve2.Procedure},
-		}, nil); err != nil {
+		if _, err := sealed.SearchAllBatch(ramBatch, nil); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Counter("game.played").Value() + reg.Counter("game.unplayed").Value()
@@ -637,14 +594,15 @@ func TestShardDedupEquivalence(t *testing.T) {
 				t.Errorf("shards store %d distinct executables for %d occurrences (corpus reports %d / %d), the in-RAM corpus %d / %d",
 					stored, occurrences, sc.UniqueExecutables(), sc.Executables(), sealed.UniqueExecutables(), sealed.Executables())
 			}
+			batch := []firmup.BatchQuery{
+				{Query: mustSealedQuery(t, sc, qb), Procedure: cve.Procedure},
+				{Query: mustSealedQuery(t, sc, qb2), Procedure: cve2.Procedure},
+			}
 			// Played once: the shard passes of one batch plan what the in-RAM
 			// corpus's one pass plans.
 			tr := telemetry.NewTrace(telemetry.NewTraceID())
 			defer tr.Free()
-			if _, err := sc.SearchAllBatch([]firmup.BatchQuery{
-				{Query: mustSealedQuery(t, sc, qb), Procedure: cve.Procedure},
-				{Query: mustSealedQuery(t, sc, qb2), Procedure: cve2.Procedure},
-			}, &firmup.Options{Span: telemetry.Root(nil, tr)}); err != nil {
+			if _, err := sc.SearchAllBatch(batch, &firmup.Options{Span: telemetry.Root(nil, tr)}); err != nil {
 				t.Fatal(err)
 			}
 			var games int64
@@ -661,18 +619,37 @@ func TestShardDedupEquivalence(t *testing.T) {
 			if n > 1 && games != ramGames {
 				t.Errorf("the shard passes plan %d games over %d spans, the in-RAM corpus %d", games, spans, ramGames)
 			}
-			check(t, sc)
+			for oi, opt := range opts {
+				allBatch, err := sc.SearchAllBatch(batch, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qx, bq := range batch {
+					all, err := sc.SearchAll(bq.Query, bq.Procedure, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(all, allBatch[qx]) {
+						t.Errorf("opt[%d] query %d: SearchAll diverges from its SearchAllBatch entry", oi, qx)
+					}
+					for ii, img := range sc.Images() {
+						w := want[oi][qx][ii]
+						res, err := sc.SearchImageDetailed(bq.Query, bq.Procedure, img, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(res, w) {
+							t.Errorf("opt[%d] query %d image %d: per-image result diverges from the in-RAM corpus:\nshards: %+v\nin RAM: %+v", oi, qx, ii, res, w)
+						}
+						wantAll := firmup.ImageFindings{Vendor: img.Vendor, Device: img.Device, Version: img.Version, Findings: w.Findings, Examined: w.Examined}
+						if !reflect.DeepEqual(all[ii], wantAll) {
+							t.Errorf("opt[%d] query %d image %d: SearchAll entry diverges from the in-RAM corpus:\nshards: %+v\nin RAM: %+v", oi, qx, ii, all[ii], wantAll)
+						}
+					}
+				}
+			}
 		})
 	}
-}
-
-func mustQuery(t *testing.T, a *firmup.Analyzer, data []byte) *firmup.Executable {
-	t.Helper()
-	q, err := a.LoadQueryExecutable(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
 }
 
 func mustSealedQuery(t *testing.T, sc *firmup.SealedCorpus, data []byte) *firmup.Executable {

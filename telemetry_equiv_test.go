@@ -12,7 +12,7 @@ import (
 // Telemetry must be pure observation: the analyzed procedures, strand
 // sets, markers and findings of a session recording into a registry are
 // byte-identical to a silent session's, in every analyzer configuration
-// and whether or not the search narrows through the image's index.
+// and whether or not the search narrows through the corpus index.
 func TestTelemetryEquivalence(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
 	base := analyzeScenario(t, imgBytes, queryBytes, nil, nil)
@@ -34,9 +34,10 @@ func TestTelemetryEquivalence(t *testing.T) {
 	}
 }
 
-// A full open → search → match flow against a live registry must leave
-// the pipeline's stage timers, counters and histograms populated, and
-// Metrics() must expose them.
+// A full open → seal → search flow, the session and the sealed corpus
+// recording into one registry and the search timed under its root span,
+// must leave the pipeline's stage timers, counters and histograms
+// populated, and Metrics() must expose them.
 func TestAnalyzerMetrics(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
 	reg := telemetry.New()
@@ -45,11 +46,16 @@ func TestAnalyzerMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := a.LoadQueryExecutable(queryBytes)
+	sc, err := a.Seal(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
+	sc.SetTelemetry(reg)
+	q, err := sc.AnalyzeQuery(queryBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", sc.Images()[0], &firmup.Options{Span: telemetry.Root(reg, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func TestAnalyzerMetrics(t *testing.T) {
 	if snap.Schema != telemetry.SchemaVersion {
 		t.Errorf("snapshot schema = %d, want %d", snap.Schema, telemetry.SchemaVersion)
 	}
-	for _, stage := range []string{"image.open", "image.unpack", "obj.parse", "cfg.recover", "cfg.sweep", "cfg.lift", "sim.build", "sim.index", "search.image"} {
+	for _, stage := range []string{"image.open", "image.unpack", "obj.parse", "cfg.recover", "cfg.sweep", "cfg.lift", "sim.build", "sim.index", "core.search"} {
 		if snap.Stages[stage].Calls == 0 {
 			t.Errorf("stage %q recorded no calls", stage)
 		}
@@ -97,18 +103,18 @@ func TestAnalyzerMetrics(t *testing.T) {
 }
 
 // A sealed corpus attached to a registry must split query analysis into
-// the same front-end layers, under the same names, as the live session
-// — the daemon's /metrics is this registry — and count the same work:
-// the query is analysed from scratch on both sides, so every front-end
-// counter must agree exactly.
+// the same front-end layers, under the same names, as the analyzer
+// session — the daemon's /metrics is this registry — and count the same
+// work: the query is analysed from scratch on both sides, so every
+// front-end counter must agree exactly.
 func TestSealedQueryAnalysisTelemetry(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
-	liveReg := telemetry.New()
-	live := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: liveReg})
-	if _, err := live.LoadQueryExecutable(queryBytes); err != nil {
+	sreg := telemetry.New()
+	session := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: sreg})
+	if _, err := session.AnalyzeExecutable("query", queryBytes); err != nil {
 		t.Fatal(err)
 	}
-	want := liveReg.Snapshot()
+	want := sreg.Snapshot()
 
 	a := firmup.NewAnalyzer(nil)
 	img, err := a.OpenImage(imgBytes)
@@ -128,14 +134,14 @@ func TestSealedQueryAnalysisTelemetry(t *testing.T) {
 	got := reg.Snapshot()
 	for _, stage := range []string{"obj.parse", "cfg.recover", "cfg.sweep", "cfg.lift", "sim.build", "sim.index"} {
 		if got.Stages[stage].Calls == 0 || got.Stages[stage].Calls != want.Stages[stage].Calls {
-			t.Errorf("stage %q: %d calls on the sealed corpus, %d on the live session",
+			t.Errorf("stage %q: %d calls on the sealed corpus, %d on the session",
 				stage, got.Stages[stage].Calls, want.Stages[stage].Calls)
 		}
 	}
 	for _, counter := range []string{"obj.bytes", "cfg.procs", "cfg.blocks", "cfg.insts", "sim.procs",
 		"strand.blocks", "strand.strands"} {
 		if got.Counters[counter] == 0 || got.Counters[counter] != want.Counters[counter] {
-			t.Errorf("counter %q: %d on the sealed corpus, %d on the live session",
+			t.Errorf("counter %q: %d on the sealed corpus, %d on the session",
 				counter, got.Counters[counter], want.Counters[counter])
 		}
 	}
@@ -156,17 +162,9 @@ func TestSealedQueryAnalysisTelemetry(t *testing.T) {
 // MatchProcedureTraced must agree with the untraced match and produce a
 // JSON-round-trippable game course consistent with the finding.
 func TestMatchProcedureTraced(t *testing.T) {
-	imgBytes, queryBytes, _ := buildScenario(t)
-	a := firmup.NewAnalyzer(nil)
-	img, err := a.OpenImage(imgBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := a.LoadQueryExecutable(queryBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
+	_, sc, q := sealScenario(t)
+	img := sc.Images()[0]
+	res, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +176,11 @@ func TestMatchProcedureTraced(t *testing.T) {
 	if target == nil {
 		t.Fatalf("image has no executable %q", f.ExePath)
 	}
-	plain, steps, err := a.MatchProcedure(q, "ftp_retrieve_glob", target, nil)
+	plain, steps, err := sc.MatchProcedure(q, "ftp_retrieve_glob", target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, gt, err := a.MatchProcedureTraced(q, "ftp_retrieve_glob", target, nil)
+	traced, gt, err := sc.MatchProcedureTraced(q, "ftp_retrieve_glob", target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
