@@ -67,29 +67,79 @@ func TestSearchImageIndexEquivalence(t *testing.T) {
 	}
 }
 
-// A query from a foreign session cannot use the corpus's index; the
-// search must fall back to exhaustive examination and still agree.
-func TestSearchImageCrossSessionFallback(t *testing.T) {
-	_, sc, q := sealScenario(t)
-	_, queryBytes, _ := buildScenario(t)
-	fq, err := firmup.NewAnalyzer(nil).AnalyzeExecutable("query", queryBytes)
+// Strand IDs mean the same strand only under one corpus's vocabulary, so
+// every read refuses, with an error and without a panic, a query the
+// corpus did not analyse — one analysed by another corpus, another
+// corpus's sealed executable, an analyzer session's own — however the
+// search is run, and MatchProcedure refuses a target sealed elsewhere.
+// The corpus's own sealed executables pass as queries.
+func TestForeignQueryRejected(t *testing.T) {
+	a, sc, q := sealScenario(t)
+	imgBytes, queryBytes, _ := buildScenario(t)
+	other := firmup.NewAnalyzer(nil)
+	otherImg, err := other.OpenImage(imgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherSC, err := other.Seal(otherImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherQ, err := otherSC.AnalyzeQuery(queryBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := a.OpenImage(imgBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	img := sc.Images()[0]
-	same, err := sc.SearchImageDetailed(q, "ftp_retrieve_glob", img, nil)
-	if err != nil {
-		t.Fatal(err)
+	const proc = "ftp_retrieve_glob"
+	target := img.Executable("bin/wget")
+	otherTarget := otherSC.Images()[0].Executable("bin/wget")
+	if target == nil || otherTarget == nil {
+		t.Fatal("image lacks bin/wget")
 	}
-	cross, err := sc.SearchImageDetailed(fq, "ftp_retrieve_glob", img, nil)
-	if err != nil {
-		t.Fatal(err)
+	// A sealed executable queries by one of its own (stripped) names.
+	ownName := target.Procedures()[0].Name
+	if _, err := sc.SearchAll(target, ownName, nil); err != nil {
+		t.Fatalf("the corpus's own sealed executable as a query: %v", err)
 	}
-	if cross.Examined != sc.Executables() {
-		t.Errorf("cross-session search examined %d, want all %d", cross.Examined, sc.Executables())
+	for _, c := range []struct {
+		name  string
+		query *firmup.Executable
+		proc  string
+	}{
+		{"query of another corpus", otherQ, proc},
+		{"sealed executable of another corpus", otherTarget, ownName},
+		{"analyzer session executable", session.Executable("bin/wget"), ownName},
+	} {
+		for _, opt := range []*firmup.Options{nil, {Exhaustive: true}} {
+			calls := map[string]func() error{
+				"SearchAll": func() error { _, err := sc.SearchAll(c.query, c.proc, opt); return err },
+				"SearchAllBatch": func() error {
+					_, err := sc.SearchAllBatch([]firmup.BatchQuery{{Query: q, Procedure: proc}, {Query: c.query, Procedure: c.proc}}, opt)
+					return err
+				},
+				"SearchImageDetailed": func() error { _, err := sc.SearchImageDetailed(c.query, c.proc, img, opt); return err },
+				"MatchProcedure":      func() error { _, _, err := sc.MatchProcedure(c.query, c.proc, target, opt); return err },
+				"MatchProcedureTraced": func() error {
+					_, _, err := sc.MatchProcedureTraced(c.query, c.proc, target, opt)
+					return err
+				},
+			}
+			for name, call := range calls {
+				if err := call(); err == nil {
+					t.Errorf("%s, %s (options %+v): a foreign query was searched", name, c.name, opt)
+				}
+			}
+		}
 	}
-	if !reflect.DeepEqual(same.Findings, cross.Findings) {
-		t.Errorf("cross-session findings diverge:\nsame:  %+v\ncross: %+v", same.Findings, cross.Findings)
+	if _, _, err := sc.MatchProcedure(q, proc, otherTarget, nil); err == nil {
+		t.Error("MatchProcedure: a target sealed in another corpus was played")
+	}
+	if _, _, err := sc.MatchProcedureTraced(q, proc, otherTarget, nil); err == nil {
+		t.Error("MatchProcedureTraced: a target sealed in another corpus was played")
 	}
 }
 
@@ -267,8 +317,8 @@ func TestOpenImageBrokenStreamCarves(t *testing.T) {
 	var want, got []string
 	for i, f := range carved {
 		path := fmt.Sprintf("carved_%d", i)
-		if e, err := ref.AnalyzeExecutable(path, f.Bytes()); err == nil {
-			want = append(want, fmt.Sprint(path, exeStrands(e)))
+		if im, err := ref.OpenImage(oneExeImage(path, f.Bytes())); err == nil {
+			want = append(want, fmt.Sprint(path, exeStrands(im.Exes[0])))
 		} else {
 			want = append(want, path+" skipped")
 		}
@@ -287,8 +337,8 @@ func TestOpenImageBrokenStreamCarves(t *testing.T) {
 }
 
 // The session's analysis budget is shared by everything analysing under
-// it: concurrent OpenImage and AnalyzeExecutable calls on a budget
-// smaller than their number all finish, a carved image included, and
+// it: concurrent OpenImage calls on a budget smaller than their number
+// all finish, a carved image and one-executable images included, and
 // every token is back once they have.
 func TestAnalysisBudgetShared(t *testing.T) {
 	imgBytes, _, _ := buildScenario(t)
@@ -310,7 +360,7 @@ func TestAnalysisBudgetShared(t *testing.T) {
 			if i < len(images) {
 				_, err = a.OpenImage(images[i])
 			} else {
-				_, err = a.AnalyzeExecutable(exe.Path, exe.File.Bytes())
+				_, err = a.OpenImage(oneExeImage(exe.Path, exe.File.Bytes()))
 			}
 			if err != nil {
 				t.Error(err)

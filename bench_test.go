@@ -27,6 +27,7 @@ import (
 	"firmup/internal/compiler"
 	"firmup/internal/core"
 	"firmup/internal/corpus"
+	"firmup/internal/corpusindex"
 	"firmup/internal/eval"
 	"firmup/internal/isa"
 	_ "firmup/internal/isa/arm"
@@ -171,6 +172,7 @@ func BenchmarkFig1Divergence(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	it := corpusindex.NewInterner()
 	build := func(prof compiler.Profile, opt isa.Options) strand.Set {
 		pkg, err := compiler.CompileToMIR(src, prof)
 		if err != nil {
@@ -187,7 +189,7 @@ func BenchmarkFig1Divergence(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := rec.Proc("ftp_retrieve_glob")
-		return strand.FromBlocks(p.Blocks, &strand.Options{ABI: be.ABI(), Sections: f.Map()})
+		return extractSet(it, p.Blocks, &strand.Options{ABI: be.ABI(), Sections: f.Map()})
 	}
 	features := map[string]bool{"OPIE": true, "SSL": true, "COOKIES": true, "IPV6": true}
 	var shared, qsize int
@@ -201,6 +203,15 @@ func BenchmarkFig1Divergence(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(100*float64(shared)/float64(qsize), "%strands-shared")
+}
+
+// extractSet is one procedure's strand set, interned under it: sets of
+// one interner compare.
+func extractSet(it strand.Interner, blocks []*uir.Block, opt *strand.Options) strand.Set {
+	ex := strand.NewExtractor(opt, it, nil)
+	defer ex.Release()
+	set, _ := ex.Proc(blocks)
+	return set
 }
 
 // --- ablation benchmarks for the design choices DESIGN.md calls out ---
@@ -246,6 +257,7 @@ func BenchmarkAblationOffsetElim(b *testing.B) {
 	// comparable across different layout bases.
 	truePairOverlap := func(withElim bool) float64 {
 		be, _ := isa.ByArch(uir.ArchMIPS32)
+		it := corpusindex.NewInterner()
 		mkSets := func(bu built) map[string]strand.Set {
 			opt := &strand.Options{ABI: be.ABI()}
 			if withElim {
@@ -253,7 +265,7 @@ func BenchmarkAblationOffsetElim(b *testing.B) {
 			}
 			out := map[string]strand.Set{}
 			for _, p := range bu.rec.Procs {
-				out[p.Name] = strand.FromBlocks(p.Blocks, opt)
+				out[p.Name] = extractSet(it, p.Blocks, opt)
 			}
 			return out
 		}

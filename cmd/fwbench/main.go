@@ -6,6 +6,7 @@
 //	fwbench -exp all            # every experiment at the default scale
 //	fwbench -exp table2 -scale eval
 //	fwbench -exp fig6|fig8|fig9|fig5|table1|demo|ablation
+//	fwbench -exp matrix         # cross-ISA accuracy; not part of all
 //
 // Timing lives in bench/ (bash bench/run.sh), not here.
 package main
@@ -26,7 +27,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, all")
+	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, all, matrix")
 	scale := flag.String("scale", "default", "corpus scale: default or eval")
 	version := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
@@ -35,7 +36,7 @@ func main() {
 		return
 	}
 	valid := map[string]bool{"all": true, "table2": true, "fig6": true, "fig8": true,
-		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true}
+		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true, "matrix": true}
 	if !valid[*exp] {
 		fmt.Fprintf(os.Stderr, "fwbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -63,6 +64,14 @@ func run(w io.Writer, exp, scale string) error {
 		st.Images, st.Exes, st.Procedures, len(env.Units))
 	fmt.Fprintf(w, "session: %d unique strands interned\n\n", env.Sealed.UniqueStrands())
 
+	if exp == "matrix" {
+		res, err := eval.Matrix(env)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, res.Format())
+		return nil
+	}
 	want := func(name string) bool { return exp == "all" || exp == name }
 
 	if want("table2") {

@@ -18,6 +18,7 @@ import (
 	"firmup"
 	"firmup/internal/buildinfo"
 	"firmup/internal/cfg"
+	"firmup/internal/corpusindex"
 	"firmup/internal/image"
 	"firmup/internal/isa"
 	_ "firmup/internal/isa/arm"
@@ -143,9 +144,10 @@ func dumpExe(path, procName string, showStrands bool) {
 	if procName == "" {
 		fmt.Printf("%v executable, %d procedures, text coverage %.1f%%\n",
 			f.Arch, len(rec.Procs), 100*rec.Coverage)
+		ex := strand.NewExtractor(&strand.Options{ABI: be.ABI(), Sections: f.Map()}, corpusindex.NewInterner(), nil)
+		defer ex.Release()
 		for _, p := range rec.Procs {
-			opt := &strand.Options{ABI: be.ABI(), Sections: f.Map()}
-			set := strand.FromBlocks(p.Blocks, opt)
+			set, _ := ex.Proc(p.Blocks)
 			fmt.Printf("  %-32s %#08x  %3d blocks %4d insts %4d strands connected=%v\n",
 				p.Name, p.Entry, len(p.Blocks), len(p.Insts), set.Size(), p.Connected)
 		}

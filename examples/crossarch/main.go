@@ -14,6 +14,7 @@ import (
 	"firmup/internal/cfg"
 	"firmup/internal/compiler"
 	"firmup/internal/corpus"
+	"firmup/internal/corpusindex"
 	"firmup/internal/isa"
 	_ "firmup/internal/isa/arm"
 	_ "firmup/internal/isa/mips"
@@ -27,8 +28,9 @@ import (
 const procName = "ftp_retrieve_glob"
 
 // build compiles wget 1.15 for arch under the given profile and returns
-// the recovered view plus the target procedure's strand set.
-func build(arch uir.Arch, prof compiler.Profile, opt isa.Options) (*cfg.Proc, strand.Set, error) {
+// the recovered view plus the target procedure's strand set, interned
+// under it so that sets of one interner compare by dense ID.
+func build(it strand.Interner, arch uir.Arch, prof compiler.Profile, opt isa.Options) (*cfg.Proc, strand.Set, error) {
 	src, err := corpus.PackageSource("wget", "1.15")
 	if err != nil {
 		return nil, strand.Set{}, err
@@ -54,16 +56,19 @@ func build(arch uir.Arch, prof compiler.Profile, opt isa.Options) (*cfg.Proc, st
 	if p == nil {
 		return nil, strand.Set{}, fmt.Errorf("%s not recovered", procName)
 	}
-	set := strand.FromBlocks(p.Blocks, &strand.Options{ABI: be.ABI(), Sections: f.Map()})
+	ex := strand.NewExtractor(&strand.Options{ABI: be.ABI(), Sections: f.Map()}, it, nil)
+	defer ex.Release()
+	set, _ := ex.Proc(p.Blocks)
 	return p, set, nil
 }
 
 func main() {
 	features := map[string]bool{"OPIE": true, "SSL": true, "COOKIES": true, "IPV6": true}
+	it := corpusindex.NewInterner()
 
 	// Build A: the analyst's query tool chain (gcc52-O2 style, MIPS).
 	profA := compiler.DefaultQueryProfile(uir.ArchMIPS32)
-	pA, setA, err := build(uir.ArchMIPS32, profA, isa.Options{
+	pA, setA, err := build(it, uir.ArchMIPS32, profA, isa.Options{
 		TextBase: 0x400000, RegSeed: 1, SchedSeed: 1, MulByShift: true})
 	if err != nil {
 		log.Fatal(err)
@@ -71,7 +76,7 @@ func main() {
 
 	// Build B: a vendor-style tool chain on the same architecture.
 	profB := compiler.Profile{OptLevel: 1, Features: features, RegSeed: 77, SchedSeed: 13}
-	pB, setB, err := build(uir.ArchMIPS32, profB, isa.Options{
+	pB, setB, err := build(it, uir.ArchMIPS32, profB, isa.Options{
 		TextBase: 0x80001000, RegSeed: 77, SchedSeed: 13, ShuffleProcs: true})
 	if err != nil {
 		log.Fatal(err)
@@ -79,7 +84,7 @@ func main() {
 
 	// Build C: a different architecture entirely.
 	profC := compiler.Profile{OptLevel: 2, Features: features, RegSeed: 5}
-	_, setC, err := build(uir.ArchARM32, profC, isa.Options{TextBase: 0x8000, RegSeed: 5})
+	_, setC, err := build(it, uir.ArchARM32, profC, isa.Options{TextBase: 0x8000, RegSeed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

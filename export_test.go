@@ -14,7 +14,7 @@ func AddVariant(im *Image, src *Executable, path string, mutate func([]*sim.Proc
 		procs[i] = &cp
 	}
 	mutate(procs)
-	e := sim.FromProcsSession(path, procs, src.exe.Session())
+	e := sim.FromProcs(path, procs, src.exe.Session())
 	e.Arch, e.Stripped = src.exe.Arch, src.exe.Stripped
 	im.Exes = append(im.Exes, &Executable{Path: path, exe: e})
 }

@@ -80,9 +80,9 @@ func (o *AnalyzerOptions) workers() int {
 }
 
 // Analyzer is one analysis session, the write side: it analyzes images
-// and executables and seals them into a SealedCorpus, which is what
-// searches. All executables analyzed under it share its strand-hash
-// interner, so their strand sets carry comparable dense IDs. Each
+// and seals them into a SealedCorpus, which is what searches. All
+// executables analyzed under it share its strand-hash interner, so their
+// strand sets carry comparable dense IDs. Each
 // distinct in-image executable is analysed once, from scratch; nothing
 // else is shared between analyses. An Analyzer is safe for concurrent use.
 type Analyzer struct {
@@ -274,7 +274,7 @@ type ProcedureInfo struct {
 // stable across sessions and worker counts, which
 // makes them the right handle for equivalence checks.
 func (e *Executable) ProcedureStrands(i int) []uint64 {
-	return append([]uint64(nil), e.exe.Hashes(i)...)
+	return e.exe.Procs[i].Set.AppendHashes(nil)
 }
 
 // ProcedureMarkers returns procedure i's sorted distinctive constants
@@ -312,16 +312,6 @@ func (im *Image) Executable(path string) *Executable {
 		}
 	}
 	return nil
-}
-
-// AnalyzeExecutable parses and analyzes one FWELF binary under the
-// session.
-func (a *Analyzer) AnalyzeExecutable(path string, data []byte) (*Executable, error) {
-	f, err := a.front.read(data, telemetry.Span{})
-	if err != nil {
-		return nil, err
-	}
-	return a.analyzePooled(path, f, telemetry.Span{})
 }
 
 // analyzePooled analyses f under the session's budget: it waits for a

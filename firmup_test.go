@@ -5,6 +5,7 @@ import (
 
 	"firmup"
 	"firmup/internal/corpus"
+	"firmup/internal/image"
 	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
@@ -35,6 +36,13 @@ func buildScenario(t *testing.T) (imgBytes []byte, queryBytes []byte, hasWget bo
 		t.Fatal(err)
 	}
 	return target.Image.Pack(true), qf.Bytes(), true
+}
+
+// oneExeImage packs an image holding the one file data under path: how an
+// Analyzer, which analyses images, takes a standalone executable.
+func oneExeImage(path string, data []byte) []byte {
+	im := &image.Image{Files: []image.FileEntry{{Path: path, Data: data}}}
+	return im.Pack(false)
 }
 
 func TestEndToEndSearch(t *testing.T) {
@@ -72,12 +80,7 @@ func TestEndToEndSearch(t *testing.T) {
 }
 
 func TestProcedureListing(t *testing.T) {
-	a := firmup.NewAnalyzer(nil)
-	_, queryBytes, _ := buildScenario(t)
-	q, err := a.AnalyzeExecutable("query", queryBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, q := sealScenario(t)
 	procs := q.Procedures()
 	if len(procs) < 20 {
 		t.Fatalf("only %d procedures", len(procs))
@@ -123,9 +126,6 @@ func TestOpenImageErrors(t *testing.T) {
 		if got := reg.Stage(stage).Calls(); got != 1 {
 			t.Errorf("stage %q: %d calls after one failed OpenImage, want 1", stage, got)
 		}
-	}
-	if _, err := a.AnalyzeExecutable("query", []byte("nope")); err == nil {
-		t.Error("garbage executable must fail")
 	}
 }
 

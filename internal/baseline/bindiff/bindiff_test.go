@@ -5,6 +5,7 @@ import (
 
 	"firmup/internal/cfg"
 	"firmup/internal/compiler"
+	"firmup/internal/corpusindex"
 	"firmup/internal/isa"
 	"firmup/internal/isa/isatest"
 	_ "firmup/internal/isa/mips"
@@ -35,7 +36,7 @@ func build(t *testing.T, prof compiler.Profile, opt isa.Options, strip bool) *si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Build("exe", rec, nil)
+	return sim.Build("exe", rec, corpusindex.NewInterner())
 }
 
 func accuracy(t *testing.T, q, tgt *sim.Exe, res Result) (int, int) {

@@ -13,36 +13,39 @@ import (
 	"firmup/internal/strand"
 )
 
-// Context is the trained global context: for every strand, how common it
-// is in a random sample of procedures "in the wild". Rare strands carry
-// more evidence of shared origin than ubiquitous ones.
+// Context is the trained global context: for every strand, by dense ID,
+// how common it is in a random sample of procedures "in the wild". Rare
+// strands carry more evidence of shared origin than ubiquitous ones. The
+// sample and every set scored against it share one ID space: the
+// sample's session, which a query's overlay extends with private IDs no
+// sampled procedure holds.
 type Context struct {
-	df     map[uint64]int
+	df     map[uint32]int
 	nprocs int
 }
 
 // Train builds a context from a sample of executables (the paper trains
 // one per architecture over more than a thousand procedures).
 func Train(sample []*sim.Exe) *Context {
-	c := &Context{df: map[uint64]int{}}
+	c := &Context{df: map[uint32]int{}}
 	for _, e := range sample {
 		for _, p := range e.Procs {
 			c.nprocs++
-			for _, h := range p.Set.Hashes {
-				c.df[h]++
+			for _, id := range p.Set.IDs {
+				c.df[id]++
 			}
 		}
 	}
 	return c
 }
 
-// Weight returns the significance of a strand: log(N/df), the inverse
+// Weight returns the significance of strand id: log(N/df), the inverse
 // document frequency over the sampled procedures.
-func (c *Context) Weight(h uint64) float64 {
+func (c *Context) Weight(id uint32) float64 {
 	if c == nil || c.nprocs == 0 {
 		return 1
 	}
-	df := c.df[h]
+	df := c.df[id]
 	return math.Log(float64(c.nprocs+1) / float64(df+1))
 }
 
@@ -55,15 +58,15 @@ type Engine struct {
 // set and procedure i of t.
 func (e *Engine) Score(q strand.Set, t *sim.Exe, i int) float64 {
 	shared := 0.0
-	tp := t.Procs[i]
+	qs, ts := q.IDs, t.Procs[i].Set.IDs
 	j, k := 0, 0
-	for j < len(q.Hashes) && k < len(tp.Set.Hashes) {
+	for j < len(qs) && k < len(ts) {
 		switch {
-		case q.Hashes[j] == tp.Set.Hashes[k]:
-			shared += e.Ctx.Weight(q.Hashes[j])
+		case qs[j] == ts[k]:
+			shared += e.Ctx.Weight(qs[j])
 			j++
 			k++
-		case q.Hashes[j] < tp.Set.Hashes[k]:
+		case qs[j] < ts[k]:
 			j++
 		default:
 			k++

@@ -3,6 +3,7 @@ package gitz
 import (
 	"testing"
 
+	"firmup/internal/corpusindex"
 	"firmup/internal/sim"
 	"firmup/internal/strand"
 )
@@ -19,17 +20,19 @@ func mk(name string, hashes ...uint64) *sim.Proc {
 
 func TestWeightFavorsRareStrands(t *testing.T) {
 	// Strand 1 appears in every procedure; strand 9 in exactly one.
+	it := corpusindex.NewInterner()
 	sample := sim.FromProcs("s", []*sim.Proc{
 		mk("a", 1, 9),
 		mk("b", 1, 2),
 		mk("c", 1, 3),
 		mk("d", 1, 4),
-	})
+	}, it)
 	ctx := Train([]*sim.Exe{sample})
-	if ctx.Weight(1) >= ctx.Weight(9) {
-		t.Errorf("ubiquitous strand weight %.3f must be below rare strand %.3f", ctx.Weight(1), ctx.Weight(9))
+	common, rare := it.Intern(1), it.Intern(9)
+	if ctx.Weight(common) >= ctx.Weight(rare) {
+		t.Errorf("ubiquitous strand weight %.3f must be below rare strand %.3f", ctx.Weight(common), ctx.Weight(rare))
 	}
-	if ctx.Weight(1234) <= ctx.Weight(1) {
+	if ctx.Weight(it.Intern(1234)) <= ctx.Weight(common) {
 		t.Error("never-seen strand must outweigh ubiquitous strand")
 	}
 }
@@ -51,15 +54,16 @@ func TestRankingUsesContext(t *testing.T) {
 		trainProcs = append(trainProcs, mk("p", 1, 2, 3, 4))
 	}
 	trainProcs = append(trainProcs, mk("rare", 100))
-	ctx := Train([]*sim.Exe{sim.FromProcs("train", trainProcs)})
+	it := corpusindex.NewInterner()
+	ctx := Train([]*sim.Exe{sim.FromProcs("train", trainProcs, it)})
 	e := &Engine{Ctx: ctx}
 
-	q := mk("query", 1, 2, 100)
+	q := mk("query", 1, 2, 100).Set.Interned(it)
 	tgt := sim.FromProcs("T", []*sim.Proc{
 		mk("common_twin", 1, 2, 3, 4), // shares 2 ubiquitous strands
 		mk("real_twin", 100, 7),       // shares the 1 rare strand
-	})
-	top := e.TopK(q.Set, tgt, 2)
+	}, it)
+	top := e.TopK(q, tgt, 2)
 	if len(top) != 2 {
 		t.Fatalf("top = %v", top)
 	}
@@ -70,14 +74,15 @@ func TestRankingUsesContext(t *testing.T) {
 
 func TestTopKOrderingAndCutoff(t *testing.T) {
 	e := &Engine{Ctx: Train(nil)}
-	q := mk("q", 1, 2, 3)
+	it := corpusindex.NewInterner()
+	q := mk("q", 1, 2, 3).Set.Interned(it)
 	tgt := sim.FromProcs("T", []*sim.Proc{
 		mk("a", 1),
 		mk("b", 1, 2),
 		mk("c", 1, 2, 3),
 		mk("d", 9),
-	})
-	top := e.TopK(q.Set, tgt, 2)
+	}, it)
+	top := e.TopK(q, tgt, 2)
 	if len(top) != 2 || top[0].Proc != 2 || top[1].Proc != 1 {
 		t.Errorf("top = %+v", top)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"firmup/internal/cfg"
+	"firmup/internal/corpusindex"
 	"firmup/internal/obj"
 	"firmup/internal/sim"
 )
@@ -42,7 +43,7 @@ func FuzzRecover(f *testing.F) {
 		}
 		checkRecoveredOrder(t, rec)
 		checkCoverage(t, "fuzz input", file)
-		sim.Build("fuzz", rec, nil)
+		sim.Build("fuzz", rec, corpusindex.NewInterner())
 	})
 }
 

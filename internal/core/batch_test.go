@@ -48,8 +48,8 @@ func TestMatchBatchEquivalenceRandomized(t *testing.T) {
 		nq := 2 + rng.Intn(14)
 		nt := 2 + rng.Intn(14)
 		universe := 1 + rng.Intn(24)
-		q := sim.FromProcsSession("Q", randProcs(rng, "q", nq, universe, 8), it)
-		tt := sim.FromProcsSession("T", randProcs(rng, "t", nt, universe, 8), it)
+		q := sim.FromProcs("Q", randProcs(rng, "q", nq, universe, 8), it)
+		tt := sim.FromProcs("T", randProcs(rng, "t", nt, universe, 8), it)
 		qis := make([]int, 1+rng.Intn(2*nq)) // duplicates allowed
 		for i := range qis {
 			qis[i] = rng.Intn(nq)
@@ -79,8 +79,8 @@ func TestMatchBatchEquivalenceTightLimits(t *testing.T) {
 		}
 		n := 4 + rng.Intn(10)
 		universe := 1 + rng.Intn(6)
-		q := sim.FromProcs("Q", randProcs(rng, "q", n, universe, 5))
-		tt := sim.FromProcs("T", randProcs(rng, "t", n, universe, 5))
+		q := sim.FromProcs("Q", randProcs(rng, "q", n, universe, 5), session)
+		tt := sim.FromProcs("T", randProcs(rng, "t", n, universe, 5), session)
 		qis := make([]int, 1+rng.Intn(n))
 		for i := range qis {
 			qis[i] = rng.Intn(n)
@@ -111,7 +111,7 @@ func newRandBatchScenario(rng *rand.Rand) randBatchScenario {
 	nexes := 1 + rng.Intn(3)
 	for e := 0; e < nexes; e++ {
 		nq := 2 + rng.Intn(8)
-		q := sim.FromProcsSession("Q", randProcs(rng, "q", nq, universe, 8), it)
+		q := sim.FromProcs("Q", randProcs(rng, "q", nq, universe, 8), it)
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			sc.queries = append(sc.queries, BatchQuery{Q: q, QI: rng.Intn(nq)})
 		}
@@ -119,7 +119,7 @@ func newRandBatchScenario(rng *rand.Rand) randBatchScenario {
 	nt := 3 + rng.Intn(8)
 	for ti := 0; ti < nt; ti++ {
 		np := 2 + rng.Intn(10)
-		sc.targets = append(sc.targets, sim.FromProcsSession("T", randProcs(rng, "t", np, universe, 8), it))
+		sc.targets = append(sc.targets, sim.FromProcs("T", randProcs(rng, "t", np, universe, 8), it))
 	}
 	return sc
 }

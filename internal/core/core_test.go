@@ -8,6 +8,7 @@ import (
 
 	"firmup/internal/cfg"
 	"firmup/internal/compiler"
+	"firmup/internal/corpusindex"
 	"firmup/internal/isa"
 	_ "firmup/internal/isa/arm"
 	"firmup/internal/isa/isatest"
@@ -20,7 +21,12 @@ import (
 	"firmup/internal/uir"
 )
 
-// mkProc builds a synthetic procedure from raw strand ids.
+// session is the analyzer session the synthetic executables of a test
+// share: strand hashes intern to the same dense IDs in every one of them,
+// so their sets compare.
+var session = corpusindex.NewInterner()
+
+// mkProc builds a synthetic procedure from raw strand hashes.
 func mkProc(name string, hashes ...uint64) *sim.Proc {
 	s := append([]uint64(nil), hashes...)
 	// strand.Set requires sorted unique hashes.
@@ -39,11 +45,11 @@ func TestFig4Scenario(t *testing.T) {
 	q := sim.FromProcs("Q", []*sim.Proc{
 		mkProc("q1", 1, 2, 3),
 		mkProc("q2", 1, 3, 4, 5),
-	})
+	}, session)
 	tt := sim.FromProcs("T", []*sim.Proc{
 		mkProc("t1", 1, 2, 3, 4, 5),
 		mkProc("t2", 2, 3),
-	})
+	}, session)
 	// Procedure-centric: q1's local best is t1.
 	best, score := tt.BestMatch(q.Procs[0].Set, nil)
 	if best != 0 || score != 3 {
@@ -71,11 +77,11 @@ func TestFig4Scenario(t *testing.T) {
 }
 
 func TestOneStepAgreement(t *testing.T) {
-	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q1", 1, 2, 3)})
+	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q1", 1, 2, 3)}, session)
 	tt := sim.FromProcs("T", []*sim.Proc{
 		mkProc("t1", 1, 2, 3),
 		mkProc("t2", 9, 10),
-	})
+	}, session)
 	r := Match(q, 0, tt, nil)
 	if r.Target != 0 || r.Steps != 1 {
 		t.Errorf("expected 1-step match to t1, got target=%d steps=%d", r.Target, r.Steps)
@@ -86,8 +92,8 @@ func TestOneStepAgreement(t *testing.T) {
 }
 
 func TestNoCandidate(t *testing.T) {
-	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q1", 1, 2)})
-	tt := sim.FromProcs("T", []*sim.Proc{mkProc("t1", 8, 9)})
+	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q1", 1, 2)}, session)
+	tt := sim.FromProcs("T", []*sim.Proc{mkProc("t1", 8, 9)}, session)
 	r := Match(q, 0, tt, nil)
 	if r.Target != -1 || r.Reason != EndNoCandidate {
 		t.Errorf("result = %+v, want no-candidate", r)
@@ -117,8 +123,8 @@ func TestGameTerminationRandomized(t *testing.T) {
 			}
 			return out
 		}
-		q := sim.FromProcs("Q", mk("q", nq))
-		tt := sim.FromProcs("T", mk("t", nt))
+		q := sim.FromProcs("Q", mk("q", nq), session)
+		tt := sim.FromProcs("T", mk("t", nt), session)
 		qi := rng.Intn(nq)
 		r := Match(q, qi, tt, nil)
 		if r.Steps > 64 {
@@ -161,8 +167,8 @@ func TestMatchingConsistency(t *testing.T) {
 			}
 			return out
 		}
-		q := sim.FromProcs("Q", mk("q", 6))
-		tt := sim.FromProcs("T", mk("t", 6))
+		q := sim.FromProcs("Q", mk("q", 6), session)
+		tt := sim.FromProcs("T", mk("t", 6), session)
 		r := Match(q, 0, tt, nil)
 		// Replay: at each commit, both directions agreed given the
 		// then-current exclusions.
@@ -205,7 +211,7 @@ func buildExe(t *testing.T, arch uir.Arch, prof compiler.Profile, opt isa.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Build("test-exe", rec, nil)
+	return sim.Build("test-exe", rec, session)
 }
 
 // The game over real cross-tool-chain binaries: match accuracy must be at
@@ -274,8 +280,8 @@ func TestSearchParallelAndThreshold(t *testing.T) {
 // must re-raise it on the calling goroutine, after every worker has
 // stopped.
 func TestPlayBatchPanicReachesCaller(t *testing.T) {
-	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q0", 1, 2, 3, 4)})
-	good := sim.FromProcs("T", []*sim.Proc{mkProc("t0", 1, 2, 3, 4)})
+	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q0", 1, 2, 3, 4)}, session)
+	good := sim.FromProcs("T", []*sim.Proc{mkProc("t0", 1, 2, 3, 4)}, session)
 	targets := []*sim.Exe{good, good, nil, good, good, good, good, good}
 	before := runtime.NumGoroutine()
 	var got any

@@ -42,8 +42,8 @@ func assertGameEquiv(t *testing.T, trial int, q *sim.Exe, qi int, tt *sim.Exe, o
 }
 
 // TestMemoizationEquivalenceRandomized: the memoized engine must be
-// byte-identical to the reference on randomized corpora, with the
-// session-less hash-map index.
+// byte-identical to the reference on randomized corpora, every executable
+// under the package's shared session.
 func TestMemoizationEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	opt := &Options{RecordTrace: true}
@@ -51,15 +51,14 @@ func TestMemoizationEquivalenceRandomized(t *testing.T) {
 		nq := 2 + rng.Intn(14)
 		nt := 2 + rng.Intn(14)
 		universe := 1 + rng.Intn(24)
-		q := sim.FromProcs("Q", randProcs(rng, "q", nq, universe, 8))
-		tt := sim.FromProcs("T", randProcs(rng, "t", nt, universe, 8))
+		q := sim.FromProcs("Q", randProcs(rng, "q", nq, universe, 8), session)
+		tt := sim.FromProcs("T", randProcs(rng, "t", nt, universe, 8), session)
 		assertGameEquiv(t, trial, q, qi(rng, nq), tt, opt)
 	}
 }
 
-// TestMemoizationEquivalenceSession is the same property under an
-// analyzer session: both executables interned, so SimAll takes the
-// CSR posting-list path instead of the hash map.
+// TestMemoizationEquivalenceSession is the same property with a fresh
+// session per trial, so strand IDs run dense from zero.
 func TestMemoizationEquivalenceSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	opt := &Options{RecordTrace: true}
@@ -68,8 +67,8 @@ func TestMemoizationEquivalenceSession(t *testing.T) {
 		nq := 2 + rng.Intn(14)
 		nt := 2 + rng.Intn(14)
 		universe := 1 + rng.Intn(24)
-		q := sim.FromProcsSession("Q", randProcs(rng, "q", nq, universe, 8), it)
-		tt := sim.FromProcsSession("T", randProcs(rng, "t", nt, universe, 8), it)
+		q := sim.FromProcs("Q", randProcs(rng, "q", nq, universe, 8), it)
+		tt := sim.FromProcs("T", randProcs(rng, "t", nt, universe, 8), it)
 		assertGameEquiv(t, trial, q, qi(rng, nq), tt, opt)
 	}
 }
@@ -87,8 +86,8 @@ func TestMemoizationEquivalenceTightLimits(t *testing.T) {
 		}
 		n := 4 + rng.Intn(10)
 		universe := 1 + rng.Intn(6) // dense overlap: nearly everything collides
-		q := sim.FromProcs("Q", randProcs(rng, "q", n, universe, 5))
-		tt := sim.FromProcs("T", randProcs(rng, "t", n, universe, 5))
+		q := sim.FromProcs("Q", randProcs(rng, "q", n, universe, 5), session)
+		tt := sim.FromProcs("T", randProcs(rng, "t", n, universe, 5), session)
 		assertGameEquiv(t, trial, q, qi(rng, n), tt, opt)
 	}
 }
@@ -110,8 +109,8 @@ func TestMatcherLongGames(t *testing.T) {
 		// A six-strand universe over 80–140 procedures: every strand is
 		// shared by dozens of procedures, so scores tie constantly.
 		n := 80 + rng.Intn(61)
-		q := sim.FromProcs("Q", randProcs(rng, "q", n, 6, 4))
-		tt := sim.FromProcs("T", randProcs(rng, "t", n, 6, 4))
+		q := sim.FromProcs("Q", randProcs(rng, "q", n, 6, 4), session)
+		tt := sim.FromProcs("T", randProcs(rng, "t", n, 6, 4), session)
 		for _, mm := range bounds {
 			for _, ms := range bounds {
 				opt := &Options{MaxMatches: mm, MaxSteps: ms, RecordTrace: true}
@@ -142,14 +141,14 @@ func TestMatcherLongGames(t *testing.T) {
 // against a full BestMatch under exclusion maps that remove the leaders,
 // including one that removes every candidate.
 func TestMatcherScanMatchesBestMatch(t *testing.T) {
-	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q1", 1, 2, 3, 4)})
+	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q1", 1, 2, 3, 4)}, session)
 	tt := sim.FromProcs("T", []*sim.Proc{
 		mkProc("t0", 9),          // Sim 0: never listed
 		mkProc("t1", 1, 2, 3),    // Sim 3
 		mkProc("t2", 1, 2, 3, 4), // Sim 4
 		mkProc("t3", 2, 3, 4),    // Sim 3: ties t1, loses on index
 		mkProc("t4", 1),          // Sim 1
-	})
+	}, session)
 	m := newMatcher(q, tt, nil)
 	defer m.release()
 	for _, excluded := range []map[int]int{
@@ -169,10 +168,10 @@ func TestMatcherScanMatchesBestMatch(t *testing.T) {
 // TestMatcherReuseAcrossGames: a pooled matcher recycled between games
 // with different executables must not leak memoized state.
 func TestMatcherReuseAcrossGames(t *testing.T) {
-	qa := sim.FromProcs("QA", []*sim.Proc{mkProc("q1", 1, 2, 3)})
-	ta := sim.FromProcs("TA", []*sim.Proc{mkProc("t1", 1, 2, 3), mkProc("t2", 9, 10)})
-	qb := sim.FromProcs("QB", []*sim.Proc{mkProc("q1", 9, 10)})
-	tb := sim.FromProcs("TB", []*sim.Proc{mkProc("t1", 1, 2, 3), mkProc("t2", 9, 10)})
+	qa := sim.FromProcs("QA", []*sim.Proc{mkProc("q1", 1, 2, 3)}, session)
+	ta := sim.FromProcs("TA", []*sim.Proc{mkProc("t1", 1, 2, 3), mkProc("t2", 9, 10)}, session)
+	qb := sim.FromProcs("QB", []*sim.Proc{mkProc("q1", 9, 10)}, session)
+	tb := sim.FromProcs("TB", []*sim.Proc{mkProc("t1", 1, 2, 3), mkProc("t2", 9, 10)}, session)
 	for i := 0; i < 50; i++ {
 		ra := Match(qa, 0, ta, nil)
 		if ra.Target != 0 || ra.Score != 3 {
@@ -182,23 +181,5 @@ func TestMatcherReuseAcrossGames(t *testing.T) {
 		if rb.Target != 1 || rb.Score != 2 {
 			t.Fatalf("iter %d: game B target=%d score=%d", i, rb.Target, rb.Score)
 		}
-	}
-}
-
-// The interned fast path must agree with the reference under a shared
-// session even when only one side's sets are re-attached from elsewhere
-// (hash fallback inside a session).
-func TestMemoizationEquivalenceMixedInterning(t *testing.T) {
-	rng := rand.New(rand.NewSource(4321))
-	opt := &Options{RecordTrace: true}
-	for trial := 0; trial < 150; trial++ {
-		it := corpusindex.NewInterner()
-		n := 3 + rng.Intn(8)
-		universe := 2 + rng.Intn(12)
-		// Target interned under the session, query not: SimAll must take
-		// the hash-map fallback inside the memoizer too.
-		q := sim.FromProcs("Q", randProcs(rng, "q", n, universe, 6))
-		tt := sim.FromProcsSession("T", randProcs(rng, "t", n, universe, 6), it)
-		assertGameEquiv(t, trial, q, qi(rng, n), tt, opt)
 	}
 }

@@ -77,7 +77,7 @@ func TestStopRuleEquivalence(t *testing.T) {
 		var queries []BatchQuery
 		for e := 0; e < 1+rng.Intn(3); e++ {
 			nq := 2 + rng.Intn(8)
-			q := sim.FromProcsSession("Q", randMarkers(rng, randProcs(rng, "q", nq, universe, 6)), it)
+			q := sim.FromProcs("Q", randMarkers(rng, randProcs(rng, "q", nq, universe, 6)), it)
 			for k := 0; k < 1+rng.Intn(5); k++ { // repeats allowed
 				queries = append(queries, BatchQuery{Q: q, QI: rng.Intn(nq)})
 			}
@@ -85,7 +85,7 @@ func TestStopRuleEquivalence(t *testing.T) {
 		var targets []*sim.Exe
 		for ti := 0; ti < 2+rng.Intn(6); ti++ {
 			np := 1 + rng.Intn(10)
-			targets = append(targets, sim.FromProcsSession("T", randMarkers(rng, randProcs(rng, "t", np, universe, 6)), it))
+			targets = append(targets, sim.FromProcs("T", randMarkers(rng, randProcs(rng, "t", np, universe, 6)), it))
 		}
 		plans := make([]Plan, len(queries))
 		for qx, bq := range queries {
@@ -202,11 +202,11 @@ func TestStopRuleStolenPartner(t *testing.T) {
 	q := sim.FromProcs("Q", []*sim.Proc{
 		mkProc("q0", 1, 2, 3, 4),
 		mkProc("q1", 1, 2, 3, 4, 5, 6),
-	})
+	}, session)
 	tt := sim.FromProcs("T", []*sim.Proc{
 		mkProc("t0", 1, 2, 3, 4, 5, 6),
 		mkProc("t1", 1, 9),
-	})
+	}, session)
 	opt := &SearchOptions{MinScore: 3, MinRatio: 0.25}
 
 	full := Match(q, 0, tt, nil)
@@ -231,7 +231,7 @@ func TestStopRuleStolenPartner(t *testing.T) {
 
 	// Through a search pass: one game cut; against a target holding
 	// nothing acceptable, none played.
-	none := sim.FromProcs("none", []*sim.Proc{mkProc("n0", 1, 2, 50, 51)})
+	none := sim.FromProcs("none", []*sim.Proc{mkProc("n0", 1, 2, 50, 51)}, session)
 	targets := []*sim.Exe{tt, none}
 	pass := PlayBatch([]BatchQuery{{Q: q, QI: 0}}, targets, []Plan{{Targets: []int{0, 1}}}, opt)
 	if pass.Cut != 1 || pass.Unplayed != 1 || pass.Findings[0][0] != nil || pass.Findings[0][1] != nil {

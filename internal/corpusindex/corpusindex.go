@@ -25,9 +25,6 @@ import (
 type Telemetry struct {
 	// Queries counts candidate-ranking queries answered from postings.
 	Queries *telemetry.Counter
-	// Fallbacks counts queries whose set was not interned under this
-	// session, forcing the caller into exhaustive examination.
-	Fallbacks *telemetry.Counter
 	// Fanout observes the number of candidate executables each answered
 	// query kept after the score floors.
 	Fanout *telemetry.Histogram

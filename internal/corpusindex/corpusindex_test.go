@@ -73,18 +73,18 @@ func buildCorpus(t *testing.T) (*Interner, *FrozenIndex, []*sim.Exe) {
 	t.Helper()
 	it := NewInterner()
 	exes := []*sim.Exe{
-		sim.FromProcsSession("a", []*sim.Proc{
+		sim.FromProcs("a", []*sim.Proc{
 			{Name: "a0", Set: set(1, 2, 3, 4, 5)},
 			{Name: "a1", Set: set(4, 5, 6)},
 		}, it),
-		sim.FromProcsSession("b", []*sim.Proc{
+		sim.FromProcs("b", []*sim.Proc{
 			{Name: "b0", Set: set(1, 2)},
 		}, it),
-		sim.FromProcsSession("c", []*sim.Proc{
+		sim.FromProcs("c", []*sim.Proc{
 			{Name: "c0", Set: set(100, 101)},
 		}, it),
 	}
-	return it, NewFrozenIndex(it, it.Size(), exes), exes
+	return it, NewFrozenIndex(it.Size(), exes), exes
 }
 
 // ranked is one scanned candidate: the executable and the largest score
@@ -92,11 +92,9 @@ func buildCorpus(t *testing.T) (*Interner, *FrozenIndex, []*sim.Exe) {
 type ranked struct{ Exe, MaxSim int }
 
 // candidates runs one unscoped Scan and reads the ranking back out of it.
-func candidates(x *FrozenIndex, q strand.Set, minScore int, ratioFloor float64) ([]ranked, bool) {
+func candidates(x *FrozenIndex, q strand.Set, minScore int, ratioFloor float64) []ranked {
 	var sc Scans
-	if !x.Scan(q, minScore, ratioFloor, nil, &sc) {
-		return nil, false
-	}
+	x.Scan(q, minScore, ratioFloor, nil, &sc)
 	out := []ranked{}
 	for k, e := range sc.Exes {
 		r := ranked{Exe: e}
@@ -105,21 +103,17 @@ func candidates(x *FrozenIndex, q strand.Set, minScore int, ratioFloor float64) 
 		}
 		out = append(out, r)
 	}
-	return out, true
+	return out
 }
 
 // The TestCandidates* tests pin what a search narrows by, asked through
-// Scan: the index's ranking (here against brute force), its floors, the
-// tie order among equal scores and the fallback for a query from a
-// foreign session.
+// Scan: the index's ranking (here against brute force), its floors and
+// the tie order among equal scores.
 func TestCandidatesMatchBruteForce(t *testing.T) {
 	it, x, exes := buildCorpus(t)
 	q := set(1, 2, 3, 9).Interned(it)
 
-	cands, ok := candidates(x, q, 1, 0)
-	if !ok {
-		t.Fatal("same-session query must be filterable")
-	}
+	cands := candidates(x, q, 1, 0)
 	want := map[int]int{} // exe -> brute-force max Sim
 	for ei, e := range exes {
 		max := 0
@@ -153,26 +147,14 @@ func TestCandidatesFloors(t *testing.T) {
 	q := set(1, 2, 3, 9).Interned(it)
 
 	// minScore 3: only exe a (max Sim 3 via a0) survives.
-	cands, ok := candidates(x, q, 3, 0)
-	if !ok || len(cands) != 1 || cands[0].Exe != 0 || cands[0].MaxSim != 3 {
-		t.Errorf("minScore=3 candidates = %+v, ok=%v; want just exe 0 at MaxSim 3", cands, ok)
+	cands := candidates(x, q, 3, 0)
+	if len(cands) != 1 || cands[0].Exe != 0 || cands[0].MaxSim != 3 {
+		t.Errorf("minScore=3 candidates = %+v; want just exe 0 at MaxSim 3", cands)
 	}
 	// ratio floor 0.9 with |q|=4: even 3/4 shared fails.
-	cands, ok = candidates(x, q, 1, 0.9)
-	if !ok || len(cands) != 0 {
+	cands = candidates(x, q, 1, 0.9)
+	if len(cands) != 0 {
 		t.Errorf("ratioFloor=0.9 candidates = %+v, want none", cands)
-	}
-}
-
-func TestCandidatesCrossSession(t *testing.T) {
-	_, x, _ := buildCorpus(t)
-	other := NewInterner()
-	q := set(1, 2, 3).Interned(other)
-	if _, ok := candidates(x, q, 1, 0); ok {
-		t.Error("query from another session must report ok=false")
-	}
-	if _, ok := candidates(x, set(1, 2, 3), 1, 0); ok {
-		t.Error("un-interned query must report ok=false")
 	}
 }
 
@@ -184,18 +166,10 @@ func TestCandidatesScratchReuse(t *testing.T) {
 	it, x, exes := buildCorpus(t)
 	qa := set(1, 2, 3, 9).Interned(it)
 	qb := set(4, 5, 6).Interned(it)
-	first, ok := candidates(x, qa, 1, 0)
-	if !ok {
-		t.Fatal("expected filterable")
-	}
+	first := candidates(x, qa, 1, 0)
 	for i := 0; i < 20; i++ {
-		if _, ok := candidates(x, qb, 1, 0); !ok {
-			t.Fatal("expected filterable")
-		}
-		again, ok := candidates(x, qa, 1, 0)
-		if !ok {
-			t.Fatal("expected filterable")
-		}
+		candidates(x, qb, 1, 0)
+		again := candidates(x, qa, 1, 0)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("iter %d: ranking drifted across scratch reuse:\nfirst: %+v\nagain: %+v", i, first, again)
 		}
@@ -204,12 +178,9 @@ func TestCandidatesScratchReuse(t *testing.T) {
 	// previous ones keep their scores, the full match ranks first and the
 	// tie after the lower ID.
 	exes = append(exes,
-		sim.FromProcsSession("d", []*sim.Proc{{Name: "d0", Set: set(1, 2, 3, 9)}}, it),
-		sim.FromProcsSession("e", []*sim.Proc{{Name: "e0", Set: set(1, 2, 3)}}, it))
-	grown, ok := candidates(NewFrozenIndex(it, it.Size(), exes), qa, 1, 0)
-	if !ok {
-		t.Fatal("expected filterable")
-	}
+		sim.FromProcs("d", []*sim.Proc{{Name: "d0", Set: set(1, 2, 3, 9)}}, it),
+		sim.FromProcs("e", []*sim.Proc{{Name: "e0", Set: set(1, 2, 3)}}, it))
+	grown := candidates(NewFrozenIndex(it.Size(), exes), qa, 1, 0)
 	want := append([]ranked{{Exe: 3, MaxSim: 4}, first[0], {Exe: 4, MaxSim: 3}}, first[1:]...)
 	if first[0] != (ranked{Exe: 0, MaxSim: 3}) || !reflect.DeepEqual(grown, want) {
 		t.Fatalf("rebuilt ranking = %+v, want %+v", grown, want)
@@ -221,10 +192,7 @@ func TestCandidatesScratchReuse(t *testing.T) {
 func TestCandidatesConcurrent(t *testing.T) {
 	it, x, _ := buildCorpus(t)
 	qa := set(1, 2, 3, 9).Interned(it)
-	want, ok := candidates(x, qa, 1, 0)
-	if !ok {
-		t.Fatal("expected filterable")
-	}
+	want := candidates(x, qa, 1, 0)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
@@ -232,8 +200,7 @@ func TestCandidatesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				got, ok := candidates(x, qa, 1, 0)
-				if !ok || !reflect.DeepEqual(got, want) {
+				if got := candidates(x, qa, 1, 0); !reflect.DeepEqual(got, want) {
 					errs <- "concurrent ranking diverged"
 					return
 				}
@@ -267,7 +234,7 @@ func randCorpus(rng *rand.Rand, nexes int) (*Interner, []*sim.Exe) {
 			}
 			procs = append(procs, &sim.Proc{Name: fmt.Sprintf("p%d_%d", e, p), Set: set(hashes...)})
 		}
-		exes = append(exes, sim.FromProcsSession(fmt.Sprintf("exe%d", e), procs, it))
+		exes = append(exes, sim.FromProcs(fmt.Sprintf("exe%d", e), procs, it))
 	}
 	return it, exes
 }
@@ -283,7 +250,7 @@ func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (rebound []*sim.Exe, bui
 		rebound[i] = e.Rebound(f)
 		procCounts[i] = int32(len(e.Procs))
 	}
-	built = NewFrozenIndex(f, f.Size(), rebound)
+	built = NewFrozenIndex(f.Size(), rebound)
 	var rowIDs, rowEnds, posts []uint32
 	for _, r := range built.Rows() {
 		rowIDs = append(rowIDs, r.ID)
@@ -325,7 +292,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 			{"foreign", foreign, rebound, overlay},
 			// The live image's index: keyed by the session interner, which
 			// keeps growing under the queries analysed after the build.
-			{"live", NewFrozenIndex(it, bound, live), live, func(s strand.Set) strand.Set { return s.Interned(it) }},
+			{"live", NewFrozenIndex(bound, live), live, func(s strand.Set) strand.Set { return s.Interned(it) }},
 		} {
 			name, fx, exes := side.name, side.fx, side.exes
 			var scans Scans
@@ -365,9 +332,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 						sc.inScope[i] = rng.Intn(2) == 0
 					}
 				}
-				if !fx.Scan(sc.q, sc.minScore, sc.ratio, sc.inScope, &scans) {
-					t.Fatalf("seed %d %s query %d: compatible query rejected", seed, name, qi)
-				}
+				fx.Scan(sc.q, sc.minScore, sc.ratio, sc.inScope, &scans)
 				sc.hi = len(scans.Exes)
 				all = append(all, sc)
 			}
@@ -417,16 +382,6 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 	if vectors < 100 || below < 100 || late < 20 {
 		t.Fatalf("vacuous: %d vectors checked, %d executables sharing strands but below the floors, %d live queries with IDs interned after the build", vectors, below, late)
 	}
-	// A set from a foreign interner appends nothing, whichever interner
-	// keys the index.
-	it, live := randCorpus(rand.New(rand.NewSource(1)), 4)
-	_, built, _ := frozenOf(t, it.Freeze(), live)
-	for name, fx := range map[string]*FrozenIndex{"built": built, "live": NewFrozenIndex(it, it.Size(), live)} {
-		var scans Scans
-		if fx.Scan(set(1, 2, 3).Interned(NewInterner()), 1, 0, nil, &scans) || len(scans.Exes)+len(scans.Off)+len(scans.Vecs) != 0 {
-			t.Fatalf("%s: foreign-session query was scanned: %+v", name, scans)
-		}
-	}
 }
 
 // bruteScan is Scan's reference, from SimAll alone: every executable in
@@ -465,11 +420,11 @@ func bruteScan(exes []*sim.Exe, q strand.Set, minScore int, inScope []bool) Scan
 func TestScanEdgeCases(t *testing.T) {
 	it := NewInterner()
 	exes := []*sim.Exe{
-		sim.FromProcsSession("none0", nil, it),
-		sim.FromProcsSession("a", []*sim.Proc{{Name: "a0", Set: set(1, 2, 3)}, {Name: "a1", Set: set(3, 4)}}, it),
-		sim.FromProcsSession("none2", nil, it),
-		sim.FromProcsSession("b", []*sim.Proc{{Name: "b0", Set: set(2, 3, 4, 5)}, {Name: "b1"}}, it),
-		sim.FromProcsSession("none4", nil, it),
+		sim.FromProcs("none0", nil, it),
+		sim.FromProcs("a", []*sim.Proc{{Name: "a0", Set: set(1, 2, 3)}, {Name: "a1", Set: set(3, 4)}}, it),
+		sim.FromProcs("none2", nil, it),
+		sim.FromProcs("b", []*sim.Proc{{Name: "b0", Set: set(2, 3, 4, 5)}, {Name: "b1"}}, it),
+		sim.FromProcs("none4", nil, it),
 	}
 	f := it.Freeze()
 	rebound, built, foreign := frozenOf(t, f, exes)
@@ -493,9 +448,7 @@ func TestScanEdgeCases(t *testing.T) {
 		for round := range 3 {
 			for _, c := range cases {
 				var got Scans
-				if !x.Scan(c.q, c.minScore, 0, c.inScope, &got) {
-					t.Fatalf("%s %s: compatible query rejected", name, c.name)
-				}
+				x.Scan(c.q, c.minScore, 0, c.inScope, &got)
 				want := bruteScan(rebound, c.q, c.minScore, c.inScope)
 				if !slices.Equal(got.Exes, want.Exes) || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vecs, want.Vecs) {
 					t.Fatalf("%s round %d %s: scan %+v, brute force %+v", name, round, c.name, got, want)
@@ -508,10 +461,7 @@ func TestScanEdgeCases(t *testing.T) {
 		}
 		counted := 0
 		for _, c := range cases {
-			s, ok := x.accumulate(c.q, c.minScore, 0)
-			if !ok {
-				t.Fatalf("%s %s: compatible query rejected", name, c.name)
-			}
+			s := x.accumulate(c.q, c.minScore, 0)
 			nonzero := func(n int32) bool { return n != 0 }
 			if slices.ContainsFunc(s.counts, nonzero) {
 				counted++

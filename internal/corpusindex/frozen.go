@@ -125,8 +125,9 @@ func (f *Frozen) InternAll(hashes []uint64, out []uint32) []uint32 {
 // get private IDs starting at the frozen vocabulary size, stored in
 // request-local state. Private IDs therefore never collide with any ID
 // a sealed posting list or CSR row can contain, which is what makes a
-// query set interned here directly comparable with sealed sets (see
-// strand.Compatible).
+// query set interned here directly comparable with sealed sets. Two
+// overlays of one base are not comparable with each other: their private
+// IDs overlap while standing for different hashes.
 //
 // A QueryInterner is safe for the concurrent procedure-level workers of
 // one query build; it is not meant to be shared across requests.
@@ -142,8 +143,8 @@ func NewQueryInterner(base *Frozen) *QueryInterner {
 	return &QueryInterner{base: base, extra: map[uint64]uint32{}}
 }
 
-// BaseInterner implements strand.Rebased.
-func (q *QueryInterner) BaseInterner() strand.Interner { return q.base }
+// BaseInterner returns the frozen vocabulary the overlay extends.
+func (q *QueryInterner) BaseInterner() *Frozen { return q.base }
 
 // Novel reports how many strand hashes outside the frozen vocabulary
 // the overlay has assigned private IDs so far.
@@ -185,17 +186,12 @@ func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 // FrozenIndex is the corpus-level inverted index — dense strand ID →
 // procedure-slot postings, flattened into one sparse CSR slab —
 // and the only index type there is: built once over the executables of a
-// sealed group (keyed by the Frozen vocabulary, or by whichever interner
-// assigned their IDs), never changed afterwards. It
+// sealed group, never changed afterwards. It
 // holds no lock and supports no mutation, so unlimited concurrent readers
 // share it freely. The only shared structure the query path touches is a
 // sync.Pool of scratch accumulators, which is race-safe by construction
 // and carries no corpus state between queries.
 type FrozenIndex struct {
-	// it is the interner the indexed executables' strand IDs come from.
-	// IDs it assigns after the index was built — a growing Interner's, an
-	// overlay's private IDs — have no row.
-	it    strand.Interner
 	nexes int
 	// rowIDs are the non-empty rows' strand IDs ascending; row i's
 	// postings, procedure slots, are posts[rowEnds[i-1]:rowEnds[i]]
@@ -213,17 +209,16 @@ type FrozenIndex struct {
 
 	// telemetry handles; the struct fields are individually nil-safe, so
 	// recording is unconditional once copied here.
-	telQueries   *telemetry.Counter
-	telFallbacks *telemetry.Counter
-	telFanout    *telemetry.Histogram
+	telQueries *telemetry.Counter
+	telFanout  *telemetry.Histogram
 }
 
 // NewFrozenIndex builds an index over executables whose strand IDs were
-// all assigned by it and lie below bound — the frozen vocabulary and its
-// size for a sealed group: a counting pass per strand ID, then postings filled in
-// slot order.
-func NewFrozenIndex(it strand.Interner, bound int, exes []*sim.Exe) *FrozenIndex {
-	x := &FrozenIndex{it: it, nexes: len(exes), procOff: make([]int32, len(exes)+1)}
+// all assigned by one interner and lie below bound — the frozen
+// vocabulary's size for a sealed group: a counting pass per strand ID,
+// then postings filled in slot order.
+func NewFrozenIndex(bound int, exes []*sim.Exe) *FrozenIndex {
+	x := &FrozenIndex{nexes: len(exes), procOff: make([]int32, len(exes)+1)}
 	next := make([]uint32, bound+1) // next[id+1] counts, then row cursors
 	for i, e := range exes {
 		x.procOff[i+1] = x.procOff[i] + int32(len(e.Procs))
@@ -265,7 +260,7 @@ func NewFrozenIndex(it strand.Interner, bound int, exes []*sim.Exe) *FrozenIndex
 // increasing in-vocabulary row IDs, nondecreasing row ends terminating at
 // len(posts), and every posting a slot below the procedure total.
 func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uint32, posts []uint32) (*FrozenIndex, error) {
-	x := &FrozenIndex{it: it, nexes: len(procCounts), rowIDs: rowIDs, rowEnds: rowEnds, posts: posts}
+	x := &FrozenIndex{nexes: len(procCounts), rowIDs: rowIDs, rowEnds: rowEnds, posts: posts}
 	x.procOff = make([]int32, len(procCounts)+1)
 	for i, n := range procCounts {
 		if n < 0 || x.procOff[i] > math.MaxInt32-n {
@@ -306,11 +301,10 @@ func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uin
 // it is not synchronized against concurrent Scan calls.
 func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
 	if tel == nil {
-		x.telQueries, x.telFallbacks, x.telFanout = nil, nil, nil
+		x.telQueries, x.telFanout = nil, nil
 		return
 	}
 	x.telQueries = tel.Queries
-	x.telFallbacks = tel.Fallbacks
 	x.telFanout = tel.Fanout
 }
 
@@ -363,16 +357,11 @@ func (s *Scans) Reset() {
 //
 // Scan appends to out every candidate that inScope admits (nil admits
 // all) together with its similarity vector, which the scan has already
-// counted and the game would otherwise accumulate again. It reports
-// false, appending nothing, when the query set was not interned under
-// this index's interner or an overlay of it; the caller must then
-// examine every executable.
-func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inScope []bool, out *Scans) bool {
-	s, ok := x.accumulate(q, minScore, ratioFloor)
-	if !ok {
-		x.telFallbacks.Inc()
-		return false
-	}
+// counted and the game would otherwise accumulate again. The query set
+// must be interned under the indexed executables' interner or an overlay
+// of it.
+func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inScope []bool, out *Scans) {
+	s := x.accumulate(q, minScore, ratioFloor)
 	x.telQueries.Inc()
 	x.telFanout.Observe(int64(len(s.cands)))
 	if len(out.Off) == 0 {
@@ -391,19 +380,13 @@ func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inSco
 		out.Off = append(out.Off, int32(len(out.Vecs)))
 	}
 	putScratch(&x.scratch, s)
-	return true
 }
 
 // accumulate runs one ranking query into pooled scratch; the caller owns
-// the returned scratch until putScratch. Query sets must be interned under
-// the index's interner or an overlay of it (strand.Compatible). IDs the
-// index has never seen — assigned by a growing interner after the build,
-// or overlay-private and so above the vocabulary — match no row and
-// contribute nothing.
-func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
-	if !strand.Compatible(q.It, x.it) {
-		return nil, false
-	}
+// the returned scratch until putScratch. IDs the index has never seen —
+// assigned by a growing interner after the build, or overlay-private and
+// so above the vocabulary — match no row and contribute nothing.
+func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64) *queryScratch {
 	s := getScratch(&x.scratch, int(x.procOff[x.nexes]))
 	// Both q.IDs and rowIDs are strictly increasing, so one forward
 	// binary-search cursor visits each matching row once.
@@ -422,5 +405,5 @@ func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64)
 		ri++
 	}
 	s.rank(x.procOff, len(q.IDs), minScore, ratioFloor)
-	return s, true
+	return s
 }

@@ -7,6 +7,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"firmup"
@@ -163,24 +164,30 @@ const (
 	VerdictPatched                // matched the true procedure in a fixed version
 )
 
+// correctAddrs returns the addresses in e that are correct locations of
+// proc: the procedure itself, in a vulnerable or a patched version alike,
+// and its deprecated predecessor (libcurl 7.10 ships curl_unescape for
+// curl_easy_unescape, which the paper counts as a true discovery).
+func correctAddrs(e *corpus.BuiltExe, proc string) []uint32 {
+	var out []uint32
+	if a, ok := e.Truth[proc]; ok {
+		out = append(out, a)
+	}
+	if a, ok := e.Truth["curl_unescape"]; ok && proc == "curl_easy_unescape" {
+		out = append(out, a)
+	}
+	return out
+}
+
 // classify scores a claimed match address for a CVE procedure within a
-// shipped executable against its ground truth.
+// shipped executable against its ground truth: a correct location is a
+// true finding, unless it is the procedure itself in a fixed version.
 func classify(u *corpus.BuiltExe, cve *corpus.CVE, matched bool, addr uint32) Verdict {
 	trueAddr, hasProc := u.Truth[cve.Procedure]
-	// libcurl 7.10 ships the deprecated predecessor of
-	// curl_easy_unescape; a match to it is a true finding (the paper's
-	// "deprecated procedures" discovery).
-	depAddr, hasDep := uint32(0), false
-	if cve.Procedure == "curl_easy_unescape" {
-		depAddr, hasDep = u.Truth["curl_unescape"]
-	}
 	switch {
-	case matched && hasProc && addr == trueAddr:
-		if cve.VulnerableIn(u.PkgVersion) {
-			return VerdictTP
-		}
+	case matched && hasProc && addr == trueAddr && !cve.VulnerableIn(u.PkgVersion):
 		return VerdictPatched
-	case matched && hasDep && addr == depAddr:
+	case matched && slices.Contains(correctAddrs(u, cve.Procedure), addr):
 		return VerdictTP
 	case matched:
 		return VerdictFP

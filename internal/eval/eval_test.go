@@ -2,15 +2,19 @@ package eval
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"firmup"
+	"firmup/internal/baseline/gitz"
 	"firmup/internal/corpus"
 	_ "firmup/internal/isa/arm"
 	_ "firmup/internal/isa/mips"
 	_ "firmup/internal/isa/ppc"
 	_ "firmup/internal/isa/x86"
+	"firmup/internal/sim"
 )
 
 var (
@@ -147,6 +151,64 @@ func TestCompareGitZShape(t *testing.T) {
 	}
 	if res.NoGameP > fuP {
 		t.Errorf("ablation (%d) outperformed the game (%d)", res.NoGameP, fuP)
+	}
+}
+
+// GitZ weights strands by dense ID, so over a corpus opened from shards —
+// whose executables carry no strand hashes — it trains the same context
+// and ranks the same top procedures as over the corpus sealed in RAM.
+func TestGitZStoreBackedMatchesInRAM(t *testing.T) {
+	env := testEnv(t)
+	dir := t.TempDir()
+	if _, err := env.Sealed.WriteShards(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := firmup.OpenSealedCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	cve := corpus.CVEByID("CVE-2014-4877")
+	ranked := 0
+	for _, arch := range queryArchs {
+		var ram, disk []*sim.Exe
+		for _, u := range env.Units {
+			if u.Arch != arch {
+				continue
+			}
+			occ := u.Occurrences[0].ImageIdx
+			bi := env.Corpus.Images[occ]
+			k := slices.IndexFunc(bi.Exes, func(e corpus.BuiltExe) bool { return e.File == u.File })
+			x := stored.Images()[occ].Executable(bi.Exes[k].Path)
+			if x == nil {
+				t.Fatalf("unit %s missing from the opened corpus", u.Key)
+			}
+			ram, disk = append(ram, u.Exe), append(disk, x.Sim())
+		}
+		q, err := env.Query(cve.Package, cve.QueryVersion, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qf, err := corpus.QueryExe(cve.Package, cve.QueryVersion, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, err := stored.AnalyzeQuery(qf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		qi := q.ProcByName(cve.Procedure)
+		inRAM, onDisk := &gitz.Engine{Ctx: gitz.Train(ram)}, &gitz.Engine{Ctx: gitz.Train(disk)}
+		for k := range ram {
+			want := inRAM.TopK(q.Procs[qi].Set, ram[k], 3)
+			if got := onDisk.TopK(sq.Sim().Procs[qi].Set, disk[k], 3); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v target %d: store-backed TopK %+v, in RAM %+v", arch, k, got, want)
+			}
+			ranked += len(want)
+		}
+	}
+	if ranked == 0 {
+		t.Fatal("GitZ ranked nothing; the comparison is vacuous")
 	}
 }
 

@@ -259,35 +259,9 @@ func TestServeQueryCacheSwapSafety(t *testing.T) {
 	}
 
 	// One request is held on A across the swap: the handler loads the
-	// corpus pointer before it first reads the body, the server answers
-	// Expect: 100-continue on that first read, and the body is a pipe the
-	// client only finishes further down.
-	pr, pw := io.Pipe()
-	reading := make(chan struct{})
-	req, err := http.NewRequest(http.MethodPost, url, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Expect", "100-continue")
-	req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
-		Got100Continue: func() { close(reading) },
-	}))
-	inflight := make(chan string, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Error(err)
-			inflight <- ""
-			return
-		}
-		defer resp.Body.Close()
-		blob, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Errorf("in-flight request: status %d, %v: %s", resp.StatusCode, err, blob)
-		}
-		inflight <- stripVolatile(blob)
-	}()
-	<-reading
+	// corpus pointer before it first reads the body, and the body is a
+	// pipe the client only finishes further down.
+	pw, inflight := heldSearch(t, url)
 	srv.Swap(newCorpus("B", scB))
 	if c := queryCacheCounts(reg); c.bytes != 0 {
 		t.Errorf("serve.query_cache.bytes = %d right after the swap, want the new corpus's 0", c.bytes)
@@ -327,6 +301,143 @@ func TestServeQueryCacheSwapSafety(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
+}
+
+// heldSearch posts body to url through a pipe and returns once the
+// handler has loaded its corpus and begun reading the body — it answered
+// Expect: 100-continue on that first read — with the pipe's write end and
+// where the stripped 200 body arrives ("" after a failure, reported on t).
+func heldSearch(t *testing.T, url string) (*io.PipeWriter, <-chan string) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	reading := make(chan struct{})
+	req, err := http.NewRequest(http.MethodPost, url, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Expect", "100-continue")
+	req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+		Got100Continue: func() { close(reading) },
+	}))
+	got := make(chan string, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			got <- ""
+			return
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("held request: status %d, %v: %s", resp.StatusCode, err, blob)
+			got <- ""
+			return
+		}
+		got <- stripVolatile(blob)
+	}()
+	<-reading
+	return pw, got
+}
+
+// TestServeSwapWhileBodiesArrive swaps two corpora, both with the upload
+// warm in their query caches, back and forth while uploads are still
+// arriving: requests held mid-body across each swap, and others streaming
+// their bodies in two halves the whole time. A request analyses its query
+// and searches it under the one corpus it loaded before reading the body,
+// so every response is a 200 with the bytes of exactly one corpus's
+// answer — never a 500 from a query analysed by one corpus and searched
+// in the other — and a held request answers from the corpus it started
+// on. Run under -race.
+func TestServeSwapWhileBodiesArrive(t *testing.T) {
+	scB, query := buildScenario(t)
+	scA, err := sealScale(corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	cA, cB := newCorpus("A", scA), newCorpus("B", scB)
+	srv := serve.New(cB, &serve.Config{MaxInFlight: 16, Registry: reg})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	url := ts.URL + "/search?proc=ftp_retrieve_glob"
+
+	want := map[*serve.Corpus]string{}
+	for _, c := range []*serve.Corpus{cA, cB} {
+		srv.Swap(c)
+		want[c] = mustSearch(t, url, query)
+		mustSearch(t, url, query) // second sight: admitted
+	}
+	if want[cA] == strings.Replace(want[cB], `"corpus":"B"`, `"corpus":"A"`, 1) {
+		t.Fatal("the two corpora answer alike; the test cannot tell them apart")
+	}
+	if c := queryCacheCounts(reg); c.admitted != 2 {
+		t.Fatalf("both caches must be warm: %+v", c)
+	}
+
+	half := len(query) / 2
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pr, pw := io.Pipe()
+				go func() {
+					pw.Write(query[:half])
+					time.Sleep(time.Millisecond)
+					pw.Write(query[half:])
+					pw.Close()
+				}()
+				resp, err := http.Post(url, "application/octet-stream", pr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				blob, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("streamed request: status %d, %v: %s", resp.StatusCode, err, blob)
+					return
+				}
+				if got := stripVolatile(blob); got != want[cA] && got != want[cB] {
+					t.Errorf("streamed request answered neither corpus's bytes:\n%s", got)
+					return
+				}
+			}
+		}()
+	}
+	cur, next := cB, cA
+	for round := range 6 {
+		var held []<-chan string
+		var pws []*io.PipeWriter
+		for range 2 {
+			pw, got := heldSearch(t, url)
+			pws, held = append(pws, pw), append(held, got)
+		}
+		for _, pw := range pws {
+			pw.Write(query[:half])
+		}
+		srv.Swap(next)
+		for _, pw := range pws {
+			pw.Write(query[half:])
+			pw.Close()
+		}
+		for _, got := range held {
+			if g := <-got; g != want[cur] {
+				t.Errorf("round %d: a request held across the swap did not answer from the corpus it started on:\n got %s\nwant %s", round, g, want[cur])
+			}
+		}
+		cur, next = next, cur
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestServeQueryCacheOneOffsAdmitNothing streams distinct uploads, each

@@ -95,7 +95,7 @@ func TestBuildIndexMatchesReference(t *testing.T) {
 		}{"random", randomProcs(rng, it, rng.Intn(40), 1+rng.Intn(60), bound)})
 	}
 	for _, c := range cases {
-		checkIndex(t, c.name, FromProcsSession("T", c.procs, it))
+		checkIndex(t, c.name, FromProcs("T", c.procs, it))
 	}
 
 	// One scratch through builds whose largest ID shrinks, then grows past
@@ -123,7 +123,7 @@ func TestBuildIndexConcurrent(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			e := FromProcsSession("T", randomProcs(rng, it, 25, 80, 1<<uint(4+seed%12)), it)
+			e := FromProcs("T", randomProcs(rng, it, 25, 80, 1<<uint(4+seed%12)), it)
 			ids, start, posts := referenceIndex(e.Procs)
 			if !slices.Equal(e.ids, ids) || !slices.Equal(e.start, start) || !slices.Equal(e.procs, posts) {
 				t.Errorf("seed %d: counting CSR differs from the reference", seed)
@@ -131,81 +131,4 @@ func TestBuildIndexConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-}
-
-// vocabInterner is a frozen vocabulary: dense ID i stands for hash
-// vocab[i]. Interning an unknown hash is a test bug.
-type vocabInterner struct{ vocab []uint64 }
-
-func (v *vocabInterner) Intern(h uint64) uint32 { return uint32(slices.Index(v.vocab, h)) }
-func (v *vocabInterner) Vocab() []uint64        { return v.vocab }
-
-// TestHashesOnDemand builds one executable twice under a vocabulary — with
-// hashes, as extraction leaves it, and from IDs alone, as a shard does —
-// and checks that everything that reads hashes answers the same: Hashes,
-// Size, and Sim and SimAll for a query from a foreign session.
-func TestHashesOnDemand(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	voc := &vocabInterner{}
-	for len(voc.vocab) < 500 {
-		if h := rng.Uint64(); !slices.Contains(voc.vocab, h) {
-			voc.vocab = append(voc.vocab, h)
-		}
-	}
-	var full, bare []*Proc
-	for _, p := range randomProcs(rng, voc, 30, 40, uint32(len(voc.vocab))) {
-		hashes := make([]uint64, 0, len(p.Set.IDs))
-		for _, id := range p.Set.IDs {
-			hashes = append(hashes, voc.vocab[id])
-		}
-		slices.Sort(hashes)
-		full = append(full, &Proc{Set: strand.Set{Hashes: hashes, IDs: p.Set.IDs, It: voc}})
-		bare = append(bare, p)
-	}
-	live, stored := FromProcsSession("T", full, voc), FromProcsSession("T", bare, voc)
-
-	// The foreign query: the strands of the first procedure that has any,
-	// and some unknown ones, interned under another session.
-	other := newTestInterner()
-	src := slices.IndexFunc(full, func(p *Proc) bool { return len(p.Set.IDs) > 0 })
-	qh := append([]uint64{1, 2, 3}, live.Hashes(src)...)
-	slices.Sort(qh)
-	foreign := strand.Set{Hashes: qh}.Interned(other)
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range stored.Procs {
-				if got, want := stored.Hashes(i), live.Hashes(i); !slices.Equal(got, want) {
-					t.Errorf("Hashes(%d) = %v, want %v", i, got, want)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range stored.Procs {
-		if stored.Procs[i].Set.Hashes != nil {
-			t.Fatalf("Hashes wrote into the shared set of procedure %d", i)
-		}
-		if got, want := stored.Procs[i].Set.Size(), len(live.Procs[i].Set.Hashes); got != want {
-			t.Errorf("Size(%d) = %d, want %d", i, got, want)
-		}
-		if got, want := stored.Sim(foreign, i), live.Sim(foreign, i); got != want {
-			t.Errorf("Sim(foreign, %d) = %d, want %d", i, got, want)
-		}
-		// The reverse direction a game asks: the stored procedure's set
-		// against a foreign executable.
-		q := FromProcsSession("Q", []*Proc{{Set: foreign}}, other)
-		if got, want := q.SimAll(stored.Procs[i].Set), q.SimAll(live.Procs[i].Set); !slices.Equal(got, want) {
-			t.Errorf("foreign SimAll(procedure %d) = %v, want %v", i, got, want)
-		}
-		if got, want := q.Sim(stored.Procs[i].Set, 0), q.Sim(live.Procs[i].Set, 0); got != want {
-			t.Errorf("foreign Sim(procedure %d) = %d, want %d", i, got, want)
-		}
-	}
-	if got, want := stored.SimAll(foreign), live.SimAll(foreign); !slices.Equal(got, want) || got[src] == 0 {
-		t.Errorf("SimAll(foreign) = %v, want %v with a positive entry %d", got, want, src)
-	}
 }

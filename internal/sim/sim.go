@@ -1,13 +1,14 @@
 // Package sim builds the indexed procedure representation the search
-// layers operate on: every procedure of an executable as a set of hashed
+// layers operate on: every procedure of an executable as a set of
 // canonical strands, plus call-graph and CFG shape metadata used by the
 // graph-based baseline, with an inverted strand index for fast
 // best-match queries (the paper's Sim(q,t) = |Strands(q) ∩ Strands(t)|).
 //
-// An executable built under an analyzer session (a strand.Interner)
-// stores sorted dense strand IDs alongside its hashes and keeps its
-// inverted index as slice-backed posting lists in CSR form; without a
-// session it falls back to the per-executable hash-map index.
+// Every executable is built under an analyzer session (a strand.Interner)
+// that assigns its strands dense IDs, and keeps its inverted index as
+// posting lists over them in CSR form. Similarity is counted over those
+// IDs alone, so a query set must come from the executable's session or
+// an overlay of it.
 package sim
 
 import (
@@ -60,24 +61,12 @@ type Exe struct {
 	Stripped bool
 
 	it strand.Interner
-	// CSR inverted index over dense strand IDs (session mode): ids is
-	// the sorted set of distinct strand IDs present in the executable,
-	// and procs[start[k]:start[k+1]] lists the procedures containing
-	// ids[k].
+	// CSR inverted index over dense strand IDs: ids is the sorted set of
+	// distinct strand IDs present in the executable, and
+	// procs[start[k]:start[k+1]] lists the procedures containing ids[k].
 	ids   []uint32
 	start []int32
 	procs []int32
-
-	// Hash-map index: the only index in session-less mode, and the
-	// fallback for query sets interned under a different session. Built
-	// lazily so session-mode executables pay for it only if needed.
-	hashOnce sync.Once
-	index    map[uint64][]int32
-
-	// hashes is Hashes' result for an executable built without them, cut
-	// from one slab; held here, never written into the shared Proc.Set.
-	hashesOnce sync.Once
-	hashes     [][]uint64
 
 	nameOnce sync.Once
 	names    map[string]int
@@ -99,10 +88,9 @@ type BuildConfig struct {
 	Span telemetry.Span
 }
 
-// Build indexes a recovered executable. A non-nil interner attaches the
-// executable to that analyzer session: every procedure's strand set is
-// interned to dense IDs and the inverted index is built as posting
-// lists over them.
+// Build indexes a recovered executable under the analyzer session it:
+// every procedure's strand set is interned to dense IDs and the inverted
+// index is built as posting lists over them.
 func Build(path string, rec *cfg.Recovered, it strand.Interner) *Exe {
 	return BuildWith(path, rec, it, nil)
 }
@@ -158,7 +146,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		}
 		wg.Wait()
 	}
-	e.Procs = procs
+	e.Procs, e.it = procs, it
 	for i, p := range e.Procs {
 		for _, c := range p.Calls {
 			e.Procs[c].CalledBy = append(e.Procs[c].CalledBy, i)
@@ -168,7 +156,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		tel.Procs.Add(int64(len(e.Procs)))
 	}
 	indexSpan := buildSpan.Start("sim.index")
-	e.buildIndex(it)
+	e.buildIndex()
 	indexSpan.End()
 	return e
 }
@@ -219,31 +207,21 @@ func (pb *procBuilder) build(i int) *Proc {
 	return sp
 }
 
-// FromProcs assembles an executable directly from procedures (used by
-// tests and synthetic scenarios), without an analyzer session.
-func FromProcs(path string, procs []*Proc) *Exe {
-	return FromProcsSession(path, procs, nil)
-}
-
-// FromProcsSession assembles an executable from procedures under an
-// analyzer session, interning every strand set when it is non-nil.
-// Sets already interned under that same session (e.g. re-attached from
-// a snapshot) are kept as-is instead of being re-interned.
-func FromProcsSession(path string, procs []*Proc, it strand.Interner) *Exe {
-	e := &Exe{Path: path, Procs: procs}
-	if it != nil {
-		for _, p := range e.Procs {
-			if p.Set.It != it {
-				p.Set = p.Set.Interned(it)
-			}
+// FromProcs assembles an executable from procedures under the analyzer
+// session it, interning every strand set. Sets already interned under it
+// (e.g. materialized from a shard) are kept as-is.
+func FromProcs(path string, procs []*Proc, it strand.Interner) *Exe {
+	e := &Exe{Path: path, Procs: procs, it: it}
+	for _, p := range e.Procs {
+		if p.Set.It != it {
+			p.Set = p.Set.Interned(it)
 		}
 	}
-	e.buildIndex(it)
+	e.buildIndex()
 	return e
 }
 
-// Session returns the analyzer session the executable was built under,
-// or nil.
+// Session returns the analyzer session the executable was built under.
 func (e *Exe) Session() strand.Interner { return e.it }
 
 // Rebound returns a copy of the executable bound to a different session
@@ -253,8 +231,8 @@ func (e *Exe) Session() strand.Interner { return e.it }
 // carry it as their session. The caller guarantees it assigns the same
 // dense ID to every hash the receiver's session did — the contract a
 // frozen snapshot of the live interner satisfies by construction.
-// Lazily-built caches (hash index, name map) are not carried over; the
-// copy rebuilds its own on first use.
+// The lazily-built name map is not carried over; the copy builds its
+// own on first use.
 func (e *Exe) Rebound(it strand.Interner) *Exe {
 	out := &Exe{
 		Path:     e.Path,
@@ -276,8 +254,8 @@ func (e *Exe) Rebound(it strand.Interner) *Exe {
 
 // WithPath returns a copy of the executable under another path: the
 // procedures and CSR posting lists are shared with the receiver, only
-// Path differs. Lazily-built caches (hash index, name map) are not
-// carried over; the copy rebuilds its own on first use.
+// Path differs. The lazily-built name map is not carried over; the copy
+// builds its own on first use.
 func (e *Exe) WithPath(path string) *Exe {
 	return &Exe{
 		Path:     path,
@@ -301,14 +279,8 @@ type csrScratch struct {
 
 var csrPool = sync.Pool{New: func() any { return new(csrScratch) }}
 
-// buildIndex binds the executable to its session and builds its inverted
-// index: the CSR posting lists under a session, the hash map without one.
-func (e *Exe) buildIndex(it strand.Interner) {
-	e.it = it
-	if it == nil {
-		e.ensureHashIndex()
-		return
-	}
+// buildIndex builds the executable's CSR posting lists.
+func (e *Exe) buildIndex() {
 	sc := csrPool.Get().(*csrScratch)
 	sc.build(e)
 	csrPool.Put(sc)
@@ -370,39 +342,6 @@ func (sc *csrScratch) build(e *Exe) {
 	clear(seen)
 }
 
-// ensureHashIndex builds the hash-map index on first need. Safe for
-// concurrent callers (search workers hit shared targets in parallel).
-func (e *Exe) ensureHashIndex() {
-	e.hashOnce.Do(func() {
-		e.index = map[uint64][]int32{}
-		for i := range e.Procs {
-			for _, h := range e.Hashes(i) {
-				e.index[h] = append(e.index[h], int32(i))
-			}
-		}
-	})
-}
-
-// Hashes returns procedure i's sorted strand hashes (shared; read-only).
-// A live or query executable carries them from extraction; a store-backed
-// one is built from strand IDs alone, and the first call derives all its
-// procedures' from the session vocabulary. Safe for concurrent callers.
-func (e *Exe) Hashes(i int) []uint64 {
-	if set := e.Procs[i].Set; set.Hashes != nil || len(set.IDs) == 0 {
-		return set.Hashes
-	}
-	e.hashesOnce.Do(func() {
-		slab := make([]uint64, 0, len(e.procs)) // one hash per posting
-		e.hashes = make([][]uint64, len(e.Procs))
-		for pi, p := range e.Procs {
-			at := len(slab)
-			slab = p.Set.AppendHashes(slab)
-			e.hashes[pi] = slab[at:len(slab):len(slab)]
-		}
-	})
-	return e.hashes[i]
-}
-
 // ProcByName returns the index of the first procedure with the given
 // name, or -1. The name map is built lazily on first use.
 func (e *Exe) ProcByName(name string) int {
@@ -420,23 +359,14 @@ func (e *Exe) ProcByName(name string) int {
 	return -1
 }
 
-// Sim computes the paper's similarity score between an external strand
-// set and procedure i.
+// Sim computes the paper's similarity score between a strand set of the
+// executable's session (or an overlay of it) and procedure i.
 func (e *Exe) Sim(q strand.Set, i int) int {
-	if strand.Compatible(q.It, e.it) {
-		return q.Intersect(e.Procs[i].Set)
-	}
-	// By hash, whichever side was built without them.
-	if q.Hashes == nil {
-		q.Hashes = q.AppendHashes(nil)
-	}
-	return strand.Set{Hashes: q.Hashes}.Intersect(strand.Set{Hashes: e.Hashes(i)})
+	return q.Intersect(e.Procs[i].Set)
 }
 
 // SimAll computes Sim(q, t) for every procedure via the inverted index:
-// one counter bump per (query strand, containing procedure) pair. Query
-// sets interned under the executable's own session take the posting-list
-// path; everything else falls back to the hash-map index.
+// one counter bump per (query strand, containing procedure) pair.
 func (e *Exe) SimAll(q strand.Set) []int {
 	return e.SimAllInto(q, nil)
 }
@@ -453,19 +383,7 @@ func (e *Exe) SimAllInto(q strand.Set, counts []int) []int {
 		counts = counts[:len(e.Procs)]
 		clear(counts)
 	}
-	if e.it != nil && (q.It == e.it || strand.Compatible(q.It, e.it)) {
-		e.simIDs(q.IDs, counts)
-		return counts
-	}
-	e.ensureHashIndex()
-	if q.Hashes == nil {
-		q.Hashes = q.AppendHashes(nil) // a set built without them
-	}
-	for _, h := range q.Hashes {
-		for _, pi := range e.index[h] {
-			counts[pi]++
-		}
-	}
+	e.simIDs(q.IDs, counts)
 	return counts
 }
 

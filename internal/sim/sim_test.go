@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -27,13 +28,20 @@ func mk(name string, hashes ...uint64) *Proc {
 	return &Proc{Name: name, Set: strand.Set{Hashes: s}}
 }
 
+// set returns the sorted hashes interned under it: a query set of the
+// session every executable under test is built in.
+func set(it strand.Interner, hashes ...uint64) strand.Set {
+	return mk("", hashes...).Set.Interned(it)
+}
+
 func TestSimAllMatchesDirectIntersect(t *testing.T) {
+	it := newTestInterner()
 	e := FromProcs("T", []*Proc{
 		mk("a", 1, 2, 3),
 		mk("b", 3, 4),
 		mk("c", 9),
-	})
-	q := strand.Set{Hashes: []uint64{2, 3, 4}}
+	}, it)
+	q := set(it, 2, 3, 4)
 	counts := e.SimAll(q)
 	want := []int{2, 2, 0}
 	for i := range counts {
@@ -67,10 +75,11 @@ func TestSimAllProperty(t *testing.T) {
 			}
 			return strand.Set{Hashes: out}
 		}
-		q := toSet(qraw)
+		it := newTestInterner()
+		q := toSet(qraw).Interned(it)
 		pa := &Proc{Name: "a", Set: toSet(araw)}
 		pb := &Proc{Name: "b", Set: toSet(braw)}
-		e := FromProcs("T", []*Proc{pa, pb})
+		e := FromProcs("T", []*Proc{pa, pb}, it)
 		counts := e.SimAll(q)
 		return counts[0] == q.Intersect(pa.Set) && counts[1] == q.Intersect(pb.Set)
 	}
@@ -80,12 +89,13 @@ func TestSimAllProperty(t *testing.T) {
 }
 
 func TestBestMatchExclusionAndTies(t *testing.T) {
+	it := newTestInterner()
 	e := FromProcs("T", []*Proc{
 		mk("a", 1, 2),
 		mk("b", 1, 2),
 		mk("c", 1),
-	})
-	q := strand.Set{Hashes: []uint64{1, 2}}
+	}, it)
+	q := set(it, 1, 2)
 	best, score := e.BestMatch(q, nil)
 	if best != 0 || score != 2 {
 		t.Errorf("tie must break to the lower index: got %d (%d)", best, score)
@@ -94,20 +104,21 @@ func TestBestMatchExclusionAndTies(t *testing.T) {
 	if best != 1 {
 		t.Errorf("exclusion ignored: got %d", best)
 	}
-	best, _ = e.BestMatch(strand.Set{Hashes: []uint64{77}}, nil)
+	best, _ = e.BestMatch(set(it, 77), nil)
 	if best != -1 {
 		t.Errorf("no shared strands must yield -1, got %d", best)
 	}
 }
 
 func TestTopKOrdering(t *testing.T) {
+	it := newTestInterner()
 	e := FromProcs("T", []*Proc{
 		mk("a", 1),
 		mk("b", 1, 2),
 		mk("c", 1, 2, 3),
 		mk("d", 9),
-	})
-	q := strand.Set{Hashes: []uint64{1, 2, 3}}
+	}, it)
+	q := set(it, 1, 2, 3)
 	top := e.TopK(q, 10)
 	if len(top) != 3 {
 		t.Fatalf("top = %v", top)
@@ -134,7 +145,7 @@ func TestBuildPopulatesCallGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Build("t", rec, nil)
+	e := Build("t", rec, newTestInterner())
 	di := e.ProcByName("deep")
 	if di < 0 {
 		t.Fatal("deep missing")
@@ -160,7 +171,7 @@ func TestBuildPopulatesCallGraph(t *testing.T) {
 }
 
 func TestProcByName(t *testing.T) {
-	e := FromProcs("T", []*Proc{mk("x", 1)})
+	e := FromProcs("T", []*Proc{mk("x", 1)}, newTestInterner())
 	if e.ProcByName("x") != 0 || e.ProcByName("y") != -1 {
 		t.Error("ProcByName lookup broken")
 	}
@@ -186,54 +197,6 @@ func (it *testInterner) Intern(h uint64) uint32 {
 	return id
 }
 
-// Property: the interned posting-list SimAll equals the hash-map SimAll
-// for random sets, both for same-session queries (fast path) and for
-// cross-session queries (hash fallback).
-func TestInternedSimAllMatchesLegacy(t *testing.T) {
-	f := func(qraw, araw, braw []uint8) bool {
-		toHashes := func(raw []uint8) []uint64 {
-			seen := map[uint64]bool{}
-			var out []uint64
-			for _, x := range raw {
-				h := uint64(x % 64)
-				if !seen[h] {
-					seen[h] = true
-					out = append(out, h)
-				}
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			return out
-		}
-		qh, ah, bh := toHashes(qraw), toHashes(araw), toHashes(braw)
-		legacy := FromProcs("L", []*Proc{
-			{Name: "a", Set: strand.Set{Hashes: ah}},
-			{Name: "b", Set: strand.Set{Hashes: bh}},
-		})
-		it := newTestInterner()
-		session := FromProcsSession("S", []*Proc{
-			{Name: "a", Set: strand.Set{Hashes: ah}},
-			{Name: "b", Set: strand.Set{Hashes: bh}},
-		}, it)
-
-		qLegacy := strand.Set{Hashes: qh}
-		qSame := strand.Set{Hashes: qh}.Interned(it)
-		qOther := strand.Set{Hashes: qh}.Interned(newTestInterner())
-
-		want := legacy.SimAll(qLegacy)
-		for _, got := range [][]int{session.SimAll(qSame), session.SimAll(qOther), session.SimAll(qLegacy)} {
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // The binary-search path of simIDs triggers when the query is much
 // smaller than the executable's vocabulary; pin its correctness.
 func TestInternedSimAllSmallQueryLargeExe(t *testing.T) {
@@ -242,7 +205,7 @@ func TestInternedSimAllSmallQueryLargeExe(t *testing.T) {
 	for h := uint64(0); h < 4096; h++ {
 		big = append(big, h)
 	}
-	e := FromProcsSession("S", []*Proc{
+	e := FromProcs("S", []*Proc{
 		{Name: "big", Set: strand.Set{Hashes: big}},
 		{Name: "small", Set: strand.Set{Hashes: []uint64{5, 4095}}},
 	}, it)
@@ -254,8 +217,8 @@ func TestInternedSimAllSmallQueryLargeExe(t *testing.T) {
 }
 
 // TestSimIDsMatchesHashPath pins simIDs' two strategies — the galloping
-// search and the linear merge — against the hash-map accumulation on
-// random executables: query sizes are drawn on both sides of the
+// search and the linear merge — against a brute-force count of the hashes
+// each procedure shares with the query, on random executables: query sizes are drawn on both sides of the
 // len(qids)*8 < len(e.ids) switch, with clustered and scattered IDs,
 // IDs below, between and above the executable's rows, and in both game
 // directions (a small set against a large executable and the reverse).
@@ -287,14 +250,12 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 		for _, h := range rng.Perm(universe) {
 			it.Intern(uint64(h))
 		}
-		var procs, plain []*Proc
+		var procs []*Proc
 		for pi := 0; pi < 1+rng.Intn(12); pi++ {
 			hs := randSet(1+rng.Intn(min(universe/2, 400)), universe)
 			procs = append(procs, &Proc{Name: "p", Set: strand.Set{Hashes: hs}})
-			plain = append(plain, &Proc{Name: "p", Set: strand.Set{Hashes: hs}})
 		}
-		e := FromProcsSession("S", procs, it)
-		ref := FromProcs("L", plain)
+		e := FromProcs("S", procs, it)
 		for k := 0; k < 8; k++ {
 			// Half the queries are sized around the switch point.
 			n := 1 + rng.Intn(min(universe/2, 300))
@@ -309,7 +270,14 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 				merged++
 			}
 			got := e.SimAllInto(q, nil)
-			want := ref.SimAllInto(strand.Set{Hashes: qh}, nil)
+			want := make([]int, len(procs))
+			for pi, p := range procs {
+				for _, h := range p.Set.Hashes {
+					if _, ok := slices.BinarySearch(qh, h); ok {
+						want[pi]++
+					}
+				}
+			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d: |q|=%d |ids|=%d: counts[%d] = %d, want %d",
@@ -318,7 +286,7 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 			}
 			// The reverse direction of a game: each procedure of e
 			// against the one-procedure executable made of the query.
-			qe := FromProcsSession("Q", []*Proc{{Name: "q", Set: strand.Set{Hashes: qh}}}, it)
+			qe := FromProcs("Q", []*Proc{{Name: "q", Set: strand.Set{Hashes: qh}}}, it)
 			for pi, p := range e.Procs {
 				if got, want := qe.SimAllInto(p.Set, nil)[0], want[pi]; got != want {
 					t.Fatalf("trial %d: reverse Sim(proc %d) = %d, want %d", trial, pi, got, want)
@@ -336,7 +304,7 @@ func TestProcByNameFirstMatch(t *testing.T) {
 		mk("dup", 1),
 		mk("solo", 2),
 		mk("dup", 3),
-	})
+	}, newTestInterner())
 	if i := e.ProcByName("dup"); i != 0 {
 		t.Errorf("ProcByName(dup) = %d, want the first occurrence 0", i)
 	}
@@ -351,12 +319,13 @@ func TestProcByNameFirstMatch(t *testing.T) {
 // SimAllInto must equal SimAll whatever buffer it is handed: nil, dirty
 // and oversized, or too small.
 func TestSimAllIntoBufferReuse(t *testing.T) {
+	it := newTestInterner()
 	e := FromProcs("T", []*Proc{
 		mk("a", 1, 2, 3),
 		mk("b", 3, 4),
 		mk("c", 9),
-	})
-	q := strand.Set{Hashes: []uint64{2, 3, 4, 9}}
+	}, it)
+	q := set(it, 2, 3, 4, 9)
 	want := e.SimAll(q)
 
 	dirty := []int{7, 7, 7, 7, 7, 7}
@@ -403,14 +372,15 @@ func TestBestMatchFromEquivalence(t *testing.T) {
 			}
 			procs[i] = mk("p", hs...)
 		}
-		e := FromProcs("T", procs)
+		it := newTestInterner()
+		e := FromProcs("T", procs, it)
 		var qh []uint64
 		for h := uint64(1); h <= 12; h++ {
 			if rng.Intn(2) == 0 {
 				qh = append(qh, h)
 			}
 		}
-		q := strand.Set{Hashes: qh}
+		q := set(it, qh...)
 		ex := map[int]bool{}
 		for i := 0; i < n; i++ {
 			if rng.Intn(3) == 0 {
@@ -465,8 +435,9 @@ func TestTopKMatchesFullSortReference(t *testing.T) {
 			}
 			procs[i] = mk("p", hs...)
 		}
-		e := FromProcs("T", procs)
-		q := strand.Set{Hashes: []uint64{1, 2, 3, 4, 5}}
+		it := newTestInterner()
+		e := FromProcs("T", procs, it)
+		q := set(it, 1, 2, 3, 4, 5)
 		for _, k := range []int{0, 1, 2, 3, n / 2, n, n + 5} {
 			got := e.TopK(q, k)
 			want := reference(e, q, k)

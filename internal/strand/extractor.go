@@ -33,8 +33,8 @@ type Extractor struct {
 }
 
 // NewExtractor creates an extractor for one executable's extraction
-// options under an analyzer session (a nil interner yields hash-only
-// sets), recording extraction metrics into tel when it is non-nil.
+// options under an analyzer session, which interns every strand it
+// extracts, recording extraction metrics into tel when it is non-nil.
 func NewExtractor(opt *Options, it Interner, tel *Telemetry) *Extractor {
 	ex := &Extractor{it: it, sc: getScratch(opt)}
 	if tel != nil {
@@ -53,9 +53,9 @@ func (ex *Extractor) Release() {
 }
 
 // Proc extracts every block of one procedure in a single pass,
-// returning the merged canonical strand set (with dense IDs when under
-// a session) and the procedure's marker constants. The three result
-// slices are all it allocates.
+// returning the merged canonical strand set, hashes and dense IDs, and
+// the procedure's marker constants. The three result slices are all it
+// allocates.
 func (ex *Extractor) Proc(blocks []*uir.Block) (Set, []uint32) {
 	sc := ex.sc
 	sc.accH, sc.accI, sc.accM = sc.accH[:0], sc.accI[:0], sc.accM[:0]
@@ -65,10 +65,10 @@ func (ex *Extractor) Proc(blocks []*uir.Block) (Set, []uint32) {
 		sc.accM, sc.tmpM = mergeSorted(sc.tmpM[:0], sc.accM, markers), sc.accM
 		sc.accI, sc.tmpI = mergeSorted(sc.tmpI[:0], sc.accI, ids), sc.accI
 	}
-	set := Set{Hashes: append(make([]uint64, 0, len(sc.accH)), sc.accH...)}
-	if ex.it != nil {
-		set.IDs = append(make([]uint32, 0, len(sc.accI)), sc.accI...)
-		set.It = ex.it
+	set := Set{
+		Hashes: append(make([]uint64, 0, len(sc.accH)), sc.accH...),
+		IDs:    append(make([]uint32, 0, len(sc.accI)), sc.accI...),
+		It:     ex.it,
 	}
 	return set, owned(sc.accM)
 }
@@ -83,8 +83,8 @@ func owned[T any](s []T) []T {
 }
 
 // compute runs extraction for one block: its sorted unique strand
-// hashes, dense IDs (nil without an interner) and markers, all views of
-// the scratch valid until the next block.
+// hashes, dense IDs and markers, all views of the scratch valid until the
+// next block.
 func (ex *Extractor) compute(b *uir.Block) (hashes []uint64, ids, markers []uint32) {
 	sc := ex.sc
 	sc.analyze(b)
@@ -94,12 +94,9 @@ func (ex *Extractor) compute(b *uir.Block) (hashes []uint64, ids, markers []uint
 	// Strands are unique by hash already (render dedups); sort for merge.
 	slices.Sort(sc.hashes)
 	slices.Sort(sc.markers)
-	if ex.it != nil {
-		sc.ids = internAll(ex.it, sc.hashes, sc.ids[:0])
-		slices.Sort(sc.ids)
-		ids = sc.ids
-	}
-	return sc.hashes, ids, slices.Compact(sc.markers)
+	sc.ids = internAll(ex.it, sc.hashes, sc.ids[:0])
+	slices.Sort(sc.ids)
+	return sc.hashes, sc.ids, slices.Compact(sc.markers)
 }
 
 // mergeSorted appends the sorted-unique union of a and b (each sorted

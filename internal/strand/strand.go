@@ -1,7 +1,6 @@
 package strand
 
 import (
-	"cmp"
 	"slices"
 	"strconv"
 	"sync"
@@ -636,54 +635,17 @@ type BulkInterner interface {
 	InternAll(hashes []uint64, out []uint32) []uint32
 }
 
-// Rebased is an Interner layered over a base interner whose ID space it
-// extends without mutating: hashes known to the base keep their base
-// IDs, and hashes the base has never seen are assigned private IDs
-// strictly above the base's ID space. A sealed corpus hands each query
-// such an overlay, so query analysis never writes to shared state while
-// the query's known-strand IDs stay directly comparable with the
-// corpus's.
-type Rebased interface {
-	Interner
-	// BaseInterner returns the read-only interner this overlay extends.
-	BaseInterner() Interner
-}
-
-// Compatible reports whether a set interned by q carries dense IDs
-// valid against the ID space of a set (or index) interned by t. That
-// holds when the two are the same interner, or when one is a Rebased
-// overlay of the other: overlay IDs for base-known hashes are the base
-// IDs themselves, and overlay-private IDs lie above the base space so
-// they can never collide with a base-assigned ID. Two distinct overlays
-// of one base are NOT compatible — their private IDs overlap while
-// standing for different hashes.
-func Compatible(q, t Interner) bool {
-	if q == nil || t == nil {
-		return false
-	}
-	if q == t {
-		return true
-	}
-	if r, ok := q.(Rebased); ok && r.BaseInterner() == t {
-		return true
-	}
-	if r, ok := t.(Rebased); ok && r.BaseInterner() == q {
-		return true
-	}
-	return false
-}
-
-// Set is a procedure's strand set, the unit Sim operates on. A set bound
-// to an interner (It non-nil) is its IDs; its Hashes may be absent — a
-// store-backed executable is built without them — so read a procedure's
-// hashes through sim.Exe.Hashes, not this field.
+// Set is a procedure's strand set, the unit Sim operates on: its dense
+// strand IDs, assigned by It. Hashes is extraction output on its way into
+// the interner, absent on a set built from IDs alone (a store-backed
+// executable's); read a set's hashes through AppendHashes.
 type Set struct {
 	Hashes []uint64 // sorted, unique
-	// IDs are the dense interned equivalents of Hashes (sorted, unique),
-	// present only when the set was built under an analyzer session.
+	// IDs are the dense interned equivalents of Hashes (sorted, unique).
 	IDs []uint32
 	// It is the session interner that assigned IDs. Two sets are
-	// ID-comparable only when their interners are Compatible.
+	// comparable only when It assigned both sets' IDs, or one's It is an
+	// overlay extending the other's ID space.
 	It Interner
 }
 
@@ -710,11 +672,7 @@ func (s Set) AppendHashes(dst []uint64) []uint64 {
 }
 
 // Interned returns a copy of the set with dense IDs assigned by it.
-// A nil interner returns the set unchanged.
 func (s Set) Interned(it Interner) Set {
-	if it == nil {
-		return s
-	}
 	ids := internAll(it, s.Hashes, make([]uint32, 0, len(s.Hashes)))
 	slices.Sort(ids)
 	return Set{Hashes: s.Hashes, IDs: ids, It: it}
@@ -732,30 +690,13 @@ func internAll(it Interner, hashes []uint64, out []uint32) []uint32 {
 	return out
 }
 
-// FromBlocks extracts and merges the strands of all blocks of a
-// procedure, outside any session.
-func FromBlocks(blocks []*uir.Block, opt *Options) Set {
-	ex := NewExtractor(opt, nil, nil)
-	defer ex.Release()
-	set, _ := ex.Proc(blocks)
-	return set
-}
+// Size returns the number of unique strands.
+func (s Set) Size() int { return len(s.IDs) }
 
-// Size returns the number of unique strands: of IDs for a bound set, whose
-// hashes may be absent, of hashes for an unbound one, which has no IDs.
-func (s Set) Size() int { return max(len(s.IDs), len(s.Hashes)) }
-
-// Intersect counts shared strands between two sets, the paper's
-// Sim(q, t): over IDs when the two are ID-comparable, over hashes
-// otherwise.
+// Intersect counts the strands two comparable sets share, the paper's
+// Sim(q, t).
 func (s Set) Intersect(t Set) int {
-	if Compatible(s.It, t.It) {
-		return intersect(s.IDs, t.IDs)
-	}
-	return intersect(s.Hashes, t.Hashes)
-}
-
-func intersect[T cmp.Ordered](a, b []T) int {
+	a, b := s.IDs, t.IDs
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -287,8 +287,8 @@ func render(ss []Strand) []string {
 // --- set operations ---
 
 func TestSetIntersect(t *testing.T) {
-	a := Set{Hashes: []uint64{1, 3, 5, 7}}
-	b := Set{Hashes: []uint64{2, 3, 4, 7, 9}}
+	a := Set{IDs: []uint32{1, 3, 5, 7}}
+	b := Set{IDs: []uint32{2, 3, 4, 7, 9}}
 	if got := a.Intersect(b); got != 2 {
 		t.Errorf("Intersect = %d, want 2", got)
 	}
@@ -305,7 +305,9 @@ func TestSetIntersect(t *testing.T) {
 
 // --- integration: cross-tool-chain similarity ---
 
-func buildSets(t *testing.T, arch uir.Arch, prof compiler.Profile, opt isa.Options) map[string]Set {
+// buildSets extracts the strand set of every procedure of the test source
+// compiled for arch, interned under it: sets of one interner compare.
+func buildSets(t *testing.T, it Interner, arch uir.Arch, prof compiler.Profile, opt isa.Options) map[string]Set {
 	t.Helper()
 	pkg, err := compiler.CompileToMIR(isatest.Source, prof)
 	if err != nil {
@@ -325,8 +327,10 @@ func buildSets(t *testing.T, arch uir.Arch, prof compiler.Profile, opt isa.Optio
 		t.Fatal(err)
 	}
 	sets := map[string]Set{}
+	ex := NewExtractor(&Options{ABI: be.ABI(), Sections: f.Map()}, it, nil)
+	defer ex.Release()
 	for _, p := range rec.Procs {
-		sets[p.Name] = FromBlocks(p.Blocks, &Options{ABI: be.ABI(), Sections: f.Map()})
+		sets[p.Name], _ = ex.Proc(p.Blocks)
 	}
 	return sets
 }
@@ -335,9 +339,10 @@ func buildSets(t *testing.T, arch uir.Arch, prof compiler.Profile, opt isa.Optio
 // procedure's best match in the other binary must be itself.
 func TestCrossToolchainBestMatch(t *testing.T) {
 	for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
-		q := buildSets(t, arch, compiler.Profile{OptLevel: 2},
+		it := newLockedInterner()
+		q := buildSets(t, it, arch, compiler.Profile{OptLevel: 2},
 			isa.Options{TextBase: 0x400000, RegSeed: 1, SchedSeed: 1, MulByShift: true})
-		tt := buildSets(t, arch, compiler.Profile{OptLevel: 1},
+		tt := buildSets(t, it, arch, compiler.Profile{OptLevel: 1},
 			isa.Options{TextBase: 0x80000000, RegSeed: 77, SchedSeed: 42, ShuffleProcs: true})
 		correct, total := 0, 0
 		for name, qs := range q {
@@ -368,9 +373,10 @@ func TestCrossToolchainBestMatch(t *testing.T) {
 // Cross-architecture: the canonicalizer must bridge at least the three
 // register-argument ISAs for most procedures.
 func TestCrossArchitectureOverlap(t *testing.T) {
-	mips := buildSets(t, uir.ArchMIPS32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x400000})
-	arm := buildSets(t, uir.ArchARM32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x8000})
-	ppc := buildSets(t, uir.ArchPPC32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x10000000})
+	it := newLockedInterner()
+	mips := buildSets(t, it, uir.ArchMIPS32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x400000})
+	arm := buildSets(t, it, uir.ArchARM32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x8000})
+	ppc := buildSets(t, it, uir.ArchPPC32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x10000000})
 	pairs := []struct {
 		name string
 		a, b map[string]Set
@@ -405,8 +411,9 @@ func TestCrossArchitectureOverlap(t *testing.T) {
 
 // Determinism: extraction of the same binary twice yields identical sets.
 func TestExtractionDeterministic(t *testing.T) {
-	a := buildSets(t, uir.ArchMIPS32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x400000})
-	b := buildSets(t, uir.ArchMIPS32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x400000})
+	it := newLockedInterner()
+	a := buildSets(t, it, uir.ArchMIPS32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x400000})
+	b := buildSets(t, it, uir.ArchMIPS32, compiler.Profile{OptLevel: 2}, isa.Options{TextBase: 0x400000})
 	for name, sa := range a {
 		sb := b[name]
 		if sa.Size() != sb.Size() || sa.Intersect(sb) != sa.Size() {
@@ -449,9 +456,5 @@ func TestSetInterned(t *testing.T) {
 	s2 := Set{Hashes: []uint64{200, 900}}.Interned(it)
 	if s2.IDs[0] != s.IDs[0] && s2.IDs[0] != s.IDs[1] && s2.IDs[0] != s.IDs[2] {
 		t.Errorf("re-interned hash got a fresh ID: %v vs %v", s2.IDs, s.IDs)
-	}
-	// Nil interner is the identity.
-	if n := (Set{Hashes: []uint64{1}}).Interned(nil); n.It != nil || n.IDs != nil {
-		t.Error("Interned(nil) must be a no-op")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // storeScenario is one generated corpus three ways: the session's
 // images, the corpus sealed in RAM, and that corpus written to shards and
 // opened again — whose executables come off the mapping built from strand
-// IDs alone, their hashes derived only on demand.
+// IDs alone.
 type storeScenario struct {
 	analyzer *Analyzer
 	live     []*Image
@@ -61,9 +61,8 @@ func buildStoreScenario(t *testing.T) *storeScenario {
 
 // TestStoreBackedHashesOnDemand pins what a store-backed executable built
 // without hashes must still answer like the live one: every procedure's
-// strands, a plain acceptance, a search by a query from a foreign
-// session (both directions of the game fall back to hashes), and a stored
-// executable used as the query of another corpus.
+// strands (derived from the vocabulary), a plain acceptance, and a search
+// with a stored executable as the query of its own corpus.
 func TestStoreBackedHashesOnDemand(t *testing.T) {
 	s := buildStoreScenario(t)
 
@@ -81,7 +80,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 				if sp.Set.Hashes != nil {
 					t.Fatalf("image %d %s procedure %d: a store-backed set carries hashes", ii, le.Path, pi)
 				}
-				if p.Set.Size() != len(p.Set.Hashes) || sp.Set.Size() != len(se.exe.Hashes(pi)) || sp.Set.Size() != p.Set.Size() {
+				if p.Set.Size() != len(p.Set.Hashes) || sp.Set.Size() != len(se.ProcedureStrands(pi)) || sp.Set.Size() != p.Set.Size() {
 					t.Fatalf("image %d %s procedure %d: Size %d live / %d stored, %d hashes", ii, le.Path, pi, p.Set.Size(), sp.Set.Size(), len(p.Set.Hashes))
 				}
 			}
@@ -123,13 +122,8 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 		t.Error("the search accepted nothing: the comparison is vacuous")
 	}
 
-	// A query from another session shares no ID space with the corpus.
-	foreign, err := NewAnalyzer(nil).AnalyzeExecutable("query", s.query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A stored executable as the query of another corpus: hash-less on the
-	// query side, against sets that are not ID-comparable with it.
+	// A stored executable as the query of its own corpus, against the same
+	// executable sealed in RAM querying that corpus.
 	var storedQ, ramOwnQ *Executable
 	ownProc, ownSize := "", 0
 	for ii, im := range s.stored.Images() {
@@ -143,35 +137,24 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range []struct {
-		name      string
-		got, want *Executable
-		proc      string
-		over      *SealedCorpus
-	}{
-		{"foreign-session query", foreign, foreign, storeScenarioProc, s.stored},
-		{"stored executable as a query", storedQ, ramOwnQ, ownProc, s.sealed},
-	} {
-		for _, opt := range []*Options{nil, {Exhaustive: true}, {Workers: 1}} {
-			got, err := c.over.SearchAll(c.got, c.proc, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A query the index cannot narrow examines everything.
-			want, err := s.sealed.SearchAll(c.want, c.proc, &Options{Exhaustive: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, options %+v: findings differ from the in-RAM corpus\ngot:  %+v\nwant: %+v", c.name, opt, got, want)
-			}
-			n := 0
-			for _, im := range got {
-				n += len(im.Findings)
-			}
-			if n == 0 {
-				t.Errorf("%s found nothing: the comparison is vacuous", c.name)
-			}
+	for _, opt := range []*Options{nil, {Exhaustive: true}, {Workers: 1}} {
+		got, err := s.stored.SearchAll(storedQ, ownProc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.sealed.SearchAll(ramOwnQ, ownProc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("options %+v: findings differ from the in-RAM corpus\ngot:  %+v\nwant: %+v", opt, got, want)
+		}
+		n := 0
+		for _, im := range got {
+			n += len(im.Findings)
+		}
+		if n == 0 {
+			t.Error("the stored query found nothing: the comparison is vacuous")
 		}
 	}
 }
@@ -184,12 +167,12 @@ func TestStoreBackedHashesConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := NewAnalyzer(nil).AnalyzeExecutable("query", s.query)
+	ramQ, err := s.sealed.AnalyzeQuery(s.query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []BatchQuery{{Query: q, Procedure: storeScenarioProc}, {Query: foreign, Procedure: storeScenarioProc}}
-	want, err := s.sealed.SearchAllBatch(batch, &Options{Exhaustive: true})
+	batch := []BatchQuery{{Query: q, Procedure: storeScenarioProc}}
+	want, err := s.sealed.SearchAllBatch([]BatchQuery{{Query: ramQ, Procedure: storeScenarioProc}}, &Options{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +199,7 @@ func TestStoreBackedHashesConcurrent(t *testing.T) {
 				for k, oc := range im.occs {
 					e := im.Executable(oc.Path)
 					for pi := range e.exe.Procs {
-						if !slices.Equal(e.exe.Hashes(pi), s.live[ii].Exes[k].exe.Hashes(pi)) {
+						if !slices.Equal(e.ProcedureStrands(pi), s.live[ii].Exes[k].ProcedureStrands(pi)) {
 							t.Errorf("image %d %s procedure %d: hashes differ from the session's", ii, oc.Path, pi)
 							return
 						}

@@ -14,8 +14,7 @@ import (
 // The memoized game engine must be indistinguishable from the reference
 // on the realistic corpus: for every query procedure and every target
 // executable, the full game result — target, score, steps, matched
-// pairs, end reason and trace — deep-equal under both the interned
-// session index and the hash-map fallback.
+// pairs, end reason and trace — deep-equal.
 func TestMemoizedEngineEquivalenceOnCorpus(t *testing.T) {
 	env, err := eval.Prepare(corpus.DefaultScale())
 	if err != nil {

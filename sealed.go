@@ -198,11 +198,14 @@ type BatchQuery struct {
 }
 
 // coreBatch resolves the facade batch queries to core form, rejecting
-// unknown procedure names with the same error the sequential path
-// reports.
-func coreBatch(queries []BatchQuery) ([]core.BatchQuery, error) {
+// queries the corpus did not analyse (checkQuery) and unknown procedure
+// names with the same errors MatchProcedure reports.
+func (sc *SealedCorpus) coreBatch(queries []BatchQuery) ([]core.BatchQuery, error) {
 	out := make([]core.BatchQuery, len(queries))
 	for i, bq := range queries {
+		if err := sc.checkQuery(bq.Query); err != nil {
+			return nil, err
+		}
 		qi := bq.Query.exe.ProcByName(bq.Procedure)
 		if qi < 0 {
 			return nil, fmt.Errorf("firmup: query executable has no procedure %q", bq.Procedure)
@@ -357,7 +360,7 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 
 // SetTelemetry attaches the corpus to a registry under the session's
 // names. Every group index records the prefilter:
-// index.queries / index.fallbacks / index.fanout for every candidate
+// index.queries / index.fanout for every candidate
 // query — one per (query, group), counting distinct candidate
 // executables — and every search pass the game engine's game.*,
 // search.* and batch.* metrics, among them game.unplayed and game.cut
@@ -384,9 +387,8 @@ func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
 		return nil
 	}
 	return &corpusindex.Telemetry{
-		Queries:   r.Counter("index.queries"),
-		Fallbacks: r.Counter("index.fallbacks"),
-		Fanout:    r.Histogram("index.fanout"),
+		Queries: r.Counter("index.queries"),
+		Fanout:  r.Histogram("index.fanout"),
 	}
 }
 
@@ -445,8 +447,7 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 // frozen vocabulary: strands the corpus knows resolve to their frozen
 // IDs, novel strands get private IDs above the vocabulary, and nothing
 // in the corpus is written. The returned executable queries this corpus
-// on the interned fast paths; against any other corpus it falls back to
-// hash-based comparison (still correct, just slower).
+// only: its private IDs mean nothing to another, which refuses it.
 //
 // The front-end layers are timed as children of parent (obj.parse,
 // cfg.recover, sim.build), so a traced request sees where its analysis
@@ -612,11 +613,10 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 // RSS tracks the working set) and is the list the games run on, and the
 // per-procedure counts behind it are each game's first similarity
 // vector, from which the game engine also reads off whether a candidate
-// can be accepted at all. Exhaustive searches and queries the index
-// cannot narrow (not analyzed under this corpus) examine every
-// executable in scope, the game engine accumulating its own vectors. The
-// acceptance floors are baked into the lists, so the narrowing stays
-// sound (see FrozenIndex.Scan).
+// can be accepted at all. An exhaustive search examines every executable
+// in scope, the game engine accumulating its own vectors. The acceptance
+// floors are baked into the lists, so the narrowing stays sound (see
+// FrozenIndex.Scan).
 //
 // A panic in the pass — on a fan-out goroutine it would end the process —
 // becomes the pass's error, naming the shard.
@@ -629,41 +629,41 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options
 	s := opt.search()
 	s.Span = parent
 	s.Game.Tel = g.game
-	narrowed := opt == nil || !opt.Exhaustive
-	if narrowed {
+	// plans[qx] lists the executables query qx is played against — all of
+	// scope when exhaustive, else its candidates in scope with their
+	// scanned vectors — and played[qx] marks them. One pooled Scans holds
+	// every query's scan until the games are over; query qx appended
+	// scans.Exes[at[qx]:at[qx+1]].
+	plans := make([]core.Plan, len(cqs))
+	if opt == nil || !opt.Exhaustive {
 		if err := g.ensureIndex(); err != nil {
 			return nil, nil, st, err
 		}
-	}
-	var scope []int
-	for u, ok := range inScope {
-		if ok {
-			scope = append(scope, u)
+		scans := scansPool.Get().(*corpusindex.Scans)
+		scans.Reset()
+		defer scansPool.Put(scans)
+		at := make([]int, len(cqs)+1)
+		for qx, cq := range cqs {
+			g.index.Scan(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, inScope, scans)
+			at[qx+1] = len(scans.Exes)
 		}
-	}
-	// plans[qx] lists the executables query qx is played against — its
-	// candidates in scope with their scanned vectors, or all of scope —
-	// and played[qx] marks them. One pooled Scans holds every query's scan
-	// until the games are over; scanned[qx] is the range of it query qx
-	// appended.
-	scans := scansPool.Get().(*corpusindex.Scans)
-	scans.Reset()
-	defer scansPool.Put(scans)
-	scanned := make([][2]int, len(cqs))
-	for qx, cq := range cqs {
-		lo := -1 // not scanned
-		if at := len(scans.Exes); narrowed && g.index.Scan(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, inScope, scans) {
-			lo = at
-		}
-		scanned[qx] = [2]int{lo, len(scans.Exes)}
-	}
-	plans := make([]core.Plan, len(cqs))
-	played = make([][]bool, len(cqs))
-	for qx := range cqs {
-		plans[qx].Targets = scope
-		if lo, hi := scanned[qx][0], scanned[qx][1]; lo >= 0 {
+		for qx := range plans {
+			lo, hi := at[qx], at[qx+1]
 			plans[qx] = core.Plan{Targets: scans.Exes[lo:hi], Off: scans.Off[lo : hi+1], Vec: scans.Vecs}
 		}
+	} else {
+		var scope []int
+		for u, ok := range inScope {
+			if ok {
+				scope = append(scope, u)
+			}
+		}
+		for qx := range plans {
+			plans[qx].Targets = scope
+		}
+	}
+	played = make([][]bool, len(cqs))
+	for qx := range plans {
 		played[qx] = make([]bool, g.n)
 		for _, u := range plans[qx].Targets {
 			played[qx][u] = true
@@ -683,7 +683,7 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options
 // every executable of one sealed image, with the search accounting
 // exposed: one pass over the groups that hold the image's executables.
 func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string, img *SealedImage, opt *Options) (*SearchResult, error) {
-	cqs, err := coreBatch([]BatchQuery{{Query: query, Procedure: procedure}})
+	cqs, err := sc.coreBatch([]BatchQuery{{Query: query, Procedure: procedure}})
 	if err != nil {
 		return nil, err
 	}
@@ -719,7 +719,7 @@ func (sc *SealedCorpus) SearchAll(query *Executable, procedure string, opt *Opti
 // with queries, the inner with Images(); each entry is byte-identical to
 // the corresponding per-image search.
 func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]ImageFindings, error) {
-	cqs, err := coreBatch(queries)
+	cqs, err := sc.coreBatch(queries)
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +749,7 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 // the target does not appear to contain the procedure) and the number of
 // game steps played.
 func (sc *SealedCorpus) MatchProcedure(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, int, error) {
-	f, r, err := matchTraced(query, procedure, target, opt, false)
+	f, r, err := sc.matchTraced(query, procedure, target, opt, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -787,7 +787,7 @@ type GameTrace struct {
 // MatchProcedureTraced is MatchProcedure with the full game course
 // recorded and returned as a JSON-encodable trace.
 func (sc *SealedCorpus) MatchProcedureTraced(query *Executable, procedure string, target *Executable, opt *Options) (*Finding, *GameTrace, error) {
-	f, r, err := matchTraced(query, procedure, target, opt, true)
+	f, r, err := sc.matchTraced(query, procedure, target, opt, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -809,9 +809,35 @@ func traceFromResult(r core.Result) *GameTrace {
 	return gt
 }
 
+// checkQuery refuses a query the corpus did not analyse. Similarity is
+// counted over dense strand IDs, which mean the same strand only under
+// the corpus's frozen vocabulary: a query passes when it was analysed
+// under an overlay of that vocabulary (AnalyzeQuery) or is one of the
+// corpus's own sealed executables.
+func (sc *SealedCorpus) checkQuery(x *Executable) error {
+	switch it := x.exe.Session().(type) {
+	case *corpusindex.Frozen:
+		if it == sc.frozen {
+			return nil
+		}
+	case *corpusindex.QueryInterner:
+		if it.BaseInterner() == sc.frozen {
+			return nil
+		}
+	}
+	return fmt.Errorf("firmup: query executable %s was not analysed by this corpus: analyse it with the corpus's AnalyzeQuery", x.Path)
+}
+
 // matchTraced is the MatchProcedure body; recordTrace selects whether
-// the game course is captured.
-func matchTraced(query *Executable, procedure string, target *Executable, opt *Options, recordTrace bool) (*Finding, core.Result, error) {
+// the game course is captured. The target must be one of the corpus's
+// sealed executables.
+func (sc *SealedCorpus) matchTraced(query *Executable, procedure string, target *Executable, opt *Options, recordTrace bool) (*Finding, core.Result, error) {
+	if err := sc.checkQuery(query); err != nil {
+		return nil, core.Result{}, err
+	}
+	if target.exe.Session() != strand.Interner(sc.frozen) {
+		return nil, core.Result{}, fmt.Errorf("firmup: target executable %s is not sealed in this corpus", target.Path)
+	}
 	qi := query.exe.ProcByName(procedure)
 	if qi < 0 {
 		return nil, core.Result{}, fmt.Errorf("firmup: query executable has no procedure %q", procedure)

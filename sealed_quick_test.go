@@ -44,7 +44,7 @@ func genCorpus(rng *rand.Rand) synthCorpus {
 	pool := make([]uint64, 80+rng.Intn(120))
 	for i := range pool {
 		// High bit set: keeps the corpus vocabulary disjoint from the
-		// junk hashes cross-session tests pre-intern.
+		// junk hashes some tests pre-intern.
 		pool[i] = rng.Uint64() | 1<<63
 	}
 	pick := func(n int) []uint64 {
@@ -81,7 +81,8 @@ func genCorpus(rng *rand.Rand) synthCorpus {
 	return c
 }
 
-// buildSet sorts and dedupes hashes into a session-less strand set.
+// buildSet sorts and dedupes hashes into a strand set, to be interned by
+// the session of the executable it goes into.
 func buildSet(hashes []uint64) strand.Set {
 	seen := map[uint64]bool{}
 	var out []uint64
@@ -115,7 +116,7 @@ func buildProcs(specs []synthProc) []*sim.Proc {
 func buildSynthImage(a *Analyzer, c synthCorpus) *Image {
 	img := &Image{Vendor: "synth", Device: "dev", Version: "1.0", Skipped: c.skipped}
 	for ei, procs := range c.exes {
-		e := sim.FromProcsSession(fmt.Sprintf("bin/exe_%d", ei), buildProcs(procs), a.interner)
+		e := sim.FromProcs(fmt.Sprintf("bin/exe_%d", ei), buildProcs(procs), a.interner)
 		img.Exes = append(img.Exes, &Executable{Path: e.Path, exe: e})
 	}
 	return img
@@ -124,7 +125,7 @@ func buildSynthImage(a *Analyzer, c synthCorpus) *Image {
 // buildSynthQuery builds the query executable under an interner: a
 // sealed corpus's per-request overlay.
 func buildSynthQuery(it strand.Interner, c synthCorpus) *Executable {
-	e := sim.FromProcsSession("query", buildProcs([]synthProc{c.query}), it)
+	e := sim.FromProcs("query", buildProcs([]synthProc{c.query}), it)
 	return &Executable{Path: "query", exe: e}
 }
 

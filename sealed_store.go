@@ -30,9 +30,9 @@ import (
 //
 // Off the mapping (loadExe), an executable's strand IDs and markers alias
 // the file; its procedures, call graph and CSR posting lists are derived
-// once, by counting, into a few slabs; its strand hashes are deferred. A
-// set bound to an interner is its IDs: Set.Hashes is absent on these
-// targets — read a procedure's hashes through sim.Exe.Hashes.
+// once, by counting, into a few slabs. It has no strand hashes: every
+// similarity is counted over IDs, and the few callers that want hashes
+// (Executable.ProcedureStrands) derive them from the vocabulary.
 
 // lazyExe is one executable's materialize-once slot.
 type lazyExe struct {
@@ -159,7 +159,7 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 			procs[cl].CalledBy = append(procs[cl].CalledBy, pi) // within the counted capacity
 		}
 	}
-	e := sim.FromProcsSession("", procs, g.frozen)
+	e := sim.FromProcs("", procs, g.frozen)
 	e.Arch = uir.Arch(ed.Arch)
 	e.Stripped = ed.Stripped
 	return e, nil
@@ -170,7 +170,7 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 func (g *sealedGroup) ensureIndex() error {
 	g.idxOnce.Do(func() {
 		if g.shard == nil {
-			g.index = corpusindex.NewFrozenIndex(g.frozen, g.frozen.Size(), g.exes)
+			g.index = corpusindex.NewFrozenIndex(g.frozen.Size(), g.exes)
 			g.index.SetTelemetry(g.tel)
 			return
 		}
@@ -312,7 +312,7 @@ func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int)
 		}
 		c.Images = append(c.Images, ci)
 	}
-	rows := corpusindex.NewFrozenIndex(sc.frozen, sc.frozen.Size(), es).Rows()
+	rows := corpusindex.NewFrozenIndex(sc.frozen.Size(), es).Rows()
 	c.Index = make([]snapshot.IndexRow, len(rows))
 	for k, r := range rows {
 		c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: r.Posts}

@@ -111,7 +111,7 @@ func TestSealedQueryAnalysisTelemetry(t *testing.T) {
 	imgBytes, queryBytes, _ := buildScenario(t)
 	sreg := telemetry.New()
 	session := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Telemetry: sreg})
-	if _, err := session.AnalyzeExecutable("query", queryBytes); err != nil {
+	if _, err := session.OpenImage(oneExeImage("query", queryBytes)); err != nil {
 		t.Fatal(err)
 	}
 	want := sreg.Snapshot()
