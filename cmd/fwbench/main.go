@@ -7,6 +7,7 @@
 //	fwbench -exp table2 -scale eval
 //	fwbench -exp fig6|fig8|fig9|fig5|table1|demo|ablation
 //	fwbench -exp matrix         # cross-ISA accuracy; not part of all
+//	fwbench -exp recovery       # procedure-recovery census; not part of all
 //
 // Timing lives in bench/ (bash bench/run.sh), not here.
 package main
@@ -27,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, all, matrix")
+	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, all, matrix, recovery")
 	scale := flag.String("scale", "default", "corpus scale: default or eval")
 	version := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
@@ -36,7 +37,7 @@ func main() {
 		return
 	}
 	valid := map[string]bool{"all": true, "table2": true, "fig6": true, "fig8": true,
-		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true, "matrix": true}
+		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true, "matrix": true, "recovery": true}
 	if !valid[*exp] {
 		fmt.Fprintf(os.Stderr, "fwbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -70,6 +71,10 @@ func run(w io.Writer, exp, scale string) error {
 			return err
 		}
 		fmt.Fprintln(w, res.Format())
+		return nil
+	}
+	if exp == "recovery" {
+		fmt.Fprintln(w, eval.RecoveryCensus(env).Format())
 		return nil
 	}
 	want := func(name string) bool { return exp == "all" || exp == name }

@@ -26,6 +26,15 @@ func TestMatrixGolden(t *testing.T) {
 	checkGolden(t, "matrix")
 }
 
+// TestRecoveryGolden pins `fwbench -exp recovery` at the default scale —
+// every distinct shipped executable's recovered procedure entries scored
+// against the generator's symbols — to testdata/recovery.golden. A
+// change to how the front end recovers or lifts procedures must leave it
+// unchanged unless it means to move a boundary.
+func TestRecoveryGolden(t *testing.T) {
+	checkGolden(t, "recovery")
+}
+
 // checkGolden compares what experiment exp prints at the default scale,
 // Table 2's Time column aside, with testdata/<exp>.golden.
 func checkGolden(t *testing.T, exp string) {

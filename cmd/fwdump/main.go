@@ -149,7 +149,7 @@ func dumpExe(path, procName string, showStrands bool) {
 		for _, p := range rec.Procs {
 			set, _ := ex.Proc(p.Blocks)
 			fmt.Printf("  %-32s %#08x  %3d blocks %4d insts %4d strands connected=%v\n",
-				p.Name, p.Entry, len(p.Blocks), len(p.Insts), set.Size(), p.Connected)
+				p.Name, p.Entry, len(p.Blocks), len(p.Insts), set.Size(), p.Connected())
 		}
 		return
 	}

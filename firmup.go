@@ -156,14 +156,16 @@ func (fe *frontEnd) read(data []byte, parent telemetry.Span) (*obj.File, error) 
 	return obj.ReadWith(data, fe.obj, parent.Or(fe.root))
 }
 
-// analyze is the pass order after the parse — recover and lift
-// ("cfg.recover"), then extract, intern and index ("sim.build") — timed
-// under parent like read. With a non-nil spare, one of whose tokens the
+// analyze is the pass order after the parse — sweep, claim gaps and plan
+// the procedures ("cfg.recover"), then lift each procedure and extract,
+// intern and index it ("sim.build"), one procedure per build worker at a
+// time, so the executable's UIR is never held whole — timed under parent
+// like read. With a non-nil spare, one of whose tokens the
 // caller holds, the build adds a procedure worker for every further
 // token free at that moment, up to workers in all.
 func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, workers int, spare chan struct{}, parent telemetry.Span) (*Executable, error) {
 	parent = parent.Or(fe.root)
-	rec, err := cfg.RecoverWith(f, fe.cfg, parent)
+	rec, err := cfg.Plan(f, fe.cfg, parent)
 	if err != nil {
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
 	}

@@ -9,6 +9,11 @@
 // corroboration checks the paper describes — CFG connectivity and
 // coverage of unaccounted-for areas of the text section, which recovers
 // procedures that are never directly called.
+//
+// Plan does all of that short of lifting; the analysis pipeline then
+// lifts each planned procedure with a Lifter right before extracting its
+// strands, so an executable's UIR is never held whole. Recover lifts
+// every procedure at once, for the dumps and tests that read blocks.
 package cfg
 
 import (
@@ -18,6 +23,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"firmup/internal/isa"
 	"firmup/internal/obj"
@@ -32,8 +38,8 @@ type Telemetry struct {
 	// Decoded counts instructions decoded by the sweep (ISA decoder
 	// invocations that succeeded).
 	Decoded *telemetry.Counter
-	// Procs, Blocks and Insts count recovered procedures, lifted basic
-	// blocks, and instructions attributed to procedures.
+	// Procs, Blocks and Insts count the procedures Lifters lifted, their
+	// basic blocks, and their instructions.
 	Procs  *telemetry.Counter
 	Blocks *telemetry.Counter
 	Insts  *telemetry.Counter
@@ -50,28 +56,65 @@ type Proc struct {
 	Blocks   []*uir.Block
 	Insts    []isa.Inst // instructions in address order (for dumps)
 	Exported bool
-	// Connected reports whether every block is reachable from the entry
-	// (one of the lifter-corroboration checks).
-	Connected bool
 }
 
-// Recovered is the result of analyzing one executable.
+// Connected reports whether every block is reachable from the entry
+// block, one of the lifter-corroboration checks: false for a procedure
+// without blocks, as a plan's are. Only dumps and tests read it, so it is
+// worked out when asked, not during recovery.
+func (p *Proc) Connected() bool {
+	blocks := p.Blocks
+	if len(blocks) == 0 {
+		return false
+	}
+	seen := make([]bool, len(blocks))
+	stack := []int32{0}
+	seen[0] = true
+	reached := 1
+	var succs []uint32
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		succs = blocks[i].Succs(succs[:0])
+		for _, s := range succs {
+			j, ok := slices.BinarySearchFunc(blocks, s, func(b *uir.Block, a uint32) int { return cmp.Compare(b.Addr, a) })
+			if ok && !seen[j] {
+				seen[j] = true
+				reached++
+				stack = append(stack, int32(j))
+			}
+		}
+	}
+	return reached == len(blocks)
+}
+
+// Recovered is the result of analyzing one executable: a plan (Plan) or
+// a full recovery (Recover).
 //
-// Procs is sorted by Entry and every procedure's Blocks by Addr, both
-// strictly ascending; consumers look procedures and blocks up by binary
-// search. Everything a Recovered points at is allocated per executable,
-// not per procedure, block or statement: each Proc's Insts is a subslice
-// of the linear sweep, each block's Stmts a subslice of one statement
-// arena, and the Procs and Blocks themselves sit in one slab each. It is
-// all read-only once RecoverWith returns, and garbage as one piece when
-// the Recovered is dropped.
+// Procs is sorted by Entry, strictly ascending, and consumers look
+// procedures up by binary search. A plan's procedures are every extent
+// that holds an instruction, named, with their Insts, but no Blocks: a
+// Lifter lifts them one at a time. Recover's are the ones that lifted,
+// with Blocks sorted by Addr, strictly ascending.
+// Everything a Recovered points at is allocated per executable or per
+// procedure, never per block or statement: each Proc's Insts is a
+// subslice of the linear sweep, each block's Stmts a subslice of its
+// procedure's statement array, and the Procs and Blocks themselves sit in
+// one slab each. It is all read-only once Plan or Recover returns, and
+// garbage as one piece when the Recovered is dropped.
 type Recovered struct {
 	File  *obj.File
 	Arch  uir.Arch
 	Procs []*Proc
 	// Coverage is the fraction of text bytes attributed to some
-	// procedure's decoded instructions.
+	// procedure's decoded instructions (Recover only).
 	Coverage float64
+
+	// What a Lifter reads: the backend, the sweep with its leader flags,
+	// and the counters lifting records into.
+	be  isa.Backend
+	sw  *sweep
+	tel *Telemetry
 }
 
 // Proc returns the recovered procedure with the given name, or nil.
@@ -123,16 +166,62 @@ func (s *sweep) lower(addr uint32) int32 {
 	return int32(sort.Search(len(s.seq), func(i int) bool { return s.seq[i].Addr >= addr }))
 }
 
-// Recover analyzes the executable.
+// Recover analyzes the executable: its plan, with every planned
+// procedure then lifted and kept. Procedures that fail to lift are
+// dropped.
 func Recover(f *obj.File) (*Recovered, error) {
-	return RecoverWith(f, nil, telemetry.Span{})
+	rec, err := Plan(f, nil, telemetry.Span{})
+	if err != nil {
+		return nil, err
+	}
+	sw := rec.sw
+	nblocks := 0
+	for _, fl := range sw.flags {
+		if fl == flagLeader { // a delay slot can never start a block
+			nblocks++
+		}
+	}
+	slab := make([]uir.Block, 0, nblocks)
+	ptrs := make([]*uir.Block, 0, nblocks)
+	l := NewLifter(rec)
+	defer l.Release()
+	procs := rec.Procs[:0]
+	var bytes uint32
+	for _, p := range rec.Procs {
+		blocks, ok := l.Lift(p)
+		if !ok {
+			continue
+		}
+		// Copy the procedure out of the lifter: its statements, which the
+		// lifter's arena holds in block order and nothing else, into an
+		// array of their own, and its blocks into the executable's slab.
+		stmts, mark := slices.Clone(l.lb.Stmts), len(ptrs)
+		for _, b := range blocks {
+			n := len(b.Stmts)
+			slab = append(slab, uir.Block{Addr: b.Addr, Size: b.Size, Stmts: stmts[:n:n]})
+			ptrs = append(ptrs, &slab[len(slab)-1])
+			stmts = stmts[n:]
+		}
+		p.Blocks = ptrs[mark:len(ptrs):len(ptrs)]
+		last := &p.Insts[len(p.Insts)-1] // Insts is one contiguous run from the entry
+		bytes += last.Addr + last.Size - p.Entry
+		procs = append(procs, p)
+	}
+	clear(rec.Procs[len(procs):])
+	rec.Procs = procs
+	if sw.n > 0 {
+		rec.Coverage = float64(bytes) / float64(sw.n)
+	}
+	return rec, nil
 }
 
-// RecoverWith is Recover timed under parent — one "cfg.recover" span end
-// to end, with the linear sweep ("cfg.sweep") and the block-splitting and
-// UIR-lifting pass ("cfg.lift") as its children — and counted into tel.
-// The recovery itself is identical.
-func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered, error) {
+// Plan is recovery short of lifting, timed under parent as one
+// "cfg.recover" span with the linear sweep ("cfg.sweep") as its child,
+// and counted into tel: the sweep, entry discovery, the coverage pass,
+// and the extents the entries cut, each with its block leaders flagged
+// and its name. Lifting is left to a Lifter per procedure, which counts
+// what it lifts into tel too.
+func Plan(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered, error) {
 	recoverSpan := parent.Start("cfg.recover")
 	defer recoverSpan.End()
 	be, sw, err := sweepText(f, recoverSpan)
@@ -144,29 +233,7 @@ func RecoverWith(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered
 		tel.Decoded.Add(int64(len(sw.seq)))
 		tel.CoverageRounds.Add(int64(rounds))
 	}
-
-	liftSpan := recoverSpan.Start("cfg.lift")
-	rec := &Recovered{File: f, Arch: f.Arch}
-	rec.Procs = liftProcs(be, f, entries, sw.base+sw.n, sw)
-	liftSpan.End()
-
-	var bytes uint32
-	var blocks, insts int64
-	for _, p := range rec.Procs {
-		blocks += int64(len(p.Blocks))
-		insts += int64(len(p.Insts))
-		last := &p.Insts[len(p.Insts)-1] // Insts is one contiguous run from the entry
-		bytes += last.Addr + last.Size - p.Entry
-	}
-	if sw.n > 0 {
-		rec.Coverage = float64(bytes) / float64(sw.n)
-	}
-	if tel != nil {
-		tel.Procs.Add(int64(len(rec.Procs)))
-		tel.Blocks.Add(blocks)
-		tel.Insts.Add(insts)
-	}
-	return rec, nil
+	return &Recovered{File: f, Arch: f.Arch, Procs: planProcs(f, entries, sw), be: be, sw: sw, tel: tel}, nil
 }
 
 // sweepText is pass 1, the linear-sweep disassembly of f's text section
@@ -229,17 +296,16 @@ func callEntries(f *obj.File, sw *sweep) []uint32 {
 	return slices.Compact(entries)
 }
 
-// liftProcs turns the extents the sorted entries partition the text into
-// — [entries[i], entries[i+1]), the last one running to textEnd — into
-// procedures: a first pass over all of them collects each extent's
-// instructions and flags its block leaders, which sizes the block slab
-// exactly; a second splits and lifts. Extents that hold no instruction or
-// fail to lift yield no procedure (coverage accounting reflects it).
-func liftProcs(be isa.Backend, f *obj.File, entries []uint32, textEnd uint32, sw *sweep) []*Proc {
+// planProcs turns the extents the sorted entries partition the text into
+// — [entries[i], entries[i+1]), the last one running to the end of the
+// text — into procedures: each extent's instructions, its block leaders
+// flagged, and its name. Extents that hold no instruction yield no
+// procedure.
+func planProcs(f *obj.File, entries []uint32, sw *sweep) []*Proc {
 	procs := make([]Proc, len(entries))
 	for i, e := range entries {
 		p := &procs[i]
-		p.Entry, p.End = e, textEnd
+		p.Entry, p.End = e, sw.base+sw.n
 		if i+1 < len(entries) {
 			p.End = entries[i+1]
 		}
@@ -262,23 +328,7 @@ func liftProcs(be isa.Backend, f *obj.File, entries []uint32, textEnd uint32, sw
 		p.Insts = sw.seq[lo:hi:hi]
 		markLeaders(p, sw)
 	}
-	nblocks := 0
-	for _, fl := range sw.flags {
-		if fl == flagLeader { // a delay slot can never start a block
-			nblocks++
-		}
-	}
 
-	l := &lifter{
-		be:     be,
-		sw:     sw,
-		blocks: make([]uir.Block, 0, nblocks),
-		ptrs:   make([]*uir.Block, 0, nblocks),
-	}
-	// The lifters emit 2.5 to 3.3 statements an instruction; should one
-	// emit more, append moves the arena and the blocks already cut keep
-	// the old one alive — larger, never wrong.
-	l.lb.Stmts = make([]uir.Stmt, 0, len(sw.seq)*7/2)
 	// A procedure takes the name of the function symbol starting at its
 	// entry (of several, the first in file order): one merge of the
 	// symbols sorted by address against the procedures, which ascend by
@@ -294,7 +344,7 @@ func liftProcs(be isa.Backend, f *obj.File, entries []uint32, textEnd uint32, sw
 	var name []byte
 	for i := range procs {
 		p := &procs[i]
-		if len(p.Insts) == 0 || !l.liftProc(p) {
+		if len(p.Insts) == 0 {
 			continue
 		}
 		for len(fsyms) > 0 && f.Syms[fsyms[0]].Addr < p.Entry {
@@ -346,29 +396,13 @@ func markLeaders(p *Proc, sw *sweep) {
 	}
 }
 
-// lifter holds what lifting an executable's procedures shares: the one
-// LiftBuilder whose Stmts is the statement arena, the block slab and the
-// pointer slice Proc.Blocks are cut from, and the connectivity check's
-// scratch.
-type lifter struct {
-	be     isa.Backend
-	sw     *sweep
-	lb     isa.LiftBuilder
-	blocks []uir.Block
-	ptrs   []*uir.Block
-
-	seen  []bool
-	stack []int32
-	succs []uint32
-}
-
 // liftProc splits p's extent into basic blocks at the flagged leaders,
-// walked in address order, lifts them, and runs the connectivity
-// corroboration. It reports false, leaving nothing behind, when an
-// instruction cannot be lifted.
-func (l *lifter) liftProc(p *Proc) bool {
+// walked in address order, lifts them into the emptied arena and slab,
+// and returns them. It reports false when an instruction cannot be
+// lifted.
+func (l *Lifter) liftProc(p *Proc) ([]*uir.Block, bool) {
 	sw := l.sw
-	stmtMark, blockMark := len(l.lb.Stmts), len(l.blocks)
+	l.lb.Stmts, l.blocks, l.ptrs = l.lb.Stmts[:0], l.blocks[:0], l.ptrs[:0]
 	for k := int(sw.index(p.Entry)); k < len(sw.seq) && sw.seq[k].Addr < p.End; k++ {
 		if sw.flags[k] != flagLeader {
 			continue
@@ -382,21 +416,16 @@ func (l *lifter) liftProc(p *Proc) bool {
 			}
 		}
 		if !l.liftBlock(sw.seq[k].Addr, end) {
-			l.lb.Stmts = l.lb.Stmts[:stmtMark]
-			l.blocks = l.blocks[:blockMark]
-			l.ptrs = l.ptrs[:blockMark]
-			return false
+			return nil, false
 		}
 	}
-	p.Blocks = l.ptrs[blockMark:len(l.ptrs):len(l.ptrs)]
-	p.Connected = l.connected(p.Blocks)
-	return true
+	return l.ptrs, true
 }
 
 // liftBlock lifts instructions in [start, end) into the next block of the
 // slab, reordering delay slots so the transfer's exit statement comes
 // last.
-func (l *lifter) liftBlock(start, end uint32) bool {
+func (l *Lifter) liftBlock(start, end uint32) bool {
 	sw, lb := l.sw, &l.lb
 	mark := lb.NewBlock()
 	a := start
@@ -431,28 +460,57 @@ func (l *lifter) liftBlock(start, end uint32) bool {
 	return true
 }
 
-// connected reports whether every block is reachable from the entry
-// block. blocks is sorted by address.
-func (l *lifter) connected(blocks []*uir.Block) bool {
-	if len(blocks) == 0 {
-		return false
+// Lifter lifts a plan's procedures one at a time, each into a statement
+// arena (its LiftBuilder's Stmts) and a block slab and pointer slice it
+// reuses, so lifting an executable holds one procedure's UIR at a time,
+// never the whole executable's. A build's workers draw one each.
+type Lifter struct {
+	be     isa.Backend
+	sw     *sweep
+	lb     isa.LiftBuilder
+	blocks []uir.Block
+	ptrs   []*uir.Block
+	tel    *Telemetry
+	// What the lifter lifted since it was drawn, counted into tel on
+	// Release.
+	nprocs, nblocks, ninsts int64
+}
+
+// lifterPool holds released lifters: their arenas have grown to the
+// largest procedure lifted, and the next draw reuses them.
+var lifterPool = sync.Pool{New: func() any { return new(Lifter) }}
+
+// NewLifter draws a lifter for rec's procedures from a pool; Release
+// returns it.
+func NewLifter(rec *Recovered) *Lifter {
+	l := lifterPool.Get().(*Lifter)
+	l.be, l.sw, l.tel = rec.be, rec.sw, rec.tel
+	return l
+}
+
+// Lift lifts p, one of the procedures of the Recovered the lifter was
+// drawn for, and returns its blocks in address order; false when an
+// instruction cannot be lifted, and the procedure is dropped. The blocks
+// stay valid until the lifter's next Lift or Release.
+func (l *Lifter) Lift(p *Proc) ([]*uir.Block, bool) {
+	blocks, ok := l.liftProc(p)
+	if ok {
+		l.nprocs++
+		l.nblocks += int64(len(blocks))
+		l.ninsts += int64(len(p.Insts))
 	}
-	l.seen = append(l.seen[:0], make([]bool, len(blocks))...)
-	l.stack = append(l.stack[:0], 0)
-	l.seen[0] = true
-	reached := 1
-	for len(l.stack) > 0 {
-		i := l.stack[len(l.stack)-1]
-		l.stack = l.stack[:len(l.stack)-1]
-		l.succs = blocks[i].Succs(l.succs[:0])
-		for _, s := range l.succs {
-			j, ok := slices.BinarySearchFunc(blocks, s, func(b *uir.Block, a uint32) int { return cmp.Compare(b.Addr, a) })
-			if ok && !l.seen[j] {
-				l.seen[j] = true
-				reached++
-				l.stack = append(l.stack, int32(j))
-			}
-		}
+	return blocks, ok
+}
+
+// Release counts what the lifter lifted and returns it to the pool; it
+// must not be used again.
+func (l *Lifter) Release() {
+	if l.tel != nil {
+		l.tel.Procs.Add(l.nprocs)
+		l.tel.Blocks.Add(l.nblocks)
+		l.tel.Insts.Add(l.ninsts)
 	}
-	return reached == len(blocks)
+	l.nprocs, l.nblocks, l.ninsts = 0, 0, 0
+	l.be, l.sw, l.tel = nil, nil, nil
+	lifterPool.Put(l)
 }

@@ -53,7 +53,7 @@ func TestRecoverNonStripped(t *testing.T) {
 			if p.Entry != want.Addr {
 				t.Errorf("%v: %s entry %#x, want %#x", arch, p.Name, p.Entry, want.Addr)
 			}
-			if !p.Connected {
+			if !p.Connected() {
 				t.Errorf("%v: %s failed connectivity check", arch, p.Name)
 			}
 			if len(p.Blocks) == 0 {

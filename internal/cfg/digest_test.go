@@ -65,7 +65,7 @@ func digestRecovered(h hash.Hash, rec *cfg.Recovered) {
 	fmt.Fprintf(h, "arch %v procs %d coverage %.6f\n", rec.Arch, len(rec.Procs), rec.Coverage)
 	for _, p := range rec.Procs {
 		fmt.Fprintf(h, "proc %s %#x %#x exported=%v connected=%v insts=%d blocks=%d\n",
-			p.Name, p.Entry, p.End, p.Exported, p.Connected, len(p.Insts), len(p.Blocks))
+			p.Name, p.Entry, p.End, p.Exported, p.Connected(), len(p.Insts), len(p.Blocks))
 		for _, in := range p.Insts {
 			fmt.Fprintf(h, "inst %#x %d %d %#x %v\n", in.Addr, in.Size, in.Kind, in.Target, in.HasDelay)
 		}

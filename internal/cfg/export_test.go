@@ -9,7 +9,7 @@ import (
 )
 
 // Coverage runs recovery's first three passes over f and returns the
-// entries pass 3 ends with and the rounds it ran: claimed as RecoverWith
+// entries pass 3 ends with and the rounds it ran: claimed as Plan
 // claims them or, with reference set, by referenceClaimGaps.
 func Coverage(f *obj.File, reference bool) ([]uint32, int, error) {
 	_, sw, err := sweepText(f, telemetry.Span{})

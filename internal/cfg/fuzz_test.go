@@ -6,18 +6,19 @@ import (
 	"testing"
 
 	"firmup/internal/cfg"
-	"firmup/internal/corpusindex"
 	"firmup/internal/obj"
-	"firmup/internal/sim"
 )
 
-// FuzzRecover drives the front end — obj.Read, cfg.Recover, sim.Build —
-// with arbitrary bytes. firmupd runs exactly this on every upload, and
-// recovery keeps its bookkeeping in dense tables indexed by arithmetic
-// over what the file claims (section addresses, branch targets, symbol
-// addresses), so the contract under fuzzing is: an error or a result,
-// never a panic, a result that upholds the order consumers search by, and
-// the coverage pass claiming what its reference claims.
+// FuzzRecover drives the front end — obj.Read, cfg.Plan and cfg.Recover,
+// sim.BuildWith — with arbitrary bytes. firmupd runs the plan and the
+// build on every upload, and recovery keeps its bookkeeping in dense
+// tables indexed by arithmetic over what the file claims (section
+// addresses, branch targets, symbol addresses), so the contract under
+// fuzzing is: an error or a result, never a panic, a result that upholds
+// the order consumers search by, the coverage pass claiming what its
+// reference claims, and the build over the plan, which lifts each
+// procedure inside the build, equal to the build over Recover's
+// executable lifted whole.
 func FuzzRecover(f *testing.F) {
 	// One registry query per ISA (the smallest package), so mutations
 	// start deep inside every decoder and lifter.
@@ -30,6 +31,8 @@ func FuzzRecover(f *testing.F) {
 			f.Add(v)
 		}
 	}
+	damaged, _ := unliftableCallee(f)
+	f.Add(damaged)
 	f.Add([]byte{})
 	f.Add(obj.Magic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,7 +46,7 @@ func FuzzRecover(f *testing.F) {
 		}
 		checkRecoveredOrder(t, rec)
 		checkCoverage(t, "fuzz input", file)
-		sim.Build("fuzz", rec, corpusindex.NewInterner())
+		checkPlannedBuild(t, "fuzz input", file)
 	})
 }
 

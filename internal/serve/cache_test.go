@@ -186,7 +186,7 @@ func TestServeQueryCacheHitEqualsMiss(t *testing.T) {
 			}
 			if want := map[string][]string{
 				"serve.analyze_query": {"cfg.recover", "obj.parse", "sim.build"},
-				"cfg.recover":         {"cfg.lift", "cfg.sweep"},
+				"cfg.recover":         {"cfg.sweep"},
 				"sim.build":           {"sim.index"},
 			}; !reflect.DeepEqual(under, want) {
 				t.Errorf("first sight: spans under serve.analyze_query = %v, want %v", under, want)

@@ -234,7 +234,6 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 		"serve.analyze_query › obj.parse":     1,
 		"serve.analyze_query › cfg.recover":   1,
 		"cfg.recover › cfg.sweep":             1,
-		"cfg.recover › cfg.lift":              1,
 		"serve.analyze_query › sim.build":     1,
 		"sim.build › sim.index":               1,
 		"serve.request › serve.search":        1,

@@ -97,6 +97,12 @@ func Build(path string, rec *cfg.Recovered, it strand.Interner) *Exe {
 
 // BuildWith is Build with session tuning: a bounded procedure-level
 // worker pool, telemetry and a parent span.
+//
+// rec is a plan (cfg.Plan) or a full recovery (cfg.Recover). A planned
+// procedure is lifted by the worker that extracts it, right before, into
+// the worker's cfg.Lifter, and dropped when it fails to lift, as Recover
+// drops it; a procedure that has Blocks is read as it is. Either way the
+// indexed executable is the same.
 func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildConfig) *Exe {
 	be, err := isa.ByArch(rec.Arch)
 	var abi *uir.ABI
@@ -116,14 +122,16 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		extractTel = tel.Extract
 	}
 	workers := min(bc.Workers, len(rec.Procs))
-	// Each worker owns an extractor (its scratch drawn from, and returned
-	// to, the strand package's pool); procedures are claimed via an atomic
-	// cursor and written to their slot, so assembly order is index order
-	// regardless of schedule. The recovered input is shared and only read.
+	// Each worker owns a lifter and an extractor (their scratch drawn
+	// from, and returned to, the cfg and strand packages' pools);
+	// procedures are claimed via an atomic cursor and written to their
+	// slot, so assembly order is index order regardless of schedule. The
+	// recovered input is shared and only read.
 	procs := make([]*Proc, len(rec.Procs))
 	var cursor atomic.Int64
 	work := func() {
-		pb := &procBuilder{rec: rec, ex: strand.NewExtractor(opt, it, extractTel), listed: make([]int32, len(rec.Procs))}
+		pb := &procBuilder{rec: rec, lift: cfg.NewLifter(rec), ex: strand.NewExtractor(opt, it, extractTel), listed: make([]int32, len(rec.Procs))}
+		defer pb.lift.Release()
 		defer pb.ex.Release()
 		for {
 			i := int(cursor.Add(1)) - 1
@@ -146,7 +154,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		}
 		wg.Wait()
 	}
-	e.Procs, e.it = procs, it
+	e.Procs, e.it = dropUnlifted(procs), it
 	for i, p := range e.Procs {
 		for _, c := range p.Calls {
 			e.Procs[c].CalledBy = append(e.Procs[c].CalledBy, i)
@@ -161,11 +169,45 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	return e
 }
 
+// dropUnlifted removes the procedures that failed to lift (nil) and
+// renumbers every Calls entry, an index into the recovered procedures,
+// to the survivors', dropping calls to a procedure that went.
+func dropUnlifted(procs []*Proc) []*Proc {
+	if !slices.Contains(procs, nil) {
+		return procs
+	}
+	to := make([]int, len(procs))
+	n := 0
+	for i, p := range procs {
+		to[i] = -1
+		if p != nil {
+			to[i], procs[n] = n, p
+			n++
+		}
+	}
+	clear(procs[n:])
+	procs = procs[:n]
+	for _, p := range procs {
+		calls := p.Calls[:0]
+		for _, c := range p.Calls {
+			if to[c] >= 0 {
+				calls = append(calls, to[c])
+			}
+		}
+		if len(calls) == 0 {
+			calls = nil
+		}
+		p.Calls = calls
+	}
+	return procs
+}
+
 // procBuilder indexes the procedures of one recovered executable, one at
 // a time; a build's workers own one each.
 type procBuilder struct {
-	rec *cfg.Recovered
-	ex  *strand.Extractor
+	rec  *cfg.Recovered
+	lift *cfg.Lifter
+	ex   *strand.Extractor
 	// listed is the call-list deduplication table, by callee index: the
 	// procedure (plus one) whose Calls last took the callee. A row written
 	// for another caller is empty, so nothing is cleared between
@@ -174,21 +216,30 @@ type procBuilder struct {
 	succs  []uint32
 }
 
-// build indexes procedure i. The result is a pure function of the
-// recovered input and references none of it but the name.
+// build indexes procedure i, lifting it first when it has no blocks,
+// and returns nil when it fails to lift. The result is a pure function of
+// the recovered input and references none of it but the name; its Calls
+// index the recovered procedures until dropUnlifted renumbers them.
 func (pb *procBuilder) build(i int) *Proc {
 	p := pb.rec.Procs[i]
-	set, markers := pb.ex.Proc(p.Blocks)
+	blocks := p.Blocks
+	if blocks == nil {
+		var ok bool
+		if blocks, ok = pb.lift.Lift(p); !ok {
+			return nil
+		}
+	}
+	set, markers := pb.ex.Proc(blocks)
 	sp := &Proc{
 		Name:       p.Name,
 		Addr:       p.Entry,
 		Exported:   p.Exported,
 		Set:        set,
 		Markers:    markers,
-		BlockCount: len(p.Blocks),
+		BlockCount: len(blocks),
 		InstCount:  len(p.Insts),
 	}
-	for _, b := range p.Blocks {
+	for _, b := range blocks {
 		pb.succs = b.Succs(pb.succs[:0])
 		sp.EdgeCount += len(pb.succs)
 	}

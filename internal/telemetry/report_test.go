@@ -39,8 +39,8 @@ func TestReportRoundTripAndValidation(t *testing.T) {
 
 	for _, bad := range []string{
 		"", "{}", `{"schema": 999, "tool": "x"}`,
-		`{"schema": 1, "tool": ""}`,
-		`{"schema": 1, "tool": "x", "metrics": {"schema": 0}}`,
+		fmt.Sprintf(`{"schema": %d, "tool": ""}`, SchemaVersion),
+		fmt.Sprintf(`{"schema": %d, "tool": "x", "metrics": {"schema": 0}}`, SchemaVersion),
 	} {
 		if _, err := parseReport([]byte(bad)); err == nil {
 			t.Errorf("parseReport(%q) accepted invalid input", bad)

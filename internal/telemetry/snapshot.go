@@ -4,7 +4,7 @@ package telemetry
 // bumped on any field rename or semantic change, so downstream
 // consumers can reject snapshots they do not understand instead of
 // misreading them.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Snapshot is a point-in-time copy of a registry's metrics in a
 // schema-stable, JSON-encodable form. Maps marshal with sorted keys,

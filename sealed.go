@@ -366,9 +366,9 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // search.* and batch.* metrics, among them game.unplayed and game.cut
 // for the planned games that were never started or stopped early.
 // Query analysis (AnalyzeQueryUnder) records the front-end layer by
-// layer: obj.parse, cfg.recover / cfg.sweep / cfg.lift and their
-// counters, sim.build / sim.index / sim.procs, and strand.blocks /
-// strand.strands. Call before serving: a group applies the index
+// layer: obj.parse, cfg.recover / cfg.sweep and the cfg counters,
+// sim.build (which lifts each procedure as it extracts it) / sim.index /
+// sim.procs, and strand.blocks / strand.strands. Call before serving: a group applies the index
 // handles when its index first builds. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	tel := newIndexTelemetry(r)
