@@ -76,8 +76,10 @@ func main() {
 
 	// The corpus is mapped, not heap: what stays live is the few MB of
 	// executables searches have materialized, while one uploaded query's
-	// analysis leaves about 2 MB of garbage behind. At the runtime's
-	// default pacing the collector would then run every few requests, so
+	// analysis leaves 16 to 20 bytes of garbage behind per byte of its
+	// text, 0.16 to 0.43 MB for the registry queries (cfg's
+	// TestAnalysisBytesBudget measures it). At the runtime's default
+	// pacing the collector would then run every ten or so requests, so
 	// unless the operator set GOGC the daemon lets the heap grow to three
 	// times its live size between collections.
 	if os.Getenv("GOGC") == "" {

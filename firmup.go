@@ -272,9 +272,10 @@ type ProcedureInfo struct {
 }
 
 // ProcedureStrands returns procedure i's sorted canonical strand
-// hashes (a copy). Hashes — unlike session-local dense IDs — are
-// stable across sessions and worker counts, which
-// makes them the right handle for equivalence checks.
+// hashes, derived from its dense IDs through the executable's session
+// (a copy). Hashes — unlike session-local dense IDs — are stable across
+// sessions and worker counts, which makes them the right handle for
+// equivalence checks.
 func (e *Executable) ProcedureStrands(i int) []uint64 {
 	return e.exe.Procs[i].Set.AppendHashes(nil)
 }

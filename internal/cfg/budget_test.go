@@ -11,18 +11,16 @@ import (
 	"firmup/internal/telemetry"
 )
 
-// analysisAllocBudget bounds the heap allocations of one query's front
-// end — parse, recovery, strand extraction and indexing. The front end
-// allocates per executable and per procedure (slabs, arenas, the indexed
-// procedures' sets), never per block or statement: the registry queries
-// measure 175 to 272 on the pipeline path and 203 to 315 through
-// cfg.Recover, where a boxed statement each made it 11,000 to 26,000.
-const analysisAllocBudget = 1500
+// raceAllocBudget replaces each front end's allocation budget under the
+// race detector, which drops pooled scratch at random: the registry
+// queries then measure up to 400 on the pipeline path and 460 through
+// cfg.Recover.
+const raceAllocBudget = 1500
 
 // analysisBytesBudget bounds the bytes one query's front end allocates
 // on the pipeline path (cfg.Plan, then sim.BuildWith lifting each
 // procedure as it extracts it), per byte of text. The registry queries
-// measure 17 to 21, most of it the sweep's offset table and instruction
+// measure 16 to 20, most of it the sweep's offset table and instruction
 // run; lifting the whole executable into one statement arena before
 // extraction made it 57 to 65.
 const analysisBytesBudget = 30
@@ -30,12 +28,22 @@ const analysisBytesBudget = 30
 // frontEnds are the two ways into sim.BuildWith: the pipeline's plan,
 // lifted procedure by procedure inside the build, and cfg.Recover's
 // executable lifted whole.
+//
+// allocBudget bounds the heap allocations of one query's front end —
+// parse, recovery, strand extraction and indexing — on that path. The
+// front end allocates per executable and per procedure (slabs, arenas,
+// the indexed procedures' ID sets and markers), never per block or
+// statement: the registry queries measure 150 to 233 on the pipeline
+// path and 178 to 277 through cfg.Recover. The bounds fail when every
+// indexed set carries its hashes as well (172 to 272 and 203 to 316); a
+// boxed statement each made it 11,000 to 26,000.
 var frontEnds = []struct {
-	name    string
-	recover func(*obj.File) (*cfg.Recovered, error)
+	name        string
+	recover     func(*obj.File) (*cfg.Recovered, error)
+	allocBudget float64
 }{
-	{"plan", func(f *obj.File) (*cfg.Recovered, error) { return cfg.Plan(f, nil, telemetry.Span{}) }},
-	{"recover", cfg.Recover},
+	{"plan", func(f *obj.File) (*cfg.Recovered, error) { return cfg.Plan(f, nil, telemetry.Span{}) }, 250},
+	{"recover", cfg.Recover, 295},
 }
 
 // analyze runs one query's front end with recover as its recovery step.
@@ -53,12 +61,16 @@ func analyze(tb testing.TB, q registryQuery, recover func(*obj.File) (*cfg.Recov
 
 func TestAnalysisAllocBudget(t *testing.T) {
 	for _, fe := range frontEnds {
+		budget := fe.allocBudget
+		if raceEnabled {
+			budget = raceAllocBudget
+		}
 		for _, q := range registryQueries(t) {
 			it := corpusindex.NewInterner() // the session; warm after AllocsPerRun's first run
 			allocs := testing.AllocsPerRun(5, func() { analyze(t, q, fe.recover, it) })
 			t.Logf("%s %s: %.0f allocations", fe.name, q.name, allocs)
-			if allocs > analysisAllocBudget {
-				t.Errorf("%s %s: analysis makes %.0f allocations, budget %d", fe.name, q.name, allocs, analysisAllocBudget)
+			if allocs > budget {
+				t.Errorf("%s %s: analysis makes %.0f allocations, budget %.0f", fe.name, q.name, allocs, budget)
 			}
 		}
 	}

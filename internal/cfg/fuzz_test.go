@@ -16,9 +16,10 @@ import (
 // addresses, branch targets, symbol addresses), so the contract under
 // fuzzing is: an error or a result, never a panic, a result that upholds
 // the order consumers search by, the coverage pass claiming what its
-// reference claims, and the build over the plan, which lifts each
+// reference claims, the build over the plan, which lifts each
 // procedure inside the build, equal to the build over Recover's
-// executable lifted whole.
+// executable lifted whole, and every procedure's pipeline set, IDs
+// alone, equal to the inspection form's under a live and a query session.
 func FuzzRecover(f *testing.F) {
 	// One registry query per ISA (the smallest package), so mutations
 	// start deep inside every decoder and lifter.

@@ -11,14 +11,17 @@ import (
 	"firmup/internal/isa"
 	"firmup/internal/obj"
 	"firmup/internal/sim"
+	"firmup/internal/strand"
 	"firmup/internal/telemetry"
+	"firmup/internal/uir"
 )
 
 // checkPlannedBuild asserts that sim.BuildWith over file's plan, each
 // procedure lifted inside the build, indexes exactly what it indexes over
 // cfg.Recover's executable lifted whole: the same procedures, names and
 // entries, strand sets and markers, CFG shape and call graph, under one
-// interner. Plan and Recover must fail alike.
+// interner. Plan and Recover must fail alike. The recovered build must
+// also agree with the inspection form (checkPipelineMatchesInspection).
 func checkPlannedBuild(t *testing.T, name string, file *obj.File) {
 	t.Helper()
 	plan, perr := cfg.Plan(file, nil, telemetry.Span{})
@@ -41,13 +44,80 @@ func checkPlannedBuild(t *testing.T, name string, file *obj.File) {
 		case g.Name != w.Name || g.Addr != w.Addr || g.Exported != w.Exported:
 			t.Fatalf("%s: procedure %d is %s@%#x (exported %v), recovered %s@%#x (exported %v)",
 				name, i, g.Name, g.Addr, g.Exported, w.Name, w.Addr, w.Exported)
-		case !slices.Equal(g.Set.Hashes, w.Set.Hashes) || !slices.Equal(g.Set.IDs, w.Set.IDs) || !slices.Equal(g.Markers, w.Markers):
+		case !slices.Equal(g.Set.AppendHashes(nil), w.Set.AppendHashes(nil)) || !slices.Equal(g.Set.IDs, w.Set.IDs) || !slices.Equal(g.Markers, w.Markers):
 			t.Fatalf("%s: %s: strands or markers differ from the recovered build", name, g.Name)
 		case g.BlockCount != w.BlockCount || g.EdgeCount != w.EdgeCount || g.InstCount != w.InstCount:
 			t.Fatalf("%s: %s: %d blocks, %d edges, %d instructions; recovered %d, %d, %d",
 				name, g.Name, g.BlockCount, g.EdgeCount, g.InstCount, w.BlockCount, w.EdgeCount, w.InstCount)
 		case !slices.Equal(g.Calls, w.Calls) || !slices.Equal(g.CalledBy, w.CalledBy):
 			t.Fatalf("%s: %s: calls %v called by %v; recovered %v, %v", name, g.Name, g.Calls, g.CalledBy, w.Calls, w.CalledBy)
+		}
+	}
+	checkPipelineMatchesInspection(t, name, rec)
+}
+
+// checkPipelineMatchesInspection asserts that the pipeline's sets, which
+// carry dense IDs alone, agree procedure by procedure with the inspection
+// form, strand.Extractor.Proc, under the same session: equal IDs, hashes
+// derived through the session (what Executable.ProcedureStrands returns)
+// equal to Proc's Hashes, and equal markers. It runs under a live
+// interner and under a query overlay of a frozen vocabulary opened from
+// sorted slabs, as a shard's is, with 1 and with 4 workers each.
+func checkPipelineMatchesInspection(t *testing.T, name string, rec *cfg.Recovered) {
+	t.Helper()
+	var abi *uir.ABI
+	if be, err := isa.ByArch(rec.Arch); err == nil {
+		abi = be.ABI()
+	}
+	opt := &strand.Options{ABI: abi, Sections: rec.File.Map()}
+	// The frozen vocabulary holds every other procedure's strands, so the
+	// overlay meets frozen and private hashes alike.
+	seed := corpusindex.NewInterner()
+	ex := strand.NewExtractor(opt, seed, nil)
+	for i, p := range rec.Procs {
+		if i%2 == 0 {
+			ex.IDs(p.Blocks)
+		}
+	}
+	ex.Release()
+	sealed := seed.Freeze()
+	var sortedHashes []uint64
+	for _, id := range sealed.SortedIDs() {
+		sortedHashes = append(sortedHashes, sealed.Vocab()[id])
+	}
+	frozen, err := corpusindex.FrozenFromSlabs(sealed.Vocab(), sortedHashes, sealed.SortedIDs())
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	sessions := []struct {
+		name string
+		new  func() strand.Interner
+	}{
+		{"live", func() strand.Interner { return corpusindex.NewInterner() }},
+		{"query", func() strand.Interner { return corpusindex.NewQueryInterner(frozen) }},
+	}
+	for _, s := range sessions {
+		for _, workers := range []int{1, 4} {
+			it := s.new()
+			exe := sim.BuildWith(name, rec, it, &sim.BuildConfig{Workers: workers})
+			if len(exe.Procs) != len(rec.Procs) {
+				t.Fatalf("%s: %s session, %d workers: built %d of %d recovered procedures", name, s.name, workers, len(exe.Procs), len(rec.Procs))
+			}
+			ex := strand.NewExtractor(opt, it, nil)
+			for i, p := range exe.Procs {
+				set, markers := ex.Proc(rec.Procs[i].Blocks)
+				switch {
+				case p.Set.Hashes != nil:
+					t.Fatalf("%s: %s session, %d workers: %s: the pipeline's set carries hashes", name, s.name, workers, p.Name)
+				case !slices.Equal(p.Set.IDs, set.IDs):
+					t.Fatalf("%s: %s session, %d workers: %s: IDs %v, Proc's %v", name, s.name, workers, p.Name, p.Set.IDs, set.IDs)
+				case !slices.Equal(p.Set.AppendHashes(nil), set.Hashes):
+					t.Fatalf("%s: %s session, %d workers: %s: derived hashes differ from Proc's", name, s.name, workers, p.Name)
+				case !slices.Equal(p.Markers, markers):
+					t.Fatalf("%s: %s session, %d workers: %s: markers %v, Proc's %v", name, s.name, workers, p.Name, p.Markers, markers)
+				}
+			}
+			ex.Release()
 		}
 	}
 }

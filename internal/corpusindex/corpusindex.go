@@ -34,8 +34,9 @@ type Telemetry struct {
 // first served. It is safe for concurrent use: parallel analysis of the
 // executables of an image interns through one shared instance.
 type Interner struct {
-	mu  sync.RWMutex
-	ids map[uint64]uint32
+	mu     sync.RWMutex
+	ids    map[uint64]uint32
+	hashes []uint64 // by dense ID
 }
 
 // NewInterner returns an empty interner.
@@ -57,17 +58,23 @@ func (it *Interner) Intern(h uint64) uint32 {
 	if id, ok := it.ids[h]; ok {
 		return id
 	}
-	id = uint32(len(it.ids))
+	return it.assign(h)
+}
+
+// assign gives h the next free ID; the caller holds the write lock.
+func (it *Interner) assign(h uint64) uint32 {
+	id := uint32(len(it.hashes))
 	it.ids[h] = id
+	it.hashes = append(it.hashes, h)
 	return id
 }
 
 // InternAll appends the dense IDs of hashes to out in input order and
 // returns it, taking the lock once per batch instead of once per hash.
 // It implements strand.BulkInterner, the fast path Set.Interned and the
-// block-cache extractor use: on a cache miss a whole block's strand
-// hashes intern under one read-lock round (plus one write round when
-// the block introduces new vocabulary).
+// extractor use: a whole procedure's strand hashes intern under one
+// read-lock round (plus one write round when the procedure introduces
+// new vocabulary).
 func (it *Interner) InternAll(hashes []uint64, out []uint32) []uint32 {
 	base := len(out)
 	missed := false
@@ -90,12 +97,22 @@ func (it *Interner) InternAll(hashes []uint64, out []uint32) []uint32 {
 	for _, h := range hashes {
 		id, ok := it.ids[h]
 		if !ok {
-			id = uint32(len(it.ids))
-			it.ids[h] = id
+			id = it.assign(h)
 		}
 		out = append(out, id)
 	}
 	return out
+}
+
+// AppendHashes appends the hash of each of ids, all assigned by it, to
+// dst in ids order. It implements strand.Vocabulary.
+func (it *Interner) AppendHashes(dst []uint64, ids []uint32) []uint64 {
+	it.mu.RLock()
+	defer it.mu.RUnlock()
+	for _, id := range ids {
+		dst = append(dst, it.hashes[id])
+	}
+	return dst
 }
 
 // Size reports the number of distinct strand hashes interned so far —
@@ -103,7 +120,7 @@ func (it *Interner) InternAll(hashes []uint64, out []uint32) []uint32 {
 func (it *Interner) Size() int {
 	it.mu.RLock()
 	defer it.mu.RUnlock()
-	return len(it.ids)
+	return len(it.hashes)
 }
 
 // Row is one inverted-index row: a dense strand ID and its postings, the

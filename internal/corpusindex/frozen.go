@@ -1,8 +1,10 @@
 package corpusindex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -22,18 +24,23 @@ import (
 // fresh ID would require mutation. Query analysis against a sealed
 // corpus must therefore run under a per-request QueryInterner overlay,
 // never under the Frozen itself.
-// A Frozen has two internal lookup representations: a hash map built at
-// seal time (map mode), or a binary-searched sorted slab pair handed
-// over from a mapped shard (slab mode, FrozenFromSlabs) that requires no
-// construction work at open. Both are immutable after construction and
-// behave identically.
+//
+// There is one lookup representation, whether the Frozen was sealed in
+// RAM (Freeze) or handed a mapped shard's slabs (FrozenFromSlabs): the
+// vocabulary sorted by hash with the parallel dense IDs, and a radix
+// directory over the top bits of the hash that narrows a lookup to one
+// bucket of one or two entries on average.
 type Frozen struct {
-	vocab []uint64          // dense ID -> hash
-	ids   map[uint64]uint32 // hash -> dense ID (map mode); nil in slab mode
-	// Slab mode: hashes ascending with the parallel dense IDs, typically
-	// aliasing a mapped shard section.
+	vocab []uint64 // dense ID -> hash
+	// Hashes ascending with the parallel dense IDs, aliasing a mapped
+	// shard section when the Frozen came from one.
 	sortedHashes []uint64
 	sortedIDs    []uint32
+	// dir[k]:dir[k+1] is the span of sortedHashes whose top bits, the
+	// hash shifted right by shift, are k: 2^b+1 offsets with 2^b below the
+	// vocabulary size, so at most one per entry once it holds two.
+	dir   []uint32
+	shift uint
 }
 
 // Freeze seals the interner's current vocabulary into an immutable
@@ -41,14 +48,24 @@ type Frozen struct {
 // from then on are outside the frozen vocabulary.
 func (it *Interner) Freeze() *Frozen {
 	it.mu.RLock()
-	defer it.mu.RUnlock()
-	f := &Frozen{
-		vocab: make([]uint64, len(it.ids)),
-		ids:   make(map[uint64]uint32, len(it.ids)),
+	vocab := slices.Clone(it.hashes)
+	it.mu.RUnlock()
+	type entry struct {
+		h  uint64
+		id uint32
 	}
-	for h, id := range it.ids {
-		f.vocab[id] = h
-		f.ids[h] = id
+	byHash := make([]entry, len(vocab))
+	for id, h := range vocab {
+		byHash[id] = entry{h, uint32(id)}
+	}
+	slices.SortFunc(byHash, func(a, b entry) int { return cmp.Compare(a.h, b.h) })
+	sortedHashes, sortedIDs := make([]uint64, len(vocab)), make([]uint32, len(vocab))
+	for i, e := range byHash {
+		sortedHashes[i], sortedIDs[i] = e.h, e.id
+	}
+	f, err := FrozenFromSlabs(vocab, sortedHashes, sortedIDs)
+	if err != nil {
+		panic(err) // an interner assigns each hash one ID
 	}
 	return f
 }
@@ -56,16 +73,22 @@ func (it *Interner) Freeze() *Frozen {
 // FrozenFromSlabs constructs a Frozen directly over foreign memory: the
 // vocabulary (dense ID → hash) plus a sorted-hash slab with its
 // parallel dense IDs, as persisted by a shard. Nothing is cloned and no
-// map is built — lookups binary-search the sorted slab — so opening a
-// paper-scale vocabulary costs validation only. The slices must stay
-// valid and unmodified for the Frozen's lifetime. Validation: equal
-// lengths, strictly increasing hashes, and every (hash, id) pair agreeing
-// with the vocabulary — which together prove the slab is exactly the
-// vocabulary re-sorted.
+// map is built: the one pass that validates the slab also builds the
+// directory, so opening a paper-scale vocabulary costs that pass only.
+// The slices must stay valid and unmodified for the Frozen's lifetime.
+// Validation: equal lengths, strictly increasing hashes, and every
+// (hash, id) pair agreeing with the vocabulary — which together prove
+// the slab is exactly the vocabulary re-sorted.
 func FrozenFromSlabs(vocab []uint64, sortedHashes []uint64, sortedIDs []uint32) (*Frozen, error) {
 	if len(sortedHashes) != len(vocab) || len(sortedIDs) != len(vocab) {
 		return nil, fmt.Errorf("corpusindex: sorted vocabulary slabs hold %d+%d entries, vocabulary holds %d", len(sortedHashes), len(sortedIDs), len(vocab))
 	}
+	b := 0
+	if len(vocab) > 1 {
+		b = bits.Len(uint(len(vocab)-1)) - 1
+	}
+	f := &Frozen{vocab: vocab, sortedHashes: sortedHashes, sortedIDs: sortedIDs, dir: make([]uint32, 1<<b+1), shift: uint(64 - b)}
+	k := 0 // the next directory offset to fill
 	for i, h := range sortedHashes {
 		if i > 0 && h <= sortedHashes[i-1] {
 			return nil, fmt.Errorf("corpusindex: sorted vocabulary not strictly increasing at entry %d", i)
@@ -74,8 +97,14 @@ func FrozenFromSlabs(vocab []uint64, sortedHashes []uint64, sortedIDs []uint32) 
 		if int(id) >= len(vocab) || vocab[id] != h {
 			return nil, fmt.Errorf("corpusindex: sorted vocabulary entry %d (hash %#x, id %d) disagrees with the vocabulary", i, h, id)
 		}
+		for ; k <= int(h>>f.shift); k++ {
+			f.dir[k] = uint32(i)
+		}
 	}
-	return &Frozen{vocab: vocab, sortedHashes: sortedHashes, sortedIDs: sortedIDs}, nil
+	for ; k < len(f.dir); k++ {
+		f.dir[k] = uint32(len(vocab))
+	}
+	return f, nil
 }
 
 // Size reports the vocabulary size.
@@ -85,18 +114,35 @@ func (f *Frozen) Size() int { return len(f.vocab) }
 // Frozen's own storage: callers must treat it as read-only.
 func (f *Frozen) Vocab() []uint64 { return f.vocab }
 
-// Lookup returns the dense ID of h and whether h is in the vocabulary.
-// It performs no locking and no allocation.
+// SortedIDs returns the dense IDs in ascending hash order, the order a
+// shard's sorted vocabulary slab stores them in. The slice is the
+// Frozen's own storage: callers must treat it as read-only.
+func (f *Frozen) SortedIDs() []uint32 { return f.sortedIDs }
+
+// AppendHashes appends the hash of each of ids, all in the vocabulary,
+// to dst in ids order. It implements strand.Vocabulary.
+func (f *Frozen) AppendHashes(dst []uint64, ids []uint32) []uint64 {
+	for _, id := range ids {
+		dst = append(dst, f.vocab[id])
+	}
+	return dst
+}
+
+// Lookup returns the dense ID of h and whether h is in the vocabulary:
+// a scan of h's directory bucket. It performs no locking and no
+// allocation.
 func (f *Frozen) Lookup(h uint64) (uint32, bool) {
-	if f.ids != nil {
-		id, ok := f.ids[h]
-		return id, ok
+	k := h >> f.shift
+	lo := f.dir[k]
+	for i, g := range f.sortedHashes[lo:f.dir[k+1]] {
+		if g >= h {
+			if g == h {
+				return f.sortedIDs[int(lo)+i], true
+			}
+			break
+		}
 	}
-	i, ok := slices.BinarySearch(f.sortedHashes, h)
-	if !ok {
-		return 0, false
-	}
-	return f.sortedIDs[i], true
+	return 0, false
 }
 
 // Intern returns the dense ID of a vocabulary hash. It panics on a hash
@@ -134,8 +180,9 @@ func (f *Frozen) InternAll(hashes []uint64, out []uint32) []uint32 {
 type QueryInterner struct {
 	base *Frozen
 
-	mu    sync.Mutex
-	extra map[uint64]uint32 // hashes outside the frozen vocabulary
+	mu     sync.Mutex
+	extra  map[uint64]uint32 // hashes outside the frozen vocabulary
+	extraH []uint64          // by private ID less the frozen vocabulary size
 }
 
 // NewQueryInterner returns an overlay over the frozen vocabulary.
@@ -151,7 +198,7 @@ func (q *QueryInterner) BaseInterner() *Frozen { return q.base }
 func (q *QueryInterner) Novel() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.extra)
+	return len(q.extraH)
 }
 
 // Intern returns the frozen ID for vocabulary hashes and a request-local
@@ -160,12 +207,19 @@ func (q *QueryInterner) Intern(h uint64) uint32 {
 	if id, ok := q.base.Lookup(h); ok {
 		return id
 	}
+	return q.private(h)
+}
+
+// private returns the private ID of h, which the frozen vocabulary does
+// not hold, assigning the next one on first sight.
+func (q *QueryInterner) private(h uint64) uint32 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	id, ok := q.extra[h]
 	if !ok {
-		id = uint32(len(q.base.vocab) + len(q.extra))
+		id = uint32(len(q.base.vocab) + len(q.extraH))
 		q.extra[h] = id
+		q.extraH = append(q.extraH, h)
 	}
 	return id
 }
@@ -174,13 +228,29 @@ func (q *QueryInterner) Intern(h uint64) uint32 {
 // the overlay lock only for hashes outside the frozen vocabulary.
 func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 	for _, h := range hashes {
-		if id, ok := q.base.Lookup(h); ok {
-			out = append(out, id)
-			continue
+		id, ok := q.base.Lookup(h)
+		if !ok {
+			id = q.private(h)
 		}
-		out = append(out, q.Intern(h))
+		out = append(out, id)
 	}
 	return out
+}
+
+// AppendHashes appends the hash of each of ids, frozen or private to this
+// overlay, to dst in ids order. It implements strand.Vocabulary.
+func (q *QueryInterner) AppendHashes(dst []uint64, ids []uint32) []uint64 {
+	n := uint32(len(q.base.vocab))
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, id := range ids {
+		if id < n {
+			dst = append(dst, q.base.vocab[id])
+		} else {
+			dst = append(dst, q.extraH[id-n])
+		}
+	}
+	return dst
 }
 
 // FrozenIndex is the corpus-level inverted index — dense strand ID →

@@ -229,7 +229,7 @@ func (pb *procBuilder) build(i int) *Proc {
 			return nil
 		}
 	}
-	set, markers := pb.ex.Proc(blocks)
+	set, markers := pb.ex.IDs(blocks)
 	sp := &Proc{
 		Name:       p.Name,
 		Addr:       p.Entry,
@@ -277,7 +277,7 @@ func (e *Exe) Session() strand.Interner { return e.it }
 
 // Rebound returns a copy of the executable bound to a different session
 // interner without re-interning: the CSR posting lists and every
-// procedure's slice data (hashes, IDs, markers, call graph) are shared
+// procedure's slice data (IDs, markers, call graph) are shared
 // with the receiver, but the Proc structs are fresh so the copy's sets
 // carry it as their session. The caller guarantees it assigns the same
 // dense ID to every hash the receiver's session did — the contract a

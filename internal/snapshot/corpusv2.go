@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -167,26 +166,30 @@ type Vocab struct {
 	crc           uint32
 }
 
-// EncodeVocab encodes a frozen vocabulary ordered by dense ID, rejecting
-// a duplicate hash.
-func EncodeVocab(vocab []uint64) (*Vocab, error) {
+// EncodeVocab encodes a frozen vocabulary ordered by dense ID, given
+// its dense IDs in ascending hash order (corpusindex.Frozen.SortedIDs):
+// the sealed vocabulary is sorted once, when it is frozen. It rejects an
+// order that does not sort the vocabulary strictly, which a duplicate
+// hash cannot.
+func EncodeVocab(vocab []uint64, order []uint32) (*Vocab, error) {
+	if len(order) != len(vocab) {
+		return nil, fmt.Errorf("snapshot: encode: sorted order of %d entries for a vocabulary of %d", len(order), len(vocab))
+	}
 	le := binary.LittleEndian
 	vocabB := make([]byte, 0, 8*len(vocab))
 	for _, h := range vocab {
 		vocabB = le.AppendUint64(vocabB, h)
 	}
 	// Sorted-vocabulary slab: hashes ascending plus the parallel dense
-	// IDs, so a loaded shard binary-searches lookups straight off the
-	// mapping instead of building a hash map at open.
-	order := make([]uint32, len(vocab))
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return vocab[order[a]] < vocab[order[b]] })
+	// IDs, so a loaded shard looks hashes up straight off the mapping
+	// instead of building a hash map at open.
 	sortedB := make([]byte, 0, 12*len(vocab))
 	for i, id := range order {
-		if i > 0 && vocab[id] == vocab[order[i-1]] {
-			return nil, fmt.Errorf("snapshot: encode: duplicate strand hash %016x in vocabulary", vocab[id])
+		if int(id) >= len(vocab) {
+			return nil, fmt.Errorf("snapshot: encode: sorted order entry %d names dense ID %d of %d", i, id, len(vocab))
+		}
+		if i > 0 && vocab[id] <= vocab[order[i-1]] {
+			return nil, fmt.Errorf("snapshot: encode: sorted order does not strictly increase at strand hash %016x (a duplicate hash, or an unsorted order)", vocab[id])
 		}
 		sortedB = le.AppendUint64(sortedB, vocab[id])
 	}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -8,16 +9,52 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // encodeCorpusShard encodes one shard under c's own vocabulary.
 func encodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
-	v, err := EncodeVocab(c.Interner)
+	v, err := EncodeVocab(c.Interner, sortedOrder(c.Interner))
 	if err != nil {
 		return nil, err
 	}
 	return v.EncodeShard(c, hdr)
+}
+
+// sortedOrder returns the dense IDs of vocab in ascending hash order, the
+// order a Frozen holds them in.
+func sortedOrder(vocab []uint64) []uint32 {
+	order := make([]uint32, len(vocab))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortStableFunc(order, func(a, b uint32) int { return cmp.Compare(vocab[a], vocab[b]) })
+	return order
+}
+
+// TestEncodeVocabRejectsBadOrder: EncodeVocab trusts no sorted order it is
+// handed — one that skips, repeats or misplaces an entry, or a vocabulary
+// holding a hash twice, fails at encode time.
+func TestEncodeVocabRejectsBadOrder(t *testing.T) {
+	vocab := []uint64{30, 10, 20}
+	if _, err := EncodeVocab(vocab, []uint32{1, 2, 0}); err != nil {
+		t.Fatalf("the sorted order was rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		vocab []uint64
+		order []uint32
+	}{
+		"short":     {vocab, []uint32{1, 2}},
+		"unsorted":  {vocab, []uint32{2, 1, 0}},
+		"repeated":  {vocab, []uint32{1, 1, 0}},
+		"out-of-id": {vocab, []uint32{1, 2, 3}},
+		"duplicate": {[]uint64{10, 20, 10}, sortedOrder([]uint64{10, 20, 10})},
+	} {
+		if _, err := EncodeVocab(c.vocab, c.order); err == nil {
+			t.Errorf("%s: order %v of %v was accepted", name, c.order, c.vocab)
+		}
+	}
 }
 
 // soleShard is the header of a corpus stored as one shard.

@@ -18,7 +18,9 @@ func arenaNodes(bd *builder) []*node {
 
 // checkAgainstReference replays the current block's nodes through a
 // map[nodeKey]*node — the interner the cons table replaced — and checks
-// the table agrees with it: two keys share a node iff they are equal.
+// the table agrees with it: two keys share a node iff they are equal. A
+// constant must come back the same through konst, so through the
+// constant cache too.
 func checkAgainstReference(t *testing.T, bd *builder) {
 	t.Helper()
 	ref := map[nodeKey]*node{}
@@ -35,6 +37,11 @@ func checkAgainstReference(t *testing.T, bd *builder) {
 	for k, want := range ref {
 		if got := bd.intern(k); got != want {
 			t.Fatalf("intern(%+v) = node %d, reference says node %d", k, got.id, want.id)
+		}
+		if k.kind == nConst {
+			if got := bd.konst(k.val); got != want {
+				t.Fatalf("konst(%#x) = node %d, reference says node %d", k.val, got.id, want.id)
+			}
 		}
 	}
 	if bd.count != len(nodes) {
@@ -97,13 +104,14 @@ func TestConsTableGrowth(t *testing.T) {
 // TestConsTableEpochWrap parks a row under epoch 1, moves the epoch to
 // just below wrap-around as four billion blocks would, and steps across:
 // after the wrap the epoch counter reads 1 again, and the parked row must
-// not come back to life.
+// not come back to life — neither in the cons table nor in the constant
+// cache in front of it.
 func TestConsTableEpochWrap(t *testing.T) {
 	bd := newBuilder()
 	if bd.epoch != 1 {
 		t.Fatalf("a new builder starts at epoch %d, want 1", bd.epoch)
 	}
-	bd.konst(7) // the parked row
+	bd.konst(7) // the parked rows, in the table and in the cache
 	bd.epoch = math.MaxUint32 - 1
 	for _, want := range []uint32{math.MaxUint32, 1, 2} {
 		bd.reset()
@@ -111,9 +119,14 @@ func TestConsTableEpochWrap(t *testing.T) {
 			t.Fatalf("epoch = %d, want %d", bd.epoch, want)
 		}
 		if want == math.MaxUint32 {
-			// An empty block: the parked row and the rewound node it
-			// points at both survive untouched into the wrap.
+			// An empty block: the parked rows and the rewound node they
+			// point at all survive untouched into the wrap.
 			continue
+		}
+		for i, s := range bd.konsts {
+			if s.epoch == bd.epoch {
+				t.Fatalf("epoch %d: constant cache row %d (value %#x) is live before the block made a constant", want, i, s.val)
+			}
 		}
 		// A stale hit would return the rewound node without allocating.
 		n := bd.konst(7)

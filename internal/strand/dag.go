@@ -91,6 +91,15 @@ type consSlot struct {
 	epoch uint32
 }
 
+// konstSlot is one row of the constant cache: the node konst returned for
+// val in the block of epoch. Like consSlot, a row written under another
+// epoch is empty.
+type konstSlot struct {
+	n     *node
+	val   uint32
+	epoch uint32
+}
+
 // builder constructs and canonicalizes DAG nodes for one basic block.
 // Nodes live in chunks that are kept and refilled from the start for
 // every block, and are interned through an open-addressed table (linear
@@ -98,9 +107,11 @@ type consSlot struct {
 // under the current block's epoch — so moving to the next block costs
 // nothing, however large a block the builder has seen, and a builder
 // reused across many blocks (an Extractor's scratch) stops allocating
-// once it has seen its largest block.
+// once it has seen its largest block. The constant cache in front of the
+// table is epoch-tagged the same way.
 type builder struct {
 	cons     []consSlot
+	konsts   [konstWays]konstSlot
 	epoch    uint32
 	count    int      // nodes interned under epoch: node i is chunks[i/arenaChunk][i%arenaChunk]
 	chunks   [][]node // arenaChunk nodes each
@@ -113,6 +124,9 @@ const (
 	arenaChunk = 256
 	// consInitial is the interning table's initial size, a power of two.
 	consInitial = 512
+	// konstBits sizes the constant cache at konstWays rows.
+	konstBits = 6
+	konstWays = 1 << konstBits
 )
 
 func newBuilder() *builder {
@@ -125,6 +139,7 @@ func (bd *builder) reset() {
 	bd.epoch++
 	if bd.epoch == 0 { // wrapped: rows of the first epochs would read as current
 		clear(bd.cons)
+		clear(bd.konsts[:])
 		bd.epoch = 1
 	}
 	bd.count = 0
@@ -242,7 +257,19 @@ func appendOp2(buf []byte, op uir.Op) []byte {
 	return strconv.AppendUint(buf, uint64(op), 10)
 }
 
-func (bd *builder) konst(v uint32) *node  { return bd.intern(nodeKey{kind: nConst, val: v}) }
+// konst returns the constant node of v. Constants are the most frequent
+// key, so a small direct-mapped cache of the block's constants answers
+// before the cons table is hashed and probed.
+func (bd *builder) konst(v uint32) *node {
+	s := &bd.konsts[(v*0x9E3779B1)>>(32-konstBits)]
+	if s.epoch == bd.epoch && s.val == v {
+		return s.n
+	}
+	n := bd.intern(nodeKey{kind: nConst, val: v})
+	*s = konstSlot{n: n, val: v, epoch: bd.epoch}
+	return n
+}
+
 func (bd *builder) input(r uir.Reg) *node { return bd.intern(nodeKey{kind: nInput, reg: r}) }
 func (bd *builder) callRes(idx int) *node {
 	return bd.intern(nodeKey{kind: nCallRes, idx: int32(idx)})

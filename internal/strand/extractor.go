@@ -20,8 +20,9 @@ type Telemetry struct {
 
 // Extractor is a per-worker front end to strand extraction: it binds a
 // pooled analysis scratch (node arena, substitution tables, renderer and
-// merge buffers) to one executable's options. An Extractor is NOT safe
-// for concurrent use — create one per worker goroutine.
+// the procedure's hash, ID and marker buffers) to one executable's
+// options. An Extractor is NOT safe for concurrent use — create one per
+// worker goroutine.
 type Extractor struct {
 	it Interner
 	sc *extractScratch
@@ -52,25 +53,49 @@ func (ex *Extractor) Release() {
 	ex.sc = nil
 }
 
-// Proc extracts every block of one procedure in a single pass,
-// returning the merged canonical strand set, hashes and dense IDs, and
-// the procedure's marker constants. The three result slices are all it
-// allocates.
-func (ex *Extractor) Proc(blocks []*uir.Block) (Set, []uint32) {
+// IDs extracts every block of one procedure in a single pass, returning
+// the procedure's strand set as sorted unique dense IDs — the set carries
+// no hashes; AppendHashes derives them through the session — and its
+// sorted unique marker constants. The two result slices are all it
+// allocates. This is the pipeline's form (sim.BuildWith).
+func (ex *Extractor) IDs(blocks []*uir.Block) (Set, []uint32) {
+	ex.extract(blocks)
 	sc := ex.sc
-	sc.accH, sc.accI, sc.accM = sc.accH[:0], sc.accI[:0], sc.accM[:0]
+	return Set{IDs: owned(sortedUnique(sc.ids)), It: ex.it}, owned(sortedUnique(sc.markers))
+}
+
+// Proc is the inspection form of IDs: the same pass, whose set also
+// carries the procedure's sorted unique strand hashes.
+func (ex *Extractor) Proc(blocks []*uir.Block) (Set, []uint32) {
+	set, markers := ex.IDs(blocks)
+	set.Hashes = owned(sortedUnique(ex.sc.hashes))
+	return set, markers
+}
+
+// extract renders every block of a procedure into the scratch: each
+// block appends its sorted unique strand hashes to sc.hashes and its
+// markers to sc.markers, and one InternAll over the concatenation fills
+// sc.ids. The first-seen order of the concatenation is the order in
+// which block-by-block interning would meet the hashes, so a growing
+// interner assigns the same IDs.
+func (ex *Extractor) extract(blocks []*uir.Block) {
+	sc := ex.sc
+	sc.hashes, sc.markers = sc.hashes[:0], sc.markers[:0]
 	for _, b := range blocks {
-		hashes, ids, markers := ex.compute(b)
-		sc.accH, sc.tmpH = mergeSorted(sc.tmpH[:0], sc.accH, hashes), sc.accH
-		sc.accM, sc.tmpM = mergeSorted(sc.tmpM[:0], sc.accM, markers), sc.accM
-		sc.accI, sc.tmpI = mergeSorted(sc.tmpI[:0], sc.accI, ids), sc.accI
+		sc.analyze(b)
+		lo := len(sc.hashes)
+		sc.render(nil)
+		slices.Sort(sc.hashes[lo:])
 	}
-	set := Set{
-		Hashes: append(make([]uint64, 0, len(sc.accH)), sc.accH...),
-		IDs:    append(make([]uint32, 0, len(sc.accI)), sc.accI...),
-		It:     ex.it,
-	}
-	return set, owned(sc.accM)
+	ex.telBlocks.Add(int64(len(blocks)))
+	ex.telStrands.Add(int64(len(sc.hashes)))
+	sc.ids = internAll(ex.it, sc.hashes, sc.ids[:0])
+}
+
+// sortedUnique sorts s in place and returns its unique prefix.
+func sortedUnique[T cmp.Ordered](s []T) []T {
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // owned copies a scratch-backed slice into its own allocation; an empty
@@ -80,43 +105,4 @@ func owned[T any](s []T) []T {
 		return nil
 	}
 	return append(make([]T, 0, len(s)), s...)
-}
-
-// compute runs extraction for one block: its sorted unique strand
-// hashes, dense IDs and markers, all views of the scratch valid until the
-// next block.
-func (ex *Extractor) compute(b *uir.Block) (hashes []uint64, ids, markers []uint32) {
-	sc := ex.sc
-	sc.analyze(b)
-	sc.render(nil)
-	ex.telBlocks.Inc()
-	ex.telStrands.Add(int64(len(sc.hashes)))
-	// Strands are unique by hash already (render dedups); sort for merge.
-	slices.Sort(sc.hashes)
-	slices.Sort(sc.markers)
-	sc.ids = internAll(ex.it, sc.hashes, sc.ids[:0])
-	slices.Sort(sc.ids)
-	return sc.hashes, sc.ids, slices.Compact(sc.markers)
-}
-
-// mergeSorted appends the sorted-unique union of a and b (each sorted
-// unique) to dst and returns it.
-func mergeSorted[T cmp.Ordered](dst, a, b []T) []T {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			dst = append(dst, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }

@@ -267,3 +267,38 @@ func TestExtractorAllocationCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestExtractorSteadyStateAllocs pins the pipeline form's allocations: a
+// warm extractor's IDs allocates the two slices it returns (the set's IDs
+// and the markers) per procedure and nothing else, and rendering a block
+// — hashing each strand as it is rendered, with no text — allocates
+// nothing at all.
+func TestExtractorSteadyStateAllocs(t *testing.T) {
+	for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
+		procs, opt := recoverProcs(t, arch)
+		ex := NewExtractor(opt, newLockedInterner(), nil)
+		ids := func() {
+			for _, p := range procs {
+				ex.IDs(p.Blocks)
+			}
+		}
+		ids() // warm: grow the scratch, intern every hash
+		if got, ceiling := testing.AllocsPerRun(10, ids), float64(2*len(procs)); got > ceiling {
+			t.Errorf("%v: IDs makes %.0f allocations per pass over %d procedures, want at most %.0f (2 per procedure)", arch, got, len(procs), ceiling)
+		}
+		sc := ex.sc
+		render := func() {
+			for _, p := range procs {
+				sc.hashes, sc.markers = sc.hashes[:0], sc.markers[:0]
+				for _, b := range p.Blocks {
+					sc.analyze(b)
+					sc.render(nil)
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(10, render); got != 0 {
+			t.Errorf("%v: rendering every block makes %.0f allocations per pass, want 0", arch, got)
+		}
+		ex.Release()
+	}
+}

@@ -43,12 +43,13 @@ type Strand struct {
 //
 // ExtractBlock is the inspection entry point (fwdump, the examples): it
 // is the only caller that materializes canonical text. The analysis
-// pipeline runs the same code through an Extractor, which keeps hashes
-// and markers only.
+// pipeline runs the same code through an Extractor, which hashes each
+// strand as it renders it and writes no text.
 func ExtractBlock(b *uir.Block, opt *Options) []Strand {
 	sc := getScratch(opt)
 	defer putScratch(sc)
 	sc.analyze(b)
+	sc.hashes, sc.markers = sc.hashes[:0], sc.markers[:0]
 	var out []Strand
 	sc.render(&out)
 	return out
@@ -132,18 +133,18 @@ type extractScratch struct {
 	// Renderer state of the current strand.
 	strand              uint32 // stamp: nodes named in this strand carry it
 	nlets, nargs, noffs int32
-	buf                 []byte // canonical text of the strand being rendered
-	markerMark          int    // len(markers) when the strand began
+	h                   uint64   // FNV-1a of the strand's text so far
+	text                bool     // keep the text in buf (ExtractBlock)
+	buf                 []byte   // canonical text of the strand, when text is set
+	digits              [16]byte // a number being formatted
+	markerMark          int      // len(markers) when the strand began
 
-	// Renderer output for the current block.
-	hashes  []uint64 // unique, in emission order
+	// Renderer output, appended block after block: a procedure's worth
+	// for an Extractor, one block's for ExtractBlock.
+	hashes  []uint64 // each block's unique hashes, from blockLo on
+	blockLo int      // where the current block's hashes start
 	markers []uint32 // identity-bearing constants of the kept strands, with repeats
-	ids     []uint32
-
-	// Merge buffers of Extractor.Proc.
-	accH, tmpH []uint64
-	accI, tmpI []uint32
-	accM, tmpM []uint32
+	ids     []uint32 // the dense IDs of hashes, in the same order
 }
 
 func newExtractScratch() *extractScratch {
@@ -306,14 +307,14 @@ func (sc *extractScratch) analyze(b *uir.Block) {
 
 // render turns the analyzed block into canonical strands: one per
 // changed register in ascending register order, then one per effect in
-// program order. Each strand's text is assembled in sc.buf and hashed
-// there; strands repeating an earlier hash of the block are dropped. The
-// unique hashes and the kept strands' marker constants are left in
-// sc.hashes and sc.markers; the text itself is kept only when out is
-// non-nil.
+// program order. Each strand is hashed as it is rendered; strands
+// repeating an earlier hash of the block are dropped. The unique hashes
+// and the kept strands' marker constants are appended to sc.hashes and
+// sc.markers; the text is assembled in sc.buf, and kept, only when out
+// is non-nil.
 func (sc *extractScratch) render(out *[]Strand) {
-	sc.hashes = sc.hashes[:0]
-	sc.markers = sc.markers[:0]
+	sc.blockLo = len(sc.hashes)
+	sc.text = out != nil
 	keepTrivial := sc.opt.KeepTrivial
 
 	slices.Sort(sc.live)
@@ -404,6 +405,7 @@ func isTrivial(n *node) bool {
 func (sc *extractScratch) begin() {
 	sc.strand++
 	sc.nlets, sc.nargs, sc.noffs = 0, 0, 0
+	sc.h = fnvOffset64
 	sc.buf = sc.buf[:0]
 	sc.markerMark = len(sc.markers)
 }
@@ -413,14 +415,19 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// end hashes the finished strand (FNV-1a over its text) and keeps it
+// fnv1a folds the bytes of s into the running FNV-1a hash h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// end keeps the finished strand, whose hash is the FNV-1a of its text,
 // unless the block already produced it.
 func (sc *extractScratch) end(out *[]Strand) {
-	h := uint64(fnvOffset64)
-	for _, c := range sc.buf {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	if slices.Contains(sc.hashes, h) {
+	h := sc.h
+	if slices.Contains(sc.hashes[sc.blockLo:], h) {
 		sc.markers = sc.markers[:sc.markerMark]
 		return
 	}
@@ -430,9 +437,39 @@ func (sc *extractScratch) end(out *[]Strand) {
 	}
 }
 
-func (sc *extractScratch) lit(s string) { sc.buf = append(sc.buf, s...) }
+// lit appends s to the strand: to its hash, and to its text when kept.
+func (sc *extractScratch) lit(s string) {
+	sc.h = fnv1a(sc.h, s)
+	if sc.text {
+		sc.buf = append(sc.buf, s...)
+	}
+}
 
-func (sc *extractScratch) num(v int32) { sc.buf = strconv.AppendInt(sc.buf, int64(v), 10) }
+// formatted is lit for a number formatted in sc.digits.
+func (sc *extractScratch) formatted(b []byte) {
+	sc.h = fnv1a(sc.h, b)
+	if sc.text {
+		sc.buf = append(sc.buf, b...)
+	}
+}
+
+// decimals are the decimal names of the small numbers a strand's
+// let-bindings, arguments, offsets and widths use.
+var decimals = func() (t [256]string) {
+	for i := range t {
+		t[i] = strconv.Itoa(i)
+	}
+	return t
+}()
+
+// num appends v in decimal to the strand.
+func (sc *extractScratch) num(v int32) {
+	if v >= 0 && int(v) < len(decimals) {
+		sc.lit(decimals[v])
+		return
+	}
+	sc.formatted(strconv.AppendInt(sc.digits[:0], int64(v), 10))
+}
 
 // inSections applies offset elimination to a constant: values inside
 // the text or data ranges are abstracted to positional offN tokens.
@@ -532,7 +569,7 @@ func (sc *extractScratch) tok(n *node) {
 			return
 		}
 		sc.lit("0x")
-		sc.buf = strconv.AppendUint(sc.buf, uint64(n.val), 16)
+		sc.formatted(strconv.AppendUint(sc.digits[:0], uint64(n.val), 16))
 		if isMarker(n.val) {
 			sc.markers = append(sc.markers, n.val)
 		}
@@ -636,12 +673,14 @@ type BulkInterner interface {
 }
 
 // Set is a procedure's strand set, the unit Sim operates on: its dense
-// strand IDs, assigned by It. Hashes is extraction output on its way into
-// the interner, absent on a set built from IDs alone (a store-backed
-// executable's); read a set's hashes through AppendHashes.
+// strand IDs, assigned by It. The pipeline's sets carry IDs alone — the
+// analysis pipeline (Extractor.IDs) and a store-backed executable build
+// them that way — while Hashes is present only on a set built from
+// hashes (Interned) or for inspection (Extractor.Proc). Read a set's
+// hashes through AppendHashes, which derives them through the session.
 type Set struct {
-	Hashes []uint64 // sorted, unique
-	// IDs are the dense interned equivalents of Hashes (sorted, unique).
+	Hashes []uint64 // sorted, unique; nil on a pipeline set
+	// IDs are the dense interned strands (sorted, unique).
 	IDs []uint32
 	// It is the session interner that assigned IDs. Two sets are
 	// comparable only when It assigned both sets' IDs, or one's It is an
@@ -650,11 +689,14 @@ type Set struct {
 }
 
 // Vocabulary is an interner that also maps every dense ID it assigned
-// back to its hash: what recovers the hashes of a set built without them.
+// back to its hash: what recovers the hashes of a set that carries IDs
+// alone. Every session kind implements it — the live interner, its
+// frozen seal and a query overlay — and a lookup touches only the IDs
+// asked for.
 type Vocabulary interface {
 	Interner
-	// Vocab returns the hashes ordered by dense ID.
-	Vocab() []uint64
+	// AppendHashes appends the hash of each of ids to dst, in ids order.
+	AppendHashes(dst []uint64, ids []uint32) []uint64
 }
 
 // AppendHashes appends the set's sorted hashes to dst: Hashes when
@@ -663,10 +705,8 @@ func (s Set) AppendHashes(dst []uint64) []uint64 {
 	if s.Hashes != nil || len(s.IDs) == 0 {
 		return append(dst, s.Hashes...)
 	}
-	at, vocab := len(dst), s.It.(Vocabulary).Vocab()
-	for _, id := range s.IDs {
-		dst = append(dst, vocab[id])
-	}
+	at := len(dst)
+	dst = s.It.(Vocabulary).AppendHashes(dst, s.IDs)
 	slices.Sort(dst[at:])
 	return dst
 }

@@ -20,6 +20,7 @@ import (
 
 // retText renders the "ret" strand of one node built on sc's builder.
 func retText(sc *extractScratch, n *node) string {
+	sc.text = true
 	sc.begin()
 	sc.visit(n)
 	sc.lit("ret ")

@@ -60,9 +60,10 @@ func buildStoreScenario(t *testing.T) *storeScenario {
 }
 
 // TestStoreBackedHashesOnDemand pins what a store-backed executable built
-// without hashes must still answer like the live one: every procedure's
-// strands (derived from the vocabulary), a plain acceptance, and a search
-// with a stored executable as the query of its own corpus.
+// without hashes must still answer like the live one, whose sets carry no
+// hashes either: every procedure's strands (derived through each one's
+// session), a plain acceptance, and a search with a stored executable as
+// the query of its own corpus.
 func TestStoreBackedHashesOnDemand(t *testing.T) {
 	s := buildStoreScenario(t)
 
@@ -77,11 +78,12 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 					t.Fatalf("image %d %s procedure %d: strands differ from the session's", ii, le.Path, pi)
 				}
 				sp := se.exe.Procs[pi]
-				if sp.Set.Hashes != nil {
-					t.Fatalf("image %d %s procedure %d: a store-backed set carries hashes", ii, le.Path, pi)
+				if sp.Set.Hashes != nil || p.Set.Hashes != nil {
+					t.Fatalf("image %d %s procedure %d: a pipeline set carries hashes (live %v, store-backed %v)", ii, le.Path, pi, p.Set.Hashes != nil, sp.Set.Hashes != nil)
 				}
-				if p.Set.Size() != len(p.Set.Hashes) || sp.Set.Size() != len(se.ProcedureStrands(pi)) || sp.Set.Size() != p.Set.Size() {
-					t.Fatalf("image %d %s procedure %d: Size %d live / %d stored, %d hashes", ii, le.Path, pi, p.Set.Size(), sp.Set.Size(), len(p.Set.Hashes))
+				live, stored := len(le.ProcedureStrands(pi)), len(se.ProcedureStrands(pi))
+				if p.Set.Size() != live || sp.Set.Size() != stored || sp.Set.Size() != p.Set.Size() {
+					t.Fatalf("image %d %s procedure %d: Size %d live / %d stored, %d / %d strands", ii, le.Path, pi, p.Set.Size(), sp.Set.Size(), live, stored)
 				}
 			}
 		}

@@ -313,7 +313,7 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 // Seal freezes the session's current state into an immutable corpus
 // over the given images: the corpus that searches them. The Analyzer and
 // its images stay fully usable afterwards — Seal copies what it must
-// (procedure headers) and shares what is already final (hash and ID
+// (procedure headers) and shares what is already final (ID and marker
 // slices, CSR rows) — so sealing is cheap while the sealed corpus aliases
 // no mutable session state. The corpus is indexed on its first search, not here.
 //

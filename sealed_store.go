@@ -30,9 +30,10 @@ import (
 //
 // Off the mapping (loadExe), an executable's strand IDs and markers alias
 // the file; its procedures, call graph and CSR posting lists are derived
-// once, by counting, into a few slabs. It has no strand hashes: every
-// similarity is counted over IDs, and the few callers that want hashes
-// (Executable.ProcedureStrands) derive them from the vocabulary.
+// once, by counting, into a few slabs. It has no strand hashes, like an
+// analysed executable: every similarity is counted over IDs, and the few
+// callers that want hashes (Executable.ProcedureStrands) derive them
+// from the vocabulary.
 
 // lazyExe is one executable's materialize-once slot.
 type lazyExe struct {
@@ -248,7 +249,7 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	vocab, err := snapshot.EncodeVocab(sc.frozen.Vocab())
+	vocab, err := snapshot.EncodeVocab(sc.frozen.Vocab(), sc.frozen.SortedIDs())
 	if err != nil {
 		return nil, err
 	}
