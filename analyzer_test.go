@@ -30,7 +30,7 @@ func sealScenario(t *testing.T) (*firmup.Analyzer, *firmup.SealedCorpus, *firmup
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sc.AnalyzeQuery(queryBytes)
+	q, err := sc.AnalyzeQuery(queryBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +52,6 @@ func TestSearchImageIndexEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(indexed.Findings, exhaustive.Findings) {
 		t.Errorf("findings diverge:\nindexed:    %+v\nexhaustive: %+v", indexed.Findings, exhaustive.Findings)
-	}
-	if !reflect.DeepEqual(indexed.StepsHistogram, exhaustive.StepsHistogram) {
-		t.Errorf("histograms diverge: %v vs %v", indexed.StepsHistogram, exhaustive.StepsHistogram)
 	}
 	if exhaustive.Examined != n {
 		t.Errorf("exhaustive examined %d of %d executables", exhaustive.Examined, n)
@@ -85,7 +82,7 @@ func TestForeignQueryRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherQ, err := otherSC.AnalyzeQuery(queryBytes)
+	otherQ, err := otherSC.AnalyzeQuery(queryBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +294,7 @@ func TestOpenImageBrokenStreamCarves(t *testing.T) {
 	if _, err := image.Stream(data, func(image.FileEntry) { dispatched++ }); err == nil || dispatched == 0 {
 		t.Fatalf("the cut stream must fail after some files: %d dispatched, error %v", dispatched, err)
 	}
-	carved := image.CarveWith(data, nil, telemetry.Span{})
+	carved := image.CarveWith(data, telemetry.Span{})
 	if len(carved) == 0 {
 		t.Fatal("carving the cut stream finds nothing; the comparison is vacuous")
 	}
@@ -437,7 +434,7 @@ func TestOpenImageSharesAnalysisOfIdenticalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sc.AnalyzeQuery(queryBytes)
+	q, err := sc.AnalyzeQuery(queryBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +449,7 @@ func TestOpenImageSharesAnalysisOfIdenticalBytes(t *testing.T) {
 	if len(res1.Findings) == 0 {
 		t.Fatal("search matched nothing; scenario is vacuous")
 	}
-	want := &firmup.SearchResult{Examined: res1.Examined, StepsHistogram: res1.StepsHistogram}
+	want := &firmup.SearchResult{Examined: res1.Examined}
 	for _, f := range res1.Findings {
 		f.ExePath = "mnt/" + f.ExePath
 		want.Findings = append(want.Findings, f)

@@ -46,7 +46,7 @@ func batchPool(t *testing.T, s *firmup.SealedCorpus) []firmup.BatchQuery {
 		if cve == nil {
 			t.Fatalf("unknown CVE %s", src.cveID)
 		}
-		q, err := s.AnalyzeQuery(queryBytesFor(t, cve, src.arch))
+		q, err := s.AnalyzeQuery(queryBytesFor(t, cve, src.arch), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

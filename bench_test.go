@@ -303,7 +303,7 @@ func BenchmarkAblationOffsetElim(b *testing.B) {
 func BenchmarkAblationMarkers(b *testing.B) {
 	env := benchSetup(b)
 	run := func(markerBar float64) (correct, fps int) {
-		opt := eval.DefaultSearch()
+		opt := &core.SearchOptions{}
 		opt.MarkerMinOverlap = markerBar
 		for _, cve := range corpus.CVEs[:7] {
 			for _, u := range env.Units {

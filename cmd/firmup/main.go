@@ -98,9 +98,12 @@ func corpusLabels(sc *firmup.SealedCorpus) []string {
 // reports image i's findings under labels[i]. With -trace-json, each
 // finding's game is played again with tracing.
 func (s *search) search(sc *firmup.SealedCorpus, labels []string, qdata []byte) error {
+	// Query analysis and the search record under the registry's root, so
+	// a report splits the search into core.search (and corpus.shard per
+	// shard).
 	sc.SetTelemetry(s.reg)
 	start := time.Now()
-	query, err := sc.AnalyzeQueryWith("query", qdata, s.workers)
+	query, err := sc.AnalyzeQuery(qdata, &firmup.Options{Workers: s.workers})
 	if err != nil {
 		return err
 	}
@@ -225,10 +228,8 @@ func runSearch(args []string, stdout, stderr io.Writer) (bool, error) {
 		Workers: *workers, Index: !*exhaustive,
 	})
 	s := &search{
-		proc: *proc,
-		// The search pass times itself under the registry's root span, so a
-		// report splits it into core.search (and corpus.shard per shard).
-		opt:       &firmup.Options{MinScore: *minScore, MinRatio: *minRatio, Exhaustive: *exhaustive, Span: telemetry.Root(reg, nil)},
+		proc:      *proc,
+		opt:       &firmup.Options{MinScore: *minScore, MinRatio: *minRatio, Exhaustive: *exhaustive},
 		workers:   *workers,
 		verbose:   *verbose,
 		traceJSON: *traceJSON != "",

@@ -87,7 +87,7 @@ func main() {
 	}
 
 	reg := telemetry.New()
-	cs, err := loadCorpus(*corpusPath, reg)
+	cs, err := loadCorpus(*corpusPath)
 	if err != nil {
 		log.Fatalf("firmupd: %v", err)
 	}
@@ -124,7 +124,7 @@ func main() {
 				http.Error(w, "missing required query parameter: path", http.StatusBadRequest)
 				return
 			}
-			next, err := loadCorpus(path, reg)
+			next, err := loadCorpus(path)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -178,9 +178,10 @@ func openAccessLog(dst string) (*telemetry.Logger, error) {
 
 // loadCorpus opens one sealed corpus: a directory of shards or the
 // single file of a one-shard corpus, mmap-backed and lazily
-// materialized. Index telemetry (the index.* metrics) is attached to
-// the corpus before it serves.
-func loadCorpus(path string, reg *telemetry.Registry) (*serve.Corpus, error) {
+// materialized. It needs no registry of its own: every search request
+// runs under a span of the server's registry, which its query analysis
+// and search record into.
+func loadCorpus(path string) (*serve.Corpus, error) {
 	sc, err := firmup.OpenSealedCorpus(path)
 	if err != nil {
 		if errors.Is(err, firmup.ErrCorpusCorrupt) {
@@ -188,7 +189,6 @@ func loadCorpus(path string, reg *telemetry.Registry) (*serve.Corpus, error) {
 		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	sc.SetTelemetry(reg)
 	if shards := sc.Shards(); shards != nil {
 		mapped := 0
 		for _, sh := range shards {

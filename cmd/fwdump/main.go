@@ -84,7 +84,7 @@ func dumpImage(path string, reg *telemetry.Registry) {
 	im, err := image.Unpack(data)
 	if err != nil {
 		fmt.Printf("structural unpack failed (%v); carving...\n", err)
-		for i, f := range image.CarveWith(data, nil, telemetry.Span{}) {
+		for i, f := range image.CarveWith(data, telemetry.Span{}) {
 			fmt.Printf("carved #%d: %v, entry %#x, %d syms, stripped=%v\n",
 				i, f.Arch, f.Entry, len(f.Syms), f.Stripped)
 		}

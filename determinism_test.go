@@ -50,7 +50,7 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatalf("only %d MIPS targets in the corpus", len(targets))
 	}
 	run := func(workers int) []*core.Finding {
-		opt := eval.DefaultSearch()
+		opt := &core.SearchOptions{}
 		opt.Workers = workers
 		return playEverywhere(q, qi, targets, opt)
 	}
@@ -107,7 +107,7 @@ func analyzeWith(t *testing.T, a *firmup.Analyzer, imgBytes, queryBytes []byte, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sc.AnalyzeQuery(queryBytes)
+	q, err := sc.AnalyzeQuery(queryBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

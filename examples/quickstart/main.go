@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, err := sealed.AnalyzeQuery(qf.Bytes())
+		q, err := sealed.AnalyzeQuery(qf.Bytes(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,7 @@
 //	a := firmup.NewAnalyzer(nil)
 //	img, _ := a.OpenImage(imageBytes)
 //	sc, _ := a.Seal(img)
-//	query, _ := sc.AnalyzeQuery(queryBytes)
+//	query, _ := sc.AnalyzeQuery(queryBytes, nil)
 //	results, _ := sc.SearchAll(query, "ftp_retrieve_glob", nil)
 //
 // A corpus that is searched many times is sealed once, written as shards
@@ -65,10 +65,10 @@ type AnalyzerOptions struct {
 	// Output never depends on it.
 	Workers int
 	// Telemetry, when non-nil, is the registry the session records its
-	// pipeline metrics into. The default (nil) disables telemetry
-	// entirely: instrumented code paths hold nil handles and every
-	// recording call is a no-op. Analysis and search output are
-	// identical either way.
+	// pipeline metrics into: the root of the span every layer of its
+	// analyses records through. The default (nil) disables telemetry
+	// entirely: the spans are inert and every recording call is a no-op.
+	// Analysis and search output are identical either way.
 	Telemetry *telemetry.Registry
 }
 
@@ -88,14 +88,12 @@ func (o *AnalyzerOptions) workers() int {
 type Analyzer struct {
 	opt      AnalyzerOptions
 	interner *corpusindex.Interner
-	// What the session records into, all of it nil/zero — recording
-	// nothing — when telemetry is disabled. Stage and metric names are
-	// part of the report schema (see telemetry.SchemaVersion); renaming
-	// any of them is a breaking change.
-	front        frontEnd
-	exesAnalyzed *telemetry.Counter
-	exesSkipped  *telemetry.Counter
-	spare        chan struct{} // the analysis budget's tokens (see analyzePooled)
+	// root is the span the session's work records under: a root of
+	// opt.Telemetry, the zero Span — recording nothing — without one.
+	// Stage and metric names are part of the report schema (see
+	// telemetry.SchemaVersion); renaming any of them is a breaking change.
+	root  telemetry.Span
+	spare chan struct{} // the analysis budget's tokens (see analyzePooled)
 	// analysed maps the SHA-256 of an in-image file to its *analysis: the
 	// same executable ships in image after image, and OpenImage analyses
 	// each distinct byte string once per session.
@@ -110,62 +108,17 @@ type analysis struct {
 	err  error
 }
 
-// frontEnd is the analysis front end — parse, CFG recovery and lifting,
-// strand extraction, indexing — spelled once for the session and a sealed
-// corpus's query analysis, with the registry it records into: the
-// layers' counters, and root, which its spans default to. Names are
-// shared too, so obj.parse or strand.strands on a dashboard means the
-// same layer whichever side recorded it. The zero value records nothing.
-type frontEnd struct {
-	root telemetry.Span
-	obj  *obj.Telemetry
-	cfg  *cfg.Telemetry
-	sim  *sim.Telemetry
-}
-
-func newFrontEnd(r *telemetry.Registry) frontEnd {
-	if r == nil {
-		return frontEnd{}
-	}
-	return frontEnd{
-		root: telemetry.Root(r, nil),
-		obj: &obj.Telemetry{
-			Bytes:    r.Counter("obj.bytes"),
-			BadClass: r.Counter("obj.bad_class"),
-		},
-		cfg: &cfg.Telemetry{
-			Decoded:        r.Counter("cfg.insts_decoded"),
-			Procs:          r.Counter("cfg.procs"),
-			Blocks:         r.Counter("cfg.blocks"),
-			Insts:          r.Counter("cfg.insts"),
-			CoverageRounds: r.Counter("cfg.coverage_rounds"),
-		},
-		sim: &sim.Telemetry{
-			Procs: r.Counter("sim.procs"),
-			Extract: &strand.Telemetry{
-				Blocks:  r.Counter("strand.blocks"),
-				Strands: r.Counter("strand.strands"),
-			},
-		},
-	}
-}
-
-// read parses one FWELF file ("obj.parse") under parent, or under the
-// front end's own registry when the caller passes no span.
-func (fe *frontEnd) read(data []byte, parent telemetry.Span) (*obj.File, error) {
-	return obj.ReadWith(data, fe.obj, parent.Or(fe.root))
-}
-
-// analyze is the pass order after the parse — sweep, claim gaps and plan
-// the procedures ("cfg.recover"), then lift each procedure and extract,
-// intern and index it ("sim.build"), one procedure per build worker at a
-// time, so the executable's UIR is never held whole — timed under parent
-// like read. With a non-nil spare, one of whose tokens the
-// caller holds, the build adds a procedure worker for every further
-// token free at that moment, up to workers in all.
-func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, workers int, spare chan struct{}, parent telemetry.Span) (*Executable, error) {
-	parent = parent.Or(fe.root)
-	rec, err := cfg.Plan(f, fe.cfg, parent)
+// analyze is the analysis front end after the parse (obj.ReadWith),
+// spelled once for the session and a sealed corpus's query analysis:
+// sweep, claim gaps and plan the procedures ("cfg.recover"), then lift
+// each procedure and extract, intern and index it ("sim.build"), one
+// procedure per build worker at a time, so the executable's UIR is never
+// held whole — every layer timed and counted under parent. With a
+// non-nil spare, one of whose tokens the caller holds, the build adds a
+// procedure worker for every further token free at that moment, up to
+// workers in all.
+func analyze(path string, f *obj.File, it strand.Interner, workers int, spare chan struct{}, parent telemetry.Span) (*Executable, error) {
+	rec, err := cfg.Plan(f, parent)
 	if err != nil {
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
 	}
@@ -182,7 +135,7 @@ func (fe *frontEnd) analyze(path string, f *obj.File, it strand.Interner, worker
 		}
 		workers = n
 	}
-	bc := &sim.BuildConfig{Workers: workers, Tel: fe.sim, Span: parent}
+	bc := &sim.BuildConfig{Workers: workers, Span: parent}
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, it, bc)}, nil
 }
 
@@ -194,10 +147,8 @@ func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	}
 	a.spare = make(chan struct{}, a.opt.workers())
 	if r := a.opt.Telemetry; r != nil {
-		a.front = newFrontEnd(r)
-		a.exesAnalyzed = r.Counter("exe.analyzed")
-		a.exesSkipped = r.Counter("exe.skipped")
-		// Gauge mirrors of state the session already tracks: evaluated at
+		a.root = telemetry.Root(r, nil)
+		// A gauge mirror of state the session already tracks: evaluated at
 		// snapshot time, costing the hot paths nothing.
 		interner := a.interner
 		r.GaugeFunc("corpus.unique_strands", func() int64 { return int64(interner.Size()) })
@@ -322,7 +273,7 @@ func (im *Image) Executable(path string) *Executable {
 func (a *Analyzer) analyzePooled(path string, f *obj.File, parent telemetry.Span) (*Executable, error) {
 	a.spare <- struct{}{}
 	defer func() { <-a.spare }()
-	return a.front.analyze(path, f, a.interner, a.opt.workers(), a.spare, parent)
+	return analyze(path, f, a.interner, a.opt.workers(), a.spare, parent)
 }
 
 // OpenImage unpacks a firmware image and analyzes every executable in
@@ -330,9 +281,10 @@ func (a *Analyzer) analyzePooled(path string, f *obj.File, parent telemetry.Span
 // as it is unpacked (see AnalyzerOptions.Workers). Images that fail
 // structural unpacking are carved binwalk-style for embedded
 // executables. Executables that fail analysis are reported in
-// Image.Skipped rather than silently dropped.
+// Image.Skipped rather than silently dropped. The image's executables
+// count into exe.analyzed and exe.skipped.
 func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
-	sp := a.front.root.Start("image.open")
+	sp := a.root.Start("image.open")
 	defer sp.End()
 	jobs := make(chan *fileJob)
 	var wg sync.WaitGroup
@@ -357,7 +309,7 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 		// Carving fallback: damaged or unknown container. The files
 		// dispatched before the failure are analysed, then discarded.
 		all, im = nil, &image.Image{}
-		for i, f := range image.CarveWith(data, a.front.obj, usp) {
+		for i, f := range image.CarveWith(data, usp) {
 			add(&fileJob{path: fmt.Sprintf("carved_%d", i), file: f})
 		}
 		if len(all) > 0 {
@@ -381,8 +333,8 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 	if len(out.Exes) == 0 {
 		return nil, fmt.Errorf("firmup: image contains no analyzable executables")
 	}
-	a.exesAnalyzed.Add(int64(len(out.Exes)))
-	a.exesSkipped.Add(int64(len(out.Skipped)))
+	sp.Counter("exe.analyzed").Add(int64(len(out.Exes)))
+	sp.Counter("exe.skipped").Add(int64(len(out.Skipped)))
 	return out, nil
 }
 
@@ -408,7 +360,7 @@ func (a *Analyzer) analyzeFile(j *fileJob, parent telemetry.Span) {
 		j.exe, j.err = a.analyzePooled(j.path, j.file, parent)
 		return
 	}
-	f, err := a.front.read(j.data, parent)
+	f, err := obj.ReadWith(j.data, parent)
 	if err != nil {
 		return // not an executable
 	}

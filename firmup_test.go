@@ -59,7 +59,7 @@ func TestEndToEndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sc.AnalyzeQuery(queryBytes)
+	q, err := sc.AnalyzeQuery(queryBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestUnknownQueryProcedure(t *testing.T) {
 	if got := reg.Stage("core.search").Calls(); got != 1 {
 		t.Errorf("core.search: %d calls after one search, want 1", got)
 	}
-	if _, err := sc.AnalyzeQuery([]byte("garbage")); err == nil {
+	if _, err := sc.AnalyzeQuery([]byte("garbage"), nil); err == nil {
 		t.Error("garbage query must fail")
 	}
 }

@@ -36,7 +36,7 @@ func build(t *testing.T, prof compiler.Profile, opt isa.Options, strip bool) *si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Build("exe", rec, corpusindex.NewInterner())
+	return sim.BuildWith("exe", rec, corpusindex.NewInterner(), nil)
 }
 
 func accuracy(t *testing.T, q, tgt *sim.Exe, res Result) (int, int) {

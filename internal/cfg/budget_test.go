@@ -42,7 +42,7 @@ var frontEnds = []struct {
 	recover     func(*obj.File) (*cfg.Recovered, error)
 	allocBudget float64
 }{
-	{"plan", func(f *obj.File) (*cfg.Recovered, error) { return cfg.Plan(f, nil, telemetry.Span{}) }, 250},
+	{"plan", func(f *obj.File) (*cfg.Recovered, error) { return cfg.Plan(f, telemetry.Span{}) }, 250},
 	{"recover", cfg.Recover, 295},
 }
 

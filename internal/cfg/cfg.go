@@ -31,23 +31,6 @@ import (
 	"firmup/internal/uir"
 )
 
-// Telemetry is the optional counter set recovery records against; a nil
-// pointer (and any nil field) disables the corresponding metric.
-// Recovery output is identical with and without it.
-type Telemetry struct {
-	// Decoded counts instructions decoded by the sweep (ISA decoder
-	// invocations that succeeded).
-	Decoded *telemetry.Counter
-	// Procs, Blocks and Insts count the procedures Lifters lifted, their
-	// basic blocks, and their instructions.
-	Procs  *telemetry.Counter
-	Blocks *telemetry.Counter
-	Insts  *telemetry.Counter
-	// CoverageRounds counts iterations of the gap-claiming coverage
-	// sweep (pass 3).
-	CoverageRounds *telemetry.Counter
-}
-
 // Proc is one recovered procedure.
 type Proc struct {
 	Name     string // symbol name, or sub_<addr> when stripped
@@ -112,10 +95,15 @@ type Recovered struct {
 
 	// What a Lifter reads: the backend, the sweep with its leader flags,
 	// and the counters lifting records into.
-	be  isa.Backend
-	sw  *sweep
-	tel *Telemetry
+	be     isa.Backend
+	sw     *sweep
+	counts liftCounters
 }
+
+// liftCounters are the counters Lifters record into on Release — the
+// procedures they lifted, their basic blocks and their instructions —
+// looked up once, by Plan, in its span's registry; all nil without one.
+type liftCounters struct{ procs, blocks, insts *telemetry.Counter }
 
 // Proc returns the recovered procedure with the given name, or nil.
 func (r *Recovered) Proc(name string) *Proc {
@@ -170,7 +158,7 @@ func (s *sweep) lower(addr uint32) int32 {
 // procedure then lifted and kept. Procedures that fail to lift are
 // dropped.
 func Recover(f *obj.File) (*Recovered, error) {
-	rec, err := Plan(f, nil, telemetry.Span{})
+	rec, err := Plan(f, telemetry.Span{})
 	if err != nil {
 		return nil, err
 	}
@@ -216,12 +204,15 @@ func Recover(f *obj.File) (*Recovered, error) {
 }
 
 // Plan is recovery short of lifting, timed under parent as one
-// "cfg.recover" span with the linear sweep ("cfg.sweep") as its child,
-// and counted into tel: the sweep, entry discovery, the coverage pass,
-// and the extents the entries cut, each with its block leaders flagged
-// and its name. Lifting is left to a Lifter per procedure, which counts
-// what it lifts into tel too.
-func Plan(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered, error) {
+// "cfg.recover" span with the linear sweep ("cfg.sweep") as its child:
+// the sweep, entry discovery, the coverage pass, and the extents the
+// entries cut, each with its block leaders flagged and its name. It
+// counts into parent's registry the instructions the sweep decoded
+// (cfg.insts_decoded) and the iterations of the gap-claiming coverage
+// pass (cfg.coverage_rounds). Lifting is left to a Lifter per procedure,
+// which counts what it lifts into the same registry: cfg.procs,
+// cfg.blocks and cfg.insts.
+func Plan(f *obj.File, parent telemetry.Span) (*Recovered, error) {
 	recoverSpan := parent.Start("cfg.recover")
 	defer recoverSpan.End()
 	be, sw, err := sweepText(f, recoverSpan)
@@ -229,11 +220,14 @@ func Plan(f *obj.File, tel *Telemetry, parent telemetry.Span) (*Recovered, error
 		return nil, err
 	}
 	entries, rounds := claimGaps(sw, callEntries(f, sw))
-	if tel != nil {
-		tel.Decoded.Add(int64(len(sw.seq)))
-		tel.CoverageRounds.Add(int64(rounds))
+	parent.Counter("cfg.insts_decoded").Add(int64(len(sw.seq)))
+	parent.Counter("cfg.coverage_rounds").Add(int64(rounds))
+	counts := liftCounters{
+		procs:  parent.Counter("cfg.procs"),
+		blocks: parent.Counter("cfg.blocks"),
+		insts:  parent.Counter("cfg.insts"),
 	}
-	return &Recovered{File: f, Arch: f.Arch, Procs: planProcs(f, entries, sw), be: be, sw: sw, tel: tel}, nil
+	return &Recovered{File: f, Arch: f.Arch, Procs: planProcs(f, entries, sw), be: be, sw: sw, counts: counts}, nil
 }
 
 // sweepText is pass 1, the linear-sweep disassembly of f's text section
@@ -470,8 +464,8 @@ type Lifter struct {
 	lb     isa.LiftBuilder
 	blocks []uir.Block
 	ptrs   []*uir.Block
-	tel    *Telemetry
-	// What the lifter lifted since it was drawn, counted into tel on
+	counts liftCounters
+	// What the lifter lifted since it was drawn, counted into counts on
 	// Release.
 	nprocs, nblocks, ninsts int64
 }
@@ -484,7 +478,7 @@ var lifterPool = sync.Pool{New: func() any { return new(Lifter) }}
 // returns it.
 func NewLifter(rec *Recovered) *Lifter {
 	l := lifterPool.Get().(*Lifter)
-	l.be, l.sw, l.tel = rec.be, rec.sw, rec.tel
+	l.be, l.sw, l.counts = rec.be, rec.sw, rec.counts
 	return l
 }
 
@@ -505,12 +499,10 @@ func (l *Lifter) Lift(p *Proc) ([]*uir.Block, bool) {
 // Release counts what the lifter lifted and returns it to the pool; it
 // must not be used again.
 func (l *Lifter) Release() {
-	if l.tel != nil {
-		l.tel.Procs.Add(l.nprocs)
-		l.tel.Blocks.Add(l.nblocks)
-		l.tel.Insts.Add(l.ninsts)
-	}
+	l.counts.procs.Add(l.nprocs)
+	l.counts.blocks.Add(l.nblocks)
+	l.counts.insts.Add(l.ninsts)
 	l.nprocs, l.nblocks, l.ninsts = 0, 0, 0
-	l.be, l.sw, l.tel = nil, nil, nil
+	l.be, l.sw, l.counts = nil, nil, liftCounters{}
 	lifterPool.Put(l)
 }

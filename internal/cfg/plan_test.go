@@ -24,7 +24,7 @@ import (
 // also agree with the inspection form (checkPipelineMatchesInspection).
 func checkPlannedBuild(t *testing.T, name string, file *obj.File) {
 	t.Helper()
-	plan, perr := cfg.Plan(file, nil, telemetry.Span{})
+	plan, perr := cfg.Plan(file, telemetry.Span{})
 	rec, rerr := cfg.Recover(file)
 	if (perr == nil) != (rerr == nil) {
 		t.Fatalf("%s: plan error %v, recover error %v", name, perr, rerr)
@@ -202,7 +202,7 @@ func TestUnliftableCalleeDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := cfg.Plan(file, nil, telemetry.Span{})
+	plan, err := cfg.Plan(file, telemetry.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +235,8 @@ func TestPlannedBuildSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	tel := &cfg.Telemetry{Procs: reg.Counter("cfg.procs"), Blocks: reg.Counter("cfg.blocks"), Insts: reg.Counter("cfg.insts")}
 	root := telemetry.Root(reg, nil)
-	plan, err := cfg.Plan(file, tel, root)
+	plan, err := cfg.Plan(file, root)
 	if err != nil {
 		t.Fatal(err)
 	}

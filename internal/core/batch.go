@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"firmup/internal/sim"
+	"firmup/internal/telemetry"
 )
 
 // BatchQuery identifies one query procedure of a batched search pass:
@@ -14,17 +15,61 @@ type BatchQuery struct {
 	QI int
 }
 
+// meters are what a search pass counts into, looked up once per pass
+// (PlayBatch) in its span's registry; all nil — recording nothing —
+// without one. Game outcomes are identical either way.
+type meters struct {
+	// played counts the games the pass plays; unplayed the (query,
+	// target) pairs it did not play because no procedure of the target
+	// could be accepted; cut the games it stopped once every acceptable
+	// procedure had been matched to some other query procedure
+	// (EndUnacceptable).
+	played, unplayed, cut *telemetry.Counter
+	// steps observes the step count of every game played; accepted that
+	// of the games whose finding cleared the acceptance thresholds — the
+	// paper's Fig. 9 population.
+	steps, accepted *telemetry.Histogram
+	// hits and misses count memoized candidate-list reuse versus
+	// first-touch similarity accumulations inside the matchers.
+	hits, misses *telemetry.Counter
+	// searches counts the pass's queries; kept and skipped the targets
+	// each query's plan lists versus those the caller's narrowing left
+	// out.
+	searches, kept, skipped *telemetry.Counter
+	// batches counts passes; shared the games answered through a matcher
+	// already warmed by an earlier query of the same target pass — the
+	// cross-query similarity-vector reuse the batch engine exists for;
+	// perTarget observes, for every target the pass examines, how many
+	// of its queries shared that target's pass.
+	batches, shared *telemetry.Counter
+	perTarget       *telemetry.Histogram
+}
+
+// metersOf looks the pass's meters up in sp's registry.
+func metersOf(sp telemetry.Span) *meters {
+	return &meters{
+		played:    sp.Counter("game.played"),
+		unplayed:  sp.Counter("game.unplayed"),
+		cut:       sp.Counter("game.cut"),
+		steps:     sp.Histogram("game.steps"),
+		accepted:  sp.Histogram("game.steps.accepted"),
+		hits:      sp.Counter("game.matcher_hits"),
+		misses:    sp.Counter("game.matcher_misses"),
+		searches:  sp.Counter("search.runs"),
+		kept:      sp.Counter("search.targets_kept"),
+		skipped:   sp.Counter("search.targets_skipped"),
+		batches:   sp.Counter("batch.searches"),
+		shared:    sp.Counter("batch.shared_games"),
+		perTarget: sp.Histogram("batch.queries_per_target"),
+	}
+}
+
 // runShared plays one game through a caller-managed matcher with fresh
-// pooled game state, recording the same per-game telemetry Match does.
-// acceptable is runGame's.
+// pooled game state. acceptable is runGame's.
 func runShared(q *sim.Exe, qi int, t *sim.Exe, opt *Options, m *matcher, acceptable []int32) Result {
 	st := newGameState()
 	res := runGame(q, qi, t, opt, m, st, acceptable)
 	st.release()
-	if tel := opt.tel(); tel != nil {
-		tel.Games.Inc()
-		tel.Steps.Observe(int64(res.Steps))
-	}
 	return res
 }
 
@@ -93,19 +138,17 @@ type slot struct{ qx, k int }
 // A panic on a worker goroutine is re-raised on the caller's once every
 // worker has stopped, so the caller's recover sees it.
 //
-// The pass records under "core.search_batch", or "core.search" for a
-// batch of one.
+// The pass is timed under "core.search_batch", or "core.search" for a
+// batch of one, and counted (see meters) into the span's registry.
 func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *SearchOptions) Played {
-	tel := opt.game().tel()
 	name := "core.search_batch"
 	if len(queries) == 1 {
 		name = "core.search"
 	}
 	sp := opt.span().Start(name)
 	defer sp.End()
-	if tel != nil {
-		tel.BatchSearches.Inc()
-	}
+	m := metersOf(sp)
+	m.batches.Inc()
 
 	// Group query indices by query executable (first-appearance order)
 	// so each per-target pass sees same-executable queries contiguously
@@ -121,11 +164,9 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	perTarget := make([][]slot, len(targets))
 	for _, e := range exes {
 		for _, qx := range groups[e] {
-			if tel != nil {
-				tel.Searches.Inc()
-				tel.PrefilterKept.Add(int64(len(plans[qx].Targets)))
-				tel.PrefilterSkipped.Add(int64(len(targets) - len(plans[qx].Targets)))
-			}
+			m.searches.Inc()
+			m.kept.Add(int64(len(plans[qx].Targets)))
+			m.skipped.Add(int64(len(targets) - len(plans[qx].Targets)))
 			for k, ti := range plans[qx].Targets {
 				perTarget[ti] = append(perTarget[ti], slot{qx, k})
 			}
@@ -164,7 +205,7 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 			}()
 			var c passCounts
 			for ti := range jobs {
-				runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, findings, &c)
+				runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, m, findings, &c)
 			}
 			steps.Add(c.steps)
 			unplayed.Add(c.unplayed)
@@ -181,13 +222,13 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	}
 
 	out := Played{Findings: findings, Unplayed: int(unplayed.Load()), Cut: int(cut.Load())}
-	if tel != nil {
-		tel.Unplayed.Add(unplayed.Load())
-		tel.Cut.Add(cut.Load())
+	m.unplayed.Add(unplayed.Load())
+	m.cut.Add(cut.Load())
+	if m.accepted != nil {
 		for qx := range findings {
 			for _, f := range findings[qx] {
 				if f != nil {
-					tel.AcceptedSteps.Observe(int64(f.Steps))
+					m.accepted.Observe(int64(f.Steps))
 				}
 			}
 		}
@@ -220,34 +261,33 @@ type passCounts struct{ steps, unplayed, cut int64 }
 // from the same query executable (contiguous in slots by construction)
 // run through one matcher, so the similarity vectors and candidate
 // lists the first game memoizes answer the rest; game state and findings
-// stay per-query.
-func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, slots []slot, plans []Plan, opt *SearchOptions, findings [][]*Finding, c *passCounts) {
-	tel := opt.game().tel()
-	if tel != nil {
-		tel.BatchQueriesPerTarget.Observe(int64(len(slots)))
-	}
+// stay per-query. Everything it counts goes into the pass's meters m.
+func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, slots []slot, plans []Plan, opt *SearchOptions, m *meters, findings [][]*Finding, c *passCounts) {
+	m.perTarget.Observe(int64(len(slots)))
 	for i := 0; i < len(slots); {
 		q := queries[slots[i].qx].Q
-		m := newMatcher(q, t, tel)
+		mt := newMatcher(q, t, m)
 		j := i
 		for ; j < len(slots) && queries[slots[j].qx].Q == q; j++ {
 			qx, qi := slots[j].qx, queries[slots[j].qx].QI
-			acc := m.acceptableSet(qi, plans[qx].vector(slots[j].k), opt)
+			acc := mt.acceptableSet(qi, plans[qx].vector(slots[j].k), opt)
 			if len(acc) == 0 {
 				c.unplayed++
 				continue
 			}
-			r := runShared(q, qi, t, opt.game(), m, acc)
+			r := runShared(q, qi, t, opt.game(), mt, acc)
+			m.played.Inc()
+			m.steps.Observe(int64(r.Steps))
 			c.steps += int64(r.Steps)
 			if r.Reason == EndUnacceptable {
 				c.cut++
 			}
 			findings[qx][ti] = accept(q, qi, t, r, opt)
-			if tel != nil && j > i {
-				tel.BatchSharedGames.Inc()
+			if j > i {
+				m.shared.Inc()
 			}
 		}
-		m.release()
+		mt.release()
 		i = j
 	}
 }

@@ -14,7 +14,7 @@ import (
 // target pass does for the queries of one executable.
 func matchBatch(q *sim.Exe, qis []int, t *sim.Exe, opt *Options) []Result {
 	out := make([]Result, len(qis))
-	m := newMatcher(q, t, opt.tel())
+	m := newMatcher(q, t, nil)
 	for i, qi := range qis {
 		out[i] = runShared(q, qi, t, opt, m, nil)
 	}

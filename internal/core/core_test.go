@@ -211,7 +211,7 @@ func buildExe(t *testing.T, arch uir.Arch, prof compiler.Profile, opt isa.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Build("test-exe", rec, session)
+	return sim.BuildWith("test-exe", rec, session, nil)
 }
 
 // The game over real cross-tool-chain binaries: match accuracy must be at
@@ -260,7 +260,7 @@ func TestSearchParallelAndThreshold(t *testing.T) {
 		isa.Options{TextBase: 0x10000, RegSeed: 5, SchedSeed: 3}, true)
 	t2 := buildExe(t, uir.ArchARM32, compiler.Profile{OptLevel: 3},
 		isa.Options{TextBase: 0x20000, RegSeed: 9, ShuffleProcs: true}, true)
-	pass := PlayBatch([]BatchQuery{{Q: q, QI: qi}}, []*sim.Exe{t1, t2}, everyTarget(1, 2), &SearchOptions{Workers: 4})
+	pass := PlayBatch([]BatchQuery{{Q: q, QI: qi}}, []*sim.Exe{t1, t2}, everyTarget(1, 2), &SearchOptions{MinScore: 3, MinRatio: 0.25, Workers: 4})
 	for ti, f := range pass.Findings[0] {
 		if f == nil {
 			t.Fatalf("no finding in target %d: %+v", ti, pass)
@@ -287,7 +287,7 @@ func TestPlayBatchPanicReachesCaller(t *testing.T) {
 	var got any
 	func() {
 		defer func() { got = recover() }()
-		PlayBatch([]BatchQuery{{Q: q, QI: 0}}, targets, everyTarget(1, len(targets)), &SearchOptions{Workers: 4})
+		PlayBatch([]BatchQuery{{Q: q, QI: 0}}, targets, everyTarget(1, len(targets)), &SearchOptions{MinScore: 3, MinRatio: 0.25, Workers: 4})
 	}()
 	if got == nil {
 		t.Fatal("PlayBatch returned normally from a pass over a nil target")

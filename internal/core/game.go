@@ -17,47 +17,7 @@ import (
 	"slices"
 
 	"firmup/internal/sim"
-	"firmup/internal/telemetry"
 )
-
-// Telemetry is the optional handle set the game engine records against;
-// a nil pointer (and any nil field) disables the corresponding metric.
-// Game outcomes are identical with and without it.
-type Telemetry struct {
-	// Games counts games played (Match and MatchReference calls, and
-	// every game a search pass actually runs).
-	Games *telemetry.Counter
-	// Unplayed counts the (query, candidate) pairs a search pass did not
-	// play because no procedure of the candidate could be accepted; Cut
-	// counts the games it stopped once every acceptable procedure had
-	// been matched to some other query procedure (EndUnacceptable).
-	Unplayed *telemetry.Counter
-	Cut      *telemetry.Counter
-	// Steps observes the step count of every game, accepted or not.
-	Steps *telemetry.Histogram
-	// AcceptedSteps observes the step count of games whose finding
-	// cleared the acceptance thresholds — the paper's Fig. 9 population.
-	AcceptedSteps *telemetry.Histogram
-	// MatcherHits and MatcherMisses count memoized candidate-list reuse
-	// versus first-touch similarity accumulations inside the matcher.
-	MatcherHits   *telemetry.Counter
-	MatcherMisses *telemetry.Counter
-	// Searches counts Search calls.
-	Searches *telemetry.Counter
-	// PrefilterKept and PrefilterSkipped count the target executables a
-	// pass's plans list versus those the caller's narrowing left out.
-	PrefilterKept    *telemetry.Counter
-	PrefilterSkipped *telemetry.Counter
-	// BatchSearches counts SearchBatch passes; BatchSharedGames counts
-	// games answered through a matcher already warmed by an earlier
-	// query of the same target pass — the cross-query similarity-vector
-	// reuse the batch engine exists for.
-	BatchSearches    *telemetry.Counter
-	BatchSharedGames *telemetry.Counter
-	// BatchQueriesPerTarget observes, for every target a batched pass
-	// examines, how many of the batch's queries shared that pass.
-	BatchQueriesPerTarget *telemetry.Histogram
-}
 
 // side distinguishes the two executables in the game.
 type side uint8
@@ -162,9 +122,6 @@ type Options struct {
 	MaxMatches int
 	// RecordTrace captures a human-readable game course.
 	RecordTrace bool
-	// Tel, when non-nil, records engine metrics. It never changes game
-	// outcomes.
-	Tel *Telemetry
 }
 
 func (o *Options) maxSteps() int {
@@ -183,13 +140,6 @@ func (o *Options) maxMatches() int {
 
 func (o *Options) trace() bool { return o != nil && o.RecordTrace }
 
-func (o *Options) tel() *Telemetry {
-	if o == nil {
-		return nil
-	}
-	return o.Tel
-}
-
 // Match runs the similarity game to find a consistent match for procedure
 // qi of Q inside T.
 //
@@ -200,15 +150,11 @@ func (o *Options) tel() *Telemetry {
 // traces — are identical to MatchReference's, byte for byte; the
 // equivalence tests enforce it.
 func Match(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
-	m := newMatcher(q, t, opt.tel())
+	m := newMatcher(q, t, nil)
 	st := newGameState()
 	res := runGame(q, qi, t, opt, m, st, nil)
 	st.release()
 	m.release()
-	if tel := opt.tel(); tel != nil {
-		tel.Games.Inc()
-		tel.Steps.Observe(int64(res.Steps))
-	}
 	return res
 }
 
@@ -218,16 +164,11 @@ func Match(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
 // equivalence tests and the fwbench speedup baseline; search paths
 // should use Match.
 func MatchReference(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
-	res := runGame(q, qi, t, opt, refPicker{q: q, t: t}, &gameState{
+	return runGame(q, qi, t, opt, refPicker{q: q, t: t}, &gameState{
 		matchedQ: map[int]int{},
 		matchedT: map[int]int{},
 		inStack:  map[item]bool{},
 	}, nil)
-	if tel := opt.tel(); tel != nil {
-		tel.Games.Inc()
-		tel.Steps.Observe(int64(res.Steps))
-	}
-	return res
 }
 
 // runGame is the game skeleton, written once against the picker so the

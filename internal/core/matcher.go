@@ -74,28 +74,28 @@ type matcher struct {
 	buf sim.Buffers // accumulation scratch, grown to max(|q.Procs|, |t.Procs|)
 	acc []int32     // acceptableSet's result, reused across the matcher's games
 
-	// telemetry handles, reset per game (matchers are pooled); nil-safe.
-	telHits   *telemetry.Counter
-	telMisses *telemetry.Counter
+	// What the matcher counts into, reset per draw (matchers are pooled);
+	// nil records nothing.
+	hits, misses *telemetry.Counter
 }
 
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
 // newMatcher draws a matcher from the arena pool and readies it for the
-// games of one (q, t) pair, recording reuse metrics into tel (which may
-// be nil).
-func newMatcher(q, t *sim.Exe, tel *Telemetry) *matcher {
-	m := matcherPool.Get().(*matcher)
-	m.q, m.t = q, t
-	m.qt = resetSpans(m.qt, len(q.Procs))
-	m.tq = resetSpans(m.tq, len(t.Procs))
-	m.slab = m.slab[:0]
-	m.buf.Grow(max(len(q.Procs), len(t.Procs)))
-	m.telHits, m.telMisses = nil, nil
-	if tel != nil {
-		m.telHits, m.telMisses = tel.MatcherHits, tel.MatcherMisses
+// games of one (q, t) pair, counting candidate-list reuse into the
+// pass's meters m (nil records nothing).
+func newMatcher(q, t *sim.Exe, m *meters) *matcher {
+	mt := matcherPool.Get().(*matcher)
+	mt.q, mt.t = q, t
+	mt.qt = resetSpans(mt.qt, len(q.Procs))
+	mt.tq = resetSpans(mt.tq, len(t.Procs))
+	mt.slab = mt.slab[:0]
+	mt.buf.Grow(max(len(q.Procs), len(t.Procs)))
+	mt.hits, mt.misses = nil, nil
+	if m != nil {
+		mt.hits, mt.misses = m.hits, m.misses
 	}
-	return m
+	return mt
 }
 
 // release returns the matcher (and its arenas) to the pool.
@@ -130,10 +130,10 @@ func (m *matcher) bestInQ(ti int, excluded map[int]int) (int, int) {
 // candidates that would otherwise take the lead.
 func (m *matcher) best(e *sim.Exe, set strand.Set, sp *span, excluded map[int]int) (int, int) {
 	if sp.n < 0 {
-		m.telMisses.Inc()
+		m.misses.Inc()
 		m.memoize(e, set, sp)
 	} else {
-		m.telHits.Inc()
+		m.hits.Inc()
 	}
 	best, bestScore := -1, int32(0)
 	for _, c := range m.slab[sp.off : sp.off+sp.n] {
@@ -176,7 +176,7 @@ func (m *matcher) acceptableSet(qi int, vec []sim.ProcScore, opt *SearchOptions)
 			sp.off, sp.n = int32(len(m.slab)), int32(len(vec))
 			m.slab = append(m.slab, vec...)
 		} else {
-			m.telMisses.Inc()
+			m.misses.Inc()
 			m.memoize(m.t, m.q.Procs[qi].Set, sp)
 		}
 	}

@@ -24,13 +24,19 @@ type Finding struct {
 }
 
 // SearchOptions configure a search pass (PlayBatch) and the acceptance
-// threshold MatchOne shares with it.
+// threshold MatchOne shares with it. The zero value (and a nil pointer)
+// selects the floors every search and experiment runs with, 8 shared
+// strands and 42% of the query's. The ratio floor plays the role of the
+// paper's semi-manual confirmation step: genuinely shared procedures keep
+// ~45%+ of the query's canonical strands even across divergent tool
+// chains, while coincidental matches between unrelated string-processing
+// procedures plateau near 40%.
 type SearchOptions struct {
 	Game Options
 	// MinScore is the minimum absolute number of shared strands for a
-	// match to count as a detection (default 3).
+	// match to count as a detection (default 8).
 	MinScore int
-	// MinRatio is the minimum Score/|Strands(q)| (default 0.25).
+	// MinRatio is the minimum Score/|Strands(q)| (default 0.42).
 	MinRatio float64
 	// MarkerMinOverlap is the confirmation threshold: the fraction of
 	// the query procedure's constant markers that the matched procedure
@@ -40,16 +46,24 @@ type SearchOptions struct {
 	MarkerMinOverlap float64
 	// Workers bounds the parallel target workers (default GOMAXPROCS).
 	Workers int
-	// Span is the parent the search is timed under: one "core.search" /
-	// "core.search_batch" span carrying aggregate attributes — targets,
-	// examined, findings, summed game steps. Purely observational: results
-	// are identical with and without it, and the zero Span costs nothing.
+	// Span is the parent the search is timed and counted under: one
+	// "core.search" / "core.search_batch" span carrying aggregate
+	// attributes — targets, examined, findings, summed game steps — and
+	// the pass's game.*, search.* and batch.* metrics in its registry.
+	// Purely observational: results are identical with and without it,
+	// and the zero Span costs nothing.
 	Span telemetry.Span
+}
+
+// Floors returns the acceptance floors in force, defaults applied: the
+// minimum score and the minimum ratio.
+func (o *SearchOptions) Floors() (minScore int, minRatio float64) {
+	return o.minScore(), o.minRatio()
 }
 
 func (o *SearchOptions) minScore() int {
 	if o == nil || o.MinScore <= 0 {
-		return 3
+		return 8
 	}
 	return o.MinScore
 }
@@ -66,7 +80,7 @@ func (o *SearchOptions) markerMinOverlap() float64 {
 
 func (o *SearchOptions) minRatio() float64 {
 	if o == nil || o.MinRatio <= 0 {
-		return 0.25
+		return 0.42
 	}
 	return o.MinRatio
 }
@@ -96,13 +110,7 @@ func (o *SearchOptions) span() telemetry.Span {
 // threshold, returning nil when the target does not contain the query.
 func MatchOne(q *sim.Exe, qi int, t *sim.Exe, opt *SearchOptions) (*Finding, Result) {
 	r := Match(q, qi, t, opt.game())
-	f := accept(q, qi, t, r, opt)
-	if f != nil {
-		if tel := opt.game().tel(); tel != nil {
-			tel.AcceptedSteps.Observe(int64(r.Steps))
-		}
-	}
-	return f, r
+	return accept(q, qi, t, r, opt), r
 }
 
 // accept turns a game's outcome into a finding when the matched pair

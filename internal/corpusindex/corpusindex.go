@@ -15,20 +15,7 @@ package corpusindex
 import (
 	"slices"
 	"sync"
-
-	"firmup/internal/telemetry"
 )
-
-// Telemetry is the optional handle set candidate queries record
-// against; a nil pointer (and any nil field) disables the
-// corresponding metric. Rankings are identical with and without it.
-type Telemetry struct {
-	// Queries counts candidate-ranking queries answered from postings.
-	Queries *telemetry.Counter
-	// Fanout observes the number of candidate executables each answered
-	// query kept after the score floors.
-	Fanout *telemetry.Histogram
-}
 
 // Interner assigns dense uint32 IDs to 64-bit strand hashes, first come
 // first served. It is safe for concurrent use: parallel analysis of the

@@ -276,11 +276,6 @@ type FrozenIndex struct {
 	procOff []int32
 
 	scratch sync.Pool
-
-	// telemetry handles; the struct fields are individually nil-safe, so
-	// recording is unconditional once copied here.
-	telQueries *telemetry.Counter
-	telFanout  *telemetry.Histogram
 }
 
 // NewFrozenIndex builds an index over executables whose strand IDs were
@@ -367,17 +362,6 @@ func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uin
 	return x, nil
 }
 
-// SetTelemetry attaches metric handles. Call it before serving queries;
-// it is not synchronized against concurrent Scan calls.
-func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
-	if tel == nil {
-		x.telQueries, x.telFanout = nil, nil
-		return
-	}
-	x.telQueries = tel.Queries
-	x.telFanout = tel.Fanout
-}
-
 // Rows returns the index's non-empty posting rows ordered by strictly
 // increasing dense strand ID — the serialized form a sealed-corpus
 // artifact persists. Slot slices alias the index's slab; callers must
@@ -397,8 +381,8 @@ func (x *FrozenIndex) Rows() []Row {
 // candidates of every scanned query back to back, and for each its
 // similarity vector. Candidate k (a position in Exes) has the vector
 // Vecs[Off[k]:Off[k+1]]; a query that appended Exes[lo:hi] owns
-// Off[lo:hi+1]. The zero value is ready to use, and Reset readies a used
-// one for the next pass, keeping its storage.
+// Off[lo:hi+1]. The zero value is ready to use and records nothing;
+// Reset readies a used one for the next pass, keeping its storage.
 type Scans struct {
 	// Exes are executable IDs, each query's in Scan's ranking.
 	Exes []int
@@ -409,11 +393,20 @@ type Scans struct {
 	// for the query set, since a posting is one (strand, procedure)
 	// membership and the scan counts the query's strands per procedure.
 	Vecs []sim.ProcScore
+
+	// What the pass's scans count into (see Reset); nil records nothing.
+	queries *telemetry.Counter
+	fanout  *telemetry.Histogram
 }
 
-// Reset empties the collection for reuse.
-func (s *Scans) Reset() {
+// Reset empties the collection for the next pass, whose scans then
+// count into sp's registry: index.queries, one per scan, and
+// index.fanout, the candidate executables each scan kept after the
+// floors (before the scope). Rankings are identical with and without a
+// registry.
+func (s *Scans) Reset(sp telemetry.Span) {
 	s.Exes, s.Off, s.Vecs = s.Exes[:0], s.Off[:0], s.Vecs[:0]
+	s.queries, s.fanout = sp.Counter("index.queries"), sp.Histogram("index.fanout")
 }
 
 // Scan is the index's one query: a posting scan that ranks the indexed
@@ -432,8 +425,8 @@ func (s *Scans) Reset() {
 // of it.
 func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inScope []bool, out *Scans) {
 	s := x.accumulate(q, minScore, ratioFloor)
-	x.telQueries.Inc()
-	x.telFanout.Observe(int64(len(s.cands)))
+	out.queries.Inc()
+	out.fanout.Observe(int64(len(s.cands)))
 	if len(out.Off) == 0 {
 		out.Off = append(out.Off, 0)
 	}

@@ -44,7 +44,7 @@ func defaultCorpusVocab(tb testing.TB) []uint64 {
 				continue
 			}
 			seen[e.File] = true
-			plan, err := cfg.Plan(e.File, nil, telemetry.Span{})
+			plan, err := cfg.Plan(e.File, telemetry.Span{})
 			if err != nil {
 				tb.Fatal(err)
 			}

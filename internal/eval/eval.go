@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"firmup"
-	"firmup/internal/core"
 	"firmup/internal/corpus"
 	"firmup/internal/obj"
 	"firmup/internal/sim"
@@ -135,7 +134,7 @@ func (env *Env) query(pkg, version string, arch uir.Arch) (*firmup.Executable, e
 	if err != nil {
 		return nil, fmt.Errorf("eval: build query %s@%s/%v: %w", pkg, version, arch, err)
 	}
-	q, err := env.Sealed.AnalyzeQuery(f.Bytes())
+	q, err := env.Sealed.AnalyzeQuery(f.Bytes(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("eval: analyze query %s@%s/%v: %w", pkg, version, arch, err)
 	}
@@ -196,14 +195,4 @@ func classify(u *corpus.BuiltExe, cve *corpus.CVE, matched bool, addr uint32) Ve
 	default:
 		return VerdictTN
 	}
-}
-
-// DefaultSearch is the engine configuration shared by the experiments.
-// The ratio threshold plays the role of the paper's semi-manual
-// confirmation step: genuinely shared procedures keep ~45%+ of the
-// query's canonical strands even across divergent tool chains, while
-// coincidental matches between unrelated string-processing procedures
-// plateau near 40%.
-func DefaultSearch() *core.SearchOptions {
-	return &core.SearchOptions{MinScore: 8, MinRatio: 0.42}
 }

@@ -193,7 +193,7 @@ func TestGitZStoreBackedMatchesInRAM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sq, err := stored.AnalyzeQuery(qf.Bytes())
+		sq, err := stored.AnalyzeQuery(qf.Bytes(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

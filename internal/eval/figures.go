@@ -148,7 +148,7 @@ func CompareGitZ(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
 func compare(env *Env, tool string, queryIDs []string, opt *core.SearchOptions,
 	baseline func(q *sim.Exe, qi int, u *Unit) (bool, uint32)) (*CompareResult, error) {
 	if opt == nil {
-		opt = DefaultSearch()
+		opt = &core.SearchOptions{}
 	}
 	res := &CompareResult{Tool: tool, StepsHistogram: map[int]int{}}
 	for _, id := range queryIDs {

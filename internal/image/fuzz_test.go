@@ -151,7 +151,7 @@ func carveAlloc(data []byte, runs int) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		image.CarveWith(data, nil, telemetry.Span{})
+		image.CarveWith(data, telemetry.Span{})
 	}
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
@@ -163,7 +163,7 @@ func carveAlloc(data []byte, runs int) uint64 {
 func TestCarveAllocationLinear(t *testing.T) {
 	for _, k := range []int{100, 200, 400} {
 		data := overlappingHeaders(k)
-		if n := len(image.CarveWith(data, nil, telemetry.Span{})); n != 1 {
+		if n := len(image.CarveWith(data, telemetry.Span{})); n != 1 {
 			t.Errorf("k=%d: %d files carved, want the first header's, which spans the rest", k, n)
 		}
 		ratio := float64(carveAlloc(data, 10)) / float64(len(data))
@@ -222,7 +222,7 @@ func FuzzCarve(f *testing.F) {
 		if n, bound := carveAlloc(data, 1), carveAllocBound(data); n > bound {
 			t.Errorf("carving %d bytes allocates %d, bound %d", len(data), n, bound)
 		}
-		for i, ef := range image.CarveWith(data, nil, telemetry.Span{}) {
+		for i, ef := range image.CarveWith(data, telemetry.Span{}) {
 			if _, err := obj.Read(ef.Bytes()); err != nil {
 				t.Errorf("carved file %d does not parse again: %v", i, err)
 			}

@@ -235,14 +235,14 @@ func readFile(r io.Reader, n, step int) ([]byte, error) {
 // CarveWith scans raw bytes for embedded FWELF executables,
 // binwalk-style: at every occurrence of the FWELF magic it checks the
 // layout there (obj.Extent) and parses the files that hold, each parse
-// timed under parent and counted into tel (see obj.ReadWith; both may be
-// zero), resuming the scan past every file it carves. A layout that fails
+// timed and counted under parent (see obj.ReadWith; the zero Span records
+// nothing), resuming the scan past every file it carves. A layout that fails
 // copies nothing and carved files do not overlap, so carving allocates in
 // proportion to the input however many headers it holds. It is the
 // fallback path when an image fails to unpack structurally (the paper
 // reports that a large fraction of crawled images had damaged or opaque
 // containers).
-func CarveWith(data []byte, tel *obj.Telemetry, parent telemetry.Span) []*obj.File {
+func CarveWith(data []byte, parent telemetry.Span) []*obj.File {
 	var out []*obj.File
 	for off := 0; off+4 <= len(data); {
 		idx := bytes.Index(data[off:], obj.Magic[:])
@@ -255,7 +255,7 @@ func CarveWith(data []byte, tel *obj.Telemetry, parent telemetry.Span) []*obj.Fi
 		if err != nil {
 			continue
 		}
-		if f, err := obj.ReadWith(data[pos:pos+n], tel, parent); err == nil {
+		if f, err := obj.ReadWith(data[pos:pos+n], parent); err == nil {
 			out = append(out, f)
 			off = pos + n
 		}

@@ -120,7 +120,7 @@ func TestCarveFindsEmbeddedExecutables(t *testing.T) {
 	blob.Write([]byte("FELFgarbage that is not a real header"))
 	blob.Write(bytes.Repeat([]byte{0x00}, 33))
 	blob.Write(exeFixture("bbb").Bytes())
-	found := CarveWith(blob.Bytes(), nil, telemetry.Span{})
+	found := CarveWith(blob.Bytes(), telemetry.Span{})
 	if len(found) != 2 {
 		t.Fatalf("CarveWith found %d executables, want 2", len(found))
 	}
@@ -132,13 +132,13 @@ func TestCarveFindsEmbeddedExecutables(t *testing.T) {
 func TestCarveOnPackedImage(t *testing.T) {
 	im := sampleImage()
 	raw := im.Pack(false)
-	found := CarveWith(raw, nil, telemetry.Span{})
+	found := CarveWith(raw, telemetry.Span{})
 	if len(found) != 2 {
 		t.Errorf("CarveWith on raw image found %d, want 2", len(found))
 	}
 	// Compressed images hide the magics (binwalk would decompress first).
 	comp := im.Pack(true)
-	if n := len(CarveWith(comp, nil, telemetry.Span{})); n != 0 {
+	if n := len(CarveWith(comp, telemetry.Span{})); n != 0 {
 		t.Logf("carve on compressed image found %d (zlib may coincidentally contain magic)", n)
 	}
 }

@@ -233,25 +233,19 @@ func (f *File) Bytes() []byte {
 	return buf.Bytes()
 }
 
-// Telemetry is the optional counter set object parsing records against;
-// a nil pointer (and any nil field) disables the corresponding metric.
-type Telemetry struct {
-	// Bytes counts input bytes parsed.
-	Bytes *telemetry.Counter
-	// BadClass counts files read despite a corrupted class byte.
-	BadClass *telemetry.Counter
-}
-
 // ReadWith is Read timed as an "obj.parse" span under parent and counted
-// into tel. The parse itself is identical.
-func ReadWith(data []byte, tel *Telemetry, parent telemetry.Span) (*File, error) {
+// into parent's registry: obj.bytes, the input bytes parsed, and
+// obj.bad_class, the files read despite a corrupted class byte. The
+// parse itself is identical.
+func ReadWith(data []byte, parent telemetry.Span) (*File, error) {
 	sp := parent.Start("obj.parse")
 	f, err := Read(data)
 	sp.End()
-	if err == nil && tel != nil {
-		tel.Bytes.Add(int64(len(data)))
+	if err == nil {
+		parent.Counter("obj.bytes").Add(int64(len(data)))
+		badClass := parent.Counter("obj.bad_class")
 		if f.BadClass {
-			tel.BadClass.Inc()
+			badClass.Inc()
 		}
 	}
 	return f, err

@@ -146,7 +146,7 @@ func queryCacheCounts(reg *telemetry.Registry) cacheCounts {
 // the given one, the largest so that searching for it does real work.
 func otherProcedure(t *testing.T, sc *firmup.SealedCorpus, query []byte, not string) string {
 	t.Helper()
-	exe, err := sc.AnalyzeQuery(query)
+	exe, err := sc.AnalyzeQuery(query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -488,7 +488,7 @@ func (s *Server) analyzeQuery(cs *Corpus, body []byte, span telemetry.Span) (*fi
 		return query, nil
 	}
 	span.SetAttrStr("cache", "miss")
-	query, err := cs.Sealed.AnalyzeQueryUnder("query", body, s.cfg.QueryWorkers, span)
+	query, err := cs.Sealed.AnalyzeQuery(body, &firmup.Options{Workers: s.cfg.QueryWorkers, Span: span})
 	if err == nil && seen {
 		cs.queries.attach(key, query, len(body), &s.cache)
 	}

@@ -25,16 +25,6 @@ import (
 	"firmup/internal/uir"
 )
 
-// Telemetry is the optional counter set indexing records against; a nil
-// pointer (and any nil field) disables the corresponding metric. The
-// indexed output is identical with and without it.
-type Telemetry struct {
-	// Procs counts procedures indexed.
-	Procs *telemetry.Counter
-	// Extract is forwarded to the per-worker strand extractors.
-	Extract *strand.Telemetry
-}
-
 // Proc is one indexed procedure.
 type Proc struct {
 	Name     string
@@ -80,23 +70,19 @@ type BuildConfig struct {
 	// to the serial build: procedures are assembled by index, and every
 	// per-procedure result is a pure function of the recovered input.
 	Workers int
-	// Tel, when non-nil, records indexing metrics.
-	Tel *Telemetry
-	// Span is the parent the build is timed under: one "sim.build" span
-	// end to end with inverted-index construction ("sim.index") as its
-	// child. The zero Span times nothing.
+	// Span is the parent the build is timed and counted under: one
+	// "sim.build" span end to end with inverted-index construction
+	// ("sim.index") as its child, and in its registry sim.procs, the
+	// procedures indexed, beside the extractors' strand.blocks and
+	// strand.strands. The zero Span records nothing. The indexed output
+	// is identical either way.
 	Span telemetry.Span
 }
 
-// Build indexes a recovered executable under the analyzer session it:
-// every procedure's strand set is interned to dense IDs and the inverted
-// index is built as posting lists over them.
-func Build(path string, rec *cfg.Recovered, it strand.Interner) *Exe {
-	return BuildWith(path, rec, it, nil)
-}
-
-// BuildWith is Build with session tuning: a bounded procedure-level
-// worker pool, telemetry and a parent span.
+// BuildWith indexes a recovered executable under the analyzer session
+// it: every procedure's strand set is interned to dense IDs and the
+// inverted index is built as posting lists over them, by a bounded
+// procedure-level worker pool (bc, which may be nil).
 //
 // rec is a plan (cfg.Plan) or a full recovery (cfg.Recover). A planned
 // procedure is lifted by the worker that extracts it, right before, into
@@ -114,13 +100,9 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	if bc == nil {
 		bc = &BuildConfig{}
 	}
-	tel := bc.Tel
 	buildSpan := bc.Span.Start("sim.build")
 	defer buildSpan.End()
-	var extractTel *strand.Telemetry
-	if tel != nil {
-		extractTel = tel.Extract
-	}
+	extractTel := strand.TelemetryUnder(bc.Span)
 	workers := min(bc.Workers, len(rec.Procs))
 	// Each worker owns a lifter and an extractor (their scratch drawn
 	// from, and returned to, the cfg and strand packages' pools);
@@ -160,9 +142,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 			e.Procs[c].CalledBy = append(e.Procs[c].CalledBy, i)
 		}
 	}
-	if tel != nil {
-		tel.Procs.Add(int64(len(e.Procs)))
-	}
+	bc.Span.Counter("sim.procs").Add(int64(len(e.Procs)))
 	indexSpan := buildSpan.Start("sim.index")
 	e.buildIndex()
 	indexSpan.End()

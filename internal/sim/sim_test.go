@@ -145,7 +145,7 @@ func TestBuildPopulatesCallGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Build("t", rec, newTestInterner())
+	e := BuildWith("t", rec, newTestInterner(), nil)
 	di := e.ProcByName("deep")
 	if di < 0 {
 		t.Fatal("deep missing")

@@ -18,6 +18,16 @@ type Telemetry struct {
 	Strands *telemetry.Counter
 }
 
+// TelemetryUnder returns the handles extraction records into under sp's
+// registry — strand.blocks and strand.strands — or nil when sp has none.
+func TelemetryUnder(sp telemetry.Span) *Telemetry {
+	blocks := sp.Counter("strand.blocks")
+	if blocks == nil {
+		return nil
+	}
+	return &Telemetry{Blocks: blocks, Strands: sp.Counter("strand.strands")}
+}
+
 // Extractor is a per-worker front end to strand extraction: it binds a
 // pooled analysis scratch (node arena, substitution tables, renderer and
 // the procedure's hash, ID and marker buffers) to one executable's

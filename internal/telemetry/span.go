@@ -70,6 +70,16 @@ func (s Span) End() {
 	s.tr.close(s.id, d)
 }
 
+// Counter returns the named counter of the registry the span records
+// into, nil (a valid disabled counter) without one. A layer counts
+// through the span it is handed: it looks its handles up once per call
+// or pass, never once per event.
+func (s Span) Counter(name string) *Counter { return s.reg.Counter(name) }
+
+// Histogram returns the named histogram of the span's registry, nil
+// without one.
+func (s Span) Histogram(name string) *Histogram { return s.reg.Histogram(name) }
+
 // Traced reports whether the span has a record in a trace, so callers
 // can skip computing attributes nobody will read.
 func (s Span) Traced() bool { return s.id != 0 }

@@ -50,6 +50,35 @@ func TestSpanFeedsStageAndTree(t *testing.T) {
 	}
 }
 
+// A span's counters and histograms are its registry's, whichever span
+// of the registry they are looked up through; a span without a registry
+// (the zero Span, a trace-only span) hands out nil handles, which record
+// nothing.
+func TestSpanMetricHandles(t *testing.T) {
+	r := New()
+	root := Root(r, nil)
+	sp := root.Start("cfg.recover")
+	sp.Counter("cfg.insts").Add(3)
+	root.Counter("cfg.insts").Add(4)
+	sp.Histogram("game.steps").Observe(2)
+	sp.End()
+	if got := r.Counter("cfg.insts").Value(); got != 7 {
+		t.Errorf("cfg.insts = %d, want 7", got)
+	}
+	if got := r.Histogram("game.steps").Count(); got != 1 {
+		t.Errorf("game.steps count = %d, want 1", got)
+	}
+	tr := NewTrace(NewTraceID())
+	defer tr.Free()
+	for _, s := range []Span{{}, Root(nil, tr).Start("sim.build")} {
+		if s.Counter("x") != nil || s.Histogram("x") != nil {
+			t.Error("a span without a registry handed out a live handle")
+		}
+		s.Counter("x").Inc()
+		s.Histogram("x").Observe(1)
+	}
+}
+
 // Past MaxTraceSpans a span is dropped from the tree but still timed
 // into its stage.
 func TestSpanDroppedFromTreeStillTimed(t *testing.T) {

@@ -91,11 +91,11 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 
 	// Every occurrence, in RAM and off the mapping, must give the same
 	// finding.
-	q, err := s.stored.AnalyzeQuery(s.query)
+	q, err := s.stored.AnalyzeQuery(s.query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ramQ, err := s.sealed.AnalyzeQuery(s.query)
+	ramQ, err := s.sealed.AnalyzeQuery(s.query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 // while batched searches run over the same executables; run under -race.
 func TestStoreBackedHashesConcurrent(t *testing.T) {
 	s := buildStoreScenario(t)
-	q, err := s.stored.AnalyzeQuery(s.query)
+	q, err := s.stored.AnalyzeQuery(s.query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ramQ, err := s.sealed.AnalyzeQuery(s.query)
+	ramQ, err := s.sealed.AnalyzeQuery(s.query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestImageSearchScansOnlyItsGroups(t *testing.T) {
 	reg := telemetry.New()
 	s.stored.SetTelemetry(reg)
 	defer s.stored.SetTelemetry(nil)
-	q, err := s.stored.AnalyzeQuery(s.query)
+	q, err := s.stored.AnalyzeQuery(s.query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestMemoizedSearchMatchesReferenceReplay(t *testing.T) {
 	// Replay each finding's game on the reference engine and cross-check
 	// the step count behind it.
 	found := 0
-	for ti, f := range playEverywhere(q, qi, targets, eval.DefaultSearch()) {
+	for ti, f := range playEverywhere(q, qi, targets, &core.SearchOptions{}) {
 		if f == nil {
 			continue
 		}

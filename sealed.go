@@ -12,6 +12,7 @@ import (
 
 	"firmup/internal/core"
 	"firmup/internal/corpusindex"
+	"firmup/internal/obj"
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
 	"firmup/internal/strand"
@@ -36,7 +37,7 @@ import (
 // scanning, materializing and playing each (query, distinct candidate)
 // once, and fans the outcome out to every occurrence. Sealed in RAM or
 // opened from any number of shards, a corpus answers every search with
-// the same findings, examined counts and step histograms.
+// the same findings and examined counts.
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
@@ -44,9 +45,9 @@ type SealedCorpus struct {
 	// corpus opened from disk, one holding every executable for a corpus
 	// sealed in RAM.
 	groups exeStore
-	// front is the front end query analysis runs through, with what it
-	// records into (see SetTelemetry).
-	front frontEnd
+	// root is the span query analysis and search record under when their
+	// caller passes none (see SetTelemetry).
+	root telemetry.Span
 }
 
 // sealedGroup is the unit a search pass runs over: a range of the
@@ -59,10 +60,6 @@ type sealedGroup struct {
 	// store-backed, it is built on first search (ensureIndex), guarded by
 	// idxOnce.
 	index *corpusindex.FrozenIndex
-	tel   *corpusindex.Telemetry
-	// game is what the group's search passes record into (see
-	// SealedCorpus.SetTelemetry).
-	game *core.Telemetry
 	// exes are the executables of an in-RAM group. Sealed ones carry no
 	// path: findings take theirs from the occurrence.
 	exes []*sim.Exe
@@ -115,20 +112,22 @@ type Options struct {
 	// MinRatio is the minimum fraction of the query's strands that must
 	// be shared (default 0.42).
 	MinRatio float64
-	// MaxGameSteps caps back-and-forth iterations (default 64).
-	MaxGameSteps int
-	// Workers bounds search parallelism (default GOMAXPROCS).
+	// Workers bounds search parallelism, and a query analysis's
+	// procedure workers (default GOMAXPROCS).
 	Workers int
 	// Exhaustive disables the corpus-index prefilter for this search:
 	// every executable in scope is examined. Findings are identical; only
 	// the work done differs.
 	Exhaustive bool
-	// Span, when set, is the span the search runs under: the search
-	// layers open theirs (shard fan-out, store materialization, core
-	// search) as its children, each feeding the stage of its name in the
-	// span's registry and, under a sampled request, the request's tree.
-	// Purely observational — findings are byte-identical with and without
-	// it. The zero Span records nothing at zero cost.
+	// Span, when set, is the span a query analysis or a search runs
+	// under: their layers open theirs (the front end's parse, recovery
+	// and build; shard fan-out, store materialization, core search) as
+	// its children, each feeding the stage of its name and its counters
+	// in the span's registry and, under a sampled request, the request's
+	// tree. Unset, the corpus's own root span stands in (see
+	// SealedCorpus.SetTelemetry). Purely observational — output is
+	// byte-identical with and without it. The zero Span records nothing
+	// at zero cost.
 	Span telemetry.Span
 }
 
@@ -139,23 +138,19 @@ func (o *Options) span() telemetry.Span {
 	return o.Span
 }
 
-func (o *Options) search() *core.SearchOptions {
-	s := &core.SearchOptions{MinScore: 8, MinRatio: 0.42}
-	if o != nil {
-		if o.MinScore > 0 {
-			s.MinScore = o.MinScore
-		}
-		if o.MinRatio > 0 {
-			s.MinRatio = o.MinRatio
-		}
-		if o.MaxGameSteps > 0 {
-			s.Game.MaxSteps = o.MaxGameSteps
-		}
-		if o.Workers > 0 {
-			s.Workers = o.Workers
-		}
+func (o *Options) workers() int {
+	if o == nil || o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return s
+	return o.Workers
+}
+
+// search is the core form of o; core supplies the defaults.
+func (o *Options) search() *core.SearchOptions {
+	if o == nil {
+		return &core.SearchOptions{}
+	}
+	return &core.SearchOptions{MinScore: o.MinScore, MinRatio: o.MinRatio, Workers: o.Workers}
 }
 
 // Finding reports one detection of the query procedure. The JSON field
@@ -185,8 +180,6 @@ type SearchResult struct {
 	// image's executable count; a game is played against those of them that hold a
 	// procedure the search could accept.
 	Examined int
-	// StepsHistogram counts accepted findings by game steps needed.
-	StepsHistogram map[int]int
 }
 
 // BatchQuery names one query procedure of a batched search.
@@ -358,61 +351,17 @@ func (sc *SealedCorpus) Images() []*SealedImage { return sc.images }
 // UniqueStrands reports the frozen vocabulary size.
 func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 
-// SetTelemetry attaches the corpus to a registry under the session's
-// names. Every group index records the prefilter:
-// index.queries / index.fanout for every candidate
-// query — one per (query, group), counting distinct candidate
-// executables — and every search pass the game engine's game.*,
-// search.* and batch.* metrics, among them game.unplayed and game.cut
-// for the planned games that were never started or stopped early.
-// Query analysis (AnalyzeQueryUnder) records the front-end layer by
-// layer: obj.parse, cfg.recover / cfg.sweep and the cfg counters,
-// sim.build (which lifts each procedure as it extracts it) / sim.index /
-// sim.procs, and strand.blocks / strand.strands. Call before serving: a group applies the index
-// handles when its index first builds. A nil registry detaches.
+// SetTelemetry attaches the corpus to a registry: its root becomes the
+// span query analysis and search record under when their Options carry
+// no Span. Query analysis then records the front end layer by layer —
+// obj.parse, cfg.recover / cfg.sweep and the cfg counters, sim.build
+// (which lifts each procedure as it extracts it) / sim.index / sim.procs,
+// and strand.blocks / strand.strands — and a search its core.search (and
+// corpus.shard, store.materialize) stages, the prefilter's index.queries
+// / index.fanout and the game engine's game.*, search.* and batch.*
+// metrics. Call before serving. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
-	tel := newIndexTelemetry(r)
-	game := newCoreTelemetry(r)
-	sc.front = newFrontEnd(r)
-	for _, g := range sc.groups {
-		g.tel = tel
-		g.game = game
-	}
-}
-
-// newIndexTelemetry is the prefilter handle set: index.* for every
-// candidate query. nil on a nil registry.
-func newIndexTelemetry(r *telemetry.Registry) *corpusindex.Telemetry {
-	if r == nil {
-		return nil
-	}
-	return &corpusindex.Telemetry{
-		Queries: r.Counter("index.queries"),
-		Fanout:  r.Histogram("index.fanout"),
-	}
-}
-
-// newCoreTelemetry is the game engine's handle set a sealed corpus's
-// search passes record into. nil on a nil registry.
-func newCoreTelemetry(r *telemetry.Registry) *core.Telemetry {
-	if r == nil {
-		return nil
-	}
-	return &core.Telemetry{
-		Games:                 r.Counter("game.played"),
-		Unplayed:              r.Counter("game.unplayed"),
-		Cut:                   r.Counter("game.cut"),
-		Steps:                 r.Histogram("game.steps"),
-		AcceptedSteps:         r.Histogram("game.steps.accepted"),
-		MatcherHits:           r.Counter("game.matcher_hits"),
-		MatcherMisses:         r.Counter("game.matcher_misses"),
-		Searches:              r.Counter("search.runs"),
-		PrefilterKept:         r.Counter("search.targets_kept"),
-		PrefilterSkipped:      r.Counter("search.targets_skipped"),
-		BatchSearches:         r.Counter("batch.searches"),
-		BatchSharedGames:      r.Counter("batch.shared_games"),
-		BatchQueriesPerTarget: r.Histogram("batch.queries_per_target"),
-	}
+	sc.root = telemetry.Root(r, nil)
 }
 
 // Executables reports the total executable count across all images,
@@ -430,40 +379,36 @@ func (sc *SealedCorpus) Executables() int {
 // distinct ones, each once however many images and shards there are.
 func (sc *SealedCorpus) UniqueExecutables() int { return sc.groups.size() }
 
-// AnalyzeQuery analyzes a query binary against the sealed corpus under
-// a fresh per-request overlay interner (see AnalyzeQueryUnder).
-func (sc *SealedCorpus) AnalyzeQuery(data []byte) (*Executable, error) {
-	return sc.AnalyzeQueryUnder("query", data, 0, telemetry.Span{})
-}
-
-// AnalyzeQueryWith is AnalyzeQueryUnder with no span.
-func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) (*Executable, error) {
-	return sc.AnalyzeQueryUnder(path, data, workers, telemetry.Span{})
-}
-
-// AnalyzeQueryUnder analyzes one FWELF binary for querying this sealed
-// corpus, with a bounded procedure-level worker budget (≤ 0 selects
-// GOMAXPROCS). The analysis runs under a request-private overlay of the
-// frozen vocabulary: strands the corpus knows resolve to their frozen
-// IDs, novel strands get private IDs above the vocabulary, and nothing
-// in the corpus is written. The returned executable queries this corpus
-// only: its private IDs mean nothing to another, which refuses it.
+// AnalyzeQuery analyzes one FWELF binary for querying this sealed
+// corpus, with opt's Workers as its procedure-level worker budget and
+// under opt's Span (nil selects the defaults). The analysis runs under a
+// request-private overlay of the frozen vocabulary: strands the corpus
+// knows resolve to their frozen IDs, novel strands get private IDs above
+// the vocabulary, and nothing in the corpus is written. The returned
+// executable queries this corpus only: its private IDs mean nothing to
+// another, which refuses it.
 //
-// The front-end layers are timed as children of parent (obj.parse,
+// The front-end layers are timed as children of the span (obj.parse,
 // cfg.recover, sim.build), so a traced request sees where its analysis
-// went; the zero Span times them under the corpus's own registry (see
-// SetTelemetry). This is a method of its own, not a fourth parameter of
-// AnalyzeQueryWith, only because the benchmark harness under bench/
-// compiles against that three-argument signature.
-func (sc *SealedCorpus) AnalyzeQueryUnder(path string, data []byte, workers int, parent telemetry.Span) (*Executable, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	f, err := sc.front.read(data, parent)
+// went; without one they record under the corpus's root (see
+// SetTelemetry).
+func (sc *SealedCorpus) AnalyzeQuery(data []byte, opt *Options) (*Executable, error) {
+	return sc.analyzeQuery("query", data, opt)
+}
+
+// AnalyzeQueryWith is AnalyzeQuery with the executable labelled path and
+// a worker budget of workers.
+func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) (*Executable, error) {
+	return sc.analyzeQuery(path, data, &Options{Workers: workers})
+}
+
+func (sc *SealedCorpus) analyzeQuery(path string, data []byte, opt *Options) (*Executable, error) {
+	sp := opt.span().Or(sc.root)
+	f, err := obj.ReadWith(data, sp)
 	if err != nil {
 		return nil, err
 	}
-	return sc.front.analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), workers, nil, parent)
+	return analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), opt.workers(), nil, sp)
 }
 
 // scansPool recycles the per-pass scan results (candidate lists and
@@ -487,13 +432,12 @@ type passStats struct{ games, unplayed, cut int }
 // executable count, the (query, executable) games it planned, the
 // occurrences they stood for — so a slow request attributes its latency
 // to the shard that caused it. They share no mutable state, so fan-out
-// order cannot influence findings, examined counts or step histograms;
-// the first error in group order wins. The result is indexed
-// [image][query].
+// order cannot influence findings or examined counts; the first error in
+// group order wins. The result is indexed [image][query].
 //
 // Since candidacy is a property of the executable alone, an image gets
-// exactly the findings, examined count and step histogram a search of it
-// on its own would produce.
+// exactly the findings and examined count a search of it on its own
+// would produce.
 func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.Span) ([][]*SearchResult, error) {
 	// uses[u] counts the occurrences of executable u in imgs; found and
 	// played are the passes' outcomes by query and executable.
@@ -576,7 +520,7 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 	for ii, im := range imgs {
 		res[ii] = make([]*SearchResult, len(cqs))
 		for qx := range cqs {
-			r := &SearchResult{Findings: []Finding{}, StepsHistogram: map[int]int{}}
+			r := &SearchResult{Findings: []Finding{}}
 			for _, oc := range im.occs {
 				if !played[qx][oc.Exe] {
 					continue
@@ -591,7 +535,6 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 						Confidence: f.Ratio,
 						GameSteps:  f.Steps,
 					})
-					r.StepsHistogram[f.Steps]++
 				}
 			}
 			slices.SortFunc(r.Findings, func(a, b Finding) int { return strings.Compare(a.ExePath, b.ExePath) })
@@ -628,23 +571,25 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options
 	}()
 	s := opt.search()
 	s.Span = parent
-	s.Game.Tel = g.game
 	// plans[qx] lists the executables query qx is played against — all of
 	// scope when exhaustive, else its candidates in scope with their
 	// scanned vectors — and played[qx] marks them. One pooled Scans holds
 	// every query's scan until the games are over; query qx appended
-	// scans.Exes[at[qx]:at[qx+1]].
+	// scans.Exes[at[qx]:at[qx+1]]. An exhaustive pass, which scans
+	// nothing, draws one too, so its registry lists the prefilter's
+	// metrics either way.
+	scans := scansPool.Get().(*corpusindex.Scans)
+	scans.Reset(parent)
+	defer scansPool.Put(scans)
 	plans := make([]core.Plan, len(cqs))
 	if opt == nil || !opt.Exhaustive {
 		if err := g.ensureIndex(); err != nil {
 			return nil, nil, st, err
 		}
-		scans := scansPool.Get().(*corpusindex.Scans)
-		scans.Reset()
-		defer scansPool.Put(scans)
+		minScore, minRatio := s.Floors()
 		at := make([]int, len(cqs)+1)
 		for qx, cq := range cqs {
-			g.index.Scan(cq.Q.Procs[cq.QI].Set, s.MinScore, s.MinRatio, inScope, scans)
+			g.index.Scan(cq.Q.Procs[cq.QI].Set, minScore, minRatio, inScope, scans)
 			at[qx+1] = len(scans.Exes)
 		}
 		for qx := range plans {
@@ -687,7 +632,7 @@ func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string,
 	if err != nil {
 		return nil, err
 	}
-	res, err := img.store.search(cqs, []*SealedImage{img}, opt, opt.span())
+	res, err := img.store.search(cqs, []*SealedImage{img}, opt, opt.span().Or(sc.root))
 	if err != nil {
 		return nil, err
 	}
@@ -723,7 +668,7 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 	if err != nil {
 		return nil, err
 	}
-	res, err := sc.groups.search(cqs, sc.images, opt, opt.span())
+	res, err := sc.groups.search(cqs, sc.images, opt, opt.span().Or(sc.root))
 	if err != nil {
 		return nil, err
 	}

@@ -184,7 +184,7 @@ func TestQuickSealedRoundTripSearchEquivalence(t *testing.T) {
 				seed, gotIdx, ramIdx, gotExh, ramExh)
 			return false
 		}
-		if !reflect.DeepEqual(ramIdx.Findings, ramExh.Findings) || !reflect.DeepEqual(ramIdx.StepsHistogram, ramExh.StepsHistogram) || ramIdx.Examined > ramExh.Examined {
+		if !reflect.DeepEqual(ramIdx.Findings, ramExh.Findings) || ramIdx.Examined > ramExh.Examined {
 			t.Logf("seed %d: narrowing is unsound:\nnarrowed:   %+v\nexhaustive: %+v", seed, ramIdx, ramExh)
 			return false
 		}

@@ -172,7 +172,6 @@ func (g *sealedGroup) ensureIndex() error {
 	g.idxOnce.Do(func() {
 		if g.shard == nil {
 			g.index = corpusindex.NewFrozenIndex(g.frozen.Size(), g.exes)
-			g.index.SetTelemetry(g.tel)
 			return
 		}
 		slabs, err := g.shard.Index()
@@ -192,7 +191,6 @@ func (g *sealedGroup) ensureIndex() error {
 			g.idxErr = &snapshot.CorruptError{Section: "corpus-index-posts", Reason: err.Error()}
 			return
 		}
-		idx.SetTelemetry(g.tel)
 		g.index = idx
 	})
 	return g.idxErr
@@ -241,7 +239,10 @@ func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.
 //
 // Shards are encoded and written by a bounded worker pool; each shard's
 // bytes depend only on its own ranges, so the output is identical to a
-// sequential pass.
+// sequential pass. Each shard is written to a temporary file beside its
+// target and renamed over it, so a corpus that has the directory open —
+// a running server's — keeps the shards it mapped, unchanged, until it
+// closes them.
 func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("firmup: WriteShards: shard count %d must be at least 1", n)
@@ -323,7 +324,16 @@ func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int)
 		return "", err
 	}
 	p := filepath.Join(dir, fmt.Sprintf("shard-%04d.fwcorp", si))
-	if err := os.WriteFile(p, data, 0o644); err != nil {
+	// Writing p in place would truncate it under every mapping of it, and
+	// the next read through one faults. A rename leaves a mapping on the
+	// old inode; the *.fwcorp glob never matches the temporary name.
+	tmp := p + ".tmp"
+	err = os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, p)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return "", err
 	}
 	return p, nil

@@ -70,7 +70,7 @@ func TestSealedConcurrentReaders(t *testing.T) {
 	cve := corpus.CVEByID("CVE-2014-4877")
 	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
 
-	baseQ, err := s.AnalyzeQuery(qb)
+	baseQ, err := s.AnalyzeQuery(qb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSealedConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				q, err := s.AnalyzeQuery(qb)
+				q, err := s.AnalyzeQuery(qb, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -153,11 +153,11 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 
 	cve := corpus.CVEByID("CVE-2014-4877")
 	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
-	sq, err := s.AnalyzeQuery(qb)
+	sq, err := s.AnalyzeQuery(qb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lq, err := loaded.AnalyzeQuery(qb)
+	lq, err := loaded.AnalyzeQuery(qb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSealedCorpusCorruption(t *testing.T) {
 			return err
 		}
 		defer sc.Close()
-		q, err := sc.AnalyzeQuery(qb)
+		q, err := sc.AnalyzeQuery(qb, nil)
 		if err != nil {
 			return err
 		}
@@ -278,7 +278,7 @@ func TestSealedUnknownProcedure(t *testing.T) {
 	if _, err := sc.SearchAll(q, "no_such_procedure", nil); err == nil {
 		t.Error("unknown procedure must fail")
 	}
-	if _, err := sc.AnalyzeQuery([]byte("garbage")); err == nil {
+	if _, err := sc.AnalyzeQuery([]byte("garbage"), nil); err == nil {
 		t.Error("garbage query must fail")
 	}
 }
@@ -366,7 +366,7 @@ func TestSinglePrefilterEvaluation(t *testing.T) {
 		var batch []firmup.BatchQuery
 		for _, q := range sealedTestQueries {
 			cve := corpus.CVEByID(q.cveID)
-			qe, err := form.sc.AnalyzeQuery(queryBytesFor(t, cve, q.arch))
+			qe, err := form.sc.AnalyzeQuery(queryBytesFor(t, cve, q.arch), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

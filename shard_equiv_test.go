@@ -34,11 +34,11 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 	cve2 := corpus.CVEByID("CVE-2013-1944")
 	qb2 := queryBytesFor(t, cve2, uir.ArchARM32)
 
-	baseQ, err := s.AnalyzeQuery(qb)
+	baseQ, err := s.AnalyzeQuery(qb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseQ2, err := s.AnalyzeQuery(qb2)
+	baseQ2, err := s.AnalyzeQuery(qb2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 					sc.Executables(), s.Executables(), sc.UniqueStrands(), s.UniqueStrands())
 			}
 
-			q, err := sc.AnalyzeQuery(qb)
+			q, err := sc.AnalyzeQuery(qb, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q2, err := sc.AnalyzeQuery(qb2)
+			q2, err := sc.AnalyzeQuery(qb2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(batch, want[oi].batch) {
 					t.Errorf("opt[%d]: SearchAllBatch diverges from unsharded corpus", oi)
 				}
-				// Per-image detailed results pin the step histograms too.
+				// Per-image detailed results pin the examined counts too.
 				for i, img := range sc.Images() {
 					res, err := sc.SearchImageDetailed(q, cve.Procedure, img, opt)
 					if err != nil {
@@ -173,7 +173,7 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	s := buildSealed(t, corpus.DefaultScale())
 	cve := corpus.CVEByID("CVE-2014-4877")
 	qb := queryBytesFor(t, cve, uir.ArchMIPS32)
-	baseQ, err := s.AnalyzeQuery(qb)
+	baseQ, err := s.AnalyzeQuery(qb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sc.Close()
-			q, err := sc.AnalyzeQuery(qb)
+			q, err := sc.AnalyzeQuery(qb, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer slotSC.Close()
-	slotQ, err := slotSC.AnalyzeQuery(qb)
+	slotQ, err := slotSC.AnalyzeQuery(qb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +654,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 
 func mustSealedQuery(t *testing.T, sc *firmup.SealedCorpus, data []byte) *firmup.Executable {
 	t.Helper()
-	q, err := sc.AnalyzeQuery(data)
+	q, err := sc.AnalyzeQuery(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

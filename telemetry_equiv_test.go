@@ -51,7 +51,7 @@ func TestAnalyzerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.SetTelemetry(reg)
-	q, err := sc.AnalyzeQuery(queryBytes)
+	q, err := sc.AnalyzeQuery(queryBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

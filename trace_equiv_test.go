@@ -53,7 +53,7 @@ func TestTraceEquivalence(t *testing.T) {
 	// corpus-wide single and batched paths. The comparison is on the
 	// JSON encoding, pinning byte-identical findings.
 	for ci, sc := range []*firmup.SealedCorpus{s, sharded} {
-		q, err := sc.AnalyzeQuery(qb)
+		q, err := sc.AnalyzeQuery(qb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
