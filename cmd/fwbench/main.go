@@ -7,6 +7,8 @@
 //	fwbench -exp table2 -scale eval
 //	fwbench -exp fig6|fig8|fig9|fig5|table1|demo|ablation
 //	fwbench -exp matrix         # cross-ISA accuracy; not part of all
+//	fwbench -exp matrix -scale bench   # the same over bench/'s 128 images
+//	fwbench -exp curve          # the matrix per MinRatio; not part of all
 //	fwbench -exp recovery       # procedure-recovery census; not part of all
 //
 // Timing lives in bench/ (bash bench/run.sh), not here.
@@ -28,8 +30,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, all, matrix, recovery")
-	scale := flag.String("scale", "default", "corpus scale: default or eval")
+	exp := flag.String("exp", "all", "experiment: table2, fig6, fig8, fig9, ablation, fig5, table1, demo, all, matrix, curve, recovery")
+	scale := flag.String("scale", "default", "corpus scale: default, eval or bench (the 128 images bench/ serves)")
 	version := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
 	if *version {
@@ -37,7 +39,7 @@ func main() {
 		return
 	}
 	valid := map[string]bool{"all": true, "table2": true, "fig6": true, "fig8": true,
-		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true, "matrix": true, "recovery": true}
+		"fig9": true, "ablation": true, "fig5": true, "table1": true, "demo": true, "matrix": true, "curve": true, "recovery": true}
 	if !valid[*exp] {
 		fmt.Fprintf(os.Stderr, "fwbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -52,8 +54,11 @@ func main() {
 // corpus scale to w.
 func run(w io.Writer, exp, scale string) error {
 	sc := corpus.DefaultScale()
-	if scale == "eval" {
+	switch scale {
+	case "eval":
 		sc = corpus.EvalScale()
+	case "bench":
+		sc = corpus.BenchScale()
 	}
 	fmt.Fprintf(w, "preparing corpus (scale=%s)...\n", scale)
 	env, err := eval.Prepare(sc)
@@ -66,7 +71,15 @@ func run(w io.Writer, exp, scale string) error {
 	fmt.Fprintf(w, "session: %d unique strands interned\n\n", env.Sealed.UniqueStrands())
 
 	if exp == "matrix" {
-		res, err := eval.Matrix(env)
+		res, err := eval.Matrix(env, nil)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, res.Format())
+		return nil
+	}
+	if exp == "curve" {
+		res, err := eval.Curve(env)
 		if err != nil {
 			return err
 		}

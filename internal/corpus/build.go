@@ -109,10 +109,15 @@ func ScaleForImages(n int) Scale {
 // changes every generated corpus.
 func (c *Corpus) stream(sc Scale, fn func(*BuiltImage) error) error {
 	rng := newGenRNG(sc.Seed ^ 0xBADC0DE)
+	built := 0
 	for vi := range c.Vendors {
 		v := &c.Vendors[vi]
 		for _, dev := range v.Devices {
 			for ri, rel := range dev.Releases {
+				if sc.Images > 0 && built == sc.Images {
+					return nil
+				}
+				built++
 				im := &image.Image{Vendor: v.Name, Device: dev.Model, Version: rel.Version}
 				bi := &BuiltImage{
 					Image:     im,

@@ -68,6 +68,9 @@ type Scale struct {
 	MaxReleases int
 	// Seed drives all random corpus decisions.
 	Seed uint64
+	// Images, when positive, keeps the first Images images the scale
+	// generates and builds no more.
+	Images int
 }
 
 // DefaultScale is used by tests: small but structurally complete.
@@ -75,6 +78,14 @@ func DefaultScale() Scale { return Scale{DevicesPerVendor: 2, MaxReleases: 2, Se
 
 // EvalScale approximates the paper's setting at laptop size.
 func EvalScale() Scale { return Scale{DevicesPerVendor: 6, MaxReleases: 3, Seed: 1} }
+
+// BenchScale is the corpus bench/ serves: ScaleForImages(128), its first
+// 128 images.
+func BenchScale() Scale {
+	sc := ScaleForImages(128)
+	sc.Images = 128
+	return sc
+}
 
 // archCycle matches the paper's architecture prevalence: MIPS dominates
 // firmware, then ARM, then PPC, then x86.

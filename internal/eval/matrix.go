@@ -22,6 +22,19 @@ func (c *MatrixCell) add(o MatrixCell) {
 	c.Correct += o.Correct
 }
 
+// recall is Correct over Relevant, 1 when nothing is relevant.
+func (c MatrixCell) recall() float64 { return ratio(c.Correct, c.Relevant) }
+
+// precision is Correct over Reported, 1 when nothing is reported.
+func (c MatrixCell) precision() float64 { return ratio(c.Correct, c.Reported) }
+
+func ratio(n, d int) float64 {
+	if d == 0 {
+		return 1
+	}
+	return float64(n) / float64(d)
+}
+
 // MatrixResult is the cross-architecture accuracy experiment: Cells[q][i]
 // pools the registry queries compiled for queryArchs[q] over the
 // executables of queryArchs[i] images.
@@ -32,10 +45,11 @@ type MatrixResult struct {
 }
 
 // Matrix runs the registry queries (corpus.CVEs × the four ISAs) against
-// the sealed corpus in one SealedCorpus.SearchAllBatch and scores every
-// finding as a retrieval: a finding is correct when it names a correct
-// location (correctAddrs) of the queried procedure, whatever the version.
-func Matrix(env *Env) (*MatrixResult, error) {
+// the sealed corpus in one SealedCorpus.SearchAllBatch under opt (nil for
+// the defaults) and scores every finding as a retrieval: a finding is
+// correct when it names a correct location (correctAddrs) of the queried
+// procedure, whatever the version.
+func Matrix(env *Env, opt *firmup.Options) (*MatrixResult, error) {
 	var batch []firmup.BatchQuery
 	for _, cve := range corpus.CVEs {
 		for _, arch := range queryArchs {
@@ -46,7 +60,7 @@ func Matrix(env *Env) (*MatrixResult, error) {
 			batch = append(batch, firmup.BatchQuery{Query: q, Procedure: cve.Procedure})
 		}
 	}
-	found, err := env.Sealed.SearchAllBatch(batch, nil)
+	found, err := env.Sealed.SearchAllBatch(batch, opt)
 	if err != nil {
 		return nil, fmt.Errorf("eval: matrix: %w", err)
 	}
@@ -78,37 +92,43 @@ func Matrix(env *Env) (*MatrixResult, error) {
 	return res, nil
 }
 
-// Format renders one line per cell, then the diagonal pooled and every
-// cell pooled. Recall is Correct over Relevant, precision Correct over
-// Reported, each 1 when its denominator is 0.
-func (r *MatrixResult) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Accuracy matrix: %d queries (%d CVEs x %d ISAs) in one batch, by query ISA x image ISA\n",
-		r.Queries, r.Queries/len(queryArchs), len(queryArchs))
-	fmt.Fprintf(&sb, "(corpus: %d images, %d executables, %d procedures)\n\n",
-		r.Stats.Images, r.Stats.Exes, r.Stats.Procedures)
-	ratio := func(n, d int) float64 {
-		if d == 0 {
-			return 1
-		}
-		return float64(n) / float64(d)
-	}
-	line := func(label string, c MatrixCell) {
-		fmt.Fprintf(&sb, "%-16s %8d %8d %8d %8.4f %9.4f\n", label, c.Relevant, c.Reported, c.Correct,
-			ratio(c.Correct, c.Relevant), ratio(c.Correct, c.Reported))
-	}
-	fmt.Fprintf(&sb, "%-16s %8s %8s %8s %8s %9s\n", "query > image", "relevant", "reported", "correct", "recall", "precision")
+// matrixRow is one labelled line of a matrix: a cell, the diagonal or
+// every cell pooled.
+type matrixRow struct {
+	label string
+	cell  MatrixCell
+}
+
+// rows lists every cell in query-ISA order, then the diagonal pooled and
+// every cell pooled.
+func (r *MatrixResult) rows() []matrixRow {
+	var out []matrixRow
 	var diagonal, pooled MatrixCell
 	for q, row := range r.Cells {
 		for i, c := range row {
-			line(queryArchs[q].String()+" > "+queryArchs[i].String(), c)
+			out = append(out, matrixRow{queryArchs[q].String() + " > " + queryArchs[i].String(), c})
 			pooled.add(c)
 			if q == i {
 				diagonal.add(c)
 			}
 		}
 	}
-	line("diagonal", diagonal)
-	line("pooled", pooled)
+	return append(out, matrixRow{"diagonal", diagonal}, matrixRow{"pooled", pooled})
+}
+
+// Format renders one line per cell, then the diagonal pooled and every
+// cell pooled.
+func (r *MatrixResult) Format() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Accuracy matrix: %d queries (%d CVEs x %d ISAs) in one batch, by query ISA x image ISA\n",
+		r.Queries, r.Queries/len(queryArchs), len(queryArchs))
+	fmt.Fprintf(&sb, "(corpus: %d images, %d executables, %d procedures)\n\n",
+		r.Stats.Images, r.Stats.Exes, r.Stats.Procedures)
+	fmt.Fprintf(&sb, "%-16s %8s %8s %8s %8s %9s\n", "query > image", "relevant", "reported", "correct", "recall", "precision")
+	for _, row := range r.rows() {
+		c := row.cell
+		fmt.Fprintf(&sb, "%-16s %8d %8d %8d %8.4f %9.4f\n", row.label, c.Relevant, c.Reported, c.Correct,
+			c.recall(), c.precision())
+	}
 	return sb.String()
 }

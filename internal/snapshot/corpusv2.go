@@ -64,9 +64,12 @@ import (
 // package writes or opens. Versions 1 to 5 were earlier layouts (a
 // monolithic stream, per-image indexes, a signature section, each shard
 // storing its own images' executables and a copy of the vocabulary,
-// postings as (executable, procedure) pairs); a file carrying one fails
-// to open with a pointer to re-sealing.
-const CorpusFormatVersion = 6
+// postings as (executable, procedure) pairs). Version 6 is this layout
+// over strands canonicalized with stack-frame offsets kept as literals:
+// every strand hash has moved since, so its vocabulary would answer
+// wrongly. A file carrying any other version fails to open with a
+// pointer to re-sealing.
+const CorpusFormatVersion = 7
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.

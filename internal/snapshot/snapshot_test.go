@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -81,6 +82,10 @@ func TestDecodeFaultInjection(t *testing.T) {
 		{"magic-bit-flip", func(t *testing.T, d []byte) []byte { d[3] ^= 0x20; return d }, "header"},
 		{"future-version", func(t *testing.T, d []byte) []byte {
 			le.PutUint32(d[len(corpusMagic):], CorpusFormatVersion+1)
+			return d
+		}, "header"},
+		{"previous-version", func(t *testing.T, d []byte) []byte {
+			le.PutUint32(d[len(corpusMagic):], CorpusFormatVersion-1)
 			return d
 		}, "header"},
 		{"version-bit-flip", func(t *testing.T, d []byte) []byte { d[len(corpusMagic)] ^= 0x80; return d }, "header"},
@@ -188,6 +193,9 @@ func TestDecodeFaultInjection(t *testing.T) {
 			}
 			if c.wantSection != "" && ce.Section != c.wantSection {
 				t.Errorf("offending section = %q, want %q (err: %v)", ce.Section, c.wantSection, err)
+			}
+			if c.name == "previous-version" && !strings.Contains(err.Error(), "re-seal with `fwcrawl -sealed -shards N`") {
+				t.Errorf("a previous version's error %v does not point at re-sealing", err)
 			}
 		})
 	}

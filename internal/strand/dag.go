@@ -7,9 +7,10 @@
 // paper's LLVM `opt` re-optimization: constant folding and propagation,
 // expression simplification, instruction combining, common-subexpression
 // elimination and dead-code elimination), offsets into the binary's code
-// and data sections are eliminated while stack and struct offsets are
-// retained, input registers are folded into positional arguments, names
-// are normalized by order of appearance, and the rendered text is hashed.
+// and data sections are eliminated, stack-frame offsets render as one
+// slot token while struct offsets are retained, input registers are
+// folded into positional arguments, names are normalized by order of
+// appearance, and the rendered text is hashed.
 package strand
 
 import (

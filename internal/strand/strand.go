@@ -12,8 +12,8 @@ import (
 // Options parameterize extraction.
 type Options struct {
 	// ABI supplies the calling convention: argument registers feed call
-	// effects, and the stack pointer renders as a stable token so stack
-	// offsets survive canonicalization as the paper prescribes.
+	// effects, and the stack pointer renders as the stable token "sp",
+	// its frame offsets as the token "slot" (isSlot).
 	ABI *uir.ABI
 	// Sections drives offset elimination: constants inside the text or
 	// data ranges are abstracted to positional offN tokens.
@@ -517,6 +517,10 @@ func (sc *extractScratch) visit(n *node) {
 		sc.visit(n.b)
 		sc.let(n)
 		sc.lit(n.op.String())
+		if sc.isSlot(n) {
+			sc.lit("(sp, slot)\n")
+			return
+		}
 		sc.operands(n.a, n.b, nil)
 	case nUn:
 		sc.visit(n.a)
@@ -531,6 +535,17 @@ func (sc *extractScratch) visit(n *node) {
 		sc.lit("select")
 		sc.operands(n.a, n.b, n.c)
 	}
+}
+
+// isSlot reports whether n addresses the stack frame: the stack pointer
+// combined with a plain constant. Frame layouts differ between tool
+// chains and ISAs, so the constant renders as the one token "slot" — it
+// is neither printed nor a marker. A constant inside the sections stays
+// an offN.
+func (sc *extractScratch) isSlot(n *node) bool {
+	abi := sc.opt.ABI
+	return abi != nil && n.a.kind == nInput && n.a.reg == abi.SP &&
+		n.b.kind == nConst && n.b.num < 0
 }
 
 // let numbers an operation node and opens its binding line.

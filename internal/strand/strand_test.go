@@ -255,6 +255,46 @@ func TestStructOffsetRetained(t *testing.T) {
 	}
 }
 
+// A stack-frame offset is a slot, not a literal: the frame layout is the
+// tool chain's choice, so stores of one value to two frame offsets are
+// one strand. A section address off the stack pointer stays an offN, and
+// a slotted constant is never a marker.
+func TestStackOffsetsSlotted(t *testing.T) {
+	abi := &uir.ABI{SP: 29}
+	opt := &Options{ABI: abi, Sections: obj.SectionMap{DataLo: 0x10000000, DataHi: 0x10010000}}
+	spill := func(off uint32) *uir.Block {
+		return &uir.Block{Stmts: []uir.Stmt{
+			{Kind: uir.StmtGet, Dst: 0, Reg: 29},
+			{Kind: uir.StmtGet, Dst: 1, Reg: 4},
+			{Kind: uir.StmtBin, Dst: 2, Op: uir.OpAdd, A: uir.T(0), B: uir.C(off)},
+			{Kind: uir.StmtStore, A: uir.T(2), B: uir.T(1), Size: 4},
+		}}
+	}
+	a, b := ExtractBlock(spill(8), opt), ExtractBlock(spill(0x18), opt)
+	if len(a) != 1 || len(b) != 1 || a[0].Hash != b[0].Hash {
+		t.Fatalf("frame offsets kept apart:\n%v\nvs\n%v", render(a), render(b))
+	}
+	if want := "n0 = add(sp, slot)\nstore4 n0 <- arg0"; a[0].Text != want {
+		t.Errorf("render = %q, want %q", a[0].Text, want)
+	}
+
+	if got := ExtractBlock(spill(0x10000040), opt); len(got) != 1 || got[0].Text != "n0 = add(sp, off0)\nstore4 n0 <- arg0" {
+		t.Errorf("section address off sp: %v", render(got))
+	}
+
+	if !isMarker(0x1234) {
+		t.Fatal("0x1234 must pass isMarker for this test to mean anything")
+	}
+	sc := getScratch(opt)
+	defer putScratch(sc)
+	sc.analyze(spill(0x1234))
+	sc.hashes, sc.markers = sc.hashes[:0], sc.markers[:0]
+	sc.render(nil)
+	if len(sc.hashes) != 1 || len(sc.markers) != 0 {
+		t.Errorf("slotted 0x1234: %d strands, markers %v; want 1 strand, no marker", len(sc.hashes), sc.markers)
+	}
+}
+
 func TestStoreToLoadForwarding(t *testing.T) {
 	blk := &uir.Block{Stmts: []uir.Stmt{
 		{Kind: uir.StmtGet, Dst: 0, Reg: 29},

@@ -226,8 +226,8 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 
 	// Exactly one shard version opens. The header carries no checksum, so
 	// patching the version word alone reaches the version check, which
-	// answers any other version — here the previous layout's, with
-	// (executable, procedure) postings — as corruption, pointing at
+	// answers any other version — here version 6, whose strands kept
+	// stack-frame offsets as literals — as corruption, pointing at
 	// re-sealing.
 	otherDir := filepath.Join(dir, "other-version")
 	if err := os.Mkdir(otherDir, 0o755); err != nil {
@@ -237,16 +237,16 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other[8] = 5
+	other[8] = 6
 	otherPath := filepath.Join(otherDir, filepath.Base(onePaths[0]))
 	if err := os.WriteFile(otherPath, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenCorpusShardFile of a version-5 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenCorpusShardFile of a version-6 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenSealedCorpusDir of a version-5 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenSealedCorpusDir of a version-6 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 
 	// A posting slot at or past its shard's procedure total opens (nothing

@@ -16,15 +16,16 @@ import (
 // strand extraction, interning, sealing and the shard writer — as the
 // SHA-256 of every file WriteShards(…, 3) writes for a small generated
 // corpus analysed with one worker, so dense strand IDs are assigned in
-// image order. Recorded for the version-6 layout (each distinct
-// executable stored once across the set, the vocabulary in shard 0 only,
-// a posting one procedure slot), whose content goldenContentDigest pins
-// unchanged from version 4; a change to how the write side computes its
-// output must leave every digest untouched.
+// image order. Recorded for version 7: the version-6 layout (each
+// distinct executable stored once across the set, the vocabulary in
+// shard 0 only, a posting one procedure slot) over strands whose
+// stack-frame offsets are slots, whose content goldenContentDigest pins;
+// a change to how the write side computes its output must leave every
+// digest untouched.
 var goldenShardDigests = []string{
-	"176f53184b2b114c9d6943a3c4a0e550fda070f494ba191694758d1e40460612",
-	"b527c9b01782803c4aebeacf9387a8674dcf71f002dab4765caa547d89a1c35f",
-	"bc2172aeae3b2a774055a3fcb96fe8280d54211e1b061fa24bcb412865610571",
+	"92da3b59bb56deddf67822e2c505952dd8aa96d15d5640eef5225cd266b3a9b0",
+	"031e0f759ba75ee40e504b387a3a7e5226559aeb64d5ec509ab420d0b5a0c11e",
+	"82366ae4cc7a81034a772ba7deadd0d5e7fbfb5c4cd681feebe09da18012ca44",
 }
 
 func TestWriteShardsGolden(t *testing.T) {
@@ -78,10 +79,12 @@ func TestWriteShardsGolden(t *testing.T) {
 }
 
 // goldenContentDigest pins what the corpus of TestWriteShardsGolden holds,
-// whatever format stores it (contentDigest). Recorded from the version-4
-// shards at 8ef6655 and matched by the version-5 and version-6 ones: a
-// change of the shard layout must leave it untouched.
-const goldenContentDigest = "63e6248dc29facec1abe182aef82da844fb527ba6f246be1708b42d08f74fc8b"
+// whatever format stores it (contentDigest). Recorded from the version-7
+// shards, when stack-frame offsets became slots and every strand hash
+// moved; the layouts of versions 4 to 6 had all held the previous
+// content unchanged. A change of the shard layout must leave it
+// untouched.
+const goldenContentDigest = "e70ebb90240150de025ec6a45fd603b34c599cd376847960b11e52cb9e2ca1a7"
 
 // contentDigest is the SHA-256 of a sealed corpus's content, independent
 // of how it is stored: every image in order — its identity and skip

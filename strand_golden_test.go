@@ -15,15 +15,15 @@ import (
 )
 
 // goldenStrandDigest is the SHA-256 over every canonical strand of the
-// default-scale corpus (all four ISAs), recorded before the
-// canonicalizer's formatting internals were rewritten. FWCORP shards and
+// default-scale corpus (all four ISAs), recorded when stack-frame
+// offsets became slots (shard format version 7). FWCORP shards and
 // image snapshots persist these hashes, so a single changed byte of
 // canonical text silently orphans every sealed corpus: any change to
 // internal/strand must leave this digest untouched, or be a deliberate
 // format break that also bumps the artifact versions.
 const (
-	goldenStrandDigest = "bc1ac08c4c1f665dae1b94d9685fb1cf2617da50dd47de8abd1195637c74f52f"
-	goldenStrandCount  = 62469
+	goldenStrandDigest = "7490578c11f6e80b381f0dd3ef56bc75dd2b4881a7b6335ec1214e3f5b1835af"
+	goldenStrandCount  = 49485
 )
 
 // TestCanonicalStrandsGolden folds, for every unit of the default corpus
