@@ -53,8 +53,6 @@ func main() {
 		corpusPath      = flag.String("corpus", "", "sealed corpus artifact to serve (required)")
 		maxInFlight     = flag.Int("max-inflight", 0, "max concurrently admitted searches (0 = 2x GOMAXPROCS)")
 		retryAfter      = flag.Int("retry-after", 1, "Retry-After seconds sent with 429 responses")
-		queryWorkers    = flag.Int("query-workers", 0, "per-request query-analysis worker budget (0 = GOMAXPROCS)")
-		searchWorkers   = flag.Int("search-workers", 0, "per-request search worker budget (0 = GOMAXPROCS)")
 		allowSwap       = flag.Bool("allow-swap", false, "enable POST /swap?path=... corpus hot-swap")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown grace period")
 		traceSample     = flag.Int("trace-sample", 1, "request tracing sample rate: 0 = X-Firmup-Trace-carrying requests only, 1 = all, N = every Nth")
@@ -100,15 +98,13 @@ func main() {
 	}
 
 	srv := serve.New(cs, &serve.Config{
-		MaxInFlight:   *maxInFlight,
-		RetryAfter:    *retryAfter,
-		QueryWorkers:  *queryWorkers,
-		SearchWorkers: *searchWorkers,
-		Registry:      reg,
-		TraceSample:   *traceSample,
-		TraceSlow:     *traceSlow,
-		TraceKeep:     *traceKeep,
-		AccessLog:     logger,
+		MaxInFlight: *maxInFlight,
+		RetryAfter:  *retryAfter,
+		Registry:    reg,
+		TraceSample: *traceSample,
+		TraceSlow:   *traceSlow,
+		TraceKeep:   *traceKeep,
+		AccessLog:   logger,
 	})
 
 	mux := http.NewServeMux()

@@ -1,6 +1,10 @@
 package firmup
 
-import "firmup/internal/sim"
+import (
+	"slices"
+
+	"firmup/internal/sim"
+)
 
 // AddVariant appends to an analysed image a copy of its executable src
 // under another path, after mutate has edited the copy's procedures — how
@@ -22,6 +26,21 @@ func AddVariant(im *Image, src *Executable, path string, mutate func([]*sim.Proc
 // TokensHeld reports how many of the session's analysis tokens are taken
 // (see AnalyzerOptions.Workers): zero whenever nothing is analysing.
 func (a *Analyzer) TokensHeld() int { return len(a.spare) }
+
+// TokensHeld reports how many of the corpus's worker tokens are lent (see
+// Options.Workers): zero whenever nothing is analysing or searching.
+func (sc *SealedCorpus) TokensHeld() int { return len(sc.spare) }
+
+// ImageShards lists, in order, the groups of its corpus — the shards of
+// one opened from shard files — that store an executable of im.
+func ImageShards(im *SealedImage) []int {
+	var out []int
+	for _, oc := range im.occs {
+		out = append(out, slices.Index(im.store, im.store.group(oc.Exe)))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
 
 // Occurrences returns every executable of a sealed image in image order,
 // each under its occurrence's path, materializing store-backed ones.

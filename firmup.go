@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"firmup/internal/cfg"
 	"firmup/internal/corpusindex"
@@ -61,8 +62,8 @@ type AnalyzerOptions struct {
 	// OpenImage hands each file, as it is unpacked, to a pool of Workers
 	// goroutines. Every analysis holds one of Workers tokens shared by
 	// the session, and its build borrows the free ones as procedure
-	// workers, so at most Workers goroutines analyse at any moment.
-	// Output never depends on it.
+	// workers, so at most Workers goroutines analyse at any moment; a
+	// corpus it seals lends the same tokens. Output never depends on it.
 	Workers int
 	// Telemetry, when non-nil, is the registry the session records its
 	// pipeline metrics into: the root of the span every layer of its
@@ -70,13 +71,6 @@ type AnalyzerOptions struct {
 	// entirely: the spans are inert and every recording call is a no-op.
 	// Analysis and search output are identical either way.
 	Telemetry *telemetry.Registry
-}
-
-func (o *AnalyzerOptions) workers() int {
-	if o == nil || o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // Analyzer is one analysis session, the write side: it analyzes images
@@ -93,7 +87,7 @@ type Analyzer struct {
 	// Stage and metric names are part of the report schema (see
 	// telemetry.SchemaVersion); renaming any of them is a breaking change.
 	root  telemetry.Span
-	spare chan struct{} // the analysis budget's tokens (see analyzePooled)
+	spare budget // the session's worker tokens (see analyzePooled)
 	// analysed maps the SHA-256 of an in-image file to its *analysis: the
 	// same executable ships in image after image, and OpenImage analyses
 	// each distinct byte string once per session.
@@ -113,30 +107,64 @@ type analysis struct {
 // sweep, claim gaps and plan the procedures ("cfg.recover"), then lift
 // each procedure and extract, intern and index it ("sim.build"), one
 // procedure per build worker at a time, so the executable's UIR is never
-// held whole — every layer timed and counted under parent. With a
-// non-nil spare, one of whose tokens the caller holds, the build adds a
-// procedure worker for every further token free at that moment, up to
+// held whole — every layer timed and counted under parent — on the
+// caller's goroutine plus a procedure worker per token b lends, up to
 // workers in all.
-func analyze(path string, f *obj.File, it strand.Interner, workers int, spare chan struct{}, parent telemetry.Span) (*Executable, error) {
+func analyze(path string, f *obj.File, it strand.Interner, workers int, b budget, parent telemetry.Span) (*Executable, error) {
 	rec, err := cfg.Plan(f, parent)
 	if err != nil {
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
 	}
-	if spare != nil {
-		n := 1
-	borrow:
-		for ; n < min(workers, len(rec.Procs)); n++ {
-			select {
-			case spare <- struct{}{}:
-				defer func() { <-spare }()
-			default:
-				break borrow
-			}
-		}
-		workers = n
-	}
-	bc := &sim.BuildConfig{Workers: workers, Span: parent}
+	lent := b.lend(min(workers, len(rec.Procs)) - 1)
+	defer b.release(lent)
+	bc := &sim.BuildConfig{Workers: 1 + lent, Span: parent}
 	return &Executable{Path: path, exe: sim.BuildWith(path, rec, it, bc)}, nil
+}
+
+// budget is a session's worker tokens: every goroutine an analysis or a
+// search adds to its caller's holds one (see Options.Workers).
+type budget chan struct{}
+
+// lend takes up to n tokens, as many as are free now, without waiting,
+// and returns how many it took; release gives them back.
+func (b budget) lend(n int) (k int) {
+	for ; k < n; k++ {
+		select {
+		case b <- struct{}{}:
+		default:
+			return k
+		}
+	}
+	return k
+}
+
+func (b budget) release(n int) {
+	for range n {
+		<-b
+	}
+}
+
+// fan runs job(0) … job(n−1) on the caller's goroutine plus one per
+// token b lends, at most workers−1, each claiming the next index.
+func (b budget) fan(n, workers int, job func(int)) {
+	lent := b.lend(min(n, workers) - 1)
+	defer b.release(lent)
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			job(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(lent)
+	for range lent {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 // NewAnalyzer creates a session. NewAnalyzer(nil) selects the defaults.
@@ -145,7 +173,10 @@ func NewAnalyzer(opt *AnalyzerOptions) *Analyzer {
 	if opt != nil {
 		a.opt = *opt
 	}
-	a.spare = make(chan struct{}, a.opt.workers())
+	a.spare = make(budget, runtime.GOMAXPROCS(0))
+	if a.opt.Workers > 0 {
+		a.spare = make(budget, a.opt.Workers)
+	}
 	if r := a.opt.Telemetry; r != nil {
 		a.root = telemetry.Root(r, nil)
 		// A gauge mirror of state the session already tracks: evaluated at
@@ -273,7 +304,7 @@ func (im *Image) Executable(path string) *Executable {
 func (a *Analyzer) analyzePooled(path string, f *obj.File, parent telemetry.Span) (*Executable, error) {
 	a.spare <- struct{}{}
 	defer func() { <-a.spare }()
-	return analyze(path, f, a.interner, a.opt.workers(), a.spare, parent)
+	return analyze(path, f, a.interner, cap(a.spare), a.spare, parent)
 }
 
 // OpenImage unpacks a firmware image and analyzes every executable in
@@ -288,7 +319,7 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 	defer sp.End()
 	jobs := make(chan *fileJob)
 	var wg sync.WaitGroup
-	workers := a.opt.workers()
+	workers := cap(a.spare)
 	wg.Add(workers)
 	for range workers {
 		go func() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -119,10 +120,11 @@ type slot struct{ qx, k int }
 // the targets, with the candidate narrowing already resolved by the
 // caller. Query qx is played against targets[ti] for every ti in
 // plans[qx].Targets (targets outside every list are never dereferenced
-// and may be nil). Each target is visited once, on one of opt.Workers
-// goroutines: the queries aimed at it play their games back-to-back, and
-// queries from the same query executable share one matcher, so similarity
-// vectors accumulated for one query answer the rest. Per-query state —
+// and may be nil). Each target is visited once, on the caller's goroutine
+// or one of opt.Workers−1 more: the queries aimed at it play their games
+// back-to-back, and queries from the same query executable share one
+// matcher, so similarity vectors accumulated for one query answer the
+// rest. Per-query state —
 // game state, findings — is never shared, so a query's findings do not
 // depend on what else is in the batch, on query order or on the worker
 // count.
@@ -135,8 +137,9 @@ type slot struct{ qx, k int }
 // them has been matched to another query procedure (see runGame).
 // Neither changes a finding or its step count.
 //
-// A panic on a worker goroutine is re-raised on the caller's once every
-// worker has stopped, so the caller's recover sees it.
+// A panic on any of them — a memory fault on a target's mapped slabs
+// included — is re-raised on the caller's once every worker has stopped,
+// so the caller's recover sees it.
 //
 // The pass is timed under "core.search_batch", or "core.search" for a
 // batch of one, and counted (see meters) into the span's registry.
@@ -183,39 +186,40 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 			work = append(work, ti)
 		}
 	}
-	workers := opt.workers()
-	if workers > len(work) {
-		workers = len(work)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
+	// The caller's goroutine plays too, beside workers−1 more; each
+	// claims the next target until none is left.
+	var next atomic.Int64
 	var steps, unplayed, cut atomic.Int64
 	var panicOnce sync.Once
 	var panicked any
-	for w := 0; w < workers; w++ {
+	run := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				panicOnce.Do(func() { panicked = r })
+				next.Store(int64(len(work))) // the others claim no more
+			}
+		}()
+		var c passCounts
+		for i := int(next.Add(1)) - 1; i < len(work); i = int(next.Add(1)) - 1 {
+			ti := work[i]
+			runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, m, findings, &c)
+		}
+		steps.Add(c.steps)
+		unplayed.Add(c.unplayed)
+		cut.Add(c.cut)
+	}
+	var wg sync.WaitGroup
+	for range min(opt.workers(), len(work)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-					for range jobs { // unplayed, so the feeding loop below ends
-					}
-				}
-			}()
-			var c passCounts
-			for ti := range jobs {
-				runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, m, findings, &c)
-			}
-			steps.Add(c.steps)
-			unplayed.Add(c.unplayed)
-			cut.Add(c.cut)
+			// Targets may alias a mapped shard: a fault reading one that
+			// was truncated under the process is a panic, re-raised below.
+			debug.SetPanicOnFault(true)
+			run()
 		}()
 	}
-	for _, ti := range work {
-		jobs <- ti
-	}
-	close(jobs)
+	run()
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)

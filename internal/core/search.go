@@ -137,18 +137,27 @@ func accept(q *sim.Exe, qi int, t *sim.Exe, r Result, opt *SearchOptions) *Findi
 
 // acceptable is the acceptance predicate: whether procedure ti of t,
 // sharing score strands with query procedure qi, may be reported as an
-// occurrence of it — the score floor, the ratio floor
-// and the marker bar — and the ratio it is reported with. It depends on
-// the pair alone, never on the course of a game, which is what lets a
-// search name the acceptable procedures of a target before playing.
+// occurrence of it, and the ratio it is reported with (see Refusal).
 func acceptable(q *sim.Exe, qi int, t *sim.Exe, ti, score int, opt *SearchOptions) (ratio float64, ok bool) {
+	ratio, refused := Refusal(q, qi, t, ti, score, opt)
+	return ratio, refused == ""
+}
+
+// Refusal names what refuses procedure ti of t, sharing score strands
+// with query procedure qi, as an occurrence of it — "score", "ratio" or
+// "marker" for the score floor, the ratio floor or the marker bar, ""
+// when nothing does — and the ratio an accepted pair is reported with.
+// It depends on the pair alone, never on the course of a game, which is
+// what lets a search name the acceptable procedures of a target before
+// playing.
+func Refusal(q *sim.Exe, qi int, t *sim.Exe, ti, score int, opt *SearchOptions) (ratio float64, refused string) {
 	qsize := q.Procs[qi].Set.Size()
 	if qsize == 0 || score < opt.minScore() {
-		return 0, false
+		return 0, "score"
 	}
 	ratio = float64(score) / float64(qsize)
 	if ratio < opt.minRatio() {
-		return 0, false
+		return 0, "ratio"
 	}
 	// Confirmation markers: a true occurrence of the query procedure
 	// carries its distinctive constants; require a minimum fraction when
@@ -156,8 +165,8 @@ func acceptable(q *sim.Exe, qi int, t *sim.Exe, ti, score int, opt *SearchOption
 	if bar := opt.markerMinOverlap(); bar > 0 {
 		qm := q.Procs[qi].Markers
 		if len(qm) >= 1 && strand.MarkerOverlap(qm, t.Procs[ti].Markers) < bar {
-			return 0, false
+			return 0, "marker"
 		}
 	}
-	return ratio, true
+	return ratio, ""
 }

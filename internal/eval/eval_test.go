@@ -247,3 +247,27 @@ func TestStrandDemoRenders(t *testing.T) {
 	}
 	t.Log("\n" + out)
 }
+
+// Every relevant (query, executable) pair of the matrix has exactly one
+// death reason, and the found ones are the correct findings, in every
+// cell and at a stricter ratio floor too.
+func TestMatrixCensusAccounts(t *testing.T) {
+	env := testEnv(t)
+	for _, opt := range []*firmup.Options{nil, {MinRatio: 0.6}} {
+		m, err := Matrix(env, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range m.rows() {
+			c := row.cell
+			sum := 0
+			for _, n := range c.Census {
+				sum += n
+			}
+			if sum != c.Relevant || c.Census[hit] != c.Correct {
+				t.Errorf("%+v: %s: census %v sums to %d of %d relevant, found %d of %d correct",
+					opt, row.label, c.Census, sum, c.Relevant, c.Census[hit], c.Correct)
+			}
+		}
+	}
+}

@@ -25,7 +25,7 @@ const (
 
 // queryKey identifies an upload by content: the SHA-256 of the request
 // body. Nothing else reaches the front-end — the label is constant and
-// the worker budget does not change what sim.BuildWith produces.
+// the workers a build is lent do not change what sim.BuildWith produces.
 type queryKey [sha256.Size]byte
 
 // queryCache maps upload hashes to analysed query executables, one LRU

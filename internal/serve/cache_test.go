@@ -513,42 +513,6 @@ func TestServeQueryCacheConcurrentFirstSight(t *testing.T) {
 	}
 }
 
-// TestServeQueryCacheWorkersInvariant justifies leaving QueryWorkers
-// out of the cache key: the analysed query is the same value whatever
-// the worker budget, and so is the answer served from it.
-func TestServeQueryCacheWorkersInvariant(t *testing.T) {
-	sc, query := buildScenario(t)
-	one, err := sc.AnalyzeQueryWith("query", query, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := sc.AnalyzeQueryWith("query", query, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one.Procedures(), four.Procedures()) {
-		t.Fatal("procedure tables differ between QueryWorkers 1 and 4")
-	}
-	for i := range one.Procedures() {
-		if !reflect.DeepEqual(one.ProcedureStrands(i), four.ProcedureStrands(i)) ||
-			!reflect.DeepEqual(one.ProcedureMarkers(i), four.ProcedureMarkers(i)) {
-			t.Errorf("procedure %d differs between QueryWorkers 1 and 4", i)
-		}
-	}
-	var hits [2]string
-	for i, workers := range []int{1, 4} {
-		srv := serve.New(newCorpus("c", sc), &serve.Config{QueryWorkers: workers})
-		ts := httptest.NewServer(srv.Handler())
-		for n := 0; n < 3; n++ {
-			hits[i] = mustSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
-		}
-		ts.Close()
-	}
-	if hits[0] != hits[1] {
-		t.Errorf("cached answers differ between QueryWorkers 1 and 4:\n1: %s\n4: %s", hits[0], hits[1])
-	}
-}
-
 // TestServeQueryCacheErrorsNotCached posts an upload that fails
 // analysis: every request gets the same 400 and no value is kept.
 func TestServeQueryCacheErrorsNotCached(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package serve implements the firmupd query service over a sealed
 // corpus: an HTTP handler set that analyzes uploaded query executables
-// against the corpus and returns findings JSON, with per-request worker
-// budgets, admission control (bounded in-flight searches, 429 +
-// Retry-After on overload) and graceful corpus hot-swap.
+// against the corpus and returns findings JSON, with admission control
+// (bounded in-flight searches, 429 + Retry-After on overload) and
+// graceful corpus hot-swap.
 //
 // Concurrency model: the sealed corpus is immutable, so request
 // handlers share it with no locks. The only cross-request coordination
@@ -68,13 +68,6 @@ type Config struct {
 	// RetryAfter is the Retry-After hint attached to 429 responses, in
 	// seconds (default 1).
 	RetryAfter int
-	// QueryWorkers is the per-request worker budget for analyzing the
-	// uploaded query executable (default GOMAXPROCS). One request never
-	// gets more than this many analysis goroutines.
-	QueryWorkers int
-	// SearchWorkers is the per-request worker budget for the game search
-	// (default GOMAXPROCS).
-	SearchWorkers int
 	// MaxQueryBytes bounds the accepted /search body (default 64 MiB).
 	MaxQueryBytes int64
 	// Registry, when non-nil, receives the server's request metrics:
@@ -402,7 +395,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing required query parameter: proc")
 		return
 	}
-	opt, err := searchOptions(r, &s.cfg)
+	opt, err := searchOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -488,7 +481,7 @@ func (s *Server) analyzeQuery(cs *Corpus, body []byte, span telemetry.Span) (*fi
 		return query, nil
 	}
 	span.SetAttrStr("cache", "miss")
-	query, err := cs.Sealed.AnalyzeQuery(body, &firmup.Options{Workers: s.cfg.QueryWorkers, Span: span})
+	query, err := cs.Sealed.AnalyzeQuery(body, &firmup.Options{Span: span})
 	if err == nil && seen {
 		cs.queries.attach(key, query, len(body), &s.cache)
 	}
@@ -558,9 +551,9 @@ func imageFindings(img *firmup.SealedImage, findings []firmup.Finding, examined 
 }
 
 // searchOptions builds the per-request search options from the URL
-// parameters, bounded by the server's worker budget.
-func searchOptions(r *http.Request, cfg *Config) (*firmup.Options, error) {
-	opt := &firmup.Options{Workers: cfg.SearchWorkers}
+// parameters.
+func searchOptions(r *http.Request) (*firmup.Options, error) {
+	opt := &firmup.Options{}
 	q := r.URL.Query()
 	if v := q.Get("min_score"); v != "" {
 		n, err := strconv.Atoi(v)

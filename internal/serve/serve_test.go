@@ -453,18 +453,11 @@ func TestServeFindingsFileSchema(t *testing.T) {
 // TestServePanickingShardIs500 damages a shard under a running server —
 // its posting slab is overwritten in place after the first search has
 // verified every section, so the next scan of that group indexes out of
-// range on its fan-out goroutine — and checks that the poisoned request is
-// a 500 naming the shard, with its trace ID, and that the process and the
-// server carry on — with the search on one worker and on several (a panic
-// on one of the game engine's own workers reaches the same recover; see
-// internal/core's TestPlayBatchPanicReachesCaller).
+// range — and checks that the poisoned request is a 500 naming the
+// shard, with its trace ID, and that the process and the server carry
+// on. That the search's worker count does not matter is the facade's
+// TestSearchPanickingShard.
 func TestServePanickingShardIs500(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("search-workers=%d", workers), func(t *testing.T) { panickingShardIs500(t, workers) })
-	}
-}
-
-func panickingShardIs500(t *testing.T, workers int) {
 	sc, query := buildScenario(t)
 	dir := t.TempDir()
 	paths, err := sc.WriteShards(dir, 2)
@@ -479,7 +472,7 @@ func panickingShardIs500(t *testing.T, workers int) {
 	if !sharded.Shards()[0].Mapped {
 		t.Skip("shards are read into memory here: a write to the file does not reach the open corpus")
 	}
-	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1, SearchWorkers: workers})
+	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

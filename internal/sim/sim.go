@@ -65,8 +65,9 @@ type Exe struct {
 // BuildConfig tunes BuildWith for analyzer sessions. The zero value
 // (and a nil pointer) selects serial analysis.
 type BuildConfig struct {
-	// Workers bounds procedure-level parallelism within this executable
-	// (values ≤ 1 build serially). The analyzed output is byte-identical
+	// Workers bounds procedure-level parallelism within this executable:
+	// the build runs on the caller's goroutine and Workers−1 more (values
+	// ≤ 1 build serially). The analyzed output is byte-identical
 	// to the serial build: procedures are assembled by index, and every
 	// per-procedure result is a pure function of the recovered input.
 	Workers int
@@ -123,19 +124,16 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 			procs[i] = pb.build(i)
 		}
 	}
-	if workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
+	work()
+	wg.Wait()
 	e.Procs, e.it = dropUnlifted(procs), it
 	for i, p := range e.Procs {
 		for _, c := range p.Calls {

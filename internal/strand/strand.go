@@ -18,10 +18,6 @@ type Options struct {
 	// Sections drives offset elimination: constants inside the text or
 	// data ranges are abstracted to positional offN tokens.
 	Sections obj.SectionMap
-	// KeepTrivial retains strands whose expression is a bare input or
-	// constant; by default they are dropped as noise (every executable
-	// shares them).
-	KeepTrivial bool
 }
 
 // Strand is one canonical strand.
@@ -315,7 +311,6 @@ func (sc *extractScratch) analyze(b *uir.Block) {
 func (sc *extractScratch) render(out *[]Strand) {
 	sc.blockLo = len(sc.hashes)
 	sc.text = out != nil
-	keepTrivial := sc.opt.KeepTrivial
 
 	slices.Sort(sc.live)
 	for _, r := range sc.live {
@@ -326,8 +321,8 @@ func (sc *extractScratch) render(out *[]Strand) {
 		if n.kind == nInput && n.reg == r {
 			continue // register unchanged
 		}
-		if !keepTrivial && isTrivial(n) {
-			continue
+		if isTrivial(n) {
+			continue // a bare input or constant: every executable shares it
 		}
 		sc.begin()
 		sc.visit(n)
@@ -337,7 +332,7 @@ func (sc *extractScratch) render(out *[]Strand) {
 	}
 	for i := range sc.effects {
 		e := &sc.effects[i]
-		if e.kind == effJump && !keepTrivial {
+		if e.kind == effJump {
 			continue // unconditional jumps carry no semantics
 		}
 		sc.begin()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -45,6 +46,7 @@ type SealedCorpus struct {
 	// corpus opened from disk, one holding every executable for a corpus
 	// sealed in RAM.
 	groups exeStore
+	spare  budget // the worker tokens every call borrows from (Options.Workers)
 	// root is the span query analysis and search record under when their
 	// caller passes none (see SetTelemetry).
 	root telemetry.Span
@@ -112,8 +114,8 @@ type Options struct {
 	// MinRatio is the minimum fraction of the query's strands that must
 	// be shared (default 0.42).
 	MinRatio float64
-	// Workers bounds search parallelism, and a query analysis's
-	// procedure workers (default GOMAXPROCS).
+	// Workers bounds a call's goroutines: its caller's and at most
+	// Workers−1 the corpus lends without waiting (default GOMAXPROCS).
 	Workers int
 	// Exhaustive disables the corpus-index prefilter for this search:
 	// every executable in scope is examined. Findings are identical; only
@@ -150,7 +152,7 @@ func (o *Options) search() *core.SearchOptions {
 	if o == nil {
 		return &core.SearchOptions{}
 	}
-	return &core.SearchOptions{MinScore: o.MinScore, MinRatio: o.MinRatio, Workers: o.Workers}
+	return &core.SearchOptions{MinScore: o.MinScore, MinRatio: o.MinRatio}
 }
 
 // Finding reports one detection of the query procedure. The JSON field
@@ -316,7 +318,7 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	frozen := a.interner.Freeze()
 	g := &sealedGroup{frozen: frozen}
-	sc := &SealedCorpus{frozen: frozen, groups: exeStore{g}}
+	sc := &SealedCorpus{frozen: frozen, groups: exeStore{g}, spare: a.spare}
 	dedup := newExeDedup()
 	for ii, img := range images {
 		si := &SealedImage{
@@ -408,7 +410,7 @@ func (sc *SealedCorpus) analyzeQuery(path string, data []byte, opt *Options) (*E
 	if err != nil {
 		return nil, err
 	}
-	return analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), opt.workers(), nil, sp)
+	return analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), opt.workers(), sc.spare, sp)
 }
 
 // scansPool recycles the per-pass scan results (candidate lists and
@@ -427,8 +429,8 @@ type passStats struct{ games, unplayed, cut int }
 // executable) materialized and played once, by the group that holds it,
 // and the outcome fanned out to the occurrences of imgs, timed under
 // parent. Only the groups holding an
-// executable in scope take part; a store of several runs them in
-// parallel, each under its own "corpus.shard" span — shard index,
+// executable in scope take part, on the caller's goroutine and those b
+// lends, each under its own "corpus.shard" span — shard index,
 // executable count, the (query, executable) games it planned, the
 // occurrences they stood for — so a slow request attributes its latency
 // to the shard that caused it. They share no mutable state, so fan-out
@@ -438,7 +440,7 @@ type passStats struct{ games, unplayed, cut int }
 // Since candidacy is a property of the executable alone, an image gets
 // exactly the findings and examined count a search of it on its own
 // would produce.
-func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.Span) ([][]*SearchResult, error) {
+func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, b budget, parent telemetry.Span) ([][]*SearchResult, error) {
 	// uses[u] counts the occurrences of executable u in imgs; found and
 	// played are the passes' outcomes by query and executable.
 	total := st.size()
@@ -463,6 +465,9 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 		}
 	}
 	pass := func(gi int) error {
+		// A shard truncated under the process faults the read that
+		// touches it; g.search recovers the panic this makes of it.
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 		g := st[gi]
 		parent := parent
 		var sp telemetry.Span
@@ -471,7 +476,7 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 			defer sp.End()
 			parent = sp
 		}
-		f, p, stats, err := g.search(cqs, inScope[g.base:g.base+g.n], opt, parent)
+		f, p, stats, err := g.search(cqs, inScope[g.base:g.base+g.n], opt, b, parent)
 		if err != nil {
 			return err
 		}
@@ -494,22 +499,7 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 		return nil
 	}
 	errs := make([]error, len(run))
-	if len(run) == 1 {
-		errs[0] = pass(run[0])
-	} else {
-		sem := make(chan struct{}, min(len(run), runtime.GOMAXPROCS(0)))
-		var wg sync.WaitGroup
-		for k, gi := range run {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				errs[k] = pass(gi)
-			}()
-		}
-		wg.Wait()
-	}
+	b.fan(len(run), opt.workers(), func(k int) { errs[k] = pass(run[k]) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -562,13 +552,9 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 // FrozenIndex.Scan).
 //
 // A panic in the pass — on a fan-out goroutine it would end the process —
-// becomes the pass's error, naming the shard.
-func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options, parent telemetry.Span) (found [][]*core.Finding, played [][]bool, st passStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			found, played, err = nil, nil, fmt.Errorf("firmup: search of group %q panicked: %v", g.path, r)
-		}
-	}()
+// becomes the pass's error, naming the shard (see recoverCorrupt).
+func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options, b budget, parent telemetry.Span) (found [][]*core.Finding, played [][]bool, st passStats, err error) {
+	defer g.recoverCorrupt("search", &err)
 	s := opt.search()
 	s.Span = parent
 	// plans[qx] lists the executables query qx is played against — all of
@@ -619,6 +605,9 @@ func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options
 	if err != nil {
 		return nil, nil, st, err
 	}
+	lent := b.lend(min(opt.workers(), st.games) - 1)
+	defer b.release(lent)
+	s.Workers = 1 + lent
 	pass := core.PlayBatch(cqs, targets, plans, s)
 	st.unplayed, st.cut = pass.Unplayed, pass.Cut
 	return pass.Findings, played, st, nil
@@ -632,7 +621,7 @@ func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string,
 	if err != nil {
 		return nil, err
 	}
-	res, err := img.store.search(cqs, []*SealedImage{img}, opt, opt.span().Or(sc.root))
+	res, err := img.store.search(cqs, []*SealedImage{img}, opt, sc.spare, opt.span().Or(sc.root))
 	if err != nil {
 		return nil, err
 	}
@@ -668,7 +657,7 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 	if err != nil {
 		return nil, err
 	}
-	res, err := sc.groups.search(cqs, sc.images, opt, opt.span().Or(sc.root))
+	res, err := sc.groups.search(cqs, sc.images, opt, sc.spare, opt.span().Or(sc.root))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -104,8 +105,23 @@ func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
 		return g.exes[u], nil
 	}
 	le := &g.lazy[u]
-	le.once.Do(func() { le.exe, le.err = g.loadExe(u) })
+	le.once.Do(func() {
+		defer g.recoverCorrupt("exe", &le.err)
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		le.exe, le.err = g.loadExe(u)
+	})
 	return le.exe, le.err
+}
+
+// recoverCorrupt, deferred by a read of the group's shard, stores a
+// panic in the read — the memory fault of a file truncated under its
+// mapping, or code tripped by damaged bytes — in *err as the shard's
+// corruption, so the caller, and every later one of a once-only read,
+// gets an error naming the shard, not a nil result or a dead process.
+func (g *sealedGroup) recoverCorrupt(section string, err *error) {
+	if r := recover(); r != nil {
+		*err = &snapshot.CorruptError{Section: section, Reason: fmt.Sprintf("%s: panicked: %v", g.path, r)}
+	}
 }
 
 // loadExe materializes one executable from the shard in one
@@ -170,6 +186,8 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 // in-RAM group's executables, or over the shard's CSR slabs (which can fail).
 func (g *sealedGroup) ensureIndex() error {
 	g.idxOnce.Do(func() {
+		defer g.recoverCorrupt("corpus-index", &g.idxErr)
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 		if g.shard == nil {
 			g.index = corpusindex.NewFrozenIndex(g.frozen.Size(), g.exes)
 			return
@@ -237,7 +255,7 @@ func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.
 // exceed the image or executable count; trailing ranges are then empty
 // but still valid.
 //
-// Shards are encoded and written by a bounded worker pool; each shard's
+// Shards are encoded and written on workers the corpus lends; each shard's
 // bytes depend only on its own ranges, so the output is identical to a
 // sequential pass. Each shard is written to a temporary file beside its
 // target and renamed over it, so a corpus that has the directory open —
@@ -256,18 +274,7 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	}
 	paths := make([]string, n)
 	errs := make([]error, n)
-	sem := make(chan struct{}, min(n, runtime.GOMAXPROCS(0)))
-	var wg sync.WaitGroup
-	for si := range n {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			paths[si], errs[si] = sc.writeShard(vocab, dir, si, n)
-		}()
-	}
-	wg.Wait()
+	sc.spare.fan(n, runtime.GOMAXPROCS(0), func(si int) { paths[si], errs[si] = sc.writeShard(vocab, dir, si, n) })
 	// First error in shard order wins, matching the sequential contract.
 	for _, err := range errs {
 		if err != nil {
@@ -467,7 +474,7 @@ func sealedFromShards(shards []*snapshot.CorpusShard, paths []string) (*SealedCo
 		return nil, err
 	}
 
-	sc := &SealedCorpus{frozen: frozen}
+	sc := &SealedCorpus{frozen: frozen, spare: make(budget, runtime.GOMAXPROCS(0))}
 	named := make([]bool, exes)
 	for _, oi := range order {
 		shard := shards[oi]

@@ -30,24 +30,28 @@ var sealedTestQueries = []struct {
 // session and seals it.
 func buildSealed(t *testing.T, scale corpus.Scale) *firmup.SealedCorpus {
 	t.Helper()
-	c, err := corpus.Build(scale)
+	sc, err := sealCorpus(scale)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return sc
+}
+
+func sealCorpus(scale corpus.Scale) (*firmup.SealedCorpus, error) {
+	c, err := corpus.Build(scale)
+	if err != nil {
+		return nil, err
 	}
 	a := firmup.NewAnalyzer(nil)
 	var imgs []*firmup.Image
 	for _, bi := range c.Images {
 		img, err := a.OpenImage(bi.Image.Pack(true))
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		imgs = append(imgs, img)
 	}
-	sc, err := a.Seal(imgs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
+	return a.Seal(imgs...)
 }
 
 // queryBytesFor compiles the analyst-side query executable for one CVE.
