@@ -204,8 +204,8 @@ func TestOpenImageParallelDeterminism(t *testing.T) {
 		var skipped []string
 		for _, e := range img.Exes {
 			sh := exeShape{Path: e.Path}
-			for i := range e.Procedures() {
-				sh.Strands = append(sh.Strands, e.ProcedureStrands(i))
+			for _, p := range e.Sim().Procs {
+				sh.Strands = append(sh.Strands, p.Set.AppendHashes(nil))
 			}
 			exes = append(exes, sh)
 		}
@@ -372,8 +372,8 @@ func TestAnalysisBudgetShared(t *testing.T) {
 
 func exeStrands(e *firmup.Executable) [][]uint64 {
 	var out [][]uint64
-	for i := range e.Procedures() {
-		out = append(out, e.ProcedureStrands(i))
+	for _, p := range e.Sim().Procs {
+		out = append(out, p.Set.AppendHashes(nil))
 	}
 	return out
 }

@@ -1,12 +1,11 @@
 package firmup_test
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -15,7 +14,6 @@ import (
 
 	"firmup"
 	"firmup/internal/corpus"
-	"firmup/internal/snapshot"
 	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
@@ -158,9 +156,9 @@ func TestQueryWorkersInvariant(t *testing.T) {
 	if !reflect.DeepEqual(one.Procedures(), four.Procedures()) {
 		t.Fatal("procedure tables differ between Workers 1 and 4")
 	}
-	for i := range one.Procedures() {
-		if !reflect.DeepEqual(one.ProcedureStrands(i), four.ProcedureStrands(i)) ||
-			!reflect.DeepEqual(one.ProcedureMarkers(i), four.ProcedureMarkers(i)) {
+	for i, p := range one.Sim().Procs {
+		q := four.Sim().Procs[i]
+		if !slices.Equal(p.Set.AppendHashes(nil), q.Set.AppendHashes(nil)) || !slices.Equal(p.Markers, q.Markers) {
 			t.Errorf("procedure %d differs between Workers 1 and 4", i)
 		}
 	}
@@ -170,78 +168,99 @@ func TestQueryWorkersInvariant(t *testing.T) {
 }
 
 // A shard truncated under the process fails the searches that read it
-// with the shard's corruption, for every later search too, and the
-// process lives: a search of an image whose executables all live in
-// other shards answers as before. Truncated before its first search,
-// the shard faults while its index is built; after one, while a search
-// reads its postings.
+// with the shard's corruption, for every later search too, on one worker
+// and on several, and the process lives: a search of an image whose
+// executables all live in other shards answers as before, and the
+// corpus's shard list reports the damaged shard corrupt, and only it.
+// The damaged shard holds candidates of the query. Truncated before its
+// first search, it faults while its index is derived from its strand
+// sets; after one, while a game reads the strand sets of the candidates
+// that search materialized. (A panic on one of the game engine's own
+// workers reaches the same recover; see internal/core's
+// TestPlayBatchPanicReachesCaller.)
 func TestTruncatedShardDegradesSearch(t *testing.T) {
 	for _, warm := range []bool{false, true} {
 		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
-			sc, sharded, paths, qb, proc := budgetScenario(t, 3)
-			if !sharded.Shards()[1].Mapped {
-				t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
-			}
-			ii := slices.IndexFunc(sharded.Images(), func(im *firmup.SealedImage) bool {
-				return !slices.Contains(firmup.ImageShards(im), 1)
-			})
-			if ii < 0 {
-				t.Fatal("every image has an executable in shard 1")
-			}
-			inRAM, err := sc.AnalyzeQuery(qb, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := sc.SearchImageDetailed(inRAM, proc, sc.Images()[ii], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := sharded.AnalyzeQuery(qb, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm {
-				if _, err := sharded.SearchAll(q, proc, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := os.Truncate(paths[1], 64); err != nil {
-				t.Fatal(err)
-			}
-			for range 2 {
-				_, err := sharded.SearchAll(q, proc, nil)
-				if !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(fmt.Sprint(err), "shard-0001.fwcorp") {
-					t.Errorf("corpus-wide search over the truncated shard: err %v, want the shard's corruption", err)
-				}
-			}
-			got, err := sharded.SearchImageDetailed(q, proc, sharded.Images()[ii], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("image %d, stored outside the truncated shard, answers %+v, want %+v", ii, got, want)
-			}
-			if n := sharded.TokensHeld(); n != 0 {
-				t.Errorf("%d worker tokens still lent after the failed searches", n)
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					testTruncatedShard(t, warm, &firmup.Options{Workers: workers})
+				})
 			}
 		})
 	}
 }
 
-// A shard damaged under an open corpus — its posting slab overwritten in
-// place after the first search has verified every section, so the next
-// scan of that group indexes out of range — fails the search that reads
-// it with an error naming the panic and the shard, on one worker and on
-// several, and a search of the undamaged shard's images still answers.
-// (A panic on one of the game engine's own workers reaches the same
-// recover; see internal/core's TestPlayBatchPanicReachesCaller.)
+func testTruncatedShard(t *testing.T, warm bool, opt *firmup.Options) {
+	sc, sharded, paths, qb, proc := budgetScenario(t, 3)
+	if !sharded.Shards()[0].Mapped {
+		t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
+	}
+	d := candidateShard(t, filepath.Dir(paths[0]), qb, proc)
+	name := filepath.Base(paths[d])
+	ii := slices.IndexFunc(sharded.Images(), func(im *firmup.SealedImage) bool {
+		return !slices.Contains(firmup.ImageShards(im), d)
+	})
+	if ii < 0 {
+		t.Fatalf("every image has an executable in shard %d", d)
+	}
+	inRAM, err := sc.AnalyzeQuery(qb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sc.SearchImageDetailed(inRAM, proc, sc.Images()[ii], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sharded.AnalyzeQuery(qb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm {
+		if _, err := sharded.SearchAll(q, proc, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(paths[d], 64); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		_, err := sharded.SearchAll(q, proc, opt)
+		if msg := fmt.Sprint(err); !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, "panicked") || !strings.Contains(msg, name) {
+			t.Errorf("corpus-wide search over the truncated shard: err %v, want the recovered fault of %s", err, name)
+		}
+	}
+	got, err := sharded.SearchImageDetailed(q, proc, sharded.Images()[ii], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("image %d, stored outside the truncated shard, answers %+v, want %+v", ii, got, want)
+	}
+	for i, sh := range sharded.Shards() {
+		if damaged := i == d; damaged != strings.Contains(sh.Corrupt, name) || !damaged && sh.Corrupt != "" {
+			t.Errorf("shard %d reports corrupt %q", i, sh.Corrupt)
+		}
+	}
+	if n := sharded.TokensHeld(); n != 0 {
+		t.Errorf("%d worker tokens still lent after the failed searches", n)
+	}
+}
+
+// A shard truncated under the process after a search has materialized
+// its candidates fails a search of one of its images with an error
+// naming the panic and the shard, on one worker and on several, and the
+// search returns every worker token it was lent; a search of an image
+// stored outside that shard still answers. The damaged shard holds
+// candidates of the query.
 func TestSearchPanickingShard(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			_, sharded, paths, qb, proc := budgetScenario(t, 2)
+			_, sharded, paths, qb, proc := budgetScenario(t, 3)
 			if !sharded.Shards()[0].Mapped {
-				t.Skip("shards are read into memory here: a write to the file does not reach the open corpus")
+				t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
 			}
+			d := candidateShard(t, filepath.Dir(paths[0]), qb, proc)
+			name := filepath.Base(paths[d])
 			opt := &firmup.Options{Workers: workers}
 			q, err := sharded.AnalyzeQuery(qb, opt)
 			if err != nil {
@@ -250,48 +269,63 @@ func TestSearchPanickingShard(t *testing.T) {
 			if _, err := sharded.SearchAll(q, proc, opt); err != nil {
 				t.Fatal(err)
 			}
-			shard, err := snapshot.OpenCorpusShardFile(paths[0])
-			if err != nil {
+			in := slices.IndexFunc(sharded.Images(), func(im *firmup.SealedImage) bool {
+				return slices.Contains(firmup.ImageShards(im), d)
+			})
+			out := slices.IndexFunc(sharded.Images(), func(im *firmup.SealedImage) bool {
+				return !slices.Contains(firmup.ImageShards(im), d)
+			})
+			if in < 0 || out < 0 {
+				t.Fatalf("images with an executable in shard %d: first %d; without: first %d", d, in, out)
+			}
+			if err := os.Truncate(paths[d], 64); err != nil {
 				t.Fatal(err)
 			}
-			slabs, err := shard.Index()
-			if err != nil {
-				t.Fatal(err)
+			_, err = sharded.SearchImageDetailed(q, proc, sharded.Images()[in], opt)
+			if msg := fmt.Sprint(err); !strings.Contains(msg, "panicked") || !strings.Contains(msg, name) {
+				t.Errorf("search of image %d, stored in the truncated shard: err %v, want a panic naming %s", in, err, name)
 			}
-			var slab []byte
-			for _, s := range slabs.Posts {
-				slab = binary.LittleEndian.AppendUint32(slab, s)
+			if _, err := sharded.SearchImageDetailed(q, proc, sharded.Images()[out], opt); err != nil {
+				t.Errorf("search of image %d, stored outside the truncated shard: %v", out, err)
 			}
-			shard.Close()
-			file, err := os.ReadFile(paths[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			off := bytes.Index(file, slab)
-			if len(slab) == 0 || off < 0 {
-				t.Fatalf("posting slab (%d bytes) not found in %s", len(slab), paths[0])
-			}
-			f, err := os.OpenFile(paths[0], os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, len(slab)), int64(off)); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-			_, err = sharded.SearchAll(q, proc, opt)
-			if msg := fmt.Sprint(err); !strings.Contains(msg, "panicked") || !strings.Contains(msg, "shard-0000.fwcorp") {
-				t.Errorf("search over the damaged shard: err %v, want a panic naming the shard", err)
-			}
-			last := sharded.Images()[len(sharded.Images())-1]
-			if slices.Contains(firmup.ImageShards(last), 0) {
-				t.Fatal("the last image has an executable in the damaged shard")
-			}
-			if _, err := sharded.SearchImageDetailed(q, proc, last, opt); err != nil {
-				t.Errorf("search of an image of the undamaged shard: %v", err)
+			if n := sharded.TokensHeld(); n != 0 {
+				t.Errorf("%d worker tokens still lent after the failed search", n)
 			}
 		})
 	}
+}
+
+// candidateShard opens the shards under dir once more and returns the
+// first one holding a candidate of the query, as a traced search of it
+// attributes its games.
+func candidateShard(t *testing.T, dir string, qb []byte, proc string) int {
+	t.Helper()
+	sc, err := firmup.OpenSealedCorpusDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	q, err := sc.AnalyzeQuery(qb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewTrace(telemetry.NewTraceID())
+	defer tr.Free()
+	root := telemetry.Root(telemetry.New(), tr).Start("serve.request")
+	if _, err := sc.SearchAll(q, proc, &firmup.Options{Span: root}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	shard := -1
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name == "corpus.shard" && sp.Attrs["unique_candidates"].(int64) > 0 {
+			if i := int(sp.Attrs["shard"].(int64)); shard < 0 || i < shard {
+				shard = i
+			}
+		}
+	}
+	if shard < 0 {
+		t.Fatal("no shard holds a candidate of the query")
+	}
+	return shard
 }

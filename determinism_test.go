@@ -93,9 +93,9 @@ func analyzeWith(t *testing.T, a *firmup.Analyzer, imgBytes, queryBytes []byte, 
 		st.Procs = append(st.Procs, procs)
 		strands := make([][]uint64, len(procs))
 		markers := make([][]uint32, len(procs))
-		for i := range procs {
-			strands[i] = e.ProcedureStrands(i)
-			markers[i] = e.ProcedureMarkers(i)
+		for i, p := range e.Sim().Procs {
+			strands[i] = p.Set.AppendHashes(nil)
+			markers[i] = append([]uint32(nil), p.Markers...)
 		}
 		st.Strands = append(st.Strands, strands)
 		st.Markers = append(st.Markers, markers)

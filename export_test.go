@@ -65,6 +65,7 @@ func ExeContent(e *Executable) []byte { return appendExeContent(nil, e.exe) }
 // shard it damaged.
 var ShardSetFaults = shardSetFaults
 
-// SlotBeyondTotal damages one shard's bytes with a posting slot past its
-// procedures, which only the shard's index tells, on first search.
-var SlotBeyondTotal = slotBeyondTotal
+// IDOutsideVocab damages one shard's bytes with a strand ID outside the
+// vocabulary in the last executable's sets, which the shard's first
+// search tells while deriving its index.
+var IDOutsideVocab = idOutsideVocab

@@ -253,21 +253,6 @@ type ProcedureInfo struct {
 	Blocks   int
 }
 
-// ProcedureStrands returns procedure i's sorted canonical strand
-// hashes, derived from its dense IDs through the executable's session
-// (a copy). Hashes — unlike session-local dense IDs — are stable across
-// sessions and worker counts, which makes them the right handle for
-// equivalence checks.
-func (e *Executable) ProcedureStrands(i int) []uint64 {
-	return e.exe.Procs[i].Set.AppendHashes(nil)
-}
-
-// ProcedureMarkers returns procedure i's sorted distinctive constants
-// (a copy; see strand.MarkerOverlap).
-func (e *Executable) ProcedureMarkers(i int) []uint32 {
-	return append([]uint32(nil), e.exe.Procs[i].Markers...)
-}
-
 // SkipReason records one in-image executable that parsed as an FWELF but
 // failed analysis and was left out of Image.Exes.
 type SkipReason struct {

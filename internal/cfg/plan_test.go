@@ -59,7 +59,7 @@ func checkPlannedBuild(t *testing.T, name string, file *obj.File) {
 // checkPipelineMatchesInspection asserts that the pipeline's sets, which
 // carry dense IDs alone, agree procedure by procedure with the inspection
 // form, strand.Extractor.Proc, under the same session: equal IDs, hashes
-// derived through the session (what Executable.ProcedureStrands returns)
+// derived through the session (strand.Set.AppendHashes)
 // equal to Proc's Hashes, and equal markers. It runs under a live
 // interner and under a query overlay of a frozen vocabulary opened from
 // sorted slabs, as a shard's is, with 1 and with 4 workers each.

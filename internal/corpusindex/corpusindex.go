@@ -110,15 +110,6 @@ func (it *Interner) Size() int {
 	return len(it.hashes)
 }
 
-// Row is one inverted-index row: a dense strand ID and its postings, the
-// slot of every procedure containing that strand. Slots number the
-// indexed procedures executable-major: procedure p of executable e is
-// slot procOff[e]+p.
-type Row struct {
-	ID    uint32
-	Posts []uint32
-}
-
 // candidate is one executable that could contain the query procedure.
 type candidate struct {
 	// Exe is the executable's position in its index.

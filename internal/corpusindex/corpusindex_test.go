@@ -2,7 +2,6 @@ package corpusindex
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -84,7 +83,7 @@ func buildCorpus(t *testing.T) (*Interner, *FrozenIndex, []*sim.Exe) {
 			{Name: "c0", Set: set(100, 101)},
 		}, it),
 	}
-	return it, NewFrozenIndex(it.Size(), exes), exes
+	return it, indexOf(it.Size(), exes), exes
 }
 
 // ranked is one scanned candidate: the executable and the largest score
@@ -180,7 +179,7 @@ func TestCandidatesScratchReuse(t *testing.T) {
 	exes = append(exes,
 		sim.FromProcs("d", []*sim.Proc{{Name: "d0", Set: set(1, 2, 3, 9)}}, it),
 		sim.FromProcs("e", []*sim.Proc{{Name: "e0", Set: set(1, 2, 3)}}, it))
-	grown := candidates(NewFrozenIndex(it.Size(), exes), qa, 1, 0)
+	grown := candidates(indexOf(it.Size(), exes), qa, 1, 0)
 	want := append([]ranked{{Exe: 3, MaxSim: 4}, first[0], {Exe: 4, MaxSim: 3}}, first[1:]...)
 	if first[0] != (ranked{Exe: 0, MaxSim: 3}) || !reflect.DeepEqual(grown, want) {
 		t.Fatalf("rebuilt ranking = %+v, want %+v", grown, want)
@@ -239,29 +238,33 @@ func randCorpus(rng *rand.Rand, nexes int) (*Interner, []*sim.Exe) {
 	return it, exes
 }
 
-// frozenOf seals a session's executables under the frozen vocabulary f
-// both ways: an index built from the rebound executables, and one over
-// foreign slabs holding the same rows as a mapped shard would.
-func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (rebound []*sim.Exe, built, foreign *FrozenIndex) {
+// indexOf builds the index over exes, each procedure's set in slot order.
+func indexOf(bound int, exes []*sim.Exe) *FrozenIndex {
+	counts := make([]int32, len(exes))
+	var sets [][]uint32
+	for i, e := range exes {
+		counts[i] = int32(len(e.Procs))
+		for _, p := range e.Procs {
+			sets = append(sets, p.Set.IDs)
+		}
+	}
+	return NewFrozenIndex(bound, counts, sets)
+}
+
+// frozenOf seals a session's executables under the frozen vocabulary f:
+// the rebound executables and the index built from their sets, whose
+// slabs it checks are exactly sized.
+func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (rebound []*sim.Exe, built *FrozenIndex) {
 	t.Helper()
 	rebound = make([]*sim.Exe, len(live))
-	procCounts := make([]int32, len(live))
 	for i, e := range live {
 		rebound[i] = e.Rebound(f)
-		procCounts[i] = int32(len(e.Procs))
 	}
-	built = NewFrozenIndex(f.Size(), rebound)
-	var rowIDs, rowEnds, posts []uint32
-	for _, r := range built.Rows() {
-		rowIDs = append(rowIDs, r.ID)
-		posts = append(posts, r.Posts...)
-		rowEnds = append(rowEnds, uint32(len(posts)))
+	built = indexOf(f.Size(), rebound)
+	if cap(built.rowIDs) != len(built.rowIDs) || cap(built.rowEnds) != len(built.rowEnds) || cap(built.posts) != len(built.posts) {
+		t.Fatalf("index slabs hold %d/%d/%d entries in %d/%d/%d", len(built.rowIDs), len(built.rowEnds), len(built.posts), cap(built.rowIDs), cap(built.rowEnds), cap(built.posts))
 	}
-	foreign, err := NewFrozenIndexForeign(f, procCounts, rowIDs, rowEnds, posts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rebound, built, foreign
+	return rebound, built
 }
 
 // TestScanVectorsEqualSimAll: what a scan hands the game engine is what
@@ -279,7 +282,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 		rng := rand.New(rand.NewSource(100 + seed))
 		it, live := randCorpus(rng, 2+rng.Intn(10))
 		f := it.Freeze()
-		rebound, built, foreign := frozenOf(t, f, live)
+		rebound, built := frozenOf(t, f, live)
 		bound := it.Size()
 		overlay := func(s strand.Set) strand.Set { return s.Interned(NewQueryInterner(f)) }
 		for _, side := range []struct {
@@ -289,10 +292,9 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 			intern func(strand.Set) strand.Set
 		}{
 			{"built", built, rebound, overlay},
-			{"foreign", foreign, rebound, overlay},
 			// The live image's index: keyed by the session interner, which
 			// keeps growing under the queries analysed after the build.
-			{"live", NewFrozenIndex(bound, live), live, func(s strand.Set) strand.Set { return s.Interned(it) }},
+			{"live", indexOf(bound, live), live, func(s strand.Set) strand.Set { return s.Interned(it) }},
 		} {
 			name, fx, exes := side.name, side.fx, side.exes
 			var scans Scans
@@ -427,7 +429,7 @@ func TestScanEdgeCases(t *testing.T) {
 		sim.FromProcs("none4", nil, it),
 	}
 	f := it.Freeze()
-	rebound, built, foreign := frozenOf(t, f, exes)
+	rebound, built := frozenOf(t, f, exes)
 	q := func(hashes ...uint64) strand.Set { return set(hashes...).Interned(NewQueryInterner(f)) }
 	cases := []struct {
 		name     string
@@ -443,63 +445,35 @@ func TestScanEdgeCases(t *testing.T) {
 		{"one-strand", q(3), 1, nil},
 		{"above-floor", q(2, 3, 4, 1000), 3, nil},
 	}
-	for name, x := range map[string]*FrozenIndex{"built": built, "foreign": foreign} {
-		listed := 0
-		for round := range 3 {
-			for _, c := range cases {
-				var got Scans
-				x.Scan(c.q, c.minScore, 0, c.inScope, &got)
-				want := bruteScan(rebound, c.q, c.minScore, c.inScope)
-				if !slices.Equal(got.Exes, want.Exes) || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vecs, want.Vecs) {
-					t.Fatalf("%s round %d %s: scan %+v, brute force %+v", name, round, c.name, got, want)
-				}
-				listed += len(got.Exes)
-			}
-		}
-		if listed == 0 {
-			t.Fatalf("%s: no query listed a candidate; the comparison is vacuous", name)
-		}
-		counted := 0
+	name, x := "built", built
+	listed := 0
+	for round := range 3 {
 		for _, c := range cases {
-			s := x.accumulate(c.q, c.minScore, 0)
-			nonzero := func(n int32) bool { return n != 0 }
-			if slices.ContainsFunc(s.counts, nonzero) {
-				counted++
+			var got Scans
+			x.Scan(c.q, c.minScore, 0, c.inScope, &got)
+			want := bruteScan(rebound, c.q, c.minScore, c.inScope)
+			if !slices.Equal(got.Exes, want.Exes) || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vecs, want.Vecs) {
+				t.Fatalf("%s round %d %s: scan %+v, brute force %+v", name, round, c.name, got, want)
 			}
-			putScratch(&x.scratch, s)
-			if k := slices.IndexFunc(s.counts, nonzero); k >= 0 {
-				t.Fatalf("%s %s: slot %d keeps count %d after the scratch was returned", name, c.name, k, s.counts[k])
-			}
-		}
-		if counted == 0 {
-			t.Fatalf("%s: no query counted anything; the all-zero check is vacuous", name)
+			listed += len(got.Exes)
 		}
 	}
-}
-
-// TestForeignIndexRejects: slabs from outside the program are checked
-// before a scan indexes by them. A slot at or past the procedure total,
-// a negative procedure count and counts whose sum overflows the slot
-// space are rejected; the last slot is accepted.
-func TestForeignIndexRejects(t *testing.T) {
-	it := NewInterner()
-	it.Intern(7)
-	f := it.Freeze()
-	for _, c := range []struct {
-		name   string
-		counts []int32
-		slot   uint32
-		ok     bool
-	}{
-		{"last slot", []int32{2, 0, 1}, 2, true},
-		{"slot at the total", []int32{2, 0, 1}, 3, false},
-		{"slot 0xFFFFFFFF", []int32{2, 0, 1}, math.MaxUint32, false},
-		{"negative count", []int32{2, -1, 1}, 0, false},
-		{"counts past the slot space", []int32{math.MaxInt32, 1}, 0, false},
-	} {
-		_, err := NewFrozenIndexForeign(f, c.counts, []uint32{0}, []uint32{1}, []uint32{c.slot})
-		if (err == nil) != c.ok {
-			t.Errorf("%s: err = %v, want accepted %v", c.name, err, c.ok)
+	if listed == 0 {
+		t.Fatalf("%s: no query listed a candidate; the comparison is vacuous", name)
+	}
+	counted := 0
+	for _, c := range cases {
+		s := x.accumulate(c.q, c.minScore, 0)
+		nonzero := func(n int32) bool { return n != 0 }
+		if slices.ContainsFunc(s.counts, nonzero) {
+			counted++
 		}
+		putScratch(&x.scratch, s)
+		if k := slices.IndexFunc(s.counts, nonzero); k >= 0 {
+			t.Fatalf("%s %s: slot %d keeps count %d after the scratch was returned", name, c.name, k, s.counts[k])
+		}
+	}
+	if counted == 0 {
+		t.Fatalf("%s: no query counted anything; the all-zero check is vacuous", name)
 	}
 }

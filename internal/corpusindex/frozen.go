@@ -3,7 +3,6 @@ package corpusindex
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -256,17 +255,17 @@ func (q *QueryInterner) AppendHashes(dst []uint64, ids []uint32) []uint64 {
 // FrozenIndex is the corpus-level inverted index — dense strand ID →
 // procedure-slot postings, flattened into one sparse CSR slab —
 // and the only index type there is: built once over the executables of a
-// sealed group, never changed afterwards. It
-// holds no lock and supports no mutation, so unlimited concurrent readers
-// share it freely. The only shared structure the query path touches is a
-// sync.Pool of scratch accumulators, which is race-safe by construction
-// and carries no corpus state between queries.
+// sealed group, never changed afterwards, and never persisted: a shard
+// stores each procedure's strand set once, and the index is derived from
+// those sets. It holds no lock and supports no mutation, so unlimited
+// concurrent readers share it freely. The only shared structure the query
+// path touches is a sync.Pool of scratch accumulators, which is race-safe
+// by construction and carries no corpus state between queries.
 type FrozenIndex struct {
 	nexes int
 	// rowIDs are the non-empty rows' strand IDs ascending; row i's
 	// postings, procedure slots, are posts[rowEnds[i-1]:rowEnds[i]]
-	// (rowEnds[-1] taken as 0). The three slabs are the index's own
-	// (NewFrozenIndex) or alias a mapped shard (NewFrozenIndexForeign).
+	// (rowEnds[-1] taken as 0).
 	rowIDs  []uint32
 	rowEnds []uint32
 	posts   []uint32
@@ -278,21 +277,33 @@ type FrozenIndex struct {
 	scratch sync.Pool
 }
 
-// NewFrozenIndex builds an index over executables whose strand IDs were
-// all assigned by one interner and lie below bound — the frozen
-// vocabulary's size for a sealed group: a counting pass per strand ID,
-// then postings filled in slot order.
-func NewFrozenIndex(bound int, exes []*sim.Exe) *FrozenIndex {
-	x := &FrozenIndex{nexes: len(exes), procOff: make([]int32, len(exes)+1)}
+// NewFrozenIndex builds the index over executables given as each one's
+// procedure count and then every procedure's strand-ID set in slot
+// order, executable by executable: sets holds exactly the counts' sum.
+// The sets are strictly increasing, with IDs all assigned by one interner
+// and below bound — the frozen vocabulary's size for a sealed group. A
+// counting pass per strand ID sizes every slab exactly, then the postings
+// are filled in slot order. The index keeps none of the sets, so they may
+// alias memory that is released later.
+func NewFrozenIndex(bound int, procCounts []int32, sets [][]uint32) *FrozenIndex {
+	x := &FrozenIndex{nexes: len(procCounts), procOff: make([]int32, len(procCounts)+1)}
+	for i, n := range procCounts {
+		x.procOff[i+1] = x.procOff[i] + n
+	}
+	if int(x.procOff[x.nexes]) != len(sets) {
+		panic(fmt.Sprintf("corpusindex: %d procedure sets for %d procedures", len(sets), x.procOff[x.nexes]))
+	}
 	next := make([]uint32, bound+1) // next[id+1] counts, then row cursors
-	for i, e := range exes {
-		x.procOff[i+1] = x.procOff[i] + int32(len(e.Procs))
-		for _, p := range e.Procs {
-			for _, id := range p.Set.IDs {
-				next[id+1]++
+	rows := 0
+	for _, ids := range sets {
+		for _, id := range ids {
+			if next[id+1] == 0 {
+				rows++
 			}
+			next[id+1]++
 		}
 	}
+	x.rowIDs, x.rowEnds = make([]uint32, 0, rows), make([]uint32, 0, rows)
 	for id := 0; id < bound; id++ {
 		if next[id+1] > 0 {
 			x.rowIDs = append(x.rowIDs, uint32(id))
@@ -301,80 +312,13 @@ func NewFrozenIndex(bound int, exes []*sim.Exe) *FrozenIndex {
 		next[id+1] += next[id]
 	}
 	x.posts = make([]uint32, next[bound])
-	slot := uint32(0)
-	for _, e := range exes {
-		for _, p := range e.Procs {
-			for _, id := range p.Set.IDs {
-				x.posts[next[id]] = slot
-				next[id]++
-			}
-			slot++
+	for slot, ids := range sets {
+		for _, id := range ids {
+			x.posts[next[id]] = uint32(slot)
+			next[id]++
 		}
 	}
 	return x
-}
-
-// NewFrozenIndexForeign builds a sealed index directly over foreign CSR
-// slabs — the row-ID, row-end and posting sections of a mapped shard —
-// without copying them. The executables themselves need not exist yet:
-// procCounts stands in for them, so a shard's index is queryable before
-// (and without) any executable materialization. The slabs must stay
-// valid and unmodified for the index's lifetime.
-//
-// Validation: procedure counts that sum to at most MaxInt32, strictly
-// increasing in-vocabulary row IDs, nondecreasing row ends terminating at
-// len(posts), and every posting a slot below the procedure total.
-func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uint32, posts []uint32) (*FrozenIndex, error) {
-	x := &FrozenIndex{nexes: len(procCounts), rowIDs: rowIDs, rowEnds: rowEnds, posts: posts}
-	x.procOff = make([]int32, len(procCounts)+1)
-	for i, n := range procCounts {
-		if n < 0 || x.procOff[i] > math.MaxInt32-n {
-			return nil, fmt.Errorf("corpusindex: foreign index executable %d declares %d procedures after %d", i, n, x.procOff[i])
-		}
-		x.procOff[i+1] = x.procOff[i] + n
-	}
-	if len(rowIDs) != len(rowEnds) {
-		return nil, fmt.Errorf("corpusindex: foreign index holds %d row IDs but %d row ends", len(rowIDs), len(rowEnds))
-	}
-	prevEnd := uint32(0)
-	for i, id := range rowIDs {
-		if i > 0 && id <= rowIDs[i-1] {
-			return nil, fmt.Errorf("corpusindex: foreign index rows not strictly increasing at row %d", i)
-		}
-		if int(id) >= len(it.vocab) {
-			return nil, fmt.Errorf("corpusindex: foreign index row ID %d outside the %d-entry vocabulary", id, len(it.vocab))
-		}
-		end := rowEnds[i]
-		if end < prevEnd || uint64(end) > uint64(len(posts)) {
-			return nil, fmt.Errorf("corpusindex: foreign index row %d ends at posting %d (previous %d, slab %d)", i, end, prevEnd, len(posts))
-		}
-		prevEnd = end
-	}
-	if int(prevEnd) != len(posts) {
-		return nil, fmt.Errorf("corpusindex: foreign index rows cover %d of %d postings", prevEnd, len(posts))
-	}
-	total := uint32(x.procOff[x.nexes])
-	for pi, s := range posts {
-		if s >= total {
-			return nil, fmt.Errorf("corpusindex: foreign index posting %d references procedure slot %d of %d", pi, s, total)
-		}
-	}
-	return x, nil
-}
-
-// Rows returns the index's non-empty posting rows ordered by strictly
-// increasing dense strand ID — the serialized form a sealed-corpus
-// artifact persists. Slot slices alias the index's slab; callers must
-// treat them as read-only.
-func (x *FrozenIndex) Rows() []Row {
-	out := make([]Row, len(x.rowIDs))
-	lo := uint32(0)
-	for i, id := range x.rowIDs {
-		hi := x.rowEnds[i]
-		out[i] = Row{ID: id, Posts: x.posts[lo:hi]}
-		lo = hi
-	}
-	return out
 }
 
 // Scans collects the results of one search pass's posting scans: the

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +18,6 @@ import (
 	"firmup"
 	"firmup/internal/corpus"
 	"firmup/internal/serve"
-	"firmup/internal/snapshot"
 	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
@@ -450,13 +450,15 @@ func TestServeFindingsFileSchema(t *testing.T) {
 	}
 }
 
-// TestServePanickingShardIs500 damages a shard under a running server —
-// its posting slab is overwritten in place after the first search has
-// verified every section, so the next scan of that group indexes out of
-// range — and checks that the poisoned request is a 500 naming the
-// shard, with its trace ID, and that the process and the server carry
-// on. That the search's worker count does not matter is the facade's
-// TestSearchPanickingShard.
+// TestServePanickingShardIs500 truncates shard 0 under a running server
+// after a first search, keeping only the pages its vocabulary lies in, so
+// that query analysis still reads the vocabulary while the next search
+// faults reading the strand sets of the executables it materialized. The
+// poisoned request must be a 500 naming the recovered panic and the
+// shard, with its trace ID; /corpus then reports shard 0 corrupt, and
+// only it; and the process and the server carry on. That the search's
+// worker count does not matter is the facade's
+// TestTruncatedShardDegradesSearch.
 func TestServePanickingShardIs500(t *testing.T) {
 	sc, query := buildScenario(t)
 	dir := t.TempDir()
@@ -470,7 +472,7 @@ func TestServePanickingShardIs500(t *testing.T) {
 	}
 	defer sharded.Close()
 	if !sharded.Shards()[0].Mapped {
-		t.Skip("shards are read into memory here: a write to the file does not reach the open corpus")
+		t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
 	}
 	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1})
 	ts := httptest.NewServer(srv.Handler())
@@ -480,37 +482,25 @@ func TestServePanickingShardIs500(t *testing.T) {
 		t.Fatalf("status %d before the damage: %s", resp.StatusCode, blob)
 	}
 
-	// Find shard 0's slot slab in its file by content and fill it with
-	// 0xFFFFFFFF, a procedure slot no shard holds.
-	shard, err := snapshot.OpenCorpusShardFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	slabs, err := shard.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slab []byte
-	for _, s := range slabs.Posts {
-		slab = binary.LittleEndian.AppendUint32(slab, s)
-	}
-	shard.Close()
+	// Cut shard 0 at the first page boundary past its sorted vocabulary
+	// (tag 18); its strand IDs (tag 22) must lie wholly beyond the cut.
 	file, err := os.ReadFile(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := bytes.Index(file, slab)
-	if len(slab) == 0 || off < 0 {
-		t.Fatalf("posting slab (%d bytes) not found in %s", len(slab), paths[0])
+	sections := map[uint32][2]uint64{}
+	le := binary.LittleEndian
+	for k := range int(le.Uint32(file[12:])) {
+		row := file[16+24*k:]
+		sections[le.Uint32(row)] = [2]uint64{le.Uint64(row[4:]), le.Uint64(row[12:])}
 	}
-	f, err := os.OpenFile(paths[0], os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+	page := uint64(os.Getpagesize())
+	sorted, ids := sections[18], sections[22]
+	cut := (sorted[0] + sorted[1] + page - 1) / page * page
+	if ids[1] == 0 || ids[0] < cut {
+		t.Fatalf("shard 0's strand IDs [%d, +%d) start before the cut at %d", ids[0], ids[1], cut)
 	}
-	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, len(slab)), int64(off)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.Truncate(paths[0], int64(cut)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -524,6 +514,10 @@ func TestServePanickingShardIs500(t *testing.T) {
 	if resp.Header.Get(serve.TraceHeader) == "" {
 		t.Error("500 carries no trace ID")
 	}
+	info := getCorpus(t, ts.URL)
+	if len(info.Shards) != 2 || !strings.Contains(info.Shards[0].Corrupt, "shard-0000.fwcorp") || info.Shards[1].Corrupt != "" {
+		t.Errorf("/corpus after the damage reports shards %+v, want shard 0 alone corrupt", info.Shards)
+	}
 	// Still serving: a per-image search passes over only the shards that
 	// store the image's executables, and the last image's are all in the
 	// undamaged one.
@@ -531,4 +525,19 @@ func TestServePanickingShardIs500(t *testing.T) {
 	if resp, blob := postSearch(t, fmt.Sprintf("%s/search?proc=ftp_retrieve_glob&image=%d", ts.URL, last), query); resp.StatusCode != http.StatusOK {
 		t.Errorf("status %d for an image of the undamaged shard: %s", resp.StatusCode, blob)
 	}
+}
+
+// getCorpus fetches and decodes /corpus.
+func getCorpus(t *testing.T, url string) serve.CorpusInfo {
+	t.Helper()
+	resp, err := http.Get(url + "/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info serve.CorpusInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	return info
 }

@@ -11,21 +11,18 @@ const corpusMagic = "FWCORP\r\n"
 
 // Corpus is the serialized form of one shard of a sealed corpus: the
 // frozen vocabulary, the shard's range of the corpus's distinct
-// executables, one inverted index over those, and the shard's images as
-// lists of occurrences. It is a plain data model; the firmup layer
-// converts to and from sealed session state.
+// executables, and the shard's images as lists of occurrences. It is a
+// plain data model; the firmup layer converts to and from sealed session
+// state.
 type Corpus struct {
 	// Interner is the frozen vocabulary ordered by dense ID. Every
-	// Proc.IDs and IndexRow.ID indexes into it. Only shard 0 stores it.
+	// Proc.IDs indexes into it. Only shard 0 stores it.
 	Interner []uint64
 	// Exes are the distinct executables with corpus-wide IDs
 	// [ShardHeader.ExeBase, ShardHeader.ExeBase+len(Exes)). An executable
 	// has no path of its own here (Exe.Path is not persisted): the same
 	// bytes ship under different paths in different images.
-	Exes []Exe
-	// Index holds the inverted-index rows over Exes: non-nil, empty for
-	// a corpus without strands. Every shard carries its index.
-	Index  []IndexRow
+	Exes   []Exe
 	Images []CorpusImage
 }
 
@@ -58,12 +55,6 @@ func validateCorpus(c *Corpus, totalExes int) error {
 		return fmt.Errorf("snapshot: encode: %d executables exceed the 32-bit table space", len(c.Exes))
 	}
 	if err := validateExes(len(c.Interner), c.Exes); err != nil {
-		return err
-	}
-	if c.Index == nil {
-		return fmt.Errorf("snapshot: encode: corpus has no index (Corpus.Index is nil)")
-	}
-	if err := validateIndex(len(c.Interner), c.Exes, c.Index); err != nil {
 		return err
 	}
 	noccs := 0
@@ -99,27 +90,6 @@ func validateExes(vocab int, exes []Exe) error {
 			}
 			if p.BlockCount < 0 || p.EdgeCount < 0 || p.InstCount < 0 {
 				return fmt.Errorf("snapshot: encode: exe %d proc %d: negative shape counts", ei, pi)
-			}
-		}
-	}
-	return nil
-}
-
-func validateIndex(vocab int, exes []Exe, rows []IndexRow) error {
-	procs := 0
-	for _, e := range exes {
-		procs += len(e.Procs)
-	}
-	for ri, r := range rows {
-		if ri > 0 && r.ID <= rows[ri-1].ID {
-			return fmt.Errorf("snapshot: encode: index rows not strictly increasing at row %d", ri)
-		}
-		if int(r.ID) >= vocab {
-			return fmt.Errorf("snapshot: encode: index row %d: strand ID %d outside vocabulary", ri, r.ID)
-		}
-		for _, s := range r.Posts {
-			if int(s) >= procs {
-				return fmt.Errorf("snapshot: encode: index row %d: procedure slot %d of %d", ri, s, procs)
 			}
 		}
 	}

@@ -1,12 +1,12 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
-
-	"firmup/internal/corpusindex"
 )
 
 // testCorpus is a small but fully featured sealed-corpus shard: one
@@ -36,11 +36,6 @@ func testCorpus() *Corpus {
 					{Name: "main", Addr: 0x10000, IDs: []uint32{2}, BlockCount: 1, InstCount: 3},
 				},
 			},
-		},
-		Index: []IndexRow{
-			{ID: 0, Posts: []uint32{0}},
-			{ID: 2, Posts: []uint32{0, 2}},
-			{ID: 3, Posts: []uint32{1}},
 		},
 		Images: []CorpusImage{
 			{
@@ -77,23 +72,31 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCorpusRoundTripEmptyIndex: a corpus whose procedures hold no
+// strands round-trips, and the sets its index is derived from are every
+// procedure's, each empty: an index of no rows.
 func TestCorpusRoundTripEmptyIndex(t *testing.T) {
-	// An empty index ("indexed, nothing qualified") round-trips; "never
-	// indexed" is not a state a shard can be in: the encoder refuses a nil
-	// index.
 	c := testCorpus()
-	c.Index = []IndexRow{}
-	if got := roundTripCorpus(t, c); got.Index == nil || len(got.Index) != 0 {
-		t.Errorf("empty index decoded as %v", got.Index)
+	for _, e := range c.Exes {
+		for pi := range e.Procs {
+			e.Procs[pi].IDs = nil
+		}
 	}
-	c.Index = nil
-	if _, err := encodeCorpusShard(c, soleShard(c)); err == nil {
-		t.Error("a corpus without an index encoded successfully")
+	if got := roundTripCorpus(t, c); !reflect.DeepEqual(got, c) {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, c)
+	}
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, soleShard(c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, sets, err := s.ProcSets()
+	if err != nil || !slices.Equal(counts, []int32{2, 1}) || len(sets) != 3 || slices.ContainsFunc(sets, func(ids []uint32) bool { return len(ids) > 0 }) {
+		t.Errorf("ProcSets of a corpus without strands: %v %v, %v", counts, sets, err)
 	}
 }
 
 func TestCorpusRoundTripEmpty(t *testing.T) {
-	got := roundTripCorpus(t, &Corpus{Index: []IndexRow{}})
+	got := roundTripCorpus(t, &Corpus{})
 	if len(got.Interner) != 0 || len(got.Exes) != 0 || len(got.Images) != 0 {
 		t.Errorf("empty corpus round trip: %+v", got)
 	}
@@ -103,7 +106,6 @@ func TestCorpusEncodeRejectsInvalid(t *testing.T) {
 	hdr := ShardHeader{ShardCount: 1, TotalImages: 2, TotalExes: 2}
 	for name, damage := range map[string]func(*Corpus){
 		"out-of-vocabulary strand ID": func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
-		"out-of-range index posting":  func(c *Corpus) { c.Index[0].Posts[0] = 3 },
 		"out-of-range occurrence":     func(c *Corpus) { c.Images[0].Occs[0].Exe = 2 },
 		"negative occurrence":         func(c *Corpus) { c.Images[0].Occs[0].Exe = -1 },
 	} {
@@ -188,29 +190,53 @@ func TestCorpusOccurrenceTableHardening(t *testing.T) {
 	}
 }
 
-// TestCorpusIndexSlotHardening: a posting slot at or past the shard's
-// procedure total passes the shard's own checks — slots are the index's
-// to check, in one pass at its build — and the index built over the
-// shard's slabs rejects it, naming the slot.
-func TestCorpusIndexSlotHardening(t *testing.T) {
-	for _, name := range indexFaults {
+// TestCorpusProcSetsHardening: a strand ID outside the vocabulary, in
+// the sets of the last executable, passes the opener and every read but
+// those of that executable's sets — materializing it, and the walk over
+// every set the shard's index is derived from — which both reject it,
+// naming corpus-ids.
+func TestCorpusProcSetsHardening(t *testing.T) {
+	for _, name := range idsFaults {
 		s, err := OpenCorpusShardBytes(faultyShard(t, name))
-		if err == nil {
-			err = touchShard(s)
-		}
 		if err != nil {
-			t.Fatalf("%s: the shard rejects what its index should: %v", name, err)
+			t.Fatalf("%s: the opener rejects what only the sets' readers should: %v", name, err)
 		}
-		vocab, _ := s.Vocab()
-		hashes, ids, _ := s.SortedVocab()
-		frozen, err := corpusindex.FrozenFromSlabs(vocab, hashes, ids)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := s.Exe(0); err != nil {
+			t.Fatalf("%s: an undamaged executable: %v", name, err)
 		}
-		counts, _ := s.ProcCounts()
-		slabs, _ := s.Index()
-		if _, err := corpusindex.NewFrozenIndexForeign(frozen, counts, slabs.RowIDs, slabs.RowEnds, slabs.Posts); err == nil || !strings.Contains(err.Error(), "slot") {
-			t.Errorf("%s: index over the shard: err = %v, want the slot named", name, err)
+		_, err = s.Exe(s.NumExes() - 1)
+		_, _, setsErr := s.ProcSets()
+		for what, err := range map[string]error{"Exe": err, "ProcSets": setsErr} {
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Section != "corpus-ids" || !strings.Contains(ce.Reason, "outside") {
+				t.Errorf("%s: %s: err = %v, want ErrCorrupt naming corpus-ids", name, what, err)
+			}
 		}
+	}
+}
+
+// TestCorpusProcSetsBounded: executables whose procedure ranges overlap
+// each pass materialization, but together declare more procedures than
+// the table holds, which the walk the index is derived from rejects: the
+// index a shard yields is bounded by the shard's bytes.
+func TestCorpusProcSetsBounded(t *testing.T) {
+	c := testCorpus()
+	blob := mustEncodeShard(t, c, soleShard(c))
+	// Executable 1 claims procedures [0, 3), all three of the table, and
+	// every slab from its start, as executable 0's record does.
+	patchSection(t, blob, secV2ExeTab, func(b []byte) {
+		copy(b[v2ExeRecSize:], b[:v2ExeRecSize])
+		binary.LittleEndian.PutUint32(b[v2ExeRecSize+4:], 3)
+	})
+	s, err := OpenCorpusShardBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exe(1); err != nil {
+		t.Fatalf("the overlapping executable on its own: %v", err)
+	}
+	var ce *CorruptError
+	if _, _, err := s.ProcSets(); !errors.As(err, &ce) || ce.Section != "corpus-exe-table" {
+		t.Errorf("ProcSets over overlapping executables: err = %v, want ErrCorrupt naming corpus-exe-table", err)
 	}
 }

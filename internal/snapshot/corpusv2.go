@@ -13,12 +13,11 @@ import (
 // The FWCORP shard container is the one persisted form of a sealed
 // corpus. It optimizes for retrieval: every bulk payload is a
 // fixed-width little-endian slab in a 64-byte-aligned section, so a
-// mapped shard is queryable without a decode pass — the executable,
-// occurrence and procedure tables, the strand-ID / marker / call slabs,
-// and the CSR inverted index (row IDs, row ends, postings) are all usable
-// directly from the mapped bytes. Integrity is checked on first touch:
-// only the small meta section is CRC-verified at open; every other
-// section is verified once, the first time an accessor needs it, so
+// mapped shard is usable without a decode pass — the executable,
+// occurrence and procedure tables and the strand-ID / marker / call slabs
+// are all read directly from the mapped bytes. Integrity is checked on
+// first touch: only the small meta section is CRC-verified at open; every
+// other section is verified once, the first time an accessor needs it, so
 // opening a multi-gigabyte shard costs O(pages touched), not O(bytes).
 //
 // A file is one SHARD of a sealed corpus. The same executable ships in
@@ -26,21 +25,21 @@ import (
 // two are the same when everything but their path is equal — under a
 // corpus-wide executable ID, and an image is a list of occurrences (path,
 // executable ID). A shard holds a contiguous range of the images and,
-// independently, a contiguous range of the executable IDs, with one
-// inverted index over its own executables; its images may name
-// executables any shard stores. The vocabulary is stored once, in shard
-// 0; every other shard records its checksum. The shard header (inside
-// the meta section) records the position — shard index/count, first
-// image and image total, first executable ID and executable total — so a
-// directory of shards can be validated as one coherent corpus at open.
+// independently, a contiguous range of the executable IDs; its images may
+// name executables any shard stores. The vocabulary is stored once, in
+// shard 0; every other shard records its checksum. The shard header
+// (inside the meta section) records the position — shard index/count,
+// first image and image total, first executable ID and executable total —
+// so a directory of shards can be validated as one coherent corpus at
+// open.
 //
 // Layout:
 //
-//	magic "FWCORP\r\n" | version=6 (u32) | section count (u32)
+//	magic "FWCORP\r\n" | version=8 (u32) | section count (u32)
 //	section table: tag (u32) | offset (u64) | length (u64) | CRC32-C (u32)
 //	64-byte-aligned section payloads (zero padding between)
 //
-// Sections (all twelve always present; bulk ones may be empty):
+// Sections (all ten always present; bulk ones may be empty):
 //
 //	corpus-meta         varint: shard header, slab totals, vocabulary CRC, per-image identity
 //	corpus-vocab        vocabLen x u64        dense ID -> strand hash (shard 0; empty elsewhere)
@@ -52,24 +51,24 @@ import (
 //	corpus-markers      markersLen x u32
 //	corpus-calls        callsLen x u32
 //	corpus-occurrences  totalOccs x 12 B      image by image: path, corpus-wide executable ID
-//	corpus-index-rows   rows x u32 row IDs, then rows x u32 row ends
-//	corpus-index-posts  posts x u32           procedure slot
 //
-// A posting is one procedure slot, the cell a posting scan counts in: the
-// shard's procedures numbered executable by executable in table order,
-// the order of corpus-proc-table. The index built over the slabs checks
-// every slot is below the shard's procedure total.
+// A shard stores no inverted index: each procedure's strand set is
+// stored once, in corpus-ids, and the index a search scans is derived
+// from those sets (ProcSets) the first time the shard is searched.
 
 // CorpusFormatVersion is the shard layout version — the only one this
 // package writes or opens. Versions 1 to 5 were earlier layouts (a
 // monolithic stream, per-image indexes, a signature section, each shard
 // storing its own images' executables and a copy of the vocabulary,
-// postings as (executable, procedure) pairs). Version 6 is this layout
-// over strands canonicalized with stack-frame offsets kept as literals:
-// every strand hash has moved since, so its vocabulary would answer
-// wrongly. A file carrying any other version fails to open with a
+// postings as (executable, procedure) pairs). Version 6 held version
+// 7's sections over strands canonicalized with stack-frame offsets kept
+// as literals: every strand hash has moved since, so its vocabulary
+// would answer wrongly. Version 7 was this layout plus two sections
+// holding the inverted index (corpus-index-rows and corpus-index-posts),
+// each posting a second copy of one procedure's membership in
+// corpus-ids. A file carrying any other version fails to open with a
 // pointer to re-sealing.
-const CorpusFormatVersion = 7
+const CorpusFormatVersion = 8
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
@@ -90,8 +89,6 @@ const (
 	secV2Markers     = 23
 	secV2Calls       = 24
 	secV2Occs        = 25
-	secV2IdxRows     = 26
-	secV2IdxPosts    = 27
 )
 
 // Fixed record sizes.
@@ -129,17 +126,13 @@ func v2SectionName(tag uint32) string {
 		return "corpus-calls"
 	case secV2Occs:
 		return "corpus-occurrences"
-	case secV2IdxRows:
-		return "corpus-index-rows"
-	case secV2IdxPosts:
-		return "corpus-index-posts"
 	}
 	return fmt.Sprintf("unknown(%d)", tag)
 }
 
 // v2NumSections is the section count of a shard: the contiguous tag
-// range [secV2Meta, secV2IdxPosts], every one required exactly once.
-const v2NumSections = secV2IdxPosts - secV2Meta + 1
+// range [secV2Meta, secV2Occs], every one required exactly once.
+const v2NumSections = secV2Occs - secV2Meta + 1
 
 // ShardHeader locates one shard inside a sharded sealed corpus.
 type ShardHeader struct {
@@ -316,21 +309,6 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	}
 	nOccs := uint64(len(occTab) / v2OccRecSize)
 
-	// The shard's one CSR index: row IDs, cumulative row ends, postings.
-	var rowIDsB, rowEndsB, postsB []byte
-	nPosts := uint64(0)
-	for _, row := range c.Index {
-		rowIDsB = le.AppendUint32(rowIDsB, row.ID)
-		nPosts += uint64(len(row.Posts))
-		if nPosts > math.MaxUint32 {
-			return nil, fmt.Errorf("snapshot: encode: shard posting count exceeds 32 bits")
-		}
-		rowEndsB = le.AppendUint32(rowEndsB, uint32(nPosts))
-		for _, s := range row.Posts {
-			postsB = le.AppendUint32(postsB, s)
-		}
-	}
-
 	// Meta: shard header, slab totals (the open-time structural
 	// cross-check against section lengths), per-image identity.
 	var meta []byte
@@ -348,8 +326,6 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	meta = appendUvarint(meta, nIDs)
 	meta = appendUvarint(meta, nMarkers)
 	meta = appendUvarint(meta, nCalls)
-	meta = appendUvarint(meta, uint64(len(c.Index)))
-	meta = appendUvarint(meta, nPosts)
 	meta = appendUvarint(meta, uint64(v.crc))
 	meta = appendUvarint(meta, uint64(len(c.Images)))
 	for i := range c.Images {
@@ -384,8 +360,6 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		{secV2Markers, markB},
 		{secV2Calls, callB},
 		{secV2Occs, occTab},
-		{secV2IdxRows, append(rowIDsB, rowEndsB...)},
-		{secV2IdxPosts, postsB},
 	}
 
 	offs := make([]uint64, len(sections))
@@ -416,7 +390,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 }
 
 // parseCorpusV2Table validates the shard header and section table:
-// magic, version, exactly the twelve sections present exactly once,
+// magic, version, exactly the ten sections present exactly once,
 // every declared range inside the input and 64-byte aligned. Checksums
 // are NOT verified here — that is per-section, on first touch.
 func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
@@ -447,7 +421,7 @@ func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
 			length: binary.LittleEndian.Uint64(row[12:]),
 			crc:    binary.LittleEndian.Uint32(row[20:]),
 		}
-		if e.tag < secV2Meta || e.tag > secV2IdxPosts {
+		if e.tag < secV2Meta || e.tag > secV2Occs {
 			return nil, corrupt("table", "unknown section tag %d", e.tag)
 		}
 		name := v2SectionName(e.tag)
@@ -502,7 +476,7 @@ type v2Image struct {
 // v2Totals are the slab element counts declared by the meta section and
 // cross-checked against section byte lengths at open.
 type v2Totals struct {
-	vocab, strs, exes, occs, procs, ids, markers, calls, rows, posts uint64
+	vocab, strs, exes, occs, procs, ids, markers, calls uint64
 }
 
 // ImageInfo describes one image of an open shard without materializing
@@ -537,18 +511,6 @@ type ProcData struct {
 	InstCount  int
 }
 
-// IndexSlabs is the shard's inverted index viewed directly over the
-// mapped file: RowIDs[i] is the i-th indexed strand ID, its postings —
-// procedure slots — are Posts[RowEnds[i-1]:RowEnds[i]] (RowEnds[-1]
-// taken as 0). All three slices alias the mapping; semantic validation
-// (monotone rows, slots below the procedure total) is the consumer's,
-// structural bounds are checked here.
-type IndexSlabs struct {
-	RowIDs  []uint32
-	RowEnds []uint32
-	Posts   []uint32
-}
-
 // CorpusShard is one open shard. All accessors are safe for
 // concurrent use; slices they return alias the underlying mapping and
 // are invalid after Close.
@@ -571,18 +533,12 @@ type CorpusShard struct {
 	idsSlabL  lazySlab[[]uint32]
 	markSlabL lazySlab[[]uint32]
 	callSlabL lazySlab[[]uint32]
-	rowsL     lazySlab[rowSlabs]
-	postsL    lazySlab[[]uint32]
 	occsL     lazySlab[[]Occurrence]
 }
 
 type sortedVocab struct {
 	hashes []uint64
 	ids    []uint32
-}
-
-type rowSlabs struct {
-	ids, ends []uint32
 }
 
 // OpenCorpusShardBytes opens a shard over caller-provided bytes
@@ -728,8 +684,6 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 		{&t.ids, "strand ID count", v2MaxSlabElems},
 		{&t.markers, "marker count", v2MaxSlabElems},
 		{&t.calls, "call count", v2MaxSlabElems},
-		{&t.rows, "index row count", v2MaxSlabElems},
-		{&t.posts, "posting count", v2MaxSlabElems},
 	} {
 		if *f.dst, err = read(f.what, f.max); err != nil {
 			return err
@@ -824,8 +778,6 @@ func (s *CorpusShard) checkLengths() error {
 		{secV2Markers, t.markers * 4},
 		{secV2Calls, t.calls * 4},
 		{secV2Occs, t.occs * v2OccRecSize},
-		{secV2IdxRows, t.rows * 8},
-		{secV2IdxPosts, t.posts * 4},
 	} {
 		if got := s.secs[c.tag-secV2Meta].entry.length; got != c.want {
 			return corrupt(v2SectionName(c.tag), "section holds %d bytes, meta requires %d", got, c.want)
@@ -938,44 +890,86 @@ func (s *CorpusShard) callSlab() ([]uint32, error) {
 	})
 }
 
-func (s *CorpusShard) rowSlabsGet() (rowSlabs, error) {
-	return s.rowsL.get(func() (rowSlabs, error) {
-		b, err := s.section(secV2IdxRows)
-		if err != nil {
-			return rowSlabs{}, err
-		}
-		split := int(s.totals.rows * 4)
-		return rowSlabs{ids: castU32(b[:split]), ends: castU32(b[split:])}, nil
-	})
-}
-
-func (s *CorpusShard) postsSlab() ([]uint32, error) {
-	return s.postsL.get(func() ([]uint32, error) {
-		b, err := s.section(secV2IdxPosts)
-		if err != nil {
-			return nil, err
-		}
-		return castU32(b), nil
-	})
-}
-
-// ProcCounts returns the procedure count of every distinct executable
-// from the executable table alone — what a foreign index needs to
-// validate postings without materializing any executable.
-func (s *CorpusShard) ProcCounts() ([]int32, error) {
+// ProcSets returns what a group derives its index from on its first
+// search: the procedure count of every distinct executable, and every
+// procedure's strand-ID set in slot order — executable by executable, in
+// table order. It walks the executable table, the procedure table and
+// corpus-ids once, with Exe's checks on the IDs (every range inside the
+// slab, IDs strictly increasing and below the vocabulary size), and
+// decodes no names; the sets alias the mapping. The executables together
+// may declare no more procedures than the procedure table holds, nor
+// their sets more IDs than the slab, so the index built over them is
+// bounded by the shard's bytes.
+func (s *CorpusShard) ProcSets() (procCounts []int32, sets [][]uint32, err error) {
 	exeTab, err := s.section(secV2ExeTab)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]int32, s.totals.exes)
-	for i := range out {
-		n := binary.LittleEndian.Uint32(exeTab[i*v2ExeRecSize+4:])
-		if n > math.MaxInt32 {
-			return nil, corrupt("corpus-exe-table", "executable %d declares %d procedures", i, n)
+	procTab, err := s.section(secV2ProcTab)
+	if err != nil {
+		return nil, nil, err
+	}
+	ids, err := s.idsSlab()
+	if err != nil {
+		return nil, nil, err
+	}
+	le := binary.LittleEndian
+	procCounts = make([]int32, s.totals.exes)
+	sets = make([][]uint32, 0, s.totals.procs)
+	maxProcs, nIDs := min(s.totals.procs, math.MaxInt32), uint64(0)
+	for gi := range procCounts {
+		rec := exeTab[gi*v2ExeRecSize:][:v2ExeRecSize]
+		procStart, procCount, err := s.procRange(gi, rec)
+		if err != nil {
+			return nil, nil, err
 		}
-		out[i] = int32(n)
+		if uint64(len(sets))+uint64(procCount) > maxProcs {
+			return nil, nil, corrupt("corpus-exe-table", "executables up to %d declare %d procedures, the table holds %d", gi, uint64(len(sets))+uint64(procCount), maxProcs)
+		}
+		idOff := le.Uint64(rec[8:])
+		for pi := range int(procCount) {
+			nid := le.Uint32(procTab[(int(procStart)+pi)*v2ProcRecSize+16:])
+			set, err := s.procIDs(ids, idOff, nid, int(procStart)+pi)
+			if err != nil {
+				return nil, nil, err
+			}
+			if nIDs += uint64(nid); nIDs > uint64(len(ids)) {
+				return nil, nil, corrupt("corpus-ids", "procedures up to %d declare %d strand IDs, the slab holds %d", int(procStart)+pi, nIDs, len(ids))
+			}
+			sets = append(sets, set)
+			idOff += uint64(nid)
+		}
+		procCounts[gi] = int32(procCount)
 	}
-	return out, nil
+	return procCounts, sets, nil
+}
+
+// procRange returns the procedure range the record of executable gi
+// declares, checked against the procedure table.
+func (s *CorpusShard) procRange(gi int, rec []byte) (start, count uint32, err error) {
+	start, count = binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:])
+	if uint64(start)+uint64(count) > s.totals.procs {
+		return 0, 0, corrupt("corpus-exe-table", "executable %d procedures [%d, %d+%d) exceed the %d-entry table", gi, start, start, count, s.totals.procs)
+	}
+	return start, count, nil
+}
+
+// procIDs returns procedure proc's n strand IDs from ids at off, checked:
+// inside the slab, strictly increasing, below the vocabulary size.
+func (s *CorpusShard) procIDs(ids []uint32, off uint64, n uint32, proc int) ([]uint32, error) {
+	if off+uint64(n) > uint64(len(ids)) {
+		return nil, corrupt("corpus-ids", "procedure %d strand IDs [%d, %d+%d) exceed the %d-entry slab", proc, off, off, n, len(ids))
+	}
+	set := ids[off : off+uint64(n) : off+uint64(n)]
+	for k, id := range set {
+		if k > 0 && id <= set[k-1] {
+			return nil, corrupt("corpus-ids", "procedure %d strand IDs not strictly increasing at element %d", proc, k)
+		}
+		if uint64(id) >= s.totals.vocab {
+			return nil, corrupt("corpus-ids", "procedure %d references strand ID %d outside the %d-entry vocabulary", proc, id, s.totals.vocab)
+		}
+	}
+	return set, nil
 }
 
 // Occurrences lists image img's executables in image order: the path
@@ -1054,9 +1048,9 @@ func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
 
 	rec := exeTab[gi*v2ExeRecSize:][:v2ExeRecSize]
 	le := binary.LittleEndian
-	procStart, procCount := le.Uint32(rec[0:]), le.Uint32(rec[4:])
-	if uint64(procStart)+uint64(procCount) > s.totals.procs {
-		return nil, corrupt("corpus-exe-table", "executable %d procedures [%d, %d+%d) exceed the %d-entry table", gi, procStart, procStart, procCount, s.totals.procs)
+	procStart, procCount, err := s.procRange(gi, rec)
+	if err != nil {
+		return nil, err
 	}
 	idOff, mOff, cOff := le.Uint64(rec[8:]), le.Uint64(rec[16:]), le.Uint64(rec[24:])
 	if rec[33] > 1 {
@@ -1082,23 +1076,14 @@ func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
 		}
 		p.Exported = flags&1 != 0
 		nid, nmark, ncall := le.Uint32(prec[16:]), le.Uint32(prec[20:]), le.Uint32(prec[24:])
-		if idOff+uint64(nid) > uint64(len(ids)) {
-			return nil, corrupt("corpus-ids", "procedure %d strand IDs [%d, %d+%d) exceed the %d-entry slab", int(procStart)+pi, idOff, idOff, nid, len(ids))
+		if p.IDs, err = s.procIDs(ids, idOff, nid, int(procStart)+pi); err != nil {
+			return nil, err
 		}
 		if mOff+uint64(nmark) > uint64(len(marks)) {
 			return nil, corrupt("corpus-markers", "procedure %d markers [%d, %d+%d) exceed the %d-entry slab", int(procStart)+pi, mOff, mOff, nmark, len(marks))
 		}
 		if cOff+uint64(ncall) > uint64(len(calls)) {
 			return nil, corrupt("corpus-calls", "procedure %d calls [%d, %d+%d) exceed the %d-entry slab", int(procStart)+pi, cOff, cOff, ncall, len(calls))
-		}
-		p.IDs = ids[idOff : idOff+uint64(nid) : idOff+uint64(nid)]
-		for k, id := range p.IDs {
-			if k > 0 && id <= p.IDs[k-1] {
-				return nil, corrupt("corpus-ids", "procedure %d strand IDs not strictly increasing at element %d", int(procStart)+pi, k)
-			}
-			if uint64(id) >= s.totals.vocab {
-				return nil, corrupt("corpus-ids", "procedure %d references strand ID %d outside the %d-entry vocabulary", int(procStart)+pi, id, s.totals.vocab)
-			}
 		}
 		p.Markers = marks[mOff : mOff+uint64(nmark) : mOff+uint64(nmark)]
 		p.Calls = calls[cOff : cOff+uint64(ncall) : cOff+uint64(ncall)]
@@ -1115,30 +1100,6 @@ func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
 		cOff += uint64(ncall)
 	}
 	return ed, nil
-}
-
-// Index returns the shard's inverted index over its distinct
-// executables as slab views over the mapping: an empty IndexSlabs for an
-// empty index.
-func (s *CorpusShard) Index() (*IndexSlabs, error) {
-	if s.totals.rows == 0 {
-		if s.totals.posts != 0 {
-			return nil, corrupt("corpus-index-rows", "shard declares %d postings across 0 rows", s.totals.posts)
-		}
-		return &IndexSlabs{}, nil
-	}
-	rows, err := s.rowSlabsGet()
-	if err != nil {
-		return nil, err
-	}
-	posts, err := s.postsSlab()
-	if err != nil {
-		return nil, err
-	}
-	if end := uint64(rows.ends[len(rows.ends)-1]); end != s.totals.posts {
-		return nil, corrupt("corpus-index-rows", "row ends terminate at %d, the shard holds %d postings", end, s.totals.posts)
-	}
-	return &IndexSlabs{RowIDs: rows.ids, RowEnds: rows.ends, Posts: posts}, nil
 }
 
 // Close releases the mapping. Every slice previously returned by an

@@ -86,7 +86,7 @@ func touchShard(s *CorpusShard) error {
 			return err
 		}
 	}
-	if _, err := s.ProcCounts(); err != nil {
+	if _, _, err := s.ProcSets(); err != nil {
 		return err
 	}
 	for e := 0; e < s.NumExes(); e++ {
@@ -94,8 +94,7 @@ func touchShard(s *CorpusShard) error {
 			return err
 		}
 	}
-	_, err := s.Index()
-	return err
+	return nil
 }
 
 // shardToCorpus reconstructs the encoder-side model from an open
@@ -133,21 +132,6 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 			se.Procs = append(se.Procs, sp)
 		}
 		c.Exes = append(c.Exes, se)
-	}
-	slabs, err := s.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Index = []IndexRow{}
-	for k, id := range slabs.RowIDs {
-		lo := uint32(0)
-		if k > 0 {
-			lo = slabs.RowEnds[k-1]
-		}
-		c.Index = append(c.Index, IndexRow{
-			ID:    id,
-			Posts: append([]uint32(nil), slabs.Posts[lo:slabs.RowEnds[k]]...),
-		})
 	}
 	for i := 0; i < s.NumImages(); i++ {
 		info := s.Image(i)
@@ -197,22 +181,6 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 		ci := &c.Images[rng.Intn(len(c.Images))]
 		ci.Occs = append(ci.Occs, Occurrence{Path: randWord(rng), Exe: rng.Intn(len(c.Exes))})
 	}
-	procs := 0
-	for _, e := range c.Exes {
-		procs += len(e.Procs)
-	}
-	c.Index = []IndexRow{}
-	if rng.Intn(4) > 0 { // the rest have an empty index
-		for _, id := range randIDSet(rng, len(c.Interner), 40) {
-			var posts []uint32
-			for k := 1 + rng.Intn(3); k > 0 && procs > 0; k-- {
-				posts = append(posts, uint32(rng.Intn(procs)))
-			}
-			if len(posts) > 0 {
-				c.Index = append(c.Index, IndexRow{ID: id, Posts: posts})
-			}
-		}
-	}
 	return c
 }
 
@@ -240,9 +208,10 @@ func patchSection(t testing.TB, blob []byte, tag uint32, patch func(payload []by
 // shard set, not of one shard: its images may live in another.)
 var occurrenceFaults = []string{"ref-out-of-range", "path-out-of-range", "count-sum"}
 
-// indexFaults names the ways faultyShard damages testCorpus's index that
-// the shard passes on: the index built over its slabs rejects them.
-var indexFaults = []string{"slot-beyond-total"}
+// idsFaults names the ways faultyShard damages testCorpus's strand sets
+// that pass the opener and every read but those of the damaged
+// executable's sets: materializing it, and deriving the shard's index.
+var idsFaults = []string{"id-outside-vocabulary"}
 
 // faultyShard encodes testCorpus as one shard and applies the named fault
 // behind valid checksums.
@@ -259,9 +228,10 @@ func faultyShard(t testing.TB, fault string) []byte {
 	case "count-sum":
 		// The meta section ends with the last image's occurrence count.
 		patchSection(t, blob, secV2Meta, func(b []byte) { b[len(b)-1]-- })
-	case "slot-beyond-total":
-		// testCorpus holds three procedures: slots 0, 1 and 2.
-		patchSection(t, blob, secV2IdxPosts, func(b []byte) { le.PutUint32(b, 3) })
+	case "id-outside-vocabulary":
+		// The last ID is executable 1's, the largest of its one procedure:
+		// rewritten as the vocabulary size, the set still increases.
+		patchSection(t, blob, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(c.Interner))) })
 	default:
 		t.Fatalf("unknown shard fault %q", fault)
 	}
@@ -286,6 +256,21 @@ func TestCorpusShardRoundTrip(t *testing.T) {
 		got := shardToCorpus(t, s)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("model %d: round trip mismatch:\n got %+v\nwant %+v", mi, got, want)
+		}
+		counts, sets, err := s.ProcSets()
+		if err != nil {
+			t.Fatalf("model %d: %v", mi, err)
+		}
+		var wantCounts []int32
+		var wantSets [][]uint32
+		for _, e := range want.Exes {
+			wantCounts = append(wantCounts, int32(len(e.Procs)))
+			for _, p := range e.Procs {
+				wantSets = append(wantSets, p.IDs)
+			}
+		}
+		if !slices.Equal(counts, wantCounts) || !slices.EqualFunc(sets, wantSets, slices.Equal) {
+			t.Errorf("model %d: ProcSets %v %v, want %v %v", mi, counts, sets, wantCounts, wantSets)
 		}
 	}
 }

@@ -16,7 +16,7 @@ func FuzzShardOpen(f *testing.F) {
 	// the section layout.
 	tc := testCorpus()
 	for _, c := range []*Corpus{
-		{Index: []IndexRow{}},
+		{},
 		randomCorpusModel(rand.New(rand.NewSource(1))),
 		randomCorpusModel(rand.New(rand.NewSource(2))),
 		randomCorpusModel(rand.New(rand.NewSource(3))),
@@ -34,10 +34,10 @@ func FuzzShardOpen(f *testing.F) {
 	} {
 		f.Add(mustEncodeShard(f, tc, hdr))
 	}
-	// One shard per occurrence-table and index fault and one recording a
+	// One shard per occurrence-table and strand-set fault and one recording a
 	// vocabulary checksum its own section does not carry, so mutations
 	// also start from damage behind valid checksums.
-	for _, fault := range append(occurrenceFaults, indexFaults...) {
+	for _, fault := range append(occurrenceFaults, idsFaults...) {
 		f.Add(faultyShard(f, fault))
 	}
 	lie := mustEncodeShard(f, tc, soleShard(tc))

@@ -2,11 +2,12 @@
 // corpus: a set of FWCORP shard files (corpusv2.go) that together hold,
 // each once, the frozen strand vocabulary (in shard 0) and every distinct
 // executable's procedure metadata and sorted dense strand-ID sets (a
-// range per shard, indexed where it is stored), plus the images as
-// occurrence lists naming executables corpus-wide — so that a corpus is
-// analyzed once and served from its shards thereafter. This file holds what the container is made of:
-// the plain data model the firmup layer converts sealed state to, the
-// header arithmetic, and the error every decoding failure wraps.
+// range per shard, from which the searcher derives its index), plus the
+// images as occurrence lists naming executables corpus-wide — so that a
+// corpus is analyzed once and served from its shards thereafter. This
+// file holds what the container is made of: the plain data model the
+// firmup layer converts sealed state to, the header arithmetic, and the
+// error every decoding failure wraps.
 //
 // The decoder is designed for untrusted input: any structural
 // violation — truncation, checksum mismatch, unknown or duplicate
@@ -97,13 +98,4 @@ type Proc struct {
 	// Calls lists callee procedure indices within the executable
 	// (CalledBy is recomputed on load).
 	Calls []int32
-}
-
-// IndexRow is one inverted-index row: a dense strand ID and its postings,
-// the slot of every procedure containing it. Slots number the procedures
-// of Corpus.Exes in order, executable by executable. Rows are ordered by
-// strictly increasing ID.
-type IndexRow struct {
-	ID    uint32
-	Posts []uint32
 }

@@ -17,8 +17,6 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		"id-out-of-vocab":   func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
 		"call-out-of-range": func(c *Corpus) { c.Exes[0].Procs[0].Calls = []int32{7} },
 		"negative-count":    func(c *Corpus) { c.Exes[0].Procs[0].BlockCount = -1 },
-		"index-unsorted":    func(c *Corpus) { c.Index[1].ID = 0 },
-		"posting-bad-slot":  func(c *Corpus) { c.Index[0].Posts[0] = 9 },
 	} {
 		c := testCorpus()
 		mutate(c)
@@ -30,7 +28,8 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 
 // faultSections are the sections the fault matrix damages one by one,
 // under the short names its cases carry: the eagerly decoded skeleton,
-// the vocabulary, a fixed-record table and an index slab.
+// the vocabulary, a fixed-record table and the index's slab — the
+// strand sets a search derives the shard's index from.
 var faultSections = []struct {
 	name string
 	tag  uint32
@@ -38,7 +37,7 @@ var faultSections = []struct {
 	{"meta", secV2Meta},
 	{"interner", secV2Vocab},
 	{"exes", secV2ExeTab},
-	{"index", secV2IdxPosts},
+	{"index", secV2IDs},
 }
 
 // tableRow finds the section-table row of a tag in a well-formed shard.
@@ -94,8 +93,8 @@ func TestDecodeFaultInjection(t *testing.T) {
 		{"truncated-table", func(t *testing.T, d []byte) []byte { return d[:headerSize+tableEntrySize/2] }, "table"},
 		{"unknown-section-tag", func(t *testing.T, d []byte) []byte { le.PutUint32(d[headerSize:], 99); return d }, "table"},
 		{"duplicate-section", func(t *testing.T, d []byte) []byte {
-			// Retag the posting section as a second meta section.
-			row, _ := tableRow(t, d, secV2IdxPosts)
+			// Retag the occurrence section as a second meta section.
+			row, _ := tableRow(t, d, secV2Occs)
 			le.PutUint32(row, secV2Meta)
 			return d
 		}, "table"},
@@ -217,7 +216,7 @@ func vocabChecksumLie(t testing.TB, blob []byte) {
 	}
 	patchSection(t, blob, secV2Meta, func(b []byte) {
 		off := 0
-		for i := 0; i < 16; i++ { // the header and total varints
+		for i := 0; i < 14; i++ { // the header and total varints
 			_, n := binary.Uvarint(b[off:])
 			off += n
 		}

@@ -74,14 +74,14 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 				t.Fatalf("image %d: %s missing from the opened corpus", ii, le.Path)
 			}
 			for pi, p := range le.exe.Procs {
-				if got, want := se.ProcedureStrands(pi), le.ProcedureStrands(pi); !slices.Equal(got, want) {
+				sp := se.exe.Procs[pi]
+				if got, want := sp.Set.AppendHashes(nil), p.Set.AppendHashes(nil); !slices.Equal(got, want) {
 					t.Fatalf("image %d %s procedure %d: strands differ from the session's", ii, le.Path, pi)
 				}
-				sp := se.exe.Procs[pi]
 				if sp.Set.Hashes != nil || p.Set.Hashes != nil {
 					t.Fatalf("image %d %s procedure %d: a pipeline set carries hashes (live %v, store-backed %v)", ii, le.Path, pi, p.Set.Hashes != nil, sp.Set.Hashes != nil)
 				}
-				live, stored := len(le.ProcedureStrands(pi)), len(se.ProcedureStrands(pi))
+				live, stored := len(p.Set.AppendHashes(nil)), len(sp.Set.AppendHashes(nil))
 				if p.Set.Size() != live || sp.Set.Size() != stored || sp.Set.Size() != p.Set.Size() {
 					t.Fatalf("image %d %s procedure %d: Size %d live / %d stored, %d / %d strands", ii, le.Path, pi, p.Set.Size(), sp.Set.Size(), live, stored)
 				}
@@ -201,7 +201,7 @@ func TestStoreBackedHashesConcurrent(t *testing.T) {
 				for k, oc := range im.occs {
 					e := im.Executable(oc.Path)
 					for pi := range e.exe.Procs {
-						if !slices.Equal(e.ProcedureStrands(pi), s.live[ii].Exes[k].ProcedureStrands(pi)) {
+						if !slices.Equal(e.exe.Procs[pi].Set.AppendHashes(nil), s.live[ii].Exes[k].exe.Procs[pi].Set.AppendHashes(nil)) {
 							t.Errorf("image %d %s procedure %d: hashes differ from the session's", ii, oc.Path, pi)
 							return
 						}

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"firmup/internal/core"
 	"firmup/internal/corpusindex"
@@ -73,6 +74,9 @@ type sealedGroup struct {
 	lazy    []lazyExe
 	idxOnce sync.Once
 	idxErr  error
+	// corrupt is the first corruption error a read returned, as text
+	// (recoverCorrupt).
+	corrupt atomic.Pointer[string]
 }
 
 // SealedImage is one firmware image of a sealed corpus: its identity

@@ -23,18 +23,18 @@ import (
 // opened from FWCORP shard files keeps its bulk state in the mapped
 // files, one group per shard — the range of distinct executables the
 // shard stores — and materializes executables lazily, on first search
-// touch. The prefilter makes that pay off: a
-// query's candidate set is computed from the shard's CSR slabs before
-// any executable exists in RAM, so only candidates are ever
-// materialized, and peak RSS tracks the working set instead of the
-// corpus.
+// touch. The prefilter makes that pay off: a query's candidate set is
+// computed from the group's index — derived, on the group's first search,
+// from the strand sets the shard stores — before any executable exists in
+// RAM, so only candidates are ever materialized, and peak RSS tracks the
+// working set instead of the corpus.
 //
 // Off the mapping (loadExe), an executable's strand IDs and markers alias
 // the file; its procedures, call graph and CSR posting lists are derived
 // once, by counting, into a few slabs. It has no strand hashes, like an
-// analysed executable: every similarity is counted over IDs, and the few
-// callers that want hashes (Executable.ProcedureStrands) derive them
-// from the vocabulary.
+// analysed executable: every similarity is counted over IDs, and a
+// caller that wants hashes derives them from the vocabulary
+// (strand.Set.AppendHashes).
 
 // lazyExe is one executable's materialize-once slot.
 type lazyExe struct {
@@ -47,6 +47,9 @@ type lazyExe struct {
 // reporting (firmupd /corpus). Executables counts the occurrences of the
 // shard's images, UniqueExecutables the distinct executables the shard
 // stores: its range of the corpus's, which any shard's images may name.
+// Corrupt is the first corruption a read of the shard returned — while
+// deriving its index, materializing an executable, or as a fault
+// recovered in a search — and empty while none has.
 type SealedShard struct {
 	Index             int    `json:"index"`
 	Path              string `json:"path"`
@@ -55,6 +58,7 @@ type SealedShard struct {
 	UniqueExecutables int    `json:"unique_executables"`
 	SizeBytes         int64  `json:"size_bytes"`
 	Mapped            bool   `json:"mapped"`
+	Corrupt           string `json:"corrupt,omitempty"`
 }
 
 // Shards describes the open shards backing this corpus, in shard
@@ -69,6 +73,10 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 		for li := range g.shard.NumImages() {
 			occs += g.shard.Image(li).Executables
 		}
+		corrupt := ""
+		if p := g.corrupt.Load(); p != nil {
+			corrupt = *p
+		}
 		out = append(out, SealedShard{
 			Index:             i,
 			Path:              g.path,
@@ -77,6 +85,7 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 			UniqueExecutables: g.n,
 			SizeBytes:         g.shard.SizeBytes(),
 			Mapped:            g.shard.Mapped(),
+			Corrupt:           corrupt,
 		})
 	}
 	return out
@@ -118,9 +127,14 @@ func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
 // mapping, or code tripped by damaged bytes — in *err as the shard's
 // corruption, so the caller, and every later one of a once-only read,
 // gets an error naming the shard, not a nil result or a dead process.
+// The first corruption the group's reads return is kept for Shards.
 func (g *sealedGroup) recoverCorrupt(section string, err *error) {
 	if r := recover(); r != nil {
 		*err = &snapshot.CorruptError{Section: section, Reason: fmt.Sprintf("%s: panicked: %v", g.path, r)}
+	}
+	if errors.Is(*err, snapshot.ErrCorrupt) && g.corrupt.Load() == nil {
+		msg := (*err).Error()
+		g.corrupt.CompareAndSwap(nil, &msg)
 	}
 }
 
@@ -182,34 +196,27 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 	return e, nil
 }
 
-// ensureIndex builds the group's index once, on first search: over an
-// in-RAM group's executables, or over the shard's CSR slabs (which can fail).
+// ensureIndex builds the group's index once, on first search, from its
+// executables' strand sets: an in-RAM group's, or the ones the shard
+// stores (which can fail).
 func (g *sealedGroup) ensureIndex() error {
 	g.idxOnce.Do(func() {
 		defer g.recoverCorrupt("corpus-index", &g.idxErr)
 		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		var counts []int32
+		var sets [][]uint32
 		if g.shard == nil {
-			g.index = corpusindex.NewFrozenIndex(g.frozen.Size(), g.exes)
+			counts = make([]int32, len(g.exes))
+			for i, e := range g.exes {
+				counts[i] = int32(len(e.Procs))
+				for _, p := range e.Procs {
+					sets = append(sets, p.Set.IDs)
+				}
+			}
+		} else if counts, sets, g.idxErr = g.shard.ProcSets(); g.idxErr != nil {
 			return
 		}
-		slabs, err := g.shard.Index()
-		if err != nil {
-			g.idxErr = err
-			return
-		}
-		counts, err := g.shard.ProcCounts()
-		if err != nil {
-			g.idxErr = err
-			return
-		}
-		idx, err := corpusindex.NewFrozenIndexForeign(g.frozen, counts, slabs.RowIDs, slabs.RowEnds, slabs.Posts)
-		if err != nil {
-			// Semantic index violations are shard corruption, reported
-			// under the same contract as every other decode failure.
-			g.idxErr = &snapshot.CorruptError{Section: "corpus-index-posts", Reason: err.Error()}
-			return
-		}
-		g.index = idx
+		g.index = corpusindex.NewFrozenIndex(g.frozen.Size(), counts, sets)
 	})
 	return g.idxErr
 }
@@ -246,10 +253,9 @@ func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.
 // WriteShards writes the sealed corpus as n FWCORP shard files
 // (shard-NNNN.fwcorp) under dir, returning the paths in shard order. The
 // images and, separately, the distinct executables are split into n
-// contiguous ranges by one rule; shard i holds image range i, executable
-// range i and one index over those executables, so each distinct
-// executable is stored, indexed and searched once however many shards'
-// images ship it. Shard 0 also stores the frozen vocabulary, and every
+// contiguous ranges by one rule; shard i holds image range i and
+// executable range i, so each distinct executable is stored and searched
+// once however many shards' images ship it. Shard 0 also stores the frozen vocabulary, and every
 // shard its position and the vocabulary's checksum, so
 // OpenSealedCorpusDir can validate the set as one coherent corpus. n may
 // exceed the image or executable count; trailing ranges are then empty
@@ -298,21 +304,19 @@ func shardRange(i, n, total int) (base, cnt int) {
 // writeShard encodes and writes shard si of n: its image range as
 // occurrences, which keep their corpus-wide executable IDs, and its
 // executable range — materialized first when the source is store-backed
-// — with one index built over them, under the corpus vocabulary vocab
-// encodes.
+// — under the corpus vocabulary vocab encodes.
 func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int) (string, error) {
 	hdr := snapshot.ShardHeader{ShardIndex: si, ShardCount: n, TotalImages: len(sc.images), TotalExes: sc.UniqueExecutables()}
 	var images, exes int
 	hdr.ImageBase, images = shardRange(si, n, hdr.TotalImages)
 	hdr.ExeBase, exes = shardRange(si, n, hdr.TotalExes)
 	c := &snapshot.Corpus{Interner: sc.frozen.Vocab(), Exes: make([]snapshot.Exe, exes)}
-	es := make([]*sim.Exe, exes)
-	for k := range es {
+	for k := range c.Exes {
 		e, err := sc.groups.exe(hdr.ExeBase + k)
 		if err != nil {
 			return "", err
 		}
-		es[k], c.Exes[k] = e, exeToModel("", e)
+		c.Exes[k] = exeToModel("", e)
 	}
 	for _, im := range sc.images[hdr.ImageBase : hdr.ImageBase+images] {
 		ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version, Occs: im.occs}
@@ -320,11 +324,6 @@ func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int)
 			ci.Skipped = append(ci.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
 		}
 		c.Images = append(c.Images, ci)
-	}
-	rows := corpusindex.NewFrozenIndex(sc.frozen.Size(), es).Rows()
-	c.Index = make([]snapshot.IndexRow, len(rows))
-	for k, r := range rows {
-		c.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: r.Posts}
 	}
 	data, err := vocab.EncodeShard(c, hdr)
 	if err != nil {

@@ -226,9 +226,9 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 
 	// Exactly one shard version opens. The header carries no checksum, so
 	// patching the version word alone reaches the version check, which
-	// answers any other version — here version 6, whose strands kept
-	// stack-frame offsets as literals — as corruption, pointing at
-	// re-sealing.
+	// answers any other version — here version 7, which stored an
+	// inverted index beside the strand sets it is derived from — as
+	// corruption, pointing at re-sealing.
 	otherDir := filepath.Join(dir, "other-version")
 	if err := os.Mkdir(otherDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -237,23 +237,24 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other[8] = 6
+	other[8] = 7
 	otherPath := filepath.Join(otherDir, filepath.Base(onePaths[0]))
 	if err := os.WriteFile(otherPath, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenCorpusShardFile of a version-6 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenCorpusShardFile of a version-7 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenSealedCorpusDir of a version-6 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenSealedCorpusDir of a version-7 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 
-	// A posting slot at or past its shard's procedure total opens (nothing
-	// at open reads the postings) and fails the first search that builds
-	// the shard's index, as corruption of corpus-index-posts.
-	slotDir := filepath.Join(dir, "slot-beyond-total")
-	if err := os.Mkdir(slotDir, 0o755); err != nil {
+	// A strand ID outside the vocabulary, in an executable the query never
+	// reaches, opens (nothing at open reads corpus-ids) and fails the
+	// first search, which derives the shard's index from every set it
+	// stores, as corruption of corpus-ids.
+	idDir := filepath.Join(dir, "id-outside-vocab")
+	if err := os.Mkdir(idDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range manyPaths {
@@ -262,24 +263,27 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			firmup.SlotBeyondTotal(t, blob)
+			firmup.IDOutsideVocab(t, blob)
 		}
-		if err := os.WriteFile(filepath.Join(slotDir, filepath.Base(p)), blob, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(idDir, filepath.Base(p)), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	slotSC, err := firmup.OpenSealedCorpusDir(slotDir)
+	idSC, err := firmup.OpenSealedCorpusDir(idDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer slotSC.Close()
-	slotQ, err := slotSC.AnalyzeQuery(qb, nil)
+	defer idSC.Close()
+	idQ, err := idSC.AnalyzeQuery(qb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ce *snapshot.CorruptError
-	if _, err := slotSC.SearchAll(slotQ, cve.Procedure, nil); !errors.As(err, &ce) || ce.Section != "corpus-index-posts" || !strings.Contains(ce.Reason, "slot") {
-		t.Errorf("search over a shard with a slot beyond its procedures: err = %v, want ErrCorrupt naming corpus-index-posts", err)
+	if _, err := idSC.SearchAll(idQ, cve.Procedure, nil); !errors.As(err, &ce) || ce.Section != "corpus-ids" || !strings.Contains(ce.Reason, "outside") {
+		t.Errorf("search over a shard with a strand ID outside the vocabulary: err = %v, want ErrCorrupt naming corpus-ids", err)
+	}
+	if got := idSC.Shards()[0].Corrupt; got != ce.Error() {
+		t.Errorf("the damaged shard reports corrupt %q, want %q", got, ce.Error())
 	}
 
 	// Damage only the set can tell — executable ranges that do not tile,

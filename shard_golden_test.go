@@ -16,16 +16,15 @@ import (
 // strand extraction, interning, sealing and the shard writer — as the
 // SHA-256 of every file WriteShards(…, 3) writes for a small generated
 // corpus analysed with one worker, so dense strand IDs are assigned in
-// image order. Recorded for version 7: the version-6 layout (each
-// distinct executable stored once across the set, the vocabulary in
-// shard 0 only, a posting one procedure slot) over strands whose
-// stack-frame offsets are slots, whose content goldenContentDigest pins;
-// a change to how the write side computes its output must leave every
-// digest untouched.
+// image order. Recorded for version 8: each distinct executable stored
+// once across the set, the vocabulary in shard 0 only, and no inverted
+// index (a search derives it from the stored strand sets), over the
+// content goldenContentDigest pins; a change to how the write side
+// computes its output must leave every digest untouched.
 var goldenShardDigests = []string{
-	"92da3b59bb56deddf67822e2c505952dd8aa96d15d5640eef5225cd266b3a9b0",
-	"031e0f759ba75ee40e504b387a3a7e5226559aeb64d5ec509ab420d0b5a0c11e",
-	"82366ae4cc7a81034a772ba7deadd0d5e7fbfb5c4cd681feebe09da18012ca44",
+	"d2917c24f53404eaa46c32ed9e12cc1d6dec13293c8bb084132ecaf6dc8b6970",
+	"ce4b5283144c21f9ebcb7b08ddc4b0e5b0cf5aa5e3b9c42a1a613789807557f4",
+	"7e6da22f16773ad7fe6668a3d8cfc78254cdd09d6aa5f9b94dcd379a53b590c7",
 }
 
 func TestWriteShardsGolden(t *testing.T) {
@@ -82,8 +81,8 @@ func TestWriteShardsGolden(t *testing.T) {
 // whatever format stores it (contentDigest). Recorded from the version-7
 // shards, when stack-frame offsets became slots and every strand hash
 // moved; the layouts of versions 4 to 6 had all held the previous
-// content unchanged. A change of the shard layout must leave it
-// untouched.
+// content unchanged, and version 8 holds this one. A change of the shard
+// layout must leave it untouched.
 const goldenContentDigest = "e70ebb90240150de025ec6a45fd603b34c599cd376847960b11e52cb9e2ca1a7"
 
 // contentDigest is the SHA-256 of a sealed corpus's content, independent

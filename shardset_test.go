@@ -20,16 +20,16 @@ import (
 
 const (
 	// FWCORP section tags (internal/snapshot/corpusv2.go).
-	tagMeta  = 16
-	tagOccs  = 25
-	tagPosts = 27
+	tagMeta = 16
+	tagIDs  = 22
+	tagOccs = 25
 	// Positions of meta varints: shard index, shard count, image base,
-	// total images, executable base, total executables, ten slab totals
-	// (the fifth the procedure total), then the vocabulary checksum.
+	// total images, executable base, total executables, eight slab totals
+	// (the first the vocabulary size), then the vocabulary checksum.
 	metaExeBase   = 4
 	metaTotalExes = 5
-	metaProcs     = 10
-	metaVocabCRC  = 16
+	metaVocab     = 6
+	metaVocabCRC  = 14
 )
 
 // patchShardSection rewrites one section of a shard in place and
@@ -91,18 +91,21 @@ func totalExes(t testing.TB, blob []byte) uint32 {
 	return uint32(v)
 }
 
-// slotBeyondTotal points a shard's first posting at the slot just past its
-// procedures: damage no opener can tell, which the index built over the
-// shard on its first search rejects.
-func slotBeyondTotal(t testing.TB, blob []byte) {
+// idOutsideVocab rewrites the last strand ID a shard stores — the
+// largest of the last procedure with strands, of its last executable with
+// any — as the vocabulary size: still strictly increasing, but outside
+// the vocabulary. No opener reads corpus-ids, and a search reads it
+// whole only to derive the shard's index, on its first search; otherwise
+// only materializing that executable would tell.
+func idOutsideVocab(t testing.TB, blob []byte) {
 	t.Helper()
-	var procs uint64
-	patchShardSection(t, blob, tagMeta, func(meta []byte) { _, procs = metaVarint(meta, metaProcs) })
-	patchShardSection(t, blob, tagPosts, func(posts []byte) {
-		if len(posts) == 0 {
-			t.Fatal("shard holds no postings")
+	var vocab uint64
+	patchShardSection(t, blob, tagMeta, func(meta []byte) { _, vocab = metaVarint(meta, metaVocab) })
+	patchShardSection(t, blob, tagIDs, func(ids []byte) {
+		if len(ids) == 0 {
+			t.Fatal("shard holds no strand IDs")
 		}
-		binary.LittleEndian.PutUint32(posts, uint32(procs))
+		binary.LittleEndian.PutUint32(ids[len(ids)-4:], uint32(vocab))
 	})
 }
 
@@ -157,7 +160,7 @@ var shardSetFaults = map[string]func(t testing.TB, set [][]byte) int{
 // first's executables, so shard 1's image names executables shard 0
 // stores; it is a few kilobytes, small enough for the fuzzer to mutate
 // quickly. The seeds are its two shards whole, under every shardSetFaults
-// fault, and shard 0 with a slot beyond its procedures.
+// fault, and shard 0 with a strand ID outside the vocabulary.
 func FuzzShardSet(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	first, second := genCorpus(rng), genCorpus(rng)
@@ -186,9 +189,9 @@ func FuzzShardSet(f *testing.F) {
 		i := fault(f, damaged)
 		f.Add(uint8(i), damaged[i])
 	}
-	slot := append([]byte(nil), set[0]...)
-	slotBeyondTotal(f, slot)
-	f.Add(uint8(0), slot)
+	outside := append([]byte(nil), set[0]...)
+	idOutsideVocab(f, outside)
+	f.Add(uint8(0), outside)
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		blobs := [][]byte{set[0], set[1]}
 		blobs[which%2] = data
