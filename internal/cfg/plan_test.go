@@ -247,8 +247,8 @@ func TestPlannedBuildSpans(t *testing.T) {
 		stages = append(stages, name)
 	}
 	slices.Sort(stages)
-	if got := strings.Join(stages, " "); got != "cfg.recover cfg.sweep sim.build sim.index" {
-		t.Errorf("stages %q, want cfg.recover cfg.sweep sim.build sim.index", got)
+	if got := strings.Join(stages, " "); got != "cfg.recover cfg.sweep sim.build" {
+		t.Errorf("stages %q, want cfg.recover cfg.sweep sim.build", got)
 	}
 	var blocks, insts int64
 	for _, p := range exe.Procs {

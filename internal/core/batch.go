@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -189,7 +190,8 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	// The caller's goroutine plays too, beside workers−1 more; each
 	// claims the next target until none is left.
 	var next atomic.Int64
-	var steps, unplayed, cut atomic.Int64
+	var mu sync.Mutex
+	var total passCounts
 	var panicOnce sync.Once
 	var panicked any
 	run := func() {
@@ -204,9 +206,9 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 			ti := work[i]
 			runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, m, findings, &c)
 		}
-		steps.Add(c.steps)
-		unplayed.Add(c.unplayed)
-		cut.Add(c.cut)
+		mu.Lock()
+		total.add(&c)
+		mu.Unlock()
 	}
 	var wg sync.WaitGroup
 	for range min(opt.workers(), len(work)) - 1 {
@@ -225,9 +227,9 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 		panic(panicked)
 	}
 
-	out := Played{Findings: findings, Unplayed: int(unplayed.Load()), Cut: int(cut.Load())}
-	m.unplayed.Add(unplayed.Load())
-	m.cut.Add(cut.Load())
+	out := Played{Findings: findings, Unplayed: int(total.unplayed), Cut: int(total.cut)}
+	m.unplayed.Add(total.unplayed)
+	m.cut.Add(total.cut)
 	if m.accepted != nil {
 		for qx := range findings {
 			for _, f := range findings[qx] {
@@ -251,15 +253,39 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 		sp.SetAttr("targets", int64(len(targets)))
 		sp.SetAttr("examined", examined)
 		sp.SetAttr("findings", nFindings)
-		sp.SetAttr("game_steps", steps.Load())
-		sp.SetAttr("games_unplayed", unplayed.Load())
-		sp.SetAttr("games_cut", cut.Load())
+		sp.SetAttr("game_steps", total.steps)
+		sp.SetAttr("games_unplayed", total.unplayed)
+		sp.SetAttr("games_cut", total.cut)
+		sp.SetAttr("games_lost", total.lost)
+		for i, why := range refusals {
+			sp.SetAttr("refused_"+why, total.refused[i])
+		}
 	}
 	return out
 }
 
-// passCounts is one worker's tally over the target passes it ran.
-type passCounts struct{ steps, unplayed, cut int64 }
+// refusals are the reasons Refusal names, in passCounts.refused order.
+var refusals = [...]string{"score", "ratio", "marker"}
+
+// passCounts is one worker's tally over the target passes it ran: the
+// steps of the games played, and every planned game that yielded no
+// finding by why — unplayed, cut, lost (ended with no target) or refused
+// by the acceptance predicate, per refusals entry. With the findings they
+// sum to the planned games.
+type passCounts struct {
+	steps, unplayed, cut, lost int64
+	refused                    [len(refusals)]int64
+}
+
+func (c *passCounts) add(o *passCounts) {
+	c.steps += o.steps
+	c.unplayed += o.unplayed
+	c.cut += o.cut
+	c.lost += o.lost
+	for i, n := range o.refused {
+		c.refused[i] += n
+	}
+}
 
 // runTargetPass plays every batch query aimed at one target. Queries
 // from the same query executable (contiguous in slots by construction)
@@ -283,10 +309,18 @@ func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, slots []slot, plans
 			m.played.Inc()
 			m.steps.Observe(int64(r.Steps))
 			c.steps += int64(r.Steps)
-			if r.Reason == EndUnacceptable {
+			f := accept(q, qi, t, r, opt)
+			findings[qx][ti] = f
+			switch {
+			case f != nil:
+			case r.Reason == EndUnacceptable:
 				c.cut++
+			case r.Target < 0:
+				c.lost++
+			default:
+				_, why := Refusal(q, qi, t, r.Target, r.Score, opt)
+				c.refused[slices.Index(refusals[:], why)]++
 			}
-			findings[qx][ti] = accept(q, qi, t, r, opt)
 			if j > i {
 				m.shared.Inc()
 			}

@@ -48,7 +48,9 @@ type SearchOptions struct {
 	Workers int
 	// Span is the parent the search is timed and counted under: one
 	// "core.search" / "core.search_batch" span carrying aggregate
-	// attributes — targets, examined, findings, summed game steps — and
+	// attributes — targets, examined, findings, summed game steps, and the
+	// planned games that yielded no finding by why (games_unplayed,
+	// games_cut, games_lost, refused_score / _ratio / _marker) — and
 	// the pass's game.*, search.* and batch.* metrics in its registry.
 	// Purely observational: results are identical with and without it,
 	// and the zero Span costs nothing.

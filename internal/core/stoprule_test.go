@@ -8,6 +8,7 @@ import (
 
 	"firmup/internal/corpusindex"
 	"firmup/internal/sim"
+	"firmup/internal/telemetry"
 )
 
 // positives is a similarity vector in the form a plan carries it: the
@@ -58,12 +59,15 @@ func randMarkers(rng *rand.Rand, procs []*sim.Proc) []*sim.Proc {
 // of a query executable: for every planned (query, target) the batch's
 // finding equals accept over the full game Match plays — Steps included
 // — and every game the pass plays is a prefix of that full course,
-// identical to it unless it ended EndUnacceptable.
+// identical to it unless it ended EndUnacceptable. The pass's span
+// accounts for every planned game once: found, unplayed, cut, lost or
+// refused.
 func TestStopRuleEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	limits := []int{1, 2, 3, 64}
 	bars := []float64{0, 0.9, -1}
 	var played, cut, unplayed, found int
+	var lost, refused int64
 	for trial := 0; trial < 400; trial++ {
 		it := corpusindex.NewInterner()
 		universe := 2 + rng.Intn(10)
@@ -101,7 +105,24 @@ func TestStopRuleEquivalence(t *testing.T) {
 			}
 		}
 
+		tr := telemetry.NewTrace(telemetry.NewTraceID())
+		opt.Span = telemetry.Root(telemetry.New(), tr)
 		pass := PlayBatch(queries, targets, plans, opt)
+		opt.Span = telemetry.Span{}
+		attrs := tr.Snapshot().Spans[0].Attrs
+		tr.Free()
+		accounted := int64(0)
+		for _, k := range []string{"findings", "games_unplayed", "games_cut", "games_lost", "refused_score", "refused_ratio", "refused_marker"} {
+			accounted += attrs[k].(int64)
+		}
+		if accounted != attrs["examined"] {
+			t.Fatalf("trial %d: the pass's span accounts for %d games, examined %v: %v", trial, accounted, attrs["examined"], attrs)
+		}
+		if attrs["games_unplayed"] != int64(pass.Unplayed) || attrs["games_cut"] != int64(pass.Cut) {
+			t.Fatalf("trial %d: span attrs %v, pass %+v", trial, attrs, pass)
+		}
+		lost += attrs["games_lost"].(int64)
+		refused += attrs["refused_score"].(int64) + attrs["refused_ratio"].(int64) + attrs["refused_marker"].(int64)
 		wantUnplayed := 0
 		for qx, bq := range queries {
 			want := make([]*Finding, len(targets))
@@ -186,9 +207,9 @@ func TestStopRuleEquivalence(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d findings, %d played games of which %d cut, %d unplayed", found, played, cut, unplayed)
-	if found < 100 || cut < 100 || unplayed < 100 || played < 1000 {
-		t.Fatalf("vacuous: %d findings, %d played games of which %d cut, %d unplayed", found, played, cut, unplayed)
+	t.Logf("%d findings, %d played games of which %d cut, %d unplayed; the passes lost %d and refused %d", found, played, cut, unplayed, lost, refused)
+	if found < 100 || cut < 100 || unplayed < 100 || played < 1000 || lost < 100 || refused < 50 {
+		t.Fatalf("vacuous: %d findings, %d played games of which %d cut, %d unplayed; %d lost, %d refused", found, played, cut, unplayed, lost, refused)
 	}
 }
 

@@ -74,7 +74,9 @@ type Config struct {
 	// serve.requests, serve.rejected, serve.inflight, serve.swaps, the
 	// serve.latency_us histogram (whose Report quantiles are the p50/p99
 	// the load benchmark records), per-endpoint serve.req.* counters,
-	// and the serve.uptime_s / serve.corpus_age_s gauges. GET /metrics
+	// the serve.uptime_s / serve.corpus_age_s gauges, and the
+	// shard.corrupt gauge: how many of the installed corpus's shards
+	// report a corruption (firmup.SealedShard.Corrupt). GET /metrics
 	// serves it as JSON, or as Prometheus text exposition with
 	// ?format=prom.
 	Registry *telemetry.Registry
@@ -217,6 +219,19 @@ func New(initial *Corpus, cfg *Config) *Server {
 				return 0
 			}
 			return cs.queries.size()
+		})
+		r.GaugeFunc("shard.corrupt", func() int64 {
+			cs := s.corpus.Load()
+			if cs == nil {
+				return 0
+			}
+			n := int64(0)
+			for _, sh := range cs.Sealed.Shards() {
+				if sh.Corrupt != "" {
+					n++
+				}
+			}
+			return n
 		})
 	}
 	if initial != nil {

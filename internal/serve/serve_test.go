@@ -456,7 +456,8 @@ func TestServeFindingsFileSchema(t *testing.T) {
 // faults reading the strand sets of the executables it materialized. The
 // poisoned request must be a 500 naming the recovered panic and the
 // shard, with its trace ID; /corpus then reports shard 0 corrupt, and
-// only it; and the process and the server carry on. That the search's
+// only it, and the shard.corrupt gauge goes from 0 to 1; and the process
+// and the server carry on. That the search's
 // worker count does not matter is the facade's
 // TestTruncatedShardDegradesSearch.
 func TestServePanickingShardIs500(t *testing.T) {
@@ -474,12 +475,16 @@ func TestServePanickingShardIs500(t *testing.T) {
 	if !sharded.Shards()[0].Mapped {
 		t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
 	}
-	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1})
+	reg := telemetry.New()
+	srv := serve.New(newCorpus("sharded", sharded), &serve.Config{TraceSample: 1, Registry: reg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	if resp, blob := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d before the damage: %s", resp.StatusCode, blob)
+	}
+	if n := reg.Snapshot().Gauges["shard.corrupt"]; n != 0 {
+		t.Errorf("shard.corrupt = %d before the damage, want 0", n)
 	}
 
 	// Cut shard 0 at the first page boundary past its sorted vocabulary
@@ -517,6 +522,9 @@ func TestServePanickingShardIs500(t *testing.T) {
 	info := getCorpus(t, ts.URL)
 	if len(info.Shards) != 2 || !strings.Contains(info.Shards[0].Corrupt, "shard-0000.fwcorp") || info.Shards[1].Corrupt != "" {
 		t.Errorf("/corpus after the damage reports shards %+v, want shard 0 alone corrupt", info.Shards)
+	}
+	if n := reg.Snapshot().Gauges["shard.corrupt"]; n != 1 {
+		t.Errorf("shard.corrupt = %d after the damage, want 1", n)
 	}
 	// Still serving: a per-image search passes over only the shards that
 	// store the image's executables, and the last image's are all in the

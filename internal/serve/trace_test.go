@@ -184,7 +184,8 @@ func TestServeTraceSampling(t *testing.T) {
 // shard: the trace's span tree carries one corpus.shard span per shard
 // with distinct shard indexes, each parenting the per-image search
 // work. The whole tree of a never-seen upload is pinned by name, and
-// every name in it is a stage on /metrics: one span vocabulary.
+// every name in it is a stage on /metrics: one span vocabulary. Each
+// core.search span accounts for every game it examined.
 func TestServeShardedTraceAttribution(t *testing.T) {
 	sc, query := buildScenario(t)
 	const nShards = 3
@@ -235,7 +236,6 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 		"serve.analyze_query › cfg.recover":   1,
 		"cfg.recover › cfg.sweep":             1,
 		"serve.analyze_query › sim.build":     1,
-		"sim.build › sim.index":               1,
 		"serve.request › serve.search":        1,
 		"serve.search › corpus.shard":         nShards,
 		"corpus.shard › store.materialize":    nShards,
@@ -287,6 +287,31 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 	}
 	if imgSpans == 0 {
 		t.Error("no search spans attributed to any shard")
+	}
+
+	// Every game a core.search span examines is accounted for once: it
+	// found, was not played, was cut, ended with no target or had its
+	// match refused.
+	examined := 0.0
+	for _, sp := range tr.Spans {
+		if sp.Name != "core.search" {
+			continue
+		}
+		sum := 0.0
+		for _, k := range []string{"findings", "games_unplayed", "games_cut", "games_lost", "refused_score", "refused_ratio", "refused_marker"} {
+			n, ok := sp.Attrs[k].(float64)
+			if !ok {
+				t.Fatalf("core.search span lacks a %s attr: %+v", k, sp.Attrs)
+			}
+			sum += n
+		}
+		if sum != sp.Attrs["examined"] {
+			t.Errorf("core.search span accounts for %v games, examined %v: %+v", sum, sp.Attrs["examined"], sp.Attrs)
+		}
+		examined += sp.Attrs["examined"].(float64)
+	}
+	if examined == 0 {
+		t.Error("no core.search span examined a game; the accounting check is vacuous")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"firmup/internal/strand"
 )
 
-// referenceIndex is the comparison-sort CSR builder buildIndex replaced,
+// referenceIndex is the comparison-sort CSR builder the counting build replaced,
 // kept as the oracle: gather (strand ID, procedure) pairs, sort by ID then
 // procedure, compact runs of equal IDs into one row.
 func referenceIndex(procs []*Proc) (ids []uint32, start, posts []int32) {
@@ -62,12 +62,13 @@ func randomProcs(rng *rand.Rand, it strand.Interner, nprocs, maxLen int, bound u
 	return procs
 }
 
-func checkIndex(t *testing.T, name string, e *Exe) {
+// checkIndex compares c, the index built from procs, with the reference.
+func checkIndex(t *testing.T, name string, procs []*Proc, c *csr) {
 	t.Helper()
-	ids, start, posts := referenceIndex(e.Procs)
-	if !slices.Equal(e.ids, ids) || !slices.Equal(e.start, start) || !slices.Equal(e.procs, posts) {
+	ids, start, posts := referenceIndex(procs)
+	if !slices.Equal(c.ids, ids) || !slices.Equal(c.start, start) || !slices.Equal(c.procs, posts) {
 		t.Fatalf("%s: counting CSR differs from the sort-based reference:\nids   %v\nwant  %v\nstart %v\nwant  %v\nprocs %v\nwant  %v",
-			name, e.ids, ids, e.start, start, e.procs, posts)
+			name, c.ids, ids, c.start, start, c.procs, posts)
 	}
 }
 
@@ -95,7 +96,8 @@ func TestBuildIndexMatchesReference(t *testing.T) {
 		}{"random", randomProcs(rng, it, rng.Intn(40), 1+rng.Intn(60), bound)})
 	}
 	for _, c := range cases {
-		checkIndex(t, c.name, FromProcs("T", c.procs, it))
+		e := FromProcs("T", c.procs, it)
+		checkIndex(t, c.name, e.Procs, e.index.get(e.Procs))
 	}
 
 	// One scratch through builds whose largest ID shrinks, then grows past
@@ -103,9 +105,8 @@ func TestBuildIndexMatchesReference(t *testing.T) {
 	// next one counts from stale cells.
 	sc := new(csrScratch)
 	for _, bound := range []uint32{5000, 40, 7, 300, 100_000, 64, 1} {
-		e := &Exe{Procs: randomProcs(rng, it, 30, 50, bound), it: it}
-		sc.build(e)
-		checkIndex(t, "reused scratch", e)
+		procs := randomProcs(rng, it, 30, 50, bound)
+		checkIndex(t, "reused scratch", procs, sc.build(procs))
 		if slices.ContainsFunc(sc.cnt, func(c int32) bool { return c != 0 }) ||
 			slices.ContainsFunc(sc.seen, func(w uint64) bool { return w != 0 }) {
 			t.Fatalf("scratch not zero after a build with IDs below %d", bound)
@@ -125,10 +126,98 @@ func TestBuildIndexConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			e := FromProcs("T", randomProcs(rng, it, 25, 80, 1<<uint(4+seed%12)), it)
 			ids, start, posts := referenceIndex(e.Procs)
-			if !slices.Equal(e.ids, ids) || !slices.Equal(e.start, start) || !slices.Equal(e.procs, posts) {
+			c := e.index.get(e.Procs)
+			if !slices.Equal(c.ids, ids) || !slices.Equal(c.start, start) || !slices.Equal(c.procs, posts) {
 				t.Errorf("seed %d: counting CSR differs from the reference", seed)
 			}
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// bruteSims counts Sim(q, p) for every procedure by set intersection,
+// with no index.
+func bruteSims(procs []*Proc, q strand.Set) []int {
+	want := make([]int, len(procs))
+	for pi, p := range procs {
+		want[pi] = q.Intersect(p.Set)
+	}
+	return want
+}
+
+// An executable's index is built on its first similarity query, once,
+// whoever asks: neither BuildWith nor FromProcs builds it, 64 goroutines
+// racing the first SimAll (run under -race) all read one build equal to
+// the reference, and Rebound and WithPath copies share it.
+func TestIndexBuiltOnFirstQuery(t *testing.T) {
+	it := newTestInterner()
+	if built := BuildWith("T", recoverFixture(t), it, nil); len(built.Procs) == 0 || built.index.built.Load() != nil {
+		t.Fatalf("BuildWith built %d procedures and the index", len(built.Procs))
+	}
+	rng := rand.New(rand.NewSource(45))
+	e := FromProcs("T", randomProcs(rng, it, 40, 80, 1<<10), it)
+	if e.index.built.Load() != nil {
+		t.Fatal("FromProcs built the index")
+	}
+	queries := randomProcs(rng, it, 64, 120, 1<<10)
+	var wg sync.WaitGroup
+	for _, qp := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, want := e.SimAll(qp.Set), bruteSims(e.Procs, qp.Set); !slices.Equal(got, want) {
+				t.Errorf("SimAll = %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	built := e.index.built.Load()
+	if built == nil {
+		t.Fatal("no index published after the first queries")
+	}
+	checkIndex(t, "raced first query", e.Procs, built)
+
+	fresh := FromProcs("T", randomProcs(rng, it, 20, 60, 1<<8), it)
+	rebound, renamed := fresh.Rebound(it), fresh.WithPath("U")
+	q := queries[0].Set
+	if got, want := renamed.SimAll(q), bruteSims(fresh.Procs, q); !slices.Equal(got, want) {
+		t.Errorf("WithPath copy: SimAll = %v, want %v", got, want)
+	}
+	c := fresh.index.built.Load()
+	if c == nil || rebound.index.built.Load() != c {
+		t.Fatal("a query on the WithPath copy did not build the index the receiver and its Rebound copy read")
+	}
+	if got, want := rebound.SimAll(q), bruteSims(fresh.Procs, q); !slices.Equal(got, want) || fresh.index.built.Load() != c {
+		t.Errorf("Rebound copy: SimAll = %v, want %v, from the one build", got, want)
+	}
+}
+
+// A build that panics publishes nothing, so the next query builds again
+// and panics again rather than reading an empty index and scoring zero;
+// once the set reads cleanly, a query builds and answers. The set's IDs
+// are out of order, so the counting build indexes past the scratch its
+// last ID sized.
+func TestIndexBuildPanicPublishesNothing(t *testing.T) {
+	it := newTestInterner()
+	bad := &Proc{Set: strand.Set{IDs: []uint32{100_000, 5}, It: it}}
+	e := FromProcs("T", []*Proc{{Set: strand.Set{IDs: []uint32{1, 2}, It: it}}, bad}, it)
+	q := strand.Set{IDs: []uint32{1, 2, 5}, It: it}
+	for try := range 2 {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("query %d: the build did not panic", try)
+				}
+			}()
+			counts := e.SimAll(q)
+			t.Errorf("query %d returned %v", try, counts)
+		}()
+		if e.index.built.Load() != nil {
+			t.Fatalf("query %d: a panicking build published an index", try)
+		}
+	}
+	bad.Set.IDs = []uint32{5, 100_000}
+	if got := e.SimAll(q); !slices.Equal(got, []int{2, 1}) {
+		t.Errorf("after the set reads cleanly, SimAll = %v, want [2 1]", got)
+	}
 }

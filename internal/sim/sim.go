@@ -5,10 +5,11 @@
 // best-match queries (the paper's Sim(q,t) = |Strands(q) ∩ Strands(t)|).
 //
 // Every executable is built under an analyzer session (a strand.Interner)
-// that assigns its strands dense IDs, and keeps its inverted index as
-// posting lists over them in CSR form. Similarity is counted over those
-// IDs alone, so a query set must come from the executable's session or
-// an overlay of it.
+// that assigns its strands dense IDs. Its inverted index — posting lists
+// over those IDs in CSR form — is built on its first similarity query,
+// not with the executable: many executables are never asked one.
+// Similarity is counted over the IDs alone, so a query set must come from
+// the executable's session or an overlay of it.
 package sim
 
 import (
@@ -51,12 +52,9 @@ type Exe struct {
 	Stripped bool
 
 	it strand.Interner
-	// CSR inverted index over dense strand IDs: ids is the sorted set of
-	// distinct strand IDs present in the executable, and
-	// procs[start[k]:start[k+1]] lists the procedures containing ids[k].
-	ids   []uint32
-	start []int32
-	procs []int32
+	// index is the inverted index, built on first use (SimAllInto) and
+	// shared with every Rebound and WithPath copy.
+	index *lazyIndex
 
 	nameOnce sync.Once
 	names    map[string]int
@@ -72,17 +70,16 @@ type BuildConfig struct {
 	// per-procedure result is a pure function of the recovered input.
 	Workers int
 	// Span is the parent the build is timed and counted under: one
-	// "sim.build" span end to end with inverted-index construction
-	// ("sim.index") as its child, and in its registry sim.procs, the
+	// "sim.build" span end to end, and in its registry sim.procs, the
 	// procedures indexed, beside the extractors' strand.blocks and
-	// strand.strands. The zero Span records nothing. The indexed output
-	// is identical either way.
+	// strand.strands. The inverted index is not part of the build: it is
+	// built on the executable's first similarity query. The zero Span
+	// records nothing. The indexed output is identical either way.
 	Span telemetry.Span
 }
 
 // BuildWith indexes a recovered executable under the analyzer session
-// it: every procedure's strand set is interned to dense IDs and the
-// inverted index is built as posting lists over them, by a bounded
+// it: every procedure's strand set is interned to dense IDs by a bounded
 // procedure-level worker pool (bc, which may be nil).
 //
 // rec is a plan (cfg.Plan) or a full recovery (cfg.Recover). A planned
@@ -97,7 +94,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		abi = be.ABI()
 	}
 	opt := &strand.Options{ABI: abi, Sections: rec.File.Map()}
-	e := &Exe{Path: path, Arch: rec.Arch, Stripped: rec.File.Stripped}
+	e := &Exe{Path: path, Arch: rec.Arch, Stripped: rec.File.Stripped, index: new(lazyIndex)}
 	if bc == nil {
 		bc = &BuildConfig{}
 	}
@@ -141,9 +138,6 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		}
 	}
 	bc.Span.Counter("sim.procs").Add(int64(len(e.Procs)))
-	indexSpan := buildSpan.Start("sim.index")
-	e.buildIndex()
-	indexSpan.End()
 	return e
 }
 
@@ -240,13 +234,12 @@ func (pb *procBuilder) build(i int) *Proc {
 // session it, interning every strand set. Sets already interned under it
 // (e.g. materialized from a shard) are kept as-is.
 func FromProcs(path string, procs []*Proc, it strand.Interner) *Exe {
-	e := &Exe{Path: path, Procs: procs, it: it}
+	e := &Exe{Path: path, Procs: procs, it: it, index: new(lazyIndex)}
 	for _, p := range e.Procs {
 		if p.Set.It != it {
 			p.Set = p.Set.Interned(it)
 		}
 	}
-	e.buildIndex()
 	return e
 }
 
@@ -268,9 +261,7 @@ func (e *Exe) Rebound(it strand.Interner) *Exe {
 		Arch:     e.Arch,
 		Stripped: e.Stripped,
 		it:       it,
-		ids:      e.ids,
-		start:    e.start,
-		procs:    e.procs,
+		index:    e.index,
 	}
 	out.Procs = make([]*Proc, len(e.Procs))
 	for i, p := range e.Procs {
@@ -282,9 +273,9 @@ func (e *Exe) Rebound(it strand.Interner) *Exe {
 }
 
 // WithPath returns a copy of the executable under another path: the
-// procedures and CSR posting lists are shared with the receiver, only
-// Path differs. The lazily-built name map is not carried over; the copy
-// builds its own on first use.
+// procedures and the inverted index, built or not, are shared with the
+// receiver, only Path differs. The lazily-built name map is not carried
+// over; the copy builds its own on first use.
 func (e *Exe) WithPath(path string) *Exe {
 	return &Exe{
 		Path:     path,
@@ -292,13 +283,50 @@ func (e *Exe) WithPath(path string) *Exe {
 		Procs:    e.Procs,
 		Stripped: e.Stripped,
 		it:       e.it,
-		ids:      e.ids,
-		start:    e.start,
-		procs:    e.procs,
+		index:    e.index,
 	}
 }
 
-// csrScratch is buildIndex's counting scratch, pooled across builds:
+// csr is an executable's inverted index over dense strand IDs: ids is the
+// sorted set of distinct strand IDs present in the executable, and
+// procs[start[k]:start[k+1]] lists the procedures containing ids[k].
+type csr struct {
+	ids   []uint32
+	start []int32
+	procs []int32
+}
+
+// lazyIndex holds an executable's csr once built. The first query builds
+// it under mu while later ones wait, and it is published only when the
+// build returns: a build that panics — a fault reading a set that aliases
+// a shard truncated under the process — publishes nothing, and the next
+// query builds again. (A sync.Once would count the panicking call as done
+// and every later query would read an empty index, scoring zero.)
+type lazyIndex struct {
+	built atomic.Pointer[csr]
+	mu    sync.Mutex
+}
+
+// get returns the index of procs, building it on first use.
+func (h *lazyIndex) get(procs []*Proc) *csr {
+	if c := h.built.Load(); c != nil {
+		return c
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if c := h.built.Load(); c != nil {
+		return c
+	}
+	sc := csrPool.Get().(*csrScratch)
+	c := sc.build(procs)
+	// Not deferred: a build that panics leaves its scratch dirty, and the
+	// scratch is dropped with it.
+	csrPool.Put(sc)
+	h.built.Store(c)
+	return c
+}
+
+// csrScratch is a csr build's counting scratch, pooled across builds:
 // cnt[id] is strand id's posting count, then its fill cursor; seen marks
 // the IDs counted. Both are all zero between builds.
 type csrScratch struct {
@@ -308,23 +336,16 @@ type csrScratch struct {
 
 var csrPool = sync.Pool{New: func() any { return new(csrScratch) }}
 
-// buildIndex builds the executable's CSR posting lists.
-func (e *Exe) buildIndex() {
-	sc := csrPool.Get().(*csrScratch)
-	sc.build(e)
-	csrPool.Put(sc)
-}
-
-// build builds e's CSR posting lists by counting, with no comparison:
-// every procedure's IDs are sorted and procedures are visited in index
-// order, so counting per ID, walking the occupancy bitmap in ID order and
-// filling in procedure order yields rows sorted by ID with ascending
-// procedures. The scratch grows to the largest ID seen, overlay-private
-// ones included, and only what a build touched is zeroed again:
-// O(postings + maxID/64), never a vocabulary-sized clear.
-func (sc *csrScratch) build(e *Exe) {
+// build builds the CSR posting lists of procs by counting, with no
+// comparison: every procedure's IDs are sorted and procedures are visited
+// in index order, so counting per ID, walking the occupancy bitmap in ID
+// order and filling in procedure order yields rows sorted by ID with
+// ascending procedures. The scratch grows to the largest ID seen,
+// overlay-private ones included, and only what a build touched is zeroed
+// again: O(postings + maxID/64), never a vocabulary-sized clear.
+func (sc *csrScratch) build(procs []*Proc) *csr {
 	n, maxID := 0, uint32(0)
-	for _, p := range e.Procs {
+	for _, p := range procs {
 		if ids := p.Set.IDs; len(ids) > 0 {
 			n += len(ids)
 			maxID = max(maxID, ids[len(ids)-1])
@@ -337,7 +358,7 @@ func (sc *csrScratch) build(e *Exe) {
 	}
 	cnt, seen := sc.cnt, sc.seen[:maxID>>6+1]
 	distinct := 0
-	for _, p := range e.Procs {
+	for _, p := range procs {
 		for _, id := range p.Set.IDs {
 			if cnt[id] == 0 {
 				seen[id>>6] |= 1 << (id & 63)
@@ -346,29 +367,30 @@ func (sc *csrScratch) build(e *Exe) {
 			cnt[id]++
 		}
 	}
-	e.ids = make([]uint32, distinct)
+	c := &csr{ids: make([]uint32, distinct)}
 	rows := make([]int32, distinct+1+n)
-	e.start, e.procs = rows[:distinct+1:distinct+1], rows[distinct+1:]
+	c.start, c.procs = rows[:distinct+1:distinct+1], rows[distinct+1:]
 	k, pos := 0, int32(0)
 	for w, word := range seen {
 		for ; word != 0; word &= word - 1 {
 			id := uint32(w<<6 + bits.TrailingZeros64(word))
-			e.ids[k], e.start[k] = id, pos
+			c.ids[k], c.start[k] = id, pos
 			cnt[id], pos = pos, pos+cnt[id]
 			k++
 		}
 	}
-	e.start[k] = pos
-	for pi, p := range e.Procs {
+	c.start[k] = pos
+	for pi, p := range procs {
 		for _, id := range p.Set.IDs {
-			e.procs[cnt[id]] = int32(pi)
+			c.procs[cnt[id]] = int32(pi)
 			cnt[id]++
 		}
 	}
-	for _, id := range e.ids {
+	for _, id := range c.ids {
 		cnt[id] = 0
 	}
 	clear(seen)
+	return c
 }
 
 // ProcByName returns the index of the first procedure with the given
@@ -395,7 +417,8 @@ func (e *Exe) Sim(q strand.Set, i int) int {
 }
 
 // SimAll computes Sim(q, t) for every procedure via the inverted index:
-// one counter bump per (query strand, containing procedure) pair.
+// one counter bump per (query strand, containing procedure) pair. The
+// executable's first call builds the index.
 func (e *Exe) SimAll(q strand.Set) []int {
 	return e.SimAllInto(q, nil)
 }
@@ -423,8 +446,12 @@ func (e *Exe) SimAllInto(q strand.Set, counts []int) []int {
 // costs the logarithm of the gap it jumps, not of the whole tail;
 // otherwise a linear merge over the two sorted sequences.
 func (e *Exe) simIDs(qids []uint32, counts []int) {
-	ids := e.ids
-	if len(qids) == 0 || len(ids) == 0 {
+	if len(qids) == 0 {
+		return
+	}
+	ix := e.index.get(e.Procs)
+	ids := ix.ids
+	if len(ids) == 0 {
 		return
 	}
 	if len(qids)*8 < len(ids) {
@@ -453,7 +480,7 @@ func (e *Exe) simIDs(qids []uint32, counts []int) {
 				return
 			}
 			if ids[lo] == id {
-				for _, pi := range e.procs[e.start[lo]:e.start[lo+1]] {
+				for _, pi := range ix.procs[ix.start[lo]:ix.start[lo+1]] {
 					counts[pi]++
 				}
 			}
@@ -464,7 +491,7 @@ func (e *Exe) simIDs(qids []uint32, counts []int) {
 	for i < len(qids) && j < len(ids) {
 		switch {
 		case qids[i] == ids[j]:
-			for _, pi := range e.procs[e.start[j]:e.start[j+1]] {
+			for _, pi := range ix.procs[ix.start[j]:ix.start[j+1]] {
 				counts[pi]++
 			}
 			i++

@@ -131,7 +131,9 @@ func TestTopKOrdering(t *testing.T) {
 	}
 }
 
-func TestBuildPopulatesCallGraph(t *testing.T) {
+// recoverFixture recovers isatest's program compiled for MIPS.
+func recoverFixture(t *testing.T) *cfg.Recovered {
+	t.Helper()
 	pkg, err := compiler.CompileToMIR(isatest.Source, compiler.Profile{OptLevel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +147,11 @@ func TestBuildPopulatesCallGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := BuildWith("t", rec, newTestInterner(), nil)
+	return rec
+}
+
+func TestBuildPopulatesCallGraph(t *testing.T) {
+	e := BuildWith("t", recoverFixture(t), newTestInterner(), nil)
 	di := e.ProcByName("deep")
 	if di < 0 {
 		t.Fatal("deep missing")
@@ -219,7 +225,7 @@ func TestInternedSimAllSmallQueryLargeExe(t *testing.T) {
 // TestSimIDsMatchesHashPath pins simIDs' two strategies — the galloping
 // search and the linear merge — against a brute-force count of the hashes
 // each procedure shares with the query, on random executables: query sizes are drawn on both sides of the
-// len(qids)*8 < len(e.ids) switch, with clustered and scattered IDs,
+// len(qids)*8 < len(ids) switch, with clustered and scattered IDs,
 // IDs below, between and above the executable's rows, and in both game
 // directions (a small set against a large executable and the reverse).
 func TestSimIDsMatchesHashPath(t *testing.T) {
@@ -260,11 +266,11 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 			// Half the queries are sized around the switch point.
 			n := 1 + rng.Intn(min(universe/2, 300))
 			if k%2 == 0 {
-				n = max(1, len(e.ids)/8-2+rng.Intn(5))
+				n = max(1, len(e.index.get(e.Procs).ids)/8-2+rng.Intn(5))
 			}
 			qh := randSet(min(n, universe/2), universe)
 			q := strand.Set{Hashes: qh}.Interned(it)
-			if len(q.IDs)*8 < len(e.ids) {
+			if len(q.IDs)*8 < len(e.index.get(e.Procs).ids) {
 				galloped++
 			} else {
 				merged++
@@ -281,7 +287,7 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d: |q|=%d |ids|=%d: counts[%d] = %d, want %d",
-						trial, len(q.IDs), len(e.ids), i, got[i], want[i])
+						trial, len(q.IDs), len(e.index.get(e.Procs).ids), i, got[i], want[i])
 				}
 			}
 			// The reverse direction of a game: each procedure of e

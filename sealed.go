@@ -361,8 +361,8 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // span query analysis and search record under when their Options carry
 // no Span. Query analysis then records the front end layer by layer —
 // obj.parse, cfg.recover / cfg.sweep and the cfg counters, sim.build
-// (which lifts each procedure as it extracts it) / sim.index / sim.procs,
-// and strand.blocks / strand.strands — and a search its core.search (and
+// (which lifts each procedure as it extracts it) / sim.procs, and
+// strand.blocks / strand.strands — and a search its core.search (and
 // corpus.shard, store.materialize) stages, the prefilter's index.queries
 // / index.fanout and the game engine's game.*, search.* and batch.*
 // metrics. Call before serving. A nil registry detaches.

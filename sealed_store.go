@@ -30,8 +30,11 @@ import (
 // working set instead of the corpus.
 //
 // Off the mapping (loadExe), an executable's strand IDs and markers alias
-// the file; its procedures, call graph and CSR posting lists are derived
-// once, by counting, into a few slabs. It has no strand hashes, like an
+// the file; its procedures and call graph are decoded once, into a few
+// slabs, and its CSR posting lists are built on its first similarity
+// query (sim.Exe.SimAll). Many materialized targets are never asked one:
+// a game's first pick comes from the posting scan's vector, and its
+// rival step reads the query's index. It has no strand hashes, like an
 // analysed executable: every similarity is counted over IDs, and a
 // caller that wants hashes derives them from the vocabulary
 // (strand.Set.AppendHashes).
@@ -141,10 +144,10 @@ func (g *sealedGroup) recoverCorrupt(section string, err *error) {
 // loadExe materializes one executable from the shard in one
 // linear pass and, names aside, a constant number of allocations: strand
 // IDs and markers alias the mapped slabs (they are immutable), the
-// procedures are one slab, every Calls and CalledBy list is cut from one
-// more (in-degrees counted first), and sim's CSR build counts instead of
-// sorting. Hashes are not built (see the file comment); the result binds
-// to the frozen interner like an executable sealed in RAM.
+// procedures are one slab, and every Calls and CalledBy list is cut from
+// one more (in-degrees counted first). Neither hashes nor the inverted
+// index are built (see the file comment); the result binds to the frozen
+// interner like an executable sealed in RAM.
 func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 	ed, err := g.shard.Exe(u)
 	if err != nil {

@@ -66,7 +66,7 @@ func TestAnalyzerMetrics(t *testing.T) {
 	if snap.Schema != telemetry.SchemaVersion {
 		t.Errorf("snapshot schema = %d, want %d", snap.Schema, telemetry.SchemaVersion)
 	}
-	for _, stage := range []string{"image.open", "image.unpack", "obj.parse", "cfg.recover", "cfg.sweep", "sim.build", "sim.index", "core.search"} {
+	for _, stage := range []string{"image.open", "image.unpack", "obj.parse", "cfg.recover", "cfg.sweep", "sim.build", "core.search"} {
 		if snap.Stages[stage].Calls == 0 {
 			t.Errorf("stage %q recorded no calls", stage)
 		}
@@ -136,7 +136,7 @@ func TestSealedQueryAnalysisTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := reg.Snapshot()
-	for _, stage := range []string{"obj.parse", "cfg.recover", "cfg.sweep", "sim.build", "sim.index"} {
+	for _, stage := range []string{"obj.parse", "cfg.recover", "cfg.sweep", "sim.build"} {
 		if got.Stages[stage].Calls == 0 || got.Stages[stage].Calls != want.Stages[stage].Calls {
 			t.Errorf("stage %q: %d calls on the sealed corpus, %d on the session",
 				stage, got.Stages[stage].Calls, want.Stages[stage].Calls)
