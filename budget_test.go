@@ -18,7 +18,7 @@ import (
 	"firmup/internal/uir"
 )
 
-// defaultSealed is the default-scale corpus sealed in RAM, built once
+// defaultSealed is the default-scale corpus sealed in memory, built once
 // for the tests here, which only read it.
 var defaultSealed = sync.OnceValues(func() (*firmup.SealedCorpus, error) {
 	return sealCorpus(corpus.DefaultScale())

@@ -185,14 +185,12 @@ func loadCorpus(path string) (*serve.Corpus, error) {
 		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if shards := sc.Shards(); shards != nil {
-		mapped := 0
-		for _, sh := range shards {
-			if sh.Mapped {
-				mapped++
-			}
+	shards, mapped := sc.Shards(), 0
+	for _, sh := range shards {
+		if sh.Mapped {
+			mapped++
 		}
-		log.Printf("firmupd: %s: %d shards (%d mmap-backed)", path, len(shards), mapped)
 	}
+	log.Printf("firmupd: %s: %d shards (%d mmap-backed)", path, len(shards), mapped)
 	return &serve.Corpus{Name: path, Sealed: sc, LoadedAt: time.Now()}, nil
 }

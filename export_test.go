@@ -69,3 +69,17 @@ var ShardSetFaults = shardSetFaults
 // vocabulary in the last executable's sets, which the shard's first
 // search tells while deriving its index.
 var IDOutsideVocab = idOutsideVocab
+
+// Materialized counts the executables the corpus has materialized: its
+// groups' filled materialize-once slots.
+func (sc *SealedCorpus) Materialized() int {
+	n := 0
+	for _, g := range sc.groups {
+		for i := range g.lazy {
+			if g.lazy[i].exe != nil || g.lazy[i].err != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

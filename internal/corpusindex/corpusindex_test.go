@@ -252,19 +252,26 @@ func indexOf(bound int, exes []*sim.Exe) *FrozenIndex {
 }
 
 // frozenOf seals a session's executables under the frozen vocabulary f:
-// the rebound executables and the index built from their sets, whose
-// slabs it checks are exactly sized.
-func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (rebound []*sim.Exe, built *FrozenIndex) {
+// each assembled, as a sealed corpus materializes it, from copies of its
+// procedures whose sets keep their IDs and are bound to f, and the index
+// built from their sets, whose slabs it checks are exactly sized.
+func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (sealed []*sim.Exe, built *FrozenIndex) {
 	t.Helper()
-	rebound = make([]*sim.Exe, len(live))
+	sealed = make([]*sim.Exe, len(live))
 	for i, e := range live {
-		rebound[i] = e.Rebound(f)
+		procs := make([]*sim.Proc, len(e.Procs))
+		for k, p := range e.Procs {
+			cp := *p
+			cp.Set.It = f
+			procs[k] = &cp
+		}
+		sealed[i] = sim.FromProcs(e.Path, procs, f)
 	}
-	built = indexOf(f.Size(), rebound)
+	built = indexOf(f.Size(), sealed)
 	if cap(built.rowIDs) != len(built.rowIDs) || cap(built.rowEnds) != len(built.rowEnds) || cap(built.posts) != len(built.posts) {
 		t.Fatalf("index slabs hold %d/%d/%d entries in %d/%d/%d", len(built.rowIDs), len(built.rowEnds), len(built.posts), cap(built.rowIDs), cap(built.rowEnds), cap(built.posts))
 	}
-	return rebound, built
+	return sealed, built
 }
 
 // TestScanVectorsEqualSimAll: what a scan hands the game engine is what
@@ -282,7 +289,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 		rng := rand.New(rand.NewSource(100 + seed))
 		it, live := randCorpus(rng, 2+rng.Intn(10))
 		f := it.Freeze()
-		rebound, built := frozenOf(t, f, live)
+		sealed, built := frozenOf(t, f, live)
 		bound := it.Size()
 		overlay := func(s strand.Set) strand.Set { return s.Interned(NewQueryInterner(f)) }
 		for _, side := range []struct {
@@ -291,7 +298,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 			exes   []*sim.Exe
 			intern func(strand.Set) strand.Set
 		}{
-			{"built", built, rebound, overlay},
+			{"built", built, sealed, overlay},
 			// The live image's index: keyed by the session interner, which
 			// keeps growing under the queries analysed after the build.
 			{"live", indexOf(bound, live), live, func(s strand.Set) strand.Set { return s.Interned(it) }},
@@ -429,7 +436,7 @@ func TestScanEdgeCases(t *testing.T) {
 		sim.FromProcs("none4", nil, it),
 	}
 	f := it.Freeze()
-	rebound, built := frozenOf(t, f, exes)
+	sealed, built := frozenOf(t, f, exes)
 	q := func(hashes ...uint64) strand.Set { return set(hashes...).Interned(NewQueryInterner(f)) }
 	cases := []struct {
 		name     string
@@ -451,7 +458,7 @@ func TestScanEdgeCases(t *testing.T) {
 		for _, c := range cases {
 			var got Scans
 			x.Scan(c.q, c.minScore, 0, c.inScope, &got)
-			want := bruteScan(rebound, c.q, c.minScore, c.inScope)
+			want := bruteScan(sealed, c.q, c.minScore, c.inScope)
 			if !slices.Equal(got.Exes, want.Exes) || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vecs, want.Vecs) {
 				t.Fatalf("%s round %d %s: scan %+v, brute force %+v", name, round, c.name, got, want)
 			}

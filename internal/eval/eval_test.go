@@ -156,7 +156,7 @@ func TestCompareGitZShape(t *testing.T) {
 
 // GitZ weights strands by dense ID, so over a corpus opened from shards —
 // whose executables carry no strand hashes — it trains the same context
-// and ranks the same top procedures as over the corpus sealed in RAM.
+// and ranks the same top procedures as over the corpus sealed in memory.
 func TestGitZStoreBackedMatchesInRAM(t *testing.T) {
 	env := testEnv(t)
 	dir := t.TempDir()
@@ -202,7 +202,7 @@ func TestGitZStoreBackedMatchesInRAM(t *testing.T) {
 		for k := range ram {
 			want := inRAM.TopK(q.Procs[qi].Set, ram[k], 3)
 			if got := onDisk.TopK(sq.Sim().Procs[qi].Set, disk[k], 3); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v target %d: store-backed TopK %+v, in RAM %+v", arch, k, got, want)
+				t.Fatalf("%v target %d: store-backed TopK %+v, sealed %+v", arch, k, got, want)
 			}
 			ranked += len(want)
 		}

@@ -148,7 +148,10 @@ func bruteSims(procs []*Proc, q strand.Set) []int {
 // An executable's index is built on its first similarity query, once,
 // whoever asks: neither BuildWith nor FromProcs builds it, 64 goroutines
 // racing the first SimAll (run under -race) all read one build equal to
-// the reference, and Rebound and WithPath copies share it.
+// the reference, and WithPath copies share it. An executable assembled
+// by FromProcs from the same procedures, their sets already bound to its
+// interner — as a sealed corpus materializes one from the IDs its shard
+// stores — keeps their IDs and builds an index of its own.
 func TestIndexBuiltOnFirstQuery(t *testing.T) {
 	it := newTestInterner()
 	if built := BuildWith("T", recoverFixture(t), it, nil); len(built.Procs) == 0 || built.index.built.Load() != nil {
@@ -178,18 +181,37 @@ func TestIndexBuiltOnFirstQuery(t *testing.T) {
 	checkIndex(t, "raced first query", e.Procs, built)
 
 	fresh := FromProcs("T", randomProcs(rng, it, 20, 60, 1<<8), it)
-	rebound, renamed := fresh.Rebound(it), fresh.WithPath("U")
+	renamed := fresh.WithPath("U")
 	q := queries[0].Set
 	if got, want := renamed.SimAll(q), bruteSims(fresh.Procs, q); !slices.Equal(got, want) {
 		t.Errorf("WithPath copy: SimAll = %v, want %v", got, want)
 	}
 	c := fresh.index.built.Load()
-	if c == nil || rebound.index.built.Load() != c {
-		t.Fatal("a query on the WithPath copy did not build the index the receiver and its Rebound copy read")
+	if c == nil || renamed.index.built.Load() != c {
+		t.Fatal("a query on the WithPath copy did not build the index the receiver reads")
 	}
-	if got, want := rebound.SimAll(q), bruteSims(fresh.Procs, q); !slices.Equal(got, want) || fresh.index.built.Load() != c {
-		t.Errorf("Rebound copy: SimAll = %v, want %v, from the one build", got, want)
+
+	procs := make([]*Proc, len(fresh.Procs))
+	for i, p := range fresh.Procs {
+		cp := *p
+		procs[i] = &cp
 	}
+	sealed := FromProcs("", procs, it)
+	for i, p := range sealed.Procs {
+		if len(p.Set.IDs) > 0 && &p.Set.IDs[0] != &fresh.Procs[i].Set.IDs[0] {
+			t.Fatalf("procedure %d: FromProcs re-interned a set already bound to its interner", i)
+		}
+	}
+	if sealed.index.built.Load() != nil {
+		t.Fatal("FromProcs over bound sets built the index")
+	}
+	if got, want := sealed.SimAll(q), bruteSims(fresh.Procs, q); !slices.Equal(got, want) {
+		t.Errorf("executable over bound sets: SimAll = %v, want %v", got, want)
+	}
+	if own := sealed.index.built.Load(); own == nil || own == c || fresh.index.built.Load() != c {
+		t.Error("the executable over bound sets did not build an index of its own")
+	}
+	checkIndex(t, "over bound sets", sealed.Procs, sealed.index.built.Load())
 }
 
 // A build that panics publishes nothing, so the next query builds again

@@ -53,7 +53,7 @@ type Exe struct {
 
 	it strand.Interner
 	// index is the inverted index, built on first use (SimAllInto) and
-	// shared with every Rebound and WithPath copy.
+	// shared with every WithPath copy.
 	index *lazyIndex
 
 	nameOnce sync.Once
@@ -245,32 +245,6 @@ func FromProcs(path string, procs []*Proc, it strand.Interner) *Exe {
 
 // Session returns the analyzer session the executable was built under.
 func (e *Exe) Session() strand.Interner { return e.it }
-
-// Rebound returns a copy of the executable bound to a different session
-// interner without re-interning: the CSR posting lists and every
-// procedure's slice data (IDs, markers, call graph) are shared
-// with the receiver, but the Proc structs are fresh so the copy's sets
-// carry it as their session. The caller guarantees it assigns the same
-// dense ID to every hash the receiver's session did — the contract a
-// frozen snapshot of the live interner satisfies by construction.
-// The lazily-built name map is not carried over; the copy builds its
-// own on first use.
-func (e *Exe) Rebound(it strand.Interner) *Exe {
-	out := &Exe{
-		Path:     e.Path,
-		Arch:     e.Arch,
-		Stripped: e.Stripped,
-		it:       it,
-		index:    e.index,
-	}
-	out.Procs = make([]*Proc, len(e.Procs))
-	for i, p := range e.Procs {
-		cp := *p
-		cp.Set.It = it
-		out.Procs[i] = &cp
-	}
-	return out
-}
 
 // WithPath returns a copy of the executable under another path: the
 // procedures and the inverted index, built or not, are shared with the

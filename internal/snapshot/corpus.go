@@ -19,9 +19,7 @@ type Corpus struct {
 	// Proc.IDs indexes into it. Only shard 0 stores it.
 	Interner []uint64
 	// Exes are the distinct executables with corpus-wide IDs
-	// [ShardHeader.ExeBase, ShardHeader.ExeBase+len(Exes)). An executable
-	// has no path of its own here (Exe.Path is not persisted): the same
-	// bytes ship under different paths in different images.
+	// [ShardHeader.ExeBase, ShardHeader.ExeBase+len(Exes)).
 	Exes   []Exe
 	Images []CorpusImage
 }
@@ -84,7 +82,7 @@ func validateExes(vocab int, exes []Exe) error {
 				}
 			}
 			for _, c := range p.Calls {
-				if c < 0 || int(c) >= len(e.Procs) {
+				if int(c) >= len(e.Procs) {
 					return fmt.Errorf("snapshot: encode: exe %d proc %d: call target %d out of range", ei, pi, c)
 				}
 			}

@@ -22,7 +22,7 @@ func testCorpus() *Corpus {
 					{
 						Name: "sub_400100", Addr: 0x400100,
 						IDs: []uint32{0, 2, 4}, Markers: []uint32{0x1f},
-						BlockCount: 7, EdgeCount: 9, InstCount: 55, Calls: []int32{1},
+						BlockCount: 7, EdgeCount: 9, InstCount: 55, Calls: []uint32{1},
 					},
 					{
 						Name: "sub_400200", Addr: 0x400200, Exported: true,

@@ -200,6 +200,12 @@ func EncodeVocab(vocab []uint64, order []uint32) (*Vocab, error) {
 // checksum. c.Exes are the executables with IDs [hdr.ExeBase,
 // hdr.ExeBase+len(c.Exes)). The model is validated first so a successful
 // encode always produces a shard OpenCorpusShardBytes accepts.
+//
+// The encode is two passes. The first counts the slabs and builds the
+// two variable-width sections, the string blob and the meta section; the
+// second writes every fixed-width section in place into the one output
+// buffer, sized exactly, so the encoder allocates little beyond the
+// shard it returns.
 func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if len(c.Interner) != v.n {
 		return nil, fmt.Errorf("snapshot: encode: corpus vocabulary of %d is not the encoded one of %d", len(c.Interner), v.n)
@@ -217,117 +223,58 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		return nil, err
 	}
 
-	le := binary.LittleEndian
-
-	// String blob, deduplicated: paths and procedure names repeat
-	// heavily across versions of the same device.
+	// Pass 1. The string blob is deduplicated: paths and procedure names
+	// repeat heavily across versions of the same device.
 	var strs []byte
 	strOffs := map[string]uint32{}
-	intern := func(s string) (uint32, uint32, error) {
-		if off, ok := strOffs[s]; ok {
-			return off, uint32(len(s)), nil
+	intern := func(s string) error {
+		if _, ok := strOffs[s]; ok {
+			return nil
 		}
 		if uint64(len(strs))+uint64(len(s)) > math.MaxUint32 {
-			return 0, 0, fmt.Errorf("snapshot: encode: string blob exceeds the 32-bit offset space")
+			return fmt.Errorf("snapshot: encode: string blob exceeds the 32-bit offset space")
 		}
-		off := uint32(len(strs))
-		strOffs[s] = off
+		strOffs[s] = uint32(len(strs))
 		strs = append(strs, s...)
-		return off, uint32(len(s)), nil
+		return nil
 	}
-
-	exeTab := make([]byte, 0, len(c.Exes)*v2ExeRecSize)
-	var procTab, idsB, markB, callB []byte
-	var nProcs, nIDs, nMarkers, nCalls uint64
+	var nProcs, nIDs, nMarkers, nCalls, nOccs uint64
 	for _, e := range c.Exes {
 		if nProcs+uint64(len(e.Procs)) > math.MaxUint32 {
 			return nil, fmt.Errorf("snapshot: encode: procedure count exceeds the 32-bit table space")
 		}
-		var rec [v2ExeRecSize]byte
-		le.PutUint32(rec[0:], uint32(nProcs))
-		le.PutUint32(rec[4:], uint32(len(e.Procs)))
-		le.PutUint64(rec[8:], nIDs)
-		le.PutUint64(rec[16:], nMarkers)
-		le.PutUint64(rec[24:], nCalls)
-		rec[32] = e.Arch
-		if e.Stripped {
-			rec[33] = 1
-		}
-		exeTab = append(exeTab, rec[:]...)
+		nProcs += uint64(len(e.Procs))
 		for _, p := range e.Procs {
-			nameOff, nameLen, err := intern(p.Name)
-			if err != nil {
+			if err := intern(p.Name); err != nil {
 				return nil, err
 			}
 			if p.BlockCount > math.MaxUint32 || p.EdgeCount > math.MaxUint32 || p.InstCount > math.MaxUint32 {
 				return nil, fmt.Errorf("snapshot: encode: procedure shape count exceeds 32 bits")
 			}
-			var flags uint32
-			if p.Exported {
-				flags |= 1
-			}
-			var prec [v2ProcRecSize]byte
-			le.PutUint32(prec[0:], nameOff)
-			le.PutUint32(prec[4:], nameLen)
-			le.PutUint32(prec[8:], p.Addr)
-			le.PutUint32(prec[12:], flags)
-			le.PutUint32(prec[16:], uint32(len(p.IDs)))
-			le.PutUint32(prec[20:], uint32(len(p.Markers)))
-			le.PutUint32(prec[24:], uint32(len(p.Calls)))
-			le.PutUint32(prec[28:], uint32(p.BlockCount))
-			le.PutUint32(prec[32:], uint32(p.EdgeCount))
-			le.PutUint32(prec[36:], uint32(p.InstCount))
-			procTab = append(procTab, prec[:]...)
-			for _, id := range p.IDs {
-				idsB = le.AppendUint32(idsB, id)
-			}
-			for _, m := range p.Markers {
-				markB = le.AppendUint32(markB, m)
-			}
-			for _, cc := range p.Calls {
-				callB = le.AppendUint32(callB, uint32(cc))
-			}
 			nIDs += uint64(len(p.IDs))
 			nMarkers += uint64(len(p.Markers))
 			nCalls += uint64(len(p.Calls))
-			nProcs++
 		}
 	}
-
-	// Occurrence table, image by image in image order.
-	var occTab []byte
 	for ii := range c.Images {
 		for _, oc := range c.Images[ii].Occs {
-			pathOff, pathLen, err := intern(oc.Path)
-			if err != nil {
+			if err := intern(oc.Path); err != nil {
 				return nil, err
 			}
-			occTab = le.AppendUint32(occTab, pathOff)
-			occTab = le.AppendUint32(occTab, pathLen)
-			occTab = le.AppendUint32(occTab, uint32(oc.Exe))
 		}
+		nOccs += uint64(len(c.Images[ii].Occs))
 	}
-	nOccs := uint64(len(occTab) / v2OccRecSize)
 
 	// Meta: shard header, slab totals (the open-time structural
 	// cross-check against section lengths), per-image identity.
 	var meta []byte
-	meta = appendUvarint(meta, uint64(hdr.ShardIndex))
-	meta = appendUvarint(meta, uint64(hdr.ShardCount))
-	meta = appendUvarint(meta, uint64(hdr.ImageBase))
-	meta = appendUvarint(meta, uint64(hdr.TotalImages))
-	meta = appendUvarint(meta, uint64(hdr.ExeBase))
-	meta = appendUvarint(meta, uint64(hdr.TotalExes))
-	meta = appendUvarint(meta, uint64(len(c.Interner)))
-	meta = appendUvarint(meta, uint64(len(strs)))
-	meta = appendUvarint(meta, uint64(len(c.Exes)))
-	meta = appendUvarint(meta, nOccs)
-	meta = appendUvarint(meta, nProcs)
-	meta = appendUvarint(meta, nIDs)
-	meta = appendUvarint(meta, nMarkers)
-	meta = appendUvarint(meta, nCalls)
-	meta = appendUvarint(meta, uint64(v.crc))
-	meta = appendUvarint(meta, uint64(len(c.Images)))
+	for _, n := range []uint64{
+		uint64(hdr.ShardIndex), uint64(hdr.ShardCount), uint64(hdr.ImageBase), uint64(hdr.TotalImages),
+		uint64(hdr.ExeBase), uint64(hdr.TotalExes), uint64(len(c.Interner)), uint64(len(strs)),
+		uint64(len(c.Exes)), nOccs, nProcs, nIDs, nMarkers, nCalls, uint64(v.crc), uint64(len(c.Images)),
+	} {
+		meta = appendUvarint(meta, n)
+	}
 	for i := range c.Images {
 		img := &c.Images[i]
 		meta = appendString(meta, img.Vendor)
@@ -341,50 +288,101 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		meta = appendUvarint(meta, uint64(len(img.Occs)))
 	}
 
-	type section struct {
-		tag     uint32
-		payload []byte
-	}
+	// Pass 2: lay the sections out in tag order and allocate the shard.
 	var vocabB, sortedB []byte
 	if hdr.ShardIndex == 0 {
 		vocabB, sortedB = v.vocab, v.sorted
 	}
-	sections := []section{
-		{secV2Meta, meta},
-		{secV2Vocab, vocabB},
-		{secV2VocabSorted, sortedB},
-		{secV2Strs, strs},
-		{secV2ExeTab, exeTab},
-		{secV2ProcTab, procTab},
-		{secV2IDs, idsB},
-		{secV2Markers, markB},
-		{secV2Calls, callB},
-		{secV2Occs, occTab},
+	sizes := [v2NumSections]uint64{
+		uint64(len(meta)), uint64(len(vocabB)), uint64(len(sortedB)), uint64(len(strs)),
+		uint64(len(c.Exes)) * v2ExeRecSize, nProcs * v2ProcRecSize,
+		nIDs * 4, nMarkers * 4, nCalls * 4, nOccs * v2OccRecSize,
 	}
-
-	offs := make([]uint64, len(sections))
-	off := alignUp(uint64(headerSize+len(sections)*tableEntrySize), v2Align)
-	for i, s := range sections {
+	var offs [v2NumSections]uint64
+	off := alignUp(uint64(headerSize+v2NumSections*tableEntrySize), v2Align)
+	for i, n := range sizes {
 		offs[i] = off
-		off = alignUp(off+uint64(len(s.payload)), v2Align)
+		off = alignUp(off+n, v2Align)
 	}
-	last := len(sections) - 1
-	total := offs[last] + uint64(len(sections[last].payload))
+	out := make([]byte, offs[v2NumSections-1]+sizes[v2NumSections-1])
+	sec := func(tag uint32) []byte {
+		i := tag - secV2Meta
+		return out[offs[i] : offs[i]+sizes[i]]
+	}
+	copy(sec(secV2Meta), meta)
+	copy(sec(secV2Vocab), vocabB)
+	copy(sec(secV2VocabSorted), sortedB)
+	copy(sec(secV2Strs), strs)
 
-	out := make([]byte, total)
+	// Every fixed-width section is written in place, each record at its
+	// slot and each slab element at its cursor.
+	le := binary.LittleEndian
+	exeTab, procTab := sec(secV2ExeTab), sec(secV2ProcTab)
+	idsB, markB, callB := sec(secV2IDs), sec(secV2Markers), sec(secV2Calls)
+	var pi, ids, marks, calls uint64
+	for ei, e := range c.Exes {
+		rec := exeTab[ei*v2ExeRecSize:][:v2ExeRecSize]
+		le.PutUint32(rec[0:], uint32(pi))
+		le.PutUint32(rec[4:], uint32(len(e.Procs)))
+		le.PutUint64(rec[8:], ids)
+		le.PutUint64(rec[16:], marks)
+		le.PutUint64(rec[24:], calls)
+		rec[32] = e.Arch
+		if e.Stripped {
+			rec[33] = 1
+		}
+		for _, p := range e.Procs {
+			var flags uint32
+			if p.Exported {
+				flags |= 1
+			}
+			prec := procTab[pi*v2ProcRecSize:][:v2ProcRecSize]
+			le.PutUint32(prec[0:], strOffs[p.Name])
+			le.PutUint32(prec[4:], uint32(len(p.Name)))
+			le.PutUint32(prec[8:], p.Addr)
+			le.PutUint32(prec[12:], flags)
+			le.PutUint32(prec[16:], uint32(len(p.IDs)))
+			le.PutUint32(prec[20:], uint32(len(p.Markers)))
+			le.PutUint32(prec[24:], uint32(len(p.Calls)))
+			le.PutUint32(prec[28:], uint32(p.BlockCount))
+			le.PutUint32(prec[32:], uint32(p.EdgeCount))
+			le.PutUint32(prec[36:], uint32(p.InstCount))
+			pi++
+			for _, id := range p.IDs {
+				le.PutUint32(idsB[4*ids:], id)
+				ids++
+			}
+			for _, m := range p.Markers {
+				le.PutUint32(markB[4*marks:], m)
+				marks++
+			}
+			for _, cc := range p.Calls {
+				le.PutUint32(callB[4*calls:], cc)
+				calls++
+			}
+		}
+	}
+	// Occurrence table, image by image in image order.
+	occTab := sec(secV2Occs)
+	for ii := range c.Images {
+		for _, oc := range c.Images[ii].Occs {
+			le.PutUint32(occTab[0:], strOffs[oc.Path])
+			le.PutUint32(occTab[4:], uint32(len(oc.Path)))
+			le.PutUint32(occTab[8:], uint32(oc.Exe))
+			occTab = occTab[v2OccRecSize:]
+		}
+	}
+
 	copy(out, corpusMagic)
 	le.PutUint32(out[len(corpusMagic):], CorpusFormatVersion)
-	le.PutUint32(out[len(corpusMagic)+4:], uint32(len(sections)))
-	p := headerSize
-	for i, s := range sections {
-		le.PutUint32(out[p:], s.tag)
-		le.PutUint64(out[p+4:], offs[i])
-		le.PutUint64(out[p+12:], uint64(len(s.payload)))
-		le.PutUint32(out[p+20:], crc32.Checksum(s.payload, castagnoli))
-		p += tableEntrySize
-	}
-	for i, s := range sections {
-		copy(out[offs[i]:], s.payload)
+	le.PutUint32(out[len(corpusMagic)+4:], v2NumSections)
+	for i := range sizes {
+		tag := uint32(secV2Meta + i)
+		row := out[headerSize+i*tableEntrySize:]
+		le.PutUint32(row, tag)
+		le.PutUint64(row[4:], offs[i])
+		le.PutUint64(row[12:], sizes[i])
+		le.PutUint32(row[20:], crc32.Checksum(sec(tag), castagnoli))
 	}
 	return out, nil
 }
@@ -487,28 +485,6 @@ type ImageInfo struct {
 	Version     string
 	Skipped     []Skip
 	Executables int
-}
-
-// ExeData is one distinct executable decoded from a shard. IDs, Markers
-// and Calls alias the mapped file (valid until Close); the strings are
-// copies.
-type ExeData struct {
-	Arch     uint8
-	Stripped bool
-	Procs    []ProcData
-}
-
-// ProcData is one procedure of an ExeData.
-type ProcData struct {
-	Name       string
-	Addr       uint32
-	Exported   bool
-	IDs        []uint32
-	Markers    []uint32
-	Calls      []uint32 // indices of called procedures within the executable
-	BlockCount int
-	EdgeCount  int
-	InstCount  int
 }
 
 // CorpusShard is one open shard. All accessors are safe for
@@ -1017,7 +993,7 @@ func (s *CorpusShard) Occurrences(img int) ([]Occurrence, error) {
 // validated (strictly increasing, inside the vocabulary) and call targets
 // are validated against the executable, so consumers can rely on the
 // invariants the encoder enforces.
-func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
+func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 	if gi < 0 || uint64(gi) >= s.totals.exes {
 		return nil, fmt.Errorf("snapshot: shard executable %d out of range", gi)
 	}
@@ -1056,10 +1032,10 @@ func (s *CorpusShard) Exe(gi int) (*ExeData, error) {
 	if rec[33] > 1 {
 		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[33])
 	}
-	ed := &ExeData{
+	ed := &Exe{
 		Arch:     rec[32],
 		Stripped: rec[33] == 1,
-		Procs:    make([]ProcData, procCount),
+		Procs:    make([]Proc, procCount),
 	}
 	for pi := range ed.Procs {
 		prec := procTab[(int(procStart)+pi)*v2ProcRecSize:][:v2ProcRecSize]

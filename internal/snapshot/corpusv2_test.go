@@ -4,11 +4,14 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -116,20 +119,10 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 		}
 		se := Exe{Arch: ed.Arch, Stripped: ed.Stripped}
 		for _, pd := range ed.Procs {
-			sp := Proc{
-				Name: pd.Name, Addr: pd.Addr, Exported: pd.Exported,
-				BlockCount: pd.BlockCount, EdgeCount: pd.EdgeCount, InstCount: pd.InstCount,
-			}
-			if len(pd.IDs) > 0 {
-				sp.IDs = append([]uint32(nil), pd.IDs...)
-			}
-			if len(pd.Markers) > 0 {
-				sp.Markers = append([]uint32(nil), pd.Markers...)
-			}
-			for _, c := range pd.Calls {
-				sp.Calls = append(sp.Calls, int32(c))
-			}
-			se.Procs = append(se.Procs, sp)
+			pd.IDs = append([]uint32(nil), pd.IDs...)
+			pd.Markers = append([]uint32(nil), pd.Markers...)
+			pd.Calls = append([]uint32(nil), pd.Calls...)
+			se.Procs = append(se.Procs, pd)
 		}
 		c.Exes = append(c.Exes, se)
 	}
@@ -451,5 +444,65 @@ func TestOpenCorpusShardFile(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestEncodeShardAllocBudget: the encoder writes every fixed-width section
+// in place into the one buffer it returns, so encoding a multi-megabyte
+// shard allocates little beyond the shard itself — the string blob, its
+// offsets and the meta section. A shard encoded from sections grown by
+// append and then copied allocates several times its size.
+func TestEncodeShardAllocBudget(t *testing.T) {
+	const budget = 1.25
+	rng := rand.New(rand.NewSource(46))
+	c := &Corpus{}
+	seen := map[uint64]bool{}
+	for len(c.Interner) < 1<<16 {
+		if h := rng.Uint64(); !seen[h] {
+			seen[h] = true
+			c.Interner = append(c.Interner, h)
+		}
+	}
+	// Executables of one family share their procedure names, as the
+	// versions of a package do; every one ships in one of 16 images.
+	c.Images = make([]CorpusImage, 16)
+	for ei := range 400 {
+		e := Exe{Arch: uint8(ei % 4)}
+		for pi := range 40 {
+			p := Proc{Name: fmt.Sprintf("proc_%d_%d", ei%10, pi), Addr: uint32(pi * 64), BlockCount: 4, EdgeCount: 5, InstCount: 30}
+			for id := rng.Intn(64); id < len(c.Interner) && len(p.IDs) < 60; id += 1 + rng.Intn(1<<10) {
+				p.IDs = append(p.IDs, uint32(id))
+			}
+			p.Markers = []uint32{rng.Uint32(), rng.Uint32()}
+			p.Calls = []uint32{uint32((pi + 1) % 40)}
+			e.Procs = append(e.Procs, p)
+		}
+		c.Exes = append(c.Exes, e)
+		im := &c.Images[ei%16]
+		im.Occs = append(im.Occs, Occurrence{Path: fmt.Sprintf("bin/exe_%d", ei%25), Exe: ei})
+	}
+	v, err := EncodeVocab(c.Interner, sortedOrder(c.Interner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := soleShard(c)
+	var out []byte
+	ratio := math.Inf(1)
+	for range 3 { // the least of three: another goroutine may allocate meanwhile
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err = v.EncodeShard(c, hdr)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio = min(ratio, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(out)))
+	}
+	t.Logf("a %d-byte shard: %.3f bytes allocated per output byte", len(out), ratio)
+	if len(out) < 4<<20 {
+		t.Fatalf("the synthetic shard is %d bytes, want a multi-megabyte one", len(out))
+	}
+	if ratio > budget {
+		t.Errorf("EncodeShard allocates %.2f bytes per output byte, budget %.2f", ratio, budget)
 	}
 }

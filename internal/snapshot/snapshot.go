@@ -73,15 +73,18 @@ type Skip struct {
 	Err  string
 }
 
-// Exe is one serialized executable.
+// Exe is one distinct executable of a shard: what the encoder writes,
+// and what CorpusShard.Exe decodes, its IDs, Markers and Calls then
+// aliasing the shard's bytes (valid until Close) and its names copied.
+// An executable has no path of its own: the same bytes ship under
+// different paths in different images (see Occurrence).
 type Exe struct {
-	Path     string
 	Arch     uint8
 	Stripped bool
 	Procs    []Proc
 }
 
-// Proc is one serialized procedure.
+// Proc is one procedure of an Exe.
 type Proc struct {
 	Name     string
 	Addr     uint32
@@ -97,5 +100,5 @@ type Proc struct {
 	InstCount  int
 	// Calls lists callee procedure indices within the executable
 	// (CalledBy is recomputed on load).
-	Calls []int32
+	Calls []uint32
 }

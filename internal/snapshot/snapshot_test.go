@@ -15,7 +15,7 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	for name, mutate := range map[string]func(*Corpus){
 		"unsorted-ids":      func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{2, 0} },
 		"id-out-of-vocab":   func(c *Corpus) { c.Exes[0].Procs[0].IDs = []uint32{99} },
-		"call-out-of-range": func(c *Corpus) { c.Exes[0].Procs[0].Calls = []int32{7} },
+		"call-out-of-range": func(c *Corpus) { c.Exes[0].Procs[0].Calls = []uint32{7} },
 		"negative-count":    func(c *Corpus) { c.Exes[0].Procs[0].BlockCount = -1 },
 	} {
 		c := testCorpus()
@@ -249,7 +249,7 @@ func randomExes(rng *rand.Rand, vocab int) []Exe {
 				p.Markers = append(p.Markers, rng.Uint32())
 			}
 			for k := rng.Intn(3); k > 0; k-- {
-				p.Calls = append(p.Calls, int32(rng.Intn(nprocs)))
+				p.Calls = append(p.Calls, uint32(rng.Intn(nprocs)))
 			}
 			e.Procs = append(e.Procs, p)
 		}

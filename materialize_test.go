@@ -13,9 +13,9 @@ import (
 )
 
 // storeScenario is one generated corpus three ways: the session's
-// images, the corpus sealed in RAM, and that corpus written to shards and
-// opened again — whose executables come off the mapping built from strand
-// IDs alone.
+// images, the corpus sealed from them (one shard, in memory), and that
+// corpus written to three shard files and opened again — whose
+// executables come off the mapping built from strand IDs alone.
 type storeScenario struct {
 	analyzer *Analyzer
 	live     []*Image
@@ -89,7 +89,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 		}
 	}
 
-	// Every occurrence, in RAM and off the mapping, must give the same
+	// Every occurrence, sealed and off the mapping, must give the same
 	// finding.
 	q, err := s.stored.AnalyzeQuery(s.query, nil)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 			got, gotR := core.MatchOne(q.exe, qi, st, plain)
 			want, wantR := core.MatchOne(ramQ.exe, qi, rt, plain)
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotR, wantR) {
-				t.Fatalf("image %d %s: finding %+v (%+v), in RAM %+v (%+v)", ii, oc.Path, got, gotR, want, wantR)
+				t.Fatalf("image %d %s: finding %+v (%+v), sealed %+v (%+v)", ii, oc.Path, got, gotR, want, wantR)
 			}
 			if got != nil {
 				found++
@@ -125,7 +125,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 	}
 
 	// A stored executable as the query of its own corpus, against the same
-	// executable sealed in RAM querying that corpus.
+	// executable of the sealed corpus querying that corpus.
 	var storedQ, ramOwnQ *Executable
 	ownProc, ownSize := "", 0
 	for ii, im := range s.stored.Images() {
@@ -149,7 +149,7 @@ func TestStoreBackedHashesOnDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("options %+v: findings differ from the in-RAM corpus\ngot:  %+v\nwant: %+v", opt, got, want)
+			t.Fatalf("options %+v: findings differ from the sealed corpus\ngot:  %+v\nwant: %+v", opt, got, want)
 		}
 		n := 0
 		for _, im := range got {
@@ -189,7 +189,7 @@ func TestStoreBackedHashesConcurrent(t *testing.T) {
 				return
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Error("batched search over the opened corpus differs from the in-RAM one")
+				t.Error("batched search over the opened corpus differs from the sealed one")
 			}
 		}
 	}()

@@ -33,19 +33,19 @@ import (
 //
 // The same executable ships in image after image, so a sealed corpus
 // holds each distinct executable once, under a corpus-wide ID, and per
-// image a list of occurrences (path, executable ID). The executables are
-// split into groups, contiguous ID ranges each with one inverted index.
-// A search passes over the groups that hold an executable in scope,
-// scanning, materializing and playing each (query, distinct candidate)
-// once, and fans the outcome out to every occurrence. Sealed in RAM or
-// opened from any number of shards, a corpus answers every search with
-// the same findings and examined counts.
+// image a list of occurrences (path, executable ID). Every corpus is
+// read from FWCORP shard bytes — the one shard Seal encodes in memory, or
+// the shard files OpenSealedCorpus maps — and its executables are split
+// into groups, one per shard: contiguous ID ranges each with one inverted
+// index. A search passes over the groups that hold an executable in
+// scope, scanning, materializing and playing each (query, distinct
+// candidate) once, and fans the outcome out to every occurrence. Split
+// into any number of shards, a corpus answers every search with the same
+// findings and examined counts.
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
-	// groups hold the distinct executables: one per shard file for a
-	// corpus opened from disk, one holding every executable for a corpus
-	// sealed in RAM.
+	// groups hold the distinct executables, one per shard.
 	groups exeStore
 	spare  budget // the worker tokens every call borrows from (Options.Workers)
 	// root is the span query analysis and search record under when their
@@ -59,16 +59,13 @@ type sealedGroup struct {
 	base, n int // the group holds executables [base, base+n) of its store
 	// frozen is the corpus vocabulary the executables are bound to.
 	frozen *corpusindex.Frozen
-	// index covers the group's executables, numbered from 0. In RAM or
-	// store-backed, it is built on first search (ensureIndex), guarded by
-	// idxOnce.
+	// index covers the group's executables, numbered from 0. It is built
+	// on first search (ensureIndex), guarded by idxOnce.
 	index *corpusindex.FrozenIndex
-	// exes are the executables of an in-RAM group. Sealed ones carry no
-	// path: findings take theirs from the occurrence.
-	exes []*sim.Exe
 
-	// Store-backed state (nil/zero for an in-RAM group): the shard, and
-	// one materialize-once slot per executable.
+	// The shard that stores the executables, the path errors name it by,
+	// and one materialize-once slot per executable. Materialized ones
+	// carry no path: findings take theirs from the occurrence.
 	shard   *snapshot.CorpusShard
 	path    string
 	lazy    []lazyExe
@@ -86,7 +83,8 @@ type SealedImage struct {
 	Vendor  string
 	Device  string
 	Version string
-	// Skipped carries the analysis-time skip diagnostics verbatim.
+	// Skipped carries the analysis-time skip diagnostics, each error as
+	// the text the shard stores.
 	Skipped []SkipReason
 
 	store exeStore // the corpus's, which holds what occs name
@@ -94,8 +92,8 @@ type SealedImage struct {
 }
 
 // Executable returns the sealed executable with the given in-image
-// path, or nil. On a store-backed image this materializes it; nil is
-// also returned if the shard fails to decode.
+// path, or nil. This materializes it from its shard; nil is also
+// returned if the shard fails to decode.
 func (im *SealedImage) Executable(path string) *Executable {
 	for _, oc := range im.occs {
 		if oc.Path == path {
@@ -232,8 +230,7 @@ func (st exeStore) group(u int) *sealedGroup {
 	return st[sort.Search(len(st), func(i int) bool { return st[i].base+st[i].n > u })]
 }
 
-// exe returns executable u, materialized by the group holding it when
-// store-backed.
+// exe returns executable u, materialized by the group holding it.
 func (st exeStore) exe(u int) (*sim.Exe, error) {
 	g := st.group(u)
 	return g.exe(u - g.base)
@@ -310,43 +307,51 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 }
 
 // Seal freezes the session's current state into an immutable corpus
-// over the given images: the corpus that searches them. The Analyzer and
-// its images stay fully usable afterwards — Seal copies what it must
-// (procedure headers) and shares what is already final (ID and marker
-// slices, CSR rows) — so sealing is cheap while the sealed corpus aliases
-// no mutable session state. The corpus is indexed on its first search, not here.
+// over the given images: the corpus that searches them. Their distinct
+// executables are encoded, with the frozen vocabulary, as the one shard
+// of a 1-shard corpus, held in memory and read like a shard file — the
+// corpus aliases nothing of the session, and the Analyzer and its images
+// stay fully usable afterwards. The corpus lends the session's worker
+// tokens, and is indexed on its first search, not here.
 //
 // Every image must have been analyzed (or loaded) under this session;
 // an executable from another session has incomparable dense IDs and is
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	frozen := a.interner.Freeze()
-	g := &sealedGroup{frozen: frozen}
-	sc := &SealedCorpus{frozen: frozen, groups: exeStore{g}, spare: a.spare}
+	c := &snapshot.Corpus{Interner: frozen.Vocab()}
 	dedup := newExeDedup()
 	for ii, img := range images {
-		si := &SealedImage{
-			Vendor:  img.Vendor,
-			Device:  img.Device,
-			Version: img.Version,
-			Skipped: append([]SkipReason(nil), img.Skipped...),
-			store:   sc.groups,
-		}
+		ci := snapshot.CorpusImage{Vendor: img.Vendor, Device: img.Device, Version: img.Version, Skipped: skipsToModel(img.Skipped)}
 		for _, e := range img.Exes {
 			if e.exe.Session() != strand.Interner(a.interner) {
 				return nil, fmt.Errorf("firmup: Seal: image %d executable %s was not analyzed under this session", ii, e.Path)
 			}
 			ref, fresh := dedup.add(e.exe)
 			if fresh {
-				u := e.exe.Rebound(frozen)
-				u.Path = ""
-				g.exes = append(g.exes, u)
+				c.Exes = append(c.Exes, exeToModel(e.exe))
 			}
-			si.occs = append(si.occs, snapshot.Occurrence{Path: e.Path, Exe: ref})
+			ci.Occs = append(ci.Occs, snapshot.Occurrence{Path: e.Path, Exe: ref})
 		}
-		sc.images = append(sc.images, si)
+		c.Images = append(c.Images, ci)
 	}
-	g.n = len(g.exes)
+	vocab, err := snapshot.EncodeVocab(c.Interner, frozen.SortedIDs())
+	if err != nil {
+		return nil, err
+	}
+	data, err := vocab.EncodeShard(c, snapshot.ShardHeader{ShardCount: 1, TotalImages: len(c.Images), TotalExes: len(c.Exes)})
+	if err != nil {
+		return nil, err
+	}
+	shard, err := snapshot.OpenCorpusShardBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := sealedFromShards([]*snapshot.CorpusShard{shard}, []string{sealedShardPath})
+	if err != nil {
+		return nil, err
+	}
+	sc.spare = a.spare
 	return sc, nil
 }
 
@@ -371,8 +376,8 @@ func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 }
 
 // Executables reports the total executable count across all images,
-// every occurrence counted. Cheap even when store-backed: counts come
-// from shard metadata, not materialization.
+// every occurrence counted. Cheap: counts come from shard metadata, not
+// materialization.
 func (sc *SealedCorpus) Executables() int {
 	n := 0
 	for _, im := range sc.images {
@@ -546,7 +551,7 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 //
 // Each query's candidates are resolved exactly once, by one posting scan
 // of the group index, and everything the scan computed is used: the
-// candidate list selects what a store-backed group materializes (so peak
+// candidate list selects what the group materializes (so peak
 // RSS tracks the working set) and is the list the games run on, and the
 // per-procedure counts behind it are each game's first similarity
 // vector, from which the game engine also reads off whether a candidate
@@ -798,11 +803,11 @@ func (sc *SealedCorpus) matchTraced(query *Executable, procedure string, target 
 	}, r, nil
 }
 
-// exeToModel serializes one sealed executable into the snapshot model.
-func exeToModel(path string, e *sim.Exe) snapshot.Exe {
-	se := snapshot.Exe{Path: path, Arch: uint8(e.Arch), Stripped: e.Stripped}
-	for _, p := range e.Procs {
-		sp := snapshot.Proc{
+// exeToModel serializes one analysed executable into the snapshot model.
+func exeToModel(e *sim.Exe) snapshot.Exe {
+	se := snapshot.Exe{Arch: uint8(e.Arch), Stripped: e.Stripped, Procs: make([]snapshot.Proc, len(e.Procs))}
+	for i, p := range e.Procs {
+		se.Procs[i] = snapshot.Proc{
 			Name:       p.Name,
 			Addr:       p.Addr,
 			Exported:   p.Exported,
@@ -813,9 +818,18 @@ func exeToModel(path string, e *sim.Exe) snapshot.Exe {
 			InstCount:  p.InstCount,
 		}
 		for _, c := range p.Calls {
-			sp.Calls = append(sp.Calls, int32(c))
+			se.Procs[i].Calls = append(se.Procs[i].Calls, uint32(c))
 		}
-		se.Procs = append(se.Procs, sp)
 	}
 	return se
+}
+
+// skipsToModel records skip diagnostics as the shard stores them: each
+// error as its text.
+func skipsToModel(skips []SkipReason) []snapshot.Skip {
+	var out []snapshot.Skip
+	for _, s := range skips {
+		out = append(out, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
+	}
+	return out
 }

@@ -1,8 +1,8 @@
 package firmup
 
 // Property test for the search pass and its persisted form over
-// arbitrary generated corpora: an image sealed in RAM and the sealed
-// corpus written to a shard and opened again answer SearchImageDetailed
+// arbitrary generated corpora: an image sealed (one shard, in memory)
+// and the sealed corpus written to a shard file and opened again answer SearchImageDetailed
 // identically, with the index's narrowing still sound. This extends the
 // index-equivalence property (TestSearchImageIndexEquivalence) through
 // the shard codec.
@@ -144,8 +144,8 @@ func searchBoth(t *testing.T, search func(*Options) (*SearchResult, error)) (nar
 }
 
 // TestQuickSealedRoundTripSearchEquivalence is the persistence-layer
-// property: for arbitrary corpora, the image sealed in RAM and the sealed
-// corpus written to a shard and opened again — each queried under a
+// property: for arbitrary corpora, the image sealed in memory and the
+// sealed corpus written to a shard file and opened again — each queried under a
 // fresh overlay of the frozen vocabulary — answer SearchImageDetailed
 // identically, and on both the narrowing stays sound (narrowed ==
 // exhaustive) and never examines more.
@@ -180,7 +180,7 @@ func TestQuickSealedRoundTripSearchEquivalence(t *testing.T) {
 		ramIdx, ramExh := search(sealed)
 		gotIdx, gotExh := search(opened)
 		if !reflect.DeepEqual(gotIdx, ramIdx) || !reflect.DeepEqual(gotExh, ramExh) {
-			t.Logf("seed %d: the opened corpus answers differently:\nnarrowed:   %+v\nin RAM:     %+v\nexhaustive: %+v\nin RAM:     %+v",
+			t.Logf("seed %d: the opened corpus answers differently:\nnarrowed:   %+v\nsealed:     %+v\nexhaustive: %+v\nsealed:     %+v",
 				seed, gotIdx, ramIdx, gotExh, ramExh)
 			return false
 		}

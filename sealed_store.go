@@ -19,11 +19,11 @@ import (
 	"firmup/internal/uir"
 )
 
-// This file is the store-backed (mmap) side of SealedCorpus: a corpus
-// opened from FWCORP shard files keeps its bulk state in the mapped
-// files, one group per shard — the range of distinct executables the
-// shard stores — and materializes executables lazily, on first search
-// touch. The prefilter makes that pay off: a query's candidate set is
+// This file is the store side of SealedCorpus: every corpus keeps its
+// bulk state in FWCORP shards — the files a corpus opened from disk maps,
+// or the one shard Seal encodes in memory — one group per shard, the
+// range of distinct executables the shard stores, and materializes
+// executables lazily, on first search touch. The prefilter makes that pay off: a query's candidate set is
 // computed from the group's index — derived, on the group's first search,
 // from the strand sets the shard stores — before any executable exists in
 // RAM, so only candidates are ever materialized, and peak RSS tracks the
@@ -64,14 +64,16 @@ type SealedShard struct {
 	Corrupt           string `json:"corrupt,omitempty"`
 }
 
-// Shards describes the open shards backing this corpus, in shard
-// order; nil for an in-RAM (sealed-this-session) corpus.
+// sealedShardPath is the path of the one shard of a corpus Seal built,
+// which lives in memory, not in a file: what its SealedShard and errors
+// name it by.
+const sealedShardPath = "(sealed in memory)"
+
+// Shards describes the shards backing this corpus, in shard order: the
+// files it was opened from, or the one shard Seal encoded in memory.
 func (sc *SealedCorpus) Shards() []SealedShard {
 	var out []SealedShard
 	for i, g := range sc.groups {
-		if g.shard == nil {
-			continue
-		}
 		occs := 0
 		for li := range g.shard.NumImages() {
 			occs += g.shard.Image(li).Executables
@@ -94,28 +96,21 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 	return out
 }
 
-// Close releases the mappings of a store-backed corpus. Searches must
-// have drained first: materialized executables alias the mapped slabs.
-// Close on an in-RAM corpus is a no-op.
+// Close releases the corpus's shard mappings. Searches must have drained
+// first: materialized executables alias the mapped slabs.
 func (sc *SealedCorpus) Close() error {
 	var errs []error
 	for _, g := range sc.groups {
-		if g.shard != nil {
-			if err := g.shard.Close(); err != nil {
-				errs = append(errs, err)
-			}
+		if err := g.shard.Close(); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
 }
 
 // exe returns the group's executable u (counted from the group's first),
-// building it from the mapped shard on first use when store-backed. Safe
-// for concurrent callers.
+// building it from the shard on first use. Safe for concurrent callers.
 func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
-	if g.shard == nil {
-		return g.exes[u], nil
-	}
 	le := &g.lazy[u]
 	le.once.Do(func() {
 		defer g.recoverCorrupt("exe", &le.err)
@@ -146,8 +141,8 @@ func (g *sealedGroup) recoverCorrupt(section string, err *error) {
 // IDs and markers alias the mapped slabs (they are immutable), the
 // procedures are one slab, and every Calls and CalledBy list is cut from
 // one more (in-degrees counted first). Neither hashes nor the inverted
-// index are built (see the file comment); the result binds to the frozen
-// interner like an executable sealed in RAM.
+// index are built (see the file comment); the result binds to the
+// corpus's frozen vocabulary.
 func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 	ed, err := g.shard.Exe(u)
 	if err != nil {
@@ -199,24 +194,15 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 	return e, nil
 }
 
-// ensureIndex builds the group's index once, on first search, from its
-// executables' strand sets: an in-RAM group's, or the ones the shard
-// stores (which can fail).
+// ensureIndex builds the group's index once, on first search, from the
+// strand sets the shard stores (a read which can fail).
 func (g *sealedGroup) ensureIndex() error {
 	g.idxOnce.Do(func() {
 		defer g.recoverCorrupt("corpus-index", &g.idxErr)
 		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-		var counts []int32
-		var sets [][]uint32
-		if g.shard == nil {
-			counts = make([]int32, len(g.exes))
-			for i, e := range g.exes {
-				counts[i] = int32(len(e.Procs))
-				for _, p := range e.Procs {
-					sets = append(sets, p.Set.IDs)
-				}
-			}
-		} else if counts, sets, g.idxErr = g.shard.ProcSets(); g.idxErr != nil {
+		counts, sets, err := g.shard.ProcSets()
+		if err != nil {
+			g.idxErr = err
 			return
 		}
 		g.index = corpusindex.NewFrozenIndex(g.frozen.Size(), counts, sets)
@@ -225,13 +211,9 @@ func (g *sealedGroup) ensureIndex() error {
 }
 
 // targets returns the slice a pass's games run over, aligned with the
-// group's executables: all of them in RAM; store-backed, the union of the
-// plans' targets materialized and every other slot nil (never
-// dereferenced).
+// group's executables: the union of the plans' targets materialized and
+// every other slot nil (never dereferenced).
 func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.Exe, error) {
-	if g.shard == nil {
-		return g.exes, nil
-	}
 	msp := s.Span.Start("store.materialize")
 	defer msp.End()
 	targets := make([]*sim.Exe, g.n)
@@ -254,9 +236,10 @@ func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.
 }
 
 // WriteShards writes the sealed corpus as n FWCORP shard files
-// (shard-NNNN.fwcorp) under dir, returning the paths in shard order. The
-// images and, separately, the distinct executables are split into n
-// contiguous ranges by one rule; shard i holds image range i and
+// (shard-NNNN.fwcorp) under dir, returning the paths in shard order: it
+// re-splits the shards the corpus is read from. The images and,
+// separately, the distinct executables are split into n contiguous
+// ranges by one rule; shard i holds image range i and
 // executable range i, so each distinct executable is stored and searched
 // once however many shards' images ship it. Shard 0 also stores the frozen vocabulary, and every
 // shard its position and the vocabulary's checksum, so
@@ -306,8 +289,8 @@ func shardRange(i, n, total int) (base, cnt int) {
 
 // writeShard encodes and writes shard si of n: its image range as
 // occurrences, which keep their corpus-wide executable IDs, and its
-// executable range — materialized first when the source is store-backed
-// — under the corpus vocabulary vocab encodes.
+// executable range, each record copied from the shard that stores it,
+// under the corpus vocabulary vocab encodes. Nothing is materialized.
 func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int) (string, error) {
 	hdr := snapshot.ShardHeader{ShardIndex: si, ShardCount: n, TotalImages: len(sc.images), TotalExes: sc.UniqueExecutables()}
 	var images, exes int
@@ -315,18 +298,15 @@ func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int)
 	hdr.ExeBase, exes = shardRange(si, n, hdr.TotalExes)
 	c := &snapshot.Corpus{Interner: sc.frozen.Vocab(), Exes: make([]snapshot.Exe, exes)}
 	for k := range c.Exes {
-		e, err := sc.groups.exe(hdr.ExeBase + k)
+		g := sc.groups.group(hdr.ExeBase + k)
+		e, err := g.shard.Exe(hdr.ExeBase + k - g.base)
 		if err != nil {
 			return "", err
 		}
-		c.Exes[k] = exeToModel("", e)
+		c.Exes[k] = *e
 	}
 	for _, im := range sc.images[hdr.ImageBase : hdr.ImageBase+images] {
-		ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version, Occs: im.occs}
-		for _, s := range im.Skipped {
-			ci.Skipped = append(ci.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
-		}
-		c.Images = append(c.Images, ci)
+		c.Images = append(c.Images, snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version, Skipped: skipsToModel(im.Skipped), Occs: im.occs})
 	}
 	data, err := vocab.EncodeShard(c, hdr)
 	if err != nil {

@@ -119,8 +119,19 @@ func TestSealedConcurrentReaders(t *testing.T) {
 // TestSealedCorpusSaveLoadRoundTrip writes a sealed corpus as a
 // one-shard directory and reopens it with no analyzer session; the opened
 // corpus must carry identical metadata and answer searches identically.
+// The sealed corpus is itself one shard, held in memory: it reports that
+// shard, unmapped, storing every distinct executable, and closes cleanly.
 func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 	s := buildSealed(t, corpus.DefaultScale())
+	shards := s.Shards()
+	if len(shards) != 1 {
+		t.Fatalf("the sealed corpus reports %d shards, want 1", len(shards))
+	}
+	if sh := shards[0]; sh.UniqueExecutables != s.UniqueExecutables() || sh.Executables != s.Executables() ||
+		sh.Images != len(s.Images()) || sh.Mapped || sh.Path == "" || sh.SizeBytes <= 0 || sh.Corrupt != "" {
+		t.Errorf("the sealed corpus's shard is %+v; the corpus stores %d distinct executables, %d occurrences in %d images",
+			sh, s.UniqueExecutables(), s.Executables(), len(s.Images()))
+	}
 	dir := t.TempDir()
 	if _, err := s.WriteShards(dir, 1); err != nil {
 		t.Fatal(err)
@@ -175,6 +186,9 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("loaded corpus search diverges:\nsealed: %+v\nloaded: %+v", want, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("closing the sealed corpus: %v", err)
 	}
 }
 
@@ -342,11 +356,11 @@ func TestAnalyzedQueryFootprint(t *testing.T) {
 
 // TestSinglePrefilterEvaluation pins that a sealed search asks a
 // group's index for each query procedure's candidates exactly once: the
-// list that selects what a store-backed group materializes is the list
+// list that selects what a group materializes is the list
 // the games run on, not a second evaluation, and one scan serves every
 // image of the group. After one SearchAll and one SearchAllBatch,
-// index.queries is queries × groups — one group in RAM, one per shard
-// store-backed.
+// index.queries is queries × groups — one group for the sealed corpus,
+// one per shard for the corpus opened from shard files.
 func TestSinglePrefilterEvaluation(t *testing.T) {
 	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
 	shardDir := t.TempDir()

@@ -1,6 +1,7 @@
 package firmup_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,8 +24,8 @@ import (
 
 // TestShardedCorpusEquivalence is the sharding soundness test: a
 // sealed corpus split into any number of shards and reopened
-// mmap-backed must answer every search byte-identically to the in-RAM
-// corpus it was written from — findings, examined counts and step
+// mmap-backed must answer every search byte-identically to the sealed
+// one-shard corpus it was written from — findings, examined counts and step
 // histograms, across sequential, batched and exhaustive paths, and
 // under concurrent readers (exercised with -race in CI).
 func TestShardedCorpusEquivalence(t *testing.T) {
@@ -349,7 +350,11 @@ func TestOpenSealedCorpusDirMixed(t *testing.T) {
 // TestWriteShardsDeterminism pins two properties of the parallel shard
 // writer: repeated runs are byte-identical (the worker pool cannot leak
 // scheduling order into the artifacts), and every shard carries the one
-// shard container version.
+// shard container version. The corpus reopened from the first run's
+// directory writes the same shards again: re-splitting five shards into
+// five is the identity. Writing copies each stored executable record from
+// the shard that holds it, so neither corpus materializes an executable
+// to write itself.
 func TestWriteShardsDeterminism(t *testing.T) {
 	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 1, Seed: 7})
 	dir := t.TempDir()
@@ -361,23 +366,39 @@ func TestWriteShardsDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runA) != 5 || len(runB) != 5 {
-		t.Fatalf("WriteShards returned %d/%d paths, want 5", len(runA), len(runB))
+	reopened, err := firmup.OpenSealedCorpusDir(filepath.Join(dir, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	runC, err := reopened.WriteShards(filepath.Join(dir, "c"), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runA) != 5 || len(runB) != 5 || len(runC) != 5 {
+		t.Fatalf("WriteShards returned %d/%d/%d paths, want 5", len(runA), len(runB), len(runC))
 	}
 	for i := range runA {
 		a, err := os.ReadFile(runA[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(runB[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("shard %d differs between two WriteShards runs", i)
+		for run, paths := range map[string][]string{"a second WriteShards run": runB, "the reopened corpus": runC} {
+			b, err := os.ReadFile(paths[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("shard %d differs between the first WriteShards run and %s", i, run)
+			}
 		}
 		if v := binary.LittleEndian.Uint32(a[8:]); v != snapshot.CorpusFormatVersion {
 			t.Errorf("shard %d: version word %d, want %d", i, v, snapshot.CorpusFormatVersion)
+		}
+	}
+	for name, sc := range map[string]*firmup.SealedCorpus{"sealed": s, "reopened": reopened} {
+		if n := sc.Materialized(); n != 0 {
+			t.Errorf("%s corpus: WriteShards materialized %d of %d executables", name, n, sc.UniqueExecutables())
 		}
 	}
 }
@@ -394,7 +415,7 @@ func TestWriteShardsDeterminism(t *testing.T) {
 //     options, are exactly those a game against each of its occurrences
 //     alone accepts, and an exhaustive search examines every occurrence;
 //   - every (query, image) result of shard sets of 1, 3 and 8 — single
-//     and batched, corpus-wide and per image — deep-equals the in-RAM
+//     and batched, corpus-wide and per image — deep-equals the sealed
 //     corpus's, and the shard passes plan the games it plans.
 func TestShardDedupEquivalence(t *testing.T) {
 	built, err := corpus.Build(corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 4})
@@ -503,7 +524,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 		{Query: mustSealedQuery(t, sealed, qb), Procedure: cve.Procedure},
 		{Query: mustSealedQuery(t, sealed, qb2), Procedure: cve2.Procedure},
 	}
-	// want[opt][query][image] is the in-RAM corpus's answer.
+	// want[opt][query][image] is the sealed corpus's answer.
 	want := make([][][]*firmup.SearchResult, len(opts))
 	total := 0
 	for oi, opt := range opts {
@@ -527,7 +548,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 		t.Fatalf("donor image findings %v: want the donor, its copy and the moved-address variant, and not the changed-markers one", paths)
 	}
 	if total == 0 {
-		t.Fatal("the in-RAM corpus found nothing; equivalence would be vacuous")
+		t.Fatal("the sealed corpus found nothing; equivalence would be vacuous")
 	}
 
 	// No dedup: one game per occurrence, each played on its own.
@@ -562,7 +583,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 		}
 	})
 
-	// The games the in-RAM corpus plans for one batch: each (query,
+	// The games the sealed corpus plans for one batch: each (query,
 	// distinct candidate) once.
 	ramGames := func() int64 {
 		reg := telemetry.New()
@@ -574,7 +595,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 		return reg.Counter("game.played").Value() + reg.Counter("game.unplayed").Value()
 	}()
 	if ramGames == 0 {
-		t.Fatal("the in-RAM corpus plans no games; the stored-once check would be vacuous")
+		t.Fatal("the sealed corpus plans no games; the stored-once check would be vacuous")
 	}
 	for _, n := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -595,14 +616,14 @@ func TestShardDedupEquivalence(t *testing.T) {
 				occurrences += sh.Executables
 			}
 			if stored != sealed.UniqueExecutables() || sc.UniqueExecutables() != stored || occurrences != sealed.Executables() || sc.Executables() != occurrences {
-				t.Errorf("shards store %d distinct executables for %d occurrences (corpus reports %d / %d), the in-RAM corpus %d / %d",
+				t.Errorf("shards store %d distinct executables for %d occurrences (corpus reports %d / %d), the sealed corpus %d / %d",
 					stored, occurrences, sc.UniqueExecutables(), sc.Executables(), sealed.UniqueExecutables(), sealed.Executables())
 			}
 			batch := []firmup.BatchQuery{
 				{Query: mustSealedQuery(t, sc, qb), Procedure: cve.Procedure},
 				{Query: mustSealedQuery(t, sc, qb2), Procedure: cve2.Procedure},
 			}
-			// Played once: the shard passes of one batch plan what the in-RAM
+			// Played once: the shard passes of one batch plan what the sealed
 			// corpus's one pass plans.
 			tr := telemetry.NewTrace(telemetry.NewTraceID())
 			defer tr.Free()
@@ -621,7 +642,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 				t.Fatal("a sharded search recorded no corpus.shard spans")
 			}
 			if n > 1 && games != ramGames {
-				t.Errorf("the shard passes plan %d games over %d spans, the in-RAM corpus %d", games, spans, ramGames)
+				t.Errorf("the shard passes plan %d games over %d spans, the sealed corpus %d", games, spans, ramGames)
 			}
 			for oi, opt := range opts {
 				allBatch, err := sc.SearchAllBatch(batch, opt)
@@ -643,11 +664,11 @@ func TestShardDedupEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						if !reflect.DeepEqual(res, w) {
-							t.Errorf("opt[%d] query %d image %d: per-image result diverges from the in-RAM corpus:\nshards: %+v\nin RAM: %+v", oi, qx, ii, res, w)
+							t.Errorf("opt[%d] query %d image %d: per-image result diverges from the sealed corpus:\nshards: %+v\nsealed: %+v", oi, qx, ii, res, w)
 						}
 						wantAll := firmup.ImageFindings{Vendor: img.Vendor, Device: img.Device, Version: img.Version, Findings: w.Findings, Examined: w.Examined}
 						if !reflect.DeepEqual(all[ii], wantAll) {
-							t.Errorf("opt[%d] query %d image %d: SearchAll entry diverges from the in-RAM corpus:\nshards: %+v\nin RAM: %+v", oi, qx, ii, all[ii], wantAll)
+							t.Errorf("opt[%d] query %d image %d: SearchAll entry diverges from the sealed corpus:\nshards: %+v\nsealed: %+v", oi, qx, ii, all[ii], wantAll)
 						}
 					}
 				}

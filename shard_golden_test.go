@@ -70,7 +70,7 @@ func TestWriteShardsGolden(t *testing.T) {
 	for _, sc := range []struct {
 		name string
 		sc   *firmup.SealedCorpus
-	}{{"sealed in RAM", sealed}, {"opened", opened}} {
+	}{{"sealed", sealed}, {"opened", opened}} {
 		if got := contentDigest(t, sc.sc); got != goldenContentDigest {
 			t.Errorf("%s corpus: content SHA-256 %s, want %s", sc.name, got, goldenContentDigest)
 		}

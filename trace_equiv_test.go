@@ -12,7 +12,7 @@ import (
 )
 
 // TestTraceEquivalence is the tracing soundness test: a request-scoped
-// trace must be pure observation. The sealed in-RAM corpus and a sharded
+// trace must be pure observation. The sealed one-shard corpus and a sharded
 // mmap-backed corpus must answer byte-identically with and without a
 // live trace attached, across option variants, and the traced runs must
 // actually record spans (so the equivalence is not vacuous). The traced side
@@ -49,7 +49,7 @@ func TestTraceEquivalence(t *testing.T) {
 		return names
 	}
 
-	// Sealed corpora: the in-RAM corpus and the sharded store, over the
+	// Sealed corpora: the one-shard corpus and the sharded store, over the
 	// corpus-wide single and batched paths. The comparison is on the
 	// JSON encoding, pinning byte-identical findings.
 	for ci, sc := range []*firmup.SealedCorpus{s, sharded} {
