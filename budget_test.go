@@ -1,7 +1,6 @@
 package firmup_test
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -44,8 +43,10 @@ func budgetScenario(t *testing.T, n int) (sc, sharded *firmup.SealedCorpus, path
 	return sc, sharded, paths, queryBytesFor(t, cve, uir.ArchMIPS32), cve.Procedure
 }
 
-// With Workers 1 a search runs on its caller's goroutine alone, so a
-// corpus-wide search passes over the shards one after another.
+// With Workers 1 a search runs on its caller's goroutine alone, and a
+// corpus-wide search of eight shards is one pass whatever the shard
+// count: it materializes its candidates, then plays them, one after the
+// other.
 func TestSearchOneWorkerIsSerial(t *testing.T) {
 	_, sharded, _, qb, proc := budgetScenario(t, 8)
 	q, err := sharded.AnalyzeQuery(qb, nil)
@@ -59,20 +60,16 @@ func TestSearchOneWorkerIsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	var shards []telemetry.TraceSpan
+	byName := map[string][]telemetry.TraceSpan{}
 	for _, sp := range tr.Snapshot().Spans {
-		if sp.Name == "corpus.shard" {
-			shards = append(shards, sp)
-		}
+		byName[sp.Name] = append(byName[sp.Name], sp)
 	}
-	if len(shards) != 8 {
-		t.Fatalf("%d corpus.shard spans, want 8", len(shards))
+	mat, play := byName["store.materialize"], byName["core.search"]
+	if len(mat) != 1 || len(play) != 1 {
+		t.Fatalf("%d store.materialize and %d core.search spans over 8 shards, want one pass: one of each", len(mat), len(play))
 	}
-	slices.SortFunc(shards, func(a, b telemetry.TraceSpan) int { return cmp.Compare(a.StartUS, b.StartUS) })
-	for i := 1; i < len(shards); i++ {
-		if prev := shards[i-1]; shards[i].StartUS < prev.StartUS+prev.DurUS {
-			t.Errorf("shard %v starts at %.1fus, before shard %v ends at %.1fus", shards[i].Attrs["shard"], shards[i].StartUS, prev.Attrs["shard"], prev.StartUS+prev.DurUS)
-		}
+	if play[0].StartUS < mat[0].StartUS+mat[0].DurUS {
+		t.Errorf("the games start at %.1fus, before materialization ends at %.1fus", play[0].StartUS, mat[0].StartUS+mat[0].DurUS)
 	}
 }
 
@@ -296,8 +293,7 @@ func TestSearchPanickingShard(t *testing.T) {
 }
 
 // candidateShard opens the shards under dir once more and returns the
-// first one holding a candidate of the query, as a traced search of it
-// attributes its games.
+// first one holding a candidate of the query.
 func candidateShard(t *testing.T, dir string, qb []byte, proc string) int {
 	t.Helper()
 	sc, err := firmup.OpenSealedCorpusDir(dir)
@@ -309,23 +305,12 @@ func candidateShard(t *testing.T, dir string, qb []byte, proc string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := telemetry.NewTrace(telemetry.NewTraceID())
-	defer tr.Free()
-	root := telemetry.Root(telemetry.New(), tr).Start("serve.request")
-	if _, err := sc.SearchAll(q, proc, &firmup.Options{Span: root}); err != nil {
+	shards, err := firmup.CandidateShards(sc, q, proc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	root.End()
-	shard := -1
-	for _, sp := range tr.Snapshot().Spans {
-		if sp.Name == "corpus.shard" && sp.Attrs["unique_candidates"].(int64) > 0 {
-			if i := int(sp.Attrs["shard"].(int64)); shard < 0 || i < shard {
-				shard = i
-			}
-		}
-	}
-	if shard < 0 {
+	if len(shards) == 0 {
 		t.Fatal("no shard holds a candidate of the query")
 	}
-	return shard
+	return shards[0]
 }

@@ -94,13 +94,12 @@ func corpusLabels(sc *firmup.SealedCorpus) []string {
 }
 
 // search analyzes the query against the corpus's frozen vocabulary,
-// searches every image in one pass per group of distinct executables and
+// searches every image in one pass over the corpus's distinct executables and
 // reports image i's findings under labels[i]. With -trace-json, each
 // finding's game is played again with tracing.
 func (s *search) search(sc *firmup.SealedCorpus, labels []string, qdata []byte) error {
 	// Query analysis and the search record under the registry's root, so
-	// a report splits the search into core.search (and corpus.shard per
-	// shard).
+	// a report splits the search into store.materialize and core.search.
 	sc.SetTelemetry(s.reg)
 	start := time.Now()
 	query, err := sc.AnalyzeQuery(qdata, &firmup.Options{Workers: s.workers})

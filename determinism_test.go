@@ -21,7 +21,7 @@ func playEverywhere(q *sim.Exe, qi int, targets []*sim.Exe, opt *core.SearchOpti
 	for i := range all {
 		all[i] = i
 	}
-	return core.PlayBatch([]core.BatchQuery{{Q: q, QI: qi}}, targets, []core.Plan{{Targets: all}}, opt).Findings[0]
+	return core.PlayBatch([]core.BatchQuery{{Q: q, QI: qi}}, targets, []core.Plan{{Targets: all}}, opt)[0]
 }
 
 // core.PlayBatch distributes targets over a worker pool; the result must

@@ -3,6 +3,7 @@ package firmup
 import (
 	"slices"
 
+	"firmup/internal/corpusindex"
 	"firmup/internal/sim"
 )
 
@@ -31,8 +32,8 @@ func (a *Analyzer) TokensHeld() int { return len(a.spare) }
 // Options.Workers): zero whenever nothing is analysing or searching.
 func (sc *SealedCorpus) TokensHeld() int { return len(sc.spare) }
 
-// ImageShards lists, in order, the groups of its corpus — the shards of
-// one opened from shard files — that store an executable of im.
+// ImageShards lists, in order, the shards of its corpus that store an
+// executable of im.
 func ImageShards(im *SealedImage) []int {
 	var out []int
 	for _, oc := range im.occs {
@@ -70,8 +71,8 @@ var ShardSetFaults = shardSetFaults
 // search tells while deriving its index.
 var IDOutsideVocab = idOutsideVocab
 
-// Materialized counts the executables the corpus has materialized: its
-// groups' filled materialize-once slots.
+// Materialized counts the executables the corpus has materialized: the
+// filled materialize-once slots of its shards.
 func (sc *SealedCorpus) Materialized() int {
 	n := 0
 	for _, g := range sc.groups {
@@ -82,4 +83,30 @@ func (sc *SealedCorpus) Materialized() int {
 		}
 	}
 	return n
+}
+
+// CandidateShards lists, ascending, the shards that store a candidate of
+// the query procedure: an executable a corpus-wide search of it plays.
+func CandidateShards(sc *SealedCorpus, q *Executable, proc string) ([]int, error) {
+	cqs, err := sc.coreBatch([]BatchQuery{{Query: q, Procedure: proc}})
+	if err != nil {
+		return nil, err
+	}
+	all := make([]bool, sc.groups.size())
+	for u := range all {
+		all[u] = true
+	}
+	x, err := sc.ensureIndex(all)
+	if err != nil {
+		return nil, err
+	}
+	var scans corpusindex.Scans
+	minScore, minRatio := (*Options)(nil).search().Floors()
+	x.Scan(cqs[0].Q.Procs[cqs[0].QI].Set, minScore, minRatio, nil, &scans)
+	var out []int
+	for _, u := range scans.Exes {
+		out = append(out, slices.Index(sc.groups, sc.groups.group(u)))
+	}
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }

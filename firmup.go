@@ -11,7 +11,7 @@
 // An Analyzer builds: every executable it analyzes shares one strand-hash
 // interner (canonical strand hashes deduplicated to dense IDs), and Seal
 // freezes the session's images into a SealedCorpus. Only a SealedCorpus
-// searches — one pass per group of distinct executables, narrowed by an
+// searches — one pass over its distinct executables, narrowed by an
 // inverted index that ranks candidates by shared-strand count and skips
 // targets that provably cannot clear the acceptance threshold.
 //

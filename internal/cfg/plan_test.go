@@ -80,12 +80,12 @@ func checkPipelineMatchesInspection(t *testing.T, name string, rec *cfg.Recovere
 		}
 	}
 	ex.Release()
-	sealed := seed.Freeze()
+	vocab, order := seed.Sorted()
 	var sortedHashes []uint64
-	for _, id := range sealed.SortedIDs() {
-		sortedHashes = append(sortedHashes, sealed.Vocab()[id])
+	for _, id := range order {
+		sortedHashes = append(sortedHashes, vocab[id])
 	}
-	frozen, err := corpusindex.FrozenFromSlabs(sealed.Vocab(), sortedHashes, sealed.SortedIDs())
+	frozen, err := corpusindex.FrozenFromSlabs(vocab, sortedHashes, order)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

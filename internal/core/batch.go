@@ -100,19 +100,6 @@ func (p *Plan) vector(k int) []sim.ProcScore {
 	return p.Vec[p.Off[k]:p.Off[k+1]]
 }
 
-// Played is the outcome of one PlayBatch pass.
-type Played struct {
-	// Findings are the per-target result slots: Findings[qx][ti] is the
-	// accepted finding of query qx in targets[ti], nil where there is
-	// none — so a caller whose targets stand for several occurrences each
-	// can fan one game out without re-finding it by path.
-	Findings [][]*Finding
-	// Unplayed counts the planned (query, target) pairs not played because
-	// the target holds no acceptable procedure; Cut the games stopped
-	// with EndUnacceptable.
-	Unplayed, Cut int
-}
-
 // slot is one planned game of a target pass: query qx, whose plan lists
 // the target at position k.
 type slot struct{ qx, k int }
@@ -128,7 +115,10 @@ type slot struct{ qx, k int }
 // rest. Per-query state —
 // game state, findings — is never shared, so a query's findings do not
 // depend on what else is in the batch, on query order or on the worker
-// count.
+// count. It returns the per-target result slots: [qx][ti] is the
+// accepted finding of query qx in targets[ti], nil where there is none —
+// so a caller whose targets stand for several occurrences each can fan
+// one game out without re-finding it by path.
 //
 // A game is played only while it can still be accepted. Before each one
 // the pass computes, from the query's similarity vector in the target —
@@ -136,15 +126,17 @@ type slot struct{ qx, k int }
 // accept would pass (matcher.acceptableSet): when there are none the
 // game is not played, and a game that is played stops once the last of
 // them has been matched to another query procedure (see runGame).
-// Neither changes a finding or its step count.
+// Neither changes a finding or its step count; game.unplayed and
+// game.cut count them.
 //
 // A panic on any of them — a memory fault on a target's mapped slabs
 // included — is re-raised on the caller's once every worker has stopped,
-// so the caller's recover sees it.
+// as a TargetPanic naming the target it was playing, so the caller's
+// recover sees it and can blame the store that holds the target.
 //
 // The pass is timed under "core.search_batch", or "core.search" for a
 // batch of one, and counted (see meters) into the span's registry.
-func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *SearchOptions) Played {
+func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *SearchOptions) [][]*Finding {
 	name := "core.search_batch"
 	if len(queries) == 1 {
 		name = "core.search"
@@ -193,17 +185,18 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	var mu sync.Mutex
 	var total passCounts
 	var panicOnce sync.Once
-	var panicked any
+	var panicked *TargetPanic
 	run := func() {
+		ti := -1
 		defer func() {
 			if r := recover(); r != nil {
-				panicOnce.Do(func() { panicked = r })
+				panicOnce.Do(func() { panicked = &TargetPanic{Target: ti, Value: r} })
 				next.Store(int64(len(work))) // the others claim no more
 			}
 		}()
 		var c passCounts
 		for i := int(next.Add(1)) - 1; i < len(work); i = int(next.Add(1)) - 1 {
-			ti := work[i]
+			ti = work[i]
 			runTargetPass(queries, targets[ti], ti, perTarget[ti], plans, opt, m, findings, &c)
 		}
 		mu.Lock()
@@ -224,10 +217,9 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 	run()
 	wg.Wait()
 	if panicked != nil {
-		panic(panicked)
+		panic(*panicked)
 	}
 
-	out := Played{Findings: findings, Unplayed: int(total.unplayed), Cut: int(total.cut)}
 	m.unplayed.Add(total.unplayed)
 	m.cut.Add(total.cut)
 	if m.accepted != nil {
@@ -261,7 +253,14 @@ func PlayBatch(queries []BatchQuery, targets []*sim.Exe, plans []Plan, opt *Sear
 			sp.SetAttr("refused_"+why, total.refused[i])
 		}
 	}
-	return out
+	return findings
+}
+
+// TargetPanic is what PlayBatch re-raises of a panic in a game: the
+// value the game panicked with and the index of the target it played.
+type TargetPanic struct {
+	Target int
+	Value  any
 }
 
 // refusals are the reasons Refusal names, in passCounts.refused order.

@@ -140,9 +140,9 @@ func TestSearchBatchEquivalenceRandomized(t *testing.T) {
 		}
 		// Sweep batch sizes 1..len: each prefix is its own batch.
 		for n := 1; n <= len(sc.queries); n++ {
-			batch := PlayBatch(sc.queries[:n], sc.targets, everyTarget(n, len(sc.targets)), opt).Findings
+			batch := PlayBatch(sc.queries[:n], sc.targets, everyTarget(n, len(sc.targets)), opt)
 			for i, bq := range sc.queries[:n] {
-				solo := PlayBatch([]BatchQuery{bq}, sc.targets, everyTarget(1, len(sc.targets)), opt).Findings[0]
+				solo := PlayBatch([]BatchQuery{bq}, sc.targets, everyTarget(1, len(sc.targets)), opt)[0]
 				if !reflect.DeepEqual(batch[i], solo) {
 					t.Fatalf("trial %d: batch size %d query %d diverges from a pass of its own:\nbatch: %+v\nsolo:  %+v",
 						trial, n, i, batch[i], solo)
@@ -152,13 +152,13 @@ func TestSearchBatchEquivalenceRandomized(t *testing.T) {
 		// Order-insensitivity: a shuffled batch returns the same result
 		// for each query, aligned to the shuffled positions.
 		plans := everyTarget(len(sc.queries), len(sc.targets))
-		full := PlayBatch(sc.queries, sc.targets, plans, opt).Findings
+		full := PlayBatch(sc.queries, sc.targets, plans, opt)
 		perm := rng.Perm(len(sc.queries))
 		shuffled := make([]BatchQuery, len(sc.queries))
 		for i, p := range perm {
 			shuffled[i] = sc.queries[p]
 		}
-		reres := PlayBatch(shuffled, sc.targets, plans, opt).Findings
+		reres := PlayBatch(shuffled, sc.targets, plans, opt)
 		for i, p := range perm {
 			if !reflect.DeepEqual(reres[i], full[p]) {
 				t.Fatalf("trial %d: shuffled batch position %d (original %d) diverges:\nshuffled: %+v\noriginal: %+v",

@@ -260,10 +260,10 @@ func TestSearchParallelAndThreshold(t *testing.T) {
 		isa.Options{TextBase: 0x10000, RegSeed: 5, SchedSeed: 3}, true)
 	t2 := buildExe(t, uir.ArchARM32, compiler.Profile{OptLevel: 3},
 		isa.Options{TextBase: 0x20000, RegSeed: 9, ShuffleProcs: true}, true)
-	pass := PlayBatch([]BatchQuery{{Q: q, QI: qi}}, []*sim.Exe{t1, t2}, everyTarget(1, 2), &SearchOptions{MinScore: 3, MinRatio: 0.25, Workers: 4})
-	for ti, f := range pass.Findings[0] {
+	found := PlayBatch([]BatchQuery{{Q: q, QI: qi}}, []*sim.Exe{t1, t2}, everyTarget(1, 2), &SearchOptions{MinScore: 3, MinRatio: 0.25, Workers: 4})
+	for ti, f := range found[0] {
 		if f == nil {
-			t.Fatalf("no finding in target %d: %+v", ti, pass)
+			t.Fatalf("no finding in target %d: %+v", ti, found)
 		}
 		if f.Ratio < 0.25 {
 			t.Errorf("finding ratio %.2f below threshold", f.Ratio)
@@ -292,6 +292,9 @@ func TestPlayBatchPanicReachesCaller(t *testing.T) {
 	if got == nil {
 		t.Fatal("PlayBatch returned normally from a pass over a nil target")
 	}
+	if tp, ok := got.(TargetPanic); !ok || tp.Target != 2 {
+		t.Errorf("PlayBatch re-raised %#v, want a TargetPanic naming target 2", got)
+	}
 	// Workers are waited for before the re-panic; allow the runtime a
 	// moment to retire their goroutines.
 	deadline := time.Now().Add(5 * time.Second)
@@ -300,6 +303,34 @@ func TestPlayBatchPanicReachesCaller(t *testing.T) {
 			t.Fatalf("%d goroutines before the pass, %d after: a worker is still running", before, runtime.NumGoroutine())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPlayBatchPanicNamesTarget: whichever goroutine of the pass plays
+// the target that panics — the caller's alone with one worker, any of
+// four with four — the re-raised panic carries that target's index and
+// the value the game panicked with, so a caller whose targets live in
+// different stores can blame the one that holds it.
+func TestPlayBatchPanicNamesTarget(t *testing.T) {
+	q := sim.FromProcs("Q", []*sim.Proc{mkProc("q0", 1, 2, 3, 4)}, session)
+	good := sim.FromProcs("T", []*sim.Proc{mkProc("t0", 1, 2, 3, 4)}, session)
+	for _, workers := range []int{1, 4} {
+		for bad := range 8 {
+			targets := []*sim.Exe{good, good, good, good, good, good, good, good}
+			targets[bad] = nil
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				PlayBatch([]BatchQuery{{Q: q, QI: 0}}, targets, everyTarget(1, len(targets)), &SearchOptions{MinScore: 3, MinRatio: 0.25, Workers: workers})
+			}()
+			tp, ok := got.(TargetPanic)
+			if !ok || tp.Target != bad {
+				t.Fatalf("workers=%d, nil target %d: PlayBatch re-raised %#v, want a TargetPanic naming target %d", workers, bad, got, bad)
+			}
+			if _, ok := tp.Value.(runtime.Error); !ok {
+				t.Errorf("workers=%d: the panic carries %#v, want the game's runtime error", workers, tp.Value)
+			}
+		}
 	}
 }
 

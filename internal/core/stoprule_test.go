@@ -106,9 +106,11 @@ func TestStopRuleEquivalence(t *testing.T) {
 		}
 
 		tr := telemetry.NewTrace(telemetry.NewTraceID())
-		opt.Span = telemetry.Root(telemetry.New(), tr)
+		reg := telemetry.New()
+		opt.Span = telemetry.Root(reg, tr)
 		pass := PlayBatch(queries, targets, plans, opt)
 		opt.Span = telemetry.Span{}
+		passUnplayed, passCut := reg.Counter("game.unplayed").Value(), reg.Counter("game.cut").Value()
 		attrs := tr.Snapshot().Spans[0].Attrs
 		tr.Free()
 		accounted := int64(0)
@@ -118,8 +120,8 @@ func TestStopRuleEquivalence(t *testing.T) {
 		if accounted != attrs["examined"] {
 			t.Fatalf("trial %d: the pass's span accounts for %d games, examined %v: %v", trial, accounted, attrs["examined"], attrs)
 		}
-		if attrs["games_unplayed"] != int64(pass.Unplayed) || attrs["games_cut"] != int64(pass.Cut) {
-			t.Fatalf("trial %d: span attrs %v, pass %+v", trial, attrs, pass)
+		if attrs["games_unplayed"] != passUnplayed || attrs["games_cut"] != passCut {
+			t.Fatalf("trial %d: span attrs %v, game.unplayed %d, game.cut %d", trial, attrs, passUnplayed, passCut)
 		}
 		lost += attrs["games_lost"].(int64)
 		refused += attrs["refused_score"].(int64) + attrs["refused_ratio"].(int64) + attrs["refused_marker"].(int64)
@@ -143,15 +145,15 @@ func TestStopRuleEquivalence(t *testing.T) {
 					wantUnplayed++
 				}
 			}
-			if !reflect.DeepEqual(pass.Findings[qx], want) {
+			if !reflect.DeepEqual(pass[qx], want) {
 				t.Fatalf("trial %d query %d: batch findings diverge from accept(Match):\nbatch: %+v\nfull:  %+v",
-					trial, qx, pass.Findings[qx], want)
+					trial, qx, pass[qx], want)
 			}
 		}
-		if pass.Unplayed != wantUnplayed {
-			t.Fatalf("trial %d: %d games unplayed, %d (query, target) pairs hold no acceptable procedure", trial, pass.Unplayed, wantUnplayed)
+		if passUnplayed != int64(wantUnplayed) {
+			t.Fatalf("trial %d: %d games unplayed, %d (query, target) pairs hold no acceptable procedure", trial, passUnplayed, wantUnplayed)
 		}
-		unplayed += pass.Unplayed
+		unplayed += wantUnplayed
 
 		// The games themselves, one matcher per (query executable, target)
 		// shared by that executable's procedures as a target pass shares
@@ -254,8 +256,11 @@ func TestStopRuleStolenPartner(t *testing.T) {
 	// nothing acceptable, none played.
 	none := sim.FromProcs("none", []*sim.Proc{mkProc("n0", 1, 2, 50, 51)}, session)
 	targets := []*sim.Exe{tt, none}
-	pass := PlayBatch([]BatchQuery{{Q: q, QI: 0}}, targets, []Plan{{Targets: []int{0, 1}}}, opt)
-	if pass.Cut != 1 || pass.Unplayed != 1 || pass.Findings[0][0] != nil || pass.Findings[0][1] != nil {
-		t.Fatalf("pass = %+v, want one game cut, one unplayed, no findings", pass)
+	reg := telemetry.New()
+	opt.Span = telemetry.Root(reg, nil)
+	found := PlayBatch([]BatchQuery{{Q: q, QI: 0}}, targets, []Plan{{Targets: []int{0, 1}}}, opt)
+	cut, unplayed := reg.Counter("game.cut").Value(), reg.Counter("game.unplayed").Value()
+	if cut != 1 || unplayed != 1 || found[0][0] != nil || found[0][1] != nil {
+		t.Fatalf("pass cut %d, left %d unplayed, found %+v; want one game cut, one unplayed, no findings", cut, unplayed, found)
 	}
 }

@@ -268,8 +268,8 @@ func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (sealed []*sim.Exe, buil
 		sealed[i] = sim.FromProcs(e.Path, procs, f)
 	}
 	built = indexOf(f.Size(), sealed)
-	if cap(built.rowIDs) != len(built.rowIDs) || cap(built.rowEnds) != len(built.rowEnds) || cap(built.posts) != len(built.posts) {
-		t.Fatalf("index slabs hold %d/%d/%d entries in %d/%d/%d", len(built.rowIDs), len(built.rowEnds), len(built.posts), cap(built.rowIDs), cap(built.rowEnds), cap(built.posts))
+	if len(built.rows) != f.Size()+1 || cap(built.rows) != len(built.rows) || cap(built.posts) != len(built.posts) {
+		t.Fatalf("index slabs hold %d/%d entries in %d/%d for a vocabulary of %d", len(built.rows), len(built.posts), cap(built.rows), cap(built.posts), f.Size())
 	}
 	return sealed, built
 }
@@ -288,7 +288,7 @@ func TestScanVectorsEqualSimAll(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		it, live := randCorpus(rng, 2+rng.Intn(10))
-		f := it.Freeze()
+		f := freeze(t, it)
 		sealed, built := frozenOf(t, f, live)
 		bound := it.Size()
 		overlay := func(s strand.Set) strand.Set { return s.Interned(NewQueryInterner(f)) }
@@ -435,7 +435,7 @@ func TestScanEdgeCases(t *testing.T) {
 		sim.FromProcs("b", []*sim.Proc{{Name: "b0", Set: set(2, 3, 4, 5)}, {Name: "b1"}}, it),
 		sim.FromProcs("none4", nil, it),
 	}
-	f := it.Freeze()
+	f := freeze(t, it)
 	sealed, built := frozenOf(t, f, exes)
 	q := func(hashes ...uint64) strand.Set { return set(hashes...).Interned(NewQueryInterner(f)) }
 	cases := []struct {

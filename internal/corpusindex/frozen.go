@@ -24,15 +24,14 @@ import (
 // corpus must therefore run under a per-request QueryInterner overlay,
 // never under the Frozen itself.
 //
-// There is one lookup representation, whether the Frozen was sealed in
-// RAM (Freeze) or handed a mapped shard's slabs (FrozenFromSlabs): the
-// vocabulary sorted by hash with the parallel dense IDs, and a radix
+// A Frozen is built over a shard's vocabulary slabs (FrozenFromSlabs):
+// the vocabulary sorted by hash with the parallel dense IDs, and a radix
 // directory over the top bits of the hash that narrows a lookup to one
 // bucket of one or two entries on average.
 type Frozen struct {
 	vocab []uint64 // dense ID -> hash
-	// Hashes ascending with the parallel dense IDs, aliasing a mapped
-	// shard section when the Frozen came from one.
+	// Hashes ascending with the parallel dense IDs, aliasing the shard's
+	// section.
 	sortedHashes []uint64
 	sortedIDs    []uint32
 	// dir[k]:dir[k+1] is the span of sortedHashes whose top bits, the
@@ -42,12 +41,13 @@ type Frozen struct {
 	shift uint
 }
 
-// Freeze seals the interner's current vocabulary into an immutable
-// Frozen. The live interner keeps working afterwards; IDs it assigns
-// from then on are outside the frozen vocabulary.
-func (it *Interner) Freeze() *Frozen {
+// Sorted returns a copy of the interner's current vocabulary, ordered by
+// dense ID, and its dense IDs in ascending hash order: what a shard stores
+// of a sealed vocabulary (snapshot.EncodeVocab), sorted once. The live
+// interner keeps working afterwards.
+func (it *Interner) Sorted() (vocab []uint64, order []uint32) {
 	it.mu.RLock()
-	vocab := slices.Clone(it.hashes)
+	vocab = slices.Clone(it.hashes)
 	it.mu.RUnlock()
 	type entry struct {
 		h  uint64
@@ -58,15 +58,11 @@ func (it *Interner) Freeze() *Frozen {
 		byHash[id] = entry{h, uint32(id)}
 	}
 	slices.SortFunc(byHash, func(a, b entry) int { return cmp.Compare(a.h, b.h) })
-	sortedHashes, sortedIDs := make([]uint64, len(vocab)), make([]uint32, len(vocab))
+	order = make([]uint32, len(vocab))
 	for i, e := range byHash {
-		sortedHashes[i], sortedIDs[i] = e.h, e.id
+		order[i] = e.id
 	}
-	f, err := FrozenFromSlabs(vocab, sortedHashes, sortedIDs)
-	if err != nil {
-		panic(err) // an interner assigns each hash one ID
-	}
-	return f
+	return vocab, order
 }
 
 // FrozenFromSlabs constructs a Frozen directly over foreign memory: the
@@ -253,22 +249,22 @@ func (q *QueryInterner) AppendHashes(dst []uint64, ids []uint32) []uint64 {
 }
 
 // FrozenIndex is the corpus-level inverted index — dense strand ID →
-// procedure-slot postings, flattened into one sparse CSR slab —
-// and the only index type there is: built once over the executables of a
-// sealed group, never changed afterwards, and never persisted: a shard
-// stores each procedure's strand set once, and the index is derived from
-// those sets. It holds no lock and supports no mutation, so unlimited
-// concurrent readers share it freely. The only shared structure the query
-// path touches is a sync.Pool of scratch accumulators, which is race-safe
-// by construction and carries no corpus state between queries.
+// procedure-slot postings, flattened into one CSR slab —
+// and the only index type there is: built once over every distinct
+// executable of a sealed corpus, never changed afterwards, and never
+// persisted: a shard stores each procedure's strand set once, and the
+// index is derived from those sets. It holds no lock and supports no
+// mutation, so unlimited concurrent readers share it freely. The only
+// shared structure the query path touches is a sync.Pool of scratch
+// accumulators, which is race-safe by construction and carries no corpus
+// state between queries.
 type FrozenIndex struct {
 	nexes int
-	// rowIDs are the non-empty rows' strand IDs ascending; row i's
-	// postings, procedure slots, are posts[rowEnds[i-1]:rowEnds[i]]
-	// (rowEnds[-1] taken as 0).
-	rowIDs  []uint32
-	rowEnds []uint32
-	posts   []uint32
+	// rows is the dense row directory, one offset per strand ID below the
+	// bound and one past the last: row id's postings, procedure slots
+	// ascending, are posts[rows[id]:rows[id+1]].
+	rows  []uint32
+	posts []uint32
 	// procOff are prefix sums of per-executable procedure counts:
 	// procedure p of executable e is slot procOff[e]+p, in the postings
 	// and in a query scratch. procOff[nexes] is the slot total.
@@ -281,10 +277,11 @@ type FrozenIndex struct {
 // procedure count and then every procedure's strand-ID set in slot
 // order, executable by executable: sets holds exactly the counts' sum.
 // The sets are strictly increasing, with IDs all assigned by one interner
-// and below bound — the frozen vocabulary's size for a sealed group. A
-// counting pass per strand ID sizes every slab exactly, then the postings
-// are filled in slot order. The index keeps none of the sets, so they may
-// alias memory that is released later.
+// and below bound — the frozen vocabulary's size for a sealed corpus. A
+// counting pass per strand ID sizes the postings exactly and leaves, as
+// prefix sums, the row directory; the postings are then filled from the
+// last slot back, so each row ends up in slot order. The index keeps none
+// of the sets, so they may alias memory that is released later.
 func NewFrozenIndex(bound int, procCounts []int32, sets [][]uint32) *FrozenIndex {
 	x := &FrozenIndex{nexes: len(procCounts), procOff: make([]int32, len(procCounts)+1)}
 	for i, n := range procCounts {
@@ -293,29 +290,20 @@ func NewFrozenIndex(bound int, procCounts []int32, sets [][]uint32) *FrozenIndex
 	if int(x.procOff[x.nexes]) != len(sets) {
 		panic(fmt.Sprintf("corpusindex: %d procedure sets for %d procedures", len(sets), x.procOff[x.nexes]))
 	}
-	next := make([]uint32, bound+1) // next[id+1] counts, then row cursors
-	rows := 0
+	rows := make([]uint32, bound+1) // counts, then row ends, then row starts
 	for _, ids := range sets {
 		for _, id := range ids {
-			if next[id+1] == 0 {
-				rows++
-			}
-			next[id+1]++
+			rows[id]++
 		}
 	}
-	x.rowIDs, x.rowEnds = make([]uint32, 0, rows), make([]uint32, 0, rows)
-	for id := 0; id < bound; id++ {
-		if next[id+1] > 0 {
-			x.rowIDs = append(x.rowIDs, uint32(id))
-			x.rowEnds = append(x.rowEnds, next[id]+next[id+1])
-		}
-		next[id+1] += next[id]
+	for id := 1; id <= bound; id++ {
+		rows[id] += rows[id-1]
 	}
-	x.posts = make([]uint32, next[bound])
-	for slot, ids := range sets {
-		for _, id := range ids {
-			x.posts[next[id]] = uint32(slot)
-			next[id]++
+	x.rows, x.posts = rows, make([]uint32, rows[bound])
+	for slot := len(sets) - 1; slot >= 0; slot-- {
+		for _, id := range sets[slot] {
+			rows[id]--
+			x.posts[rows[id]] = uint32(slot)
 		}
 	}
 	return x
@@ -390,26 +378,18 @@ func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inSco
 }
 
 // accumulate runs one ranking query into pooled scratch; the caller owns
-// the returned scratch until putScratch. IDs the index has never seen —
-// assigned by a growing interner after the build, or overlay-private and
-// so above the vocabulary — match no row and contribute nothing.
+// the returned scratch until putScratch. IDs at or above the bound the
+// index was built with — assigned by a growing interner after the build,
+// or overlay-private and so above the vocabulary — match no row; q.IDs
+// ascend, so they are the tail the scan stops at.
 func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64) *queryScratch {
 	s := getScratch(&x.scratch, int(x.procOff[x.nexes]))
-	// Both q.IDs and rowIDs are strictly increasing, so one forward
-	// binary-search cursor visits each matching row once.
-	ri := 0
+	bound := uint32(len(x.rows) - 1)
 	for _, id := range q.IDs {
-		j, ok := slices.BinarySearch(x.rowIDs[ri:], id)
-		ri += j
-		if !ok {
-			continue
+		if id >= bound {
+			break
 		}
-		lo := uint32(0)
-		if ri > 0 {
-			lo = x.rowEnds[ri-1]
-		}
-		s.bump(x.posts[lo:x.rowEnds[ri]])
-		ri++
+		s.bump(x.posts[x.rows[id]:x.rows[id+1]])
 	}
 	s.rank(x.procOff, len(q.IDs), minScore, ratioFloor)
 	return s

@@ -51,17 +51,35 @@ func defaultCorpusVocab(tb testing.TB) []uint64 {
 			sim.BuildWith(e.Path, plan, it, &sim.BuildConfig{Workers: 1})
 		}
 	}
-	return it.Freeze().Vocab()
+	vocab, _ := it.Sorted()
+	return vocab
 }
 
-// FuzzFrozenLookup checks both ways a frozen vocabulary comes to be —
-// Freeze sealing a live interner, and FrozenFromSlabs opening slabs sorted
-// the way snapshot.EncodeVocab sorts them — against a map oracle. The
+// freeze seals the interner's current vocabulary the way a shard stores
+// and opens it: Sorted's order, handed to FrozenFromSlabs.
+func freeze(tb testing.TB, it *Interner) *Frozen {
+	tb.Helper()
+	vocab, order := it.Sorted()
+	sortedHashes := make([]uint64, len(order))
+	for i, id := range order {
+		sortedHashes[i] = vocab[id]
+	}
+	f, err := FrozenFromSlabs(vocab, sortedHashes, order)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// FuzzFrozenLookup checks a frozen vocabulary — Sorted ordering a live
+// interner's, and FrozenFromSlabs opening the slabs sorted that way —
+// against a map oracle. The
 // input is a run of 8-byte little-endian hashes interned first come,
 // first served (a repeat keeps its first ID). Every member must resolve
 // to its ID, and each member's neighbours h-1, h+1 and h with its top bit
-// flipped must miss unless they are members too; Freeze's sorted order
-// must be the slabs', and every ID must map back to its hash.
+// flipped must miss unless they are members too; Sorted's order must be
+// the one a plain sort by hash gives, and every ID must map back to its
+// hash.
 func FuzzFrozenLookup(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(vocabBytes([]uint64{0x9E3779B97F4A7C15}))
@@ -84,47 +102,44 @@ func FuzzFrozenLookup(f *testing.F) {
 			}
 			oracle[h] = id
 		}
-		sealed := it.Freeze()
-		vocab := sealed.Vocab()
+		vocab, sorted := it.Sorted()
 		order := make([]uint32, len(vocab))
 		for i := range order {
 			order[i] = uint32(i)
 		}
 		sort.Slice(order, func(a, b int) bool { return vocab[order[a]] < vocab[order[b]] })
+		if !slices.Equal(sorted, order) {
+			t.Fatalf("Sorted ordered the vocabulary as %v, a sort by hash as %v", sorted, order)
+		}
 		sortedHashes := make([]uint64, len(order))
 		for i, id := range order {
 			sortedHashes[i] = vocab[id]
 		}
-		opened, err := FrozenFromSlabs(vocab, sortedHashes, order)
+		fz, err := FrozenFromSlabs(vocab, sortedHashes, order)
 		if err != nil {
 			t.Fatalf("FrozenFromSlabs rejected the sorted vocabulary: %v", err)
 		}
-		if !slices.Equal(sealed.SortedIDs(), order) {
-			t.Fatalf("Freeze sorted the vocabulary as %v, the slabs as %v", sealed.SortedIDs(), order)
+		if fz.Size() != len(oracle) {
+			t.Fatalf("size %d, oracle %d", fz.Size(), len(oracle))
 		}
-		for name, fz := range map[string]*Frozen{"Freeze": sealed, "FrozenFromSlabs": opened} {
-			if fz.Size() != len(oracle) {
-				t.Fatalf("%s: size %d, oracle %d", name, fz.Size(), len(oracle))
+		if len(fz.dir) > max(2, fz.Size()) {
+			t.Fatalf("%d directory offsets for %d entries", len(fz.dir), fz.Size())
+		}
+		for h, want := range oracle {
+			if id, ok := fz.Lookup(h); !ok || id != want {
+				t.Fatalf("Lookup(%#x) = %d, %v; oracle %d", h, id, ok, want)
 			}
-			if len(fz.dir) > max(2, fz.Size()) {
-				t.Fatalf("%s: %d directory offsets for %d entries", name, len(fz.dir), fz.Size())
-			}
-			for h, want := range oracle {
-				if id, ok := fz.Lookup(h); !ok || id != want {
-					t.Fatalf("%s: Lookup(%#x) = %d, %v; oracle %d", name, h, id, ok, want)
+			for _, n := range []uint64{h - 1, h + 1, h ^ 1<<63} {
+				if _, member := oracle[n]; member {
+					continue
 				}
-				for _, n := range []uint64{h - 1, h + 1, h ^ 1<<63} {
-					if _, member := oracle[n]; member {
-						continue
-					}
-					if id, ok := fz.Lookup(n); ok {
-						t.Fatalf("%s: Lookup(%#x) = %d for a hash outside the vocabulary", name, n, id)
-					}
+				if id, ok := fz.Lookup(n); ok {
+					t.Fatalf("Lookup(%#x) = %d for a hash outside the vocabulary", n, id)
 				}
 			}
-			if got := fz.AppendHashes(nil, order); !slices.Equal(got, sortedHashes) {
-				t.Fatalf("%s: AppendHashes maps IDs to %v, want %v", name, got, sortedHashes)
-			}
+		}
+		if got := fz.AppendHashes(nil, order); !slices.Equal(got, sortedHashes) {
+			t.Fatalf("AppendHashes maps IDs to %v, want %v", got, sortedHashes)
 		}
 	})
 }

@@ -15,11 +15,11 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -421,7 +421,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rsp := root.Start("serve.read_body")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxQueryBytes()))
+	limit := s.cfg.maxQueryBytes()
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		// Room for the declared body and the MinRead ReadFrom keeps free,
+		// so reading it grows nothing.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	body := buf.Bytes()
 	rsp.SetAttr("bytes", int64(len(body)))
 	rsp.End()
 	if err != nil {

@@ -180,12 +180,14 @@ func TestServeTraceSampling(t *testing.T) {
 }
 
 // TestServeShardedTraceAttribution serves a sharded mmap-backed corpus
-// and verifies a traced corpus-wide search attributes latency per
-// shard: the trace's span tree carries one corpus.shard span per shard
-// with distinct shard indexes, each parenting the per-image search
-// work. The whole tree of a never-seen upload is pinned by name, and
-// every name in it is a stage on /metrics: one span vocabulary. Each
-// core.search span accounts for every game it examined.
+// and verifies a traced corpus-wide search attributes its latency to the
+// one pass it runs, whatever the shard count: serve.search parents one
+// store.materialize and one core.search, and says what the pass did and
+// what it stood for — unique_candidates, the games core.search examined,
+// and occurrences, the response's examined total. The whole tree of a
+// never-seen upload is pinned by name, and every name in it is a stage
+// on /metrics: one span vocabulary. Each core.search span accounts for
+// every game it examined.
 func TestServeShardedTraceAttribution(t *testing.T) {
 	sc, query := buildScenario(t)
 	const nShards = 3
@@ -237,9 +239,8 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 		"cfg.recover › cfg.sweep":             1,
 		"serve.analyze_query › sim.build":     1,
 		"serve.request › serve.search":        1,
-		"serve.search › corpus.shard":         nShards,
-		"corpus.shard › store.materialize":    nShards,
-		"corpus.shard › core.search":          nShards,
+		"serve.search › store.materialize":    1,
+		"serve.search › core.search":          1,
 	}
 	if !reflect.DeepEqual(edges, wantEdges) {
 		t.Errorf("span tree = %v, want %v", edges, wantEdges)
@@ -252,41 +253,20 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 		}
 	}
 
-	shards := make(map[int]telemetry.TraceSpan)
+	byName := map[string]telemetry.TraceSpan{}
 	for _, sp := range tr.Spans {
-		if sp.Name != "corpus.shard" {
-			continue
-		}
-		idx, ok := sp.Attrs["shard"].(float64)
-		if !ok {
-			t.Fatalf("corpus.shard span lacks a shard attr: %+v", sp)
-		}
-		if _, dup := shards[int(idx)]; dup {
-			t.Errorf("shard %d traced twice", int(idx))
-		}
-		shards[int(idx)] = sp
+		byName[sp.Name] = sp
 	}
-	if len(shards) != nShards {
-		t.Fatalf("trace has %d corpus.shard spans, want %d: %+v", len(shards), nShards, tr.Spans)
+	pass, games := byName["serve.search"], byName["core.search"]
+	if got, want := pass.Attrs["unique_candidates"], games.Attrs["examined"]; got != want || got == 0.0 {
+		t.Errorf("serve.search unique_candidates = %v, core.search examined %v", got, want)
 	}
-	// Each shard span parents that shard's per-image search work, so
-	// per-shard latency attribution is a subtree, not a flat list.
-	children := make(map[int32]int)
-	for _, sp := range tr.Spans {
-		children[sp.Parent]++
+	occurrences := 0
+	for _, im := range sr.Images {
+		occurrences += im.Examined
 	}
-	imgSpans := 0
-	for idx, sp := range shards {
-		if sp.Attrs["executables"] == nil {
-			t.Errorf("shard %d span lacks an executables attr", idx)
-		}
-		if children[sp.ID] == 0 {
-			t.Errorf("shard %d span has no child spans; per-shard attribution lost", idx)
-		}
-		imgSpans += children[sp.ID]
-	}
-	if imgSpans == 0 {
-		t.Error("no search spans attributed to any shard")
+	if got := pass.Attrs["occurrences"]; got != float64(occurrences) {
+		t.Errorf("serve.search occurrences = %v, the response examines %d", got, occurrences)
 	}
 
 	// Every game a core.search span examines is accounted for once: it

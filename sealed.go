@@ -36,41 +36,50 @@ import (
 // image a list of occurrences (path, executable ID). Every corpus is
 // read from FWCORP shard bytes — the one shard Seal encodes in memory, or
 // the shard files OpenSealedCorpus maps — and its executables are split
-// into groups, one per shard: contiguous ID ranges each with one inverted
-// index. A search passes over the groups that hold an executable in
-// scope, scanning, materializing and playing each (query, distinct
-// candidate) once, and fans the outcome out to every occurrence. Split
-// into any number of shards, a corpus answers every search with the same
-// findings and examined counts.
+// into groups, one per shard: the contiguous ID range the shard stores,
+// materialized from it. One inverted index covers them all. A search is
+// one pass: it scans each query once, materializes each candidate from
+// its shard, plays each (query, distinct candidate) once, and fans the
+// outcome out to every occurrence. Split into any number of shards, a
+// corpus answers every search with the same findings and examined counts.
 type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
 	// groups hold the distinct executables, one per shard.
 	groups exeStore
-	spare  budget // the worker tokens every call borrows from (Options.Workers)
+	// index covers every distinct executable, numbered by corpus ID. It is
+	// built on the first search that scans (ensureIndex), under idxMu.
+	index atomic.Pointer[corpusIndex]
+	idxMu sync.Mutex
+	spare budget // the worker tokens every call borrows from (Options.Workers)
 	// root is the span query analysis and search record under when their
 	// caller passes none (see SetTelemetry).
 	root telemetry.Span
 }
 
-// sealedGroup is the unit a search pass runs over: a range of the
-// corpus's distinct executables and the one index over them.
+// corpusIndex is a corpus's index and, by group, the error reading the
+// group's strand sets for it returned: such a group's executables are
+// indexed without procedures, and a search whose scope holds one of them
+// fails with that error.
+type corpusIndex struct {
+	x    *corpusindex.FrozenIndex
+	errs []error
+}
+
+// sealedGroup is one shard's share of a corpus: the range of distinct
+// executables the shard stores, which a search materializes from it and
+// blames the shard's corruption on.
 type sealedGroup struct {
 	base, n int // the group holds executables [base, base+n) of its store
 	// frozen is the corpus vocabulary the executables are bound to.
 	frozen *corpusindex.Frozen
-	// index covers the group's executables, numbered from 0. It is built
-	// on first search (ensureIndex), guarded by idxOnce.
-	index *corpusindex.FrozenIndex
 
 	// The shard that stores the executables, the path errors name it by,
 	// and one materialize-once slot per executable. Materialized ones
 	// carry no path: findings take theirs from the occurrence.
-	shard   *snapshot.CorpusShard
-	path    string
-	lazy    []lazyExe
-	idxOnce sync.Once
-	idxErr  error
+	shard *snapshot.CorpusShard
+	path  string
+	lazy  []lazyExe
 	// corrupt is the first corruption error a read returned, as text
 	// (recoverCorrupt).
 	corrupt atomic.Pointer[string]
@@ -125,7 +134,7 @@ type Options struct {
 	Exhaustive bool
 	// Span, when set, is the span a query analysis or a search runs
 	// under: their layers open theirs (the front end's parse, recovery
-	// and build; shard fan-out, store materialization, core search) as
+	// and build; store materialization and the core search) as
 	// its children, each feeding the stage of its name and its counters
 	// in the span's registry and, under a sampled request, the request's
 	// tree. Unset, the corpus's own root span stands in (see
@@ -318,8 +327,8 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 // an executable from another session has incomparable dense IDs and is
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
-	frozen := a.interner.Freeze()
-	c := &snapshot.Corpus{Interner: frozen.Vocab()}
+	vocab, order := a.interner.Sorted()
+	c := &snapshot.Corpus{Interner: vocab}
 	dedup := newExeDedup()
 	for ii, img := range images {
 		ci := snapshot.CorpusImage{Vendor: img.Vendor, Device: img.Device, Version: img.Version, Skipped: skipsToModel(img.Skipped)}
@@ -335,11 +344,11 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 		}
 		c.Images = append(c.Images, ci)
 	}
-	vocab, err := snapshot.EncodeVocab(c.Interner, frozen.SortedIDs())
+	enc, err := snapshot.EncodeVocab(vocab, order)
 	if err != nil {
 		return nil, err
 	}
-	data, err := vocab.EncodeShard(c, snapshot.ShardHeader{ShardCount: 1, TotalImages: len(c.Images), TotalExes: len(c.Exes)})
+	data, err := enc.EncodeShard(c, snapshot.ShardHeader{ShardCount: 1, TotalImages: len(c.Images), TotalExes: len(c.Exes)})
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +377,7 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // obj.parse, cfg.recover / cfg.sweep and the cfg counters, sim.build
 // (which lifts each procedure as it extracts it) / sim.procs, and
 // strand.blocks / strand.strands — and a search its core.search (and
-// corpus.shard, store.materialize) stages, the prefilter's index.queries
+// store.materialize) stages, the prefilter's index.queries
 // / index.fanout and the game engine's game.*, search.* and batch.*
 // metrics. Call before serving. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
@@ -422,37 +431,55 @@ func (sc *SealedCorpus) analyzeQuery(path string, data []byte, opt *Options) (*E
 	return analyze(path, f, corpusindex.NewQueryInterner(sc.frozen), opt.workers(), sc.spare, sp)
 }
 
-// scansPool recycles the per-pass scan results (candidate lists and
+// scansPool recycles the per-query scan results (candidate lists and
 // similarity vectors) across search passes.
 var scansPool = sync.Pool{New: func() any { return new(corpusindex.Scans) }}
 
-// passStats is the game accounting of one group's pass: the (query,
-// distinct executable) pairs it planned, and of those the ones not
-// played and the games cut short because no acceptable procedure was
-// (any longer) available (see core.PlayBatch).
-type passStats struct{ games, unplayed, cut int }
-
 // search is the one search pass there is: every query against the
 // distinct executables that occur in imgs — all of the corpus's for a
-// corpus-wide search, one image's for a per-image search — each (query,
-// executable) materialized and played once, by the group that holds it,
-// and the outcome fanned out to the occurrences of imgs, timed under
-// parent. Only the groups holding an
-// executable in scope take part, on the caller's goroutine and those b
-// lends, each under its own "corpus.shard" span — shard index,
-// executable count, the (query, executable) games it planned, the
-// occurrences they stood for — so a slow request attributes its latency
-// to the shard that caused it. They share no mutable state, so fan-out
-// order cannot influence findings or examined counts; the first error in
-// group order wins. The result is indexed [image][query].
+// corpus-wide search, one image's for a per-image search — and the
+// outcome fanned out to the occurrences of imgs, timed under parent. The
+// result is indexed [image][query].
+//
+// Each query's candidates are resolved exactly once, by one posting scan
+// of the corpus index over the scope, and everything the scan computed is
+// used: the candidate list selects what is materialized, each candidate
+// from the shard that stores it (so peak RSS tracks the working set), and
+// is the list the games run on, and the per-procedure counts behind it
+// are each game's first similarity vector, from which the game engine
+// also reads off whether a candidate can be accepted at all. An
+// exhaustive search examines every executable in scope. The acceptance
+// floors are baked into the lists, so the narrowing stays sound (see
+// FrozenIndex.Scan). The scans and then the games, each (query,
+// executable) once in one core.PlayBatch, run on the caller's goroutine
+// and those the corpus lends; parent is told the games planned
+// (unique_candidates) and the occurrences they stood for (occurrences).
 //
 // Since candidacy is a property of the executable alone, an image gets
 // exactly the findings and examined count a search of it on its own
 // would produce.
-func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, b budget, parent telemetry.Span) ([][]*SearchResult, error) {
-	// uses[u] counts the occurrences of executable u in imgs; found and
-	// played are the passes' outcomes by query and executable.
-	total := st.size()
+//
+// A shard stays the unit of corruption. A search fails with a shard's
+// error when its scope holds an executable of a shard whose strand sets
+// the index could not read, when a candidate the shard stores fails to
+// materialize, or when a game panics on a target the shard stores — a
+// fault on a shard truncated under the process (recoverCorrupt).
+func (sc *SealedCorpus) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Options, parent telemetry.Span) (res [][]*SearchResult, err error) {
+	// A shard truncated under the process faults the read that touches
+	// it; a game's fault comes back from PlayBatch as a core.TargetPanic.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			tp, ok := r.(core.TargetPanic)
+			if !ok {
+				panic(r)
+			}
+			res = nil
+			sc.groups.group(tp.Target).blame("search", tp.Value, &err)
+		}
+	}()
+	// uses[u] counts the occurrences of executable u in imgs.
+	total := sc.groups.size()
 	uses := make([]int32, total)
 	inScope := make([]bool, total)
 	for _, im := range imgs {
@@ -461,61 +488,68 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 			inScope[oc.Exe] = true
 		}
 	}
-	found := make([][]*core.Finding, len(cqs))
-	played := make([][]bool, len(cqs))
-	for qx := range cqs {
-		found[qx] = make([]*core.Finding, total)
-		played[qx] = make([]bool, total)
+	s := opt.search()
+	s.Span = parent
+	// plans[qx] lists the executables query qx is played against — all of
+	// scope when exhaustive, else its candidates in scope with their
+	// scanned vectors, which a pooled Scans of the query's own holds until
+	// the games are over. An exhaustive pass, which scans nothing, draws
+	// them too, so its registry lists the prefilter's metrics either way.
+	scans := make([]*corpusindex.Scans, len(cqs))
+	for qx := range scans {
+		scans[qx] = scansPool.Get().(*corpusindex.Scans)
+		scans[qx].Reset(parent)
+		defer scansPool.Put(scans[qx])
 	}
-	var run []int
-	for gi, g := range st {
-		if slices.Contains(inScope[g.base:g.base+g.n], true) {
-			run = append(run, gi)
-		}
-	}
-	pass := func(gi int) error {
-		// A shard truncated under the process faults the read that
-		// touches it; g.search recovers the panic this makes of it.
-		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-		g := st[gi]
-		parent := parent
-		var sp telemetry.Span
-		if len(st) > 1 {
-			sp = parent.Start("corpus.shard")
-			defer sp.End()
-			parent = sp
-		}
-		f, p, stats, err := g.search(cqs, inScope[g.base:g.base+g.n], opt, b, parent)
-		if err != nil {
-			return err
-		}
-		occurrences := 0
-		for qx := range cqs {
-			copy(found[qx][g.base:], f[qx])
-			copy(played[qx][g.base:], p[qx])
-			for u, ok := range p[qx] {
-				if ok {
-					occurrences += int(uses[g.base+u])
-				}
-			}
-		}
-		sp.SetAttr("shard", int64(gi))
-		sp.SetAttr("executables", int64(g.n))
-		sp.SetAttr("unique_candidates", int64(stats.games))
-		sp.SetAttr("games_unplayed", int64(stats.unplayed))
-		sp.SetAttr("games_cut", int64(stats.cut))
-		sp.SetAttr("occurrences", int64(occurrences))
-		return nil
-	}
-	errs := make([]error, len(run))
-	b.fan(len(run), opt.workers(), func(k int) { errs[k] = pass(run[k]) })
-	for _, err := range errs {
+	plans := make([]core.Plan, len(cqs))
+	if opt == nil || !opt.Exhaustive {
+		x, err := sc.ensureIndex(inScope)
 		if err != nil {
 			return nil, err
 		}
+		minScore, minRatio := s.Floors()
+		// The scans share nothing but the index, so a batch's run on the
+		// workers the corpus lends.
+		sc.spare.fan(len(cqs), opt.workers(), func(qx int) {
+			q, out := cqs[qx], scans[qx]
+			x.Scan(q.Q.Procs[q.QI].Set, minScore, minRatio, inScope, out)
+			plans[qx] = core.Plan{Targets: out.Exes, Off: out.Off, Vec: out.Vecs}
+		})
+	} else {
+		var scope []int
+		for u, ok := range inScope {
+			if ok {
+				scope = append(scope, u)
+			}
+		}
+		for qx := range plans {
+			plans[qx].Targets = scope
+		}
 	}
+	// played[qx] marks the executables query qx is played against: the
+	// ones that count toward an occurrence's Examined.
+	played := make([][]bool, len(cqs))
+	games, occurrences := 0, 0
+	for qx, p := range plans {
+		played[qx] = make([]bool, total)
+		for _, u := range p.Targets {
+			played[qx][u] = true
+			occurrences += int(uses[u])
+		}
+		games += len(p.Targets)
+	}
+	targets, err := sc.groups.targets(played, parent)
+	if err != nil {
+		return nil, err
+	}
+	lent := sc.spare.lend(min(opt.workers(), games) - 1)
+	defer sc.spare.release(lent)
+	s.Workers = 1 + lent
+	found := core.PlayBatch(cqs, targets, plans, s)
+	parent.SetAttr("unique_candidates", int64(games))
+	parent.SetAttr("occurrences", int64(occurrences))
 
-	res := make([][]*SearchResult, len(imgs))
+	res = make([][]*SearchResult, len(imgs))
 	for ii, im := range imgs {
 		res[ii] = make([]*SearchResult, len(cqs))
 		for qx := range cqs {
@@ -543,94 +577,18 @@ func (st exeStore) search(cqs []core.BatchQuery, imgs []*SealedImage, opt *Optio
 	return res, nil
 }
 
-// search is one group's part of a pass: every query against the group's
-// executables that inScope admits (indexed from the group's first), each
-// (query, candidate) materialized and played once. It returns, by query
-// and executable, the accepted findings and which executables were
-// played — the ones that count toward an occurrence's Examined.
-//
-// Each query's candidates are resolved exactly once, by one posting scan
-// of the group index, and everything the scan computed is used: the
-// candidate list selects what the group materializes (so peak
-// RSS tracks the working set) and is the list the games run on, and the
-// per-procedure counts behind it are each game's first similarity
-// vector, from which the game engine also reads off whether a candidate
-// can be accepted at all. An exhaustive search examines every executable
-// in scope, the game engine accumulating its own vectors. The acceptance
-// floors are baked into the lists, so the narrowing stays sound (see
-// FrozenIndex.Scan).
-//
-// A panic in the pass — on a fan-out goroutine it would end the process —
-// becomes the pass's error, naming the shard (see recoverCorrupt).
-func (g *sealedGroup) search(cqs []core.BatchQuery, inScope []bool, opt *Options, b budget, parent telemetry.Span) (found [][]*core.Finding, played [][]bool, st passStats, err error) {
-	defer g.recoverCorrupt("search", &err)
-	s := opt.search()
-	s.Span = parent
-	// plans[qx] lists the executables query qx is played against — all of
-	// scope when exhaustive, else its candidates in scope with their
-	// scanned vectors — and played[qx] marks them. One pooled Scans holds
-	// every query's scan until the games are over; query qx appended
-	// scans.Exes[at[qx]:at[qx+1]]. An exhaustive pass, which scans
-	// nothing, draws one too, so its registry lists the prefilter's
-	// metrics either way.
-	scans := scansPool.Get().(*corpusindex.Scans)
-	scans.Reset(parent)
-	defer scansPool.Put(scans)
-	plans := make([]core.Plan, len(cqs))
-	if opt == nil || !opt.Exhaustive {
-		if err := g.ensureIndex(); err != nil {
-			return nil, nil, st, err
-		}
-		minScore, minRatio := s.Floors()
-		at := make([]int, len(cqs)+1)
-		for qx, cq := range cqs {
-			g.index.Scan(cq.Q.Procs[cq.QI].Set, minScore, minRatio, inScope, scans)
-			at[qx+1] = len(scans.Exes)
-		}
-		for qx := range plans {
-			lo, hi := at[qx], at[qx+1]
-			plans[qx] = core.Plan{Targets: scans.Exes[lo:hi], Off: scans.Off[lo : hi+1], Vec: scans.Vecs}
-		}
-	} else {
-		var scope []int
-		for u, ok := range inScope {
-			if ok {
-				scope = append(scope, u)
-			}
-		}
-		for qx := range plans {
-			plans[qx].Targets = scope
-		}
-	}
-	played = make([][]bool, len(cqs))
-	for qx := range plans {
-		played[qx] = make([]bool, g.n)
-		for _, u := range plans[qx].Targets {
-			played[qx][u] = true
-		}
-		st.games += len(plans[qx].Targets)
-	}
-	targets, err := g.targets(plans, s)
-	if err != nil {
-		return nil, nil, st, err
-	}
-	lent := b.lend(min(opt.workers(), st.games) - 1)
-	defer b.release(lent)
-	s.Workers = 1 + lent
-	pass := core.PlayBatch(cqs, targets, plans, s)
-	st.unplayed, st.cut = pass.Unplayed, pass.Cut
-	return pass.Findings, played, st, nil
-}
-
 // SearchImageDetailed looks for the query executable's procedure in
 // every executable of one sealed image, with the search accounting
-// exposed: one pass over the groups that hold the image's executables.
+// exposed: one pass over the image's executables.
 func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string, img *SealedImage, opt *Options) (*SearchResult, error) {
 	cqs, err := sc.coreBatch([]BatchQuery{{Query: query, Procedure: procedure}})
 	if err != nil {
 		return nil, err
 	}
-	res, err := img.store.search(cqs, []*SealedImage{img}, opt, sc.spare, opt.span().Or(sc.root))
+	if img.store[0] != sc.groups[0] {
+		return nil, fmt.Errorf("firmup: image %s %s %s is not sealed in this corpus", img.Vendor, img.Device, img.Version)
+	}
+	res, err := sc.search(cqs, []*SealedImage{img}, opt, opt.span().Or(sc.root))
 	if err != nil {
 		return nil, err
 	}
@@ -666,7 +624,7 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 	if err != nil {
 		return nil, err
 	}
-	res, err := sc.groups.search(cqs, sc.images, opt, sc.spare, opt.span().Or(sc.root))
+	res, err := sc.search(cqs, sc.images, opt, opt.span().Or(sc.root))
 	if err != nil {
 		return nil, err
 	}

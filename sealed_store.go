@@ -11,11 +11,11 @@ import (
 	"sort"
 	"sync"
 
-	"firmup/internal/core"
 	"firmup/internal/corpusindex"
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
 	"firmup/internal/strand"
+	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -23,11 +23,12 @@ import (
 // bulk state in FWCORP shards — the files a corpus opened from disk maps,
 // or the one shard Seal encodes in memory — one group per shard, the
 // range of distinct executables the shard stores, and materializes
-// executables lazily, on first search touch. The prefilter makes that pay off: a query's candidate set is
-// computed from the group's index — derived, on the group's first search,
-// from the strand sets the shard stores — before any executable exists in
-// RAM, so only candidates are ever materialized, and peak RSS tracks the
-// working set instead of the corpus.
+// executables lazily, on first search touch. The prefilter makes that pay
+// off: a query's candidate set is computed from the corpus index —
+// derived, on the first search, from the strand sets every shard stores
+// — before any executable exists in RAM, so only candidates are ever
+// materialized, and peak RSS tracks the working set instead of the
+// corpus.
 //
 // Off the mapping (loadExe), an executable's strand IDs and markers alias
 // the file; its procedures and call graph are decoded once, into a few
@@ -120,14 +121,20 @@ func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
 	return le.exe, le.err
 }
 
-// recoverCorrupt, deferred by a read of the group's shard, stores a
-// panic in the read — the memory fault of a file truncated under its
-// mapping, or code tripped by damaged bytes — in *err as the shard's
-// corruption, so the caller, and every later one of a once-only read,
-// gets an error naming the shard, not a nil result or a dead process.
-// The first corruption the group's reads return is kept for Shards.
+// recoverCorrupt, deferred by a read of the group's shard, blames a
+// panic in the read on the shard.
 func (g *sealedGroup) recoverCorrupt(section string, err *error) {
-	if r := recover(); r != nil {
+	g.blame(section, recover(), err)
+}
+
+// blame stores r, a panic in a read of the group's shard — the memory
+// fault of a file truncated under its mapping, or code tripped by damaged
+// bytes — in *err as the shard's corruption, so the caller, and every
+// later one of a once-only read, gets an error naming the shard, not a
+// nil result or a dead process. The first corruption the group's reads
+// return is kept for Shards.
+func (g *sealedGroup) blame(section string, r any, err *error) {
+	if r != nil {
 		*err = &snapshot.CorruptError{Section: section, Reason: fmt.Sprintf("%s: panicked: %v", g.path, r)}
 	}
 	if errors.Is(*err, snapshot.ErrCorrupt) && g.corrupt.Load() == nil {
@@ -194,42 +201,76 @@ func (g *sealedGroup) loadExe(u int) (*sim.Exe, error) {
 	return e, nil
 }
 
-// ensureIndex builds the group's index once, on first search, from the
-// strand sets the shard stores (a read which can fail).
-func (g *sealedGroup) ensureIndex() error {
-	g.idxOnce.Do(func() {
-		defer g.recoverCorrupt("corpus-index", &g.idxErr)
-		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-		counts, sets, err := g.shard.ProcSets()
-		if err != nil {
-			g.idxErr = err
-			return
+// ensureIndex returns the corpus index, building it on first use, or
+// the error of the first shard, in shard order, whose strand sets it
+// could not read and which stores an executable inScope admits.
+func (sc *SealedCorpus) ensureIndex(inScope []bool) (*corpusindex.FrozenIndex, error) {
+	x := sc.index.Load()
+	if x == nil {
+		x = sc.buildIndex()
+	}
+	for gi, g := range sc.groups {
+		if err := x.errs[gi]; err != nil && slices.Contains(inScope[g.base:g.base+g.n], true) {
+			return nil, err
 		}
-		g.index = corpusindex.NewFrozenIndex(g.frozen.Size(), counts, sets)
-	})
-	return g.idxErr
+	}
+	return x.x, nil
 }
 
-// targets returns the slice a pass's games run over, aligned with the
-// group's executables: the union of the plans' targets materialized and
-// every other slot nil (never dereferenced).
-func (g *sealedGroup) targets(plans []core.Plan, s *core.SearchOptions) ([]*sim.Exe, error) {
-	msp := s.Span.Start("store.materialize")
-	defer msp.End()
-	targets := make([]*sim.Exe, g.n)
-	n := 0
-	for _, p := range plans {
-		for _, u := range p.Targets {
-			if targets[u] != nil {
-				continue
-			}
-			e, err := g.exe(u)
-			if err != nil {
-				return nil, err
-			}
-			targets[u] = e
-			n++
+// buildIndex builds the corpus index once, under idxMu, from every
+// shard's strand sets in shard order, numbered by corpus ID. A shard whose
+// sets cannot be read contributes executables without procedures, and its
+// error. A build that panics publishes nothing, so the next search builds
+// again.
+func (sc *SealedCorpus) buildIndex() *corpusIndex {
+	sc.idxMu.Lock()
+	defer sc.idxMu.Unlock()
+	if x := sc.index.Load(); x != nil {
+		return x
+	}
+	x := &corpusIndex{errs: make([]error, len(sc.groups))}
+	var counts []int32
+	var sets [][]uint32
+	for gi, g := range sc.groups {
+		c, s, err := g.procSets()
+		if err != nil {
+			x.errs[gi], c, s = err, make([]int32, g.n), nil
 		}
+		counts, sets = append(counts, c...), append(sets, s...)
+	}
+	x.x = corpusindex.NewFrozenIndex(sc.frozen.Size(), counts, sets)
+	sc.index.Store(x)
+	return x
+}
+
+// procSets reads the group's share of the corpus index from its shard:
+// every executable's procedure count and every procedure's strand set.
+func (g *sealedGroup) procSets() (counts []int32, sets [][]uint32, err error) {
+	defer g.recoverCorrupt("corpus-index", &err)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	return g.shard.ProcSets()
+}
+
+// targets returns the slice a pass's games run over, indexed by corpus
+// ID: every executable some query is played against (played, by query
+// and executable), materialized in ID order by the group that stores it,
+// so the first failing shard in shard order names the error, and every
+// other slot nil (never dereferenced).
+func (st exeStore) targets(played [][]bool, parent telemetry.Span) ([]*sim.Exe, error) {
+	msp := parent.Start("store.materialize")
+	defer msp.End()
+	targets := make([]*sim.Exe, st.size())
+	n := 0
+	for u := range targets {
+		if !slices.ContainsFunc(played, func(p []bool) bool { return p[u] }) {
+			continue
+		}
+		e, err := st.exe(u)
+		if err != nil {
+			return nil, err
+		}
+		targets[u] = e
+		n++
 	}
 	msp.SetAttr("candidates", int64(n))
 	return targets, nil

@@ -354,31 +354,42 @@ func TestAnalyzedQueryFootprint(t *testing.T) {
 	}
 }
 
-// TestSinglePrefilterEvaluation pins that a sealed search asks a
-// group's index for each query procedure's candidates exactly once: the
-// list that selects what a group materializes is the list
-// the games run on, not a second evaluation, and one scan serves every
-// image of the group. After one SearchAll and one SearchAllBatch,
-// index.queries is queries × groups — one group for the sealed corpus,
-// one per shard for the corpus opened from shard files.
+// TestSinglePrefilterEvaluation pins that a sealed search asks the
+// corpus index for each query procedure's candidates exactly once,
+// whatever the shard count: the list that selects what is materialized
+// is the list the games run on, not a second evaluation, and one scan
+// serves every image and every shard. For the corpus sealed in memory
+// and for it written as 1, 3 and 8 shard files and opened again, one
+// SearchAll records one index query and a k-query SearchAllBatch k more,
+// and the batch's findings and examined counts are the same in every
+// form.
 func TestSinglePrefilterEvaluation(t *testing.T) {
 	s := buildSealed(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 3})
-	shardDir := t.TempDir()
-	const nShards = 3
-	if _, err := s.WriteShards(shardDir, nShards); err != nil {
-		t.Fatal(err)
-	}
-	store, err := firmup.OpenSealedCorpusDir(shardDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	for _, form := range []struct {
+	forms := []struct {
 		name string
 		sc   *firmup.SealedCorpus
-		n    int64
-	}{{"sealed", s, 1}, {"store", store, nShards}} {
+	}{{"sealed", s}}
+	for _, n := range []int{1, 3, 8} {
+		dir := t.TempDir()
+		if _, err := s.WriteShards(dir, n); err != nil {
+			t.Fatal(err)
+		}
+		store, err := firmup.OpenSealedCorpusDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		if len(store.Shards()) != n {
+			t.Fatalf("%d shards written, %d opened", n, len(store.Shards()))
+		}
+		forms = append(forms, struct {
+			name string
+			sc   *firmup.SealedCorpus
+		}{fmt.Sprintf("shards=%d", n), store})
+	}
+
+	var want [][]firmup.ImageFindings
+	for _, form := range forms {
 		reg := telemetry.New()
 		form.sc.SetTelemetry(reg)
 		var batch []firmup.BatchQuery
@@ -393,16 +404,31 @@ func TestSinglePrefilterEvaluation(t *testing.T) {
 		if _, err := form.sc.SearchAll(batch[0].Query, batch[0].Procedure, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := reg.Counter("index.queries").Value(); got != form.n {
-			t.Errorf("%s: SearchAll over %d groups ran %d candidate queries, want one per group", form.name, form.n, got)
+		if got := reg.Counter("index.queries").Value(); got != 1 {
+			t.Errorf("%s: SearchAll ran %d candidate queries, want one", form.name, got)
 		}
-		if _, err := form.sc.SearchAllBatch(batch, nil); err != nil {
+		got, err := form.sc.SearchAllBatch(batch, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := reg.Counter("index.queries").Value(), form.n*int64(1+len(batch)); got != want {
-			t.Errorf("%s: after a %d-query SearchAllBatch index.queries = %d, want %d (one per query per group)",
+		if got, want := reg.Counter("index.queries").Value(), int64(1+len(batch)); got != want {
+			t.Errorf("%s: after a %d-query SearchAllBatch index.queries = %d, want %d (one per query)",
 				form.name, len(batch), got, want)
 		}
 		form.sc.SetTelemetry(nil)
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the batch's findings or examined counts differ from the sealed corpus's", form.name)
+		}
+	}
+	found := 0
+	for _, images := range want {
+		for _, im := range images {
+			found += len(im.Findings)
+		}
+	}
+	if found == 0 {
+		t.Error("the batch finds nothing: the comparison is vacuous")
 	}
 }

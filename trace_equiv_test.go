@@ -101,8 +101,8 @@ func TestTraceEquivalence(t *testing.T) {
 			if names["core.search"] == 0 && names["core.search_batch"] == 0 {
 				t.Errorf("corpus %d variant %d: trace recorded no search spans: %v", ci, vi, names)
 			}
-			if ci == 1 && names["corpus.shard"] == 0 {
-				t.Errorf("sharded variant %d: trace lacks corpus.shard spans: %v", vi, names)
+			if names["core.search"]+names["core.search_batch"] != 2 {
+				t.Errorf("corpus %d variant %d: two searches recorded %v, want one pass each", ci, vi, names)
 			}
 			tr.Finish()
 			tr.Free()
