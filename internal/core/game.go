@@ -223,14 +223,7 @@ func runGame(q *sim.Exe, qi int, t *sim.Exe, opt *Options, pk picker, st *gameSt
 			st.pop()
 		}
 		if len(st.stack) == 0 {
-			// The query pair must have been committed (it is only popped
-			// when matched); report it.
-			if ti, ok := matchedQ[qi]; ok {
-				res.Target = ti
-				res.Score = t.Sim(q.Procs[qi].Set, ti)
-				res.Reason = EndMatched
-				return res
-			}
+			// The query pair is not committed: committing it ends the game.
 			res.Reason = EndStuck
 			return res
 		}
@@ -285,8 +278,10 @@ func runGame(q *sim.Exe, qi int, t *sim.Exe, opt *Options, pk picker, st *gameSt
 					q.Procs[qidx].Name, t.Procs[tidx].Name), len(matchedQ))
 			}
 			if qidx == qi {
+				// Sim is symmetric, so the forward pick's score, in either
+				// direction, is Sim(qi, tidx).
 				res.Target = tidx
-				res.Score = t.Sim(q.Procs[qi].Set, tidx)
+				res.Score = fwdScore
 				res.Reason = EndMatched
 				return res
 			}

@@ -181,7 +181,11 @@ func (m *matcher) acceptableSet(qi int, vec []sim.ProcScore, opt *SearchOptions)
 		}
 	}
 	m.acc = m.acc[:0]
+	floor := int32(opt.minScore()) // Refusal refuses every score below it
 	for _, c := range m.slab[sp.off : sp.off+sp.n] {
+		if c.Score < floor {
+			continue
+		}
 		if _, ok := acceptable(m.q, qi, m.t, int(c.Proc), int(c.Score), opt); ok {
 			m.acc = append(m.acc, c.Proc)
 		}

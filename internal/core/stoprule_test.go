@@ -174,6 +174,16 @@ func TestStopRuleEquivalence(t *testing.T) {
 					vec = positives(bq.Q, bq.QI, tt)
 				}
 				acc := slices.Clone(m.acceptableSet(bq.QI, vec, opt))
+				// Exactly the positive entries Refusal passes, in order.
+				var wantAcc []int32
+				for _, c := range positives(bq.Q, bq.QI, tt) {
+					if _, ok := acceptable(bq.Q, bq.QI, tt, int(c.Proc), int(c.Score), opt); ok {
+						wantAcc = append(wantAcc, c.Proc)
+					}
+				}
+				if !slices.Equal(acc, wantAcc) {
+					t.Fatalf("trial %d: acceptable set %v, Refusal passes %v", trial, acc, wantAcc)
+				}
 				if len(acc) == 0 {
 					continue
 				}

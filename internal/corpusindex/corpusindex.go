@@ -2,7 +2,7 @@
 // session is built around: a strand-hash interner that deduplicates the
 // 64-bit canonical strand hashes of every executable analyzed under one
 // session into dense IDs, and a corpus-level inverted index mapping each
-// dense strand ID to the procedures containing it, one slot each.
+// dense strand ID to the distinct procedure strand sets containing it.
 //
 // The interner is what lets sim.Exe keep sorted dense-ID sets and
 // slice-backed posting lists instead of per-executable hash maps; the
@@ -121,18 +121,19 @@ type candidate struct {
 }
 
 // queryScratch is one query's pooled accumulator state: a count per
-// procedure slot, which a scan only increments, and the ranked result.
+// distinct strand set, which a scan only increments, and the ranked
+// result.
 type queryScratch struct {
-	counts []int32     // per procedure slot, all-zero between queries
+	counts []int32     // per set number, all-zero between queries
 	cands  []candidate // the ranked result, reused across queries
 }
 
 // getScratch draws a scratch from pool — one index's, so every scratch
-// in it has the same nProcs procedure slots.
-func getScratch(pool *sync.Pool, nProcs int) *queryScratch {
+// in it has the same nsets counts.
+func getScratch(pool *sync.Pool, nsets int) *queryScratch {
 	s, _ := pool.Get().(*queryScratch)
 	if s == nil {
-		s = &queryScratch{counts: make([]int32, nProcs)}
+		s = &queryScratch{counts: make([]int32, nsets)}
 	}
 	return s
 }
@@ -146,7 +147,7 @@ func putScratch(pool *sync.Pool, s *queryScratch) {
 }
 
 // bump accumulates one posting row: one more shared strand for each
-// procedure slot in it.
+// set in it.
 func (s *queryScratch) bump(posts []uint32) {
 	counts := s.counts
 	for _, p := range posts {
@@ -154,18 +155,22 @@ func (s *queryScratch) bump(posts []uint32) {
 	}
 }
 
-// rank takes each executable's MaxSim — the largest count over its slots
-// counts[procOff[e]:procOff[e+1]], in one sequential pass — applies the
+// rank takes the MaxSim of each executable inScope admits (nil admits
+// all) — the largest count over the sets of its slots,
+// setOf[procOff[e]:procOff[e+1]], in one sequential pass — applies the
 // floors to it and fills s.cands with the survivors, ordered MaxSim
 // descending, executable ID ascending.
-func (s *queryScratch) rank(procOff []int32, qsize, minScore int, ratioFloor float64) {
+func (s *queryScratch) rank(procOff []int32, setOf []uint32, inScope []bool, qsize, minScore int, ratioFloor float64) {
 	if minScore < 1 {
 		minScore = 1
 	}
 	for e := range len(procOff) - 1 {
+		if inScope != nil && !inScope[e] {
+			continue
+		}
 		best := int32(0)
-		for _, n := range s.counts[procOff[e]:procOff[e+1]] {
-			best = max(best, n)
+		for _, set := range setOf[procOff[e]:procOff[e+1]] {
+			best = max(best, s.counts[set])
 		}
 		c := int(best)
 		if c < minScore {

@@ -470,14 +470,14 @@ func TestScanEdgeCases(t *testing.T) {
 	}
 	counted := 0
 	for _, c := range cases {
-		s := x.accumulate(c.q, c.minScore, 0)
+		s, _ := x.accumulate(c.q, c.minScore, 0, c.inScope)
 		nonzero := func(n int32) bool { return n != 0 }
 		if slices.ContainsFunc(s.counts, nonzero) {
 			counted++
 		}
 		putScratch(&x.scratch, s)
 		if k := slices.IndexFunc(s.counts, nonzero); k >= 0 {
-			t.Fatalf("%s %s: slot %d keeps count %d after the scratch was returned", name, c.name, k, s.counts[k])
+			t.Fatalf("%s %s: set %d keeps count %d after the scratch was returned", name, c.name, k, s.counts[k])
 		}
 	}
 	if counted == 0 {

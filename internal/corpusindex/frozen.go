@@ -249,26 +249,30 @@ func (q *QueryInterner) AppendHashes(dst []uint64, ids []uint32) []uint64 {
 }
 
 // FrozenIndex is the corpus-level inverted index — dense strand ID →
-// procedure-slot postings, flattened into one CSR slab —
-// and the only index type there is: built once over every distinct
-// executable of a sealed corpus, never changed afterwards, and never
-// persisted: a shard stores each procedure's strand set once, and the
-// index is derived from those sets. It holds no lock and supports no
+// the distinct procedure strand sets holding it, flattened into one CSR
+// slab — and the only index type there is: built once over every
+// distinct executable of a sealed corpus, never changed afterwards, and
+// never persisted: a shard stores each procedure's strand set once, and
+// the index is derived from those sets. It holds no lock and supports no
 // mutation, so unlimited concurrent readers share it freely. The only
 // shared structure the query path touches is a sync.Pool of scratch
 // accumulators, which is race-safe by construction and carries no corpus
 // state between queries.
 type FrozenIndex struct {
-	nexes int
 	// rows is the dense row directory, one offset per strand ID below the
-	// bound and one past the last: row id's postings, procedure slots
+	// bound and one past the last: row id's postings, set numbers
 	// ascending, are posts[rows[id]:rows[id+1]].
 	rows  []uint32
 	posts []uint32
 	// procOff are prefix sums of per-executable procedure counts:
-	// procedure p of executable e is slot procOff[e]+p, in the postings
-	// and in a query scratch. procOff[nexes] is the slot total.
+	// procedure p of executable e is slot procOff[e]+p, and the last
+	// entry is the slot total.
 	procOff []int32
+	// setOf numbers each slot's strand set. Equal sets share one number,
+	// and numbers follow the first slot holding each set; nsets sets in
+	// all, each posted once and counted once in a query scratch.
+	setOf []uint32
+	nsets int
 
 	scratch sync.Pool
 }
@@ -277,21 +281,42 @@ type FrozenIndex struct {
 // procedure count and then every procedure's strand-ID set in slot
 // order, executable by executable: sets holds exactly the counts' sum.
 // The sets are strictly increasing, with IDs all assigned by one interner
-// and below bound — the frozen vocabulary's size for a sealed corpus. A
-// counting pass per strand ID sizes the postings exactly and leaves, as
-// prefix sums, the row directory; the postings are then filled from the
-// last slot back, so each row ends up in slot order. The index keeps none
-// of the sets, so they may alias memory that is released later.
+// and below bound — the frozen vocabulary's size for a sealed corpus.
+// Repeats are found through an open-addressed table keyed by a content
+// hash and confirmed element by element. A counting pass per strand ID
+// over the distinct sets sizes the postings exactly and leaves, as prefix
+// sums, the row directory; the postings are then filled from the last
+// set back, so each row ends up in set order. The index keeps none of the
+// sets, so they may alias memory that is released later.
 func NewFrozenIndex(bound int, procCounts []int32, sets [][]uint32) *FrozenIndex {
-	x := &FrozenIndex{nexes: len(procCounts), procOff: make([]int32, len(procCounts)+1)}
+	x := &FrozenIndex{procOff: make([]int32, len(procCounts)+1), setOf: make([]uint32, len(sets))}
 	for i, n := range procCounts {
 		x.procOff[i+1] = x.procOff[i] + n
 	}
-	if int(x.procOff[x.nexes]) != len(sets) {
-		panic(fmt.Sprintf("corpusindex: %d procedure sets for %d procedures", len(sets), x.procOff[x.nexes]))
+	if slots := x.procOff[len(procCounts)]; int(slots) != len(sets) {
+		panic(fmt.Sprintf("corpusindex: %d procedure sets for %d procedures", len(sets), slots))
 	}
+	shift := 64 - bits.Len(uint(2*len(sets))) // a table at most half full
+	table := make([]uint32, 1<<(64-shift))    // set number + 1; 0 is free
+	var distinct [][]uint32
+	for slot, ids := range sets {
+		h := uint64(len(ids))
+		for _, id := range ids {
+			h = (h ^ uint64(id)) * 0x9E3779B97F4A7C15
+		}
+		i := h >> shift
+		for table[i] != 0 && !slices.Equal(distinct[table[i]-1], ids) {
+			i = (i + 1) & uint64(len(table)-1)
+		}
+		if table[i] == 0 {
+			distinct = append(distinct, ids)
+			table[i] = uint32(len(distinct))
+		}
+		x.setOf[slot] = table[i] - 1
+	}
+	x.nsets = len(distinct)
 	rows := make([]uint32, bound+1) // counts, then row ends, then row starts
-	for _, ids := range sets {
+	for _, ids := range distinct {
 		for _, id := range ids {
 			rows[id]++
 		}
@@ -300,10 +325,10 @@ func NewFrozenIndex(bound int, procCounts []int32, sets [][]uint32) *FrozenIndex
 		rows[id] += rows[id-1]
 	}
 	x.rows, x.posts = rows, make([]uint32, rows[bound])
-	for slot := len(sets) - 1; slot >= 0; slot-- {
-		for _, id := range sets[slot] {
+	for n := len(distinct) - 1; n >= 0; n-- {
+		for _, id := range distinct[n] {
 			rows[id]--
-			x.posts[rows[id]] = uint32(slot)
+			x.posts[rows[id]] = uint32(n)
 		}
 	}
 	return x
@@ -327,47 +352,46 @@ type Scans struct {
 	Vecs []sim.ProcScore
 
 	// What the pass's scans count into (see Reset); nil records nothing.
-	queries *telemetry.Counter
-	fanout  *telemetry.Histogram
+	queries  *telemetry.Counter
+	postings *telemetry.Histogram
+	fanout   *telemetry.Histogram
 }
 
 // Reset empties the collection for the next pass, whose scans then
-// count into sp's registry: index.queries, one per scan, and
-// index.fanout, the candidate executables each scan kept after the
-// floors (before the scope). Rankings are identical with and without a
-// registry.
+// count into sp's registry: index.queries, one per scan; index.postings,
+// the postings each scan walked; and index.fanout, the candidate
+// executables each scan kept in its scope after the floors. Rankings are
+// identical with and without a registry.
 func (s *Scans) Reset(sp telemetry.Span) {
 	s.Exes, s.Off, s.Vecs = s.Exes[:0], s.Off[:0], s.Vecs[:0]
-	s.queries, s.fanout = sp.Counter("index.queries"), sp.Histogram("index.fanout")
+	s.queries, s.postings, s.fanout = sp.Counter("index.queries"), sp.Histogram("index.postings"), sp.Histogram("index.fanout")
 }
 
 // Scan is the index's one query: a posting scan that ranks the indexed
-// executables by MaxSim — the maximum Sim(q, p) over an executable's
-// procedures — and drops those provably unable to clear the acceptance
-// floors: a finding's score is Sim(q, matched procedure) ≤ MaxSim, so an
-// executable with MaxSim < minScore — or, when ratioFloor > 0, with
-// MaxSim/|q| < ratioFloor — cannot yield an accepted finding. Pass
-// ratioFloor 0 to drop by the score floor alone. The ranking is
-// deterministic: MaxSim descending, executable ID ascending.
+// executables inScope admits (nil admits all) by MaxSim — the maximum
+// Sim(q, p) over an executable's procedures — and drops those provably
+// unable to clear the acceptance floors: a finding's score is Sim(q,
+// matched procedure) ≤ MaxSim, so an executable with MaxSim < minScore —
+// or, when ratioFloor > 0, with MaxSim/|q| < ratioFloor — cannot yield an
+// accepted finding. Pass ratioFloor 0 to drop by the score floor alone.
+// The ranking is deterministic: MaxSim descending, executable ID
+// ascending.
 //
-// Scan appends to out every candidate that inScope admits (nil admits
-// all) together with its similarity vector, which the scan has already
-// counted and the game would otherwise accumulate again. The query set
-// must be interned under the indexed executables' interner or an overlay
-// of it.
+// Scan appends to out every candidate together with its similarity
+// vector, which the scan has already counted and the game would
+// otherwise accumulate again. The query set must be interned under the
+// indexed executables' interner or an overlay of it.
 func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inScope []bool, out *Scans) {
-	s := x.accumulate(q, minScore, ratioFloor)
+	s, walked := x.accumulate(q, minScore, ratioFloor, inScope)
 	out.queries.Inc()
+	out.postings.Observe(int64(walked))
 	out.fanout.Observe(int64(len(s.cands)))
 	if len(out.Off) == 0 {
 		out.Off = append(out.Off, 0)
 	}
 	for _, c := range s.cands {
-		if inScope != nil && !inScope[c.Exe] {
-			continue
-		}
-		for pi, n := range s.counts[x.procOff[c.Exe]:x.procOff[c.Exe+1]] {
-			if n > 0 {
+		for pi, set := range x.setOf[x.procOff[c.Exe]:x.procOff[c.Exe+1]] {
+			if n := s.counts[set]; n > 0 {
 				out.Vecs = append(out.Vecs, sim.ProcScore{Proc: int32(pi), Score: n})
 			}
 		}
@@ -377,20 +401,23 @@ func (x *FrozenIndex) Scan(q strand.Set, minScore int, ratioFloor float64, inSco
 	putScratch(&x.scratch, s)
 }
 
-// accumulate runs one ranking query into pooled scratch; the caller owns
-// the returned scratch until putScratch. IDs at or above the bound the
-// index was built with — assigned by a growing interner after the build,
-// or overlay-private and so above the vocabulary — match no row; q.IDs
-// ascend, so they are the tail the scan stops at.
-func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64) *queryScratch {
-	s := getScratch(&x.scratch, int(x.procOff[x.nexes]))
+// accumulate runs one ranking query into pooled scratch and reports the
+// postings it walked; the caller owns the returned scratch until
+// putScratch. IDs at or above the bound the index was built with —
+// assigned by a growing interner after the build, or overlay-private and
+// so above the vocabulary — match no row; q.IDs ascend, so they are the
+// tail the scan stops at.
+func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64, inScope []bool) (s *queryScratch, walked int) {
+	s = getScratch(&x.scratch, x.nsets)
 	bound := uint32(len(x.rows) - 1)
 	for _, id := range q.IDs {
 		if id >= bound {
 			break
 		}
-		s.bump(x.posts[x.rows[id]:x.rows[id+1]])
+		row := x.posts[x.rows[id]:x.rows[id+1]]
+		s.bump(row)
+		walked += len(row)
 	}
-	s.rank(x.procOff, len(q.IDs), minScore, ratioFloor)
-	return s
+	s.rank(x.procOff, x.setOf, inScope, len(q.IDs), minScore, ratioFloor)
+	return s, walked
 }

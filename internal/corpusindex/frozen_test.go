@@ -2,7 +2,9 @@ package corpusindex
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	_ "firmup/internal/isa/x86"
 	"firmup/internal/obj"
 	"firmup/internal/sim"
+	"firmup/internal/strand"
 	"firmup/internal/telemetry"
 )
 
@@ -142,4 +145,264 @@ func FuzzFrozenLookup(f *testing.F) {
 			t.Fatalf("AppendHashes maps IDs to %v, want %v", got, sortedHashes)
 		}
 	})
+}
+
+// slotIndex is the reference FrozenIndex: every procedure slot posted
+// under each of its strand IDs, equal sets or not, and a scan that
+// counts per slot, ranks every executable and drops the ones out of
+// scope afterwards.
+type slotIndex struct {
+	rows, posts []uint32
+	procOff     []int32
+}
+
+func newSlotIndex(bound int, procCounts []int32, sets [][]uint32) *slotIndex {
+	x := &slotIndex{procOff: make([]int32, len(procCounts)+1)}
+	for i, n := range procCounts {
+		x.procOff[i+1] = x.procOff[i] + n
+	}
+	rows := make([]uint32, bound+1)
+	for _, ids := range sets {
+		for _, id := range ids {
+			rows[id]++
+		}
+	}
+	for id := 1; id <= bound; id++ {
+		rows[id] += rows[id-1]
+	}
+	x.rows, x.posts = rows, make([]uint32, rows[bound])
+	for slot := len(sets) - 1; slot >= 0; slot-- {
+		for _, id := range sets[slot] {
+			rows[id]--
+			x.posts[rows[id]] = uint32(slot)
+		}
+	}
+	return x
+}
+
+func (x *slotIndex) scan(q []uint32, minScore int, ratioFloor float64, inScope []bool) Scans {
+	counts := make([]int32, x.procOff[len(x.procOff)-1])
+	bound := uint32(len(x.rows) - 1)
+	for _, id := range q {
+		if id >= bound {
+			break
+		}
+		for _, slot := range x.posts[x.rows[id]:x.rows[id+1]] {
+			counts[slot]++
+		}
+	}
+	var cands []candidate
+	for e := range len(x.procOff) - 1 {
+		c := int(slices.Max(append(counts[x.procOff[e]:x.procOff[e+1]:x.procOff[e+1]], 0)))
+		if c < max(minScore, 1) || ratioFloor > 0 && len(q) > 0 && float64(c)/float64(len(q)) < ratioFloor {
+			continue
+		}
+		cands = append(cands, candidate{Exe: e, MaxSim: c})
+	}
+	slices.SortStableFunc(cands, func(a, b candidate) int { return b.MaxSim - a.MaxSim })
+	out := Scans{Off: []int32{0}}
+	for _, c := range cands {
+		if inScope != nil && !inScope[c.Exe] {
+			continue
+		}
+		for pi, n := range counts[x.procOff[c.Exe]:x.procOff[c.Exe+1]] {
+			if n > 0 {
+				out.Vecs = append(out.Vecs, sim.ProcScore{Proc: int32(pi), Score: n})
+			}
+		}
+		out.Exes = append(out.Exes, c.Exe)
+		out.Off = append(out.Off, int32(len(out.Vecs)))
+	}
+	return out
+}
+
+// family is an index input decoded from bytes: executables' procedure
+// counts, their slots' strand sets below bound, and queries whose IDs
+// reach past it.
+type family struct {
+	bound   int
+	counts  []int32
+	sets    [][]uint32
+	queries [][]uint32
+	scope   []bool
+}
+
+// Decoding draws set elements below familyBound and query IDs below
+// familyQueryIDs, so a query can hold IDs the index has no row for.
+const familyBound, familyQueryIDs = 24, 32
+
+// decodeFamily reads a family from data, zero past its end: one to eight
+// executables of zero to four procedures each; a procedure either repeats
+// an earlier slot's set (op%4 == 0, then the slot) or draws op/4%8
+// elements; then a byte whose bit e clear puts executable e in scope, and
+// queries of up to nine IDs, each a length byte and the IDs.
+func decodeFamily(data []byte) family {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	ids := func(n, below int) []uint32 {
+		var s []uint32
+		for range n {
+			if id := uint32(next() % below); !slices.Contains(s, id) {
+				s = append(s, id)
+			}
+		}
+		slices.Sort(s)
+		return s
+	}
+	f := family{bound: familyBound, counts: make([]int32, 1+next()%8)}
+	for e := range f.counts {
+		f.counts[e] = int32(next() % 5)
+		for range f.counts[e] {
+			if op := next(); op%4 == 0 && len(f.sets) > 0 {
+				f.sets = append(f.sets, f.sets[next()%len(f.sets)])
+			} else {
+				f.sets = append(f.sets, ids(op/4%8, familyBound))
+			}
+		}
+	}
+	f.scope = make([]bool, len(f.counts))
+	mask := next()
+	for e := range f.scope {
+		f.scope[e] = mask>>e&1 == 0
+	}
+	for len(data) > 0 {
+		f.queries = append(f.queries, ids(next()%10, familyQueryIDs))
+	}
+	return f
+}
+
+// checkFamily builds the index and the slot reference over f and
+// requires identical Scans for every query, floor and scope, and
+// postings exactly as long as the distinct sets are.
+func checkFamily(t *testing.T, f family) {
+	t.Helper()
+	x := NewFrozenIndex(f.bound, f.counts, f.sets)
+	ref := newSlotIndex(f.bound, f.counts, f.sets)
+	distinct, posted := map[string]bool{}, 0
+	for _, s := range f.sets {
+		if key := fmt.Sprint(s); !distinct[key] {
+			distinct[key] = true
+			posted += len(s)
+		}
+	}
+	if x.nsets != len(distinct) || len(x.posts) != posted {
+		t.Fatalf("%d sets and %d postings for %d distinct sets of %d strands in all", x.nsets, len(x.posts), len(distinct), posted)
+	}
+	for qi, q := range f.queries {
+		for minScore := range 4 {
+			for _, ratio := range []float64{0, 0.25, 0.5} {
+				for _, scope := range [][]bool{nil, f.scope} {
+					var got Scans
+					x.Scan(strand.Set{IDs: q}, minScore, ratio, scope, &got)
+					want := ref.scan(q, minScore, ratio, scope)
+					if !slices.Equal(got.Exes, want.Exes) || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vecs, want.Vecs) {
+						t.Fatalf("query %d %v, minScore %d, ratio %v, scope %v over %v by %v:\nscan %+v\nslot reference %+v", qi, q, minScore, ratio, scope, f.sets, f.counts, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFrozenIndexMatchesSlotReference: posting each distinct set once
+// changes no scan. The families are random and must include the same set
+// in several executables, a set repeated inside one executable, empty
+// sets and query IDs at or above the bound.
+func TestFrozenIndexMatchesSlotReference(t *testing.T) {
+	across, within, empty, above := 0, 0, 0, 0
+	rng := rand.New(rand.NewSource(7))
+	for range 300 {
+		data := make([]byte, 40+rng.Intn(80))
+		rng.Read(data)
+		f := decodeFamily(data)
+		checkFamily(t, f)
+		first := map[string]int{} // set -> executable of its first slot
+		slot := 0
+		for e, n := range f.counts {
+			for range n {
+				key := fmt.Sprint(f.sets[slot])
+				if len(f.sets[slot]) == 0 {
+					empty++
+				}
+				if fe, ok := first[key]; !ok {
+					first[key] = e
+				} else if fe == e {
+					within++
+				} else {
+					across++
+				}
+				slot++
+			}
+		}
+		for _, q := range f.queries {
+			if len(q) > 0 && q[len(q)-1] >= familyBound {
+				above++
+			}
+		}
+	}
+	if across < 50 || within < 50 || empty < 50 || above < 50 {
+		t.Fatalf("vacuous: %d sets repeated across executables, %d within one, %d empty sets, %d queries with IDs at or above the bound", across, within, empty, above)
+	}
+}
+
+// FuzzFrozenIndex is TestFrozenIndexMatchesSlotReference over fuzzed
+// families (decodeFamily).
+func FuzzFrozenIndex(f *testing.F) {
+	f.Add([]byte{})
+	// One executable holding {1,2} twice and an empty set; the query
+	// {1,2,30} reaches past the bound.
+	f.Add([]byte{0, 3, 9, 1, 2, 0, 0, 1, 0, 3, 1, 2, 30})
+	// Three executables sharing {4,5}, a fourth without procedures, the
+	// third out of scope.
+	f.Add([]byte{3, 1, 9, 4, 5, 0, 2, 0, 0, 5, 7, 1, 0, 0, 4, 3, 4, 5, 26, 2, 7, 31})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFamily(t, decodeFamily(data))
+	})
+}
+
+// TestScanObservesPostingsWalked: index.postings records, per scan, the
+// length of every row the query's IDs below the bound select — the
+// distinct sets holding each of those strands.
+func TestScanObservesPostingsWalked(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	walked := 0
+	for range 50 {
+		data := make([]byte, 60)
+		rng.Read(data)
+		f := decodeFamily(data)
+		x := NewFrozenIndex(f.bound, f.counts, f.sets)
+		holding := map[uint32]map[string]bool{} // strand -> distinct sets holding it
+		for _, s := range f.sets {
+			for _, id := range s {
+				if holding[id] == nil {
+					holding[id] = map[string]bool{}
+				}
+				holding[id][fmt.Sprint(s)] = true
+			}
+		}
+		for _, q := range f.queries {
+			want := 0
+			for _, id := range q {
+				want += len(holding[id])
+			}
+			reg := telemetry.New()
+			var sc Scans
+			sc.Reset(telemetry.Root(reg, nil))
+			x.Scan(strand.Set{IDs: q}, 0, 0, nil, &sc)
+			h := reg.Histogram("index.postings")
+			if h.Count() != 1 || h.Sum() != int64(want) {
+				t.Fatalf("query %v over %v: index.postings holds %d observations summing to %d, want one of %d", q, f.sets, h.Count(), h.Sum(), want)
+			}
+			walked += want
+		}
+	}
+	if walked == 0 {
+		t.Fatal("vacuous: no scan walked a posting")
+	}
 }

@@ -377,9 +377,9 @@ func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 // obj.parse, cfg.recover / cfg.sweep and the cfg counters, sim.build
 // (which lifts each procedure as it extracts it) / sim.procs, and
 // strand.blocks / strand.strands — and a search its core.search (and
-// store.materialize) stages, the prefilter's index.queries
-// / index.fanout and the game engine's game.*, search.* and batch.*
-// metrics. Call before serving. A nil registry detaches.
+// store.materialize) stages, the prefilter's index.queries,
+// index.postings and index.fanout and the game engine's game.*, search.*
+// and batch.* metrics. Call before serving. A nil registry detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	sc.root = telemetry.Root(r, nil)
 }
