@@ -167,12 +167,12 @@ func TestQueryWorkersInvariant(t *testing.T) {
 // A shard truncated under the process fails the searches that read it
 // with the shard's corruption, for every later search too, on one worker
 // and on several, and the process lives: a search of an image whose
-// executables all live in other shards answers as before, and the
-// corpus's shard list reports the damaged shard corrupt, and only it.
-// The damaged shard holds candidates of the query. Truncated before its
-// first search, it faults while its index is derived from its strand
-// sets; after one, while a game reads the strand sets of the candidates
-// that search materialized. (A panic on one of the game engine's own
+// executables all live in other shards answers as before, WriteShards
+// fails with the shard's corruption, and the corpus's shard list reports
+// the damaged shard corrupt, and only it. The damaged shard holds
+// candidates of the query. Truncated before its first search, it faults
+// while its index is derived from its strand sets; after one, while a
+// game reads the strand sets of the candidates that search materialized. (A panic on one of the game engine's own
 // workers reaches the same recover; see internal/core's
 // TestPlayBatchPanicReachesCaller.)
 func TestTruncatedShardDegradesSearch(t *testing.T) {
@@ -233,6 +233,11 @@ func testTruncatedShard(t *testing.T, warm bool, opt *firmup.Options) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("image %d, stored outside the truncated shard, answers %+v, want %+v", ii, got, want)
 	}
+	// Re-sealing reads the truncated shard too: it fails, it does not fault.
+	_, err = sharded.WriteShards(t.TempDir(), 2)
+	if msg := fmt.Sprint(err); !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, name) {
+		t.Errorf("WriteShards over the truncated shard: err %v, want the corruption of %s", err, name)
+	}
 	for i, sh := range sharded.Shards() {
 		if damaged := i == d; damaged != strings.Contains(sh.Corrupt, name) || !damaged && sh.Corrupt != "" {
 			t.Errorf("shard %d reports corrupt %q", i, sh.Corrupt)
@@ -289,6 +294,33 @@ func TestSearchPanickingShard(t *testing.T) {
 				t.Errorf("%d worker tokens still lent after the failed search", n)
 			}
 		})
+	}
+}
+
+// WriteShards over a truncated shard that stores executables but not the
+// vocabulary (testTruncatedShard truncates the vocabulary's home, shard
+// 0) fails with that shard's corruption instead of a fault, marks only
+// it corrupt, and returns every worker token it was lent.
+func TestWriteShardsTruncatedRecords(t *testing.T) {
+	_, sharded, paths, _, _ := budgetScenario(t, 3)
+	if !sharded.Shards()[0].Mapped {
+		t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
+	}
+	name := filepath.Base(paths[1])
+	if err := os.Truncate(paths[1], 64); err != nil {
+		t.Fatal(err)
+	}
+	_, err := sharded.WriteShards(t.TempDir(), 2)
+	if msg := fmt.Sprint(err); !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, "panicked") || !strings.Contains(msg, name) {
+		t.Errorf("WriteShards over the truncated shard: err %v, want the recovered fault of %s", err, name)
+	}
+	for i, sh := range sharded.Shards() {
+		if damaged := i == 1; damaged != strings.Contains(sh.Corrupt, name) || !damaged && sh.Corrupt != "" {
+			t.Errorf("shard %d reports corrupt %q", i, sh.Corrupt)
+		}
+	}
+	if n := sharded.TokensHeld(); n != 0 {
+		t.Errorf("%d worker tokens still lent after the failed write", n)
 	}
 }
 

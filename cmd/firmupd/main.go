@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -156,20 +157,20 @@ func main() {
 }
 
 // openAccessLog resolves the -access-log destination: "-" is stderr,
-// "" disables (nil logger — every log call is a no-op), anything else
-// is a file path appended to.
-func openAccessLog(dst string) (*telemetry.Logger, error) {
+// "" disables (a nil logger, which the server skips), anything else is
+// a file path appended to.
+func openAccessLog(dst string) (*slog.Logger, error) {
 	switch dst {
 	case "":
 		return nil, nil
 	case "-":
-		return telemetry.NewLogger(os.Stderr, telemetry.LevelInfo), nil
+		return serve.NewAccessLog(os.Stderr), nil
 	}
 	f, err := os.OpenFile(dst, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("access log: %w", err)
 	}
-	return telemetry.NewLogger(f, telemetry.LevelInfo), nil
+	return serve.NewAccessLog(f), nil
 }
 
 // loadCorpus opens one sealed corpus: a directory of shards or the

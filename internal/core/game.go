@@ -161,8 +161,7 @@ func Match(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
 // MatchReference is the unmemoized reference engine: the same game
 // skeleton, but every best-match query re-runs a full similarity
 // accumulation with fresh buffers. It exists for the memoization
-// equivalence tests and the fwbench speedup baseline; search paths
-// should use Match.
+// equivalence tests; search paths should use Match.
 func MatchReference(q *sim.Exe, qi int, t *sim.Exe, opt *Options) Result {
 	return runGame(q, qi, t, opt, refPicker{q: q, t: t}, &gameState{
 		matchedQ: map[int]int{},

@@ -20,6 +20,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -96,10 +98,37 @@ type Config struct {
 	// TraceKeep is how many slowest traces /debug/requests retains
 	// (default 16).
 	TraceKeep int
-	// AccessLog, when non-nil, receives one structured JSON line per
-	// request: method, path, status, bytes, elapsed_ms, and the trace
-	// ID when the request was traced.
-	AccessLog *telemetry.Logger
+	// AccessLog, when non-nil, receives one record per request: method,
+	// path, status, bytes, elapsed_ms, and the trace ID when traced.
+	AccessLog *slog.Logger
+}
+
+// NewAccessLog is the access log firmupd writes to w: one JSON line per
+// record, {"ts":…,"level":"info","msg":…,<attributes in order>}, ts in
+// UTC. The handler writes each line in one locked call: none interleave.
+func NewAccessLog(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{ReplaceAttr: accessLogAttr}))
+}
+
+// levelNames is a table because strings.ToLower allocates on every line.
+var levelNames = map[slog.Level]string{
+	slog.LevelDebug: "debug", slog.LevelInfo: "info", slog.LevelWarn: "warn", slog.LevelError: "error",
+}
+
+// accessLogAttr renames the record's time to ts, in UTC, and spells its
+// level in lower case.
+func accessLogAttr(_ []string, a slog.Attr) slog.Attr {
+	switch a.Key {
+	case slog.TimeKey:
+		if a.Value.Kind() == slog.KindTime {
+			return slog.Time("ts", a.Value.Time().UTC())
+		}
+	case slog.LevelKey:
+		if lv, ok := a.Value.Any().(slog.Level); ok && levelNames[lv] != "" {
+			return slog.String(a.Key, levelNames[lv])
+		}
+	}
+	return a
 }
 
 func (c *Config) maxInFlight() int {
@@ -181,7 +210,7 @@ func New(initial *Corpus, cfg *Config) *Server {
 	}
 	s.sem = make(chan struct{}, s.cfg.maxInFlight())
 	s.start = time.Now()
-	s.traceBuf = telemetry.NewTraceBuffer(s.cfg.traceKeep(), s.cfg.traceSlow(), 0)
+	s.traceBuf = telemetry.NewTraceBuffer(s.cfg.traceKeep(), s.cfg.traceSlow())
 	if r := s.cfg.Registry; r != nil {
 		s.reqs = r.Counter("serve.requests")
 		s.rejected = r.Counter("serve.rejected")
@@ -307,22 +336,22 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		} else {
 			s.reqOther.Inc()
 		}
-		if lg := s.cfg.AccessLog; lg.Enabled(telemetry.LevelInfo) {
+		if lg := s.cfg.AccessLog; lg != nil {
 			status := sw.status
 			if status == 0 {
 				status = http.StatusOK
 			}
-			fields := []telemetry.Field{
-				telemetry.String("method", r.Method),
-				telemetry.String("path", r.URL.Path),
-				telemetry.Int("status", int64(status)),
-				telemetry.Int("bytes", sw.bytes),
-				telemetry.F64("elapsed_ms", float64(time.Since(t0))/float64(time.Millisecond)),
+			attrs := []slog.Attr{
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", status),
+				slog.Int64("bytes", sw.bytes),
+				slog.Float64("elapsed_ms", float64(time.Since(t0))/float64(time.Millisecond)),
 			}
 			if tid := sw.Header().Get(TraceHeader); tid != "" {
-				fields = append(fields, telemetry.String("trace", tid))
+				attrs = append(attrs, slog.String("trace", tid))
 			}
-			lg.Info("request", fields...)
+			lg.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 		}
 	})
 }

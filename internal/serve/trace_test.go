@@ -2,8 +2,10 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -399,7 +401,7 @@ func TestServeAccessLog(t *testing.T) {
 	var buf syncBuffer
 	srv := serve.New(newCorpus("c", sc), &serve.Config{
 		TraceSample: 1,
-		AccessLog:   telemetry.NewLogger(&buf, telemetry.LevelInfo),
+		AccessLog:   serve.NewAccessLog(&buf),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -469,5 +471,58 @@ func TestServeAccessLog(t *testing.T) {
 	}
 	if second.Status != 400 {
 		t.Errorf("second line status = %d, want 400", second.Status)
+	}
+}
+
+// TestAccessLogLines pins NewAccessLog's line byte for byte at a fixed
+// time, keeps a hostile request path (quotes, control bytes, invalid
+// UTF-8) one decodable line, and keeps the lines of concurrent writers
+// whole.
+func TestAccessLogLines(t *testing.T) {
+	var buf bytes.Buffer
+	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.FixedZone("CEST", 2*3600))
+	rec := slog.NewRecord(at, slog.LevelInfo, "request", 0)
+	rec.AddAttrs(slog.String("method", "POST"), slog.String("path", "/search"), slog.Int("status", 200),
+		slog.Int64("bytes", 1970), slog.Float64("elapsed_ms", 1.5), slog.String("trace", "00000000deadbeef"))
+	if err := serve.NewAccessLog(&buf).Handler().Handle(context.Background(), rec); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"ts":"2026-08-07T10:00:00Z","level":"info","msg":"request","method":"POST","path":"/search","status":200,"bytes":1970,"elapsed_ms":1.5,"trace":"00000000deadbeef"}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("line = %q, want %q", got, want)
+	}
+
+	buf.Reset()
+	hostile := "/a\"b\\c\nd\te\x01\xff"
+	serve.NewAccessLog(&buf).Info("request", "path", hostile)
+	var m map[string]any
+	if err := json.Unmarshal([]byte(buf.String()), &m); err != nil || strings.Count(buf.String(), "\n") != 1 {
+		t.Fatalf("hostile path line %q: %v", buf.String(), err)
+	}
+	if m["path"] != strings.ToValidUTF8(hostile, "\uFFFD") {
+		t.Errorf("path decodes as %q", m["path"])
+	}
+
+	var shared syncBuffer
+	lg := serve.NewAccessLog(&shared)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				lg.Info("request", "g", g, "i", i)
+			}
+		}()
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimSpace(shared.String()), "\n")
+	if len(lines) != 400 {
+		t.Fatalf("%d lines from 400 records", len(lines))
+	}
+	for _, l := range lines {
+		if err := json.Unmarshal([]byte(l), &m); err != nil {
+			t.Fatalf("interleaved line %q: %v", l, err)
+		}
 	}
 }

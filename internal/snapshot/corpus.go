@@ -10,14 +10,11 @@ import (
 const corpusMagic = "FWCORP\r\n"
 
 // Corpus is the serialized form of one shard of a sealed corpus: the
-// frozen vocabulary, the shard's range of the corpus's distinct
-// executables, and the shard's images as lists of occurrences. It is a
-// plain data model; the firmup layer converts to and from sealed session
-// state.
+// shard's range of the corpus's distinct executables and the shard's
+// images as lists of occurrences. The frozen vocabulary they index is the
+// Vocab that encodes them. It is a plain data model; the firmup layer
+// converts to and from sealed session state.
 type Corpus struct {
-	// Interner is the frozen vocabulary ordered by dense ID. Every
-	// Proc.IDs indexes into it. Only shard 0 stores it.
-	Interner []uint64
 	// Exes are the distinct executables with corpus-wide IDs
 	// [ShardHeader.ExeBase, ShardHeader.ExeBase+len(Exes)).
 	Exes   []Exe
@@ -44,15 +41,16 @@ type Occurrence struct {
 
 // validateCorpus checks the model invariants the shard opener will
 // enforce, so an invalid model fails at encode time instead of producing
-// an unreadable shard. Occurrences name executables below totalExes.
-func validateCorpus(c *Corpus, totalExes int) error {
-	if len(c.Interner) > math.MaxUint32 {
-		return fmt.Errorf("snapshot: encode: corpus vocabulary of %d exceeds the dense-ID space", len(c.Interner))
+// an unreadable shard. Strand IDs index a vocabulary of vocab entries;
+// occurrences name executables below totalExes.
+func validateCorpus(c *Corpus, vocab, totalExes int) error {
+	if vocab > math.MaxUint32 {
+		return fmt.Errorf("snapshot: encode: corpus vocabulary of %d exceeds the dense-ID space", vocab)
 	}
 	if len(c.Exes) > math.MaxUint32 {
 		return fmt.Errorf("snapshot: encode: %d executables exceed the 32-bit table space", len(c.Exes))
 	}
-	if err := validateExes(len(c.Interner), c.Exes); err != nil {
+	if err := validateExes(vocab, c.Exes); err != nil {
 		return err
 	}
 	noccs := 0

@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// testCorpus is a small but fully featured sealed-corpus shard: one
-// shared vocabulary, two distinct executables, and two images of
-// differing shapes (skips, the same executable under a second path).
-func testCorpus() *Corpus {
+// testCorpus is a small but fully featured sealed-corpus shard and its
+// vocabulary, ordered by dense ID: two distinct executables sharing
+// strands, and two images of differing shapes (skips, the same executable
+// under a second path).
+func testCorpus() (*Corpus, []uint64) {
 	return &Corpus{
-		Interner: []uint64{0xdeadbeef, 0x1122334455667788, 0xcafebabe, 42, 7},
 		Exes: []Exe{
 			{
 				Arch: 1, Stripped: true,
@@ -48,14 +48,15 @@ func testCorpus() *Corpus {
 				Occs: []Occurrence{{Path: "sbin/httpd", Exe: 1}, {Path: "usr/bin/wget", Exe: 0}},
 			},
 		},
-	}
+	}, []uint64{0xdeadbeef, 0x1122334455667788, 0xcafebabe, 42, 7}
 }
 
-// roundTripCorpus encodes the model as a one-shard corpus, opens it and
-// reads the model back through every accessor.
-func roundTripCorpus(t *testing.T, c *Corpus) *Corpus {
+// roundTripCorpus encodes the model under vocab as a one-shard corpus,
+// opens it and reads the model and vocabulary back through every
+// accessor.
+func roundTripCorpus(t *testing.T, c *Corpus, vocab []uint64) (*Corpus, []uint64) {
 	t.Helper()
-	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, soleShard(c)))
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, vocab, soleShard(c)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +67,9 @@ func roundTripCorpus(t *testing.T, c *Corpus) *Corpus {
 }
 
 func TestCorpusRoundTrip(t *testing.T) {
-	want := testCorpus()
-	if got := roundTripCorpus(t, want); !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	want, wantVocab := testCorpus()
+	if got, vocab := roundTripCorpus(t, want, wantVocab); !reflect.DeepEqual(got, want) || !slices.Equal(vocab, wantVocab) {
+		t.Errorf("round trip mismatch:\n got %+v %x\nwant %+v %x", got, vocab, want, wantVocab)
 	}
 }
 
@@ -76,16 +77,16 @@ func TestCorpusRoundTrip(t *testing.T) {
 // strands round-trips, and the sets its index is derived from are every
 // procedure's, each empty: an index of no rows.
 func TestCorpusRoundTripEmptyIndex(t *testing.T) {
-	c := testCorpus()
+	c, vocab := testCorpus()
 	for _, e := range c.Exes {
 		for pi := range e.Procs {
 			e.Procs[pi].IDs = nil
 		}
 	}
-	if got := roundTripCorpus(t, c); !reflect.DeepEqual(got, c) {
+	if got, _ := roundTripCorpus(t, c, vocab); !reflect.DeepEqual(got, c) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
-	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, soleShard(c)))
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, vocab, soleShard(c)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +97,8 @@ func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 }
 
 func TestCorpusRoundTripEmpty(t *testing.T) {
-	got := roundTripCorpus(t, &Corpus{})
-	if len(got.Interner) != 0 || len(got.Exes) != 0 || len(got.Images) != 0 {
+	got, vocab := roundTripCorpus(t, &Corpus{}, nil)
+	if len(vocab) != 0 || len(got.Exes) != 0 || len(got.Images) != 0 {
 		t.Errorf("empty corpus round trip: %+v", got)
 	}
 }
@@ -109,9 +110,9 @@ func TestCorpusEncodeRejectsInvalid(t *testing.T) {
 		"out-of-range occurrence":     func(c *Corpus) { c.Images[0].Occs[0].Exe = 2 },
 		"negative occurrence":         func(c *Corpus) { c.Images[0].Occs[0].Exe = -1 },
 	} {
-		c := testCorpus()
+		c, vocab := testCorpus()
 		damage(c)
-		if _, err := encodeCorpusShard(c, hdr); err == nil {
+		if _, err := encodeCorpusShard(c, vocab, hdr); err == nil {
 			t.Errorf("%s encoded successfully", name)
 		}
 	}
@@ -122,8 +123,8 @@ func TestCorpusEncodeRejectsInvalid(t *testing.T) {
 // cross-checked, so every flip outside the alignment padding must
 // surface — at open or on first touch — as ErrCorrupt.
 func TestCorpusDecodeCorruption(t *testing.T) {
-	c := testCorpus()
-	blob := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	blob := mustEncodeShard(t, c, vocab, soleShard(c))
 	table, err := parseCorpusV2Table(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +161,8 @@ func TestCorpusDecodeCorruption(t *testing.T) {
 }
 
 func TestCorpusDecodeTruncation(t *testing.T) {
-	c := testCorpus()
-	blob := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	blob := mustEncodeShard(t, c, vocab, soleShard(c))
 	for n := 0; n < len(blob); n += 17 {
 		s, err := OpenCorpusShardBytes(blob[:n])
 		if err == nil {
@@ -220,8 +221,8 @@ func TestCorpusProcSetsHardening(t *testing.T) {
 // the table holds, which the walk the index is derived from rejects: the
 // index a shard yields is bounded by the shard's bytes.
 func TestCorpusProcSetsBounded(t *testing.T) {
-	c := testCorpus()
-	blob := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	blob := mustEncodeShard(t, c, vocab, soleShard(c))
 	// Executable 1 claims procedures [0, 3), all three of the table, and
 	// every slab from its start, as executable 0's record does.
 	patchSection(t, blob, secV2ExeTab, func(b []byte) {

@@ -195,9 +195,9 @@ func EncodeVocab(vocab []uint64, order []uint32) (*Vocab, error) {
 	return &Vocab{n: len(vocab), vocab: vocabB, sorted: sortedB, crc: crc32.Checksum(vocabB, castagnoli)}, nil
 }
 
-// EncodeShard serializes one shard of a sealed corpus whose vocabulary,
-// c.Interner, is the one v encodes: shard 0 stores it, every shard its
-// checksum. c.Exes are the executables with IDs [hdr.ExeBase,
+// EncodeShard serializes one shard of a sealed corpus whose vocabulary
+// is the one v encodes: shard 0 stores it, every shard its checksum, and
+// c's strand IDs index it. c.Exes are the executables with IDs [hdr.ExeBase,
 // hdr.ExeBase+len(c.Exes)). The model is validated first so a successful
 // encode always produces a shard OpenCorpusShardBytes accepts.
 //
@@ -207,9 +207,6 @@ func EncodeVocab(vocab []uint64, order []uint32) (*Vocab, error) {
 // buffer, sized exactly, so the encoder allocates little beyond the
 // shard it returns.
 func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
-	if len(c.Interner) != v.n {
-		return nil, fmt.Errorf("snapshot: encode: corpus vocabulary of %d is not the encoded one of %d", len(c.Interner), v.n)
-	}
 	if hdr.ShardCount < 1 || hdr.ShardIndex < 0 || hdr.ShardIndex >= hdr.ShardCount {
 		return nil, fmt.Errorf("snapshot: encode: shard index %d out of range for %d shards", hdr.ShardIndex, hdr.ShardCount)
 	}
@@ -219,7 +216,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ExeBase < 0 || hdr.TotalExes < hdr.ExeBase+len(c.Exes) {
 		return nil, fmt.Errorf("snapshot: encode: shard executables [%d, %d) exceed declared corpus total %d", hdr.ExeBase, hdr.ExeBase+len(c.Exes), hdr.TotalExes)
 	}
-	if err := validateCorpus(c, hdr.TotalExes); err != nil {
+	if err := validateCorpus(c, v.n, hdr.TotalExes); err != nil {
 		return nil, err
 	}
 
@@ -270,7 +267,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	var meta []byte
 	for _, n := range []uint64{
 		uint64(hdr.ShardIndex), uint64(hdr.ShardCount), uint64(hdr.ImageBase), uint64(hdr.TotalImages),
-		uint64(hdr.ExeBase), uint64(hdr.TotalExes), uint64(len(c.Interner)), uint64(len(strs)),
+		uint64(hdr.ExeBase), uint64(hdr.TotalExes), uint64(v.n), uint64(len(strs)),
 		uint64(len(c.Exes)), nOccs, nProcs, nIDs, nMarkers, nCalls, uint64(v.crc), uint64(len(c.Images)),
 	} {
 		meta = appendUvarint(meta, n)

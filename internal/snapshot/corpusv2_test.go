@@ -16,9 +16,9 @@ import (
 	"testing"
 )
 
-// encodeCorpusShard encodes one shard under c's own vocabulary.
-func encodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
-	v, err := EncodeVocab(c.Interner, sortedOrder(c.Interner))
+// encodeCorpusShard encodes one shard of c under vocab.
+func encodeCorpusShard(c *Corpus, vocab []uint64, hdr ShardHeader) ([]byte, error) {
+	v, err := EncodeVocab(vocab, sortedOrder(vocab))
 	if err != nil {
 		return nil, err
 	}
@@ -65,9 +65,9 @@ func soleShard(c *Corpus) ShardHeader {
 	return ShardHeader{ShardCount: 1, TotalImages: len(c.Images), TotalExes: len(c.Exes)}
 }
 
-func mustEncodeShard(t testing.TB, c *Corpus, hdr ShardHeader) []byte {
+func mustEncodeShard(t testing.TB, c *Corpus, vocab []uint64, hdr ShardHeader) []byte {
 	t.Helper()
-	b, err := encodeCorpusShard(c, hdr)
+	b, err := encodeCorpusShard(c, vocab, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +101,15 @@ func touchShard(s *CorpusShard) error {
 }
 
 // shardToCorpus reconstructs the encoder-side model from an open
-// shard, canonicalizing empty slices to nil to match model form.
-func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
+// shard, canonicalizing empty slices to nil to match model form, and
+// copies out its vocabulary.
+func shardToCorpus(t *testing.T, s *CorpusShard) (*Corpus, []uint64) {
 	t.Helper()
 	vocab, err := s.Vocab()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Corpus{Interner: append([]uint64(nil), vocab...)}
-	if len(c.Interner) == 0 {
-		c.Interner = nil
-	}
+	c := &Corpus{}
 	for e := 0; e < s.NumExes(); e++ {
 		ed, err := s.Exe(e)
 		if err != nil {
@@ -141,20 +139,21 @@ func shardToCorpus(t *testing.T, s *CorpusShard) *Corpus {
 		}
 		c.Images = append(c.Images, ci)
 	}
-	return c
+	return c, slices.Clone(vocab)
 }
 
-// randomCorpusModel generates a structurally valid shard model: every
-// executable occurs at least once, and some occur again under other paths
-// and in other images.
-func randomCorpusModel(rng *rand.Rand) *Corpus {
+// randomCorpusModel generates a structurally valid shard model and its
+// vocabulary: every executable occurs at least once, and some occur again
+// under other paths and in other images.
+func randomCorpusModel(rng *rand.Rand) (*Corpus, []uint64) {
 	c := &Corpus{}
+	var vocab []uint64
 	seen := map[uint64]bool{}
-	for vocab := 1 + rng.Intn(250); len(c.Interner) < vocab; {
+	for n := 1 + rng.Intn(250); len(vocab) < n; {
 		h := rng.Uint64()
 		if !seen[h] {
 			seen[h] = true
-			c.Interner = append(c.Interner, h)
+			vocab = append(vocab, h)
 		}
 	}
 	nimg := 1 + rng.Intn(4)
@@ -164,7 +163,7 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 			ci.Skipped = append(ci.Skipped, Skip{Path: randWord(rng), Err: randWord(rng)})
 		}
 		c.Images = append(c.Images, ci)
-		for _, e := range randomExes(rng, len(c.Interner)) {
+		for _, e := range randomExes(rng, len(vocab)) {
 			ci := &c.Images[rng.Intn(len(c.Images))]
 			ci.Occs = append(ci.Occs, Occurrence{Path: randWord(rng), Exe: len(c.Exes)})
 			c.Exes = append(c.Exes, e)
@@ -174,7 +173,7 @@ func randomCorpusModel(rng *rand.Rand) *Corpus {
 		ci := &c.Images[rng.Intn(len(c.Images))]
 		ci.Occs = append(ci.Occs, Occurrence{Path: randWord(rng), Exe: rng.Intn(len(c.Exes))})
 	}
-	return c
+	return c, vocab
 }
 
 // patchSection rewrites one section's payload in place and re-stamps
@@ -210,8 +209,8 @@ var idsFaults = []string{"id-outside-vocabulary"}
 // behind valid checksums.
 func faultyShard(t testing.TB, fault string) []byte {
 	t.Helper()
-	c := testCorpus()
-	blob := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	blob := mustEncodeShard(t, c, vocab, soleShard(c))
 	le := binary.LittleEndian
 	switch fault {
 	case "ref-out-of-range":
@@ -224,7 +223,7 @@ func faultyShard(t testing.TB, fault string) []byte {
 	case "id-outside-vocabulary":
 		// The last ID is executable 1's, the largest of its one procedure:
 		// rewritten as the vocabulary size, the set still increases.
-		patchSection(t, blob, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(c.Interner))) })
+		patchSection(t, blob, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(vocab))) })
 	default:
 		t.Fatalf("unknown shard fault %q", fault)
 	}
@@ -232,13 +231,20 @@ func faultyShard(t testing.TB, fault string) []byte {
 }
 
 func TestCorpusShardRoundTrip(t *testing.T) {
-	models := []*Corpus{testCorpus()}
+	type model struct {
+		c     *Corpus
+		vocab []uint64
+	}
+	c, vocab := testCorpus()
+	models := []model{{c, vocab}}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
-		models = append(models, randomCorpusModel(rng))
+		c, vocab := randomCorpusModel(rng)
+		models = append(models, model{c, vocab})
 	}
-	for mi, want := range models {
-		data := mustEncodeShard(t, want, soleShard(want))
+	for mi, m := range models {
+		want := m.c
+		data := mustEncodeShard(t, want, m.vocab, soleShard(want))
 		s, err := OpenCorpusShardBytes(data)
 		if err != nil {
 			t.Fatalf("model %d: open: %v", mi, err)
@@ -246,9 +252,9 @@ func TestCorpusShardRoundTrip(t *testing.T) {
 		if err := touchShard(s); err != nil {
 			t.Fatalf("model %d: touch: %v", mi, err)
 		}
-		got := shardToCorpus(t, s)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("model %d: round trip mismatch:\n got %+v\nwant %+v", mi, got, want)
+		got, vocab := shardToCorpus(t, s)
+		if !reflect.DeepEqual(got, want) || !slices.Equal(vocab, m.vocab) {
+			t.Errorf("model %d: round trip mismatch:\n got %+v %x\nwant %+v %x", mi, got, vocab, want, m.vocab)
 		}
 		counts, sets, err := s.ProcSets()
 		if err != nil {
@@ -272,13 +278,13 @@ func TestCorpusShardRoundTrip(t *testing.T) {
 // vocabulary lives: shard 0 stores it, any other shard stores none but
 // records the same checksum and length.
 func TestCorpusShardHeaderRoundTrip(t *testing.T) {
-	c := testCorpus()
-	first, err := OpenCorpusShardBytes(mustEncodeShard(t, c, ShardHeader{ShardCount: 7, TotalImages: 40, TotalExes: 30}))
+	c, vocab := testCorpus()
+	first, err := OpenCorpusShardBytes(mustEncodeShard(t, c, vocab, ShardHeader{ShardCount: 7, TotalImages: 40, TotalExes: 30}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hdr := ShardHeader{ShardIndex: 3, ShardCount: 7, ImageBase: 12, TotalImages: 40, ExeBase: 9, TotalExes: 30}
-	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, hdr))
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, vocab, hdr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,22 +297,22 @@ func TestCorpusShardHeaderRoundTrip(t *testing.T) {
 	if err := touchShard(s); err != nil {
 		t.Fatal(err)
 	}
-	vocab, _ := s.Vocab()
+	stored, _ := s.Vocab()
 	hashes, ids, _ := s.SortedVocab()
-	if len(vocab) != 0 || len(hashes) != 0 || len(ids) != 0 {
-		t.Errorf("shard 3 stores a vocabulary of %d/%d/%d entries; only shard 0 stores one", len(vocab), len(hashes), len(ids))
+	if len(stored) != 0 || len(hashes) != 0 || len(ids) != 0 {
+		t.Errorf("shard 3 stores a vocabulary of %d/%d/%d entries; only shard 0 stores one", len(stored), len(hashes), len(ids))
 	}
-	if got, _ := first.Vocab(); !reflect.DeepEqual(got, c.Interner) {
-		t.Errorf("shard 0 vocabulary %v, want %v", got, c.Interner)
+	if got, _ := first.Vocab(); !reflect.DeepEqual(got, vocab) {
+		t.Errorf("shard 0 vocabulary %v, want %v", got, vocab)
 	}
 	crc0, len0 := first.VocabChecksum()
-	if crc, l := s.VocabChecksum(); crc != crc0 || l != len0 || l != uint64(8*len(c.Interner)) {
+	if crc, l := s.VocabChecksum(); crc != crc0 || l != len0 || l != uint64(8*len(vocab)) {
 		t.Errorf("shard 3 records vocabulary checksum %08x/%d, shard 0 %08x/%d", crc, l, crc0, len0)
 	}
 }
 
 func TestCorpusShardBadHeader(t *testing.T) {
-	c := testCorpus()
+	c, vocab := testCorpus()
 	for _, hdr := range []ShardHeader{
 		{ShardIndex: -1, ShardCount: 1, TotalImages: 2, TotalExes: 2},
 		{ShardIndex: 1, ShardCount: 1, TotalImages: 2, TotalExes: 2},
@@ -317,15 +323,15 @@ func TestCorpusShardBadHeader(t *testing.T) {
 		{ShardCount: 1, TotalImages: 2, ExeBase: 1, TotalExes: 2},
 		{ShardCount: 1, TotalImages: 2, TotalExes: 1},
 	} {
-		if _, err := encodeCorpusShard(c, hdr); err == nil {
+		if _, err := encodeCorpusShard(c, vocab, hdr); err == nil {
 			t.Errorf("encodeCorpusShard accepted invalid header %+v", hdr)
 		}
 	}
 }
 
 func TestCorpusShardSectionAlignment(t *testing.T) {
-	c := randomCorpusModel(rand.New(rand.NewSource(11)))
-	data := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := randomCorpusModel(rand.New(rand.NewSource(11)))
+	data := mustEncodeShard(t, c, vocab, soleShard(c))
 	table, err := parseCorpusV2Table(data)
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +352,8 @@ func TestCorpusShardSectionAlignment(t *testing.T) {
 // error wrapping ErrCorrupt — the per-section CRC must catch every
 // flip on first touch, and nothing may panic.
 func TestCorpusShardBoundaryCorruption(t *testing.T) {
-	c := testCorpus()
-	orig := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	orig := mustEncodeShard(t, c, vocab, soleShard(c))
 	table, err := parseCorpusV2Table(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +390,8 @@ func TestCorpusShardBoundaryCorruption(t *testing.T) {
 // it on first touch) and never panic — mapped files can be truncated
 // underneath the reader.
 func TestCorpusShardTruncation(t *testing.T) {
-	c := testCorpus()
-	data := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	data := mustEncodeShard(t, c, vocab, soleShard(c))
 	for k := 0; k < len(data); k++ {
 		s, err := OpenCorpusShardBytes(data[:k])
 		if err == nil {
@@ -403,14 +409,18 @@ func TestCorpusShardTruncation(t *testing.T) {
 // TestCorpusShardSlabCopyFallback pins the copy path (hosts without
 // unsafe zero-copy casts) to the zero-copy result.
 func TestCorpusShardSlabCopyFallback(t *testing.T) {
-	c := randomCorpusModel(rand.New(rand.NewSource(23)))
-	data := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := randomCorpusModel(rand.New(rand.NewSource(23)))
+	data := mustEncodeShard(t, c, vocab, soleShard(c))
 	open := func() *Corpus {
 		s, err := OpenCorpusShardBytes(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return shardToCorpus(t, s)
+		got, stored := shardToCorpus(t, s)
+		if !slices.Equal(stored, vocab) {
+			t.Errorf("vocabulary %x, want %x", stored, vocab)
+		}
+		return got
 	}
 	fast := open()
 	forceSlabCopy = true
@@ -422,8 +432,8 @@ func TestCorpusShardSlabCopyFallback(t *testing.T) {
 }
 
 func TestOpenCorpusShardFile(t *testing.T) {
-	c := testCorpus()
-	data := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	data := mustEncodeShard(t, c, vocab, soleShard(c))
 	path := filepath.Join(t.TempDir(), "shard-0000.fwcorp")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -436,7 +446,7 @@ func TestOpenCorpusShardFile(t *testing.T) {
 	if err := touchShard(s); err != nil {
 		t.Fatal(err)
 	}
-	if got := shardToCorpus(t, s); !reflect.DeepEqual(got, c) {
+	if got, stored := shardToCorpus(t, s); !reflect.DeepEqual(got, c) || !slices.Equal(stored, vocab) {
 		t.Error("file-backed shard decodes differently from the model")
 	}
 	if s.SizeBytes() != int64(len(data)) {
@@ -456,11 +466,12 @@ func TestEncodeShardAllocBudget(t *testing.T) {
 	const budget = 1.25
 	rng := rand.New(rand.NewSource(46))
 	c := &Corpus{}
+	var vocab []uint64
 	seen := map[uint64]bool{}
-	for len(c.Interner) < 1<<16 {
+	for len(vocab) < 1<<16 {
 		if h := rng.Uint64(); !seen[h] {
 			seen[h] = true
-			c.Interner = append(c.Interner, h)
+			vocab = append(vocab, h)
 		}
 	}
 	// Executables of one family share their procedure names, as the
@@ -470,7 +481,7 @@ func TestEncodeShardAllocBudget(t *testing.T) {
 		e := Exe{Arch: uint8(ei % 4)}
 		for pi := range 40 {
 			p := Proc{Name: fmt.Sprintf("proc_%d_%d", ei%10, pi), Addr: uint32(pi * 64), BlockCount: 4, EdgeCount: 5, InstCount: 30}
-			for id := rng.Intn(64); id < len(c.Interner) && len(p.IDs) < 60; id += 1 + rng.Intn(1<<10) {
+			for id := rng.Intn(64); id < len(vocab) && len(p.IDs) < 60; id += 1 + rng.Intn(1<<10) {
 				p.IDs = append(p.IDs, uint32(id))
 			}
 			p.Markers = []uint32{rng.Uint32(), rng.Uint32()}
@@ -481,7 +492,7 @@ func TestEncodeShardAllocBudget(t *testing.T) {
 		im := &c.Images[ei%16]
 		im.Occs = append(im.Occs, Occurrence{Path: fmt.Sprintf("bin/exe_%d", ei%25), Exe: ei})
 	}
-	v, err := EncodeVocab(c.Interner, sortedOrder(c.Interner))
+	v, err := EncodeVocab(vocab, sortedOrder(vocab))
 	if err != nil {
 		t.Fatal(err)
 	}

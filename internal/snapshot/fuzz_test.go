@@ -14,14 +14,11 @@ import (
 func FuzzShardOpen(f *testing.F) {
 	// Valid shards of representative models, so mutations reach deep into
 	// the section layout.
-	tc := testCorpus()
-	for _, c := range []*Corpus{
-		{},
-		randomCorpusModel(rand.New(rand.NewSource(1))),
-		randomCorpusModel(rand.New(rand.NewSource(2))),
-		randomCorpusModel(rand.New(rand.NewSource(3))),
-	} {
-		f.Add(mustEncodeShard(f, c, soleShard(c)))
+	tc, tvocab := testCorpus()
+	f.Add(mustEncodeShard(f, &Corpus{}, nil, soleShard(&Corpus{})))
+	for seed := int64(1); seed <= 3; seed++ {
+		c, vocab := randomCorpusModel(rand.New(rand.NewSource(seed)))
+		f.Add(mustEncodeShard(f, c, vocab, soleShard(c)))
 	}
 	f.Add([]byte{})
 	f.Add([]byte(corpusMagic))
@@ -32,7 +29,7 @@ func FuzzShardOpen(f *testing.F) {
 		{ShardCount: 2, TotalImages: 3, TotalExes: 4},
 		{ShardIndex: 1, ShardCount: 3, ImageBase: 4, TotalImages: 9, ExeBase: 3, TotalExes: 7},
 	} {
-		f.Add(mustEncodeShard(f, tc, hdr))
+		f.Add(mustEncodeShard(f, tc, tvocab, hdr))
 	}
 	// One shard per occurrence-table and strand-set fault and one recording a
 	// vocabulary checksum its own section does not carry, so mutations
@@ -40,7 +37,7 @@ func FuzzShardOpen(f *testing.F) {
 	for _, fault := range append(occurrenceFaults, idsFaults...) {
 		f.Add(faultyShard(f, fault))
 	}
-	lie := mustEncodeShard(f, tc, soleShard(tc))
+	lie := mustEncodeShard(f, tc, tvocab, soleShard(tc))
 	vocabChecksumLie(f, lie)
 	f.Add(lie)
 	f.Fuzz(func(t *testing.T, data []byte) {

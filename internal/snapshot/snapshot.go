@@ -90,7 +90,7 @@ type Proc struct {
 	Addr     uint32
 	Exported bool
 	// IDs is the procedure's strand set as strictly increasing dense IDs
-	// into Corpus.Interner.
+	// into the corpus vocabulary.
 	IDs []uint32
 	// Markers are the distinctive plain constants used by the
 	// confirmation step.

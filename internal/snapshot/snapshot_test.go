@@ -18,9 +18,9 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		"call-out-of-range": func(c *Corpus) { c.Exes[0].Procs[0].Calls = []uint32{7} },
 		"negative-count":    func(c *Corpus) { c.Exes[0].Procs[0].BlockCount = -1 },
 	} {
-		c := testCorpus()
+		c, vocab := testCorpus()
 		mutate(c)
-		if _, err := encodeCorpusShard(c, soleShard(c)); err == nil {
+		if _, err := encodeCorpusShard(c, vocab, soleShard(c)); err == nil {
 			t.Errorf("%s: encodeCorpusShard accepted an invalid model", name)
 		}
 	}
@@ -64,8 +64,8 @@ func tableRow(t *testing.T, data []byte, tag uint32) (row []byte, e tableEntry) 
 // touch, never a panic — and name the offending section where one is
 // known.
 func TestDecodeFaultInjection(t *testing.T) {
-	c := testCorpus()
-	base := mustEncodeShard(t, c, soleShard(c))
+	c, vocab := testCorpus()
+	base := mustEncodeShard(t, c, vocab, soleShard(c))
 	le := binary.LittleEndian
 	nsec := len(corpusMagic) + 4 // offset of the section count
 
@@ -161,7 +161,7 @@ func TestDecodeFaultInjection(t *testing.T) {
 			return d
 		}, "corpus-meta"},
 		tc{"strand-id-out-of-vocabulary", func(t *testing.T, d []byte) []byte {
-			patchSection(t, d, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(c.Interner))) })
+			patchSection(t, d, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(vocab))) })
 			return d
 		}, "corpus-ids"},
 		tc{"trailing-payload-bytes", func(t *testing.T, d []byte) []byte {

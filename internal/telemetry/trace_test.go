@@ -142,7 +142,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 }
 
 func TestTraceBufferRetainsSlowest(t *testing.T) {
-	b := NewTraceBuffer(2, 0, 0)
+	b := NewTraceBuffer(2, 0)
 	durations := []time.Duration{5 * time.Millisecond, 50 * time.Millisecond, 1 * time.Millisecond, 20 * time.Millisecond}
 	for i, d := range durations {
 		tr := NewTrace(TraceID(uint64(i + 1)))
@@ -166,21 +166,26 @@ func TestTraceBufferRetainsSlowest(t *testing.T) {
 }
 
 func TestTraceBufferThresholdRing(t *testing.T) {
-	b := NewTraceBuffer(1, 10*time.Millisecond, 2)
-	for i := 1; i <= 4; i++ {
+	b := NewTraceBuffer(1, 10*time.Millisecond)
+	// Trace 1 (8ms) is under the threshold; traces 2 … recentCap+3 exceed
+	// it, so the ring wraps and keeps the recentCap newest.
+	last := recentCap + 3
+	for i := 1; i <= last; i++ {
 		tr := NewTrace(TraceID(uint64(i)))
-		b.Offer(tr, time.Duration(i)*8*time.Millisecond) // 8, 16, 24, 32ms
+		b.Offer(tr, time.Duration(i)*8*time.Millisecond)
 	}
 	snap := b.Snapshot()
 	if snap.ThresholdUS != 10_000 {
 		t.Fatalf("threshold %d", snap.ThresholdUS)
 	}
-	// 16/24/32ms exceeded; ring keeps the 2 newest, newest first.
-	if len(snap.Recent) != 2 {
-		t.Fatalf("%d recent", len(snap.Recent))
+	if len(snap.Recent) != recentCap {
+		t.Fatalf("%d recent, want %d", len(snap.Recent), recentCap)
 	}
-	if snap.Recent[0].TraceID != TraceID(4).String() || snap.Recent[1].TraceID != TraceID(3).String() {
-		t.Fatalf("recent order: %s, %s", snap.Recent[0].TraceID, snap.Recent[1].TraceID)
+	// Newest first: traces last, last-1, … down to the oldest kept.
+	for k, tr := range snap.Recent {
+		if want := TraceID(uint64(last - k)).String(); tr.TraceID != want {
+			t.Fatalf("recent[%d] = %s, want %s", k, tr.TraceID, want)
+		}
 	}
 }
 

@@ -22,13 +22,15 @@ import (
 	"time"
 )
 
+// recentCap is the threshold ring's capacity.
+const recentCap = 32
+
 // TraceBuffer retains the tail of completed request traces. All methods
 // are safe for concurrent use and no-ops on a nil receiver.
 type TraceBuffer struct {
 	mu        sync.Mutex
 	keep      int
 	threshold time.Duration
-	recentCap int
 	slowest   []TraceSnapshot // sorted by DurUS descending, len <= keep
 	recent    []TraceSnapshot // ring of threshold exceeders
 	recentPos int             // next ring write slot once full
@@ -36,17 +38,14 @@ type TraceBuffer struct {
 	retained  int64
 }
 
-// NewTraceBuffer sizes a buffer: keep slowest-N (<=0 selects 16),
-// threshold for the recent ring (<=0 disables threshold capture), and
-// the ring's capacity (<=0 selects 32).
-func NewTraceBuffer(keep int, threshold time.Duration, recentCap int) *TraceBuffer {
+// NewTraceBuffer sizes a buffer: keep slowest-N (<=0 selects 16) and
+// the threshold for the recent ring of 32 (<=0 disables threshold
+// capture).
+func NewTraceBuffer(keep int, threshold time.Duration) *TraceBuffer {
 	if keep <= 0 {
 		keep = 16
 	}
-	if recentCap <= 0 {
-		recentCap = 32
-	}
-	return &TraceBuffer{keep: keep, threshold: threshold, recentCap: recentCap}
+	return &TraceBuffer{keep: keep, threshold: threshold}
 }
 
 // Offer consumes one completed trace: its total duration is stamped to
@@ -105,12 +104,12 @@ func (b *TraceBuffer) insertSlowest(snap TraceSnapshot) {
 // pushRecent appends snap to the threshold ring, overwriting the oldest
 // entry once the ring is full. Called with mu held.
 func (b *TraceBuffer) pushRecent(snap TraceSnapshot) {
-	if len(b.recent) < b.recentCap {
+	if len(b.recent) < recentCap {
 		b.recent = append(b.recent, snap)
 		return
 	}
 	b.recent[b.recentPos] = snap
-	b.recentPos = (b.recentPos + 1) % b.recentCap
+	b.recentPos = (b.recentPos + 1) % recentCap
 }
 
 // RequestsSnapshot is the GET /debug/requests response schema: the
@@ -149,8 +148,8 @@ func (b *TraceBuffer) Snapshot() RequestsSnapshot {
 	// than the ones at and after it.
 	for i := len(b.recent) - 1; i >= 0; i-- {
 		pos := i
-		if len(b.recent) == b.recentCap {
-			pos = (b.recentPos + i) % b.recentCap
+		if len(b.recent) == recentCap {
+			pos = (b.recentPos + i) % recentCap
 		}
 		snap.Recent = append(snap.Recent, b.recent[pos])
 	}

@@ -328,7 +328,7 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	vocab, order := a.interner.Sorted()
-	c := &snapshot.Corpus{Interner: vocab}
+	c := &snapshot.Corpus{}
 	dedup := newExeDedup()
 	for ii, img := range images {
 		ci := snapshot.CorpusImage{Vendor: img.Vendor, Device: img.Device, Version: img.Version, Skipped: skipsToModel(img.Skipped)}

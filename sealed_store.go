@@ -121,6 +121,22 @@ func (g *sealedGroup) exe(u int) (*sim.Exe, error) {
 	return le.exe, le.err
 }
 
+// record reads the group's executable u as stored, aliasing the shard,
+// with a fault in the read blamed on the shard as exe blames one.
+func (g *sealedGroup) record(u int) (e *snapshot.Exe, err error) {
+	defer g.recoverCorrupt("exe", &err)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	return g.shard.Exe(u)
+}
+
+// encodeVocab encodes the corpus vocabulary, which the frozen one reads
+// off shard 0, so a fault in the read is blamed on that shard.
+func (sc *SealedCorpus) encodeVocab() (v *snapshot.Vocab, err error) {
+	defer sc.groups[0].recoverCorrupt("corpus-vocab", &err)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	return snapshot.EncodeVocab(sc.frozen.Vocab(), sc.frozen.SortedIDs())
+}
+
 // recoverCorrupt, deferred by a read of the group's shard, blames a
 // panic in the read on the shard.
 func (g *sealedGroup) recoverCorrupt(section string, err *error) {
@@ -301,7 +317,7 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	vocab, err := snapshot.EncodeVocab(sc.frozen.Vocab(), sc.frozen.SortedIDs())
+	vocab, err := sc.encodeVocab()
 	if err != nil {
 		return nil, err
 	}
@@ -337,10 +353,10 @@ func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int)
 	var images, exes int
 	hdr.ImageBase, images = shardRange(si, n, hdr.TotalImages)
 	hdr.ExeBase, exes = shardRange(si, n, hdr.TotalExes)
-	c := &snapshot.Corpus{Interner: sc.frozen.Vocab(), Exes: make([]snapshot.Exe, exes)}
+	c := &snapshot.Corpus{Exes: make([]snapshot.Exe, exes)}
 	for k := range c.Exes {
 		g := sc.groups.group(hdr.ExeBase + k)
-		e, err := g.shard.Exe(hdr.ExeBase + k - g.base)
+		e, err := g.record(hdr.ExeBase + k - g.base)
 		if err != nil {
 			return "", err
 		}
