@@ -297,6 +297,38 @@ func TestSearchPanickingShard(t *testing.T) {
 	}
 }
 
+// A query's analysis looks its strands up in the frozen vocabulary, which
+// reads shard 0's mapping: with shard 0 truncated under the process, the
+// analysis fails with that shard's corruption — on the caller's goroutine
+// and on the build's workers alike — instead of killing the process, marks
+// only shard 0 corrupt, and returns every worker token it was lent.
+func TestAnalyzeQueryTruncatedVocabulary(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			_, sharded, paths, qb, _ := budgetScenario(t, 3)
+			if !sharded.Shards()[0].Mapped {
+				t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
+			}
+			name := filepath.Base(paths[0])
+			if err := os.Truncate(paths[0], 64); err != nil {
+				t.Fatal(err)
+			}
+			q, err := sharded.AnalyzeQuery(qb, &firmup.Options{Workers: workers})
+			if msg := fmt.Sprint(err); q != nil || !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, name) {
+				t.Errorf("analysis over the truncated vocabulary: %v, err %v, want the recovered fault of %s", q, err, name)
+			}
+			for i, sh := range sharded.Shards() {
+				if damaged := i == 0; damaged != strings.Contains(sh.Corrupt, name) || !damaged && sh.Corrupt != "" {
+					t.Errorf("shard %d reports corrupt %q", i, sh.Corrupt)
+				}
+			}
+			if n := sharded.TokensHeld(); n != 0 {
+				t.Errorf("%d worker tokens still lent after the failed analysis", n)
+			}
+		})
+	}
+}
+
 // WriteShards over a truncated shard that stores executables but not the
 // vocabulary (testTruncatedShard truncates the vocabulary's home, shard
 // 0) fails with that shard's corruption instead of a fault, marks only

@@ -248,7 +248,7 @@ func indexOf(bound int, exes []*sim.Exe) *FrozenIndex {
 			sets = append(sets, p.Set.IDs)
 		}
 	}
-	return NewFrozenIndex(bound, counts, sets)
+	return NewFrozenIndex(bound, counts, setTables(counts, sets, 1))
 }
 
 // frozenOf seals a session's executables under the frozen vocabulary f:

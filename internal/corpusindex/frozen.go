@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"firmup/internal/setdedup"
 	"firmup/internal/sim"
 	"firmup/internal/strand"
 	"firmup/internal/telemetry"
@@ -252,12 +253,12 @@ func (q *QueryInterner) AppendHashes(dst []uint64, ids []uint32) []uint64 {
 // the distinct procedure strand sets holding it, flattened into one CSR
 // slab — and the only index type there is: built once over every
 // distinct executable of a sealed corpus, never changed afterwards, and
-// never persisted: a shard stores each procedure's strand set once, and
-// the index is derived from those sets. It holds no lock and supports no
-// mutation, so unlimited concurrent readers share it freely. The only
-// shared structure the query path touches is a sync.Pool of scratch
-// accumulators, which is race-safe by construction and carries no corpus
-// state between queries.
+// never persisted: a shard stores each of its distinct strand sets
+// once, and the index is derived from those sets. It holds no lock and
+// supports no mutation, so unlimited concurrent readers share it freely.
+// The only shared structure the query path touches is a sync.Pool of
+// scratch accumulators, which is race-safe by construction and carries no
+// corpus state between queries.
 type FrozenIndex struct {
 	// rows is the dense row directory, one offset per strand ID below the
 	// bound and one past the last: row id's postings, set numbers
@@ -277,43 +278,51 @@ type FrozenIndex struct {
 	scratch sync.Pool
 }
 
+// SetTable is one shard's share of an index build: its distinct
+// strand-ID sets, and for each of its procedure slots in order — executable
+// by executable — the number of the set the slot holds.
+type SetTable struct {
+	Sets  [][]uint32
+	SetOf []uint32
+}
+
 // NewFrozenIndex builds the index over executables given as each one's
-// procedure count and then every procedure's strand-ID set in slot
-// order, executable by executable: sets holds exactly the counts' sum.
-// The sets are strictly increasing, with IDs all assigned by one interner
-// and below bound — the frozen vocabulary's size for a sealed corpus.
-// Repeats are found through an open-addressed table keyed by a content
-// hash and confirmed element by element. A counting pass per strand ID
-// over the distinct sets sizes the postings exactly and leaves, as prefix
-// sums, the row directory; the postings are then filled from the last
+// procedure count and, shard by shard in corpus order, the set table of
+// the shards' procedure slots: the tables' SetOf together hold exactly
+// the counts' sum, each a number below its table's set count. The sets
+// are strictly increasing, with IDs all assigned by one interner and
+// below bound — the frozen vocabulary's size for a sealed corpus. A set
+// stored by several shards is numbered once (setdedup); each shard set a
+// slot holds is hashed once, and corpus-wide sets are numbered in order
+// of the first slot holding each. A counting pass per strand ID over the
+// distinct sets sizes the postings exactly and leaves, as prefix sums,
+// the row directory; the postings are then filled from the last
 // set back, so each row ends up in set order. The index keeps none of the
 // sets, so they may alias memory that is released later.
-func NewFrozenIndex(bound int, procCounts []int32, sets [][]uint32) *FrozenIndex {
-	x := &FrozenIndex{procOff: make([]int32, len(procCounts)+1), setOf: make([]uint32, len(sets))}
+func NewFrozenIndex(bound int, procCounts []int32, tables []SetTable) *FrozenIndex {
+	x := &FrozenIndex{procOff: make([]int32, len(procCounts)+1)}
 	for i, n := range procCounts {
 		x.procOff[i+1] = x.procOff[i] + n
 	}
-	if slots := x.procOff[len(procCounts)]; int(slots) != len(sets) {
-		panic(fmt.Sprintf("corpusindex: %d procedure sets for %d procedures", len(sets), slots))
+	slots, shardSets := 0, 0
+	for _, t := range tables {
+		slots, shardSets = slots+len(t.SetOf), shardSets+len(t.Sets)
 	}
-	shift := 64 - bits.Len(uint(2*len(sets))) // a table at most half full
-	table := make([]uint32, 1<<(64-shift))    // set number + 1; 0 is free
-	var distinct [][]uint32
-	for slot, ids := range sets {
-		h := uint64(len(ids))
-		for _, id := range ids {
-			h = (h ^ uint64(id)) * 0x9E3779B97F4A7C15
-		}
-		i := h >> shift
-		for table[i] != 0 && !slices.Equal(distinct[table[i]-1], ids) {
-			i = (i + 1) & uint64(len(table)-1)
-		}
-		if table[i] == 0 {
-			distinct = append(distinct, ids)
-			table[i] = uint32(len(distinct))
-		}
-		x.setOf[slot] = table[i] - 1
+	if want := x.procOff[len(procCounts)]; int(want) != slots {
+		panic(fmt.Sprintf("corpusindex: %d procedure set numbers for %d procedures", slots, want))
 	}
+	x.setOf = make([]uint32, 0, slots)
+	dedup := setdedup.New(shardSets)
+	for _, t := range tables {
+		number := make([]uint32, len(t.Sets)) // corpus-wide set number + 1; 0 is not yet seen
+		for _, k := range t.SetOf {
+			if number[k] == 0 {
+				number[k] = dedup.Number(t.Sets[k]) + 1
+			}
+			x.setOf = append(x.setOf, number[k]-1)
+		}
+	}
+	distinct := dedup.Sets()
 	x.nsets = len(distinct)
 	rows := make([]uint32, bound+1) // counts, then row ends, then row starts
 	for _, ids := range distinct {

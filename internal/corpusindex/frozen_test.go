@@ -217,22 +217,54 @@ func (x *slotIndex) scan(q []uint32, minScore int, ratioFloor float64, inScope [
 }
 
 // family is an index input decoded from bytes: executables' procedure
-// counts, their slots' strand sets below bound, and queries whose IDs
-// reach past it.
+// counts, their slots' strand sets below bound, the number of shards the
+// executables are split into, and queries whose IDs reach past the bound.
 type family struct {
 	bound   int
 	counts  []int32
 	sets    [][]uint32
+	shards  int
 	queries [][]uint32
 	scope   []bool
+}
+
+// shardOf is the shard of executable e of n split into shards contiguous
+// ranges, some empty when there are more shards than executables.
+func shardOf(e, n, shards int) int { return e * shards / n }
+
+// setTables is the index input of executables given by procedure counts
+// and slot sets, split into shards contiguous ranges: each shard's
+// distinct sets, numbered in reverse order of first appearance — so the
+// index's numbering cannot lean on the shard's — and each of its slots'
+// set number.
+func setTables(counts []int32, sets [][]uint32, shards int) []SetTable {
+	tables := make([]SetTable, shards)
+	slot := 0
+	for e, n := range counts {
+		t := &tables[shardOf(e, len(counts), shards)]
+		for range n {
+			k := slices.IndexFunc(t.Sets, func(ids []uint32) bool { return slices.Equal(ids, sets[slot]) })
+			if k < 0 {
+				t.Sets = slices.Insert(t.Sets, 0, sets[slot])
+				for i := range t.SetOf {
+					t.SetOf[i]++
+				}
+				k = 0
+			}
+			t.SetOf = append(t.SetOf, uint32(k))
+			slot++
+		}
+	}
+	return tables
 }
 
 // Decoding draws set elements below familyBound and query IDs below
 // familyQueryIDs, so a query can hold IDs the index has no row for.
 const familyBound, familyQueryIDs = 24, 32
 
-// decodeFamily reads a family from data, zero past its end: one to eight
-// executables of zero to four procedures each; a procedure either repeats
+// decodeFamily reads a family from data, zero past its end: one to three
+// shards, one to eight executables of zero to four procedures each split
+// among them; a procedure either repeats
 // an earlier slot's set (op%4 == 0, then the slot) or draws op/4%8
 // elements; then a byte whose bit e clear puts executable e in scope, and
 // queries of up to nine IDs, each a length byte and the IDs.
@@ -255,7 +287,8 @@ func decodeFamily(data []byte) family {
 		slices.Sort(s)
 		return s
 	}
-	f := family{bound: familyBound, counts: make([]int32, 1+next()%8)}
+	f := family{bound: familyBound, shards: 1 + next()%3}
+	f.counts = make([]int32, 1+next()%8)
 	for e := range f.counts {
 		f.counts[e] = int32(next() % 5)
 		for range f.counts[e] {
@@ -277,12 +310,13 @@ func decodeFamily(data []byte) family {
 	return f
 }
 
-// checkFamily builds the index and the slot reference over f and
+// checkFamily builds the index over f's set tables and the slot
+// reference over its slots, and
 // requires identical Scans for every query, floor and scope, and
 // postings exactly as long as the distinct sets are.
 func checkFamily(t *testing.T, f family) {
 	t.Helper()
-	x := NewFrozenIndex(f.bound, f.counts, f.sets)
+	x := NewFrozenIndex(f.bound, f.counts, setTables(f.counts, f.sets, f.shards))
 	ref := newSlotIndex(f.bound, f.counts, f.sets)
 	distinct, posted := map[string]bool{}, 0
 	for _, s := range f.sets {
@@ -310,12 +344,13 @@ func checkFamily(t *testing.T, f family) {
 	}
 }
 
-// TestFrozenIndexMatchesSlotReference: posting each distinct set once
-// changes no scan. The families are random and must include the same set
-// in several executables, a set repeated inside one executable, empty
-// sets and query IDs at or above the bound.
+// TestFrozenIndexMatchesSlotReference: posting each distinct set once,
+// from per-shard set tables, changes no scan. The families are random and
+// must include the same set in several executables and in several shards,
+// a set repeated inside one executable, empty sets and query IDs at or
+// above the bound.
 func TestFrozenIndexMatchesSlotReference(t *testing.T) {
-	across, within, empty, above := 0, 0, 0, 0
+	across, shards, within, empty, above := 0, 0, 0, 0, 0
 	rng := rand.New(rand.NewSource(7))
 	for range 300 {
 		data := make([]byte, 40+rng.Intn(80))
@@ -336,6 +371,9 @@ func TestFrozenIndexMatchesSlotReference(t *testing.T) {
 					within++
 				} else {
 					across++
+					if shardOf(fe, len(f.counts), f.shards) != shardOf(e, len(f.counts), f.shards) {
+						shards++
+					}
 				}
 				slot++
 			}
@@ -346,8 +384,8 @@ func TestFrozenIndexMatchesSlotReference(t *testing.T) {
 			}
 		}
 	}
-	if across < 50 || within < 50 || empty < 50 || above < 50 {
-		t.Fatalf("vacuous: %d sets repeated across executables, %d within one, %d empty sets, %d queries with IDs at or above the bound", across, within, empty, above)
+	if across < 50 || shards < 50 || within < 50 || empty < 50 || above < 50 {
+		t.Fatalf("vacuous: %d sets repeated across executables, %d across shards, %d within one, %d empty sets, %d queries with IDs at or above the bound", across, shards, within, empty, above)
 	}
 }
 
@@ -355,12 +393,13 @@ func TestFrozenIndexMatchesSlotReference(t *testing.T) {
 // families (decodeFamily).
 func FuzzFrozenIndex(f *testing.F) {
 	f.Add([]byte{})
-	// One executable holding {1,2} twice and an empty set; the query
-	// {1,2,30} reaches past the bound.
-	f.Add([]byte{0, 3, 9, 1, 2, 0, 0, 1, 0, 3, 1, 2, 30})
-	// Three executables sharing {4,5}, a fourth without procedures, the
-	// third out of scope.
-	f.Add([]byte{3, 1, 9, 4, 5, 0, 2, 0, 0, 5, 7, 1, 0, 0, 4, 3, 4, 5, 26, 2, 7, 31})
+	// One shard of one executable holding {1,2} twice and an empty set;
+	// the query {1,2,30} reaches past the bound.
+	f.Add([]byte{0, 0, 3, 9, 1, 2, 0, 0, 1, 0, 3, 1, 2, 30})
+	// Four executables in three shards: the first, third and fourth, one
+	// in each shard, share {4,5}; the second holds no procedures; the
+	// third is out of scope.
+	f.Add([]byte{2, 3, 1, 9, 4, 5, 0, 2, 0, 0, 5, 7, 1, 0, 0, 4, 3, 4, 5, 26, 2, 7, 31})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFamily(t, decodeFamily(data))
 	})
@@ -376,7 +415,7 @@ func TestScanObservesPostingsWalked(t *testing.T) {
 		data := make([]byte, 60)
 		rng.Read(data)
 		f := decodeFamily(data)
-		x := NewFrozenIndex(f.bound, f.counts, f.sets)
+		x := NewFrozenIndex(f.bound, f.counts, setTables(f.counts, f.sets, f.shards))
 		holding := map[uint32]map[string]bool{} // strand -> distinct sets holding it
 		for _, s := range f.sets {
 			for _, id := range s {

@@ -476,7 +476,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	query, err := s.analyzeQuery(cs, body, asp)
 	asp.End()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "analyzing query executable: %v", err)
+		// An upload is analysed against the corpus vocabulary: a shard
+		// that fails to decode there is the corpus's fault, not the
+		// request's.
+		status := http.StatusBadRequest
+		if errors.Is(err, firmup.ErrCorpusCorrupt) {
+			status = http.StatusInternalServerError
+		}
+		writeError(w, status, "analyzing query executable: %v", err)
 		return
 	}
 	info, ok := query.Procedure(proc)

@@ -488,7 +488,7 @@ func TestServePanickingShardIs500(t *testing.T) {
 	}
 
 	// Cut shard 0 at the first page boundary past its sorted vocabulary
-	// (tag 18); its strand IDs (tag 22) must lie wholly beyond the cut.
+	// (tag 18); its strand IDs (tag 23) must lie wholly beyond the cut.
 	file, err := os.ReadFile(paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +500,7 @@ func TestServePanickingShardIs500(t *testing.T) {
 		sections[le.Uint32(row)] = [2]uint64{le.Uint64(row[4:]), le.Uint64(row[12:])}
 	}
 	page := uint64(os.Getpagesize())
-	sorted, ids := sections[18], sections[22]
+	sorted, ids := sections[18], sections[23]
 	cut := (sorted[0] + sorted[1] + page - 1) / page * page
 	if ids[1] == 0 || ids[0] < cut {
 		t.Fatalf("shard 0's strand IDs [%d, +%d) start before the cut at %d", ids[0], ids[1], cut)
@@ -532,6 +532,45 @@ func TestServePanickingShardIs500(t *testing.T) {
 	last := len(sharded.Images()) - 1
 	if resp, blob := postSearch(t, fmt.Sprintf("%s/search?proc=ftp_retrieve_glob&image=%d", ts.URL, last), query); resp.StatusCode != http.StatusOK {
 		t.Errorf("status %d for an image of the undamaged shard: %s", resp.StatusCode, blob)
+	}
+}
+
+// TestServeTruncatedVocabularyIs500: with shard 0 truncated whole under a
+// running server, analysing an upload faults reading the vocabulary the
+// shard stores. That is the corpus's fault, not the upload's: a 500
+// naming the shard, with /corpus reporting shard 0 corrupt, and the
+// server carries on.
+func TestServeTruncatedVocabularyIs500(t *testing.T) {
+	sc, query := buildScenario(t)
+	dir := t.TempDir()
+	paths, err := sc.WriteShards(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := firmup.OpenSealedCorpusDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	if !sharded.Shards()[0].Mapped {
+		t.Skip("shards are read into memory here: truncating the file does not reach the open corpus")
+	}
+	ts := httptest.NewServer(serve.New(newCorpus("sharded", sharded), nil).Handler())
+	defer ts.Close()
+	if err := os.Truncate(paths[0], 64); err != nil {
+		t.Fatal(err)
+	}
+	resp, blob := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(blob, []byte("shard-0000.fwcorp")) {
+		t.Errorf("status %d after the damage, want a 500 naming shard-0000.fwcorp: %s", resp.StatusCode, blob)
+	}
+	if info := getCorpus(t, ts.URL); len(info.Shards) != 2 || !strings.Contains(info.Shards[0].Corrupt, "shard-0000.fwcorp") || info.Shards[1].Corrupt != "" {
+		t.Errorf("/corpus after the damage reports shards %+v, want shard 0 alone corrupt", info.Shards)
+	}
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the damage: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 }
 

@@ -15,6 +15,7 @@ package sim
 import (
 	"cmp"
 	"math/bits"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -87,6 +88,11 @@ type BuildConfig struct {
 // the worker's cfg.Lifter, and dropped when it fails to lift, as Recover
 // drops it; a procedure that has Blocks is read as it is. Either way the
 // indexed executable is the same.
+//
+// A panic on any worker — a memory fault included, when it interns into
+// a vocabulary that aliases a mapped file truncated under the process —
+// is re-raised on the caller once every worker has stopped, so the
+// caller's recover sees it.
 func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildConfig) *Exe {
 	be, err := isa.ByArch(rec.Arch)
 	var abi *uir.ABI
@@ -109,7 +115,15 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 	// recovered input is shared and only read.
 	procs := make([]*Proc, len(rec.Procs))
 	var cursor atomic.Int64
+	var panicOnce sync.Once
+	var panicked any
 	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				panicOnce.Do(func() { panicked = r })
+				cursor.Store(int64(len(rec.Procs))) // the others claim no more
+			}
+		}()
 		pb := &procBuilder{rec: rec, lift: cfg.NewLifter(rec), ex: strand.NewExtractor(opt, it, extractTel), listed: make([]int32, len(rec.Procs))}
 		defer pb.lift.Release()
 		defer pb.ex.Release()
@@ -126,11 +140,15 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			debug.SetPanicOnFault(true)
 			work()
 		}()
 	}
 	work()
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	e.Procs, e.it = dropUnlifted(procs), it
 	for i, p := range e.Procs {
 		for _, c := range p.Calls {

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"firmup/internal/cfg"
 	"firmup/internal/compiler"
@@ -456,5 +458,54 @@ func TestTopKMatchesFullSortReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// panicAtBarrier is an interner whose every Intern panics with
+// errPanicAtBarrier, once n callers are inside one: each of a build's n
+// workers then holds a procedure when it panics, so the panics are the
+// workers' and not only the caller's.
+type panicAtBarrier struct {
+	n       int
+	mu      sync.Mutex
+	arrived int
+	all     chan struct{}
+}
+
+var errPanicAtBarrier = errors.New("interner panicked")
+
+func (b *panicAtBarrier) Intern(uint64) uint32 {
+	b.mu.Lock()
+	if b.arrived++; b.arrived == b.n {
+		close(b.all)
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.all:
+	case <-time.After(10 * time.Second):
+	}
+	panic(errPanicAtBarrier)
+}
+
+// TestBuildReRaisesWorkerPanic: a panic on a build's workers — here every
+// one of them, the caller's goroutine among them — reaches the caller,
+// once, after the workers have stopped, instead of killing the process.
+func TestBuildReRaisesWorkerPanic(t *testing.T) {
+	const workers = 4
+	rec := recoverFixture(t)
+	if len(rec.Procs) < workers {
+		t.Fatalf("the fixture has %d procedures, want at least %d", len(rec.Procs), workers)
+	}
+	it := &panicAtBarrier{n: workers, all: make(chan struct{})}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		BuildWith("t", rec, it, &BuildConfig{Workers: workers})
+		return nil
+	}()
+	if got != errPanicAtBarrier {
+		t.Errorf("BuildWith raised %v, want %v", got, errPanicAtBarrier)
+	}
+	if it.arrived != workers {
+		t.Errorf("%d of %d workers panicked", it.arrived, workers)
 	}
 }

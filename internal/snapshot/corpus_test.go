@@ -74,8 +74,8 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 // TestCorpusRoundTripEmptyIndex: a corpus whose procedures hold no
-// strands round-trips, and the sets its index is derived from are every
-// procedure's, each empty: an index of no rows.
+// strands round-trips, and its index is derived from one stored set, the
+// empty one, which every procedure holds: an index of no rows.
 func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 	c, vocab := testCorpus()
 	for _, e := range c.Exes {
@@ -90,9 +90,9 @@ func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, sets, err := s.ProcSets()
-	if err != nil || !slices.Equal(counts, []int32{2, 1}) || len(sets) != 3 || slices.ContainsFunc(sets, func(ids []uint32) bool { return len(ids) > 0 }) {
-		t.Errorf("ProcSets of a corpus without strands: %v %v, %v", counts, sets, err)
+	counts, sets, setOf, err := s.ProcSets()
+	if err != nil || !slices.Equal(counts, []int32{2, 1}) || len(sets) != 1 || len(sets[0]) != 0 || !slices.Equal(setOf, []uint32{0, 0, 0}) {
+		t.Errorf("ProcSets of a corpus without strands: %v %v %v, %v", counts, sets, setOf, err)
 	}
 }
 
@@ -206,11 +206,32 @@ func TestCorpusProcSetsHardening(t *testing.T) {
 			t.Fatalf("%s: an undamaged executable: %v", name, err)
 		}
 		_, err = s.Exe(s.NumExes() - 1)
-		_, _, setsErr := s.ProcSets()
+		_, _, _, setsErr := s.ProcSets()
 		for what, err := range map[string]error{"Exe": err, "ProcSets": setsErr} {
 			var ce *CorruptError
 			if !errors.As(err, &ce) || ce.Section != "corpus-ids" || !strings.Contains(ce.Reason, "outside") {
 				t.Errorf("%s: %s: err = %v, want ErrCorrupt naming corpus-ids", name, what, err)
+			}
+		}
+	}
+}
+
+// TestCorpusSetTableHardening: a set number past the set table, offsets
+// that decrease, do not start at 0 or do not end at the slab's length, and
+// a stored set that is not strictly increasing each pass the opener and
+// fail the first read of the sets — the walk the shard's index is derived
+// from, and materializing — with ErrCorrupt naming the damaged section.
+func TestCorpusSetTableHardening(t *testing.T) {
+	for _, f := range setFaults {
+		s, err := OpenCorpusShardBytes(faultyShard(t, f.name))
+		if err != nil {
+			t.Fatalf("%s: the opener rejects what only the sets' readers should: %v", f.name, err)
+		}
+		_, _, _, setsErr := s.ProcSets()
+		for what, err := range map[string]error{"ProcSets": setsErr, "touch": touchShard(s)} {
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Section != f.section {
+				t.Errorf("%s: %s: err = %v, want ErrCorrupt naming %s", f.name, what, err, f.section)
 			}
 		}
 	}
@@ -237,7 +258,7 @@ func TestCorpusProcSetsBounded(t *testing.T) {
 		t.Fatalf("the overlapping executable on its own: %v", err)
 	}
 	var ce *CorruptError
-	if _, _, err := s.ProcSets(); !errors.As(err, &ce) || ce.Section != "corpus-exe-table" {
+	if _, _, _, err := s.ProcSets(); !errors.As(err, &ce) || ce.Section != "corpus-exe-table" {
 		t.Errorf("ProcSets over overlapping executables: err = %v, want ErrCorrupt naming corpus-exe-table", err)
 	}
 }

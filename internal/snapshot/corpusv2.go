@@ -8,6 +8,8 @@ import (
 	"math"
 	"os"
 	"sync"
+
+	"firmup/internal/setdedup"
 )
 
 // The FWCORP shard container is the one persisted form of a sealed
@@ -35,26 +37,30 @@ import (
 //
 // Layout:
 //
-//	magic "FWCORP\r\n" | version=8 (u32) | section count (u32)
+//	magic "FWCORP\r\n" | version=9 (u32) | section count (u32)
 //	section table: tag (u32) | offset (u64) | length (u64) | CRC32-C (u32)
 //	64-byte-aligned section payloads (zero padding between)
 //
-// Sections (all ten always present; bulk ones may be empty):
+// Sections (all eleven always present; bulk ones may be empty):
 //
 //	corpus-meta         varint: shard header, slab totals, vocabulary CRC, per-image identity
 //	corpus-vocab        vocabLen x u64        dense ID -> strand hash (shard 0; empty elsewhere)
 //	corpus-vocab-sorted vocabLen x u64 sorted hashes, then vocabLen x u32 IDs (shard 0)
 //	corpus-strs         string blob (paths, procedure names; deduplicated)
-//	corpus-exe-table    shardExes x 40 B fixed records (no path)
-//	corpus-proc-table   totalProcs x 40 B fixed records
-//	corpus-ids          idsLen x u32          per-proc sorted strand IDs
+//	corpus-exe-table    shardExes x 32 B fixed records (no path)
+//	corpus-proc-table   totalProcs x 40 B fixed records, each naming its strand set
+//	corpus-sets         (nsets+1) x u32       set k is corpus-ids[sets[k]:sets[k+1]]
+//	corpus-ids          idsLen x u32          the shard's distinct sorted strand-ID sets
 //	corpus-markers      markersLen x u32
 //	corpus-calls        callsLen x u32
 //	corpus-occurrences  totalOccs x 12 B      image by image: path, corpus-wide executable ID
 //
-// A shard stores no inverted index: each procedure's strand set is
-// stored once, in corpus-ids, and the index a search scans is derived
-// from those sets (ProcSets) the first time the shard is searched.
+// Each distinct strand set is stored once per shard: the same library
+// code ships in executable after executable, so procedures repeat their
+// sets, and a procedure record names its set by number. Sets are
+// numbered in order of first appearance. A shard stores no inverted
+// index either: the index a search scans is derived from the sets
+// (ProcSets) the first time the shard is searched.
 
 // CorpusFormatVersion is the shard layout version — the only one this
 // package writes or opens. Versions 1 to 5 were earlier layouts (a
@@ -66,9 +72,11 @@ import (
 // would answer wrongly. Version 7 was this layout plus two sections
 // holding the inverted index (corpus-index-rows and corpus-index-posts),
 // each posting a second copy of one procedure's membership in
-// corpus-ids. A file carrying any other version fails to open with a
-// pointer to re-sealing.
-const CorpusFormatVersion = 8
+// corpus-ids. Version 8 was this layout without corpus-sets: corpus-ids
+// held every procedure's set in full, repeats included, and each
+// executable record its first ID's offset. A file carrying any other
+// version fails to open with a pointer to re-sealing.
+const CorpusFormatVersion = 9
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
@@ -85,16 +93,17 @@ const (
 	secV2Strs        = 19
 	secV2ExeTab      = 20
 	secV2ProcTab     = 21
-	secV2IDs         = 22
-	secV2Markers     = 23
-	secV2Calls       = 24
-	secV2Occs        = 25
+	secV2Sets        = 22
+	secV2IDs         = 23
+	secV2Markers     = 24
+	secV2Calls       = 25
+	secV2Occs        = 26
 )
 
 // Fixed record sizes.
 const (
-	v2ExeRecSize  = 40 // procStart u32, procCount u32, idsStart u64, markersStart u64, callsStart u64, arch u8, stripped u8, pad[6]
-	v2ProcRecSize = 40 // nameOff u32, nameLen u32, addr u32, flags u32, nIDs u32, nMarkers u32, nCalls u32, blocks u32, edges u32, insts u32
+	v2ExeRecSize  = 32 // procStart u32, procCount u32, markersStart u64, callsStart u64, arch u8, stripped u8, pad[6]
+	v2ProcRecSize = 40 // nameOff u32, nameLen u32, addr u32, flags u32, set u32, nMarkers u32, nCalls u32, blocks u32, edges u32, insts u32
 	v2OccRecSize  = 12 // pathOff u32, pathLen u32, exeRef u32
 )
 
@@ -118,6 +127,8 @@ func v2SectionName(tag uint32) string {
 		return "corpus-exe-table"
 	case secV2ProcTab:
 		return "corpus-proc-table"
+	case secV2Sets:
+		return "corpus-sets"
 	case secV2IDs:
 		return "corpus-ids"
 	case secV2Markers:
@@ -201,11 +212,11 @@ func EncodeVocab(vocab []uint64, order []uint32) (*Vocab, error) {
 // hdr.ExeBase+len(c.Exes)). The model is validated first so a successful
 // encode always produces a shard OpenCorpusShardBytes accepts.
 //
-// The encode is two passes. The first counts the slabs and builds the
-// two variable-width sections, the string blob and the meta section; the
-// second writes every fixed-width section in place into the one output
-// buffer, sized exactly, so the encoder allocates little beyond the
-// shard it returns.
+// The encode is two passes. The first counts the slabs, numbers the
+// distinct strand sets and builds the two variable-width sections, the
+// string blob and the meta section; the second writes every fixed-width
+// section in place into the one output buffer, sized exactly, so the
+// encoder allocates little beyond the shard it returns.
 func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ShardCount < 1 || hdr.ShardIndex < 0 || hdr.ShardIndex >= hdr.ShardCount {
 		return nil, fmt.Errorf("snapshot: encode: shard index %d out of range for %d shards", hdr.ShardIndex, hdr.ShardCount)
@@ -235,7 +246,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		strs = append(strs, s...)
 		return nil
 	}
-	var nProcs, nIDs, nMarkers, nCalls, nOccs uint64
+	var nProcs, nMarkers, nCalls, nOccs uint64
 	for _, e := range c.Exes {
 		if nProcs+uint64(len(e.Procs)) > math.MaxUint32 {
 			return nil, fmt.Errorf("snapshot: encode: procedure count exceeds the 32-bit table space")
@@ -248,7 +259,6 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 			if p.BlockCount > math.MaxUint32 || p.EdgeCount > math.MaxUint32 || p.InstCount > math.MaxUint32 {
 				return nil, fmt.Errorf("snapshot: encode: procedure shape count exceeds 32 bits")
 			}
-			nIDs += uint64(len(p.IDs))
 			nMarkers += uint64(len(p.Markers))
 			nCalls += uint64(len(p.Calls))
 		}
@@ -261,6 +271,11 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		}
 		nOccs += uint64(len(c.Images[ii].Occs))
 	}
+	sets, setOf, nIDs := numberSets(c.Exes, int(nProcs))
+	if nIDs > math.MaxUint32 {
+		return nil, fmt.Errorf("snapshot: encode: the distinct strand sets hold %d IDs, beyond the 32-bit offset space", nIDs)
+	}
+	nSets := uint64(len(sets))
 
 	// Meta: shard header, slab totals (the open-time structural
 	// cross-check against section lengths), per-image identity.
@@ -268,7 +283,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	for _, n := range []uint64{
 		uint64(hdr.ShardIndex), uint64(hdr.ShardCount), uint64(hdr.ImageBase), uint64(hdr.TotalImages),
 		uint64(hdr.ExeBase), uint64(hdr.TotalExes), uint64(v.n), uint64(len(strs)),
-		uint64(len(c.Exes)), nOccs, nProcs, nIDs, nMarkers, nCalls, uint64(v.crc), uint64(len(c.Images)),
+		uint64(len(c.Exes)), nOccs, nProcs, nSets, nIDs, nMarkers, nCalls, uint64(v.crc), uint64(len(c.Images)),
 	} {
 		meta = appendUvarint(meta, n)
 	}
@@ -292,7 +307,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	}
 	sizes := [v2NumSections]uint64{
 		uint64(len(meta)), uint64(len(vocabB)), uint64(len(sortedB)), uint64(len(strs)),
-		uint64(len(c.Exes)) * v2ExeRecSize, nProcs * v2ProcRecSize,
+		uint64(len(c.Exes)) * v2ExeRecSize, nProcs * v2ProcRecSize, (nSets + 1) * 4,
 		nIDs * 4, nMarkers * 4, nCalls * 4, nOccs * v2OccRecSize,
 	}
 	var offs [v2NumSections]uint64
@@ -314,19 +329,28 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	// Every fixed-width section is written in place, each record at its
 	// slot and each slab element at its cursor.
 	le := binary.LittleEndian
+	setsB, idsB := sec(secV2Sets), sec(secV2IDs)
+	var ids uint64
+	for k, set := range sets {
+		le.PutUint32(setsB[4*k:], uint32(ids))
+		for _, id := range set {
+			le.PutUint32(idsB[4*ids:], id)
+			ids++
+		}
+	}
+	le.PutUint32(setsB[4*nSets:], uint32(ids))
 	exeTab, procTab := sec(secV2ExeTab), sec(secV2ProcTab)
-	idsB, markB, callB := sec(secV2IDs), sec(secV2Markers), sec(secV2Calls)
-	var pi, ids, marks, calls uint64
+	markB, callB := sec(secV2Markers), sec(secV2Calls)
+	var pi, marks, calls uint64
 	for ei, e := range c.Exes {
 		rec := exeTab[ei*v2ExeRecSize:][:v2ExeRecSize]
 		le.PutUint32(rec[0:], uint32(pi))
 		le.PutUint32(rec[4:], uint32(len(e.Procs)))
-		le.PutUint64(rec[8:], ids)
-		le.PutUint64(rec[16:], marks)
-		le.PutUint64(rec[24:], calls)
-		rec[32] = e.Arch
+		le.PutUint64(rec[8:], marks)
+		le.PutUint64(rec[16:], calls)
+		rec[24] = e.Arch
 		if e.Stripped {
-			rec[33] = 1
+			rec[25] = 1
 		}
 		for _, p := range e.Procs {
 			var flags uint32
@@ -338,17 +362,13 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 			le.PutUint32(prec[4:], uint32(len(p.Name)))
 			le.PutUint32(prec[8:], p.Addr)
 			le.PutUint32(prec[12:], flags)
-			le.PutUint32(prec[16:], uint32(len(p.IDs)))
+			le.PutUint32(prec[16:], setOf[pi])
 			le.PutUint32(prec[20:], uint32(len(p.Markers)))
 			le.PutUint32(prec[24:], uint32(len(p.Calls)))
 			le.PutUint32(prec[28:], uint32(p.BlockCount))
 			le.PutUint32(prec[32:], uint32(p.EdgeCount))
 			le.PutUint32(prec[36:], uint32(p.InstCount))
 			pi++
-			for _, id := range p.IDs {
-				le.PutUint32(idsB[4*ids:], id)
-				ids++
-			}
 			for _, m := range p.Markers {
 				le.PutUint32(markB[4*marks:], m)
 				marks++
@@ -384,8 +404,25 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	return out, nil
 }
 
+// numberSets numbers the distinct strand sets of exes' nProcs procedures
+// in order of first appearance: it returns the sets, each procedure's set
+// number in slot order — executable by executable — and the IDs the sets
+// hold together.
+func numberSets(exes []Exe, nProcs int) (sets [][]uint32, setOf []uint32, nIDs uint64) {
+	t, setOf := setdedup.New(nProcs), make([]uint32, 0, nProcs)
+	for _, e := range exes {
+		for _, p := range e.Procs {
+			setOf = append(setOf, t.Number(p.IDs))
+		}
+	}
+	for _, set := range t.Sets() {
+		nIDs += uint64(len(set))
+	}
+	return t.Sets(), setOf, nIDs
+}
+
 // parseCorpusV2Table validates the shard header and section table:
-// magic, version, exactly the ten sections present exactly once,
+// magic, version, exactly the eleven sections present exactly once,
 // every declared range inside the input and 64-byte aligned. Checksums
 // are NOT verified here — that is per-section, on first touch.
 func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
@@ -471,7 +508,7 @@ type v2Image struct {
 // v2Totals are the slab element counts declared by the meta section and
 // cross-checked against section byte lengths at open.
 type v2Totals struct {
-	vocab, strs, exes, occs, procs, ids, markers, calls uint64
+	vocab, strs, exes, occs, procs, sets, ids, markers, calls uint64
 }
 
 // ImageInfo describes one image of an open shard without materializing
@@ -503,6 +540,7 @@ type CorpusShard struct {
 
 	vocabSlab lazySlab[[]uint64]
 	sorted    lazySlab[sortedVocab]
+	setOffsL  lazySlab[[]uint32]
 	idsSlabL  lazySlab[[]uint32]
 	markSlabL lazySlab[[]uint32]
 	callSlabL lazySlab[[]uint32]
@@ -654,7 +692,8 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 		{&t.exes, "executable count", math.MaxUint32},
 		{&t.occs, "occurrence count", math.MaxUint32},
 		{&t.procs, "procedure count", math.MaxUint32},
-		{&t.ids, "strand ID count", v2MaxSlabElems},
+		{&t.sets, "strand set count", math.MaxUint32},
+		{&t.ids, "strand ID count", math.MaxUint32},
 		{&t.markers, "marker count", v2MaxSlabElems},
 		{&t.calls, "call count", v2MaxSlabElems},
 	} {
@@ -747,6 +786,7 @@ func (s *CorpusShard) checkLengths() error {
 		{secV2Strs, t.strs},
 		{secV2ExeTab, t.exes * v2ExeRecSize},
 		{secV2ProcTab, t.procs * v2ProcRecSize},
+		{secV2Sets, (t.sets + 1) * 4},
 		{secV2IDs, t.ids * 4},
 		{secV2Markers, t.markers * 4},
 		{secV2Calls, t.calls * 4},
@@ -843,6 +883,31 @@ func (s *CorpusShard) idsSlab() ([]uint32, error) {
 	})
 }
 
+// setOffs returns the set table: nsets+1 offsets into corpus-ids,
+// checked on first use to run monotonically from 0 to the slab's length,
+// so every set is a range inside the slab.
+func (s *CorpusShard) setOffs() ([]uint32, error) {
+	return s.setOffsL.get(func() ([]uint32, error) {
+		b, err := s.section(secV2Sets)
+		if err != nil {
+			return nil, err
+		}
+		offs := castU32(b)
+		if offs[0] != 0 {
+			return nil, corrupt("corpus-sets", "set 0 starts at offset %d, not 0", offs[0])
+		}
+		for k := 1; k < len(offs); k++ {
+			if offs[k] < offs[k-1] {
+				return nil, corrupt("corpus-sets", "set %d ends at offset %d, before it starts at %d", k-1, offs[k], offs[k-1])
+			}
+		}
+		if end := uint64(offs[len(offs)-1]); end != s.totals.ids {
+			return nil, corrupt("corpus-sets", "the sets end at offset %d, the slab holds %d IDs", end, s.totals.ids)
+		}
+		return offs, nil
+	})
+}
+
 func (s *CorpusShard) markSlab() ([]uint32, error) {
 	return s.markSlabL.get(func() ([]uint32, error) {
 		b, err := s.section(secV2Markers)
@@ -864,57 +929,59 @@ func (s *CorpusShard) callSlab() ([]uint32, error) {
 }
 
 // ProcSets returns what a group derives its index from on its first
-// search: the procedure count of every distinct executable, and every
-// procedure's strand-ID set in slot order — executable by executable, in
-// table order. It walks the executable table, the procedure table and
-// corpus-ids once, with Exe's checks on the IDs (every range inside the
-// slab, IDs strictly increasing and below the vocabulary size), and
-// decodes no names; the sets alias the mapping. The executables together
-// may declare no more procedures than the procedure table holds, nor
-// their sets more IDs than the slab, so the index built over them is
-// bounded by the shard's bytes.
-func (s *CorpusShard) ProcSets() (procCounts []int32, sets [][]uint32, err error) {
+// search: the procedure count of every distinct executable, the shard's
+// distinct strand sets, and the number of the set each procedure holds,
+// in slot order — executable by executable, in table order. It checks
+// every set once, as Exe does (IDs strictly increasing and below the
+// vocabulary size), and every set number against the table, and decodes
+// no names; the sets alias the mapping. The executables together may
+// declare no more procedures than the procedure table holds, so the index
+// built over them is bounded by the shard's bytes.
+func (s *CorpusShard) ProcSets() (procCounts []int32, sets [][]uint32, setOf []uint32, err error) {
 	exeTab, err := s.section(secV2ExeTab)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	procTab, err := s.section(secV2ProcTab)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	offs, err := s.setOffs()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	ids, err := s.idsSlab()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	le := binary.LittleEndian
+	sets = make([][]uint32, s.totals.sets)
+	for k := range sets {
+		if sets[k], err = s.checkSet(ids[offs[k]:offs[k+1]:offs[k+1]], k); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	procCounts = make([]int32, s.totals.exes)
-	sets = make([][]uint32, 0, s.totals.procs)
-	maxProcs, nIDs := min(s.totals.procs, math.MaxInt32), uint64(0)
+	setOf = make([]uint32, 0, s.totals.procs)
+	maxProcs := min(s.totals.procs, math.MaxInt32)
 	for gi := range procCounts {
 		rec := exeTab[gi*v2ExeRecSize:][:v2ExeRecSize]
 		procStart, procCount, err := s.procRange(gi, rec)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		if uint64(len(sets))+uint64(procCount) > maxProcs {
-			return nil, nil, corrupt("corpus-exe-table", "executables up to %d declare %d procedures, the table holds %d", gi, uint64(len(sets))+uint64(procCount), maxProcs)
+		if uint64(len(setOf))+uint64(procCount) > maxProcs {
+			return nil, nil, nil, corrupt("corpus-exe-table", "executables up to %d declare %d procedures, the table holds %d", gi, uint64(len(setOf))+uint64(procCount), maxProcs)
 		}
-		idOff := le.Uint64(rec[8:])
-		for pi := range int(procCount) {
-			nid := le.Uint32(procTab[(int(procStart)+pi)*v2ProcRecSize+16:])
-			set, err := s.procIDs(ids, idOff, nid, int(procStart)+pi)
+		for pi := int(procStart); pi < int(procStart+procCount); pi++ {
+			k, err := s.setNumber(procTab, pi)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			if nIDs += uint64(nid); nIDs > uint64(len(ids)) {
-				return nil, nil, corrupt("corpus-ids", "procedures up to %d declare %d strand IDs, the slab holds %d", int(procStart)+pi, nIDs, len(ids))
-			}
-			sets = append(sets, set)
-			idOff += uint64(nid)
+			setOf = append(setOf, k)
 		}
 		procCounts[gi] = int32(procCount)
 	}
-	return procCounts, sets, nil
+	return procCounts, sets, setOf, nil
 }
 
 // procRange returns the procedure range the record of executable gi
@@ -927,19 +994,25 @@ func (s *CorpusShard) procRange(gi int, rec []byte) (start, count uint32, err er
 	return start, count, nil
 }
 
-// procIDs returns procedure proc's n strand IDs from ids at off, checked:
-// inside the slab, strictly increasing, below the vocabulary size.
-func (s *CorpusShard) procIDs(ids []uint32, off uint64, n uint32, proc int) ([]uint32, error) {
-	if off+uint64(n) > uint64(len(ids)) {
-		return nil, corrupt("corpus-ids", "procedure %d strand IDs [%d, %d+%d) exceed the %d-entry slab", proc, off, off, n, len(ids))
+// setNumber returns the number of procedure proc's strand set, checked
+// against the set table.
+func (s *CorpusShard) setNumber(procTab []byte, proc int) (uint32, error) {
+	k := binary.LittleEndian.Uint32(procTab[proc*v2ProcRecSize+16:])
+	if uint64(k) >= s.totals.sets {
+		return 0, corrupt("corpus-proc-table", "procedure %d holds strand set %d of %d", proc, k, s.totals.sets)
 	}
-	set := ids[off : off+uint64(n) : off+uint64(n)]
-	for k, id := range set {
-		if k > 0 && id <= set[k-1] {
-			return nil, corrupt("corpus-ids", "procedure %d strand IDs not strictly increasing at element %d", proc, k)
+	return k, nil
+}
+
+// checkSet returns set k, checked: strictly increasing, below the
+// vocabulary size.
+func (s *CorpusShard) checkSet(set []uint32, k int) ([]uint32, error) {
+	for i, id := range set {
+		if i > 0 && id <= set[i-1] {
+			return nil, corrupt("corpus-ids", "strand set %d not strictly increasing at element %d", k, i)
 		}
 		if uint64(id) >= s.totals.vocab {
-			return nil, corrupt("corpus-ids", "procedure %d references strand ID %d outside the %d-entry vocabulary", proc, id, s.totals.vocab)
+			return nil, corrupt("corpus-ids", "strand set %d references strand ID %d outside the %d-entry vocabulary", k, id, s.totals.vocab)
 		}
 	}
 	return set, nil
@@ -986,7 +1059,9 @@ func (s *CorpusShard) Occurrences(img int) ([]Occurrence, error) {
 }
 
 // Exe decodes distinct executable gi. The returned IDs, Markers and Calls
-// slices alias the mapped slabs; the names are copied. Strand IDs are
+// slices alias the mapped slabs — procedures holding one strand set, in
+// this executable or another of the shard, alias one range of
+// corpus-ids — and the names are copied. Strand IDs are
 // validated (strictly increasing, inside the vocabulary) and call targets
 // are validated against the executable, so consumers can rely on the
 // invariants the encoder enforces.
@@ -1003,6 +1078,10 @@ func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 		return nil, err
 	}
 	strs, err := s.section(secV2Strs)
+	if err != nil {
+		return nil, err
+	}
+	offs, err := s.setOffs()
 	if err != nil {
 		return nil, err
 	}
@@ -1025,13 +1104,13 @@ func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 	if err != nil {
 		return nil, err
 	}
-	idOff, mOff, cOff := le.Uint64(rec[8:]), le.Uint64(rec[16:]), le.Uint64(rec[24:])
-	if rec[33] > 1 {
-		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[33])
+	mOff, cOff := le.Uint64(rec[8:]), le.Uint64(rec[16:])
+	if rec[25] > 1 {
+		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[25])
 	}
 	ed := &Exe{
-		Arch:     rec[32],
-		Stripped: rec[33] == 1,
+		Arch:     rec[24],
+		Stripped: rec[25] == 1,
 		Procs:    make([]Proc, procCount),
 	}
 	for pi := range ed.Procs {
@@ -1048,10 +1127,14 @@ func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 			return nil, corrupt("corpus-proc-table", "procedure %d has unknown flag bits %#x", int(procStart)+pi, flags)
 		}
 		p.Exported = flags&1 != 0
-		nid, nmark, ncall := le.Uint32(prec[16:]), le.Uint32(prec[20:]), le.Uint32(prec[24:])
-		if p.IDs, err = s.procIDs(ids, idOff, nid, int(procStart)+pi); err != nil {
+		k, err := s.setNumber(procTab, int(procStart)+pi)
+		if err != nil {
 			return nil, err
 		}
+		if p.IDs, err = s.checkSet(ids[offs[k]:offs[k+1]:offs[k+1]], int(k)); err != nil {
+			return nil, err
+		}
+		nmark, ncall := le.Uint32(prec[20:]), le.Uint32(prec[24:])
 		if mOff+uint64(nmark) > uint64(len(marks)) {
 			return nil, corrupt("corpus-markers", "procedure %d markers [%d, %d+%d) exceed the %d-entry slab", int(procStart)+pi, mOff, mOff, nmark, len(marks))
 		}
@@ -1068,7 +1151,6 @@ func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 		p.BlockCount = int(le.Uint32(prec[28:]))
 		p.EdgeCount = int(le.Uint32(prec[32:]))
 		p.InstCount = int(le.Uint32(prec[36:]))
-		idOff += uint64(nid)
 		mOff += uint64(nmark)
 		cOff += uint64(ncall)
 	}

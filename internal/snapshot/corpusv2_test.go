@@ -89,7 +89,7 @@ func touchShard(s *CorpusShard) error {
 			return err
 		}
 	}
-	if _, _, err := s.ProcSets(); err != nil {
+	if _, _, _, err := s.ProcSets(); err != nil {
 		return err
 	}
 	for e := 0; e < s.NumExes(); e++ {
@@ -205,6 +205,18 @@ var occurrenceFaults = []string{"ref-out-of-range", "path-out-of-range", "count-
 // executable's sets: materializing it, and deriving the shard's index.
 var idsFaults = []string{"id-outside-vocabulary"}
 
+// setFaults names the ways faultyShard damages testCorpus's set table —
+// its sets {0,2,4}, {1,3} and {2}, at offsets 0, 3, 5 and 6 — and the
+// section each fault is blamed on. Each passes the opener: the set table
+// is read, and checked, on first touch.
+var setFaults = []struct{ name, section string }{
+	{"set-number-out-of-range", "corpus-proc-table"},
+	{"set-offsets-decrease", "corpus-sets"},
+	{"set-offsets-not-from-zero", "corpus-sets"},
+	{"set-offsets-short-of-slab", "corpus-sets"},
+	{"set-not-increasing", "corpus-ids"},
+}
+
 // faultyShard encodes testCorpus as one shard and applies the named fault
 // behind valid checksums.
 func faultyShard(t testing.TB, fault string) []byte {
@@ -224,6 +236,18 @@ func faultyShard(t testing.TB, fault string) []byte {
 		// The last ID is executable 1's, the largest of its one procedure:
 		// rewritten as the vocabulary size, the set still increases.
 		patchSection(t, blob, secV2IDs, func(b []byte) { le.PutUint32(b[len(b)-4:], uint32(len(vocab))) })
+	case "set-number-out-of-range":
+		// Executable 1's one procedure, the last record, names set 3 of 3.
+		patchSection(t, blob, secV2ProcTab, func(b []byte) { le.PutUint32(b[len(b)-v2ProcRecSize+16:], 3) })
+	case "set-offsets-decrease":
+		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[4:], 6) })
+	case "set-offsets-not-from-zero":
+		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[0:], 1) })
+	case "set-offsets-short-of-slab":
+		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[len(b)-4:], 5) })
+	case "set-not-increasing":
+		// Set 1, {1,3}, becomes {1,1}.
+		patchSection(t, blob, secV2IDs, func(b []byte) { le.PutUint32(b[16:], 1) })
 	default:
 		t.Fatalf("unknown shard fault %q", fault)
 	}
@@ -256,20 +280,79 @@ func TestCorpusShardRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || !slices.Equal(vocab, m.vocab) {
 			t.Errorf("model %d: round trip mismatch:\n got %+v %x\nwant %+v %x", mi, got, vocab, want, m.vocab)
 		}
-		counts, sets, err := s.ProcSets()
+		counts, sets, setOf, err := s.ProcSets()
 		if err != nil {
 			t.Fatalf("model %d: %v", mi, err)
 		}
+		// The sets are the model's distinct ones in order of first
+		// appearance, and each slot names its own.
 		var wantCounts []int32
-		var wantSets [][]uint32
+		var wantSets, slotSets [][]uint32
 		for _, e := range want.Exes {
 			wantCounts = append(wantCounts, int32(len(e.Procs)))
 			for _, p := range e.Procs {
-				wantSets = append(wantSets, p.IDs)
+				if !slices.ContainsFunc(wantSets, func(ids []uint32) bool { return slices.Equal(ids, p.IDs) }) {
+					wantSets = append(wantSets, p.IDs)
+				}
+				slotSets = append(slotSets, p.IDs)
 			}
 		}
-		if !slices.Equal(counts, wantCounts) || !slices.EqualFunc(sets, wantSets, slices.Equal) {
-			t.Errorf("model %d: ProcSets %v %v, want %v %v", mi, counts, sets, wantCounts, wantSets)
+		if !slices.Equal(counts, wantCounts) || !slices.EqualFunc(sets, wantSets, slices.Equal) || len(setOf) != len(slotSets) {
+			t.Fatalf("model %d: ProcSets %v %v %v, want %v %v", mi, counts, sets, setOf, wantCounts, wantSets)
+		}
+		for slot, k := range setOf {
+			if !slices.Equal(sets[k], slotSets[slot]) {
+				t.Errorf("model %d: slot %d names set %d %v, holds %v", mi, slot, k, sets[k], slotSets[slot])
+			}
+		}
+	}
+}
+
+// TestCorpusShardSetsStoredOnce: a model whose procedures repeat strand
+// sets, within an executable and across executables, stores each distinct
+// set once — the set table holds one entry per set, and corpus-ids the
+// distinct sets' IDs alone — and decodes procedures sharing a set to IDs
+// aliasing one range of the slab.
+func TestCorpusShardSetsStoredOnce(t *testing.T) {
+	c, vocab := testCorpus()
+	// Executable 0's two procedures both hold {1,3}; executable 1's holds
+	// executable 0's first set, {0,2,4}.
+	c.Exes[0].Procs[1].IDs = []uint32{0, 2, 4}
+	c.Exes[0].Procs = append(c.Exes[0].Procs, Proc{Name: "sub_400300", Addr: 0x400300, IDs: []uint32{1, 3}, BlockCount: 1, InstCount: 4})
+	c.Exes[0].Procs[0].IDs = []uint32{1, 3}
+	c.Exes[1].Procs[0].IDs = []uint32{0, 2, 4}
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, vocab, soleShard(c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := shardToCorpus(t, s); !reflect.DeepEqual(got, c) {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, c)
+	}
+	if s.totals.sets != 2 || s.totals.ids != 5 {
+		t.Errorf("the shard stores %d sets of %d IDs in all, want 2 of 5", s.totals.sets, s.totals.ids)
+	}
+	_, sets, setOf, err := s.ProcSets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]uint32{{1, 3}, {0, 2, 4}}; !slices.EqualFunc(sets, want, slices.Equal) || !slices.Equal(setOf, []uint32{0, 1, 0, 1}) {
+		t.Errorf("ProcSets: sets %v numbered %v, want %v numbered [0 1 0 1]", sets, setOf, want)
+	}
+	e0, err := s.Exe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := s.Exe(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2][]uint32{
+		{e0.Procs[0].IDs, e0.Procs[2].IDs}, // within executable 0
+		{e0.Procs[1].IDs, e1.Procs[0].IDs}, // across executables
+		{e1.Procs[0].IDs, sets[1]},         // materialized and indexed
+	} {
+		if &pair[0][0] != &pair[1][0] || len(pair[0]) != len(pair[1]) {
+			t.Errorf("procedures sharing set %v decode to separate memory", pair[0])
 		}
 	}
 }
@@ -475,14 +558,19 @@ func TestEncodeShardAllocBudget(t *testing.T) {
 		}
 	}
 	// Executables of one family share their procedure names, as the
-	// versions of a package do; every one ships in one of 16 images.
+	// versions of a package do, and a third of their strand sets, as
+	// unchanged library code does; every one ships in one of 16 images.
 	c.Images = make([]CorpusImage, 16)
 	for ei := range 400 {
 		e := Exe{Arch: uint8(ei % 4)}
 		for pi := range 40 {
 			p := Proc{Name: fmt.Sprintf("proc_%d_%d", ei%10, pi), Addr: uint32(pi * 64), BlockCount: 4, EdgeCount: 5, InstCount: 30}
-			for id := rng.Intn(64); id < len(vocab) && len(p.IDs) < 60; id += 1 + rng.Intn(1<<10) {
-				p.IDs = append(p.IDs, uint32(id))
+			if ei >= 10 && pi%3 == 0 {
+				p.IDs = c.Exes[ei-10].Procs[pi].IDs
+			} else {
+				for id := rng.Intn(64); id < len(vocab) && len(p.IDs) < 60; id += 1 + rng.Intn(1<<10) {
+					p.IDs = append(p.IDs, uint32(id))
+				}
 			}
 			p.Markers = []uint32{rng.Uint32(), rng.Uint32()}
 			p.Calls = []uint32{uint32((pi + 1) % 40)}

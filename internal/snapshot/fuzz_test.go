@@ -31,11 +31,14 @@ func FuzzShardOpen(f *testing.F) {
 	} {
 		f.Add(mustEncodeShard(f, tc, tvocab, hdr))
 	}
-	// One shard per occurrence-table and strand-set fault and one recording a
+	// One shard per occurrence-table, strand-set and set-table fault and one recording a
 	// vocabulary checksum its own section does not carry, so mutations
 	// also start from damage behind valid checksums.
 	for _, fault := range append(occurrenceFaults, idsFaults...) {
 		f.Add(faultyShard(f, fault))
+	}
+	for _, fault := range setFaults {
+		f.Add(faultyShard(f, fault.name))
 	}
 	lie := mustEncodeShard(f, tc, tvocab, soleShard(tc))
 	vocabChecksumLie(f, lie)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,8 +29,8 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 
 // faultSections are the sections the fault matrix damages one by one,
 // under the short names its cases carry: the eagerly decoded skeleton,
-// the vocabulary, a fixed-record table and the index's slab — the
-// strand sets a search derives the shard's index from.
+// the vocabulary, a fixed-record table, and the set table and slab
+// holding the strand sets a search derives the shard's index from.
 var faultSections = []struct {
 	name string
 	tag  uint32
@@ -37,6 +38,7 @@ var faultSections = []struct {
 	{"meta", secV2Meta},
 	{"interner", secV2Vocab},
 	{"exes", secV2ExeTab},
+	{"sets", secV2Sets},
 	{"index", secV2IDs},
 }
 
@@ -216,7 +218,7 @@ func vocabChecksumLie(t testing.TB, blob []byte) {
 	}
 	patchSection(t, blob, secV2Meta, func(b []byte) {
 		off := 0
-		for i := 0; i < 14; i++ { // the header and total varints
+		for i := 0; i < 15; i++ { // the header and total varints
 			_, n := binary.Uvarint(b[off:])
 			off += n
 		}
@@ -229,9 +231,11 @@ func vocabChecksumLie(t testing.TB, blob []byte) {
 
 // randomExes generates structurally valid executables in canonical form
 // (nil for empty slices, sorted ID runs below vocab) for codec
-// round-trips.
+// round-trips. About one procedure in four repeats the strand set of an
+// earlier one, in its own executable or another.
 func randomExes(rng *rand.Rand, vocab int) []Exe {
 	var exes []Exe
+	var drawn [][]uint32
 	for ei := rng.Intn(5); ei > 0; ei-- {
 		e := Exe{Arch: uint8(rng.Intn(5)), Stripped: rng.Intn(2) == 0}
 		nprocs := rng.Intn(6)
@@ -245,6 +249,10 @@ func randomExes(rng *rand.Rand, vocab int) []Exe {
 				EdgeCount:  rng.Intn(80),
 				InstCount:  rng.Intn(500),
 			}
+			if len(drawn) > 0 && rng.Intn(4) == 0 {
+				p.IDs = slices.Clone(drawn[rng.Intn(len(drawn))])
+			}
+			drawn = append(drawn, p.IDs)
 			for k := rng.Intn(4); k > 0; k-- {
 				p.Markers = append(p.Markers, rng.Uint32())
 			}

@@ -422,7 +422,23 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	return sc.analyzeQuery(path, data, &Options{Workers: workers})
 }
 
-func (sc *SealedCorpus) analyzeQuery(path string, data []byte, opt *Options) (*Executable, error) {
+// analyzeQuery looks every strand of the query up in the frozen
+// vocabulary, which reads shard 0's mapping, on the caller's goroutine and
+// the build's workers (sim.BuildWith re-raises a worker's panic here). A
+// memory fault there — shard 0 truncated under the process — is that
+// shard's corruption, and fails the analysis with its error; any other
+// panic is not the shard's, and goes on up.
+func (sc *SealedCorpus) analyzeQuery(path string, data []byte, opt *Options) (e *Executable, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			e = nil
+			sc.groups[0].blame("corpus-vocab-sorted", r, &err)
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	sp := opt.span().Or(sc.root)
 	f, err := obj.ReadWith(data, sp)
 	if err != nil {

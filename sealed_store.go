@@ -234,7 +234,7 @@ func (sc *SealedCorpus) ensureIndex(inScope []bool) (*corpusindex.FrozenIndex, e
 }
 
 // buildIndex builds the corpus index once, under idxMu, from every
-// shard's strand sets in shard order, numbered by corpus ID. A shard whose
+// shard's set table in shard order, numbered by corpus ID. A shard whose
 // sets cannot be read contributes executables without procedures, and its
 // error. A build that panics publishes nothing, so the next search builds
 // again.
@@ -246,25 +246,26 @@ func (sc *SealedCorpus) buildIndex() *corpusIndex {
 	}
 	x := &corpusIndex{errs: make([]error, len(sc.groups))}
 	var counts []int32
-	var sets [][]uint32
+	tables := make([]corpusindex.SetTable, len(sc.groups))
 	for gi, g := range sc.groups {
-		c, s, err := g.procSets()
+		c, t, err := g.procSets()
 		if err != nil {
-			x.errs[gi], c, s = err, make([]int32, g.n), nil
+			x.errs[gi], c, t = err, make([]int32, g.n), corpusindex.SetTable{}
 		}
-		counts, sets = append(counts, c...), append(sets, s...)
+		counts, tables[gi] = append(counts, c...), t
 	}
-	x.x = corpusindex.NewFrozenIndex(sc.frozen.Size(), counts, sets)
+	x.x = corpusindex.NewFrozenIndex(sc.frozen.Size(), counts, tables)
 	sc.index.Store(x)
 	return x
 }
 
 // procSets reads the group's share of the corpus index from its shard:
-// every executable's procedure count and every procedure's strand set.
-func (g *sealedGroup) procSets() (counts []int32, sets [][]uint32, err error) {
+// every executable's procedure count and the shard's set table.
+func (g *sealedGroup) procSets() (counts []int32, t corpusindex.SetTable, err error) {
 	defer g.recoverCorrupt("corpus-index", &err)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	return g.shard.ProcSets()
+	counts, t.Sets, t.SetOf, err = g.shard.ProcSets()
+	return counts, t, err
 }
 
 // targets returns the slice a pass's games run over, indexed by corpus

@@ -227,9 +227,9 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 
 	// Exactly one shard version opens. The header carries no checksum, so
 	// patching the version word alone reaches the version check, which
-	// answers any other version — here version 7, which stored an
-	// inverted index beside the strand sets it is derived from — as
-	// corruption, pointing at re-sealing.
+	// answers any other version — here version 8, which stored every
+	// procedure's strand set in full, repeats included — as corruption,
+	// pointing at re-sealing.
 	otherDir := filepath.Join(dir, "other-version")
 	if err := os.Mkdir(otherDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -238,16 +238,16 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other[8] = 7
+	other[8] = 8
 	otherPath := filepath.Join(otherDir, filepath.Base(onePaths[0]))
 	if err := os.WriteFile(otherPath, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenCorpusShardFile of a version-7 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenCorpusShardFile of a version-8 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenSealedCorpusDir of a version-7 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenSealedCorpusDir of a version-8 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 
 	// A strand ID outside the vocabulary, in an executable the query never

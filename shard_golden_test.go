@@ -16,15 +16,16 @@ import (
 // strand extraction, interning, sealing and the shard writer — as the
 // SHA-256 of every file WriteShards(…, 3) writes for a small generated
 // corpus analysed with one worker, so dense strand IDs are assigned in
-// image order. Recorded for version 8: each distinct executable stored
-// once across the set, the vocabulary in shard 0 only, and no inverted
+// image order. Recorded for version 9: each distinct executable stored
+// once across the set, each distinct strand set once per shard (the
+// corpus-sets table), the vocabulary in shard 0 only, and no inverted
 // index (a search derives it from the stored strand sets), over the
 // content goldenContentDigest pins; a change to how the write side
 // computes its output must leave every digest untouched.
 var goldenShardDigests = []string{
-	"d2917c24f53404eaa46c32ed9e12cc1d6dec13293c8bb084132ecaf6dc8b6970",
-	"ce4b5283144c21f9ebcb7b08ddc4b0e5b0cf5aa5e3b9c42a1a613789807557f4",
-	"7e6da22f16773ad7fe6668a3d8cfc78254cdd09d6aa5f9b94dcd379a53b590c7",
+	"d4b4d97281c78b9f8893106959c29a391636fa80675d2394b7a75f745ad8da78",
+	"759643e9b20bbe7329b3229a0007bd828f2a3ec8f75d7c2aed0f55e74986dbc4",
+	"0203aeaf12c1ae0cd511e4d66cffc3f3faf44d72ed40643c1eacbcd6f4b79d33",
 }
 
 func TestWriteShardsGolden(t *testing.T) {
@@ -81,8 +82,8 @@ func TestWriteShardsGolden(t *testing.T) {
 // whatever format stores it (contentDigest). Recorded from the version-7
 // shards, when stack-frame offsets became slots and every strand hash
 // moved; the layouts of versions 4 to 6 had all held the previous
-// content unchanged, and version 8 holds this one. A change of the shard
-// layout must leave it untouched.
+// content unchanged, and versions 8 and 9 hold this one. A change of the
+// shard layout must leave it untouched.
 const goldenContentDigest = "e70ebb90240150de025ec6a45fd603b34c599cd376847960b11e52cb9e2ca1a7"
 
 // contentDigest is the SHA-256 of a sealed corpus's content, independent

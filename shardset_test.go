@@ -21,15 +21,15 @@ import (
 const (
 	// FWCORP section tags (internal/snapshot/corpusv2.go).
 	tagMeta = 16
-	tagIDs  = 22
-	tagOccs = 25
+	tagIDs  = 23
+	tagOccs = 26
 	// Positions of meta varints: shard index, shard count, image base,
-	// total images, executable base, total executables, eight slab totals
+	// total images, executable base, total executables, nine slab totals
 	// (the first the vocabulary size), then the vocabulary checksum.
 	metaExeBase   = 4
 	metaTotalExes = 5
 	metaVocab     = 6
-	metaVocabCRC  = 14
+	metaVocabCRC  = 15
 )
 
 // patchShardSection rewrites one section of a shard in place and
@@ -92,11 +92,11 @@ func totalExes(t testing.TB, blob []byte) uint32 {
 }
 
 // idOutsideVocab rewrites the last strand ID a shard stores — the
-// largest of the last procedure with strands, of its last executable with
-// any — as the vocabulary size: still strictly increasing, but outside
-// the vocabulary. No opener reads corpus-ids, and a search reads it
-// whole only to derive the shard's index, on its first search; otherwise
-// only materializing that executable would tell.
+// largest of its last distinct strand set that holds any — as the
+// vocabulary size: still strictly increasing, but outside the vocabulary.
+// No opener reads corpus-ids, and a search reads it whole only to derive
+// the shard's index, on its first search; otherwise only materializing an
+// executable holding that set would tell.
 func idOutsideVocab(t testing.TB, blob []byte) {
 	t.Helper()
 	var vocab uint64
