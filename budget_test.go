@@ -222,7 +222,7 @@ func testTruncatedShard(t *testing.T, warm bool, opt *firmup.Options) {
 	}
 	for range 2 {
 		_, err := sharded.SearchAll(q, proc, opt)
-		if msg := fmt.Sprint(err); !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, "panicked") || !strings.Contains(msg, name) {
+		if msg := fmt.Sprint(err); !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, "memory fault") || !strings.Contains(msg, name) {
 			t.Errorf("corpus-wide search over the truncated shard: err %v, want the recovered fault of %s", err, name)
 		}
 	}
@@ -249,11 +249,11 @@ func testTruncatedShard(t *testing.T, warm bool, opt *firmup.Options) {
 }
 
 // A shard truncated under the process after a search has materialized
-// its candidates fails a search of one of its images with an error
-// naming the panic and the shard, on one worker and on several, and the
-// search returns every worker token it was lent; a search of an image
-// stored outside that shard still answers. The damaged shard holds
-// candidates of the query.
+// its candidates fails a search of an image that ships one of them with
+// an error naming the memory fault and the shard, on one worker and on
+// several, and the search returns every worker token it was lent; a
+// search of an image stored outside that shard still answers. The
+// damaged shard holds candidates of the query.
 func TestSearchPanickingShard(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -272,20 +272,24 @@ func TestSearchPanickingShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := slices.IndexFunc(sharded.Images(), func(im *firmup.SealedImage) bool {
-				return slices.Contains(firmup.ImageShards(im), d)
+				shards, err := firmup.CandidateShards(sharded, q, proc, im)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return slices.Contains(shards, d)
 			})
 			out := slices.IndexFunc(sharded.Images(), func(im *firmup.SealedImage) bool {
 				return !slices.Contains(firmup.ImageShards(im), d)
 			})
 			if in < 0 || out < 0 {
-				t.Fatalf("images with an executable in shard %d: first %d; without: first %d", d, in, out)
+				t.Fatalf("images with a candidate in shard %d: first %d; with no executable there: first %d", d, in, out)
 			}
 			if err := os.Truncate(paths[d], 64); err != nil {
 				t.Fatal(err)
 			}
 			_, err = sharded.SearchImageDetailed(q, proc, sharded.Images()[in], opt)
-			if msg := fmt.Sprint(err); !strings.Contains(msg, "panicked") || !strings.Contains(msg, name) {
-				t.Errorf("search of image %d, stored in the truncated shard: err %v, want a panic naming %s", in, err, name)
+			if msg := fmt.Sprint(err); !strings.Contains(msg, "memory fault") || !strings.Contains(msg, name) {
+				t.Errorf("search of image %d, stored in the truncated shard: err %v, want a memory fault naming %s", in, err, name)
 			}
 			if _, err := sharded.SearchImageDetailed(q, proc, sharded.Images()[out], opt); err != nil {
 				t.Errorf("search of image %d, stored outside the truncated shard: %v", out, err)
@@ -343,7 +347,7 @@ func TestWriteShardsTruncatedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := sharded.WriteShards(t.TempDir(), 2)
-	if msg := fmt.Sprint(err); !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, "panicked") || !strings.Contains(msg, name) {
+	if msg := fmt.Sprint(err); !errors.Is(err, firmup.ErrCorpusCorrupt) || !strings.Contains(msg, "memory fault") || !strings.Contains(msg, name) {
 		t.Errorf("WriteShards over the truncated shard: err %v, want the recovered fault of %s", err, name)
 	}
 	for i, sh := range sharded.Shards() {
@@ -369,7 +373,7 @@ func candidateShard(t *testing.T, dir string, qb []byte, proc string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := firmup.CandidateShards(sc, q, proc)
+	shards, err := firmup.CandidateShards(sc, q, proc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

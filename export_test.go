@@ -5,6 +5,7 @@ import (
 
 	"firmup/internal/corpusindex"
 	"firmup/internal/sim"
+	"firmup/internal/snapshot"
 )
 
 // AddVariant appends to an analysed image a copy of its executable src
@@ -87,7 +88,8 @@ func (sc *SealedCorpus) Materialized() int {
 
 // CandidateShards lists, ascending, the shards that store a candidate of
 // the query procedure: an executable a corpus-wide search of it plays.
-func CandidateShards(sc *SealedCorpus, q *Executable, proc string) ([]int, error) {
+// With im not nil, only candidates im ships count.
+func CandidateShards(sc *SealedCorpus, q *Executable, proc string, im *SealedImage) ([]int, error) {
 	cqs, err := sc.coreBatch([]BatchQuery{{Query: q, Procedure: proc}})
 	if err != nil {
 		return nil, err
@@ -105,6 +107,9 @@ func CandidateShards(sc *SealedCorpus, q *Executable, proc string) ([]int, error
 	x.Scan(cqs[0].Q.Procs[cqs[0].QI].Set, minScore, minRatio, nil, &scans)
 	var out []int
 	for _, u := range scans.Exes {
+		if im != nil && !slices.ContainsFunc(im.occs, func(oc snapshot.Occurrence) bool { return oc.Exe == u }) {
+			continue
+		}
 		out = append(out, slices.Index(sc.groups, sc.groups.group(u)))
 	}
 	slices.Sort(out)

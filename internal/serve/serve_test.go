@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"firmup"
 	"firmup/internal/corpus"
 	"firmup/internal/serve"
+	"firmup/internal/snapshot"
 	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
@@ -450,16 +452,16 @@ func TestServeFindingsFileSchema(t *testing.T) {
 	}
 }
 
-// TestServePanickingShardIs500 truncates shard 0 under a running server
-// after a first search, keeping only the pages its vocabulary lies in, so
-// that query analysis still reads the vocabulary while the next search
-// faults reading the strand sets of the executables it materialized. The
-// poisoned request must be a 500 naming the recovered panic and the
-// shard, with its trace ID; /corpus then reports shard 0 corrupt, and
-// only it, and the shard.corrupt gauge goes from 0 to 1; and the process
-// and the server carry on. That the search's
-// worker count does not matter is the facade's
-// TestTruncatedShardDegradesSearch.
+// TestServePanickingShardIs500 truncates, under a running server and
+// after a first search, the shard that stores the executables the search
+// found. The search faults reading the strand sets of the executables it
+// materialized. If that shard is shard 0, the cut keeps the pages its
+// vocabulary lies in, so query analysis still reads the vocabulary. The
+// poisoned request must be a 500 naming the memory fault and the shard,
+// with its trace ID; /corpus then reports that shard corrupt, and only
+// it, and the shard.corrupt gauge goes from 0 to 1; and the process and
+// the server carry on. That the search's worker count does not matter is
+// the facade's TestTruncatedShardDegradesSearch.
 func TestServePanickingShardIs500(t *testing.T) {
 	sc, query := buildScenario(t)
 	dir := t.TempDir()
@@ -480,59 +482,122 @@ func TestServePanickingShardIs500(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if resp, blob := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query); resp.StatusCode != http.StatusOK {
+	resp, blob := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d before the damage: %s", resp.StatusCode, blob)
 	}
 	if n := reg.Snapshot().Gauges["shard.corrupt"]; n != 0 {
 		t.Errorf("shard.corrupt = %d before the damage, want 0", n)
 	}
-
-	// Cut shard 0 at the first page boundary past its sorted vocabulary
-	// (tag 18); its strand IDs (tag 23) must lie wholly beyond the cut.
-	file, err := os.ReadFile(paths[0])
-	if err != nil {
+	var sr serve.SearchResponse
+	if err := json.Unmarshal(blob, &sr); err != nil {
 		t.Fatal(err)
 	}
-	sections := map[uint32][2]uint64{}
-	le := binary.LittleEndian
-	for k := range int(le.Uint32(file[12:])) {
-		row := file[16+24*k:]
-		sections[le.Uint32(row)] = [2]uint64{le.Uint64(row[4:]), le.Uint64(row[12:])}
+	stored := storingShards(t, paths)
+	d := -1
+	for ii, im := range sr.Images {
+		if len(im.Findings) > 0 {
+			d = stored[ii][im.Findings[0].ExePath]
+			break
+		}
 	}
-	page := uint64(os.Getpagesize())
-	sorted, ids := sections[18], sections[23]
-	cut := (sorted[0] + sorted[1] + page - 1) / page * page
-	if ids[1] == 0 || ids[0] < cut {
-		t.Fatalf("shard 0's strand IDs [%d, +%d) start before the cut at %d", ids[0], ids[1], cut)
+	if d < 0 {
+		t.Fatal("the search before the damage found nothing")
 	}
-	if err := os.Truncate(paths[0], int64(cut)); err != nil {
+	name := fmt.Sprintf("shard-%04d.fwcorp", d)
+
+	// A shard other than 0 holds no vocabulary: cut it whole. Cut shard 0
+	// at the first page boundary past its sorted vocabulary (tag 18); its
+	// strand IDs (tag 23) must lie wholly beyond the cut.
+	cut := uint64(64)
+	if d == 0 {
+		file, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections := map[uint32][2]uint64{}
+		le := binary.LittleEndian
+		for k := range int(le.Uint32(file[12:])) {
+			row := file[16+24*k:]
+			sections[le.Uint32(row)] = [2]uint64{le.Uint64(row[4:]), le.Uint64(row[12:])}
+		}
+		page := uint64(os.Getpagesize())
+		sorted, ids := sections[18], sections[23]
+		cut = (sorted[0] + sorted[1] + page - 1) / page * page
+		if ids[1] == 0 || ids[0] < cut {
+			t.Fatalf("shard 0's strand IDs [%d, +%d) start before the cut at %d", ids[0], ids[1], cut)
+		}
+	}
+	if err := os.Truncate(paths[d], int64(cut)); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, blob := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
+	resp, blob = postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob", query)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d after the damage, want 500: %s", resp.StatusCode, blob)
 	}
-	if !bytes.Contains(blob, []byte("panicked")) || !bytes.Contains(blob, []byte("shard-0000.fwcorp")) {
-		t.Errorf("error does not name the panic and the shard: %s", blob)
+	if !bytes.Contains(blob, []byte("memory fault")) || !bytes.Contains(blob, []byte(name)) {
+		t.Errorf("error does not name the memory fault and %s: %s", name, blob)
 	}
 	if resp.Header.Get(serve.TraceHeader) == "" {
 		t.Error("500 carries no trace ID")
 	}
 	info := getCorpus(t, ts.URL)
-	if len(info.Shards) != 2 || !strings.Contains(info.Shards[0].Corrupt, "shard-0000.fwcorp") || info.Shards[1].Corrupt != "" {
-		t.Errorf("/corpus after the damage reports shards %+v, want shard 0 alone corrupt", info.Shards)
+	if len(info.Shards) != 2 || !strings.Contains(info.Shards[d].Corrupt, name) || info.Shards[1-d].Corrupt != "" {
+		t.Errorf("/corpus after the damage reports shards %+v, want shard %d alone corrupt", info.Shards, d)
 	}
 	if n := reg.Snapshot().Gauges["shard.corrupt"]; n != 1 {
 		t.Errorf("shard.corrupt = %d after the damage, want 1", n)
 	}
 	// Still serving: a per-image search passes over only the shards that
-	// store the image's executables, and the last image's are all in the
-	// undamaged one.
-	last := len(sharded.Images()) - 1
-	if resp, blob := postSearch(t, fmt.Sprintf("%s/search?proc=ftp_retrieve_glob&image=%d", ts.URL, last), query); resp.StatusCode != http.StatusOK {
-		t.Errorf("status %d for an image of the undamaged shard: %s", resp.StatusCode, blob)
+	// store the image's executables.
+	undamaged := slices.IndexFunc(stored, func(exes map[string]int) bool {
+		for _, si := range exes {
+			if si == d {
+				return false
+			}
+		}
+		return true
+	})
+	if undamaged < 0 {
+		t.Fatalf("every image has an executable in shard %d", d)
 	}
+	if resp, blob := postSearch(t, fmt.Sprintf("%s/search?proc=ftp_retrieve_glob&image=%d", ts.URL, undamaged), query); resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d for image %d, stored outside the damaged shard: %s", resp.StatusCode, undamaged, blob)
+	}
+}
+
+// storingShards reads the shard set written to paths and returns, by
+// image in corpus order, the shard storing each of the image's
+// executables, keyed by the path it ships under.
+func storingShards(t *testing.T, paths []string) []map[string]int {
+	t.Helper()
+	var shards []*snapshot.CorpusShard
+	for _, p := range paths {
+		s, err := snapshot.OpenCorpusShardFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		shards = append(shards, s)
+	}
+	var out []map[string]int
+	for _, s := range shards {
+		for li := range s.NumImages() {
+			occs, err := s.Occurrences(li)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exes := map[string]int{}
+			for _, oc := range occs {
+				exes[oc.Path] = slices.IndexFunc(shards, func(st *snapshot.CorpusShard) bool {
+					return oc.Exe >= st.Header().ExeBase && oc.Exe < st.Header().ExeBase+st.NumExes()
+				})
+			}
+			out = append(out, exes)
+		}
+	}
+	return out
 }
 
 // TestServeTruncatedVocabularyIs500: with shard 0 truncated whole under a

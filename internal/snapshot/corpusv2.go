@@ -809,6 +809,13 @@ func (s *CorpusShard) NumImages() int { return len(s.images) }
 // shard: corpus-wide IDs [Header().ExeBase, Header().ExeBase+NumExes()).
 func (s *CorpusShard) NumExes() int { return int(s.totals.exes) }
 
+// StoredCounts returns how many procedures, distinct strand sets and
+// strand IDs the shard stores, as its meta section declares them and the
+// open checked against the section lengths: no section is read.
+func (s *CorpusShard) StoredCounts() (procs, sets, ids int) {
+	return int(s.totals.procs), int(s.totals.sets), int(s.totals.ids)
+}
+
 // holdsVocab reports whether the shard stores the vocabulary sections:
 // shard 0 does, every other shard records only their checksum.
 func (s *CorpusShard) holdsVocab() bool { return s.hdr.ShardIndex == 0 }

@@ -222,7 +222,10 @@ func (sc *SealedCorpus) coreBatch(queries []BatchQuery) ([]core.BatchQuery, erro
 }
 
 // exeStore is a corpus's distinct executables, numbered from 0 and split
-// into groups: contiguous ID ranges in ID order.
+// into groups: contiguous ID ranges in ID order, one per shard. Seal
+// numbers executables in first-sight order; WriteShards renumbers them
+// shard by shard, after cutting them into shards by package, so a
+// reopened corpus's ranges are still contiguous.
 type exeStore []*sealedGroup
 
 // size is the distinct executable count.
@@ -317,10 +320,12 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 
 // Seal freezes the session's current state into an immutable corpus
 // over the given images: the corpus that searches them. Their distinct
-// executables are encoded, with the frozen vocabulary, as the one shard
-// of a 1-shard corpus, held in memory and read like a shard file — the
-// corpus aliases nothing of the session, and the Analyzer and its images
-// stay fully usable afterwards. The corpus lends the session's worker
+// executables are numbered in first-sight order and encoded, with the
+// frozen vocabulary, as the one shard of a 1-shard corpus, held in memory
+// and read like a shard file — the corpus aliases nothing of the session,
+// and the Analyzer and its images stay fully usable afterwards.
+// WriteShards keeps that numbering for one shard and renumbers for more,
+// where it cuts the executables into shards by package. The corpus lends the session's worker
 // tokens, and is indexed on its first search, not here.
 //
 // Every image must have been analyzed (or loaded) under this session;

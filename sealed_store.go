@@ -1,14 +1,17 @@
 package firmup
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"firmup/internal/corpusindex"
@@ -51,15 +54,21 @@ type lazyExe struct {
 // reporting (firmupd /corpus). Executables counts the occurrences of the
 // shard's images, UniqueExecutables the distinct executables the shard
 // stores: its range of the corpus's, which any shard's images may name.
-// Corrupt is the first corruption a read of the shard returned — while
-// deriving its index, materializing an executable, or as a fault
-// recovered in a search — and empty while none has.
+// Procedures counts those executables' procedures, StrandSets the
+// distinct strand sets the shard stores for them and StrandIDs the IDs
+// those sets hold: across shards, the skew of the cut. Corrupt is the
+// first corruption a read of the shard returned — while deriving its
+// index, materializing an executable, or as a fault recovered in a
+// search — and empty while none has.
 type SealedShard struct {
 	Index             int    `json:"index"`
 	Path              string `json:"path"`
 	Images            int    `json:"images"`
 	Executables       int    `json:"executables"`
 	UniqueExecutables int    `json:"unique_executables"`
+	Procedures        int    `json:"procedures"`
+	StrandSets        int    `json:"strand_sets"`
+	StrandIDs         int    `json:"strand_ids"`
 	SizeBytes         int64  `json:"size_bytes"`
 	Mapped            bool   `json:"mapped"`
 	Corrupt           string `json:"corrupt,omitempty"`
@@ -83,12 +92,16 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 		if p := g.corrupt.Load(); p != nil {
 			corrupt = *p
 		}
+		procs, sets, ids := g.shard.StoredCounts()
 		out = append(out, SealedShard{
 			Index:             i,
 			Path:              g.path,
 			Images:            g.shard.NumImages(),
 			Executables:       occs,
 			UniqueExecutables: g.n,
+			Procedures:        procs,
+			StrandSets:        sets,
+			StrandIDs:         ids,
 			SizeBytes:         g.shard.SizeBytes(),
 			Mapped:            g.shard.Mapped(),
 			Corrupt:           corrupt,
@@ -147,10 +160,14 @@ func (g *sealedGroup) recoverCorrupt(section string, err *error) {
 // fault of a file truncated under its mapping, or code tripped by damaged
 // bytes — in *err as the shard's corruption, so the caller, and every
 // later one of a once-only read, gets an error naming the shard, not a
-// nil result or a dead process. The first corruption the group's reads
-// return is kept for Shards.
+// nil result or a dead process. A memory fault (a recovered value with
+// an address) is named as one: the runtime's own text for it reads as a
+// nil dereference. The first corruption the group's reads return is kept
+// for Shards.
 func (g *sealedGroup) blame(section string, r any, err *error) {
-	if r != nil {
+	if f, ok := r.(interface{ Addr() uintptr }); ok {
+		*err = &snapshot.CorruptError{Section: section, Reason: fmt.Sprintf("%s: memory fault at %#x reading the shard's mapping: the file shrank or changed under the process", g.path, f.Addr())}
+	} else if r != nil {
 		*err = &snapshot.CorruptError{Section: section, Reason: fmt.Sprintf("%s: panicked: %v", g.path, r)}
 	}
 	if errors.Is(*err, snapshot.ErrCorrupt) && g.corrupt.Load() == nil {
@@ -295,22 +312,25 @@ func (st exeStore) targets(played [][]bool, parent telemetry.Span) ([]*sim.Exe, 
 
 // WriteShards writes the sealed corpus as n FWCORP shard files
 // (shard-NNNN.fwcorp) under dir, returning the paths in shard order: it
-// re-splits the shards the corpus is read from. The images and,
-// separately, the distinct executables are split into n contiguous
-// ranges by one rule; shard i holds image range i and
-// executable range i, so each distinct executable is stored and searched
-// once however many shards' images ship it. Shard 0 also stores the frozen vocabulary, and every
-// shard its position and the vocabulary's checksum, so
+// re-splits the shards the corpus is read from. The images are split
+// into n contiguous ranges, shard i holding range i. The distinct
+// executables are cut by package (planShards), because a package's
+// builds share strand sets, and a shard stores each of its sets once:
+// the copies of one package on one ISA land in one shard. Corpus IDs are
+// renumbered shard by shard, so shard i stores a contiguous ID range, and
+// each distinct executable is stored and searched once however many
+// shards' images ship it. Shard 0 also stores the frozen vocabulary, and
+// every shard its position and the vocabulary's checksum, so
 // OpenSealedCorpusDir can validate the set as one coherent corpus. n may
-// exceed the image or executable count; trailing ranges are then empty
-// but still valid.
+// exceed the image or package count; trailing shards then hold no images
+// or no executables, but are still valid.
 //
 // Shards are encoded and written on workers the corpus lends; each shard's
-// bytes depend only on its own ranges, so the output is identical to a
-// sequential pass. Each shard is written to a temporary file beside its
-// target and renamed over it, so a corpus that has the directory open —
-// a running server's — keeps the shards it mapped, unchanged, until it
-// closes them.
+// bytes depend only on the plan and its image range, so the output is
+// identical to a sequential pass. Each shard is written to a temporary
+// file beside its target and renamed over it, so a corpus that has the
+// directory open — a running server's — keeps the shards it mapped,
+// unchanged, until it closes them.
 func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("firmup: WriteShards: shard count %d must be at least 1", n)
@@ -322,9 +342,13 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan, err := sc.planShards(n)
+	if err != nil {
+		return nil, err
+	}
 	paths := make([]string, n)
 	errs := make([]error, n)
-	sc.spare.fan(n, runtime.GOMAXPROCS(0), func(si int) { paths[si], errs[si] = sc.writeShard(vocab, dir, si, n) })
+	sc.spare.fan(n, runtime.GOMAXPROCS(0), func(si int) { paths[si], errs[si] = sc.writeShard(vocab, plan, dir, si, n) })
 	// First error in shard order wins, matching the sequential contract.
 	for _, err := range errs {
 		if err != nil {
@@ -332,6 +356,102 @@ func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
 		}
 	}
 	return paths, nil
+}
+
+// shardPlan is how WriteShards cuts a corpus's distinct executables into
+// shards. recs holds every stored record, by current corpus ID; order
+// lists the current IDs in their new order, shard by shard, and newID is
+// its inverse; shard si stores new IDs [base[si], base[si+1]).
+type shardPlan struct {
+	recs  []snapshot.Exe
+	order []int
+	newID []int
+	base  []int
+}
+
+// planShards reads every stored record once, blaming a fault on the
+// shard that stores it, and cuts the corpus into n shards by package.
+// The packages are placed heaviest first, ties broken by (arch, name),
+// each on the least-loaded shard, the lowest index on a tie: the LPT
+// rule, so no shard weighs more than the mean plus the heaviest package.
+// Inside a shard the executables keep their current ID order, so the
+// plan with n = 1, or over a corpus opened from shards WriteShards(…, n)
+// wrote, keeps every corpus ID.
+func (sc *SealedCorpus) planShards(n int) (*shardPlan, error) {
+	total := sc.UniqueExecutables()
+	p := &shardPlan{recs: make([]snapshot.Exe, total), order: make([]int, total), newID: make([]int, total), base: make([]int, n+1)}
+	for _, g := range sc.groups {
+		for u := range g.n {
+			e, err := g.record(u)
+			if err != nil {
+				return nil, err
+			}
+			p.recs[g.base+u] = *e
+		}
+	}
+	// A package is the distinct executables of one arch whose first path,
+	// in image order, has one basename.
+	type key struct {
+		arch uint8
+		name string
+	}
+	type pkg struct {
+		key
+		weight int // the total length of the executables' strand sets
+		exes   []int
+	}
+	seen := make([]bool, total)
+	byKey := map[key]*pkg{}
+	var pkgs []*pkg
+	for _, im := range sc.images {
+		for _, oc := range im.occs {
+			if seen[oc.Exe] {
+				continue
+			}
+			seen[oc.Exe] = true
+			rec := &p.recs[oc.Exe]
+			k := key{rec.Arch, path.Base(oc.Path)}
+			pk := byKey[k]
+			if pk == nil {
+				pk = &pkg{key: k}
+				byKey[k] = pk
+				pkgs = append(pkgs, pk)
+			}
+			pk.exes = append(pk.exes, oc.Exe)
+			for _, pr := range rec.Procs {
+				pk.weight += len(pr.IDs)
+			}
+		}
+	}
+	slices.SortFunc(pkgs, func(a, b *pkg) int {
+		return cmp.Or(cmp.Compare(b.weight, a.weight), cmp.Compare(a.arch, b.arch), strings.Compare(a.name, b.name))
+	})
+	load := make([]int, n)
+	shardOf := make([]int, total)
+	for _, pk := range pkgs {
+		si := 0
+		for i := range load {
+			if load[i] < load[si] {
+				si = i
+			}
+		}
+		load[si] += pk.weight
+		for _, u := range pk.exes {
+			shardOf[u] = si
+		}
+		p.base[si+1] += len(pk.exes)
+	}
+	for si := range n {
+		p.base[si+1] += p.base[si]
+	}
+	for u := range p.order {
+		p.order[u] = u
+	}
+	slices.SortStableFunc(p.order, func(a, b int) int { return cmp.Compare(shardOf[a], shardOf[b]) })
+	for k, u := range p.order {
+		p.newID[u] = k
+	}
+	return p, nil
 }
 
 // shardRange is range i of total items split into n contiguous ranges,
@@ -345,26 +465,24 @@ func shardRange(i, n, total int) (base, cnt int) {
 	return base, cnt
 }
 
-// writeShard encodes and writes shard si of n: its image range as
-// occurrences, which keep their corpus-wide executable IDs, and its
-// executable range, each record copied from the shard that stores it,
-// under the corpus vocabulary vocab encodes. Nothing is materialized.
-func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, dir string, si, n int) (string, error) {
-	hdr := snapshot.ShardHeader{ShardIndex: si, ShardCount: n, TotalImages: len(sc.images), TotalExes: sc.UniqueExecutables()}
-	var images, exes int
+// writeShard encodes and writes shard si of n under the corpus
+// vocabulary vocab encodes: its image range, each occurrence renumbered
+// through the plan, and the records of the executables the plan gives it.
+// Nothing is materialized.
+func (sc *SealedCorpus) writeShard(vocab *snapshot.Vocab, plan *shardPlan, dir string, si, n int) (string, error) {
+	hdr := snapshot.ShardHeader{ShardIndex: si, ShardCount: n, TotalImages: len(sc.images), ExeBase: plan.base[si], TotalExes: len(plan.recs)}
+	var images int
 	hdr.ImageBase, images = shardRange(si, n, hdr.TotalImages)
-	hdr.ExeBase, exes = shardRange(si, n, hdr.TotalExes)
-	c := &snapshot.Corpus{Exes: make([]snapshot.Exe, exes)}
-	for k := range c.Exes {
-		g := sc.groups.group(hdr.ExeBase + k)
-		e, err := g.record(hdr.ExeBase + k - g.base)
-		if err != nil {
-			return "", err
-		}
-		c.Exes[k] = *e
+	c := &snapshot.Corpus{}
+	for _, u := range plan.order[plan.base[si]:plan.base[si+1]] {
+		c.Exes = append(c.Exes, plan.recs[u])
 	}
 	for _, im := range sc.images[hdr.ImageBase : hdr.ImageBase+images] {
-		c.Images = append(c.Images, snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version, Skipped: skipsToModel(im.Skipped), Occs: im.occs})
+		occs := make([]snapshot.Occurrence, len(im.occs))
+		for k, oc := range im.occs {
+			occs[k] = snapshot.Occurrence{Path: oc.Path, Exe: plan.newID[oc.Exe]}
+		}
+		c.Images = append(c.Images, snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version, Skipped: skipsToModel(im.Skipped), Occs: occs})
 	}
 	data, err := vocab.EncodeShard(c, hdr)
 	if err != nil {

@@ -16,16 +16,18 @@ import (
 // strand extraction, interning, sealing and the shard writer — as the
 // SHA-256 of every file WriteShards(…, 3) writes for a small generated
 // corpus analysed with one worker, so dense strand IDs are assigned in
-// image order. Recorded for version 9: each distinct executable stored
-// once across the set, each distinct strand set once per shard (the
-// corpus-sets table), the vocabulary in shard 0 only, and no inverted
-// index (a search derives it from the stored strand sets), over the
-// content goldenContentDigest pins; a change to how the write side
-// computes its output must leave every digest untouched.
+// image order. Recorded for version 9 with the executables cut into
+// shards by package: each distinct executable stored once across the
+// set, in the shard its (arch, package) group is placed on, each distinct
+// strand set once per shard (the corpus-sets table), the vocabulary in
+// shard 0 only, and no inverted index (a search derives it from the
+// stored strand sets), over the content goldenContentDigest pins; a
+// change to how the write side computes its output must leave every
+// digest untouched.
 var goldenShardDigests = []string{
-	"d4b4d97281c78b9f8893106959c29a391636fa80675d2394b7a75f745ad8da78",
-	"759643e9b20bbe7329b3229a0007bd828f2a3ec8f75d7c2aed0f55e74986dbc4",
-	"0203aeaf12c1ae0cd511e4d66cffc3f3faf44d72ed40643c1eacbcd6f4b79d33",
+	"7f7cdea99cfa05965db488262065575ce8c4c0326818ae4d753fdaf259e86c35",
+	"04f34a9be7668dcaee95d1ada6eab5bd4f489332b839299973e27892741f2591",
+	"83da52524b9054e0f8d539727c15ad11a3ce40dc70e2457b755c388fcf60973d",
 }
 
 func TestWriteShardsGolden(t *testing.T) {
