@@ -35,7 +35,7 @@ func budgetScenario(t *testing.T, n int) (sc, sharded *firmup.SealedCorpus, path
 	if paths, err = sc.WriteShards(dir, n); err != nil {
 		t.Fatal(err)
 	}
-	if sharded, err = firmup.OpenSealedCorpusDir(dir); err != nil {
+	if sharded, err = firmup.OpenSealedCorpus(dir); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sharded.Close() })
@@ -364,7 +364,7 @@ func TestWriteShardsTruncatedRecords(t *testing.T) {
 // first one holding a candidate of the query.
 func candidateShard(t *testing.T, dir string, qb []byte, proc string) int {
 	t.Helper()
-	sc, err := firmup.OpenSealedCorpusDir(dir)
+	sc, err := firmup.OpenSealedCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,9 @@ func main() {
 		addr            = flag.String("addr", ":8080", "listen address")
 		corpusPath      = flag.String("corpus", "", "sealed corpus artifact to serve (required)")
 		maxInFlight     = flag.Int("max-inflight", 0, "max concurrently admitted searches (0 = 2x GOMAXPROCS)")
-		retryAfter      = flag.Int("retry-after", 1, "Retry-After seconds sent with 429 responses")
 		allowSwap       = flag.Bool("allow-swap", false, "enable POST /swap?path=... corpus hot-swap")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown grace period")
 		traceSample     = flag.Int("trace-sample", 1, "request tracing sample rate: 0 = X-Firmup-Trace-carrying requests only, 1 = all, N = every Nth")
-		traceSlow       = flag.Duration("trace-slow", 500*time.Millisecond, "always retain traces of requests at least this slow for /debug/requests (negative = off)")
-		traceKeep       = flag.Int("trace-keep", 16, "how many slowest request traces /debug/requests retains")
 		accessLog       = flag.String("access-log", "-", "structured JSON access log destination: - for stderr, a file path to append to, empty to disable")
 		version         = flag.Bool("version", false, "print build version and exit")
 	)
@@ -100,11 +97,8 @@ func main() {
 
 	srv := serve.New(cs, &serve.Config{
 		MaxInFlight: *maxInFlight,
-		RetryAfter:  *retryAfter,
 		Registry:    reg,
 		TraceSample: *traceSample,
-		TraceSlow:   *traceSlow,
-		TraceKeep:   *traceKeep,
 		AccessLog:   logger,
 	})
 

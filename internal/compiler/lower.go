@@ -322,12 +322,6 @@ func (lw *lowerer) loop(_ source.Stmt, cond source.Expr, post source.Stmt, body 
 	return nil
 }
 
-var compoundOps = map[string]uir.Op{
-	"+=": uir.OpAdd, "-=": uir.OpSub, "*=": uir.OpMul, "/=": uir.OpDivS,
-	"%=": uir.OpRemS, "&=": uir.OpAnd, "|=": uir.OpOr, "^=": uir.OpXor,
-	"<<=": uir.OpShl, ">>=": uir.OpShrS,
-}
-
 func (lw *lowerer) assign(v *source.AssignStmt) error {
 	switch lhs := v.LHS.(type) {
 	case *source.Ident:

@@ -49,7 +49,7 @@ type span struct{ off, n int32 }
 // vector once, keeps its positive-Sim candidates as a compact list in
 // procedure-index order, and answers every query — first touch and
 // revisit alike — by one strictly-greater scan of that list under the
-// caller's exclusion map: exactly BestMatchFrom's scan with the zero
+// caller's exclusion map: exactly BestMatch's scan with the zero
 // entries already dropped, so the pick and its tie-break (equal scores
 // keep the lower index) cannot differ from the reference's.
 //
@@ -71,8 +71,8 @@ type matcher struct {
 	tq   []span          // t procedure index → candidate list in q
 	slab []sim.ProcScore // backing store for all candidate lists of this game
 
-	buf sim.Buffers // accumulation scratch, grown to max(|q.Procs|, |t.Procs|)
-	acc []int32     // acceptableSet's result, reused across the matcher's games
+	counts []int   // accumulation scratch, sized to max(|q.Procs|, |t.Procs|)
+	acc    []int32 // acceptableSet's result, reused across the matcher's games
 
 	// What the matcher counts into, reset per draw (matchers are pooled);
 	// nil records nothing.
@@ -90,7 +90,9 @@ func newMatcher(q, t *sim.Exe, m *meters) *matcher {
 	mt.qt = resetSpans(mt.qt, len(q.Procs))
 	mt.tq = resetSpans(mt.tq, len(t.Procs))
 	mt.slab = mt.slab[:0]
-	mt.buf.Grow(max(len(q.Procs), len(t.Procs)))
+	if n := max(len(q.Procs), len(t.Procs)); cap(mt.counts) < n {
+		mt.counts = make([]int, n)
+	}
 	mt.hits, mt.misses = nil, nil
 	if m != nil {
 		mt.hits, mt.misses = m.hits, m.misses
@@ -152,7 +154,8 @@ func (m *matcher) best(e *sim.Exe, set strand.Set, sp *span, excluded map[int]in
 // stores its positive entries, in index order, in the slab.
 func (m *matcher) memoize(e *sim.Exe, set strand.Set, sp *span) {
 	sp.off = int32(len(m.slab))
-	for i, c := range e.SimAllBuf(set, &m.buf) {
+	m.counts = e.SimAllInto(set, m.counts)
+	for i, c := range m.counts {
 		if c != 0 {
 			m.slab = append(m.slab, sim.ProcScore{Proc: int32(i), Score: int32(c)})
 		}

@@ -25,16 +25,6 @@ type BuiltExe struct {
 	Truth map[string]uint32
 }
 
-// TruthName returns the original name of the procedure at addr, or "".
-func (e *BuiltExe) TruthName(addr uint32) string {
-	for n, a := range e.Truth {
-		if a == addr {
-			return n
-		}
-	}
-	return ""
-}
-
 // BuiltImage is one firmware image plus its ground truth.
 type BuiltImage struct {
 	Image     *image.Image

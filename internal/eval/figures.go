@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"firmup/internal/baseline/bindiff"
@@ -305,14 +304,4 @@ func bars(n int) int {
 		return 60
 	}
 	return n
-}
-
-// sortedArchs is a helper for deterministic reports.
-func sortedArchs(m map[uir.Arch]bool) []uir.Arch {
-	var out []uir.Arch
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -61,15 +61,22 @@ type Corpus struct {
 	queries queryCache
 }
 
+// Fixed serving constants: the Retry-After hint attached to 429
+// responses, in seconds, and the tail sampling of /debug/requests — the
+// traceKeep slowest completed traces, plus every trace at or above
+// traceSlow.
+const (
+	retryAfter = 1
+	traceSlow  = 500 * time.Millisecond
+	traceKeep  = 16
+)
+
 // Config tunes a Server. The zero value selects the defaults.
 type Config struct {
 	// MaxInFlight bounds concurrently admitted /search requests; further
 	// requests are rejected with 429 + Retry-After (default
 	// 2×GOMAXPROCS).
 	MaxInFlight int
-	// RetryAfter is the Retry-After hint attached to 429 responses, in
-	// seconds (default 1).
-	RetryAfter int
 	// MaxQueryBytes bounds the accepted /search body (default 64 MiB).
 	MaxQueryBytes int64
 	// Registry, when non-nil, receives the server's request metrics:
@@ -90,14 +97,6 @@ type Config struct {
 	// the spans as a pooled tree served from GET /debug/requests, and an
 	// unsampled one allocates no trace.
 	TraceSample int
-	// TraceSlow is the latency at or above which a completed trace is
-	// always retained for /debug/requests, regardless of how it ranks
-	// among the slowest (default 500ms; negative disables the
-	// threshold ring).
-	TraceSlow time.Duration
-	// TraceKeep is how many slowest traces /debug/requests retains
-	// (default 16).
-	TraceKeep int
 	// AccessLog, when non-nil, receives one record per request: method,
 	// path, status, bytes, elapsed_ms, and the trace ID when traced.
 	AccessLog *slog.Logger
@@ -138,35 +137,11 @@ func (c *Config) maxInFlight() int {
 	return c.MaxInFlight
 }
 
-func (c *Config) retryAfter() int {
-	if c == nil || c.RetryAfter <= 0 {
-		return 1
-	}
-	return c.RetryAfter
-}
-
 func (c *Config) maxQueryBytes() int64 {
 	if c == nil || c.MaxQueryBytes <= 0 {
 		return 64 << 20
 	}
 	return c.MaxQueryBytes
-}
-
-func (c *Config) traceSlow() time.Duration {
-	if c == nil || c.TraceSlow == 0 {
-		return 500 * time.Millisecond
-	}
-	if c.TraceSlow < 0 {
-		return 0
-	}
-	return c.TraceSlow
-}
-
-func (c *Config) traceKeep() int {
-	if c == nil || c.TraceKeep <= 0 {
-		return 16
-	}
-	return c.TraceKeep
 }
 
 // Server serves CVE-search queries against a hot-swappable sealed
@@ -179,9 +154,8 @@ type Server struct {
 	// per-request work (body read, analysis, search) begins.
 	sem chan struct{}
 
-	// traceBuf tail-samples completed request traces: the slowest
-	// TraceKeep plus everything at or over TraceSlow, for
-	// /debug/requests.
+	// traceBuf tail-samples completed request traces: the traceKeep
+	// slowest plus everything at or over traceSlow, for /debug/requests.
 	traceBuf *telemetry.TraceBuffer
 	// traceSeq drives every-Nth head sampling when TraceSample > 1.
 	traceSeq atomic.Uint64
@@ -210,7 +184,7 @@ func New(initial *Corpus, cfg *Config) *Server {
 	}
 	s.sem = make(chan struct{}, s.cfg.maxInFlight())
 	s.start = time.Now()
-	s.traceBuf = telemetry.NewTraceBuffer(s.cfg.traceKeep(), s.cfg.traceSlow())
+	s.traceBuf = telemetry.NewTraceBuffer(traceKeep, traceSlow)
 	if r := s.cfg.Registry; r != nil {
 		s.reqs = r.Counter("serve.requests")
 		s.rejected = r.Counter("serve.rejected")
@@ -403,7 +377,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 	default:
 		s.rejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfter()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		writeError(w, http.StatusTooManyRequests, "server at capacity (%d in-flight searches); retry later", s.cfg.maxInFlight())
 		return
 	}
@@ -623,7 +597,7 @@ func searchOptions(r *http.Request) (*firmup.Options, error) {
 	}
 	if v := q.Get("min_ratio"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !(f > 0 && f <= 1) { // also refuses NaN
 			return nil, fmt.Errorf("bad min_ratio %q", v)
 		}
 		opt.MinRatio = f

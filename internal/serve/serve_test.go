@@ -158,6 +158,12 @@ func TestServeRequestErrors(t *testing.T) {
 	if resp, _ := postSearch(t, ts.URL+"/search?proc=x&min_ratio=2", query); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad min_ratio status %d, want 400", resp.StatusCode)
 	}
+	// NaN fails every comparison, so a refusal written as f <= 0 || f > 1
+	// lets it through and turns the ratio floor off. The procedure exists,
+	// so only the parameter can refuse this request.
+	if resp, _ := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob&min_ratio=NaN", query); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("min_ratio=NaN status %d, want 400", resp.StatusCode)
+	}
 	if resp, _ := postSearch(t, ts.URL+"/search?proc=x", []byte("not an executable")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage query status %d, want 400", resp.StatusCode)
 	}
@@ -180,7 +186,7 @@ func TestServeRequestErrors(t *testing.T) {
 func TestServeAdmissionControl(t *testing.T) {
 	sc, query := buildScenario(t)
 	reg := telemetry.New()
-	srv := serve.New(newCorpus("c", sc), &serve.Config{MaxInFlight: 1, RetryAfter: 7, Registry: reg})
+	srv := serve.New(newCorpus("c", sc), &serve.Config{MaxInFlight: 1, Registry: reg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -211,8 +217,8 @@ func TestServeAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second request status %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want \"7\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	if reg.Counter("serve.rejected").Value() == 0 {
 		t.Error("serve.rejected not incremented")
@@ -469,7 +475,7 @@ func TestServePanickingShardIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := firmup.OpenSealedCorpusDir(dir)
+	sharded, err := firmup.OpenSealedCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +618,7 @@ func TestServeTruncatedVocabularyIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := firmup.OpenSealedCorpusDir(dir)
+	sharded, err := firmup.OpenSealedCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func TestServeShardedTraceAttribution(t *testing.T) {
 	if _, err := sc.WriteShards(dir, nShards); err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := firmup.OpenSealedCorpusDir(dir)
+	sharded, err := firmup.OpenSealedCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -499,18 +499,11 @@ func (e *Exe) simIDs(qids []uint32, counts []int) {
 // BestMatch returns the procedure with maximal Sim to q, skipping indices
 // for which excluded returns true. Ties break toward the lower index
 // (deterministic). Returns (-1, 0) when no candidate shares any strand.
+// The exclusion filter is applied when the accumulated vector is
+// scanned, so the vector itself does not depend on it.
 func (e *Exe) BestMatch(q strand.Set, excluded func(int) bool) (int, int) {
-	return e.BestMatchFrom(e.SimAll(q), excluded)
-}
-
-// BestMatchFrom is the scan half of BestMatch over a similarity vector
-// already accumulated by SimAllInto — the exclusion filter is applied at
-// scan time, so one accumulation serves any number of exclusion sets.
-// The tie-break is BestMatch's: strictly-greater scores win, so equal
-// scores keep the lower index.
-func (e *Exe) BestMatchFrom(counts []int, excluded func(int) bool) (int, int) {
 	best, bestScore := -1, 0
-	for i, c := range counts {
+	for i, c := range e.SimAll(q) {
 		if c == 0 || (excluded != nil && excluded(i)) {
 			continue
 		}
@@ -519,78 +512,6 @@ func (e *Exe) BestMatchFrom(counts []int, excluded func(int) bool) (int, int) {
 		}
 	}
 	return best, bestScore
-}
-
-// TopK returns the k most similar procedures in descending score order,
-// ties toward the lower index (procedures sharing no strands are
-// omitted). Selection is a bounded min-heap over the positive scores, so
-// large executables never sort their full procedure list for a small k.
-func (e *Exe) TopK(q strand.Set, k int) []Scored {
-	if k <= 0 {
-		return nil
-	}
-	counts := e.SimAll(q)
-	var h []Scored
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		s := Scored{Proc: i, Score: float64(c)}
-		if len(h) < k {
-			h = append(h, s)
-			scoredSiftUp(h)
-		} else if scoredWorse(h[0], s) {
-			h[0] = s
-			scoredSiftDown(h, 0, len(h))
-		}
-	}
-	// Heapsort: each step moves the worst remaining entry to the shrinking
-	// tail, leaving h in descending-score (ascending-index on ties) order.
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		scoredSiftDown(h, 0, n)
-	}
-	return h
-}
-
-// scoredWorse reports whether a ranks strictly below b in TopK order
-// (score descending, procedure index ascending on ties). The heap is a
-// min-heap under this order: its root is the worst kept candidate.
-func scoredWorse(a, b Scored) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Proc > b.Proc
-}
-
-func scoredSiftUp(h []Scored) {
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !scoredWorse(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func scoredSiftDown(h []Scored, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		j := l
-		if r := l + 1; r < n && scoredWorse(h[r], h[l]) {
-			j = r
-		}
-		if !scoredWorse(h[j], h[i]) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
 }
 
 // Scored pairs a procedure index with a score.

@@ -112,27 +112,6 @@ func TestBestMatchExclusionAndTies(t *testing.T) {
 	}
 }
 
-func TestTopKOrdering(t *testing.T) {
-	it := newTestInterner()
-	e := FromProcs("T", []*Proc{
-		mk("a", 1),
-		mk("b", 1, 2),
-		mk("c", 1, 2, 3),
-		mk("d", 9),
-	}, it)
-	q := set(it, 1, 2, 3)
-	top := e.TopK(q, 10)
-	if len(top) != 3 {
-		t.Fatalf("top = %v", top)
-	}
-	if top[0].Proc != 2 || top[1].Proc != 1 || top[2].Proc != 0 {
-		t.Errorf("order = %v", top)
-	}
-	if got := e.TopK(q, 2); len(got) != 2 {
-		t.Errorf("cutoff failed: %v", got)
-	}
-}
-
 // recoverFixture recovers isatest's program compiled for MIPS.
 func recoverFixture(t *testing.T) *cfg.Recovered {
 	t.Helper()
@@ -361,8 +340,8 @@ func TestSimAllIntoBufferReuse(t *testing.T) {
 	}
 }
 
-// BestMatchFrom over a SimAllInto vector must equal BestMatch for any
-// exclusion set.
+// BestMatch must equal a brute-force argmax of Sim over the procedures
+// not excluded, ties toward the lower index, for any exclusion set.
 func TestBestMatchFromEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -396,67 +375,14 @@ func TestBestMatchFromEquivalence(t *testing.T) {
 			}
 		}
 		excluded := func(i int) bool { return ex[i] }
-		wb, ws := e.BestMatch(q, excluded)
-		counts := e.SimAllInto(q, make([]int, 0, n))
-		gb, gs := e.BestMatchFrom(counts, excluded)
-		if gb != wb || gs != ws {
-			t.Fatalf("trial %d: BestMatchFrom = (%d, %d), BestMatch = (%d, %d)", trial, gb, gs, wb, ws)
-		}
-	}
-}
-
-// The bounded-heap TopK must return exactly the full-sort reference:
-// same set, same order, for every k.
-func TestTopKMatchesFullSortReference(t *testing.T) {
-	reference := func(e *Exe, q strand.Set, k int) []Scored {
-		counts := e.SimAll(q)
-		var out []Scored
-		for i, c := range counts {
-			if c > 0 {
-				out = append(out, Scored{Proc: i, Score: float64(c)})
+		wb, ws := -1, 0
+		for i := range e.Procs {
+			if c := e.Sim(q, i); c > ws && !excluded(i) {
+				wb, ws = i, c
 			}
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Score != out[j].Score {
-				return out[i].Score > out[j].Score
-			}
-			return out[i].Proc < out[j].Proc
-		})
-		if len(out) > k {
-			out = out[:k]
-		}
-		return out
-	}
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(30)
-		procs := make([]*Proc, n)
-		for i := range procs {
-			var hs []uint64
-			seen := map[uint64]bool{}
-			for k := 0; k < 1+rng.Intn(8); k++ {
-				h := uint64(1 + rng.Intn(10))
-				if !seen[h] {
-					seen[h] = true
-					hs = append(hs, h)
-				}
-			}
-			procs[i] = mk("p", hs...)
-		}
-		it := newTestInterner()
-		e := FromProcs("T", procs, it)
-		q := set(it, 1, 2, 3, 4, 5)
-		for _, k := range []int{0, 1, 2, 3, n / 2, n, n + 5} {
-			got := e.TopK(q, k)
-			want := reference(e, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d k=%d: len %d vs %d", trial, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d k=%d: TopK[%d] = %+v, want %+v", trial, k, i, got[i], want[i])
-				}
-			}
+		if gb, gs := e.BestMatch(q, excluded); gb != wb || gs != ws {
+			t.Fatalf("trial %d: BestMatch = (%d, %d), brute-force argmax = (%d, %d)", trial, gb, gs, wb, ws)
 		}
 	}
 }

@@ -257,7 +257,7 @@ func TestImageSearchScansOnlyItsGroups(t *testing.T) {
 	s := buildStoreScenario(t)
 	fewer, several := false, false
 	for ii := range s.stored.Images() {
-		sc, err := OpenSealedCorpusDir(s.dir)
+		sc, err := OpenSealedCorpus(s.dir)
 		if err != nil {
 			t.Fatal(err)
 		}

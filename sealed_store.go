@@ -321,7 +321,7 @@ func (st exeStore) targets(played [][]bool, parent telemetry.Span) ([]*sim.Exe, 
 // each distinct executable is stored and searched once however many
 // shards' images ship it. Shard 0 also stores the frozen vocabulary, and
 // every shard its position and the vocabulary's checksum, so
-// OpenSealedCorpusDir can validate the set as one coherent corpus. n may
+// OpenSealedCorpus can validate the set as one coherent corpus. n may
 // exceed the image or package count; trailing shards then hold no images
 // or no executables, but are still valid.
 //
@@ -512,13 +512,18 @@ var ErrCorpusCorrupt = snapshot.ErrCorrupt
 
 // OpenSealedCorpus opens a sealed corpus from either persisted form: a
 // directory of shards, or the single shard file of a 1-shard corpus.
+// A directory's *.fwcorp files must form exactly one complete shard set
+// (contiguous indexes, image and executable ranges, agreeing totals and
+// vocabulary checksum, every executable named by an image); any file
+// there that is not a shard of the one supported version fails the open
+// with an error naming it.
 func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
 	if st.IsDir() {
-		return OpenSealedCorpusDir(path)
+		return openSealedCorpusDir(path)
 	}
 	shard, err := snapshot.OpenCorpusShardFile(path)
 	if err != nil {
@@ -535,13 +540,9 @@ func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 	return sc, err
 }
 
-// OpenSealedCorpusDir opens every *.fwcorp shard under dir as one
-// sealed corpus, validating that the files form exactly one complete
-// shard set (contiguous indexes, image and executable ranges, agreeing
-// totals and vocabulary checksum, every executable named by an image).
-// Any file that is not a shard of the one supported version fails the
-// open with an error naming it.
-func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
+// openSealedCorpusDir opens every *.fwcorp shard under dir as one
+// sealed corpus, validated as OpenSealedCorpus describes.
+func openSealedCorpusDir(dir string) (*SealedCorpus, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.fwcorp"))
 	if err != nil {
 		return nil, err

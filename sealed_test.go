@@ -374,7 +374,7 @@ func TestSinglePrefilterEvaluation(t *testing.T) {
 		if _, err := s.WriteShards(dir, n); err != nil {
 			t.Fatal(err)
 		}
-		store, err := firmup.OpenSealedCorpusDir(dir)
+		store, err := firmup.OpenSealedCorpus(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestShardedCorpusEquivalence(t *testing.T) {
 			if len(paths) != nShards {
 				t.Fatalf("WriteShards returned %d paths, want %d", len(paths), nShards)
 			}
-			sc, err := firmup.OpenSealedCorpusDir(dir)
+			sc, err := firmup.OpenSealedCorpus(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,8 +246,8 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
 		t.Errorf("OpenCorpusShardFile of a version-8 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
-	if _, err := firmup.OpenSealedCorpusDir(otherDir); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenSealedCorpusDir of a version-8 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+	if _, err := firmup.OpenSealedCorpus(otherDir); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
+		t.Errorf("OpenSealedCorpus of a version-8 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 
 	// A strand ID outside the vocabulary, in an executable the query never
@@ -270,7 +270,7 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idSC, err := firmup.OpenSealedCorpusDir(idDir)
+	idSC, err := firmup.OpenSealedCorpus(idDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := firmup.OpenSealedCorpusDir(faultDir)
+		_, err := firmup.OpenSealedCorpus(faultDir)
 		if want := filepath.Join(faultDir, filepath.Base(manyPaths[damaged])); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: opening the set: err = %v, want an error naming %s", name, err, want)
 		}
@@ -318,7 +318,7 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if err := os.Remove(manyPaths[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := firmup.OpenSealedCorpusDir(manyDir); err == nil {
+	if _, err := firmup.OpenSealedCorpus(manyDir); err == nil {
 		t.Error("opening an incomplete shard set succeeded")
 	}
 }
@@ -338,7 +338,7 @@ func TestOpenSealedCorpusDirMixed(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("FWCORP\r\n\x01\x00\x00\x00\x03\x00\x00\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := firmup.OpenSealedCorpusDir(dir)
+	_, err := firmup.OpenSealedCorpus(dir)
 	if !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("opening a directory with a stray container: err = %v, want ErrCorrupt", err)
 	}
@@ -366,7 +366,7 @@ func TestWriteShardsDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := firmup.OpenSealedCorpusDir(filepath.Join(dir, "a"))
+	reopened, err := firmup.OpenSealedCorpus(filepath.Join(dir, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +603,7 @@ func TestShardDedupEquivalence(t *testing.T) {
 			if _, err := sealed.WriteShards(dir, n); err != nil {
 				t.Fatal(err)
 			}
-			sc, err := firmup.OpenSealedCorpusDir(dir)
+			sc, err := firmup.OpenSealedCorpus(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,7 +65,7 @@ func TestWriteShardsGolden(t *testing.T) {
 			t.Errorf("%s: SHA-256 %s, want %s", filepath.Base(p), got, goldenShardDigests[i])
 		}
 	}
-	opened, err := firmup.OpenSealedCorpusDir(filepath.Dir(paths[0]))
+	opened, err := firmup.OpenSealedCorpus(filepath.Dir(paths[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestWriteShardsCutsByPackage(t *testing.T) {
 			if _, err := s.sealed.WriteShards(dir, n); err != nil {
 				t.Fatal(err)
 			}
-			sc, err := OpenSealedCorpusDir(dir)
+			sc, err := OpenSealedCorpus(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

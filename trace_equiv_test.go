@@ -27,7 +27,7 @@ func TestTraceEquivalence(t *testing.T) {
 	if _, err := s.WriteShards(dir, 3); err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := firmup.OpenSealedCorpusDir(dir)
+	sharded, err := firmup.OpenSealedCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
