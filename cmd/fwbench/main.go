@@ -44,21 +44,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fwbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
+	if _, err := corpus.ScaleByName(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "fwbench:", err)
+		os.Exit(2)
+	}
 	if err := run(os.Stdout, *exp, *scale); err != nil {
 		fmt.Fprintln(os.Stderr, "fwbench:", err)
 		os.Exit(1)
 	}
 }
 
-// run prints experiment exp (a name main has validated) at the given
+// run prints experiment exp (a name main has validated) at the named
 // corpus scale to w.
 func run(w io.Writer, exp, scale string) error {
-	sc := corpus.DefaultScale()
-	switch scale {
-	case "eval":
-		sc = corpus.EvalScale()
-	case "bench":
-		sc = corpus.BenchScale()
+	sc, err := corpus.ScaleByName(scale)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "preparing corpus (scale=%s)...\n", scale)
 	env, err := eval.Prepare(sc)

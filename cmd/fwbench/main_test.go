@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"regexp"
 	"testing"
@@ -46,6 +47,14 @@ func TestCurveGolden(t *testing.T) {
 // unchanged unless it means to move a boundary.
 func TestRecoveryGolden(t *testing.T) {
 	checkGolden(t, "recovery", "default")
+}
+
+// TestUnknownScale checks that a misspelt scale is refused, not run as
+// the default corpus.
+func TestUnknownScale(t *testing.T) {
+	if err := run(io.Discard, "matrix", "evla"); err == nil {
+		t.Fatal(`run accepted the unknown scale "evla"`)
+	}
 }
 
 // checkGolden compares what experiment exp prints at a corpus scale,

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fwcrawl -out corpus/ [-scale eval] [-compress] [-sealed [-shards N]]
+//	fwcrawl -out corpus/ [-scale eval|bench] [-compress] [-sealed [-shards N]]
 package main
 
 import (
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	out := flag.String("out", "corpus", "output directory")
-	scale := flag.String("scale", "default", "corpus scale: default or eval")
+	scale := flag.String("scale", "default", "corpus scale: default, eval or bench (the 128 images bench/ serves)")
 	compress := flag.Bool("compress", true, "zlib-compress images")
 	sealed := flag.Bool("sealed", false, "analyze every image under one shared session and write a sealed corpus for firmupd and firmup -corpus: mmap-ready FWCORP shards under corpus.fwcorp.d/")
 	shards := flag.Int("shards", 1, "with -sealed: the number of shards to split the corpus into")
@@ -38,6 +38,11 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.String())
 		return
+	}
+	sc, err := corpus.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fwcrawl:", err)
+		os.Exit(2)
 	}
 
 	var reg *telemetry.Registry
@@ -53,10 +58,6 @@ func main() {
 	}
 	rep := telemetry.NewReport("fwcrawl", telemetry.ReportConfig{Index: true})
 
-	sc := corpus.DefaultScale()
-	if *scale == "eval" {
-		sc = corpus.EvalScale()
-	}
 	c, err := corpus.Build(sc)
 	if err != nil {
 		fatal(err)

@@ -2,7 +2,7 @@
 // registry CVE across the whole corpus and print a findings table with
 // ground-truth verification.
 //
-// Run with: go run ./examples/cvesweep [eval]
+// Run with: go run ./examples/cvesweep [default|eval|bench]
 package main
 
 import (
@@ -19,9 +19,14 @@ import (
 )
 
 func main() {
-	sc := corpus.DefaultScale()
-	if len(os.Args) > 1 && os.Args[1] == "eval" {
-		sc = corpus.EvalScale()
+	name := "default"
+	if len(os.Args) > 1 {
+		name = os.Args[1]
+	}
+	sc, err := corpus.ScaleByName(name)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cvesweep:", err)
+		os.Exit(2)
 	}
 	env, err := eval.Prepare(sc)
 	if err != nil {

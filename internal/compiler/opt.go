@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"slices"
+
 	"firmup/internal/mir"
 	"firmup/internal/uir"
 )
@@ -69,31 +71,8 @@ func foldAndPropagate(p *mir.Proc) bool {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			// Rewrite uses through known copies.
-			switch in.Kind {
-			case mir.KBin:
-				na, nb := resolve(in.A), resolve(in.B)
-				if na != in.A || nb != in.B {
-					in.A, in.B = na, nb
-					changed = true
-				}
-			case mir.KUn, mir.KMovReg, mir.KLoad:
-				if na := resolve(in.A); na != in.A {
-					in.A = na
-					changed = true
-				}
-			case mir.KStore:
-				na, nb := resolve(in.A), resolve(in.B)
-				if na != in.A || nb != in.B {
-					in.A, in.B = na, nb
-					changed = true
-				}
-			case mir.KCall:
-				for k, a := range in.Args {
-					if na := resolve(a); na != a {
-						in.Args[k] = na
-						changed = true
-					}
-				}
+			if in.MapUses(resolve) {
+				changed = true
 			}
 			// Fold.
 			switch in.Kind {
@@ -191,68 +170,18 @@ func annihilatesB(op uir.Op, c uint32) bool {
 	return false
 }
 
-// eliminateDeadCode removes pure instructions whose destination is dead.
-// Liveness is computed by backward iteration to a fixed point.
+// eliminateDeadCode removes pure instructions whose destination is dead
+// at that point, sweeping each block backward from its live-out set.
 func eliminateDeadCode(p *mir.Proc) bool {
-	// live[b] = registers live at entry of block b.
-	liveIn := make([]map[mir.VReg]bool, len(p.Blocks))
-	for i := range liveIn {
-		liveIn[i] = map[mir.VReg]bool{}
-	}
-	for {
-		changed := false
-		for bi := len(p.Blocks) - 1; bi >= 0; bi-- {
-			b := p.Blocks[bi]
-			live := map[mir.VReg]bool{}
-			for _, s := range b.Term.Succs() {
-				for r := range liveIn[s] {
-					live[r] = true
-				}
-			}
-			if b.Term.Kind == mir.TRet && b.Term.RetVal != mir.NoReg {
-				live[b.Term.RetVal] = true
-			}
-			if b.Term.Kind == mir.TBranch {
-				live[b.Term.Cond] = true
-			}
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := &b.Instrs[i]
-				if d := in.Def(); d != mir.NoReg {
-					delete(live, d)
-				}
-				for _, u := range in.Uses() {
-					live[u] = true
-				}
-			}
-			if !sameSet(liveIn[bi], live) {
-				liveIn[bi] = live
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	liveIn := p.LiveIn()
 	removed := false
 	for bi, b := range p.Blocks {
-		live := map[mir.VReg]bool{}
-		for _, s := range b.Term.Succs() {
-			for r := range liveIn[s] {
-				live[r] = true
-			}
-		}
-		if b.Term.Kind == mir.TRet && b.Term.RetVal != mir.NoReg {
-			live[b.Term.RetVal] = true
-		}
-		if b.Term.Kind == mir.TBranch {
-			live[b.Term.Cond] = true
-		}
+		live := p.LiveOut(liveIn, bi)
 		var kept []mir.Instr
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			d := in.Def()
-			dead := d != mir.NoReg && !live[d] && isPure(in.Kind)
-			if dead {
+			if d != mir.NoReg && !live[d] && isPure(in.Kind) {
 				removed = true
 				continue
 			}
@@ -264,11 +193,7 @@ func eliminateDeadCode(p *mir.Proc) bool {
 			}
 			kept = append(kept, in)
 		}
-		// kept is reversed.
-		for l, r := 0, len(kept)-1; l < r; l, r = l+1, r-1 {
-			kept[l], kept[r] = kept[r], kept[l]
-		}
-		_ = bi
+		slices.Reverse(kept)
 		b.Instrs = kept
 	}
 	return removed
@@ -278,18 +203,6 @@ func isPure(k mir.InstrKind) bool {
 	switch k {
 	case mir.KStore, mir.KCall:
 		return false
-	}
-	return true
-}
-
-func sameSet(a, b map[mir.VReg]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
 	}
 	return true
 }
@@ -364,18 +277,10 @@ func inlinePackage(pkg *mir.Package, budget int) {
 	size := map[string]int{}
 	leaf := map[string]bool{}
 	for _, p := range pkg.Procs {
-		n := 0
-		isLeaf := true
 		for _, b := range p.Blocks {
-			n += len(b.Instrs)
-			for _, in := range b.Instrs {
-				if in.Kind == mir.KCall {
-					isLeaf = false
-				}
-			}
+			size[p.Name] += len(b.Instrs)
 		}
-		size[p.Name] = n
-		leaf[p.Name] = isLeaf
+		leaf[p.Name] = !p.HasCall()
 	}
 	const maxInlinesPerProc = 64
 	for _, p := range pkg.Procs {
@@ -438,23 +343,13 @@ func inlineCall(p *mir.Proc, bi, ii int, callee *mir.Proc) {
 		nb := &mir.Block{ID: len(p.Blocks)}
 		for _, cin := range cb.Instrs {
 			nin := cin
-			if nin.Dst != mir.NoReg && nin.Kind != mir.KStore {
+			nin.Args = slices.Clone(cin.Args) // the callee keeps its own
+			if nin.Def() != mir.NoReg {
 				nin.Dst += regOff
 			}
-			switch nin.Kind {
-			case mir.KBin, mir.KStore:
-				nin.A += regOff
-				nin.B += regOff
-			case mir.KUn, mir.KMovReg, mir.KLoad:
-				nin.A += regOff
-			case mir.KAddrStack:
+			nin.MapUses(func(r mir.VReg) mir.VReg { return r + regOff })
+			if nin.Kind == mir.KAddrStack {
 				nin.Const += uint32(slotOff)
-			case mir.KCall:
-				args := make([]mir.VReg, len(nin.Args))
-				for k, a := range nin.Args {
-					args[k] = a + regOff
-				}
-				nin.Args = args
 			}
 			nb.Instrs = append(nb.Instrs, nin)
 		}

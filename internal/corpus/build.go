@@ -98,7 +98,7 @@ func ScaleForImages(n int) Scale {
 // rng consumption order here is the corpus definition: any reordering
 // changes every generated corpus.
 func (c *Corpus) stream(sc Scale, fn func(*BuiltImage) error) error {
-	rng := newGenRNG(sc.Seed ^ 0xBADC0DE)
+	rng := isa.NewRNG(sc.Seed ^ 0xBADC0DE)
 	built := 0
 	for vi := range c.Vendors {
 		v := &c.Vendors[vi]
@@ -133,7 +133,7 @@ func (c *Corpus) stream(sc Scale, fn func(*BuiltImage) error) error {
 						File: unit.file, Truth: unit.truth,
 					})
 					// A few files of unrelated content, as real images have.
-					if rng.intn(100) < 30 {
+					if rng.Intn(100) < 30 {
 						im.Files = append(im.Files, image.FileEntry{
 							Path: fmt.Sprintf("etc/%s.conf", pkg),
 							Data: []byte("# configuration for " + pkg + "\n"),

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+
+	"firmup/internal/isa"
 )
 
 // fillerProcs deterministically generates the package's supporting
@@ -15,19 +17,19 @@ import (
 func fillerProcs(pkg, version string, n int) string {
 	var sb strings.Builder
 	verSeed := seedOf(pkg + "@" + version)
-	vrng := newGenRNG(verSeed)
+	vrng := isa.NewRNG(verSeed)
 	names := make([]string, n)
 	arities := map[string]int{}
 	for i := range names {
 		names[i] = fillerName(pkg, i)
 		// The first draw of the base RNG fixes the arity; recorded here
 		// so later procedures can call earlier ones correctly.
-		arities[names[i]] = 1 + newGenRNG(seedOf(fmt.Sprintf("%s#%d", pkg, i))).intn(3)
+		arities[names[i]] = 1 + isa.NewRNG(seedOf(fmt.Sprintf("%s#%d", pkg, i))).Intn(3)
 	}
 	for i := 0; i < n; i++ {
-		baseRng := newGenRNG(seedOf(fmt.Sprintf("%s#%d", pkg, i)))
-		patched := vrng.intn(100) < 25
-		patchRng := newGenRNG(verSeed ^ uint64(i)*0x9E3779B9)
+		baseRng := isa.NewRNG(seedOf(fmt.Sprintf("%s#%d", pkg, i)))
+		patched := vrng.Intn(100) < 25
+		patchRng := isa.NewRNG(verSeed ^ uint64(i)*0x9E3779B9)
 		// Callee choice keeps total execution cost linear: early "leaf
 		// layer" procedures (constant cost) plus the immediate
 		// predecessor (chain of bounded length). Unbounded fan-out would
@@ -67,25 +69,10 @@ func seedOf(s string) uint64 {
 	return h.Sum64()
 }
 
-// genRNG is the corpus's deterministic PRNG (splitmix64).
-type genRNG struct{ s uint64 }
-
-func newGenRNG(seed uint64) *genRNG { return &genRNG{s: seed + 0x9E3779B97F4A7C15} }
-
-func (r *genRNG) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *genRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // procGen emits one filler procedure.
 type procGen struct {
-	rng      *genRNG
-	patchRng *genRNG
+	rng      *isa.RNG
+	patchRng *isa.RNG
 	patched  bool
 	name     string
 	callees  []string
@@ -106,18 +93,18 @@ var runtimeCallable = []struct {
 }
 
 func (g *procGen) generate() string {
-	nparams := 1 + g.rng.intn(3)
+	nparams := 1 + g.rng.Intn(3)
 	for i := 0; i < nparams; i++ {
 		g.params = append(g.params, fmt.Sprintf("p%d", i))
 	}
 	fmt.Fprintf(&g.sb, "\nfunc %s(%s) {\n", g.name, strings.Join(g.params, ", "))
 	// Size distribution: mostly small, occasionally large — large
 	// procedures are what drags procedure-centric matching astray.
-	budget := 4 + g.rng.intn(8)
-	if g.rng.intn(6) == 0 {
-		budget = 18 + g.rng.intn(20)
+	budget := 4 + g.rng.Intn(8)
+	if g.rng.Intn(6) == 0 {
+		budget = 18 + g.rng.Intn(20)
 	}
-	nLocals := 1 + g.rng.intn(3)
+	nLocals := 1 + g.rng.Intn(3)
 	for i := 0; i < nLocals; i++ {
 		name := fmt.Sprintf("v%d", i)
 		fmt.Fprintf(&g.sb, "    var %s = %s;\n", name, g.expr(1))
@@ -129,7 +116,7 @@ func (g *procGen) generate() string {
 	if g.patched {
 		// Version patch: an extra guarded statement with new constants.
 		fmt.Fprintf(&g.sb, "    if %s > %d {\n        %s = %s + %d;\n    }\n",
-			g.anyVar(), g.patchRng.intn(64), g.locals[0], g.locals[0], 1+g.patchRng.intn(16))
+			g.anyVar(), g.patchRng.Intn(64), g.locals[0], g.locals[0], 1+g.patchRng.Intn(16))
 	}
 	fmt.Fprintf(&g.sb, "    return %s;\n}\n", g.expr(2))
 	return g.sb.String()
@@ -138,28 +125,28 @@ func (g *procGen) generate() string {
 func (g *procGen) anyVar() string {
 	all := append(append([]string(nil), g.params...), g.locals...)
 	all = append(all, g.ivars...)
-	return all[g.rng.intn(len(all))]
+	return all[g.rng.Intn(len(all))]
 }
 
 var binOps = []string{"+", "-", "*", "&", "|", "^", "+", "-", "<<", ">>"}
 
 // expr emits a side-effect-free expression of bounded depth.
 func (g *procGen) expr(depth int) string {
-	if depth <= 0 || g.rng.intn(3) == 0 {
-		switch g.rng.intn(3) {
+	if depth <= 0 || g.rng.Intn(3) == 0 {
+		switch g.rng.Intn(3) {
 		case 0:
 			return g.anyVar()
 		case 1:
-			return fmt.Sprintf("%d", g.rng.intn(256))
+			return fmt.Sprintf("%d", g.rng.Intn(256))
 		default:
-			return fmt.Sprintf("0x%x", g.rng.intn(0x10000))
+			return fmt.Sprintf("0x%x", g.rng.Intn(0x10000))
 		}
 	}
-	op := binOps[g.rng.intn(len(binOps))]
+	op := binOps[g.rng.Intn(len(binOps))]
 	lhs := g.expr(depth - 1)
 	rhs := g.expr(depth - 1)
 	if op == "<<" || op == ">>" {
-		rhs = fmt.Sprintf("%d", 1+g.rng.intn(7))
+		rhs = fmt.Sprintf("%d", 1+g.rng.Intn(7))
 	}
 	return fmt.Sprintf("(%s %s %s)", lhs, op, rhs)
 }
@@ -167,7 +154,7 @@ func (g *procGen) expr(depth int) string {
 var cmpOps = []string{"<", "<=", ">", ">=", "==", "!="}
 
 func (g *procGen) cond() string {
-	return fmt.Sprintf("%s %s %s", g.anyVar(), cmpOps[g.rng.intn(len(cmpOps))], g.expr(1))
+	return fmt.Sprintf("%s %s %s", g.anyVar(), cmpOps[g.rng.Intn(len(cmpOps))], g.expr(1))
 }
 
 func (g *procGen) indent(depth int) {
@@ -179,16 +166,16 @@ func (g *procGen) indent(depth int) {
 // stmt emits one statement (possibly compound).
 func (g *procGen) stmt(depth int) {
 	g.stmts++
-	kind := g.rng.intn(10)
+	kind := g.rng.Intn(10)
 	switch {
 	case kind < 4: // assignment
 		g.indent(depth)
-		fmt.Fprintf(&g.sb, "%s = %s;\n", g.locals[g.rng.intn(len(g.locals))], g.expr(2))
+		fmt.Fprintf(&g.sb, "%s = %s;\n", g.locals[g.rng.Intn(len(g.locals))], g.expr(2))
 	case kind < 6 && depth < 3: // if / if-else
 		g.indent(depth)
 		fmt.Fprintf(&g.sb, "if %s {\n", g.cond())
 		g.stmt(depth + 1)
-		if g.rng.intn(2) == 0 {
+		if g.rng.Intn(2) == 0 {
 			g.indent(depth)
 			g.sb.WriteString("} else {\n")
 			g.stmt(depth + 1)
@@ -198,7 +185,7 @@ func (g *procGen) stmt(depth int) {
 	case kind < 7 && depth < 2: // bounded loop
 		g.indent(depth)
 		iv := fmt.Sprintf("i%d", g.stmts)
-		fmt.Fprintf(&g.sb, "for var %s = 0; %s < %d; %s = %s + 1 {\n", iv, iv, 2+g.rng.intn(14), iv, iv)
+		fmt.Fprintf(&g.sb, "for var %s = 0; %s < %d; %s = %s + 1 {\n", iv, iv, 2+g.rng.Intn(14), iv, iv)
 		g.ivars = append(g.ivars, iv)
 		g.stmt(depth + 1)
 		g.ivars = g.ivars[:len(g.ivars)-1]
@@ -206,10 +193,10 @@ func (g *procGen) stmt(depth int) {
 		g.sb.WriteString("}\n")
 	case kind < 9: // call into the runtime or an earlier filler proc
 		g.indent(depth)
-		dst := g.locals[g.rng.intn(len(g.locals))]
-		if len(g.callees) > 0 && g.rng.intn(2) == 0 && g.calls < 3 && depth == 1 {
+		dst := g.locals[g.rng.Intn(len(g.locals))]
+		if len(g.callees) > 0 && g.rng.Intn(2) == 0 && g.calls < 3 && depth == 1 {
 			g.calls++
-			callee := g.callees[g.rng.intn(len(g.callees))]
+			callee := g.callees[g.rng.Intn(len(g.callees))]
 			arity := g.arities[callee]
 			args := make([]string, arity)
 			for i := range args {
@@ -217,7 +204,7 @@ func (g *procGen) stmt(depth int) {
 			}
 			fmt.Fprintf(&g.sb, "%s = %s + %s(%s);\n", dst, dst, callee, strings.Join(args, ", "))
 		} else {
-			rc := runtimeCallable[g.rng.intn(2)] // to_lower / hex_digit (scalar-safe)
+			rc := runtimeCallable[g.rng.Intn(2)] // to_lower / hex_digit (scalar-safe)
 			fmt.Fprintf(&g.sb, "%s = %s ^ %s(%s);\n", dst, dst, rc.name, g.expr(1))
 		}
 	default: // early return

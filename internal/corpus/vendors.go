@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"firmup/internal/compiler"
+	"firmup/internal/isa"
 	"firmup/internal/uir"
 )
 
@@ -87,6 +88,20 @@ func BenchScale() Scale {
 	return sc
 }
 
+// ScaleByName returns the scale a command line names: default, eval or
+// bench.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "default":
+		return DefaultScale(), nil
+	case "eval":
+		return EvalScale(), nil
+	case "bench":
+		return BenchScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (valid: default, eval, bench)", name)
+}
+
 // archCycle matches the paper's architecture prevalence: MIPS dominates
 // firmware, then ARM, then PPC, then x86.
 var archCycle = []uir.Arch{
@@ -112,7 +127,7 @@ func Vendors(sc Scale) []Vendor {
 		{name: "ASUS", opt: 2, inline: 6, mulShift: false, shuffle: true, layout: 0x80100000},
 		{name: "TP-Link", opt: 3, inline: 14, mulShift: true, shuffle: false, layout: 0x400000, fillDelay: true},
 	}
-	rng := newGenRNG(sc.Seed ^ 0xC0FFEE)
+	rng := isa.NewRNG(sc.Seed ^ 0xC0FFEE)
 	var out []Vendor
 	for vi, vs := range seeds {
 		v := Vendor{
@@ -131,7 +146,7 @@ func Vendors(sc Scale) []Vendor {
 				Model: fmt.Sprintf("%s-%c%d00", vs.name, 'R'+byte(vi), d+1),
 				Arch:  archCycle[(vi*sc.DevicesPerVendor+d)%len(archCycle)],
 			}
-			nrel := 1 + rng.intn(sc.MaxReleases)
+			nrel := 1 + rng.Intn(sc.MaxReleases)
 			// Pick the device's package set once; versions may advance
 			// across releases, but often do not — the paper found
 			// firmware updates frequently ship stale executables.
@@ -146,17 +161,17 @@ func Vendors(sc Scale) []Vendor {
 			}
 			verIdx := map[string]int{}
 			for _, p := range pkgList {
-				verIdx[p] = rng.intn(len(PackageVersions(p)))
+				verIdx[p] = rng.Intn(len(PackageVersions(p)))
 			}
 			for r := 0; r < nrel; r++ {
 				rel := Release{
-					Version:  fmt.Sprintf("1.%d.%d", r, rng.intn(10)),
+					Version:  fmt.Sprintf("1.%d.%d", r, rng.Intn(10)),
 					Packages: map[string]string{},
 				}
 				for _, p := range pkgList {
 					vers := PackageVersions(p)
 					// 40% chance a release bumps the package version.
-					if r > 0 && rng.intn(100) < 40 && verIdx[p] < len(vers)-1 {
+					if r > 0 && rng.Intn(100) < 40 && verIdx[p] < len(vers)-1 {
 						verIdx[p]++
 					}
 					rel.Packages[p] = vers[verIdx[p]]
@@ -171,20 +186,20 @@ func Vendors(sc Scale) []Vendor {
 }
 
 // devicePackages selects which packages a device firmware ships.
-func devicePackages(rng *genRNG) map[string]bool {
+func devicePackages(rng *isa.RNG) map[string]bool {
 	names := PackageNames()
 	out := map[string]bool{}
 	// Every device gets 3-6 of the 7 packages; wget and libcurl are very
 	// common, matching the paper's hit counts.
 	out["libcurl"] = true
-	if rng.intn(100) < 80 {
+	if rng.Intn(100) < 80 {
 		out["wget"] = true
 	}
 	for _, n := range names {
 		if out[n] {
 			continue
 		}
-		if rng.intn(100) < 45 {
+		if rng.Intn(100) < 45 {
 			out[n] = true
 		}
 		if len(out) >= 6 {

@@ -19,9 +19,6 @@ type Desc struct {
 	// Scratch are two registers reserved for spill reloads and address
 	// arithmetic; never allocated.
 	Scratch [2]uir.Reg
-	// BigEndian selects instruction-word byte order (memory data is
-	// little-endian on every target; see package doc).
-	BigEndian bool
 }
 
 // RegSave pairs a callee-saved register with its frame offset.
@@ -106,13 +103,11 @@ func GenerateWith(pkg *mir.Package, d *Desc, newEmitter func(*Prog) Emitter, pat
 	text := &Prog{BlockOff: map[int]int{}}
 	em := newEmitter(text)
 
-	order := make([]int, len(pkg.Procs))
-	for i := range order {
-		order[i] = i
-	}
+	var orderSeed uint64 // 0 keeps source order
 	if opt.ShuffleProcs {
-		order = shuffleOrder(len(pkg.Procs), opt.RegSeed^0xA5A5)
+		orderSeed = opt.RegSeed ^ 0xA5A5
 	}
+	order := shuffleOrder(len(pkg.Procs), orderSeed)
 
 	var symFixups []Fixup
 	for _, pi := range order {
@@ -210,14 +205,13 @@ func genProc(p *mir.Proc, d *Desc, em Emitter, prog *Prog, opt Options) error {
 		slotOff[i] = off
 		off += int32((s.Size + 3) &^ 3)
 	}
-	usedRegs := usedAllocRegs(p, asn, d.Alloc)
+	usedRegs := usedAllocRegs(asn, d.Alloc)
 	var saves []RegSave
 	for _, r := range usedRegs {
 		saves = append(saves, RegSave{Reg: r, Off: off})
 		off += 4
 	}
-	hasCall := procHasCall(p)
-	saveLink := hasCall && abi.LinkReg != uir.NoLinkReg
+	saveLink := p.HasCall() && abi.LinkReg != uir.NoLinkReg
 	linkOff := off
 	if saveLink {
 		off += 4

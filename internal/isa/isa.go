@@ -229,14 +229,16 @@ func (lb *LiftBuilder) Exit(kind uir.ExitKind, cond, target uir.Operand) {
 	lb.Stmts = append(lb.Stmts, uir.Stmt{Kind: uir.StmtExit, Exit: kind, C: cond, A: target})
 }
 
-// rng is a small deterministic PRNG (splitmix64) used for the seeded
-// tool-chain perturbations; math/rand would also do, but a local
-// implementation keeps streams stable across Go releases.
-type rng struct{ s uint64 }
+// RNG is the deterministic PRNG (splitmix64) behind the seeded
+// tool-chain perturbations and the corpus generator; math/rand would also
+// do, but a local implementation keeps streams stable across Go releases.
+type RNG struct{ s uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{s: seed + 0x9E3779B97F4A7C15} }
+// NewRNG returns a generator whose stream is fixed by seed.
+func NewRNG(seed uint64) *RNG { return &RNG{s: seed + 0x9E3779B97F4A7C15} }
 
-func (r *rng) next() uint64 {
+// Next returns the next 64 bits of the stream.
+func (r *RNG) Next() uint64 {
 	r.s += 0x9E3779B97F4A7C15
 	z := r.s
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -244,18 +246,14 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// Intn returns a value in [0, n).
+func (r *RNG) Intn(n int) int { return int(r.Next() % uint64(n)) }
 
 // permuteRegs returns a seeded permutation of regs (seed 0 = identity).
 func permuteRegs(regs []uir.Reg, seed uint64) []uir.Reg {
-	out := append([]uir.Reg(nil), regs...)
-	if seed == 0 {
-		return out
-	}
-	r := newRNG(seed)
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.intn(i + 1)
-		out[i], out[j] = out[j], out[i]
+	out := make([]uir.Reg, len(regs))
+	for i, j := range shuffleOrder(len(regs), seed) {
+		out[i] = regs[j]
 	}
 	return out
 }
@@ -269,9 +267,9 @@ func shuffleOrder(n int, seed uint64) []int {
 	if seed == 0 {
 		return out
 	}
-	r := newRNG(seed)
+	r := NewRNG(seed)
 	for i := n - 1; i > 0; i-- {
-		j := r.intn(i + 1)
+		j := r.Intn(i + 1)
 		out[i], out[j] = out[j], out[i]
 	}
 	return out

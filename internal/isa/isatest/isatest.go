@@ -214,11 +214,11 @@ func Disassembly(t *testing.T, be isa.Backend) {
 // junk the paper's pipeline also had to survive).
 func DecodeRobustness(t *testing.T, be isa.Backend, seed int64) {
 	t.Helper()
-	rng := newTestRNG(seed)
+	rng := isa.NewRNG(uint64(seed))
 	buf := make([]byte, 64)
 	for trial := 0; trial < 5000; trial++ {
 		for i := range buf {
-			buf[i] = byte(rng.next())
+			buf[i] = byte(rng.Next())
 		}
 		func() {
 			defer func() {
@@ -241,16 +241,4 @@ func DecodeRobustness(t *testing.T, be isa.Backend, seed int64) {
 			}
 		}()
 	}
-}
-
-type testRNG struct{ s uint64 }
-
-func newTestRNG(seed int64) *testRNG { return &testRNG{s: uint64(seed) + 0x9E3779B97F4A7C15} }
-
-func (r *testRNG) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

@@ -48,11 +48,10 @@ func abi() *uir.ABI {
 
 func desc() *isa.Desc {
 	return &isa.Desc{
-		Arch:      uir.ArchMIPS32,
-		ABI:       abi(),
-		Alloc:     []uir.Reg{16, 17, 18, 19, 20, 21, 22, 23},
-		Scratch:   [2]uir.Reg{regT0, regT1},
-		BigEndian: true,
+		Arch:    uir.ArchMIPS32,
+		ABI:     abi(),
+		Alloc:   []uir.Reg{16, 17, 18, 19, 20, 21, 22, 23},
+		Scratch: [2]uir.Reg{regT0, regT1},
 	}
 }
 

@@ -53,11 +53,10 @@ func abi() *uir.ABI {
 
 func desc() *isa.Desc {
 	return &isa.Desc{
-		Arch:      uir.ArchPPC32,
-		ABI:       abi(),
-		Alloc:     []uir.Reg{14, 15, 16, 17, 18, 19, 20, 21},
-		Scratch:   [2]uir.Reg{11, 12},
-		BigEndian: true,
+		Arch:    uir.ArchPPC32,
+		ABI:     abi(),
+		Alloc:   []uir.Reg{14, 15, 16, 17, 18, 19, 20, 21},
+		Scratch: [2]uir.Reg{11, 12},
 	}
 }
 

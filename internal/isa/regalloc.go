@@ -83,45 +83,7 @@ func allocateRegs(p *mir.Proc, regs []uir.Reg) (*assignment, int) {
 // around loop back edges, because dataflow liveness extends the interval
 // across every block of the loop.
 func liveIntervals(p *mir.Proc) (map[mir.VReg]int, map[mir.VReg]int) {
-	n := len(p.Blocks)
-	liveIn := make([]map[mir.VReg]bool, n)
-	for i := range liveIn {
-		liveIn[i] = map[mir.VReg]bool{}
-	}
-	for {
-		changed := false
-		for bi := n - 1; bi >= 0; bi-- {
-			b := p.Blocks[bi]
-			live := map[mir.VReg]bool{}
-			for _, s := range b.Term.Succs() {
-				for r := range liveIn[s] {
-					live[r] = true
-				}
-			}
-			if b.Term.Kind == mir.TRet && b.Term.RetVal != mir.NoReg {
-				live[b.Term.RetVal] = true
-			}
-			if b.Term.Kind == mir.TBranch {
-				live[b.Term.Cond] = true
-			}
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := &b.Instrs[i]
-				if d := in.Def(); d != mir.NoReg {
-					delete(live, d)
-				}
-				for _, u := range in.Uses() {
-					live[u] = true
-				}
-			}
-			if !sameVRegSet(liveIn[bi], live) {
-				liveIn[bi] = live
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	liveIn := p.LiveIn()
 	start := map[mir.VReg]int{}
 	end := map[mir.VReg]int{}
 	touch := func(v mir.VReg, bi int) {
@@ -140,12 +102,8 @@ func liveIntervals(p *mir.Proc) (map[mir.VReg]int, map[mir.VReg]int) {
 		for v := range liveIn[bi] {
 			touch(v, bi)
 		}
-		// Live-out: registers live into any successor are live at the end
-		// of this block too.
-		for _, s := range b.Term.Succs() {
-			for v := range liveIn[s] {
-				touch(v, bi)
-			}
+		for v := range p.LiveOut(liveIn, bi) {
+			touch(v, bi)
 		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -156,31 +114,13 @@ func liveIntervals(p *mir.Proc) (map[mir.VReg]int, map[mir.VReg]int) {
 				touch(u, bi)
 			}
 		}
-		if b.Term.Kind == mir.TBranch {
-			touch(b.Term.Cond, bi)
-		}
-		if b.Term.Kind == mir.TRet && b.Term.RetVal != mir.NoReg {
-			touch(b.Term.RetVal, bi)
-		}
 	}
 	return start, end
 }
 
-func sameVRegSet(a, b map[mir.VReg]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // usedAllocRegs returns the allocatable registers actually assigned, in
 // the canonical (descriptor) order for deterministic save areas.
-func usedAllocRegs(p *mir.Proc, asn *assignment, alloc []uir.Reg) []uir.Reg {
+func usedAllocRegs(asn *assignment, alloc []uir.Reg) []uir.Reg {
 	used := map[uir.Reg]bool{}
 	for _, r := range asn.reg {
 		used[r] = true
@@ -194,17 +134,6 @@ func usedAllocRegs(p *mir.Proc, asn *assignment, alloc []uir.Reg) []uir.Reg {
 	return out
 }
 
-func procHasCall(p *mir.Proc) bool {
-	for _, b := range p.Blocks {
-		for _, in := range b.Instrs {
-			if in.Kind == mir.KCall {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // countUses counts every use of each vreg, including branch conditions
 // and return values — the driver uses it to decide when a trailing
 // compare can be fused into a branch (exactly one use: that branch).
@@ -216,11 +145,8 @@ func countUses(p *mir.Proc) map[mir.VReg]int {
 				out[u]++
 			}
 		}
-		if b.Term.Kind == mir.TRet && b.Term.RetVal != mir.NoReg {
-			out[b.Term.RetVal]++
-		}
-		if b.Term.Kind == mir.TBranch {
-			out[b.Term.Cond]++
+		for _, u := range b.Term.Uses() {
+			out[u]++
 		}
 	}
 	return out
@@ -286,7 +212,7 @@ func schedule(b *mir.Block, seed uint64) []mir.Instr {
 			lastUse[d] = nil
 		}
 	}
-	r := newRNG(seed)
+	r := NewRNG(seed)
 	scheduled := make([]bool, n)
 	out := make([]mir.Instr, 0, n)
 	for len(out) < n {
@@ -306,7 +232,7 @@ func schedule(b *mir.Block, seed uint64) []mir.Instr {
 				ready = append(ready, i)
 			}
 		}
-		pick := ready[r.intn(len(ready))]
+		pick := ready[r.Intn(len(ready))]
 		scheduled[pick] = true
 		out = append(out, b.Instrs[pick])
 	}

@@ -9,6 +9,7 @@ package mir
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"firmup/internal/uir"
@@ -187,16 +188,50 @@ func (p *Proc) String() string {
 // Uses returns the virtual registers read by the instruction.
 func (in *Instr) Uses() []VReg {
 	switch in.Kind {
-	case KBin:
+	case KBin, KStore:
 		return []VReg{in.A, in.B}
 	case KUn, KMovReg, KLoad:
 		return []VReg{in.A}
-	case KStore:
-		return []VReg{in.A, in.B}
 	case KCall:
 		return in.Args
 	}
 	return nil
+}
+
+// MapUses replaces each register the instruction reads, r, by f(r) in
+// place (a call's Args included), reporting whether any changed.
+func (in *Instr) MapUses(f func(VReg) VReg) bool {
+	changed := false
+	set := func(r *VReg) {
+		if n := f(*r); n != *r {
+			*r = n
+			changed = true
+		}
+	}
+	switch in.Kind {
+	case KBin, KStore:
+		set(&in.A)
+		set(&in.B)
+	case KUn, KMovReg, KLoad:
+		set(&in.A)
+	case KCall:
+		for k := range in.Args {
+			set(&in.Args[k])
+		}
+	}
+	return changed
+}
+
+// HasCall reports whether any block of the procedure calls.
+func (p *Proc) HasCall() bool {
+	for _, b := range p.Blocks {
+		for _, in := range b.Instrs {
+			if in.Kind == KCall {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Def returns the register defined by the instruction, or NoReg.
@@ -216,6 +251,63 @@ func (t Term) Succs() []int {
 		return []int{t.True, t.False}
 	}
 	return nil
+}
+
+// Uses returns the virtual registers read by the terminator: a branch's
+// Cond, a return's RetVal.
+func (t Term) Uses() []VReg {
+	switch {
+	case t.Kind == TBranch:
+		return []VReg{t.Cond}
+	case t.Kind == TRet && t.RetVal != NoReg:
+		return []VReg{t.RetVal}
+	}
+	return nil
+}
+
+// LiveIn returns, per block index, the set of registers live on entry to
+// the block, computed by backward iteration to a fixed point.
+func (p *Proc) LiveIn() []map[VReg]bool {
+	liveIn := make([]map[VReg]bool, len(p.Blocks))
+	for i := range liveIn {
+		liveIn[i] = map[VReg]bool{}
+	}
+	for changed := true; changed; {
+		changed = false
+		for bi := len(p.Blocks) - 1; bi >= 0; bi-- {
+			live := p.LiveOut(liveIn, bi)
+			instrs := p.Blocks[bi].Instrs
+			for i := len(instrs) - 1; i >= 0; i-- {
+				in := &instrs[i]
+				if d := in.Def(); d != NoReg {
+					delete(live, d)
+				}
+				for _, u := range in.Uses() {
+					live[u] = true
+				}
+			}
+			if !maps.Equal(liveIn[bi], live) {
+				liveIn[bi] = live
+				changed = true
+			}
+		}
+	}
+	return liveIn
+}
+
+// LiveOut returns a fresh set of the registers live at the end of block
+// bi, given every block's live-in set: its successors' live-in registers
+// and those its terminator reads.
+func (p *Proc) LiveOut(liveIn []map[VReg]bool, bi int) map[VReg]bool {
+	t := p.Blocks[bi].Term
+	live := map[VReg]bool{}
+	for _, s := range t.Succs() {
+		maps.Copy(live, liveIn[s])
+	}
+	for _, u := range t.Uses() {
+		live[u] = true
+	}
+	return live
 }
 
 // Validate checks structural invariants: block IDs match indices,

@@ -1,6 +1,8 @@
 package mir
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,6 +131,19 @@ func TestInstrStringAndAccessors(t *testing.T) {
 	if !strings.Contains(sampleProc().String(), "proc f") {
 		t.Error("proc String")
 	}
+	shift := func(r VReg) VReg { return r + 10 }
+	if !ins.MapUses(shift) || !slices.Equal(ins.Args, []VReg{11, 12}) || ins.Dst != 3 {
+		t.Errorf("MapUses on a call: %s", ins)
+	}
+	if !store.MapUses(shift) || store.A != 11 || store.B != 12 {
+		t.Errorf("MapUses on a store: %s", store)
+	}
+	if store.MapUses(func(r VReg) VReg { return r }) {
+		t.Error("MapUses reports a change for the identity")
+	}
+	if sampleProc().HasCall() {
+		t.Error("HasCall on a proc without calls")
+	}
 }
 
 func TestInterpTracksCalls(t *testing.T) {
@@ -149,5 +164,82 @@ func TestInterpTracksCalls(t *testing.T) {
 	}
 	if len(in.Trace) != 2 || in.Trace[1] != "g/1" {
 		t.Errorf("trace = %v", in.Trace)
+	}
+}
+
+// loopProc is f(n) { acc = 0; for i = 0; i < n; i++ { acc += i }; return acc },
+// with the loop's back edge b2 -> b1. The compare result v3 is read only
+// by b1's branch, and acc (v1) only by b2 and b3's return.
+func loopProc() *Proc {
+	p := &Proc{Name: "f", NParams: 1, NVRegs: 1}
+	n := VReg(0)
+	acc, i, lt, one := p.NewVReg(), p.NewVReg(), p.NewVReg(), p.NewVReg()
+	p.Blocks = []*Block{
+		{ID: 0, Instrs: []Instr{
+			{Kind: KMovConst, Dst: acc, Const: 0},
+			{Kind: KMovConst, Dst: i, Const: 0},
+		}, Term: Term{Kind: TJump, True: 1}},
+		{ID: 1, Instrs: []Instr{
+			{Kind: KBin, Op: uir.OpCmpLTS, Dst: lt, A: i, B: n},
+		}, Term: Term{Kind: TBranch, Cond: lt, True: 2, False: 3}},
+		{ID: 2, Instrs: []Instr{
+			{Kind: KMovConst, Dst: one, Const: 1},
+			{Kind: KBin, Op: uir.OpAdd, Dst: acc, A: acc, B: i},
+			{Kind: KBin, Op: uir.OpAdd, Dst: i, A: i, B: one},
+		}, Term: Term{Kind: TJump, True: 1}},
+		{ID: 3, Term: Term{Kind: TRet, RetVal: acc}},
+	}
+	return p
+}
+
+func TestTermUses(t *testing.T) {
+	for _, tc := range []struct {
+		term Term
+		want []VReg
+	}{
+		{Term{Kind: TJump, True: 1}, nil},
+		{Term{Kind: TBranch, Cond: 3, True: 2, False: 3}, []VReg{3}},
+		{Term{Kind: TRet, RetVal: 1}, []VReg{1}},
+		{Term{Kind: TRet, RetVal: NoReg}, nil},
+	} {
+		if got := tc.term.Uses(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Uses = %v, want %v", tc.term, got, tc.want)
+		}
+	}
+}
+
+func TestLiveness(t *testing.T) {
+	p := loopProc()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	set := func(vs ...VReg) map[VReg]bool {
+		m := map[VReg]bool{}
+		for _, v := range vs {
+			m[v] = true
+		}
+		return m
+	}
+	// n stays live around the whole loop, b2 included, only through the
+	// back edge; lt is live out of b1 only because its branch reads it.
+	wantIn := []map[VReg]bool{set(0), set(0, 1, 2), set(0, 1, 2), set(1)}
+	wantOut := []map[VReg]bool{set(0, 1, 2), set(0, 1, 2, 3), set(0, 1, 2), set(1)}
+	liveIn := p.LiveIn()
+	if len(liveIn) != len(p.Blocks) {
+		t.Fatalf("LiveIn has %d sets for %d blocks", len(liveIn), len(p.Blocks))
+	}
+	for bi := range p.Blocks {
+		if !maps.Equal(liveIn[bi], wantIn[bi]) {
+			t.Errorf("b%d: live-in %v, want %v", bi, liveIn[bi], wantIn[bi])
+		}
+		if got := p.LiveOut(liveIn, bi); !maps.Equal(got, wantOut[bi]) {
+			t.Errorf("b%d: live-out %v, want %v", bi, got, wantOut[bi])
+		}
+	}
+	// LiveOut hands back a set of its own: changing it leaves liveIn alone.
+	out := p.LiveOut(liveIn, 2)
+	delete(out, 0)
+	if !liveIn[1][0] {
+		t.Error("LiveOut aliases a successor's live-in set")
 	}
 }

@@ -105,14 +105,7 @@ func (p *parser) parseDecl() (Decl, error) {
 		return p.parseConstDecl()
 	case p.isKeyword("extern"):
 		pos := p.advance().pos
-		if err := p.expectKeyword("func"); err != nil {
-			return nil, err
-		}
-		name, _, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		params, err := p.parseParams()
+		name, params, err := p.parseFuncHead()
 		if err != nil {
 			return nil, err
 		}
@@ -149,27 +142,33 @@ func (p *parser) parseConstInt() (int32, error) {
 	return t.val, nil
 }
 
+// parseVarHead parses `var NAME` and an optional `[N]`, returning size 0
+// for a scalar. Both global and local declarations start this way.
+func (p *parser) parseVarHead() (pos Pos, name string, size int, err error) {
+	pos = p.advance().pos // "var"
+	if name, _, err = p.expectIdent(); err != nil {
+		return pos, "", 0, err
+	}
+	if !p.isPunct("[") {
+		return pos, name, 0, nil
+	}
+	p.advance()
+	n, err := p.parseConstInt()
+	if err != nil {
+		return pos, name, 0, err
+	}
+	if n <= 0 {
+		return pos, name, 0, &Error{pos, fmt.Sprintf("array %s has non-positive size %d", name, n)}
+	}
+	return pos, name, int(n), p.expectPunct("]")
+}
+
 func (p *parser) parseVarDecl() (Decl, error) {
-	pos := p.advance().pos // "var"
-	name, _, err := p.expectIdent()
+	pos, name, size, err := p.parseVarHead()
 	if err != nil {
 		return nil, err
 	}
-	d := &VarDecl{Pos: pos, Name: name}
-	if p.isPunct("[") {
-		p.advance()
-		n, err := p.parseConstInt()
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, &Error{pos, fmt.Sprintf("array %s has non-positive size %d", name, n)}
-		}
-		d.Size = int(n)
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-	}
+	d := &VarDecl{Pos: pos, Name: name, Size: size}
 	if p.isPunct("=") {
 		p.advance()
 		switch {
@@ -242,6 +241,20 @@ func (p *parser) parseParams() ([]string, error) {
 	return params, nil
 }
 
+// parseFuncHead parses `func NAME(params)`, the head an extern and a
+// defined function share.
+func (p *parser) parseFuncHead() (string, []string, error) {
+	if err := p.expectKeyword("func"); err != nil {
+		return "", nil, err
+	}
+	name, _, err := p.expectIdent()
+	if err != nil {
+		return "", nil, err
+	}
+	params, err := p.parseParams()
+	return name, params, err
+}
+
 func (p *parser) parseFuncDecl() (Decl, error) {
 	var feature string
 	pos := p.cur().pos
@@ -259,14 +272,7 @@ func (p *parser) parseFuncDecl() (Decl, error) {
 			return nil, err
 		}
 	}
-	if err := p.expectKeyword("func"); err != nil {
-		return nil, err
-	}
-	name, _, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	params, err := p.parseParams()
+	name, params, err := p.parseFuncHead()
 	if err != nil {
 		return nil, err
 	}
@@ -349,26 +355,11 @@ func (p *parser) parseStmt() (Stmt, error) {
 }
 
 func (p *parser) parseDeclStmt() (Stmt, error) {
-	pos := p.advance().pos // "var"
-	name, _, err := p.expectIdent()
+	pos, name, size, err := p.parseVarHead()
 	if err != nil {
 		return nil, err
 	}
-	d := &DeclStmt{Pos: pos, Name: name}
-	if p.isPunct("[") {
-		p.advance()
-		n, err := p.parseConstInt()
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, &Error{pos, fmt.Sprintf("array %s has non-positive size %d", name, n)}
-		}
-		d.Size = int(n)
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-	}
+	d := &DeclStmt{Pos: pos, Name: name, Size: size}
 	if p.isPunct("=") {
 		p.advance()
 		init, err := p.parseExpr()
