@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"firmup"
@@ -163,7 +164,7 @@ func dumpExe(path, procName string, showStrands bool) {
 			fmt.Printf("block %d @ %#x:\n", bi, b.Addr)
 			for _, s := range strand.ExtractBlock(b, opt) {
 				fmt.Printf("  strand %016x:\n", s.Hash)
-				for _, line := range splitLines(s.Text) {
+				for _, line := range strings.Split(s.Text, "\n") {
 					fmt.Printf("    %s\n", line)
 				}
 			}
@@ -171,20 +172,8 @@ func dumpExe(path, procName string, showStrands bool) {
 		return
 	}
 	for _, in := range p.Insts {
-		fmt.Printf("%08x  %s\n", in.Addr, isa.Disasm(be, in))
+		fmt.Printf("%08x  %s\n", in.Addr, be.Disasm(in))
 	}
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
 }
 
 func fatal(err error) {

@@ -99,11 +99,11 @@ func main() {
 
 	shared := map[string]bool{}
 	for _, in := range pA.Insts[:min(20, len(pA.Insts))] {
-		shared[isa.Disasm(beMIPS, in)] = true
+		shared[beMIPS.Disasm(in)] = true
 	}
 	overlap := 0
 	for _, in := range pB.Insts[:min(20, len(pB.Insts))] {
-		if shared[isa.Disasm(beMIPS, in)] {
+		if shared[beMIPS.Disasm(in)] {
 			overlap++
 		}
 	}
@@ -130,7 +130,7 @@ func printHead(p *cfg.Proc, n int) {
 		if i >= n {
 			return
 		}
-		fmt.Printf("  %08x  %s\n", in.Addr, isa.Disasm(be, in))
+		fmt.Printf("  %08x  %s\n", in.Addr, be.Disasm(in))
 	}
 }
 

@@ -10,10 +10,10 @@
 package arm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"firmup/internal/isa"
-	"firmup/internal/mir"
 	"firmup/internal/uir"
 )
 
@@ -35,8 +35,9 @@ var regNames = map[uir.Reg]string{
 	20: "z", 21: "lts", 22: "ltu",
 }
 
-func abi() *uir.ABI {
-	return &uir.ABI{
+// desc describes the ARM32 backend to isa's shared driver.
+var desc = isa.Desc{
+	ABI: &uir.ABI{
 		Arch:       uir.ArchARM32,
 		ArgRegs:    []uir.Reg{0, 1, 2, 3},
 		RetReg:     regR0,
@@ -44,16 +45,15 @@ func abi() *uir.ABI {
 		LinkReg:    regLR,
 		Scratch:    []uir.Reg{0, 1, 2, 3, 11, 12, 14, 20, 21, 22},
 		StatusRegs: []uir.Reg{flagZ, flagLT, flagLO},
-	}
-}
-
-func desc() *isa.Desc {
-	return &isa.Desc{
-		Arch:    uir.ArchARM32,
-		ABI:     abi(),
-		Alloc:   []uir.Reg{4, 5, 6, 7, 8, 9, 10},
-		Scratch: [2]uir.Reg{11, 12},
-	}
+	},
+	MinInstSize: 4,
+	Order:       binary.LittleEndian,
+	Alloc:       []uir.Reg{4, 5, 6, 7, 8, 9, 10},
+	Scratch:     [2]uir.Reg{11, 12},
+	NewEmitter: func(p *isa.Prog, _ isa.Options) isa.Emitter {
+		return &emitter{Prog: p}
+	},
+	Patch: patch,
 }
 
 // Instruction classes (bits 24-27).
@@ -121,29 +121,14 @@ const (
 	fmtMovwMovt              // movw/movt pair
 )
 
-// Backend implements isa.Backend for ARM32.
-type Backend struct{ d *isa.Desc }
+// Backend implements isa.Backend for ARM32: Decode, Lift and Disasm
+// here, the rest from desc.
+type Backend struct{ isa.Base }
 
 // New returns the ARM backend.
-func New() *Backend { return &Backend{d: desc()} }
+func New() *Backend { return &Backend{isa.Base{Desc: &desc}} }
 
 func init() { isa.Register(New()) }
-
-// Arch implements isa.Backend.
-func (b *Backend) Arch() uir.Arch { return uir.ArchARM32 }
-
-// ABI implements isa.Backend.
-func (b *Backend) ABI() *uir.ABI { return b.d.ABI }
-
-// MinInstSize implements isa.Backend.
-func (b *Backend) MinInstSize() uint32 { return 4 }
-
-// Generate implements isa.Backend.
-func (b *Backend) Generate(pkg *mir.Package, opt isa.Options) (*isa.Artifact, error) {
-	return isa.GenerateWith(pkg, b.d, func(p *isa.Prog) isa.Emitter {
-		return &emitter{prog: p}
-	}, b, opt)
-}
 
 func enc(cond, class uint32, rest uint32) uint32 {
 	return cond<<28 | class<<24 | rest
@@ -165,59 +150,49 @@ func mem(class uint32, load bool, rd, rn uir.Reg, imm12 uint32) uint32 {
 	return enc(condAL, class, l<<23|uint32(rd)<<16|uint32(rn)<<12|imm12&0xFFF)
 }
 
-type emitter struct{ prog *isa.Prog }
-
-func (e *emitter) word(w uint32) {
-	e.prog.Buf = append(e.prog.Buf, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
-}
-
-func (e *emitter) MarkBlock(id int) { e.prog.BlockOff[id] = len(e.prog.Buf) }
-
-func (e *emitter) fixup(block int, sym string, format uint8) {
-	e.prog.Fixups = append(e.prog.Fixups, isa.Fixup{Off: len(e.prog.Buf), Block: block, Sym: sym, Format: format})
-}
+type emitter struct{ *isa.Prog }
 
 func (e *emitter) Prologue(f isa.Frame) {
 	if f.Size > 0 {
-		e.word(dpImm(condAL, dpSub, regSP, regSP, uint32(f.Size)))
+		e.Word(dpImm(condAL, dpSub, regSP, regSP, uint32(f.Size)))
 	}
 	for _, s := range f.Saves {
-		e.word(mem(clMemW, false, s.Reg, regSP, uint32(s.Off)))
+		e.Word(mem(clMemW, false, s.Reg, regSP, uint32(s.Off)))
 	}
 	if f.SaveLink {
-		e.word(mem(clMemW, false, regLR, regSP, uint32(f.LinkOff)))
+		e.Word(mem(clMemW, false, regLR, regSP, uint32(f.LinkOff)))
 	}
 }
 
 func (e *emitter) Epilogue(f isa.Frame) {
 	for _, s := range f.Saves {
-		e.word(mem(clMemW, true, s.Reg, regSP, uint32(s.Off)))
+		e.Word(mem(clMemW, true, s.Reg, regSP, uint32(s.Off)))
 	}
 	if f.SaveLink {
-		e.word(mem(clMemW, true, regLR, regSP, uint32(f.LinkOff)))
+		e.Word(mem(clMemW, true, regLR, regSP, uint32(f.LinkOff)))
 	}
 	if f.Size > 0 {
-		e.word(dpImm(condAL, dpAdd, regSP, regSP, uint32(f.Size)))
+		e.Word(dpImm(condAL, dpAdd, regSP, regSP, uint32(f.Size)))
 	}
-	e.word(enc(condAL, clBX, uint32(regLR)))
+	e.Word(enc(condAL, clBX, uint32(regLR)))
 }
 
 func (e *emitter) MovConst(dst uir.Reg, v uint32) {
-	e.word(enc(condAL, clMovw, uint32(dst)<<16|v&0xFFFF))
+	e.Word(enc(condAL, clMovw, uint32(dst)<<16|v&0xFFFF))
 	if v>>16 != 0 {
-		e.word(enc(condAL, clMovt, uint32(dst)<<16|v>>16))
+		e.Word(enc(condAL, clMovt, uint32(dst)<<16|v>>16))
 	}
 }
 
 func (e *emitter) MovReg(dst, src uir.Reg) {
-	e.word(dpReg(condAL, dpMov, dst, 0, src))
+	e.Word(dpReg(condAL, dpMov, dst, 0, src))
 }
 
-func (e *emitter) cmp(a, b uir.Reg) { e.word(dpReg(condAL, dpCmp, 0, a, b)) }
+func (e *emitter) cmp(a, b uir.Reg) { e.Word(dpReg(condAL, dpCmp, 0, a, b)) }
 
 func (e *emitter) setCC(cond uint32, dst uir.Reg) {
-	e.word(dpImm(condAL, dpMov, dst, 0, 0))
-	e.word(dpImm(cond, dpMov, dst, 0, 1))
+	e.Word(dpImm(condAL, dpMov, dst, 0, 0))
+	e.Word(dpImm(cond, dpMov, dst, 0, 1))
 }
 
 func condFor(op uir.Op) uint32 {
@@ -241,31 +216,31 @@ func condFor(op uir.Op) uint32 {
 func (e *emitter) Bin(op uir.Op, dst, a, b uir.Reg) {
 	switch op {
 	case uir.OpAdd:
-		e.word(dpReg(condAL, dpAdd, dst, a, b))
+		e.Word(dpReg(condAL, dpAdd, dst, a, b))
 	case uir.OpSub:
-		e.word(dpReg(condAL, dpSub, dst, a, b))
+		e.Word(dpReg(condAL, dpSub, dst, a, b))
 	case uir.OpAnd:
-		e.word(dpReg(condAL, dpAnd, dst, a, b))
+		e.Word(dpReg(condAL, dpAnd, dst, a, b))
 	case uir.OpOr:
-		e.word(dpReg(condAL, dpOrr, dst, a, b))
+		e.Word(dpReg(condAL, dpOrr, dst, a, b))
 	case uir.OpXor:
-		e.word(dpReg(condAL, dpEor, dst, a, b))
+		e.Word(dpReg(condAL, dpEor, dst, a, b))
 	case uir.OpShl:
-		e.word(dpReg(condAL, dpLsl, dst, a, b))
+		e.Word(dpReg(condAL, dpLsl, dst, a, b))
 	case uir.OpShrU:
-		e.word(dpReg(condAL, dpLsr, dst, a, b))
+		e.Word(dpReg(condAL, dpLsr, dst, a, b))
 	case uir.OpShrS:
-		e.word(dpReg(condAL, dpAsr, dst, a, b))
+		e.Word(dpReg(condAL, dpAsr, dst, a, b))
 	case uir.OpMul:
-		e.word(enc(condAL, clMulDiv, mdMul<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
+		e.Word(enc(condAL, clMulDiv, mdMul<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
 	case uir.OpDivS:
-		e.word(enc(condAL, clMulDiv, mdSdiv<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
+		e.Word(enc(condAL, clMulDiv, mdSdiv<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
 	case uir.OpDivU:
-		e.word(enc(condAL, clMulDiv, mdUdiv<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
+		e.Word(enc(condAL, clMulDiv, mdUdiv<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
 	case uir.OpRemS:
-		e.word(enc(condAL, clMulDiv, mdSrem<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
+		e.Word(enc(condAL, clMulDiv, mdSrem<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
 	case uir.OpRemU:
-		e.word(enc(condAL, clMulDiv, mdUrem<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
+		e.Word(enc(condAL, clMulDiv, mdUrem<<20|uint32(dst)<<16|uint32(a)<<12|uint32(b)<<8))
 	case uir.OpCmpEQ, uir.OpCmpNE, uir.OpCmpLTS, uir.OpCmpLTU, uir.OpCmpLES, uir.OpCmpLEU:
 		e.cmp(a, b)
 		e.setCC(condFor(op), dst)
@@ -277,11 +252,11 @@ func (e *emitter) Bin(op uir.Op, dst, a, b uir.Reg) {
 func (e *emitter) Un(op uir.Op, dst, a uir.Reg) {
 	switch op {
 	case uir.OpNot:
-		e.word(dpReg(condAL, dpMvn, dst, 0, a))
+		e.Word(dpReg(condAL, dpMvn, dst, 0, a))
 	case uir.OpNeg:
-		e.word(dpImm(condAL, dpRsb, dst, a, 0)) // dst = 0 - a
+		e.Word(dpImm(condAL, dpRsb, dst, a, 0)) // dst = 0 - a
 	case uir.OpBool:
-		e.word(dpImm(condAL, dpCmp, 0, a, 0))
+		e.Word(dpImm(condAL, dpCmp, 0, a, 0))
 		e.setCC(condNE, dst)
 	case uir.OpSext8:
 		e.ShiftImm(uir.OpShl, dst, a, 24)
@@ -312,7 +287,7 @@ func (e *emitter) ShiftImm(op uir.Op, dst, a uir.Reg, k uint8) {
 	default:
 		panic("arm: bad immediate shift")
 	}
-	e.word(dpImm(condAL, dp, dst, a, uint32(k)))
+	e.Word(dpImm(condAL, dp, dst, a, uint32(k)))
 }
 
 func (e *emitter) Load(dst, base uir.Reg, off int32, size uint8) {
@@ -320,7 +295,7 @@ func (e *emitter) Load(dst, base uir.Reg, off int32, size uint8) {
 	if size == 1 {
 		cl = clMemB
 	}
-	e.word(mem(cl, true, dst, base, uint32(off)))
+	e.Word(mem(cl, true, dst, base, uint32(off)))
 }
 
 func (e *emitter) Store(base uir.Reg, off int32, src uir.Reg, size uint8) {
@@ -328,52 +303,44 @@ func (e *emitter) Store(base uir.Reg, off int32, src uir.Reg, size uint8) {
 	if size == 1 {
 		cl = clMemB
 	}
-	e.word(mem(cl, false, src, base, uint32(off)))
+	e.Word(mem(cl, false, src, base, uint32(off)))
 }
 
 func (e *emitter) AddrAdd(dst, base uir.Reg, off int32) {
-	e.word(dpImm(condAL, dpAdd, dst, base, uint32(off)))
+	e.Word(dpImm(condAL, dpAdd, dst, base, uint32(off)))
 }
 
 func (e *emitter) AddrGlobal(dst uir.Reg, sym string) {
-	e.fixup(0, sym, fmtMovwMovt)
-	e.word(enc(condAL, clMovw, uint32(dst)<<16))
-	e.word(enc(condAL, clMovt, uint32(dst)<<16))
+	e.Fixup(0, sym, fmtMovwMovt)
+	e.Word(enc(condAL, clMovw, uint32(dst)<<16))
+	e.Word(enc(condAL, clMovt, uint32(dst)<<16))
 }
 
 func (e *emitter) CallSym(sym string) {
-	e.fixup(0, sym, fmtB24)
-	e.word(enc(condAL, clBL, 0))
+	e.Fixup(0, sym, fmtB24)
+	e.Word(enc(condAL, clBL, 0))
 }
 
 func (e *emitter) JumpBlock(blk int) {
-	e.fixup(blk, "", fmtB24)
-	e.word(enc(condAL, clBranch, 0))
+	e.Fixup(blk, "", fmtB24)
+	e.Word(enc(condAL, clBranch, 0))
 }
 
 func (e *emitter) CmpBranch(op uir.Op, a, b uir.Reg, trueB int) {
 	e.cmp(a, b)
-	e.fixup(trueB, "", fmtB24)
-	e.word(enc(condFor(op), clBranch, 0))
+	e.Fixup(trueB, "", fmtB24)
+	e.Word(enc(condFor(op), clBranch, 0))
 }
 
 func (e *emitter) CondBranch(cond uir.Reg, trueB int) {
-	e.word(dpImm(condAL, dpCmp, 0, cond, 0))
-	e.fixup(trueB, "", fmtB24)
-	e.word(enc(condNE, clBranch, 0))
+	e.Word(dpImm(condAL, dpCmp, 0, cond, 0))
+	e.Fixup(trueB, "", fmtB24)
+	e.Word(enc(condNE, clBranch, 0))
 }
 
-func (e *emitter) StoreArgStack(int, uir.Reg)       { panic("arm: register-argument ABI") }
-func (e *emitter) LoadArgStack(uir.Reg, int, int32) { panic("arm: register-argument ABI") }
-
-// Patch implements isa.Patcher.
-func (b *Backend) Patch(buf []byte, off int, format uint8, instAddr, target uint32) error {
-	rd := func(o int) uint32 {
-		return uint32(buf[o]) | uint32(buf[o+1])<<8 | uint32(buf[o+2])<<16 | uint32(buf[o+3])<<24
-	}
-	wr := func(o int, w uint32) {
-		buf[o], buf[o+1], buf[o+2], buf[o+3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-	}
+// patch implements isa.Desc.Patch.
+func patch(buf []byte, off int, format uint8, instAddr, target uint32) error {
+	w := binary.LittleEndian
 	switch format {
 	case fmtB24:
 		delta := int32(target) - int32(instAddr+8)
@@ -384,10 +351,10 @@ func (b *Backend) Patch(buf []byte, off int, format uint8, instAddr, target uint
 		if words < -(1<<23) || words >= 1<<23 {
 			return fmt.Errorf("arm: branch out of range")
 		}
-		wr(off, rd(off)|uint32(words)&0x00FFFFFF)
+		w.PutUint32(buf[off:], w.Uint32(buf[off:])|uint32(words)&0x00FFFFFF)
 	case fmtMovwMovt:
-		wr(off, rd(off)|target&0xFFFF)
-		wr(off+4, rd(off+4)|target>>16)
+		w.PutUint32(buf[off:], w.Uint32(buf[off:])|target&0xFFFF)
+		w.PutUint32(buf[off+4:], w.Uint32(buf[off+4:])|target>>16)
 	default:
 		return fmt.Errorf("arm: unknown fixup format %d", format)
 	}

@@ -61,7 +61,7 @@ func (b *Backend) Decode(text []byte, off int, addr uint32) (isa.Inst, error) {
 	return inst, nil
 }
 
-// Disasm implements isa.Disassembler, reconstructing the assembly text
+// Disasm implements isa.Backend, reconstructing the assembly text
 // from the raw bits off the decode hot path.
 func (b *Backend) Disasm(in isa.Inst) string {
 	w := uint32(in.Raw)

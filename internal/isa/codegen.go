@@ -1,17 +1,22 @@
 package isa
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"firmup/internal/mir"
 	"firmup/internal/uir"
 )
 
-// Desc describes the register model a backend exposes to the shared
-// code-generation driver.
+// Desc is the one description a backend gives of itself: everything the
+// shared driver needs beyond the backend's own encodings.
 type Desc struct {
-	Arch uir.Arch
-	ABI  *uir.ABI
+	// ABI is the calling convention; its Arch names the architecture.
+	ABI *uir.ABI
+	// MinInstSize is the smallest legal instruction length.
+	MinInstSize uint32
+	// Order is the byte order of Prog.Word.
+	Order binary.AppendByteOrder
 	// Alloc lists registers available for virtual-register assignment.
 	// By driver convention they are callee-saved: the prologue saves the
 	// used subset.
@@ -19,6 +24,12 @@ type Desc struct {
 	// Scratch are two registers reserved for spill reloads and address
 	// arithmetic; never allocated.
 	Scratch [2]uir.Reg
+	// NewEmitter returns the instruction selector appending to p.
+	NewEmitter func(p *Prog, opt Options) Emitter
+	// Patch rewrites the placeholder encoding of a fixup in format at
+	// buf[off:] once its target address is known; instAddr is the
+	// address of the instruction at off.
+	Patch func(buf []byte, off int, format uint8, instAddr, target uint32) error
 }
 
 // RegSave pairs a callee-saved register with its frame offset.
@@ -37,10 +48,9 @@ type Frame struct {
 }
 
 // Emitter is the per-backend instruction selector. The driver calls it
-// with physical registers only; all spill traffic is made explicit by the
-// driver through Load/Store against SP.
+// with physical registers only; all spill and stack-argument traffic is
+// made explicit by the driver through Load/Store against SP.
 type Emitter interface {
-	MarkBlock(id int)
 	Prologue(f Frame)
 	// Epilogue restores saved state, unwinds the frame and returns.
 	Epilogue(f Frame)
@@ -61,19 +71,34 @@ type Emitter interface {
 	CmpBranch(op uir.Op, a, b uir.Reg, trueB int)
 	// CondBranch branches to trueB when cond != 0.
 	CondBranch(cond uir.Reg, trueB int)
-	// StoreArgStack places outgoing argument i below SP (stack-args
-	// ABIs); register-args ABIs never receive this call.
-	StoreArgStack(i int, src uir.Reg)
-	// LoadArgStack loads incoming argument i (stack-args ABIs).
-	LoadArgStack(dst uir.Reg, i int, frameSize int32)
 }
 
-// Prog accumulates encoded bytes plus the fixups to resolve.
+// Prog accumulates encoded bytes plus the current procedure's block
+// offsets and the fixups to resolve. Emitters append to it.
 type Prog struct {
 	Buf      []byte
 	BlockOff map[int]int
 	Fixups   []Fixup
+	// Mark is the offset of the latest MarkBlock.
+	Mark int
+	// Order is the byte order of Word.
+	Order binary.AppendByteOrder
 }
+
+// MarkBlock records that block id starts at the current offset.
+func (p *Prog) MarkBlock(id int) {
+	p.BlockOff[id] = len(p.Buf)
+	p.Mark = len(p.Buf)
+}
+
+// Fixup records that the instruction emitted next is patched in format
+// once its target — sym, or block when sym is empty — is placed.
+func (p *Prog) Fixup(block int, sym string, format uint8) {
+	p.Fixups = append(p.Fixups, Fixup{Off: len(p.Buf), Block: block, Sym: sym, Format: format})
+}
+
+// Word appends a 32-bit word in the target's byte order.
+func (p *Prog) Word(w uint32) { p.Buf = p.Order.AppendUint32(p.Buf, w) }
 
 // Fixup kinds: block-relative (resolved per procedure) or symbol
 // (resolved at link).
@@ -84,24 +109,21 @@ type Fixup struct {
 	Format uint8  // backend-specific patch format
 }
 
-// Patcher rewrites a placeholder encoding once the target address is
-// known. instAddr is the address of the instruction at Off.
-type Patcher interface {
-	Patch(buf []byte, off int, format uint8, instAddr, target uint32) error
-}
-
 // epilogueBlock is the pseudo block id used for return jumps.
 const epilogueBlock = -1
+
+// argOff is the SP offset at which a caller stores outgoing stack
+// argument i: below its SP, in memory the callee's frame then covers.
+func argOff(i int) int32 { return -4 * int32(i+1) }
 
 // maxRegParams bounds procedure arity for register-argument ABIs.
 const maxRegParams = 4
 
-// GenerateWith is the shared code-generation driver: backends implement
-// Backend.Generate by supplying their Desc and an emitter constructor.
-func GenerateWith(pkg *mir.Package, d *Desc, newEmitter func(*Prog) Emitter, patch Patcher, opt Options) (*Artifact, error) {
-	art := &Artifact{Arch: d.Arch, TextBase: opt.TextBase}
-	text := &Prog{BlockOff: map[int]int{}}
-	em := newEmitter(text)
+// generate is the shared code-generation driver behind Base.Generate.
+func generate(pkg *mir.Package, d *Desc, opt Options) (*Artifact, error) {
+	art := &Artifact{Arch: d.ABI.Arch, TextBase: opt.TextBase}
+	text := &Prog{BlockOff: map[int]int{}, Order: d.Order}
+	em := d.NewEmitter(text, opt)
 
 	var orderSeed uint64 // 0 keeps source order
 	if opt.ShuffleProcs {
@@ -130,7 +152,7 @@ func GenerateWith(pkg *mir.Package, d *Desc, newEmitter func(*Prog) Emitter, pat
 			}
 			instAddr := opt.TextBase + uint32(f.Off)
 			target := opt.TextBase + uint32(toff)
-			if err := patch.Patch(text.Buf, f.Off, f.Format, instAddr, target); err != nil {
+			if err := d.Patch(text.Buf, f.Off, f.Format, instAddr, target); err != nil {
 				return nil, fmt.Errorf("isa: %s: %w", p.Name, err)
 			}
 		}
@@ -162,7 +184,7 @@ func GenerateWith(pkg *mir.Package, d *Desc, newEmitter func(*Prog) Emitter, pat
 			return nil, fmt.Errorf("isa: unresolved symbol %q", f.Sym)
 		}
 		instAddr := opt.TextBase + uint32(f.Off)
-		if err := patch.Patch(art.Text, f.Off, f.Format, instAddr, target); err != nil {
+		if err := d.Patch(art.Text, f.Off, f.Format, instAddr, target); err != nil {
 			return nil, err
 		}
 	}
@@ -239,7 +261,7 @@ func genProc(p *mir.Proc, d *Desc, em Emitter, prog *Prog, opt Options) error {
 		if regArgs {
 			src = abi.ArgRegs[i]
 		} else {
-			em.LoadArgStack(s0, i, frame.Size)
+			em.Load(s0, abi.SP, frame.Size+argOff(i), 4)
 			src = s0
 		}
 		if r, ok := asn.loc(v); ok {
@@ -271,7 +293,7 @@ func genProc(p *mir.Proc, d *Desc, em Emitter, prog *Prog, opt Options) error {
 	useCount := countUses(p)
 
 	for _, b := range p.Blocks {
-		em.MarkBlock(b.ID)
+		prog.MarkBlock(b.ID)
 		instrs := schedule(b, opt.SchedSeed+uint64(b.ID))
 		// Identify a fusable trailing compare for the terminator.
 		fuseIdx := -1
@@ -320,7 +342,7 @@ func genProc(p *mir.Proc, d *Desc, em Emitter, prog *Prog, opt Options) error {
 			}
 		}
 	}
-	em.MarkBlock(epilogueBlock)
+	prog.MarkBlock(epilogueBlock)
 	em.Epilogue(frame)
 	return nil
 }
@@ -390,7 +412,7 @@ func genInstr(in mir.Instr, d *Desc, em Emitter, asn *assignment,
 		return nil
 	case mir.KAddrStack:
 		r, flush := def(in.Dst)
-		em.AddrAdd(r, abi.SP, slotOffsetFor(in.Const, asn))
+		em.AddrAdd(r, abi.SP, asn.slotOff[in.Const])
 		flush()
 		killConst(in.Dst)
 		return nil
@@ -416,8 +438,7 @@ func genInstr(in mir.Instr, d *Desc, em Emitter, asn *assignment,
 			}
 		} else {
 			for i, av := range in.Args {
-				r := use(av, s0)
-				em.StoreArgStack(i, r)
+				em.Store(abi.SP, argOff(i), use(av, s0), 4)
 			}
 		}
 		em.CallSym(in.Sym)
@@ -433,7 +454,3 @@ func genInstr(in mir.Instr, d *Desc, em Emitter, asn *assignment,
 	}
 	return fmt.Errorf("unknown MIR instruction kind %d", in.Kind)
 }
-
-// slotOffsets is recomputed here exactly as genProc laid them out; the
-// duplication is avoided by storing offsets on the assignment.
-func slotOffsetFor(slot uint32, asn *assignment) int32 { return asn.slotOff[slot] }

@@ -106,8 +106,9 @@ type Inst struct {
 	HasDelay bool
 }
 
-// Backend is one target architecture: code generation, decoding and
-// lifting.
+// Backend is one target architecture: code generation, decoding,
+// lifting and disassembly. A backend package supplies Decode, Lift and
+// Disasm and embeds a Base for the rest.
 type Backend interface {
 	// Arch identifies the architecture.
 	Arch() uir.Arch
@@ -119,27 +120,31 @@ type Backend interface {
 	Decode(text []byte, off int, addr uint32) (Inst, error)
 	// Lift appends the UIR statements for inst to lb.
 	Lift(inst Inst, lb *LiftBuilder) error
+	// Disasm renders the assembly text of an instruction previously
+	// returned by Decode. Decoding does not produce the text (it would be
+	// pure overhead for analysis); dumps and traces call this for it.
+	Disasm(in Inst) string
 	// MinInstSize is the smallest legal instruction length, used by
 	// recovery sweeps.
 	MinInstSize() uint32
 }
 
-// Disassembler is implemented by backends that can render a decoded
-// instruction's assembly text from its raw bits.
-type Disassembler interface {
-	// Disasm renders the assembly text of an instruction previously
-	// returned by this backend's Decode.
-	Disasm(in Inst) string
-}
+// Base implements the Backend methods that follow from a Desc: the
+// architecture's identity and Generate.
+type Base struct{ Desc *Desc }
 
-// Disasm renders in's assembly text. Instruction text is not produced
-// during decoding (it would be pure overhead for analysis); dumps and
-// traces call this to materialize it on demand.
-func Disasm(be Backend, in Inst) string {
-	if d, ok := be.(Disassembler); ok {
-		return d.Disasm(in)
-	}
-	return fmt.Sprintf(".word %#x", in.Raw)
+// Arch implements Backend.
+func (b Base) Arch() uir.Arch { return b.Desc.ABI.Arch }
+
+// ABI implements Backend.
+func (b Base) ABI() *uir.ABI { return b.Desc.ABI }
+
+// MinInstSize implements Backend.
+func (b Base) MinInstSize() uint32 { return b.Desc.MinInstSize }
+
+// Generate implements Backend.
+func (b Base) Generate(pkg *mir.Package, opt Options) (*Artifact, error) {
+	return generate(pkg, b.Desc, opt)
 }
 
 var registry = map[uir.Arch]Backend{}

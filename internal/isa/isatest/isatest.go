@@ -201,7 +201,7 @@ func Disassembly(t *testing.T, be isa.Backend) {
 		if inst.Size == 0 {
 			t.Fatalf("zero-size instruction at %#x", addr)
 		}
-		if text := isa.Disasm(be, inst); text == "" || strings.HasPrefix(text, ".word") {
+		if text := be.Disasm(inst); text == "" || strings.HasPrefix(text, ".word") {
 			t.Errorf("no mnemonic at %#x (got %q)", addr, text)
 		}
 		off += int(inst.Size)
@@ -237,7 +237,7 @@ func DecodeRobustness(t *testing.T, be isa.Backend, seed int64) {
 			_ = be.Lift(inst, lb) // must not panic
 			blk := &uir.Block{Addr: 0x1000, Size: inst.Size, Stmts: lb.Stmts}
 			if err := blk.Validate(); err != nil {
-				t.Fatalf("trial %d: lift of %q produced invalid block: %v", trial, isa.Disasm(be, inst), err)
+				t.Fatalf("trial %d: lift of %q produced invalid block: %v", trial, be.Disasm(inst), err)
 			}
 		}()
 	}

@@ -5,10 +5,10 @@
 package mips
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"firmup/internal/isa"
-	"firmup/internal/mir"
 	"firmup/internal/uir"
 )
 
@@ -35,24 +35,24 @@ var regNames = map[uir.Reg]string{
 	24: "t8", 25: "t9", 28: "gp", 29: "sp", 30: "fp", 31: "ra",
 }
 
-func abi() *uir.ABI {
-	return &uir.ABI{
+// desc describes the MIPS32 backend to isa's shared driver.
+var desc = isa.Desc{
+	ABI: &uir.ABI{
 		Arch:    uir.ArchMIPS32,
 		ArgRegs: []uir.Reg{4, 5, 6, 7},
 		RetReg:  regV0,
 		SP:      regSP,
 		LinkReg: regRA,
 		Scratch: []uir.Reg{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25},
-	}
-}
-
-func desc() *isa.Desc {
-	return &isa.Desc{
-		Arch:    uir.ArchMIPS32,
-		ABI:     abi(),
-		Alloc:   []uir.Reg{16, 17, 18, 19, 20, 21, 22, 23},
-		Scratch: [2]uir.Reg{regT0, regT1},
-	}
+	},
+	MinInstSize: 4,
+	Order:       binary.BigEndian,
+	Alloc:       []uir.Reg{16, 17, 18, 19, 20, 21, 22, 23},
+	Scratch:     [2]uir.Reg{regT0, regT1},
+	NewEmitter: func(p *isa.Prog, opt isa.Options) isa.Emitter {
+		return &emitter{Prog: p, fillDelay: opt.FillDelaySlots}
+	},
+	Patch: patch,
 }
 
 // Opcode and funct values (MIPS32-flavored; SPECIAL2 division forms are
@@ -107,29 +107,14 @@ const (
 	fmtHiLo                  // lui/ori pair materializing an address
 )
 
-// Backend implements isa.Backend for MIPS32.
-type Backend struct{ d *isa.Desc }
+// Backend implements isa.Backend for MIPS32: Decode, Lift and Disasm
+// here, the rest from desc.
+type Backend struct{ isa.Base }
 
 // New returns the MIPS backend.
-func New() *Backend { return &Backend{d: desc()} }
+func New() *Backend { return &Backend{isa.Base{Desc: &desc}} }
 
 func init() { isa.Register(New()) }
-
-// Arch implements isa.Backend.
-func (b *Backend) Arch() uir.Arch { return uir.ArchMIPS32 }
-
-// ABI implements isa.Backend.
-func (b *Backend) ABI() *uir.ABI { return b.d.ABI }
-
-// MinInstSize implements isa.Backend.
-func (b *Backend) MinInstSize() uint32 { return 4 }
-
-// Generate implements isa.Backend.
-func (b *Backend) Generate(pkg *mir.Package, opt isa.Options) (*isa.Artifact, error) {
-	return isa.GenerateWith(pkg, b.d, func(p *isa.Prog) isa.Emitter {
-		return &emitter{prog: p, fillDelay: opt.FillDelaySlots}
-	}, b, opt)
-}
 
 // --- encoding helpers ---
 
@@ -154,112 +139,98 @@ func jtype(op uint32, target uint32) uint32 {
 }
 
 type emitter struct {
-	prog      *isa.Prog
+	*isa.Prog
 	fillDelay bool
-	lastMark  int
-}
-
-func (e *emitter) word(w uint32) {
-	e.prog.Buf = append(e.prog.Buf, byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
-}
-
-func (e *emitter) MarkBlock(id int) {
-	e.prog.BlockOff[id] = len(e.prog.Buf)
-	e.lastMark = len(e.prog.Buf)
-}
-
-func (e *emitter) fixup(block int, sym string, format uint8) {
-	e.prog.Fixups = append(e.prog.Fixups, isa.Fixup{Off: len(e.prog.Buf), Block: block, Sym: sym, Format: format})
 }
 
 func (e *emitter) Prologue(f isa.Frame) {
 	if f.Size > 0 {
-		e.word(itype(opAddiu, regSP, regSP, uint16(uint32(-f.Size))))
+		e.Word(itype(opAddiu, regSP, regSP, uint16(uint32(-f.Size))))
 	}
 	for _, s := range f.Saves {
-		e.word(itype(opSw, s.Reg, regSP, uint16(uint32(s.Off))))
+		e.Word(itype(opSw, s.Reg, regSP, uint16(uint32(s.Off))))
 	}
 	if f.SaveLink {
-		e.word(itype(opSw, regRA, regSP, uint16(uint32(f.LinkOff))))
+		e.Word(itype(opSw, regRA, regSP, uint16(uint32(f.LinkOff))))
 	}
 }
 
 func (e *emitter) Epilogue(f isa.Frame) {
 	for _, s := range f.Saves {
-		e.word(itype(opLw, s.Reg, regSP, uint16(uint32(s.Off))))
+		e.Word(itype(opLw, s.Reg, regSP, uint16(uint32(s.Off))))
 	}
 	if f.SaveLink {
-		e.word(itype(opLw, regRA, regSP, uint16(uint32(f.LinkOff))))
+		e.Word(itype(opLw, regRA, regSP, uint16(uint32(f.LinkOff))))
 	}
 	if f.Size > 0 {
-		e.word(itype(opAddiu, regSP, regSP, uint16(uint32(f.Size))))
+		e.Word(itype(opAddiu, regSP, regSP, uint16(uint32(f.Size))))
 	}
-	e.word(rtype(fnJr, 0, regRA, 0))
-	e.word(0) // delay slot
+	e.Word(rtype(fnJr, 0, regRA, 0))
+	e.Word(0) // delay slot
 }
 
 func (e *emitter) MovConst(dst uir.Reg, v uint32) {
 	switch {
 	case v <= 0xFFFF:
-		e.word(itype(opOri, dst, regZero, uint16(v)))
+		e.Word(itype(opOri, dst, regZero, uint16(v)))
 	case int32(v) < 0 && int32(v) >= -0x8000:
-		e.word(itype(opAddiu, dst, regZero, uint16(v)))
+		e.Word(itype(opAddiu, dst, regZero, uint16(v)))
 	default:
-		e.word(itype(opLui, dst, 0, uint16(v>>16)))
+		e.Word(itype(opLui, dst, 0, uint16(v>>16)))
 		if v&0xFFFF != 0 {
-			e.word(itype(opOri, dst, dst, uint16(v)))
+			e.Word(itype(opOri, dst, dst, uint16(v)))
 		}
 	}
 }
 
 func (e *emitter) MovReg(dst, src uir.Reg) {
-	e.word(rtype(fnAddu, dst, src, regZero))
+	e.Word(rtype(fnAddu, dst, src, regZero))
 }
 
 func (e *emitter) Bin(op uir.Op, dst, a, b uir.Reg) {
 	switch op {
 	case uir.OpAdd:
-		e.word(rtype(fnAddu, dst, a, b))
+		e.Word(rtype(fnAddu, dst, a, b))
 	case uir.OpSub:
-		e.word(rtype(fnSubu, dst, a, b))
+		e.Word(rtype(fnSubu, dst, a, b))
 	case uir.OpMul:
-		e.word(r2type(fn2Mul, dst, a, b))
+		e.Word(r2type(fn2Mul, dst, a, b))
 	case uir.OpDivS:
-		e.word(r2type(fn2Sdiv, dst, a, b))
+		e.Word(r2type(fn2Sdiv, dst, a, b))
 	case uir.OpDivU:
-		e.word(r2type(fn2Udiv, dst, a, b))
+		e.Word(r2type(fn2Udiv, dst, a, b))
 	case uir.OpRemS:
-		e.word(r2type(fn2Srem, dst, a, b))
+		e.Word(r2type(fn2Srem, dst, a, b))
 	case uir.OpRemU:
-		e.word(r2type(fn2Urem, dst, a, b))
+		e.Word(r2type(fn2Urem, dst, a, b))
 	case uir.OpAnd:
-		e.word(rtype(fnAnd, dst, a, b))
+		e.Word(rtype(fnAnd, dst, a, b))
 	case uir.OpOr:
-		e.word(rtype(fnOr, dst, a, b))
+		e.Word(rtype(fnOr, dst, a, b))
 	case uir.OpXor:
-		e.word(rtype(fnXor, dst, a, b))
+		e.Word(rtype(fnXor, dst, a, b))
 	case uir.OpShl:
-		e.word(rtype(fnSllv, dst, b, a)) // sllv rd, rt(value)=a, rs(count)=b
+		e.Word(rtype(fnSllv, dst, b, a)) // sllv rd, rt(value)=a, rs(count)=b
 	case uir.OpShrU:
-		e.word(rtype(fnSrlv, dst, b, a))
+		e.Word(rtype(fnSrlv, dst, b, a))
 	case uir.OpShrS:
-		e.word(rtype(fnSrav, dst, b, a))
+		e.Word(rtype(fnSrav, dst, b, a))
 	case uir.OpCmpEQ:
-		e.word(rtype(fnXor, regAT, a, b))
-		e.word(itype(opSltiu, dst, regAT, 1))
+		e.Word(rtype(fnXor, regAT, a, b))
+		e.Word(itype(opSltiu, dst, regAT, 1))
 	case uir.OpCmpNE:
-		e.word(rtype(fnXor, regAT, a, b))
-		e.word(rtype(fnSltu, dst, regZero, regAT))
+		e.Word(rtype(fnXor, regAT, a, b))
+		e.Word(rtype(fnSltu, dst, regZero, regAT))
 	case uir.OpCmpLTS:
-		e.word(rtype(fnSlt, dst, a, b))
+		e.Word(rtype(fnSlt, dst, a, b))
 	case uir.OpCmpLTU:
-		e.word(rtype(fnSltu, dst, a, b))
+		e.Word(rtype(fnSltu, dst, a, b))
 	case uir.OpCmpLES:
-		e.word(rtype(fnSlt, regAT, b, a))
-		e.word(itype(opXori, dst, regAT, 1))
+		e.Word(rtype(fnSlt, regAT, b, a))
+		e.Word(itype(opXori, dst, regAT, 1))
 	case uir.OpCmpLEU:
-		e.word(rtype(fnSltu, regAT, b, a))
-		e.word(itype(opXori, dst, regAT, 1))
+		e.Word(rtype(fnSltu, regAT, b, a))
+		e.Word(itype(opXori, dst, regAT, 1))
 	default:
 		panic(fmt.Sprintf("mips: unsupported binary op %v", op))
 	}
@@ -268,21 +239,21 @@ func (e *emitter) Bin(op uir.Op, dst, a, b uir.Reg) {
 func (e *emitter) Un(op uir.Op, dst, a uir.Reg) {
 	switch op {
 	case uir.OpNot:
-		e.word(rtype(fnNor, dst, a, regZero))
+		e.Word(rtype(fnNor, dst, a, regZero))
 	case uir.OpNeg:
-		e.word(rtype(fnSubu, dst, regZero, a))
+		e.Word(rtype(fnSubu, dst, regZero, a))
 	case uir.OpBool:
-		e.word(rtype(fnSltu, dst, regZero, a))
+		e.Word(rtype(fnSltu, dst, regZero, a))
 	case uir.OpSext8:
-		e.word(shift(fnSll, regAT, a, 24))
-		e.word(shift(fnSra, dst, regAT, 24))
+		e.Word(shift(fnSll, regAT, a, 24))
+		e.Word(shift(fnSra, dst, regAT, 24))
 	case uir.OpSext16:
-		e.word(shift(fnSll, regAT, a, 16))
-		e.word(shift(fnSra, dst, regAT, 16))
+		e.Word(shift(fnSll, regAT, a, 16))
+		e.Word(shift(fnSra, dst, regAT, 16))
 	case uir.OpZext8:
-		e.word(itype(opAndi, dst, a, 0xFF))
+		e.Word(itype(opAndi, dst, a, 0xFF))
 	case uir.OpZext16:
-		e.word(itype(opAndi, dst, a, 0xFFFF))
+		e.Word(itype(opAndi, dst, a, 0xFFFF))
 	default:
 		panic(fmt.Sprintf("mips: unsupported unary op %v", op))
 	}
@@ -291,11 +262,11 @@ func (e *emitter) Un(op uir.Op, dst, a uir.Reg) {
 func (e *emitter) ShiftImm(op uir.Op, dst, a uir.Reg, k uint8) {
 	switch op {
 	case uir.OpShl:
-		e.word(shift(fnSll, dst, a, k))
+		e.Word(shift(fnSll, dst, a, k))
 	case uir.OpShrU:
-		e.word(shift(fnSrl, dst, a, k))
+		e.Word(shift(fnSrl, dst, a, k))
 	case uir.OpShrS:
-		e.word(shift(fnSra, dst, a, k))
+		e.Word(shift(fnSra, dst, a, k))
 	default:
 		panic("mips: bad immediate shift")
 	}
@@ -306,7 +277,7 @@ func (e *emitter) Load(dst, base uir.Reg, off int32, size uint8) {
 	if size == 1 {
 		op = opLbu
 	}
-	e.word(itype(op, dst, base, uint16(uint32(off))))
+	e.Word(itype(op, dst, base, uint16(uint32(off))))
 }
 
 func (e *emitter) Store(base uir.Reg, off int32, src uir.Reg, size uint8) {
@@ -314,17 +285,17 @@ func (e *emitter) Store(base uir.Reg, off int32, src uir.Reg, size uint8) {
 	if size == 1 {
 		op = opSb
 	}
-	e.word(itype(op, src, base, uint16(uint32(off))))
+	e.Word(itype(op, src, base, uint16(uint32(off))))
 }
 
 func (e *emitter) AddrAdd(dst, base uir.Reg, off int32) {
-	e.word(itype(opAddiu, dst, base, uint16(uint32(off))))
+	e.Word(itype(opAddiu, dst, base, uint16(uint32(off))))
 }
 
 func (e *emitter) AddrGlobal(dst uir.Reg, sym string) {
-	e.fixup(0, sym, fmtHiLo)
-	e.word(itype(opLui, dst, 0, 0))
-	e.word(itype(opOri, dst, dst, 0))
+	e.Fixup(0, sym, fmtHiLo)
+	e.Word(itype(opLui, dst, 0, 0))
+	e.Word(itype(opOri, dst, dst, 0))
 }
 
 func (e *emitter) CallSym(sym string) {
@@ -349,31 +320,30 @@ func (e *emitter) branch(op uint32, rs, rt uir.Reg, blk int) {
 func (e *emitter) transfer(w uint32, reads []uir.Reg, blk int, sym string, format uint8) {
 	if e.fillDelay {
 		if cand, ok := e.hoistCandidate(reads); ok {
-			e.prog.Buf = e.prog.Buf[:len(e.prog.Buf)-4]
-			e.fixup(blk, sym, format)
-			e.word(w)
-			e.word(cand)
+			e.Buf = e.Buf[:len(e.Buf)-4]
+			e.Fixup(blk, sym, format)
+			e.Word(w)
+			e.Word(cand)
 			return
 		}
 	}
-	e.fixup(blk, sym, format)
-	e.word(w)
-	e.word(0) // delay slot: nop
+	e.Fixup(blk, sym, format)
+	e.Word(w)
+	e.Word(0) // delay slot: nop
 }
 
 // hoistCandidate inspects the previously emitted instruction.
 func (e *emitter) hoistCandidate(branchReads []uir.Reg) (uint32, bool) {
-	off := len(e.prog.Buf) - 4
-	if off <= e.lastMark { // strictly inside the block
+	off := len(e.Buf) - 4
+	if off <= e.Mark { // strictly inside the block
 		return 0, false
 	}
-	for _, f := range e.prog.Fixups {
+	for _, f := range e.Fixups {
 		if f.Off == off || (f.Format == fmtHiLo && f.Off+4 == off) {
 			return 0, false
 		}
 	}
-	w := uint32(e.prog.Buf[off])<<24 | uint32(e.prog.Buf[off+1])<<16 |
-		uint32(e.prog.Buf[off+2])<<8 | uint32(e.prog.Buf[off+3])
+	w := binary.BigEndian.Uint32(e.Buf[off:])
 	wr, ok := simpleWrite(w)
 	if !ok {
 		return 0, false
@@ -418,16 +388,16 @@ func (e *emitter) CmpBranch(op uir.Op, a, b uir.Reg, trueB int) {
 	case uir.OpCmpNE:
 		e.branch(opBne, a, b, trueB)
 	case uir.OpCmpLTS:
-		e.word(rtype(fnSlt, regAT, a, b))
+		e.Word(rtype(fnSlt, regAT, a, b))
 		e.branch(opBne, regAT, regZero, trueB)
 	case uir.OpCmpLTU:
-		e.word(rtype(fnSltu, regAT, a, b))
+		e.Word(rtype(fnSltu, regAT, a, b))
 		e.branch(opBne, regAT, regZero, trueB)
 	case uir.OpCmpLES:
-		e.word(rtype(fnSlt, regAT, b, a))
+		e.Word(rtype(fnSlt, regAT, b, a))
 		e.branch(opBeq, regAT, regZero, trueB)
 	case uir.OpCmpLEU:
-		e.word(rtype(fnSltu, regAT, b, a))
+		e.Word(rtype(fnSltu, regAT, b, a))
 		e.branch(opBeq, regAT, regZero, trueB)
 	default:
 		panic("mips: bad compare-branch op")
@@ -438,17 +408,9 @@ func (e *emitter) CondBranch(cond uir.Reg, trueB int) {
 	e.branch(opBne, cond, regZero, trueB)
 }
 
-func (e *emitter) StoreArgStack(int, uir.Reg)       { panic("mips: register-argument ABI") }
-func (e *emitter) LoadArgStack(uir.Reg, int, int32) { panic("mips: register-argument ABI") }
-
-// Patch implements isa.Patcher.
-func (b *Backend) Patch(buf []byte, off int, format uint8, instAddr, target uint32) error {
-	rd := func(o int) uint32 {
-		return uint32(buf[o])<<24 | uint32(buf[o+1])<<16 | uint32(buf[o+2])<<8 | uint32(buf[o+3])
-	}
-	wr := func(o int, w uint32) {
-		buf[o], buf[o+1], buf[o+2], buf[o+3] = byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
-	}
+// patch implements isa.Desc.Patch.
+func patch(buf []byte, off int, format uint8, instAddr, target uint32) error {
+	w := binary.BigEndian
 	switch format {
 	case fmtBranch16:
 		delta := int32(target) - int32(instAddr+4)
@@ -459,12 +421,12 @@ func (b *Backend) Patch(buf []byte, off int, format uint8, instAddr, target uint
 		if wordOff < -0x8000 || wordOff > 0x7FFF {
 			return fmt.Errorf("mips: branch target out of range (%d words)", wordOff)
 		}
-		wr(off, rd(off)|uint32(uint16(wordOff)))
+		w.PutUint32(buf[off:], w.Uint32(buf[off:])|uint32(uint16(wordOff)))
 	case fmtJump26:
-		wr(off, rd(off)&0xFC000000|(target>>2)&0x03FFFFFF)
+		w.PutUint32(buf[off:], w.Uint32(buf[off:])&0xFC000000|(target>>2)&0x03FFFFFF)
 	case fmtHiLo:
-		wr(off, rd(off)|target>>16)
-		wr(off+4, rd(off+4)|target&0xFFFF)
+		w.PutUint32(buf[off:], w.Uint32(buf[off:])|target>>16)
+		w.PutUint32(buf[off+4:], w.Uint32(buf[off+4:])|target&0xFFFF)
 	default:
 		return fmt.Errorf("mips: unknown fixup format %d", format)
 	}

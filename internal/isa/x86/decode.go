@@ -173,7 +173,7 @@ func (b *Backend) Decode(text []byte, off int, addr uint32) (isa.Inst, error) {
 	return inst, fmt.Errorf("x86: unknown opcode %#02x at %#x", op, addr)
 }
 
-// Disasm implements isa.Disassembler, reconstructing the assembly text
+// Disasm implements isa.Backend, reconstructing the assembly text
 // from the packed raw bits off the decode hot path.
 func (b *Backend) Disasm(in isa.Inst) string {
 	raw := in.Raw

@@ -11,10 +11,10 @@
 package x86
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"firmup/internal/isa"
-	"firmup/internal/mir"
 	"firmup/internal/uir"
 )
 
@@ -38,8 +38,9 @@ var regNames = map[uir.Reg]string{
 	8: "zf", 9: "ltf", 10: "bf",
 }
 
-func abi() *uir.ABI {
-	return &uir.ABI{
+// desc describes the x86 backend to isa's shared driver.
+var desc = isa.Desc{
+	ABI: &uir.ABI{
 		Arch:       uir.ArchX86,
 		ArgRegs:    nil, // stack-passed arguments
 		RetReg:     regEAX,
@@ -47,16 +48,15 @@ func abi() *uir.ABI {
 		LinkReg:    uir.NoLinkReg,
 		Scratch:    []uir.Reg{0, 1, 2, flagZ, flagLT, flagLO},
 		StatusRegs: []uir.Reg{flagZ, flagLT, flagLO},
-	}
-}
-
-func desc() *isa.Desc {
-	return &isa.Desc{
-		Arch:    uir.ArchX86,
-		ABI:     abi(),
-		Alloc:   []uir.Reg{regEBX, regESI, regEDI, regEBP},
-		Scratch: [2]uir.Reg{regECX, regEDX},
-	}
+	},
+	MinInstSize: 1,
+	Order:       binary.LittleEndian,
+	Alloc:       []uir.Reg{regEBX, regESI, regEDI, regEBP},
+	Scratch:     [2]uir.Reg{regECX, regEDX},
+	NewEmitter: func(p *isa.Prog, _ isa.Options) isa.Emitter {
+		return &emitter{Prog: p}
+	},
+	Patch: patch,
 }
 
 // Condition-code nibbles (Intel numbering) used in setcc (0F 90+cc) and
@@ -86,85 +86,49 @@ const (
 	fmtAbs32Op1              // abs32 at offset+1 (mov r, imm32)
 )
 
-// Backend implements isa.Backend for x86.
-type Backend struct{ d *isa.Desc }
+// Backend implements isa.Backend for x86: Decode, Lift and Disasm
+// here, the rest from desc.
+type Backend struct{ isa.Base }
 
 // New returns the x86 backend.
-func New() *Backend { return &Backend{d: desc()} }
+func New() *Backend { return &Backend{isa.Base{Desc: &desc}} }
 
 func init() { isa.Register(New()) }
 
-// Arch implements isa.Backend.
-func (b *Backend) Arch() uir.Arch { return uir.ArchX86 }
+type emitter struct{ *isa.Prog }
 
-// ABI implements isa.Backend.
-func (b *Backend) ABI() *uir.ABI { return b.d.ABI }
-
-// MinInstSize implements isa.Backend.
-func (b *Backend) MinInstSize() uint32 { return 1 }
-
-// Generate implements isa.Backend.
-func (b *Backend) Generate(pkg *mir.Package, opt isa.Options) (*isa.Artifact, error) {
-	return isa.GenerateWith(pkg, b.d, func(p *isa.Prog) isa.Emitter {
-		return &emitter{prog: p}
-	}, b, opt)
-}
-
-type emitter struct{ prog *isa.Prog }
-
-func (e *emitter) by(bs ...byte) { e.prog.Buf = append(e.prog.Buf, bs...) }
-
-func (e *emitter) imm32(v uint32) {
-	e.by(byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
+func (e *emitter) by(bs ...byte) { e.Buf = append(e.Buf, bs...) }
 
 func modrmReg(reg, rm uir.Reg) byte   { return 0xC0 | byte(reg)<<3 | byte(rm) }
 func modrmMem(reg, base uir.Reg) byte { return 0x80 | byte(reg)<<3 | byte(base) }
 
-func (e *emitter) MarkBlock(id int) { e.prog.BlockOff[id] = len(e.prog.Buf) }
-
-func (e *emitter) fixup(block int, sym string, format uint8) {
-	e.prog.Fixups = append(e.prog.Fixups, isa.Fixup{Off: len(e.prog.Buf), Block: block, Sym: sym, Format: format})
-}
-
 // mov dst, src (register).
 func (e *emitter) movRR(dst, src uir.Reg) { e.by(0x89, modrmReg(src, dst)) }
-
-// mov dst, [base+disp32] / mov [base+disp32], src.
-func (e *emitter) movLoad(dst, base uir.Reg, disp int32) {
-	e.by(0x8B, modrmMem(dst, base))
-	e.imm32(uint32(disp))
-}
-
-func (e *emitter) movStore(base uir.Reg, disp int32, src uir.Reg) {
-	e.by(0x89, modrmMem(src, base))
-	e.imm32(uint32(disp))
-}
 
 func (e *emitter) Prologue(f isa.Frame) {
 	if f.Size > 0 {
 		e.by(0x81, modrmReg(5, regESP)) // sub esp, imm32
-		e.imm32(uint32(f.Size))
+		e.Word(uint32(f.Size))
 	}
 	for _, s := range f.Saves {
-		e.movStore(regESP, s.Off, s.Reg)
+		e.Store(regESP, s.Off, s.Reg, 4)
 	}
 }
 
 func (e *emitter) Epilogue(f isa.Frame) {
 	for _, s := range f.Saves {
-		e.movLoad(s.Reg, regESP, s.Off)
+		e.Load(s.Reg, regESP, s.Off, 4)
 	}
 	if f.Size > 0 {
 		e.by(0x81, modrmReg(0, regESP)) // add esp, imm32
-		e.imm32(uint32(f.Size))
+		e.Word(uint32(f.Size))
 	}
 	e.by(0xC3) // ret
 }
 
 func (e *emitter) MovConst(dst uir.Reg, v uint32) {
 	e.by(0xB8 + byte(dst))
-	e.imm32(v)
+	e.Word(v)
 }
 
 func (e *emitter) MovReg(dst, src uir.Reg) { e.movRR(dst, src) }
@@ -229,7 +193,7 @@ func (e *emitter) Bin(op uir.Op, dst, a, b uir.Reg) {
 
 func (e *emitter) cmpImm(a uir.Reg, v uint32) {
 	e.by(0x81, modrmReg(7, a)) // cmp a, imm32
-	e.imm32(v)
+	e.Word(v)
 }
 
 func (e *emitter) Un(op uir.Op, dst, a uir.Reg) {
@@ -270,78 +234,67 @@ func (e *emitter) ShiftImm(op uir.Op, dst, a uir.Reg, k uint8) {
 
 func (e *emitter) Load(dst, base uir.Reg, off int32, size uint8) {
 	if size == 1 {
-		e.by(0x0F, 0xB6, modrmMem(dst, base)) // movzx dst, byte [base+disp]
-		e.imm32(uint32(off))
-		return
+		e.by(0x0F, 0xB6, modrmMem(dst, base)) // movzx dst, byte [base+disp32]
+	} else {
+		e.by(0x8B, modrmMem(dst, base)) // mov dst, [base+disp32]
 	}
-	e.movLoad(dst, base, off)
+	e.Word(uint32(off))
 }
 
 func (e *emitter) Store(base uir.Reg, off int32, src uir.Reg, size uint8) {
 	if size == 1 {
-		e.by(0x88, modrmMem(src, base)) // mov byte [base+disp], src
-		e.imm32(uint32(off))
-		return
+		e.by(0x88, modrmMem(src, base)) // mov byte [base+disp32], src
+	} else {
+		e.by(0x89, modrmMem(src, base)) // mov [base+disp32], src
 	}
-	e.movStore(base, off, src)
+	e.Word(uint32(off))
 }
 
 func (e *emitter) AddrAdd(dst, base uir.Reg, off int32) {
 	e.by(0x8D, modrmMem(dst, base)) // lea dst, [base+disp32]
-	e.imm32(uint32(off))
+	e.Word(uint32(off))
 }
 
 func (e *emitter) AddrGlobal(dst uir.Reg, sym string) {
-	e.fixup(0, sym, fmtAbs32Op1)
+	e.Fixup(0, sym, fmtAbs32Op1)
 	e.MovConst(dst, 0)
 }
 
 func (e *emitter) CallSym(sym string) {
-	e.fixup(0, sym, fmtRel32Op1)
+	e.Fixup(0, sym, fmtRel32Op1)
 	e.by(0xE8)
-	e.imm32(0)
+	e.Word(0)
 }
 
 func (e *emitter) JumpBlock(blk int) {
-	e.fixup(blk, "", fmtRel32Op1)
+	e.Fixup(blk, "", fmtRel32Op1)
 	e.by(0xE9)
-	e.imm32(0)
+	e.Word(0)
 }
 
 func (e *emitter) CmpBranch(op uir.Op, a, b uir.Reg, trueB int) {
 	e.aluRR(0x39, a, b)
-	e.fixup(trueB, "", fmtRel32Op2)
+	e.Fixup(trueB, "", fmtRel32Op2)
 	e.by(0x0F, 0x80+ccFor[op])
-	e.imm32(0)
+	e.Word(0)
 }
 
 func (e *emitter) CondBranch(cond uir.Reg, trueB int) {
 	e.cmpImm(cond, 0)
-	e.fixup(trueB, "", fmtRel32Op2)
+	e.Fixup(trueB, "", fmtRel32Op2)
 	e.by(0x0F, 0x80+ccNE)
-	e.imm32(0)
+	e.Word(0)
 }
 
-func (e *emitter) StoreArgStack(i int, src uir.Reg) {
-	e.movStore(regESP, -4*int32(i+1), src)
-}
-
-func (e *emitter) LoadArgStack(dst uir.Reg, i int, frameSize int32) {
-	e.movLoad(dst, regESP, frameSize-4*int32(i+1))
-}
-
-// Patch implements isa.Patcher.
-func (b *Backend) Patch(buf []byte, off int, format uint8, instAddr, target uint32) error {
-	put := func(o int, v uint32) {
-		buf[o], buf[o+1], buf[o+2], buf[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	}
+// patch implements isa.Desc.Patch.
+func patch(buf []byte, off int, format uint8, instAddr, target uint32) error {
 	switch format {
 	case fmtRel32Op1:
-		put(off+1, target-(instAddr+5))
+		binary.LittleEndian.PutUint32(buf[off+1:], target-(instAddr+5))
 	case fmtRel32Op2:
-		put(off+2, target-(instAddr+6))
+		binary.LittleEndian.PutUint32(buf[off+2:], target-(instAddr+6))
 	case fmtAbs32Op1:
-		put(off+1, target)
+		binary.LittleEndian.PutUint32(buf[off+1:], target)
 	default:
 		return fmt.Errorf("x86: unknown fixup format %d", format)
 	}

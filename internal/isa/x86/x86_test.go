@@ -91,22 +91,25 @@ func TestSetccReadsFlags(t *testing.T) {
 
 func TestStackArgsRoundTrip(t *testing.T) {
 	// Covered by conformance (x86 is the stack-args ABI), but check the
-	// emitter's frame math directly: arg 0 lands where LoadArgStack reads.
-	e := &emitter{prog: &isa.Prog{BlockOff: map[int]int{}}}
-	e.StoreArgStack(0, regEBX)
-	e.LoadArgStack(regESI, 0, 0x40)
+	// bytes of the driver's stack-argument traffic directly: it stores
+	// outgoing argument 0 at [esp-4] and loads incoming argument 0 of a
+	// 0x40-byte frame from [esp+0x3C], both through Store/Load at size 4.
+	p := &isa.Prog{BlockOff: map[int]int{}, Order: desc.Order}
+	e := desc.NewEmitter(p, isa.Options{})
+	e.Store(regESP, -4, regEBX, 4)
+	e.Load(regESI, regESP, 0x40-4, 4)
 	// mov [esp-4], ebx = 89 mod10 reg=ebx rm=esp disp -4
 	want := []byte{0x89, modrmMem(regEBX, regESP), 0xFC, 0xFF, 0xFF, 0xFF}
 	for i, b := range want {
-		if e.prog.Buf[i] != b {
-			t.Fatalf("StoreArgStack byte %d = %#x, want %#x", i, e.prog.Buf[i], b)
+		if p.Buf[i] != b {
+			t.Fatalf("store byte %d = %#x, want %#x", i, p.Buf[i], b)
 		}
 	}
 	// mov esi, [esp+0x3C]
 	want2 := []byte{0x8B, modrmMem(regESI, regESP), 0x3C, 0, 0, 0}
 	for i, b := range want2 {
-		if e.prog.Buf[6+i] != b {
-			t.Fatalf("LoadArgStack byte %d = %#x, want %#x", i, e.prog.Buf[6+i], b)
+		if p.Buf[6+i] != b {
+			t.Fatalf("load byte %d = %#x, want %#x", i, p.Buf[6+i], b)
 		}
 	}
 }
