@@ -1,11 +1,13 @@
 package firmup
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"firmup/internal/corpusindex"
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
+	"firmup/internal/strand"
 )
 
 // AddVariant appends to an analysed image a copy of its executable src
@@ -61,6 +63,27 @@ func Occurrences(im *SealedImage) ([]*Executable, error) {
 // ExeContent is what sealing keys an executable on: everything it is but
 // its path (appendExeContent).
 func ExeContent(e *Executable) []byte { return appendExeContent(nil, e.exe) }
+
+// ExeHashContent is ExeContent with every procedure's strand IDs replaced
+// by its strand hashes, ascending (strand.Set.AppendHashes): what an
+// executable is, whatever IDs its vocabulary numbers its strands by.
+func ExeHashContent(e *Executable) []byte {
+	procs := make([]*sim.Proc, len(e.exe.Procs))
+	var hashes []byte
+	for i, p := range e.exe.Procs {
+		cp := *p
+		cp.Set = strand.Set{}
+		procs[i] = &cp
+		hs := p.Set.AppendHashes(nil)
+		hashes = binary.LittleEndian.AppendUint32(hashes, uint32(len(hs)))
+		for _, h := range hs {
+			hashes = binary.LittleEndian.AppendUint64(hashes, h)
+		}
+	}
+	bare := sim.FromProcs("", procs, nil)
+	bare.Arch, bare.Stripped = e.exe.Arch, e.exe.Stripped
+	return append(appendExeContent(nil, bare), hashes...)
+}
 
 // ShardSetFaults are the damages to a written shard set — its shards'
 // bytes in order — that only the set's opener can tell; each returns the

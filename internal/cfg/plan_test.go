@@ -80,12 +80,8 @@ func checkPipelineMatchesInspection(t *testing.T, name string, rec *cfg.Recovere
 		}
 	}
 	ex.Release()
-	vocab, order := seed.Sorted()
-	var sortedHashes []uint64
-	for _, id := range order {
-		sortedHashes = append(sortedHashes, vocab[id])
-	}
-	frozen, err := corpusindex.FrozenFromSlabs(vocab, sortedHashes, order)
+	vocab, _ := seed.Sorted()
+	frozen, err := corpusindex.NewFrozen(vocab)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

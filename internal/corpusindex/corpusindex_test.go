@@ -253,8 +253,9 @@ func indexOf(bound int, exes []*sim.Exe) *FrozenIndex {
 
 // frozenOf seals a session's executables under the frozen vocabulary f:
 // each assembled, as a sealed corpus materializes it, from copies of its
-// procedures whose sets keep their IDs and are bound to f, and the index
-// built from their sets, whose slabs it checks are exactly sized.
+// procedures whose sets are renumbered by f, as Seal renumbers them, and
+// the index built from their sets, whose slabs it checks are exactly
+// sized.
 func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (sealed []*sim.Exe, built *FrozenIndex) {
 	t.Helper()
 	sealed = make([]*sim.Exe, len(live))
@@ -262,7 +263,6 @@ func frozenOf(t *testing.T, f *Frozen, live []*sim.Exe) (sealed []*sim.Exe, buil
 		procs := make([]*sim.Proc, len(e.Procs))
 		for k, p := range e.Procs {
 			cp := *p
-			cp.Set.It = f
 			procs[k] = &cp
 		}
 		sealed[i] = sim.FromProcs(e.Path, procs, f)

@@ -1,7 +1,6 @@
 package corpusindex
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -25,115 +24,105 @@ import (
 // corpus must therefore run under a per-request QueryInterner overlay,
 // never under the Frozen itself.
 //
-// A Frozen is built over a shard's vocabulary slabs (FrozenFromSlabs):
-// the vocabulary sorted by hash with the parallel dense IDs, and a radix
-// directory over the top bits of the hash that narrows a lookup to one
+// A strand's dense ID in a Frozen is its hash's rank, not the ID the
+// session's interner gave it, so a sealed corpus's numbering does not
+// depend on the order analysis met its strands: the vocabulary is one
+// slice of hashes ascending — shard 0's corpus-vocab section — and a
+// radix directory over the top bits of the hash narrows a lookup to one
 // bucket of one or two entries on average.
 type Frozen struct {
-	vocab []uint64 // dense ID -> hash
-	// Hashes ascending with the parallel dense IDs, aliasing the shard's
-	// section.
-	sortedHashes []uint64
-	sortedIDs    []uint32
-	// dir[k]:dir[k+1] is the span of sortedHashes whose top bits, the
-	// hash shifted right by shift, are k: 2^b+1 offsets with 2^b below the
+	hashes []uint64 // dense ID -> hash, ascending
+	// dir[k]:dir[k+1] is the span of hashes whose top bits, the hash
+	// shifted right by shift, are k: 2^b+1 offsets with 2^b below the
 	// vocabulary size, so at most one per entry once it holds two.
 	dir   []uint32
 	shift uint
 }
 
-// Sorted returns a copy of the interner's current vocabulary, ordered by
-// dense ID, and its dense IDs in ascending hash order: what a shard stores
-// of a sealed vocabulary (snapshot.EncodeVocab), sorted once. The live
-// interner keeps working afterwards.
-func (it *Interner) Sorted() (vocab []uint64, order []uint32) {
+// Sorted returns the interner's current vocabulary in ascending hash
+// order, which numbers a sealed corpus's strands, and each dense ID's rank
+// in it. The live interner keeps working afterwards.
+func (it *Interner) Sorted() (sorted []uint64, rank []uint32) {
 	it.mu.RLock()
-	vocab = slices.Clone(it.hashes)
+	byID := it.hashes // assign only appends: these entries never change
 	it.mu.RUnlock()
-	type entry struct {
-		h  uint64
-		id uint32
+	sorted = slices.Clone(byID)
+	slices.Sort(sorted)
+	rank = make([]uint32, len(byID))
+	for id, h := range byID {
+		r, _ := slices.BinarySearch(sorted, h)
+		rank[id] = uint32(r)
 	}
-	byHash := make([]entry, len(vocab))
-	for id, h := range vocab {
-		byHash[id] = entry{h, uint32(id)}
-	}
-	slices.SortFunc(byHash, func(a, b entry) int { return cmp.Compare(a.h, b.h) })
-	order = make([]uint32, len(vocab))
-	for i, e := range byHash {
-		order[i] = e.id
-	}
-	return vocab, order
+	return sorted, rank
 }
 
-// FrozenFromSlabs constructs a Frozen directly over foreign memory: the
-// vocabulary (dense ID → hash) plus a sorted-hash slab with its
-// parallel dense IDs, as persisted by a shard. Nothing is cloned and no
-// map is built: the one pass that validates the slab also builds the
+// NewFrozen constructs a Frozen directly over foreign memory: hashes,
+// strictly increasing, as a shard persists them. Nothing is cloned and no
+// map is built: the one pass that checks the order also builds the
 // directory, so opening a paper-scale vocabulary costs that pass only.
-// The slices must stay valid and unmodified for the Frozen's lifetime.
-// Validation: equal lengths, strictly increasing hashes, and every
-// (hash, id) pair agreeing with the vocabulary — which together prove
-// the slab is exactly the vocabulary re-sorted.
-func FrozenFromSlabs(vocab []uint64, sortedHashes []uint64, sortedIDs []uint32) (*Frozen, error) {
-	if len(sortedHashes) != len(vocab) || len(sortedIDs) != len(vocab) {
-		return nil, fmt.Errorf("corpusindex: sorted vocabulary slabs hold %d+%d entries, vocabulary holds %d", len(sortedHashes), len(sortedIDs), len(vocab))
-	}
+// The slice must stay valid and unmodified for the Frozen's lifetime.
+func NewFrozen(hashes []uint64) (*Frozen, error) {
 	b := 0
-	if len(vocab) > 1 {
-		b = bits.Len(uint(len(vocab)-1)) - 1
+	if len(hashes) > 1 {
+		b = bits.Len(uint(len(hashes)-1)) - 1
 	}
-	f := &Frozen{vocab: vocab, sortedHashes: sortedHashes, sortedIDs: sortedIDs, dir: make([]uint32, 1<<b+1), shift: uint(64 - b)}
+	f := &Frozen{hashes: hashes, dir: make([]uint32, 1<<b+1), shift: uint(64 - b)}
 	k := 0 // the next directory offset to fill
-	for i, h := range sortedHashes {
-		if i > 0 && h <= sortedHashes[i-1] {
-			return nil, fmt.Errorf("corpusindex: sorted vocabulary not strictly increasing at entry %d", i)
-		}
-		id := sortedIDs[i]
-		if int(id) >= len(vocab) || vocab[id] != h {
-			return nil, fmt.Errorf("corpusindex: sorted vocabulary entry %d (hash %#x, id %d) disagrees with the vocabulary", i, h, id)
+	for i, h := range hashes {
+		if i > 0 && h <= hashes[i-1] {
+			return nil, fmt.Errorf("corpusindex: vocabulary not strictly increasing at entry %d", i)
 		}
 		for ; k <= int(h>>f.shift); k++ {
 			f.dir[k] = uint32(i)
 		}
 	}
 	for ; k < len(f.dir); k++ {
-		f.dir[k] = uint32(len(vocab))
+		f.dir[k] = uint32(len(hashes))
 	}
 	return f, nil
 }
 
+// FrozenFromSlabs is NewFrozen over a vocabulary given with a sorted copy
+// and its IDs, which must be the vocabulary itself and the identity. It is
+// kept for bench/'s replay, which builds its frozen vocabulary this way.
+func FrozenFromSlabs(vocab []uint64, sortedHashes []uint64, sortedIDs []uint32) (*Frozen, error) {
+	if len(sortedHashes) != len(vocab) || len(sortedIDs) != len(vocab) {
+		return nil, fmt.Errorf("corpusindex: sorted vocabulary slabs hold %d+%d entries, vocabulary holds %d", len(sortedHashes), len(sortedIDs), len(vocab))
+	}
+	for i, id := range sortedIDs {
+		if int(id) != i || sortedHashes[i] != vocab[i] {
+			return nil, fmt.Errorf("corpusindex: sorted vocabulary entry %d (hash %#x, id %d) disagrees with the vocabulary", i, sortedHashes[i], id)
+		}
+	}
+	return NewFrozen(vocab)
+}
+
 // Size reports the vocabulary size.
-func (f *Frozen) Size() int { return len(f.vocab) }
+func (f *Frozen) Size() int { return len(f.hashes) }
 
-// Vocab returns the vocabulary ordered by dense ID. The slice is the
-// Frozen's own storage: callers must treat it as read-only.
-func (f *Frozen) Vocab() []uint64 { return f.vocab }
-
-// SortedIDs returns the dense IDs in ascending hash order, the order a
-// shard's sorted vocabulary slab stores them in. The slice is the
-// Frozen's own storage: callers must treat it as read-only.
-func (f *Frozen) SortedIDs() []uint32 { return f.sortedIDs }
+// Vocab returns the vocabulary, ascending, ordered by dense ID. The slice
+// is the Frozen's own storage: callers must treat it as read-only.
+func (f *Frozen) Vocab() []uint64 { return f.hashes }
 
 // AppendHashes appends the hash of each of ids, all in the vocabulary,
 // to dst in ids order. It implements strand.Vocabulary.
 func (f *Frozen) AppendHashes(dst []uint64, ids []uint32) []uint64 {
 	for _, id := range ids {
-		dst = append(dst, f.vocab[id])
+		dst = append(dst, f.hashes[id])
 	}
 	return dst
 }
 
-// Lookup returns the dense ID of h and whether h is in the vocabulary:
-// a scan of h's directory bucket. It performs no locking and no
-// allocation.
+// Lookup returns the dense ID of h — its position in the vocabulary — and
+// whether h is in it: a scan of h's directory bucket. It performs no
+// locking and no allocation.
 func (f *Frozen) Lookup(h uint64) (uint32, bool) {
 	k := h >> f.shift
 	lo := f.dir[k]
-	for i, g := range f.sortedHashes[lo:f.dir[k+1]] {
+	for i, g := range f.hashes[lo:f.dir[k+1]] {
 		if g >= h {
 			if g == h {
-				return f.sortedIDs[int(lo)+i], true
+				return lo + uint32(i), true
 			}
 			break
 		}
@@ -213,7 +202,7 @@ func (q *QueryInterner) private(h uint64) uint32 {
 	defer q.mu.Unlock()
 	id, ok := q.extra[h]
 	if !ok {
-		id = uint32(len(q.base.vocab) + len(q.extraH))
+		id = uint32(len(q.base.hashes) + len(q.extraH))
 		q.extra[h] = id
 		q.extraH = append(q.extraH, h)
 	}
@@ -236,12 +225,12 @@ func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 // AppendHashes appends the hash of each of ids, frozen or private to this
 // overlay, to dst in ids order. It implements strand.Vocabulary.
 func (q *QueryInterner) AppendHashes(dst []uint64, ids []uint32) []uint64 {
-	n := uint32(len(q.base.vocab))
+	n := uint32(len(q.base.hashes))
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, id := range ids {
 		if id < n {
-			dst = append(dst, q.base.vocab[id])
+			dst = append(dst, q.base.hashes[id])
 		} else {
 			dst = append(dst, q.extraH[id-n])
 		}

@@ -59,30 +59,56 @@ func defaultCorpusVocab(tb testing.TB) []uint64 {
 }
 
 // freeze seals the interner's current vocabulary the way a shard stores
-// and opens it: Sorted's order, handed to FrozenFromSlabs.
+// and opens it: Sorted's hashes, handed to NewFrozen.
 func freeze(tb testing.TB, it *Interner) *Frozen {
 	tb.Helper()
-	vocab, order := it.Sorted()
-	sortedHashes := make([]uint64, len(order))
-	for i, id := range order {
-		sortedHashes[i] = vocab[id]
-	}
-	f, err := FrozenFromSlabs(vocab, sortedHashes, order)
+	vocab, _ := it.Sorted()
+	f, err := NewFrozen(vocab)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return f
 }
 
-// FuzzFrozenLookup checks a frozen vocabulary — Sorted ordering a live
-// interner's, and FrozenFromSlabs opening the slabs sorted that way —
-// against a map oracle. The
-// input is a run of 8-byte little-endian hashes interned first come,
-// first served (a repeat keeps its first ID). Every member must resolve
-// to its ID, and each member's neighbours h-1, h+1 and h with its top bit
-// flipped must miss unless they are members too; Sorted's order must be
-// the one a plain sort by hash gives, and every ID must map back to its
-// hash.
+// TestNewFrozenRejectsUnsorted: NewFrozen opens only a vocabulary whose
+// hashes strictly increase, and FrozenFromSlabs only one given with
+// itself as its sorted copy and the identity as its IDs.
+func TestNewFrozenRejectsUnsorted(t *testing.T) {
+	for _, hashes := range [][]uint64{{20, 10}, {10, 10}, {1, 2, 3, 2}} {
+		if _, err := NewFrozen(hashes); err == nil {
+			t.Errorf("NewFrozen accepted %v", hashes)
+		}
+	}
+	vocab := []uint64{10, 20, 30}
+	if _, err := FrozenFromSlabs(vocab, vocab, []uint32{0, 1, 2}); err != nil {
+		t.Errorf("FrozenFromSlabs rejected a sorted vocabulary with identity IDs: %v", err)
+	}
+	for name, c := range map[string]struct {
+		sorted []uint64
+		ids    []uint32
+	}{
+		"short":        {vocab[:2], []uint32{0, 1}},
+		"permuted-ids": {vocab, []uint32{1, 0, 2}},
+		"other-hashes": {[]uint64{10, 20, 31}, []uint32{0, 1, 2}},
+	} {
+		if _, err := FrozenFromSlabs(vocab, c.sorted, c.ids); err == nil {
+			t.Errorf("%s: FrozenFromSlabs accepted %v %v for %v", name, c.sorted, c.ids, vocab)
+		}
+	}
+	if _, err := FrozenFromSlabs([]uint64{20, 10}, []uint64{20, 10}, []uint32{0, 1}); err == nil {
+		t.Error("FrozenFromSlabs accepted an unsorted vocabulary")
+	}
+}
+
+// FuzzFrozenLookup checks a frozen vocabulary — Sorted sorting a live
+// interner's and ranking its IDs, and NewFrozen opening the sorted hashes
+// — against a map oracle. The input is a run of 8-byte little-endian
+// hashes interned first come, first served (a repeat keeps its first ID).
+// Sorted's hashes must be the oracle's, ascending, and its rank of each
+// live ID the position of that ID's hash; every member must resolve to
+// its rank, and each member's neighbours h-1, h+1 and h with its top bit
+// flipped must miss unless they are members too; every rank must map back
+// to its hash.
 func FuzzFrozenLookup(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(vocabBytes([]uint64{0x9E3779B97F4A7C15}))
@@ -105,22 +131,23 @@ func FuzzFrozenLookup(f *testing.F) {
 			}
 			oracle[h] = id
 		}
-		vocab, sorted := it.Sorted()
-		order := make([]uint32, len(vocab))
-		for i := range order {
-			order[i] = uint32(i)
+		sorted, rank := it.Sorted()
+		want := make([]uint64, 0, len(oracle))
+		for h := range oracle {
+			want = append(want, h)
 		}
-		sort.Slice(order, func(a, b int) bool { return vocab[order[a]] < vocab[order[b]] })
-		if !slices.Equal(sorted, order) {
-			t.Fatalf("Sorted ordered the vocabulary as %v, a sort by hash as %v", sorted, order)
+		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		if !slices.Equal(sorted, want) || len(rank) != len(want) {
+			t.Fatalf("Sorted gave %v ranked %v, a sort of the vocabulary %v", sorted, rank, want)
 		}
-		sortedHashes := make([]uint64, len(order))
-		for i, id := range order {
-			sortedHashes[i] = vocab[id]
+		for h, id := range oracle {
+			if sorted[rank[id]] != h {
+				t.Fatalf("Sorted ranks ID %d of hash %#x at %d, which holds %#x", id, h, rank[id], sorted[rank[id]])
+			}
 		}
-		fz, err := FrozenFromSlabs(vocab, sortedHashes, order)
+		fz, err := NewFrozen(sorted)
 		if err != nil {
-			t.Fatalf("FrozenFromSlabs rejected the sorted vocabulary: %v", err)
+			t.Fatalf("NewFrozen rejected the sorted vocabulary: %v", err)
 		}
 		if fz.Size() != len(oracle) {
 			t.Fatalf("size %d, oracle %d", fz.Size(), len(oracle))
@@ -128,9 +155,9 @@ func FuzzFrozenLookup(f *testing.F) {
 		if len(fz.dir) > max(2, fz.Size()) {
 			t.Fatalf("%d directory offsets for %d entries", len(fz.dir), fz.Size())
 		}
-		for h, want := range oracle {
-			if id, ok := fz.Lookup(h); !ok || id != want {
-				t.Fatalf("Lookup(%#x) = %d, %v; oracle %d", h, id, ok, want)
+		for h, live := range oracle {
+			if id, ok := fz.Lookup(h); !ok || id != rank[live] {
+				t.Fatalf("Lookup(%#x) = %d, %v; oracle rank %d", h, id, ok, rank[live])
 			}
 			for _, n := range []uint64{h - 1, h + 1, h ^ 1<<63} {
 				if _, member := oracle[n]; member {
@@ -141,8 +168,12 @@ func FuzzFrozenLookup(f *testing.F) {
 				}
 			}
 		}
-		if got := fz.AppendHashes(nil, order); !slices.Equal(got, sortedHashes) {
-			t.Fatalf("AppendHashes maps IDs to %v, want %v", got, sortedHashes)
+		ids := make([]uint32, len(sorted))
+		for i := range ids {
+			ids[i] = uint32(i)
+		}
+		if got := fz.AppendHashes(nil, ids); !slices.Equal(got, sorted) {
+			t.Fatalf("AppendHashes maps IDs to %v, want %v", got, sorted)
 		}
 	})
 }

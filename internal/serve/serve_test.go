@@ -513,8 +513,8 @@ func TestServePanickingShardIs500(t *testing.T) {
 	name := fmt.Sprintf("shard-%04d.fwcorp", d)
 
 	// A shard other than 0 holds no vocabulary: cut it whole. Cut shard 0
-	// at the first page boundary past its sorted vocabulary (tag 18); its
-	// strand IDs (tag 23) must lie wholly beyond the cut.
+	// at the first page boundary past its vocabulary (tag 17); its strand
+	// IDs (tag 22) must lie wholly beyond the cut.
 	cut := uint64(64)
 	if d == 0 {
 		file, err := os.ReadFile(paths[0])
@@ -528,8 +528,8 @@ func TestServePanickingShardIs500(t *testing.T) {
 			sections[le.Uint32(row)] = [2]uint64{le.Uint64(row[4:]), le.Uint64(row[12:])}
 		}
 		page := uint64(os.Getpagesize())
-		sorted, ids := sections[18], sections[23]
-		cut = (sorted[0] + sorted[1] + page - 1) / page * page
+		vocab, ids := sections[17], sections[22]
+		cut = (vocab[0] + vocab[1] + page - 1) / page * page
 		if ids[1] == 0 || ids[0] < cut {
 			t.Fatalf("shard 0's strand IDs [%d, +%d) start before the cut at %d", ids[0], ids[1], cut)
 		}

@@ -62,13 +62,23 @@ func randomProcs(rng *rand.Rand, it strand.Interner, nprocs, maxLen int, bound u
 	return procs
 }
 
-// checkIndex compares c, the index built from procs, with the reference.
+// checkIndex compares c, the index built from procs, with the reference,
+// and checks its directory: at most one bucket per distinct ID (and one
+// bucket when there are none), and every row in its ID's bucket.
 func checkIndex(t *testing.T, name string, procs []*Proc, c *csr) {
 	t.Helper()
 	ids, start, posts := referenceIndex(procs)
 	if !slices.Equal(c.ids, ids) || !slices.Equal(c.start, start) || !slices.Equal(c.procs, posts) {
 		t.Fatalf("%s: counting CSR differs from the sort-based reference:\nids   %v\nwant  %v\nstart %v\nwant  %v\nprocs %v\nwant  %v",
 			name, c.ids, ids, c.start, start, c.procs, posts)
+	}
+	if len(c.dir)-1 > max(1, len(ids)) {
+		t.Fatalf("%s: %d directory buckets for %d IDs", name, len(c.dir)-1, len(ids))
+	}
+	for r, id := range c.ids {
+		if j := int(id >> c.shift); j >= len(c.dir)-1 || int(c.dir[j]) > r || r >= int(c.dir[j+1]) {
+			t.Fatalf("%s: row %d (ID %d) lies outside its directory bucket", name, r, id)
+		}
 	}
 }
 

@@ -282,10 +282,16 @@ func (e *Exe) WithPath(path string) *Exe {
 // csr is an executable's inverted index over dense strand IDs: ids is the
 // sorted set of distinct strand IDs present in the executable, and
 // procs[start[k]:start[k+1]] lists the procedures containing ids[k].
+// dir[j]:dir[j+1] is the span of ids whose top bits, id>>shift, are j:
+// 2^b+1 offsets with 2^b below the distinct ID count, so a lookup
+// bisects one bucket of one or two rows on average when the IDs spread
+// evenly, as a sealed corpus's hash ranks do.
 type csr struct {
 	ids   []uint32
 	start []int32
 	procs []int32
+	dir   []int32
+	shift uint
 }
 
 // lazyIndex holds an executable's csr once built. The first query builds
@@ -334,7 +340,8 @@ var csrPool = sync.Pool{New: func() any { return new(csrScratch) }}
 // order and filling in procedure order yields rows sorted by ID with
 // ascending procedures. The scratch grows to the largest ID seen,
 // overlay-private ones included, and only what a build touched is zeroed
-// again: O(postings + maxID/64), never a vocabulary-sized clear.
+// again: O(postings + maxID/64), never a vocabulary-sized clear. The
+// directory over the rows is filled in one more pass over them.
 func (sc *csrScratch) build(procs []*Proc) *csr {
 	n, maxID := 0, uint32(0)
 	for _, p := range procs {
@@ -372,6 +379,20 @@ func (sc *csrScratch) build(procs []*Proc) *csr {
 		}
 	}
 	c.start[k] = pos
+	b := 0
+	if distinct > 1 {
+		b = bits.Len(uint(distinct-1)) - 1
+	}
+	c.shift, c.dir = uint(max(0, bits.Len32(maxID)-b)), make([]int32, 1<<b+1)
+	j := 0
+	for i, id := range c.ids {
+		for ; j <= int(id>>c.shift); j++ {
+			c.dir[j] = int32(i)
+		}
+	}
+	for ; j < len(c.dir); j++ {
+		c.dir[j] = int32(distinct)
+	}
 	for pi, p := range procs {
 		for _, id := range p.Set.IDs {
 			c.procs[cnt[id]] = int32(pi)
@@ -431,67 +452,30 @@ func (e *Exe) SimAllInto(q strand.Set, counts []int) []int {
 	return counts
 }
 
-// simIDs accumulates posting counts for sorted query IDs. When the query
-// is much smaller than the executable's vocabulary each ID is located by
-// a galloping search from the previous ID's row — the probe doubles its
-// stride until it passes id, then bisects the last stride — so a lookup
-// costs the logarithm of the gap it jumps, not of the whole tail;
-// otherwise a linear merge over the two sorted sequences.
+// simIDs accumulates posting counts for sorted query IDs, each located
+// by a bisection of its directory bucket.
 func (e *Exe) simIDs(qids []uint32, counts []int) {
 	if len(qids) == 0 {
 		return
 	}
 	ix := e.index.get(e.Procs)
-	ids := ix.ids
-	if len(ids) == 0 {
-		return
-	}
-	if len(qids)*8 < len(ids) {
-		lo := 0
-		for _, id := range qids {
-			// Invariant: every row below lo is < id; find the first row
-			// at or after lo that is >= id.
-			hi, step := lo, 1
-			for hi < len(ids) && ids[hi] < id {
-				lo = hi + 1
-				hi += step
-				step <<= 1
-			}
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if ids[mid] < id {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo == len(ids) {
-				return
-			}
-			if ids[lo] == id {
-				for _, pi := range ix.procs[ix.start[lo]:ix.start[lo+1]] {
-					counts[pi]++
-				}
+	for _, id := range qids {
+		j := int(id >> ix.shift)
+		if j >= len(ix.dir)-1 {
+			return // past the largest ID, as every later one is
+		}
+		lo, end := ix.dir[j], ix.dir[j+1]
+		for hi := end; lo < hi; {
+			if mid := (lo + hi) >> 1; ix.ids[mid] < id {
+				lo = mid + 1
+			} else {
+				hi = mid
 			}
 		}
-		return
-	}
-	i, j := 0, 0
-	for i < len(qids) && j < len(ids) {
-		switch {
-		case qids[i] == ids[j]:
-			for _, pi := range ix.procs[ix.start[j]:ix.start[j+1]] {
+		if lo < end && ix.ids[lo] == id {
+			for _, pi := range ix.procs[ix.start[lo]:ix.start[lo+1]] {
 				counts[pi]++
 			}
-			i++
-			j++
-		case qids[i] < ids[j]:
-			i++
-		default:
-			j++
 		}
 	}
 }

@@ -203,12 +203,13 @@ func TestInternedSimAllSmallQueryLargeExe(t *testing.T) {
 	}
 }
 
-// TestSimIDsMatchesHashPath pins simIDs' two strategies — the galloping
-// search and the linear merge — against a brute-force count of the hashes
-// each procedure shares with the query, on random executables: query sizes are drawn on both sides of the
-// len(qids)*8 < len(ids) switch, with clustered and scattered IDs,
-// IDs below, between and above the executable's rows, and in both game
-// directions (a small set against a large executable and the reverse).
+// TestSimIDsMatchesHashPath pins simIDs' directory lookup against a
+// brute-force count of the hashes each procedure shares with the query, on
+// random executables: queries small and large against the executable
+// (both sides of len(qids)*8 < len(ids), counted below), with clustered
+// IDs (long directory buckets) and scattered ones, IDs below, between and
+// above the executable's rows, and in both game directions (a small set
+// against a large executable and the reverse).
 func TestSimIDsMatchesHashPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	randSet := func(n, universe int) []uint64 {
@@ -228,7 +229,7 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
 	}
-	galloped, merged := 0, 0
+	small, large := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		it := newTestInterner()
 		universe := 64 + rng.Intn(4000)
@@ -252,9 +253,9 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 			qh := randSet(min(n, universe/2), universe)
 			q := strand.Set{Hashes: qh}.Interned(it)
 			if len(q.IDs)*8 < len(e.index.get(e.Procs).ids) {
-				galloped++
+				small++
 			} else {
-				merged++
+				large++
 			}
 			got := e.SimAllInto(q, nil)
 			want := make([]int, len(procs))
@@ -281,8 +282,8 @@ func TestSimIDsMatchesHashPath(t *testing.T) {
 			}
 		}
 	}
-	if galloped < 100 || merged < 100 {
-		t.Fatalf("lopsided coverage: %d galloping, %d merging accumulations", galloped, merged)
+	if small < 100 || large < 100 {
+		t.Fatalf("lopsided coverage: %d small, %d large queries", small, large)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // testCorpus is a small but fully featured sealed-corpus shard and its
-// vocabulary, ordered by dense ID: two distinct executables sharing
-// strands, and two images of differing shapes (skips, the same executable
-// under a second path).
+// vocabulary, ascending: two distinct executables sharing strands, and two
+// images of differing shapes (skips, the same executable under a second
+// path).
 func testCorpus() (*Corpus, []uint64) {
 	return &Corpus{
 		Exes: []Exe{
@@ -48,7 +48,7 @@ func testCorpus() (*Corpus, []uint64) {
 				Occs: []Occurrence{{Path: "sbin/httpd", Exe: 1}, {Path: "usr/bin/wget", Exe: 0}},
 			},
 		},
-	}, []uint64{0xdeadbeef, 0x1122334455667788, 0xcafebabe, 42, 7}
+	}, []uint64{7, 42, 0xcafebabe, 0xdeadbeef, 0x1122334455667788}
 }
 
 // roundTripCorpus encodes the model under vocab as a one-shard corpus,
@@ -74,13 +74,14 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 // TestCorpusRoundTripEmptyIndex: a corpus whose procedures hold no
-// strands round-trips, and its index is derived from one stored set, the
-// empty one, which every procedure holds: an index of no rows.
+// strands, and so no markers, round-trips, and its index is derived from
+// one stored set, the empty one, which every procedure holds: an index of
+// no rows.
 func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 	c, vocab := testCorpus()
 	for _, e := range c.Exes {
 		for pi := range e.Procs {
-			e.Procs[pi].IDs = nil
+			e.Procs[pi].IDs, e.Procs[pi].Markers = nil, nil
 		}
 	}
 	if got, _ := roundTripCorpus(t, c, vocab); !reflect.DeepEqual(got, c) {
@@ -115,6 +116,44 @@ func TestCorpusEncodeRejectsInvalid(t *testing.T) {
 		if _, err := encodeCorpusShard(c, vocab, hdr); err == nil {
 			t.Errorf("%s encoded successfully", name)
 		}
+	}
+}
+
+// TestEncodeRejectsMarkersDisagreeingWithSet: a shard stores markers once
+// per distinct strand set, so a model in which two procedures hold one set
+// but not the same markers — in one executable or two, one with none — is
+// rejected at encode time, and one in which they agree is stored with the
+// set's markers once.
+func TestEncodeRejectsMarkersDisagreeingWithSet(t *testing.T) {
+	for name, damage := range map[string]func(*Corpus){
+		"within an executable": func(c *Corpus) {
+			c.Exes[0].Procs[1].IDs = []uint32{0, 2, 4}
+			c.Exes[0].Procs[1].Markers = []uint32{0x20}
+		},
+		"across executables": func(c *Corpus) { c.Exes[1].Procs[0].IDs = []uint32{0, 2, 4} },
+		"one more marker": func(c *Corpus) {
+			c.Exes[1].Procs[0].IDs = []uint32{0, 2, 4}
+			c.Exes[1].Procs[0].Markers = []uint32{0x1f, 0x20}
+		},
+	} {
+		c, vocab := testCorpus()
+		damage(c)
+		if _, err := encodeCorpusShard(c, vocab, soleShard(c)); err == nil || !strings.Contains(err.Error(), "markers") {
+			t.Errorf("%s: err = %v, want markers disagreeing with the set's rejected", name, err)
+		}
+	}
+	c, vocab := testCorpus()
+	c.Exes[1].Procs[0].IDs = []uint32{0, 2, 4}
+	c.Exes[1].Procs[0].Markers = []uint32{0x1f}
+	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, vocab, soleShard(c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.totals.markers != 1 {
+		t.Errorf("two procedures holding one set store %d markers, want its 1", s.totals.markers)
+	}
+	if got, _ := shardToCorpus(t, s); !reflect.DeepEqual(got, c) {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
 }
 

@@ -1,23 +1,23 @@
 package snapshot
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
-
-	"firmup/internal/setdedup"
 )
 
 // The FWCORP shard container is the one persisted form of a sealed
 // corpus. It optimizes for retrieval: every bulk payload is a
 // fixed-width little-endian slab in a 64-byte-aligned section, so a
 // mapped shard is usable without a decode pass — the executable,
-// occurrence and procedure tables and the strand-ID / marker / call slabs
-// are all read directly from the mapped bytes. Integrity is checked on
+// occurrence and procedure tables, the set table and the strand-ID /
+// marker / call slabs are all read directly from the mapped bytes. Integrity is checked on
 // first touch: only the small meta section is CRC-verified at open; every
 // other section is verified once, the first time an accessor needs it, so
 // opening a multi-gigabyte shard costs O(pages touched), not O(bytes).
@@ -37,30 +37,35 @@ import (
 //
 // Layout:
 //
-//	magic "FWCORP\r\n" | version=9 (u32) | section count (u32)
+//	magic "FWCORP\r\n" | version=10 (u32) | section count (u32)
 //	section table: tag (u32) | offset (u64) | length (u64) | CRC32-C (u32)
 //	64-byte-aligned section payloads (zero padding between)
 //
-// Sections (all eleven always present; bulk ones may be empty):
+// Sections (all ten always present; bulk ones may be empty):
 //
 //	corpus-meta         varint: shard header, slab totals, vocabulary CRC, per-image identity
-//	corpus-vocab        vocabLen x u64        dense ID -> strand hash (shard 0; empty elsewhere)
-//	corpus-vocab-sorted vocabLen x u64 sorted hashes, then vocabLen x u32 IDs (shard 0)
+//	corpus-vocab        vocabLen x u64        strand hashes ascending: dense ID = rank (shard 0; empty elsewhere)
 //	corpus-strs         string blob (paths, procedure names; deduplicated)
-//	corpus-exe-table    shardExes x 32 B fixed records (no path)
-//	corpus-proc-table   totalProcs x 40 B fixed records, each naming its strand set
-//	corpus-sets         (nsets+1) x u32       set k is corpus-ids[sets[k]:sets[k+1]]
+//	corpus-exe-table    shardExes x 24 B fixed records (no path)
+//	corpus-proc-table   totalProcs x 36 B fixed records, each naming its strand set
+//	corpus-sets         (nsets+1) x (u32 IDs offset, u32 markers offset)
 //	corpus-ids          idsLen x u32          the shard's distinct sorted strand-ID sets
-//	corpus-markers      markersLen x u32
+//	corpus-markers      markersLen x u32      each distinct set's markers
 //	corpus-calls        callsLen x u32
 //	corpus-occurrences  totalOccs x 12 B      image by image: path, corpus-wide executable ID
 //
 // Each distinct strand set is stored once per shard: the same library
 // code ships in executable after executable, so procedures repeat their
 // sets, and a procedure record names its set by number. Sets are
-// numbered in order of first appearance. A shard stores no inverted
-// index either: the index a search scans is derived from the sets
-// (ProcSets) the first time the shard is searched.
+// numbered in order of first appearance; row k of corpus-sets and row
+// k+1 bound set k's IDs in corpus-ids and, because a procedure's markers
+// are the marker constants of its strands, the markers every procedure
+// holding the set has, in corpus-markers. A dense ID is the rank of its
+// hash in the vocabulary, so a shard's bytes do not depend on the order
+// analysis met the strands in, and the vocabulary is its own lookup
+// table (the directory corpusindex.NewFrozen builds over it). A shard
+// stores no inverted index either: the index a search scans is derived
+// from the sets (ProcSets) the first time the shard is searched.
 
 // CorpusFormatVersion is the shard layout version — the only one this
 // package writes or opens. Versions 1 to 5 were earlier layouts (a
@@ -72,11 +77,15 @@ import (
 // would answer wrongly. Version 7 was this layout plus two sections
 // holding the inverted index (corpus-index-rows and corpus-index-posts),
 // each posting a second copy of one procedure's membership in
-// corpus-ids. Version 8 was this layout without corpus-sets: corpus-ids
+// corpus-ids. Version 8 was version 9 without corpus-sets: corpus-ids
 // held every procedure's set in full, repeats included, and each
-// executable record its first ID's offset. A file carrying any other
-// version fails to open with a pointer to re-sealing.
-const CorpusFormatVersion = 9
+// executable record its first ID's offset. Version 9 was this layout
+// with a second, hash-ordered copy of the vocabulary and its ID
+// permutation (corpus-vocab-sorted; IDs were numbered first-seen), and
+// markers stored per procedure: each procedure record held its marker
+// count and each executable record its first marker's offset. A file
+// carrying any other version fails to open with a pointer to re-sealing.
+const CorpusFormatVersion = 10
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
@@ -87,23 +96,22 @@ const maxSectionsV2 = 32
 
 // Shard section tags.
 const (
-	secV2Meta        = 16
-	secV2Vocab       = 17
-	secV2VocabSorted = 18
-	secV2Strs        = 19
-	secV2ExeTab      = 20
-	secV2ProcTab     = 21
-	secV2Sets        = 22
-	secV2IDs         = 23
-	secV2Markers     = 24
-	secV2Calls       = 25
-	secV2Occs        = 26
+	secV2Meta    = 16
+	secV2Vocab   = 17
+	secV2Strs    = 18
+	secV2ExeTab  = 19
+	secV2ProcTab = 20
+	secV2Sets    = 21
+	secV2IDs     = 22
+	secV2Markers = 23
+	secV2Calls   = 24
+	secV2Occs    = 25
 )
 
 // Fixed record sizes.
 const (
-	v2ExeRecSize  = 32 // procStart u32, procCount u32, markersStart u64, callsStart u64, arch u8, stripped u8, pad[6]
-	v2ProcRecSize = 40 // nameOff u32, nameLen u32, addr u32, flags u32, set u32, nMarkers u32, nCalls u32, blocks u32, edges u32, insts u32
+	v2ExeRecSize  = 24 // procStart u32, procCount u32, callsStart u64, arch u8, stripped u8, pad[6]
+	v2ProcRecSize = 36 // nameOff u32, nameLen u32, addr u32, flags u32, set u32, nCalls u32, blocks u32, edges u32, insts u32
 	v2OccRecSize  = 12 // pathOff u32, pathLen u32, exeRef u32
 )
 
@@ -119,8 +127,6 @@ func v2SectionName(tag uint32) string {
 		return "corpus-meta"
 	case secV2Vocab:
 		return "corpus-vocab"
-	case secV2VocabSorted:
-		return "corpus-vocab-sorted"
 	case secV2Strs:
 		return "corpus-strs"
 	case secV2ExeTab:
@@ -165,45 +171,27 @@ type ShardHeader struct {
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
 
 // Vocab is a corpus vocabulary encoded once for every shard of the
-// corpus: the corpus-vocab and corpus-vocab-sorted sections shard 0
-// stores, and the checksum every shard records.
+// corpus: the corpus-vocab section shard 0 stores, and the checksum every
+// shard records.
 type Vocab struct {
-	n             int
-	vocab, sorted []byte
-	crc           uint32
+	n     int
+	vocab []byte
+	crc   uint32
 }
 
-// EncodeVocab encodes a frozen vocabulary ordered by dense ID, given
-// its dense IDs in ascending hash order (corpusindex.Frozen.SortedIDs):
-// the sealed vocabulary is sorted once, when it is frozen. It rejects an
-// order that does not sort the vocabulary strictly, which a duplicate
-// hash cannot.
-func EncodeVocab(vocab []uint64, order []uint32) (*Vocab, error) {
-	if len(order) != len(vocab) {
-		return nil, fmt.Errorf("snapshot: encode: sorted order of %d entries for a vocabulary of %d", len(order), len(vocab))
-	}
+// EncodeVocab encodes a frozen vocabulary: its hashes ascending, each
+// strand's dense ID its rank (corpusindex.Frozen.Vocab). It rejects
+// hashes that do not strictly increase, which a duplicate hash cannot.
+func EncodeVocab(sorted []uint64) (*Vocab, error) {
 	le := binary.LittleEndian
-	vocabB := make([]byte, 0, 8*len(vocab))
-	for _, h := range vocab {
+	vocabB := make([]byte, 0, 8*len(sorted))
+	for i, h := range sorted {
+		if i > 0 && h <= sorted[i-1] {
+			return nil, fmt.Errorf("snapshot: encode: vocabulary does not strictly increase at strand hash %016x (a duplicate hash, or an unsorted vocabulary)", h)
+		}
 		vocabB = le.AppendUint64(vocabB, h)
 	}
-	// Sorted-vocabulary slab: hashes ascending plus the parallel dense
-	// IDs, so a loaded shard looks hashes up straight off the mapping
-	// instead of building a hash map at open.
-	sortedB := make([]byte, 0, 12*len(vocab))
-	for i, id := range order {
-		if int(id) >= len(vocab) {
-			return nil, fmt.Errorf("snapshot: encode: sorted order entry %d names dense ID %d of %d", i, id, len(vocab))
-		}
-		if i > 0 && vocab[id] <= vocab[order[i-1]] {
-			return nil, fmt.Errorf("snapshot: encode: sorted order does not strictly increase at strand hash %016x (a duplicate hash, or an unsorted order)", vocab[id])
-		}
-		sortedB = le.AppendUint64(sortedB, vocab[id])
-	}
-	for _, id := range order {
-		sortedB = le.AppendUint32(sortedB, id)
-	}
-	return &Vocab{n: len(vocab), vocab: vocabB, sorted: sortedB, crc: crc32.Checksum(vocabB, castagnoli)}, nil
+	return &Vocab{n: len(sorted), vocab: vocabB, crc: crc32.Checksum(vocabB, castagnoli)}, nil
 }
 
 // EncodeShard serializes one shard of a sealed corpus whose vocabulary
@@ -212,11 +200,12 @@ func EncodeVocab(vocab []uint64, order []uint32) (*Vocab, error) {
 // hdr.ExeBase+len(c.Exes)). The model is validated first so a successful
 // encode always produces a shard OpenCorpusShardBytes accepts.
 //
-// The encode is two passes. The first counts the slabs, numbers the
-// distinct strand sets and builds the two variable-width sections, the
-// string blob and the meta section; the second writes every fixed-width
-// section in place into the one output buffer, sized exactly, so the
-// encoder allocates little beyond the shard it returns.
+// The encode is two passes. The first, after validating the model, which
+// numbers the distinct strand sets, counts the slabs and builds the two
+// variable-width sections, the string blob and the meta section; the
+// second writes every fixed-width section in place into the one output
+// buffer, sized exactly, so the encoder allocates little beyond the shard
+// it returns.
 func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ShardCount < 1 || hdr.ShardIndex < 0 || hdr.ShardIndex >= hdr.ShardCount {
 		return nil, fmt.Errorf("snapshot: encode: shard index %d out of range for %d shards", hdr.ShardIndex, hdr.ShardCount)
@@ -227,7 +216,8 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ExeBase < 0 || hdr.TotalExes < hdr.ExeBase+len(c.Exes) {
 		return nil, fmt.Errorf("snapshot: encode: shard executables [%d, %d) exceed declared corpus total %d", hdr.ExeBase, hdr.ExeBase+len(c.Exes), hdr.TotalExes)
 	}
-	if err := validateCorpus(c, v.n, hdr.TotalExes); err != nil {
+	st, err := validateCorpus(c, v.n, hdr.TotalExes)
+	if err != nil {
 		return nil, err
 	}
 
@@ -246,12 +236,8 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		strs = append(strs, s...)
 		return nil
 	}
-	var nProcs, nMarkers, nCalls, nOccs uint64
+	var nCalls, nOccs uint64
 	for _, e := range c.Exes {
-		if nProcs+uint64(len(e.Procs)) > math.MaxUint32 {
-			return nil, fmt.Errorf("snapshot: encode: procedure count exceeds the 32-bit table space")
-		}
-		nProcs += uint64(len(e.Procs))
 		for _, p := range e.Procs {
 			if err := intern(p.Name); err != nil {
 				return nil, err
@@ -259,7 +245,6 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 			if p.BlockCount > math.MaxUint32 || p.EdgeCount > math.MaxUint32 || p.InstCount > math.MaxUint32 {
 				return nil, fmt.Errorf("snapshot: encode: procedure shape count exceeds 32 bits")
 			}
-			nMarkers += uint64(len(p.Markers))
 			nCalls += uint64(len(p.Calls))
 		}
 	}
@@ -271,11 +256,7 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		}
 		nOccs += uint64(len(c.Images[ii].Occs))
 	}
-	sets, setOf, nIDs := numberSets(c.Exes, int(nProcs))
-	if nIDs > math.MaxUint32 {
-		return nil, fmt.Errorf("snapshot: encode: the distinct strand sets hold %d IDs, beyond the 32-bit offset space", nIDs)
-	}
-	nSets := uint64(len(sets))
+	nProcs, nSets, nIDs, nMarkers := uint64(len(st.setOf)), uint64(len(st.first)), st.nIDs, st.nMarkers
 
 	// Meta: shard header, slab totals (the open-time structural
 	// cross-check against section lengths), per-image identity.
@@ -301,13 +282,13 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	}
 
 	// Pass 2: lay the sections out in tag order and allocate the shard.
-	var vocabB, sortedB []byte
+	var vocabB []byte
 	if hdr.ShardIndex == 0 {
-		vocabB, sortedB = v.vocab, v.sorted
+		vocabB = v.vocab
 	}
 	sizes := [v2NumSections]uint64{
-		uint64(len(meta)), uint64(len(vocabB)), uint64(len(sortedB)), uint64(len(strs)),
-		uint64(len(c.Exes)) * v2ExeRecSize, nProcs * v2ProcRecSize, (nSets + 1) * 4,
+		uint64(len(meta)), uint64(len(vocabB)), uint64(len(strs)),
+		uint64(len(c.Exes)) * v2ExeRecSize, nProcs * v2ProcRecSize, (nSets + 1) * 8,
 		nIDs * 4, nMarkers * 4, nCalls * 4, nOccs * v2OccRecSize,
 	}
 	var offs [v2NumSections]uint64
@@ -323,34 +304,37 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	}
 	copy(sec(secV2Meta), meta)
 	copy(sec(secV2Vocab), vocabB)
-	copy(sec(secV2VocabSorted), sortedB)
 	copy(sec(secV2Strs), strs)
 
 	// Every fixed-width section is written in place, each record at its
 	// slot and each slab element at its cursor.
 	le := binary.LittleEndian
-	setsB, idsB := sec(secV2Sets), sec(secV2IDs)
-	var ids uint64
-	for k, set := range sets {
-		le.PutUint32(setsB[4*k:], uint32(ids))
-		for _, id := range set {
+	setsB, idsB, markB := sec(secV2Sets), sec(secV2IDs), sec(secV2Markers)
+	var ids, marks uint64
+	for k, p := range st.first {
+		le.PutUint32(setsB[8*k:], uint32(ids))
+		le.PutUint32(setsB[8*k+4:], uint32(marks))
+		for _, id := range p.IDs {
 			le.PutUint32(idsB[4*ids:], id)
 			ids++
 		}
+		for _, m := range p.Markers {
+			le.PutUint32(markB[4*marks:], m)
+			marks++
+		}
 	}
-	le.PutUint32(setsB[4*nSets:], uint32(ids))
-	exeTab, procTab := sec(secV2ExeTab), sec(secV2ProcTab)
-	markB, callB := sec(secV2Markers), sec(secV2Calls)
-	var pi, marks, calls uint64
+	le.PutUint32(setsB[8*nSets:], uint32(ids))
+	le.PutUint32(setsB[8*nSets+4:], uint32(marks))
+	exeTab, procTab, callB := sec(secV2ExeTab), sec(secV2ProcTab), sec(secV2Calls)
+	var pi, calls uint64
 	for ei, e := range c.Exes {
 		rec := exeTab[ei*v2ExeRecSize:][:v2ExeRecSize]
 		le.PutUint32(rec[0:], uint32(pi))
 		le.PutUint32(rec[4:], uint32(len(e.Procs)))
-		le.PutUint64(rec[8:], marks)
-		le.PutUint64(rec[16:], calls)
-		rec[24] = e.Arch
+		le.PutUint64(rec[8:], calls)
+		rec[16] = e.Arch
 		if e.Stripped {
-			rec[25] = 1
+			rec[17] = 1
 		}
 		for _, p := range e.Procs {
 			var flags uint32
@@ -362,17 +346,12 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 			le.PutUint32(prec[4:], uint32(len(p.Name)))
 			le.PutUint32(prec[8:], p.Addr)
 			le.PutUint32(prec[12:], flags)
-			le.PutUint32(prec[16:], setOf[pi])
-			le.PutUint32(prec[20:], uint32(len(p.Markers)))
-			le.PutUint32(prec[24:], uint32(len(p.Calls)))
-			le.PutUint32(prec[28:], uint32(p.BlockCount))
-			le.PutUint32(prec[32:], uint32(p.EdgeCount))
-			le.PutUint32(prec[36:], uint32(p.InstCount))
+			le.PutUint32(prec[16:], st.setOf[pi])
+			le.PutUint32(prec[20:], uint32(len(p.Calls)))
+			le.PutUint32(prec[24:], uint32(p.BlockCount))
+			le.PutUint32(prec[28:], uint32(p.EdgeCount))
+			le.PutUint32(prec[32:], uint32(p.InstCount))
 			pi++
-			for _, m := range p.Markers {
-				le.PutUint32(markB[4*marks:], m)
-				marks++
-			}
 			for _, cc := range p.Calls {
 				le.PutUint32(callB[4*calls:], cc)
 				calls++
@@ -404,27 +383,11 @@ func (v *Vocab) EncodeShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	return out, nil
 }
 
-// numberSets numbers the distinct strand sets of exes' nProcs procedures
-// in order of first appearance: it returns the sets, each procedure's set
-// number in slot order — executable by executable — and the IDs the sets
-// hold together.
-func numberSets(exes []Exe, nProcs int) (sets [][]uint32, setOf []uint32, nIDs uint64) {
-	t, setOf := setdedup.New(nProcs), make([]uint32, 0, nProcs)
-	for _, e := range exes {
-		for _, p := range e.Procs {
-			setOf = append(setOf, t.Number(p.IDs))
-		}
-	}
-	for _, set := range t.Sets() {
-		nIDs += uint64(len(set))
-	}
-	return t.Sets(), setOf, nIDs
-}
-
 // parseCorpusV2Table validates the shard header and section table:
-// magic, version, exactly the eleven sections present exactly once,
-// every declared range inside the input and 64-byte aligned. Checksums
-// are NOT verified here — that is per-section, on first touch.
+// magic, version, exactly the ten sections present exactly once,
+// every declared range inside the input, 64-byte aligned and overlapping
+// no other. Checksums are NOT verified here — that is per-section, on
+// first touch.
 func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
 	if len(data) < headerSize {
 		return nil, corrupt("header", "truncated: %d bytes, need at least %d", len(data), headerSize)
@@ -473,6 +436,20 @@ func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
 		if !ok {
 			return nil, corrupt("table", "missing required %s section", v2SectionName(uint32(secV2Meta+i)))
 		}
+	}
+	// A row pointed into another section's bytes could pass its checksum
+	// by coincidence, so sections may not overlap.
+	byOff := slices.Clone(entries)
+	slices.SortFunc(byOff, func(a, b tableEntry) int { return cmp.Compare(a.off, b.off) })
+	var prev tableEntry
+	for _, e := range byOff {
+		if e.length == 0 {
+			continue
+		}
+		if prev.length > 0 && e.off < prev.off+prev.length {
+			return nil, corrupt("table", "%s section [%d, %d+%d) overlaps the %s section [%d, %d+%d)", v2SectionName(e.tag), e.off, e.off, e.length, v2SectionName(prev.tag), prev.off, prev.off, prev.length)
+		}
+		prev = e
 	}
 	return entries, nil
 }
@@ -539,17 +516,11 @@ type CorpusShard struct {
 	secs [v2NumSections]shardSection
 
 	vocabSlab lazySlab[[]uint64]
-	sorted    lazySlab[sortedVocab]
-	setOffsL  lazySlab[[]uint32]
+	setRowsL  lazySlab[[]uint32]
 	idsSlabL  lazySlab[[]uint32]
 	markSlabL lazySlab[[]uint32]
 	callSlabL lazySlab[[]uint32]
 	occsL     lazySlab[[]Occurrence]
-}
-
-type sortedVocab struct {
-	hashes []uint64
-	ids    []uint32
 }
 
 // OpenCorpusShardBytes opens a shard over caller-provided bytes
@@ -694,7 +665,7 @@ func (s *CorpusShard) decodeMeta(b []byte) error {
 		{&t.procs, "procedure count", math.MaxUint32},
 		{&t.sets, "strand set count", math.MaxUint32},
 		{&t.ids, "strand ID count", math.MaxUint32},
-		{&t.markers, "marker count", v2MaxSlabElems},
+		{&t.markers, "marker count", math.MaxUint32},
 		{&t.calls, "call count", v2MaxSlabElems},
 	} {
 		if *f.dst, err = read(f.what, f.max); err != nil {
@@ -782,11 +753,10 @@ func (s *CorpusShard) checkLengths() error {
 		want uint64
 	}{
 		{secV2Vocab, vocabBytes * 8},
-		{secV2VocabSorted, vocabBytes * 12},
 		{secV2Strs, t.strs},
 		{secV2ExeTab, t.exes * v2ExeRecSize},
 		{secV2ProcTab, t.procs * v2ProcRecSize},
-		{secV2Sets, (t.sets + 1) * 4},
+		{secV2Sets, (t.sets + 1) * 8},
 		{secV2IDs, t.ids * 4},
 		{secV2Markers, t.markers * 4},
 		{secV2Calls, t.calls * 4},
@@ -809,15 +779,15 @@ func (s *CorpusShard) NumImages() int { return len(s.images) }
 // shard: corpus-wide IDs [Header().ExeBase, Header().ExeBase+NumExes()).
 func (s *CorpusShard) NumExes() int { return int(s.totals.exes) }
 
-// StoredCounts returns how many procedures, distinct strand sets and
-// strand IDs the shard stores, as its meta section declares them and the
-// open checked against the section lengths: no section is read.
-func (s *CorpusShard) StoredCounts() (procs, sets, ids int) {
-	return int(s.totals.procs), int(s.totals.sets), int(s.totals.ids)
+// StoredCounts returns how many procedures, distinct strand sets, strand
+// IDs and markers the shard stores, as its meta section declares them and
+// the open checked against the section lengths: no section is read.
+func (s *CorpusShard) StoredCounts() (procs, sets, ids, markers int) {
+	return int(s.totals.procs), int(s.totals.sets), int(s.totals.ids), int(s.totals.markers)
 }
 
-// holdsVocab reports whether the shard stores the vocabulary sections:
-// shard 0 does, every other shard records only their checksum.
+// holdsVocab reports whether the shard stores the vocabulary section:
+// shard 0 does, every other shard records only its checksum.
 func (s *CorpusShard) holdsVocab() bool { return s.hdr.ShardIndex == 0 }
 
 // SizeBytes returns the shard file's size.
@@ -847,8 +817,10 @@ func (s *CorpusShard) Image(i int) ImageInfo {
 	}
 }
 
-// Vocab returns the frozen vocabulary (dense ID -> hash), aliasing the
-// mapping where possible; nil on a shard other than 0, which stores none.
+// Vocab returns the frozen vocabulary (dense ID -> hash, ascending),
+// aliasing the mapping where possible; nil on a shard other than 0, which
+// stores none. Whoever builds a lookup over it checks that it ascends
+// (corpusindex.NewFrozen).
 func (s *CorpusShard) Vocab() ([]uint64, error) {
 	if !s.holdsVocab() {
 		return nil, nil
@@ -862,22 +834,19 @@ func (s *CorpusShard) Vocab() ([]uint64, error) {
 	})
 }
 
-// SortedVocab returns the vocabulary sorted by hash with the parallel
-// dense IDs — the binary-searchable lookup structure; nil on a shard other
-// than 0.
+// SortedVocab returns the vocabulary, which is sorted, with its dense IDs,
+// which are the identity; nil on a shard other than 0. It is kept for
+// bench/'s replay, which hands both to corpusindex.FrozenFromSlabs.
 func (s *CorpusShard) SortedVocab() ([]uint64, []uint32, error) {
-	if !s.holdsVocab() {
-		return nil, nil, nil
+	vocab, err := s.Vocab()
+	if err != nil || vocab == nil {
+		return nil, nil, err
 	}
-	sv, err := s.sorted.get(func() (sortedVocab, error) {
-		b, err := s.section(secV2VocabSorted)
-		if err != nil {
-			return sortedVocab{}, err
-		}
-		split := int(s.totals.vocab * 8)
-		return sortedVocab{hashes: castU64(b[:split]), ids: castU32(b[split:])}, nil
-	})
-	return sv.hashes, sv.ids, err
+	ids := make([]uint32, len(vocab))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return vocab, ids, nil
 }
 
 func (s *CorpusShard) idsSlab() ([]uint32, error) {
@@ -890,28 +859,39 @@ func (s *CorpusShard) idsSlab() ([]uint32, error) {
 	})
 }
 
-// setOffs returns the set table: nsets+1 offsets into corpus-ids,
-// checked on first use to run monotonically from 0 to the slab's length,
-// so every set is a range inside the slab.
-func (s *CorpusShard) setOffs() ([]uint32, error) {
-	return s.setOffsL.get(func() ([]uint32, error) {
+// setRows returns the set table: nsets+1 rows, each an offset into
+// corpus-ids and one into corpus-markers, rows[2k] and rows[2k+1]. Each
+// column is checked on first use to run monotonically from 0 to the total
+// the meta section declares for its slab, so set k's IDs,
+// rows[2k]:rows[2k+2], and markers, rows[2k+1]:rows[2k+3], are ranges
+// inside the slabs.
+func (s *CorpusShard) setRows() ([]uint32, error) {
+	return s.setRowsL.get(func() ([]uint32, error) {
 		b, err := s.section(secV2Sets)
 		if err != nil {
 			return nil, err
 		}
-		offs := castU32(b)
-		if offs[0] != 0 {
-			return nil, corrupt("corpus-sets", "set 0 starts at offset %d, not 0", offs[0])
-		}
-		for k := 1; k < len(offs); k++ {
-			if offs[k] < offs[k-1] {
-				return nil, corrupt("corpus-sets", "set %d ends at offset %d, before it starts at %d", k-1, offs[k], offs[k-1])
+		rows := castU32(b)
+		for col, slab := range [2]struct {
+			what  string
+			total uint64
+		}{{"IDs", s.totals.ids}, {"markers", s.totals.markers}} {
+			if rows[col] != 0 {
+				return nil, corrupt("corpus-sets", "set 0's %s start at offset %d, not 0", slab.what, rows[col])
+			}
+			for k := 2 + col; k < len(rows); k += 2 {
+				if rows[k] < rows[k-2] {
+					return nil, corrupt("corpus-sets", "set %d's %s end at offset %d, before they start at %d", k/2-1, slab.what, rows[k], rows[k-2])
+				}
+				if uint64(rows[k]) > slab.total {
+					return nil, corrupt("corpus-sets", "set %d's %s end at offset %d, past the %d-entry slab", k/2-1, slab.what, rows[k], slab.total)
+				}
+			}
+			if end := uint64(rows[len(rows)-2+col]); end != slab.total {
+				return nil, corrupt("corpus-sets", "the sets' %s end at offset %d, the meta section declares %d", slab.what, end, slab.total)
 			}
 		}
-		if end := uint64(offs[len(offs)-1]); end != s.totals.ids {
-			return nil, corrupt("corpus-sets", "the sets end at offset %d, the slab holds %d IDs", end, s.totals.ids)
-		}
-		return offs, nil
+		return rows, nil
 	})
 }
 
@@ -953,7 +933,7 @@ func (s *CorpusShard) ProcSets() (procCounts []int32, sets [][]uint32, setOf []u
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	offs, err := s.setOffs()
+	rows, err := s.setRows()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -963,7 +943,7 @@ func (s *CorpusShard) ProcSets() (procCounts []int32, sets [][]uint32, setOf []u
 	}
 	sets = make([][]uint32, s.totals.sets)
 	for k := range sets {
-		if sets[k], err = s.checkSet(ids[offs[k]:offs[k+1]:offs[k+1]], k); err != nil {
+		if sets[k], err = s.checkSet(ids[rows[2*k]:rows[2*k+2]:rows[2*k+2]], k); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -1067,8 +1047,8 @@ func (s *CorpusShard) Occurrences(img int) ([]Occurrence, error) {
 
 // Exe decodes distinct executable gi. The returned IDs, Markers and Calls
 // slices alias the mapped slabs — procedures holding one strand set, in
-// this executable or another of the shard, alias one range of
-// corpus-ids — and the names are copied. Strand IDs are
+// this executable or another of the shard, alias one range of corpus-ids
+// and one of corpus-markers — and the names are copied. Strand IDs are
 // validated (strictly increasing, inside the vocabulary) and call targets
 // are validated against the executable, so consumers can rely on the
 // invariants the encoder enforces.
@@ -1088,7 +1068,7 @@ func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 	if err != nil {
 		return nil, err
 	}
-	offs, err := s.setOffs()
+	rows, err := s.setRows()
 	if err != nil {
 		return nil, err
 	}
@@ -1111,13 +1091,13 @@ func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 	if err != nil {
 		return nil, err
 	}
-	mOff, cOff := le.Uint64(rec[8:]), le.Uint64(rec[16:])
-	if rec[25] > 1 {
-		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[25])
+	cOff := le.Uint64(rec[8:])
+	if rec[17] > 1 {
+		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[17])
 	}
 	ed := &Exe{
-		Arch:     rec[24],
-		Stripped: rec[25] == 1,
+		Arch:     rec[16],
+		Stripped: rec[17] == 1,
 		Procs:    make([]Proc, procCount),
 	}
 	for pi := range ed.Procs {
@@ -1138,27 +1118,24 @@ func (s *CorpusShard) Exe(gi int) (*Exe, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.IDs, err = s.checkSet(ids[offs[k]:offs[k+1]:offs[k+1]], int(k)); err != nil {
+		if p.IDs, err = s.checkSet(ids[rows[2*k]:rows[2*k+2]:rows[2*k+2]], int(k)); err != nil {
 			return nil, err
 		}
-		nmark, ncall := le.Uint32(prec[20:]), le.Uint32(prec[24:])
-		if mOff+uint64(nmark) > uint64(len(marks)) {
-			return nil, corrupt("corpus-markers", "procedure %d markers [%d, %d+%d) exceed the %d-entry slab", int(procStart)+pi, mOff, mOff, nmark, len(marks))
-		}
+		mlo, mhi := rows[2*k+1], rows[2*k+3]
+		p.Markers = marks[mlo:mhi:mhi]
+		ncall := le.Uint32(prec[20:])
 		if cOff+uint64(ncall) > uint64(len(calls)) {
 			return nil, corrupt("corpus-calls", "procedure %d calls [%d, %d+%d) exceed the %d-entry slab", int(procStart)+pi, cOff, cOff, ncall, len(calls))
 		}
-		p.Markers = marks[mOff : mOff+uint64(nmark) : mOff+uint64(nmark)]
 		p.Calls = calls[cOff : cOff+uint64(ncall) : cOff+uint64(ncall)]
 		for _, c := range p.Calls {
 			if c >= procCount {
 				return nil, corrupt("corpus-calls", "procedure %d calls procedure %d of %d", int(procStart)+pi, c, procCount)
 			}
 		}
-		p.BlockCount = int(le.Uint32(prec[28:]))
-		p.EdgeCount = int(le.Uint32(prec[32:]))
-		p.InstCount = int(le.Uint32(prec[36:]))
-		mOff += uint64(nmark)
+		p.BlockCount = int(le.Uint32(prec[24:]))
+		p.EdgeCount = int(le.Uint32(prec[28:]))
+		p.InstCount = int(le.Uint32(prec[32:]))
 		cOff += uint64(ncall)
 	}
 	return ed, nil

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,44 +17,30 @@ import (
 
 // encodeCorpusShard encodes one shard of c under vocab.
 func encodeCorpusShard(c *Corpus, vocab []uint64, hdr ShardHeader) ([]byte, error) {
-	v, err := EncodeVocab(vocab, sortedOrder(vocab))
+	v, err := EncodeVocab(vocab)
 	if err != nil {
 		return nil, err
 	}
 	return v.EncodeShard(c, hdr)
 }
 
-// sortedOrder returns the dense IDs of vocab in ascending hash order, the
-// order a Frozen holds them in.
-func sortedOrder(vocab []uint64) []uint32 {
-	order := make([]uint32, len(vocab))
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	slices.SortStableFunc(order, func(a, b uint32) int { return cmp.Compare(vocab[a], vocab[b]) })
-	return order
-}
-
-// TestEncodeVocabRejectsBadOrder: EncodeVocab trusts no sorted order it is
-// handed — one that skips, repeats or misplaces an entry, or a vocabulary
+// TestEncodeVocabRejectsBadOrder: EncodeVocab trusts no order it is handed
+// — a vocabulary whose hashes do not strictly increase, out of order or
 // holding a hash twice, fails at encode time.
 func TestEncodeVocabRejectsBadOrder(t *testing.T) {
-	vocab := []uint64{30, 10, 20}
-	if _, err := EncodeVocab(vocab, []uint32{1, 2, 0}); err != nil {
-		t.Fatalf("the sorted order was rejected: %v", err)
+	for _, vocab := range [][]uint64{nil, {7}, {10, 20, 30}, {0, math.MaxUint64}} {
+		if _, err := EncodeVocab(vocab); err != nil {
+			t.Errorf("the sorted vocabulary %v was rejected: %v", vocab, err)
+		}
 	}
-	for name, c := range map[string]struct {
-		vocab []uint64
-		order []uint32
-	}{
-		"short":     {vocab, []uint32{1, 2}},
-		"unsorted":  {vocab, []uint32{2, 1, 0}},
-		"repeated":  {vocab, []uint32{1, 1, 0}},
-		"out-of-id": {vocab, []uint32{1, 2, 3}},
-		"duplicate": {[]uint64{10, 20, 10}, sortedOrder([]uint64{10, 20, 10})},
+	for name, vocab := range map[string][]uint64{
+		"unsorted":   {30, 10, 20},
+		"descending": {30, 20, 10},
+		"duplicate":  {10, 20, 20, 30},
+		"last-low":   {10, 20, 5},
 	} {
-		if _, err := EncodeVocab(c.vocab, c.order); err == nil {
-			t.Errorf("%s: order %v of %v was accepted", name, c.order, c.vocab)
+		if _, err := EncodeVocab(vocab); err == nil {
+			t.Errorf("%s: vocabulary %v was accepted", name, vocab)
 		}
 	}
 }
@@ -143,8 +128,8 @@ func shardToCorpus(t *testing.T, s *CorpusShard) (*Corpus, []uint64) {
 }
 
 // randomCorpusModel generates a structurally valid shard model and its
-// vocabulary: every executable occurs at least once, and some occur again
-// under other paths and in other images.
+// vocabulary, ascending: every executable occurs at least once, and some
+// occur again under other paths and in other images.
 func randomCorpusModel(rng *rand.Rand) (*Corpus, []uint64) {
 	c := &Corpus{}
 	var vocab []uint64
@@ -156,6 +141,7 @@ func randomCorpusModel(rng *rand.Rand) (*Corpus, []uint64) {
 			vocab = append(vocab, h)
 		}
 	}
+	slices.Sort(vocab)
 	nimg := 1 + rng.Intn(4)
 	for i := 0; i < nimg; i++ {
 		ci := CorpusImage{Vendor: randWord(rng), Device: randWord(rng), Version: randWord(rng)}
@@ -206,7 +192,8 @@ var occurrenceFaults = []string{"ref-out-of-range", "path-out-of-range", "count-
 var idsFaults = []string{"id-outside-vocabulary"}
 
 // setFaults names the ways faultyShard damages testCorpus's set table —
-// its sets {0,2,4}, {1,3} and {2}, at offsets 0, 3, 5 and 6 — and the
+// its sets {0,2,4}, {1,3} and {2}, at ID offsets 0, 3, 5 and 6, with
+// markers {0x1f}, {} and {} at marker offsets 0, 1, 1 and 1 — and the
 // section each fault is blamed on. Each passes the opener: the set table
 // is read, and checked, on first touch.
 var setFaults = []struct{ name, section string }{
@@ -215,6 +202,9 @@ var setFaults = []struct{ name, section string }{
 	{"set-offsets-not-from-zero", "corpus-sets"},
 	{"set-offsets-short-of-slab", "corpus-sets"},
 	{"set-not-increasing", "corpus-ids"},
+	{"set-markers-decrease", "corpus-sets"},
+	{"set-markers-past-slab", "corpus-sets"},
+	{"set-markers-short-of-total", "corpus-sets"},
 }
 
 // faultyShard encodes testCorpus as one shard and applies the named fault
@@ -240,11 +230,25 @@ func faultyShard(t testing.TB, fault string) []byte {
 		// Executable 1's one procedure, the last record, names set 3 of 3.
 		patchSection(t, blob, secV2ProcTab, func(b []byte) { le.PutUint32(b[len(b)-v2ProcRecSize+16:], 3) })
 	case "set-offsets-decrease":
-		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[4:], 6) })
+		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[8:], 6) })
 	case "set-offsets-not-from-zero":
 		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[0:], 1) })
 	case "set-offsets-short-of-slab":
-		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[len(b)-4:], 5) })
+		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[len(b)-8:], 5) })
+	case "set-markers-decrease":
+		// Set 2's markers start at 0, before set 1's end at 1.
+		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[20:], 0) })
+	case "set-markers-past-slab":
+		// The last row ends the markers at 2, past the 1-entry slab.
+		patchSection(t, blob, secV2Sets, func(b []byte) { le.PutUint32(b[len(b)-4:], 2) })
+	case "set-markers-short-of-total":
+		// Set 0 holds no markers: every later row ends them at 0, not at
+		// the meta section's total of 1.
+		patchSection(t, blob, secV2Sets, func(b []byte) {
+			for k := 1; k < len(b)/8; k++ {
+				le.PutUint32(b[8*k+4:], 0)
+			}
+		})
 	case "set-not-increasing":
 		// Set 1, {1,3}, becomes {1,1}.
 		patchSection(t, blob, secV2IDs, func(b []byte) { le.PutUint32(b[16:], 1) })
@@ -318,7 +322,7 @@ func TestCorpusShardSetsStoredOnce(t *testing.T) {
 	// Executable 0's two procedures both hold {1,3}; executable 1's holds
 	// executable 0's first set, {0,2,4}.
 	c.Exes[0].Procs[1].IDs = []uint32{0, 2, 4}
-	c.Exes[0].Procs = append(c.Exes[0].Procs, Proc{Name: "sub_400300", Addr: 0x400300, IDs: []uint32{1, 3}, BlockCount: 1, InstCount: 4})
+	c.Exes[0].Procs = append(c.Exes[0].Procs, Proc{Name: "sub_400300", Addr: 0x400300, IDs: []uint32{1, 3}, Markers: []uint32{0x1f}, BlockCount: 1, InstCount: 4})
 	c.Exes[0].Procs[0].IDs = []uint32{1, 3}
 	c.Exes[1].Procs[0].IDs = []uint32{0, 2, 4}
 	s, err := OpenCorpusShardBytes(mustEncodeShard(t, c, vocab, soleShard(c)))
@@ -328,8 +332,8 @@ func TestCorpusShardSetsStoredOnce(t *testing.T) {
 	if got, _ := shardToCorpus(t, s); !reflect.DeepEqual(got, c) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
-	if s.totals.sets != 2 || s.totals.ids != 5 {
-		t.Errorf("the shard stores %d sets of %d IDs in all, want 2 of 5", s.totals.sets, s.totals.ids)
+	if s.totals.sets != 2 || s.totals.ids != 5 || s.totals.markers != 1 {
+		t.Errorf("the shard stores %d sets of %d IDs and %d markers in all, want 2 of 5 and 1", s.totals.sets, s.totals.ids, s.totals.markers)
 	}
 	_, sets, setOf, err := s.ProcSets()
 	if err != nil {
@@ -347,9 +351,10 @@ func TestCorpusShardSetsStoredOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2][]uint32{
-		{e0.Procs[0].IDs, e0.Procs[2].IDs}, // within executable 0
-		{e0.Procs[1].IDs, e1.Procs[0].IDs}, // across executables
-		{e1.Procs[0].IDs, sets[1]},         // materialized and indexed
+		{e0.Procs[0].IDs, e0.Procs[2].IDs},         // within executable 0
+		{e0.Procs[0].Markers, e0.Procs[2].Markers}, // and their markers
+		{e0.Procs[1].IDs, e1.Procs[0].IDs},         // across executables
+		{e1.Procs[0].IDs, sets[1]},                 // materialized and indexed
 	} {
 		if &pair[0][0] != &pair[1][0] || len(pair[0]) != len(pair[1]) {
 			t.Errorf("procedures sharing set %v decode to separate memory", pair[0])
@@ -561,7 +566,7 @@ func TestEncodeShardAllocBudget(t *testing.T) {
 	// versions of a package do, and a third of their strand sets, as
 	// unchanged library code does; every one ships in one of 16 images.
 	c.Images = make([]CorpusImage, 16)
-	for ei := range 400 {
+	for ei := range 440 {
 		e := Exe{Arch: uint8(ei % 4)}
 		for pi := range 40 {
 			p := Proc{Name: fmt.Sprintf("proc_%d_%d", ei%10, pi), Addr: uint32(pi * 64), BlockCount: 4, EdgeCount: 5, InstCount: 30}
@@ -572,7 +577,11 @@ func TestEncodeShardAllocBudget(t *testing.T) {
 					p.IDs = append(p.IDs, uint32(id))
 				}
 			}
-			p.Markers = []uint32{rng.Uint32(), rng.Uint32()}
+			if ei >= 10 && pi%3 == 0 {
+				p.Markers = c.Exes[ei-10].Procs[pi].Markers
+			} else {
+				p.Markers = []uint32{rng.Uint32(), rng.Uint32()}
+			}
 			p.Calls = []uint32{uint32((pi + 1) % 40)}
 			e.Procs = append(e.Procs, p)
 		}
@@ -580,7 +589,8 @@ func TestEncodeShardAllocBudget(t *testing.T) {
 		im := &c.Images[ei%16]
 		im.Occs = append(im.Occs, Occurrence{Path: fmt.Sprintf("bin/exe_%d", ei%25), Exe: ei})
 	}
-	v, err := EncodeVocab(vocab, sortedOrder(vocab))
+	slices.Sort(vocab)
+	v, err := EncodeVocab(vocab)
 	if err != nil {
 		t.Fatal(err)
 	}

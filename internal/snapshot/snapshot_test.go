@@ -144,6 +144,11 @@ func TestDecodeFaultInjection(t *testing.T) {
 	// single-byte varints: shard index, shard count, image base, total
 	// images, executable base, total executables, then the vocabulary
 	// size, the string blob size and the executable count.
+	// Set rows whose markers offsets decrease, run past the markers slab,
+	// or end short of the total the meta section declares (setFaults).
+	for _, f := range setFaults[len(setFaults)-3:] {
+		cases = append(cases, tc{f.name, func(t *testing.T, d []byte) []byte { return faultyShard(t, f.name) }, f.section})
+	}
 	cases = append(cases,
 		tc{"interner-count-lie", func(t *testing.T, d []byte) []byte {
 			patchSection(t, d, secV2Meta, func(b []byte) { b[6] = 0x7f })
@@ -232,7 +237,8 @@ func vocabChecksumLie(t testing.TB, blob []byte) {
 // randomExes generates structurally valid executables in canonical form
 // (nil for empty slices, sorted ID runs below vocab) for codec
 // round-trips. About one procedure in four repeats the strand set of an
-// earlier one, in its own executable or another.
+// earlier one, in its own executable or another; markers are drawn per
+// set (setMarkers).
 func randomExes(rng *rand.Rand, vocab int) []Exe {
 	var exes []Exe
 	var drawn [][]uint32
@@ -253,9 +259,7 @@ func randomExes(rng *rand.Rand, vocab int) []Exe {
 				p.IDs = slices.Clone(drawn[rng.Intn(len(drawn))])
 			}
 			drawn = append(drawn, p.IDs)
-			for k := rng.Intn(4); k > 0; k-- {
-				p.Markers = append(p.Markers, rng.Uint32())
-			}
+			p.Markers = setMarkers(p.IDs)
 			for k := rng.Intn(3); k > 0; k-- {
 				p.Calls = append(p.Calls, uint32(rng.Intn(nprocs)))
 			}
@@ -264,6 +268,26 @@ func randomExes(rng *rand.Rand, vocab int) []Exe {
 		exes = append(exes, e)
 	}
 	return exes
+}
+
+// setMarkers draws the markers of a strand set from the set itself, so
+// every procedure holding one set holds the same markers, as analysis
+// gives them: none for the empty set, up to three otherwise; nil when
+// none.
+func setMarkers(ids []uint32) []uint32 {
+	if len(ids) == 0 {
+		return nil
+	}
+	seed := int64(len(ids))
+	for _, id := range ids {
+		seed = seed*1000003 + int64(id)
+	}
+	r := rand.New(rand.NewSource(seed))
+	var out []uint32
+	for k := r.Intn(4); k > 0; k-- {
+		out = append(out, r.Uint32())
+	}
+	return out
 }
 
 // randIDSet returns up to max strictly increasing IDs below vocab, nil

@@ -319,11 +319,15 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 }
 
 // Seal freezes the session's current state into an immutable corpus
-// over the given images: the corpus that searches them. Their distinct
-// executables are numbered in first-sight order and encoded, with the
-// frozen vocabulary, as the one shard of a 1-shard corpus, held in memory
-// and read like a shard file — the corpus aliases nothing of the session,
-// and the Analyzer and its images stay fully usable afterwards.
+// over the given images: the corpus that searches them. The frozen
+// vocabulary numbers each strand by its hash's rank, not by the ID the
+// session's interner gave it in the order analysis met it, so what Seal
+// encodes does not depend on how analysis was scheduled. The images'
+// distinct executables are numbered in first-sight order and encoded,
+// their strand sets renumbered, with the frozen vocabulary as the one
+// shard of a 1-shard corpus, held in memory and read like a shard file —
+// the corpus aliases nothing of the session, and the Analyzer and its
+// images stay fully usable afterwards.
 // WriteShards keeps that numbering for one shard and renumbers for more,
 // where it cuts the executables into shards by package. The corpus lends the session's worker
 // tokens, and is indexed on its first search, not here.
@@ -332,7 +336,7 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 // an executable from another session has incomparable dense IDs and is
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
-	vocab, order := a.interner.Sorted()
+	vocab, rank := a.interner.Sorted()
 	c := &snapshot.Corpus{}
 	dedup := newExeDedup()
 	for ii, img := range images {
@@ -343,13 +347,13 @@ func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 			}
 			ref, fresh := dedup.add(e.exe)
 			if fresh {
-				c.Exes = append(c.Exes, exeToModel(e.exe))
+				c.Exes = append(c.Exes, exeToModel(e.exe, rank))
 			}
 			ci.Occs = append(ci.Occs, snapshot.Occurrence{Path: e.Path, Exe: ref})
 		}
 		c.Images = append(c.Images, ci)
 	}
-	enc, err := snapshot.EncodeVocab(vocab, order)
+	enc, err := snapshot.EncodeVocab(vocab)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +444,7 @@ func (sc *SealedCorpus) analyzeQuery(path string, data []byte, opt *Options) (e 
 				panic(r)
 			}
 			e = nil
-			sc.groups[0].blame("corpus-vocab-sorted", r, &err)
+			sc.groups[0].blame("corpus-vocab", r, &err)
 		}
 	}()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
@@ -782,15 +786,28 @@ func (sc *SealedCorpus) matchTraced(query *Executable, procedure string, target 
 	}, r, nil
 }
 
-// exeToModel serializes one analysed executable into the snapshot model.
-func exeToModel(e *sim.Exe) snapshot.Exe {
+// exeToModel serializes one analysed executable into the snapshot model,
+// each of its session's strand IDs renumbered as rank gives it and each
+// set sorted again.
+func exeToModel(e *sim.Exe, rank []uint32) snapshot.Exe {
 	se := snapshot.Exe{Arch: uint8(e.Arch), Stripped: e.Stripped, Procs: make([]snapshot.Proc, len(e.Procs))}
+	n := 0
+	for _, p := range e.Procs {
+		n += len(p.Set.IDs)
+	}
+	slab := make([]uint32, 0, n)
 	for i, p := range e.Procs {
+		start := len(slab)
+		for _, id := range p.Set.IDs {
+			slab = append(slab, rank[id])
+		}
+		ids := slab[start:len(slab):len(slab)]
+		slices.Sort(ids)
 		se.Procs[i] = snapshot.Proc{
 			Name:       p.Name,
 			Addr:       p.Addr,
 			Exported:   p.Exported,
-			IDs:        p.Set.IDs,
+			IDs:        ids,
 			Markers:    p.Markers,
 			BlockCount: p.BlockCount,
 			EdgeCount:  p.EdgeCount,

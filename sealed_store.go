@@ -55,8 +55,9 @@ type lazyExe struct {
 // shard's images, UniqueExecutables the distinct executables the shard
 // stores: its range of the corpus's, which any shard's images may name.
 // Procedures counts those executables' procedures, StrandSets the
-// distinct strand sets the shard stores for them and StrandIDs the IDs
-// those sets hold: across shards, the skew of the cut. Corrupt is the
+// distinct strand sets the shard stores for them, and StrandIDs and
+// Markers the IDs and marker entries it stores for those sets: across
+// shards, the skew of the cut. Corrupt is the
 // first corruption a read of the shard returned — while deriving its
 // index, materializing an executable, or as a fault recovered in a
 // search — and empty while none has.
@@ -69,6 +70,7 @@ type SealedShard struct {
 	Procedures        int    `json:"procedures"`
 	StrandSets        int    `json:"strand_sets"`
 	StrandIDs         int    `json:"strand_ids"`
+	Markers           int    `json:"markers"`
 	SizeBytes         int64  `json:"size_bytes"`
 	Mapped            bool   `json:"mapped"`
 	Corrupt           string `json:"corrupt,omitempty"`
@@ -92,7 +94,7 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 		if p := g.corrupt.Load(); p != nil {
 			corrupt = *p
 		}
-		procs, sets, ids := g.shard.StoredCounts()
+		procs, sets, ids, markers := g.shard.StoredCounts()
 		out = append(out, SealedShard{
 			Index:             i,
 			Path:              g.path,
@@ -102,6 +104,7 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 			Procedures:        procs,
 			StrandSets:        sets,
 			StrandIDs:         ids,
+			Markers:           markers,
 			SizeBytes:         g.shard.SizeBytes(),
 			Mapped:            g.shard.Mapped(),
 			Corrupt:           corrupt,
@@ -143,11 +146,16 @@ func (g *sealedGroup) record(u int) (e *snapshot.Exe, err error) {
 }
 
 // encodeVocab encodes the corpus vocabulary, which the frozen one reads
-// off shard 0, so a fault in the read is blamed on that shard.
+// off shard 0, so a fault in the read is blamed on that shard, and so is
+// a vocabulary that no longer ascends, as the open checked it did.
 func (sc *SealedCorpus) encodeVocab() (v *snapshot.Vocab, err error) {
-	defer sc.groups[0].recoverCorrupt("corpus-vocab", &err)
+	g := sc.groups[0]
+	defer g.recoverCorrupt("corpus-vocab", &err)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	return snapshot.EncodeVocab(sc.frozen.Vocab(), sc.frozen.SortedIDs())
+	if v, err = snapshot.EncodeVocab(sc.frozen.Vocab()); err != nil {
+		err = &snapshot.CorruptError{Section: "corpus-vocab", Reason: fmt.Sprintf("%s: the file changed under the process: %v", g.path, err)}
+	}
+	return v, err
 }
 
 // recoverCorrupt, deferred by a read of the group's shard, blames a
@@ -617,18 +625,14 @@ func sealedFromShards(shards []*snapshot.CorpusShard, paths []string) (*SealedCo
 		return nil, fmt.Errorf("firmup: shards up to %s hold %d images and %d executables, the corpus declares %d and %d", last, images, exes, want.TotalImages, want.TotalExes)
 	}
 
-	// The frozen vocabulary comes straight off shard 0's mapped slabs:
-	// no map build, no clone. FrozenFromSlabs validates the sorted slab
-	// against the vocabulary, which also CRC-touches both sections.
+	// The frozen vocabulary comes straight off shard 0's mapped slab: no
+	// map build, no clone. Vocab CRC-touches the section, and NewFrozen
+	// checks that it ascends.
 	vocab, err := shards[order[0]].Vocab()
 	if err != nil {
 		return nil, err
 	}
-	sortedH, sortedI, err := shards[order[0]].SortedVocab()
-	if err != nil {
-		return nil, err
-	}
-	frozen, err := corpusindex.FrozenFromSlabs(vocab, sortedH, sortedI)
+	frozen, err := corpusindex.NewFrozen(vocab)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"firmup/internal/image"
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
+	"firmup/internal/strand"
 	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
@@ -227,9 +229,9 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 
 	// Exactly one shard version opens. The header carries no checksum, so
 	// patching the version word alone reaches the version check, which
-	// answers any other version — here version 8, which stored every
-	// procedure's strand set in full, repeats included — as corruption,
-	// pointing at re-sealing.
+	// answers any other version — here version 9, which stored a second,
+	// hash-ordered copy of the vocabulary and every procedure's markers —
+	// as corruption, pointing at re-sealing.
 	otherDir := filepath.Join(dir, "other-version")
 	if err := os.Mkdir(otherDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -238,16 +240,16 @@ func TestOpenSealedCorpusForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other[8] = 8
+	other[8] = 9
 	otherPath := filepath.Join(otherDir, filepath.Base(onePaths[0]))
 	if err := os.WriteFile(otherPath, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := snapshot.OpenCorpusShardFile(otherPath); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenCorpusShardFile of a version-8 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenCorpusShardFile of a version-9 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 	if _, err := firmup.OpenSealedCorpus(otherDir); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "re-seal") {
-		t.Errorf("OpenSealedCorpus of a version-8 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
+		t.Errorf("OpenSealedCorpus of a version-9 shard: err = %v, want ErrCorrupt pointing at re-sealing", err)
 	}
 
 	// A strand ID outside the vocabulary, in an executable the query never
@@ -409,7 +411,8 @@ func TestWriteShardsDeterminism(t *testing.T) {
 // forced duplicates — the same bytes twice in one image under two paths,
 // again in the next image, again in the last one (another shard once
 // there are several) — and two near-duplicates that must not merge (one
-// procedure's address moved, one procedure's markers changed):
+// procedure's address moved, one procedure's markers changed, with a
+// strand no query holds added to its set):
 //   - the copies merge and the near-duplicates do not;
 //   - every image's findings, under default, relaxed-floor and exhaustive
 //     options, are exactly those a game against each of its occurrences
@@ -506,6 +509,13 @@ func TestShardDedupEquivalence(t *testing.T) {
 			shifted[i] = m + 1
 		}
 		p.Markers = shifted
+		// Markers are the marker constants of a procedure's strands, and
+		// a shard stores them once per strand set: a procedure whose
+		// markers differ holds another set, here one more strand, which
+		// no query holds.
+		ids := append(slices.Clone(p.Set.IDs), p.Set.It.Intern(0x6e6561726d61726b))
+		slices.Sort(ids)
+		p.Set = strand.Set{IDs: ids, It: p.Set.It}
 	}))
 
 	sealed, err := a.Seal(imgs...)

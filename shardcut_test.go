@@ -107,18 +107,18 @@ func TestWriteShardsCutsByPackage(t *testing.T) {
 	}
 }
 
-// Shards reports each shard's procedures, distinct strand sets and
-// strand IDs as the shard stores them: the procedures sum to the
+// Shards reports each shard's procedures, distinct strand sets, strand
+// IDs and markers as the shard stores them: the procedures sum to the
 // corpus's, and each shard's sets are the distinct ones among its
-// executables' procedures, so the sets and IDs sum to what the corpus
-// stores.
+// executables' procedures, each stored with its markers once, so the
+// sets, IDs and markers sum to what the corpus stores.
 func TestShardsReportStoredCounts(t *testing.T) {
 	s := buildStoreScenario(t)
 	procs := 0
 	for _, sh := range s.sealed.Shards() {
 		procs += sh.Procedures
 	}
-	var got, want struct{ procs, sets, ids int }
+	var got, want struct{ procs, sets, ids, markers int }
 	for gi, g := range s.stored.groups {
 		distinct := map[string]bool{}
 		for u := range g.n {
@@ -132,6 +132,7 @@ func TestShardsReportStoredCounts(t *testing.T) {
 					distinct[k] = true
 					want.sets++
 					want.ids += len(p.IDs)
+					want.markers += len(p.Markers)
 				}
 			}
 		}
@@ -139,10 +140,14 @@ func TestShardsReportStoredCounts(t *testing.T) {
 		got.procs += sh.Procedures
 		got.sets += sh.StrandSets
 		got.ids += sh.StrandIDs
+		got.markers += sh.Markers
 	}
 	if got != want {
-		t.Errorf("the 3 shards report %d procedures, %d strand sets, %d strand IDs; their records hold %d, %d, %d",
-			got.procs, got.sets, got.ids, want.procs, want.sets, want.ids)
+		t.Errorf("the 3 shards report %d procedures, %d strand sets, %d strand IDs, %d markers; their records hold %d, %d, %d, %d",
+			got.procs, got.sets, got.ids, got.markers, want.procs, want.sets, want.ids, want.markers)
+	}
+	if want.markers == 0 {
+		t.Error("the shards store no markers; the markers check is vacuous")
 	}
 	if got.procs != procs {
 		t.Errorf("the 3 shards report %d procedures, the sealed corpus %d", got.procs, procs)

@@ -21,8 +21,8 @@ import (
 const (
 	// FWCORP section tags (internal/snapshot/corpusv2.go).
 	tagMeta = 16
-	tagIDs  = 23
-	tagOccs = 26
+	tagIDs  = 22
+	tagOccs = 25
 	// Positions of meta varints: shard index, shard count, image base,
 	// total images, executable base, total executables, nine slab totals
 	// (the first the vocabulary size), then the vocabulary checksum.
