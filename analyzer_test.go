@@ -269,6 +269,64 @@ func TestOpenImageAnalysesInFlightDuplicateOnce(t *testing.T) {
 	}
 }
 
+// An executable is the byte string it was analysed from, whether the
+// image streamed it or was carved for it: shipped twice in an image whose
+// container breaks after both copies, and once more in a healthy image,
+// it is built once by the session, every sighting holds that one
+// analysis, and Seal stores it once.
+func TestCarvedAndStreamedCopiesShareOneAnalysis(t *testing.T) {
+	imgBytes, _, _ := buildScenario(t)
+	im, err := image.Unpack(imgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe := im.Executables()[0]
+	data := exe.File.Bytes()
+	broken := &image.Image{Vendor: im.Vendor, Device: im.Device, Version: im.Version, Files: []image.FileEntry{
+		{Path: "bin/a", Data: data}, {Path: "bin/b", Data: data}, {Path: "etc/config", Data: []byte("a config file the cut ends in")},
+	}}
+	cut := broken.Pack(false)
+	cut = cut[:len(cut)-8]
+	if _, err := image.Stream(cut, func(image.FileEntry) {}); err == nil {
+		t.Fatal("the cut image unpacks; the carving fallback is not exercised")
+	}
+
+	reg := telemetry.New()
+	a := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: 4, Telemetry: reg})
+	carved, err := a.OpenImage(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := a.OpenImage(oneExeImage("usr/bin/tool", data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sightings []*firmup.Executable
+	for _, img := range []*firmup.Image{carved, healthy} {
+		sightings = append(sightings, img.Exes...)
+	}
+	var paths []string
+	for _, e := range sightings {
+		paths = append(paths, e.Path)
+		if e.Sim() != sightings[0].Sim() {
+			t.Errorf("%s holds an analysis of its own", e.Path)
+		}
+	}
+	if want := []string{"carved_0", "carved_1", "usr/bin/tool"}; !reflect.DeepEqual(paths, want) {
+		t.Fatalf("sightings %q, want %q", paths, want)
+	}
+	if got := reg.Stage("sim.build").Calls(); got != 1 {
+		t.Errorf("the session ran %d builds of one byte string, want 1", got)
+	}
+	sc, err := a.Seal(carved, healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Executables() != 3 || sc.UniqueExecutables() != 1 {
+		t.Errorf("Seal stores %d executables for %d occurrences, want 1 for 3", sc.UniqueExecutables(), sc.Executables())
+	}
+}
+
 // A compressed image whose stream breaks after some files were already
 // dispatched opens as exactly what carving its bytes yields — what was
 // analysed before the break is discarded — and no worker goroutine
@@ -294,7 +352,7 @@ func TestOpenImageBrokenStreamCarves(t *testing.T) {
 	if _, err := image.Stream(data, func(image.FileEntry) { dispatched++ }); err == nil || dispatched == 0 {
 		t.Fatalf("the cut stream must fail after some files: %d dispatched, error %v", dispatched, err)
 	}
-	carved := image.CarveWith(data, telemetry.Span{})
+	carved := image.Carve(data)
 	if len(carved) == 0 {
 		t.Fatal("carving the cut stream finds nothing; the comparison is vacuous")
 	}
@@ -312,12 +370,11 @@ func TestOpenImageBrokenStreamCarves(t *testing.T) {
 
 	ref := firmup.NewAnalyzer(&firmup.AnalyzerOptions{Workers: 1})
 	var want, got []string
-	for i, f := range carved {
-		path := fmt.Sprintf("carved_%d", i)
-		if im, err := ref.OpenImage(oneExeImage(path, f.Bytes())); err == nil {
-			want = append(want, fmt.Sprint(path, exeStrands(im.Exes[0])))
+	for _, fe := range carved {
+		if im, err := ref.OpenImage(oneExeImage(fe.Path, fe.Data)); err == nil {
+			want = append(want, fmt.Sprint(fe.Path, exeStrands(im.Exes[0])))
 		} else {
-			want = append(want, path+" skipped")
+			want = append(want, fe.Path+" skipped")
 		}
 	}
 	for _, e := range img.Exes {

@@ -84,7 +84,7 @@ func BenchmarkFig6BinDiff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = eval.CompareBinDiff(env, nil)
+		res, err = eval.CompareBinDiff(env)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkFig8GitZ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = eval.CompareGitZ(env, nil)
+		res, err = eval.CompareGitZ(env)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func BenchmarkFig9GameSteps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = eval.CompareGitZ(env, nil)
+		res, err = eval.CompareGitZ(env)
 		if err != nil {
 			b.Fatal(err)
 		}

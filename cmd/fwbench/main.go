@@ -104,7 +104,7 @@ func run(w io.Writer, exp, scale string) error {
 			confirmed, latest)
 	}
 	if want("fig6") {
-		res, err := eval.CompareBinDiff(env, nil)
+		res, err := eval.CompareBinDiff(env)
 		if err != nil {
 			return err
 		}
@@ -113,7 +113,7 @@ func run(w io.Writer, exp, scale string) error {
 	}
 	var gitzRes *eval.CompareResult
 	if want("fig8") || want("fig9") || want("ablation") {
-		gitzRes, err = eval.CompareGitZ(env, nil)
+		gitzRes, err = eval.CompareGitZ(env)
 		if err != nil {
 			return err
 		}

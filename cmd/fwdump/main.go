@@ -85,7 +85,11 @@ func dumpImage(path string, reg *telemetry.Registry) {
 	im, err := image.Unpack(data)
 	if err != nil {
 		fmt.Printf("structural unpack failed (%v); carving...\n", err)
-		for i, f := range image.CarveWith(data, telemetry.Span{}) {
+		for i, fe := range image.Carve(data) {
+			f, err := obj.Read(fe.Data) // Carve keeps only what parses
+			if err != nil {
+				fatal(err)
+			}
 			fmt.Printf("carved #%d: %v, entry %#x, %d syms, stripped=%v\n",
 				i, f.Arch, f.Entry, len(f.Syms), f.Stripped)
 		}

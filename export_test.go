@@ -60,13 +60,48 @@ func Occurrences(im *SealedImage) ([]*Executable, error) {
 	return out, nil
 }
 
-// ExeContent is what sealing keys an executable on: everything it is but
-// its path (appendExeContent).
-func ExeContent(e *Executable) []byte { return appendExeContent(nil, e.exe) }
+// appendExeContent appends everything a sealed executable is except its
+// path — arch, stripped flag, and every procedure's name, address,
+// flags, shape counts, strand IDs, markers and calls: whatever a game or
+// a marker check can observe of it.
+func appendExeContent(b []byte, e *sim.Exe) []byte {
+	le := binary.LittleEndian
+	stripped := byte(0)
+	if e.Stripped {
+		stripped = 1
+	}
+	b = append(b, byte(e.Arch), stripped)
+	b = le.AppendUint32(b, uint32(len(e.Procs)))
+	for _, p := range e.Procs {
+		flags := uint32(0)
+		if p.Exported {
+			flags = 1
+		}
+		for _, n := range []uint32{
+			uint32(len(p.Name)), p.Addr, flags,
+			uint32(p.BlockCount), uint32(p.EdgeCount), uint32(p.InstCount),
+			uint32(len(p.Set.IDs)), uint32(len(p.Markers)), uint32(len(p.Calls)),
+		} {
+			b = le.AppendUint32(b, n)
+		}
+		b = append(b, p.Name...)
+		for _, id := range p.Set.IDs {
+			b = le.AppendUint32(b, id)
+		}
+		for _, m := range p.Markers {
+			b = le.AppendUint32(b, m)
+		}
+		for _, c := range p.Calls {
+			b = le.AppendUint32(b, uint32(c))
+		}
+	}
+	return b
+}
 
-// ExeHashContent is ExeContent with every procedure's strand IDs replaced
-// by its strand hashes, ascending (strand.Set.AppendHashes): what an
-// executable is, whatever IDs its vocabulary numbers its strands by.
+// ExeHashContent is everything an executable is but its path
+// (appendExeContent), with every procedure's strand IDs replaced by its
+// strand hashes, ascending (strand.Set.AppendHashes): what an executable
+// is, whatever IDs its vocabulary numbers its strands by.
 func ExeHashContent(e *Executable) []byte {
 	procs := make([]*sim.Proc, len(e.exe.Procs))
 	var hashes []byte

@@ -88,14 +88,17 @@ type Analyzer struct {
 	// telemetry.SchemaVersion); renaming any of them is a breaking change.
 	root  telemetry.Span
 	spare budget // the session's worker tokens (see analyzePooled)
-	// analysed maps the SHA-256 of an in-image file to its *analysis: the
-	// same executable ships in image after image, and OpenImage analyses
-	// each distinct byte string once per session.
+	// analysed maps the SHA-256 of an executable's bytes, streamed or
+	// carved, to its *analysis: the same executable ships in image after
+	// image, and OpenImage analyses each distinct byte string once per
+	// session. That byte string is the executable's identity: every
+	// sighting of it holds the one *sim.Exe, which Seal stores once.
 	analysed sync.Map
 }
 
-// analysis is one distinct byte string's analysis: run by the first
-// sighting to claim it, awaited by every other, even one in flight.
+// analysis is one distinct byte string's analysis, which every sighting
+// of it shares: run by the first sighting to claim it, awaited by every
+// other, even one in flight.
 type analysis struct {
 	once sync.Once
 	exe  *Executable
@@ -200,7 +203,8 @@ func (a *Analyzer) Metrics() telemetry.Snapshot {
 func (a *Analyzer) UniqueStrands() int { return a.interner.Size() }
 
 // Executable is an analyzed binary: its procedures recovered, lifted and
-// indexed as sets of canonical strands.
+// indexed as sets of canonical strands. Every sighting of one byte string
+// in a session is an Executable of its own path over the same analysis.
 type Executable struct {
 	// Path is the binary's path inside its image (or a caller-chosen
 	// label for standalone executables).
@@ -315,18 +319,20 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 		}()
 	}
 	var all []*fileJob // what the image reports, in arrival order
-	add := func(j *fileJob) {
+	add := func(fe image.FileEntry) {
+		j := &fileJob{path: fe.Path, data: fe.Data}
 		all = append(all, j)
 		jobs <- j // waits for a free worker
 	}
 	usp := sp.Start("image.unpack")
-	im, err := image.Stream(data, func(fe image.FileEntry) { add(&fileJob{path: fe.Path, data: fe.Data}) })
+	im, err := image.Stream(data, add)
 	if err != nil {
 		// Carving fallback: damaged or unknown container. The files
-		// dispatched before the failure are analysed, then discarded.
+		// dispatched before the failure are analysed and left out; a
+		// carved copy of one shares its analysis.
 		all, im = nil, &image.Image{}
-		for i, f := range image.CarveWith(data, usp) {
-			add(&fileJob{path: fmt.Sprintf("carved_%d", i), file: f})
+		for _, fe := range image.Carve(data) {
+			add(fe)
 		}
 		if len(all) > 0 {
 			err = nil
@@ -359,23 +365,16 @@ func (a *Analyzer) OpenImage(data []byte) (*Image, error) {
 // and the like, left out silently).
 type fileJob struct {
 	path string
-	// data is the file's bytes and the key its analysis is shared under;
-	// nil for a carved executable, which arrives parsed (file).
-	data []byte
-	file *obj.File
+	data []byte // the file's bytes, the key its analysis is shared under
 	exe  *Executable
 	err  error
 }
 
-// analyzeFile parses one file and analyses it under the session's
-// budget (analyzePooled), or answers it from the analysis of the same
-// bytes — earlier in this image, in an earlier image, or still running
-// on another worker — as a shallow copy under this file's path.
+// analyzeFile parses one file and answers it from the analysis of its
+// bytes under this file's path: analysed here under the session's budget
+// (analyzePooled) by the first sighting, or awaited from it — earlier in
+// this image, in an earlier image, or still running on another worker.
 func (a *Analyzer) analyzeFile(j *fileJob, parent telemetry.Span) {
-	if j.data == nil {
-		j.exe, j.err = a.analyzePooled(j.path, j.file, parent)
-		return
-	}
 	f, err := obj.ReadWith(j.data, parent)
 	if err != nil {
 		return // not an executable
@@ -384,12 +383,9 @@ func (a *Analyzer) analyzeFile(j *fileJob, parent telemetry.Span) {
 	c, _ := a.analysed.LoadOrStore(key, new(analysis))
 	an := c.(*analysis)
 	an.once.Do(func() { an.exe, an.err = a.analyzePooled(j.path, f, parent) })
-	switch {
-	case an.err != nil: // it names the path it was first seen under
+	if an.err != nil { // it names the path it was first seen under
 		j.err = fmt.Errorf("firmup: %s: %w", j.path, errors.Unwrap(an.err))
-	case an.exe.Path == j.path:
-		j.exe = an.exe
-	default:
-		j.exe = &Executable{Path: j.path, exe: an.exe.exe.WithPath(j.path)}
+		return
 	}
+	j.exe = &Executable{Path: j.path, exe: an.exe.exe}
 }

@@ -11,7 +11,6 @@ import (
 // Finding is one positive detection: the query procedure appears to be
 // present in a target executable.
 type Finding struct {
-	ExePath string
 	// ProcIndex / ProcName identify the matched target procedure.
 	ProcIndex int
 	ProcName  string
@@ -127,7 +126,6 @@ func accept(q *sim.Exe, qi int, t *sim.Exe, r Result, opt *SearchOptions) *Findi
 	}
 	tp := t.Procs[r.Target]
 	return &Finding{
-		ExePath:   t.Path,
 		ProcIndex: r.Target,
 		ProcName:  tp.Name,
 		ProcAddr:  tp.Addr,

@@ -99,7 +99,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestCompareBinDiffShape(t *testing.T) {
 	env := testEnv(t)
-	res, err := CompareBinDiff(env, nil)
+	res, err := CompareBinDiff(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCompareBinDiffShape(t *testing.T) {
 
 func TestCompareGitZShape(t *testing.T) {
 	env := testEnv(t)
-	res, err := CompareGitZ(env, nil)
+	res, err := CompareGitZ(env)
 	if err != nil {
 		t.Fatal(err)
 	}

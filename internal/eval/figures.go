@@ -107,8 +107,8 @@ func occurrences(u *Unit) int { return len(u.Occurrences) }
 
 // CompareBinDiff runs the Fig. 6 experiment: FirmUp vs the graph-based
 // whole-binary matcher over labeled targets.
-func CompareBinDiff(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
-	return compare(env, "BinDiff", fig6Queries, opt, func(q *sim.Exe, qi int, u *Unit) (bool, uint32) {
+func CompareBinDiff(env *Env) (*CompareResult, error) {
+	return compare(env, "BinDiff", fig6Queries, func(q *sim.Exe, qi int, u *Unit) (bool, uint32) {
 		d := bindiff.Diff(q, u.Exe)
 		ti := d.QtoT[qi]
 		if ti < 0 {
@@ -121,7 +121,7 @@ func CompareBinDiff(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
 // CompareGitZ runs the Fig. 8 experiment: FirmUp vs the
 // procedure-centric weighted top-1 ranker. The context is trained per
 // architecture over the corpus's own procedures, as the paper does.
-func CompareGitZ(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
+func CompareGitZ(env *Env) (*CompareResult, error) {
 	ctxByArch := map[uir.Arch]*gitz.Context{}
 	for _, arch := range queryArchs {
 		var sample []*sim.Exe
@@ -132,7 +132,7 @@ func CompareGitZ(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
 		}
 		ctxByArch[arch] = gitz.Train(sample)
 	}
-	return compare(env, "GitZ", fig8Queries, opt, func(q *sim.Exe, qi int, u *Unit) (bool, uint32) {
+	return compare(env, "GitZ", fig8Queries, func(q *sim.Exe, qi int, u *Unit) (bool, uint32) {
 		e := &gitz.Engine{Ctx: ctxByArch[u.Arch]}
 		top := e.TopK(q.Procs[qi].Set, u.Exe, 1)
 		if len(top) == 0 {
@@ -144,11 +144,7 @@ func CompareGitZ(env *Env, opt *core.SearchOptions) (*CompareResult, error) {
 
 // compare runs FirmUp and a baseline answerer over the labeled targets
 // of each query.
-func compare(env *Env, tool string, queryIDs []string, opt *core.SearchOptions,
-	baseline func(q *sim.Exe, qi int, u *Unit) (bool, uint32)) (*CompareResult, error) {
-	if opt == nil {
-		opt = &core.SearchOptions{}
-	}
+func compare(env *Env, tool string, queryIDs []string, baseline func(q *sim.Exe, qi int, u *Unit) (bool, uint32)) (*CompareResult, error) {
 	res := &CompareResult{Tool: tool, StepsHistogram: map[int]int{}}
 	for _, id := range queryIDs {
 		cve := corpus.CVEByID(id)
@@ -180,7 +176,7 @@ func compare(env *Env, tool string, queryIDs []string, opt *core.SearchOptions,
 				// accuracy, not containment, so the game's answer is
 				// taken directly without the acceptance threshold
 				// (mirroring how GitZ's unconditional top-1 is scored).
-				r := core.Match(q, qi, u.Exe, &opt.Game)
+				r := core.Match(q, qi, u.Exe, nil)
 				matched, addr := r.Target >= 0, uint32(0)
 				if matched {
 					addr = u.Exe.Procs[r.Target].Addr

@@ -16,7 +16,6 @@ import (
 	_ "firmup/internal/isa/ppc"
 	_ "firmup/internal/isa/x86"
 	"firmup/internal/obj"
-	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -145,13 +144,13 @@ func overlappingHeaders(k int) []byte {
 	return data
 }
 
-// carveAlloc reports the bytes one CarveWith call over data allocates,
+// carveAlloc reports the bytes one Carve call over data allocates,
 // averaged over runs calls.
 func carveAlloc(data []byte, runs int) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		image.CarveWith(data, telemetry.Span{})
+		image.Carve(data)
 	}
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
@@ -163,7 +162,7 @@ func carveAlloc(data []byte, runs int) uint64 {
 func TestCarveAllocationLinear(t *testing.T) {
 	for _, k := range []int{100, 200, 400} {
 		data := overlappingHeaders(k)
-		if n := len(image.CarveWith(data, telemetry.Span{})); n != 1 {
+		if n := len(image.Carve(data)); n != 1 {
 			t.Errorf("k=%d: %d files carved, want the first header's, which spans the rest", k, n)
 		}
 		ratio := float64(carveAlloc(data, 10)) / float64(len(data))
@@ -180,7 +179,7 @@ func TestCarveAllocationLinear(t *testing.T) {
 func carveAllocBound(data []byte) uint64 { return 32*uint64(len(data)) + 16<<10 }
 
 // FuzzCarve hammers the carver with arbitrary bytes. The contract: no
-// panic, every carved file parses again from its own serialization, and
+// panic, every carved file parses from its own bytes, and
 // allocation within carveAllocBound of the input.
 func FuzzCarve(f *testing.F) {
 	// Raw images of the generated corpus cut to a few files, then cut in
@@ -222,9 +221,9 @@ func FuzzCarve(f *testing.F) {
 		if n, bound := carveAlloc(data, 1), carveAllocBound(data); n > bound {
 			t.Errorf("carving %d bytes allocates %d, bound %d", len(data), n, bound)
 		}
-		for i, ef := range image.CarveWith(data, telemetry.Span{}) {
-			if _, err := obj.Read(ef.Bytes()); err != nil {
-				t.Errorf("carved file %d does not parse again: %v", i, err)
+		for i, ef := range image.Carve(data) {
+			if _, err := obj.Read(ef.Data); err != nil {
+				t.Errorf("carved file %d does not parse: %v", i, err)
 			}
 		}
 	})

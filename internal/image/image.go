@@ -1,6 +1,6 @@
 // Package image implements the firmware image container and its
 // unpacker. An image bundles the executables of one device firmware with
-// vendor metadata, optionally zlib-compressed; the CarveWith function
+// vendor metadata, optionally zlib-compressed; the Carve function
 // plays the role of binwalk, recovering embedded executables from raw
 // bytes even when the image header is damaged or the container format
 // is unknown.
@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"firmup/internal/obj"
-	"firmup/internal/telemetry"
 )
 
 // Magic values for the two on-disk layouts.
@@ -232,18 +231,19 @@ func readFile(r io.Reader, n, step int) ([]byte, error) {
 	}
 }
 
-// CarveWith scans raw bytes for embedded FWELF executables,
-// binwalk-style: at every occurrence of the FWELF magic it checks the
-// layout there (obj.Extent) and parses the files that hold, each parse
-// timed and counted under parent (see obj.ReadWith; the zero Span records
-// nothing), resuming the scan past every file it carves. A layout that fails
-// copies nothing and carved files do not overlap, so carving allocates in
-// proportion to the input however many headers it holds. It is the
-// fallback path when an image fails to unpack structurally (the paper
-// reports that a large fraction of crawled images had damaged or opaque
-// containers).
-func CarveWith(data []byte, parent telemetry.Span) []*obj.File {
-	var out []*obj.File
+// Carve scans raw bytes for embedded FWELF executables, binwalk-style:
+// at every occurrence of the FWELF magic it checks the layout there
+// (obj.Extent, which fails exactly when obj.Read does) and hands back
+// each file that holds as a FileEntry named carved_<n>, its Data the
+// file's own extent of data — the bytes a caller parses, and keys the
+// executable's analysis on, as it does a streamed file's. The scan
+// resumes past every file it carves, so carved files do not overlap, and
+// carving copies nothing: it allocates its entry list however many
+// headers the input holds. It is the fallback path when an image fails
+// to unpack structurally (the paper reports that a large fraction of
+// crawled images had damaged or opaque containers).
+func Carve(data []byte) []FileEntry {
+	var out []FileEntry
 	for off := 0; off+4 <= len(data); {
 		idx := bytes.Index(data[off:], obj.Magic[:])
 		if idx < 0 {
@@ -251,12 +251,8 @@ func CarveWith(data []byte, parent telemetry.Span) []*obj.File {
 		}
 		pos := off + idx
 		off = pos + 1
-		n, err := obj.Extent(data[pos:])
-		if err != nil {
-			continue
-		}
-		if f, err := obj.ReadWith(data[pos:pos+n], parent); err == nil {
-			out = append(out, f)
+		if n, err := obj.Extent(data[pos:]); err == nil {
+			out = append(out, FileEntry{Path: fmt.Sprintf("carved_%d", len(out)), Data: data[pos : pos+n : pos+n]})
 			off = pos + n
 		}
 	}

@@ -2,10 +2,10 @@ package image
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"firmup/internal/obj"
-	"firmup/internal/telemetry"
 	"firmup/internal/uir"
 )
 
@@ -120,25 +120,31 @@ func TestCarveFindsEmbeddedExecutables(t *testing.T) {
 	blob.Write([]byte("FELFgarbage that is not a real header"))
 	blob.Write(bytes.Repeat([]byte{0x00}, 33))
 	blob.Write(exeFixture("bbb").Bytes())
-	found := CarveWith(blob.Bytes(), telemetry.Span{})
+	found := Carve(blob.Bytes())
 	if len(found) != 2 {
-		t.Fatalf("CarveWith found %d executables, want 2", len(found))
+		t.Fatalf("Carve found %d executables, want 2", len(found))
 	}
-	if found[0].Syms[0].Name != "aaa" || found[1].Syms[0].Name != "bbb" {
-		t.Errorf("carved syms: %v %v", found[0].Syms, found[1].Syms)
+	for i, want := range []string{"aaa", "bbb"} {
+		f, err := obj.Read(found[i].Data)
+		if err != nil {
+			t.Fatalf("carved file %d: %v", i, err)
+		}
+		if found[i].Path != fmt.Sprintf("carved_%d", i) || f.Syms[0].Name != want || !bytes.Equal(found[i].Data, exeFixture(want).Bytes()) {
+			t.Errorf("carved file %d: %s with syms %v, want carved_%d with %s and exactly its bytes", i, found[i].Path, f.Syms, i, want)
+		}
 	}
 }
 
 func TestCarveOnPackedImage(t *testing.T) {
 	im := sampleImage()
 	raw := im.Pack(false)
-	found := CarveWith(raw, telemetry.Span{})
+	found := Carve(raw)
 	if len(found) != 2 {
-		t.Errorf("CarveWith on raw image found %d, want 2", len(found))
+		t.Errorf("Carve on raw image found %d, want 2", len(found))
 	}
 	// Compressed images hide the magics (binwalk would decompress first).
 	comp := im.Pack(true)
-	if n := len(CarveWith(comp, telemetry.Span{})); n != 0 {
+	if n := len(Carve(comp)); n != 0 {
 		t.Logf("carve on compressed image found %d (zlib may coincidentally contain magic)", n)
 	}
 }

@@ -44,7 +44,10 @@ type Proc struct {
 	CalledBy   []int
 }
 
-// Exe is one indexed executable.
+// Exe is one indexed executable: one analysis, which an analyzer session
+// shares between every sighting of the bytes it was built from. Where
+// each sighting sits is its caller's to keep; Path is the label the
+// executable was built under.
 type Exe struct {
 	Path  string
 	Arch  uir.Arch
@@ -53,9 +56,8 @@ type Exe struct {
 	Stripped bool
 
 	it strand.Interner
-	// index is the inverted index, built on first use (SimAllInto) and
-	// shared with every WithPath copy.
-	index *lazyIndex
+	// index is the inverted index, built on first use (SimAllInto).
+	index lazyIndex
 
 	nameOnce sync.Once
 	names    map[string]int
@@ -100,7 +102,7 @@ func BuildWith(path string, rec *cfg.Recovered, it strand.Interner, bc *BuildCon
 		abi = be.ABI()
 	}
 	opt := &strand.Options{ABI: abi, Sections: rec.File.Map()}
-	e := &Exe{Path: path, Arch: rec.Arch, Stripped: rec.File.Stripped, index: new(lazyIndex)}
+	e := &Exe{Path: path, Arch: rec.Arch, Stripped: rec.File.Stripped}
 	if bc == nil {
 		bc = &BuildConfig{}
 	}
@@ -252,7 +254,7 @@ func (pb *procBuilder) build(i int) *Proc {
 // session it, interning every strand set. Sets already interned under it
 // (e.g. materialized from a shard) are kept as-is.
 func FromProcs(path string, procs []*Proc, it strand.Interner) *Exe {
-	e := &Exe{Path: path, Procs: procs, it: it, index: new(lazyIndex)}
+	e := &Exe{Path: path, Procs: procs, it: it}
 	for _, p := range e.Procs {
 		if p.Set.It != it {
 			p.Set = p.Set.Interned(it)
@@ -263,21 +265,6 @@ func FromProcs(path string, procs []*Proc, it strand.Interner) *Exe {
 
 // Session returns the analyzer session the executable was built under.
 func (e *Exe) Session() strand.Interner { return e.it }
-
-// WithPath returns a copy of the executable under another path: the
-// procedures and the inverted index, built or not, are shared with the
-// receiver, only Path differs. The lazily-built name map is not carried
-// over; the copy builds its own on first use.
-func (e *Exe) WithPath(path string) *Exe {
-	return &Exe{
-		Path:     path,
-		Arch:     e.Arch,
-		Procs:    e.Procs,
-		Stripped: e.Stripped,
-		it:       e.it,
-		index:    e.index,
-	}
-}
 
 // csr is an executable's inverted index over dense strand IDs: ids is the
 // sorted set of distinct strand IDs present in the executable, and

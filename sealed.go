@@ -1,8 +1,6 @@
 package firmup
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -223,7 +221,8 @@ func (sc *SealedCorpus) coreBatch(queries []BatchQuery) ([]core.BatchQuery, erro
 
 // exeStore is a corpus's distinct executables, numbered from 0 and split
 // into groups: contiguous ID ranges in ID order, one per shard. Seal
-// numbers executables in first-sight order; WriteShards renumbers them
+// numbers the session's distinct analyses in first-sight order, one per
+// byte string however many images ship it; WriteShards renumbers them
 // shard by shard, after cutting them into shards by package, so a
 // reopened corpus's ranges are still contiguous.
 type exeStore []*sealedGroup
@@ -248,86 +247,18 @@ func (st exeStore) exe(u int) (*sim.Exe, error) {
 	return g.exe(u - g.base)
 }
 
-// appendExeContent appends everything a sealed executable is except its
-// path — arch, stripped flag, and every procedure's name, address,
-// flags, shape counts, strand IDs, markers and calls — so two
-// executables with equal content are stored once and one game stands
-// for both. Strand IDs are session-dense, which is enough: only
-// executables under one vocabulary are ever compared.
-func appendExeContent(b []byte, e *sim.Exe) []byte {
-	le := binary.LittleEndian
-	stripped := byte(0)
-	if e.Stripped {
-		stripped = 1
-	}
-	b = append(b, byte(e.Arch), stripped)
-	b = le.AppendUint32(b, uint32(len(e.Procs)))
-	for _, p := range e.Procs {
-		flags := uint32(0)
-		if p.Exported {
-			flags = 1
-		}
-		for _, n := range []uint32{
-			uint32(len(p.Name)), p.Addr, flags,
-			uint32(p.BlockCount), uint32(p.EdgeCount), uint32(p.InstCount),
-			uint32(len(p.Set.IDs)), uint32(len(p.Markers)), uint32(len(p.Calls)),
-		} {
-			b = le.AppendUint32(b, n)
-		}
-		b = append(b, p.Name...)
-		for _, id := range p.Set.IDs {
-			b = le.AppendUint32(b, id)
-		}
-		for _, m := range p.Markers {
-			b = le.AppendUint32(b, m)
-		}
-		for _, c := range p.Calls {
-			b = le.AppendUint32(b, uint32(c))
-		}
-	}
-	return b
-}
-
-// exeDedup numbers distinct executables in first-sight order, keyed by
-// the SHA-256 of their content.
-type exeDedup struct {
-	byKey map[[sha256.Size]byte]int
-	// byPtr answers a repeated *sim.Exe without hashing it again.
-	byPtr map[*sim.Exe]int
-	buf   []byte
-}
-
-func newExeDedup() *exeDedup {
-	return &exeDedup{byKey: map[[sha256.Size]byte]int{}, byPtr: map[*sim.Exe]int{}}
-}
-
-// add returns e's number and whether e is the first executable with its
-// content.
-func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
-	if ref, ok := d.byPtr[e]; ok {
-		return ref, false
-	}
-	d.buf = appendExeContent(d.buf[:0], e)
-	key := sha256.Sum256(d.buf)
-	ref, ok := d.byKey[key]
-	if !ok {
-		ref = len(d.byKey)
-		d.byKey[key] = ref
-	}
-	d.byPtr[e] = ref
-	return ref, !ok
-}
-
 // Seal freezes the session's current state into an immutable corpus
 // over the given images: the corpus that searches them. The frozen
 // vocabulary numbers each strand by its hash's rank, not by the ID the
 // session's interner gave it in the order analysis met it, so what Seal
-// encodes does not depend on how analysis was scheduled. The images'
-// distinct executables are numbered in first-sight order and encoded,
-// their strand sets renumbered, with the frozen vocabulary as the one
-// shard of a 1-shard corpus, held in memory and read like a shard file —
-// the corpus aliases nothing of the session, and the Analyzer and its
-// images stay fully usable afterwards.
+// encodes does not depend on how analysis was scheduled. An executable
+// is the byte string the session analysed it from: every sighting of one
+// holds the same analysis (OpenImage), so the images' distinct
+// executables are their distinct analyses, numbered in first-sight order
+// and encoded, their strand sets renumbered, with the frozen vocabulary
+// as the one shard of a 1-shard corpus, held in memory and read like a
+// shard file — the corpus aliases nothing of the session, and the
+// Analyzer and its images stay fully usable afterwards.
 // WriteShards keeps that numbering for one shard and renumbers for more,
 // where it cuts the executables into shards by package. The corpus lends the session's worker
 // tokens, and is indexed on its first search, not here.
@@ -338,15 +269,17 @@ func (d *exeDedup) add(e *sim.Exe) (ref int, fresh bool) {
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
 	vocab, rank := a.interner.Sorted()
 	c := &snapshot.Corpus{}
-	dedup := newExeDedup()
+	ids := map[*sim.Exe]int{} // each distinct executable's number
 	for ii, img := range images {
 		ci := snapshot.CorpusImage{Vendor: img.Vendor, Device: img.Device, Version: img.Version, Skipped: skipsToModel(img.Skipped)}
 		for _, e := range img.Exes {
 			if e.exe.Session() != strand.Interner(a.interner) {
 				return nil, fmt.Errorf("firmup: Seal: image %d executable %s was not analyzed under this session", ii, e.Path)
 			}
-			ref, fresh := dedup.add(e.exe)
-			if fresh {
+			ref, ok := ids[e.exe]
+			if !ok {
+				ref = len(c.Exes)
+				ids[e.exe] = ref
 				c.Exes = append(c.Exes, exeToModel(e.exe, rank))
 			}
 			ci.Occs = append(ci.Occs, snapshot.Occurrence{Path: e.Path, Exe: ref})

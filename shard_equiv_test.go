@@ -488,6 +488,13 @@ func TestShardDedupEquivalence(t *testing.T) {
 		imgs = append(imgs, img)
 	}
 	src := imgs[donorImg].Executable(donorPath)
+	for i, ps := range copies {
+		for _, p := range ps {
+			if cp := imgs[i].Executable(p); cp == nil || cp.Sim() != src.Sim() {
+				t.Fatalf("image %d: %s does not hold the donor's analysis", i, p)
+			}
+		}
+	}
 	edit := func(f func(*sim.Proc)) func([]*sim.Proc) {
 		return func(procs []*sim.Proc) {
 			for _, p := range procs {
